@@ -111,7 +111,6 @@ def label_propagation_clustering(
     det = ctx.detector
     rec = recorder_for(det, "lp-clustering")
     inject_race = ctx.config.debug.inject_lp_weight_race
-    use_bulk = ctx.config.use_bulk_kernels
     tracer = ctx.tracer
     # per-round kernel spans are opt-out (config.obs.kernel_spans)
     round_tracer = tracer if ctx.config.obs.kernel_spans else _null_tracer()
@@ -219,92 +218,42 @@ def label_propagation_clustering(
                         bytes_moved=edge_bytes * len(owner),
                         atomic_ops=bumped_pairs,
                     )
-                    if use_bulk:
-                        # bulk kernel: safe-target commits apply with one
-                        # scatter-add; contended targets replay in order
-                        # inside the kernel (bit-identical to the scalar
-                        # loop below, proven by the differential tests)
-                        mv_us = us[want_move]
-                        mv_tgt = best_cluster[want_move]
-                        prevs = cur[want_move]
-                        acc = bulk_size_constrained_commit(
-                            mv_tgt,
-                            prevs,
-                            vwgt[mv_us],
-                            cluster_weights,
-                            max_cluster_weight,
-                        )
-                        acc_us = mv_us[acc]
-                        clusters[acc_us] = mv_tgt[acc]
-                        moves += len(acc_us)
-                        if rec.active and len(acc_us):
-                            rec.atomic("clusters", acc_us)
-                            touched = np.concatenate([prevs[acc], mv_tgt[acc]])
-                            if inject_race:
-                                # test-only injection drops the CAS claim so
-                                # fuzzed schedules must catch the plain-write
-                                # race
-                                # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
-                                det.record_write("cluster-weights", touched)
-                            else:
-                                rec.atomic("cluster-weights", touched)
-                        if cc.active_set and len(acc_us):
-                            # a move invalidates the cached decision of u
-                            # and of every neighbor of u (atomic-or marks)
-                            _ao, acc_nbrs, _aw = chunk_adjacency(graph, acc_us)
-                            active[acc_us] = True
-                            active[acc_nbrs] = True
-                            if rec.active:
-                                rec.atomic(
-                                    "active-set",
-                                    np.concatenate([acc_nbrs, acc_us]),
-                                )
-                    else:
-                        moved_us: list[int] = []
-                        touched_weights: list[int] = []
-                        touched_active: list[np.ndarray] = []
-                        for u, c in zip(
-                            us[want_move].tolist(),
-                            best_cluster[want_move].tolist(),
-                        ):
-                            w = int(vwgt[u])
-                            if cluster_weights[c] + w > max_cluster_weight:
-                                continue
-                            prev = int(clusters[u])
-                            cluster_weights[prev] -= w
-                            cluster_weights[c] += w
-                            clusters[u] = c
-                            moves += 1
-                            if rec.active:
-                                moved_us.append(u)
-                                touched_weights.append(prev)
-                                touched_weights.append(c)
-                            if cc.active_set:
-                                # a move invalidates the cached decision of u
-                                # and of every neighbor of u (atomic-or marks)
-                                nbrs_u = graph.neighbors(u)
-                                active[u] = True
-                                active[nbrs_u] = True
-                                if rec.active:
-                                    touched_active.append(np.asarray(nbrs_u))
-                                    touched_active.append(
-                                        np.array([u], dtype=np.int64)
-                                    )
-                        if rec.active and moved_us:
-                            rec.atomic("clusters", moved_us)
-                            if inject_race:
-                                # test-only injection drops the CAS claim so
-                                # fuzzed schedules must catch the plain-write
-                                # race
-                                # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
-                                det.record_write(
-                                    "cluster-weights", touched_weights
-                                )
-                            else:
-                                rec.atomic("cluster-weights", touched_weights)
-                        if rec.active and touched_active:
+                    # safe-target commits apply with one scatter-add;
+                    # contended targets replay in order inside the kernel
+                    mv_us = us[want_move]
+                    mv_tgt = best_cluster[want_move]
+                    prevs = cur[want_move]
+                    acc = bulk_size_constrained_commit(
+                        mv_tgt,
+                        prevs,
+                        vwgt[mv_us],
+                        cluster_weights,
+                        max_cluster_weight,
+                    )
+                    acc_us = mv_us[acc]
+                    clusters[acc_us] = mv_tgt[acc]
+                    moves += len(acc_us)
+                    if rec.active and len(acc_us):
+                        rec.atomic("clusters", acc_us)
+                        touched = np.concatenate([prevs[acc], mv_tgt[acc]])
+                        if inject_race:
+                            # test-only injection drops the CAS claim so
+                            # fuzzed schedules must catch the plain-write
+                            # race
+                            # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
+                            det.record_write("cluster-weights", touched)
+                        else:
+                            rec.atomic("cluster-weights", touched)
+                    if cc.active_set and len(acc_us):
+                        # a move invalidates the cached decision of u
+                        # and of every neighbor of u (atomic-or marks)
+                        _ao, acc_nbrs, _aw = chunk_adjacency(graph, acc_us)
+                        active[acc_us] = True
+                        active[acc_nbrs] = True
+                        if rec.active:
                             rec.atomic(
-                                "active-set", np.concatenate(touched_active)
+                                "active-set",
+                                np.concatenate([acc_nbrs, acc_us]),
                             )
                     if rec.active and two_phase and bumped_pairs:
                         rec.atomic(

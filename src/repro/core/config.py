@@ -195,12 +195,6 @@ class PartitionerConfig:
     use_fm: bool = False
     fm: FMConfig = field(default_factory=FMConfig)
     lp_refinement_rounds: int = 3
-    # Route the hot phases (LP clustering commits, one-pass contraction
-    # aggregation, LP refinement commits, gain-table construction/probing)
-    # through the chunk-granular numpy bulk kernels in repro.core.kernels.
-    # False selects the per-vertex scalar reference paths, which the
-    # differential-equivalence tests prove bit-identical to the kernels.
-    use_bulk_kernels: bool = True
     debug: DebugConfig = field(default_factory=DebugConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
 
@@ -222,12 +216,16 @@ def config_to_dict(cfg: PartitionerConfig) -> dict:
 def config_digest(cfg: PartitionerConfig) -> str:
     """Stable short hash identifying a configuration *variant*.
 
-    The seed is excluded: runs of the same variant under different seeds
-    share a digest, which is what the run database groups by.  Any other
-    knob change (including debug/obs toggles) yields a new digest.
+    Only result-affecting knobs are hashed.  The seed is excluded: runs of
+    the same variant under different seeds share a digest, which is what
+    the run database groups by.  So are ``debug`` and ``obs``: traced ==
+    untraced and schedule-independence are tested invariants, so turning
+    tracing or validation on must not fork the service cache key or the
+    run-DB group.  Any other knob change yields a new digest.
     """
     d = config_to_dict(cfg)
-    d.pop("seed", None)
+    for key in ("seed", "debug", "obs"):
+        d.pop(key, None)
     payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

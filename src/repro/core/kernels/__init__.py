@@ -13,11 +13,12 @@ replay) are entirely the caller's.  The contract:
   a :class:`~repro.verify.declarations.SharedAccessRecorder`) or through an
   explicitly-passed capacity array (:func:`bulk_size_constrained_commit`),
   never through hidden module state;
-* every kernel is bit-identical to the scalar reference path it replaces.
-  The scalar paths stay in the phase modules behind
-  ``PartitionerConfig.use_bulk_kernels = False`` and the differential tests
-  (``tests/test_bulk_equivalence.py``) prove equality across seeds and
-  thread counts.
+* every kernel is the *only* implementation of its phase -- the
+  shared-memory partitioner, :mod:`repro.dist` and the service all call
+  it -- and is bit-identical to a same-signature scalar reference.  Those
+  references live outside production, in ``tests/scalar_reference.py``;
+  the differential tests (``tests/test_bulk_equivalence.py``) swap them in
+  for the kernels and prove equality across seeds and thread counts.
 
 Scratch arrays are allocated with the tracked constructors from
 :mod:`repro.memory.scratch` so the memory ledger (and the ``repro lint``

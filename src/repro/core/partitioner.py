@@ -297,7 +297,6 @@ def _partition_phases(graph, k, config, ctx, inv, checks_run):
                     graph,
                     enable_intervals=config.compression_intervals,
                     tracker=None,
-                    bulk=config.use_bulk_kernels,
                 )
                 input_aid = tracker.alloc("input-graph", top.nbytes, "graph")
                 tracer.add("compression.input_bytes", graph.nbytes)

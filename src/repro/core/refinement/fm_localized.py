@@ -42,12 +42,7 @@ def fm_refine_localized(
     tracer = ctx.tracer
     for _ in range(cfg.max_rounds):
         with tracer.span("gain-table-build"):
-            table = make_gain_table(
-                cfg.gain_table,
-                pgraph,
-                ctx.tracker,
-                bulk=ctx.config.use_bulk_kernels,
-            )
+            table = make_gain_table(cfg.gain_table, pgraph, ctx.tracker)
         if tracer.enabled:
             tracer.add("gain_table.bytes", table.nbytes)
             mix = getattr(table, "width_mix", None)

@@ -55,12 +55,7 @@ def fm_refine(
     tracer = ctx.tracer
     for _ in range(cfg.max_rounds):
         with tracer.span("gain-table-build"):
-            table = make_gain_table(
-                cfg.gain_table,
-                pgraph,
-                ctx.tracker,
-                bulk=ctx.config.use_bulk_kernels,
-            )
+            table = make_gain_table(cfg.gain_table, pgraph, ctx.tracker)
         if tracer.enabled:
             tracer.add("gain_table.bytes", table.nbytes)
             mix = getattr(table, "width_mix", None)
@@ -110,29 +105,22 @@ def _fm_pass(
     in_moves: list[tuple[int, int, int]] = []  # (u, src, dst)
     locked = tracked_zeros(pgraph.graph.n, bool, name="fm-locked")
 
-    if ctx.config.use_bulk_kernels:
-        # score every seed in one batched pass; winners surface in seed
-        # order, so the heap tiebreak counters match the scalar loop
-        po, pb, pg = table.gains_many(seeds)
-        cur = pgraph.partition[seeds].astype(np.int64)
-        w = np.asarray(pgraph.graph.vwgt)[seeds]
-        feasible = (pb != cur[po]) & (
-            pgraph.block_weights[pb] + w[po] <= max_block_weight
-        )
-        po2, pb2, pg2 = po[feasible], pb[feasible], pg[feasible]
-        # max gain, then smallest block -- _best_move's strict-> scan order
-        best = segment_best_last(po2, pg2, tiebreak=-pb2)
-        for o, b, gn in zip(
-            po2[best].tolist(), pb2[best].tolist(), pg2[best].tolist()
-        ):
-            heapq.heappush(heap, (-int(gn), counter, int(seeds[o]), int(b)))
-            counter += 1
-    else:
-        for u in seeds.tolist():
-            mv = _best_move(table, pgraph, int(u), max_block_weight)
-            if mv is not None:
-                heapq.heappush(heap, (-mv[0], counter, int(u), mv[1]))
-                counter += 1
+    # score every seed in one batched pass; winners surface in seed
+    # order, which fixes the heap tiebreak counters
+    po, pb, pg = table.gains_many(seeds)
+    cur = pgraph.partition[seeds].astype(np.int64)
+    w = np.asarray(pgraph.graph.vwgt)[seeds]
+    feasible = (pb != cur[po]) & (
+        pgraph.block_weights[pb] + w[po] <= max_block_weight
+    )
+    po2, pb2, pg2 = po[feasible], pb[feasible], pg[feasible]
+    # max gain, then smallest block -- _best_move's strict-> scan order
+    best = segment_best_last(po2, pg2, tiebreak=-pb2)
+    for o, b, gn in zip(
+        po2[best].tolist(), pb2[best].tolist(), pg2[best].tolist()
+    ):
+        heapq.heappush(heap, (-int(gn), counter, int(seeds[o]), int(b)))
+        counter += 1
 
     cumulative = 0
     best_cumulative = 0

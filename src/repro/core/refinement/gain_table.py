@@ -220,9 +220,8 @@ class SparseGainTable:
 
     EMPTY = -1
 
-    def __init__(self, pgraph, tracker=None, *, bulk: bool = True) -> None:
+    def __init__(self, pgraph, tracker=None) -> None:
         self._pgraph = pgraph
-        self._bulk = bulk
         g = pgraph.graph
         n, k = g.n, pgraph.k
         degrees = np.asarray(g.degrees)
@@ -247,13 +246,7 @@ class SparseGainTable:
             inc = np.array(
                 [g.incident_weight(u) for u in range(n)], dtype=np.int64
             )
-        if bulk:
-            self._width_bits = entry_width_bits_bulk(inc)
-        else:
-            self._width_bits = np.array(
-                [entry_width_bits(int(w)) for w in inc.tolist()],
-                dtype=np.int64,
-            )
+        self._width_bits = entry_width_bits_bulk(inc)
         self.lock_acquisitions = 0
         self._build()
         self._aid = (
@@ -268,9 +261,7 @@ class SparseGainTable:
         g = self._pgraph.graph
         part = self._pgraph.partition
         k = self._pgraph.k
-        # aggregate all (vertex, block) affinities in one vectorized pass,
-        # then insert each non-zero entry (the per-entry loop is unavoidable
-        # for the hash tables, but it now runs once per *pair*, not per edge)
+        # aggregate all (vertex, block) affinities in one vectorized pass
         from repro.graph.access import full_adjacency, segment_reduce_ratings
 
         src, dst, wgt = full_adjacency(g)
@@ -279,20 +270,16 @@ class SparseGainTable:
         po, pb, pa = segment_reduce_ratings(
             src, part[dst].astype(np.int64), np.asarray(wgt), k
         )
-        if not self._bulk:
-            for u, b, a in zip(po.tolist(), pb.tolist(), pa.tolist()):
-                self._insert_add(int(u), int(b), int(a))
-            return
-        # bulk build: dense rows scatter directly; hash rows insert via the
-        # rank-wave kernel, which replays the scalar per-row probe sequence
-        # exactly (pairs arrive grouped by vertex, blocks ascending)
+        # dense rows scatter directly; hash rows insert via the rank-wave
+        # kernel, which reproduces the probe sequence of one `_insert_add`
+        # per pair (pairs arrive grouped by vertex, blocks ascending)
         dense_pair = self._dense[po]
         if np.any(dense_pair):
             d = np.flatnonzero(dense_pair)
             self._vals[self._offsets[po[d]] + pb[d]] = pa[d]
         h = np.flatnonzero(~dense_pair)
         if len(h):
-            # mirror the scalar path: one lock acquisition per hash insert;
+            # one lock acquisition per hash insert, as `_insert_add` counts;
             # aggregated affinities are > 0 (edge weights are positive), so
             # every pair lands as a fresh key
             self.lock_acquisitions += len(h)
@@ -405,16 +392,7 @@ class SparseGainTable:
         return np.sort(self._keys[lo:hi][mask].astype(np.int64))
 
     def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self._bulk:
-            blocks = self.adjacent_blocks(u)
-            cur = int(self._pgraph.partition[u])
-            cur_aff = self.affinity(u, cur)
-            gains = np.array(
-                [self.affinity(u, int(b)) - cur_aff for b in blocks.tolist()],
-                dtype=np.int64,
-            )
-            return blocks, gains
-        # bulk: one row read instead of a probe per adjacent block
+        # one row read instead of a probe per adjacent block
         lo, hi = self._range(u)
         cur = int(self._pgraph.partition[u])
         if self._dense[u]:
@@ -497,18 +475,13 @@ class SparseGainTable:
             self._aid = None
 
 
-def make_gain_table(kind, pgraph, tracker=None, *, bulk: bool = True):
-    """Factory keyed by :class:`repro.core.config.GainTableKind` or str.
-
-    ``bulk`` selects the vectorized build/query paths where a table has
-    them (currently :class:`SparseGainTable`); the scalar paths stay as
-    the verify reference.
-    """
+def make_gain_table(kind, pgraph, tracker=None):
+    """Factory keyed by :class:`repro.core.config.GainTableKind` or str."""
     name = getattr(kind, "value", kind)
     if name == "none":
         return NoGainTable(pgraph, tracker)
     if name == "full":
         return FullGainTable(pgraph, tracker)
     if name == "sparse":
-        return SparseGainTable(pgraph, tracker, bulk=bulk)
+        return SparseGainTable(pgraph, tracker)
     raise KeyError(f"unknown gain table kind {kind!r}")

@@ -73,7 +73,6 @@ def _refine_round(
     runtime = ctx.runtime
     k = pgraph.k
     moves = 0
-    use_bulk = ctx.config.use_bulk_kernels
     for _tid, chunk in runtime.execute(sched, phase="lp-refinement"):
         owner, nbrs, wgts = chunk_adjacency(g, chunk)
         if len(owner) == 0:
@@ -103,44 +102,25 @@ def _refine_round(
             work=float(len(owner)),
             bytes_moved=float(16 * len(owner)),
         )
-        if use_bulk:
-            # bulk commit against the real block-weight array; the kernel
-            # replays contended blocks in order, so acceptance matches the
-            # scalar loop bit for bit
-            mv_us = chunk[po2[best]]
-            mv_tgt = pb2[best]
-            prevs = part[mv_us].astype(np.int64)
-            acc = bulk_size_constrained_commit(
-                mv_tgt,
-                prevs,
-                vwgt[mv_us],
-                pgraph.block_weights,
-                max_block_weight,
+        # commit against the real block-weight array; the kernel replays
+        # contended blocks in candidate order
+        mv_us = chunk[po2[best]]
+        mv_tgt = pb2[best]
+        prevs = part[mv_us].astype(np.int64)
+        acc = bulk_size_constrained_commit(
+            mv_tgt,
+            prevs,
+            vwgt[mv_us],
+            pgraph.block_weights,
+            max_block_weight,
+        )
+        acc_us = mv_us[acc]
+        assert pgraph.k <= np.iinfo(np.int32).max
+        part[acc_us] = mv_tgt[acc].astype(np.int32)
+        moves += len(acc_us)
+        if rec.active and len(acc_us):
+            rec.atomic("partition", acc_us)
+            rec.atomic(
+                "block-weights", np.concatenate([prevs[acc], mv_tgt[acc]])
             )
-            acc_us = mv_us[acc]
-            assert pgraph.k <= np.iinfo(np.int32).max
-            part[acc_us] = mv_tgt[acc].astype(np.int32)
-            moves += len(acc_us)
-            if rec.active and len(acc_us):
-                rec.atomic("partition", acc_us)
-                rec.atomic(
-                    "block-weights", np.concatenate([prevs[acc], mv_tgt[acc]])
-                )
-        else:
-            moved: list[int] = []
-            touched_blocks: list[int] = []
-            for o, b in zip(po2[best].tolist(), pb2[best].tolist()):
-                u = int(chunk[o])
-                w = int(vwgt[u])
-                if pgraph.block_weights[b] + w > max_block_weight[b]:
-                    continue
-                if rec.active:
-                    moved.append(u)
-                    touched_blocks.append(int(part[u]))
-                    touched_blocks.append(b)
-                pgraph.move(u, int(b))
-                moves += 1
-            if rec.active and moved:
-                rec.atomic("partition", moved)
-                rec.atomic("block-weights", touched_blocks)
     return moves

@@ -7,10 +7,14 @@ mappings.  With ``compressed=True`` each shard's neighborhoods are stored
 with the Section III codec (gap + interval + VarInt), which is exactly what
 turns dKaMinPar into xTeraPart.
 
-The simulation keeps adjacency in global IDs; per-rank ledgers charge the
-shard's storage (CSR or compressed) plus 16 bytes per ghost for the mapping,
-reproducing the paper's 1.2-1.3x distributed overhead and the per-node OOM
-behaviour of the uncompressed baseline.
+The simulation keeps adjacency in global IDs, so a level is encoded once
+by the shared :func:`~repro.graph.compressed.compress_graph` and a shard is
+a row range of the result, read through
+:func:`~repro.graph.access.chunk_adjacency` like every other graph in the
+repo.  Per-rank ledgers charge the shard's storage (CSR or compressed) plus
+16 bytes per ghost for the mapping, reproducing the paper's 1.2-1.3x
+distributed overhead and the per-node OOM behaviour of the uncompressed
+baseline.
 """
 
 from __future__ import annotations
@@ -20,94 +24,44 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dist.comm import SimComm
-from repro.graph.compressed import (
-    CompressionConfig,
-    CompressionStats,
-    _decode_block,
-    encode_neighborhood,
-)
-from repro.graph.varint import decode_varint
-from repro.memory.scratch import tracked_full, tracked_ones, tracked_zeros
+from repro.graph.access import chunk_adjacency
+from repro.graph.compressed import compress_graph
+from repro.memory.scratch import tracked_full, tracked_zeros
 
 
 @dataclass
 class Shard:
-    """One rank's part of the graph.
+    """One rank's part of a level: rows ``lo..hi`` of the level's graph.
 
-    ``lo..hi`` is the owned global vertex range.  ``data``/``offsets`` hold
-    the compressed neighborhoods when ``compressed``; otherwise
-    ``adj``/``wgt`` hold raw arrays sliced by ``indptr``.
+    The simulation keeps every level in global IDs, so a shard does not
+    copy its rows: ``graph`` is the level's ``CSRGraph`` (dKaMinPar) or its
+    :func:`~repro.graph.compressed.compress_graph` image (xTeraPart), and
+    ``storage_bytes`` is what rows ``lo..hi`` of it occupy on the rank.
     """
 
     rank: int
     lo: int
     hi: int
+    graph: object
     vwgt: np.ndarray
     ghosts: np.ndarray
-    degrees: np.ndarray
-    indptr: np.ndarray | None = None
-    adj: np.ndarray | None = None
-    wgt: np.ndarray | None = None
-    data: bytes | None = None
-    offsets: np.ndarray | None = None
-    config: CompressionConfig | None = None
-    weighted: bool = False
-    stats: CompressionStats | None = None
+    storage_bytes: int
 
     @property
     def n_local(self) -> int:
         return self.hi - self.lo
 
-    @property
-    def compressed(self) -> bool:
-        return self.data is not None
+    def adjacency(
+        self, local_ids: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened ``(owner, neighbors, weights)`` of owned vertices.
 
-    def neighbors_and_weights(self, lu: int) -> tuple[np.ndarray, np.ndarray]:
-        """Adjacency of local vertex ``lu`` in *global* IDs."""
-        if not self.compressed:
-            a, b = self.indptr[lu], self.indptr[lu + 1]
-            return self.adj[a:b], self.wgt[a:b]
-        u_global = self.lo + lu
-        deg = int(self.degrees[lu])
-        if deg == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e
-        buf = self.data
-        pos = int(self.offsets[lu])
-        _, pos = decode_varint(buf, pos)  # skip first-edge-id header
-        cfg = self.config
-        if deg <= cfg.high_degree_threshold:
-            nbrs, wgts, _ = _decode_block(u_global, buf, pos, deg, cfg, self.weighted)
-        else:
-            parts, wparts = [], []
-            remaining = deg
-            while remaining:
-                cnt = min(cfg.chunk_length, remaining)
-                blen, pos = decode_varint(buf, pos)
-                nb, wb, end = _decode_block(u_global, buf, pos, cnt, cfg, self.weighted)
-                pos = end
-                parts.append(nb)
-                if wb is not None:
-                    wparts.append(wb)
-                remaining -= cnt
-            nbrs = np.concatenate(parts)
-            wgts = np.concatenate(wparts) if wparts else None
-        if wgts is None:
-            wgts = tracked_ones(len(nbrs), np.int64, name="shard-unit-weights")
-        return nbrs, wgts
-
-    @property
-    def storage_bytes(self) -> int:
-        if self.compressed:
-            return (
-                len(self.data)
-                + self.offsets.nbytes
-                + self.degrees.nbytes
-                + self.vwgt.nbytes
-            )
-        return (
-            self.indptr.nbytes + self.adj.nbytes + self.wgt.nbytes + self.vwgt.nbytes
-        )
+        ``local_ids`` defaults to every owned vertex; ``owner`` indexes
+        into it and neighbors are *global* IDs.
+        """
+        if local_ids is None:
+            return chunk_adjacency(self.graph, np.arange(self.lo, self.hi))
+        return chunk_adjacency(self.graph, self.lo + local_ids)
 
     @property
     def ghost_bytes(self) -> int:
@@ -173,54 +127,38 @@ def distribute_graph(
             raise ValueError("ranges must be a size+1 prefix array covering n")
     shards: list[Shard] = []
     aids: list[int] = []
-    cfg = CompressionConfig()
+    # one encoder call per level; each rank's byte stream is the slice
+    # data[offsets[lo]:offsets[hi]] of it
+    level = compress_graph(graph) if compressed else graph
     for rank in range(comm.size):
         lo, hi = int(ranges[rank]), int(ranges[rank + 1])
         a, b = int(graph.indptr[lo]), int(graph.indptr[hi])
-        adj = graph.adjncy[a:b].copy()
-        wgt = np.asarray(graph.adjwgt)[a:b].copy()
-        indptr = (graph.indptr[lo : hi + 1] - a).copy()
-        vwgt = np.asarray(graph.vwgt)[lo:hi].copy()
-        ghosts = np.unique(adj[(adj < lo) | (adj >= hi)])
-        degrees = np.diff(indptr)
+        adj = graph.adjncy[a:b]
+        vwgt = np.asarray(graph.vwgt)[lo:hi]
+        n_local = hi - lo
         if compressed:
-            stats = CompressionStats()
-            out = bytearray()
-            offsets = np.empty(hi - lo + 1, dtype=np.int64)
-            for lu in range(hi - lo):
-                offsets[lu] = len(out)
-                s, e = indptr[lu], indptr[lu + 1]
-                nbrs = adj[s:e]
-                ws = wgt[s:e]
-                order = np.argsort(nbrs, kind="stable")
-                weighted = graph.has_edge_weights
-                encode_neighborhood(
-                    lo + lu,
-                    nbrs[order],
-                    ws[order] if weighted else None,
-                    int(a + s),
-                    out,
-                    cfg,
-                    stats,
-                )
-            offsets[hi - lo] = len(out)
-            shard = Shard(
-                rank,
-                lo,
-                hi,
-                vwgt,
-                ghosts,
-                degrees,
-                data=bytes(out),
-                offsets=offsets,
-                config=cfg,
-                weighted=graph.has_edge_weights,
-                stats=stats,
+            # encoded bytes + offsets + degrees
+            rows = (
+                int(level.offsets[hi] - level.offsets[lo])
+                + 8 * (n_local + 1)
+                + 8 * n_local
             )
         else:
-            shard = Shard(
-                rank, lo, hi, vwgt, ghosts, degrees, indptr=indptr, adj=adj, wgt=wgt
+            # indptr + neighbor IDs + edge weights
+            rows = (
+                8 * (n_local + 1)
+                + adj.nbytes
+                + np.asarray(graph.adjwgt)[a:b].nbytes
             )
+        shard = Shard(
+            rank,
+            lo,
+            hi,
+            level,
+            vwgt,
+            ghosts=np.unique(adj[(adj < lo) | (adj >= hi)]),
+            storage_bytes=rows + vwgt.nbytes,
+        )
         aid = comm.trackers[rank].alloc(
             f"shard-{rank}", shard.storage_bytes + shard.ghost_bytes, "graph"
         )

@@ -14,41 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dist.comm import SimComm
+from repro.core.kernels import (
+    bulk_size_constrained_commit,
+    move_gains,
+    segment_best_last,
+)
 from repro.dist.dgraph import DistributedGraph
-from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
+from repro.graph.access import segment_reduce_ratings
+from repro.memory.scratch import tracked_zeros
 from repro.obs.dist.cluster import NULL_CLUSTER_OBSERVER
-
-
-def _segment_best(
-    owner: np.ndarray,
-    labels_of_nbrs: np.ndarray,
-    weights: np.ndarray,
-    id_space: int,
-    current: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best label per owner (ties favor the current label, then jitter)."""
-    key = owner * np.int64(id_space) + labels_of_nbrs
-    order = np.argsort(key, kind="stable")
-    key_s, w_s = key[order], weights[order]
-    boundary = tracked_empty(len(key_s), bool, name="segment-boundary")
-    boundary[0] = True
-    boundary[1:] = key_s[1:] != key_s[:-1]
-    starts = np.flatnonzero(boundary)
-    ratings = np.add.reduceat(w_s, starts)
-    pair_key = key_s[starts]
-    po = pair_key // id_space
-    pl = pair_key % id_space
-    is_current = pl == current[po]
-    jitter = ((pl * 0x9E3779B1) ^ (po * 0x85EBCA6B)) >> 7 & 0x3F
-    rank_score = ((2 * ratings + is_current) << 6) | jitter
-    ordc = np.lexsort((rank_score, po))
-    last = tracked_empty(len(ordc), bool, name="segment-last-mask")
-    last[-1] = True
-    last[:-1] = po[ordc][1:] != po[ordc][:-1]
-    best = ordc[last]
-    return po[best], pl[best]
-
 
 
 def _ghost_update_payload(
@@ -151,48 +125,33 @@ def distributed_lp_clustering(
                 for shard in dgraph.shards:
                     local = np.arange(shard.lo, shard.hi, dtype=np.int64)
                     mine = local[local % batches == batch]
-                    if len(mine) == 0:
-                        all_changes.append(
-                            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-                        )
-                        continue
-                    owners = []
-                    nbrs = []
-                    ws = []
-                    for i, u in enumerate(mine.tolist()):
-                        nv, wv = shard.neighbors_and_weights(u - shard.lo)
-                        if len(nv):
-                            owners.append(np.full(len(nv), i, dtype=np.int64))
-                            nbrs.append(np.asarray(nv))
-                            ws.append(np.asarray(wv))
-                    if not owners:
-                        all_changes.append(
-                            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-                        )
-                        continue
-                    owner = np.concatenate(owners)
-                    nbr = np.concatenate(nbrs)
-                    w = np.concatenate(ws)
-                    po, pl = _segment_best(
-                        owner, snapshot[nbr], w, n, snapshot[mine]
+                    owner, nbr, w = shard.adjacency(mine - shard.lo)
+                    po, pl, ratings = segment_reduce_ratings(
+                        owner, snapshot[nbr], w, n
                     )
+                    # ties favor the current label, then jitter
+                    is_current = pl == snapshot[mine][po]
+                    jitter = ((pl * 0x9E3779B1) ^ (po * 0x85EBCA6B)) >> 7 & 0x3F
+                    best = segment_best_last(
+                        po, ((2 * ratings + is_current) << 6) | jitter
+                    )
+                    po, pl = po[best], pl[best]
                     us = mine[po]
                     cur = snapshot[us]
                     fits = weights[pl] + vwgt_global[us] <= max_cluster_weight
                     move = (pl != cur) & fits
                     all_changes.append((us[move], pl[move]))
                 # apply moves + exchange boundary label updates (alltoallv)
-                contended = 0
-                for us, ls in all_changes:
-                    for u, l in zip(us.tolist(), ls.tolist()):
-                        w = int(vwgt_global[u])
-                        if weights[l] + w > max_cluster_weight:
-                            contended += 1
-                            continue  # weight table refreshed between batches
-                        weights[labels[u]] -= w
-                        weights[l] += w
-                        labels[u] = l
-                        moved += 1
+                # in rank order; a target the batch overfilled rejects the
+                # late arrivals (weight table refreshed between batches)
+                us = np.concatenate([c[0] for c in all_changes])
+                ls = np.concatenate([c[1] for c in all_changes])
+                accepted = bulk_size_constrained_commit(
+                    ls, labels[us], vwgt_global[us], weights, max_cluster_weight
+                )
+                labels[us[accepted]] = ls[accepted]
+                contended = len(us) - int(accepted.sum())
+                moved += len(us) - contended
                 with tracer.span("ghost-exchange", level=level):
                     payload = _ghost_update_payload(dgraph, all_changes)
                     comm.alltoallv(payload)  # label updates to ghost holders only
@@ -237,69 +196,27 @@ def distributed_lp_refine(
                 for shard in dgraph.shards:
                     local = np.arange(shard.lo, shard.hi, dtype=np.int64)
                     mine = local[local % batches == batch]
-                    owners, nbrs, ws = [], [], []
-                    for i, u in enumerate(mine.tolist()):
-                        nv, wv = shard.neighbors_and_weights(u - shard.lo)
-                        if len(nv):
-                            owners.append(
-                                tracked_full(len(nv), i, np.int64, name="dlp-owners")
-                            )
-                            nbrs.append(np.asarray(nv))
-                            ws.append(np.asarray(wv))
-                    if not owners:
-                        all_changes.append(
-                            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-                        )
-                        continue
-                    owner = np.concatenate(owners)
-                    nbr = np.concatenate(nbrs)
-                    w = np.concatenate(ws)
-                    # compute gains per (owner, block)
-                    key = owner * np.int64(k) + snapshot[nbr]
-                    order = np.argsort(key, kind="stable")
-                    key_s, w_s = key[order], w[order]
-                    boundary = tracked_empty(
-                        len(key_s), bool, name="dlp-boundary"
+                    owner, nbr, w = shard.adjacency(mine - shard.lo)
+                    po, pb, ratings = segment_reduce_ratings(
+                        owner, snapshot[nbr], w, k
                     )
-                    boundary[0] = True
-                    boundary[1:] = key_s[1:] != key_s[:-1]
-                    starts = np.flatnonzero(boundary)
-                    ratings = np.add.reduceat(w_s, starts)
-                    pair_key = key_s[starts]
-                    po = pair_key // k
-                    pb = pair_key % k
-                    us_all = mine[po]
-                    cur = snapshot[us_all].astype(np.int64)
-                    cur_aff = tracked_zeros(len(mine), np.int64, name="dlp-cur-aff")
-                    is_cur = pb == cur
-                    cur_aff[po[is_cur]] = ratings[is_cur]
-                    gain = ratings - cur_aff[po]
-                    fits = block_weights[pb] + vwgt[us_all] <= max_block_weight
+                    gain, is_cur = move_gains(
+                        po, pb, ratings, snapshot[mine], len(mine)
+                    )
+                    fits = block_weights[pb] + vwgt[mine[po]] <= max_block_weight
                     ok = fits & ~is_cur & (gain > 0)
-                    if not np.any(ok):
-                        all_changes.append(
-                            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-                        )
-                        continue
-                    po2, pb2, g2 = po[ok], pb[ok], gain[ok]
-                    ordc = np.lexsort((g2, po2))
-                    last = tracked_empty(len(ordc), bool, name="dlp-last-mask")
-                    last[-1] = True
-                    last[:-1] = po2[ordc][1:] != po2[ordc][:-1]
-                    best = ordc[last]
+                    po2, pb2 = po[ok], pb[ok]
+                    best = segment_best_last(po2, gain[ok])
                     all_changes.append((mine[po2[best]], pb2[best]))
-                for us, bs in all_changes:
-                    for u, b in zip(us.tolist(), bs.tolist()):
-                        w = int(vwgt[u])
-                        src = int(partition[u])
-                        if b == src:
-                            continue
-                        # batch-synchronous: the stale weight check may overfill;
-                        # the rebalancer repairs it afterwards (paper Section II-B)
-                        block_weights[src] -= w
-                        block_weights[b] += w
-                        partition[u] = b
-                        moved += 1
+                # batch-synchronous: the stale weight check may overfill;
+                # the rebalancer repairs it afterwards (paper Section II-B)
+                us = np.concatenate([c[0] for c in all_changes])
+                bs = np.concatenate([c[1] for c in all_changes])
+                w = vwgt[us]
+                np.subtract.at(block_weights, partition[us], w)
+                np.add.at(block_weights, bs, w)
+                partition[us] = bs
+                moved += len(us)
                 with tracer.span("ghost-exchange", level=level):
                     payload = _ghost_update_payload(dgraph, all_changes)
                     comm.alltoallv(payload)

@@ -31,9 +31,10 @@ from repro.core.partition import max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
 from repro.dist.dlp import distributed_lp_clustering, distributed_lp_refine
+from repro.graph.access import segment_reduce_ratings
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
-from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
+from repro.memory.scratch import tracked_full, tracked_zeros
 from repro.obs.dist.cluster import NULL_CLUSTER_OBSERVER, ClusterObserver
 
 
@@ -122,37 +123,12 @@ def _contract_distributed(
         for _ in range(comm.size)
     ]
     for shard in dgraph.shards:
-        srcs, dsts, ws = [], [], []
-        for lu in range(shard.n_local):
-            nv, wv = shard.neighbors_and_weights(lu)
-            if len(nv) == 0:
-                continue
-            cu = fine_to_coarse[shard.lo + lu]
-            cvs = fine_to_coarse[np.asarray(nv)]
-            keep = cvs != cu
-            if not np.any(keep):
-                continue
-            srcs.append(
-                tracked_full(int(keep.sum()), cu, np.int64, name="contract-srcs")
-            )
-            dsts.append(cvs[keep])
-            ws.append(np.asarray(wv)[keep])
-        if not srcs:
-            continue
-        cu = np.concatenate(srcs)
-        cv = np.concatenate(dsts)
-        w = np.concatenate(ws)
+        owner, nbrs, w = shard.adjacency()
+        cu = fine_to_coarse[shard.lo + owner]
+        cv = fine_to_coarse[nbrs]
+        keep = cu != cv
         # local pre-merge (reduces traffic, exactly like the real system)
-        key = cu * np.int64(n_coarse) + cv
-        order = np.argsort(key, kind="stable")
-        key_s, w_s = key[order], w[order]
-        b = tracked_empty(len(key_s), bool, name="contract-merge-bounds")
-        b[0] = True
-        b[1:] = key_s[1:] != key_s[:-1]
-        starts = np.flatnonzero(b)
-        w_m = np.add.reduceat(w_s, starts)
-        key_u = key_s[starts]
-        cu, cv, w = key_u // n_coarse, key_u % n_coarse, w_m
+        cu, cv, w = segment_reduce_ratings(cu[keep], cv[keep], w[keep], n_coarse)
         owners = np.searchsorted(coarse_ranges, cu, side="right") - 1
         for dst_rank in range(comm.size):
             mask = owners == dst_rank
@@ -168,24 +144,10 @@ def _contract_distributed(
                 tracer.rank_add(dst_rank, "contract.rows_received", rows)
 
     # ---- owners merge their buckets into the coarse graph ---- #
-    all_rows = [
-        row for per_rank in received for row in per_rank if len(row)
-    ]
-    if all_rows:
-        rows = np.concatenate(all_rows, axis=0)
-        cu, cv, w = rows[:, 0], rows[:, 1], rows[:, 2]
-        key = cu * np.int64(n_coarse) + cv
-        order = np.argsort(key, kind="stable")
-        key_s, w_s = key[order], w[order]
-        b = tracked_empty(len(key_s), bool, name="contract-merge-bounds")
-        b[0] = True
-        b[1:] = key_s[1:] != key_s[:-1]
-        starts = np.flatnonzero(b)
-        w = np.add.reduceat(w_s, starts)
-        key_u = key_s[starts]
-        cu, cv = key_u // n_coarse, key_u % n_coarse
-    else:
-        cu = cv = w = np.empty(0, dtype=np.int64)
+    rows = np.concatenate([row for per_rank in received for row in per_rank])
+    cu, cv, w = segment_reduce_ratings(
+        rows[:, 0], rows[:, 1], rows[:, 2], n_coarse
+    )
     tracer.add("contract.coarse_edges", len(cv))
 
     vwgt = tracked_zeros(n_coarse, np.int64, name="coarse-vwgt")
@@ -210,12 +172,9 @@ def _contract_distributed(
 def _graph_cut(dgraph: DistributedGraph, partition: np.ndarray) -> int:
     total = 0
     for shard in dgraph.shards:
-        for lu in range(shard.n_local):
-            nv, wv = shard.neighbors_and_weights(lu)
-            if len(nv) == 0:
-                continue
-            cross = partition[shard.lo + lu] != partition[np.asarray(nv)]
-            total += int(np.asarray(wv)[cross].sum())
+        owner, nbrs, w = shard.adjacency()
+        cross = partition[shard.lo + owner] != partition[nbrs]
+        total += int(w[cross].sum())
     return total // 2
 
 
@@ -316,27 +275,14 @@ def dpartition(
             coarsest_edges = []
             coarsest_w = []
             for shard in current.shards:
-                for lu in range(shard.n_local):
-                    nv, wv = shard.neighbors_and_weights(lu)
-                    u = shard.lo + lu
-                    mask = np.asarray(nv) > u
-                    coarsest_edges.append(
-                        np.stack(
-                            [
-                                np.full(int(mask.sum()), u, dtype=np.int64),
-                                np.asarray(nv)[mask],
-                            ],
-                            axis=1,
-                        )
-                    )
-                    coarsest_w.append(np.asarray(wv)[mask])
+                owner, nbrs, w = shard.adjacency()
+                u = shard.lo + owner
+                mask = nbrs > u
+                coarsest_edges.append(np.stack([u[mask], nbrs[mask]], axis=1))
+                coarsest_w.append(w[mask])
             vwgt = np.concatenate([s.vwgt for s in current.shards])
-            if coarsest_edges:
-                e = np.concatenate(coarsest_edges)
-                w = np.concatenate(coarsest_w)
-            else:
-                e = np.zeros((0, 2), dtype=np.int64)
-                w = None
+            e = np.concatenate(coarsest_edges)
+            w = np.concatenate(coarsest_w)
             coarsest = from_edges(current.n, e, w, vwgt, symmetrize=True)
             copy_aids = [
                 comm.trackers[r].alloc(

@@ -1019,14 +1019,17 @@ def compress_graph(
     high_degree_threshold: int = 10_000,
     chunk_length: int = 1_000,
     tracker=None,
-    bulk: bool = True,
 ) -> CompressedGraph:
     """Compress a CSR graph.
 
-    ``bulk`` selects the vectorized whole-graph encoder; ``bulk=False``
-    runs the per-vertex sequential reference path.  Both produce
-    byte-identical output (tested), as does the parallel single-pass
-    pipeline in :mod:`repro.graph.compression`.
+    One encoder: the vectorized whole-graph pass of
+    :func:`_encode_graph_bulk` (chunked high-degree vertices fall back to
+    :func:`encode_neighborhood` inside it).  The shared-memory partitioner,
+    the service and every level of :mod:`repro.dist` call this function; a
+    distributed shard is a row range of its result.  The per-vertex
+    reference the output is byte-compared against lives in
+    ``tests/test_kernels.py``; the parallel single-pass pipeline in
+    :mod:`repro.graph.compression` is byte-identical too (tested).
     """
     if not graph.sorted_neighborhoods:
         graph = graph.with_sorted_neighborhoods()
@@ -1038,25 +1041,7 @@ def compress_graph(
     stats = CompressionStats(uncompressed_bytes=graph.nbytes)
     n = graph.n
     weighted = graph.has_edge_weights
-    if bulk:
-        data, offsets = _encode_graph_bulk(graph, cfg, stats)
-    else:
-        out = bytearray()
-        offsets = np.empty(n + 1, dtype=np.int64)
-        for u in range(n):
-            offsets[u] = len(out)
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            encode_neighborhood(
-                u,
-                nbrs,
-                np.asarray(wgts) if weighted else None,
-                int(graph.indptr[u]),
-                out,
-                cfg,
-                stats,
-            )
-        offsets[n] = len(out)
-        data = bytes(out)
+    data, offsets = _encode_graph_bulk(graph, cfg, stats)
     stats.compressed_bytes = len(data) + offsets.nbytes
     vwgt = np.asarray(graph.vwgt).copy() if graph.has_vertex_weights else None
     cg = CompressedGraph(

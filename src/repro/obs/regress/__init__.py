@@ -3,7 +3,7 @@
 Four layers (DESIGN.md §8):
 
 * :mod:`~repro.obs.regress.rundb`   — append-only JSONL run database with
-  versioned, provenance-stamped records and schema migration,
+  versioned, provenance-stamped records and a schema check on load,
 * :mod:`~repro.obs.regress.compare` — named baselines + seed-aware
   bootstrap classification (improved / neutral / regressed) with the
   imbalance hard gate,

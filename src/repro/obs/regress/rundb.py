@@ -12,9 +12,9 @@ stamped with enough provenance to make any two records comparable later:
 * the per-phase observability snapshot (``obs``) when the run was traced.
 
 The store is append-only by construction: :meth:`RunDB.append` opens the
-file in ``"a"`` mode and never rewrites history.  Loading migrates every
-record to the current schema, so legacy flat records (the pre-observatory
-``BENCH_decode.json`` entries, schema 0) keep working.
+file in ``"a"`` mode and never rewrites history.  Loading accepts only
+records of the current schema (the committed rows were restamped once when
+the migration chain was retired) and fills their optional fields.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def make_record(
     env: dict | None = None,
     timestamp: float | None = None,
 ) -> dict:
-    """Stamp a harness :class:`~repro.bench.harness.RunRecord` into a v2 DB
+    """Stamp a harness :class:`~repro.bench.harness.RunRecord` into a DB
     record.  ``run_record`` is duck-typed (anything with the RunRecord
     fields works), so this module never imports the bench harness."""
     extra = dict(getattr(run_record, "extra", None) or {})
@@ -170,7 +170,7 @@ def make_service_record(
     env: dict | None = None,
     timestamp: float | None = None,
 ) -> dict:
-    """Stamp one replayed-trace service benchmark into a v3 DB record.
+    """Stamp one replayed-trace service benchmark into a DB record.
 
     Service records carry the same (algorithm, instance, k, seed) identity
     as partition records so the baseline/compare machinery groups them
@@ -212,7 +212,7 @@ def make_dist_record(
     env: dict | None = None,
     timestamp: float | None = None,
 ) -> dict:
-    """Stamp one distributed partitioner run into a v4 DB record.
+    """Stamp one distributed partitioner run into a DB record.
 
     Dist records carry the partition identity + quality fields plus the
     cluster-observability metrics of :data:`DIST_METRICS` flat in the
@@ -249,7 +249,7 @@ def make_microbench_record(
     env: dict | None = None,
     timestamp: float | None = None,
 ) -> dict:
-    """Stamp a flat microbenchmark metric dict into a v2 DB record."""
+    """Stamp a flat microbenchmark metric dict into a DB record."""
     return {
         "schema": RUNDB_SCHEMA,
         "kind": "microbench",
@@ -264,53 +264,24 @@ def make_microbench_record(
 
 
 # --------------------------------------------------------------------- #
-# schema migration
+# schema check
 # --------------------------------------------------------------------- #
 def migrate_record(rec: dict) -> dict:
-    """Upgrade a record of any historical schema to ``RUNDB_SCHEMA``.
+    """Fill the optional fields of a ``RUNDB_SCHEMA`` record.
 
-    * schema 0 (unversioned): the flat metric dicts the decode hot-path
-      bench appended to ``BENCH_decode.json`` before the observatory
-      existed.  They become ``microbench`` records with unknown provenance.
-    * schema 2: pre-service records (kinds ``partition``/``microbench``
-      only); identical layout, so migration just fills optional fields and
-      restamps the version.
-    * schema 3: adds the ``service`` record kind (replayed-trace serving
-      benchmarks, :func:`make_service_record`); layout unchanged since.
-    * schema 4: current; adds the ``dist`` record kind (distributed
-      partitioner runs with cluster-observability metrics,
-      :func:`make_dist_record`).
-
-    Records from a *future* schema raise — refusing to silently reinterpret
-    data written by newer code.
+    Every committed row is stamped at the current schema (4: record kinds
+    ``partition``, ``microbench``, ``service``, ``dist``), so there is no
+    migration chain: a record from any other schema raises -- refusing to
+    silently reinterpret data written by newer code, or by code old enough
+    that its layout is no longer known here.
     """
     version = rec.get("schema", 0)
-    if version > RUNDB_SCHEMA:
+    if version != RUNDB_SCHEMA:
+        age = "newer" if version > RUNDB_SCHEMA else "older"
         raise ValueError(
-            f"run-DB record has schema {version}, newer than supported "
-            f"{RUNDB_SCHEMA}; upgrade the code reading it"
+            f"run-DB record has schema {version}, {age} than supported "
+            f"{RUNDB_SCHEMA}; read it with the code that wrote it"
         )
-    if version == 0:
-        # legacy flat record: everything measured lives at the top level
-        bench = rec.pop("bench", "decode_hotpath")
-        return {
-            "schema": RUNDB_SCHEMA,
-            "kind": "microbench",
-            "bench": bench,
-            "label": rec.pop("label", "legacy"),
-            "recorded_unix": rec.pop("recorded_unix", None),
-            "env": {
-                "git_sha": None,
-                "git_dirty": None,
-                "python": None,
-                "numpy": None,
-                "platform": None,
-                "machine": None,
-            },
-            "config": None,
-            "run": dict(rec),
-            "obs": None,
-        }
     out = dict(rec)
     out.setdefault("kind", "partition")
     out.setdefault("bench", "unknown")
@@ -320,7 +291,6 @@ def migrate_record(rec: dict) -> dict:
     out.setdefault("config", None)
     out.setdefault("run", {})
     out.setdefault("obs", None)
-    out["schema"] = RUNDB_SCHEMA
     return out
 
 
@@ -335,7 +305,7 @@ class RunDB:
 
     # -- writing ------------------------------------------------------- #
     def append(self, record: dict) -> dict:
-        """Migrate-stamp and append one record; returns the stored form."""
+        """Schema-check and append one record; returns the stored form."""
         rec = migrate_record(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as f:
@@ -347,7 +317,7 @@ class RunDB:
 
     # -- reading ------------------------------------------------------- #
     def load(self) -> list[dict]:
-        """All records, migrated to the current schema, in append order."""
+        """All records (current schema only), in append order."""
         if not self.path.exists():
             return []
         out = []

@@ -455,9 +455,7 @@ class PartitionService:
                 ckey = ("graph", job.fingerprint)
                 cg = self.cache.get(ckey)
                 if cg is None:
-                    cg = compress_graph(
-                        job.graph, bulk=job.config.use_bulk_kernels
-                    )
+                    cg = compress_graph(job.graph)
                     self.cache.put(ckey, cg, cg.nbytes)
                 graph_for_run = cg
             result = self._partition_fn(

@@ -6,6 +6,20 @@ import pytest
 from repro.dist.comm import SimComm
 from repro.dist.dgraph import distribute_graph, _split_ranges
 from repro.graph import generators as gen
+from repro.graph.builder import from_edges
+from repro.graph.compressed import (
+    CompressionConfig,
+    CompressionStats,
+    compress_graph,
+    encode_neighborhood,
+)
+
+#: default split, an explicit uneven split, and one with two empty ranks
+RANGES = {
+    "default": None,
+    "explicit": [0, 100, 130, 450, 600],
+    "empty-ranks": [0, 0, 300, 300, 600],
+}
 
 
 class TestSplitRanges:
@@ -25,18 +39,91 @@ class TestDistributeGraph:
     @pytest.mark.parametrize("compressed", [False, True])
     def test_shards_cover_adjacency(self, compressed):
         g = gen.weblike(600, avg_degree=10, seed=3)
-        comm = SimComm(4)
-        dg = distribute_graph(g, comm, compressed=compressed)
+        for ranges in RANGES.values():
+            dg = distribute_graph(
+                g, SimComm(4), compressed=compressed, ranges=ranges
+            )
+            assert [s.lo for s in dg.shards] + [g.n] == dg.ranges.tolist()
+            self._check_accessor(g, dg)
+
+    @staticmethod
+    def _check_accessor(g, dg):
         for shard in dg.shards:
+            owner, nbrs, wgts = shard.adjacency()
+            assert len(owner) == len(nbrs) == len(wgts)
             for lu in range(shard.n_local):
-                u = shard.lo + lu
-                nv, wv = shard.neighbors_and_weights(lu)
-                ne, we = g.neighbors_and_weights(u)
-                order = np.argsort(np.asarray(nv), kind="stable")
-                assert np.array_equal(
-                    np.asarray(nv)[order], np.sort(np.asarray(ne))
+                ne, we = g.neighbors_and_weights(shard.lo + lu)
+                mine = owner == lu
+                assert np.array_equal(np.sort(nbrs[mine]), np.sort(ne))
+                assert int(wgts[mine].sum()) == int(np.asarray(we).sum())
+            # a sub-chunk is addressed by local ids
+            some = np.arange(shard.n_local, dtype=np.int64)[::7]
+            o2, n2, _ = shard.adjacency(some)
+            for i, lu in enumerate(some.tolist()):
+                assert np.array_equal(n2[o2 == i], nbrs[owner == lu])
+
+    @pytest.mark.parametrize("ranges", list(RANGES))
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_compressed_shard_is_slice_of_compress_graph(self, ranges, weighted):
+        """Rank ``r`` stores ``data[offsets[lo]:offsets[hi]]`` of the one
+        shared encoder run -- byte for byte what a per-rank, per-vertex
+        ``encode_neighborhood`` loop over its rows would produce (global
+        source id for the first gap, global first-edge-id header)."""
+        g = gen.weblike(600, avg_degree=10, seed=3)
+        if weighted:
+            src = np.repeat(np.arange(g.n), g.degrees)
+            up = src < g.adjncy
+            edges = np.stack([src[up], g.adjncy[up]], axis=1)
+            w = np.random.default_rng(4).integers(1, 500, size=len(edges))
+            g = from_edges(g.n, edges, w)
+        cg = compress_graph(g)
+        comm = SimComm(4)
+        dg = distribute_graph(g, comm, compressed=True, ranges=RANGES[ranges])
+        for rank, shard in enumerate(dg.shards):
+            lo, hi = shard.lo, shard.hi
+            assert bytes(shard.graph.data) == bytes(cg.data)
+            assert np.array_equal(shard.graph.offsets, cg.offsets)
+            assert np.array_equal(shard.graph.degrees, g.degrees)
+            out = bytearray()
+            stats = CompressionStats()
+            for u in range(lo, hi):
+                assert len(out) == cg.offsets[u] - cg.offsets[lo]
+                nbrs, wgts = g.neighbors_and_weights(u)
+                encode_neighborhood(
+                    u,
+                    nbrs,
+                    np.asarray(wgts) if weighted else None,
+                    int(g.indptr[u]),
+                    out,
+                    CompressionConfig(),
+                    stats,
                 )
-                assert int(np.asarray(wv).sum()) == int(np.asarray(we).sum())
+            assert bytes(out) == bytes(cg.data[cg.offsets[lo] : cg.offsets[hi]])
+            # ledger: encoded bytes + offsets + degrees + vertex weights,
+            # plus 16 bytes per ghost
+            n_local = hi - lo
+            want = len(out) + 8 * (n_local + 1) + 8 * n_local + 8 * n_local
+            assert shard.storage_bytes == want
+            assert (
+                comm.trackers[rank].current_bytes
+                == want + 16 * len(shard.ghosts)
+            )
+
+    @pytest.mark.parametrize("ranges", list(RANGES))
+    def test_csr_shard_ledger_charge(self, ranges):
+        g = gen.weblike(600, avg_degree=10, seed=3)
+        comm = SimComm(4)
+        dg = distribute_graph(g, comm, ranges=RANGES[ranges])
+        for rank, shard in enumerate(dg.shards):
+            n_local = shard.n_local
+            edges = int(g.indptr[shard.hi] - g.indptr[shard.lo])
+            # indptr + neighbor IDs + edge weights + vertex weights
+            want = 8 * (n_local + 1) + 8 * edges + 8 * edges + 8 * n_local
+            assert shard.storage_bytes == want
+            assert (
+                comm.trackers[rank].current_bytes
+                == want + 16 * len(shard.ghosts)
+            )
 
     def test_ghosts_are_nonlocal_neighbors(self):
         g = gen.grid2d(12, 12)
@@ -45,12 +132,7 @@ class TestDistributeGraph:
         for shard in dg.shards:
             assert np.all((shard.ghosts < shard.lo) | (shard.ghosts >= shard.hi))
             # every ghost really appears in some local adjacency
-            all_nbrs = np.concatenate(
-                [
-                    np.asarray(shard.neighbors_and_weights(lu)[0])
-                    for lu in range(shard.n_local)
-                ]
-            ) if shard.n_local else np.empty(0, dtype=np.int64)
+            all_nbrs = shard.adjacency()[1]
             for ghost in shard.ghosts.tolist():
                 assert ghost in all_nbrs
 

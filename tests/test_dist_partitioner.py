@@ -1,5 +1,7 @@
 """End-to-end tests of the distributed driver (dKaMinPar / xTeraPart)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,76 @@ class TestDPartition:
         r = dpartition(medium_graph, 8, 4)
         pg = PartitionedGraph(medium_graph, 8, r.partition)
         assert pg.cut_weight() == r.cut
+
+
+# --------------------------------------------------------------------- #
+# bit-stability contract of the dist layer
+# --------------------------------------------------------------------- #
+GOLDEN_GRAPHS = {
+    "rgg2d": lambda: gen.rgg2d(1500, avg_degree=8, seed=31),
+    "weblike": lambda: gen.weblike(1200, avg_degree=12, seed=7),
+    "rhg": lambda: gen.rhg(1500, avg_degree=10, seed=5),
+}
+
+# (family, compressed, ranks, seed) ->
+#   (sha1 of the int64 partition, cut, max_rank_peak_bytes,
+#    comm.bytes_sent, comm.messages)
+# recorded at the commit before repro.dist moved onto the shared codec,
+# access layer and kernels (k=8, default DistConfig otherwise); compression
+# may change only the ledger peak, never the partition or the traffic.
+GOLDEN = {
+    ('rgg2d', False, 2, 1): ('9ae249977c09640d36b9d18d25aa84831fc647d2', 223, 192600, 5212, 101),
+    ('rgg2d', False, 2, 2): ('bfb5034aa86a772ad7aa22aeb9e1c266606e3d54', 233, 192600, 5180, 101),
+    ('rgg2d', False, 4, 1): ('84192bb268fb683bd019e14b7a6bbe1801187787', 157, 129400, 15244, 537),
+    ('rgg2d', False, 4, 2): ('24958ac63c4ac37d97102229c878562d0044bf5f', 222, 129400, 15252, 537),
+    ('rgg2d', True, 2, 1): ('9ae249977c09640d36b9d18d25aa84831fc647d2', 223, 91576, 5212, 101),
+    ('rgg2d', True, 2, 2): ('bfb5034aa86a772ad7aa22aeb9e1c266606e3d54', 233, 91576, 5180, 101),
+    ('rgg2d', True, 4, 1): ('84192bb268fb683bd019e14b7a6bbe1801187787', 157, 78089, 15244, 537),
+    ('rgg2d', True, 4, 2): ('24958ac63c4ac37d97102229c878562d0044bf5f', 222, 78089, 15252, 537),
+    ('weblike', False, 2, 1): ('4c3c5c0dba7534533550527052310ced4af1b35c', 1961, 341744, 13020, 157),
+    ('weblike', False, 2, 2): ('fa5f123ce0c02d78447fbdebe61684e4426da412', 1957, 341744, 13372, 157),
+    ('weblike', False, 4, 1): ('33c058a7e5199dd7d1b9e38a76d1327695cae983', 1816, 277304, 30736, 1137),
+    ('weblike', False, 4, 2): ('52b99da2b0e8a05d50ef16e36c7f1746f604074c', 1790, 277304, 30552, 1137),
+    ('weblike', True, 2, 1): ('4c3c5c0dba7534533550527052310ced4af1b35c', 1961, 177103, 13020, 157),
+    ('weblike', True, 2, 2): ('fa5f123ce0c02d78447fbdebe61684e4426da412', 1957, 177103, 13372, 157),
+    ('weblike', True, 4, 1): ('33c058a7e5199dd7d1b9e38a76d1327695cae983', 1816, 164457, 30736, 1137),
+    ('weblike', True, 4, 2): ('52b99da2b0e8a05d50ef16e36c7f1746f604074c', 1790, 164457, 30552, 1137),
+    ('rhg', False, 2, 1): ('3565696b98196954df686cbf05b05b5f9b3ac4e8', 406, 180504, 3676, 101),
+    ('rhg', False, 2, 2): ('eca313b9d690fb12a461a14865ba7570f5cc13af', 424, 180504, 3692, 101),
+    ('rhg', False, 4, 1): ('8de7c1ed61296f2201b06bcb923b7c470ced2b1c', 419, 114504, 10680, 537),
+    ('rhg', False, 4, 2): ('78e6759678ff64fd0b4fc1b6788a6e8cfacf1e08', 336, 114504, 10656, 537),
+    ('rhg', True, 2, 1): ('3565696b98196954df686cbf05b05b5f9b3ac4e8', 406, 88601, 3676, 101),
+    ('rhg', True, 2, 2): ('eca313b9d690fb12a461a14865ba7570f5cc13af', 424, 88601, 3692, 101),
+    ('rhg', True, 4, 1): ('8de7c1ed61296f2201b06bcb923b7c470ced2b1c', 419, 70155, 10680, 537),
+    ('rhg', True, 4, 2): ('78e6759678ff64fd0b4fc1b6788a6e8cfacf1e08', 336, 70155, 10656, 537),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_graphs():
+    return {name: make() for name, make in GOLDEN_GRAPHS.items()}
+
+
+@pytest.mark.parametrize(
+    "key", list(GOLDEN), ids=["-".join(map(str, key)) for key in GOLDEN]
+)
+def test_golden_pins(golden_graphs, key):
+    family, compressed, ranks, seed = key
+    r = dpartition(
+        golden_graphs[family],
+        8,
+        ranks,
+        compressed=compressed,
+        config=DistConfig(seed=seed),
+    )
+    digest = hashlib.sha1(
+        np.ascontiguousarray(r.partition, dtype=np.int64).tobytes()
+    ).hexdigest()
+    got = (
+        digest,
+        int(r.cut),
+        int(r.max_rank_peak_bytes),
+        int(r.comm.bytes_sent),
+        int(r.comm.messages),
+    )
+    assert got == GOLDEN[key]

@@ -1,25 +1,31 @@
 """Edge-case and property tests for the bulk numpy kernels.
 
 Each kernel in :mod:`repro.core.kernels` (plus the bulk varint encoder
-and the bulk graph compressor it enables) is checked against the scalar
-reference it replaces, with emphasis on the cases the issue calls out:
-empty chunks, isolated vertices, single-cluster graphs, max-degree
-vertices whose neighborhoods cross chunk boundaries, and integer-width
-overflow guards.
+and the bulk graph compressor it enables) is checked against its scalar
+reference (``tests/scalar_reference.py`` plus the retained per-item
+primitives ``_insert_add`` / ``_best_move`` / ``encode_neighborhood``),
+with emphasis on the cases the issue calls out: empty chunks, isolated
+vertices, single-cluster graphs, max-degree vertices whose neighborhoods
+cross chunk boundaries, and integer-width overflow guards.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.config import preset
+from repro.core.config import FMConfig, preset
+from repro.core.context import PartitionContext
 from repro.core.initial.fm2way import _gains_scalar, cut2way_scalar
 from repro.core.kernels import (
     aggregate_coarse_edges,
     batch_hash_insert,
+    batch_hash_probe,
     bulk_size_constrained_commit,
     entry_width_bits_bulk,
     gather_cluster_members,
+    move_gains,
     segment_best_last,
     two_way_cut,
     two_way_gains,
@@ -31,8 +37,14 @@ from repro.core.refinement.gain_table import (
     make_gain_table,
 )
 from repro.graph import generators as gen
+from repro.graph.access import full_adjacency, segment_reduce_ratings
 from repro.graph.builder import from_edges
-from repro.graph.compressed import compress_graph
+from repro.graph.compressed import (
+    CompressionConfig,
+    CompressionStats,
+    compress_graph,
+    encode_neighborhood,
+)
 from repro.graph.varint import (
     encode_signed_varint,
     encode_stream,
@@ -41,6 +53,18 @@ from repro.graph.varint import (
     varint_lengths,
     zigzag_encode,
 )
+from scalar_reference import (
+    brute_best,
+    scalar_commit,
+    scalar_hash_insert,
+    scalar_hash_probe,
+    scalar_move_gains,
+    scalar_references,
+)
+
+
+# the package re-exports the function `fm_refine` under the module's name
+fm_refine = importlib.import_module("repro.core.refinement.fm_refine")
 
 
 def make_pgraph(graph, k, seed=0):
@@ -52,24 +76,6 @@ def make_pgraph(graph, k, seed=0):
 # --------------------------------------------------------------------- #
 # segment_best_last
 # --------------------------------------------------------------------- #
-def brute_best(owner, rank, tiebreak=None):
-    """Reference: per owner, maximize (rank, tiebreak, position)."""
-    out = []
-    for o in np.unique(owner):
-        idx = np.flatnonzero(owner == o).tolist()
-        out.append(
-            max(
-                idx,
-                key=lambda i: (
-                    int(rank[i]),
-                    int(tiebreak[i]) if tiebreak is not None else 0,
-                    i,
-                ),
-            )
-        )
-    return np.array(out, dtype=np.int64)
-
-
 class TestSegmentBestLast:
     def test_empty(self):
         assert len(segment_best_last(np.empty(0, np.int64), np.empty(0))) == 0
@@ -104,20 +110,6 @@ class TestSegmentBestLast:
 # --------------------------------------------------------------------- #
 # bulk_size_constrained_commit
 # --------------------------------------------------------------------- #
-def scalar_commit(targets, prevs, weights, capacities, limits):
-    per_bucket = isinstance(limits, np.ndarray)
-    acc = np.ones(len(targets), dtype=bool)
-    for i in range(len(targets)):
-        t, w = int(targets[i]), int(weights[i])
-        lim = int(limits[t]) if per_bucket else limits
-        if capacities[t] + w > lim:
-            acc[i] = False
-            continue
-        capacities[int(prevs[i])] -= w
-        capacities[t] += w
-    return acc
-
-
 class TestBulkCommit:
     def test_empty(self):
         caps = np.array([3, 4], dtype=np.int64)
@@ -262,11 +254,105 @@ class TestGainTableKernels:
         assert got.tolist() == want
 
     def test_sparse_build_bit_identical(self, pg):
-        bulk = SparseGainTable(pg, bulk=True)
-        ref = SparseGainTable(pg, bulk=False)
+        bulk = SparseGainTable(pg)
+        # reference: the same empty slot arrays filled by one `_insert_add`
+        # per aggregated (vertex, block) pair
+        ref = SparseGainTable(pg)
+        ref._keys[:] = ref.EMPTY
+        ref._vals[:] = 0
+        ref.lock_acquisitions = 0
+        src, dst, wgt = full_adjacency(pg.graph)
+        po, pb, pa = segment_reduce_ratings(
+            src, pg.partition[dst].astype(np.int64), np.asarray(wgt), pg.k
+        )
+        for u, b, a in zip(po.tolist(), pb.tolist(), pa.tolist()):
+            ref._insert_add(u, b, a)
         assert np.array_equal(bulk._keys, ref._keys)
         assert np.array_equal(bulk._vals, ref._vals)
         assert np.array_equal(bulk._offsets, ref._offsets)
+        assert bulk.lock_acquisitions == ref.lock_acquisitions
+        assert bulk._width_bits.tolist() == [
+            entry_width_bits(pg.graph.incident_weight(u))
+            for u in range(pg.graph.n)
+        ]
+
+    def test_sparse_gains_match_affinity_probes(self, pg):
+        # the row read of `gains` against one hash probe per adjacent block
+        table = SparseGainTable(pg)
+        assert table._dense.any() and not table._dense.all()
+        for u in range(pg.graph.n):
+            blocks, gains = table.gains(u)
+            assert np.array_equal(blocks, table.adjacent_blocks(u)), u
+            cur_aff = table.affinity(u, int(pg.partition[u]))
+            want = [table.affinity(u, int(b)) - cur_aff for b in blocks]
+            assert gains.tolist() == want, u
+
+    def test_hash_kernels_match_scalar(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rows = int(rng.integers(1, 12))
+            caps = 2 ** rng.integers(1, 5, size=rows)
+            offsets = np.concatenate([[0], np.cumsum(caps)])
+            fill = [int(rng.integers(0, c // 2 + 1)) for c in caps]
+            row_of = np.repeat(np.arange(rows), fill)
+            blocks = np.concatenate(
+                [rng.choice(64, size=f, replace=False) for f in fill]
+            ).astype(np.int64)
+            deltas = rng.integers(1, 100, size=len(blocks))
+            tables = []
+            for insert in (batch_hash_insert, scalar_hash_insert):
+                keys = np.full(int(offsets[-1]), -1, dtype=np.int32)
+                vals = np.zeros(int(offsets[-1]), dtype=np.int64)
+                insert(keys, vals, offsets[row_of], caps[row_of], blocks, deltas)
+                tables.append((keys, vals))
+            assert np.array_equal(tables[0][0], tables[1][0]), seed
+            assert np.array_equal(tables[0][1], tables[1][1]), seed
+            q_rows = rng.integers(0, rows, size=40)
+            q_blocks = rng.integers(0, 64, size=40)
+            args = (tables[0][0], offsets[q_rows], caps[q_rows], q_blocks)
+            assert np.array_equal(
+                batch_hash_probe(*args), scalar_hash_probe(*args)
+            ), seed
+
+    def test_move_gains_matches_scalar(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            owners, k = int(rng.integers(1, 10)), 5
+            pairs = np.flatnonzero(rng.random(owners * k) < 0.5)
+            po, pb = pairs // k, pairs % k
+            pr = rng.integers(1, 50, size=len(pairs))
+            cur = rng.integers(0, k, size=owners)
+            got = move_gains(po, pb, pr, cur, owners)
+            want = scalar_move_gains(po, pb, pr, cur, owners)
+            assert np.array_equal(got[0], want[0]), seed
+            assert np.array_equal(got[1], want[1]), seed
+
+    @pytest.mark.parametrize("kind", ["none", "full", "sparse"])
+    def test_fm_seeding_matches_per_seed_best_move(self, pg, kind, monkeypatch):
+        # the batched seed scoring of `_fm_pass` must push exactly what one
+        # `_best_move` per seed would, in seed order; max_fruitless_moves=0
+        # stops the pass right after seeding
+        pushed = []
+
+        class RecordingHeap:
+            @staticmethod
+            def heappush(heap, item):
+                pushed.append(item)
+
+        monkeypatch.setattr(fm_refine, "heapq", RecordingHeap)
+        lmax = int(pg.block_weights.max()) + 2
+        ctx = PartitionContext(
+            preset("terapart-fm"), pg.k, pg.graph.total_vertex_weight
+        )
+        cfg = FMConfig(max_fruitless_moves=0)
+        table = make_gain_table(kind, pg)
+        assert fm_refine._fm_pass(pg, ctx, table, lmax, cfg) == 0
+        want = []
+        for u in pg.boundary_vertices().tolist():
+            mv = fm_refine._best_move(table, pg, u, lmax)
+            if mv is not None:
+                want.append((-mv[0], len(want), u, mv[1]))
+        assert pushed == want and len(want) > 10
 
     @pytest.mark.parametrize("kind", ["none", "full", "sparse"])
     def test_gains_many_matches_per_vertex(self, pg, kind):
@@ -374,11 +460,29 @@ class TestBulkCompression:
         "name,graph,kw", _graph_cases(), ids=[c[0] for c in _graph_cases()]
     )
     def test_byte_identical_to_scalar(self, name, graph, kw):
-        a = compress_graph(graph, bulk=True, **kw)
-        b = compress_graph(graph, bulk=False, **kw)
-        assert bytes(a.data) == bytes(b.data), name
-        assert np.array_equal(a.offsets, b.offsets), name
-        assert a.stats == b.stats, name
+        a = compress_graph(graph, **kw)
+        # reference: one `encode_neighborhood` call per vertex
+        cfg = CompressionConfig(**kw)
+        stats = CompressionStats(uncompressed_bytes=graph.nbytes)
+        out = bytearray()
+        offsets = np.empty(graph.n + 1, dtype=np.int64)
+        for u in range(graph.n):
+            offsets[u] = len(out)
+            nbrs, wgts = graph.neighbors_and_weights(u)
+            encode_neighborhood(
+                u,
+                nbrs,
+                np.asarray(wgts) if graph.has_edge_weights else None,
+                int(graph.indptr[u]),
+                out,
+                cfg,
+                stats,
+            )
+        offsets[graph.n] = len(out)
+        stats.compressed_bytes = len(out) + offsets.nbytes
+        assert bytes(a.data) == bytes(out), name
+        assert np.array_equal(a.offsets, offsets), name
+        assert a.stats == stats, name
 
 
 # --------------------------------------------------------------------- #
@@ -414,13 +518,11 @@ class TestPipelineEdgeGraphs:
     )
     def test_bulk_matches_scalar_end_to_end(self, graph):
         for seed in range(2):
-            runs = []
-            for bulk in (True, False):
-                cfg = preset(
-                    "terapart", seed=seed, p=4, use_bulk_kernels=bulk
-                )
-                runs.append(repro.partition(graph, 2, cfg))
-            a, b = runs
+            cfg = preset("terapart", seed=seed, p=4)
+            a = repro.partition(graph, 2, cfg)
+            with scalar_references() as calls:
+                b = repro.partition(graph, 2, cfg)
+            assert calls["encode_stream_bulk"]
             assert np.array_equal(a.partition, b.partition)
             assert a.cut == b.cut
             a.pgraph.validate()

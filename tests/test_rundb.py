@@ -221,50 +221,6 @@ class TestDistRecords:
         assert db.query(kind="dist", algorithm="xterapart-r4")
         assert not db.query(kind="dist", k=4)
 
-    def test_v2_record_migrates_to_current(self):
-        """Pre-service records restamp cleanly; kind defaults hold."""
-        v2 = {
-            "schema": 2,
-            "kind": "partition",
-            "bench": "smoke",
-            "run": {"algorithm": "terapart", "cut": 5},
-        }
-        rec = migrate_record(v2)
-        assert rec["schema"] == RUNDB_SCHEMA == 4
-        assert rec["kind"] == "partition"
-        assert rec["run"]["cut"] == 5
-        assert rec["label"] is None and rec["obs"] is None
-
-    def test_v3_record_migrates_to_v4(self):
-        """Pre-dist (service-era) records restamp cleanly, payload intact."""
-        v3 = {
-            "schema": 3,
-            "kind": "service",
-            "bench": "service-smoke",
-            "label": "pr7",
-            "run": {"algorithm": "serve-terapart", "cut_overhead": 0.98},
-            "obs": {"counters": {"serve.requests": 16}},
-        }
-        rec = migrate_record(v3)
-        assert rec["schema"] == RUNDB_SCHEMA == 4
-        assert rec["kind"] == "service"
-        assert rec["run"]["cut_overhead"] == 0.98
-        assert rec["obs"]["counters"]["serve.requests"] == 16
-
-    def test_old_files_load_under_v4(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        lines = [
-            json.dumps({"schema": 2, "kind": "partition", "run": {"cut": 1}}),
-            json.dumps({"schema": 3, "kind": "service", "run": {"cut": 2}}),
-            json.dumps({"csr_ns_per_edge": 9.8}),  # schema-0 legacy
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        recs = RunDB(path).load()
-        assert [r["schema"] for r in recs] == [RUNDB_SCHEMA] * 3
-        assert [r["kind"] for r in recs] == [
-            "partition", "service", "microbench",
-        ]
-
 
 class TestConfigStamp:
     def test_digest_is_seed_independent(self):
@@ -278,6 +234,27 @@ class TestConfigStamp:
         c = C.terapart_fm()
         assert config_digest(a) != config_digest(b)
         assert config_digest(a) != config_digest(c)
+
+    def test_digest_ignores_debug_and_obs(self):
+        """Only result-affecting knobs are hashed: tracing and validation
+        must not fork the service cache key or the run-DB group."""
+        base = C.terapart_fm()
+        same = [
+            base.with_(obs=C.ObsConfig(enabled=True)),
+            base.with_(debug=C.DebugConfig(validation_level=2)),
+            base.with_(
+                obs=C.ObsConfig(enabled=True, track_scratch=True),
+                debug=C.DebugConfig(detect_conflicts=True, schedule_policy="random"),
+            ),
+        ]
+        assert {config_digest(c) for c in same} == {config_digest(base)}
+        different = [
+            base.with_(epsilon=0.05),
+            base.with_(coarsening=C.CoarseningConfig(lp_rounds=3)),
+            base.with_(fm=C.FMConfig(max_rounds=1)),
+        ]
+        digests = {config_digest(c) for c in different}
+        assert len(digests) == 3 and config_digest(base) not in digests
 
     def test_stamp_has_name_and_digest(self):
         st = config_stamp(C.terapart())
@@ -339,19 +316,6 @@ class TestRunDB:
 
 
 class TestMigration:
-    def test_legacy_flat_record_migrates(self):
-        legacy = {
-            "instance": "weblike(n=10000, d=10, seed=42)",
-            "csr_ns_per_edge": 9.8,
-            "bulk_vs_scalar_speedup": 8.2,
-        }
-        rec = migrate_record(legacy)
-        assert rec["schema"] == RUNDB_SCHEMA
-        assert rec["kind"] == "microbench"
-        assert rec["bench"] == "decode_hotpath"
-        assert rec["run"]["bulk_vs_scalar_speedup"] == 8.2
-        assert rec["env"]["git_sha"] is None
-
     def test_current_schema_fills_defaults(self):
         rec = migrate_record({"schema": RUNDB_SCHEMA, "run": {"cut": 5}})
         assert rec["kind"] == "partition"
@@ -362,12 +326,32 @@ class TestMigration:
         with pytest.raises(ValueError, match="newer"):
             migrate_record({"schema": RUNDB_SCHEMA + 1})
 
-    def test_load_migrates_legacy_lines(self, tmp_path):
+    @pytest.mark.parametrize(
+        "old",
+        [
+            {"schema": 3, "kind": "service", "run": {"cut": 2}},
+            {"schema": 2, "kind": "partition", "run": {"cut": 1}},
+            {"csr_ns_per_edge": 9.8},  # unversioned flat record (schema 0)
+        ],
+        ids=["v3", "v2", "v0"],
+    )
+    def test_older_schema_rejected(self, old, tmp_path):
+        """The migration chain is gone: older rows are refused, on the
+        record and when met in a file, never reinterpreted."""
+        with pytest.raises(ValueError, match="older"):
+            migrate_record(old)
         path = tmp_path / "runs.jsonl"
-        path.write_text(json.dumps({"csr_ns_per_edge": 9.8}) + "\n")
-        recs = RunDB(path).load()
-        assert recs[0]["schema"] == RUNDB_SCHEMA
-        assert recs[0]["kind"] == "microbench"
+        current = {"schema": RUNDB_SCHEMA, "run": {"cut": 5}}
+        path.write_text(json.dumps(current) + "\n" + json.dumps(old) + "\n")
+        with pytest.raises(ValueError, match="older"):
+            RunDB(path).load()
+
+    def test_committed_run_db_is_current_schema(self):
+        from pathlib import Path
+
+        recs = RunDB(Path(__file__).parent.parent / "BENCH_runs.jsonl").load()
+        assert len(recs) >= 18
+        assert {r["kind"] for r in recs} >= {"partition", "service", "microbench"}
 
     def test_repo_bench_decode_converted(self):
         """The committed BENCH_decode.json is in the trajectory schema."""
