@@ -8,11 +8,13 @@ Classic GGG as used by KaMinPar's initial-partitioning portfolio.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
+from collections import deque
 
 import numpy as np
 
-from repro.memory.scratch import tracked_ones, tracked_zeros
+from repro.core.initial.workspace import BisectionWorkspace
+from repro.memory.scratch import tracked_ones, tracked_slots
 
 
 def greedy_graph_growing_bipartition(
@@ -24,23 +26,26 @@ def greedy_graph_growing_bipartition(
     """Return a 0/1 block assignment with ``w(V_0)`` close to the target.
 
     ``target_weight0`` steers growth; ``max_weight0`` is the hard cap (the
-    bisection-adjusted balance constraint).
+    bisection-adjusted balance constraint).  ``graph`` is a graph or the
+    :class:`BisectionWorkspace` of one.
     """
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    xadj, adj, wgt, vwgt = ws.lists
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    if n == 0:
-        return part
-    in_block = tracked_zeros(n, bool, name="bipartition-in-block")
+    in_block = [False] * n
     # a vertex that once exceeded the cap can never fit later (the block
     # only grows), so block it permanently to guarantee termination
-    blocked = tracked_zeros(n, bool, name="bipartition-blocked")
-    gain = tracked_zeros(n, np.int64, name="bipartition-gain")
+    blocked = [False] * n
+    gain = [0] * n
+    names = ("bipartition-in-block", "bipartition-blocked", "bipartition-gain")
+    charges = [tracked_slots(n, name) for name in names]  # held for the attempt
     heap: list[tuple[int, int, int]] = []
     counter = 0
     weight0 = 0
+    grown: list[int] = []
 
-    unassigned = rng.permutation(n)
+    unassigned = rng.permutation(n).tolist()
     up = 0
 
     while weight0 < target_weight0:
@@ -50,31 +55,32 @@ def greedy_graph_growing_bipartition(
                 up += 1
             if up >= n:
                 break
-            seed = int(unassigned[up])
-            heapq.heappush(heap, (0, counter, seed))
+            heappush(heap, (0, counter, unassigned[up]))
             counter += 1
-        neg_gain, _, u = heapq.heappop(heap)
+        neg_gain, _, u = heappop(heap)
         if in_block[u] or blocked[u]:
             continue
         if gain[u] != -neg_gain:
             # stale entry; reinsert with the current gain
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
+            heappush(heap, (-gain[u], counter, u))
             counter += 1
             continue
-        w = int(vwgt[u])
+        w = vwgt[u]
         if weight0 + w > max_weight0:
             blocked[u] = True
             continue
         in_block[u] = True
-        part[u] = 0
+        grown.append(u)
         weight0 += w
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        for v, ew in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
+        lo, hi = xadj[u], xadj[u + 1]
+        for v, ew in zip(adj[lo:hi], wgt[lo:hi]):
             if in_block[v]:
                 continue
-            gain[v] += 2 * ew  # edge flips from cut to internal
-            heapq.heappush(heap, (-int(gain[v]), counter, v))
+            g = gain[v] + 2 * ew  # edge flips from cut to internal
+            gain[v] = g
+            heappush(heap, (-g, counter, v))
             counter += 1
+    part[grown] = 0
     return part
 
 
@@ -82,15 +88,11 @@ def random_bipartition(
     graph, target_weight0: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Random balanced assignment (portfolio diversity / fallback)."""
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
-    part = tracked_ones(n, np.int32, name="bipartition-part")
-    weight0 = 0
-    for u in rng.permutation(n).tolist():
-        if weight0 >= target_weight0:
-            break
-        part[u] = 0
-        weight0 += int(vwgt[u])
+    part = tracked_ones(graph.n, np.int32, name="bipartition-part")
+    perm = rng.permutation(graph.n)
+    w = np.asarray(graph.vwgt)[perm]
+    # block 0 takes the vertices whose preceding weight is below the target
+    part[perm[: np.searchsorted(np.cumsum(w) - w, target_weight0)]] = 0
     return part
 
 
@@ -98,14 +100,15 @@ def bfs_bipartition(
     graph, target_weight0: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Plain BFS growth (portfolio diversity)."""
-    from collections import deque
-
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    xadj, adj, _, vwgt = ws.lists
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    visited = tracked_zeros(n, bool, name="bipartition-visited")
+    visited = [False] * n
+    charge = tracked_slots(n, "bipartition-visited")
     weight0 = 0
-    order = rng.permutation(n)
+    grown: list[int] = []
+    order = rng.permutation(n).tolist()
     oi = 0
     q: deque[int] = deque()
     while weight0 < target_weight0:
@@ -114,13 +117,14 @@ def bfs_bipartition(
                 oi += 1
             if oi >= n:
                 break
-            q.append(int(order[oi]))
+            q.append(order[oi])
             visited[order[oi]] = True
         u = q.popleft()
-        part[u] = 0
-        weight0 += int(vwgt[u])
-        for v in np.asarray(graph.neighbors(u)).tolist():
+        grown.append(u)
+        weight0 += vwgt[u]
+        for v in adj[xadj[u] : xadj[u + 1]]:
             if not visited[v]:
                 visited[v] = True
                 q.append(v)
+    part[grown] = 0
     return part

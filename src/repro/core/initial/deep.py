@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.initial.recursive import bipartition_portfolio, extract_subgraph
+from repro.core.initial.recursive import bipartition_portfolio, extract_subgraphs
 from repro.core.partition import PartitionedGraph
 from repro.memory.scratch import tracked_zeros
 
@@ -142,14 +142,14 @@ def _split_round(
     ) - 1.0
     any_split = False
 
-    for b in range(k_old):
-        budget = new_budgets[b]
-        if budget <= 1:
-            continue
-        mask = part == b
-        if int(mask.sum()) < 2:
+    # blocks are disjoint and fresh labels start at k_old, so the lazily
+    # evaluated masks never see this round's earlier splits
+    blocks = [b for b in range(k_old) if new_budgets[b] > 1]
+    subgraphs = extract_subgraphs(pgraph.graph, (part == b for b in blocks))
+    for b, (sub, ids) in zip(blocks, subgraphs):
+        if sub.n < 2:
             continue  # cannot split a sub-2-vertex block
-        sub, ids = extract_subgraph(pgraph.graph, mask)
+        budget = new_budgets[b]
         b0 = (budget + 1) // 2
         b1 = budget - b0
         sub_total = sub.total_vertex_weight
@@ -163,9 +163,11 @@ def _split_round(
         )
         # side 0 keeps label b (budget b0); side 1 gets a fresh label
         next_label = len(new_budgets)
-        movers = ids[bp == 1]
-        for u in movers.tolist():
-            pgraph.move(int(u), next_label)
+        movers = bp == 1
+        moved = int(sub.vwgt[movers].sum())
+        part[ids[movers]] = next_label
+        pgraph.block_weights[b] -= moved
+        pgraph.block_weights[next_label] += moved
         new_budgets[b] = b0
         new_budgets.append(b1)
         any_split = True

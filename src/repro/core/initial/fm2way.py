@@ -8,47 +8,13 @@ rolls back the tail.  Balance is enforced against per-side ceilings.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from repro.core.kernels import two_way_cut, two_way_gains
-from repro.memory.scratch import tracked_zeros
-
-
-def _gains_scalar(graph, part: np.ndarray) -> np.ndarray:
-    """Per-vertex reference for :func:`_gains` (equivalence-tested)."""
-    n = graph.n
-    gain = tracked_zeros(n, np.int64, name="fm2way-gains")
-    for u in range(n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        same = part[np.asarray(nbrs)] == part[u]
-        w = np.asarray(wgts)
-        gain[u] = int(w[~same].sum() - w[same].sum())
-    return gain
-
-
-def _gains(graph, part: np.ndarray) -> np.ndarray:
-    """gain[u] = w(edges to other side) - w(edges to own side)."""
-    return two_way_gains(graph, part)
-
-
-def cut2way_scalar(graph, part: np.ndarray) -> int:
-    """Per-vertex reference for :func:`cut2way` (equivalence-tested)."""
-    total = 0
-    for u in range(graph.n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        cross = part[np.asarray(nbrs)] != part[u]
-        total += int(np.asarray(wgts)[cross].sum())
-    return total // 2
-
-
-def cut2way(graph, part: np.ndarray) -> int:
-    return two_way_cut(graph, part)
+from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.kernels import two_way_gains
+from repro.memory.scratch import tracked_slots
 
 
 def fm2way_refine(
@@ -58,20 +24,25 @@ def fm2way_refine(
     rounds: int = 2,
     max_fruitless: int = 200,
 ) -> np.ndarray:
-    """Improve a bipartition in place; returns the refined assignment."""
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
-    side_weight = np.zeros(2, dtype=np.int64)
-    np.add.at(side_weight, part, vwgt)
+    """Improve a bipartition (of a graph or its :class:`BisectionWorkspace`)
+    in place; returns the refined assignment."""
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    xadj, adj, wgt, vwgt = ws.lists
+    weights = np.zeros(2, dtype=np.int64)
+    np.add.at(weights, part, ws.vwgt)
+    side_weight = weights.tolist()
 
     for _ in range(rounds):
-        gain = _gains(graph, part)
-        locked = tracked_zeros(n, bool, name="fm2way-locked")
-        heap: list[tuple[int, int, int]] = []
-        counter = 0
-        for u in range(n):
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
-            counter += 1
+        side = part.tolist()  # ``part`` itself only receives the kept prefix
+        gain = two_way_gains(ws, part).tolist()
+        locked = [False] * n
+        names = ("fm2way-gains", "fm2way-locked")
+        charges = [tracked_slots(n, name) for name in names]  # held for the pass
+        # counters 0..n-1 in vertex order, as n pushes would hand out
+        heap = [(-g, u, u) for u, g in enumerate(gain)]
+        heapify(heap)
+        counter = n
 
         moves: list[int] = []
         best_prefix = 0
@@ -80,25 +51,24 @@ def fm2way_refine(
         fruitless = 0
 
         while heap and fruitless < max_fruitless:
-            neg_g, _, u = heapq.heappop(heap)
+            neg_g, _, u = heappop(heap)
             if locked[u]:
                 continue
-            if gain[u] != -neg_g:
-                heapq.heappush(heap, (-int(gain[u]), counter, u))
+            g = gain[u]
+            if g != -neg_g:
+                heappush(heap, (-g, counter, u))
                 counter += 1
                 continue
-            src = int(part[u])
-            dst = 1 - src
-            w = int(vwgt[u])
-            if side_weight[dst] + w > max_weights[dst]:
-                locked[u] = True  # cannot move this pass
-                continue
-            # move
             locked[u] = True
-            part[u] = dst
+            src = side[u]
+            dst = 1 - src
+            w = vwgt[u]
+            if side_weight[dst] + w > max_weights[dst]:
+                continue  # cannot move this pass
+            side[u] = dst
             side_weight[src] -= w
             side_weight[dst] += w
-            balance_total += int(gain[u])
+            balance_total += g
             moves.append(u)
             if balance_total > best_total:
                 best_total = balance_total
@@ -106,28 +76,22 @@ def fm2way_refine(
                 fruitless = 0
             else:
                 fruitless += 1
-            # update neighbor gains
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            for v, ew in zip(
-                np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()
-            ):
+            lo, hi = xadj[u], xadj[u + 1]
+            for v, ew in zip(adj[lo:hi], wgt[lo:hi]):
                 if locked[v]:
                     continue
-                if part[v] == dst:
-                    gain[v] -= 2 * ew
-                else:
-                    gain[v] += 2 * ew
-                heapq.heappush(heap, (-int(gain[v]), counter, v))
+                g = gain[v] - 2 * ew if side[v] == dst else gain[v] + 2 * ew
+                gain[v] = g
+                heappush(heap, (-g, counter, v))
                 counter += 1
 
-        # rollback the tail beyond the best prefix
+        # keep the best prefix; the tail beyond it only gives its weight back
+        kept = moves[:best_prefix]
+        part[kept] = 1 - part[kept]
         for u in moves[best_prefix:]:
-            src = int(part[u])
-            dst = 1 - src
-            w = int(vwgt[u])
-            part[u] = dst
-            side_weight[src] -= w
-            side_weight[dst] += w
+            dst = side[u]
+            side_weight[dst] -= vwgt[u]
+            side_weight[1 - dst] += vwgt[u]
         if best_total <= 0:
             break
     return part

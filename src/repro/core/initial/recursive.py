@@ -18,44 +18,32 @@ from repro.core.initial.bipartition import (
     greedy_graph_growing_bipartition,
     random_bipartition,
 )
-from repro.core.initial.fm2way import cut2way, fm2way_refine
+from repro.core.initial.fm2way import fm2way_refine
+from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.kernels import two_way_cut
+from repro.core.kernels.gains import flat_adjacency
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_full, tracked_zeros
 
 
-def extract_subgraph(
-    graph, mask: np.ndarray
-) -> tuple[CSRGraph, np.ndarray]:
-    """Induced subgraph on ``mask``; returns ``(subgraph, original_ids)``."""
-    ids = np.flatnonzero(mask)
+def extract_subgraphs(graph, masks):
+    """Yield ``(induced subgraph, original_ids)`` per vertex mask, all from one
+    flattened adjacency of ``graph`` (a graph or a :class:`BisectionWorkspace`)."""
+    src, dst, weight = flat_adjacency(graph)
+    vwgt = np.asarray(graph.vwgt)
     local = tracked_full(graph.n, -1, np.int64, name="subgraph-local-ids")
-    local[ids] = np.arange(len(ids), dtype=np.int64)
-    if hasattr(graph, "indptr"):
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-        keep = mask[src] & mask[graph.adjncy]
-        s, d = local[src[keep]], local[graph.adjncy[keep]]
-        w = np.asarray(graph.adjwgt)[keep]
-    else:
-        ss, ds, ws = [], [], []
-        for u in ids.tolist():
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            keep = mask[np.asarray(nbrs)]
-            ss.append(np.full(int(keep.sum()), local[u], dtype=np.int64))
-            ds.append(local[np.asarray(nbrs)[keep]])
-            ws.append(np.asarray(wgts)[keep])
-        s = np.concatenate(ss) if ss else np.empty(0, dtype=np.int64)
-        d = np.concatenate(ds) if ds else np.empty(0, dtype=np.int64)
-        w = np.concatenate(ws) if ws else np.empty(0, dtype=np.int64)
-    nsub = len(ids)
-    order = np.lexsort((d, s))
-    s, d, w = s[order], d[order], w[order]
-    degrees = np.bincount(s, minlength=nsub).astype(np.int64)
-    indptr = tracked_zeros(nsub + 1, np.int64, name="subgraph-indptr")
-    np.cumsum(degrees, out=indptr[1:])
-    unit = bool(len(w) == 0 or np.all(w == 1))
-    vwgt = np.asarray(graph.vwgt)[ids].copy()
-    sub = CSRGraph(indptr, d, None if unit else w, vwgt)
-    return sub, ids
+    for mask in masks:
+        ids = np.flatnonzero(mask)
+        nsub = len(ids)
+        local[ids] = np.arange(nsub, dtype=np.int64)
+        keep = mask[src] & mask[dst]
+        s, d, w = local[src[keep]], local[dst[keep]], weight[keep]
+        order = np.lexsort((d, s))
+        s, d, w = s[order], d[order], w[order]
+        indptr = tracked_zeros(nsub + 1, np.int64, name="subgraph-indptr")
+        np.cumsum(np.bincount(s, minlength=nsub), out=indptr[1:])
+        unit = bool(len(w) == 0 or np.all(w == 1))
+        yield CSRGraph(indptr, d, None if unit else w, vwgt[ids]), ids
 
 
 def bipartition_portfolio(
@@ -67,26 +55,28 @@ def bipartition_portfolio(
     attempts: int = 8,
     fm_rounds: int = 2,
 ) -> np.ndarray:
-    """Best-of-``attempts`` bipartition: GGG/BFS/random seeds + 2-way FM."""
+    """Best-of-``attempts`` bipartition: GGG/BFS/random seeds + 2-way FM, all
+    on one :class:`BisectionWorkspace` (``graph`` may already be one)."""
+    ws = BisectionWorkspace.of(graph)
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
-    total = graph.total_vertex_weight
+    total = ws.total_vertex_weight
     for attempt in range(max(1, attempts)):
         if attempt % 4 == 3:
-            part = random_bipartition(graph, target_weight0, rng)
+            part = random_bipartition(ws, target_weight0, rng)
         elif attempt % 4 == 2:
-            part = bfs_bipartition(graph, target_weight0, rng)
+            part = bfs_bipartition(ws, target_weight0, rng)
         else:
             part = greedy_graph_growing_bipartition(
-                graph, target_weight0, max_weight0, rng
+                ws, target_weight0, max_weight0, rng
             )
         part = fm2way_refine(
-            graph, part, (max_weight0, max_weight1), rounds=fm_rounds
+            ws, part, (max_weight0, max_weight1), rounds=fm_rounds
         )
-        w0 = int(np.asarray(graph.vwgt)[part == 0].sum())
+        w0 = int(ws.vwgt[part == 0].sum())
         w1 = total - w0
         infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
-        key = (infeasible, cut2way(graph, part))
+        key = (infeasible, two_way_cut(ws, part))
         if best_key is None or key < best_key:
             best_key, best = key, part
     assert best is not None
@@ -118,12 +108,13 @@ def initial_partition(
         target0 = int(round(total * k0 / k_here))
         max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
         max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
+        ws = BisectionWorkspace(g)
         bp = bipartition_portfolio(
-            g, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
+            ws, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
         )
-        left_mask = bp == 0
-        sub0, ids0 = extract_subgraph(g, left_mask)
-        sub1, ids1 = extract_subgraph(g, ~left_mask)
+        left = bp == 0
+        (sub0, ids0), (sub1, ids1) = extract_subgraphs(ws, (left, ~left))
+        del ws  # one bisection's workspace does not outlive it
         recurse(sub0, ids[ids0], k0, block_offset)
         recurse(sub1, ids[ids1], k1, block_offset + k0)
 

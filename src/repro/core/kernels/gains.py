@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.access import full_adjacency
 from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
 #: Knuth multiplicative constant -- must match ``SparseGainTable._probe``.
@@ -43,49 +44,24 @@ def move_gains(
     return pr - cur_aff[po], is_current
 
 
-def two_way_gains(graph, part: np.ndarray) -> np.ndarray:
-    """``gain[u] = w(edges to other side) - w(edges to own side)``.
+def flat_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, weight)`` as a bisection workspace holds it, else decoded."""
+    return getattr(graph, "flat", None) or full_adjacency(graph)
 
-    CSR graphs take the bulk path; others fall back to the per-vertex scan
-    (also the verify reference, see ``fm2way._gains_scalar``).
-    """
-    n = graph.n
-    gain = tracked_zeros(n, np.int64, name="fm2way-gains")
-    if n == 0:
-        return gain
-    if hasattr(graph, "adjncy"):
-        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        w = np.asarray(graph.adjwgt)
-        same = part[graph.adjncy] == part[src]
-        np.add.at(gain, src, np.where(same, -w, w))
-        return gain
-    for u in range(n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        same = part[np.asarray(nbrs)] == part[u]
-        w = np.asarray(wgts)
-        gain[u] = int(w[~same].sum() - w[same].sum())
+
+def two_way_gains(graph, part: np.ndarray) -> np.ndarray:
+    """``gain[u] = w(edges to other side) - w(edges to own side)``, on a graph
+    or a bisection workspace (whose held adjacency saves the expansion)."""
+    gain = tracked_zeros(graph.n, np.int64, name="fm2way-gains")
+    src, dst, w = flat_adjacency(graph)
+    np.add.at(gain, src, np.where(part[dst] == part[src], -w, w))
     return gain
 
 
 def two_way_cut(graph, part: np.ndarray) -> int:
-    """Total weight of edges crossing a bipartition."""
-    if hasattr(graph, "adjncy"):
-        n = graph.n
-        if n == 0:
-            return 0
-        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        cross = part[graph.adjncy] != part[src]
-        return int(np.asarray(graph.adjwgt)[cross].sum()) // 2
-    total = 0
-    for u in range(graph.n):
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        if len(nbrs) == 0:
-            continue
-        cross = part[np.asarray(nbrs)] != part[u]
-        total += int(np.asarray(wgts)[cross].sum())
-    return total // 2
+    """Total weight of edges crossing a bipartition (graph or workspace)."""
+    src, dst, w = flat_adjacency(graph)
+    return int(w[part[dst] != part[src]].sum()) // 2
 
 
 def entry_width_bits_bulk(total_incident_weight: np.ndarray) -> np.ndarray:

@@ -52,6 +52,23 @@ def _charge(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+class _SlotCharge:
+    """Weakref-able owner of a list's charge (a ``list`` cannot carry one)."""
+
+    __slots__ = ("__weakref__",)
+
+
+def tracked_slots(slots: int, name: str) -> _SlotCharge | None:
+    """Charge a Python list's ``slots`` 8-byte slots (its pointer array, not
+    the objects behind it) for as long as the returned token is referenced."""
+    led = _ledger
+    if led is None or not slots:
+        return None
+    token = _SlotCharge()
+    weakref.finalize(token, led.free, led.alloc(name, 8 * slots, "scratch"))
+    return token
+
+
 def tracked_empty(shape, dtype=np.int64, *, name: str = "scratch") -> np.ndarray:
     """``np.empty`` that registers the buffer with the scratch ledger."""
     return _charge(np.empty(shape, dtype=dtype), name)

@@ -14,14 +14,16 @@ oracle and demand bit-identical partitions.
 from __future__ import annotations
 
 import contextlib
+import heapq
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
 import repro  # noqa: F401  (loads every module that imports a kernel)
 import repro.dist  # noqa: F401
+from repro.core.kernels import two_way_gains
 from repro.core.kernels.gains import HASH_MULT
 from repro.core.refinement.gain_table import entry_width_bits
 from repro.graph.varint import encode_stream
@@ -113,6 +115,204 @@ def scalar_encode_stream(values, lengths=None):
     out = bytearray()
     encode_stream(np.asarray(values, dtype=np.int64), out)
     return np.frombuffer(bytes(out), dtype=np.uint8)
+
+
+def scalar_two_way_gains(graph, part):
+    """gain[u] = w(edges to the other side) - w(edges to u's own side)."""
+    n = graph.n
+    gain = np.zeros(n, dtype=np.int64)
+    for u in range(n):
+        nbrs, wgts = graph.neighbors_and_weights(u)
+        if len(nbrs) == 0:
+            continue
+        same = part[np.asarray(nbrs)] == part[u]
+        w = np.asarray(wgts)
+        gain[u] = int(w[~same].sum() - w[same].sum())
+    return gain
+
+
+def scalar_two_way_cut(graph, part):
+    """Weight of the edges crossing a bipartition, vertex by vertex."""
+    total = 0
+    for u in range(graph.n):
+        nbrs, wgts = graph.neighbors_and_weights(u)
+        if len(nbrs) == 0:
+            continue
+        cross = part[np.asarray(nbrs)] != part[u]
+        total += int(np.asarray(wgts)[cross].sum())
+    return total // 2
+
+
+# --------------------------------------------------------------------- #
+# initial partitioning: the loops as they ran before the list-resident
+# bisection workspace (numpy scalar subscripts, one accessor call per
+# move), kept verbatim.  ``scalar_fm2way_refine`` starts each pass from
+# the production ``two_way_gains`` exactly as that loop did -- the gains
+# kernel has its own oracle above -- so the tier-1 perf guard compares
+# loop against loop.
+# --------------------------------------------------------------------- #
+def scalar_fm2way_refine(graph, part, max_weights, rounds=2, max_fruitless=200):
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    side_weight = np.zeros(2, dtype=np.int64)
+    np.add.at(side_weight, part, vwgt)
+
+    for _ in range(rounds):
+        gain = two_way_gains(graph, part)
+        locked = np.zeros(n, dtype=bool)
+        heap: list[tuple[int, int, int]] = []
+        counter = 0
+        for u in range(n):
+            heapq.heappush(heap, (-int(gain[u]), counter, u))
+            counter += 1
+
+        moves: list[int] = []
+        best_prefix = 0
+        balance_total = 0
+        best_total = 0
+        fruitless = 0
+
+        while heap and fruitless < max_fruitless:
+            neg_g, _, u = heapq.heappop(heap)
+            if locked[u]:
+                continue
+            if gain[u] != -neg_g:
+                heapq.heappush(heap, (-int(gain[u]), counter, u))
+                counter += 1
+                continue
+            src = int(part[u])
+            dst = 1 - src
+            w = int(vwgt[u])
+            if side_weight[dst] + w > max_weights[dst]:
+                locked[u] = True  # cannot move this pass
+                continue
+            # move
+            locked[u] = True
+            part[u] = dst
+            side_weight[src] -= w
+            side_weight[dst] += w
+            balance_total += int(gain[u])
+            moves.append(u)
+            if balance_total > best_total:
+                best_total = balance_total
+                best_prefix = len(moves)
+                fruitless = 0
+            else:
+                fruitless += 1
+            # update neighbor gains
+            nbrs, wgts = graph.neighbors_and_weights(u)
+            for v, ew in zip(
+                np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()
+            ):
+                if locked[v]:
+                    continue
+                if part[v] == dst:
+                    gain[v] -= 2 * ew
+                else:
+                    gain[v] += 2 * ew
+                heapq.heappush(heap, (-int(gain[v]), counter, v))
+                counter += 1
+
+        # rollback the tail beyond the best prefix
+        for u in moves[best_prefix:]:
+            src = int(part[u])
+            dst = 1 - src
+            w = int(vwgt[u])
+            part[u] = dst
+            side_weight[src] -= w
+            side_weight[dst] += w
+        if best_total <= 0:
+            break
+    return part
+
+
+def scalar_greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    part = np.ones(n, dtype=np.int32)
+    if n == 0:
+        return part
+    in_block = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    gain = np.zeros(n, dtype=np.int64)
+    heap: list[tuple[int, int, int]] = []
+    counter = 0
+    weight0 = 0
+
+    unassigned = rng.permutation(n)
+    up = 0
+
+    while weight0 < target_weight0:
+        if not heap:
+            while up < n and (in_block[unassigned[up]] or blocked[unassigned[up]]):
+                up += 1
+            if up >= n:
+                break
+            seed = int(unassigned[up])
+            heapq.heappush(heap, (0, counter, seed))
+            counter += 1
+        neg_gain, _, u = heapq.heappop(heap)
+        if in_block[u] or blocked[u]:
+            continue
+        if gain[u] != -neg_gain:
+            heapq.heappush(heap, (-int(gain[u]), counter, u))
+            counter += 1
+            continue
+        w = int(vwgt[u])
+        if weight0 + w > max_weight0:
+            blocked[u] = True
+            continue
+        in_block[u] = True
+        part[u] = 0
+        weight0 += w
+        nbrs, wgts = graph.neighbors_and_weights(u)
+        for v, ew in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
+            if in_block[v]:
+                continue
+            gain[v] += 2 * ew
+            heapq.heappush(heap, (-int(gain[v]), counter, v))
+            counter += 1
+    return part
+
+
+def scalar_random_bipartition(graph, target_weight0, rng):
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    part = np.ones(n, dtype=np.int32)
+    weight0 = 0
+    for u in rng.permutation(n).tolist():
+        if weight0 >= target_weight0:
+            break
+        part[u] = 0
+        weight0 += int(vwgt[u])
+    return part
+
+
+def scalar_bfs_bipartition(graph, target_weight0, rng):
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    part = np.ones(n, dtype=np.int32)
+    visited = np.zeros(n, dtype=bool)
+    weight0 = 0
+    order = rng.permutation(n)
+    oi = 0
+    q: deque[int] = deque()
+    while weight0 < target_weight0:
+        if not q:
+            while oi < n and visited[order[oi]]:
+                oi += 1
+            if oi >= n:
+                break
+            q.append(int(order[oi]))
+            visited[order[oi]] = True
+        u = q.popleft()
+        part[u] = 0
+        weight0 += int(vwgt[u])
+        for v in np.asarray(graph.neighbors(u)).tolist():
+            if not visited[v]:
+                visited[v] = True
+                q.append(v)
+    return part
 
 
 #: kernel name -> (home module, scalar reference)

@@ -8,13 +8,19 @@ from repro.core.initial.bipartition import (
     greedy_graph_growing_bipartition,
     random_bipartition,
 )
-from repro.core.initial.fm2way import cut2way, fm2way_refine
+from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial.recursive import (
-    extract_subgraph,
+    extract_subgraphs,
     initial_partition,
 )
+from repro.core.kernels import two_way_cut
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
+
+
+def extract_subgraph(graph, mask):
+    (sub, ids), = extract_subgraphs(graph, [mask])
+    return sub, ids
 
 
 class TestGreedyGraphGrowing:
@@ -35,7 +41,7 @@ class TestGreedyGraphGrowing:
             grid_graph, total // 2, int(total * 0.55), rng
         )
         rnd = random_bipartition(grid_graph, total // 2, rng)
-        assert cut2way(grid_graph, ggg) < cut2way(grid_graph, rnd) / 2
+        assert two_way_cut(grid_graph, ggg) < two_way_cut(grid_graph, rnd) / 2
 
     def test_handles_disconnected_graph(self):
         g = from_edges(6, np.array([[0, 1], [2, 3], [4, 5]]))
@@ -64,10 +70,10 @@ class TestFM2Way:
         rng = np.random.default_rng(4)
         total = family_graph.total_vertex_weight
         part = random_bipartition(family_graph, total // 2, rng)
-        before = cut2way(family_graph, part.copy())
+        before = two_way_cut(family_graph, part.copy())
         lim = int(total * 0.6)
         refined = fm2way_refine(family_graph, part, (lim, lim))
-        assert cut2way(family_graph, refined) <= before
+        assert two_way_cut(family_graph, refined) <= before
 
     def test_respects_balance(self, grid_graph):
         rng = np.random.default_rng(5)
@@ -91,11 +97,11 @@ class TestFM2Way:
         # misassign one vertex per side
         part = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.int32)
         refined = fm2way_refine(g, part, (5, 5))
-        assert cut2way(g, refined) == 1
+        assert two_way_cut(g, refined) == 1
 
     def test_cut2way_matches_manual(self, tiny_graph):
         part = np.array([0, 0, 0, 1, 1, 1], dtype=np.int32)
-        assert cut2way(tiny_graph, part) == 1
+        assert two_way_cut(tiny_graph, part) == 1
 
 
 class TestExtractSubgraph:

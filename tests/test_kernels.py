@@ -17,7 +17,6 @@ import pytest
 import repro
 from repro.core.config import FMConfig, preset
 from repro.core.context import PartitionContext
-from repro.core.initial.fm2way import _gains_scalar, cut2way_scalar
 from repro.core.kernels import (
     aggregate_coarse_edges,
     batch_hash_insert,
@@ -60,6 +59,8 @@ from scalar_reference import (
     scalar_hash_probe,
     scalar_move_gains,
     scalar_references,
+    scalar_two_way_cut,
+    scalar_two_way_gains,
 )
 
 
@@ -215,15 +216,15 @@ class TestTwoWayKernels:
     def test_gains_and_cut_match_scalar_csr(self, graph):
         rng = np.random.default_rng(0)
         part = rng.integers(0, 2, size=graph.n).astype(np.int32)
-        assert np.array_equal(two_way_gains(graph, part), _gains_scalar(graph, part))
-        assert two_way_cut(graph, part) == cut2way_scalar(graph, part)
+        assert np.array_equal(two_way_gains(graph, part), scalar_two_way_gains(graph, part))
+        assert two_way_cut(graph, part) == scalar_two_way_cut(graph, part)
 
     def test_gains_and_cut_match_scalar_compressed(self, graph):
         cg = compress_graph(graph)
         rng = np.random.default_rng(1)
         part = rng.integers(0, 2, size=graph.n).astype(np.int32)
-        assert np.array_equal(two_way_gains(cg, part), _gains_scalar(graph, part))
-        assert two_way_cut(cg, part) == cut2way_scalar(graph, part)
+        assert np.array_equal(two_way_gains(cg, part), scalar_two_way_gains(graph, part))
+        assert two_way_cut(cg, part) == scalar_two_way_cut(graph, part)
 
     def test_isolated_vertices_gain_zero(self):
         g = from_edges(5, np.array([[0, 1]]))  # vertices 2..4 isolated

@@ -50,3 +50,48 @@ def test_compressed_traversal_within_envelope():
         f"(csr {t_csr * 1e3:.2f} ms, compressed {t_cmp * 1e3:.2f} ms); "
         f"did a change reintroduce a per-vertex decode loop?"
     )
+
+
+# The initial-partitioning loops run on Python lists (one bisection
+# workspace); their references in tests/scalar_reference.py are the same
+# loops on numpy scalar subscripts.  Lists measure 0.6-0.7x the reference
+# here, so 0.85x fails loudly if a change routes a loop back through
+# per-element ndarray access while leaving room for timer noise.
+MAX_LIST_OVER_SCALAR = 0.85
+
+
+def test_initial_loops_beat_their_scalar_references():
+    from repro.core.initial import fm2way_refine, greedy_graph_growing_bipartition
+    from repro.graph.generators import rgg2d
+    from scalar_reference import (
+        scalar_fm2way_refine,
+        scalar_greedy_graph_growing_bipartition,
+    )
+
+    g = rgg2d(2048, 8.0, seed=1)
+    total = g.total_vertex_weight
+    half, cap = total // 2, int(1.03 * -(-total // 2))
+    start = greedy_graph_growing_bipartition(g, half, cap, np.random.default_rng(1))
+
+    for name, new, ref in (
+        (
+            "greedy_graph_growing_bipartition",
+            lambda: greedy_graph_growing_bipartition(
+                g, half, cap, np.random.default_rng(1)
+            ),
+            lambda: scalar_greedy_graph_growing_bipartition(
+                g, half, cap, np.random.default_rng(1)
+            ),
+        ),
+        (
+            "fm2way_refine",
+            lambda: fm2way_refine(g, start.copy(), (cap, cap), rounds=2),
+            lambda: scalar_fm2way_refine(g, start.copy(), (cap, cap), rounds=2),
+        ),
+    ):
+        assert np.array_equal(new(), ref())  # also warms both sides
+        ratio = _best_of(new) / _best_of(ref)
+        assert ratio <= MAX_LIST_OVER_SCALAR, (
+            f"{name} on lists takes {ratio:.2f}x its numpy-scalar reference; "
+            f"did a change reintroduce per-element ndarray subscripts?"
+        )
