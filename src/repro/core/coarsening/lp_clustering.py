@@ -34,12 +34,6 @@ from repro.memory.scratch import tracked_zeros
 from repro.verify.declarations import recorder_for
 
 
-def _null_tracer():
-    from repro.obs.tracer import NULL_TRACER
-
-    return NULL_TRACER
-
-
 @dataclass
 class ClusteringResult:
     """Outcome of one clustering pass over a level's graph."""
@@ -112,8 +106,6 @@ def label_propagation_clustering(
     rec = recorder_for(det, "lp-clustering")
     inject_race = ctx.config.debug.inject_lp_weight_race
     tracer = ctx.tracer
-    # per-round kernel spans are opt-out (config.obs.kernel_spans)
-    round_tracer = tracer if ctx.config.obs.kernel_spans else _null_tracer()
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
@@ -141,7 +133,7 @@ def label_propagation_clustering(
                 active[:] = False
             moves = 0
             bumped_total = 0
-            with round_tracer.span(f"{phase_name}-round{_round}"):
+            with tracer.span(f"{phase_name}-round{_round}"):
                 sched = runtime.schedule(order)
                 chunk_weights = None
                 if runtime.schedule_policy == "heavy-first":

@@ -34,12 +34,6 @@ from repro.parallel.atomics import DualCounter
 from repro.verify.declarations import recorder_for
 
 
-def _null_tracer():
-    from repro.obs.tracer import NULL_TRACER
-
-    return NULL_TRACER
-
-
 def contract_one_pass(
     graph,
     clusters: np.ndarray,
@@ -107,8 +101,7 @@ def contract_one_pass(
         )
     if det is not None:
         det.begin_region("contraction")
-    ktracer = ctx.tracer if ctx.config.obs.kernel_spans else _null_tracer()
-    with ktracer.span("contraction-aggregate"):
+    with ctx.tracer.span("contraction-aggregate"):
         for _tid, leader_idx in runtime.execute(
             sched,
             weights=chunk_weights,

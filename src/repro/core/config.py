@@ -98,12 +98,6 @@ class ObsConfig:
     """
 
     enabled: bool = False
-    # attribute chunk work to virtual threads inside ParallelRuntime.execute
-    # loops (per-(region, tid) chunk/item/time aggregates in the registry)
-    chunk_attribution: bool = True
-    # record per-round kernel spans (LP clustering rounds, FM passes); off
-    # leaves only the driver-level phase spans
-    kernel_spans: bool = True
     # charge transient decode/codec scratch buffers to the memory ledger
     # (repro.memory.scratch).  Off by default so peaks stay comparable with
     # historical baselines; selfcheck runs turn it on for full accounting.
@@ -123,9 +117,6 @@ class DistObsConfig:
     """
 
     enabled: bool = False
-    # mirror per-round kernel spans (dist-lp-roundN, dist-refine-roundN)
-    # onto every rank track; off keeps only driver-level phases
-    round_spans: bool = True
 
 
 @dataclass(frozen=True)
@@ -166,12 +157,6 @@ class ServeConfig:
     # disable to force every request down the full-repartition path
     # (used by benchmarks to measure the warm-start speedup)
     warm_start: bool = True
-    # admission batching: how long (seconds) a worker waits to coalesce
-    # further same-key requests after pulling one from the queue; 0 still
-    # coalesces everything that is already queued or in flight
-    batch_window_seconds: float = 0.0
-    # bound of the latency reservoir behind the p50/p99 gauges
-    latency_reservoir: int = 4096
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.access import adjacency_blocks
 from repro.memory.scratch import tracked_zeros
 
 
@@ -57,21 +58,10 @@ class PartitionedGraph:
     # ------------------------------------------------------------------ #
     def cut_weight(self) -> int:
         """Total weight of edges crossing blocks (each undirected edge once)."""
-        g = self.graph
         part = self.partition
-        if hasattr(g, "adjncy"):  # CSR fast path
-            src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-            cross = part[src] != part[g.adjncy]
-            return int(np.asarray(g.adjwgt)[cross].sum()) // 2
-        # compressed graphs: bulk-decode in chunks instead of per vertex
-        from repro.graph.access import chunk_adjacency
-
         total = 0
-        for start in range(0, g.n, 4096):
-            chunk = np.arange(start, min(start + 4096, g.n), dtype=np.int64)
-            owner, nbrs, wgts = chunk_adjacency(g, chunk)
-            cross = part[chunk[owner]] != part[nbrs]
-            total += int(np.asarray(wgts)[cross].sum())
+        for src, dst, wgt in adjacency_blocks(self.graph):
+            total += int(wgt[part[src] != part[dst]].sum())
         return total // 2
 
     def cut_fraction(self) -> float:
@@ -94,23 +84,12 @@ class PartitionedGraph:
 
     def boundary_vertices(self) -> np.ndarray:
         """Vertices with at least one neighbor in a different block."""
-        g = self.graph
         part = self.partition
-        if hasattr(g, "adjncy"):
-            src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-            cross = part[src] != part[g.adjncy]
-            return np.unique(src[cross])
-        from repro.graph.access import chunk_adjacency
-
-        out: list[np.ndarray] = []
-        for start in range(0, g.n, 4096):
-            chunk = np.arange(start, min(start + 4096, g.n), dtype=np.int64)
-            owner, nbrs, _ = chunk_adjacency(g, chunk)
-            cross = part[chunk[owner]] != part[nbrs]
-            out.append(chunk[np.unique(owner[cross])])
-        return (
-            np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-        )
+        out = [
+            np.unique(src[part[src] != part[dst]])
+            for src, dst, _ in adjacency_blocks(self.graph)
+        ]
+        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
     def validate(self) -> None:
         """Check invariants: weights consistent, assignment in range."""

@@ -81,7 +81,93 @@ def partition(
     Returns a :class:`PartitionResult`; the partition array itself is
     ``result.partition``.
     """
-    config = config or terapart()
+    return _run(
+        graph,
+        k,
+        config or terapart(),
+        tracker,
+        runtime,
+        lambda ctx, inv: _partition_phases(graph, ctx, inv),
+    )
+
+
+def refine_partition(
+    graph,
+    k: int,
+    partition_in,
+    config: PartitionerConfig | None = None,
+    *,
+    tracker: MemoryTracker | None = None,
+    runtime: ParallelRuntime | None = None,
+    extra_lp_rounds: int = 0,
+) -> PartitionResult:
+    """Warm-start: refine an existing assignment instead of repartitioning.
+
+    This is the multilevel warm start the serving layer uses for
+    incremental repartitioning: ``partition_in`` (typically the previous
+    result on a slightly drifted graph) is treated as the projected
+    finest-level partition, and only the refinement stack runs — rebalance,
+    LP refinement (plus FM when the config enables it), rebalance.  The
+    whole coarsening hierarchy, initial partitioning, and input compression
+    are skipped, which is where the warm-start speedup comes from.
+
+    ``graph`` may be CSR or compressed; ``partition_in`` must assign all
+    ``graph.n`` vertices to blocks in ``[0, k)``.  Returns a full
+    :class:`PartitionResult` with ``num_levels == 0``, traced and
+    self-checked under the same ``config.obs`` / ``config.debug`` knobs as
+    :func:`partition`.
+    """
+    part = np.ascontiguousarray(partition_in, dtype=np.int32)
+    return _run(
+        graph,
+        k,
+        config or terapart(),
+        tracker,
+        runtime,
+        lambda ctx, inv: _refine_phases(graph, part, extra_lp_rounds, ctx, inv),
+    )
+
+
+def _refine_phases(graph, part, extra_lp_rounds, ctx, inv):
+    """The warm start proper: one refinement level on the input graph."""
+    with ctx.phase("partition"):
+        input_aid = ctx.tracker.alloc("input-graph", graph.nbytes, "graph")
+        pgraph = PartitionedGraph(graph, ctx.k, part.copy())
+        lmax = ctx.max_block_weight()
+        rounds = ctx.config.lp_refinement_rounds + max(0, extra_lp_rounds)
+        with ctx.phase("refinement-level0", level=0):
+            rebalance(pgraph, lmax, tracer=ctx.tracer)
+            lp_refine(pgraph, ctx, lmax, rounds=rounds)
+            _fm(pgraph, ctx, lmax)
+            rebalance(pgraph, lmax, tracer=ctx.tracer)
+        checks_run = 0
+        if inv is not None:
+            inv.check_partition(pgraph, phase="final")
+            checks_run = 1
+        ctx.tracker.free(input_aid)
+    return pgraph, 0, checks_run
+
+
+def _fm(pgraph, ctx, lmax) -> None:
+    """The configured k-way FM variant, if the config enables FM at all."""
+    config = ctx.config
+    if not config.use_fm:
+        return
+    if config.fm.localized:
+        fm_refine_localized(pgraph, ctx, lmax, max_region=config.fm.max_region)
+    else:
+        fm_refine(pgraph, ctx, lmax)
+
+
+def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
+    """The harness both entry points share.
+
+    Sets up what ``config.debug`` / ``config.obs`` ask for (runtime,
+    conflict detector, invariant checks, span tracer, decode counters,
+    scratch ledger), runs ``phases(ctx, inv) -> (pgraph, num_levels,
+    checks_run)``, tears the process-wide hooks down again and
+    assembles the :class:`PartitionResult`.
+    """
     tracker = tracker if tracker is not None else MemoryTracker()
     dbg = config.debug
     runtime = runtime or ParallelRuntime(
@@ -96,15 +182,13 @@ def partition(
         detector = ConflictDetector()
         runtime.attach_detector(detector)
     inv = None
-    checks_run = 0
     if dbg.validation_level:
         from repro.verify import invariants as inv
 
     obs_cfg = config.obs
     tracer = SpanTracer(tracker) if obs_cfg.enabled else NULL_TRACER
     if obs_cfg.enabled:
-        if obs_cfg.chunk_attribution:
-            runtime.attach_tracer(tracer)
+        runtime.attach_tracer(tracer)
         graph_access.install_tracer(tracer)
     if obs_cfg.track_scratch:
         from repro.memory import scratch as _scratch
@@ -122,9 +206,7 @@ def partition(
     t0 = time.perf_counter()
 
     try:
-        pgraph, levels, checks_run = _partition_phases(
-            graph, k, config, ctx, inv, checks_run
-        )
+        pgraph, num_levels, checks_run = phases(ctx, inv)
     finally:
         if obs_cfg.enabled:
             graph_access.uninstall_tracer()
@@ -167,7 +249,7 @@ def partition(
                 "seed": config.seed,
                 "n": graph.n,
                 "m": graph.m,
-                "num_levels": len(levels),
+                "num_levels": num_levels,
             },
         ).to_dict()
     cut = pgraph.cut_weight()
@@ -182,7 +264,7 @@ def partition(
         modeled_seconds=modeled,
         peak_bytes=tracker.peak_bytes,
         memory=MemoryReport.from_tracker(tracker),
-        num_levels=len(levels),
+        num_levels=num_levels,
         config_name=config.name,
         phase_stats={name: s for name, s in runtime.all_stats().items()},
         selfcheck=selfcheck,
@@ -191,101 +273,15 @@ def partition(
     )
 
 
-def refine_partition(
-    graph,
-    k: int,
-    partition_in,
-    config: PartitionerConfig | None = None,
-    *,
-    tracker: MemoryTracker | None = None,
-    runtime: ParallelRuntime | None = None,
-    extra_lp_rounds: int = 0,
-) -> PartitionResult:
-    """Warm-start: refine an existing assignment instead of repartitioning.
-
-    This is the multilevel warm start the serving layer uses for
-    incremental repartitioning: ``partition_in`` (typically the previous
-    result on a slightly drifted graph) is treated as the projected
-    finest-level partition, and only the refinement stack runs — rebalance,
-    LP refinement (plus FM when the config enables it), rebalance.  The
-    whole coarsening hierarchy, initial partitioning, and input compression
-    are skipped, which is where the warm-start speedup comes from.
-
-    ``graph`` may be CSR or compressed; ``partition_in`` must assign all
-    ``graph.n`` vertices to blocks in ``[0, k)``.  Returns a full
-    :class:`PartitionResult` with ``num_levels == 0``.
-    """
-    config = config or terapart()
-    tracker = tracker if tracker is not None else MemoryTracker()
-    dbg = config.debug
-    runtime = runtime or ParallelRuntime(
-        config.p,
-        schedule_policy=dbg.schedule_policy,
-        schedule_seed=dbg.schedule_seed,
-    )
-    obs_cfg = config.obs
-    tracer = SpanTracer(tracker) if obs_cfg.enabled else NULL_TRACER
-    ctx = PartitionContext(
-        config=config,
-        k=k,
-        total_vertex_weight=graph.total_vertex_weight,
-        tracker=tracker,
-        runtime=runtime,
-        tracer=tracer,
-    )
-    t0 = time.perf_counter()
-    part = np.ascontiguousarray(partition_in, dtype=np.int32)
-    try:
-        with ctx.phase("partition"):
-            input_aid = tracker.alloc("input-graph", graph.nbytes, "graph")
-            pgraph = PartitionedGraph(graph, k, part.copy())
-            lmax = max_block_weight(
-                graph.total_vertex_weight, k, config.epsilon
-            )
-            rounds = config.lp_refinement_rounds + max(0, extra_lp_rounds)
-            with ctx.phase("refinement-level0", level=0):
-                rebalance(pgraph, lmax, tracer=tracer)
-                lp_refine(pgraph, ctx, lmax, rounds=rounds)
-                if config.use_fm:
-                    if config.fm.localized:
-                        fm_refine_localized(
-                            pgraph, ctx, lmax, max_region=config.fm.max_region
-                        )
-                    else:
-                        fm_refine(pgraph, ctx, lmax)
-                rebalance(pgraph, lmax, tracer=tracer)
-            tracker.free(input_aid)
-    finally:
-        if obs_cfg.enabled:
-            tracer.finish()
-    wall = time.perf_counter() - t0
-    model = CostModel()
-    modeled = model.total_time(runtime.all_stats(), runtime.p)
-    cut = pgraph.cut_weight()
-    half_tew = pgraph.graph.total_edge_weight // 2
-    return PartitionResult(
-        pgraph=pgraph,
-        cut=cut,
-        cut_fraction=cut / half_tew if half_tew else 0.0,
-        imbalance=pgraph.imbalance(),
-        balanced=pgraph.is_balanced(config.epsilon),
-        wall_seconds=wall,
-        modeled_seconds=modeled,
-        peak_bytes=tracker.peak_bytes,
-        memory=MemoryReport.from_tracker(tracker),
-        num_levels=0,
-        config_name=config.name,
-        phase_stats={name: s for name, s in runtime.all_stats().items()},
-        trace=tracer if obs_cfg.enabled else None,
-    )
-
-
-def _partition_phases(graph, k, config, ctx, inv, checks_run):
+def _partition_phases(graph, ctx, inv):
     """The multilevel pipeline proper, scoped by ledger phases + obs spans."""
+    k = ctx.k
+    config = ctx.config
     tracker = ctx.tracker
     runtime = ctx.runtime
     tracer = ctx.tracer
     dbg = config.debug
+    checks_run = 0
 
     with ctx.phase("partition"):
         # ---------------- input representation ---------------- #
@@ -413,13 +409,8 @@ def _partition_phases(graph, k, config, ctx, inv, checks_run):
                 limits = block_limits()
                 rebalance(pgraph, limits, tracer=tracer)
                 lp_refine(pgraph, ctx, limits)
-                if config.use_fm and (deep_state is None or deep_state.done()):
-                    if config.fm.localized:
-                        fm_refine_localized(
-                            pgraph, ctx, lmax, max_region=config.fm.max_region
-                        )
-                    else:
-                        fm_refine(pgraph, ctx, lmax)
+                if deep_state is None or deep_state.done():
+                    _fm(pgraph, ctx, lmax)
                 rebalance(pgraph, limits, tracer=tracer)
             if inv is not None:
                 inv.check_partition(pgraph, phase=f"refinement-level{li}")
@@ -458,4 +449,4 @@ def _partition_phases(graph, k, config, ctx, inv, checks_run):
         if input_aid is not None:
             tracker.free(input_aid)
 
-    return pgraph, levels, checks_run
+    return pgraph, len(levels), checks_run

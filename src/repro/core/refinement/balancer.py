@@ -12,8 +12,10 @@ import heapq
 
 import numpy as np
 
+from repro.core.kernels import segment_best_last
 from repro.core.partition import PartitionedGraph
-from repro.memory.scratch import tracked_zeros
+from repro.graph.access import chunk_adjacency, segment_reduce_ratings
+from repro.memory.scratch import tracked_full, tracked_zeros
 
 
 def rebalance(pgraph: PartitionedGraph, max_block_weight, *, tracer=None) -> int:
@@ -39,29 +41,34 @@ def rebalance(pgraph: PartitionedGraph, max_block_weight, *, tracer=None) -> int
         tracer.add("balancer.overloaded_blocks", len(overloaded))
 
     for b in overloaded:
-        # candidates: vertices of b, by loss (= cut increase when leaving)
+        # candidates: vertices of b, by loss (= cut increase when leaving:
+        # affinity to b itself minus the strongest external affinity)
         members = np.flatnonzero(part == b)
-        heap: list[tuple[int, int, int, int]] = []
-        counter = 0
-        for u in members.tolist():
-            nbrs, wgts = g.neighbors_and_weights(u)
-            nbrs = np.asarray(nbrs)
-            wgts = np.asarray(wgts)
-            if len(nbrs):
-                blocks = part[nbrs]
-                uniq, inv = np.unique(blocks, return_inverse=True)
-                aff = tracked_zeros(len(uniq), np.int64, name="rebalance-affinity")
-                np.add.at(aff, inv, wgts)
-                own = int(aff[np.searchsorted(uniq, b)]) if b in uniq else 0
-                ext = [
-                    (int(a), int(t)) for t, a in zip(uniq.tolist(), aff.tolist()) if t != b
-                ]
-                best_aff, best_t = max(ext) if ext else (0, -1)
-            else:
-                own, best_aff, best_t = 0, 0, -1
-            loss = own - best_aff
-            heapq.heappush(heap, (loss, counter, u, best_t))
-            counter += 1
+        owner, nbrs, wgts = chunk_adjacency(g, members)
+        po, pb, pa = segment_reduce_ratings(
+            owner, part[nbrs].astype(np.int64), wgts, pgraph.k
+        )
+        loss = tracked_zeros(len(members), np.int64, name="rebalance-loss")
+        best_target = tracked_full(
+            len(members), -1, np.int64, name="rebalance-target"
+        )
+        internal = pb == b
+        loss[po[internal]] = pa[internal]
+        eo, eb, ea = po[~internal], pb[~internal], pa[~internal]
+        # blocks ascend within a member, so the kernel's "latest wins"
+        # breaks affinity ties toward the larger block id
+        win = segment_best_last(eo, ea)
+        loss[eo[win]] -= ea[win]
+        best_target[eo[win]] = eb[win]
+        heap = list(
+            zip(
+                loss.tolist(),
+                range(len(members)),
+                members.tolist(),
+                best_target.tolist(),
+            )
+        )
+        heapq.heapify(heap)
 
         while pgraph.block_weights[b] > max_block_weight[b] and heap:
             _, _, u, target = heapq.heappop(heap)

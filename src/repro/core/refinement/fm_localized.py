@@ -24,7 +24,7 @@ from repro.core.config import FMConfig
 from repro.core.context import PartitionContext
 from repro.core.partition import PartitionedGraph
 from repro.core.refinement.fm_refine import _best_move
-from repro.core.refinement.gain_table import make_gain_table
+from repro.core.refinement.gain_table import gain_table_for_round
 from repro.memory.scratch import tracked_zeros
 
 
@@ -39,22 +39,11 @@ def fm_refine_localized(
     """Run localized FM rounds; returns total cut improvement."""
     cfg = fm_config or ctx.config.fm
     total = 0
-    tracer = ctx.tracer
     for _ in range(cfg.max_rounds):
-        with tracer.span("gain-table-build"):
-            table = make_gain_table(cfg.gain_table, pgraph, ctx.tracker)
-        if tracer.enabled:
-            tracer.add("gain_table.bytes", table.nbytes)
-            mix = getattr(table, "width_mix", None)
-            if mix is not None:
-                for bits, count in mix().items():
-                    tracer.add(f"gain_table.width{bits}_rows", count)
-        try:
+        with gain_table_for_round(cfg.gain_table, pgraph, ctx) as table:
             improvement = _localized_pass(
                 pgraph, ctx, table, max_block_weight, cfg, max_region
             )
-        finally:
-            table.free(ctx.tracker)
         ctx.runtime.record(
             "fm-localized",
             work=float(pgraph.graph.num_directed_edges),

@@ -19,7 +19,7 @@ from repro.core.config import FMConfig
 from repro.core.context import PartitionContext
 from repro.core.kernels import segment_best_last
 from repro.core.partition import PartitionedGraph
-from repro.core.refinement.gain_table import make_gain_table
+from repro.core.refinement.gain_table import gain_table_for_round
 from repro.memory.scratch import tracked_zeros
 
 
@@ -52,17 +52,8 @@ def fm_refine(
     runtime = ctx.runtime
     total_improvement = 0
 
-    tracer = ctx.tracer
     for _ in range(cfg.max_rounds):
-        with tracer.span("gain-table-build"):
-            table = make_gain_table(cfg.gain_table, pgraph, ctx.tracker)
-        if tracer.enabled:
-            tracer.add("gain_table.bytes", table.nbytes)
-            mix = getattr(table, "width_mix", None)
-            if mix is not None:
-                for bits, count in mix().items():
-                    tracer.add(f"gain_table.width{bits}_rows", count)
-        try:
+        with gain_table_for_round(cfg.gain_table, pgraph, ctx) as table:
             improvement = _fm_pass(pgraph, ctx, table, max_block_weight, cfg)
             if ctx.config.debug.validation_level >= 2:
                 # after a pass (moves + rollback) the incrementally
@@ -72,8 +63,6 @@ def fm_refine(
                 check_gain_table_vs_recompute(
                     table, pgraph, sample=64, phase="fm-gain-table"
                 )
-        finally:
-            table.free(ctx.tracker)
         recompute = getattr(table, "recompute_edges", 0)
         runtime.record(
             "fm-refinement",

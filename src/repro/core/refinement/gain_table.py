@@ -23,12 +23,19 @@ All tables share one interface: ``affinity``, ``adjacent_blocks``,
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from repro.core.kernels.gains import (
     batch_hash_insert,
     batch_hash_probe,
     entry_width_bits_bulk,
+)
+from repro.graph.access import (
+    chunk_adjacency,
+    full_adjacency,
+    segment_reduce_ratings,
 )
 from repro.memory.scratch import tracked_zeros
 
@@ -93,8 +100,6 @@ class NoGainTable:
         ``owner`` indexes into ``us``; blocks are ascending within each
         owner, exactly the per-vertex :meth:`gains` output concatenated.
         """
-        from repro.graph.access import chunk_adjacency, segment_reduce_ratings
-
         us = np.asarray(us, dtype=np.int64)
         e = np.empty(0, dtype=np.int64)
         if len(us) == 0:
@@ -136,26 +141,14 @@ class FullGainTable:
         self._pgraph = pgraph
         n, k = pgraph.graph.n, pgraph.k
         self._table = np.zeros((n, k), dtype=np.int64)
-        self._build()
+        src, dst, wgt = full_adjacency(pgraph.graph)
+        np.add.at(self._table, (src, pgraph.partition[dst]), wgt)
         self._aid = (
             tracker.alloc("gain-table-full", self._table.nbytes, "gain-table")
             if tracker is not None
             else None
         )
         self._tracker = tracker
-
-    def _build(self) -> None:
-        g = self._pgraph.graph
-        part = self._pgraph.partition
-        if hasattr(g, "adjncy"):
-            src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-            np.add.at(self._table, (src, part[g.adjncy]), np.asarray(g.adjwgt))
-        else:
-            for u in range(g.n):
-                nbrs, wgts = g.neighbors_and_weights(u)
-                np.add.at(
-                    self._table[u], part[np.asarray(nbrs)], np.asarray(wgts)
-                )
 
     @property
     def nbytes(self) -> int:
@@ -237,18 +230,14 @@ class SparseGainTable:
         self._caps = caps
         self._keys = np.full(total, self.EMPTY, dtype=np.int32)
         self._vals = np.zeros(total, dtype=np.int64)
-        # variable entry widths from total incident weight
-        if hasattr(g, "adjncy") and g.n:
-            inc = np.zeros(n, dtype=np.int64)
-            src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-            np.add.at(inc, src, np.asarray(g.adjwgt))
-        else:
-            inc = np.array(
-                [g.incident_weight(u) for u in range(n)], dtype=np.int64
-            )
+        # one pass over the edges fills both the entry widths (from each
+        # vertex's total incident weight) and the table itself
+        src, dst, wgt = full_adjacency(g)
+        inc = np.zeros(n, dtype=np.int64)
+        np.add.at(inc, src, wgt)
         self._width_bits = entry_width_bits_bulk(inc)
         self.lock_acquisitions = 0
-        self._build()
+        self._build(src, dst, wgt)
         self._aid = (
             tracker.alloc("gain-table-sparse", self.nbytes, "gain-table")
             if tracker is not None
@@ -257,18 +246,12 @@ class SparseGainTable:
         self._tracker = tracker
 
     # -- construction -------------------------------------------------- #
-    def _build(self) -> None:
-        g = self._pgraph.graph
-        part = self._pgraph.partition
-        k = self._pgraph.k
-        # aggregate all (vertex, block) affinities in one vectorized pass
-        from repro.graph.access import full_adjacency, segment_reduce_ratings
-
-        src, dst, wgt = full_adjacency(g)
+    def _build(self, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> None:
         if len(src) == 0:
             return
+        # aggregate all (vertex, block) affinities in one vectorized pass
         po, pb, pa = segment_reduce_ratings(
-            src, part[dst].astype(np.int64), np.asarray(wgt), k
+            src, self._pgraph.partition[dst].astype(np.int64), wgt, self._pgraph.k
         )
         # dense rows scatter directly; hash rows insert via the rank-wave
         # kernel, which reproduces the probe sequence of one `_insert_add`
@@ -473,6 +456,25 @@ class SparseGainTable:
         if t is not None and self._aid is not None:
             t.free(self._aid)
             self._aid = None
+
+
+@contextmanager
+def gain_table_for_round(kind, pgraph, ctx):
+    """One FM round's table: built under the ``gain-table-build`` span, its
+    footprint (and width mix, if it has one) reported, freed on exit."""
+    tracer = ctx.tracer
+    with tracer.span("gain-table-build"):
+        table = make_gain_table(kind, pgraph, ctx.tracker)
+    if tracer.enabled:
+        tracer.add("gain_table.bytes", table.nbytes)
+        mix = getattr(table, "width_mix", None)
+        if mix is not None:
+            for bits, count in mix().items():
+                tracer.add(f"gain_table.width{bits}_rows", count)
+    try:
+        yield table
+    finally:
+        table.free(ctx.tracker)
 
 
 def make_gain_table(kind, pgraph, tracker=None):

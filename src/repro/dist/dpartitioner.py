@@ -212,7 +212,7 @@ def dpartition(
     if observer is not None:
         tracer = observer
     elif cfg.obs.enabled:
-        tracer = ClusterObserver(comm, round_spans=cfg.obs.round_spans)
+        tracer = ClusterObserver(comm)
     else:
         tracer = NULL_CLUSTER_OBSERVER
     rng = np.random.default_rng(cfg.seed)
@@ -315,11 +315,9 @@ def dpartition(
         # ---- uncoarsening ---- #
         partition = best_part.astype(np.int32)
         lmax = max_block_weight(total_weight, k, cfg.epsilon)
-        stack = hierarchy[::-1]
         cur_graph = current
-        rlevel = len(hierarchy)
         with tracer.phase("dist-refinement"):
-            for dg, fine_to_coarse in stack:
+            for rlevel in range(len(hierarchy), -1, -1):
                 with tracer.phase(
                     f"dist-refinement-level{rlevel}", level=rlevel
                 ):
@@ -341,28 +339,12 @@ def dpartition(
                         _rebalance_distributed(
                             cur_graph, partition, bw, k, lmax
                         )
-                cur_graph.free()
-                partition = partition[fine_to_coarse]
-                cur_graph = dg
-                rlevel -= 1
-            # top level refinement
-            with tracer.phase("dist-refinement-level0", level=0):
-                bw = np.zeros(k, dtype=np.int64)
-                tvw = np.concatenate([s.vwgt for s in cur_graph.shards])
-                np.add.at(bw, partition, tvw)
-                distributed_lp_refine(
-                    cur_graph,
-                    partition,
-                    bw,
-                    k,
-                    lmax,
-                    cfg.refine_rounds,
-                    cfg.batches,
-                    tracer=tracer,
-                    level=0,
-                )
-                with tracer.span("dist-rebalance", level=0):
-                    _rebalance_distributed(cur_graph, partition, bw, k, lmax)
+                if rlevel > 0:
+                    # project to the next finer level, drop the coarse one
+                    finer, fine_to_coarse = hierarchy[rlevel - 1]
+                    cur_graph.free()
+                    partition = partition[fine_to_coarse]
+                    cur_graph = finer
 
     cut = _graph_cut(cur_graph, partition)
     avg = total_weight / k

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory.scratch import tracked_empty, tracked_full
+from repro.memory.scratch import tracked_empty
 
 # Decode-work factor of compressed vs CSR traversal, measured once per
 # process by `measured_decode_work_factor` (fallback if measurement is
@@ -153,24 +153,16 @@ def chunk_adjacency(
         _count_decode(graph, len(out[0]))
         _count_cache(cache_before, getattr(graph, "decode_cache_stats", None))
         return out
-    # generic fallback: per-neighborhood decode via the protocol
-    owners: list[np.ndarray] = []
-    nbrs: list[np.ndarray] = []
-    wgts: list[np.ndarray] = []
-    for i, u in enumerate(chunk.tolist()):
-        nv, wv = graph.neighbors_and_weights(u)
-        if len(nv) == 0:
-            continue
-        owners.append(tracked_full(len(nv), i, name="adjacency-owner"))
-        nbrs.append(np.asarray(nv))
-        wgts.append(np.asarray(wv))
-    if not owners:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    owner = np.concatenate(owners)
-    if _tracer is not None:
-        _count_decode(graph, len(owner))
-    return owner, np.concatenate(nbrs), np.concatenate(wgts)
+    raise TypeError(
+        "chunk_adjacency needs a CSRGraph or a CompressedGraph, got "
+        f"{type(graph).__name__}"
+    )
+
+
+def _csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, weight)`` of a CSR graph; ``dst``/``weight`` are views."""
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+    return src, graph.adjncy, np.asarray(graph.adjwgt)
 
 
 def full_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -180,10 +172,26 @@ def full_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     byte scan), not the per-vertex loop.
     """
     if hasattr(graph, "indptr"):
-        src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-        return src, graph.adjncy, np.asarray(graph.adjwgt)
-    owner, nbrs, wgts = chunk_adjacency(graph, np.arange(graph.n, dtype=np.int64))
-    return owner, nbrs, wgts
+        return _csr_adjacency(graph)
+    return chunk_adjacency(graph, np.arange(graph.n, dtype=np.int64))
+
+
+def adjacency_blocks(graph, block_size: int = 4096):
+    """Yield ``(src, dst, weight)`` blocks that together cover every edge once.
+
+    For whole-graph reductions (cut, boundary) that must not hold the input
+    decoded: a CSR graph is one zero-copy block, a compressed graph is
+    decoded ``block_size`` consecutive vertices at a time, so the decoded
+    working set stays bounded however large the top level is.  ``src``
+    ascends within and across blocks.
+    """
+    if hasattr(graph, "indptr"):
+        yield _csr_adjacency(graph)
+        return
+    for start in range(0, graph.n, block_size):
+        chunk = np.arange(start, min(start + block_size, graph.n), dtype=np.int64)
+        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
+        yield owner + start, nbrs, wgts
 
 
 def segment_reduce_ratings(

@@ -100,12 +100,9 @@ class ClusterObserver:
 
     enabled = True
 
-    def __init__(
-        self, comm, *, clock=time.perf_counter, round_spans: bool = True
-    ) -> None:
+    def __init__(self, comm, *, clock=time.perf_counter) -> None:
         self.comm = comm
         self._clock = clock
-        self.round_spans = round_spans
         epoch = clock()
         self.epoch = epoch
         self.rank_tracers: list[SpanTracer] = []
@@ -131,13 +128,7 @@ class ClusterObserver:
         return _ClusterSpan(self, name, level, coupled=True)
 
     def span(self, name: str, *, level: int | None = None):
-        """A pure timing/counter (kernel) span mirrored on every rank.
-
-        Gated by ``round_spans``: disabling it keeps only the driver-level
-        phases, which bounds trace size on many-round runs.
-        """
-        if not self.round_spans:
-            return _NULL_CONTEXT
+        """A pure timing/counter (kernel) span mirrored on every rank."""
         return _ClusterSpan(self, name, level, coupled=False)
 
     # ------------------------------------------------------------------ #

@@ -66,10 +66,10 @@ class LatencyReservoir:
 class ServiceMetrics:
     """Thread-safe counter/latency accumulator for one service instance."""
 
-    def __init__(self, *, latency_reservoir: int = 4096) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self.latency = LatencyReservoir(latency_reservoir)
+        self.latency = LatencyReservoir()
         self._started = None  # monotonic start, set by the service
 
     def bump(self, name: str, value: float = 1) -> None:

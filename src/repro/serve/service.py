@@ -174,9 +174,7 @@ class PartitionService:
         self.config = config or terapart()
         self.serve_config = serve_config or ServeConfig()
         self.tracker = tracker if tracker is not None else MemoryTracker()
-        self.metrics = ServiceMetrics(
-            latency_reservoir=self.serve_config.latency_reservoir
-        )
+        self.metrics = ServiceMetrics()
         self.cache = ByteLRUCache(
             self.serve_config.cache_budget_bytes, tracker=self.tracker
         )
@@ -358,10 +356,6 @@ class PartitionService:
             if job is _SHUTDOWN:
                 self._queue.task_done()
                 return
-            if self.serve_config.batch_window_seconds > 0:
-                # widen the admission window: same-key requests arriving
-                # in the next slice attach to this run instead of missing
-                await asyncio.sleep(self.serve_config.batch_window_seconds)
             fut = self._inflight.get(job.key)
             try:
                 result = await loop.run_in_executor(

@@ -315,6 +315,67 @@ def scalar_bfs_bipartition(graph, target_weight0, rng):
     return part
 
 
+def scalar_rebalance(pgraph, max_block_weight):
+    """``rebalance`` as it read before the members of an overloaded block
+    were scored in one chunk: one ``neighbors_and_weights(u)`` per member."""
+    g = pgraph.graph
+    vwgt = np.asarray(g.vwgt)
+    part = pgraph.partition
+    moves = 0
+    max_block_weight = np.broadcast_to(
+        np.asarray(max_block_weight, dtype=np.int64), (pgraph.k,)
+    )
+
+    overloaded = [
+        b for b in range(pgraph.k) if pgraph.block_weights[b] > max_block_weight[b]
+    ]
+    for b in overloaded:
+        members = np.flatnonzero(part == b)
+        heap: list[tuple[int, int, int, int]] = []
+        counter = 0
+        for u in members.tolist():
+            nbrs, wgts = g.neighbors_and_weights(u)
+            nbrs = np.asarray(nbrs)
+            wgts = np.asarray(wgts)
+            if len(nbrs):
+                blocks = part[nbrs]
+                uniq, inv = np.unique(blocks, return_inverse=True)
+                aff = np.zeros(len(uniq), dtype=np.int64)
+                np.add.at(aff, inv, wgts)
+                own = int(aff[np.searchsorted(uniq, b)]) if b in uniq else 0
+                ext = [
+                    (int(a), int(t)) for t, a in zip(uniq.tolist(), aff.tolist()) if t != b
+                ]
+                best_aff, best_t = max(ext) if ext else (0, -1)
+            else:
+                own, best_aff, best_t = 0, 0, -1
+            loss = own - best_aff
+            heapq.heappush(heap, (loss, counter, u, best_t))
+            counter += 1
+
+        while pgraph.block_weights[b] > max_block_weight[b] and heap:
+            _, _, u, target = heapq.heappop(heap)
+            if part[u] != b:
+                continue
+            w = int(vwgt[u])
+            if (
+                target >= 0
+                and pgraph.block_weights[target] + w <= max_block_weight[target]
+            ):
+                pgraph.move(u, target)
+                moves += 1
+                continue
+            headroom = max_block_weight - pgraph.block_weights
+            lightest = int(np.argmax(headroom))
+            if (
+                lightest != b
+                and pgraph.block_weights[lightest] + w <= max_block_weight[lightest]
+            ):
+                pgraph.move(u, lightest)
+                moves += 1
+    return moves
+
+
 #: kernel name -> (home module, scalar reference)
 REFERENCES = {
     "bulk_size_constrained_commit": ("repro.core.kernels.commit", scalar_commit),

@@ -95,3 +95,32 @@ def test_initial_loops_beat_their_scalar_references():
             f"{name} on lists takes {ratio:.2f}x its numpy-scalar reference; "
             f"did a change reintroduce per-element ndarray subscripts?"
         )
+
+
+# A gain table is filled by one pass over the edges, on either
+# representation: building it on a compressed graph costs one bulk decode
+# more than on CSR -- ~2-4x for the sparse table, ~8x for the dense one,
+# whose CSR build is a single scatter.  With a per-vertex decode loop in
+# the build these ratios were 16-41x and 120-140x.
+MAX_COMPRESSED_TABLE_BUILD = {"sparse": 12.0, "full": 30.0}
+
+
+def test_gain_table_build_on_compressed_within_envelope():
+    from repro.core.partition import PartitionedGraph
+    from repro.core.refinement.gain_table import make_gain_table
+    from repro.graph.generators import rgg2d
+
+    g = rgg2d(4096, 8.0, seed=1)
+    part = np.random.default_rng(0).integers(0, 16, size=g.n)
+    pg = PartitionedGraph(g, 16, part)
+    pc = PartitionedGraph(compress_graph(g), 16, part)
+    for kind, bound in MAX_COMPRESSED_TABLE_BUILD.items():
+        make_gain_table(kind, pg)  # warm both sides
+        make_gain_table(kind, pc)
+        ratio = _best_of(lambda: make_gain_table(kind, pc)) / _best_of(
+            lambda: make_gain_table(kind, pg)
+        )
+        assert ratio <= bound, (
+            f"{kind} gain table on a compressed graph takes {ratio:.1f}x the "
+            f"CSR build; did a change reintroduce a per-vertex decode loop?"
+        )
