@@ -73,7 +73,6 @@ def bench_one(
         "balanced": bool(result.balanced),
         "imbalance": float(result.imbalance),
         "wall_seconds": float(result.wall_seconds),
-        "modeled_seconds": float(result.modeled_seconds),
         "ranks": int(result.num_ranks),
         "num_levels": int(result.num_levels),
         "compressed": bool(compressed),

@@ -14,10 +14,11 @@ Two derived metrics carry the acceptance claims:
   drifted graph (a fresh full multilevel run outside the service).
   The "within 5% quality" claim is this <= 1.05.
 
-Both are lower-is-better and sit in
+``cut_overhead`` is deterministic per seed and is the one metric in
 :data:`~repro.obs.regress.rundb.SERVICE_METRICS`, so
-``repro bench compare --kinds service`` gates them exactly like cut and
-wall for partition records.
+``repro bench compare --kinds service`` gates it exactly like cut for
+partition records; ``warm_over_full`` is wall-clock, so CI holds it to its
+absolute bound only.
 """
 
 from __future__ import annotations

@@ -346,6 +346,7 @@ def cmd_bench_baseline(args: argparse.Namespace) -> int:
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.obs.regress import report as R
     from repro.obs.regress.compare import (
+        DEFAULT_METRICS,
         Baseline,
         CompareThresholds,
         compare,
@@ -357,7 +358,6 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     candidates = _candidate_records(args)
     if not candidates:
         raise SystemExit(f"no candidate records in {args.db} match the filter")
-    thresholds = CompareThresholds()
     if args.metrics:
         metrics = tuple(args.metrics.split(","))
     elif kinds == ("service",):
@@ -365,7 +365,16 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     elif kinds == ("dist",):
         metrics = DIST_METRICS
     else:
-        metrics = ("cut", "peak_bytes", "wall_seconds")
+        metrics = DEFAULT_METRICS
+    thresholds = CompareThresholds()
+    try:
+        for metric in metrics:
+            thresholds.band(metric)
+    except ValueError as err:
+        raise SystemExit(
+            f"bench compare: {err}; seconds are judged by the ladder "
+            "(BENCHMARK.json), not here"
+        ) from None
     result = compare(
         baseline, candidates, metrics=metrics, kinds=kinds,
         thresholds=thresholds,
@@ -933,8 +942,10 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument(
         "--metrics",
         default=None,
-        help="comma-separated metric list (default: cut,peak_bytes,"
-        "wall_seconds; service kind: p50/p99/warm_over_full/cut_overhead)",
+        help="comma-separated metric list (default: cut,peak_bytes; "
+        "service kind: cut_overhead; dist kind: cut, rank peak, memory "
+        "ratio, comm bytes).  Only deterministic metrics with a declared "
+        "neutral band classify; seconds are judged by the ladder",
     )
     bp.add_argument(
         "--gate",

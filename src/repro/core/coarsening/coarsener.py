@@ -15,7 +15,7 @@ from repro.core.coarsening.contraction import contract_buffered
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.coarsening.two_hop import two_hop_match
-from repro.core.context import PartitionContext
+from repro.core.context import MIN_SHRINK_FACTOR, PartitionContext
 
 
 @dataclass
@@ -42,11 +42,11 @@ def coarsen_hierarchy(graph, ctx: PartitionContext) -> list[CoarseLevel]:
             with ctx.phase("clustering", level=level):
                 result = label_propagation_clustering(current, ctx, cap)
             shrink = current.n / max(result.num_clusters, 1)
-            if cc.two_hop_matching and shrink < cc.min_shrink_factor:
+            if shrink < MIN_SHRINK_FACTOR:
                 two_hop_match(result, np.asarray(current.vwgt), cap)
                 shrink = current.n / max(result.num_clusters, 1)
                 ctx.tracer.add("coarsening.two_hop_matches", 1)
-            if shrink < cc.min_shrink_factor:
+            if shrink < MIN_SHRINK_FACTOR:
                 break  # coarsening stalled; go to initial partitioning
             with ctx.phase("contraction", level=level):
                 contract = (

@@ -53,20 +53,19 @@ def _charge_rating_maps(
     tracker = ctx.tracker
     p = ctx.runtime.p
     n = graph.n
-    cc = ctx.config.coarsening
     handles = [tracker.alloc("cluster-array", 8 * n, "clustering")]
     handles.append(tracker.alloc("cluster-weights", 8 * n, "clustering"))
     if two_phase:
-        cap = cc.first_phase_table_capacity or t_bump
-        # per-thread fixed-capacity hash tables (keys+values, pow2-padded)
-        table_bytes = 16 * (1 << max(1, (2 * cap - 1).bit_length()))
+        # per-thread fixed-capacity hash tables (keys+values, pow2-padded),
+        # sized by the bump threshold
+        table_bytes = 16 * (1 << max(1, (2 * t_bump - 1).bit_length()))
         handles.append(
             tracker.alloc("first-phase-hash-tables", p * table_bytes, "clustering")
         )
         # one shared sparse array + per-thread non-zero buffers
         handles.append(tracker.alloc("shared-sparse-array", 8 * n, "clustering"))
         handles.append(
-            tracker.alloc("nonzero-buffers", p * 8 * cap, "clustering")
+            tracker.alloc("nonzero-buffers", p * 8 * t_bump, "clustering")
         )
     else:
         # one sparse array (values) + non-zero list per thread
@@ -109,7 +108,6 @@ def label_propagation_clustering(
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
-    active = np.ones(n, dtype=bool)
     # the 5-round LP scans re-decode every neighborhood each round; a
     # bounded decoded-page cache (tracked in the ledger) trades memory for
     # those repeat decodes when the config asks for it
@@ -122,15 +120,7 @@ def label_propagation_clustering(
         )
     try:
         for _round in range(cc.lp_rounds):
-            if cc.active_set and _round > 0:
-                candidates = np.flatnonzero(active)
-                if len(candidates) == 0:
-                    break
-                order = candidates[rng.permutation(len(candidates))]
-            else:
-                order = rng.permutation(n).astype(np.int64)
-            if cc.active_set:
-                active[:] = False
+            order = rng.permutation(n).astype(np.int64)
             moves = 0
             bumped_total = 0
             with tracer.span(f"{phase_name}-round{_round}"):
@@ -236,17 +226,6 @@ def label_propagation_clustering(
                             det.record_write("cluster-weights", touched)
                         else:
                             rec.atomic("cluster-weights", touched)
-                    if cc.active_set and len(acc_us):
-                        # a move invalidates the cached decision of u
-                        # and of every neighbor of u (atomic-or marks)
-                        _ao, acc_nbrs, _aw = chunk_adjacency(graph, acc_us)
-                        active[acc_us] = True
-                        active[acc_nbrs] = True
-                        if rec.active:
-                            rec.atomic(
-                                "active-set",
-                                np.concatenate([acc_nbrs, acc_us]),
-                            )
                     if rec.active and two_phase and bumped_pairs:
                         rec.atomic(
                             "shared-sparse-array",

@@ -43,7 +43,6 @@ def contract_one_pass(
     """Contract ``clusters`` with the one-pass dual-counter scheme."""
     tracker = ctx.tracker
     runtime = ctx.runtime
-    cc = ctx.config.coarsening
     n = graph.n
     m2 = graph.num_directed_edges
 
@@ -59,8 +58,7 @@ def contract_one_pass(
     # the overcommitted E' (ids + weights), P', and the remap array
     t_bump = ctx.effective_t_bump(n)
     edge_bytes, work_factor = traversal_cost(graph)
-    cap = cc.first_phase_table_capacity or t_bump
-    table_bytes = 16 * (1 << max(1, (2 * cap - 1).bit_length()))
+    table_bytes = 16 * (1 << max(1, (2 * t_bump - 1).bit_length()))
     aux_aid = tracker.alloc(
         "one-pass-aux",
         runtime.p * (table_bytes + 16 * ctx.effective_buffer_capacity(n)) + 8 * n,

@@ -27,18 +27,7 @@ class CoarseningConfig:
     # 0 = auto-scale: clamp(n / (8 p), 128, 10 000), preserving the paper's
     # regime p*T_bump << n at benchmark scale.
     t_bump: int = 0
-    first_phase_table_capacity: int = 0  # 0 = derive from t_bump
-    contraction_limit_factor: int = 32  # coarsen until n <= factor * k
-    min_shrink_factor: float = 1.05  # below this, two-hop matching kicks in
     max_levels: int = 64
-    two_hop_matching: bool = True
-    # active-set optimization: after round 1, revisit only vertices whose
-    # neighborhood changed (KaMinPar's standard work-saving device).  Off by
-    # default so benches measure the paper's fixed five-round scheme.
-    active_set: bool = False
-    # dual-counter batching buffer B_t (entries per thread);
-    # 0 = auto-scale: clamp(n / (8 p), 32, 4096)
-    buffer_capacity: int = 0
 
 
 @dataclass(frozen=True)
@@ -50,8 +39,6 @@ class FMConfig:
     # adaptive stopping: abort a pass after this many consecutive
     # non-improving moves (classic FM stopping rule)
     max_fruitless_moves: int = 250
-    # seed localized searches only from boundary vertices
-    boundary_only: bool = True
     # localized multi-search FM ([4],[15]) instead of one global search
     localized: bool = False
     # per-search move cap for localized FM
@@ -168,7 +155,6 @@ class PartitionerConfig:
     seed: int = 0
     p: int = 8  # virtual threads
     compress_input: bool = True
-    compression_intervals: bool = True
     # Bound (bytes) of the decoded-chunk LRU cache used during repeated LP
     # scans over a compressed level; 0 disables it.  Cache bytes are
     # registered with the MemoryTracker so peak-memory figures stay honest.

@@ -11,6 +11,13 @@ from repro.memory.tracker import MemoryTracker
 from repro.obs.tracer import NULL_TRACER
 from repro.parallel.runtime import ParallelRuntime
 
+#: KaMinPar's contraction limit C: coarsening stops once ``n <= C * k``, and
+#: a level carrying ``k'`` blocks caps cluster weights at ``w(V) / (C * k')``
+CONTRACTION_LIMIT_FACTOR = 32
+#: a clustering that shrinks the level by less than this has stalled:
+#: two-hop matching gets one try, then coarsening ends
+MIN_SHRINK_FACTOR = 1.05
+
 
 @dataclass
 class PartitionContext:
@@ -70,23 +77,23 @@ class PartitionContext:
         """Weight cap for coarsening clusters.
 
         Clusters become coarse vertices; capping their weight at
-        ``w(V) / (contraction_limit_factor * k')`` guarantees the level
+        ``w(V) / (CONTRACTION_LIMIT_FACTOR * k')`` guarantees the level
         retains enough vertices for a balanced partition into the ``k'``
         blocks it will carry.  Classic multilevel uses ``k' = k`` at every
         level; deep multilevel [3] lets ``k'`` shrink with the level
         (``k' = min(k, n / C)``), so coarsening can proceed to constant
         size -- KaMinPar's adaptive cluster-weight limit.
         """
-        C = self.config.coarsening.contraction_limit_factor
+        C = CONTRACTION_LIMIT_FACTOR
         if self.config.initial.scheme == "deep" and n is not None:
-            k_here = max(1, min(self.k, n // max(1, C)))
+            k_here = max(1, min(self.k, n // C))
         else:
             k_here = self.k
         return max(1, self.total_vertex_weight // max(C * k_here, 1))
 
     def contraction_limit(self) -> int:
         """Stop coarsening once ``n`` falls below this."""
-        C = self.config.coarsening.contraction_limit_factor
+        C = CONTRACTION_LIMIT_FACTOR
         if self.config.initial.scheme == "deep":
             return max(2 * C, 64)
         return max(2 * self.k, C * self.k)
@@ -109,7 +116,4 @@ class PartitionContext:
         Auto-scales like :meth:`effective_t_bump`: the paper's fixed buffer
         is a constant-size structure negligible next to ``n``; keep it so.
         """
-        b = self.config.coarsening.buffer_capacity
-        if b > 0:
-            return b
         return int(min(4_096, max(32, n // (8 * self.runtime.p))))

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.core.coarsening.coarsener import coarsen_hierarchy
 from repro.core.config import PartitionerConfig, terapart
-from repro.core.context import PartitionContext
+from repro.core.context import CONTRACTION_LIMIT_FACTOR, PartitionContext
 from repro.core.initial.recursive import initial_partition
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.memory.scratch import tracked_full
@@ -289,11 +289,7 @@ def _partition_phases(graph, ctx, inv):
         input_aid = None
         if config.compress_input and hasattr(graph, "indptr"):
             with ctx.phase("compression"):
-                top = compress_graph(
-                    graph,
-                    enable_intervals=config.compression_intervals,
-                    tracker=None,
-                )
+                top = compress_graph(graph, tracker=None)
                 input_aid = tracker.alloc("input-graph", top.nbytes, "graph")
                 tracer.add("compression.input_bytes", graph.nbytes)
                 tracer.add("compression.compressed_bytes", top.nbytes)
@@ -344,7 +340,7 @@ def _partition_phases(graph, ctx, inv):
                     k,
                     config.epsilon,
                     ctx.rng,
-                    factor=config.coarsening.contraction_limit_factor,
+                    factor=CONTRACTION_LIMIT_FACTOR,
                     attempts=config.initial.attempts,
                     fm_rounds=config.initial.fm_rounds,
                 )
@@ -402,7 +398,7 @@ def _partition_phases(graph, ctx, inv):
                         pgraph,
                         deep_state,
                         ctx.rng,
-                        factor=config.coarsening.contraction_limit_factor,
+                        factor=CONTRACTION_LIMIT_FACTOR,
                         attempts=config.initial.attempts,
                         fm_rounds=config.initial.fm_rounds,
                     )

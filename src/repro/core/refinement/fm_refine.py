@@ -82,11 +82,7 @@ def _fm_pass(
     max_block_weight: int,
     cfg: FMConfig,
 ) -> int:
-    seeds = (
-        pgraph.boundary_vertices()
-        if cfg.boundary_only
-        else np.arange(pgraph.graph.n, dtype=np.int64)
-    )
+    seeds = pgraph.boundary_vertices()
     if len(seeds) == 0:
         return 0
     heap: list[tuple[int, int, int, int]] = []  # (-gain, tiebreak, u, target)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import DistObsConfig, PartitionerConfig, terapart
+from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
 from repro.core.partition import max_block_weight
 from repro.dist.comm import CommStats, SimComm
@@ -66,9 +67,7 @@ class DistConfig:
     lp_rounds: int = 3
     refine_rounds: int = 2
     batches: int = 4
-    contraction_limit_factor: int = 32
     max_levels: int = 16
-    min_shrink_factor: float = 1.05
     # per-rank memory budget in bytes; exceeded -> OOM (Fig. 8 markers).
     rank_memory_budget: int | None = None
     seed: int = 0
@@ -231,7 +230,7 @@ def dpartition(
         )
         top = dgraph
         hierarchy: list[tuple[DistributedGraph, np.ndarray]] = []
-        limit = max(2 * k, cfg.contraction_limit_factor * k)
+        limit = max(2 * k, CONTRACTION_LIMIT_FACTOR * k)
         total_weight = dgraph.total_vertex_weight
         max_cluster_weight = max(1, total_weight // max(limit, 1))
 
@@ -252,7 +251,7 @@ def dpartition(
                         level=level,
                     )
                 shrink = current.n / max(len(np.unique(labels)), 1)
-                if shrink < cfg.min_shrink_factor:
+                if shrink < MIN_SHRINK_FACTOR:
                     break
                 with tracer.phase(f"dist-contract-level{level}", level=level):
                     coarse, fine_to_coarse = _contract_distributed(

@@ -228,7 +228,7 @@ def attribute(
     cp = profiles_from_records(cand_records)
     regressed = set(regressed_metrics)
     sections: list[str] = []
-    if "wall_seconds" in regressed or "modeled_seconds" in regressed:
+    if "wall_seconds" in regressed:
         sections += ["wall", "kernel_wall"]
     if "peak_bytes" in regressed:
         sections += ["bytes", "kernel_bytes"]

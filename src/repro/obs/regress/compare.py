@@ -6,14 +6,21 @@ per-phase profile for attribution.  A *comparison* pairs candidate
 records against the baseline per (algorithm, instance, k), forms the
 seed-mean ratio candidate/baseline for each pair, and classifies each
 metric from a bootstrap confidence interval on the geometric mean of
-those ratios (the paper's cross-instance aggregate, Section VI):
+those ratios (the paper's cross-instance aggregate, Section VI).  Seeded
+runs are deterministic, so the comparison is *paired*: only seeds both
+sides ran are compared, and the bootstrap draws one set of seed indices
+per pair and applies it to both sides -- an unchanged tree reads exactly
+1.000 [1.000, 1.000].  Verdicts:
 
 * ``regressed``  — the CI lies entirely above ``1 + neutral_band``,
 * ``improved``   — the CI lies entirely below ``1 - neutral_band``,
 * ``neutral``    — otherwise (the CI straddles the band; CI noise never
   fails a gate).
 
-All gated metrics are lower-is-better.  Two hard rules sit outside the
+All gated metrics are lower-is-better and deterministic per seed; seconds
+are recorded in the rows but judged by the ladder (``BENCHMARK.json``),
+never here -- a metric without a declared neutral band cannot be
+classified at all.  Two hard rules sit outside the
 statistics: a candidate run violating its balance constraint fails the
 gate outright, and a pair whose baseline value is 0 while the candidate
 is positive (a vanished perfect cut) is a regression no geometric mean
@@ -34,20 +41,14 @@ from repro.obs.regress.attrib import phase_profile, aggregate_profiles
 BASELINE_SCHEMA = 2
 
 #: metrics compared by default (all lower-is-better)
-DEFAULT_METRICS = ("cut", "peak_bytes", "wall_seconds")
+DEFAULT_METRICS = ("cut", "peak_bytes")
 
-#: half-width of the per-metric neutral band around ratio 1.0.  Wall gets a
-#: wide band: CI runners are noisy and a wall gate must not cry wolf.
+#: half-width of the per-metric neutral band around ratio 1.0; the declared
+#: keys are the complete set of metrics the observatory may classify
 DEFAULT_NEUTRAL_BANDS = {
     "cut": 0.02,
     "peak_bytes": 0.02,
-    "modeled_seconds": 0.05,
-    "wall_seconds": 0.25,
-    # service-kind metrics: latency quantiles are wall-clock (noisy, wide
-    # bands like wall_seconds); cut_overhead is a quality ratio (tight)
-    "p50_seconds": 0.25,
-    "p99_seconds": 0.30,
-    "warm_over_full": 0.25,
+    # service kind: warm-start quality overhead (warm cut / scratch cut)
     "cut_overhead": 0.02,
     # dist-kind metrics: ledger peaks and collective byte counts are
     # deterministic (tight); memory_ratio divides two such peaks, so small
@@ -74,7 +75,13 @@ class CompareThresholds:
     rng_seed: int = 0
 
     def band(self, metric: str) -> float:
-        return self.neutral_bands.get(metric, 0.05)
+        try:
+            return self.neutral_bands[metric]
+        except KeyError:
+            raise ValueError(
+                f"metric {metric!r} has no declared neutral band "
+                f"(declared: {', '.join(sorted(self.neutral_bands))})"
+            ) from None
 
 
 # --------------------------------------------------------------------- #
@@ -147,8 +154,9 @@ def capture_baseline(
     The raw obs registries are condensed to per-phase profiles at capture
     time, so a committed baseline stays a few KB however long the runs
     traced.  ``service``-kind records carry their gated metrics flat in
-    the ``run`` section and no ``balanced`` flag; metrics a record lacks
-    are simply absent from its group."""
+    the ``run`` section and no ``balanced`` flag; a metric some record of
+    a group lacks is absent from that group, so every metric vector lines
+    up with the group's ``seeds``."""
     base = Baseline(
         name=name,
         env=env if env is not None else {},
@@ -164,9 +172,8 @@ def capture_baseline(
         run0 = recs[0]["run"]
         group_metrics = {}
         for m in metrics:
-            vals = [float(r["run"][m]) for r in recs if m in r["run"]]
-            if vals:
-                group_metrics[m] = vals
+            if all(m in r["run"] for r in recs):
+                group_metrics[m] = [float(r["run"][m]) for r in recs]
         base.groups[key] = {
             "algorithm": run0["algorithm"],
             "instance": run0["instance"],
@@ -199,6 +206,7 @@ class MetricVerdict:
     neutral_band: float
     per_key: dict = field(default_factory=dict)
     dropped_pairs: int = 0  # zero/zero or positive/zero pairs left out
+    dropped_seeds: int = 0  # seeds only one side ran, left out of the pairing
     infinite_pairs: int = 0  # baseline 0 -> candidate > 0 (forces regressed)
 
     def to_dict(self) -> dict:
@@ -211,6 +219,7 @@ class MetricVerdict:
             "neutral_band": self.neutral_band,
             "per_key": self.per_key,
             "dropped_pairs": self.dropped_pairs,
+            "dropped_seeds": self.dropped_seeds,
             "infinite_pairs": self.infinite_pairs,
         }
 
@@ -266,8 +275,28 @@ def _pair_ratio(base_mean: float, cand_mean: float) -> float | None:
     return None  # candidate reached 0 from positive: drop from geomean
 
 
+def _paired_values(
+    group: dict, cand_recs: list[dict], metric: str
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Baseline and candidate values of ``metric`` over the seeds both
+    sides ran (ascending seed), plus how many seeds only one side has."""
+    bvals = group["metrics"].get(metric)
+    base = dict(zip(group["seeds"], bvals, strict=True)) if bvals else {}
+    cand = {
+        r["run"]["seed"]: float(r["run"][metric])
+        for r in cand_recs
+        if metric in r["run"]
+    }
+    seeds = sorted(base.keys() & cand.keys())
+    return (
+        np.array([base[s] for s in seeds], dtype=float),
+        np.array([cand[s] for s in seeds], dtype=float),
+        len(base.keys() ^ cand.keys()),
+    )
+
+
 def _bootstrap_ci(
-    pairs: list[tuple[list[float], list[float]]],
+    pairs: list[tuple[np.ndarray, np.ndarray]],
     *,
     n_samples: int,
     confidence: float,
@@ -276,8 +305,10 @@ def _bootstrap_ci(
     """Percentile bootstrap CI of the geometric-mean ratio.
 
     Resamples both levels of the design: (instance, k) pairs with
-    replacement, and seed values within each sampled pair (seed-aware:
-    seed-to-seed variance widens the interval)."""
+    replacement, and seeds within each sampled pair -- one draw of seed
+    indices applied to baseline and candidate alike, so only a difference
+    *between* the sides widens the interval, never the seed-to-seed
+    spread they share."""
     stats = np.empty(n_samples)
     n = len(pairs)
     for s in range(n_samples):
@@ -285,9 +316,8 @@ def _bootstrap_ci(
         logs = []
         for i in idxs:
             b, c = pairs[i]
-            bs = [b[j] for j in rng.integers(0, len(b), len(b))]
-            cs = [c[j] for j in rng.integers(0, len(c), len(c))]
-            r = _pair_ratio(float(np.mean(bs)), float(np.mean(cs)))
+            js = rng.integers(0, len(b), len(b))
+            r = _pair_ratio(float(b[js].mean()), float(c[js].mean()))
             if r is not None and np.isfinite(r) and r > 0:
                 logs.append(np.log(r))
         stats[s] = float(np.exp(np.mean(logs))) if logs else 1.0
@@ -357,22 +387,19 @@ def compare(
         return report
 
     for metric in metrics:
-        pairs: list[tuple[list[float], list[float]]] = []
+        band = thresholds.band(metric)
+        pairs: list[tuple[np.ndarray, np.ndarray]] = []
         per_key: dict[str, float] = {}
-        dropped = infinite = 0
+        dropped = infinite = dropped_seeds = 0
         point_ratios: list[float] = []
         for key in shared:
-            bvals = baseline.groups[key]["metrics"].get(metric)
-            if not bvals:
+            bvals, cvals, unpaired = _paired_values(
+                baseline.groups[key], cand_by_key[key], metric
+            )
+            if not len(bvals):
                 continue
-            cvals = [
-                float(r["run"][metric])
-                for r in cand_by_key[key]
-                if metric in r["run"]
-            ]
-            if not cvals:
-                continue
-            r = _pair_ratio(float(np.mean(bvals)), float(np.mean(cvals)))
+            dropped_seeds += unpaired
+            r = _pair_ratio(float(bvals.mean()), float(cvals.mean()))
             if r is None:
                 dropped += 1
                 per_key[key] = 0.0
@@ -383,7 +410,7 @@ def compare(
                 continue
             per_key[key] = r
             point_ratios.append(r)
-            pairs.append((list(map(float, bvals)), cvals))
+            pairs.append((bvals, cvals))
         if not per_key:
             continue
         if pairs:
@@ -396,7 +423,6 @@ def compare(
             )
         else:
             ratio, ci_low, ci_high = float("inf"), float("inf"), float("inf")
-        band = thresholds.band(metric)
         report.verdicts.append(
             MetricVerdict(
                 metric=metric,
@@ -408,6 +434,7 @@ def compare(
                 neutral_band=band,
                 per_key=per_key,
                 dropped_pairs=dropped,
+                dropped_seeds=dropped_seeds,
                 infinite_pairs=infinite,
             )
         )

@@ -65,6 +65,8 @@ def render_markdown(
         extras = []
         if v.dropped_pairs:
             extras.append(f"{v.dropped_pairs} pair(s) hit zero, excluded")
+        if v.dropped_seeds:
+            extras.append(f"{v.dropped_seeds} seed(s) unpaired, excluded")
         if v.infinite_pairs:
             extras.append(f"{v.infinite_pairs} pair(s) lost a zero baseline")
         note = f" ({'; '.join(extras)})" if extras else ""

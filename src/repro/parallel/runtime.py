@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
@@ -331,25 +331,3 @@ class ParallelRuntime:
     def reset_stats(self) -> None:
         self._stats.clear()
 
-
-@dataclass
-class ScopedStats:
-    """Convenience accumulator passed into inner loops of an algorithm."""
-
-    runtime: ParallelRuntime
-    phase: str
-    work: float = 0.0
-    bytes_moved: float = 0.0
-    atomic_ops: int = 0
-    extra: dict[str, float] = field(default_factory=dict)
-
-    def flush(self, *, sequential: bool = False) -> None:
-        self.runtime.record(
-            self.phase,
-            work=self.work,
-            bytes_moved=self.bytes_moved,
-            atomic_ops=self.atomic_ops,
-            sequential=sequential,
-        )
-        self.work = self.bytes_moved = 0.0
-        self.atomic_ops = 0

@@ -14,7 +14,7 @@ each access:
   slots).  The dynamic detector verifies the disjointness claim under
   fuzzed schedules.
 * ``atomic`` -- fetch-add / CAS / atomic store (label commits, weight
-  transfers, atomic-or active-set marking).
+  transfers).
 
 Kernels do not call ``detector.record_*`` directly; they bind a
 :class:`SharedAccessRecorder` via :func:`recorder_for` and go through its
@@ -106,12 +106,6 @@ KERNELS: dict[str, tuple[AccessDecl, ...]] = {
             "write",
             vars=("favorites",),
             note="per-owner favorite slot; owners are disjoint across chunks",
-        ),
-        AccessDecl(
-            "active-set",
-            "atomic",
-            vars=("active",),
-            note="active-set marking is an idempotent atomic-or on a bitset",
         ),
         AccessDecl(
             "vertex-weights",

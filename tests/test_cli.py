@@ -169,27 +169,27 @@ class TestBenchCommands:
         assert doc["kind"] == "trajectory" and doc["regressed"] is False
 
     def test_compare_gate_fails_on_synthetic_regression(self, tmp_path, capsys):
-        """No real runs needed: fabricate a DB + baseline, inflate wall."""
+        """No real runs needed: fabricate a DB + baseline, inflate peak."""
         from repro.bench.harness import RunRecord
         from repro.obs.regress.compare import capture_baseline
         from repro.obs.regress.rundb import RunDB, make_record
 
-        def rec(seed, wall):
+        def rec(seed, peak):
             return make_record(
                 RunRecord(
                     "terapart", "fem-grid", 4, seed,
                     cut=100, balanced=True, imbalance=0.01,
-                    wall_seconds=wall, modeled_seconds=wall, peak_bytes=1000,
+                    wall_seconds=1.0, modeled_seconds=1.0, peak_bytes=peak,
                 ),
                 bench="smoke", label="cand", env={},
             )
 
         capture_baseline(
-            [rec(s, 1.0) for s in range(3)], "synthetic"
+            [rec(s, 1000) for s in range(3)], "synthetic"
         ).save(tmp_path / "base.json")
         db = RunDB(tmp_path / "runs.jsonl")
         for s in range(3):
-            db.append(rec(s, 2.0))  # 2x wall: beyond the 25% band
+            db.append(rec(s, 1100))  # +10% ledger peak: beyond the 2% band
         rc = main(
             [
                 "bench", "compare", "--baseline", str(tmp_path / "base.json"),

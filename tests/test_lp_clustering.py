@@ -154,50 +154,3 @@ class TestClusterSizes:
         clusters = np.array([0, 0, 2, 2, 2], dtype=np.int64)
         sizes = cluster_sizes(clusters)
         assert sizes[0] == 2 and sizes[2] == 3 and sizes[1] == 0
-
-
-class TestActiveSet:
-    def test_active_set_quality_close_to_full(self):
-        """KaMinPar's active-set work-saver must not change quality much."""
-        from repro.core.config import CoarseningConfig
-        import repro
-        from repro.core import config as C
-
-        g = gen.rgg2d(2500, 8.0, seed=44)
-        full = repro.partition(g, 8, C.terapart(seed=3))
-        act = repro.partition(
-            g,
-            8,
-            C.terapart(seed=3).with_(
-                coarsening=CoarseningConfig(active_set=True)
-            ),
-        )
-        assert act.balanced
-        assert act.cut < 1.3 * full.cut
-
-    def test_active_set_churn_declines(self):
-        """Later rounds process only changed neighborhoods, so the move
-        count falls steeply after round one."""
-        from repro.core.config import CoarseningConfig
-
-        g = gen.grid2d(30, 30)
-        ctx = make_ctx(terapart, graph=g)
-        ctx.config = ctx.config.with_(
-            coarsening=CoarseningConfig(active_set=True, lp_rounds=20)
-        )
-        res = label_propagation_clustering(g, ctx, 9)
-        mpr = res.moves_per_round
-        assert mpr[-1] < mpr[0] / 2
-
-    def test_active_set_clustering_valid(self, web_graph):
-        from repro.core.config import CoarseningConfig
-
-        ctx = make_ctx(terapart, graph=web_graph)
-        ctx.config = ctx.config.with_(
-            coarsening=CoarseningConfig(active_set=True)
-        )
-        cap = 9
-        res = label_propagation_clustering(web_graph, ctx, cap)
-        sizes = np.zeros(web_graph.n, dtype=np.int64)
-        np.add.at(sizes, res.clusters, np.asarray(web_graph.vwgt))
-        assert sizes.max() <= cap

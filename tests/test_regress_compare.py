@@ -4,12 +4,18 @@ import pytest
 
 from repro.obs.regress.compare import (
     BASELINE_SCHEMA,
+    DEFAULT_METRICS,
+    DEFAULT_NEUTRAL_BANDS,
     Baseline,
     CompareThresholds,
     capture_baseline,
     compare,
 )
-from repro.obs.regress.rundb import RUNDB_SCHEMA
+from repro.obs.regress.rundb import (
+    DIST_METRICS,
+    RUNDB_SCHEMA,
+    SERVICE_METRICS,
+)
 
 
 def _rec(
@@ -41,7 +47,6 @@ def _rec(
             "balanced": balanced,
             "imbalance": imbalance,
             "wall_seconds": wall,
-            "modeled_seconds": wall,
             "peak_bytes": peak,
             "extra": {},
         },
@@ -102,23 +107,63 @@ class TestBaseline:
 
 class TestClassification:
     def test_identical_runs_are_neutral(self):
+        """Paired seeds: an unchanged tree reads exactly 1 [1, 1], however
+        much the seeds differ among themselves."""
         base = capture_baseline(_matrix(), "b")
         report = compare(base, _matrix(), thresholds=THR)
         assert not report.regressed
+        assert [v.metric for v in report.verdicts] == ["cut", "peak_bytes"]
         for v in report.verdicts:
             assert v.classification == "neutral", v
-            assert v.ratio == pytest.approx(1.0)
-            assert v.ci_low <= 1.0 <= v.ci_high
+            assert (v.ratio, v.ci_low, v.ci_high) == (1.0, 1.0, 1.0)
 
     def test_regression_flagged(self):
         base = capture_baseline(_matrix(), "b")
-        cand = _matrix(scale_wall=2.0, scale_peak=1.5)
+        cand = _matrix(scale_peak=1.5)
         report = compare(base, cand, thresholds=THR)
-        assert set(report.regressed_metrics) == {"wall_seconds", "peak_bytes"}
-        wall = report.verdict_for("wall_seconds")
-        assert wall.ratio == pytest.approx(2.0, rel=0.01)
-        assert wall.ci_low > 1.25
+        assert report.regressed_metrics == ["peak_bytes"]
+        peak = report.verdict_for("peak_bytes")
+        assert peak.ratio == pytest.approx(1.5)
+        assert peak.ci_low > 1.02
         assert report.verdict_for("cut").classification == "neutral"
+
+    def test_uniform_three_percent_cut_is_regressed(self):
+        """The +-2% band must resolve a +3% shift: the seed-to-seed spread
+        is shared by both sides and may not widen the interval."""
+        base = capture_baseline(_matrix(), "b")
+        report = compare(base, _matrix(scale_cut=1.03), thresholds=THR)
+        cut = report.verdict_for("cut")
+        assert cut.classification == "regressed"
+        assert cut.ci_low == pytest.approx(1.03) == cut.ci_high
+
+    def test_seconds_never_move_the_default_verdict(self):
+        """Wall-clock fields ride in the rows but decide nothing."""
+        base = capture_baseline(_matrix(), "b")
+        same = compare(base, _matrix(), thresholds=THR)
+        slow = compare(base, _matrix(scale_wall=3.0), thresholds=THR)
+        assert not slow.regressed
+        assert [v.to_dict() for v in slow.verdicts] == [
+            v.to_dict() for v in same.verdicts
+        ]
+
+    def test_undeclared_band_is_an_error(self):
+        base = capture_baseline(_matrix(), "b", metrics=("wall_seconds",))
+        with pytest.raises(ValueError, match="'wall_seconds' has no declared"):
+            compare(base, _matrix(), metrics=("wall_seconds",), thresholds=THR)
+
+    def test_only_seeds_on_both_sides_are_compared(self):
+        base = capture_baseline(_matrix(), "b")
+        cand = [r for r in _matrix(scale_cut=1.5) if r["run"]["seed"] != 2]
+        cand += [r for r in _matrix() if r["run"]["seed"] == 2]
+        cand += [_rec(inst="fem-grid", seed=7, cut=10.0)]
+        del cand[0]  # fem-grid seed 0 missing from the candidate
+        report = compare(base, cand, metrics=("cut",), thresholds=THR)
+        cut = report.verdict_for("cut")
+        # fem-grid pairs seeds {1, 2}; baseline-only 0 and candidate-only 7
+        assert cut.dropped_seeds == 2
+        assert cut.per_key["terapart|fem-grid|4"] == pytest.approx(
+            (1.5 * 102.0 + 98.0) / (102.0 + 98.0)
+        )
 
     def test_improvement_flagged(self):
         base = capture_baseline(_matrix(), "b")
@@ -134,9 +179,11 @@ class TestClassification:
 
     def test_bootstrap_deterministic(self):
         base = capture_baseline(_matrix(), "b")
-        cand = _matrix(scale_wall=1.3)
+        cand = _matrix(scale_cut=1.3)
+        cand[0]["run"]["cut"] *= 0.9  # make the interval non-degenerate
         a = compare(base, cand, thresholds=THR)
         b = compare(base, cand, thresholds=THR)
+        assert a.verdict_for("cut").ci_low < a.verdict_for("cut").ci_high
         for va, vb in zip(a.verdicts, b.verdicts):
             assert (va.ci_low, va.ci_high) == (vb.ci_low, vb.ci_high)
 
@@ -249,24 +296,23 @@ class TestServiceKind:
         assert g["balanced"] == [True, True]
 
     def test_service_regression_detected(self):
-        kw = dict(kinds=("service",),
-                  metrics=("warm_over_full", "cut_overhead"))
+        kw = dict(kinds=("service",), metrics=SERVICE_METRICS)
         recs = [_service_rec(inst=i, seed=s)
                 for i in ("fem-grid", "web-small") for s in range(2)]
         base = capture_baseline(recs, "svc", **kw)
-        # warm starts degraded 10x: the gate must catch it
-        worse = [_service_rec(inst=i, seed=s, warm_over_full=0.5)
+        # warm starts lose 10% quality: the gate must catch it
+        worse = [_service_rec(inst=i, seed=s, cut_overhead=0.98 * 1.1)
                  for i in ("fem-grid", "web-small") for s in range(2)]
-        report = compare(base, worse, kinds=("service",),
-                         metrics=("warm_over_full",), thresholds=THR)
-        assert report.verdict_for("warm_over_full").classification == (
+        report = compare(base, worse, thresholds=THR, **kw)
+        assert report.verdict_for("cut_overhead").classification == (
             "regressed"
         )
-        # unchanged candidate stays neutral
-        ok = compare(base, recs, kinds=("service",),
-                     metrics=("warm_over_full", "cut_overhead"),
-                     thresholds=THR)
+        # unchanged quality stays neutral, however the latencies moved
+        slow = [_service_rec(inst=i, seed=s, warm_over_full=0.15, p99=0.3)
+                for i in ("fem-grid", "web-small") for s in range(2)]
+        ok = compare(base, slow, thresholds=THR, **kw)
         assert not ok.regressed
+        assert ok.verdict_for("cut_overhead").ci_high == 1.0
 
     def test_missing_metric_groups_skipped(self):
         """A partition-metrics compare over service records yields no
@@ -277,3 +323,63 @@ class TestServiceKind:
         report = compare(base, recs, kinds=("service",), metrics=("cut",),
                          thresholds=THR)
         assert report.verdict_for("cut") is None
+
+
+class TestGateCommand:
+    """``repro bench compare --gate``: what decides the exit code."""
+
+    def _gate(self, tmp_path, candidates, *extra):
+        from repro.cli import main
+        from repro.obs.regress.rundb import RunDB
+
+        capture_baseline(_matrix(), "b").save(tmp_path / "base.json")
+        RunDB(tmp_path / "runs.jsonl").extend(candidates)
+        return main(
+            [
+                "bench", "compare", "--gate",
+                "--baseline", str(tmp_path / "base.json"),
+                "--db", str(tmp_path / "runs.jsonl"),
+                "--trajectory", str(tmp_path / "traj.json"),
+                *extra,
+            ]
+        )
+
+    def test_tripled_wall_passes_the_gate(self, tmp_path, capsys):
+        assert self._gate(tmp_path, _matrix(scale_wall=3.0)) == 0
+        out = capsys.readouterr().out
+        assert "perf gate: passed" in out
+        assert "wall_seconds" not in out
+
+    def test_gating_seconds_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit, match="'wall_seconds' has no declared"):
+            self._gate(tmp_path, _matrix(), "--metrics", "wall_seconds")
+
+
+class TestDeclaredBands:
+    """One rule: the observatory classifies deterministic metrics only."""
+
+    def test_every_gated_metric_has_a_band_and_none_is_seconds(self):
+        gated = set(DEFAULT_METRICS) | set(SERVICE_METRICS) | set(DIST_METRICS)
+        assert gated == set(DEFAULT_NEUTRAL_BANDS)
+        assert not [m for m in gated if "seconds" in m or "warm" in m]
+
+    def test_committed_baselines_hold_declared_metrics_only(self):
+        """A seconds vector cannot be recommitted: every metric vector in
+        benchmarks/baselines/ is band-declared (or the imbalance record of
+        the hard gate, which is never ratio-classified)."""
+        from pathlib import Path
+
+        allowed = set(DEFAULT_NEUTRAL_BANDS) | {"imbalance"}
+        files = sorted(
+            (Path(__file__).parent.parent / "benchmarks" / "baselines").glob(
+                "*.json"
+            )
+        )
+        assert len(files) >= 3
+        for path in files:
+            base = Baseline.load(path)
+            assert base.groups, path
+            for key, group in base.groups.items():
+                assert set(group["metrics"]) <= allowed, (path.name, key)
+                for vals in group["metrics"].values():
+                    assert len(vals) == len(group["seeds"]), (path.name, key)

@@ -1,10 +1,12 @@
 """End-to-end acceptance: record -> baseline -> compare round-trip.
 
-The observatory's contract (ISSUE 4): an identical re-run of the baseline
-config classifies neutral across 3 seeds, and a deliberately degraded
-config (compression disabled -> bigger working set; tripled LP rounds ->
-slower clustering) is flagged as regressed with the offending phase named
-by the attribution layer.
+The observatory's contract: an identical re-run of the baseline config
+reads exactly 1.000 [1.000, 1.000] on the deterministic metrics across 3
+seeds, and a deliberately degraded config (compression disabled -> bigger
+working set) is flagged as regressed with the offending phase named by
+the attribution layer.  Wall-clock decides nothing by default; the time
+attribution path is exercised by asking for ``wall_seconds`` explicitly
+with an explicit band, on a >=16x effect.
 """
 
 import pytest
@@ -53,41 +55,35 @@ def _run_candidate(cfg, tmp_path, label):
     return latest_per_key(db.query(label=label), run_key)
 
 
-def _pin_wall(cand, base_records):
-    """Give each candidate row the wall of its baseline twin.
-
-    The identical-rerun tests check the compare machinery, not the box:
-    the measured wall of three <=0.1 s runs against a 25 % band flips
-    with machine load.  ``test_slowed_config_flagged_with_phase_named``
-    stays on real time (it asserts a >=16x effect)."""
-    wall = {run_key(r): r["run"]["wall_seconds"] for r in base_records}
-    for rec in cand:
-        rec["run"]["wall_seconds"] = wall[run_key(rec)]
-    return cand
-
-
-def test_identical_rerun_is_neutral(baseline, base_records, tmp_path):
-    cand = _pin_wall(_run_candidate(C.terapart(), tmp_path, "rerun"), base_records)
+def test_identical_rerun_is_neutral(baseline, tmp_path):
+    cand = _run_candidate(C.terapart(), tmp_path, "rerun")
     report = compare(baseline, cand, thresholds=THR)
     assert not report.regressed, report.regressed_metrics
     assert report.gate.passed
-    for metric in ("cut", "peak_bytes"):
-        v = report.verdict_for(metric)
+    assert [v.metric for v in report.verdicts] == ["cut", "peak_bytes"]
+    for v in report.verdicts:
         # seeded partitioner + ledger-tracked memory: bit-identical metrics
-        assert v.ratio == pytest.approx(1.0), (metric, v)
+        assert (v.ratio, v.ci_low, v.ci_high) == (1.0, 1.0, 1.0), v
         assert v.classification == "neutral"
-    wall = report.verdict_for("wall_seconds")
-    assert wall.ratio == pytest.approx(1.0) and wall.classification == "neutral"
 
 
-def test_slowed_config_flagged_with_phase_named(baseline, tmp_path):
+def test_slowed_config_flagged_with_phase_named(base_records, tmp_path):
     # same algorithm *name* (the pairing identity), deliberately slowed:
     # a 16x initial-partitioning portfolio multiplies that phase's work
     slowed = C.terapart().with_(
         initial=C.InitialPartitioningConfig(attempts=128)
     )
     cand = _run_candidate(slowed, tmp_path, "slow")
-    report = compare(baseline, cand, thresholds=THR)
+    # seconds have no declared band: both the vector and the band are
+    # asked for explicitly
+    report = compare(
+        capture_baseline(base_records, "e2e-wall", metrics=("wall_seconds",)),
+        cand,
+        metrics=("wall_seconds",),
+        thresholds=CompareThresholds(
+            neutral_bands={"wall_seconds": 0.25}, bootstrap_samples=300
+        ),
+    )
 
     assert report.regressed
     wall = report.verdict_for("wall_seconds")
@@ -115,13 +111,12 @@ def test_memory_regression_flagged_with_phase_named(baseline, tmp_path):
     peak = report.verdict_for("peak_bytes")
     assert peak.classification == "regressed"
     assert peak.ratio > 1.1
-    assert report.verdict_for("wall_seconds").classification != "regressed"
 
     byte_phases = {d.phase for d in report.attribution if d.metric == "bytes"}
     assert byte_phases  # the bigger uncompressed working set is named
 
 
-def test_trajectory_roundtrip(baseline, base_records, tmp_path):
+def test_trajectory_roundtrip(baseline, tmp_path):
     """The machine-readable artifact carries the verdicts and slim records."""
     import json
 
@@ -131,7 +126,7 @@ def test_trajectory_roundtrip(baseline, base_records, tmp_path):
         write_trajectory,
     )
 
-    cand = _pin_wall(_run_candidate(C.terapart(), tmp_path, "traj"), base_records)
+    cand = _run_candidate(C.terapart(), tmp_path, "traj")
     report = compare(baseline, cand, thresholds=THR)
     traj = trajectory_dict(report, candidate_records=cand, timestamp=1.0)
     path = tmp_path / "BENCH_trajectory.json"
@@ -139,11 +134,7 @@ def test_trajectory_roundtrip(baseline, base_records, tmp_path):
     loaded = json.loads(path.read_text())
     assert loaded["kind"] == "trajectory"
     assert loaded["regressed"] is False
-    assert {v["metric"] for v in loaded["verdicts"]} == {
-        "cut",
-        "peak_bytes",
-        "wall_seconds",
-    }
+    assert {v["metric"] for v in loaded["verdicts"]} == {"cut", "peak_bytes"}
     # obs payloads are stripped from the artifact
     assert all("obs" not in r for r in loaded["records"])
 

@@ -62,6 +62,9 @@ class TestRecordBuilders:
         assert rec["label"] == "base"
         assert rec["recorded_unix"] == 123.0
         assert rec["run"]["cut"] == 100 and rec["run"]["seed"] == 0
+        # wall is recorded; the shape-only parallel model is not
+        assert rec["run"]["wall_seconds"] == 1.0
+        assert "modeled_seconds" not in rec["run"]
         # obs moves out of extra into its own section
         assert rec["obs"] == {"phases": []}
         assert rec["run"]["extra"] == {"num_levels": 3}
@@ -255,6 +258,31 @@ class TestConfigStamp:
         ]
         digests = {config_digest(c) for c in different}
         assert len(digests) == 3 and config_digest(base) not in digests
+
+    def test_knob_surface_is_pinned(self):
+        """Adding, removing or re-defaulting a hashed knob forks every
+        service cache key and run-DB group: make that a deliberate diff."""
+        import dataclasses
+
+        def leaves(cls):
+            return sum(
+                leaves(f.default_factory)
+                if dataclasses.is_dataclass(f.default_factory)
+                else 1
+                for f in dataclasses.fields(cls)
+            )
+
+        assert leaves(C.PartitionerConfig) == 28
+        assert {n: config_digest(f()) for n, f in C.PRESETS.items()} == {
+            "kaminpar": "c18166d8bfa77681",
+            "kaminpar+2lp": "5ffd6c41c9dccc0b",
+            "kaminpar+2lp+compress": "e9accaaa1433144c",
+            "terapart": "7e1defc0a5ba4cc0",
+            "terapart-fm": "5daeae2968f243e7",
+            "terapart-fm-full": "812f44a3743c5219",
+            "terapart-fm-none": "ef9e85f228341151",
+            "terapart-deep": "d37e283b369c0fd4",
+        }
 
     def test_stamp_has_name_and_digest(self):
         st = config_stamp(C.terapart())
