@@ -57,13 +57,11 @@ def greedy_graph_growing_bipartition(
                 break
             heappush(heap, (0, counter, unassigned[up]))
             counter += 1
-        neg_gain, _, u = heappop(heap)
+        # gains only grow and the largest is popped first, so the first entry
+        # of an unassigned vertex to surface carries its current gain; its
+        # older entries surface after it is assigned
+        u = heappop(heap)[2]
         if in_block[u] or blocked[u]:
-            continue
-        if gain[u] != -neg_gain:
-            # stale entry; reinsert with the current gain
-            heappush(heap, (-gain[u], counter, u))
-            counter += 1
             continue
         w = vwgt[u]
         if weight0 + w > max_weight0:
