@@ -1,13 +1,22 @@
 """2-way FM local search (Fiduccia-Mattheyses [1]) with rollback.
 
-Used to polish bipartitions produced by greedy graph growing.  Single
-priority queue over *all* movable vertices ordered by gain; each pass moves
-vertices one at a time (locking them), tracks the best prefix seen, and
-rolls back the tail.  Balance is enforced against per-side ceilings.
+Used to polish bipartitions produced by greedy graph growing.  One priority
+queue ordered by gain, seeded from the boundary (an interior vertex enters
+when a neighbour moves); each pass moves vertices one at a time (locking
+them), tracks the best prefix seen, and rolls back the tail.  Balance is
+enforced against per-side ceilings.
+
+A pass ends by the adaptive stopping rule of Osipov and Sanders
+("Engineering Multilevel Graph Partitioning Algorithms") with KaMinPar's
+initial-FM constants: once more than ``ln n`` moves have gone by since the
+best prefix, stop when their number reaches ``STOP_FACTOR * variance /
+mean**2`` of those moves' gains, or when their mean gain is zero -- the
+walk is then unlikely to climb back above the best prefix.
 """
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 
 import numpy as np
@@ -16,19 +25,22 @@ from repro.core.initial.workspace import BisectionWorkspace
 from repro.core.kernels import two_way_gains
 from repro.memory.scratch import tracked_slots
 
+STOP_FACTOR = 0.25
+
 
 def fm2way_refine(
     graph,
     part: np.ndarray,
     max_weights: tuple[int, int],
     rounds: int = 2,
-    max_fruitless: int = 200,
 ) -> np.ndarray:
     """Improve a bipartition (of a graph or its :class:`BisectionWorkspace`)
     in place; returns the refined assignment."""
     ws = BisectionWorkspace.of(graph)
     n = ws.n
     xadj, adj, wgt, vwgt = ws.lists
+    tail, head, _ = ws.flat
+    patience = math.log(max(n, 1))
     weights = np.zeros(2, dtype=np.int64)
     np.add.at(weights, part, ws.vwgt)
     side_weight = weights.tolist()
@@ -39,26 +51,25 @@ def fm2way_refine(
         locked = [False] * n
         names = ("fm2way-gains", "fm2way-locked")
         charges = [tracked_slots(n, name) for name in names]  # held for the pass
-        # counters 0..n-1 in vertex order, as n pushes would hand out
-        heap = [(-g, u, u) for u, g in enumerate(gain)]
+        boundary = np.unique(tail[part[tail] != part[head]]).tolist()
+        heap = [(-gain[u], u, u) for u in boundary]
         heapify(heap)
-        counter = n
+        counter = n  # later pushes sort after the seeds on equal gain
 
         moves: list[int] = []
         best_prefix = 0
         balance_total = 0
         best_total = 0
-        fruitless = 0
+        # moves since the best prefix, the sum and sum of squares of their gains
+        steps = fallen = squares = 0
 
-        while heap and fruitless < max_fruitless:
+        while heap:
             neg_g, _, u = heappop(heap)
             if locked[u]:
                 continue
             g = gain[u]
             if g != -neg_g:
-                heappush(heap, (-g, counter, u))
-                counter += 1
-                continue
+                continue  # stale: the update that changed the gain pushed its own entry
             locked[u] = True
             src = side[u]
             dst = 1 - src
@@ -73,9 +84,18 @@ def fm2way_refine(
             if balance_total > best_total:
                 best_total = balance_total
                 best_prefix = len(moves)
-                fruitless = 0
+                steps = fallen = squares = 0
             else:
-                fruitless += 1
+                steps += 1
+                fallen += g
+                squares += g * g
+                # steps >= STOP_FACTOR * variance / mean**2, cleared of divisions
+                if steps > patience and (
+                    fallen == 0
+                    or (steps - 1) * fallen * fallen
+                    >= STOP_FACTOR * (steps * squares - fallen * fallen)
+                ):
+                    break
             lo, hi = xadj[u], xadj[u + 1]
             for v, ew in zip(adj[lo:hi], wgt[lo:hi]):
                 if locked[v]:

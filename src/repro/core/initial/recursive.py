@@ -25,6 +25,10 @@ from repro.core.kernels.gains import flat_adjacency
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_full, tracked_zeros
 
+# which bipartitioner seeds slot i of a bisection's portfolio, cyclically
+POOL = ("ggg", "ggg", "bfs", "random")
+POOL_SIGMAS = 2.0
+
 
 def extract_subgraphs(graph, masks):
     """Yield ``(induced subgraph, original_ids)`` per vertex mask, all from one
@@ -55,16 +59,30 @@ def bipartition_portfolio(
     attempts: int = 8,
     fm_rounds: int = 2,
 ) -> np.ndarray:
-    """Best-of-``attempts`` bipartition: GGG/BFS/random seeds + 2-way FM, all
-    on one :class:`BisectionWorkspace` (``graph`` may already be one)."""
+    """Best-of-at-most-``attempts`` bipartition: GGG/BFS/random seeds + 2-way
+    FM, all on one :class:`BisectionWorkspace` (``graph`` may already be one).
+
+    The pool is adaptive as in KaMinPar's initial partitioner: a slot is
+    skipped once its kind of bipartitioner has run and the mean of its
+    post-FM cuts lies more than ``POOL_SIGMAS`` standard deviations above
+    the best feasible cut found so far."""
     ws = BisectionWorkspace.of(graph)
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     total = ws.total_vertex_weight
+    # per kind: runs, sum and sum of squares of the post-FM cuts
+    stats = dict.fromkeys(POOL, (0, 0, 0))
     for attempt in range(max(1, attempts)):
-        if attempt % 4 == 3:
+        kind = POOL[attempt % len(POOL)]
+        runs, cuts, squares = stats[kind]
+        if runs and best_key is not None and best_key[0] == 0:
+            mean = cuts / runs
+            variance = (squares - cuts * mean) / (runs - 1) if runs > 1 else 0.0
+            if mean - POOL_SIGMAS * math.sqrt(max(variance, 0.0)) > best_key[1]:
+                continue
+        if kind == "random":
             part = random_bipartition(ws, target_weight0, rng)
-        elif attempt % 4 == 2:
+        elif kind == "bfs":
             part = bfs_bipartition(ws, target_weight0, rng)
         else:
             part = greedy_graph_growing_bipartition(
@@ -76,9 +94,10 @@ def bipartition_portfolio(
         w0 = int(ws.vwgt[part == 0].sum())
         w1 = total - w0
         infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
-        key = (infeasible, two_way_cut(ws, part))
-        if best_key is None or key < best_key:
-            best_key, best = key, part
+        cut = two_way_cut(ws, part)
+        stats[kind] = (runs + 1, cuts + cut, squares + cut * cut)
+        if best_key is None or (infeasible, cut) < best_key:
+            best_key, best = (infeasible, cut), part
     assert best is not None
     return best
 

@@ -23,7 +23,6 @@ import pytest
 
 import repro  # noqa: F401  (loads every module that imports a kernel)
 import repro.dist  # noqa: F401
-from repro.core.kernels import two_way_gains
 from repro.core.kernels.gains import HASH_MULT
 from repro.core.refinement.gain_table import entry_width_bits
 from repro.graph.varint import encode_stream
@@ -144,137 +143,13 @@ def scalar_two_way_cut(graph, part):
 
 
 # --------------------------------------------------------------------- #
-# initial partitioning: the loops as they ran before the list-resident
-# bisection workspace (numpy scalar subscripts, one accessor call per
-# move), kept verbatim.  ``scalar_fm2way_refine`` starts each pass from
-# the production ``two_way_gains`` exactly as that loop did -- the gains
-# kernel has its own oracle above -- so the tier-1 perf guard compares
-# loop against loop.
+# initial partitioning: the two seeding loops whose decisions the
+# list-resident bisection workspace left alone, as they ran before it
+# (numpy scalar subscripts, one accessor call per vertex), kept verbatim.
+# 2-way FM and greedy graph growing have no reference: production no
+# longer walks the way those loops did, and ``tests/test_initial_workspace
+# .py`` holds them to properties instead.
 # --------------------------------------------------------------------- #
-def scalar_fm2way_refine(graph, part, max_weights, rounds=2, max_fruitless=200):
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
-    side_weight = np.zeros(2, dtype=np.int64)
-    np.add.at(side_weight, part, vwgt)
-
-    for _ in range(rounds):
-        gain = two_way_gains(graph, part)
-        locked = np.zeros(n, dtype=bool)
-        heap: list[tuple[int, int, int]] = []
-        counter = 0
-        for u in range(n):
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
-            counter += 1
-
-        moves: list[int] = []
-        best_prefix = 0
-        balance_total = 0
-        best_total = 0
-        fruitless = 0
-
-        while heap and fruitless < max_fruitless:
-            neg_g, _, u = heapq.heappop(heap)
-            if locked[u]:
-                continue
-            if gain[u] != -neg_g:
-                heapq.heappush(heap, (-int(gain[u]), counter, u))
-                counter += 1
-                continue
-            src = int(part[u])
-            dst = 1 - src
-            w = int(vwgt[u])
-            if side_weight[dst] + w > max_weights[dst]:
-                locked[u] = True  # cannot move this pass
-                continue
-            # move
-            locked[u] = True
-            part[u] = dst
-            side_weight[src] -= w
-            side_weight[dst] += w
-            balance_total += int(gain[u])
-            moves.append(u)
-            if balance_total > best_total:
-                best_total = balance_total
-                best_prefix = len(moves)
-                fruitless = 0
-            else:
-                fruitless += 1
-            # update neighbor gains
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            for v, ew in zip(
-                np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()
-            ):
-                if locked[v]:
-                    continue
-                if part[v] == dst:
-                    gain[v] -= 2 * ew
-                else:
-                    gain[v] += 2 * ew
-                heapq.heappush(heap, (-int(gain[v]), counter, v))
-                counter += 1
-
-        # rollback the tail beyond the best prefix
-        for u in moves[best_prefix:]:
-            src = int(part[u])
-            dst = 1 - src
-            w = int(vwgt[u])
-            part[u] = dst
-            side_weight[src] -= w
-            side_weight[dst] += w
-        if best_total <= 0:
-            break
-    return part
-
-
-def scalar_greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
-    part = np.ones(n, dtype=np.int32)
-    if n == 0:
-        return part
-    in_block = np.zeros(n, dtype=bool)
-    blocked = np.zeros(n, dtype=bool)
-    gain = np.zeros(n, dtype=np.int64)
-    heap: list[tuple[int, int, int]] = []
-    counter = 0
-    weight0 = 0
-
-    unassigned = rng.permutation(n)
-    up = 0
-
-    while weight0 < target_weight0:
-        if not heap:
-            while up < n and (in_block[unassigned[up]] or blocked[unassigned[up]]):
-                up += 1
-            if up >= n:
-                break
-            seed = int(unassigned[up])
-            heapq.heappush(heap, (0, counter, seed))
-            counter += 1
-        neg_gain, _, u = heapq.heappop(heap)
-        if in_block[u] or blocked[u]:
-            continue
-        if gain[u] != -neg_gain:
-            heapq.heappush(heap, (-int(gain[u]), counter, u))
-            counter += 1
-            continue
-        w = int(vwgt[u])
-        if weight0 + w > max_weight0:
-            blocked[u] = True
-            continue
-        in_block[u] = True
-        part[u] = 0
-        weight0 += w
-        nbrs, wgts = graph.neighbors_and_weights(u)
-        for v, ew in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
-            if in_block[v]:
-                continue
-            gain[v] += 2 * ew
-            heapq.heappush(heap, (-int(gain[v]), counter, v))
-            counter += 1
-    return part
-
-
 def scalar_random_bipartition(graph, target_weight0, rng):
     n = graph.n
     vwgt = np.asarray(graph.vwgt)

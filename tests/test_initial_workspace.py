@@ -1,20 +1,25 @@
 """Initial partitioning on the list-resident bisection workspace.
 
-The loops moved from numpy scalar subscripts onto Python lists without
-changing a single decision: same pop order, same RNG draws, same arrays.
-These tests hold that down three ways -- differentially against the loops
-as they were (``scalar_*`` in ``tests/scalar_reference.py``), by golden
-pins recorded at the commit before the move, and on the degenerate inputs
-where list and int64 arithmetic could part ways.
+BFS growth, random assignment, the gain / cut kernels and the workspace
+itself are bit-identical to the loops as they were, and are held to that
+differentially (``scalar_*`` in ``tests/scalar_reference.py``).  2-way FM,
+greedy graph growing and the bipartitioner pool work on what can still
+improve -- boundary-seeded queue, adaptive stopping rule, adaptive pool --
+so no second implementation describes them; they are held to what must be
+true of any such search (properties), to golden pins re-recorded when the
+contract changed, and to the degenerate inputs.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core import config as presets
@@ -24,7 +29,9 @@ from repro.core.initial.bipartition import (
     random_bipartition,
 )
 from repro.core.initial.fm2way import fm2way_refine
+from repro.core.initial import recursive
 from repro.core.initial.recursive import (
+    POOL,
     bipartition_portfolio,
     extract_subgraphs,
     initial_partition,
@@ -39,8 +46,6 @@ from repro.memory import scratch
 from repro.memory.tracker import MemoryTracker
 from scalar_reference import (
     scalar_bfs_bipartition,
-    scalar_fm2way_refine,
-    scalar_greedy_graph_growing_bipartition,
     scalar_random_bipartition,
     scalar_two_way_cut,
     scalar_two_way_gains,
@@ -88,28 +93,114 @@ SEEDS = (1, 2, 3, 4)
 
 
 # --------------------------------------------------------------------- #
-# (a) differential: new loops == the loops as they were
+# what must hold of any FM pass / any greedy growth
+# --------------------------------------------------------------------- #
+class RecordingPart(np.ndarray):
+    """A partition array that remembers the index list of every write
+    (``writes`` is set on the view after it is made)."""
+
+    def __setitem__(self, index, value):
+        self.writes.append(list(index))
+        super().__setitem__(index, value)
+
+
+def side_weights(graph, part):
+    weights = np.zeros(2, dtype=np.int64)
+    np.add.at(weights, part, np.asarray(graph.vwgt))
+    return weights.tolist()
+
+
+def exact_cut(ws, side) -> int:
+    """The cut in Python integers (``two_way_cut`` wraps past 2**63)."""
+    xadj, adj, wgt, _ = ws.lists
+    return sum(
+        wgt[e]
+        for u in range(ws.n)
+        for e in range(xadj[u], xadj[u + 1])
+        if side[adj[e]] != side[u]
+    ) // 2
+
+
+def check_fm2way(graph, start, max_weights, rounds=2):
+    """Run ``fm2way_refine`` from ``start`` and replay what it wrote."""
+    ws = BisectionWorkspace(graph)
+    xadj, adj, wgt, vwgt = ws.lists
+    part = start.copy().view(RecordingPart)
+    part.writes = []
+    refined = fm2way_refine(ws, part, max_weights, rounds=rounds)
+    assert refined is part
+    assert set(np.unique(part).tolist()) <= {0, 1}
+    assert len(part.writes) <= rounds  # one write a pass: its kept prefix
+
+    side = start.tolist()
+    weight = side_weights(graph, start)
+    feasible = all(w <= cap for w, cap in zip(weight, max_weights))
+    cut = before = exact_cut(ws, side)
+    for kept in part.writes:
+        assert len(set(kept)) == len(kept)
+        reachable = {
+            u for u in range(ws.n)
+            if any(side[v] != side[u] for v in adj[xadj[u] : xadj[u + 1]])
+        }
+        gains = []
+        for u in kept:
+            # seeded from the boundary; the interior enters behind a mover
+            assert u in reachable
+            nbrs = range(xadj[u], xadj[u + 1])
+            gains.append(sum(wgt[e] if side[adj[e]] != side[u] else -wgt[e] for e in nbrs))
+            weight[side[u]] -= vwgt[u]
+            side[u] = 1 - side[u]
+            weight[side[u]] += vwgt[u]
+            assert weight[side[u]] <= max_weights[side[u]]  # every move fit
+            reachable.update(adj[e] for e in nbrs)
+        # the kept prefix is the walk's first best point, so it ends above
+        # every earlier point of itself and its gains are the cut it saved
+        assert all(point < sum(gains) for point in [0, *accumulate(gains)][:-1])
+        now = exact_cut(ws, side)
+        assert cut - now == sum(gains)
+        cut = now
+    assert part.tolist() == side  # nothing but the kept prefixes was written
+    assert cut <= before
+    if feasible:
+        assert all(w <= cap for w, cap in zip(side_weights(graph, part), max_weights))
+    return np.asarray(part)
+
+
+def check_ggg(graph, target, cap, seed):
+    """Run greedy graph growing; the block is in range unless nothing fits."""
+    rng = np.random.default_rng(seed)
+    part = greedy_graph_growing_bipartition(graph, target, cap, rng)
+    assert part.dtype == np.int32 and set(np.unique(part).tolist()) <= {0, 1}
+    vwgt = np.asarray(graph.vwgt)
+    weight0 = int(vwgt[part == 0].sum())
+    assert weight0 <= cap
+    if weight0 < target:  # every vertex left outside was blocked by the cap
+        assert np.all(weight0 + vwgt[part == 1] > cap)
+    again = greedy_graph_growing_bipartition(graph, target, cap, np.random.default_rng(seed))
+    assert np.array_equal(part, again)
+    return part
+
+
+# --------------------------------------------------------------------- #
+# (a) the unchanged loops == the loops as they were; the searches hold
+#     their properties on the same matrix
 # --------------------------------------------------------------------- #
 class TestDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeding_heuristics(self, coarsest, seed):
         total = coarsest.total_vertex_weight
         target, cap = total // 2, int(0.53 * total)
-        for new, ref, args in (
-            (
-                greedy_graph_growing_bipartition,
-                scalar_greedy_graph_growing_bipartition,
-                (target, cap),
-            ),
-            (bfs_bipartition, scalar_bfs_bipartition, (target,)),
-            (random_bipartition, scalar_random_bipartition, (target,)),
+        for new, ref in (
+            (bfs_bipartition, scalar_bfs_bipartition),
+            (random_bipartition, scalar_random_bipartition),
         ):
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = new(coarsest, *args, rng_new)
-            want = ref(coarsest, *args, rng_ref)
+            got = new(coarsest, target, rng_new)
+            want = ref(coarsest, target, rng_ref)
             assert got.dtype == want.dtype and np.array_equal(got, want), new.__name__
             # same number of draws: the streams stay in step afterwards
             assert rng_new.integers(1 << 30) == rng_ref.integers(1 << 30)
+        check_ggg(coarsest, target, cap, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("rounds", [1, 2])
@@ -120,9 +211,9 @@ class TestDifferential:
             coarsest, total // 2, np.random.default_rng(seed)
         )
         cap = int(slack * -(-total // 2))
-        got = fm2way_refine(coarsest, start.copy(), (cap, cap), rounds=rounds)
-        want = scalar_fm2way_refine(coarsest, start.copy(), (cap, cap), rounds=rounds)
-        assert np.array_equal(got, want)
+        got = check_fm2way(coarsest, start, (cap, cap), rounds=rounds)
+        again = fm2way_refine(coarsest, start.copy(), (cap, cap), rounds=rounds)
+        assert np.array_equal(got, again)
 
     def test_fm2way_refines_in_place(self, coarsest):
         total = coarsest.total_vertex_weight
@@ -161,7 +252,119 @@ class TestDifferential:
 
 
 # --------------------------------------------------------------------- #
-# (b) golden pins, recorded at the commit before the workspace
+# the pool: every kind once, never more than ``attempts``, best feasible
+# --------------------------------------------------------------------- #
+def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
+    """``bipartition_portfolio`` with every attempt recorded as
+    ``(kind, infeasibility, cut)`` of its post-FM assignment."""
+    kinds: list[str] = []
+    outcomes: list[tuple[str, int, int]] = []
+    for kind, name in (
+        ("ggg", "greedy_graph_growing_bipartition"),
+        ("bfs", "bfs_bipartition"),
+        ("random", "random_bipartition"),
+    ):
+        def seeded(*args, _kind=kind, _seed=getattr(recursive, name)):
+            kinds.append(_kind)
+            return _seed(*args)
+
+        monkeypatch.setattr(recursive, name, seeded)
+
+    def refined(ws, part, max_weights, rounds):
+        part = fm2way_refine(ws, part, max_weights, rounds=rounds)
+        over = [max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights)]
+        outcomes.append((kinds[-1], sum(over), two_way_cut(ws, part)))
+        return part
+
+    monkeypatch.setattr(recursive, "fm2way_refine", refined)
+    best = bipartition_portfolio(
+        graph, target, *caps, np.random.default_rng(seed), attempts=attempts
+    )
+    assert len(kinds) == len(outcomes)
+    return best, outcomes
+
+
+class TestPortfolio:
+    @pytest.mark.parametrize("attempts", [1, 4, 8, 24])
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_pool(self, coarsest, seed, attempts, monkeypatch):
+        total = coarsest.total_vertex_weight
+        target, cap = total // 2, int(0.53 * total)
+        best, outcomes = watched_portfolio(
+            monkeypatch, coarsest, target, (cap, cap), seed, attempts
+        )
+        assert 1 <= len(outcomes) <= attempts
+        # slot i belongs to kind POOL[i % 4]; a kind's first slot always runs
+        assert {kind for kind, _, _ in outcomes} == set(POOL[:attempts])
+        # the answer is the best attempt: feasible whenever one was
+        over = sum(max(0, w - cap) for w in side_weights(coarsest, best))
+        assert (over, two_way_cut(coarsest, best)) == min(o[1:] for o in outcomes)
+        # a skipped slot's kind had fallen behind the best feasible cut
+        if len(outcomes) < attempts:
+            assert any(o[1] == 0 for o in outcomes)
+        monkeypatch.undo()
+        again = bipartition_portfolio(
+            coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
+        )
+        assert np.array_equal(best, again)  # deterministic in rng
+
+    def test_losing_kind_is_dropped(self, monkeypatch):
+        """On a mesh, random + FM lands far above greedy growing: its second
+        slot is skipped while greedy growing keeps every slot it has."""
+        g = gen.rgg2d(600, avg_degree=8, seed=2)
+        total = g.total_vertex_weight
+        cap = int(0.53 * total)
+        _, outcomes = watched_portfolio(monkeypatch, g, total // 2, (cap, cap), 1, 8)
+        kinds = [kind for kind, _, _ in outcomes]
+        assert kinds.count("random") == 1 and kinds.count("ggg") == 4
+
+    def test_infeasible_attempts_lose_to_a_feasible_one(self, monkeypatch):
+        """One vertex outweighs side 1's cap: only an attempt that puts it on
+        side 0 is feasible, and the pool returns such an attempt if it made one."""
+        g = from_edges(
+            6,
+            np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]),
+            vwgt=np.array([1, 1, 9, 1, 1, 1]),
+        )
+        for seed in range(8):
+            best, outcomes = watched_portfolio(monkeypatch, g, 10, (11, 4), seed, 8)
+            monkeypatch.undo()
+            if any(over == 0 for _, over, _ in outcomes):
+                assert side_weights(g, best)[1] <= 4 and best[2] == 0
+
+
+@st.composite
+def small_bisections(draw):
+    n = draw(st.integers(0, 12))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=3 * n)) if u != v]
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges)))
+    vwgt = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    start = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    graph = from_edges(
+        n,
+        np.array(edges, dtype=np.int64).reshape(-1, 2),
+        np.array(weights, dtype=np.int64),
+        np.array(vwgt, dtype=np.int64),
+    )
+    slack = draw(st.integers(0, 6))
+    return graph, np.array(start, dtype=np.int32), slack, draw(st.integers(0, 1 << 16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_bisections())
+def test_searches_hold_their_properties_on_arbitrary_small_graphs(case):
+    graph, start, slack, seed = case
+    total = graph.total_vertex_weight
+    cap = -(-total // 2) + slack
+    check_fm2way(graph, start, (cap, cap))
+    check_fm2way(graph, check_ggg(graph, total // 2, cap, seed), (cap, cap), rounds=1)
+
+
+# --------------------------------------------------------------------- #
+# (b) golden pins, re-recorded once when FM went boundary-seeded with the
+#     adaptive stopping rule and the pool went adaptive (old -> new cuts in
+#     CHANGES.md, PR 17); the two deep pins did not move
 # --------------------------------------------------------------------- #
 GOLDEN_GRAPHS = {
     "rgg2d": lambda: gen.rgg2d(900, avg_degree=8, seed=31),
@@ -171,24 +374,24 @@ GOLDEN_GRAPHS = {
 
 # (family, k, seed) -> sha1 of initial_partition(g, k, 0.03, default_rng(seed))
 GOLDEN_INITIAL = {
-    ("rgg2d", 2, 1): "8ac69e24887360e494d9ed1918a22979a1bdf8a1",
-    ("rgg2d", 2, 2): "429b0d70d7dc2dab9ec91d9edd2900e311b8fd64",
-    ("rgg2d", 7, 1): "fb93691e924329d167bf31448c5ba6fb52997227",
-    ("rgg2d", 7, 2): "eeff855886415101aadc4c5bd14d1a83e1c53f11",
-    ("rgg2d", 64, 1): "3ffb59e0889a1e8ff9877bf58d26d52115214f49",
-    ("rgg2d", 64, 2): "caf788dcdebf6fb8d0bf23243759d9a0a2d19d49",
-    ("weblike", 2, 1): "80d5d395b05eb855b58e5d2f70423e5cf715d7c4",
-    ("weblike", 2, 2): "80d5d395b05eb855b58e5d2f70423e5cf715d7c4",
-    ("weblike", 7, 1): "a725629b9211ea6da1466818c70296355746f048",
-    ("weblike", 7, 2): "718e387cfbdc7b37c45187a6c3ad3bcb11f74a45",
-    ("weblike", 64, 1): "e3fff5b6047e1b4adc7d53375d75be9c72e627ed",
-    ("weblike", 64, 2): "473eaeb691c76b4e7882a18b89c8d2293082857d",
-    ("rhg", 2, 1): "2085937c557aac945afde974e52bee9cc5f77712",
-    ("rhg", 2, 2): "2085937c557aac945afde974e52bee9cc5f77712",
-    ("rhg", 7, 1): "7cf27b288112a1064b86fda6f457749cc94c8ab0",
-    ("rhg", 7, 2): "f79549778f240c1c27b74bee8424f81a97c0c806",
-    ("rhg", 64, 1): "32b3bd12c77372b1c77cc50076d518083053da79",
-    ("rhg", 64, 2): "6c4647df65881cbc99b3ba1aa937893166f82452",
+    ("rgg2d", 2, 1): "a518861d861409d1095135a904cd62ff49612b1b",
+    ("rgg2d", 2, 2): "31f10009ba79773f1b693bde55b9bcd344e4c498",
+    ("rgg2d", 7, 1): "b1eb3f0c65374fcdec35373e3663de9bc5d56a92",
+    ("rgg2d", 7, 2): "e510f87dc2265d8f31d7bbdeee1e20dfd484b6ad",
+    ("rgg2d", 64, 1): "4bb14c66055dcf0811ba3686d6cb9ae7417f9076",
+    ("rgg2d", 64, 2): "96d66865e670b8fa8447861a8dbeb60e7baae657",
+    ("weblike", 2, 1): "c4b902fd7ecd1b6e1d4831bee98740c454411ec8",
+    ("weblike", 2, 2): "c4b902fd7ecd1b6e1d4831bee98740c454411ec8",
+    ("weblike", 7, 1): "501029d82bdb40aadca209c3dc92e10434bfc0ef",
+    ("weblike", 7, 2): "f3711a51172e3b2e56457149095c9a91bffc2e86",
+    ("weblike", 64, 1): "0d47780dc7ead9efeee49bc7d7b20c02a21ec0e3",
+    ("weblike", 64, 2): "60a76653e744117243c12a384cf8b5de37136b39",
+    ("rhg", 2, 1): "cee1ddb3bbca4c60cfe6a0ae840c42c945c340c4",
+    ("rhg", 2, 2): "c4e859e5cc8d3d0cddab7efb5f548296a0dc25cd",
+    ("rhg", 7, 1): "aac1a35346c4881e95b3198dd62874cd74021f2c",
+    ("rhg", 7, 2): "aa51c5e1d93d9ea3ce44f30fe7eaf6867f4c3f12",
+    ("rhg", 64, 1): "9930abbe2c41909dd7a94f5433a9fc928c877c73",
+    ("rhg", 64, 2): "16851903c09a5960d63e8c349b8ba45203c577be",
 }
 
 # name -> (graph, k, sha1 of the partition, cut) of partition(g, k,
@@ -242,24 +445,18 @@ def test_golden_deep_end_to_end(name):
 # (c) the inputs lists could get wrong
 # --------------------------------------------------------------------- #
 def _all_heuristics(graph, target, cap, seed=0):
-    """Every loop, new vs reference, on one (degenerate) graph."""
-    for new, ref, args in (
-        (
-            greedy_graph_growing_bipartition,
-            scalar_greedy_graph_growing_bipartition,
-            (target, cap),
-        ),
-        (bfs_bipartition, scalar_bfs_bipartition, (target,)),
-        (random_bipartition, scalar_random_bipartition, (target,)),
+    """Every loop on one (degenerate) graph: the unchanged ones against
+    their references, the searches against their properties."""
+    limits = (cap, max(cap, graph.total_vertex_weight - target))
+    for new, ref in (
+        (bfs_bipartition, scalar_bfs_bipartition),
+        (random_bipartition, scalar_random_bipartition),
     ):
-        got = new(graph, *args, np.random.default_rng(seed))
-        want = ref(graph, *args, np.random.default_rng(seed))
+        got = new(graph, target, np.random.default_rng(seed))
+        want = ref(graph, target, np.random.default_rng(seed))
         assert np.array_equal(got, want), new.__name__
-        limits = (cap, max(cap, graph.total_vertex_weight - target))
-        assert np.array_equal(
-            fm2way_refine(graph, got.copy(), limits),
-            scalar_fm2way_refine(graph, want.copy(), limits),
-        )
+        check_fm2way(graph, got, limits)
+    check_fm2way(graph, check_ggg(graph, target, cap, seed), limits)
 
 
 class TestEdges:
@@ -288,7 +485,7 @@ class TestEdges:
         g = from_edges(9, np.zeros((0, 2), dtype=np.int64), vwgt=np.arange(1, 10))
         _all_heuristics(g, 22, 24)
         part = initial_partition(g, 3, 0.1, np.random.default_rng(2))
-        assert part.tolist() == [0, 1, 1, 1, 2, 1, 0, 0, 2]  # as before the lists
+        assert part.tolist() == [0, 1, 1, 1, 2, 1, 0, 0, 2]  # unchanged since before the lists
 
     def test_vertex_heavier_than_cap(self):
         g = from_edges(
@@ -307,12 +504,13 @@ class TestEdges:
     def test_k_larger_than_n(self, seed, want):
         """6 vertices, 16 blocks: subgraphs run empty on the way down."""
         part = initial_partition(gen.grid2d(2, 3), 16, 0.03, np.random.default_rng(seed))
-        assert part.tolist() == want  # as before the lists
+        assert part.tolist() == want  # unchanged since before the lists
 
     def test_huge_edge_weights_agree_with_int64(self):
         """2**61 per edge, at most three edges per vertex: every gain fits
-        int64, so exact list arithmetic and the wrapped-on-overflow int64
-        arithmetic of the reference must tell the same story."""
+        int64, so exact list arithmetic and the int64 gains kernel must tell
+        the same story, and the stopping rule's sums of squared gains
+        (2**124 and up) must not overflow anything."""
         big = 1 << 61
         edges = np.array([[i, i + 1] for i in range(11)] + [[0, 6], [3, 9]])
         g = from_edges(12, edges, np.full(len(edges), big, dtype=np.int64))
@@ -326,7 +524,9 @@ class TestEdges:
         part = np.array([0, 1] * 6, dtype=np.int32)
         start = part.copy()
         refined = fm2way_refine(g, part, (7, 7))
-        assert np.array_equal(refined, scalar_fm2way_refine(g, start, (7, 7)))
+        assert np.array_equal(refined, check_fm2way(g, start, (7, 7)))
+        ws = BisectionWorkspace(g)
+        assert exact_cut(ws, refined.tolist()) < exact_cut(ws, start.tolist())
         # one crossing edge: 2 * 2**61 directed weight still fits (a cut
         # whose directed weight passes 2**63 wraps in the bulk kernel, as it
         # always has on CSR graphs)
@@ -411,7 +611,7 @@ class TestLedger:
         )
         tracker = MemoryTracker()
         result = partition(g, 8, cfg, tracker=tracker)
-        assert int(result.cut) == 201
+        assert int(result.cut) == 234
         phase = tracker.phases()["partition/initial-partitioning"]
         assert phase.peak_bytes >= 200_290
         assert phase.peak_breakdown["scratch"] >= 83_405

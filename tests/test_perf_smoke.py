@@ -52,49 +52,60 @@ def test_compressed_traversal_within_envelope():
     )
 
 
-# The initial-partitioning loops run on Python lists (one bisection
-# workspace); their references in tests/scalar_reference.py are the same
-# loops on numpy scalar subscripts.  Lists measure 0.6-0.7x the reference
-# here, so 0.85x fails loudly if a change routes a loop back through
-# per-element ndarray access while leaving room for timer noise.
-MAX_LIST_OVER_SCALAR = 0.85
+# Initial partitioning does work in proportion to what can still improve:
+# 2-way FM seeds its queue from the boundary and stops by the adaptive rule,
+# and no loop re-pushes an entry it popped stale (the update that changed
+# the gain pushed its own).  The counts below repeat exactly, so the guard
+# needs no stopwatch.  On this instance (greedy growing, then two FM passes
+# from its result) the parent popped 778 entries in 2 FM passes, 389.0 a
+# pass, and re-pushed 42 of them stale; this code pops 48 in 2 passes, 24.0
+# a pass, and re-pushes none.  Greedy growing pops 3 044 entries on both.
+MAX_POPS_PER_FM_PASS = 40
 
 
-def test_initial_loops_beat_their_scalar_references():
-    from repro.core.initial import fm2way_refine, greedy_graph_growing_bipartition
+def test_initial_heap_work_stays_proportional(monkeypatch):
+    import heapq
+
+    from repro.core.initial import bipartition, fm2way
     from repro.graph.generators import rgg2d
-    from scalar_reference import (
-        scalar_fm2way_refine,
-        scalar_greedy_graph_growing_bipartition,
-    )
+
+    counts = {"pops": 0, "passes": 0, "repushes": 0}
+    last_popped = [None]
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        counts["pops"] += 1
+        last_popped[0] = entry[2]
+        return entry
+
+    def heappush(heap, entry):
+        counts["repushes"] += entry[2] == last_popped[0]
+        heapq.heappush(heap, entry)
+
+    def heapify(heap):
+        counts["passes"] += 1
+        heapq.heapify(heap)
+
+    for module in (fm2way, bipartition):
+        monkeypatch.setattr(module, "heappop", heappop)
+        monkeypatch.setattr(module, "heappush", heappush)
+    monkeypatch.setattr(fm2way, "heapify", heapify)
 
     g = rgg2d(2048, 8.0, seed=1)
     total = g.total_vertex_weight
     half, cap = total // 2, int(1.03 * -(-total // 2))
-    start = greedy_graph_growing_bipartition(g, half, cap, np.random.default_rng(1))
-
-    for name, new, ref in (
-        (
-            "greedy_graph_growing_bipartition",
-            lambda: greedy_graph_growing_bipartition(
-                g, half, cap, np.random.default_rng(1)
-            ),
-            lambda: scalar_greedy_graph_growing_bipartition(
-                g, half, cap, np.random.default_rng(1)
-            ),
-        ),
-        (
-            "fm2way_refine",
-            lambda: fm2way_refine(g, start.copy(), (cap, cap), rounds=2),
-            lambda: scalar_fm2way_refine(g, start.copy(), (cap, cap), rounds=2),
-        ),
-    ):
-        assert np.array_equal(new(), ref())  # also warms both sides
-        ratio = _best_of(new) / _best_of(ref)
-        assert ratio <= MAX_LIST_OVER_SCALAR, (
-            f"{name} on lists takes {ratio:.2f}x its numpy-scalar reference; "
-            f"did a change reintroduce per-element ndarray subscripts?"
-        )
+    start = bipartition.greedy_graph_growing_bipartition(
+        g, half, cap, np.random.default_rng(1)
+    )
+    assert counts["pops"] > 0 and counts["repushes"] == 0
+    counts["pops"] = 0
+    fm2way.fm2way_refine(g, start, (cap, cap), rounds=2)
+    assert counts["passes"] > 0 and counts["repushes"] == 0
+    per_pass = counts["pops"] / counts["passes"]
+    assert per_pass <= MAX_POPS_PER_FM_PASS, (
+        f"{per_pass:.1f} heap pops per 2-way FM pass; did a change put the "
+        f"whole graph back into the queue or drop the stopping rule?"
+    )
 
 
 # A gain table is filled by one pass over the edges, on either
