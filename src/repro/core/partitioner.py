@@ -100,6 +100,7 @@ def refine_partition(
     tracker: MemoryTracker | None = None,
     runtime: ParallelRuntime | None = None,
     extra_lp_rounds: int = 0,
+    seeds=None,
 ) -> PartitionResult:
     """Warm-start: refine an existing assignment instead of repartitioning.
 
@@ -112,7 +113,10 @@ def refine_partition(
     are skipped, which is where the warm-start speedup comes from.
 
     ``graph`` may be CSR or compressed; ``partition_in`` must assign all
-    ``graph.n`` vertices to blocks in ``[0, k)``.  Returns a full
+    ``graph.n`` vertices to blocks in ``[0, k)``.  ``seeds``, if given, are
+    the only vertices LP refinement starts from (:func:`lp_refine`): any
+    superset of the vertices whose neighbourhood or weight changed since
+    ``partition_in`` was computed.  Returns a full
     :class:`PartitionResult` with ``num_levels == 0``, traced and
     self-checked under the same ``config.obs`` / ``config.debug`` knobs as
     :func:`partition`.
@@ -124,11 +128,13 @@ def refine_partition(
         config or terapart(),
         tracker,
         runtime,
-        lambda ctx, inv: _refine_phases(graph, part, extra_lp_rounds, ctx, inv),
+        lambda ctx, inv: _refine_phases(
+            graph, part, extra_lp_rounds, seeds, ctx, inv
+        ),
     )
 
 
-def _refine_phases(graph, part, extra_lp_rounds, ctx, inv):
+def _refine_phases(graph, part, extra_lp_rounds, seeds, ctx, inv):
     """The warm start proper: one refinement level on the input graph."""
     with ctx.phase("partition"):
         input_aid = ctx.tracker.alloc("input-graph", graph.nbytes, "graph")
@@ -137,7 +143,7 @@ def _refine_phases(graph, part, extra_lp_rounds, ctx, inv):
         rounds = ctx.config.lp_refinement_rounds + max(0, extra_lp_rounds)
         with ctx.phase("refinement-level0", level=0):
             rebalance(pgraph, lmax, tracer=ctx.tracer)
-            lp_refine(pgraph, ctx, lmax, rounds=rounds)
+            lp_refine(pgraph, ctx, lmax, rounds=rounds, seeds=seeds)
             _fm(pgraph, ctx, lmax)
             rebalance(pgraph, lmax, tracer=ctx.tracer)
         checks_run = 0

@@ -30,11 +30,17 @@ def lp_refine(
     ctx: PartitionContext,
     max_block_weight,
     rounds: int | None = None,
+    seeds=None,
 ) -> int:
     """Run LP refinement rounds; returns the total number of moves.
 
     ``max_block_weight`` may be a scalar or a per-block array (the latter is
     used by deep multilevel, where block budgets differ mid-uncoarsening).
+
+    With ``seeds`` (vertex ids) only an active set is visited: round 0 the
+    seeds, every later round the vertices moved in the round before plus
+    their neighbours, until that frontier is empty.  A warm start passes the
+    vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
     """
     max_block_weight = np.broadcast_to(
         np.asarray(max_block_weight, dtype=np.int64), (pgraph.k,)
@@ -50,29 +56,39 @@ def lp_refine(
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
 
+    frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
-        order = ctx.rng.permutation(n).astype(np.int64)
-        moves = 0
+        if frontier is None:
+            order = ctx.rng.permutation(n).astype(np.int64)
+        else:
+            order = ctx.rng.permutation(frontier)
+        moved_chunks = []
         sched = runtime.schedule(order)
         with runtime.region(f"lp-refinement-round{_round}"):
-            moves = _refine_round(
-                pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec
+            _refine_round(
+                pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec,
+                moved_chunks,
             )
+        moves = sum(map(len, moved_chunks))
         total_moves += moves
         ctx.tracer.add("refine.lp_rounds", 1)
+        ctx.tracer.add("refine.lp_visited", len(order))
         if moves == 0:
             break
+        if frontier is not None:
+            moved = np.concatenate(moved_chunks)
+            frontier = np.union1d(moved, chunk_adjacency(g, moved)[1])
     ctx.tracer.add("refine.lp_moves", total_moves)
     return total_moves
 
 
 def _refine_round(
-    pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec
-) -> int:
-    """One LP refinement sweep over ``sched``; returns the move count."""
+    pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec, moved
+) -> None:
+    """One LP refinement sweep over ``sched``; appends the moved vertices
+    of each chunk to ``moved``."""
     runtime = ctx.runtime
     k = pgraph.k
-    moves = 0
     for _tid, chunk in runtime.execute(sched, phase="lp-refinement"):
         owner, nbrs, wgts = chunk_adjacency(g, chunk)
         if len(owner) == 0:
@@ -117,10 +133,9 @@ def _refine_round(
         acc_us = mv_us[acc]
         assert pgraph.k <= np.iinfo(np.int32).max
         part[acc_us] = mv_tgt[acc].astype(np.int32)
-        moves += len(acc_us)
+        moved.append(acc_us)
         if rec.active and len(acc_us):
             rec.atomic("partition", acc_us)
             rec.atomic(
                 "block-weights", np.concatenate([prevs[acc], mv_tgt[acc]])
             )
-    return moves

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 
 
@@ -82,6 +81,15 @@ class GraphDelta:
         nvw = 0 if self.vertex_weights is None else len(self.vertex_weights)
         return len(self.add_edges) + len(self.remove_edges) + nvw
 
+    def vertices(self, n: int) -> np.ndarray:
+        """Every vertex this delta names on a graph of ``n`` vertices: edge
+        endpoints, re-weighted and appended vertices (with repeats)."""
+        parts = [self.add_edges.ravel(), self.remove_edges.ravel()]
+        if self.vertex_weights is not None:
+            parts.append(self.vertex_weights[:, 0])
+        parts.append(np.arange(n, n + self.add_vertices, dtype=np.int64))
+        return np.concatenate(parts)
+
     def to_dict(self) -> dict:
         """JSON round-trip form (the HTTP front end's wire format)."""
         d: dict = {
@@ -114,10 +122,12 @@ class GraphDelta:
         )
 
 
-def _canonical_keys(edges: np.ndarray, n: int) -> np.ndarray:
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    return lo * n + hi
+def _locate(keys: np.ndarray, wanted: np.ndarray):
+    """``(pos, hit)``: where each ``wanted`` key sits in ascending ``keys``."""
+    pos = np.searchsorted(keys, wanted)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == wanted[hit]
+    return pos, hit
 
 
 def apply_delta(graph: CSRGraph, delta: GraphDelta) -> tuple[CSRGraph, int]:
@@ -126,35 +136,43 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> tuple[CSRGraph, int]:
     ``changed`` counts the *actual* structural changes — edges really
     removed, edges added or re-weighted, vertex weights really changed —
     which is what feeds the service's cumulative drift counter.
+
+    A CSR with sorted neighbourhoods already holds its directed keys
+    ``src * n + dst`` in ascending order, so the delta is merged into that
+    order (``searchsorted``, a keep mask, ``insert``) instead of rebuilding
+    the graph; ``tests/delta_reference.py`` is the rebuild it must equal.
     """
     n = graph.n + delta.add_vertices
-    maxv = max(
-        int(delta.add_edges.max(initial=-1)),
-        int(delta.remove_edges.max(initial=-1)),
-    )
-    if maxv >= n:
+    named = delta.vertices(graph.n)
+    bad = named[(named < 0) | (named >= n)]
+    if len(bad):  # checked before anything is built
         raise ValueError(
-            f"delta references vertex {maxv} but the graph has n={n}"
+            f"delta references vertex {int(bad[0])} but the graph has n={n}"
         )
 
-    # existing undirected edges, canonical (lo, hi) with weights
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-    mask = src < graph.adjncy
-    eu = src[mask]
-    ev = graph.adjncy[mask]
-    ew = np.asarray(graph.adjwgt)[mask]
-    keys = eu * n + ev
+    graph = graph.with_sorted_neighborhoods()
+    adjncy, adjwgt = graph.adjncy, np.array(graph.adjwgt)
+    degrees = np.append(graph.degrees, np.zeros(delta.add_vertices, np.int64))
+    keys = np.repeat(np.arange(graph.n, dtype=np.int64) * n, graph.degrees)
+    keys += adjncy
     changed = 0
 
     if len(delta.remove_edges):
-        rkeys = np.unique(_canonical_keys(delta.remove_edges, n))
-        hit = np.isin(keys, rkeys)
-        changed += int(hit.sum())
-        keep = ~hit
-        eu, ev, ew, keys = eu[keep], ev[keep], ew[keep], keys[keep]
+        rkeys = np.unique(
+            delta.remove_edges.min(axis=1) * n + delta.remove_edges.max(axis=1)
+        )
+        # both directions of each undirected edge
+        rkeys = np.concatenate([rkeys, rkeys % n * n + rkeys // n])
+        pos, hit = _locate(keys, rkeys)
+        if hit.any():
+            changed += int(hit.sum()) // 2
+            keep = np.ones(len(keys), dtype=bool)
+            keep[pos[hit]] = False
+            keys, adjncy, adjwgt = keys[keep], adjncy[keep], adjwgt[keep]
+            degrees -= np.bincount(rkeys[hit] // n, minlength=n)
 
     if len(delta.add_edges):
-        akeys = _canonical_keys(delta.add_edges, n)
+        akeys = delta.add_edges.min(axis=1) * n + delta.add_edges.max(axis=1)
         aw = (
             delta.add_weights
             if delta.add_weights is not None
@@ -164,23 +182,23 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> tuple[CSRGraph, int]:
         _, last = np.unique(akeys[::-1], return_index=True)
         sel = len(akeys) - 1 - last
         akeys, aw = akeys[sel], aw[sel]
-        # replace weights of edges that already exist
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], akeys)
-        pos_ok = pos < len(keys)
-        exists = np.zeros(len(akeys), dtype=bool)
-        exists[pos_ok] = keys[order][pos[pos_ok]] == akeys[pos_ok]
-        if exists.any():
-            tgt = order[pos[exists]]
-            changed += int((ew[tgt] != aw[exists]).sum())
-            ew = ew.copy()
-            ew[tgt] = aw[exists]
+        lo, hi = akeys // n, akeys % n
+        pos, exists = _locate(keys, akeys)
+        # replace weights of edges that already exist, both directions
+        ew = aw[exists]
+        changed += int((adjwgt[pos[exists]] != ew).sum())
+        adjwgt[pos[exists]] = ew
+        adjwgt[np.searchsorted(keys, hi[exists] * n + lo[exists])] = ew
         fresh = ~exists
-        if fresh.any():
-            changed += int(fresh.sum())
-            eu = np.concatenate([eu, akeys[fresh] // n])
-            ev = np.concatenate([ev, akeys[fresh] % n])
-            ew = np.concatenate([ew, aw[fresh]])
+        changed += int(fresh.sum())
+        src = np.concatenate([lo[fresh], hi[fresh]])
+        dst = np.concatenate([hi[fresh], lo[fresh]])
+        fkeys = src * n + dst
+        order = np.argsort(fkeys)
+        at = np.searchsorted(keys, fkeys[order])
+        adjncy = np.insert(adjncy, at, dst[order])
+        adjwgt = np.insert(adjwgt, at, np.tile(aw[fresh], 2)[order])
+        degrees += np.bincount(src, minlength=n)
 
     # vertex weights
     vwgt = None
@@ -191,10 +209,7 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> tuple[CSRGraph, int]:
                 [vwgt, np.ones(delta.add_vertices, dtype=np.int64)]
             )
     if delta.vertex_weights is not None and len(delta.vertex_weights):
-        vs = delta.vertex_weights[:, 0]
-        ws = delta.vertex_weights[:, 1]
-        if int(vs.max(initial=-1)) >= n or int(vs.min(initial=0)) < 0:
-            raise ValueError("vertex_weights references out-of-range vertex")
+        vs, ws = delta.vertex_weights.T
         if vwgt is None:
             vwgt = np.ones(n, dtype=np.int64)
         changed += int((vwgt[vs] != ws).sum())
@@ -202,10 +217,11 @@ def apply_delta(graph: CSRGraph, delta: GraphDelta) -> tuple[CSRGraph, int]:
         if not np.any(vwgt != 1):
             vwgt = None  # degenerated back to unit weights
 
-    edges = np.stack([eu, ev], axis=1)
-    if ew.size and not np.any(ew != 1):
-        ew = None  # keep unit-weight graphs unit-weight (8-byte view)
-    new_graph = from_edges(n, edges, ew, vwgt=vwgt, symmetrize=True)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    if not np.any(adjwgt != 1):
+        adjwgt = None  # keep unit-weight graphs unit-weight (8-byte view)
+    new_graph = CSRGraph(indptr, adjncy, adjwgt, vwgt, sorted_neighborhoods=True)
     return new_graph, changed
 
 

@@ -14,7 +14,10 @@ Counter taxonomy (``serve.*``, joining the DESIGN.md §7 vocabulary):
 * ``serve.full_runs`` / ``serve.warm_runs``    — execution mode split
 * ``serve.fallback_drift`` — warm starts refused because drift crossed
   the threshold
-* ``serve.delta_batches`` / ``serve.delta_edges_changed``
+* ``serve.delta_batches`` / ``serve.delta_edges_changed`` /
+  ``serve.delta_seconds`` (apply + fingerprint + seed bookkeeping)
+* ``serve.warm_seed_vertices`` — vertices LP refinement was seeded with,
+  summed over warm runs (``n`` for a run without delta bookkeeping)
 * ``serve.evictions``      — LRU evictions across all entry kinds
 """
 

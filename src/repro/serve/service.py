@@ -128,6 +128,7 @@ class _WarmSeed:
     partition: np.ndarray
     changed_at_full: int  # entry.total_changed when the full run happened
     m_at_full: int  # directed edge count then (drift denominator)
+    deltas_applied: int  # entry.deltas_applied of the graph it partitions
 
     @property
     def nbytes(self) -> int:
@@ -141,6 +142,10 @@ class _GraphEntry:
     fingerprint: str
     total_changed: int = 0  # cumulative changed edges over all deltas
     deltas_applied: int = 0
+    # per vertex, the index (1-based) of the last delta that named it; grown
+    # to n by the first delta and charged to the ledger under epoch_aid
+    epoch: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    epoch_aid: int = 0
 
 
 @dataclass
@@ -152,6 +157,8 @@ class _Job:
     k: int
     config: PartitionerConfig
     total_changed: int
+    deltas_applied: int
+    epoch: np.ndarray  # the entry's array at enqueue time
     force_full: bool
     future: asyncio.Future = field(repr=False, default=None)
 
@@ -234,7 +241,13 @@ class PartitionService:
                 {"graph": name},
             )
         fp = graph_fingerprint(graph)
-        self._entries[name] = _GraphEntry(name=name, graph=graph, fingerprint=fp)
+        old = self._entries.get(name)
+        if old is not None:
+            # another graph under this name: its seeds and epochs mean nothing
+            self.cache.invalidate_where(lambda key: key[:2] == ("seed", name))
+            self.tracker.free(old.epoch_aid)
+        aid = self.tracker.alloc(f"serve-delta-epoch:{name}", 0, "serve")
+        self._entries[name] = _GraphEntry(name, graph, fp, epoch_aid=aid)
         self.metrics.bump("serve.graphs_registered")
         return fp
 
@@ -254,16 +267,25 @@ class PartitionService:
     async def apply_delta(self, name: str, delta: GraphDelta) -> dict:
         """Mutate the finest level; returns drift bookkeeping."""
         entry = self._entry(name)
+        t0 = time.perf_counter()
         try:
             new_graph, changed = apply_delta(entry.graph, delta)
         except ValueError as e:
             raise ServiceError("bad-request", str(e), {"graph": name}) from e
+        entry.deltas_applied += 1
+        # a job enqueued earlier keeps the array it saw; marks are only ever
+        # added, so whichever array a warm start reads holds a superset
+        grown = new_graph.n - len(entry.epoch)
+        if grown:
+            entry.epoch = np.append(entry.epoch, np.zeros(grown, np.int32))
+            self.tracker.resize(entry.epoch_aid, entry.epoch.nbytes)
+        entry.epoch[delta.vertices(entry.graph.n)] = entry.deltas_applied
         entry.graph = new_graph
         entry.fingerprint = graph_fingerprint(new_graph)
         entry.total_changed += changed
-        entry.deltas_applied += 1
         self.metrics.bump("serve.delta_batches")
         self.metrics.bump("serve.delta_edges_changed", changed)
+        self.metrics.bump("serve.delta_seconds", time.perf_counter() - t0)
         return {
             "graph": name,
             "fingerprint": entry.fingerprint,
@@ -332,6 +354,8 @@ class PartitionService:
                     k=int(k),
                     config=cfg,
                     total_changed=entry.total_changed,
+                    deltas_applied=entry.deltas_applied,
+                    epoch=entry.epoch,
                     force_full=force_full,
                     future=fut,
                 )
@@ -424,6 +448,11 @@ class PartitionService:
                         ),
                     ]
                 )
+            # everything a delta named since the seed's graph; without the
+            # bookkeeping (no delta since registration) LP sweeps all of V
+            seeds = None
+            if len(job.epoch) == job.graph.n:
+                seeds = np.flatnonzero(job.epoch > seed.deltas_applied)
             result = self._refine_fn(
                 job.graph,
                 job.k,
@@ -431,17 +460,19 @@ class PartitionService:
                 job.config,
                 extra_lp_rounds=scfg.warm_extra_lp_rounds,
                 tracker=self.tracker,
+                seeds=seeds,
             )
             mode = "warm"
             self.metrics.bump("serve.warm_runs")
-            self.cache.put(
-                seed_key,
-                _WarmSeed(
-                    partition=result.partition.copy(),
-                    changed_at_full=seed.changed_at_full,
-                    m_at_full=seed.m_at_full,
-                ),
-                seed.nbytes,
+            self.metrics.bump(
+                "serve.warm_seed_vertices",
+                job.graph.n if seeds is None else len(seeds),
+            )
+            new_seed = _WarmSeed(
+                partition=result.partition.copy(),
+                changed_at_full=seed.changed_at_full,
+                m_at_full=seed.m_at_full,
+                deltas_applied=job.deltas_applied,
             )
         else:
             graph_for_run = job.graph
@@ -458,15 +489,13 @@ class PartitionService:
             mode = "full"
             drift = 0.0
             self.metrics.bump("serve.full_runs")
-            self.cache.put(
-                seed_key,
-                _WarmSeed(
-                    partition=result.partition.copy(),
-                    changed_at_full=job.total_changed,
-                    m_at_full=max(job.graph.num_directed_edges, 1),
-                ),
-                int(result.partition.nbytes) + 32,
+            new_seed = _WarmSeed(
+                partition=result.partition.copy(),
+                changed_at_full=job.total_changed,
+                m_at_full=max(job.graph.num_directed_edges, 1),
+                deltas_applied=job.deltas_applied,
             )
+        self.cache.put(seed_key, new_seed, new_seed.nbytes)
         self.metrics.bump("serve.run_seconds", result.wall_seconds)
         return ServeResult(
             partition=result.partition,

@@ -252,6 +252,38 @@ class TestServiceFailureInjection:
             assert entry.fingerprint == fp0
             assert entry.total_changed == 0 and entry.deltas_applied == 0
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"remove_edges": [[-1, 5]]},
+            {"add_edges": [[3, -2]]},
+            {"add_edges": [[0, 1]], "vertex_weights": [[10**6, 2]]},
+            {"remove_edges": [[0, 1]], "vertex_weights": [[-1, 2]]},
+        ],
+        ids=["remove-negative", "add-negative", "vwgt-high", "vwgt-negative"],
+    )
+    def test_rejected_delta_leaves_entry_and_seed_bookkeeping_alone(
+        self, grid_graph, bad
+    ):
+        """Every id is checked before anything is built or marked."""
+        from repro.serve import GraphDelta, ServiceError
+
+        with self._handle(self._Flaky(fail=0)) as h:
+            h.register_graph("g", grid_graph)
+            h.apply_delta("g", GraphDelta(add_edges=[[0, 50]]))
+            entry = h.service._entries["g"]
+            graph, epoch, marks = entry.graph, entry.epoch, entry.epoch.copy()
+            counters = (entry.fingerprint, entry.total_changed, entry.deltas_applied)
+            with pytest.raises(ServiceError) as ei:
+                h.apply_delta("g", GraphDelta(**bad))
+            assert ei.value.code == "bad-request"
+            assert "references vertex" in str(ei.value)
+            assert entry.graph is graph and entry.epoch is epoch
+            assert np.array_equal(entry.epoch, marks)
+            assert counters == (
+                entry.fingerprint, entry.total_changed, entry.deltas_applied
+            )
+
 
 class TestRoundTripUnderStress:
     def test_many_empty_neighborhoods(self):

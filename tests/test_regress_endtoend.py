@@ -6,7 +6,7 @@ seeds, and a deliberately degraded config (compression disabled -> bigger
 working set) is flagged as regressed with the offending phase named by
 the attribution layer.  Wall-clock decides nothing by default; the time
 attribution path is exercised by asking for ``wall_seconds`` explicitly
-with an explicit band, on a >=16x effect.
+with an explicit band, on a >=6x effect.
 """
 
 import pytest
@@ -69,9 +69,11 @@ def test_identical_rerun_is_neutral(baseline, tmp_path):
 
 def test_slowed_config_flagged_with_phase_named(base_records, tmp_path):
     # same algorithm *name* (the pairing identity), deliberately slowed:
-    # a 16x initial-partitioning portfolio multiplies that phase's work
+    # a 256x initial-partitioning portfolio.  The adaptive pool skips most
+    # of those slots, which left attempts=128 at ~1.5x the wall (inside the
+    # noise of three 40 ms runs); 2048 measures 6-15x.
     slowed = C.terapart().with_(
-        initial=C.InitialPartitioningConfig(attempts=128)
+        initial=C.InitialPartitioningConfig(attempts=2048)
     )
     cand = _run_candidate(slowed, tmp_path, "slow")
     # seconds have no declared band: both the vector and the band are

@@ -218,3 +218,54 @@ class TestCancellation:
         # both jobs were queued before the cancel, so both ran; the
         # cancelled key's result is still cached for the next client
         assert counter.calls == 2
+
+
+class TestDeltaBetweenEnqueueAndExecute:
+    @pytest.mark.parametrize("grow", [0, 1], ids=["same-n", "appends-a-vertex"])
+    def test_job_answers_its_snapshot_and_no_delta_vertex_is_lost(self, grow):
+        """A delta that lands while a warm job waits for the executor may
+        only add seeds to that job; the job still answers the graph it was
+        enqueued on, and the next request starts from the later delta."""
+        from repro.core.partitioner import refine_partition
+        from repro.serve import GraphDelta
+
+        seen = []
+
+        def recording_refine(graph, k, part0, config, **kwargs):
+            seen.append((graph.n, kwargs["seeds"]))
+            return refine_partition(graph, k, part0, config, **kwargs)
+
+        first = GraphDelta(add_edges=[[0, 50]], remove_edges=[[1, 2]])
+        second = GraphDelta(
+            add_edges=[[7, GRAPH.n - 1 + grow]], add_weights=[5], add_vertices=grow
+        )
+        gate = threading.Event()
+
+        async def main():
+            svc = await PartitionService.create(
+                CFG, SCFG, refine_fn=recording_refine
+            )
+            await svc.register_graph("g", GRAPH)
+            await svc.partition("g", 4)
+            await svc.apply_delta("g", first)
+            # the one worker thread is busy: the next job waits in line
+            blocker = svc._executor.submit(gate.wait, 10)
+            queued = asyncio.create_task(svc.partition("g", 4))
+            await asyncio.sleep(0.02)  # enqueued on the post-`first` graph
+            await svc.apply_delta("g", second)
+            gate.set()
+            assert blocker.result(10)
+            snapshot_answer = await asyncio.wait_for(queued, 30)
+            next_answer = await svc.partition("g", 4)
+            await svc.aclose()
+            return snapshot_answer, next_answer
+
+        snapshot_answer, next_answer = asyncio.run(main())
+        (n1, seeds1), (n2, seeds2) = seen
+        assert snapshot_answer.mode == "warm" and next_answer.mode == "warm"
+        assert len(snapshot_answer.partition) == n1 == GRAPH.n
+        assert snapshot_answer.balanced
+        assert set(first.vertices(GRAPH.n)) <= set(seeds1.tolist())
+        assert seeds1.max() < GRAPH.n
+        assert len(next_answer.partition) == n2 == GRAPH.n + grow
+        assert set(seeds2.tolist()) == set(second.vertices(GRAPH.n).tolist())

@@ -66,6 +66,13 @@ class TestServiceBenchRecords:
         for m in SERVICE_METRICS:
             assert m in rec["run"]
         assert rec["run"]["cut_overhead"] > 0
-        assert rec["obs"]["counters"]["serve.requests"] > 0
+        counters = rec["obs"]["counters"]
+        assert counters["serve.requests"] > 0
+        # the churn path's own cost reaches the record: time spent applying
+        # deltas and how many vertices seeded the warm starts (of 144 each)
+        assert counters["serve.delta_seconds"] > 0
+        assert 0 < counters["serve.warm_seed_vertices"] < counters[
+            "serve.warm_runs"
+        ] * 144 // 4
         # appended to the DB and queryable by kind
         assert len(db.query(kind="service")) == 1
