@@ -108,16 +108,6 @@ def label_propagation_clustering(
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
-    # the 5-round LP scans re-decode every neighborhood each round; a
-    # bounded decoded-page cache (tracked in the ledger) trades memory for
-    # those repeat decodes when the config asks for it
-    cache_on = ctx.config.decode_cache_bytes > 0 and hasattr(
-        graph, "enable_decode_cache"
-    )
-    if cache_on:
-        graph.enable_decode_cache(
-            ctx.config.decode_cache_bytes, tracker=ctx.tracker
-        )
     try:
         for _round in range(cc.lp_rounds):
             order = rng.permutation(n).astype(np.int64)
@@ -250,8 +240,6 @@ def label_propagation_clustering(
             if moves == 0:
                 break
     finally:
-        if cache_on:
-            graph.disable_decode_cache()
         for h in handles:
             ctx.tracker.free(h)
 

@@ -155,10 +155,6 @@ class PartitionerConfig:
     seed: int = 0
     p: int = 8  # virtual threads
     compress_input: bool = True
-    # Bound (bytes) of the decoded-chunk LRU cache used during repeated LP
-    # scans over a compressed level; 0 disables it.  Cache bytes are
-    # registered with the MemoryTracker so peak-memory figures stay honest.
-    decode_cache_bytes: int = 0
     coarsening: CoarseningConfig = field(default_factory=CoarseningConfig)
     initial: InitialPartitioningConfig = field(
         default_factory=InitialPartitioningConfig

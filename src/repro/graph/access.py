@@ -48,18 +48,6 @@ def _count_decode(graph, nedges: int) -> None:
         tr.add("decode.edges", nedges)
 
 
-def _count_cache(stats_before: dict | None, stats_after: dict | None) -> None:
-    """Report decode-cache hit/miss/eviction deltas between two snapshots."""
-    tr = _tracer
-    if tr is None or stats_after is None:
-        return
-    before = stats_before or {}
-    for key in ("hits", "misses", "evictions"):
-        delta = stats_after.get(key, 0) - before.get(key, 0)
-        if delta:
-            tr.add(f"decode.cache_{key}", delta)
-
-
 def measured_decode_work_factor(*, refresh: bool = False) -> float:
     """Per-edge work factor of compressed chunk traversal relative to CSR.
 
@@ -148,10 +136,8 @@ def chunk_adjacency(
     if hasattr(graph, "decode_chunk"):  # compressed graph: bulk decode
         if _tracer is None:
             return graph.decode_chunk(chunk)
-        cache_before = getattr(graph, "decode_cache_stats", None)
         out = graph.decode_chunk(chunk)
         _count_decode(graph, len(out[0]))
-        _count_cache(cache_before, getattr(graph, "decode_cache_stats", None))
         return out
     raise TypeError(
         "chunk_adjacency needs a CSRGraph or a CompressedGraph, got "

@@ -49,6 +49,7 @@ from repro.graph.varint import (
     MAX_VARINT64_BYTES,
 )
 from repro.memory.scratch import tracked_empty, tracked_ones, tracked_zeros
+from repro.parallel.runtime import balanced_cuts
 
 MIN_INTERVAL_LEN = 3
 
@@ -400,31 +401,37 @@ class CompressedGraph:
     def incident_weight(self, u: int) -> int:
         return int(np.asarray(self.edge_weights(u)).sum())
 
-    def _decode(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
+    def _decode(
+        self, u: int, *, scalar: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Decode one neighborhood.  Chunks of a high-degree vertex are large
+        (paper: 1000 neighbors), so they go through the byte-parallel block
+        decoder unless ``scalar`` asks for the reference path."""
         buf = self.data
         pos = int(self.offsets[u])
-        _fe, pos = decode_varint(buf, pos)
-        deg = int(self.degrees[u])
+        fe, pos = decode_varint(buf, pos)
+        deg = self.first_edge_id(u + 1) - fe
         cfg = self.config
+        weighted = self._has_edge_weights
         if deg == 0:
             return np.empty(0, dtype=np.int64), (
-                np.empty(0, dtype=np.int64) if self._has_edge_weights else None
+                np.empty(0, dtype=np.int64) if weighted else None
             )
         if deg <= cfg.high_degree_threshold:
-            nbrs, wgts, _ = _decode_block(u, buf, pos, deg, cfg, self._has_edge_weights)
+            nbrs, wgts, _ = _decode_block(u, buf, pos, deg, cfg, weighted)
             return nbrs, wgts
-        # chunked decoding: each chunk is large (paper: 1000 neighbors), so
-        # the byte-parallel block decoder pays off per chunk
-        n_chunks = -(-deg // cfg.chunk_length)
         parts: list[np.ndarray] = []
         wparts: list[np.ndarray] = []
         remaining = deg
-        for _ in range(n_chunks):
+        while remaining:
             chunk_count = min(cfg.chunk_length, remaining)
             chunk_bytes, pos = decode_varint(buf, pos)
-            nbrs, wgts, end = _decode_block_bulk(
-                u, buf, self._data_u8, pos, chunk_count, cfg, self._has_edge_weights
-            )
+            if scalar:
+                nbrs, wgts, end = _decode_block(u, buf, pos, chunk_count, cfg, weighted)
+            else:
+                nbrs, wgts, end = _decode_block_bulk(
+                    u, buf, self._data_u8, pos, chunk_count, cfg, weighted
+                )
             if end - pos != chunk_bytes:
                 raise ValueError(
                     f"chunk length mismatch at vertex {u}: "
@@ -435,43 +442,11 @@ class CompressedGraph:
             if wgts is not None:
                 wparts.append(wgts)
             remaining -= chunk_count
-        all_nbrs = np.concatenate(parts)
-        all_wgts = np.concatenate(wparts) if wparts else None
-        return all_nbrs, all_wgts
+        return np.concatenate(parts), (np.concatenate(wparts) if wparts else None)
 
     def _decode_scalar(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
         """Pure-scalar reference decode (tests check bulk paths against it)."""
-        buf = self.data
-        pos = int(self.offsets[u])
-        fe, pos = decode_varint(buf, pos)
-        deg = self.first_edge_id(u + 1) - fe
-        cfg = self.config
-        if deg == 0:
-            return np.empty(0, dtype=np.int64), (
-                np.empty(0, dtype=np.int64) if self._has_edge_weights else None
-            )
-        if deg <= cfg.high_degree_threshold:
-            nbrs, wgts, _ = _decode_block(u, buf, pos, deg, cfg, self._has_edge_weights)
-            return nbrs, wgts
-        parts: list[np.ndarray] = []
-        wparts: list[np.ndarray] = []
-        remaining = deg
-        while remaining:
-            chunk_count = min(cfg.chunk_length, remaining)
-            chunk_bytes, pos = decode_varint(buf, pos)
-            nbrs, wgts, end = _decode_block(
-                u, buf, pos, chunk_count, cfg, self._has_edge_weights
-            )
-            if end - pos != chunk_bytes:
-                raise ValueError(f"chunk length mismatch at vertex {u}")
-            pos = end
-            parts.append(nbrs)
-            if wgts is not None:
-                wparts.append(wgts)
-            remaining -= chunk_count
-        return np.concatenate(parts), (
-            np.concatenate(wparts) if wparts else None
-        )
+        return self._decode(u, scalar=True)
 
     # -- bulk chunk decode (the kernels' hot path) ------------------------#
     def decode_chunk(
@@ -669,9 +644,13 @@ class CompressedGraph:
     ) -> None:
         """Attach a bounded LRU cache of decoded vertex pages.
 
-        Repeated traversals (the 5-round LP scans) then decode each page
-        once; cached bytes are registered with ``tracker`` so memory ledgers
-        stay honest about the extra working set.
+        Repeated traversals then decode each page once; cached bytes are
+        registered with ``tracker`` so memory ledgers stay honest about the
+        extra working set.  Nothing under ``src/`` turns it on: LP scans in
+        ``rng.permutation`` order, so no budget below the whole decoded
+        level ever hits (ROADMAP item 1) and the config knob is gone.  It
+        stays for ``benchmarks/ladder/micro.py``, which measures
+        ``compressed.decode_cached_ns_per_edge`` through it.
         """
         if self._decode_cache is not None:
             self.disable_decode_cache()
@@ -842,30 +821,37 @@ def encode_neighborhood(
         out.extend(scratch)
 
 
-def _encode_low_degree_bulk(
-    graph: CSRGraph, lows: np.ndarray, cfg: CompressionConfig, stats
-) -> tuple[bytes, np.ndarray]:
-    """Encode every low-degree neighborhood of ``lows`` in one bulk pass.
+#: Directed edges per packet when the CSR is already in memory -- the value
+#: :func:`repro.graph.io.stream_compressed` defaults to.  Encoder scratch is
+#: proportional to the packet, not to the graph.
+PACKET_EDGES = 1 << 16
 
-    Builds the *global value sequence* -- per vertex: header, [interval
-    count], [interval pairs], [residual gaps], [weight gaps] -- with pure
-    array arithmetic, then VarInt-encodes all values at once.  Returns the
-    byte blob and the per-vertex byte starts (``len(lows) + 1`` entries),
-    byte-identical to per-vertex :func:`encode_neighborhood` calls.
+
+def _encode_low_degree_bulk(
+    lo: int,
+    first_edge: np.ndarray,
+    nb: np.ndarray,
+    w: np.ndarray | None,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode the consecutive low-degree vertices ``lo..`` in one bulk pass.
+
+    ``first_edge`` holds their first edge IDs plus the end sentinel, ``nb``
+    / ``w`` their sorted neighbors and weights.  Builds the *value sequence*
+    -- per vertex: header, [interval count], [interval pairs], [residual
+    gaps], [weight gaps] -- with pure array arithmetic, then VarInt-encodes
+    all values at once.  Returns the bytes and each vertex's byte start
+    within them, byte-identical to per-vertex :func:`encode_neighborhood`
+    calls.
     """
-    nl = len(lows)
+    nl = len(first_edge) - 1
     stats.num_neighborhoods += nl
-    if nl == 0:
-        return b"", np.zeros(1, dtype=np.int64)
-    indptr = np.asarray(graph.indptr)
-    deg = np.asarray(graph.degrees)[lows].astype(np.int64)
-    weighted = graph.has_edge_weights
-    tot = int(deg.sum())
-    row_ofs = np.cumsum(deg) - deg
+    deg = np.diff(first_edge)
+    tot = len(nb)
     owner = np.repeat(np.arange(nl, dtype=np.int64), deg)
+    row_ofs = first_edge[:-1] - first_edge[0]
     pos_in_row = np.arange(tot, dtype=np.int64) - row_ofs[owner]
-    eidx = indptr[lows][owner] + pos_in_row
-    nb = np.asarray(graph.adjncy)[eidx].astype(np.int64)
 
     # interval detection: maximal runs of consecutive IDs, len >= 3
     if cfg.enable_intervals:
@@ -900,13 +886,13 @@ def _encode_low_degree_bulk(
     if cfg.enable_intervals:
         count += has_edges * (1 + 2 * ni)
     count += nr
-    if weighted:
+    if w is not None:
         count += deg
     val_start = np.cumsum(count) - count
     nvals = int(val_start[-1] + count[-1])
     vals = tracked_empty(nvals, np.int64, name="compress-bulk-values")
 
-    vals[val_start] = indptr[lows]  # headers: first edge IDs
+    vals[val_start] = first_edge[:-1]  # headers: first edge IDs
     if cfg.enable_intervals and np.any(has_edges):
         vals[val_start[has_edges] + 1] = ni[has_edges]
     if len(iv_owner):
@@ -914,45 +900,33 @@ def _encode_low_degree_bulk(
             np.arange(len(iv_owner), dtype=np.int64)
             - (np.cumsum(ni) - ni)[iv_owner]
         )
-        first_iv = iv_rank == 0
-        prev_end = np.empty_like(iv_left)
-        prev_end[0] = 0
-        prev_end[1:] = iv_left[:-1] + iv_len[:-1]
-        left_val = np.where(
-            first_iv,
-            zigzag_encode(iv_left - lows[iv_owner]),
+        prev_end = np.concatenate(([0], (iv_left + iv_len)[:-1]))
+        p = val_start[iv_owner] + 2 + 2 * iv_rank
+        vals[p] = np.where(
+            iv_rank == 0,
+            zigzag_encode(iv_left - (lo + iv_owner)),
             iv_left - prev_end,
         )
-        p = val_start[iv_owner] + 2 + 2 * iv_rank
-        vals[p] = left_val
         vals[p + 1] = iv_len - MIN_INTERVAL_LEN
     if len(res):
-        res_first = np.ones(len(res), dtype=bool)
-        res_first[1:] = res_owner[1:] != res_owner[:-1]
-        prev_res = np.empty_like(res_nb)
-        prev_res[0] = 0
-        prev_res[1:] = res_nb[:-1]
+        prev_res = np.concatenate(([0], res_nb[:-1]))
         res_rank = (
             np.arange(len(res), dtype=np.int64)
             - (np.cumsum(nr) - nr)[res_owner]
         )
         res_pos = (
             val_start[res_owner]
-            + (count - nr - (deg if weighted else 0))[res_owner]
+            + (count - nr - (deg if w is not None else 0))[res_owner]
             + res_rank
         )
         vals[res_pos] = np.where(
-            res_first,
-            zigzag_encode(res_nb - lows[res_owner]),
+            res_rank == 0,
+            zigzag_encode(res_nb - (lo + res_owner)),
             res_nb - prev_res - 1,
         )
     w_pos = None
-    if weighted and tot:
-        adjwgt = np.asarray(graph.adjwgt)
-        w = adjwgt[eidx].astype(np.int64)
-        prev_w = np.where(pos_in_row == 0, 0, adjwgt[eidx - 1]).astype(
-            np.int64
-        )
+    if w is not None and tot:
+        prev_w = np.where(pos_in_row == 0, 0, np.concatenate(([0], w[:-1])))
         w_pos = val_start[owner] + (count - deg)[owner] + pos_in_row
         vals[w_pos] = zigzag_encode(w - prev_w)
 
@@ -961,55 +935,130 @@ def _encode_low_degree_bulk(
     stats.header_bytes += int(lens[val_start].sum())
     if w_pos is not None:
         stats.weight_bytes += int(lens[w_pos].sum())
-    blob = encode_stream_bulk(vals, lens)
-    low_byte_start = tracked_empty(nl + 1, np.int64, name="compress-bulk-starts")
-    low_byte_start[:nl] = byte_start[val_start]
-    low_byte_start[nl] = int(lens.sum())
-    return blob.tobytes(), low_byte_start
+    return encode_stream_bulk(vals, lens), byte_start[val_start]
 
 
-def _encode_graph_bulk(
-    graph: CSRGraph, cfg: CompressionConfig, stats
-) -> tuple[bytes, np.ndarray]:
-    """Whole-graph bulk encoder: low-degree vertices in one vectorized
-    pass, chunked high-degree vertices scalar, stitched in vertex order."""
-    n = graph.n
-    degrees = np.asarray(graph.degrees)
-    high = degrees > cfg.high_degree_threshold
-    lows = np.flatnonzero(~high)
-    offsets = tracked_empty(n + 1, np.int64, name="compress-offsets")
-    blob, low_byte_start = _encode_low_degree_bulk(graph, lows, cfg, stats)
-    if not np.any(high):
-        offsets[:n] = low_byte_start[:n]
-        offsets[n] = low_byte_start[n] if n else 0
-        return blob, offsets
-    weighted = graph.has_edge_weights
+def _encode_packet(
+    lo: int,
+    first_edge: np.ndarray,
+    nb: np.ndarray,
+    w: np.ndarray | None,
+    out: bytearray,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> np.ndarray:
+    """Append the encoding of one packet to ``out``; return its byte offsets.
+
+    A packet is the unit of encoding: consecutive vertices ``lo..``, their
+    first edge IDs (plus end sentinel) and their slice of the edge arrays.
+    Unsorted neighborhoods are sorted first (one vectorized test, one
+    segmented sort).  Runs of low-degree vertices are encoded in bulk; a
+    vertex above the chunking threshold is the one case left to the scalar
+    :func:`encode_neighborhood`.
+    """
+    nv = len(first_edge) - 1
+    edge = first_edge - first_edge[0]
+    deg = np.diff(edge)
+    if len(nb) > 1:
+        row_start = tracked_zeros(len(nb), bool, name="compress-row-starts")
+        row_start[edge[:-1][deg > 0]] = True
+        if np.any((nb[1:] < nb[:-1]) & ~row_start[1:]):  # descent inside a row
+            order = np.lexsort((nb, np.repeat(np.arange(nv), deg)))
+            nb = nb[order]
+            w = None if w is None else w[order]
+    offsets = tracked_empty(nv, np.int64, name="compress-packet-offsets")
+    a = 0
+    for h in [*np.flatnonzero(deg > cfg.high_degree_threshold).tolist(), nv]:
+        ea, eh = int(edge[a]), int(edge[h])
+        if h > a:
+            run_w = None if w is None else w[ea:eh]
+            blob, starts = _encode_low_degree_bulk(
+                lo + a, first_edge[a : h + 1], nb[ea:eh], run_w, cfg, stats
+            )
+            offsets[a:h] = len(out) + starts
+            out += memoryview(blob)
+        if h < nv:
+            offsets[h] = len(out)
+            end = int(edge[h + 1])
+            hub_w = None if w is None else w[eh:end]
+            encode_neighborhood(
+                lo + h, nb[eh:end], hub_w, int(first_edge[h]), out, cfg, stats
+            )
+        a = h + 1
+    return offsets
+
+
+def _compress_packets(
+    packets,
+    n: int,
+    num_directed_edges: int,
+    weighted: bool,
+    vwgt: np.ndarray | None,
+    *,
+    tracker=None,
+    on_packet=None,
+    **codec,
+) -> CompressedGraph:
+    """The one compression loop: encode packets, append them in order.
+
+    ``packets`` yields ``(lo, first_edge, adjncy, adjwgt)`` for consecutive
+    vertex ranges covering ``0..n-1`` (see :func:`_encode_packet`); where
+    they are cut does not change a byte.  ``on_packet(packet, claim,
+    nbytes)`` observes each append (the parallel pipeline's bookkeeping).
+    Every compressor ends here, so the codec config, ``stats``, the
+    :class:`CompressedGraph` and its tracker registration are assembled in
+    one place.
+    """
+    cfg = CompressionConfig(**codec)
+    stats = CompressionStats()
     out = bytearray()
-    li = 0
-    for h in np.flatnonzero(high).tolist():
-        li2 = int(np.searchsorted(lows, h))
-        if li2 > li:
-            base = len(out) - int(low_byte_start[li])
-            offsets[lows[li:li2]] = base + low_byte_start[li:li2]
-            out += blob[int(low_byte_start[li]) : int(low_byte_start[li2])]
-            li = li2
-        offsets[h] = len(out)
-        nbrs, wgts = graph.neighbors_and_weights(h)
-        encode_neighborhood(
-            h,
-            nbrs,
-            np.asarray(wgts) if weighted else None,
-            int(graph.indptr[h]),
-            out,
-            cfg,
-            stats,
+    offsets = tracked_empty(n + 1, np.int64, name="compress-offsets")
+    total_edge_weight = 0 if weighted else num_directed_edges
+    for packet in packets:
+        lo, first_edge, _nb, w = packet
+        claim = len(out)
+        offsets[lo : lo + len(first_edge) - 1] = _encode_packet(
+            *packet, out, cfg, stats
         )
-    if li < len(lows):
-        base = len(out) - int(low_byte_start[li])
-        offsets[lows[li:]] = base + low_byte_start[li:-1]
-        out += blob[int(low_byte_start[li]) :]
+        if w is not None:
+            total_edge_weight += int(w.sum())
+        if on_packet is not None:
+            on_packet(packet, claim, len(out) - claim)
     offsets[n] = len(out)
-    return bytes(out), offsets
+    data = bytes(out)
+    # what CSRGraph.nbytes reports: unit weights are one shared 8-byte view
+    m2 = num_directed_edges
+    stats.uncompressed_bytes = 8 * (
+        (n + 1) + m2 + (m2 if weighted else 1) + (1 if vwgt is None else n)
+    )
+    stats.compressed_bytes = len(data) + offsets.nbytes
+    cg = CompressedGraph(
+        n,
+        num_directed_edges,
+        offsets,
+        data,
+        vwgt,
+        has_edge_weights=weighted,
+        config=cfg,
+        stats=stats,
+        total_edge_weight=total_edge_weight,
+    )
+    if tracker is not None:
+        tracker.alloc("compressed-graph", cg.nbytes, "graph")
+    return cg
+
+
+def _csr_packets(graph: CSRGraph, cuts: np.ndarray):
+    """Packets of an in-memory CSR: array views between vertex ``cuts``."""
+    indptr = graph.indptr
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(indptr[a]), int(indptr[b])
+        yield (
+            a,
+            indptr[a : b + 1],
+            graph.adjncy[lo:hi],
+            graph.adjwgt[lo:hi] if graph.has_edge_weights else None,
+        )
 
 
 def compress_graph(
@@ -1022,42 +1071,27 @@ def compress_graph(
 ) -> CompressedGraph:
     """Compress a CSR graph.
 
-    One encoder: the vectorized whole-graph pass of
-    :func:`_encode_graph_bulk` (chunked high-degree vertices fall back to
-    :func:`encode_neighborhood` inside it).  The shared-memory partitioner,
-    the service and every level of :mod:`repro.dist` call this function; a
-    distributed shard is a row range of its result.  The per-vertex
-    reference the output is byte-compared against lives in
-    ``tests/test_kernels.py``; the parallel single-pass pipeline in
-    :mod:`repro.graph.compression` is byte-identical too (tested).
+    Cuts the CSR into packets of about :data:`PACKET_EDGES` directed edges
+    and feeds them to :func:`_compress_packets`.  The shared-memory
+    partitioner, the service and every level of :mod:`repro.dist` call this
+    function; a distributed shard is a row range of its result.  The
+    virtual-thread pipeline (:mod:`repro.graph.compression`) and the file
+    loader (:func:`repro.graph.io.stream_compressed`) are other packet
+    sources over the same loop, byte-identical by construction and checked
+    against a per-vertex :func:`encode_neighborhood` reference in
+    ``tests/test_kernels.py``.
     """
-    if not graph.sorted_neighborhoods:
-        graph = graph.with_sorted_neighborhoods()
-    cfg = CompressionConfig(
+    return _compress_packets(
+        _csr_packets(graph, balanced_cuts(graph.indptr, PACKET_EDGES)),
+        graph.n,
+        graph.num_directed_edges,
+        graph.has_edge_weights,
+        np.asarray(graph.vwgt).copy() if graph.has_vertex_weights else None,
+        tracker=tracker,
         enable_intervals=enable_intervals,
         high_degree_threshold=high_degree_threshold,
         chunk_length=chunk_length,
     )
-    stats = CompressionStats(uncompressed_bytes=graph.nbytes)
-    n = graph.n
-    weighted = graph.has_edge_weights
-    data, offsets = _encode_graph_bulk(graph, cfg, stats)
-    stats.compressed_bytes = len(data) + offsets.nbytes
-    vwgt = np.asarray(graph.vwgt).copy() if graph.has_vertex_weights else None
-    cg = CompressedGraph(
-        n,
-        graph.num_directed_edges,
-        offsets,
-        data,
-        vwgt,
-        has_edge_weights=weighted,
-        config=cfg,
-        stats=stats,
-        total_edge_weight=graph.total_edge_weight,
-    )
-    if tracker is not None:
-        tracker.alloc("compressed-graph", cg.nbytes, "graph")
-    return cg
 
 
 def decompress_graph(cg: CompressedGraph) -> CSRGraph:

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graph.compressed import (
-    CompressedGraph,
-    CompressionConfig,
-    CompressionStats,
-    encode_neighborhood,
-)
+from repro.graph.compressed import CompressedGraph, _compress_packets, _csr_packets
 from repro.graph.csr import CSRGraph
 from repro.parallel.runtime import ParallelRuntime
 
@@ -75,99 +70,75 @@ def compress_graph_parallel(
     tracker=None,
 ) -> tuple[CompressedGraph, list[PacketTrace]]:
     """Compress ``graph`` with the packet-ordered parallel pipeline."""
-    if not graph.sorted_neighborhoods:
-        graph = graph.with_sorted_neighborhoods()
-    cfg = CompressionConfig(
-        enable_intervals=enable_intervals,
-        high_degree_threshold=high_degree_threshold,
-        chunk_length=chunk_length,
-    )
-    stats = CompressionStats(uncompressed_bytes=graph.nbytes)
     n = graph.n
-    weighted = graph.has_edge_weights
+    degrees = graph.degrees
 
     # reserve the overcommitted edge array
-    bound = compressed_size_upper_bound(graph.degrees, weighted)
     oc_aid = None
     if tracker is not None:
         oc_aid = tracker.alloc(
-            "compressed-edge-array", bound, "graph", overcommit=True
+            "compressed-edge-array",
+            compressed_size_upper_bound(degrees, graph.has_edge_weights),
+            "graph",
+            overcommit=True,
         )
 
     # packets of consecutive vertices with similar edge counts
-    order = np.arange(n, dtype=np.int64)
-    degrees = graph.degrees
-    schedule = runtime.schedule_balanced(order, np.maximum(degrees, 1))
-
-    offsets = np.empty(n + 1, dtype=np.int64)
-    out = bytearray()
+    schedule = runtime.schedule_balanced(
+        np.arange(n, dtype=np.int64), np.maximum(degrees, 1)
+    )
+    cuts = np.cumsum([0, *map(len, schedule.chunks)])
     traces: list[PacketTrace] = []
-    max_buffer_bytes = 0
+    thread_buf_aids: dict[int, int] = {}
 
     # The ordered-writer protocol: packets claim ranges strictly in packet
-    # order.  We iterate in that order (virtual threads are deterministic),
-    # recording per-packet buffers exactly as the real pipeline would hold
-    # them.  At most one buffer per thread is live at a time; the tracker
-    # charges the per-thread high-water mark.
-    thread_buf_aids: dict[int, int] = {}
-    for packet_id, (tid, chunk) in enumerate(schedule):
-        buf = bytearray()
-        local_offsets = np.empty(len(chunk), dtype=np.int64)
-        for i, u in enumerate(chunk.tolist()):
-            local_offsets[i] = len(buf)
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            encode_neighborhood(
-                u,
-                nbrs,
-                np.asarray(wgts) if weighted else None,
-                int(graph.indptr[u]),
-                buf,
-                cfg,
-                stats,
-            )
+    # order.  The shared loop runs them in that order (virtual threads are
+    # deterministic) and reports each packet's buffer exactly as the real
+    # pipeline would hold it.  At most one buffer per thread is live at a
+    # time; the tracker charges the per-thread high-water mark.
+    def claim_range(packet, claim: int, buffer_bytes: int) -> None:
+        packet_id = len(traces)
+        tid = schedule.owner[packet_id]
+        first_edge = packet[1]
+        num_vertices = len(first_edge) - 1
         if tracker is not None:
             if tid in thread_buf_aids:
                 tracker.free(thread_buf_aids[tid])
             thread_buf_aids[tid] = tracker.alloc(
-                f"packet-buffer-t{tid}", len(buf), "compression-buffers"
+                f"packet-buffer-t{tid}", buffer_bytes, "compression-buffers"
             )
-        max_buffer_bytes = max(max_buffer_bytes, len(buf))
-        # claim: advance shared end position (packets < id already claimed)
-        claim = len(out)
-        offsets[chunk] = claim + local_offsets
-        out.extend(buf)
-        if tracker is not None and oc_aid is not None:
-            tracker.touch(oc_aid, len(out))
+            # claim: advance shared end position (packets < id already claimed)
+            tracker.touch(oc_aid, claim + buffer_bytes)
         traces.append(
-            PacketTrace(packet_id, tid, len(chunk), len(buf), claim)
+            PacketTrace(packet_id, tid, num_vertices, buffer_bytes, claim)
         )
         runtime.record(
             "compression",
-            work=float(degrees[chunk].sum() + len(chunk)),
-            bytes_moved=float(2 * len(buf)),
+            work=float(first_edge[-1] - first_edge[0] + num_vertices),
+            bytes_moved=float(2 * buffer_bytes),
         )
-    for aid in thread_buf_aids.values():
+
+    def packets():
+        yield from _csr_packets(graph, cuts)
+        # the reservation becomes the final footprint: release it (and the
+        # last buffers) before the loop registers the finished graph
         if tracker is not None:
-            tracker.free(aid)
-    offsets[n] = len(out)
-    data = bytes(out)
-    stats.compressed_bytes = len(data) + offsets.nbytes
-    vwgt = np.asarray(graph.vwgt).copy() if graph.has_vertex_weights else None
-    cg = CompressedGraph(
+            for aid in thread_buf_aids.values():
+                tracker.free(aid)
+            tracker.free(oc_aid)
+
+    cg = _compress_packets(
+        packets(),
         n,
         graph.num_directed_edges,
-        offsets,
-        data,
-        vwgt,
-        has_edge_weights=weighted,
-        config=cfg,
-        stats=stats,
-        total_edge_weight=graph.total_edge_weight,
+        graph.has_edge_weights,
+        np.asarray(graph.vwgt).copy() if graph.has_vertex_weights else None,
+        tracker=tracker,
+        on_packet=claim_range,
+        enable_intervals=enable_intervals,
+        high_degree_threshold=high_degree_threshold,
+        chunk_length=chunk_length,
     )
-    if tracker is not None and oc_aid is not None:
-        # replace the overcommitted reservation by the final footprint
-        tracker.free(oc_aid)
-        tracker.alloc("compressed-graph", cg.nbytes, "graph")
     return cg, traces
 
 

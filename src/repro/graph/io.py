@@ -15,19 +15,16 @@ format" (the paper uses this to justify excluding I/O from timings).
 from __future__ import annotations
 
 import io as _io
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from repro.graph.compressed import (
-    CompressedGraph,
-    CompressionConfig,
-    CompressionStats,
-    encode_neighborhood,
-)
+from repro.graph.compressed import CompressedGraph, _compress_packets
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_ones, tracked_zeros
+from repro.parallel.runtime import balanced_cuts
 
 MAGIC = b"TPGR"
 VERSION = 1
@@ -57,6 +54,8 @@ def write_binary(graph: CSRGraph, path: str | Path) -> None:
 
 
 def _read_header(f) -> tuple[int, int, bool, bool]:
+    """Parse the header and check the file is exactly as long as it claims,
+    so no body read is sized by an unchecked ``n`` or comes back short."""
     raw = f.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated header")
@@ -65,17 +64,33 @@ def _read_header(f) -> tuple[int, int, bool, bool]:
         raise ValueError(f"bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"unsupported version {version}")
-    return n, m2, bool(ew), bool(vw)
+    ew, vw = bool(ew), bool(vw)
+    expected = _HEADER.size + 8 * (
+        (n + 1) + m2 * (2 if ew else 1) + (n if vw else 0)
+    )
+    size = os.fstat(f.fileno()).st_size
+    if size < expected:
+        raise ValueError(
+            f"truncated body: header (n={n}, 2m={m2}) needs {expected} bytes, "
+            f"file has {size}"
+        )
+    if size > expected:
+        raise ValueError(f"{size - expected} trailing bytes after the graph")
+    return n, m2, ew, vw
+
+
+def _read_int64(f, count: int) -> np.ndarray:
+    return np.frombuffer(f.read(8 * count), dtype=np.int64)
 
 
 def read_binary(path: str | Path) -> CSRGraph:
     """Load a binary graph fully into an uncompressed CSR."""
     with Path(path).open("rb") as f:
         n, m2, ew, vw = _read_header(f)
-        indptr = np.frombuffer(f.read(8 * (n + 1)), dtype=np.int64)
-        adjncy = np.frombuffer(f.read(8 * m2), dtype=np.int64)
-        adjwgt = np.frombuffer(f.read(8 * m2), dtype=np.int64) if ew else None
-        vwgt = np.frombuffer(f.read(8 * n), dtype=np.int64) if vw else None
+        indptr = _read_int64(f, n + 1)
+        adjncy = _read_int64(f, m2)
+        adjwgt = _read_int64(f, m2) if ew else None
+        vwgt = _read_int64(f, n) if vw else None
     return CSRGraph(
         indptr.copy(),
         adjncy.copy(),
@@ -101,73 +116,43 @@ def stream_compressed(
     ``packet_edges`` directed edges, compressing each packet as it arrives.
     This is the file-level realisation of the paper's single-pass I/O.
     """
-    cfg = CompressionConfig(
-        enable_intervals=enable_intervals,
-        high_degree_threshold=high_degree_threshold,
-        chunk_length=chunk_length,
-    )
     with Path(path).open("rb") as f:
         n, m2, ew, vw = _read_header(f)
-        indptr = np.frombuffer(f.read(8 * (n + 1)), dtype=np.int64).copy()
-        stats = CompressionStats(
-            uncompressed_bytes=8 * (n + 1) + 8 * m2 * (2 if ew else 1) + (8 * n if vw else 8)
-        )
-        out = bytearray()
-        offsets = np.empty(n + 1, dtype=np.int64)
+        indptr = _read_int64(f, n + 1)
+        if indptr[0] != 0 or indptr[-1] != m2 or np.any(np.diff(indptr) < 0):
+            raise ValueError(
+                f"indptr must rise from 0 to 2m={m2} without decreasing"
+            )
         adj_start = f.tell()
         wgt_start = adj_start + 8 * m2
-        total_edge_weight = 0
-        u = 0
-        while u < n:
-            # pick a packet of consecutive vertices totalling ~packet_edges
-            v = u
-            while v < n and indptr[v + 1] - indptr[u] < packet_edges:
-                v += 1
-            v = max(v, u + 1) if v < n else n
-            if v == u:
-                v = u + 1
-            lo, hi = int(indptr[u]), int(indptr[v])
-            f.seek(adj_start + 8 * lo)
-            adj = np.frombuffer(f.read(8 * (hi - lo)), dtype=np.int64)
-            wgt = None
-            if ew:
-                f.seek(wgt_start + 8 * lo)
-                wgt = np.frombuffer(f.read(8 * (hi - lo)), dtype=np.int64)
-                total_edge_weight += int(wgt.sum())
-            for x in range(u, v):
-                offsets[x] = len(out)
-                a, b = int(indptr[x] - lo), int(indptr[x + 1] - lo)
-                nbrs = adj[a:b]
-                ws = None if wgt is None else wgt[a:b]
-                order = np.argsort(nbrs, kind="stable")
-                nbrs = nbrs[order]
-                if ws is not None:
-                    ws = ws[order]
-                encode_neighborhood(
-                    x, nbrs, ws, int(indptr[x]), out, cfg, stats
-                )
-            u = v
-        offsets[n] = len(out)
         vwgt = None
         if vw:
             f.seek(wgt_start + (8 * m2 if ew else 0))
-            vwgt = np.frombuffer(f.read(8 * n), dtype=np.int64).copy()
-    data = bytes(out)
-    stats.compressed_bytes = len(data) + offsets.nbytes
-    cg = CompressedGraph(
-        n,
-        m2,
-        offsets,
-        data,
-        vwgt,
-        has_edge_weights=ew,
-        config=cfg,
-        stats=stats,
-        total_edge_weight=total_edge_weight if ew else m2,
-    )
-    if tracker is not None:
-        tracker.alloc("compressed-graph", cg.nbytes, "graph")
-    return cg
+            vwgt = _read_int64(f, n).copy()
+
+        def packets():
+            cuts = balanced_cuts(indptr, packet_edges).tolist()
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                lo, hi = int(indptr[a]), int(indptr[b])
+                f.seek(adj_start + 8 * lo)
+                adj = _read_int64(f, hi - lo)
+                wgt = None
+                if ew:
+                    f.seek(wgt_start + 8 * lo)
+                    wgt = _read_int64(f, hi - lo)
+                yield a, indptr[a : b + 1], adj, wgt
+
+        return _compress_packets(
+            packets(),
+            n,
+            m2,
+            ew,
+            vwgt,
+            tracker=tracker,
+            enable_intervals=enable_intervals,
+            high_degree_threshold=high_degree_threshold,
+            chunk_length=chunk_length,
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -70,6 +70,22 @@ class WorkStats:
         self.max_parallelism = min(self.max_parallelism, other.max_parallelism)
 
 
+def balanced_cuts(prefix: np.ndarray, target: float) -> np.ndarray:
+    """Boundaries cutting items ``0..n-1`` into runs of about ``target`` weight.
+
+    ``prefix`` is the ``n+1``-entry running weight total with ``prefix[0] ==
+    0`` (a CSR ``indptr`` is one).  A run ends at the first item boundary at
+    or past each multiple of ``target``: one ``searchsorted``, no per-item
+    loop.  Returns strictly increasing boundaries from ``0`` to ``n``; a
+    run without its last item weighs less than ``target``.  The compression
+    packets of every entry point (in-memory, virtual-thread, file) are cut
+    here.
+    """
+    marks = np.arange(target, prefix[-1], target)
+    cuts = np.searchsorted(prefix, marks, side="left")
+    return np.unique(np.concatenate(([0], cuts, [len(prefix) - 1])))
+
+
 @dataclass
 class ChunkSchedule:
     """A static assignment of chunks to virtual threads."""
@@ -145,19 +161,10 @@ class ParallelRuntime:
         n = len(order)
         if n == 0:
             return ChunkSchedule([], [])
-        total = float(weights.sum())
-        n_chunks = max(1, min(n, -(-n // self.chunk_size)))
-        target = max(total / n_chunks, 1.0)
-        cuts = [0]
-        acc = 0.0
-        for i in range(n):
-            acc += float(weights[i])
-            if acc >= target and i + 1 < n:
-                cuts.append(i + 1)
-                acc = 0.0
-        cuts.append(n)
-        chunks = [order[cuts[i] : cuts[i + 1]] for i in range(len(cuts) - 1)]
-        chunks = [c for c in chunks if len(c)]
+        prefix = np.concatenate(([0], np.cumsum(weights)))
+        n_chunks = -(-n // self.chunk_size)
+        cuts = balanced_cuts(prefix, max(float(prefix[-1]) / n_chunks, 1.0))
+        chunks = [order[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
         owner = [i % self.p for i in range(len(chunks))]
         return ChunkSchedule(chunks, owner)
 

@@ -265,13 +265,3 @@ class TestDecodeCache:
         assert tracker.current_bytes - base == cg.decode_cache_stats["bytes"]
         cg.disable_decode_cache()
         assert tracker.current_bytes == base
-
-    def test_lp_clustering_cache_config_is_equivalent(self):
-        from repro.core.config import terapart
-        from repro.core.partitioner import partition
-
-        g = gen.weblike(1200, avg_degree=8, seed=5)
-        r0 = partition(g, 8, terapart(seed=3))
-        r1 = partition(g, 8, terapart(seed=3).with_(decode_cache_bytes=8 << 20))
-        assert r1.cut == r0.cut
-        assert np.array_equal(r0.pgraph.partition, r1.pgraph.partition)

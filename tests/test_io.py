@@ -50,6 +50,51 @@ class TestBinary:
             read_binary(path)
 
 
+class TestHostileFiles:
+    """Both loaders check the header against the file before any body read."""
+
+    LOADERS = [read_binary, stream_compressed]
+
+    @pytest.mark.parametrize("load", LOADERS)
+    def test_truncated_body_rejected(self, tmp_path, web_graph, load):
+        path = tmp_path / "g.bin"
+        write_binary(web_graph, path)
+        path.write_bytes(path.read_bytes()[:-4000])
+        with pytest.raises(ValueError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("load", LOADERS)
+    def test_trailing_bytes_rejected(self, tmp_path, tiny_graph, load):
+        path = tmp_path / "g.bin"
+        write_binary(tiny_graph, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load(path)
+
+    @pytest.mark.parametrize("load", LOADERS)
+    def test_oversized_header_allocates_nothing(self, tmp_path, tiny_graph, load):
+        """n = 10**12 in the header: a ValueError, not an 8 TB read."""
+        path = tmp_path / "g.bin"
+        write_binary(tiny_graph, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = (10**12).to_bytes(8, "little")
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("load", LOADERS)
+    def test_decreasing_indptr_rejected(self, tmp_path, tiny_graph, load):
+        path = tmp_path / "g.bin"
+        write_binary(tiny_graph, path)
+        raw = bytearray(path.read_bytes())
+        indptr = np.frombuffer(raw, dtype=np.int64, count=tiny_graph.n + 1, offset=32)
+        indptr[1], indptr[2] = indptr[2], indptr[1]
+        assert indptr[1] > indptr[2]
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="decreasing"):
+            load(path)
+
+
 class TestStreamCompressed:
     def test_streaming_matches_in_memory_compression(self, tmp_path, web_graph):
         path = tmp_path / "g.bin"

@@ -13,6 +13,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.config import FMConfig, preset
@@ -35,6 +37,7 @@ from repro.core.refinement.gain_table import (
     entry_width_bits,
     make_gain_table,
 )
+from repro.graph import compressed
 from repro.graph import generators as gen
 from repro.graph.access import full_adjacency, segment_reduce_ratings
 from repro.graph.builder import from_edges
@@ -44,6 +47,9 @@ from repro.graph.compressed import (
     compress_graph,
     encode_neighborhood,
 )
+from repro.graph.compression import compress_graph_parallel
+from repro.graph.csr import CSRGraph
+from repro.graph.io import stream_compressed, write_binary
 from repro.graph.varint import (
     encode_signed_varint,
     encode_stream,
@@ -52,6 +58,7 @@ from repro.graph.varint import (
     varint_lengths,
     zigzag_encode,
 )
+from repro.parallel import ParallelRuntime
 from scalar_reference import (
     brute_best,
     scalar_commit,
@@ -436,54 +443,128 @@ class TestVarintBulk:
 # --------------------------------------------------------------------- #
 # bulk graph compression
 # --------------------------------------------------------------------- #
+def _hub(n, hub, weights=None):
+    """Star plus a path: ``hub`` sees everyone, neighbours come in runs."""
+    others = np.delete(np.arange(n), hub)
+    spokes = np.stack([np.full(n - 1, hub), others], axis=1)
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    return from_edges(n, np.concatenate([spokes, path]), weights)
+
+
 def _graph_cases():
     rng = np.random.default_rng(9)
     e = 400
     edges = rng.integers(0, 120, size=(e, 2))
     weighted = from_edges(120, edges, rng.integers(1, 1000, size=e))
+    chunked = {"high_degree_threshold": 100, "chunk_length": 64}
+    # neighbourhoods shuffled in place: what an unsorted file holds
+    web = gen.weblike(150, avg_degree=8, seed=3)
+    adjncy = web.adjncy.copy()
+    for u in range(web.n):
+        rng.shuffle(adjncy[web.indptr[u] : web.indptr[u + 1]])
+    unsorted = CSRGraph(web.indptr.copy(), adjncy)
     return [
         ("grid", gen.grid2d(15, 15), {}),
         ("web", gen.weblike(300, avg_degree=8, seed=1), {}),
         ("weighted", weighted, {}),
         ("no-intervals", gen.grid2d(12, 12), {"enable_intervals": False}),
-        (
-            "star-chunked",
-            gen.star(500),
-            {"high_degree_threshold": 100, "chunk_length": 64},
-        ),
+        ("star-chunked", gen.star(500), chunked),
         ("edgeless", from_edges(6, np.empty((0, 2), dtype=np.int64)), {}),
         ("isolated", from_edges(8, np.array([[0, 1], [1, 2]])), {}),
+        # a chunked vertex in the middle of / last in its packet
+        ("hub-middle-chunked", _hub(300, 150), chunked),
+        ("hub-last-chunked", _hub(300, 299), chunked),
+        # one neighbourhood larger than every packet_edges tried below
+        ("hub-low-degree", _hub(300, 150), {}),
+        # isolated vertices on both sides of every packet cut
+        (
+            "isolated-at-cuts",
+            from_edges(14, np.array([[1, 2], [2, 3], [6, 7], [10, 12]])),
+            {},
+        ),
+        (
+            "weighted-intervals",
+            _hub(200, 7, rng.integers(1, 10**6, size=2 * 199)),
+            chunked,
+        ),
+        ("weighted-no-intervals", weighted, {"enable_intervals": False}),
+        ("empty", from_edges(0, np.empty((0, 2), dtype=np.int64)), {}),
+        ("unsorted", unsorted, {}),
     ]
+
+
+def _per_vertex_reference(graph, kw):
+    """One `encode_neighborhood` call per vertex: the oracle."""
+    cfg = CompressionConfig(**kw)
+    stats = CompressionStats(uncompressed_bytes=graph.nbytes)
+    out = bytearray()
+    offsets = np.empty(graph.n + 1, dtype=np.int64)
+    for u in range(graph.n):
+        offsets[u] = len(out)
+        nbrs, wgts = graph.neighbors_and_weights(u)
+        encode_neighborhood(
+            u,
+            nbrs,
+            np.asarray(wgts) if graph.has_edge_weights else None,
+            int(graph.indptr[u]),
+            out,
+            cfg,
+            stats,
+        )
+    offsets[graph.n] = len(out)
+    stats.compressed_bytes = len(out) + offsets.nbytes
+    return bytes(out), offsets, stats
 
 
 class TestBulkCompression:
     @pytest.mark.parametrize(
         "name,graph,kw", _graph_cases(), ids=[c[0] for c in _graph_cases()]
     )
-    def test_byte_identical_to_scalar(self, name, graph, kw):
-        a = compress_graph(graph, **kw)
-        # reference: one `encode_neighborhood` call per vertex
-        cfg = CompressionConfig(**kw)
-        stats = CompressionStats(uncompressed_bytes=graph.nbytes)
-        out = bytearray()
-        offsets = np.empty(graph.n + 1, dtype=np.int64)
-        for u in range(graph.n):
-            offsets[u] = len(out)
-            nbrs, wgts = graph.neighbors_and_weights(u)
-            encode_neighborhood(
-                u,
-                nbrs,
-                np.asarray(wgts) if graph.has_edge_weights else None,
-                int(graph.indptr[u]),
-                out,
-                cfg,
-                stats,
+    def test_byte_identical_to_scalar(self, name, graph, kw, tmp_path, monkeypatch):
+        """Every door -- memory, virtual threads, file -- at several packet
+        sizes gives the bytes, offsets and stats of the per-vertex loop."""
+        data, offsets, stats = _per_vertex_reference(
+            graph.with_sorted_neighborhoods(), kw
+        )
+        path = tmp_path / "g.bin"
+        write_binary(graph, path)
+        images = {"memory": compress_graph(graph, **kw)}
+        monkeypatch.setattr(compressed, "PACKET_EDGES", 64)
+        images["memory/64"] = compress_graph(graph, **kw)
+        for packet_edges in (1, 7, 256):
+            images[f"file/{packet_edges}"] = stream_compressed(
+                path, packet_edges=packet_edges, **kw
             )
-        offsets[graph.n] = len(out)
-        stats.compressed_bytes = len(out) + offsets.nbytes
-        assert bytes(a.data) == bytes(out), name
-        assert np.array_equal(a.offsets, offsets), name
-        assert a.stats == stats, name
+        for p in (1, 3):
+            images[f"threads/{p}"], _ = compress_graph_parallel(
+                graph, ParallelRuntime(p, chunk_size=5), **kw
+            )
+        for door, cg in images.items():
+            assert bytes(cg.data) == data, (name, door)
+            assert np.array_equal(cg.offsets, offsets), (name, door)
+            assert cg.stats == stats, (name, door)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_packet_cuts_do_not_change_a_byte(self, data):
+        """The private loop concatenates: any cut of 0..n into consecutive
+        packets yields the same image (chunked hub, weights, intervals)."""
+        graph = _hub(60, 20, np.arange(1, 2 * 59 + 1))
+        kw = {"high_degree_threshold": 16, "chunk_length": 8}
+        inner = data.draw(st.sets(st.integers(1, graph.n - 1)))
+        cuts = np.array([0, *sorted(inner), graph.n])
+        cg = compressed._compress_packets(
+            compressed._csr_packets(graph, cuts),
+            graph.n,
+            graph.num_directed_edges,
+            True,
+            None,
+            **kw,
+        )
+        ref = compress_graph(graph, **kw)
+        assert cg.data == ref.data
+        assert np.array_equal(cg.offsets, ref.offsets)
+        assert cg.stats == ref.stats
 
 
 # --------------------------------------------------------------------- #

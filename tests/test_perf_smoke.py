@@ -108,6 +108,56 @@ def test_initial_heap_work_stays_proportional(monkeypatch):
     )
 
 
+# All three compressors (memory, virtual threads, file) are packet sources
+# over one loop with one bulk encoder: the scalar `encode_neighborhood` runs
+# only for a vertex above the chunking threshold, once.  At the parent the
+# thread and file doors called it once per vertex (3 000 here).  The packets
+# of all three are cut by `balanced_cuts`, which `schedule_balanced` wraps.
+def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
+    from repro.graph import compressed
+    from repro.graph.compression import compress_graph_parallel
+    from repro.graph.generators import star
+    from repro.graph.io import stream_compressed, write_binary
+    from repro.parallel.runtime import ParallelRuntime, balanced_cuts
+
+    calls = []
+    scalar = compressed.encode_neighborhood
+
+    def counting(u, *args):
+        calls.append(u)
+        scalar(u, *args)
+
+    monkeypatch.setattr(compressed, "encode_neighborhood", counting)
+
+    def doors(graph, name, **kw):
+        path = tmp_path / name
+        write_binary(graph, path)
+        compressed.compress_graph(graph, **kw)
+        yield "memory"
+        compress_graph_parallel(graph, ParallelRuntime(4, chunk_size=64), **kw)
+        yield "threads"
+        stream_compressed(path, packet_edges=1 << 10, **kw)
+        yield "file"
+
+    for door in doors(weblike(3000, avg_degree=10.0, seed=1), "web.bin"):
+        assert calls == [], f"{door}: per-vertex scalar encode is back"
+    for door in doors(
+        star(500), "star.bin", high_degree_threshold=100, chunk_length=64
+    ):
+        assert calls == [0], f"{door}: only the hub is encoded by the scalar path"
+        calls.clear()
+
+    weights = np.array([1, 1, 900, 1, 1, 1, 40, 40, 40, 1, 1, 0, 0, 500, 3, 3])
+    sched = ParallelRuntime(3, chunk_size=4).schedule_balanced(
+        np.arange(len(weights)), weights
+    )
+    prefix = np.concatenate(([0], np.cumsum(weights)))
+    cuts = balanced_cuts(prefix, prefix[-1] / 4)
+    assert [c[0] for c in sched.chunks] == cuts[:-1].tolist()
+    assert [c[-1] + 1 for c in sched.chunks] == cuts[1:].tolist()
+    assert 2 < len(cuts) <= 5
+
+
 # A gain table is filled by one pass over the edges, on either
 # representation: building it on a compressed graph costs one bulk decode
 # more than on CSR -- ~2-4x for the sparse table, ~8x for the dense one,

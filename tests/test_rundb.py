@@ -272,16 +272,16 @@ class TestConfigStamp:
                 for f in dataclasses.fields(cls)
             )
 
-        assert leaves(C.PartitionerConfig) == 28
+        assert leaves(C.PartitionerConfig) == 27
         assert {n: config_digest(f()) for n, f in C.PRESETS.items()} == {
-            "kaminpar": "c18166d8bfa77681",
-            "kaminpar+2lp": "5ffd6c41c9dccc0b",
-            "kaminpar+2lp+compress": "e9accaaa1433144c",
-            "terapart": "7e1defc0a5ba4cc0",
-            "terapart-fm": "5daeae2968f243e7",
-            "terapart-fm-full": "812f44a3743c5219",
-            "terapart-fm-none": "ef9e85f228341151",
-            "terapart-deep": "d37e283b369c0fd4",
+            "kaminpar": "62c73d3106edfed9",
+            "kaminpar+2lp": "70349b6354d99d24",
+            "kaminpar+2lp+compress": "97c4e40d37f0226b",
+            "terapart": "713345b4a79787d9",
+            "terapart-fm": "fe80c0f59b78cdb6",
+            "terapart-fm-full": "ff528890a77f8439",
+            "terapart-fm-none": "5cc63a8d0a4dbe98",
+            "terapart-deep": "9c5ccc73ad8d23eb",
         }
 
     def test_stamp_has_name_and_digest(self):
