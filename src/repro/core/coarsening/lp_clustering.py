@@ -145,10 +145,9 @@ def label_propagation_clustering(
 
                     # record favorites (unconstrained best) for two-hop
                     # matching and pick constrained targets
-                    chunk_vw = vwgt[chunk]
                     u_of_pair = chunk[pair_owner]
                     fits = (
-                        cluster_weights[pair_cluster] + chunk_vw[pair_owner]
+                        cluster_weights[pair_cluster] + vwgt[u_of_pair]
                         <= max_cluster_weight
                     )
                     is_current = pair_cluster == clusters[u_of_pair]
@@ -163,25 +162,26 @@ def label_propagation_clustering(
 
                     # unconstrained favorite per owner
                     fav_pairs = segment_best_last(pair_owner, rank)
-                    fav_us = chunk[pair_owner[fav_pairs]]
+                    fav_us = u_of_pair[fav_pairs]
                     favorites[fav_us] = pair_cluster[fav_pairs]
                     if rec.active:
                         # per-owner slots: disjoint plain stores by design
                         rec.write("favorites", fav_us)
 
-                    # constrained best per owner
+                    # constrained best per owner over the same segments:
+                    # ranks are >= 0, so a pair that does not fit wins only
+                    # where none fits, and that owner has no target
                     ok = fits | is_current
-                    if not np.any(ok):
+                    best = segment_best_last(pair_owner, np.where(ok, rank, -1))
+                    best = best[ok[best]]
+                    if len(best) == 0:
                         continue
-                    po, pc, rk = pair_owner[ok], pair_cluster[ok], rank[ok]
-                    best = segment_best_last(po, rk)
-                    best_owner = po[best]
-                    best_cluster = pc[best]
+                    best_cluster = pair_cluster[best]
 
                     # commit sequentially (atomic weight updates in the
                     # paper); re-check the cap because earlier commits in
                     # this chunk may have filled the target cluster
-                    us = chunk[best_owner]
+                    us = u_of_pair[best]
                     cur = clusters[us]
                     want_move = best_cluster != cur
                     runtime.record(

@@ -18,7 +18,9 @@ bucket only changes through candidates that name it as ``target`` or
   ``inflow(t)`` sums the weights of *all* candidates targeting ``t``, then
   every candidate targeting ``t`` accepts no matter the order -- arrivals
   into ``t`` are bounded by ``inflow`` and departures only lower the
-  capacity.  These candidates commit in bulk with ``np.add.at``.
+  capacity.  These candidates commit in bulk with ``np.add.at``: all
+  arrivals are landed up front, which is also how safety is read off
+  (``capacities[t] > limit(t)`` afterwards) without grouping by target.
 * **unsafe buckets** ``U``: candidates whose target *or* prev lies in
   ``U`` are replayed by the scalar rule in candidate order (they are the
   only events that read or move capacity of a bucket in ``U``).  Replay
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memory.scratch import tracked_full, tracked_zeros
+from repro.memory.scratch import tracked_full
 
 
 def bulk_size_constrained_commit(
@@ -61,25 +63,24 @@ def bulk_size_constrained_commit(
 
     Returns the boolean acceptance mask over candidates.
     """
-    m = len(targets)
-    accepted = tracked_full(m, True, np.bool_, name="commit-accepted")
-    if m == 0:
-        return accepted
-
+    accepted = tracked_full(len(targets), True, np.bool_, name="commit-accepted")
     per_bucket = isinstance(limits, np.ndarray)
-    uniq, inv = np.unique(targets, return_inverse=True)
-    inflow = tracked_zeros(len(uniq), np.int64, name="commit-inflow")
-    np.add.at(inflow, inv, weights)
-    lim_u = limits[uniq] if per_bucket else limits
-    target_unsafe_u = capacities[uniq] + inflow > lim_u
-
-    event = target_unsafe_u[inv]
-    if np.any(target_unsafe_u):
-        event = event | np.isin(prevs, uniq[target_unsafe_u])
-
+    # land every arrival first: a target is unsafe iff it now exceeds its
+    # limit, and the arrivals of the safe ones are already committed
+    np.add.at(capacities, targets, weights)
+    event = capacities[targets] > (limits[targets] if per_bucket else limits)
     if np.any(event):
-        # ordered scalar replay of the (rare) contended candidates
-        for i in np.flatnonzero(event).tolist():
+        # a departure is order-sensitive only out of a target that overflowed
+        leaving = np.flatnonzero(
+            capacities[prevs] > (limits[prevs] if per_bucket else limits)
+        )
+        if len(leaving):
+            event[leaving[np.isin(prevs[leaving], targets[event])]] = True
+        # ordered scalar replay of the (rare) contended candidates, from the
+        # capacities they would have met: their own arrivals taken back out
+        replay = np.flatnonzero(event)
+        np.subtract.at(capacities, targets[replay], weights[replay])
+        for i in replay.tolist():
             c = int(targets[i])
             w = int(weights[i])
             lim = int(limits[c]) if per_bucket else limits
@@ -90,7 +91,5 @@ def bulk_size_constrained_commit(
             capacities[c] += w
 
     bulk = np.flatnonzero(~event)
-    if len(bulk):
-        np.add.at(capacities, targets[bulk], weights[bulk])
-        np.subtract.at(capacities, prevs[bulk], weights[bulk])
+    np.subtract.at(capacities, prevs[bulk], weights[bulk])
     return accepted

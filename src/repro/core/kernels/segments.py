@@ -20,14 +20,6 @@ def _first_of_segment(owner: np.ndarray) -> np.ndarray:
     return first
 
 
-def _last_of_segment(owner: np.ndarray) -> np.ndarray:
-    """Mask of the last element of every contiguous owner segment."""
-    last = tracked_empty(len(owner), np.bool_, name="segment-last-mask")
-    last[-1] = True
-    last[:-1] = owner[1:] != owner[:-1]
-    return last
-
-
 def _segment_max_candidates(owner: np.ndarray, rank: np.ndarray) -> np.ndarray:
     """Indices of every pair achieving its segment's maximum ``rank``."""
     first = _first_of_segment(owner)
@@ -48,12 +40,27 @@ def segment_best_last(
     must be non-decreasing (the natural output order of the segment
     reductions feeding this).  Returns indices into the pair list, one per
     distinct owner, in ascending owner order.
+
+    With no ``tiebreak`` and integer ranks inside ``+-2^(62 - bits)``
+    (``bits`` holding a position), ``(rank << bits) + position`` packs the
+    comparison into one int64 and the segment maximum *is* the winner;
+    anything else takes the general candidate route.
     """
     if len(owner) == 0:
         return np.empty(0, dtype=np.int64)
     assert len(owner) < 2 or owner[0] <= owner[-1]  # sorted-by-owner input
+    if tiebreak is None and rank.dtype.kind in "iu":
+        bits = len(owner).bit_length()
+        limit = 1 << (62 - bits)
+        if -limit <= int(rank.min()) and int(rank.max()) < limit:
+            packed = (rank.astype(np.int64, copy=False) << bits) + np.arange(
+                len(owner), dtype=np.int64
+            )
+            starts = np.flatnonzero(_first_of_segment(owner))
+            return np.maximum.reduceat(packed, starts) & ((1 << bits) - 1)
+    # general route: among the pairs at their segment's maximum rank the
+    # winner maximizes (tiebreak, position) -- the same question one level
+    # down, where the positions themselves rank a list without tiebreak
     cand = _segment_max_candidates(owner, rank)
-    if tiebreak is not None:
-        sub = _segment_max_candidates(owner[cand], tiebreak[cand])
-        cand = cand[sub]
-    return cand[_last_of_segment(owner[cand])]
+    nxt = cand if tiebreak is None else tiebreak[cand]
+    return cand[segment_best_last(owner[cand], nxt)]

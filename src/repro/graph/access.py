@@ -22,8 +22,8 @@ _work_factor_cache: float | None = None
 
 # Obs-layer counter hook.  When a traced run is active the partitioner
 # installs its SpanTracer here and every bulk adjacency access reports how
-# many edges it decoded (split CSR-gather vs compressed-decode) plus the
-# decode-cache hit/miss deltas.  One None-check per *chunk* when disabled.
+# many edges it decoded (split CSR-gather vs compressed-decode).  One
+# None-check per *chunk* when disabled.
 _tracer = None
 
 
@@ -36,16 +36,6 @@ def install_tracer(tracer) -> None:
 def uninstall_tracer() -> None:
     global _tracer
     _tracer = None
-
-
-def _count_decode(graph, nedges: int) -> None:
-    tr = _tracer
-    if tr is None or nedges == 0:
-        return
-    if hasattr(graph, "indptr"):
-        tr.add("decode.edges_csr", nedges)
-    else:
-        tr.add("decode.edges", nedges)
 
 
 def measured_decode_work_factor(*, refresh: bool = False) -> float:
@@ -126,18 +116,22 @@ def chunk_adjacency(
             e = np.empty(0, dtype=np.int64)
             return e, e, e
         owner = np.repeat(np.arange(len(chunk), dtype=np.int64), degs)
-        # intra-neighborhood offsets: 0..deg-1 per vertex, vectorized
+        # edge e of the chunk sits at starts[owner] + (e - cum[owner])
         cum = np.cumsum(degs) - degs
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(cum, degs)
-        gather = np.repeat(starts, degs) + offsets
+        gather = np.repeat(starts - cum, degs) + np.arange(total, dtype=np.int64)
         if _tracer is not None:
-            _count_decode(graph, total)
-        return owner, graph.adjncy[gather], np.asarray(graph.adjwgt)[gather]
+            _tracer.add("decode.edges_csr", total)
+        wgts = np.asarray(graph.adjwgt)
+        # an unweighted graph's 8-byte broadcast view is handed through as one
+        if wgts.strides == (0,):
+            wgts = np.broadcast_to(wgts[:1], total)
+        else:
+            wgts = wgts[gather]
+        return owner, graph.adjncy[gather], wgts
     if hasattr(graph, "decode_chunk"):  # compressed graph: bulk decode
-        if _tracer is None:
-            return graph.decode_chunk(chunk)
         out = graph.decode_chunk(chunk)
-        _count_decode(graph, len(out[0]))
+        if _tracer is not None and len(out[0]):
+            _tracer.add("decode.edges", len(out[0]))
         return out
     raise TypeError(
         "chunk_adjacency needs a CSRGraph or a CompressedGraph, got "
@@ -195,13 +189,23 @@ def segment_reduce_ratings(
         e = np.empty(0, dtype=np.int64)
         return e, e, e
     key = owner * np.int64(id_space) + clusters
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    w_s = weights[order]
-    boundary = tracked_empty(len(key_s), bool, name="rating-segment-bounds")
-    boundary[0] = True
-    boundary[1:] = key_s[1:] != key_s[:-1]
-    starts = np.flatnonzero(boundary)
-    ratings = np.add.reduceat(w_s, starts)
-    pair_key = key_s[starts]
-    return pair_key // id_space, pair_key % id_space, ratings
+    # Only the sorted keys and the per-key integer sums leave this function,
+    # so the sort need not be stable: equal keys are summed, whichever order
+    # the sort (SIMD or introsort, by CPU dispatch) leaves them in.
+    constant = weights.strides == (0,)  # broadcast view, e.g. unit weights
+    if constant:
+        key.sort()
+    else:
+        order = np.argsort(key)
+        key = key[order]
+    boundary = tracked_empty(len(key) + 1, bool, name="rating-segment-bounds")
+    boundary[0] = boundary[-1] = True
+    boundary[1:-1] = key[1:] != key[:-1]
+    edges = np.flatnonzero(boundary)  # every run's start, then len(key)
+    if constant:  # ratings are run lengths
+        ratings = (edges[1:] - edges[:-1]) * weights[0]
+    else:
+        ratings = np.add.reduceat(weights[order], edges[:-1])
+    pair_key = key[edges[:-1]]
+    pair_owner = pair_key // id_space
+    return pair_owner, pair_key - pair_owner * id_space, ratings

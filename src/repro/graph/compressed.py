@@ -238,8 +238,7 @@ def _decode_block_bulk(
             lefts = np.cumsum(gaps)
             total = int(lengths.sum())
             cum = np.cumsum(lengths) - lengths
-            intra = np.arange(total, dtype=np.int64) - np.repeat(cum, lengths)
-            nbrs[:total] = np.repeat(lefts, lengths) + intra
+            nbrs[:total] = np.repeat(lefts - cum, lengths) + np.arange(total)
             idx = total
     n_res = count - idx
     if n_res:
@@ -468,44 +467,29 @@ class CompressedGraph:
     def _decode_chunk_impl(
         self, chunk: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        degs = self.degrees[chunk] if len(chunk) else np.empty(0, dtype=np.int64)
+        C = len(chunk)
+        degs = self.degrees[chunk] if C else np.empty(0, dtype=np.int64)
         total = int(degs.sum())
         if total == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
-        owner = np.repeat(np.arange(len(chunk), dtype=np.int64), degs)
-        hd = degs > self.config.high_degree_threshold
-        if not hd.any():
-            nbrs, wgts = self._decode_chunk_simple(chunk, degs)
-            if wgts is None:
-                wgts = _ones_like_view(total)
-            return owner, nbrs, wgts
-        # splice: bulk-decode the simple vertices, per-vertex the chunked ones
-        seg_start = np.cumsum(degs) - degs
-        nbrs = tracked_empty(total, np.int64, name="decode-chunk-nbrs")
-        wgts = (
-            tracked_empty(total, np.int64, name="decode-chunk-wgts")
-            if self._has_edge_weights
-            else None
-        )
-        simple = np.flatnonzero(~hd)
-        if simple.size:
-            s_deg = degs[simple]
-            s_nbrs, s_wgts = self._decode_chunk_simple(chunk[simple], s_deg)
-            s_total = int(s_deg.sum())
-            intra = np.arange(s_total, dtype=np.int64) - np.repeat(
-                np.cumsum(s_deg) - s_deg, s_deg
-            )
-            tgt = np.repeat(seg_start[simple], s_deg) + intra
-            nbrs[tgt] = s_nbrs
+        owner = np.repeat(np.arange(C, dtype=np.int64), degs)
+        # runs of simple vertices are decoded in bulk; the chunked vertices
+        # between them go through the per-vertex block decoder
+        parts = []
+        a = 0
+        hubs = np.flatnonzero(degs > self.config.high_degree_threshold).tolist()
+        for h in [*hubs, C]:
+            if h > a:
+                parts.append(self._decode_chunk_simple(chunk[a:h], degs[a:h]))
+            if h < C:
+                parts.append(self._decode(int(chunk[h])))
+            a = h + 1
+        nbrs, wgts = parts[0]
+        if len(parts) > 1:
+            nbrs = np.concatenate([p[0] for p in parts])
             if wgts is not None:
-                wgts[tgt] = s_wgts
-        for i in np.flatnonzero(hd).tolist():
-            nv, wv = self._decode(int(chunk[i]))
-            lo = int(seg_start[i])
-            nbrs[lo : lo + len(nv)] = nv
-            if wgts is not None:
-                wgts[lo : lo + len(nv)] = wv
+                wgts = np.concatenate([p[1] for p in parts])
         if wgts is None:
             wgts = _ones_like_view(total)
         return owner, nbrs, wgts
@@ -518,120 +502,120 @@ class CompressedGraph:
         One byte gather, one terminator mask, one VarInt assembly over the
         whole region; then the interval/residual/weight sub-streams of every
         vertex are located arithmetically and undone with shared segmented
-        cumsums instead of per-vertex loops.
+        cumsums instead of per-vertex loops.  Every segmented index is
+        ``repeat(base - cum, counts) + arange(total)``: one repeat a gather.
         """
-        cfg = self.config
         weighted = self._has_edge_weights
         C = len(chunk)
         total = int(degs.sum())
-        data = self._data_u8
         byte_start = self.offsets[chunk]
         byte_len = self.offsets[chunk + 1] - byte_start
         tot_b = int(byte_len.sum())
         gstart = np.cumsum(byte_len) - byte_len
         if C and int(chunk[-1] - chunk[0]) == C - 1 and np.all(np.diff(chunk) == 1):
-            block = data[int(byte_start[0]) : int(byte_start[0]) + tot_b]
+            block = self._data_u8[int(byte_start[0]) : int(byte_start[0]) + tot_b]
         else:
             gather = np.repeat(byte_start - gstart, byte_len) + np.arange(
                 tot_b, dtype=np.int64
             )
-            block = data[gather]
+            block = self._data_u8[gather]
         vals, vstarts = decode_region_bulk(block)
         nvals = len(vals)
         first_val = np.searchsorted(vstarts, gstart)
         if not np.array_equal(vstarts[np.minimum(first_val, nvals - 1)], gstart):
             raise ValueError("neighborhood boundary not on a varint boundary")
+        end_val = np.append(first_val[1:], nvals)  # one past a vertex's values
         has_body = degs > 0
 
         # interval section: count, per-interval (left, length) undo
         L = tracked_zeros(C, np.int64, name="decode-simple-scratch")
+        res_base = first_val + 1
         totI = 0
-        if cfg.enable_intervals:
-            nI = np.where(
-                has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0
-            )
+        if self.config.enable_intervals:
+            nI = np.where(has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0)
+            res_base += has_body + 2 * nI
+            # a corrupt count must not reach past the vertex's own values
+            if np.any(res_base > end_val):
+                raise ValueError("interval count past neighborhood (corrupt stream?)")
             totI = int(nI.sum())
-        else:
-            nI = tracked_zeros(C, np.int64, name="decode-simple-scratch")
         if totI:
+            hasI = nI > 0
             cumI = np.cumsum(nI) - nI
-            intraI = np.arange(totI, dtype=np.int64) - np.repeat(cumI, nI)
-            slot = np.repeat(first_val + 2, nI) + 2 * intraI
+            slot = np.repeat(first_val + 2 - 2 * cumI, nI) + 2 * np.arange(
+                totI, dtype=np.int64
+            )
             raw_gap = vals[slot]
             ilen = vals[slot + 1] + MIN_INTERVAL_LEN
             # index of each vertex's first interval entry (vertices w/ nI>0)
-            fidx = cumI[nI > 0]
+            fidx = cumI[hasI]
             adj = raw_gap.copy()
             adj[1:] += ilen[:-1]
-            adj[fidx] = chunk[nI > 0] + zigzag_decode(raw_gap[fidx])
+            adj[fidx] = chunk[hasI] + zigzag_decode(raw_gap[fidx])
             csum = np.cumsum(adj)
             seg_base = csum[fidx] - adj[fidx]
-            lefts = csum - np.repeat(seg_base, nI[nI > 0])
-            L = np.bincount(
-                np.repeat(np.arange(C, dtype=np.int64), nI),
-                weights=ilen,
-                minlength=C,
-            ).astype(np.int64)
+            lefts = csum - np.repeat(seg_base, nI[hasI])
+            L[hasI] = np.add.reduceat(ilen, fidx)
 
         # residual section: u-relative signed first value, then +1 gaps
         n_res = degs - L
         if np.any(n_res < 0):
             raise ValueError("interval lengths exceed degree (corrupt stream?)")
-        totR = int(n_res.sum())
-        if cfg.enable_intervals:
-            res_base = first_val + 2 + 2 * nI
-        else:
-            res_base = first_val + 1
+        if not np.array_equal(res_base + n_res + (degs if weighted else 0), end_val):
+            raise ValueError("neighborhood value count mismatch (corrupt stream?)")
+        totR = total - int(L.sum())
         if totR:
+            hasR = n_res > 0
             cumR = np.cumsum(n_res) - n_res
-            intraR = np.arange(totR, dtype=np.int64) - np.repeat(cumR, n_res)
-            raw = vals[np.repeat(res_base, n_res) + intraR]
-            fidx = cumR[n_res > 0]
+            raw = vals[
+                np.repeat(res_base - cumR, n_res) + np.arange(totR, dtype=np.int64)
+            ]
+            fidx = cumR[hasR]
             adjR = raw + 1
-            adjR[fidx] = chunk[n_res > 0] + zigzag_decode(raw[fidx])
+            adjR[fidx] = chunk[hasR] + zigzag_decode(raw[fidx])
             csum = np.cumsum(adjR)
             seg_base = csum[fidx] - adjR[fidx]
-            res_ids = csum - np.repeat(seg_base, n_res[n_res > 0])
+            res_ids = csum - np.repeat(seg_base, n_res[hasR])
 
         # weight section: signed gap undo against the sorted neighbor order
         wgts = None
         if weighted:
-            w_base = res_base + n_res
             cumD = np.cumsum(degs) - degs
-            intraW = np.arange(total, dtype=np.int64) - np.repeat(cumD, degs)
-            adjW = zigzag_decode(vals[np.repeat(w_base, degs) + intraW])
+            adjW = zigzag_decode(
+                vals[
+                    np.repeat(res_base + n_res - cumD, degs)
+                    + np.arange(total, dtype=np.int64)
+                ]
+            )
             csum = np.cumsum(adjW)
-            fidx = cumD[degs > 0]
+            fidx = cumD[has_body]
             seg_base = csum[fidx] - adjW[fidx]
-            wgts = csum - np.repeat(seg_base, degs[degs > 0])
+            wgts = csum - np.repeat(seg_base, degs[has_body])
 
-        # assemble: merge the (sorted) expanded-interval and residual
-        # streams of each vertex without sorting -- the final rank of an
-        # element is its rank in its own stream plus the number of elements
-        # of the other stream below it, which one searchsorted over
-        # owner-major composite keys yields for all vertices at once.
-        seg_start = np.cumsum(degs) - degs
         if not totI:
             return res_ids if totR else np.empty(0, dtype=np.int64), wgts
-        totE = int(L.sum())
         cumlen = np.cumsum(ilen) - ilen
-        intraE = np.arange(totE, dtype=np.int64) - np.repeat(cumlen, ilen)
-        exp_vals = np.repeat(lefts, ilen) + intraE
+        iota = np.arange(total - totR, dtype=np.int64)
+        exp_vals = np.repeat(lefts - cumlen, ilen) + iota
         if not totR:
             return exp_vals, wgts
+        # assemble: merge the (sorted) interval and residual streams of each
+        # vertex without sorting.  An interval contains no residual, so all
+        # its elements sit above the same number of residuals: one
+        # searchsorted of the interval lefts into the owner-major residual
+        # keys (owner = position in chunk, so keys are globally sorted even
+        # for permuted chunks); the residuals fill the slots left free.
+        stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
+        below = np.searchsorted(
+            np.repeat(stride, n_res) + res_ids, np.repeat(stride, nI) + lefts
+        )
+        slots = np.repeat(below, ilen) + iota
         nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
-        cumL = np.cumsum(L) - L
-        intraV = np.arange(totE, dtype=np.int64) - np.repeat(cumL, L)
-        # owner-major keys (owner = position in chunk, so keys are globally
-        # sorted even for permuted chunks)
-        stride = np.int64(self._n + 1)
-        ownerIdx = np.arange(C, dtype=np.int64)
-        keyA = np.repeat(ownerIdx, L) * stride + exp_vals
-        keyR = np.repeat(ownerIdx, n_res) * stride + res_ids
-        below_A = np.searchsorted(keyR, keyA) - np.repeat(cumR, L)
-        below_R = np.searchsorted(keyA, keyR) - np.repeat(cumL, n_res)
-        nbrs[np.repeat(seg_start, L) + intraV + below_A] = exp_vals
-        nbrs[np.repeat(seg_start, n_res) + intraR + below_R] = res_ids
+        free = tracked_ones(total, bool, name="decode-simple-free")
+        nbrs[slots] = exp_vals
+        free[slots] = False
+        if np.count_nonzero(free) != totR:
+            raise ValueError("intervals overlap (corrupt stream?)")
+        nbrs[free] = res_ids
         return nbrs, wgts
 
     # -- optional decoded-chunk cache -------------------------------------#

@@ -136,6 +136,11 @@ def stream_compressed(
                 lo, hi = int(indptr[a]), int(indptr[b])
                 f.seek(adj_start + 8 * lo)
                 adj = _read_int64(f, hi - lo)
+                if hi > lo and not (0 <= adj.min() and adj.max() < n):
+                    bad = adj[(adj < 0) | (adj >= n)][0]
+                    raise ValueError(
+                        f"adjncy contains out-of-range vertex ID {bad} (n={n})"
+                    )
                 wgt = None
                 if ew:
                     f.seek(wgt_start + 8 * lo)

@@ -89,6 +89,59 @@ class TestSegmentReduce:
         _, _, pr = segment_reduce_ratings(owner, clusters, weights, 30)
         assert pr.sum() == weights.sum()
 
+    @staticmethod
+    def _edges(seed, m=400):
+        rng = np.random.default_rng(seed)
+        owner = np.sort(rng.integers(0, 9, size=m))
+        return owner, rng.integers(0, 25, size=m), rng
+
+    @staticmethod
+    def _reference(owner, clusters, weights):
+        """One rating map per owner, filled edge by edge."""
+        maps: dict[tuple[int, int], int] = {}
+        for o, c, w in zip(owner.tolist(), clusters.tolist(), weights.tolist()):
+            maps[(o, c)] = maps.get((o, c), 0) + w
+        keys = sorted(maps)
+        return [k[0] for k in keys], [k[1] for k in keys], [maps[k] for k in keys]
+
+    def test_constant_weight_views_match_materialised_weights(self):
+        """The sort-only route (a stride-0 view: run lengths times the
+        constant) and the general route return identical triples."""
+        for seed in range(10):
+            owner, clusters, rng = self._edges(seed)
+            m = len(owner)
+            unit = np.broadcast_to(np.ones(1, dtype=np.int64), m)
+            seven = np.broadcast_to(np.full(1, 7, dtype=np.int64), m)
+            real = rng.integers(1, 9, size=m)
+            assert unit.strides == seven.strides == (0,)
+            for weights in (unit, np.ones(m, dtype=np.int64), seven, real):
+                got = segment_reduce_ratings(owner, clusters, weights, 25)
+                assert all(a.dtype == np.int64 for a in got)
+                ref = self._reference(owner, clusters, weights)
+                assert [a.tolist() for a in got] == list(ref), seed
+
+    def test_invariant_under_input_permutation(self):
+        """Only sorted keys and per-key integer sums are returned, so the
+        result cannot depend on the order equal keys are sorted in -- what
+        makes an unstable (CPU-dispatched) sort safe."""
+        for seed in range(10):
+            owner, clusters, rng = self._edges(seed)
+            weights = rng.integers(1, 9, size=len(owner))
+            ref = segment_reduce_ratings(owner, clusters, weights, 25)
+            perm = rng.permutation(len(owner))
+            got = segment_reduce_ratings(
+                owner[perm], clusters[perm], weights[perm], 25
+            )
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), seed
+
+    def test_csr_chunk_hands_the_unit_view_through(self, web_graph):
+        """An unweighted CSR graph's edge weights stay an 8-byte view."""
+        chunk = np.arange(0, web_graph.n, 5, dtype=np.int64)
+        owner, _, wgts = chunk_adjacency(web_graph, chunk)
+        assert wgts.strides == (0,) and len(wgts) == len(owner)
+        assert np.all(wgts == 1)
+
 
 class TestTraversalCost:
     def test_csr_cost(self, grid_graph):

@@ -8,6 +8,8 @@ neighborhoods -- for every chunk shape LP's scheduler can produce.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,126 @@ class TestDecodeChunk:
     def test_decompress_roundtrip_uses_bulk(self, family_graph):
         cg = compress_graph(family_graph)
         assert graphs_equal(decompress_graph(cg), family_graph)
+
+
+def _upper_edges(g):
+    """The ``(u, v)`` rows with ``u < v`` of a CSR graph."""
+    src = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+    keep = src < g.adjncy
+    return np.stack([src[keep], g.adjncy[keep]], axis=1)
+
+
+@functools.cache
+def _stream_cases():
+    """One graph per shape of the per-vertex value stream."""
+    web = _upper_edges(gen.weblike(600, 8.0, seed=3))
+    ring = np.arange(200, dtype=np.int64)
+    spread = np.concatenate(  # u ~ u+-2, u+-5: no run of three anywhere
+        [np.stack([ring, (ring + d) % 200], axis=1) for d in (2, 5)]
+    )
+    bicliques = np.array(  # K(4,6) blocks: every neighborhood is one interval
+        [
+            (base + i, base + 4 + j)
+            for base in range(0, 200, 10)
+            for i in range(4)
+            for j in range(6)
+        ],
+        dtype=np.int64,
+    )
+    gapped = web + 10 * (web // 50)  # ten isolated vertices after every fifty
+    hub = np.concatenate(
+        [web, np.stack([np.zeros(300, np.int64), np.arange(1, 600, 2)], axis=1)]
+    )
+    weights = np.random.default_rng(9).integers(1, 1000, size=len(web))
+    return {
+        "no-intervals": (from_edges(200, spread), {}),
+        "only-intervals": (from_edges(200, bicliques), {}),
+        "mixed": (from_edges(600, web), {}),
+        "weighted": (from_edges(600, web, weights), {}),
+        "degree-0": (from_edges(720, gapped), {}),
+        "intervals-off": (from_edges(600, web), {"enable_intervals": False}),
+        "hub-spliced": (
+            from_edges(600, hub),
+            {"high_degree_threshold": 64, "chunk_length": 16},
+        ),
+    }
+
+
+class TestDecodeChunkStreamShapes:
+    """``decode_chunk`` == ``_decode_scalar`` vertex by vertex, on every
+    shape of value stream times every shape of chunk."""
+
+    @pytest.mark.parametrize("case", list(_stream_cases()))
+    def test_matches_scalar(self, case):
+        graph, kw = _stream_cases()[case]
+        cg = compress_graph(graph, **kw)
+        stats = cg.stats
+        if case == "no-intervals":
+            assert stats.num_intervals == 0
+        elif case == "only-intervals":
+            assert stats.num_interval_edges == cg.num_directed_edges
+        elif case == "mixed":
+            assert 0 < stats.num_interval_edges < cg.num_directed_edges
+        elif case == "degree-0":
+            assert stats.num_intervals and np.count_nonzero(cg.degrees == 0) >= 100
+        elif case == "hub-spliced":
+            assert stats.num_chunked_vertices >= 1
+        rng = np.random.default_rng(0)
+        n = cg.n
+        chunks = [
+            rng.permutation(n)[: n // 2].astype(np.int64),  # permuted
+            np.arange(n // 4, 3 * n // 4, dtype=np.int64),  # contiguous
+            np.array([int(np.argmax(cg.degrees))], dtype=np.int64),  # single
+            np.array([n - 1], dtype=np.int64),
+            np.empty(0, dtype=np.int64),  # empty
+        ]
+        for chunk in chunks:
+            _assert_chunk_matches_scalar(cg, chunk)
+
+
+def _flip_one_bit(cg, rng):
+    data = bytearray(cg.data)
+    data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+    return type(cg)(
+        cg.n,
+        cg.num_directed_edges,
+        cg.offsets,
+        bytes(data),
+        None,
+        has_edge_weights=cg.has_edge_weights,
+        config=cg.config,
+        stats=cg.stats,
+    )
+
+
+class TestCorruptStream:
+    """A damaged byte stream is refused with ``ValueError`` or decodes to
+    arrays of the right length; it never escapes as an ``IndexError`` from a
+    gather (ROADMAP 5(a))."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_single_byte_mutations(self, weighted):
+        g = gen.weblike(2000, 8.0, seed=1)
+        if weighted:
+            edges = _upper_edges(g)
+            w = np.random.default_rng(5).integers(1, 50, size=len(edges))
+            g = from_edges(g.n, edges, w)
+        cg = compress_graph(g)
+        rng = np.random.default_rng(1)
+        permuted = np.random.default_rng(0).permutation(g.n)[:512].astype(np.int64)
+        outcomes = {"refused": 0, "decoded": 0}
+        for _ in range(300):
+            bad = _flip_one_bit(cg, rng)
+            for chunk in (permuted, np.arange(g.n, dtype=np.int64)):
+                try:
+                    owner, nbrs, wgts = bad.decode_chunk(chunk)
+                except ValueError:
+                    outcomes["refused"] += 1
+                    continue
+                total = int(bad.degrees[chunk].sum())
+                assert len(owner) == len(nbrs) == len(wgts) == total
+                outcomes["decoded"] += 1
+        assert outcomes["refused"] > 20 and outcomes["decoded"] > 20
 
 
 class TestDecodeCache:

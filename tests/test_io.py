@@ -94,6 +94,24 @@ class TestHostileFiles:
         with pytest.raises(ValueError, match="decreasing"):
             load(path)
 
+    @pytest.mark.parametrize("load", LOADERS)
+    @pytest.mark.parametrize("bad", [5, -3], ids=["above-n", "negative"])
+    def test_out_of_range_neighbour_rejected(self, tmp_path, web_graph, load, bad):
+        """A neighbour id of n + 5 or -3 must not reach the encoder: decoded,
+        it would be used as an index by label propagation."""
+        n = web_graph.n
+        path = tmp_path / "g.bin"
+        write_binary(web_graph, path)
+        raw = bytearray(path.read_bytes())
+        adjncy = np.frombuffer(
+            raw, dtype=np.int64, count=len(web_graph.adjncy), offset=32 + 8 * (n + 1)
+        )
+        assert np.array_equal(adjncy, web_graph.adjncy)
+        adjncy[len(adjncy) // 2] = bad if bad < 0 else n + bad
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="out-of-range vertex ID"):
+            load(path)
+
 
 class TestStreamCompressed:
     def test_streaming_matches_in_memory_compression(self, tmp_path, web_graph):

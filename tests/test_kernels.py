@@ -110,6 +110,44 @@ class TestSegmentBestLast:
             got = segment_best_last(owner, rank, tiebreak=tb)
             assert np.array_equal(got, brute_best(owner, rank, tb)), seed
 
+    # The packed route ((rank << bits) + position, one maximum.reduceat) and
+    # the general candidate route must be the same function: ranks inside
+    # +-2^(62 - bits) take the first, anything wider (2^61 edge weights) or a
+    # tiebreak takes the second.
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0, 1 << 20),  # LP ranks: packed
+            (-(1 << 40), 0),  # balancer affinities below zero: packed
+            (-(1 << 61), 1 << 61),  # too wide for the spare bits: general
+        ],
+        ids=["packed", "packed-negative", "overflow-general"],
+    )
+    @pytest.mark.parametrize("with_tb", [False, True])
+    def test_routes_agree_with_bruteforce(self, lo, hi, with_tb):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(1, 200))
+            owner = np.sort(rng.integers(0, 12, size=m))
+            # few distinct values, so ties (latest position wins) are common
+            rank = rng.choice(rng.integers(lo, hi, size=4, endpoint=True), size=m)
+            tb = rng.integers(-3, 3, size=m) if with_tb else None
+            got = segment_best_last(owner, rank, tiebreak=tb)
+            assert np.array_equal(got, brute_best(owner, rank, tb)), seed
+
+    def test_packed_boundary_is_exact(self):
+        """Ranks at the last value that fits and the first that does not."""
+        owner = np.array([0, 0, 0, 1, 1, 1], dtype=np.int64)
+        bits = len(owner).bit_length()
+        limit = 1 << (62 - bits)
+        for top in (limit - 1, limit, -limit, -limit - 1):
+            rank = np.array([top, 0, top, 0, top, top], dtype=np.int64)
+            assert np.array_equal(
+                segment_best_last(owner, rank), brute_best(owner, rank)
+            ), top
+        extreme = np.array([2**61, -(2**61), 2**61, -(2**61), 0, 0])
+        assert segment_best_last(owner, extreme).tolist() == [2, 5]
+
     def test_unsorted_owner_rejected(self):
         with pytest.raises(AssertionError):
             segment_best_last(np.array([5, 0]), np.array([1, 2]))

@@ -52,6 +52,37 @@ def test_compressed_traversal_within_envelope():
     )
 
 
+# The interval and residual streams of a chunk are merged by interval, not by
+# edge: one binary search per vertex (locating its values in the decoded
+# region) and one per interval (the residuals below its left end); expanded
+# interval elements inherit their interval's answer and the residuals fill
+# the slots left free.  The parent searched once per edge as well (expanded
+# elements into residual keys, residuals back into expanded keys): 110 218
+# queries here, vertices + directed edges, against 15 506 now.
+def test_decode_merges_by_interval_not_by_edge(monkeypatch):
+    g = weblike(10_000, avg_degree=10, seed=42)
+    cg = compress_graph(g)
+    order = np.random.default_rng(0).permutation(g.n).astype(np.int64)
+    queries = 0
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        nonlocal queries
+        queries += np.size(v)
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    edges = sum(len(cg.decode_chunk(c)[1]) for c in np.array_split(order, 16))
+    monkeypatch.undo()
+    assert edges == cg.num_directed_edges
+    assert 0 < cg.stats.num_intervals < edges // 4
+    assert 0 < queries <= g.n + cg.stats.num_intervals, (
+        f"{queries} searchsorted queries for {g.n} vertices, "
+        f"{cg.stats.num_intervals} intervals and {edges} directed edges; "
+        f"did a change bring back the edge-sized interval/residual merge?"
+    )
+
+
 # Initial partitioning does work in proportion to what can still improve:
 # 2-way FM seeds its queue from the boundary and stops by the adaptive rule,
 # and no loop re-pushes an entry it popped stale (the update that changed
