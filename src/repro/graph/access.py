@@ -41,13 +41,14 @@ def uninstall_tracer() -> None:
 def measured_decode_work_factor(*, refresh: bool = False) -> float:
     """Per-edge work factor of compressed chunk traversal relative to CSR.
 
-    Times the vectorized bulk decode against the raw CSR gather on a fixed
-    weblike instance (best-of-5 to damp scheduler noise) and caches the
-    ratio for the process.  The probe uses chunks of ~1000 vertices -- the
-    scale LP actually traverses -- so the ratio reflects per-edge work, not
-    per-call fixed overhead.  Clamped to ``[1.05, 8.0]`` so cost-model
-    figures stay sane on noisy machines; the fallback 1.3 (the paper's ~6%
-    overhead plus interpreter slack) is used only if measurement fails.
+    Times the chunk decode (compiled kernel or numpy, whichever this process
+    runs) against the raw CSR gather on a fixed weblike instance (best-of-5
+    to damp scheduler noise) and caches the ratio for the process.  The
+    probe uses chunks of ~1000 vertices -- the scale LP actually traverses
+    -- so the ratio reflects per-edge work, not per-call fixed overhead.
+    Clamped to ``[1.05, 8.0]`` so cost-model figures stay sane on noisy
+    machines; the fallback 1.3 (the paper's ~6% overhead plus interpreter
+    slack) is used only if measurement fails.
     """
     global _work_factor_cache
     if _work_factor_cache is not None and not refresh:
@@ -55,9 +56,11 @@ def measured_decode_work_factor(*, refresh: bool = False) -> float:
     try:
         import time
 
+        from repro.graph._native import decode_kernel
         from repro.graph.compressed import compress_graph
         from repro.graph.generators import weblike
 
+        decode_kernel()  # a first-use compile belongs outside the timed loops
         g = weblike(8000, avg_degree=10, seed=1)
         cg = compress_graph(g)
         chunks = np.array_split(np.arange(g.n, dtype=np.int64), 8)

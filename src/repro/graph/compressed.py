@@ -29,10 +29,12 @@ Like CSR, per-vertex byte offsets into the edge array are kept in an
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.graph import _native
 from repro.graph.csr import CSRGraph, _ones_like_view
 from repro.graph.varint import (
     as_byte_array,
@@ -293,6 +295,7 @@ class CompressedGraph:
         self._data_u8 = as_byte_array(data)
         self._first_edge_ids: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
+        self._byte_ranges_checked = False
         self._decode_cache: _DecodedPageCache | None = None
 
     # -- basic properties ------------------------------------------------ #
@@ -454,10 +457,12 @@ class CompressedGraph:
         """Flattened adjacency ``(owner, neighbors, weights)`` of a vertex chunk.
 
         ``owner[i]`` is the index within ``chunk`` of the vertex owning edge
-        ``i``.  Decodes all non-chunked neighborhoods of the chunk in a few
-        numpy passes over the gathered byte region (see
-        :meth:`_decode_chunk_simple`); high-degree chunked vertices fall back
-        to the per-vertex block decoder and are spliced in.
+        ``i``.  All non-chunked neighborhoods of the chunk are decoded by the
+        compiled kernel when :mod:`repro.graph._native` could load it, else
+        in a few numpy passes over the gathered byte region
+        (:meth:`_decode_chunk_simple`, which tests keep as the oracle: same
+        arrays, same refusals).  High-degree chunked vertices go through the
+        per-vertex block decoder and are spliced in on either path.
         """
         chunk = np.asarray(chunk, dtype=np.int64)
         if self._decode_cache is not None:
@@ -467,12 +472,78 @@ class CompressedGraph:
     def _decode_chunk_impl(
         self, chunk: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        C = len(chunk)
-        degs = self.degrees[chunk] if C else np.empty(0, dtype=np.int64)
+        if not self._byte_ranges_checked:
+            self._check_byte_ranges()
+        degs = self.degrees[chunk] if len(chunk) else np.empty(0, dtype=np.int64)
+        if len(chunk) and int(degs.min()) < 0:
+            raise ValueError("negative degree (corrupt header?)")
         total = int(degs.sum())
         if total == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
+        kernel = _native.decode_kernel()
+        if kernel is None:
+            return self._decode_chunk_oracle(chunk, degs, total)
+        return self._decode_chunk_native(kernel, chunk, degs, total)
+
+    def _check_byte_ranges(self) -> None:
+        """Once per graph: every ``[offsets[u], offsets[u+1])`` lies in the data."""
+        off, data = self.offsets, self._data_u8
+        if (
+            len(off) != self._n + 1
+            or int(off[0]) < 0
+            or int(off[-1]) != len(data)
+            or bool(np.any(off[1:] < off[:-1]))
+        ):
+            raise ValueError("byte offsets do not tile the data (corrupt graph?)")
+        if off.dtype != np.int64 or not (off.flags.c_contiguous and data.flags.c_contiguous):
+            raise ValueError("offsets must be contiguous int64, data contiguous bytes")
+        self._byte_ranges_checked = True
+
+    def _decode_chunk_native(
+        self, kernel, chunk: np.ndarray, degs: np.ndarray, total: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One call into ``decode_kernel.c``, whose header states the contract:
+        reads stay inside a vertex's byte range, writes inside its ``deg``
+        output slots, a bad stream comes back as an error code."""
+        hub_deg = self.config.high_degree_threshold
+        max_deg = int(degs.max())
+        chunk = np.ascontiguousarray(chunk)
+        owner = tracked_empty(total, np.int64, name="decode-native-owner")
+        nbrs = tracked_empty(total, np.int64, name="decode-native-nbrs")
+        wgts = None
+        if self._has_edge_weights:
+            wgts = tracked_empty(total, np.int64, name="decode-native-wgts")
+        # one vertex's (left, length) interval pairs, each >= MIN_INTERVAL_LEN long
+        pairs = tracked_empty(
+            2 * (min(max_deg, hub_deg) // MIN_INTERVAL_LEN), name="decode-native-intervals"
+        )
+        bad = ctypes.c_int64()
+        rc = kernel(
+            self._data_u8.ctypes.data, len(self._data_u8), self.offsets.ctypes.data, self._n,
+            chunk.ctypes.data, degs.ctypes.data, len(chunk), hub_deg, self.config.enable_intervals,
+            owner.ctypes.data, nbrs.ctypes.data, None if wgts is None else wgts.ctypes.data, total,
+            pairs.ctypes.data, len(pairs), ctypes.byref(bad),
+        )  # fmt: skip
+        if rc:
+            vertex = int(chunk[bad.value])
+            raise ValueError(f"{_native.ERRORS[rc]} at vertex {vertex} (corrupt stream?)")
+        if max_deg > hub_deg:
+            first = np.cumsum(degs) - degs
+            for h in np.flatnonzero(degs > hub_deg).tolist():
+                lo, hi = int(first[h]), int(first[h] + degs[h])
+                hub_nbrs, hub_wgts = self._decode(int(chunk[h]))
+                nbrs[lo:hi] = hub_nbrs
+                if wgts is not None:
+                    wgts[lo:hi] = hub_wgts
+        if wgts is None:
+            wgts = _ones_like_view(total)
+        return owner, nbrs, wgts
+
+    def _decode_chunk_oracle(
+        self, chunk: np.ndarray, degs: np.ndarray, total: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        C = len(chunk)
         owner = np.repeat(np.arange(C, dtype=np.int64), degs)
         # runs of simple vertices are decoded in bulk; the chunked vertices
         # between them go through the per-vertex block decoder
@@ -522,7 +593,9 @@ class CompressedGraph:
         vals, vstarts = decode_region_bulk(block)
         nvals = len(vals)
         first_val = np.searchsorted(vstarts, gstart)
-        if not np.array_equal(vstarts[np.minimum(first_val, nvals - 1)], gstart):
+        if not nvals or not np.array_equal(
+            vstarts[np.minimum(first_val, nvals - 1)], gstart
+        ):
             raise ValueError("neighborhood boundary not on a varint boundary")
         end_val = np.append(first_val[1:], nvals)  # one past a vertex's values
         has_body = degs > 0
@@ -533,10 +606,10 @@ class CompressedGraph:
         totI = 0
         if self.config.enable_intervals:
             nI = np.where(has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0)
-            res_base += has_body + 2 * nI
             # a corrupt count must not reach past the vertex's own values
-            if np.any(res_base > end_val):
+            if np.any(nI > (end_val - res_base - has_body) // 2):
                 raise ValueError("interval count past neighborhood (corrupt stream?)")
+            res_base += has_body + 2 * nI
             totI = int(nI.sum())
         if totI:
             hasI = nI > 0
@@ -545,7 +618,10 @@ class CompressedGraph:
                 totI, dtype=np.int64
             )
             raw_gap = vals[slot]
-            ilen = vals[slot + 1] + MIN_INTERVAL_LEN
+            ilen = vals[slot + 1]
+            if int(ilen.max()) > int(degs.max()):  # also keeps the sums below exact
+                raise ValueError("interval lengths exceed degree (corrupt stream?)")
+            ilen += MIN_INTERVAL_LEN
             # index of each vertex's first interval entry (vertices w/ nI>0)
             fidx = cumI[hasI]
             adj = raw_gap.copy()
@@ -575,6 +651,10 @@ class CompressedGraph:
             csum = np.cumsum(adjR)
             seg_base = csum[fidx] - adjR[fidx]
             res_ids = csum - np.repeat(seg_base, n_res[hasR])
+            if int(res_ids.min()) < 0 or int(res_ids.max()) >= self._n:
+                raise ValueError("neighbor id out of range (corrupt stream?)")
+        if totI and (int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n):
+            raise ValueError("neighbor id out of range (corrupt stream?)")
 
         # weight section: signed gap undo against the sorted neighbor order
         wgts = None
@@ -605,9 +685,11 @@ class CompressedGraph:
         # keys (owner = position in chunk, so keys are globally sorted even
         # for permuted chunks); the residuals fill the slots left free.
         stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
-        below = np.searchsorted(
-            np.repeat(stride, n_res) + res_ids, np.repeat(stride, nI) + lefts
-        )
+        res_keys = np.repeat(stride, n_res) + res_ids
+        iv_keys = np.repeat(stride, nI) + lefts
+        below = np.searchsorted(res_keys, iv_keys)
+        if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
+            raise ValueError("interval contains a residual (corrupt stream?)")
         slots = np.repeat(below, ilen) + iota
         nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
         free = tracked_ones(total, bool, name="decode-simple-free")

@@ -211,6 +211,8 @@ def _decode_spans(block_u8, starts, lengths) -> np.ndarray:
         for i in np.flatnonzero(lengths > _MAX_VECTOR_BYTES).tolist():
             s = int(starts[i])
             v, _ = decode_varint(bytes(block_u8[s : s + MAX_VARINT64_BYTES]), 0)
+            if v >> 63:
+                raise ValueError("varint too long (corrupt stream?)")
             values[i] = v
     return values
 

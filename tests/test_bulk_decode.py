@@ -15,10 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, full_adjacency
 from repro.graph.builder import from_edges
-from repro.graph.compressed import compress_graph, decompress_graph
+from repro.graph.compressed import (
+    CompressedGraph,
+    CompressionConfig,
+    CompressionStats,
+    compress_graph,
+    decompress_graph,
+)
 from repro.graph.varint import (
     decode_region_bulk,
     decode_signed_varint,
@@ -29,6 +36,8 @@ from repro.graph.varint import (
     encode_varint,
     zigzag_decode,
 )
+from repro.memory import scratch
+from repro.memory.tracker import MemoryTracker
 
 from conftest import graphs_equal
 
@@ -107,6 +116,29 @@ class TestStreamBulk:
         for i, v in enumerate(values):
             ref, pos = decode_signed_varint(bytes(buf), pos)
             assert ref == v == got[i]
+
+
+NO_KERNEL = "no compiled decode kernel (no C compiler, or REPRO_NATIVE=0)"
+needs_kernel = pytest.mark.skipif(not _native.available(), reason=NO_KERNEL)
+
+
+def _select_decoder(which, monkeypatch):
+    """Pin ``decode_chunk`` to the compiled kernel or to the numpy oracle."""
+    if which == "oracle":
+        monkeypatch.setattr(_native, "decode_kernel", lambda: None)
+    elif not _native.available():
+        pytest.skip(NO_KERNEL)
+
+
+class _OnEachDecoder:
+    """A suite written once and collected twice: the class itself runs on the
+    numpy oracle, its ``...Native`` subclass on the compiled kernel."""
+
+    decoder = "oracle"
+
+    @pytest.fixture(autouse=True)
+    def _pin_decoder(self, monkeypatch):
+        _select_decoder(self.decoder, monkeypatch)
 
 
 def _assert_chunk_matches_scalar(cg, chunk):
@@ -266,7 +298,7 @@ def _stream_cases():
     }
 
 
-class TestDecodeChunkStreamShapes:
+class TestDecodeChunkStreamShapes(_OnEachDecoder):
     """``decode_chunk`` == ``_decode_scalar`` vertex by vertex, on every
     shape of value stream times every shape of chunk."""
 
@@ -298,14 +330,16 @@ class TestDecodeChunkStreamShapes:
             _assert_chunk_matches_scalar(cg, chunk)
 
 
-def _flip_one_bit(cg, rng):
-    data = bytearray(cg.data)
-    data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
-    return type(cg)(
+class TestDecodeChunkStreamShapesNative(TestDecodeChunkStreamShapes):
+    decoder = "native"
+
+
+def _clone(cg, *, data=None, offsets=None):
+    return CompressedGraph(
         cg.n,
         cg.num_directed_edges,
-        cg.offsets,
-        bytes(data),
+        cg.offsets if offsets is None else offsets,
+        cg.data if data is None else bytes(data),
         None,
         has_edge_weights=cg.has_edge_weights,
         config=cg.config,
@@ -313,18 +347,27 @@ def _flip_one_bit(cg, rng):
     )
 
 
-class TestCorruptStream:
+def _flip_one_bit(cg, rng):
+    data = bytearray(cg.data)
+    data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+    return _clone(cg, data=data)
+
+
+def _weighted_weblike(n, seed):
+    g = gen.weblike(n, 8.0, seed=seed)
+    edges = _upper_edges(g)
+    w = np.random.default_rng(5).integers(1, 50, size=len(edges))
+    return from_edges(g.n, edges, w)
+
+
+class TestCorruptStream(_OnEachDecoder):
     """A damaged byte stream is refused with ``ValueError`` or decodes to
     arrays of the right length; it never escapes as an ``IndexError`` from a
     gather (ROADMAP 5(a))."""
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
     def test_single_byte_mutations(self, weighted):
-        g = gen.weblike(2000, 8.0, seed=1)
-        if weighted:
-            edges = _upper_edges(g)
-            w = np.random.default_rng(5).integers(1, 50, size=len(edges))
-            g = from_edges(g.n, edges, w)
+        g = _weighted_weblike(2000, 1) if weighted else gen.weblike(2000, 8.0, seed=1)
         cg = compress_graph(g)
         rng = np.random.default_rng(1)
         permuted = np.random.default_rng(0).permutation(g.n)[:512].astype(np.int64)
@@ -341,6 +384,281 @@ class TestCorruptStream:
                 assert len(owner) == len(nbrs) == len(wgts) == total
                 outcomes["decoded"] += 1
         assert outcomes["refused"] > 20 and outcomes["decoded"] > 20
+
+
+class TestCorruptStreamNative(TestCorruptStream):
+    decoder = "native"
+
+
+def _hand_built(n, u, deg, body):
+    """A unit-weight stream in which only vertex ``u`` has neighbors: ``body``
+    follows its header, and the next header makes its degree ``deg``."""
+    data = bytearray()
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    for v in range(n):
+        offsets[v] = len(data)
+        encode_varint(0 if v <= u else deg, data)  # header: first edge id
+        if v == u:
+            data += body
+    offsets[n] = len(data)
+    return CompressedGraph(
+        n, deg, offsets, bytes(data), None,
+        has_edge_weights=False, config=CompressionConfig(), stats=CompressionStats(),
+    )  # fmt: skip
+
+
+def _body(u, *, intervals=(), residuals=()):
+    """``(degree, bytes)`` of one neighborhood laid out as ``_encode_block``
+    does, without its checks, so ids outside the graph can be written."""
+    out = bytearray()
+    encode_varint(len(intervals), out)
+    prev_end = None
+    for left, length in intervals:
+        if prev_end is None:
+            encode_signed_varint(left - u, out)
+        else:
+            encode_varint(left - prev_end, out)
+        encode_varint(length - 3, out)
+        prev_end = left + length
+    prev = None
+    for v in residuals:
+        if prev is None:
+            encode_signed_varint(v - u, out)
+        else:
+            encode_varint(v - prev - 1, out)
+        prev = v
+    return sum(l for _, l in intervals) + len(residuals), out
+
+
+class TestNeighborRange(_OnEachDecoder):
+    """A decoded id outside ``[0, n)`` is refused, not returned (ROADMAP 5(a))."""
+
+    N, U = 20, 2
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(residuals=(N + 5,)),  # first residual past the last vertex
+            dict(residuals=(-3,)),  # signed first gap lands below zero
+            dict(residuals=(4, N)),  # a later gap walks off the end
+            dict(intervals=((-3, 4),)),
+            dict(intervals=((N - 2, 3),)),
+            dict(intervals=((3, 3), (N - 1, 3)), residuals=(1,)),
+        ],
+        ids=["res-n+5", "res--3", "res-last", "iv-left", "iv-right", "iv-second"],
+    )
+    def test_out_of_range_id_refused(self, shape):
+        cg = _hand_built(self.N, self.U, *_body(self.U, **shape))
+        with pytest.raises(ValueError, match="out of range"):
+            cg.decode_chunk(np.arange(self.N, dtype=np.int64))
+
+    def test_in_range_twin_decodes(self):
+        body = _body(self.U, intervals=((3, 3), (self.N - 3, 3)), residuals=(0, 9))
+        cg = _hand_built(self.N, self.U, *body)
+        owner, nbrs, wgts = cg.decode_chunk(np.arange(self.N, dtype=np.int64))
+        assert nbrs.tolist() == [0, 3, 4, 5, 9, 17, 18, 19]
+        assert owner.tolist() == [self.U] * 8 and wgts.tolist() == [1] * 8
+
+    def test_residual_inside_interval_refused(self):
+        body = _body(self.U, intervals=((5, 3),), residuals=(6,))
+        cg = _hand_built(self.N, self.U, *body)
+        with pytest.raises(ValueError, match="contains a residual"):
+            cg.decode_chunk(np.arange(self.N, dtype=np.int64))
+
+    def test_varint_wider_than_63_bits_refused(self):
+        wide = bytes([0x00]) + bytes([0xFF] * 9) + bytes([0x01])  # nI=0, 2**63 + ...
+        cg = _hand_built(self.N, self.U, 1, wide)
+        with pytest.raises(ValueError, match="too long"):
+            cg.decode_chunk(np.arange(self.N, dtype=np.int64))
+
+
+class TestNeighborRangeNative(TestNeighborRange):
+    decoder = "native"
+
+
+class TestHostileMetadata(_OnEachDecoder):
+    """Metadata the decoder must not follow: ``ValueError``, never a crash."""
+
+    @pytest.fixture()
+    def cg(self):
+        return compress_graph(gen.weblike(300, 6.0, seed=2))
+
+    def test_flipped_header_gives_negative_degree(self, cg):
+        # first edge id of vertex 1 is deg(0) < 64: one byte, bit 6 clear
+        at = int(cg.offsets[1])
+        assert cg.data[at] < 64 and cg.degrees[0] + cg.degrees[1] < 64
+        data = bytearray(cg.data)
+        data[at] ^= 0x40
+        bad = _clone(cg, data=data)
+        assert bad.degrees[1] < 0
+        with pytest.raises(ValueError, match="negative degree"):
+            bad.decode_chunk(np.arange(cg.n, dtype=np.int64))
+
+    def test_non_monotone_offsets(self, cg):
+        offsets = cg.offsets.copy()
+        offsets[[10, 11]] = offsets[[11, 10]]
+        with pytest.raises(ValueError, match="offsets"):
+            _clone(cg, offsets=offsets).decode_chunk(np.arange(cg.n, dtype=np.int64))
+
+    def test_offsets_past_the_data(self, cg):
+        bad = _clone(cg, data=cg.data[: len(cg.data) // 2])
+        with pytest.raises(ValueError):
+            bad.decode_chunk(np.arange(cg.n, dtype=np.int64))
+
+
+class TestHostileMetadataNative(TestHostileMetadata):
+    decoder = "native"
+
+
+def _outcome(cg, chunk, which, monkeypatch):
+    with monkeypatch.context() as m:
+        _select_decoder(which, m)
+        try:
+            return cg.decode_chunk(chunk)
+        except ValueError:
+            return None
+
+
+@needs_kernel
+class TestDecodersAgree:
+    """Differential fuzz: on a damaged stream the compiled kernel and the
+    numpy oracle reach the same outcome -- the same three arrays, or both
+    refuse with ``ValueError``."""
+
+    FLIPS = 1100  # per weighting; two chunks each
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_single_bit_flips(self, weighted, monkeypatch):
+        g = _weighted_weblike(400, 7) if weighted else gen.weblike(400, 8.0, seed=7)
+        cg = compress_graph(g)
+        rng = np.random.default_rng(11)
+        chunks = (
+            np.random.default_rng(0).permutation(g.n)[:128].astype(np.int64),
+            np.arange(100, 300, dtype=np.int64),
+        )
+        refused = decoded = 0
+        for flip in range(self.FLIPS):
+            bad = _flip_one_bit(cg, rng)
+            try:
+                bad.degrees
+            except ValueError:  # a header neither decoder gets to see
+                continue
+            for chunk in chunks:
+                got = _outcome(bad, chunk, "native", monkeypatch)
+                ref = _outcome(bad, chunk, "oracle", monkeypatch)
+                assert (got is None) == (ref is None), (flip, got, ref)
+                if ref is None:
+                    refused += 1
+                    continue
+                decoded += 1
+                for a, b in zip(got, ref):
+                    assert np.array_equal(a, b), flip
+        assert refused > 100 and decoded > 100, (refused, decoded)
+
+
+def _raw_kernel_call(cg, chunk, degs, *, data=None, offsets=None, n=None, short=0):
+    """Call the kernel the way ``_decode_chunk_native`` does, minus the
+    Python-side checks, with canaries around every output buffer."""
+    kernel = _native.decode_kernel()
+    data = cg._data_u8 if data is None else data
+    offsets = cg.offsets if offsets is None else offsets
+    total = int(np.maximum(degs, 0).sum()) - short
+    pad = 64
+    bufs = [np.full(total + 2 * pad, -7, dtype=np.int64) for _ in range(3)]
+    pairs = np.full(2 * (int(max(degs.max(), 0)) // 3) + 2 * pad, -7, dtype=np.int64)
+    bad = np.zeros(1, dtype=np.int64)
+    rc = kernel(
+        data.ctypes.data, len(data), offsets.ctypes.data,
+        cg.n if n is None else n,
+        chunk.ctypes.data, degs.ctypes.data, len(chunk),
+        cg.config.high_degree_threshold, cg.config.enable_intervals,
+        bufs[0][pad:].ctypes.data, bufs[1][pad:].ctypes.data,
+        bufs[2][pad:].ctypes.data if cg.has_edge_weights else None,
+        total, pairs[pad:].ctypes.data, len(pairs) - 2 * pad, bad.ctypes.data,
+    )  # fmt: skip
+    for b in (*bufs, pairs):
+        assert np.all(b[:pad] == -7) and np.all(b[len(b) - pad :] == -7), "canary"
+    return rc
+
+
+@needs_kernel
+class TestKernelContract:
+    """``decode_kernel.c`` defends itself: called without the wrapper's
+    checks it returns an error code and writes nothing outside the slots it
+    was given."""
+
+    @pytest.fixture(scope="class")
+    def cg(self):
+        return compress_graph(_weighted_weblike(400, 3))
+
+    def test_clean_call_fills_exactly_the_slots(self, cg):
+        chunk = np.arange(cg.n, dtype=np.int64)
+        assert _raw_kernel_call(cg, chunk, cg.degrees.copy()) == 0
+
+    def test_hostile_arguments_return_metadata_error(self, cg):
+        chunk = np.arange(50, dtype=np.int64)
+        degs = cg.degrees[chunk]
+        swapped = cg.offsets.copy()
+        swapped[[10, 11]] = swapped[[11, 10]]
+        negative = degs.copy()
+        negative[7] = -5
+        # a vertex whose byte range borrows its neighbor's: read, and refused
+        assert _raw_kernel_call(cg, chunk, degs, offsets=swapped) < 0
+        for kw, c, d in (
+            (dict(offsets=cg.offsets + len(cg.data)), chunk, degs),
+            (dict(offsets=cg.offsets - 10**9), chunk, degs),
+            (dict(data=cg._data_u8[: len(cg.data) // 8]), chunk + 300, cg.degrees[chunk + 300]),
+            ({}, chunk, negative),
+            (dict(short=1), chunk, degs),  # fewer slots handed over than asked for
+            (dict(short=-1), chunk, degs),
+            ({}, np.array([cg.n], dtype=np.int64), np.array([3], dtype=np.int64)),
+            ({}, np.array([-1], dtype=np.int64), np.array([3], dtype=np.int64)),
+        ):
+            assert _raw_kernel_call(cg, c, d, **kw) == -7
+
+    def test_wrong_degrees_never_write_outside_their_slots(self, cg):
+        """Degrees that disagree with the stream (what a flipped header
+        produces) plus flipped bytes: any return code, canaries intact."""
+        rng = np.random.default_rng(4)
+        chunk = rng.permutation(cg.n)[:200].astype(np.int64)
+        codes = set()
+        for _ in range(300):
+            data = np.frombuffer(cg.data, dtype=np.uint8).copy()
+            data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+            degs = cg.degrees[chunk] + rng.integers(-1, 3, size=len(chunk)) * (
+                rng.random(len(chunk)) < 0.02
+            )
+            codes.add(_raw_kernel_call(cg, chunk, np.maximum(degs, 0), data=data))
+        assert codes <= set(_native.ERRORS) | {0} and len(codes) >= 4, codes
+
+
+@needs_kernel
+def test_native_scratch_charge_is_at_most_the_oracles(monkeypatch):
+    """With ``obs.track_scratch`` on, the ledger sees what the compiled path
+    allocates per chunk: owner + neighbors + one interval buffer of at most
+    max-degree slots -- no more than the oracle's tracked temporaries."""
+    cg = compress_graph(gen.weblike(10_000, 10, seed=42))
+    cg.degrees  # the per-graph cache is not per-chunk scratch
+    order = np.random.default_rng(0).permutation(cg.n).astype(np.int64)
+
+    def charged(chunk, which):
+        tracker = MemoryTracker()
+        scratch.install_ledger(tracker)
+        try:
+            with monkeypatch.context() as m:
+                _select_decoder(which, m)
+                out = cg.decode_chunk(chunk)
+        finally:
+            scratch.uninstall_ledger()
+        assert tracker.breakdown().keys() <= {"scratch"}
+        return tracker.peak_bytes, len(out[1])
+
+    for chunk in np.array_split(order, 16):
+        native, total = charged(chunk, "native")
+        oracle, _ = charged(chunk, "oracle")
+        max_deg = int(cg.degrees[chunk].max())
+        assert native == 8 * (2 * total + 2 * (max_deg // 3))
+        assert native <= oracle, (native, oracle)
 
 
 class TestDecodeCache:

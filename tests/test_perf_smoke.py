@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from repro.graph import _native
 from repro.graph.access import chunk_adjacency
 from repro.graph.compressed import compress_graph
 from repro.graph.generators import weblike
@@ -52,16 +53,19 @@ def test_compressed_traversal_within_envelope():
     )
 
 
-# The interval and residual streams of a chunk are merged by interval, not by
+# The numpy decoder (the oracle, and the only path without a C compiler)
+# merges the interval and residual streams of a chunk by interval, not by
 # edge: one binary search per vertex (locating its values in the decoded
-# region) and one per interval (the residuals below its left end); expanded
-# interval elements inherit their interval's answer and the residuals fill
-# the slots left free.  The parent searched once per edge as well (expanded
-# elements into residual keys, residuals back into expanded keys): 110 218
-# queries here, vertices + directed edges, against 15 506 now.
+# region) and two per interval (the residuals below its left end and below
+# its right end -- equal unless a corrupt interval swallows a residual);
+# expanded interval elements inherit their interval's answer and the
+# residuals fill the slots left free.  PR 19 searched once per edge as well
+# (expanded elements into residual keys, residuals back into expanded keys):
+# 110 218 queries here, vertices + directed edges, against 21 012 now.
 def test_decode_merges_by_interval_not_by_edge(monkeypatch):
     g = weblike(10_000, avg_degree=10, seed=42)
     cg = compress_graph(g)
+    monkeypatch.setattr(_native, "decode_kernel", lambda: None)
     order = np.random.default_rng(0).permutation(g.n).astype(np.int64)
     queries = 0
     searchsorted = np.searchsorted
@@ -76,7 +80,7 @@ def test_decode_merges_by_interval_not_by_edge(monkeypatch):
     monkeypatch.undo()
     assert edges == cg.num_directed_edges
     assert 0 < cg.stats.num_intervals < edges // 4
-    assert 0 < queries <= g.n + cg.stats.num_intervals, (
+    assert 0 < queries <= g.n + 2 * cg.stats.num_intervals, (
         f"{queries} searchsorted queries for {g.n} vertices, "
         f"{cg.stats.num_intervals} intervals and {edges} directed edges; "
         f"did a change bring back the edge-sized interval/residual merge?"

@@ -381,18 +381,6 @@ class TestMigration:
         assert len(recs) >= 18
         assert {r["kind"] for r in recs} >= {"partition", "service", "microbench"}
 
-    def test_repo_bench_decode_converted(self):
-        """The committed BENCH_decode.json is in the trajectory schema."""
-        from pathlib import Path
-
-        doc = json.loads(
-            (Path(__file__).parent.parent / "BENCH_decode.json").read_text()
-        )
-        assert doc["schema"] == RUNDB_SCHEMA
-        assert doc["kind"] == "trajectory"
-        assert all(r["schema"] == RUNDB_SCHEMA for r in doc["records"])
-        assert all(r["kind"] == "microbench" for r in doc["records"])
-
 
 class TestDefaultRunDB:
     def test_unset_env_disables(self, monkeypatch):
