@@ -31,8 +31,14 @@ def greedy_graph_growing_bipartition(
     """
     ws = BisectionWorkspace.of(graph)
     n = ws.n
-    xadj, adj, wgt, vwgt = ws.lists
     part = tracked_ones(n, np.int32, name="bipartition-part")
+    order = rng.permutation(n)
+    kernels = ws.kernels()
+    if kernels is not None:
+        part[kernels.grow_greedy(order, target_weight0, max_weight0)] = 0
+        return part
+    # the oracle: the same search over the workspace's lists
+    xadj, adj, wgt, vwgt = ws.lists
     in_block = [False] * n
     # a vertex that once exceeded the cap can never fit later (the block
     # only grows), so block it permanently to guarantee termination
@@ -45,7 +51,7 @@ def greedy_graph_growing_bipartition(
     weight0 = 0
     grown: list[int] = []
 
-    unassigned = rng.permutation(n).tolist()
+    unassigned = order.tolist()
     up = 0
 
     while weight0 < target_weight0:
@@ -100,13 +106,18 @@ def bfs_bipartition(
     """Plain BFS growth (portfolio diversity)."""
     ws = BisectionWorkspace.of(graph)
     n = ws.n
-    xadj, adj, _, vwgt = ws.lists
     part = tracked_ones(n, np.int32, name="bipartition-part")
+    order = rng.permutation(n)
+    kernels = ws.kernels()
+    if kernels is not None:
+        part[kernels.grow_bfs(order, target_weight0)] = 0
+        return part
+    xadj, adj, _, vwgt = ws.lists
     visited = [False] * n
     charge = tracked_slots(n, "bipartition-visited")
     weight0 = 0
     grown: list[int] = []
-    order = rng.permutation(n).tolist()
+    order = order.tolist()
     oi = 0
     q: deque[int] = deque()
     while weight0 < target_weight0:

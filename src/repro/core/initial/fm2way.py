@@ -9,9 +9,12 @@ enforced against per-side ceilings.
 A pass ends by the adaptive stopping rule of Osipov and Sanders
 ("Engineering Multilevel Graph Partitioning Algorithms") with KaMinPar's
 initial-FM constants: once more than ``ln n`` moves have gone by since the
-best prefix, stop when their number reaches ``STOP_FACTOR * variance /
-mean**2`` of those moves' gains, or when their mean gain is zero -- the
-walk is then unlikely to climb back above the best prefix.
+best prefix, stop when their number reaches ``variance / (STOP_DIVISOR *
+mean**2)`` of those moves' gains, or when their mean gain is zero -- the
+walk is then unlikely to climb back above the best prefix.  The rule is
+evaluated on integer sums, cleared of divisions, so it is exact at any
+magnitude here and in ``bisection_kernel.c`` (which carries it in
+``__int128``).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.core.initial.workspace import BisectionWorkspace
 from repro.core.kernels import two_way_gains
 from repro.memory.scratch import tracked_slots
 
-STOP_FACTOR = 0.25
+STOP_DIVISOR = 4  # the alpha = 1/4 of KaMinPar's initial FM
 
 
 def fm2way_refine(
@@ -38,9 +41,15 @@ def fm2way_refine(
     in place; returns the refined assignment."""
     ws = BisectionWorkspace.of(graph)
     n = ws.n
+    patience = math.floor(math.log(max(n, 1)))  # steps > ln n, in integers
+    kernels = ws.kernels()
+    if kernels is not None:
+        for kept in kernels.fm2way(part, max_weights, rounds, patience):
+            part[kept] = 1 - part[kept]
+        return part
+    # the oracle: the same search over the workspace's lists
     xadj, adj, wgt, vwgt = ws.lists
     tail, head, _ = ws.flat
-    patience = math.log(max(n, 1))
     weights = np.zeros(2, dtype=np.int64)
     np.add.at(weights, part, ws.vwgt)
     side_weight = weights.tolist()
@@ -89,11 +98,11 @@ def fm2way_refine(
                 steps += 1
                 fallen += g
                 squares += g * g
-                # steps >= STOP_FACTOR * variance / mean**2, cleared of divisions
+                # steps >= variance / (STOP_DIVISOR * mean**2), cleared of divisions
                 if steps > patience and (
                     fallen == 0
-                    or (steps - 1) * fallen * fallen
-                    >= STOP_FACTOR * (steps * squares - fallen * fallen)
+                    or STOP_DIVISOR * (steps - 1) * fallen * fallen
+                    >= steps * squares - fallen * fallen
                 ):
                     break
             lo, hi = xadj[u], xadj[u + 1]

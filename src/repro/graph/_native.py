@@ -1,18 +1,20 @@
-"""Loader of the optional compiled chunk-decode kernel (``decode_kernel.c``).
+"""Loader of the optional compiled kernels: the chunk decode
+(``decode_kernel.c``) and initial partitioning's sequential searches
+(``core/initial/bisection_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
-per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects the
-kernel but availability: with no compiler, a failed build or a library that
-does not load, :func:`decode_kernel` returns ``None`` and
-:class:`~repro.graph.compressed.CompressedGraph` decodes with numpy.
-``REPRO_NATIVE=0`` (read at import) forces that answer, so a whole test run
-can be held on the numpy path.
+per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
+kernel but availability: with no compiler, a failed build, a library that
+does not load or a symbol that does not resolve, :func:`decode_kernel` and
+:func:`bisection_kernels` return ``None`` and their callers run the numpy /
+Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
+whole test run can be held on the oracles.
 
-The library is named by the sha256 of source, flags, compiler and platform,
-written under a temporary name and published with one ``os.replace``:
-concurrent first builds each publish a complete file, and a build of other
-source is never loaded.  It is only ever loaded from a directory this user
-owns and nobody else can write.
+The library is named by the sha256 of every source, flags, compiler and
+platform, written under a temporary name and published with one
+``os.replace``: concurrent first builds each publish a complete file, and a
+build of other source is never loaded.  It is only ever loaded from a
+directory this user owns and nobody else can write.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ import tempfile
 import threading
 from pathlib import Path
 
-_SOURCE = Path(__file__).with_name("decode_kernel.c")
-_FLAGS = ["-O2", "-shared", "-fPIC"]
+_SOURCES = (
+    Path(__file__).with_name("decode_kernel.c"),
+    Path(__file__).parents[1] / "core" / "initial" / "bisection_kernel.c",
+)
+_FLAGS = ["-O3", "-shared", "-fPIC"]
 _DISABLED = os.environ.get("REPRO_NATIVE") == "0"
 
 #: what ``repro_decode_chunk`` returns for a stream it refuses
@@ -44,8 +49,37 @@ ERRORS = {
     -7: "vertex id, byte offsets or degree out of range",
 }
 
+#: what the three functions of ``bisection_kernel.c`` return for a workspace
+#: or a buffer they refuse (one enum in the source, one table here)
+BISECTION_ERRORS = {
+    -1: "vertex id out of range",
+    -2: "heap, moves or grown capacity exhausted",
+    -3: "assignment entry other than 0 or 1",
+}
+
+_p, _i64 = ctypes.c_void_p, ctypes.c_int64
+#: exported symbol -> argtypes (all return int64); every one must resolve
+SIGNATURES = {
+    # data, data_len, offsets, n, chunk, degs, count, hub_threshold,
+    # intervals, owner, nbrs, wgts, capacity, pairs, pairs_cap, bad
+    "repro_decode_chunk": [
+        _p, _i64, _p, _i64, _p, _p, _i64, _i64, ctypes.c_int32, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+    # the searches share (n, xadj, adj, wgt, vwgt, ..., heap, heap_cap, work):
+    # ... = order, target0, max0, gain, in_block, blocked, grown, grown_cap
+    "repro_greedy_graph_growing": [
+        _i64, _p, _p, _p, _p, _p, _i64, _i64, _p, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+    # ... = order, target0, visited, queue, queue_cap
+    "repro_bfs_growing": [_i64, _p, _p, _p, _p, _p, _i64, _p, _p, _i64, _p, _i64, _p],
+    # ... = max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap
+    "repro_fm2way": [
+        _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+}  # fmt: skip
+
 _lock = threading.Lock()
-_kernel = None
+_library = None
 _loaded = False
 
 
@@ -70,15 +104,16 @@ def _build(cache: Path) -> Path:
     cc = shlex.split(os.environ.get("CC", "")) or [
         shutil.which("cc") or shutil.which("gcc") or "cc"
     ]
+    sources = [path.read_text() for path in _SOURCES]
     key = hashlib.sha256(
-        "\0".join([_SOURCE.read_text(), *_FLAGS, *cc, platform.platform()]).encode()
+        "\0".join([*sources, *_FLAGS, *cc, platform.platform()]).encode()
     ).hexdigest()[:20]
-    lib = cache / f"decode_kernel-{key}.so"
+    lib = cache / f"kernels-{key}.so"
     if not lib.exists():
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
         os.close(fd)
         try:
-            cmd = [*cc, *_FLAGS, "-o", tmp, str(_SOURCE)]
+            cmd = [*cc, *_FLAGS, "-o", tmp, *map(str, _SOURCES)]
             subprocess.run(cmd, check=True, capture_output=True, timeout=120)
             os.replace(tmp, lib)
         finally:
@@ -87,39 +122,58 @@ def _build(cache: Path) -> Path:
     return lib
 
 
-def _load():
+def _load() -> dict:
     cache, ephemeral = _cache_dir()
     try:
-        fn = ctypes.CDLL(str(_build(cache))).repro_decode_chunk
+        lib = ctypes.CDLL(str(_build(cache)))
     finally:
         if ephemeral:  # the mapping outlives the file
             shutil.rmtree(cache, ignore_errors=True)
-    p, i64 = ctypes.c_void_p, ctypes.c_int64
-    # data, data_len, offsets, n, chunk, degs, count, hub_threshold,
-    # intervals, owner, nbrs, wgts, capacity, pairs, pairs_cap, bad
-    fn.argtypes = [p, i64, p, i64, p, p, i64, i64, ctypes.c_int32, p, p, p, i64, p, i64, p]
-    fn.restype = i64
-    return fn
+    functions = {}
+    for name, argtypes in SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = _i64
+        functions[name] = fn
+    return functions
 
 
-def decode_kernel():
-    """The ``repro_decode_chunk`` ctypes function, or ``None`` if unavailable.
+def library() -> dict | None:
+    """``{symbol: ctypes function}`` for all of :data:`SIGNATURES`, or ``None``
+    if unavailable.
 
     The first call builds and loads; the answer, either way, is kept for the
     process.
     """
-    global _kernel, _loaded
+    global _library, _loaded
     if not _loaded:
         with _lock:
             if not _loaded and not _DISABLED:
                 try:
-                    _kernel = _load()
+                    _library = _load()
                 except (OSError, subprocess.SubprocessError, AttributeError):
-                    _kernel = None
+                    _library = None
             _loaded = True
-    return _kernel
+    return _library
+
+
+def decode_kernel():
+    """The ``repro_decode_chunk`` ctypes function, or ``None`` if unavailable."""
+    lib = library()
+    return lib and lib["repro_decode_chunk"]
+
+
+def bisection_kernels():
+    """``(greedy_graph_growing, bfs_growing, fm2way)`` ctypes functions of
+    ``bisection_kernel.c``, or ``None`` if unavailable."""
+    lib = library()
+    return lib and (
+        lib["repro_greedy_graph_growing"],
+        lib["repro_bfs_growing"],
+        lib["repro_fm2way"],
+    )
 
 
 def available() -> bool:
-    """True if the compiled kernel is loaded (loading it now if need be)."""
-    return decode_kernel() is not None
+    """True if the compiled library is loaded (loading it now if need be)."""
+    return library() is not None

@@ -477,6 +477,12 @@ class CompressedGraph:
         degs = self.degrees[chunk] if len(chunk) else np.empty(0, dtype=np.int64)
         if len(chunk) and int(degs.min()) < 0:
             raise ValueError("negative degree (corrupt header?)")
+        # sorted distinct neighbours: no vertex has more than n of them, nor
+        # more than the graph has edges; a header that says otherwise would
+        # size the output (and send the vertex down the hub path) by a lie
+        if len(chunk) and int(degs.max()) > min(self._n, self._num_directed):
+            vertex = int(chunk[int(degs.argmax())])
+            raise ValueError(f"degree of vertex {vertex} exceeds the graph (corrupt header?)")
         total = int(degs.sum())
         if total == 0:
             e = np.empty(0, dtype=np.int64)
@@ -532,13 +538,28 @@ class CompressedGraph:
             first = np.cumsum(degs) - degs
             for h in np.flatnonzero(degs > hub_deg).tolist():
                 lo, hi = int(first[h]), int(first[h] + degs[h])
-                hub_nbrs, hub_wgts = self._decode(int(chunk[h]))
+                hub_nbrs, hub_wgts = self._decode_hub(int(chunk[h]))
                 nbrs[lo:hi] = hub_nbrs
                 if wgts is not None:
                     wgts[lo:hi] = hub_wgts
         if wgts is None:
             wgts = _ones_like_view(total)
         return owner, nbrs, wgts
+
+    def _decode_hub(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """The per-vertex decode both chunk decoders splice in for a vertex
+        above the chunking threshold.  A corrupt header can make any vertex
+        look like one; its bytes are then not chunk-encoded, and whatever the
+        block decoder trips over is reported as the stream's fault."""
+        try:
+            nbrs, wgts = self._decode(u)
+        except (IndexError, MemoryError, OverflowError, ValueError) as exc:
+            raise ValueError(
+                f"chunked neighborhood of vertex {u} does not decode: {exc} (corrupt header?)"
+            ) from exc
+        if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < self._n:
+            raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
+        return nbrs, wgts
 
     def _decode_chunk_oracle(
         self, chunk: np.ndarray, degs: np.ndarray, total: int
@@ -554,7 +575,7 @@ class CompressedGraph:
             if h > a:
                 parts.append(self._decode_chunk_simple(chunk[a:h], degs[a:h]))
             if h < C:
-                parts.append(self._decode(int(chunk[h])))
+                parts.append(self._decode_hub(int(chunk[h])))
             a = h + 1
         nbrs, wgts = parts[0]
         if len(parts) > 1:

@@ -31,6 +31,7 @@ from repro.graph.varint import (
     decode_signed_varint,
     decode_stream,
     decode_stream_bulk,
+    decode_varint,
     encode_signed_varint,
     encode_stream,
     encode_varint,
@@ -384,6 +385,56 @@ class TestCorruptStream(_OnEachDecoder):
                 assert len(owner) == len(nbrs) == len(wgts) == total
                 outcomes["decoded"] += 1
         assert outcomes["refused"] > 20 and outcomes["decoded"] > 20
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("hub_threshold", [10_000, 64], ids=["no-hubs", "hubs"])
+    def test_header_byte_mutations(self, weighted, hub_threshold):
+        """A header that lies about its neighbour's degree -- one random byte,
+        a set continuation bit, a run of continuation bytes (a first edge id
+        of up to 2**56) -- while the vertex it belongs to is not asked for, so
+        no negative degree gives it away.  The neighbour may now look like a
+        hub and take the per-vertex splice, or claim 10**13 output slots:
+        ``ValueError`` naming a vertex, never ``IndexError`` / ``MemoryError``
+        (ROADMAP 5(a); at the parent 229 of 1 200 decodes asked numpy for
+        169 TiB)."""
+        g = _weighted_weblike(2000, 1) if weighted else gen.weblike(2000, 8.0, seed=1)
+        cg = compress_graph(g, high_degree_threshold=hub_threshold, chunk_length=16)
+        assert (cg.max_degree > hub_threshold) == (hub_threshold == 64)
+        rng = np.random.default_rng(2)
+        outcomes = {"refused": 0, "decoded": 0, "hub": 0}
+        for trial in range(300):
+            data = bytearray(cg.data)
+            # every third mutant sits near the end of the stream, where a
+            # decoder that runs on finds no bytes at all
+            v = int(rng.integers(g.n - 40, g.n) if trial % 3 == 0 else rng.integers(1, g.n))
+            pos = int(cg.offsets[v])
+            _, end = decode_varint(cg.data, pos)
+            at = int(rng.integers(pos, end))
+            if trial % 4 == 0:
+                data[at] = int(rng.integers(256))
+            elif trial % 4 == 1:
+                data[at] |= 0x80
+            else:
+                run = int(rng.integers(1, 9))
+                data[pos : pos + run] = bytes(0x80 | int(b) for b in rng.integers(128, size=run))
+            bad = _clone(cg, data=data)
+            permuted = np.random.default_rng(trial).permutation(g.n)[:512]
+            for chunk in (np.arange(g.n), permuted):
+                chunk = chunk[chunk != v].astype(np.int64)
+                try:
+                    owner, nbrs, wgts = bad.decode_chunk(chunk)
+                except ValueError as exc:
+                    outcomes["refused"] += 1
+                    if "chunked neighborhood" in str(exc):  # the splice names its vertex
+                        bad_vertex = int(str(exc).split("vertex ")[1].split()[0])
+                        assert bad.degrees[bad_vertex] > hub_threshold
+                        outcomes["hub"] += 1
+                    continue
+                total = int(bad.degrees[chunk].sum())
+                assert len(owner) == len(nbrs) == len(wgts) == total
+                outcomes["decoded"] += 1
+        assert outcomes["refused"] > 20 and outcomes["decoded"] > 20, outcomes
+        assert (outcomes["hub"] > 0) == (hub_threshold == 64), outcomes
 
 
 class TestCorruptStreamNative(TestCorruptStream):

@@ -1,4 +1,9 @@
-"""Initial partitioning on the list-resident bisection workspace.
+"""Initial partitioning on the bisection workspace.
+
+Everything here runs on whichever searches this process has: the compiled
+ones (``bisection_kernel.c``) by default, the Python oracle loops under
+``REPRO_NATIVE=0`` -- CI runs both; ``tests/test_initial_kernel.py`` holds
+the two equal over the same matrix in one run.
 
 BFS growth, random assignment, the gain / cut kernels and the workspace
 itself are bit-identical to the loops as they were, and are held to that
@@ -38,6 +43,7 @@ from repro.core.initial.recursive import (
 )
 from repro.core.initial.workspace import BisectionWorkspace
 from repro.core.kernels import two_way_cut, two_way_gains
+from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import full_adjacency
 from repro.graph.builder import from_edges
@@ -536,7 +542,7 @@ class TestEdges:
 
 
 # --------------------------------------------------------------------- #
-# ledger: lists are charged, under the names the arrays had
+# ledger: what each path holds is charged, under the names the arrays had
 # --------------------------------------------------------------------- #
 class RecordingTracker(MemoryTracker):
     """Remembers the largest charge made under each entry name."""
@@ -550,6 +556,16 @@ class RecordingTracker(MemoryTracker):
         return super().alloc(name, nbytes, *args, **kwargs)
 
 
+def on_each_path(monkeypatch):
+    """Yield ``"kernel"`` (if this process has one) and ``"oracle"``, the
+    latter with the compiled searches hidden."""
+    if _native.bisection_kernels() is not None:
+        yield "kernel"
+    with monkeypatch.context() as m:
+        m.setattr(_native, "bisection_kernels", lambda: None)
+        yield "oracle"
+
+
 class TestLedger:
     @pytest.fixture
     def ledger(self):
@@ -561,45 +577,69 @@ class TestLedger:
             scratch.uninstall_ledger()
 
     def test_workspace_charges_its_pointer_arrays(self, ledger):
+        """The lists are the oracle's: charged when built, not before."""
         g = gen.rgg2d(300, avg_degree=8, seed=1)
+        before = ledger.current_bytes
         ws = BisectionWorkspace(g)
+        assert ledger.current_bytes == before + ws.xadj.nbytes
         slots = sum(len(lst) for lst in ws.lists)
         assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
-        before = ledger.current_bytes
         live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
         assert live["bisection-workspace"] == 8 * slots
+        assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots
         del ws
         gc.collect()
-        assert ledger.current_bytes == before - 8 * slots
+        assert ledger.current_bytes == before
 
-    def test_attempt_lists_keep_their_entry_names(self, ledger):
+    def test_attempt_lists_keep_their_entry_names(self, ledger, monkeypatch):
         g = gen.rgg2d(300, avg_degree=8, seed=1)
+        n, m = g.n, g.num_directed_edges
         total = g.total_vertex_weight
         cap = int(0.53 * total)
-        before = ledger.current_bytes
-        best = bipartition_portfolio(
-            g, total // 2, cap, cap, np.random.default_rng(0), attempts=4
-        )
-        gc.collect()
-        # only the winning assignment outlives the bisection
-        assert ledger.current_bytes == before + best.nbytes
-        # each per-vertex list is charged under the name its array had, at
-        # one 8 B slot per vertex (never less than the array it replaced)
-        for name in (
-            "fm2way-gains",
-            "fm2way-locked",
-            "bipartition-in-block",
-            "bipartition-blocked",
-            "bipartition-gain",
-            "bipartition-visited",
-        ):
-            assert ledger.largest[name] == 8 * g.n, name
-        assert ledger.largest["bipartition-part"] == 4 * g.n
+        flags = ("fm2way-locked", "bipartition-in-block", "bipartition-blocked", "bipartition-visited")
+        gains = ("fm2way-gains", "bipartition-gain")
+        answers = []
+        for path in on_each_path(monkeypatch):
+            ledger.largest.clear()
+            before = ledger.current_bytes
+            best = bipartition_portfolio(
+                g, total // 2, cap, cap, np.random.default_rng(0), attempts=4
+            )
+            gc.collect()
+            # only the winning assignment outlives the bisection
+            assert ledger.current_bytes == before + best.nbytes
+            answers.append(best)
+            # per-vertex state keeps the entry names it had as arrays; the
+            # oracle's lists cost one 8 B slot a vertex, the kernel's arrays
+            # what they are
+            for name in gains:
+                assert ledger.largest[name] == 8 * n, (path, name)
+            for name in flags:
+                assert ledger.largest[name] == (n if path == "kernel" else 8 * n), (path, name)
+            assert ledger.largest["bipartition-part"] == 4 * n
+            kernel_only = {
+                "bisection-heap": 24 * (n + m),
+                "bipartition-grown": 8 * n,
+                "fm2way-side": n,
+                "fm2way-moves": 8 * 2 * n,
+                "fm2way-kept": 8 * 2,
+            }
+            if path == "kernel":
+                assert "bisection-workspace" not in ledger.largest
+                for name, nbytes in kernel_only.items():
+                    assert ledger.largest[name] == nbytes, name
+            else:
+                assert ledger.largest["bisection-workspace"] == 8 * (2 * n + 1 + 2 * m)
+                assert not kernel_only.keys() & ledger.largest.keys()
+            del best
+        assert all(np.array_equal(answers[0], other) for other in answers)
 
     def test_initial_phase_not_smaller_than_before(self):
         """With scratch tracking on, the initial-partitioning phase of this
         run peaked at 200 290 B (83 405 B of scratch) while the loops still
-        held arrays; holding lists must not make it look cheaper."""
+        held arrays; neither the oracle's lists (239 601 / 122 716 B) nor the
+        kernel's arrays and heap (267 722 / 150 837 B) may make it look
+        cheaper."""
         import dataclasses
 
         from repro.core.partitioner import partition

@@ -1,5 +1,6 @@
-"""The compiled decode kernel's loader (ISSUE 21): build cache hygiene, the
-silent fallback, and the one environment override.
+"""The compiled kernels' loader (ISSUEs 21-22): one library for the chunk
+decode and initial partitioning's searches, build cache hygiene, the silent
+fallback, and the one environment override.
 
 The loader keeps its answer for the life of a process, so every case runs
 in a fresh interpreter with its own empty ``XDG_CACHE_HOME``.
@@ -18,14 +19,18 @@ import pytest
 
 SRC = str(Path(__file__).parent.parent / "src")
 
-# prints: kernel loaded?, then a digest of one compressed-mode partition
+# prints: library loaded? (all of it or none of it), then a digest of one
+# compressed-mode partition -- chunk decodes and recursive bisection inside
 PROBE = """
 import hashlib
 from repro import partition
 from repro.core.config import terapart
 from repro.graph import _native
 from repro.graph.generators import weblike
-print(_native.available())
+loaded = _native.available()
+assert (_native.decode_kernel() is not None) == (_native.bisection_kernels() is not None) == loaded
+assert sorted(_native.library() or _native.SIGNATURES) == sorted(_native.SIGNATURES)
+print(loaded)
 res = partition(weblike(3000, 8.0, seed=1), 4, config=terapart(seed=3))
 print(res.cut, res.peak_bytes, hashlib.sha256(res.partition.tobytes()).hexdigest())
 """
@@ -80,7 +85,16 @@ def test_racing_first_builds_both_load_and_agree(tmp_path, fallback_answer):
     cache = tmp_path / "repro"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     built = sorted(p.name for p in cache.iterdir())
-    assert len(built) == 1 and built[0].endswith(".so"), built
+    assert len(built) == 1 and built[0].endswith(".so"), built  # one library, one compile
+
+
+@needs_compiler
+def test_library_missing_a_symbol_is_not_used(tmp_path, fallback_answer):
+    """A build that lacks one exported function is no library at all: every
+    caller runs its oracle, none runs half the kernels."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    loaded, answer = _finish(_spawn(tmp_path, CC=f"{cc} -Drepro_fm2way=repro_fm2way_renamed"))
+    assert loaded == "False" and answer == fallback_answer
 
 
 @needs_compiler

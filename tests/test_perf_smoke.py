@@ -95,52 +95,77 @@ def test_decode_merges_by_interval_not_by_edge(monkeypatch):
 # from its result) the parent popped 778 entries in 2 FM passes, 389.0 a
 # pass, and re-pushed 42 of them stale; this code pops 48 in 2 passes, 24.0
 # a pass, and re-pushes none.  Greedy growing pops 3 044 entries on both.
+# The Python loops are counted through their heapq calls, the compiled ones
+# (bisection_kernel.c) through the counters they keep; the heap order is
+# total, so the two must report the same numbers.
 MAX_POPS_PER_FM_PASS = 40
 
 
-def test_initial_heap_work_stays_proportional(monkeypatch):
+def _heap_work_of_the_oracle(monkeypatch, run):
+    """``[pops, pushes, passes, re-pushes]`` after greedy growing and after FM."""
     import heapq
 
     from repro.core.initial import bipartition, fm2way
-    from repro.graph.generators import rgg2d
 
-    counts = {"pops": 0, "passes": 0, "repushes": 0}
+    counts = [0, 0, 0, 0]
     last_popped = [None]
 
     def heappop(heap):
         entry = heapq.heappop(heap)
-        counts["pops"] += 1
+        counts[0] += 1
         last_popped[0] = entry[2]
         return entry
 
     def heappush(heap, entry):
-        counts["repushes"] += entry[2] == last_popped[0]
+        counts[1] += 1
+        counts[3] += entry[2] == last_popped[0]
         heapq.heappush(heap, entry)
 
-    def heapify(heap):
-        counts["passes"] += 1
+    def heapify(heap):  # a pass begins: its seeds are pushes, nothing was popped yet
+        counts[1] += len(heap)
+        counts[2] += 1
+        last_popped[0] = None
         heapq.heapify(heap)
 
-    for module in (fm2way, bipartition):
-        monkeypatch.setattr(module, "heappop", heappop)
-        monkeypatch.setattr(module, "heappush", heappush)
-    monkeypatch.setattr(fm2way, "heapify", heapify)
+    with monkeypatch.context() as m:
+        m.setattr(_native, "bisection_kernels", lambda: None)
+        for module in (fm2way, bipartition):
+            m.setattr(module, "heappop", heappop)
+            m.setattr(module, "heappush", heappush)
+        m.setattr(fm2way, "heapify", heapify)
+        return run(lambda ws: list(counts))
+
+
+def test_initial_heap_work_stays_proportional(monkeypatch):
+    from repro.core.initial import bipartition, fm2way
+    from repro.core.initial.workspace import BisectionWorkspace
+    from repro.graph.generators import rgg2d
 
     g = rgg2d(2048, 8.0, seed=1)
     total = g.total_vertex_weight
     half, cap = total // 2, int(1.03 * -(-total // 2))
-    start = bipartition.greedy_graph_growing_bipartition(
-        g, half, cap, np.random.default_rng(1)
-    )
-    assert counts["pops"] > 0 and counts["repushes"] == 0
-    counts["pops"] = 0
-    fm2way.fm2way_refine(g, start, (cap, cap), rounds=2)
-    assert counts["passes"] > 0 and counts["repushes"] == 0
-    per_pass = counts["pops"] / counts["passes"]
-    assert per_pass <= MAX_POPS_PER_FM_PASS, (
-        f"{per_pass:.1f} heap pops per 2-way FM pass; did a change put the "
-        f"whole graph back into the queue or drop the stopping rule?"
-    )
+
+    def run(read_counts):
+        ws = BisectionWorkspace(g)
+        start = bipartition.greedy_graph_growing_bipartition(
+            ws, half, cap, np.random.default_rng(1)
+        )
+        grown = read_counts(ws)
+        fm2way.fm2way_refine(ws, start, (cap, cap), rounds=2)
+        return grown, [b - a for a, b in zip(grown, read_counts(ws))]
+
+    paths = {"oracle": _heap_work_of_the_oracle(monkeypatch, run)}
+    if _native.bisection_kernels() is not None:
+        paths["kernel"] = run(lambda ws: ws.kernels().work.tolist())
+        assert paths["kernel"] == paths["oracle"]
+    for path, (grown, refined) in paths.items():
+        pops, _, passes, repushes = refined
+        assert grown[0] > 0 and grown[3] == 0, path
+        assert passes > 0 and repushes == 0, path
+        assert pops / passes <= MAX_POPS_PER_FM_PASS, (
+            f"{path}: {pops / passes:.1f} heap pops per 2-way FM pass; did a change "
+            f"put the whole graph back into the queue or drop the stopping rule?"
+        )
 
 
 # All three compressors (memory, virtual threads, file) are packet sources
