@@ -7,9 +7,9 @@ new spelling silently falls out of every report, and a span entered by hand
 error path.  This pass pins both down statically:
 
 * ``PH001`` (error) -- a ``tracker.phase`` / ``ctx.phase`` / tracer
-  ``span`` name that does not normalize (via :func:`~repro.obs.regress
-  .attrib.normalize_phase`) to a member of :data:`~repro.obs.regress
-  .attrib.KNOWN_PHASES`.
+  ``span`` name that does not normalize (via
+  :func:`~repro.obs.tracer.normalize_phase`) to a member of
+  :data:`~repro.obs.tracer.KNOWN_PHASES`.
 * ``PH002`` (error) -- a span/phase call not used directly as a context
   manager (assigned, entered manually, passed around).
 * ``PH003`` (warning) -- a span/phase name the analyzer cannot resolve to
@@ -37,7 +37,7 @@ import ast
 
 from repro.analysis.core import Finding, Module, terminal_name
 from repro.analysis.dataflow import Block, build_cfg, fixpoint, header_exprs
-from repro.obs.regress.attrib import KNOWN_PHASES, normalize_phase
+from repro.obs.tracer import KNOWN_PHASES, normalize_phase
 
 PASS_ID = "phase-discipline"
 
@@ -325,8 +325,7 @@ def run(mod: Module) -> list[Finding]:
                         mod.rel,
                         node.lineno,
                         f"{kind} name {name!r} normalizes to {norm!r}, "
-                        "which is not in repro.obs.regress.attrib"
-                        ".KNOWN_PHASES",
+                        "which is not in repro.obs.tracer.KNOWN_PHASES",
                         subject=norm,
                     )
                 )

@@ -8,10 +8,9 @@ the full index and EXPERIMENTS.md for paper-vs-measured records).
 from repro.bench.instances import (
     SET_A,
     SET_B,
+    SMOKE_SET,
     Instance,
     load_instance,
-    set_a_instances,
-    set_b_instances,
 )
 from repro.bench.harness import (
     AggregateStat,
@@ -21,7 +20,6 @@ from repro.bench.harness import (
     harmonic_mean,
     run_matrix,
 )
-from repro.bench.instances import SMOKE_SET
 from repro.bench.profiles import performance_profile
 from repro.bench.reporting import render_table
 
@@ -31,8 +29,6 @@ __all__ = [
     "SMOKE_SET",
     "Instance",
     "load_instance",
-    "set_a_instances",
-    "set_b_instances",
     "AggregateStat",
     "RunRecord",
     "aggregate",

@@ -1,11 +1,11 @@
-"""Distributed partitioner benchmark: the cluster-observability gate input.
+"""Distributed partitioner benchmark: the ``dist`` kind's cell function.
 
-For every (instance, ranks, mode, k, seed) cell this module runs
-:func:`~repro.dist.dpartitioner.dpartition` with the
-:class:`~repro.obs.dist.cluster.ClusterObserver` enabled and folds the
-result plus its memory-ratio report into a ``dist``-kind run-DB record.
-The gated metrics (:data:`~repro.obs.regress.rundb.DIST_METRICS`) carry
-the paper's distributed claims:
+One cell runs :func:`~repro.dist.dpartitioner.dpartition` on a simulated
+system with the :class:`~repro.obs.dist.cluster.ClusterObserver` enabled
+and folds the result plus its memory-ratio report into the flat ``run``
+section of a ``dist``-kind run-DB row.  The metrics the kind gates
+(:data:`~repro.obs.regress.rundb.KINDS`) carry the paper's distributed
+claims:
 
 * ``max_rank_peak_bytes`` / ``memory_ratio`` — no rank's ledger peak may
   drift away from the fair share (Section V's per-node memory budget),
@@ -13,58 +13,65 @@ the paper's distributed claims:
   and under the Section III varint codec (xTeraPart mode must keep the
   compressed volume strictly below raw).
 
-Both simulated systems run: ``dkaminpar-rN`` (uncompressed shards) and
-``xterapart-rN`` (compressed), so compare reports show the memory/traffic
-trade side by side.  With ``artifacts_dir`` set, each cell also writes its
-merged Chrome trace and memory-ratio report JSON for offline inspection.
+Both simulated systems run by default: ``dkaminpar-rN`` (uncompressed
+shards) and ``xterapart-rN`` (compressed), so compare reports show the
+memory/traffic trade side by side.  A system with ``artifacts_dir`` set
+also writes each cell's merged Chrome trace and memory-ratio report for
+offline inspection.
 """
 
 from __future__ import annotations
 
 import json
-import time
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.instances import SMOKE_SET, Instance
-from repro.obs.regress.rundb import make_dist_record
+from repro.bench.instances import Instance
+from repro.obs.regress.rundb import Measurement
 
-#: default dist bench matrix: smoke instances, two rank counts, one k/seed
-DEFAULT_RANKS = (2, 4)
-DEFAULT_K = (8,)
-DEFAULT_SEEDS = (0,)
-#: (algorithm-name prefix, compressed flag) pairs benchmarked per cell
-DEFAULT_MODES = (("dkaminpar", False), ("xterapart", True))
+#: simulated system name -> whether its shards are compressed
+MODES = {"dkaminpar": False, "xterapart": True}
+
+
+@dataclass(frozen=True)
+class DistSystem:
+    """One point on the dist matrix's config axis."""
+
+    mode: str  # a key of MODES
+    ranks: int
+    artifacts_dir: str | Path | None = None
+
+
+def systems(opts) -> list[DistSystem]:
+    """Config axis of ``repro bench record --kind dist``: every chosen
+    mode at every chosen rank count."""
+    modes = opts.modes.split(",") if opts.modes else list(MODES)
+    unknown = sorted(set(modes) - set(MODES))
+    if unknown:
+        raise ValueError(f"unknown dist mode(s): {unknown}")
+    return [
+        DistSystem(mode, ranks, opts.artifacts)
+        for ranks in opts.ranks
+        for mode in MODES
+        if mode in modes
+    ]
 
 
 def bench_one(
-    instance: Instance,
-    ranks: int,
-    k: int,
-    *,
-    compressed: bool,
-    seed: int = 0,
-    config=None,
-    artifacts_dir: str | Path | None = None,
-    artifact_stem: str | None = None,
-) -> tuple[dict, dict]:
-    """Run one dist cell; returns ``(run_metrics, obs_registry)``.
-
-    ``run_metrics`` is the flat ``run``-section dict of a ``dist`` record;
-    ``obs_registry`` is the compact registry snapshot (memory-ratio report
-    + cluster roll-up) stored under the record's ``obs`` key.
-    """
-    import dataclasses
-
+    system: DistSystem, instance: Instance, k: int, seed: int
+) -> Measurement:
+    """Run one dist cell on ``system``."""
     from repro.core.config import DistObsConfig
     from repro.dist.dpartitioner import DistConfig, dpartition
     from repro.obs.dist import render_memory_ratio, write_cluster_trace
 
-    cfg = config or DistConfig()
-    cfg = dataclasses.replace(
-        cfg, seed=seed, obs=DistObsConfig(enabled=True)
+    result = dpartition(
+        instance.make(),
+        k,
+        system.ranks,
+        compressed=MODES[system.mode],
+        config=DistConfig(seed=seed, obs=DistObsConfig(enabled=True)),
     )
-    graph = instance.make()
-    result = dpartition(graph, k, ranks, compressed=compressed, config=cfg)
     obs = result.obs or {}
     report = obs.get("report", {})
     comm = report.get("comm", {})
@@ -75,7 +82,7 @@ def bench_one(
         "wall_seconds": float(result.wall_seconds),
         "ranks": int(result.num_ranks),
         "num_levels": int(result.num_levels),
-        "compressed": bool(compressed),
+        "compressed": MODES[system.mode],
         "max_rank_peak_bytes": int(result.max_rank_peak_bytes),
         "mean_rank_peak_bytes": float(
             report.get("mean_rank_peak_bytes", 0.0)
@@ -88,12 +95,11 @@ def bench_one(
         "supersteps": int(comm.get("supersteps", 0)),
         "compression_ratio": float(comm.get("compression_ratio", 1.0)),
     }
-    if artifacts_dir is not None and result.trace is not None:
-        out = Path(artifacts_dir)
+    if system.artifacts_dir is not None and result.trace is not None:
+        out = Path(system.artifacts_dir)
         out.mkdir(parents=True, exist_ok=True)
-        stem = artifact_stem or (
-            f"{instance.name}-r{ranks}-"
-            f"{'xterapart' if compressed else 'dkaminpar'}-k{k}-s{seed}"
+        stem = (
+            f"{instance.name}-r{system.ranks}-{system.mode}-k{k}-s{seed}"
         )
         write_cluster_trace(out / f"{stem}.trace.json", result.trace)
         with open(out / f"{stem}.memratio.json", "w") as f:
@@ -102,62 +108,6 @@ def bench_one(
         (out / f"{stem}.memratio.txt").write_text(
             render_memory_ratio(report) + "\n"
         )
-    return run, obs
-
-
-def run_dist_bench(
-    instances: tuple[Instance, ...] = SMOKE_SET,
-    rank_counts: tuple[int, ...] = DEFAULT_RANKS,
-    k_values: tuple[int, ...] = DEFAULT_K,
-    seeds: tuple[int, ...] = DEFAULT_SEEDS,
-    *,
-    modes: tuple[tuple[str, bool], ...] = DEFAULT_MODES,
-    config=None,
-    rundb=None,
-    bench: str = "dist-smoke",
-    label: str | None = None,
-    artifacts_dir: str | Path | None = None,
-    progress: bool = False,
-) -> list[dict]:
-    """Run the dist matrix; returns (and optionally appends) the
-    ``dist``-kind run-DB records."""
-    records = []
-    for instance in instances:
-        for ranks in rank_counts:
-            for name, compressed in modes:
-                for k in k_values:
-                    for seed in seeds:
-                        t0 = time.perf_counter()
-                        run, obs = bench_one(
-                            instance,
-                            ranks,
-                            k,
-                            compressed=compressed,
-                            seed=seed,
-                            config=config,
-                            artifacts_dir=artifacts_dir,
-                        )
-                        rec = make_dist_record(
-                            bench,
-                            algorithm=f"{name}-r{ranks}",
-                            instance=instance.name,
-                            k=k,
-                            seed=seed,
-                            metrics=run,
-                            label=label,
-                            obs=obs,
-                        )
-                        if rundb is not None:
-                            rec = rundb.append(rec)
-                        records.append(rec)
-                        if progress:
-                            print(
-                                f"  dist {instance.name} r={ranks} "
-                                f"{name} k={k} seed={seed}: "
-                                f"cut={run['cut']} "
-                                f"ratio={run['memory_ratio']:.3f} "
-                                f"comm={run['comm_raw_bytes']}B"
-                                f"->{run['comm_varint_bytes']}B "
-                                f"in {time.perf_counter() - t0:.2f}s"
-                            )
-    return records
+    return Measurement(
+        f"{system.mode}-r{system.ranks}", instance.name, k, seed, run, obs
+    )

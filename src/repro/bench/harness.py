@@ -4,10 +4,16 @@ Methodology (Section VI): an *instance* is a (graph, k) pair; metrics are
 averaged over seeds with the arithmetic mean per instance, then aggregated
 across instances with the geometric mean (memory, time, cut) or harmonic
 mean (relative speedups).
+
+:func:`run_matrix` is the one loop that walks a cell matrix and appends
+to the run database, for every record kind of
+:data:`~repro.obs.regress.rundb.KINDS`; this module also holds the
+``partition`` kind's cell function (:func:`run_partitioner`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Callable, Iterable
@@ -35,6 +41,24 @@ class RunRecord:
     modeled_seconds: float
     peak_bytes: int
     extra: dict = field(default_factory=dict)
+
+    @property
+    def metrics(self) -> dict:
+        """The ``run``-section fields of a partition row after the identity
+        (wall is recorded; the shape-only parallel model is not)."""
+        return {
+            "cut": int(self.cut),
+            "balanced": bool(self.balanced),
+            "imbalance": float(self.imbalance),
+            "wall_seconds": float(self.wall_seconds),
+            "peak_bytes": int(self.peak_bytes),
+            "extra": {k: v for k, v in self.extra.items() if k != "obs"},
+        }
+
+    @property
+    def obs(self) -> dict | None:
+        """The traced run's registry snapshot: its own section of the row."""
+        return self.extra.get("obs")
 
 
 class AggregateStat(float):
@@ -117,69 +141,82 @@ def run_partitioner(
     )
 
 
+def traced_presets(opts) -> list[PartitionerConfig]:
+    """Config axis of ``repro bench record --kind partition``: the chosen
+    presets with observability on, so every row carries its phase profile."""
+    from repro.core.config import ObsConfig, preset
+
+    return [
+        preset(name, p=opts.threads).with_(obs=ObsConfig(enabled=True))
+        for name in opts.preset
+    ]
+
+
 def run_matrix(
-    configs: Iterable[PartitionerConfig],
+    configs: Iterable,
     instances: Iterable[Instance],
     ks: Iterable[int],
     seeds: Iterable[int],
     *,
-    runner: Callable[[PartitionerConfig, Instance, int, int], RunRecord] | None = None,
+    kind: str = "partition",
+    runner: Callable | None = None,
     progress: bool = False,
     rundb=None,
     record_bench: str = "matrix",
     record_label: str | None = None,
-) -> list[RunRecord]:
+) -> list:
     """The full cross product of configurations x instances x k x seeds.
 
-    Every record is appended to the regression observatory's run database:
-    either the ``rundb`` passed explicitly (a
-    :class:`~repro.obs.regress.rundb.RunDB`), or — when ``rundb`` is None —
-    the ``$REPRO_RUNDB`` default the bench suite's conftest points at the
-    repo-root ``BENCH_runs.jsonl``.  Pass ``rundb=False`` to disable
-    persistence outright.
+    ``runner(config, instance, k, seed)`` runs one cell and returns its
+    measurement (default: the cell function of ``kind``); the measurements
+    are returned in matrix order.  Every one is also appended, as a row of
+    ``kind``, to the regression observatory's run database: either the
+    ``rundb`` passed explicitly (a :class:`~repro.obs.regress.rundb.RunDB`),
+    or — when ``rundb`` is None — the ``$REPRO_RUNDB`` default the bench
+    suite's conftest points at the repo-root ``BENCH_runs.jsonl``.  Pass
+    ``rundb=False`` to disable persistence outright.
     """
-    from repro.obs.regress.rundb import default_rundb, environment_stamp, make_record
+    from repro.obs.regress.rundb import (
+        KINDS,
+        default_rundb,
+        environment_stamp,
+        make_record,
+    )
 
-    runner = runner or run_partitioner
+    runner = runner or KINDS[kind].load("cell")
     if rundb is None:
         rundb = default_rundb()
     elif rundb is False:
         rundb = None
     env = environment_stamp() if rundb is not None else None
-    records: list[RunRecord] = []
-    configs = list(configs)
-    instances = list(instances)
-    ks = list(ks)
-    seeds = list(seeds)
-    total = len(configs) * len(instances) * len(ks) * len(seeds)
-    done = 0
+    records = []
+    cells = list(itertools.product(configs, instances, ks, seeds))
     t0 = time.perf_counter()
-    for cfg in configs:
-        for inst in instances:
-            for k in ks:
-                for seed in seeds:
-                    rec = runner(cfg, inst, k, seed)
-                    records.append(rec)
-                    if rundb is not None:
-                        rundb.append(
-                            make_record(
-                                rec,
-                                bench=record_bench,
-                                label=record_label,
-                                config=cfg,
-                                env=env,
-                            )
-                        )
-                    done += 1
-                    if progress and done % 10 == 0 and done < total:
-                        elapsed = time.perf_counter() - t0
-                        print(
-                            f"  [{done}/{total}] {elapsed:6.1f}s", flush=True
-                        )
+    for done, (cfg, inst, k, seed) in enumerate(cells, 1):
+        rec = runner(cfg, inst, k, seed)
+        records.append(rec)
+        if rundb is not None:
+            rundb.append(
+                make_record(
+                    kind,
+                    rec,
+                    bench=record_bench,
+                    label=record_label,
+                    # a dist system is not a preset: no name, no digest
+                    config=cfg if isinstance(cfg, PartitionerConfig) else None,
+                    env=env,
+                )
+            )
+        if progress and done % 10 == 0 and done < len(cells):
+            elapsed = time.perf_counter() - t0
+            print(f"  [{done}/{len(cells)}] {elapsed:6.1f}s", flush=True)
     if progress:
         elapsed = time.perf_counter() - t0
-        rate = f", {elapsed / done:.2f}s/run" if done else ""
-        print(f"  [{done}/{total}] done in {elapsed:.1f}s{rate}", flush=True)
+        rate = f", {elapsed / len(cells):.2f}s/run" if cells else ""
+        print(
+            f"  [{len(cells)}/{len(cells)}] done in {elapsed:.1f}s{rate}",
+            flush=True,
+        )
     return records
 
 

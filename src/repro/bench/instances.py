@@ -111,11 +111,3 @@ def load_instance(name: str):
         if inst.name == name:
             return inst.make()
     raise KeyError(f"unknown instance {name!r}")
-
-
-def set_a_instances() -> tuple[Instance, ...]:
-    return SET_A
-
-
-def set_b_instances() -> tuple[Instance, ...]:
-    return SET_B

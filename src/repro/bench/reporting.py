@@ -37,14 +37,6 @@ def render_table(
     return "\n".join(out)
 
 
-def fmt_bytes(n: float) -> str:
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024 or unit == "TiB":
-            return f"{n:.2f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024
-    raise AssertionError
-
-
 def render_series(name: str, xs: Sequence, ys: Sequence[float], unit: str = "") -> str:
     """One-line x->y series (for figure-shaped outputs)."""
     pairs = ", ".join(f"{x}: {_fmt(y)}{unit}" for x, y in zip(xs, ys))

@@ -12,11 +12,10 @@ Commands mirror how the original KaMinPar/TeraPart binaries are driven:
   end with admission batching, a byte-budgeted LRU cache, and incremental
   (warm-start) repartitioning under graph deltas.
 * ``bench``      -- the regression observatory: ``record`` a run matrix
-  into the append-only run database, capture a named ``baseline``,
-  ``compare`` candidate runs against it (with ``--gate`` for CI),
-  ``service`` to replay the serving trace benchmark, ``dist`` to run the
-  distributed partitioner with cluster observability on, and render
-  sparkline ``trend`` lines from the database history.
+  of one ``--kind`` (one-shot ``partition`` runs, replayed ``service``
+  traces, ``dist`` cluster runs) into the append-only run database,
+  capture a named ``baseline``, and ``compare`` candidate runs against it
+  (with ``--gate`` for CI).
 
 Examples::
 
@@ -30,8 +29,8 @@ Examples::
     python -m repro bench compare --baseline benchmarks/baselines/smoke.json \
         --db runs.jsonl --gate
     python -m repro serve --graph web=g.bin --port 8642
-    python -m repro bench service --suite smoke --db runs.jsonl
-    python -m repro bench dist --suite smoke --ranks 2 4 --db runs.jsonl
+    python -m repro bench record --kind service --db runs.jsonl
+    python -m repro bench record --kind dist --ranks 2 4 --db runs.jsonl
 """
 
 from __future__ import annotations
@@ -225,11 +224,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------- #
-# bench: the regression observatory (run DB / baselines / compare / trend)
+# bench: the regression observatory (run DB / baselines / compare); what
+# each record kind gates, prints and runs is read off rundb.KINDS
 # --------------------------------------------------------------------- #
-def _bench_instances(args: argparse.Namespace):
+def cmd_bench_record(args: argparse.Namespace) -> int:
+    from repro.bench.harness import run_matrix
     from repro.bench.instances import SUITES
+    from repro.bench.reporting import render_table
+    from repro.obs.regress.rundb import KINDS, RunDB
 
+    kind = KINDS[args.kind]
+    args.preset = args.preset or ["terapart"]
     instances = list(SUITES[args.suite])
     if args.instances:
         wanted = set(args.instances)
@@ -237,138 +242,88 @@ def _bench_instances(args: argparse.Namespace):
         missing = wanted - {i.name for i in instances}
         if missing:
             raise SystemExit(f"unknown instance(s) in suite: {sorted(missing)}")
-    return instances
-
-
-def cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.bench.harness import aggregate, run_matrix
-    from repro.bench.reporting import fmt_bytes, render_table
-    from repro.obs.regress.rundb import RunDB
-
-    configs = [
-        C.preset(p, p=args.threads).with_(obs=C.ObsConfig(enabled=True))
-        for p in args.preset
-    ]
-    instances = _bench_instances(args)
-    db = RunDB(args.db)
-    records = run_matrix(
+    try:
+        configs = kind.load("configs")(args)
+    except ValueError as err:
+        raise SystemExit(f"bench record: {err}") from None
+    measurements = run_matrix(
         configs,
         instances,
-        args.k,
-        args.seeds,
+        args.k or kind.ks,
+        args.seeds or kind.seeds,
+        kind=kind.name,
         progress=True,
-        rundb=db,
-        record_bench=args.suite,
+        rundb=RunDB(args.db),
+        record_bench=kind.bench_prefix + args.suite,
         record_label=args.label,
     )
-    rows = []
-    cuts = aggregate(records, "cut")
-    walls = aggregate(records, "wall_seconds")
-    peaks = aggregate(records, "peak_bytes")
-    for key in sorted(cuts):
-        alg, inst, k = key
-        rows.append(
-            (alg, inst, k, f"{cuts[key]:.0f}", f"{walls[key]:.2f}s",
-             fmt_bytes(peaks[key]))
-        )
+    groups: dict[tuple, list[dict]] = {}
+    for m in measurements:
+        groups.setdefault((m.algorithm, m.instance, m.k), []).append(m.metrics)
+    rows = [
+        (*key, *(fmt(np.mean([run[f] for run in runs])) for _, f, fmt in kind.summary))
+        for key, runs in sorted(groups.items())
+    ]
     print(
         render_table(
-            ["algorithm", "instance", "k", "mean cut", "mean wall", "mean peak"],
+            ["algorithm", "instance", "k"]
+            + [f"mean {header}" for header, _, _ in kind.summary],
             rows,
-            title=f"recorded {len(records)} runs -> {args.db}"
+            title=f"recorded {len(measurements)} {kind.name} runs -> {args.db}"
             + (f" (label {args.label})" if args.label else ""),
         )
     )
     return 0
 
 
-def _kinds(args: argparse.Namespace) -> tuple[str, ...]:
-    kinds = getattr(args, "kinds", None)
-    return tuple(kinds.split(",")) if kinds else ("partition",)
-
-
 def _candidate_records(args: argparse.Namespace) -> list[dict]:
-    from repro.obs.regress.rundb import RunDB, latest_per_key, run_key
+    from repro.obs.regress.rundb import KINDS, RunDB, latest_per_key, run_key
 
-    db = RunDB(args.db)
-    kinds = _kinds(args)
-    suite = getattr(args, "suite", None)
-    # service/dist records are stamped bench="service-<suite>" /
-    # "dist-<suite>" (they run over the suite's instances under a
-    # different harness, they are not the suite itself)
-    benches = (
-        {suite, f"service-{suite}", f"dist-{suite}"} if suite else {None}
-    )
+    bench = KINDS[args.kind].bench_prefix + args.suite
     records = [
         r
-        for r in db.query(label=args.label)
-        if r.get("kind") in kinds
-        and (suite is None or r.get("bench") in benches)
+        for r in RunDB(args.db).query(kind=args.kind, label=args.label)
+        if r.get("bench") == bench
     ]
     # append order is chronological: keep the freshest run per identity
     return latest_per_key(records, run_key)
 
 
 def cmd_bench_baseline(args: argparse.Namespace) -> int:
-    from repro.obs.regress.compare import DEFAULT_METRICS, capture_baseline
-    from repro.obs.regress.rundb import (
-        DIST_METRICS,
-        SERVICE_METRICS,
-        environment_stamp,
-    )
+    from repro.obs.regress.compare import capture_baseline
+    from repro.obs.regress.rundb import environment_stamp
 
-    kinds = _kinds(args)
     records = _candidate_records(args)
     if not records:
         raise SystemExit(
-            f"no {'/'.join(kinds)} records in {args.db} match the filter"
-        )
-    metrics = DEFAULT_METRICS + ("imbalance",)
-    if "service" in kinds:
-        metrics = metrics + SERVICE_METRICS
-    if "dist" in kinds:
-        metrics = metrics + tuple(
-            m for m in DIST_METRICS if m not in metrics
+            f"no {args.kind} records in {args.db} match the filter"
         )
     base = capture_baseline(
-        records, args.name, env=environment_stamp(), metrics=metrics,
-        kinds=kinds,
+        records, args.name, env=environment_stamp(), kind=args.kind
     )
-    base.save(args.out)
+    out = args.out or f"benchmarks/baselines/{args.name}.json"
+    base.save(out)
     n_seeds = {len(g["seeds"]) for g in base.groups.values()}
     print(
         f"baseline '{args.name}': {len(base.groups)} groups "
-        f"({sorted(n_seeds)} seeds each) -> {args.out}"
+        f"({sorted(n_seeds)} seeds each) -> {out}"
     )
     return 0
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     from repro.obs.regress import report as R
-    from repro.obs.regress.compare import (
-        DEFAULT_METRICS,
-        Baseline,
-        CompareThresholds,
-        compare,
-    )
-    from repro.obs.regress.rundb import DIST_METRICS, SERVICE_METRICS, RunDB
+    from repro.obs.regress.compare import Baseline, CompareThresholds, compare
 
     baseline = Baseline.load(args.baseline)
-    kinds = _kinds(args)
     candidates = _candidate_records(args)
     if not candidates:
         raise SystemExit(f"no candidate records in {args.db} match the filter")
-    if args.metrics:
-        metrics = tuple(args.metrics.split(","))
-    elif kinds == ("service",):
-        metrics = SERVICE_METRICS
-    elif kinds == ("dist",):
-        metrics = DIST_METRICS
-    else:
-        metrics = DEFAULT_METRICS
+    # default: everything the kind gates, each with a band by construction
+    metrics = tuple(args.metrics.split(",")) if args.metrics else None
     thresholds = CompareThresholds()
     try:
-        for metric in metrics:
+        for metric in metrics or ():
             thresholds.band(metric)
     except ValueError as err:
         raise SystemExit(
@@ -376,15 +331,11 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
             "(BENCHMARK.json), not here"
         ) from None
     result = compare(
-        baseline, candidates, metrics=metrics, kinds=kinds,
+        baseline, candidates, kind=args.kind, metrics=metrics,
         thresholds=thresholds,
     )
-    trends = R.trend_lines(RunDB(args.db).load(), metric=metrics[0])
     md = R.render_markdown(
-        result,
-        baseline=baseline,
-        candidate_label=args.label,
-        trend_lines=trends,
+        result, baseline=baseline, candidate_label=args.label
     )
     print(md)
     if args.report:
@@ -402,7 +353,12 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         _write_attrib_diff(args.attrib, baseline, candidates, args.label)
         print(f"attribution: {args.attrib}")
     if args.gate and result.regressed:
-        print("perf gate: FAILED (confirmed regression)")
+        why = [f"{m} regressed" for m in result.regressed_metrics]
+        if result.gate.violations:
+            why.append(f"{len(result.gate.violations)} unbalanced run(s)")
+        if result.gate.uncompared:
+            why.append("not compared: " + ", ".join(result.gate.uncompared))
+        print(f"perf gate: FAILED ({'; '.join(why)})")
         return 1
     if args.gate:
         print("perf gate: passed")
@@ -454,57 +410,6 @@ def _write_attrib_diff(path, baseline, candidates, label) -> None:
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
-def cmd_bench_service(args: argparse.Namespace) -> int:
-    from repro.bench.reporting import render_table
-    from repro.bench.service import run_service_bench
-    from repro.core.config import ServeConfig
-    from repro.obs.regress.rundb import RunDB
-
-    cfg = C.preset(args.preset, p=args.threads).with_(epsilon=args.epsilon)
-    serve_cfg = ServeConfig(
-        drift_threshold=args.drift_threshold,
-        warm_start=not args.no_warm_start,
-    )
-    instances = _bench_instances(args)
-    db = RunDB(args.db)
-    records = run_service_bench(
-        tuple(instances),
-        tuple(args.k),
-        tuple(args.seeds),
-        config=cfg,
-        serve_config=serve_cfg,
-        rundb=db,
-        bench=f"service-{args.suite}",
-        label=args.label,
-        progress=True,
-    )
-    rows = []
-    for rec in records:
-        run = rec["run"]
-        rows.append(
-            (
-                run["instance"],
-                run["k"],
-                run["seed"],
-                f"{run['p50_seconds'] * 1e3:.1f}ms",
-                f"{run['p99_seconds'] * 1e3:.1f}ms",
-                f"{run['warm_over_full']:.3f}",
-                f"{run['cut_overhead']:.3f}",
-                f"{run['cache_hit_rate']:.2f}",
-            )
-        )
-    print(
-        render_table(
-            ["instance", "k", "seed", "p50", "p99", "warm/full",
-             "cut ovhd", "hit rate"],
-            rows,
-            title=f"recorded {len(records)} service traces -> {args.db}"
-            + (f" (label {args.label})" if args.label else ""),
-        )
-    )
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -547,76 +452,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         asyncio.run(_main())
     except KeyboardInterrupt:
         print("shutting down")
-    return 0
-
-
-def cmd_bench_dist(args: argparse.Namespace) -> int:
-    from repro.bench.dist import DEFAULT_MODES, run_dist_bench
-    from repro.bench.reporting import fmt_bytes, render_table
-    from repro.obs.regress.rundb import RunDB
-
-    modes = DEFAULT_MODES
-    if args.modes:
-        wanted = set(args.modes.split(","))
-        modes = tuple(m for m in DEFAULT_MODES if m[0] in wanted)
-        unknown = wanted - {m[0] for m in DEFAULT_MODES}
-        if unknown:
-            raise SystemExit(f"unknown dist mode(s): {sorted(unknown)}")
-    instances = _bench_instances(args)
-    db = RunDB(args.db)
-    records = run_dist_bench(
-        tuple(instances),
-        tuple(args.ranks),
-        tuple(args.k),
-        tuple(args.seeds),
-        modes=modes,
-        rundb=db,
-        bench=f"dist-{args.suite}",
-        label=args.label,
-        artifacts_dir=args.artifacts,
-        progress=True,
-    )
-    rows = []
-    for rec in records:
-        run = rec["run"]
-        rows.append(
-            (
-                run["algorithm"],
-                run["instance"],
-                run["ranks"],
-                run["k"],
-                run["cut"],
-                f"{run['memory_ratio']:.3f}",
-                fmt_bytes(run["max_rank_peak_bytes"]),
-                fmt_bytes(run["comm_raw_bytes"]),
-                fmt_bytes(run["comm_varint_bytes"]),
-            )
-        )
-    print(
-        render_table(
-            ["algorithm", "instance", "ranks", "k", "cut", "mem ratio",
-             "max rank peak", "comm raw", "comm varint"],
-            rows,
-            title=f"recorded {len(records)} dist runs -> {args.db}"
-            + (f" (label {args.label})" if args.label else ""),
-        )
-    )
-    return 0
-
-
-def cmd_bench_trend(args: argparse.Namespace) -> int:
-    from repro.obs.regress import report as R
-    from repro.obs.regress.rundb import RunDB
-
-    records = RunDB(args.db).load()
-    if not records:
-        raise SystemExit(f"run DB {args.db} is empty")
-    lines = R.trend_lines(records, metric=args.metric)
-    lines += R.microbench_trend_lines(records)
-    if not lines:
-        print("(no matching records)")
-        return 0
-    print("\n".join(lines))
     return 0
 
 
@@ -789,13 +624,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_serve)
 
+    from repro.bench.instances import SUITES
+    from repro.obs.regress.rundb import KINDS
+
     p = sub.add_parser(
         "bench",
-        help="regression observatory: record runs, baseline, compare, trend",
+        help="regression observatory: record runs, baseline, compare",
     )
     bench_sub = p.add_subparsers(dest="bench_command", required=True)
 
-    def _common_db_args(bp, *, suite: bool = True):
+    def _common_args(bp):
+        bp.add_argument(
+            "--kind",
+            default="partition",
+            choices=list(KINDS),
+            help="record kind: one-shot partition runs, replayed service "
+            "traces, or dist cluster runs (default: %(default)s)",
+        )
         bp.add_argument(
             "--db",
             default="BENCH_runs.jsonl",
@@ -806,26 +651,24 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="grouping label stamped on / filtering DB records",
         )
-        if suite:
-            from repro.bench.instances import SUITES
-
-            bp.add_argument(
-                "--suite",
-                default="smoke",
-                choices=sorted(SUITES),
-                help="instance suite (default: %(default)s)",
-            )
+        bp.add_argument(
+            "--suite",
+            default="smoke",
+            choices=sorted(SUITES),
+            help="instance suite (default: %(default)s)",
+        )
 
     bp = bench_sub.add_parser(
-        "record", help="run a matrix with obs enabled and append to the DB"
+        "record", help="run a cell matrix of one kind and append it to the DB"
     )
-    _common_db_args(bp)
+    _common_args(bp)
     bp.add_argument(
         "--preset",
         action="append",
         default=None,
         choices=sorted(C.PRESETS),
-        help="config preset(s) to run (repeatable; default: terapart)",
+        help="config preset(s) to run (repeatable; default: terapart; "
+        "partition runs are traced, dist runs take none)",
     )
     bp.add_argument(
         "--instances",
@@ -833,125 +676,72 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="restrict the suite to these instance names",
     )
-    bp.add_argument("-k", type=int, nargs="+", default=[4])
-    bp.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
+    per_kind = "; ".join(
+        f"{k.name}: -k {' '.join(map(str, k.ks))} "
+        f"--seeds {' '.join(map(str, k.seeds))}"
+        for k in KINDS.values()
+    )
+    bp.add_argument(
+        "-k", type=int, nargs="+", default=None,
+        help=f"k values (defaults per kind -- {per_kind})",
+    )
+    bp.add_argument("--seeds", type=int, nargs="+", default=None)
     bp.add_argument("--threads", type=int, default=8)
-    bp.set_defaults(
-        func=lambda a: cmd_bench_record(_default_presets(a)),
-    )
-
-    bp = bench_sub.add_parser(
-        "service",
-        help="replay the serving trace over a suite and append "
-        "service-kind records to the DB",
-    )
-    _common_db_args(bp)
-    bp.add_argument(
-        "--preset", default="terapart", choices=sorted(C.PRESETS)
-    )
-    bp.add_argument(
-        "--instances",
-        nargs="+",
-        default=None,
-        help="restrict the suite to these instance names",
-    )
-    bp.add_argument("-k", type=int, nargs="+", default=[8])
-    bp.add_argument("--seeds", type=int, nargs="+", default=[0])
-    bp.add_argument("--threads", type=int, default=8)
-    bp.add_argument("--epsilon", type=float, default=0.03)
-    bp.add_argument(
-        "--drift-threshold",
-        type=float,
-        default=0.25,
-        help="cumulative drift fraction forcing a full repartition",
-    )
-    bp.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable incremental repartitioning (every run full)",
-    )
-    bp.set_defaults(func=cmd_bench_service)
-
-    bp = bench_sub.add_parser(
-        "dist",
-        help="run the distributed partitioner over a suite with cluster "
-        "observability on and append dist-kind records to the DB",
-    )
-    _common_db_args(bp)
-    bp.add_argument(
-        "--instances",
-        nargs="+",
-        default=None,
-        help="restrict the suite to these instance names",
-    )
     bp.add_argument(
         "--ranks",
         type=int,
         nargs="+",
         default=[2, 4],
-        help="simulated rank counts (default: %(default)s)",
+        help="dist: simulated rank counts (default: %(default)s)",
     )
-    bp.add_argument("-k", type=int, nargs="+", default=[8])
-    bp.add_argument("--seeds", type=int, nargs="+", default=[0])
     bp.add_argument(
         "--modes",
         default=None,
-        help="comma-separated systems to run: dkaminpar, xterapart "
+        help="dist: comma-separated systems to run: dkaminpar, xterapart "
         "(default: both)",
     )
     bp.add_argument(
         "--artifacts",
         default=None,
-        help="directory for per-cell merged traces + memory-ratio reports",
+        help="dist: directory for per-cell merged traces + memory-ratio "
+        "reports",
     )
-    bp.set_defaults(func=cmd_bench_dist)
+    bp.set_defaults(func=cmd_bench_record)
 
     bp = bench_sub.add_parser(
         "baseline", help="capture a named baseline from recorded runs"
     )
-    _common_db_args(bp)
-    bp.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated record kinds (default: partition; "
-        "use 'service' for serving baselines, 'dist' for distributed)",
-    )
+    _common_args(bp)
     bp.add_argument("--name", required=True, help="baseline name")
     bp.add_argument(
         "--out",
         default=None,
         help="output JSON (default: benchmarks/baselines/<name>.json)",
     )
-    bp.set_defaults(func=lambda a: cmd_bench_baseline(_default_baseline_out(a)))
+    bp.set_defaults(func=cmd_bench_baseline)
 
     bp = bench_sub.add_parser(
         "compare",
         help="compare candidate runs against a baseline; --gate exits 1 "
-        "on a confirmed regression",
+        "on a confirmed regression or a baseline entry left uncompared",
     )
-    _common_db_args(bp)
+    _common_args(bp)
     bp.add_argument(
         "--baseline", required=True, help="baseline JSON captured earlier"
     )
     bp.add_argument(
-        "--kinds",
-        default=None,
-        help="comma-separated record kinds (default: partition; "
-        "use 'service' to gate serving benchmarks, 'dist' for distributed)",
-    )
-    bp.add_argument(
         "--metrics",
         default=None,
-        help="comma-separated metric list (default: cut,peak_bytes; "
-        "service kind: cut_overhead; dist kind: cut, rank peak, memory "
-        "ratio, comm bytes).  Only deterministic metrics with a declared "
-        "neutral band classify; seconds are judged by the ladder",
+        help="comma-separated metric list (default: everything the kind "
+        "gates).  Only deterministic metrics with a declared neutral band "
+        "classify; seconds are judged by the ladder",
     )
     bp.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 if any metric is classified regressed or the "
-        "imbalance hard gate fails",
+        help="exit 1 if any metric is classified regressed, a candidate "
+        "run is unbalanced, or a baseline group / requested metric was "
+        "not compared",
     )
     bp.add_argument("--report", default=None, help="write the Markdown report here")
     bp.add_argument(
@@ -966,26 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
         "regardless of verdicts",
     )
     bp.set_defaults(func=cmd_bench_compare)
-
-    bp = bench_sub.add_parser(
-        "trend", help="sparkline trends over the run DB history"
-    )
-    _common_db_args(bp, suite=False)
-    bp.add_argument("--metric", default="cut")
-    bp.set_defaults(func=cmd_bench_trend)
     return ap
-
-
-def _default_presets(args: argparse.Namespace) -> argparse.Namespace:
-    if not args.preset:
-        args.preset = ["terapart"]
-    return args
-
-
-def _default_baseline_out(args: argparse.Namespace) -> argparse.Namespace:
-    if args.out is None:
-        args.out = f"benchmarks/baselines/{args.name}.json"
-    return args
 
 
 def main(argv: list[str] | None = None) -> int:

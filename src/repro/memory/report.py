@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from repro.memory.tracker import MemoryTracker
 
 
-def _fmt_bytes(n: int) -> str:
+def fmt_bytes(n: float) -> str:
+    """``2048`` -> ``"2.00 KiB"``: the package's one byte formatter."""
     for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
         if abs(n) < 1024 or unit == "TiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{n} B"
-        n /= 1024  # type: ignore[assignment]
+            return f"{n:.2f} {unit}" if unit != "B" else f"{int(n)} B"
+        n /= 1024
     raise AssertionError("unreachable")
 
 
@@ -44,7 +45,7 @@ class MemoryReport:
 
 def render_phase_breakdown(tracker: MemoryTracker, *, max_depth: int = 3) -> str:
     """Render per-phase peak memory as an indented ASCII tree (Figure 2)."""
-    lines = [f"peak memory: {_fmt_bytes(tracker.peak_bytes)}"]
+    lines = [f"peak memory: {fmt_bytes(tracker.peak_bytes)}"]
     for path in sorted(tracker.phases()):
         depth = path.count("/")
         if depth >= max_depth:
@@ -53,6 +54,6 @@ def render_phase_breakdown(tracker: MemoryTracker, *, max_depth: int = 3) -> str
         indent = "  " * depth
         name = path.rsplit("/", 1)[-1]
         top = sorted(stats.peak_breakdown.items(), key=lambda kv: -kv[1])[:3]
-        cats = ", ".join(f"{c}={_fmt_bytes(b)}" for c, b in top)
-        lines.append(f"{indent}{name}: peak {_fmt_bytes(stats.peak_bytes)} ({cats})")
+        cats = ", ".join(f"{c}={fmt_bytes(b)}" for c, b in top)
+        lines.append(f"{indent}{name}: peak {fmt_bytes(stats.peak_bytes)} ({cats})")
     return "\n".join(lines)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.varint import stream_len, zigzag_encode
-from repro.obs.tracer import _NULL_CONTEXT, SpanTracer
+from repro.obs.tracer import _NULL_CONTEXT, SpanTracer, normalize_phase
 
 
 @dataclass
@@ -238,8 +238,6 @@ class ClusterObserver:
 
     def comm_by_phase(self) -> dict[str, dict[str, int]]:
         """Traffic grouped by the normalized innermost phase name."""
-        from repro.obs.regress.attrib import normalize_phase
-
         out: dict[str, dict[str, int]] = {}
         for ev in self.comm_events:
             key = normalize_phase(ev.name) if ev.name else "(untagged)"

@@ -19,7 +19,7 @@ from the rank ledgers themselves, not a re-derivation.
 from __future__ import annotations
 
 from repro.obs.dist.rollup import cluster_rollup
-from repro.obs.export import _fmt_bytes
+from repro.memory.report import fmt_bytes
 
 REPORT_SCHEMA = 1
 
@@ -104,35 +104,31 @@ def render_memory_ratio(report: dict) -> str:
     """Human-readable memory-ratio table (the README sample's format)."""
     lines = [
         f"ranks={report['size']}  "
-        f"max rank peak={_fmt_bytes(report['max_rank_peak_bytes'])}  "
-        f"mean={_fmt_bytes(int(report['mean_rank_peak_bytes']))}  "
+        f"max rank peak={fmt_bytes(report['max_rank_peak_bytes'])}  "
+        f"mean={fmt_bytes(int(report['mean_rank_peak_bytes']))}  "
         f"memory ratio={report['memory_ratio']:.2f}  "
         f"ghost fraction={report['ghost_fraction']:.3f}",
-        f"comm: raw={_fmt_bytes(report['comm']['raw_bytes'])}  "
-        f"varint={_fmt_bytes(report['comm']['varint_bytes'])}  "
+        f"comm: raw={fmt_bytes(report['comm']['raw_bytes'])}  "
+        f"varint={fmt_bytes(report['comm']['varint_bytes'])}  "
         f"(x{report['comm']['compression_ratio']:.2f})  "
         f"messages={report['comm']['messages']}  "
         f"supersteps={report['comm']['supersteps']}",
     ]
-    header = ("level", "n", "shard", "ghost", "comm raw", "comm varint", "c/c")
+    # imported here: repro.dist loads this module, and must not drag the
+    # bench harness in with it
+    from repro.bench.reporting import render_table
+
     rows = [
         (
-            str(lv["level"]),
-            str(lv["n"]),
-            _fmt_bytes(lv["shard_bytes"]),
-            _fmt_bytes(lv["ghost_bytes"]),
-            _fmt_bytes(lv["comm_raw_bytes"]),
-            _fmt_bytes(lv["comm_varint_bytes"]),
+            lv["level"],
+            lv["n"],
+            fmt_bytes(lv["shard_bytes"]),
+            fmt_bytes(lv["ghost_bytes"]),
+            fmt_bytes(lv["comm_raw_bytes"]),
+            fmt_bytes(lv["comm_varint_bytes"]),
             f"{lv['comm_compute_ratio']:.2f}",
         )
         for lv in report["per_level"]
     ]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines.append("  ".join(h.rjust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-    return "\n".join(lines)
+    header = ("level", "n", "shard", "ghost", "comm raw", "comm varint", "c/c")
+    return "\n".join([*lines, render_table(header, rows)])

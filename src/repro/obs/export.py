@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+from repro.memory.report import fmt_bytes
 from repro.obs.tracer import Span, SpanTracer
 
 PID = 1  # single-process reproduction
@@ -138,15 +139,6 @@ def write_chrome_trace(path, tracer: SpanTracer) -> None:
 # --------------------------------------------------------------------- #
 # human-readable per-level summary
 # --------------------------------------------------------------------- #
-def _fmt_bytes(n: int) -> str:
-    v = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(v) < 1024 or unit == "TiB":
-            return f"{v:.1f} {unit}" if unit != "B" else f"{int(v)} B"
-        v /= 1024
-    raise AssertionError("unreachable")
-
-
 #: headline counters shown in the summary table, in display order; a tuple
 #: of keys sums into one column (compressed-decode + CSR-gather edges)
 _SUMMARY_COUNTERS = (
@@ -202,7 +194,7 @@ def render_level_summary(tracer: SpanTracer) -> str:
         row = [
             str(level),
             f"{acc['wall']:.3f}s",
-            _fmt_bytes(acc["peak"]),
+            fmt_bytes(acc["peak"]),
         ]
         for key, _label in _SUMMARY_COUNTERS:
             keys = key if isinstance(key, tuple) else (key,)

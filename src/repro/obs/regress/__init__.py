@@ -3,16 +3,17 @@
 Four layers (DESIGN.md §8):
 
 * :mod:`~repro.obs.regress.rundb`   — append-only JSONL run database with
-  versioned, provenance-stamped records and a schema check on load,
+  versioned, provenance-stamped records, a schema check on load, and the
+  kinds table (:data:`KINDS`) stating what a row of each kind is,
 * :mod:`~repro.obs.regress.compare` — named baselines + seed-aware
   bootstrap classification (improved / neutral / regressed) with the
   imbalance hard gate,
 * :mod:`~repro.obs.regress.attrib`  — per-phase diffing of the obs
   waterfalls to *name* the phase behind a wall/memory regression,
-* :mod:`~repro.obs.regress.report`  — Markdown report with sparkline
-  trends and the machine-readable ``BENCH_trajectory.json``.
+* :mod:`~repro.obs.regress.report`  — Markdown report and the
+  machine-readable ``BENCH_trajectory.json``.
 
-Driven by ``repro bench record|baseline|compare|trend`` (see
+Driven by ``repro bench record|baseline|compare`` (see
 EXPERIMENTS.md for the workflow) and by the CI perf gate.
 """
 
@@ -25,8 +26,6 @@ from repro.obs.regress.attrib import (
     phase_profile,
 )
 from repro.obs.regress.compare import (
-    DEFAULT_KINDS,
-    DEFAULT_METRICS,
     Baseline,
     CompareReport,
     CompareThresholds,
@@ -36,35 +35,31 @@ from repro.obs.regress.compare import (
     compare,
 )
 from repro.obs.regress.report import (
-    microbench_trend_lines,
     render_markdown,
     trajectory_dict,
-    trend_lines,
     write_trajectory,
 )
 from repro.obs.regress.rundb import (
+    KINDS,
     RUNDB_SCHEMA,
-    SERVICE_METRICS,
+    Measurement,
     RunDB,
     default_rundb,
     environment_stamp,
     latest_per_key,
-    make_microbench_record,
     make_record,
-    make_service_record,
     migrate_record,
     run_key,
 )
 
 __all__ = [
-    "DEFAULT_KINDS",
-    "DEFAULT_METRICS",
+    "KINDS",
     "RUNDB_SCHEMA",
-    "SERVICE_METRICS",
     "Baseline",
     "CompareReport",
     "CompareThresholds",
     "GateResult",
+    "Measurement",
     "MetricVerdict",
     "PhaseDelta",
     "RunDB",
@@ -77,15 +72,11 @@ __all__ = [
     "environment_stamp",
     "format_attribution",
     "latest_per_key",
-    "make_microbench_record",
     "make_record",
-    "make_service_record",
-    "microbench_trend_lines",
     "migrate_record",
     "phase_profile",
     "render_markdown",
     "run_key",
     "trajectory_dict",
-    "trend_lines",
     "write_trajectory",
 ]

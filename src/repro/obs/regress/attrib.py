@@ -13,63 +13,19 @@ Phase naming: ledger-coupled spans carry a ``tracker_path`` like
 of the root form the non-overlapping *top-level* phases (compression,
 coarsening, initial-partitioning, refinement-levelN); deeper spans are
 *kernels* (clustering, contraction, fm-pass ...).  Per-level suffixes are
-stripped so the same phase aggregates across hierarchy levels.
+stripped (:func:`~repro.obs.tracer.normalize_phase`) so the same phase
+aggregates across hierarchy levels.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
-_LEVEL_RE = re.compile(r"(-level\d+|-round\d+|-rank\d+)$")
+from repro.obs.tracer import normalize_phase
 
 #: profile sections: (key, how runs aggregate, human metric name)
 PROFILE_KEYS = ("wall", "bytes", "kernel_wall", "kernel_bytes")
-
-#: The closed phase vocabulary.  Every ``tracker.phase`` / tracer span name
-#: in the partitioner must normalize (via :func:`normalize_phase`) to one of
-#: these, so attribution reports, the run database and the ``repro lint``
-#: phase-discipline pass all agree on what a phase is called.  Extend this
-#: set when introducing a genuinely new pipeline stage -- never spell an
-#: existing stage a second way.
-KNOWN_PHASES = frozenset(
-    {
-        "partition",  # root span
-        "compression",
-        "coarsening",
-        "clustering",
-        "clustering-2p",
-        "clustering-classic",
-        "contraction",
-        "contraction-aggregate",  # bulk-kernel sub-phase of contraction
-        "gain-table-build",  # bulk-kernel sub-phase of FM refinement
-        "initial-partitioning",
-        "refinement",
-        "lp-refinement",
-        "fm-pass",
-        # distributed driver (repro.dist, DESIGN.md §12); mirrored onto
-        # every rank track by the ClusterObserver
-        "dist-partition",  # distributed root span
-        "dist-distribute",
-        "dist-coarsening",
-        "dist-lp",
-        "dist-contract",
-        "dist-initial",
-        "dist-refinement",
-        "dist-refine",  # per-round refinement kernel
-        "dist-rebalance",
-        "ghost-exchange",
-    }
-)
-
-
-def normalize_phase(name: str) -> str:
-    """Strip the per-level / per-round / per-rank suffix:
-    ``refinement-level3`` -> ``refinement``, ``clustering-2p-round1`` ->
-    ``clustering-2p``, ``dist-lp-round2`` -> ``dist-lp``,
-    ``shard-load-rank3`` -> ``shard-load``."""
-    return _LEVEL_RE.sub("", name)
 
 
 # --------------------------------------------------------------------- #

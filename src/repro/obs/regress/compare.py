@@ -20,11 +20,14 @@ per pair and applies it to both sides -- an unchanged tree reads exactly
 All gated metrics are lower-is-better and deterministic per seed; seconds
 are recorded in the rows but judged by the ladder (``BENCHMARK.json``),
 never here -- a metric without a declared neutral band cannot be
-classified at all.  Two hard rules sit outside the
-statistics: a candidate run violating its balance constraint fails the
-gate outright, and a pair whose baseline value is 0 while the candidate
-is positive (a vanished perfect cut) is a regression no geometric mean
-can express, so it forces the metric to ``regressed``.
+classified at all.  Three hard rules sit outside the statistics: a
+candidate run violating its balance constraint fails the gate outright;
+so does a hole in the comparison -- a baseline group the candidate did
+not run, or a requested metric with no paired seed in a compared group --
+because a gate that compared nothing has not passed; and a pair whose
+baseline value is 0 while the candidate is positive (a vanished perfect
+cut) is a regression no geometric mean can express, so it forces the
+metric to ``regressed``.
 """
 
 from __future__ import annotations
@@ -36,31 +39,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.obs.regress.attrib import phase_profile, aggregate_profiles
+from repro.obs.regress.attrib import aggregate_profiles, attribute, phase_profile
+from repro.obs.regress.rundb import KINDS
 
 BASELINE_SCHEMA = 2
 
-#: metrics compared by default (all lower-is-better)
-DEFAULT_METRICS = ("cut", "peak_bytes")
-
-#: half-width of the per-metric neutral band around ratio 1.0; the declared
-#: keys are the complete set of metrics the observatory may classify
+#: half-width of the per-metric neutral band around ratio 1.0, read off the
+#: kinds table: its keys are the complete set of metrics the observatory
+#: may classify
 DEFAULT_NEUTRAL_BANDS = {
-    "cut": 0.02,
-    "peak_bytes": 0.02,
-    # service kind: warm-start quality overhead (warm cut / scratch cut)
-    "cut_overhead": 0.02,
-    # dist-kind metrics: ledger peaks and collective byte counts are
-    # deterministic (tight); memory_ratio divides two such peaks, so small
-    # shifts in either side compound -- give it a little more room
-    "max_rank_peak_bytes": 0.02,
-    "memory_ratio": 0.05,
-    "comm_raw_bytes": 0.02,
-    "comm_varint_bytes": 0.02,
+    metric: band
+    for kind in KINDS.values()
+    for metric, band in kind.gated.items()
 }
-
-#: record kinds the baseline/compare machinery consumes by default
-DEFAULT_KINDS = ("partition",)
 
 
 @dataclass(frozen=True)
@@ -115,10 +106,11 @@ class Baseline:
     @classmethod
     def from_dict(cls, d: dict) -> "Baseline":
         version = d.get("schema", 0)
-        if version > BASELINE_SCHEMA:
+        if version != BASELINE_SCHEMA:
+            age = "newer" if version > BASELINE_SCHEMA else "older"
             raise ValueError(
-                f"baseline schema {version} is newer than supported "
-                f"{BASELINE_SCHEMA}"
+                f"baseline has schema {version}, {age} than supported "
+                f"{BASELINE_SCHEMA}; read it with the code that wrote it"
             )
         return cls(
             name=d.get("name", "unnamed"),
@@ -145,18 +137,21 @@ def capture_baseline(
     name: str,
     *,
     env: dict | None = None,
-    metrics: tuple[str, ...] = DEFAULT_METRICS + ("imbalance",),
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
+    kind: str = "partition",
+    metrics: tuple[str, ...] | None = None,
     timestamp: float | None = None,
 ) -> Baseline:
-    """Snapshot run-DB records of the given ``kinds`` into a named baseline.
+    """Snapshot the run-DB records of ``kind`` into a named baseline.
 
-    The raw obs registries are condensed to per-phase profiles at capture
-    time, so a committed baseline stays a few KB however long the runs
-    traced.  ``service``-kind records carry their gated metrics flat in
-    the ``run`` section and no ``balanced`` flag; a metric some record of
-    a group lacks is absent from that group, so every metric vector lines
-    up with the group's ``seeds``."""
+    ``metrics`` defaults to what the kind gates plus ``imbalance`` (kept
+    for the record; the hard gate never ratio-classifies it).  The raw obs
+    registries are condensed to per-phase profiles at capture time, so a
+    committed baseline stays a few KB however long the runs traced.
+    ``service``-kind records carry no ``balanced`` flag; a metric some
+    record of a group lacks is absent from that group, so every metric
+    vector lines up with the group's ``seeds``."""
+    if metrics is None:
+        metrics = (*KINDS[kind].gated, "imbalance")
     base = Baseline(
         name=name,
         env=env if env is not None else {},
@@ -164,9 +159,8 @@ def capture_baseline(
     )
     by_key: dict[str, list[dict]] = {}
     for rec in records:
-        if rec.get("kind") not in kinds:
-            continue
-        by_key.setdefault(group_key(rec["run"]), []).append(rec)
+        if rec.get("kind") == kind:
+            by_key.setdefault(group_key(rec["run"]), []).append(rec)
     for key, recs in sorted(by_key.items()):
         recs = sorted(recs, key=lambda r: r["run"]["seed"])
         run0 = recs[0]["run"]
@@ -226,16 +220,27 @@ class MetricVerdict:
 
 @dataclass
 class GateResult:
-    """The imbalance hard gate: no statistics, any violation fails."""
+    """The hard gate: no statistics, any entry fails.
+
+    ``violations`` are candidate runs breaking their balance constraint;
+    ``uncompared`` names what the baseline holds and the comparison did not
+    reach -- ``"<group>"`` for a baseline group with no candidate rows,
+    ``"<metric>@<group>"`` for a requested metric with no paired seed in a
+    compared group."""
 
     violations: list = field(default_factory=list)
+    uncompared: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not self.violations and not self.uncompared
 
     def to_dict(self) -> dict:
-        return {"passed": self.passed, "violations": self.violations}
+        return {
+            "passed": self.passed,
+            "violations": self.violations,
+            "uncompared": self.uncompared,
+        }
 
 
 @dataclass
@@ -348,27 +353,28 @@ def compare(
     baseline: Baseline,
     candidate_records: list[dict],
     *,
-    metrics: tuple[str, ...] = DEFAULT_METRICS,
-    kinds: tuple[str, ...] = DEFAULT_KINDS,
+    kind: str = "partition",
+    metrics: tuple[str, ...] | None = None,
     thresholds: CompareThresholds | None = None,
     attribute_regressions: bool = True,
 ) -> CompareReport:
-    """Classify candidate run-DB records against a baseline."""
-    from repro.obs.regress import attrib
-
+    """Classify the candidate run-DB records of ``kind`` against a
+    baseline, on ``metrics`` (default: everything the kind gates)."""
+    if metrics is None:
+        metrics = tuple(KINDS[kind].gated)
     thresholds = thresholds or CompareThresholds()
     rng = np.random.default_rng(thresholds.rng_seed)
     report = CompareReport(baseline_name=baseline.name)
 
     cand_by_key: dict[str, list[dict]] = {}
     for rec in candidate_records:
-        if rec.get("kind") not in kinds:
-            continue
-        cand_by_key.setdefault(group_key(rec["run"]), []).append(rec)
+        if rec.get("kind") == kind:
+            cand_by_key.setdefault(group_key(rec["run"]), []).append(rec)
 
     shared = sorted(set(baseline.groups) & set(cand_by_key))
     report.keys_compared = shared
     report.keys_missing = sorted(set(baseline.groups) - set(cand_by_key))
+    report.gate.uncompared.extend(report.keys_missing)
 
     # imbalance hard gate: any unbalanced candidate run fails, full stop
     for key in sorted(cand_by_key):
@@ -383,9 +389,6 @@ def compare(
                     }
                 )
 
-    if not shared:
-        return report
-
     for metric in metrics:
         band = thresholds.band(metric)
         pairs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -397,6 +400,7 @@ def compare(
                 baseline.groups[key], cand_by_key[key], metric
             )
             if not len(bvals):
+                report.gate.uncompared.append(f"{metric}@{key}")
                 continue
             dropped_seeds += unpaired
             r = _pair_ratio(float(bvals.mean()), float(cvals.mean()))
@@ -445,7 +449,7 @@ def compare(
             baseline.groups[key].get("profile", {}) for key in shared
         )
         cand_recs = [r for key in shared for r in cand_by_key[key]]
-        report.attribution = attrib.attribute(
+        report.attribution = attribute(
             [],
             cand_recs,
             regressed_metrics=regressed,

@@ -1,21 +1,19 @@
 """Human (Markdown) and machine (``BENCH_trajectory.json``) reporting.
 
 The Markdown report is what a PR reviewer reads: one verdict table, the
-imbalance gate, the per-phase attribution of anything regressed, and
-sparkline trends over the run database's history.  The trajectory JSON is
-the same content machine-readable, uploaded as a CI artifact so the perf
-history of a branch can be assembled without parsing logs.
+hard gate (balance and coverage), and the per-phase attribution of
+anything regressed.  The trajectory JSON is the same content
+machine-readable, uploaded as a CI artifact so the perf history of a
+branch can be assembled without parsing logs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections.abc import Iterable
 from pathlib import Path
 
-from repro.bench.sparkline import sparkline
-from repro.obs.regress.attrib import PhaseDelta, format_attribution
+from repro.obs.regress.attrib import format_attribution
 from repro.obs.regress.compare import Baseline, CompareReport
 from repro.obs.regress.rundb import RUNDB_SCHEMA
 
@@ -33,7 +31,6 @@ def render_markdown(
     *,
     baseline: Baseline | None = None,
     candidate_label: str | None = None,
-    trend_lines: Iterable[str] = (),
 ) -> str:
     """The full compare report as GitHub-flavored Markdown."""
     out: list[str] = []
@@ -52,10 +49,6 @@ def render_markdown(
             f"Baseline captured at `{(sha or 'unknown')[:12]}` "
             f"(python {baseline.env.get('python')}, "
             f"numpy {baseline.env.get('numpy')})"
-        )
-    if report.keys_missing:
-        out.append(
-            f"Missing from candidate: {', '.join(report.keys_missing)}"
         )
     out.append("")
 
@@ -79,7 +72,7 @@ def render_markdown(
     out.append("")
 
     out.append("## Balance gate")
-    if report.gate.passed:
+    if not report.gate.violations:
         out.append("All candidate runs balanced — hard gate passed.")
     else:
         out.append(
@@ -92,6 +85,16 @@ def render_markdown(
                 f"imbalance {viol['imbalance']:.4f}"
             )
     out.append("")
+
+    if report.gate.uncompared:
+        out.append("## Coverage")
+        out.append(
+            f"**{len(report.gate.uncompared)} hole(s) in the comparison** "
+            "(a baseline group the candidate did not run, or "
+            "`metric@group` with no paired seed) — hard gate FAILED:"
+        )
+        out.extend(f"- `{hole}`" for hole in report.gate.uncompared)
+        out.append("")
 
     if report.regressed_metrics:
         out.append("## Attribution")
@@ -111,59 +114,7 @@ def render_markdown(
             )
         out.append("")
 
-    trend_lines = list(trend_lines)
-    if trend_lines:
-        out.append("## Trends")
-        out.append("```")
-        out.extend(trend_lines)
-        out.append("```")
-        out.append("")
     return "\n".join(out).rstrip() + "\n"
-
-
-def trend_lines(
-    records: list[dict], *, metric: str = "cut", width: int = 40
-) -> list[str]:
-    """One sparkline per (algorithm, instance, k) over DB history order."""
-    series: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.get("kind") != "partition":
-            continue
-        run = rec["run"]
-        if metric not in run:
-            continue
-        key = f"{run['algorithm']}|{run['instance']}|{run['k']}"
-        series.setdefault(key, []).append(float(run[metric]))
-    out = []
-    for key in sorted(series):
-        vals = series[key][-width:]
-        out.append(
-            f"{metric:>12} {key:<32} {sparkline(vals)}  "
-            f"last={vals[-1]:.6g} n={len(series[key])}"
-        )
-    return out
-
-
-def microbench_trend_lines(
-    records: list[dict], *, width: int = 40
-) -> list[str]:
-    """Sparklines for microbench metrics (e.g. the decode hot path)."""
-    series: dict[tuple[str, str], list[float]] = {}
-    for rec in records:
-        if rec.get("kind") != "microbench":
-            continue
-        for name, v in rec.get("run", {}).items():
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                series.setdefault((rec.get("bench", "?"), name), []).append(
-                    float(v)
-                )
-    out = []
-    for (bench, name) in sorted(series):
-        vals = series[(bench, name)][-width:]
-        out.append(
-            f"{bench}.{name:<28} {sparkline(vals)}  last={vals[-1]:.6g}"
-        )
-    return out
 
 
 def trajectory_dict(
@@ -219,10 +170,7 @@ def write_trajectory(path: str | Path, trajectory: dict) -> None:
 
 
 __all__ = [
-    "PhaseDelta",
     "render_markdown",
-    "trend_lines",
-    "microbench_trend_lines",
     "trajectory_dict",
     "write_trajectory",
 ]

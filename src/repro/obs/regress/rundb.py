@@ -1,9 +1,16 @@
 """Append-only run database for the regression observatory.
 
-Every benchmark run — a full partitioner run out of the bench harness or a
-microbenchmark record like the decode hot path — is persisted as one JSON
-line in a ``.jsonl`` file.  Records are versioned (``RUNDB_SCHEMA``) and
-stamped with enough provenance to make any two records comparable later:
+Every benchmark run is persisted as one JSON line in a ``.jsonl`` file.
+What a row *is* depends on its kind -- a one-shot ``partition`` run, a
+replayed ``service`` trace, a ``dist`` cluster run -- and that decision is
+stated once, in :data:`KINDS`: the metrics the kind gates (with their
+neutral bands), the bench-name prefix, the default cell matrix, the
+summary columns and the function that runs one cell.  Everything else
+(:func:`make_record`, the matrix loop in :mod:`repro.bench.harness`,
+baseline capture, compare, the ``repro bench`` verbs) reads that table.
+
+Records are versioned (``RUNDB_SCHEMA``) and stamped with enough
+provenance to make any two records comparable later:
 
 * the environment: git SHA (+dirty flag), python / numpy versions, platform,
 * the configuration: preset name plus the seed-independent
@@ -14,46 +21,138 @@ stamped with enough provenance to make any two records comparable later:
 The store is append-only by construction: :meth:`RunDB.append` opens the
 file in ``"a"`` mode and never rewrites history.  Loading accepts only
 records of the current schema (the committed rows were restamped once when
-the migration chain was retired) and fills their optional fields.
+the migration chain was retired), fills their optional fields and never
+switches on ``kind``: rows of a kind no longer written (the two committed
+``microbench`` rows) load as opaque data.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import platform
 import subprocess
 import sys
 import time
 from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from pathlib import Path
+
+from repro.memory.report import fmt_bytes
 
 RUNDB_SCHEMA = 4
 
-#: metrics of a partition-kind record, in report order
-PARTITION_METRICS = (
-    "cut",
-    "wall_seconds",
-    "peak_bytes",
-    "imbalance",
-)
 
-#: gated metric of a service-kind record (lower-is-better): the warm-start
-#: quality overhead (warm cut / from-scratch cut).  The latency quantiles
-#: and ``warm_over_full`` are recorded beside it but are wall-clock: CI
-#: bounds them by absolute SLOs, the ladder's ``serve-churn`` judges them
-SERVICE_METRICS = ("cut_overhead",)
+# --------------------------------------------------------------------- #
+# the kinds table
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class Kind:
+    """What a run-DB row of one kind is."""
 
-#: gated metrics of a dist-kind record (all lower-is-better): quality, the
-#: worst single-rank ledger peak, the cluster memory ratio (max rank peak /
-#: mean rank peak — 1.0 is perfectly even, the paper's tera-scale runs stay
-#: under ~2), and the raw / compressed communication volumes
-DIST_METRICS = (
-    "cut",
-    "max_rank_peak_bytes",
-    "memory_ratio",
-    "comm_raw_bytes",
-    "comm_varint_bytes",
-)
+    name: str
+    #: gated metric -> half-width of its neutral band around ratio 1.0.
+    #: Every gated metric is lower-is-better and deterministic per seed;
+    #: wall-clock fields ride in the rows but are judged by the ladder
+    #: (``BENCHMARK.json``) and, for the service, by CI's absolute SLOs
+    gated: dict[str, float]
+    #: rows are stamped ``bench = bench_prefix + suite``
+    bench_prefix: str
+    #: default k values and seeds of ``repro bench record`` (the matrix the
+    #: committed baseline of the kind was captured on)
+    ks: tuple[int, ...]
+    seeds: tuple[int, ...]
+    #: ``(header, run-section field, formatter)`` columns of the summary
+    #: ``record`` prints: seed means per (algorithm, instance, k)
+    summary: tuple[tuple[str, str, Callable[[float], str]], ...]
+    #: ``"module:function"``: ``configs(opts)`` builds the matrix's config
+    #: axis from the parsed ``bench record`` options, and
+    #: ``cell(config, instance, k, seed)`` runs one cell and returns its
+    #: measurement (see :func:`make_record`)
+    configs: str
+    cell: str
+
+    def load(self, role: str) -> Callable:
+        """Import and return the ``"configs"`` or ``"cell"`` function (by
+        name, so this module never imports the bench harness)."""
+        module, _, name = getattr(self, role).partition(":")
+        return getattr(importlib.import_module(module), name)
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.1f}ms"
+
+
+_COUNT = "{:.0f}".format
+_RATIO = "{:.3f}".format
+
+KINDS: dict[str, Kind] = {
+    kind.name: kind
+    for kind in (
+        Kind(
+            "partition",
+            gated={"cut": 0.02, "peak_bytes": 0.02},
+            bench_prefix="",
+            ks=(4,),
+            seeds=(0, 1, 2),
+            summary=(
+                ("cut", "cut", _COUNT),
+                ("wall", "wall_seconds", "{:.2f}s".format),
+                ("peak", "peak_bytes", fmt_bytes),
+            ),
+            configs="repro.bench.harness:traced_presets",
+            cell="repro.bench.harness:run_partitioner",
+        ),
+        Kind(
+            "service",
+            # the warm-start quality overhead (warm cut / from-scratch cut);
+            # the latency quantiles and warm_over_full beside it are
+            # wall-clock
+            gated={"cut_overhead": 0.02},
+            bench_prefix="service-",
+            ks=(8,),
+            seeds=(0,),
+            summary=(
+                ("p50", "p50_seconds", _ms),
+                ("p99", "p99_seconds", _ms),
+                ("warm/full", "warm_over_full", _RATIO),
+                ("cut ovhd", "cut_overhead", _RATIO),
+                ("hit rate", "cache_hit_rate", "{:.2f}".format),
+            ),
+            configs="repro.bench.service:presets",
+            cell="repro.bench.service:bench_one",
+        ),
+        Kind(
+            "dist",
+            # quality, the worst single-rank ledger peak, the cluster memory
+            # ratio (max rank peak / mean rank peak -- 1.0 is perfectly
+            # even, the paper's tera-scale runs stay under ~2) and the raw /
+            # varint-compressed communication volumes.  Ledger peaks and
+            # collective byte counts are deterministic (tight bands);
+            # memory_ratio divides two such peaks, so small shifts in either
+            # compound -- it gets a little more room
+            gated={
+                "cut": 0.02,
+                "max_rank_peak_bytes": 0.02,
+                "memory_ratio": 0.05,
+                "comm_raw_bytes": 0.02,
+                "comm_varint_bytes": 0.02,
+            },
+            bench_prefix="dist-",
+            ks=(8,),
+            seeds=(0,),
+            summary=(
+                ("cut", "cut", _COUNT),
+                ("mem ratio", "memory_ratio", _RATIO),
+                ("max rank peak", "max_rank_peak_bytes", fmt_bytes),
+                ("comm raw", "comm_raw_bytes", fmt_bytes),
+                ("comm varint", "comm_varint_bytes", fmt_bytes),
+            ),
+            configs="repro.bench.dist:systems",
+            cell="repro.bench.dist:bench_one",
+        ),
+    )
+}
 
 
 # --------------------------------------------------------------------- #
@@ -61,18 +160,14 @@ DIST_METRICS = (
 # --------------------------------------------------------------------- #
 def environment_stamp() -> dict:
     """Best-effort provenance of the machine/tree producing a record."""
-    git_sha, git_dirty = _git_state()
-    try:
-        import numpy
+    import numpy
 
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is a hard dep
-        numpy_version = None
+    git_sha, git_dirty = _git_state()
     return {
         "git_sha": git_sha,
         "git_dirty": git_dirty,
         "python": platform.python_version(),
-        "numpy": numpy_version,
+        "numpy": numpy.__version__,
         "platform": sys.platform,
         "machine": platform.machine(),
     }
@@ -108,10 +203,26 @@ def config_stamp(cfg) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# record builders
+# the record builder
 # --------------------------------------------------------------------- #
+@dataclass
+class Measurement:
+    """What one cell of a run matrix reports: the row's identity, the flat
+    fields of its ``run`` section after the identity, and its obs registry
+    snapshot.  The harness's :class:`~repro.bench.harness.RunRecord`
+    offers the same six attributes, so :func:`make_record` takes either."""
+
+    algorithm: str
+    instance: str
+    k: int
+    seed: int
+    metrics: dict
+    obs: dict | None = None
+
+
 def make_record(
-    run_record,
+    kind: str,
+    measurement,
     *,
     bench: str,
     label: str | None = None,
@@ -119,140 +230,33 @@ def make_record(
     env: dict | None = None,
     timestamp: float | None = None,
 ) -> dict:
-    """Stamp a harness :class:`~repro.bench.harness.RunRecord` into a DB
-    record.  ``run_record`` is duck-typed (anything with the RunRecord
-    fields works), so this module never imports the bench harness."""
-    extra = dict(getattr(run_record, "extra", None) or {})
-    obs = extra.pop("obs", None)
-    rec = {
-        "schema": RUNDB_SCHEMA,
-        "kind": "partition",
-        "bench": bench,
-        "label": label,
-        "recorded_unix": time.time() if timestamp is None else timestamp,
-        "env": env if env is not None else environment_stamp(),
-        "config": config_stamp(config) if config is not None else None,
-        "run": {
-            "algorithm": run_record.algorithm,
-            "instance": run_record.instance,
-            "k": int(run_record.k),
-            "seed": int(run_record.seed),
-            "cut": int(run_record.cut),
-            "balanced": bool(run_record.balanced),
-            "imbalance": float(run_record.imbalance),
-            "wall_seconds": float(run_record.wall_seconds),
-            "peak_bytes": int(run_record.peak_bytes),
-            "extra": extra,
-        },
-        "obs": obs,
-    }
-    return rec
+    """Stamp one cell's measurement into a DB record of ``kind``.
 
-
-def make_service_record(
-    bench: str,
-    *,
-    algorithm: str,
-    instance: str,
-    k: int,
-    seed: int,
-    metrics: dict,
-    label: str | None = None,
-    config=None,
-    obs: dict | None = None,
-    env: dict | None = None,
-    timestamp: float | None = None,
-) -> dict:
-    """Stamp one replayed-trace service benchmark into a DB record.
-
-    Service records carry the same (algorithm, instance, k, seed) identity
-    as partition records so the baseline/compare machinery groups them
-    identically — but the ``run`` payload is the flat service metric dict
-    (latency quantiles, hit rates, warm-vs-full ratios) a trace replay
-    produced, and ``obs`` holds the service's counter-only metrics
-    registry snapshot.
+    Every kind carries the same (algorithm, instance, k, seed) identity at
+    the head of its ``run`` section, so the baseline/compare machinery
+    groups all rows alike; what follows is the kind's own flat metric dict,
+    which must hold every metric the kind gates.
     """
+    run = {
+        "algorithm": measurement.algorithm,
+        "instance": measurement.instance,
+        "k": int(measurement.k),
+        "seed": int(measurement.seed),
+        **measurement.metrics,
+    }
+    missing = [m for m in KINDS[kind].gated if m not in run]
+    if missing:
+        raise ValueError(f"{kind} record lacks gated metric(s) {missing}")
     return {
         "schema": RUNDB_SCHEMA,
-        "kind": "service",
+        "kind": kind,
         "bench": bench,
         "label": label,
         "recorded_unix": time.time() if timestamp is None else timestamp,
         "env": env if env is not None else environment_stamp(),
         "config": config_stamp(config) if config is not None else None,
-        "run": {
-            "algorithm": algorithm,
-            "instance": instance,
-            "k": int(k),
-            "seed": int(seed),
-            **{str(m): v for m, v in metrics.items()},
-        },
-        "obs": obs,
-    }
-
-
-def make_dist_record(
-    bench: str,
-    *,
-    algorithm: str,
-    instance: str,
-    k: int,
-    seed: int,
-    metrics: dict,
-    label: str | None = None,
-    config=None,
-    obs: dict | None = None,
-    env: dict | None = None,
-    timestamp: float | None = None,
-) -> dict:
-    """Stamp one distributed partitioner run into a DB record.
-
-    Dist records carry the partition identity + quality fields plus the
-    cluster-observability metrics of :data:`DIST_METRICS` flat in the
-    ``run`` section (rank count, per-rank peak spread, communication
-    volumes raw vs varint-compressed).  ``obs`` holds the full
-    memory-ratio report + per-phase rollup
-    (:func:`~repro.obs.dist.report.dist_obs_registry`), condensed or
-    dropped by the baseline capture exactly like traced partition runs.
-    """
-    return {
-        "schema": RUNDB_SCHEMA,
-        "kind": "dist",
-        "bench": bench,
-        "label": label,
-        "recorded_unix": time.time() if timestamp is None else timestamp,
-        "env": env if env is not None else environment_stamp(),
-        "config": config_stamp(config) if config is not None else None,
-        "run": {
-            "algorithm": algorithm,
-            "instance": instance,
-            "k": int(k),
-            "seed": int(seed),
-            **{str(m): v for m, v in metrics.items()},
-        },
-        "obs": obs,
-    }
-
-
-def make_microbench_record(
-    bench: str,
-    metrics: dict,
-    *,
-    label: str | None = None,
-    env: dict | None = None,
-    timestamp: float | None = None,
-) -> dict:
-    """Stamp a flat microbenchmark metric dict into a DB record."""
-    return {
-        "schema": RUNDB_SCHEMA,
-        "kind": "microbench",
-        "bench": bench,
-        "label": label,
-        "recorded_unix": time.time() if timestamp is None else timestamp,
-        "env": env if env is not None else environment_stamp(),
-        "config": None,
-        "run": dict(metrics),
-        "obs": None,
+        "run": run,
+        "obs": measurement.obs,
     }
 
 
@@ -262,8 +266,7 @@ def make_microbench_record(
 def migrate_record(rec: dict) -> dict:
     """Fill the optional fields of a ``RUNDB_SCHEMA`` record.
 
-    Every committed row is stamped at the current schema (4: record kinds
-    ``partition``, ``microbench``, ``service``, ``dist``), so there is no
+    Every committed row is stamped at the current schema, so there is no
     migration chain: a record from any other schema raises -- refusing to
     silently reinterpret data written by newer code, or by code old enough
     that its layout is no longer known here.
@@ -315,47 +318,30 @@ class RunDB:
             return []
         out = []
         with open(self.path) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if not line:
                     continue
-                out.append(migrate_record(json.loads(line)))
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as err:
+                    # e.g. a crash mid-append truncated the last line
+                    raise ValueError(
+                        f"{self.path}:{lineno}: not a JSON record ({err})"
+                    ) from None
+                out.append(migrate_record(rec))
         return out
 
     def query(
-        self,
-        *,
-        kind: str | None = None,
-        bench: str | None = None,
-        label: str | None = None,
-        algorithm: str | None = None,
-        instance: str | None = None,
-        k: int | None = None,
-        since: float | None = None,
-        predicate: Callable[[dict], bool] | None = None,
+        self, *, kind: str | None = None, label: str | None = None
     ) -> list[dict]:
-        """Filter records; every criterion is optional and conjunctive."""
-        out = []
-        for rec in self.load():
-            run = rec.get("run", {})
-            if kind is not None and rec.get("kind") != kind:
-                continue
-            if bench is not None and rec.get("bench") != bench:
-                continue
-            if label is not None and rec.get("label") != label:
-                continue
-            if algorithm is not None and run.get("algorithm") != algorithm:
-                continue
-            if instance is not None and run.get("instance") != instance:
-                continue
-            if k is not None and run.get("k") != k:
-                continue
-            if since is not None and (rec.get("recorded_unix") or 0) < since:
-                continue
-            if predicate is not None and not predicate(rec):
-                continue
-            out.append(rec)
-        return out
+        """Records of one kind and/or under one label, in append order."""
+        return [
+            rec
+            for rec in self.load()
+            if (kind is None or rec.get("kind") == kind)
+            and (label is None or rec.get("label") == label)
+        ]
 
 
 def latest_per_key(
@@ -369,7 +355,7 @@ def latest_per_key(
 
 
 def run_key(rec: dict) -> tuple:
-    """The identity a partition record is compared under."""
+    """The identity a record of any kind is compared under."""
     run = rec.get("run", {})
     return (
         run.get("algorithm"),

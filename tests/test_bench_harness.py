@@ -13,7 +13,8 @@ from repro.bench.harness import (
 )
 from repro.bench.instances import SEM_GRAPHS, SET_A, SET_B, Instance, load_instance
 from repro.bench.profiles import performance_profile, profile_summary
-from repro.bench.reporting import fmt_bytes, render_series, render_table, render_waterfall
+from repro.bench.reporting import render_series, render_table, render_waterfall
+from repro.memory.report import fmt_bytes
 
 
 class TestInstances:

@@ -12,11 +12,11 @@ import pytest
 
 from repro.bench.reporting import (
     _fmt,
-    fmt_bytes,
     render_series,
     render_table,
     render_waterfall,
 )
+from repro.memory.report import fmt_bytes
 
 GOLDEN = Path(__file__).parent / "data" / "golden_bench_report.txt"
 

@@ -113,7 +113,7 @@ class TestPortfolioAndMetricsFlags:
 
 
 class TestBenchCommands:
-    """The regression observatory CLI: record / baseline / compare / trend."""
+    """The regression observatory CLI: record / baseline / compare."""
 
     @pytest.fixture(scope="class")
     def recorded_db(self, tmp_path_factory):
@@ -176,6 +176,7 @@ class TestBenchCommands:
 
         def rec(seed, peak):
             return make_record(
+                "partition",
                 RunRecord(
                     "terapart", "fem-grid", 4, seed,
                     cut=100, balanced=True, imbalance=0.01,
@@ -202,16 +203,14 @@ class TestBenchCommands:
         assert "perf gate: FAILED" in out
         assert "regressed" in out
 
-    def test_trend_renders_sparklines(self, recorded_db, capsys):
-        rc = main(["bench", "trend", "--db", str(recorded_db), "--metric", "cut"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "terapart|fem-grid|4" in out
-        assert "last=" in out
-
-    def test_trend_empty_db_rejected(self, tmp_path):
+    def test_bench_offers_exactly_three_verbs(self, capsys):
+        """One verb records every kind: no `service`, `dist` or `trend`."""
         with pytest.raises(SystemExit):
-            main(["bench", "trend", "--db", str(tmp_path / "none.jsonl")])
+            main(["bench", "--help"])
+        assert "{record,baseline,compare}" in capsys.readouterr().out
+        for gone in ("service", "dist", "trend"):
+            with pytest.raises(SystemExit):
+                main(["bench", gone])
 
     def test_record_unknown_instance_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

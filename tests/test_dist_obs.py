@@ -321,6 +321,40 @@ class TestMemoryRatioReport:
         assert "level" in text
 
 
+class TestImportFootprint:
+    def test_traced_run_does_not_import_the_regress_package(self):
+        """The phase vocabulary lives with the spans (obs/tracer), so a
+        traced dpartition -- comm_by_phase normalizes span names -- needs
+        neither the regression observatory nor the bench harness."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "import sys\n"
+            "from repro.core.config import DistObsConfig\n"
+            "from repro.dist.dpartitioner import DistConfig, dpartition\n"
+            "from repro.graph.generators import grid2d\n"
+            "cfg = DistConfig(obs=DistObsConfig(enabled=True))\n"
+            "r = dpartition(grid2d(20, 20), 4, 2, compressed=True, config=cfg)\n"
+            "assert r.obs['report']['per_phase'], 'comm_by_phase did not run'\n"
+            "bad = [m for m in ('repro.obs.regress', 'repro.bench', 'repro.cli')"
+            " if m in sys.modules]\n"
+            "assert not bad, bad\n"
+        )
+        src = str(Path(repro.__file__).parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 # --------------------------------------------------------------------- #
 # acceptance: tracing never perturbs the run
 # --------------------------------------------------------------------- #
@@ -379,27 +413,31 @@ class TestSharedMemoryEquivalence:
 # --------------------------------------------------------------------- #
 class TestDistBenchRoundTrip:
     def test_records_baseline_and_compare(self, tmp_path):
-        from repro.bench.dist import run_dist_bench
+        from repro.bench.dist import DistSystem
+        from repro.bench.harness import run_matrix
         from repro.obs.regress.compare import capture_baseline, compare
-        from repro.obs.regress.rundb import DIST_METRICS, RunDB
+        from repro.obs.regress.rundb import KINDS, RunDB
 
+        gated = tuple(KINDS["dist"].gated)
         db = RunDB(tmp_path / "runs.jsonl")
         instances = (Instance("fem-grid", "grid2d", (50, 50)),)
-        records = run_dist_bench(
+        run_matrix(
+            [DistSystem("xterapart", 2, tmp_path / "artifacts")],
             instances,
-            rank_counts=(2,),
-            k_values=(4,),
-            modes=(("xterapart", True),),
+            (4,),
+            (0,),
+            kind="dist",
             rundb=db,
-            bench="dist-smoke",
-            label="pr9",
-            artifacts_dir=tmp_path / "artifacts",
+            record_bench="dist-smoke",
+            record_label="pr9",
         )
+        records = db.load()
         assert len(records) == 1
         rec = records[0]
         assert rec["kind"] == "dist" and rec["schema"] == 4
         assert rec["run"]["algorithm"] == "xterapart-r2"
-        for m in DIST_METRICS:
+        assert rec["label"] == "pr9" and rec["config"] is None
+        for m in gated:
             assert m in rec["run"], m
         assert rec["obs"]["report"]["memory_ratio"] >= 1.0
         # artifacts written per cell
@@ -409,12 +447,8 @@ class TestDistBenchRoundTrip:
 
         loaded = db.query(kind="dist")
         assert len(loaded) == 1
-        base = capture_baseline(
-            loaded, "dist-smoke", metrics=DIST_METRICS, kinds=("dist",)
-        )
-        report = compare(
-            base, loaded, metrics=DIST_METRICS, kinds=("dist",)
-        )
+        base = capture_baseline(loaded, "dist-smoke", kind="dist")
+        report = compare(base, loaded, kind="dist")
         assert not report.regressed
-        assert {v.metric for v in report.verdicts} == set(DIST_METRICS)
+        assert {v.metric for v in report.verdicts} == set(gated)
         assert all(v.ratio == 1.0 for v in report.verdicts)

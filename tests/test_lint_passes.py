@@ -159,7 +159,7 @@ class TestPhaseDiscipline:
         assert all(f.severity == "error" for f in findings)
 
     def test_rank_suffix_normalizes(self):
-        from repro.obs.regress.attrib import normalize_phase
+        from repro.obs.tracer import normalize_phase
 
         assert normalize_phase("dist-lp-round2") == "dist-lp"
         assert normalize_phase("dist-refinement-level3") == "dist-refinement"
@@ -580,7 +580,7 @@ class TestPhaseVocabularyDrift:
         from repro.core.config import DistObsConfig
         from repro.core.partitioner import partition
         from repro.dist.dpartitioner import DistConfig, dpartition
-        from repro.obs.regress.attrib import normalize_phase
+        from repro.obs.tracer import normalize_phase
 
         graph = load_instance("fem-grid")
         names: set[str] = set()
@@ -608,7 +608,7 @@ class TestPhaseVocabularyDrift:
         return names
 
     def test_every_span_is_known(self, observed_spans):
-        from repro.obs.regress.attrib import KNOWN_PHASES
+        from repro.obs.tracer import KNOWN_PHASES
 
         assert observed_spans <= KNOWN_PHASES, (
             f"spans missing from KNOWN_PHASES: "
@@ -616,7 +616,7 @@ class TestPhaseVocabularyDrift:
         )
 
     def test_no_dead_vocabulary(self, observed_spans):
-        from repro.obs.regress.attrib import KNOWN_PHASES
+        from repro.obs.tracer import KNOWN_PHASES
 
         unobserved = KNOWN_PHASES - observed_spans
         assert unobserved == self.RUNTIME_ONLY, (

@@ -38,7 +38,7 @@ class TestRenderPhaseBreakdown:
         out = render_phase_breakdown(t)
         assert "partition" in out
         assert "coarsening" in out
-        assert "4.0 KiB" in out
+        assert "4.00 KiB" in out
         assert "clustering" in out  # category appears in the breakdown
 
     def test_max_depth_limits_output(self):

@@ -6,9 +6,9 @@ from repro.obs.regress.attrib import (
     attribute,
     diff_profiles,
     format_attribution,
-    normalize_phase,
     phase_profile,
 )
+from repro.obs.tracer import normalize_phase
 
 
 def _obs(scale_clustering=1.0, scale_coarsen_bytes=1.0):

@@ -4,18 +4,13 @@ import pytest
 
 from repro.obs.regress.compare import (
     BASELINE_SCHEMA,
-    DEFAULT_METRICS,
     DEFAULT_NEUTRAL_BANDS,
     Baseline,
     CompareThresholds,
     capture_baseline,
     compare,
 )
-from repro.obs.regress.rundb import (
-    DIST_METRICS,
-    RUNDB_SCHEMA,
-    SERVICE_METRICS,
-)
+from repro.obs.regress.rundb import KINDS, RUNDB_SCHEMA
 
 
 def _rec(
@@ -98,6 +93,12 @@ class TestBaseline:
     def test_future_schema_rejected(self):
         with pytest.raises(ValueError, match="newer"):
             Baseline.from_dict({"schema": BASELINE_SCHEMA + 1})
+
+    def test_older_schema_rejected(self):
+        """Like the run-DB loader: any schema but the current one is
+        refused, never reinterpreted."""
+        with pytest.raises(ValueError, match="older"):
+            Baseline.from_dict({"schema": BASELINE_SCHEMA - 1, "groups": {}})
 
     def test_non_partition_records_ignored(self):
         recs = _matrix() + [{"kind": "microbench", "run": {"x": 1}}]
@@ -194,6 +195,37 @@ class TestClassification:
         assert report.keys_compared == ["terapart|fem-grid|4"]
         assert report.keys_missing == ["terapart|web-small|4"]
 
+    def test_uncovered_baseline_group_fails_the_gate(self):
+        """A gate that compared nothing, or only some of the baseline, has
+        not passed: every baseline group needs candidate rows."""
+        base = capture_baseline(_matrix(), "b")
+        stranger = [_rec(alg="no-such-algorithm", seed=s) for s in range(3)]
+        nothing = compare(base, stranger, thresholds=THR)
+        assert nothing.keys_compared == [] and nothing.verdicts == []
+        assert nothing.regressed and not nothing.gate.passed
+        assert nothing.gate.uncompared == sorted(base.groups)
+        half = [r for r in _matrix() if r["run"]["instance"] == "fem-grid"]
+        partial = compare(base, half, thresholds=THR)
+        assert not partial.regressed_metrics  # what was compared is neutral
+        assert partial.regressed
+        assert partial.gate.uncompared == ["terapart|web-small|4"]
+
+    def test_metric_without_a_paired_seed_fails_the_gate(self):
+        base = capture_baseline(_matrix(), "b")
+        cand = _matrix()
+        for r in cand:
+            if r["run"]["instance"] == "web-small":
+                del r["run"]["peak_bytes"]  # rows that lost a gated metric
+                r["run"]["seed"] += 10  # and share no seed with the baseline
+        report = compare(base, cand, thresholds=THR)
+        assert report.keys_missing == []
+        assert report.regressed and not report.regressed_metrics
+        assert report.gate.uncompared == [
+            "cut@terapart|web-small|4",
+            "peak_bytes@terapart|web-small|4",
+        ]
+        assert report.verdict_for("cut").n_keys == 1
+
 
 class TestZeroCuts:
     def test_zero_to_zero_counts_as_ratio_one(self):
@@ -271,7 +303,7 @@ def _service_rec(inst="fem-grid", seed=0, warm_over_full=0.05, p99=0.1,
 
 
 class TestServiceKind:
-    """The kinds parameter routes service records through the same
+    """The kind parameter routes service records through the same
     baseline/compare machinery that gates partition runs."""
 
     def test_default_kinds_ignore_service_records(self):
@@ -286,7 +318,7 @@ class TestServiceKind:
         recs = [_service_rec(inst=i, seed=s)
                 for i in ("fem-grid", "web-small") for s in range(2)]
         base = capture_baseline(
-            recs, "svc", kinds=("service",),
+            recs, "svc", kind="service",
             metrics=("p99_seconds", "warm_over_full", "cut_overhead"),
         )
         g = base.groups["serve-terapart|fem-grid|8"]
@@ -296,7 +328,7 @@ class TestServiceKind:
         assert g["balanced"] == [True, True]
 
     def test_service_regression_detected(self):
-        kw = dict(kinds=("service",), metrics=SERVICE_METRICS)
+        kw = dict(kind="service")
         recs = [_service_rec(inst=i, seed=s)
                 for i in ("fem-grid", "web-small") for s in range(2)]
         base = capture_baseline(recs, "svc", **kw)
@@ -318,9 +350,9 @@ class TestServiceKind:
         """A partition-metrics compare over service records yields no
         verdict rather than a KeyError."""
         recs = [_service_rec(seed=s) for s in range(2)]
-        base = capture_baseline(recs, "svc", kinds=("service",),
+        base = capture_baseline(recs, "svc", kind="service",
                                 metrics=("p99_seconds",))
-        report = compare(base, recs, kinds=("service",), metrics=("cut",),
+        report = compare(base, recs, kind="service", metrics=("cut",),
                          thresholds=THR)
         assert report.verdict_for("cut") is None
 
@@ -350,6 +382,13 @@ class TestGateCommand:
         assert "perf gate: passed" in out
         assert "wall_seconds" not in out
 
+    def test_missing_baseline_group_fails_and_is_named(self, tmp_path, capsys):
+        half = [r for r in _matrix() if r["run"]["instance"] == "fem-grid"]
+        assert self._gate(tmp_path, half) == 1
+        out = capsys.readouterr().out
+        assert "perf gate: FAILED (not compared: terapart|web-small|4)" in out
+        assert "## Coverage" in out
+
     def test_gating_seconds_is_a_usage_error(self, tmp_path):
         with pytest.raises(SystemExit, match="'wall_seconds' has no declared"):
             self._gate(tmp_path, _matrix(), "--metrics", "wall_seconds")
@@ -359,7 +398,7 @@ class TestDeclaredBands:
     """One rule: the observatory classifies deterministic metrics only."""
 
     def test_every_gated_metric_has_a_band_and_none_is_seconds(self):
-        gated = set(DEFAULT_METRICS) | set(SERVICE_METRICS) | set(DIST_METRICS)
+        gated = {m for kind in KINDS.values() for m in kind.gated}
         assert gated == set(DEFAULT_NEUTRAL_BANDS)
         assert not [m for m in gated if "seconds" in m or "warm" in m]
 

@@ -8,18 +8,15 @@ from repro.bench.harness import RunRecord
 from repro.core import config as C
 from repro.core.config import config_digest
 from repro.obs.regress.rundb import (
-    DIST_METRICS,
+    KINDS,
     RUNDB_SCHEMA,
-    SERVICE_METRICS,
+    Measurement,
     RunDB,
     config_stamp,
     default_rundb,
     environment_stamp,
     latest_per_key,
-    make_dist_record,
-    make_microbench_record,
     make_record,
-    make_service_record,
     migrate_record,
     run_key,
 )
@@ -49,6 +46,7 @@ def _rr(seed=0, cut=100, wall=1.0, peak=1000, obs=None, **kw):
 class TestRecordBuilders:
     def test_make_record_shape(self):
         rec = make_record(
+            "partition",
             _rr(obs={"phases": []}),
             bench="smoke",
             label="base",
@@ -70,13 +68,15 @@ class TestRecordBuilders:
         assert rec["run"]["extra"] == {"num_levels": 3}
         assert rec["config"]["name"] == "terapart"
 
-    def test_microbench_record(self):
-        rec = make_microbench_record(
-            "decode_hotpath", {"bulk_ns_per_edge": 96.0}, env={}, timestamp=1.0
-        )
-        assert rec["kind"] == "microbench"
-        assert rec["run"]["bulk_ns_per_edge"] == 96.0
-        assert rec["obs"] is None
+    def test_builder_refuses_what_the_table_does_not_hold(self):
+        """One builder, fed by the kinds table: no row of an unknown kind
+        (the retired ``microbench`` included), none without the metrics
+        its kind gates."""
+        with pytest.raises(KeyError):
+            make_record("microbench", _rr(), bench="decode_hotpath", env={})
+        bare = Measurement("serve-terapart", "fem-grid", 8, 0, {"requests": 1})
+        with pytest.raises(ValueError, match="cut_overhead"):
+            make_record("service", bare, bench="service-smoke", env={})
 
 
 def _service_metrics(**overrides):
@@ -97,16 +97,15 @@ def _service_metrics(**overrides):
 
 class TestServiceRecords:
     def test_make_service_record_shape(self):
-        rec = make_service_record(
-            "service-smoke",
-            algorithm="serve-terapart",
-            instance="fem-grid",
-            k=8,
-            seed=0,
-            metrics=_service_metrics(),
+        rec = make_record(
+            "service",
+            Measurement(
+                "serve-terapart", "fem-grid", 8, 0, _service_metrics(),
+                {"counters": {"serve.requests": 16}},
+            ),
+            bench="service-smoke",
             label="pr7",
             config=C.terapart(),
-            obs={"counters": {"serve.requests": 16}},
             env={},
             timestamp=9.0,
         )
@@ -122,24 +121,23 @@ class TestServiceRecords:
         assert rec["config"]["name"] == "terapart"
 
     def test_gated_metrics_all_present(self):
-        rec = make_service_record(
-            "s", algorithm="a", instance="i", k=2, seed=0,
-            metrics=_service_metrics(), env={},
+        rec = make_record(
+            "service", Measurement("a", "i", 2, 0, _service_metrics()),
+            bench="s", env={},
         )
-        for m in SERVICE_METRICS:
+        for m in KINDS["service"].gated:
             assert m in rec["run"]
 
     def test_db_roundtrip_and_kind_query(self, tmp_path):
         db = RunDB(tmp_path / "runs.jsonl")
-        db.append(make_record(_rr(), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(), bench="smoke", env={}))
         db.append(
-            make_service_record(
-                "service-smoke",
-                algorithm="serve-terapart",
-                instance="fem-grid",
-                k=8,
-                seed=0,
-                metrics=_service_metrics(),
+            make_record(
+                "service",
+                Measurement(
+                    "serve-terapart", "fem-grid", 8, 0, _service_metrics()
+                ),
+                bench="service-smoke",
                 env={},
             )
         )
@@ -148,8 +146,8 @@ class TestServiceRecords:
         svc = db.query(kind="service")
         assert len(svc) == 1
         assert svc[0]["run"]["cut_overhead"] == 0.98
-        assert db.query(kind="service", algorithm="serve-terapart")
-        assert not db.query(kind="service", k=4)
+        assert [r for r in svc if r["run"]["algorithm"] == "serve-terapart"]
+        assert not [r for r in svc if r["run"]["k"] == 4]
 
 
 def _dist_metrics(**overrides):
@@ -172,15 +170,14 @@ def _dist_metrics(**overrides):
 
 class TestDistRecords:
     def test_make_dist_record_shape(self):
-        rec = make_dist_record(
-            "dist-smoke",
-            algorithm="xterapart-r4",
-            instance="fem-grid",
-            k=8,
-            seed=0,
-            metrics=_dist_metrics(),
+        rec = make_record(
+            "dist",
+            Measurement(
+                "xterapart-r4", "fem-grid", 8, 0, _dist_metrics(),
+                {"schema": 1, "report": {"memory_ratio": 1.014}},
+            ),
+            bench="dist-smoke",
             label="pr9",
-            obs={"schema": 1, "report": {"memory_ratio": 1.014}},
             env={},
             timestamp=9.0,
         )
@@ -195,24 +192,23 @@ class TestDistRecords:
         assert rec["obs"]["report"]["memory_ratio"] == 1.014
 
     def test_gated_metrics_all_present(self):
-        rec = make_dist_record(
-            "d", algorithm="a", instance="i", k=2, seed=0,
-            metrics=_dist_metrics(), env={},
+        rec = make_record(
+            "dist", Measurement("a", "i", 2, 0, _dist_metrics()),
+            bench="d", env={},
         )
-        for m in DIST_METRICS:
+        for m in KINDS["dist"].gated:
             assert m in rec["run"]
 
     def test_db_roundtrip_and_kind_query(self, tmp_path):
         db = RunDB(tmp_path / "runs.jsonl")
-        db.append(make_record(_rr(), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(), bench="smoke", env={}))
         db.append(
-            make_dist_record(
-                "dist-smoke",
-                algorithm="xterapart-r4",
-                instance="fem-grid",
-                k=8,
-                seed=0,
-                metrics=_dist_metrics(),
+            make_record(
+                "dist",
+                Measurement(
+                    "xterapart-r4", "fem-grid", 8, 0, _dist_metrics()
+                ),
+                bench="dist-smoke",
                 env={},
             )
         )
@@ -221,8 +217,8 @@ class TestDistRecords:
         dist = db.query(kind="dist")
         assert len(dist) == 1
         assert dist[0]["run"]["max_rank_peak_bytes"] == 76410
-        assert db.query(kind="dist", algorithm="xterapart-r4")
-        assert not db.query(kind="dist", k=4)
+        assert [r for r in dist if r["run"]["algorithm"] == "xterapart-r4"]
+        assert not [r for r in dist if r["run"]["k"] == 4]
 
 
 class TestConfigStamp:
@@ -300,17 +296,17 @@ class TestEnvironmentStamp:
 class TestRunDB:
     def test_append_load_roundtrip(self, tmp_path):
         db = RunDB(tmp_path / "runs.jsonl")
-        db.append(make_record(_rr(seed=0), bench="smoke", env={}))
-        db.append(make_record(_rr(seed=1), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(seed=0), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(seed=1), bench="smoke", env={}))
         recs = db.load()
         assert [r["run"]["seed"] for r in recs] == [0, 1]
 
     def test_append_only_one_line_per_record(self, tmp_path):
         path = tmp_path / "runs.jsonl"
         db = RunDB(path)
-        db.append(make_record(_rr(), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(), bench="smoke", env={}))
         first = path.read_text()
-        db.append(make_record(_rr(seed=1), bench="smoke", env={}))
+        db.append(make_record("partition", _rr(seed=1), bench="smoke", env={}))
         # history is never rewritten: the first line is byte-identical
         assert path.read_text().startswith(first)
         assert path.read_text().count("\n") == 2
@@ -318,26 +314,43 @@ class TestRunDB:
     def test_load_missing_file(self, tmp_path):
         assert RunDB(tmp_path / "nope.jsonl").load() == []
 
+    def test_truncated_last_line_names_file_and_line(self, tmp_path):
+        """A crash mid-append leaves half a record: say where, as the
+        ValueError every other loader raises on a corrupt file."""
+        path = tmp_path / "runs.jsonl"
+        db = RunDB(path)
+        db.append(make_record("partition", _rr(), bench="smoke", env={}))
+        whole = path.read_text()
+        path.write_text(whole + whole[: len(whole) // 2])
+        with pytest.raises(ValueError, match=r"runs\.jsonl:2"):
+            db.load()
+
     def test_query_filters(self, tmp_path):
         db = RunDB(tmp_path / "runs.jsonl")
-        db.append(make_record(_rr(), bench="smoke", label="a", env={}))
+        db.append(
+            make_record("partition", _rr(), bench="smoke", label="a", env={})
+        )
         db.append(
             make_record(
-                _rr(instance="web-small"), bench="smoke", label="b", env={}
+                "partition", _rr(instance="web-small"), bench="smoke",
+                label="b", env={},
             )
         )
-        db.append(make_microbench_record("decode_hotpath", {"x": 1}, env={}))
+        # a row of a kind nobody writes any more is still data
+        db.append({"schema": RUNDB_SCHEMA, "kind": "microbench", "run": {"x": 1}})
         assert len(db.query(kind="partition")) == 2
         assert len(db.query(kind="microbench")) == 1
         assert len(db.query(label="a")) == 1
-        assert db.query(instance="web-small")[0]["label"] == "b"
-        assert len(db.query(algorithm="terapart", k=4)) == 2
-        assert len(db.query(k=8)) == 0
+        assert len(db.query(kind="partition", label="b")) == 1
+        runs = [r["run"] for r in db.load() if r["kind"] == "partition"]
+        assert [r["instance"] for r in runs if r["instance"] == "web-small"]
+        assert len([r for r in runs if r["algorithm"] == "terapart" and r["k"] == 4]) == 2
+        assert not [r for r in runs if r["k"] == 8]
 
     def test_latest_per_key(self, tmp_path):
         db = RunDB(tmp_path / "runs.jsonl")
-        db.append(make_record(_rr(cut=100), bench="s", env={}))
-        db.append(make_record(_rr(cut=90), bench="s", env={}))
+        db.append(make_record("partition", _rr(cut=100), bench="s", env={}))
+        db.append(make_record("partition", _rr(cut=90), bench="s", env={}))
         latest = latest_per_key(db.load(), run_key)
         assert len(latest) == 1
         assert latest[0]["run"]["cut"] == 90

@@ -50,20 +50,29 @@ class TestReplay:
 
 class TestServiceBenchRecords:
     def test_bench_one_record_fields(self, tmp_path):
+        from functools import partial
+
+        from repro.bench.harness import run_matrix
         from repro.bench.instances import Instance
-        from repro.bench.service import run_service_bench
-        from repro.obs.regress.rundb import RunDB, SERVICE_METRICS
+        from repro.bench.service import bench_one
+        from repro.obs.regress.rundb import KINDS, RunDB
 
         inst = Instance("tiny-grid", "grid2d", (12, 12))
         db = RunDB(tmp_path / "runs.jsonl")
-        recs = run_service_bench(
-            (inst,), (4,), (0,), rundb=db, bench="service-test",
-            trace_kwargs={"repeat_burst": 2, "delta_batches": 1},
+        run_matrix(
+            [C.terapart()], (inst,), (4,), (0,), kind="service", rundb=db,
+            record_bench="service-test",
+            runner=partial(
+                bench_one, trace_kwargs={"repeat_burst": 2, "delta_batches": 1}
+            ),
         )
+        recs = db.load()
         assert len(recs) == 1
         rec = recs[0]
         assert rec["kind"] == "service" and rec["bench"] == "service-test"
-        for m in SERVICE_METRICS:
+        assert rec["run"]["algorithm"] == "serve-terapart"
+        assert rec["config"]["name"] == "terapart"
+        for m in KINDS["service"].gated:
             assert m in rec["run"]
         assert rec["run"]["cut_overhead"] > 0
         counters = rec["obs"]["counters"]
