@@ -14,11 +14,13 @@ balance:
   processed in a second phase with **one** shared sparse array and
   parallelism over edges -> ``O(n + p*T_bump)`` bytes.
 
-The decision kernel itself is vectorized per chunk (see
-:mod:`repro.graph.access`); the variant determines what gets charged to the
-memory ledger and how work is attributed to the cost model.  The rating-map
-classes in :mod:`repro.core.coarsening.rating_map` implement the real
-structures and are unit-tested for equivalence with the vectorized kernel.
+The decision kernel itself runs per chunk: one call into the compiled rating
+map (:mod:`repro.core.kernels.lp_chunk`) or, as its oracle and fallback, the
+vectorized pipeline of :mod:`repro.graph.access`; the variant determines what
+gets charged to the memory ledger and how work is attributed to the cost
+model.  The rating-map classes in :mod:`repro.core.coarsening.rating_map`
+implement the real structures and are unit-tested for equivalence with the
+vectorized kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.kernels import bulk_size_constrained_commit, segment_best_last
+from repro.core.kernels.lp_chunk import clustering_step
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings, traversal_cost
 from repro.memory.scratch import tracked_zeros
 from repro.verify.declarations import recorder_for
@@ -75,21 +78,119 @@ def _charge_rating_maps(
     return handles
 
 
+def _oracle_step(
+    graph, ctx, clusters, cluster_weights, max_cluster_weight, t_bump, rec
+):
+    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
+    :func:`repro.core.kernels.lp_chunk.clustering_step`, which it is the
+    oracle of -- and the step that has the per-access index arrays the
+    conflict detector records."""
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    two_phase = ctx.config.coarsening.two_phase_lp
+    inject_race = ctx.config.debug.inject_lp_weight_race
+    none = np.empty(0, dtype=np.int64)
+
+    def step(chunk):
+        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
+        if len(owner) == 0:
+            return None
+        if rec.active:
+            rec.read("clusters", nbrs)
+        pair_owner, pair_cluster, pair_rating = segment_reduce_ratings(
+            owner, clusters[nbrs], wgts, n
+        )
+        # nc(u): distinct neighbor clusters per chunk vertex
+        nc = np.bincount(pair_owner, minlength=len(chunk))
+
+        u_of_pair = chunk[pair_owner]
+        fits = cluster_weights[pair_cluster] + vwgt[u_of_pair] <= max_cluster_weight
+        is_current = pair_cluster == clusters[u_of_pair]
+        # rank: rating first, keep-bonus on ties, then a seeded
+        # pseudo-random jitter -- LP must break remaining ties
+        # randomly or mesh clusters snake toward extreme IDs
+        jitter = (
+            ((pair_cluster * 0x9E3779B1) ^ (u_of_pair * 0x85EBCA6B)) >> 7
+        ) & 0x3F
+        rank = ((2 * pair_rating + is_current) << 6) | jitter
+
+        # unconstrained favorite per owner
+        fav_pairs = segment_best_last(pair_owner, rank)
+        fav_us, fav = u_of_pair[fav_pairs], pair_cluster[fav_pairs]
+
+        # constrained best per owner over the same segments:
+        # ranks are >= 0, so a pair that does not fit wins only
+        # where none fits, and that owner has no target
+        ok = fits | is_current
+        best = segment_best_last(pair_owner, np.where(ok, rank, -1))
+        best = best[ok[best]]
+        if len(best) == 0:
+            return len(owner), fav_us, fav, nc, 0, none
+        best_cluster = pair_cluster[best]
+
+        # commit sequentially (atomic weight updates in the
+        # paper); re-check the cap because earlier commits in
+        # this chunk may have filled the target cluster
+        us = u_of_pair[best]
+        cur = clusters[us]
+        want_move = best_cluster != cur
+        # safe-target commits apply with one scatter-add;
+        # contended targets replay in order inside the kernel
+        mv_us = us[want_move]
+        mv_tgt = best_cluster[want_move]
+        prevs = cur[want_move]
+        acc = bulk_size_constrained_commit(
+            mv_tgt,
+            prevs,
+            vwgt[mv_us],
+            cluster_weights,
+            max_cluster_weight,
+        )
+        acc_us = mv_us[acc]
+        clusters[acc_us] = mv_tgt[acc]
+        if rec.active and len(acc_us):
+            rec.atomic("clusters", acc_us)
+            touched = np.concatenate([prevs[acc], mv_tgt[acc]])
+            if inject_race:
+                # test-only injection drops the CAS claim so
+                # fuzzed schedules must catch the plain-write
+                # race
+                # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
+                ctx.detector.record_write("cluster-weights", touched)
+            else:
+                rec.atomic("cluster-weights", touched)
+        if rec.active and two_phase:
+            # second phase: only bumped vertices' rating flushes hit the
+            # shared sparse array
+            bumped = (nc >= t_bump)[pair_owner]
+            if bumped.any():
+                rec.atomic("shared-sparse-array", pair_cluster[bumped])
+        return len(owner), fav_us, fav, nc, len(best), acc_us
+
+    return step
+
+
 def label_propagation_clustering(
     graph,
     ctx: PartitionContext,
     max_cluster_weight: int,
 ) -> ClusteringResult:
-    """Run ``lp_rounds`` of size-constrained label propagation."""
+    """Run ``lp_rounds`` of size-constrained label propagation.
+
+    The driver owns the rounds: visiting order, schedule, favorites, bump
+    counts, cost records and counters.  What happens to one chunk -- rate,
+    pick, commit -- is a *step*: one call into ``lp_kernel.c`` when the
+    compiled library is there, else (and whenever the conflict detector
+    listens) the numpy pipeline of :func:`_oracle_step`, bit-identical.
+    """
     n = graph.n
     cc = ctx.config.coarsening
     two_phase = cc.two_phase_lp
     runtime = ctx.runtime
     rng = ctx.rng
-    vwgt = np.asarray(graph.vwgt)
 
     clusters = np.arange(n, dtype=np.int64)
-    cluster_weights = vwgt.astype(np.int64).copy()
+    cluster_weights = np.asarray(graph.vwgt).astype(np.int64).copy()
     favorites = np.arange(n, dtype=np.int64)
 
     t_bump = ctx.effective_t_bump(n)
@@ -103,7 +204,18 @@ def label_propagation_clustering(
     # static `repro lint` pass cross-references the same registry.
     det = ctx.detector
     rec = recorder_for(det, "lp-clustering")
-    inject_race = ctx.config.debug.inject_lp_weight_race
+    step = None
+    if det is None:
+        # the sparse array and non-zero buffers charged just above, for real:
+        # slot, seen and rating rows of the kernel's rating map
+        step = clustering_step(
+            graph, clusters, cluster_weights, max_cluster_weight,
+            np.zeros((3, n), dtype=np.int64),
+        )  # fmt: skip
+    if step is None:
+        step = _oracle_step(
+            graph, ctx, clusters, cluster_weights, max_cluster_weight, t_bump, rec
+        )
     tracer = ctx.tracer
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
@@ -127,100 +239,29 @@ def label_propagation_clustering(
                 for _tid, chunk in runtime.execute(
                     sched, weights=chunk_weights, phase=phase_name
                 ):
-                    owner, nbrs, wgts = chunk_adjacency(graph, chunk)
-                    if len(owner) == 0:
+                    out = step(chunk)
+                    if out is None:  # no edge in this chunk
                         continue
-                    if rec.active:
-                        rec.read("clusters", nbrs)
-                    pair_owner, pair_cluster, pair_rating = (
-                        segment_reduce_ratings(owner, clusters[nbrs], wgts, n)
-                    )
-                    # nc(u): distinct neighbor clusters per chunk vertex
-                    nc = np.bincount(pair_owner, minlength=len(chunk))
+                    edges, fav_us, fav, nc, targets, moved = out
                     bumped_mask = nc >= t_bump
                     bumped_total += int(bumped_mask.sum())
-                    # second-phase atomics: only bumped vertices' rating
-                    # flushes hit the shared sparse array
-                    bumped_pairs = int(nc[bumped_mask].sum()) if two_phase else 0
-
                     # record favorites (unconstrained best) for two-hop
-                    # matching and pick constrained targets
-                    u_of_pair = chunk[pair_owner]
-                    fits = (
-                        cluster_weights[pair_cluster] + vwgt[u_of_pair]
-                        <= max_cluster_weight
-                    )
-                    is_current = pair_cluster == clusters[u_of_pair]
-                    # rank: rating first, keep-bonus on ties, then a seeded
-                    # pseudo-random jitter -- LP must break remaining ties
-                    # randomly or mesh clusters snake toward extreme IDs
-                    jitter = (
-                        ((pair_cluster * 0x9E3779B1) ^ (u_of_pair * 0x85EBCA6B))
-                        >> 7
-                    ) & 0x3F
-                    rank = ((2 * pair_rating + is_current) << 6) | jitter
-
-                    # unconstrained favorite per owner
-                    fav_pairs = segment_best_last(pair_owner, rank)
-                    fav_us = u_of_pair[fav_pairs]
-                    favorites[fav_us] = pair_cluster[fav_pairs]
+                    # matching
+                    favorites[fav_us] = fav
                     if rec.active:
                         # per-owner slots: disjoint plain stores by design
                         rec.write("favorites", fav_us)
-
-                    # constrained best per owner over the same segments:
-                    # ranks are >= 0, so a pair that does not fit wins only
-                    # where none fits, and that owner has no target
-                    ok = fits | is_current
-                    best = segment_best_last(pair_owner, np.where(ok, rank, -1))
-                    best = best[ok[best]]
-                    if len(best) == 0:
+                    if not targets:
                         continue
-                    best_cluster = pair_cluster[best]
-
-                    # commit sequentially (atomic weight updates in the
-                    # paper); re-check the cap because earlier commits in
-                    # this chunk may have filled the target cluster
-                    us = u_of_pair[best]
-                    cur = clusters[us]
-                    want_move = best_cluster != cur
                     runtime.record(
                         phase_name,
-                        work=float(len(owner)) * work_factor,
-                        bytes_moved=edge_bytes * len(owner),
-                        atomic_ops=bumped_pairs,
+                        work=float(edges) * work_factor,
+                        bytes_moved=edge_bytes * edges,
+                        # second-phase atomics: only bumped vertices' rating
+                        # flushes hit the shared sparse array
+                        atomic_ops=int(nc[bumped_mask].sum()) if two_phase else 0,
                     )
-                    # safe-target commits apply with one scatter-add;
-                    # contended targets replay in order inside the kernel
-                    mv_us = us[want_move]
-                    mv_tgt = best_cluster[want_move]
-                    prevs = cur[want_move]
-                    acc = bulk_size_constrained_commit(
-                        mv_tgt,
-                        prevs,
-                        vwgt[mv_us],
-                        cluster_weights,
-                        max_cluster_weight,
-                    )
-                    acc_us = mv_us[acc]
-                    clusters[acc_us] = mv_tgt[acc]
-                    moves += len(acc_us)
-                    if rec.active and len(acc_us):
-                        rec.atomic("clusters", acc_us)
-                        touched = np.concatenate([prevs[acc], mv_tgt[acc]])
-                        if inject_race:
-                            # test-only injection drops the CAS claim so
-                            # fuzzed schedules must catch the plain-write
-                            # race
-                            # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
-                            det.record_write("cluster-weights", touched)
-                        else:
-                            rec.atomic("cluster-weights", touched)
-                    if rec.active and two_phase and bumped_pairs:
-                        rec.atomic(
-                            "shared-sparse-array",
-                            pair_cluster[bumped_mask[pair_owner]],
-                        )
+                    moves += len(moved)
                 if det is not None:
                     det.end_region()
                 # straggler span for classic LP: the largest neighborhood is

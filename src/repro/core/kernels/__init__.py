@@ -20,6 +20,13 @@ replay) are entirely the caller's.  The contract:
   the differential tests (``tests/test_bulk_equivalence.py``) swap them in
   for the kernels and prove equality across seeds and thread counts.
 
+One level up, :mod:`repro.core.kernels.lp_chunk` runs a whole LP chunk --
+the rate / pick / commit pipeline the first three kernels below form in the
+two LP drivers -- as one call into the compiled ``lp_kernel.c`` when
+:mod:`repro.graph._native` could load it; the numpy pipeline stays as its
+oracle and fallback, and :mod:`repro.dist`, the balancer and the baselines
+keep calling the kernels directly.
+
 Scratch arrays are allocated with the tracked constructors from
 :mod:`repro.memory.scratch` so the memory ledger (and the ``repro lint``
 untracked-allocation pass) sees them.

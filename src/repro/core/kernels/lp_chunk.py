@@ -1,0 +1,183 @@
+"""One compiled call per label-propagation chunk (``lp_kernel.c``).
+
+The LP drivers (:mod:`repro.core.coarsening.lp_clustering`,
+:mod:`repro.core.refinement.lp_refine`) loop over chunks and, per chunk, run
+one *step* that rates the chunk's vertices, picks their targets and commits
+the movers.  Each driver holds the numpy pipeline as its oracle step;
+:func:`clustering_step` and :func:`refinement_step` build the same step
+around the kernel -- or return ``None``, and the driver runs its oracle:
+without the compiled library (:func:`repro.graph._native.lp_kernels`), or
+for vertex weights whose sums the kernel's commit cannot hold.  The C header
+states the contract and why the two are bit-identical; here the arrays are
+checked once per LP call and the pointers handed over.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.graph import _native
+from repro.graph.access import chunk_segments
+from repro.memory.scratch import tracked_empty, tracked_zeros
+
+#: the commit adds vertex weights into cluster / block weights in int64: it
+#: takes only weights >= 0 that sum below this (past it numpy's wrapping
+#: decides what the bulk commit does, and the numpy pipeline runs)
+WEIGHT_LIMIT = 1 << 62
+
+
+def _is_int64_vector(a: np.ndarray, size: int) -> bool:
+    return a.dtype == np.int64 and a.shape == (size,) and a.flags.c_contiguous
+
+
+def _weight_args(w: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``(array, unit)`` as the kernels take weights: a zero-stride view (an
+    unweighted graph's 8 bytes) goes in as no array and its one value."""
+    if w.strides == (0,):
+        return None, int(w[0])
+    return w, 0
+
+
+def _pointers(args) -> tuple:
+    return tuple(a.ctypes.data if isinstance(a, np.ndarray) else a for a in args)
+
+
+def _vertex_weights(graph) -> np.ndarray | None:
+    """The vertex weights if the kernels' commit can sum them, else ``None``."""
+    vwgt = np.asarray(graph.vwgt)
+    n = graph.n
+    ok = vwgt.dtype == np.int64 and vwgt.shape == (n,)
+    ok = ok and (vwgt.strides == (0,) or vwgt.flags.c_contiguous)
+    if not ok or n == 0:
+        return None
+    values = vwgt[:1] if vwgt.strides == (0,) else vwgt
+    if int(values.min()) < 0 or int(values.max()) * n >= WEIGHT_LIMIT:
+        return None
+    return vwgt
+
+
+class _ChunkKernel:
+    """One kernel of ``lp_kernel.c`` bound to the arrays of one LP call.
+
+    ``state`` is the phase's own argument block (between the segments and
+    the rating map in the C signature; arrays are held here for as long as
+    their pointers are in use), ``maps`` the zeroed rating map (rows
+    ``slot``, ``seen``, ``rating``, one entry per label each), ``rows`` how
+    many per-vertex outputs the kernel writes, ``moved`` last.
+    """
+
+    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int, rows: int) -> None:
+        if maps.dtype != np.int64 or maps.shape != (3, labels) or not maps.flags.c_contiguous:
+            raise ValueError(f"the rating map is three contiguous int64 rows of {labels}")
+        self._fn, self._graph, self._rows = fn, graph, rows
+        self._held = (state, maps)
+        self._info = np.zeros(2, dtype=np.int64)
+        self._fixed = _pointers((*state, *maps, labels))
+        self._tail = _pointers((self._info,))
+        self._adjacency = None  # (adj, wgt) last handed out, their arguments, what those point into
+
+    def _adjacency_args(self, adj: np.ndarray, wgt: np.ndarray) -> tuple:
+        """``(adj, wgt, unit_wgt, adj_len)`` as the kernel takes them; a CSR
+        graph hands out the same two arrays for every chunk, checked once."""
+        last = self._adjacency
+        if last is None or adj is not last[0][0] or wgt is not last[0][1]:
+            if len(wgt) != len(adj):
+                raise ValueError("edge weights do not align with the adjacency")
+            held = [np.ascontiguousarray(adj, dtype=np.int64), wgt]
+            if wgt.strides != (0,):
+                held[1] = np.ascontiguousarray(wgt, dtype=np.int64)
+            args = _pointers((held[0], *_weight_args(held[1]), len(adj)))
+            last = self._adjacency = ((adj, wgt), args, held)
+        return last[1]
+
+    def __call__(self, chunk):
+        """``(edges, moved, targets, out)`` of one chunk, or ``None`` if it
+        has no edge (the kernel does not run then)."""
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        starts, degs, adj, wgt = chunk_segments(self._graph, chunk)
+        edges = int(degs.sum())
+        if edges == 0:
+            return None
+        count, info = len(chunk), self._info
+        out = tracked_empty((self._rows, count), name="lp-chunk-out")
+        first = out.ctypes.data
+        rc = self._fn(
+            self._graph.n, chunk.ctypes.data, starts.ctypes.data, degs.ctypes.data, count,
+            *self._adjacency_args(adj, wgt), *self._fixed,
+            *range(first, first + out.nbytes, 8 * count), count, *self._tail,
+        )  # fmt: skip
+        if rc < 0:
+            bad = int(info[1])
+            where = f" at vertex {int(chunk[bad])}" if bad >= 0 else ""
+            raise ValueError(f"{_native.LP_ERRORS[rc]}{where} (corrupt graph?)")
+        return edges, out[-1, :rc], int(info[0]), out
+
+
+def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
+    """``step(chunk)`` of LP clustering on the kernel, or ``None``.
+
+    ``maps`` is the ``(3, n)`` zeroed rating map (the sparse array and its
+    non-zero buffers, which the caller has on the ledger).  ``step`` returns
+    ``None`` for a chunk without edges, else ``(edges, fav_us, fav, nc,
+    targets, moved)``: the chunk vertices that have a neighbour and the
+    favorite cluster of each, per chunk vertex its number of distinct
+    neighbour clusters, how many vertices had a target, and the vertices
+    moved -- ``clusters`` / ``cluster_weights`` already updated.
+    """
+    kernels = _native.lp_kernels()
+    vwgt = _vertex_weights(graph)
+    n = graph.n
+    if (
+        kernels is None
+        or vwgt is None
+        or not _is_int64_vector(clusters, n)
+        or not _is_int64_vector(cluster_weights, n)
+    ):
+        return None
+    # weight sums stay in [0, WEIGHT_LIMIT): clamping changes no comparison
+    limit = max(-1, min(int(max_cluster_weight), WEIGHT_LIMIT))
+    state = (clusters, cluster_weights, *_weight_args(vwgt), limit)
+    call = _ChunkKernel(kernels[0], graph, state, maps, n, rows=4)
+
+    def step(chunk):
+        done = call(chunk)
+        if done is None:
+            return None
+        edges, moved, targets, (fav, _, nc, _) = done
+        rated = nc > 0
+        return edges, chunk[rated], fav[rated], nc, targets, moved
+
+    return step
+
+
+def refinement_step(graph, part, block_weights, limits):
+    """``step(chunk)`` of LP refinement on the kernel, or ``None``.
+
+    ``limits`` is the per-block weight cap (``k`` entries).  ``step`` returns
+    ``None`` for a chunk without edges, else ``(edges, moved)`` -- ``part`` /
+    ``block_weights`` already updated.
+    """
+    kernels = _native.lp_kernels()
+    vwgt = _vertex_weights(graph)
+    k = len(block_weights)
+    if (
+        kernels is None
+        or vwgt is None
+        or part.dtype != np.int32
+        or part.shape != (graph.n,)
+        or not part.flags.c_contiguous
+        or not _is_int64_vector(block_weights, k)
+    ):
+        return None
+    limits = np.ascontiguousarray(limits, dtype=np.int64)
+    if limits.shape != (k,):
+        return None
+    state = (k, part, block_weights, *_weight_args(vwgt), limits)
+    maps = tracked_zeros((3, k), name="lp-refine-rating-map")
+    call = _ChunkKernel(kernels[1], graph, state, maps, k, rows=2)
+
+    def step(chunk):
+        done = call(chunk)
+        return done and done[:2]
+
+    return step

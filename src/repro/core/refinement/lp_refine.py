@@ -6,8 +6,9 @@ subject to the balance constraint ``w(V_i) <= L_max``.  Memory is
 proportional to ``k`` rather than ``n`` (the paper notes it is negligible),
 so no ledger charges beyond block weights are needed.
 
-Vectorized per chunk like LP clustering; moves commit sequentially with a
-re-check of the target block's weight.
+One step per chunk like LP clustering (compiled rating map, or the
+vectorized pipeline as oracle and fallback); moves commit sequentially with
+a re-check of the target block's weight.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.core.kernels import (
     move_gains,
     segment_best_last,
 )
+from repro.core.kernels.lp_chunk import refinement_step
 from repro.core.partition import PartitionedGraph
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings
 from repro.verify.declarations import recorder_for
@@ -41,20 +43,32 @@ def lp_refine(
     seeds, every later round the vertices moved in the round before plus
     their neighbours, until that frontier is empty.  A warm start passes the
     vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
+
+    What happens to one chunk -- rate, pick, commit -- is a *step*: one call
+    into ``lp_kernel.c`` when the compiled library is there, else (and
+    whenever the conflict detector listens) the numpy pipeline of
+    :func:`_oracle_step`, bit-identical.
     """
+    k = pgraph.k
+    if k > np.iinfo(np.int32).max:
+        raise ValueError(f"k={k} does not fit the int32 block ids of a partition")
     max_block_weight = np.broadcast_to(
-        np.asarray(max_block_weight, dtype=np.int64), (pgraph.k,)
+        np.asarray(max_block_weight, dtype=np.int64), (k,)
     )
     g = pgraph.graph
     n = g.n
-    k = pgraph.k
-    part = pgraph.partition
-    vwgt = np.asarray(g.vwgt)
     runtime = ctx.runtime
     rounds = ctx.config.lp_refinement_rounds if rounds is None else rounds
     total_moves = 0
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
+    step = None
+    if not rec.active:
+        step = refinement_step(
+            g, pgraph.partition, pgraph.block_weights, max_block_weight
+        )
+    if step is None:
+        step = _oracle_step(pgraph, max_block_weight, rec)
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
@@ -65,10 +79,17 @@ def lp_refine(
         moved_chunks = []
         sched = runtime.schedule(order)
         with runtime.region(f"lp-refinement-round{_round}"):
-            _refine_round(
-                pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec,
-                moved_chunks,
-            )
+            for _tid, chunk in runtime.execute(sched, phase="lp-refinement"):
+                out = step(chunk)
+                if out is None:  # no edge in this chunk
+                    continue
+                edges, moved = out
+                runtime.record(
+                    "lp-refinement",
+                    work=float(edges),
+                    bytes_moved=float(16 * edges),
+                )
+                moved_chunks.append(moved)
         moves = sum(map(len, moved_chunks))
         total_moves += moves
         ctx.tracer.add("refine.lp_rounds", 1)
@@ -82,17 +103,21 @@ def lp_refine(
     return total_moves
 
 
-def _refine_round(
-    pgraph, ctx, g, sched, part, vwgt, max_block_weight, rec, moved
-) -> None:
-    """One LP refinement sweep over ``sched``; appends the moved vertices
-    of each chunk to ``moved``."""
-    runtime = ctx.runtime
+def _oracle_step(pgraph, max_block_weight, rec):
+    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
+    :func:`repro.core.kernels.lp_chunk.refinement_step`, which it is the
+    oracle of -- and the step that has the per-access index arrays the
+    conflict detector records."""
+    g = pgraph.graph
     k = pgraph.k
-    for _tid, chunk in runtime.execute(sched, phase="lp-refinement"):
+    part = pgraph.partition
+    vwgt = np.asarray(g.vwgt)
+    none = np.empty(0, dtype=np.int64)
+
+    def step(chunk):
         owner, nbrs, wgts = chunk_adjacency(g, chunk)
         if len(owner) == 0:
-            continue
+            return None
         if rec.active:
             rec.read("partition", nbrs)
         po, pb, pr = segment_reduce_ratings(
@@ -105,19 +130,9 @@ def _refine_round(
         fits = pgraph.block_weights[pb] + vwgt[us] <= max_block_weight[pb]
         ok = fits & ~is_current & (gain > 0)
         if not np.any(ok):
-            runtime.record(
-                "lp-refinement",
-                work=float(len(owner)),
-                bytes_moved=float(16 * len(owner)),
-            )
-            continue
+            return len(owner), none
         po2, pb2, g2 = po[ok], pb[ok], gain[ok]
         best = segment_best_last(po2, g2)
-        runtime.record(
-            "lp-refinement",
-            work=float(len(owner)),
-            bytes_moved=float(16 * len(owner)),
-        )
         # commit against the real block-weight array; the kernel replays
         # contended blocks in candidate order
         mv_us = chunk[po2[best]]
@@ -131,11 +146,12 @@ def _refine_round(
             max_block_weight,
         )
         acc_us = mv_us[acc]
-        assert pgraph.k <= np.iinfo(np.int32).max
         part[acc_us] = mv_tgt[acc].astype(np.int32)
-        moved.append(acc_us)
         if rec.active and len(acc_us):
             rec.atomic("partition", acc_us)
             rec.atomic(
                 "block-weights", np.concatenate([prevs[acc], mv_tgt[acc]])
             )
+        return len(owner), acc_us
+
+    return step

@@ -1,13 +1,14 @@
 """Loader of the optional compiled kernels: the chunk decode
-(``decode_kernel.c``) and initial partitioning's sequential searches
-(``core/initial/bisection_kernel.c``), one library.
+(``decode_kernel.c``), initial partitioning's sequential searches
+(``core/initial/bisection_kernel.c``) and the label-propagation chunk
+(``core/kernels/lp_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
 kernel but availability: with no compiler, a failed build, a library that
-does not load or a symbol that does not resolve, :func:`decode_kernel` and
-:func:`bisection_kernels` return ``None`` and their callers run the numpy /
-Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
+does not load or a symbol that does not resolve, :func:`decode_kernel`,
+:func:`bisection_kernels` and :func:`lp_kernels` return ``None`` and their
+callers run the numpy / Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
 whole test run can be held on the oracles.
 
 The library is named by the sha256 of every source, flags, compiler and
@@ -34,6 +35,7 @@ from pathlib import Path
 _SOURCES = (
     Path(__file__).with_name("decode_kernel.c"),
     Path(__file__).parents[1] / "core" / "initial" / "bisection_kernel.c",
+    Path(__file__).parents[1] / "core" / "kernels" / "lp_kernel.c",
 )
 _FLAGS = ["-O3", "-shared", "-fPIC"]
 _DISABLED = os.environ.get("REPRO_NATIVE") == "0"
@@ -57,7 +59,20 @@ BISECTION_ERRORS = {
     -3: "assignment entry other than 0 or 1",
 }
 
+#: what the two functions of ``lp_kernel.c`` return for a chunk they refuse
+LP_ERRORS = {
+    -1: "vertex id out of range",
+    -2: "adjacency segment out of range",
+    -3: "neighbor id out of range",
+    -4: "cluster or block id out of range",
+    -5: "rating map or output capacity exhausted",
+}
+
 _p, _i64 = ctypes.c_void_p, ctypes.c_int64
+#: (n, chunk, starts, degs, count, adj, wgt, unit_wgt, adj_len) and
+#: (slot, seen, rating, cap) of both LP chunk kernels
+_SEGMENTS = [_i64, _p, _p, _p, _i64, _p, _p, _i64, _i64]
+_RATING_MAP = [_p, _p, _p, _i64]
 #: exported symbol -> argtypes (all return int64); every one must resolve
 SIGNATURES = {
     # data, data_len, offsets, n, chunk, degs, count, hub_threshold,
@@ -75,6 +90,16 @@ SIGNATURES = {
     # ... = max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap
     "repro_fm2way": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+    # segments, clusters, cluster_weights, vwgt, unit_vwgt, max_cluster_weight,
+    # rating map, fav, best, nc, moved, out_cap, info
+    "repro_lp_cluster_chunk": [
+        *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _i64, _p,
+    ],
+    # segments, k, part, block_weights, vwgt, unit_vwgt, limits, rating map,
+    # best, moved, out_cap, info
+    "repro_lp_refine_chunk": [
+        *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p,
     ],
 }  # fmt: skip
 
@@ -172,6 +197,13 @@ def bisection_kernels():
         lib["repro_bfs_growing"],
         lib["repro_fm2way"],
     )
+
+
+def lp_kernels():
+    """``(cluster_chunk, refine_chunk)`` ctypes functions of ``lp_kernel.c``,
+    or ``None`` if unavailable."""
+    lib = library()
+    return lib and (lib["repro_lp_cluster_chunk"], lib["repro_lp_refine_chunk"])
 
 
 def available() -> bool:

@@ -142,6 +142,39 @@ def chunk_adjacency(
     )
 
 
+def chunk_segments(
+    graph, chunk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency of a vertex chunk as segments of one array, nothing gathered.
+
+    Returns ``(starts, degs, adj, wgt)``: chunk vertex ``i`` owns
+    ``adj[starts[i] : starts[i] + degs[i]]`` and the weights beside them.
+    A CSR graph hands out its own ``adjncy`` / ``adjwgt`` (unit weights stay
+    the 8-byte zero-stride view); a compressed chunk is decoded once, by
+    :meth:`decode_chunk`, and its owner-major arrays are the segments.  What
+    the compiled LP chunk (``core/kernels/lp_kernel.c``) walks; reports the
+    same ``decode.edges*`` counters as :func:`chunk_adjacency`.
+    """
+    chunk = np.asarray(chunk, dtype=np.int64)
+    if hasattr(graph, "indptr"):
+        starts = graph.indptr[chunk]
+        degs = graph.indptr[chunk + 1] - starts
+        adj, wgt, counter = graph.adjncy, np.asarray(graph.adjwgt), "decode.edges_csr"
+    elif hasattr(graph, "decode_chunk"):
+        _, adj, wgt = graph.decode_chunk(chunk)
+        degs = graph.degrees[chunk]
+        starts = np.cumsum(degs) - degs
+        counter = "decode.edges"
+    else:
+        raise TypeError(
+            "chunk_segments needs a CSRGraph or a CompressedGraph, got "
+            f"{type(graph).__name__}"
+        )
+    if _tracer is not None and (total := int(degs.sum())):
+        _tracer.add(counter, total)
+    return starts, degs, adj, wgt
+
+
 def _csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, weight)`` of a CSR graph; ``dst``/``weight`` are views."""
     src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.graph.compressed import CompressedGraph, _compress_packets
 from repro.graph.csr import CSRGraph
-from repro.memory.scratch import tracked_ones, tracked_zeros
 from repro.parallel.runtime import balanced_cuts
 
 MAGIC = b"TPGR"
@@ -199,8 +198,27 @@ def write_metis(graph: CSRGraph, path: str | Path) -> None:
         _write_metis_body(graph, f)
 
 
+def _metis_ints(line: str, line_no: int) -> list[int]:
+    try:
+        values = [int(token) for token in line.split()]
+    except ValueError:
+        raise ValueError(f"line {line_no}: non-integer token in {line.strip()!r}") from None
+    if values and not -(1 << 63) <= min(values) <= max(values) < 1 << 63:
+        raise ValueError(f"line {line_no}: integer beyond 64 bits")
+    return values
+
+
 def read_metis(path_or_file) -> CSRGraph:
-    """Parse the METIS text format."""
+    """Parse the METIS text format.
+
+    Lines starting with ``%`` are comments.  Text the format does not allow
+    -- a header without ``n m``, a token that is no integer, an edge weight
+    missing after its neighbour, a neighbour outside ``[1, n]``, fewer than
+    ``n`` vertex lines -- is a ``ValueError`` naming the 1-based line.
+    Nothing is sized by the header: the arrays grow with the lines read, so
+    a header announcing more vertices than the text holds costs nothing
+    before it is refused.
+    """
     if isinstance(path_or_file, (str, Path)):
         f = Path(path_or_file).open("r")
         close = True
@@ -208,37 +226,53 @@ def read_metis(path_or_file) -> CSRGraph:
         f = path_or_file
         close = False
     try:
-        header = f.readline().split()
-        n, m = int(header[0]), int(header[1])
-        fmt = header[2] if len(header) > 2 else "00"
-        fmt = fmt.zfill(2)
+        lines = (
+            (no, line) for no, line in enumerate(f, 1) if not line.startswith("%")
+        )
+        no, line = next(lines, (1, ""))
+        header = _metis_ints(line, no)
+        if len(header) < 2 or min(header[:2]) < 0:
+            raise ValueError(f"line {no}: header must be 'n m [fmt]', got {line.strip()!r}")
+        n, m = header[:2]
+        fmt = (line.split()[2] if len(header) > 2 else "").zfill(2)
+        if set(fmt) - {"0", "1"}:
+            raise ValueError(f"line {no}: format flags must be 0 or 1, got {fmt!r}")
         has_vw, has_ew = fmt[-2] == "1", fmt[-1] == "1"
-        indptr = tracked_zeros(n + 1, np.int64, name="metis-indptr")
+        indptr = [0]
         adjncy: list[int] = []
         adjwgt: list[int] = []
-        vwgt = tracked_ones(n, np.int64, name="metis-vwgt") if has_vw else None
+        vwgt: list[int] = []
         for u in range(n):
-            tokens = f.readline().split()
-            i = 0
+            last = no
+            no, line = next(lines, (None, ""))
+            if no is None:
+                raise ValueError(f"line {last + 1}: file ends after {u} of {n} vertex lines")
+            values = _metis_ints(line, no)
             if has_vw:
-                vwgt[u] = int(tokens[0])  # type: ignore[index]
-                i = 1
-            while i < len(tokens):
-                adjncy.append(int(tokens[i]) - 1)
-                i += 1
-                if has_ew:
-                    adjwgt.append(int(tokens[i]))
-                    i += 1
-            indptr[u + 1] = len(adjncy)
+                if not values:
+                    raise ValueError(f"line {no}: vertex weight missing")
+                vwgt.append(values.pop(0))
+            if has_ew:
+                if len(values) % 2:
+                    raise ValueError(
+                        f"line {no}: edge weight missing after neighbor {values[-1]}"
+                    )
+                adjwgt.extend(values[1::2])
+                values = values[0::2]
+            if values and not 1 <= min(values) <= max(values) <= n:
+                bad = next(v for v in values if not 1 <= v <= n)
+                raise ValueError(f"line {no}: neighbor id {bad} outside [1, {n}]")
+            adjncy.extend(v - 1 for v in values)
+            indptr.append(len(adjncy))
         if indptr[-1] != 2 * m:
             raise ValueError(
                 f"header claims m={m} but found {indptr[-1]} directed edges"
             )
         return CSRGraph(
-            indptr,
+            np.asarray(indptr, dtype=np.int64),
             np.asarray(adjncy, dtype=np.int64),
             np.asarray(adjwgt, dtype=np.int64) if has_ew else None,
-            vwgt,
+            np.asarray(vwgt, dtype=np.int64) if has_vw else None,
         )
     finally:
         if close:

@@ -25,6 +25,7 @@ import repro  # noqa: F401  (loads every module that imports a kernel)
 import repro.dist  # noqa: F401
 from repro.core.kernels.gains import HASH_MULT
 from repro.core.refinement.gain_table import entry_width_bits
+from repro.graph import _native
 from repro.graph.varint import encode_stream
 
 
@@ -268,7 +269,10 @@ def scalar_references():
     """Run the body with every bulk kernel replaced by its scalar reference.
 
     The swap reaches each loaded ``repro.*`` module holding the kernel
-    under its own name (``from ... import`` bindings included).  Yields a
+    under its own name (``from ... import`` bindings included).  The
+    compiled LP chunk (``lp_kernel.c``) replaces the very pipeline those
+    kernels form, so it is held off for the body: the run is the numpy
+    pipeline on the scalar references.  Yields a
     :class:`~collections.Counter` of reference calls so a caller can prove
     the oracle actually ran.
     """
@@ -282,6 +286,7 @@ def scalar_references():
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "lp_kernels", lambda: None)
         for name, (home, ref) in REFERENCES.items():
             original = getattr(sys.modules[home], name)
             holders = [

@@ -113,6 +113,69 @@ class TestHostileFiles:
             load(path)
 
 
+    # the text loader: every refusal names the 1-based line it is about
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("", "line 1: header"),
+            ("3\n", "line 1: header"),
+            ("three 2\n", "line 1: non-integer"),
+            ("-3 2\n", "line 1: header"),
+            ("2 1 07\n2\n1\n", "line 1: format flags"),
+            ("3 2\n2\n1 x\n2\n", "line 3: non-integer"),
+            ("3 2\n2\n1 3.5\n2\n", "line 3: non-integer"),
+            ("3 2 1\n2 7\n1 7 3\n2 4\n", "line 3: edge weight missing after neighbor 3"),
+            ("3 2 10\n5 2\n\n6 2\n", "line 3: vertex weight missing"),
+            ("3 2\n2\n1 4\n2\n", "line 3: neighbor id 4 outside \\[1, 3\\]"),
+            ("3 2\n2\n1 0\n2\n", "line 3: neighbor id 0 outside"),
+            ("3 2\n2\n1 -2\n2\n", "line 3: neighbor id -2 outside"),
+            ("3 2\n% about vertex 1\n2\n1 3\n", "line 5: file ends after 2 of 3 vertex lines"),
+            ("2 1 1\n2 99999999999999999999\n1 1\n", "line 2: integer beyond 64 bits"),
+        ],
+    )
+    @pytest.mark.parametrize("door", ["path", "file"])
+    def test_hostile_text_rejected(self, tmp_path, text, complaint, door):
+        import io
+
+        if door == "path":
+            source = tmp_path / "g.metis"
+            source.write_text(text)
+        else:
+            source = io.StringIO(text)
+        with pytest.raises(ValueError, match=complaint):
+            read_metis(source)
+
+    @pytest.mark.parametrize("door", ["path", "file"])
+    def test_oversized_text_header_allocates_nothing(self, tmp_path, door):
+        """n = 10**12 in the header: a ValueError once the lines run out, not
+        an 8 TB ``indptr``."""
+        import io
+        import tracemalloc
+
+        text = "1000000000000 1\n2\n1\n"
+        source = io.StringIO(text)
+        if door == "path":
+            source = tmp_path / "g.metis"
+            source.write_text(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="line 4: file ends after 2 of 1000000000000"):
+                read_metis(source)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_comment_lines_are_skipped(self, tmp_path, tiny_graph):
+        path = tmp_path / "g.metis"
+        write_metis(tiny_graph, path)
+        lines = path.read_text().splitlines(keepends=True)
+        commented = ["% a comment before the header\n", lines[0], "% and one after\n"]
+        for line in lines[1:]:
+            commented += [line, "%\n"]
+        path.write_text("".join(commented))
+        assert graphs_equal(read_metis(path), tiny_graph)
+
+
 class TestStreamCompressed:
     def test_streaming_matches_in_memory_compression(self, tmp_path, web_graph):
         path = tmp_path / "g.bin"

@@ -1,0 +1,666 @@
+"""The compiled LP chunk (``core/kernels/lp_kernel.c``) against the numpy
+pipelines it replaces (ISSUE 24).
+
+``tests/test_bulk_equivalence.py`` compares whole partitions, kernel first,
+scalar references second.  Here both steps of one chunk run side by side in
+one process: same favorites, same ``nc``, same movers and the same shared
+arrays after every chunk, over generator families x edge weights (unit,
+random, with zeros) x vertex weights x CSR / compressed; the LP drivers and
+whole partitions must report the same cost records and counters on either
+path; the edges a sort gets for free (a label seen through weight 0, no
+neighbour at all, sums that wrap) are pinned one by one; and, called without
+the wrapper's checks on corrupted arrays, the kernel must return an error
+code, write nothing outside the buffers it was given and leave its rating
+map zeroed.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import itertools
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core.coarsening import lp_clustering
+from repro.core.coarsening.lp_clustering import label_propagation_clustering
+from repro.core.config import ObsConfig, preset
+from repro.core.context import PartitionContext
+from repro.core.kernels import lp_chunk
+from repro.core.partition import PartitionedGraph
+from repro.core.refinement.lp_refine import lp_refine
+from repro.graph import _native
+from repro.graph import generators as gen
+from repro.graph.access import chunk_adjacency, chunk_segments
+from repro.graph.compressed import compress_graph
+from repro.graph.csr import CSRGraph
+from repro.verify.declarations import recorder_for
+from test_initial_kernel import Guarded
+
+# the package re-exports the function under the module's name
+lp_refine_module = sys.modules["repro.core.refinement.lp_refine"]
+
+pytestmark = pytest.mark.skipif(
+    _native.lp_kernels() is None,
+    reason="no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)",
+)
+
+FAMILIES = {
+    "mesh": lambda: gen.rgg2d(260, 8.0, seed=3),
+    "web": lambda: gen.weblike(260, 7.0, seed=3),
+    "kmer": lambda: gen.kmer(260, 4, seed=3),
+    "hyperbolic": lambda: gen.rhg(260, 8.0, seed=3),
+    "sparse": lambda: gen.er(260, 1.5, seed=3),  # a third of it has no edge
+}
+EDGE_WEIGHTS = ("unit", "random", "zeros")
+VERTEX_WEIGHTS = ("unit", "random")
+MATRIX = list(itertools.product(FAMILIES, EDGE_WEIGHTS, VERTEX_WEIGHTS, (False, True)))
+MATRIX_IDS = ["-".join([f, e, v, "compressed" if c else "csr"]) for f, e, v, c in MATRIX]
+
+
+def weighted(base: CSRGraph, edge_weights: str, vertex_weights: str) -> CSRGraph:
+    """``base`` with symmetric edge weights in 1..7 ("random") or 0..6
+    ("zeros") and vertex weights in 1..4 ("random")."""
+    src = np.repeat(np.arange(base.n, dtype=np.int64), base.degrees)
+    lo, hi = np.minimum(src, base.adjncy), np.maximum(src, base.adjncy)
+    mixed = ((lo * 2654435761 + hi * 40503) >> 4) % 7
+    adjwgt = {"unit": None, "random": mixed + 1, "zeros": mixed}[edge_weights]
+    vwgt = None
+    if vertex_weights == "random":
+        vwgt = np.random.default_rng(5).integers(1, 5, size=base.n)
+    return CSRGraph(base.indptr, base.adjncy, adjwgt, vwgt, sorted_neighborhoods=True)
+
+
+def variant(family: str, edge_weights: str, vertex_weights: str, compressed: bool):
+    graph = weighted(FAMILIES[family](), edge_weights, vertex_weights)
+    return compress_graph(graph) if compressed else graph
+
+
+def context(graph, k: int = 4, **overrides) -> PartitionContext:
+    cfg = preset("terapart", seed=1, p=4, **overrides)
+    return PartitionContext(cfg, k, graph.total_vertex_weight)
+
+
+def on_oracle(fn, *args, **kwargs):
+    """``fn(...)`` with the compiled LP chunk hidden."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "lp_kernels", lambda: None)
+        return fn(*args, **kwargs)
+
+
+def csr(n, rows, vwgt=None):
+    """A CSR graph from directed ``(u, v, w)`` rows, any weights."""
+    rows = sorted(rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for u, _, _ in rows:
+        indptr[u + 1] += 1
+    return CSRGraph(
+        np.cumsum(indptr),
+        np.array([v for _, v, _ in rows], dtype=np.int64),
+        np.array([w for _, _, w in rows], dtype=np.int64),
+        vwgt,
+        sorted_neighborhoods=True,
+    )
+
+
+def both_ways(rows):
+    return rows + [(v, u, w) for u, v, w in rows]
+
+
+def chunks_of(n: int, seed: int, size: int = 48):
+    order = np.random.default_rng(seed).permutation(n).astype(np.int64)
+    return [order[i : i + size] for i in range(0, n, size)]
+
+
+# --------------------------------------------------------------------- #
+# chunk by chunk: the two steps of each driver, side by side
+# --------------------------------------------------------------------- #
+class ClusteringPair:
+    """The kernel step and the oracle step of LP clustering, each on its own
+    copy of the shared arrays."""
+
+    def __init__(self, graph, cap: int) -> None:
+        n = graph.n
+        ctx = context(graph)
+        start = np.asarray(graph.vwgt).astype(np.int64)
+        self.states = [(np.arange(n, dtype=np.int64), start.copy()) for _ in range(2)]
+        self.maps = np.zeros((3, n), dtype=np.int64)
+        self.kernel = lp_chunk.clustering_step(graph, *self.states[0], cap, self.maps)
+        self.oracle = lp_clustering._oracle_step(
+            graph, ctx, *self.states[1], cap, 1 << 30, recorder_for(None, "lp-clustering")
+        )
+        assert self.kernel is not None
+
+    def run(self, chunk) -> tuple | None:
+        got, want = self.kernel(chunk), self.oracle(chunk)
+        assert not self.maps[0].any(), "rating map left dirty"
+        for a, b in zip(*self.states):
+            assert np.array_equal(a, b)
+        if want is None:
+            assert got is None
+            return None
+        assert got[0] == want[0] and got[4] == want[4]  # edges, targets
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        return got
+
+
+class RefinementPair:
+    """The same for LP refinement, from one starting assignment."""
+
+    def __init__(self, graph, k: int, part, limits) -> None:
+        self.pgraphs = [PartitionedGraph(graph, k, np.array(part)) for _ in range(2)]
+        limits = np.broadcast_to(np.asarray(limits, dtype=np.int64), (k,))
+        kernel_side, oracle_side = self.pgraphs
+        self.kernel = lp_chunk.refinement_step(
+            graph, kernel_side.partition, kernel_side.block_weights, limits
+        )
+        self.oracle = lp_refine_module._oracle_step(
+            oracle_side, limits, recorder_for(None, "lp-refinement")
+        )
+        assert self.kernel is not None
+
+    def run(self, chunk) -> tuple | None:
+        got, want = self.kernel(chunk), self.oracle(chunk)
+        a, b = self.pgraphs
+        assert a.partition.dtype == np.int32
+        assert np.array_equal(a.partition, b.partition)
+        assert np.array_equal(a.block_weights, b.block_weights)
+        if want is None:
+            assert got is None
+            return None
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        return got
+
+
+def random_assignment(graph, k: int, seed: int = 2):
+    return np.random.default_rng(seed).integers(0, k, size=graph.n)
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+def test_clustering_chunks_agree(case):
+    graph = variant(*case)
+    pair = ClusteringPair(graph, max(2, graph.total_vertex_weight // 25))
+    moved = 0
+    for sweep in range(3):
+        for chunk in chunks_of(graph.n, sweep):
+            out = pair.run(chunk)
+            moved += 0 if out is None else len(out[5])
+    assert moved > 0
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+@pytest.mark.parametrize("per_block", [False, True], ids=["one-limit", "per-block"])
+def test_refinement_chunks_agree(case, per_block):
+    graph = variant(*case)
+    k = 5
+    fair = -(-graph.total_vertex_weight // k)
+    limits = int(1.1 * fair)
+    if per_block:  # deep multilevel's budgets: every block its own
+        limits = np.array([fair // 2, fair, int(1.2 * fair), 2 * fair, 3 * fair])
+    pair = RefinementPair(graph, k, random_assignment(graph, k), limits)
+    moved = 0
+    for sweep in range(3):
+        for chunk in chunks_of(graph.n, sweep):
+            out = pair.run(chunk)
+            moved += 0 if out is None else len(out[1])
+    assert moved > 0
+
+
+@st.composite
+def small_weighted_graphs(draw):
+    """A graph of at most 12 vertices with weights that may be zero."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(chosen), max_size=len(chosen)))
+    rows = both_ways([(u, v, w) for (u, v), w in zip(chosen, weights)])
+    vwgt = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    graph = csr(n, rows, vwgt)
+    return graph, draw(st.integers(0, 1 << 16)), draw(st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_weighted_graphs())
+def test_kernel_equals_oracle_on_arbitrary_small_graphs(case):
+    graph, seed, compressed = case
+    if compressed:
+        graph = compress_graph(graph)
+    total = graph.total_vertex_weight
+    clustering = ClusteringPair(graph, max(1, total // 3))
+    k = 3
+    refinement = RefinementPair(
+        graph, k, random_assignment(graph, k, seed), np.array([total // 3, total // 2, total])
+    )
+    for sweep in range(2):
+        for chunk in chunks_of(graph.n, seed + sweep, size=5):
+            clustering.run(chunk)
+            refinement.run(chunk)
+
+
+# --------------------------------------------------------------------- #
+# driver by driver, and whole partitions: results, cost records, counters
+# --------------------------------------------------------------------- #
+def run_clustering(graph, two_phase: bool):
+    base = preset("terapart", seed=1)
+    ctx = context(
+        graph, coarsening=dataclasses.replace(base.coarsening, two_phase_lp=two_phase)
+    )
+    result = label_propagation_clustering(graph, ctx, max(2, graph.total_vertex_weight // 25))
+    return result, ctx.runtime.all_stats(), ctx.tracker.peak_bytes
+
+
+def run_refinement(graph, part, seeds):
+    k = 5
+    pgraph = PartitionedGraph(graph, k, np.array(part))
+    ctx = context(graph, k)
+    limit = int(1.1 * -(-graph.total_vertex_weight // k))
+    moves = lp_refine(pgraph, ctx, limit, rounds=4, seeds=seeds)
+    return moves, pgraph.partition, pgraph.block_weights, ctx.runtime.all_stats()
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+@pytest.mark.parametrize("two_phase", [True, False], ids=["two-phase", "classic"])
+def test_clustering_driver_agrees(case, two_phase):
+    graph = variant(*case)
+    got, stats, peak = run_clustering(graph, two_phase)
+    want, want_stats, want_peak = on_oracle(run_clustering, graph, two_phase)
+    for field in ("clusters", "cluster_weights", "favorites"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.num_clusters == want.num_clusters
+    assert got.moves_per_round == want.moves_per_round and sum(got.moves_per_round) > 0
+    assert got.bumped_per_round == want.bumped_per_round
+    assert stats == want_stats and peak == want_peak
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+@pytest.mark.parametrize("frontier", [False, True], ids=["sweep", "frontier"])
+def test_refinement_driver_agrees(case, frontier):
+    graph = variant(*case)
+    part = random_assignment(graph, 5)
+    seeds = np.arange(0, graph.n, 7) if frontier else None
+    got = run_refinement(graph, part, seeds)
+    want = on_oracle(run_refinement, graph, part, seeds)
+    assert got[0] == want[0] > 0
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    assert got[3] == want[3]
+
+
+LP_COUNTERS = ("lp.", "refine.lp_", "decode.edges")
+
+
+@pytest.mark.parametrize("name", ["terapart", "kaminpar", "terapart-deep"])
+def test_partition_reports_the_same_costs_and_counters(name):
+    """Work, bytes and atomics of every phase, the ledger peak and the LP /
+    decode counters do not say which path ran."""
+    graph = weighted(gen.weblike(1500, 8.0, seed=4), "random", "random")
+    cfg = preset(name, seed=2, p=4, obs=ObsConfig(enabled=True))
+    got = repro.partition(graph, 6, cfg)
+    want = on_oracle(repro.partition, graph, 6, cfg)
+    assert np.array_equal(got.partition, want.partition)
+    assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
+    assert got.phase_stats == want.phase_stats
+    assert got.phase_stats["lp-refinement"].work > 0
+
+    def counters(result):
+        return {
+            key: value
+            for key, value in result.obs["counters"].items()
+            if key.startswith(LP_COUNTERS)
+        }
+
+    assert counters(got) == counters(want)
+    assert counters(got)["lp.moves"] > 0 and counters(got)["refine.lp_visited"] > 0
+
+
+def test_track_scratch_does_not_charge_the_rating_map_twice(monkeypatch):
+    """The kernel's map is the `shared-sparse-array` and `nonzero-buffers`
+    the ledger charges by model: a scratch-tracking run sees those charges
+    once, and no n-sized scratch beside them."""
+    from repro.memory import scratch
+
+    graph = gen.rgg2d(6000, 8.0, seed=1)
+    ctx = context(graph)
+    charged = []
+    alloc = ctx.tracker.alloc
+
+    def recording(name, nbytes, *args, **kwargs):
+        charged.append((name, nbytes, args[0] if args else kwargs.get("category")))
+        return alloc(name, nbytes, *args, **kwargs)
+
+    monkeypatch.setattr(ctx.tracker, "alloc", recording)
+    scratch.install_ledger(ctx.tracker)
+    try:
+        label_propagation_clustering(graph, ctx, 40)
+    finally:
+        scratch.uninstall_ledger()
+    names = [name for name, _, _ in charged]
+    assert names.count("shared-sparse-array") == names.count("nonzero-buffers") == 1
+    in_scratch = {name: nbytes for name, nbytes, category in charged if category == "scratch"}
+    assert set(in_scratch) == {"lp-chunk-out"}  # the per-chunk outputs, chunk-sized
+    assert max(in_scratch.values()) < 8 * graph.n
+
+
+# --------------------------------------------------------------------- #
+# the edges a sort gets for free
+# --------------------------------------------------------------------- #
+class TestEdges:
+    def test_a_cluster_seen_through_weight_zero_counts(self):
+        """Vertex 0's neighbours 1 and 2 both sum to rating 0: two pairs in
+        the oracle, so nc = 2 and one of them is the favorite."""
+        graph = csr(4, both_ways([(0, 1, 0), (0, 2, 0), (2, 3, 5)]))
+        pair = ClusteringPair(graph, 10)
+        edges, fav_us, fav, nc, targets, moved = pair.run(np.array([0, 1, 3]))
+        assert nc.tolist() == [2, 1, 1]
+        assert fav_us.tolist() == [0, 1, 3] and fav[0] in (1, 2)
+        # ratings of opposite sign that cancel: seen, rated 0
+        graph = csr(3, both_ways([(0, 1, 4), (0, 2, -4)]))
+        out = ClusteringPair(graph, 10).run(np.array([0]))
+        assert out[3].tolist() == [2]
+        refinement = RefinementPair(graph, 3, [0, 1, 2], 10)
+        assert refinement.run(np.array([0, 2]))[1].tolist() == [0]  # gain 4 > 0 into block 1
+
+    def test_vertices_without_neighbours(self):
+        graph = csr(5, both_ways([(1, 3, 2)]))
+        pair = ClusteringPair(graph, 10)
+        assert pair.run(np.array([0, 2, 4])) is None  # no edge at all
+        edges, fav_us, fav, nc, targets, moved = pair.run(np.array([0, 1, 2, 3, 4]))
+        assert edges == 2 and nc.tolist() == [0, 1, 0, 1, 0]
+        assert fav_us.tolist() == [1, 3]  # the others' favorites stay untouched
+        refinement = RefinementPair(graph, 2, [0, 0, 1, 1, 1], 10)
+        assert refinement.run(np.array([0, 2, 4])) is None
+        assert refinement.run(np.arange(5)) is not None
+
+    def test_only_the_own_cluster_fits(self):
+        """Every neighbour cluster is full: the target is the vertex's own
+        cluster, which is a target (work is recorded) but not a move."""
+        graph = csr(3, both_ways([(0, 1, 3), (0, 2, 3)]), vwgt=np.array([2, 2, 2]))
+        pair = ClusteringPair(graph, 3)
+        pair.states[0][0][:] = pair.states[1][0][:] = [1, 1, 2]
+        pair.states[0][1][:] = pair.states[1][1][:] = [0, 4, 2]
+        edges, fav_us, fav, nc, targets, moved = pair.run(np.array([0]))
+        assert (targets, moved.tolist(), nc.tolist()) == (1, [], [2])
+        # no neighbour fits and the own cluster is not adjacent: no target
+        pair = ClusteringPair(graph, 3)
+        pair.states[0][1][:] = pair.states[1][1][:] = [2, 2, 2]
+        assert pair.run(np.array([0]))[4] == 0
+
+    def test_a_full_cluster_still_competes_at_rank_minus_one(self):
+        """The oracle ranks a cluster that does not fit at -1, not out of the
+        race: against a fitting cluster of negative rating it wins, and the
+        vertex has no target."""
+        graph = csr(3, both_ways([(0, 1, -9), (0, 2, 5)]), vwgt=np.array([2, 1, 2]))
+        pair = ClusteringPair(graph, 3)  # cluster 2 is full for vertex 0, cluster 1 is not
+        edges, fav_us, fav, nc, targets, moved = pair.run(np.array([0]))
+        assert (fav.tolist(), nc.tolist(), targets, moved.tolist()) == ([2], [2], 0, [])
+
+    def test_unit_vertex_weights_are_the_eight_byte_view(self):
+        graph = gen.rgg2d(200, 8.0, seed=2)
+        assert np.asarray(graph.vwgt).strides == (0,)
+        assert lp_chunk._weight_args(np.asarray(graph.vwgt)) == (None, 1)
+        pair = ClusteringPair(graph, 9)
+        for chunk in chunks_of(graph.n, 0):
+            pair.run(chunk)
+
+    def test_sums_that_wrap_like_numpy(self):
+        """Edge weights near 2**61: ratings, ranks and gains leave int64 and
+        wrap modulo 2**64 on both paths, to the same winners."""
+        big = 1 << 61
+        rows = both_ways(
+            [(0, 1, big), (0, 2, big + 1), (0, 3, big - 1), (1, 2, 3 * (big // 2)), (2, 3, big)]
+        )
+        graph = csr(4, rows)
+        with np.errstate(over="ignore"):
+            pair = ClusteringPair(graph, 3)
+            pair.states[0][0][:] = pair.states[1][0][:] = [0, 1, 1, 3]
+            for chunk in (np.array([0, 2]), np.array([3, 1]), np.arange(4)):
+                assert pair.run(chunk) is not None
+            refinement = RefinementPair(graph, 3, [0, 1, 1, 2], 4)
+            for chunk in (np.array([0, 2]), np.arange(4)):
+                assert refinement.run(chunk) is not None
+
+    @pytest.mark.parametrize(
+        "vwgt",
+        [np.array([1, 1 << 61, 1 << 61, 1]), np.array([1, -1, 1, 1])],
+        ids=["sum-past-int64", "negative"],
+    )
+    def test_vertex_weights_the_commit_cannot_hold_run_the_oracle(self, vwgt):
+        graph = csr(4, both_ways([(0, 1, 1), (1, 2, 1), (2, 3, 1)]), vwgt=vwgt)
+        maps = np.zeros((3, 4), dtype=np.int64)
+        clusters, weights = np.arange(4), vwgt.copy()
+        assert lp_chunk.clustering_step(graph, clusters, weights, 1 << 62, maps) is None
+        pgraph = PartitionedGraph(graph, 2, np.array([0, 0, 1, 1]))
+        limits = np.array([1 << 62, 1 << 62])
+        assert lp_chunk.refinement_step(graph, pgraph.partition, pgraph.block_weights, limits) is None
+        with np.errstate(over="ignore"):
+            result, _, _ = run_clustering(graph, True)
+        assert len(result.clusters) == 4
+
+    def test_a_cap_beyond_int64_is_clamped_not_truncated(self):
+        graph = gen.grid2d(8, 8)
+        got = label_propagation_clustering(graph, context(graph), 1 << 70)
+        want = on_oracle(label_propagation_clustering, graph, context(graph), 1 << 70)
+        assert np.array_equal(got.clusters, want.clusters)
+        assert got.num_clusters < graph.n
+
+    def test_k_is_checked_against_int32_once_per_call(self):
+        graph = gen.grid2d(4, 4)
+        pgraph = PartitionedGraph(graph, 4, np.arange(16) % 4)
+        pgraph.k = 1 << 31
+        with pytest.raises(ValueError, match="int32"):
+            lp_refine(pgraph, context(graph), 100)
+
+    def test_the_conflict_detector_runs_the_pipeline_that_can_tell_it(self, monkeypatch):
+        """With the detector listening neither driver builds a kernel step."""
+        from repro.core.config import DebugConfig
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel step built under the conflict detector")
+
+        monkeypatch.setattr(lp_clustering, "clustering_step", refuse)
+        monkeypatch.setattr(lp_refine_module, "refinement_step", refuse)
+        cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
+        result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
+        assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
+
+
+def test_segments_describe_the_same_adjacency():
+    """``chunk_segments`` hands out what ``chunk_adjacency`` gathers, CSR in
+    place and compressed decoded once."""
+    base = weighted(gen.weblike(400, 7.0, seed=1), "random", "unit")
+    for graph in (base, compress_graph(base), gen.rgg2d(300, 8.0, seed=1)):
+        for chunk in chunks_of(graph.n, 1, size=64):
+            owner, nbrs, wgts = chunk_adjacency(graph, chunk)
+            starts, degs, adj, wgt = chunk_segments(graph, chunk)
+            at = np.concatenate([np.arange(s, s + d) for s, d in zip(starts, degs)] or [[]])
+            at = at.astype(np.int64)
+            assert np.array_equal(np.repeat(np.arange(len(chunk)), degs), owner)
+            assert np.array_equal(adj[at], nbrs) and np.array_equal(wgt[at], wgts)
+        if hasattr(graph, "indptr"):
+            assert adj is graph.adjncy  # nothing gathered, nothing copied
+    with pytest.raises(TypeError, match="CSRGraph or a CompressedGraph"):
+        chunk_segments(object(), np.arange(3))
+
+
+# --------------------------------------------------------------------- #
+# the contract in the C header
+# --------------------------------------------------------------------- #
+class Raw:
+    """Both kernels called the way ``lp_chunk`` calls them, minus its
+    checks, on arrays a test may corrupt, with every output and the rating
+    map guarded.  ``out_short`` / ``map_short`` take that many entries off the
+    capacities handed over."""
+
+    K = 4
+
+    def __init__(self, graph) -> None:
+        self.n = graph.n
+        self.indptr = graph.indptr.copy()
+        self.adj = graph.adjncy.copy()
+        self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
+        self.vwgt = np.ascontiguousarray(graph.vwgt).copy()
+        self.chunk = np.random.default_rng(0).permutation(self.n)[:96].astype(np.int64)
+        self.clusters = np.arange(self.n, dtype=np.int64)
+        self.cluster_weights = self.vwgt.copy()
+        self.part = (np.arange(self.n) % self.K).astype(np.int32)
+        self.block_weights = np.bincount(self.part, weights=self.vwgt).astype(np.int64)
+        self.limits = np.full(self.K, int(self.vwgt.sum()), dtype=np.int64)
+        self.starts = self.indptr[self.chunk]
+        self.degs = self.indptr[self.chunk + 1] - self.starts
+        self.info = np.zeros(2, dtype=np.int64)
+        self.adj_len = len(self.adj)
+
+    def _segments(self):
+        return (
+            self.n, self.chunk.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
+            len(self.chunk), self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
+        )  # fmt: skip
+
+    def _finish(self, rc, out):
+        out.check()
+        assert not out.inside(0).any(), "rating map left dirty"
+        return rc
+
+    def cluster(self, out_short=0, map_short=0):
+        out, count = Guarded(), len(self.chunk)
+        cap = self.n - map_short
+        maps = [out.ptr(size, np.int64) for size in (self.n, cap, cap)]
+        out.inside(0)[:] = 0
+        outputs = [out.ptr(count - out_short, np.int64) for _ in range(4)]
+        rc = _native.lp_kernels()[0](
+            *self._segments(), self.clusters.ctypes.data, self.cluster_weights.ctypes.data,
+            self.vwgt.ctypes.data, 0, 1 << 40, *maps, cap, *outputs, count - out_short,
+            self.info.ctypes.data,
+        )  # fmt: skip
+        return self._finish(rc, out)
+
+    def refine(self, out_short=0, map_short=0):
+        out, count = Guarded(), len(self.chunk)
+        cap = self.K - map_short
+        maps = [out.ptr(size, np.int64) for size in (self.K, cap, cap)]
+        out.inside(0)[:] = 0
+        outputs = [out.ptr(count - out_short, np.int64) for _ in range(2)]
+        rc = _native.lp_kernels()[1](
+            *self._segments(), self.K, self.part.ctypes.data, self.block_weights.ctypes.data,
+            self.vwgt.ctypes.data, 0, self.limits.ctypes.data, *maps, cap, *outputs,
+            count - out_short, self.info.ctypes.data,
+        )  # fmt: skip
+        return self._finish(rc, out)
+
+    def both(self, **kwargs):
+        return self.cluster(**kwargs), self.refine(**kwargs)
+
+    def shared(self):
+        return [a.copy() for a in (self.clusters, self.cluster_weights, self.part, self.block_weights)]
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return weighted(gen.rgg2d(300, 8.0, seed=1), "random", "random")
+
+
+class TestKernelContract:
+    """``lp_kernel.c`` defends itself: an id it cannot index or a buffer one
+    entry short comes back as an error code naming the chunk vertex, nothing
+    is written outside the capacities passed in, the shared arrays are as
+    they were and the rating map is zero again."""
+
+    def test_clean_calls_stay_inside_their_buffers(self, mesh):
+        raw = Raw(mesh)
+        moved, moved_blocks = raw.both()
+        assert 0 < moved <= len(raw.chunk) and 0 < moved_blocks <= len(raw.chunk)
+        assert raw.cluster_weights.sum() == raw.block_weights.sum() == raw.vwgt.sum()
+
+    def refused(self, raw, code, at=None):
+        before = raw.shared()
+        assert raw.both() == (code, code)
+        if at is not None:
+            assert raw.info[1] == at
+        for a, b in zip(before, raw.shared()):
+            assert np.array_equal(a, b), "an error return wrote a shared array"
+
+    @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
+    def test_chunk_id_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(mesh)
+        raw.chunk[40] = bad
+        self.refused(raw, -1, at=40)
+
+    @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
+    def test_neighbour_id_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(mesh)
+        at = int(np.flatnonzero(raw.degs > 1)[5])  # after its first edge is rated
+        raw.adj[raw.starts[at] + 1] = bad
+        self.refused(raw, -3, at=at)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 33, -(1 << 62)])
+    def test_label_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(mesh)
+        at = int(np.flatnonzero(raw.degs > 1)[5])
+        v = raw.adj[raw.starts[at] + 1]
+        raw.clusters[v] = bad
+        raw.part[v] = bad if abs(bad) < 1 << 31 else Raw.K
+        self.refused(raw, -4, at=at)
+        raw = Raw(mesh)  # the label of the chunk vertex itself
+        raw.clusters[raw.chunk[7]] = raw.n
+        raw.part[raw.chunk[7]] = Raw.K
+        self.refused(raw, -4, at=7)
+
+    def test_segment_past_the_adjacency_is_refused(self, mesh):
+        for corrupt in (
+            lambda raw: raw.degs.__setitem__(9, raw.adj_len - int(raw.starts[9]) + 1),
+            lambda raw: raw.degs.__setitem__(9, -1),
+            lambda raw: raw.starts.__setitem__(9, -1),
+            lambda raw: raw.starts.__setitem__(9, (1 << 63) - 1),  # start + deg overflows
+            lambda raw: raw.degs.__setitem__(9, (1 << 63) - 1),
+        ):
+            raw = Raw(mesh)
+            corrupt(raw)
+            self.refused(raw, -2, at=9)
+        raw = Raw(mesh)  # exactly to the end is still inside
+        raw.adj_len = int((raw.starts + raw.degs).max())
+        assert min(raw.both()) >= 0
+        raw.adj_len -= 1
+        self.refused(raw, -2)
+
+    def test_capacity_one_short_is_refused(self, mesh):
+        """Exactly the bound is enough; one entry less is a code, not a write."""
+        raw = Raw(mesh)
+        assert raw.both(out_short=1) == (-5, -5) and raw.info[1] == -1
+        # a rating map with fewer seen slots than a vertex has labels
+        most = int(Raw(mesh).degs.max())  # all clusters are singletons: labels == degree
+        assert Raw(mesh).cluster(map_short=mesh.n - most) >= 0
+        assert Raw(mesh).cluster(map_short=mesh.n - most + 1) == -5
+        assert Raw(mesh).refine(map_short=Raw.K - 1) == -5  # some vertex sees two blocks
+
+    def test_an_error_in_the_last_vertex_commits_nothing(self, mesh):
+        """Errors arise while rating; the commit runs only after the whole
+        chunk was rated."""
+        raw = Raw(mesh)
+        last = len(raw.chunk) - 1
+        raw.degs[last] = -1
+        self.refused(raw, -2, at=last)
+
+
+class TestCorruptGraph:
+    """Through the drivers a chunk the kernel refuses is a ``ValueError``
+    naming the vertex -- never a trap."""
+
+    def test_neighbour_out_of_range(self):
+        graph = gen.rgg2d(300, 8.0, seed=1)
+        graph.adjncy[graph.indptr[17]] = 1 << 40  # after the constructor's check
+        with pytest.raises(ValueError, match="neighbor id out of range at vertex 17 "):
+            label_propagation_clustering(graph, context(graph), 10)
+        pgraph = PartitionedGraph(graph, 4, np.arange(300) % 4)
+        with pytest.raises(ValueError, match="neighbor id out of range at vertex 17 "):
+            lp_refine(pgraph, context(graph), 100)
+
+    def test_block_out_of_range(self):
+        graph = gen.rgg2d(300, 8.0, seed=1)
+        pgraph = PartitionedGraph(graph, 4, np.arange(300) % 4)
+        pgraph.partition[5] = 9
+        with pytest.raises(ValueError, match="cluster or block id out of range at vertex"):
+            lp_refine(pgraph, context(graph), 100)

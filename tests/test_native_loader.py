@@ -1,6 +1,6 @@
-"""The compiled kernels' loader (ISSUEs 21-22): one library for the chunk
-decode and initial partitioning's searches, build cache hygiene, the silent
-fallback, and the one environment override.
+"""The compiled kernels' loader (ISSUEs 21, 22, 24): one library for the
+chunk decode, initial partitioning's searches and the LP chunk, build cache
+hygiene, the silent fallback, and the one environment override.
 
 The loader keeps its answer for the life of a process, so every case runs
 in a fresh interpreter with its own empty ``XDG_CACHE_HOME``.
@@ -20,7 +20,8 @@ import pytest
 SRC = str(Path(__file__).parent.parent / "src")
 
 # prints: library loaded? (all of it or none of it), then a digest of one
-# compressed-mode partition -- chunk decodes and recursive bisection inside
+# compressed-mode partition -- chunk decodes, LP chunks and recursive
+# bisection inside
 PROBE = """
 import hashlib
 from repro import partition
@@ -28,7 +29,8 @@ from repro.core.config import terapart
 from repro.graph import _native
 from repro.graph.generators import weblike
 loaded = _native.available()
-assert (_native.decode_kernel() is not None) == (_native.bisection_kernels() is not None) == loaded
+accessors = (_native.decode_kernel, _native.bisection_kernels, _native.lp_kernels)
+assert {accessor() is not None for accessor in accessors} == {loaded}
 assert sorted(_native.library() or _native.SIGNATURES) == sorted(_native.SIGNATURES)
 print(loaded)
 res = partition(weblike(3000, 8.0, seed=1), 4, config=terapart(seed=3))
@@ -93,8 +95,13 @@ def test_library_missing_a_symbol_is_not_used(tmp_path, fallback_answer):
     """A build that lacks one exported function is no library at all: every
     caller runs its oracle, none runs half the kernels."""
     cc = shutil.which("cc") or shutil.which("gcc")
-    loaded, answer = _finish(_spawn(tmp_path, CC=f"{cc} -Drepro_fm2way=repro_fm2way_renamed"))
-    assert loaded == "False" and answer == fallback_answer
+    procs = [
+        _spawn(tmp_path / symbol, CC=f"{cc} -D{symbol}={symbol}_renamed")
+        for symbol in ("repro_fm2way", "repro_lp_refine_chunk")
+    ]
+    for proc in procs:
+        loaded, answer = _finish(proc)
+        assert loaded == "False" and answer == fallback_answer
 
 
 @needs_compiler

@@ -245,3 +245,97 @@ def test_gain_table_build_on_compressed_within_envelope():
             f"{kind} gain table on a compressed graph takes {ratio:.1f}x the "
             f"CSR build; did a change reintroduce a per-vertex decode loop?"
         )
+
+
+# An LP chunk is one compiled call (lp_kernel.c): rate, pick and commit
+# without the sort-based numpy pipeline, a CSR graph read in place and a
+# compressed chunk decoded exactly once.  The fallback to that pipeline is
+# silent by design, so a change that loses the kernel path (a dtype the
+# wrapper refuses, a renamed symbol) would show up only as a slow ladder;
+# here it fails by count.  The same run with the kernel hidden must reach
+# all four numpy kernels, or this guard guards nothing.
+LP_PIPELINE = (
+    "segment_reduce_ratings",
+    "segment_best_last",
+    "bulk_size_constrained_commit",
+    "move_gains",
+)
+
+
+def _count_one_lp_pass(monkeypatch, graph):
+    """Calls made by one clustering + one refinement: the numpy pipeline's
+    four kernels, ``np.argsort``, ``decode_chunk``, and the chunks handed out."""
+    import sys
+    from collections import Counter
+
+    from repro.core.coarsening.lp_clustering import label_propagation_clustering
+    from repro.core.config import terapart
+    from repro.core.context import PartitionContext
+    from repro.core.partition import PartitionedGraph
+    from repro.core.refinement.lp_refine import lp_refine
+    from repro.graph.compressed import CompressedGraph
+    from repro.parallel.runtime import ParallelRuntime
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def execute(self, sched, **kwargs):
+        for item in run_chunks(self, sched, **kwargs):
+            calls["chunks"] += 1
+            yield item
+
+    run_chunks = ParallelRuntime.execute
+    drivers = [
+        sys.modules["repro.core.coarsening.lp_clustering"],
+        sys.modules["repro.core.refinement.lp_refine"],
+    ]
+    with monkeypatch.context() as m:
+        for name in LP_PIPELINE:
+            for module in drivers:
+                if hasattr(module, name):
+                    m.setattr(module, name, counted(name, getattr(module, name)))
+        m.setattr(np, "argsort", counted("argsort", np.argsort))
+        m.setattr(
+            CompressedGraph, "decode_chunk", counted("decode_chunk", CompressedGraph.decode_chunk)
+        )
+        m.setattr(ParallelRuntime, "execute", execute)
+        ctx = PartitionContext(terapart(seed=1), 8, graph.total_vertex_weight)
+        clustering = label_propagation_clustering(graph, ctx, graph.total_vertex_weight // 256)
+        part = np.random.default_rng(1).integers(0, 8, size=graph.n)
+        moves = lp_refine(PartitionedGraph(graph, 8, part), ctx, graph.n)
+    assert sum(clustering.moves_per_round) > 0 and moves > 0
+    return calls
+
+
+def test_lp_chunk_is_one_compiled_call(monkeypatch):
+    import pytest
+    from repro.graph.generators import kmer
+
+    graphs = {
+        "csr": kmer(5000, 4, seed=1),
+        "compressed": compress_graph(weblike(5000, avg_degree=10, seed=1)),
+    }
+    for kind, graph in graphs.items():
+        with monkeypatch.context() as m:
+            m.setattr(_native, "lp_kernels", lambda: None)
+            oracle = _count_one_lp_pass(m, graph)
+        assert all(oracle[name] > 0 for name in LP_PIPELINE), (kind, oracle)
+        assert oracle["chunks"] > 20
+    if _native.lp_kernels() is None:
+        pytest.skip("no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)")
+    for kind, graph in graphs.items():
+        calls = _count_one_lp_pass(monkeypatch, graph)
+        reached = {name: calls[name] for name in (*LP_PIPELINE, "argsort") if calls[name]}
+        assert not reached, (
+            f"{kind}: the LP drivers fell back to the numpy pipeline ({reached}); "
+            f"did a change make lp_chunk refuse the graph?"
+        )
+        assert calls["chunks"] > 20
+        decodes = calls["decode_chunk"]
+        assert (decodes == 0) if kind == "csr" else (0 < decodes <= calls["chunks"]), (kind, calls)
