@@ -9,21 +9,21 @@ tera-scale ID ranges.  This package walks the source ASTs and checks them
 at rest, complementing the runtime verify layer (which only sees executed
 paths).  See DESIGN.md section 9.
 
-Passes (`repro lint --passes` selects a subset):
+Passes (`repro lint --passes` selects a subset), one per discipline:
 
 * ``parallel-access``   PA001-PA005  declarations vs kernel ASTs
 * ``untracked-alloc``   UA001        allocations outside the ledger
-* ``buffer-lifetime``   BL001-BL003  flow-sensitive escape analysis
 * ``int-width``         IW001-IW002  narrowing stores / casts
-* ``phase-discipline``  PH001-PH004  phase vocabulary + span hygiene/flow
+* ``phase-discipline``  PH001-PH003  phase vocabulary + span hygiene
 
-``buffer-lifetime``, the ``int-width`` dtype lattice and ``PH004`` run on
-the CFG + fixpoint machinery in :mod:`repro.analysis.dataflow`.
+The ``int-width`` dtype lattice runs on the CFG + fixpoint machinery in
+:mod:`repro.analysis.dataflow`.
 
 The gate (``repro lint --gate``) fails only on findings that are neither
 inline-suppressed (``# repro-lint: ignore[...] -- reason``) nor covered by
 the committed baseline (:mod:`repro.analysis.baseline`).  Suppressions
-without a reason still work but are listed as legacy bare ignores.
+without a reason still work but are listed as legacy bare ignores;
+suppressions naming no known pass or code are listed as unknown.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from pathlib import Path
 from repro.analysis import (
     allocations,
     baseline as baseline_mod,
-    bufferlife,
     intwidth,
     parallel_access,
     phases,
@@ -59,7 +58,6 @@ __all__ = [
 _PASSES = {
     parallel_access.PASS_ID: parallel_access.run,
     allocations.PASS_ID: allocations.run,
-    bufferlife.PASS_ID: bufferlife.run,
     intwidth.PASS_ID: intwidth.run,
     phases.PASS_ID: phases.run,
 }
@@ -99,12 +97,17 @@ def lint_paths(
     findings: list[Finding] = []
     suppressed = 0
     bare: list[str] = []
+    unknown: list[str] = []
     files = iter_python_files(paths)
     for path in files:
         mod = load_module(path, repo_root)
         if mod.skip_file:
             continue
         bare.extend(f"{mod.rel}:{line}" for line in mod.bare_ignores())
+        unknown.extend(
+            f"{mod.rel}:{line} [{', '.join(ids)}]"
+            for line, ids in mod.unknown_ignores()
+        )
         for pid in selected:
             for f in _PASSES[pid](mod):
                 if mod.suppressed(f):
@@ -118,6 +121,7 @@ def lint_paths(
     report.suppressed = suppressed
     report.files_checked = len(files)
     report.bare_suppressions = bare
+    report.unknown_suppressions = unknown
     return report
 
 
@@ -127,23 +131,31 @@ def render_text(report: LintReport, *, gate: bool = False) -> str:
     shown = report.new if gate else report.findings
     for f in shown:
         lines.append(f.render())
-    if report.stale_baseline:
-        lines.append("")
-        lines.append(
-            f"{len(report.stale_baseline)} stale baseline entr"
-            f"{'y' if len(report.stale_baseline) == 1 else 'ies'} "
-            "(finding fixed but still accepted -- run "
-            "`repro lint --update-baseline`):"
-        )
-        lines.extend(f"  {fp}" for fp in report.stale_baseline)
-    if report.bare_suppressions:
-        lines.append("")
-        lines.append(
-            f"{len(report.bare_suppressions)} legacy bare ignore"
-            f"{'' if len(report.bare_suppressions) == 1 else 's'} "
-            "(add `-- <reason>` to each `# repro-lint: ignore[...]`):"
-        )
-        lines.extend(f"  {loc}" for loc in report.bare_suppressions)
+    for items, one, many, hint in (
+        (
+            report.stale_baseline,
+            "stale baseline entry",
+            "stale baseline entries",
+            "finding fixed but still accepted -- run "
+            "`repro lint --update-baseline`",
+        ),
+        (
+            report.bare_suppressions,
+            "legacy bare ignore",
+            "legacy bare ignores",
+            "add `-- <reason>` to each `# repro-lint: ignore[...]`",
+        ),
+        (
+            report.unknown_suppressions,
+            "unknown ignore",
+            "unknown ignores",
+            "ids naming no pass or code suppress nothing",
+        ),
+    ):
+        if items:
+            noun = one if len(items) == 1 else many
+            lines.extend(["", f"{len(items)} {noun} ({hint}):"])
+            lines.extend(f"  {item}" for item in items)
     lines.append("")
     by_pass = ", ".join(f"{k}={v}" for k, v in report.by_pass().items())
     lines.append(

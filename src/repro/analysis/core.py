@@ -14,8 +14,9 @@ Inline suppressions use ``# repro-lint: ignore[<pass-or-code>, ...] --
 <reason>`` on the offending line or the line directly above it; the
 reason after ``--`` is required on new suppressions (a suppression
 without one still works but is reported as a legacy *bare ignore* so the
-gate output lists the debt).  ``# repro-lint: skip-file`` anywhere in the
-first ten lines exempts a whole module.
+gate output lists the debt); an id that is neither a pass nor a code
+suppresses nothing and is listed as *unknown*.  ``# repro-lint:
+skip-file`` anywhere in the first ten lines exempts a whole module.
 """
 
 from __future__ import annotations
@@ -25,13 +26,18 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-#: pass IDs, in report order
-PASS_IDS = (
-    "parallel-access",
-    "untracked-alloc",
-    "buffer-lifetime",
-    "int-width",
-    "phase-discipline",
+#: pass ID -> the finding codes it emits, in report order
+PASS_CODES = {
+    "parallel-access": ("PA001", "PA002", "PA003", "PA004", "PA005"),
+    "untracked-alloc": ("UA001",),
+    "int-width": ("IW001", "IW002"),
+    "phase-discipline": ("PH001", "PH002", "PH003"),
+}
+PASS_IDS = tuple(PASS_CODES)
+
+#: every token an ignore[...] may name (lowercased, as parsed)
+_KNOWN_IGNORES = frozenset(
+    [*PASS_IDS, "all", *(c.lower() for cs in PASS_CODES.values() for c in cs)]
 )
 
 #: the lookbehind keeps backtick-quoted doc text (``# repro-lint: ...``)
@@ -156,6 +162,15 @@ class Module:
             if reason is None
         )
 
+    def unknown_ignores(self) -> list[tuple[int, list[str]]]:
+        """``(line, tokens)`` of suppressions naming no pass or code (a
+        typo, or a retired check): they suppress nothing."""
+        return [
+            (line, sorted(ids - _KNOWN_IGNORES))
+            for line, ids in sorted(self.suppressions.items())
+            if ids - _KNOWN_IGNORES
+        ]
+
 
 def terminal_name(node: ast.AST) -> str | None:
     """Rightmost-but-one identifier of a call receiver.
@@ -214,6 +229,8 @@ class LintReport:
     stale_baseline: list[str] = field(default_factory=list)
     # "file:line" of suppressions with no `-- reason` (legacy bare ignores)
     bare_suppressions: list[str] = field(default_factory=list)
+    # "file:line [tokens]" of suppressions naming no known pass or code
+    unknown_suppressions: list[str] = field(default_factory=list)
 
     def by_pass(self) -> dict[str, int]:
         out = {p: 0 for p in PASS_IDS}
@@ -231,4 +248,5 @@ class LintReport:
             "by_pass": self.by_pass(),
             "stale_baseline": self.stale_baseline,
             "bare_suppressions": self.bare_suppressions,
+            "unknown_suppressions": self.unknown_suppressions,
         }

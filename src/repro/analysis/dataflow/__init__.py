@@ -1,34 +1,18 @@
 """Intra-procedural dataflow framework for the ``repro lint`` passes.
 
-Three layers (DESIGN.md section 13):
+Two layers (DESIGN.md section 13):
 
 * :mod:`~repro.analysis.dataflow.cfg` -- per-function control-flow
   graphs: basic blocks, branch/loop/try edges, dominators;
 * :mod:`~repro.analysis.dataflow.solver` -- a worklist fixpoint solver
-  over a caller-supplied lattice (state + transfer + join);
-* :mod:`~repro.analysis.dataflow.escape` /
-  :mod:`~repro.analysis.dataflow.callgraph` -- buffer lifetime and
-  escape analysis with one level of inter-procedural summaries.
+  over a caller-supplied lattice (state + transfer + join).
 
-The flow-sensitive passes (``buffer-lifetime`` BL001-BL003, the
-``int-width`` dtype lattice, ``phase-discipline`` PH004) are built on
-these pieces; new passes should be too -- see the pass-authoring guide in
+The ``int-width`` dtype lattice is built on these pieces; a new
+flow-sensitive pass should be too -- see the pass-authoring guide in
 DESIGN.md section 13.
 """
 
 from repro.analysis.dataflow.cfg import CFG, Block, build_cfg, header_exprs
-from repro.analysis.dataflow.escape import (
-    ESCAPES,
-    LOCAL,
-    REGISTERED,
-    TRACKED_FOR,
-    UNKNOWN,
-    AllocSite,
-    FunctionEscape,
-    Verdict,
-    analyze_function,
-)
-from repro.analysis.dataflow.callgraph import ModuleSummaries, call_edges
 from repro.analysis.dataflow.solver import fixpoint, join_env
 
 __all__ = [
@@ -38,15 +22,4 @@ __all__ = [
     "header_exprs",
     "fixpoint",
     "join_env",
-    "analyze_function",
-    "AllocSite",
-    "FunctionEscape",
-    "Verdict",
-    "ModuleSummaries",
-    "call_edges",
-    "TRACKED_FOR",
-    "LOCAL",
-    "ESCAPES",
-    "UNKNOWN",
-    "REGISTERED",
 ]

@@ -7,9 +7,9 @@ appear in the block that evaluates their *header* (test / iterable /
 context expressions) while their bodies live in successor blocks.  The
 shape is deliberately an over-approximation of CPython's real control
 flow -- every block inside a ``try`` body gets an edge to every handler,
-``raise``/``return`` edge to the exit block -- because the passes built on
-top (escape analysis, dtype inference, span protocol) only need
-may-reach / must-dominate facts, not exact exception semantics.
+``raise``/``return`` edge to the exit block -- because the pass built on
+top (dtype inference) only needs may-reach / must-dominate facts, not
+exact exception semantics.
 
 Use :func:`header_exprs` to get the expressions a compound statement
 evaluates *inside its own block*; iterating a compound node with

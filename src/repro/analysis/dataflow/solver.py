@@ -1,12 +1,10 @@
 """Worklist fixpoint solver over a generic lattice.
 
-The passes express themselves as forward dataflow problems: a *state*
-flows along CFG edges, blocks transform it with a *transfer* function,
-and merge points combine incoming states with a *join*.  The solver is
+A pass expresses itself as a forward dataflow problem: a *state* flows
+along CFG edges, blocks transform it with a *transfer* function, and
+merge points combine incoming states with a *join*.  The solver is
 agnostic to the state representation -- anything with a join and an
-equality works -- which is what lets the escape pass (sets of allocation
-sites), the dtype pass (variable -> bit-width maps) and the span-protocol
-pass (variable -> open/closed) share it.
+equality works; the dtype pass uses variable -> bit-width maps.
 
 States must be treated as immutable by transfer functions: return a new
 object, never mutate the argument.  ``None`` is reserved by the solver to

@@ -1,4 +1,4 @@
-"""Pass 4: phase/span discipline (PH001-PH004).
+"""Pass 4: phase/span discipline (PH001-PH003).
 
 The observability stack -- per-phase memory peaks, regression attribution,
 the run database -- keys everything on phase names.  A span that invents a
@@ -14,14 +14,10 @@ error path.  This pass pins both down statically:
   manager (assigned, entered manually, passed around).
 * ``PH003`` (warning) -- a span/phase name the analyzer cannot resolve to
   literals (dynamic name), so PH001 cannot be checked.
-* ``PH004`` (error) -- a manually-managed span that is not provably closed
-  on **every** control-flow path: the span-protocol state machine (fresh ->
-  open -> closed) is run over the function's CFG (:mod:`repro.analysis
-  .dataflow`), and a span that may still be open at the exit block -- an
-  early return, ``break`` or exception path skipping ``__exit__`` -- is an
-  error.  PH002 flags manual span management *syntactically*; PH004 is the
-  flow-sensitive complement that pinpoints the actual leak, so a manual
-  span usually fires both.
+
+PH002 makes every manually-managed span an error, so no flow analysis of
+``__enter__`` / ``__exit__`` paths is needed: a span that is not a
+``with`` item is already reported wherever it could leak.
 
 Name resolution folds constants through one level of locals: plain string
 assignments, two-armed literal conditionals (``a if c else b``) and
@@ -36,7 +32,6 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.core import Finding, Module, terminal_name
-from repro.analysis.dataflow import Block, build_cfg, fixpoint, header_exprs
 from repro.obs.tracer import KNOWN_PHASES, normalize_phase
 
 PASS_ID = "phase-discipline"
@@ -139,114 +134,11 @@ def _is_span_site(node: ast.Call) -> str | None:
     return None
 
 
-#: manual span protocol methods (PH004 state machine)
-_OPEN_METHODS = ("__enter__", "begin")
-_CLOSE_METHODS = ("__exit__", "end", "close")
-
-
-def _span_methods(expr: ast.AST, span_vars) -> list[tuple[str, str]]:
-    """``(var, "open"|"close")`` for protocol calls on span vars in expr."""
-    out = []
-    for node in ast.walk(expr):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in span_vars
-        ):
-            if node.func.attr in _OPEN_METHODS:
-                out.append((node.func.value.id, "open"))
-            elif node.func.attr in _CLOSE_METHODS:
-                out.append((node.func.value.id, "close"))
-    return out
-
-
-def _check_span_protocol(
-    mod: Module, fn: ast.AST, findings: list[Finding]
-) -> None:
-    """PH004: every manually-managed span must close on all CFG paths."""
-    span_assigns: dict[str, int] = {}  # var -> line of the span assignment
-    enter_line: dict[str, int] = {}
-    for node in ast.walk(fn):
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and _is_span_site(node.value)
-            and mod.enclosing_function(node) is fn
-        ):
-            for t in node.targets:
-                if isinstance(t, ast.Name):
-                    span_assigns.setdefault(t.id, node.lineno)
-    if not span_assigns:
-        return
-
-    cfg = build_cfg(fn)
-
-    def transfer(
-        block: Block, env: dict[str, frozenset[str]]
-    ) -> dict[str, frozenset[str]]:
-        out = dict(env)
-        for stmt in block.stmts:
-            if (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, ast.Call)
-                and _is_span_site(stmt.value)
-            ):
-                for t in stmt.targets:
-                    if isinstance(t, ast.Name) and t.id in span_assigns:
-                        out[t.id] = frozenset({"fresh"})
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                # `with s:` closes the span on every path, including raises
-                for item in stmt.items:
-                    ce = item.context_expr
-                    if isinstance(ce, ast.Name) and ce.id in span_assigns:
-                        out[ce.id] = frozenset({"closed"})
-                continue
-            for expr in header_exprs(stmt):
-                for var, action in _span_methods(expr, span_assigns):
-                    if action == "open":
-                        enter_line.setdefault(var, stmt.lineno)
-                        out[var] = frozenset({"open"})
-                    else:
-                        out[var] = frozenset({"closed"})
-        return out
-
-    def join(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, frozenset()) | v
-        return out
-
-    ins, _outs = fixpoint(cfg, transfer, {}, join)
-    final = ins.get(cfg.exit.bid) or {}
-    for var in sorted(final):
-        if "open" in final[var]:
-            line = enter_line.get(var, span_assigns[var])
-            findings.append(
-                Finding(
-                    PASS_ID,
-                    "PH004",
-                    "error",
-                    mod.rel,
-                    line,
-                    f"span {var!r} may still be open at function exit (an "
-                    "early return, break or exception path skips __exit__); "
-                    "close it on every path or use a with-block",
-                    subject=f"{mod.qualname(fn)}:{var}",
-                )
-            )
-
-
 def run(mod: Module) -> list[Finding]:
     if any(mod.rel.startswith(p) for p in EXCLUDE):
         return []
     findings: list[Finding] = []
     span_vars: set[str] = set()  # names assigned from span/phase calls
-
-    for node in ast.walk(mod.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _check_span_protocol(mod, node, findings)
 
     for node in ast.walk(mod.tree):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):

@@ -421,7 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     serve_cfg = ServeConfig(
         cache_budget_bytes=int(args.cache_budget_mb * 1024 * 1024),
         drift_threshold=args.drift_threshold,
-        warm_start=not args.no_warm_start,
     )
 
     async def _main() -> None:
@@ -616,11 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.25,
         help="cumulative drift fraction forcing a full repartition",
-    )
-    p.add_argument(
-        "--no-warm-start",
-        action="store_true",
-        help="disable incremental repartitioning (every run full)",
     )
     p.set_defaults(func=cmd_serve)
 

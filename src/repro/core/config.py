@@ -141,9 +141,6 @@ class ServeConfig:
     # lp_refinement_rounds) — drifted partitions need a little more work
     # than a freshly projected level
     warm_extra_lp_rounds: int = 2
-    # disable to force every request down the full-repartition path
-    # (used by benchmarks to measure the warm-start speedup)
-    warm_start: bool = True
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from repro.graph import _native
@@ -11,8 +9,6 @@ from repro.graph.access import full_adjacency
 from repro.memory.scratch import tracked_empty, tracked_slots, tracked_zeros
 
 _UNSET = object()
-# total vertex weight and the caps handed to the kernels stay below this
-WEIGHT_LIMIT = 1 << 62
 
 
 class BisectionWorkspace:
@@ -121,7 +117,7 @@ class BisectionKernels:
         if (
             4 * n**3 * gain_bound**2 >= 1 << 126
             or lightest_vertex < 0
-            or heaviest_vertex * n >= WEIGHT_LIMIT
+            or heaviest_vertex * n >= _native.WEIGHT_LIMIT
         ):
             return None
         return cls(n, (xadj, adj, wgt, vwgt), functions)
@@ -155,9 +151,8 @@ class BisectionKernels:
             ("bipartition-grown", n, np.int64),
         )
         order = _order(order, n)
-        count = self._run(
-            self._functions[0], order.ctypes.data, _clamp(target0), _clamp(max0), *pointers, n
-        )
+        target0, max0 = _native.clamp_weight(target0), _native.clamp_weight(max0)
+        count = self._run(self._functions[0], order.ctypes.data, target0, max0, *pointers, n)
         return grown[:count]
 
     def grow_bfs(self, order: np.ndarray, target0: int) -> np.ndarray:
@@ -168,7 +163,8 @@ class BisectionKernels:
             "bfs", ("bipartition-visited", n, np.uint8), ("bipartition-grown", n, np.int64)
         )
         order = _order(order, n)
-        count = self._run(self._functions[1], order.ctypes.data, _clamp(target0), *pointers, n)
+        target0 = _native.clamp_weight(target0)
+        count = self._run(self._functions[1], order.ctypes.data, target0, *pointers, n)
         return queue[:count]
 
     def fm2way(self, part, max_weights, rounds: int, patience: int) -> list[list[int]]:
@@ -185,18 +181,12 @@ class BisectionKernels:
             ("fm2way-moves", rounds * n, np.int64),
         )
         side[:] = part
+        max0, max1 = map(_native.clamp_weight, max_weights)
         passes = self._run(
-            self._functions[2], _clamp(max_weights[0]), _clamp(max_weights[1]), rounds, patience,
-            *pointers, rounds * n,
-        )  # fmt: skip
+            self._functions[2], max0, max1, rounds, patience, *pointers, rounds * n
+        )
         ends = np.cumsum(kept[:passes])
         return [prefix.tolist() for prefix in np.split(moves[: ends[-1]], ends[:-1])]
-
-
-def _clamp(weight: int) -> int:
-    """A target or cap as the kernels compare it: no weight sum they form
-    leaves ``[0, WEIGHT_LIMIT)``, so clamping changes no comparison."""
-    return max(-1, min(operator.index(weight), WEIGHT_LIMIT))
 
 
 def _order(order: np.ndarray, n: int) -> np.ndarray:

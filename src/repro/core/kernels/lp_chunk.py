@@ -20,11 +20,6 @@ from repro.graph import _native
 from repro.graph.access import chunk_segments
 from repro.memory.scratch import tracked_empty, tracked_zeros
 
-#: the commit adds vertex weights into cluster / block weights in int64: it
-#: takes only weights >= 0 that sum below this (past it numpy's wrapping
-#: decides what the bulk commit does, and the numpy pipeline runs)
-WEIGHT_LIMIT = 1 << 62
-
 
 def _is_int64_vector(a: np.ndarray, size: int) -> bool:
     return a.dtype == np.int64 and a.shape == (size,) and a.flags.c_contiguous
@@ -51,7 +46,7 @@ def _vertex_weights(graph) -> np.ndarray | None:
     if not ok or n == 0:
         return None
     values = vwgt[:1] if vwgt.strides == (0,) else vwgt
-    if int(values.min()) < 0 or int(values.max()) * n >= WEIGHT_LIMIT:
+    if int(values.min()) < 0 or int(values.max()) * n >= _native.WEIGHT_LIMIT:
         return None
     return vwgt
 
@@ -134,8 +129,7 @@ def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
         or not _is_int64_vector(cluster_weights, n)
     ):
         return None
-    # weight sums stay in [0, WEIGHT_LIMIT): clamping changes no comparison
-    limit = max(-1, min(int(max_cluster_weight), WEIGHT_LIMIT))
+    limit = _native.clamp_weight(max_cluster_weight)
     state = (clusters, cluster_weights, *_weight_args(vwgt), limit)
     call = _ChunkKernel(kernels[0], graph, state, maps, n, rows=4)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import platform
 import shlex
@@ -67,6 +68,18 @@ LP_ERRORS = {
     -4: "cluster or block id out of range",
     -5: "rating map or output capacity exhausted",
 }
+
+#: the kernels sum vertex weights in int64: the callers hand them only
+#: weights >= 0 whose total stays below this (else the oracles run)
+WEIGHT_LIMIT = 1 << 62
+
+
+def clamp_weight(weight: int) -> int:
+    """A target or cap as the kernels compare it: no weight sum they form
+    leaves ``[0, WEIGHT_LIMIT)``, so clamping changes no comparison (and a
+    cap past int64 is not truncated by ctypes)."""
+    return max(-1, min(operator.index(weight), WEIGHT_LIMIT))
+
 
 _p, _i64 = ctypes.c_void_p, ctypes.c_int64
 #: (n, chunk, starts, degs, count, adj, wgt, unit_wgt, adj_len) and

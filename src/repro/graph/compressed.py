@@ -891,7 +891,7 @@ def encode_neighborhood(
         _encode_block(u, nbrs, wgts, out, cfg, stats)
         return
     stats.num_chunked_vertices += 1
-    # repro-lint: ignore[untracked-alloc, buffer-lifetime] -- bytearray cannot be weakref-finalized, so the scratch ledger cannot follow it; its bytes are covered by the callers' bulk output-chunk charges
+    # repro-lint: ignore[untracked-alloc] -- bytearray cannot be weakref-finalized, so the scratch ledger cannot follow it; its bytes are covered by the callers' bulk output-chunk charges
     scratch = bytearray()
     for start in range(0, deg, cfg.chunk_length):
         end = min(start + cfg.chunk_length, deg)

@@ -423,8 +423,7 @@ class PartitionService:
                 seed.m_at_full, 1
             )
         warm_ok = (
-            scfg.warm_start
-            and not job.force_full
+            not job.force_full
             and seed is not None
             and len(seed.partition) <= job.graph.n
         )

@@ -2,33 +2,15 @@
 
 Covers the CFG builder (shapes for the structured-control constructs the
 passes rely on), the worklist fixpoint solver (convergence, unreachable
-code, the non-monotone safety valve), the environment join, the escape
-analysis verdicts, and the one-level call-graph summaries.
+code, the non-monotone safety valve) and the environment join.
 """
 
 import ast
 import textwrap
-from pathlib import Path
 
 import pytest
 
-from repro.analysis.core import Module
-from repro.analysis.dataflow import (
-    ESCAPES,
-    LOCAL,
-    REGISTERED,
-    UNKNOWN,
-    ModuleSummaries,
-    analyze_function,
-    build_cfg,
-    fixpoint,
-    join_env,
-)
-
-
-def _mod(src: str) -> Module:
-    src = textwrap.dedent(src)
-    return Module(Path("synthetic.py"), src, "synthetic.py")
+from repro.analysis.dataflow import build_cfg, fixpoint, join_env
 
 
 def _fn(src: str, name: str | None = None) -> ast.FunctionDef:
@@ -248,159 +230,3 @@ class TestJoinEnv:
     def test_custom_join_none_drops(self):
         out = join_env({"a": 1}, {"a": 2}, join_val=lambda x, y: None)
         assert out == {}
-
-
-# --------------------------------------------------------------------- #
-# escape analysis
-# --------------------------------------------------------------------- #
-class TestEscape:
-    def _verdicts(self, src: str, name: str | None = None):
-        mod = _mod(src)
-        # the analysis matches nodes by identity, so take the function
-        # from the module's own tree
-        fns = [n for n in mod.tree.body if isinstance(n, ast.FunctionDef)]
-        fn = fns[0] if name is None else next(f for f in fns if f.name == name)
-        result = analyze_function(mod, fn)
-        return result, {
-            result.verdicts[s.sid].status for s in result.sites
-        }
-
-    def test_local_buffer(self):
-        _, statuses = self._verdicts(
-            """
-            import numpy as np
-
-            def f(n):
-                buf = np.empty(n, dtype=np.int64)
-                buf[:] = 0
-                return int(buf.sum())
-            """
-        )
-        assert statuses == {LOCAL}
-
-    def test_return_escapes(self):
-        _, statuses = self._verdicts(
-            """
-            import numpy as np
-
-            def f(n):
-                buf = np.zeros(n, dtype=np.int64)
-                return buf
-            """
-        )
-        assert statuses == {ESCAPES}
-
-    def test_attribute_store_escapes(self):
-        _, statuses = self._verdicts(
-            """
-            import numpy as np
-
-            def f(self, n):
-                self.buf = np.zeros(n, dtype=np.int64)
-            """
-        )
-        assert statuses == {ESCAPES}
-
-    def test_unknown_callee(self):
-        _, statuses = self._verdicts(
-            """
-            import numpy as np
-            from elsewhere import sink
-
-            def f(n):
-                buf = np.zeros(n, dtype=np.int64)
-                sink(buf)
-            """
-        )
-        assert statuses == {UNKNOWN}
-
-    def test_ledger_charge_registered(self):
-        # a plain numpy buffer whose bytes reach the ledger is registered;
-        # direct tracked_* calls never even become sites
-        _, statuses = self._verdicts(
-            """
-            import numpy as np
-
-            def f(tracker, n):
-                buf = np.empty(n, dtype=np.int64)
-                tracker.alloc("fixture", buf.nbytes, "scratch")
-                return buf
-            """
-        )
-        assert statuses == {REGISTERED}
-
-    def test_tracked_constructor_is_not_a_site(self):
-        result, statuses = self._verdicts(
-            """
-            import numpy as np
-            from repro.memory.scratch import tracked_zeros
-
-            def f(n):
-                buf = tracked_zeros(n, np.int64, name="t")
-                return buf
-            """
-        )
-        assert result.sites == [] and statuses == set()
-
-    def test_param_escape_summary(self):
-        result, _ = self._verdicts(
-            """
-            def f(self, buf):
-                self.cache = buf
-            """
-        )
-        assert result.param_escape.get("buf") == ESCAPES
-
-
-# --------------------------------------------------------------------- #
-# call-graph summaries
-# --------------------------------------------------------------------- #
-class TestCallGraph:
-    SRC = """
-        import numpy as np
-
-        def stash(state, buf):
-            state.buf = buf
-
-        def harmless(buf):
-            return int(buf.sum())
-
-        def caller_stashes(state, n):
-            b = np.zeros(n, dtype=np.int64)
-            stash(state, b)
-
-        def caller_sums(n):
-            b = np.zeros(n, dtype=np.int64)
-            return harmless(b)
-        """
-
-    def _analyze(self, name: str):
-        mod = _mod(self.SRC)
-        summaries = ModuleSummaries(mod)
-        fn = next(
-            f
-            for f in mod.tree.body
-            if isinstance(f, ast.FunctionDef) and f.name == name
-        )
-        return analyze_function(mod, fn, summaries=summaries)
-
-    def test_summary_lookup(self):
-        mod = _mod(self.SRC)
-        summaries = ModuleSummaries(mod)
-        s = summaries.param_escape("stash")
-        assert s is not None
-        assert s["params"] == ["state", "buf"]
-        assert s["escape"].get("buf") == ESCAPES
-        assert summaries.param_escape("np") is None
-        assert summaries.param_escape("not_a_function") is None
-
-    def test_escape_through_callee(self):
-        result = self._analyze("caller_stashes")
-        statuses = {result.verdicts[s.sid].status for s in result.sites}
-        assert statuses == {ESCAPES}
-
-    def test_local_through_harmless_callee(self):
-        # the callee only reads its parameter, so the buffer stays local
-        result = self._analyze("caller_sums")
-        statuses = {result.verdicts[s.sid].status for s in result.sites}
-        assert statuses == {LOCAL}

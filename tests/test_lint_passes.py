@@ -8,6 +8,7 @@ before it fails CI.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,46 @@ class TestUntrackedAlloc:
         ).findings
         assert findings == []
 
+    def test_injected_escape_located(self, tmp_path):
+        """Acceptance: an injected escaping allocation is caught with the
+        right code, file and line."""
+        bad = tmp_path / "leaky.py"
+        bad.write_text(
+            "import numpy as np\n"
+            "\n"
+            "def build(n):\n"
+            "    out = np.zeros(n, dtype=np.int64)\n"
+            "    return out\n"
+        )
+        findings = lint_one(bad)
+        assert [(f.code, f.file, f.line) for f in findings] == [
+            ("UA001", "leaky.py", 4)
+        ]
+
+    @pytest.mark.parametrize(
+        "rel",
+        [
+            "graph/builder.py",
+            "core/refinement/gain_table.py",
+            "dist/dpartitioner.py",
+        ],
+    )
+    def test_undoing_the_tracked_migration_is_caught(self, tmp_path, rel):
+        """Every ``tracked_*`` constructor of a real module, rewritten back
+        to the raw numpy call, raises UA001 on its line."""
+        source = (Path(repro.__file__).parent / rel).read_text()
+        call = re.compile(r"\btracked_(empty|zeros|ones|full)\(")
+        rewritten = {
+            i
+            for i, text in enumerate(source.splitlines(), start=1)
+            if call.search(text)
+        }
+        assert rewritten, f"{rel} no longer uses a tracked constructor"
+        mutant = tmp_path / Path(rel).name
+        mutant.write_text(call.sub(r"np.\1(", source))
+        flagged = {f.line for f in lint_one(mutant, "untracked-alloc")}
+        assert rewritten <= flagged, sorted(rewritten - flagged)
+
 
 # --------------------------------------------------------------------- #
 # pass 3: integer width
@@ -121,9 +162,6 @@ class TestPhaseDiscipline:
             ("PH002", 7),
             ("PH002", 8),
             ("PH003", 9),
-            # the manually-entered span on line 8 is never closed, so the
-            # flow-sensitive protocol check also fires
-            ("PH004", 8),
         }
 
     def test_kernel_subphase_vocabulary_clean(self):
@@ -187,22 +225,21 @@ class TestSuppression:
             "import numpy as np\n"
             "def g(n):\n"
             "    return np.empty(n)"
-            "  # repro-lint: ignore[untracked-alloc, buffer-lifetime]"
-            " -- test fixture\n"
+            "  # repro-lint: ignore[untracked-alloc] -- test fixture\n"
         )
         report = analysis.lint_paths([f])
-        assert report.findings == [] and report.suppressed == 2
+        assert report.findings == [] and report.suppressed == 1
 
     def test_inline_suppression_line_above_by_code(self, tmp_path):
         f = tmp_path / "s.py"
         f.write_text(
             "import numpy as np\n"
             "def g(n):\n"
-            "    # repro-lint: ignore[UA001, BL002] -- test fixture\n"
+            "    # repro-lint: ignore[UA001] -- test fixture\n"
             "    return np.empty(n)\n"
         )
         report = analysis.lint_paths([f])
-        assert report.findings == [] and report.suppressed == 2
+        assert report.findings == [] and report.suppressed == 1
 
     def test_skip_file(self, tmp_path):
         f = tmp_path / "s.py"
@@ -221,8 +258,7 @@ class TestSuppression:
             "def g(n):\n"
             "    return np.empty(n)  # repro-lint: ignore[int-width]\n"
         )
-        # both the allocation pass and the lifetime pass still fire
-        assert len(analysis.lint_paths([f]).findings) == 2
+        assert len(analysis.lint_paths([f]).findings) == 1
 
 
 class TestBaseline:
@@ -249,9 +285,8 @@ class TestBaseline:
         bl = tmp_path / "b.json"
         baseline_mod.save(bl, self._findings(FIXTURES / "alloc_bad.py"))
         report = analysis.lint_paths([FIXTURES / "alloc_good.py"], baseline=bl)
-        # alloc_bad has two sites, each flagged by both the allocation and
-        # the lifetime pass -> four stale fingerprints
-        assert len(report.stale_baseline) == 4
+        # alloc_bad has two sites -> two stale fingerprints
+        assert len(report.stale_baseline) == 2
 
     def test_version_mismatch_rejected(self, tmp_path):
         bl = tmp_path / "b.json"
@@ -336,48 +371,6 @@ class TestSelfCheck:
             assert phases.run(mod) == [], rel
 
 
-# --------------------------------------------------------------------- #
-# pass 5: buffer lifetime / escape (flow-sensitive, DESIGN.md section 13)
-# --------------------------------------------------------------------- #
-class TestBufferLifetime:
-    def test_good_fixture_clean_under_all_passes(self):
-        assert lint_one(FIXTURES / "bufferlife_good.py") == []
-
-    def test_bad_fixture_all_codes(self):
-        findings = lint_one(FIXTURES / "bufferlife_bad.py", "buffer-lifetime")
-        assert codes_at(findings) == {
-            ("BL001", 9),
-            ("BL002", 15),
-            ("BL002", 20),
-            ("BL003", 25),
-        }
-        by_code = {f.code: f for f in findings}
-        assert by_code["BL001"].severity == "warning"
-        assert by_code["BL002"].severity == "error"
-        assert by_code["BL003"].severity == "warning"
-
-    def test_bl001_names_the_tracked_constructor(self):
-        findings = lint_one(FIXTURES / "bufferlife_bad.py", "buffer-lifetime")
-        bl001 = next(f for f in findings if f.code == "BL001")
-        assert "tracked_empty" in bl001.message
-
-    def test_injected_escape_located(self, tmp_path):
-        """Acceptance: an injected escaping allocation is caught with the
-        right code, file and line."""
-        bad = tmp_path / "leaky.py"
-        bad.write_text(
-            "import numpy as np\n"
-            "\n"
-            "def build(n):\n"
-            "    out = np.zeros(n, dtype=np.int64)\n"
-            "    return out\n"
-        )
-        findings = lint_one(bad, "buffer-lifetime")
-        assert len(findings) == 1
-        f = findings[0]
-        assert f.code == "BL002" and f.line == 4 and f.file == "leaky.py"
-
-
 class TestIntWidthFlow:
     def test_flow_good_clean_under_all_passes(self):
         assert lint_one(FIXTURES / "intwidth_flow_good.py") == []
@@ -385,17 +378,6 @@ class TestIntWidthFlow:
     def test_flow_bad_flagged(self):
         findings = lint_one(FIXTURES / "intwidth_flow_bad.py", "int-width")
         assert codes_at(findings) == {("IW002", 14), ("IW001", 23)}
-
-
-class TestSpanProtocol:
-    def test_good_fixture_clean_under_all_passes(self):
-        assert lint_one(FIXTURES / "phase_span_good.py") == []
-
-    def test_open_exit_paths_flagged(self):
-        findings = lint_one(FIXTURES / "phase_span_bad.py", "phase-discipline")
-        ph004 = [f for f in findings if f.code == "PH004"]
-        assert codes_at(ph004) == {("PH004", 8), ("PH004", 19)}
-        assert all(f.severity == "error" for f in ph004)
 
 
 # --------------------------------------------------------------------- #
@@ -407,11 +389,11 @@ class TestSuppressionReasons:
         f.write_text(
             "import numpy as np\n"
             "def g(n):\n"
-            "    # repro-lint: ignore[UA001, BL002] -- caller frees it\n"
+            "    # repro-lint: ignore[UA001] -- caller frees it\n"
             "    return np.empty(n)\n"
         )
         report = analysis.lint_paths([f])
-        assert report.suppressed == 2
+        assert report.suppressed == 1
         assert report.bare_suppressions == []
 
     def test_bare_suppression_still_works_but_is_listed(self, tmp_path):
@@ -419,12 +401,12 @@ class TestSuppressionReasons:
         f.write_text(
             "import numpy as np\n"
             "def g(n):\n"
-            "    # repro-lint: ignore[UA001, BL002]\n"
+            "    # repro-lint: ignore[UA001]\n"
             "    return np.empty(n)\n"
         )
         report = analysis.lint_paths([f])
         # grace period: the suppression still applies...
-        assert report.findings == [] and report.suppressed == 2
+        assert report.findings == [] and report.suppressed == 1
         # ...but the bare ignore is called out for the reason migration
         assert report.bare_suppressions == ["s.py:3"]
         assert "legacy bare ignore" in analysis.render_text(report)
@@ -439,7 +421,7 @@ class TestSuppressionReasons:
         )
         report = analysis.lint_paths([f])
         assert report.bare_suppressions == []
-        assert len(report.findings) == 2  # UA001 + BL002 still fire
+        assert len(report.findings) == 1  # UA001 still fires
 
     def test_repo_has_no_bare_ignores_left(self):
         pkg = Path(repro.__file__).parent
@@ -455,12 +437,76 @@ class TestSuppressionReasons:
         assert mod.suppression_reasons[1] == "because reasons"
 
 
+class TestUnknownSuppressions:
+    def test_unknown_id_is_listed_and_suppresses_nothing(self, tmp_path):
+        f = tmp_path / "s.py"
+        f.write_text(
+            "import numpy as np\n"
+            "def g(n):\n"
+            "    # repro-lint: ignore[no-such-pass] -- typo\n"
+            "    return np.empty(n)\n"
+        )
+        report = analysis.lint_paths([f])
+        assert len(report.findings) == 1 and report.suppressed == 0
+        assert report.unknown_suppressions == ["s.py:3 [no-such-pass]"]
+        text = analysis.render_text(report)
+        assert "1 unknown ignore" in text and "s.py:3 [no-such-pass]" in text
+        assert report.to_dict()["unknown_suppressions"] == [
+            "s.py:3 [no-such-pass]"
+        ]
+
+    def test_known_ids_in_the_same_ignore_still_apply(self, tmp_path):
+        """A stale token next to a live one: the live one suppresses, the
+        stale one is named."""
+        f = tmp_path / "s.py"
+        f.write_text(
+            "import numpy as np\n"
+            "def g(n):\n"
+            "    # repro-lint: ignore[UA001, UA002] -- no such code\n"
+            "    return np.empty(n)\n"
+        )
+        report = analysis.lint_paths([f])
+        assert report.findings == [] and report.suppressed == 1
+        assert report.unknown_suppressions == ["s.py:3 [ua002]"]
+
+    def test_passes_codes_and_all_are_known(self, tmp_path):
+        f = tmp_path / "s.py"
+        f.write_text(
+            "a = 1  # repro-lint: ignore[int-width, IW002] -- known\n"
+            "b = 2  # repro-lint: ignore[all] -- known\n"
+        )
+        assert analysis.lint_paths([f]).unknown_suppressions == []
+
+    def test_code_table_matches_the_passes(self):
+        """``PASS_CODES`` (what an ignore may name) lists exactly the codes
+        each pass module can emit."""
+        from repro.analysis import (
+            allocations,
+            intwidth,
+            parallel_access,
+            phases,
+        )
+        from repro.analysis.core import PASS_CODES
+
+        for mod in (parallel_access, allocations, intwidth, phases):
+            text = Path(mod.__file__).read_text()
+            emitted = set(re.findall(r'"([A-Z]{2}\d{3})"', text))
+            assert emitted == set(PASS_CODES[mod.PASS_ID]), mod.PASS_ID
+
+    def test_repo_has_no_unknown_ignores_left(self):
+        pkg = Path(repro.__file__).parent
+        report = analysis.lint_paths([pkg])
+        assert report.unknown_suppressions == []
+
+
 # --------------------------------------------------------------------- #
 # SARIF export
 # --------------------------------------------------------------------- #
 class TestSarif:
     def _report(self):
-        return analysis.lint_paths([FIXTURES / "bufferlife_bad.py"])
+        return analysis.lint_paths(
+            [FIXTURES / "kernel_bad.py", FIXTURES / "alloc_bad.py"]
+        )
 
     def test_structure_and_levels(self):
         from repro.analysis.sarif import SARIF_VERSION, to_sarif
@@ -472,11 +518,12 @@ class TestSarif:
         rules = {r["id"] for r in run["tool"]["driver"]["rules"]}
         results = run["results"]
         assert {r["ruleId"] for r in results} <= rules
+        assert {r["level"] for r in results} == {"error", "warning"}
         by_rule = {r["ruleId"]: r for r in results}
-        assert by_rule["BL002"]["level"] == "error"
-        assert by_rule["BL001"]["level"] == "warning"
-        loc = by_rule["BL002"]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "bufferlife_bad.py"
+        assert by_rule["PA001"]["level"] == "error"
+        assert by_rule["UA001"]["level"] == "warning"
+        loc = by_rule["UA001"]["locations"][0]["physicalLocation"]
+        assert loc["artifactLocation"]["uri"] == "alloc_bad.py"
         assert loc["region"]["startLine"] >= 1
 
     def test_fingerprints_match_baseline_identity(self):
@@ -498,15 +545,14 @@ class TestSarif:
                 str(BASELINE),
                 "--format",
                 "sarif",
-                str(FIXTURES / "bufferlife_bad.py"),
+                str(FIXTURES / "phase_bad.py"),
             ]
         )
         assert rc == 1  # new findings, no gate
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
-        # four sites, each flagged by both the allocation pass and the
-        # lifetime pass
-        assert len(log["runs"][0]["results"]) == 8
+        # four sites, one finding each
+        assert len(log["runs"][0]["results"]) == 4
 
     def test_cli_sarif_sidecar(self, tmp_path):
         out = tmp_path / "lint.sarif"
@@ -531,13 +577,12 @@ class TestSarif:
 # --------------------------------------------------------------------- #
 class TestEngineRuntimeAgreement:
     def test_scratch_ledger_drains_after_run(self):
-        """The escape analysis drove every hot-path allocation onto the
-        tracked scratch constructors; the runtime must agree.  With the
-        scratch ledger installed, a full partition run charges scratch
-        bytes, anything escaping into the result stays charged while the
-        result is alive, and dropping the result drains the ledger to
-        exactly zero -- no leaked charges (static verdict 'local'/'escapes'
-        wrong) and no double-frees."""
+        """UA001 drove every hot-path allocation onto the tracked scratch
+        constructors; the runtime must agree.  With the scratch ledger
+        installed, a full partition run charges scratch bytes, anything
+        escaping into the result stays charged while the result is alive,
+        and dropping the result drains the ledger to exactly zero -- no
+        leaked charges and no double-frees."""
         import dataclasses
         import gc
 

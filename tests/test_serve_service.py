@@ -214,23 +214,6 @@ class TestRequestModes:
             r2 = h.partition("g", 4, force_full=True)
         assert r2.mode == "full"
 
-    def test_warm_start_disabled(self, small_web):
-        scfg = ServeConfig(
-            cache_budget_bytes=FAST_SERVE.cache_budget_bytes,
-            warm_start=False,
-        )
-        with ServiceHandle(CFG, scfg) as h:
-            h.register_graph("g", small_web)
-            h.partition("g", 4)
-            h.apply_delta(
-                "g",
-                random_delta(
-                    small_web, np.random.default_rng(4), n_add=4, n_remove=4
-                ),
-            )
-            r2 = h.partition("g", 4)
-        assert r2.mode == "full"
-
     def test_warm_covers_added_vertices(self, small_web):
         with ServiceHandle(CFG, FAST_SERVE) as h:
             h.register_graph("g", small_web)
