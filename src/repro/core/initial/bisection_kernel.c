@@ -64,11 +64,15 @@ typedef struct {
     int64_t popped; /* vertex of the last pop, -1 before the first */
 } heap_t;
 
-/* (key, tie) as one signed 128-bit number: one branch-free comparison */
+/* (key, tie) as one signed 128-bit number, key high and tie as its unsigned
+ * low word: one branch-free comparison.  key * 2^64, not key << 64: shifting
+ * a negative key is undefined, the product never overflows (|key| <= 2^63),
+ * and gcc emits the same instructions for it. */
 static inline int before(const entry_t *a, const entry_t *b)
 {
-    __int128 x = ((__int128)a->key << 64) | (uint64_t)a->tie;
-    __int128 y = ((__int128)b->key << 64) | (uint64_t)b->tie;
+    const __int128 high = (__int128)1 << 64;
+    __int128 x = a->key * high | (uint64_t)a->tie;
+    __int128 y = b->key * high | (uint64_t)b->tie;
     return x < y;
 }
 

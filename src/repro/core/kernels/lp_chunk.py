@@ -10,14 +10,22 @@ without the compiled library (:func:`repro.graph._native.lp_kernels`), or
 for vertex weights whose sums the kernel's commit cannot hold.  The C header
 states the contract and why the two are bit-identical; here the arrays are
 checked once per LP call and the pointers handed over.
+
+On a compressed graph the kernel decodes each neighbourhood itself, as it
+rates it, from the graph's byte stream: no decoded chunk is built.  Only a
+chunk holding a chunk-encoded hub or an implausible degree is decoded first,
+by ``decode_chunk``, which splices the hub in or raises its error.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
 from repro.graph import _native
 from repro.graph.access import chunk_segments
+from repro.graph.compressed import MIN_INTERVAL_LEN
 from repro.memory.scratch import tracked_empty, tracked_zeros
 
 
@@ -70,6 +78,7 @@ class _ChunkKernel:
         self._fixed = _pointers((*state, *maps, labels))
         self._tail = _pointers((self._info,))
         self._adjacency = None  # (adj, wgt) last handed out, their arguments, what those point into
+        self._stream = None  # the compressed source's address and what it points into
 
     def _adjacency_args(self, adj: np.ndarray, wgt: np.ndarray) -> tuple:
         """``(adj, wgt, unit_wgt, adj_len)`` as the kernel takes them; a CSR
@@ -85,6 +94,26 @@ class _ChunkKernel:
             last = self._adjacency = ((adj, wgt), args, held)
         return last[1]
 
+    def _stream_address(self) -> int:
+        """The kernel's compressed source, built on the first chunk left
+        encoded (so once per LP call): the graph's checked byte stream and
+        the scratch of one neighbourhood, ``max_degree`` ids (weights too,
+        if any) capped at ``max_plain_degree``, plus its interval pairs."""
+        if self._stream is None:
+            graph = self._graph
+            data, offsets = graph.stream()
+            cap = max(0, min(graph.max_degree, graph.max_plain_degree))
+            rows = 2 if graph.has_edge_weights else 1
+            pairs = 2 * (cap // MIN_INTERVAL_LEN)
+            scratch = tracked_empty(rows * cap + pairs, name="lp-stream-scratch")
+            at = scratch.ctypes.data
+            block = _native.Stream(
+                data.ctypes.data, len(data), offsets.ctypes.data, graph.config.enable_intervals,
+                at, at + 8 * cap if rows == 2 else None, cap, at + 8 * rows * cap, pairs,
+            )  # fmt: skip
+            self._stream = (ctypes.addressof(block), (block, data, offsets, scratch))
+        return self._stream[0]
+
     def __call__(self, chunk):
         """``(edges, moved, targets, out)`` of one chunk, or ``None`` if it
         has no edge (the kernel does not run then)."""
@@ -93,18 +122,23 @@ class _ChunkKernel:
         edges = int(degs.sum())
         if edges == 0:
             return None
+        if adj is None:  # left encoded: the kernel decodes as it rates
+            at, adjacency, stream = None, (None, None, 1, 0), self._stream_address()
+        else:
+            at, adjacency, stream = starts.ctypes.data, self._adjacency_args(adj, wgt), None
         count, info = len(chunk), self._info
         out = tracked_empty((self._rows, count), name="lp-chunk-out")
         first = out.ctypes.data
         rc = self._fn(
-            self._graph.n, chunk.ctypes.data, starts.ctypes.data, degs.ctypes.data, count,
-            *self._adjacency_args(adj, wgt), *self._fixed,
-            *range(first, first + out.nbytes, 8 * count), count, *self._tail,
+            self._graph.n, chunk.ctypes.data, at, degs.ctypes.data, count, *adjacency, *self._fixed,
+            *range(first, first + out.nbytes, 8 * count), count, *self._tail, stream,
         )  # fmt: skip
         if rc < 0:
             bad = int(info[1])
             where = f" at vertex {int(chunk[bad])}" if bad >= 0 else ""
-            raise ValueError(f"{_native.LP_ERRORS[rc]}{where} (corrupt graph?)")
+            if rc in _native.LP_ERRORS:
+                raise ValueError(f"{_native.LP_ERRORS[rc]}{where} (corrupt graph?)")
+            raise ValueError(f"{_native.ERRORS[rc - _native.DECODE_ERROR]}{where} (corrupt stream?)")
         return edges, out[-1, :rc], int(info[0]), out
 
 

@@ -10,7 +10,16 @@
  * (adj_len each; wgt == NULL means every edge weighs unit_wgt) -- then the
  * shared arrays of the phase (vwgt == NULL means every vertex weighs
  * unit_vwgt), then the rating map (slot, seen, rating, cap), then the
- * outputs (out_cap entries each) and info[2].
+ * outputs (out_cap entries each), info[2] and the stream.
+ *
+ * The stream is the compressed source (NULL: the CSR segments above).  With
+ * it, starts / adj / wgt are not read: vertex chunk[i]'s degs[i] neighbours
+ * are decoded by decode_kernel.c's repro_decode_neighborhood -- the decoder
+ * of repro_decode_chunk, with every check it makes -- into the stream's
+ * one-neighbourhood scratch, and rated from there, so nothing decoded
+ * outlives its vertex.  Neighbours come out in the sorted order the chunk
+ * decode writes, though the winner below does not depend on it.  The caller
+ * sends only chunks without a chunk-encoded (hub) neighbourhood this way.
  *
  * The rating map is the paper's (PAPER.md section IV-A1): per vertex, each
  * incident edge weight is added to the entry of the neighbour's label, the
@@ -32,7 +41,9 @@
  * Contract (tests/test_lp_kernel.py holds it to this):
  *   - every chunk id is checked 0 <= u < n before it indexes anything, and
  *     starts[i] >= 0, degs[i] >= 0, starts[i] + degs[i] <= adj_len (without
- *     forming the sum) before adj / wgt are read;
+ *     forming the sum) before adj / wgt are read -- with a stream, the
+ *     decoder checks degs[i] against the scratch, the vertex's byte range,
+ *     header, value count and neighbour ids before anything is rated;
  *   - every neighbour id is checked against [0, n) before it indexes the
  *     label array, every label (a neighbour's and the vertex's own) against
  *     the map's size before it indexes slot[] or a weight array;
@@ -44,7 +55,8 @@
  *     weights >= 0 whose total stays below 2^62, and limits inside int64;
  *   - a broken rule returns a negative code and the chunk index of the
  *     vertex in info[BAD], never a trap.  The shared arrays are untouched
- *     then (errors arise in phase 1 only); the outputs are garbage.
+ *     then (errors arise in phase 1 only); the outputs are garbage.  A
+ *     stream the decoder refuses returns ERR_DECODE + its own code.
  *
  * Returns the number of vertices moved; moved[] holds them in chunk order,
  * info[TARGETS] counts the chunk vertices that had a target at all.
@@ -56,16 +68,38 @@ enum {
     ERR_SEGMENT = -2,  /* starts[i] / degs[i] negative or past the adjacency */
     ERR_NEIGHBOR = -3, /* neighbour id outside [0, n) */
     ERR_LABEL = -4,    /* cluster or block id outside the rating map */
-    ERR_CAPACITY = -5  /* seen list or an output too short */
+    ERR_CAPACITY = -5, /* seen list or an output too short */
+    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c, -1..-7) */
 };
 
 enum { TARGETS, BAD };
+
+/* the byte stream and offsets of repro.graph.compressed, and the scratch of
+ * one neighbourhood: nbrs / wgts (cap entries each, wgts NULL for unit
+ * weights) and the decoder's interval pairs */
+typedef struct {
+    const uint8_t *data;
+    int64_t data_len;
+    const int64_t *offsets;
+    int64_t intervals;
+    int64_t *nbrs, *wgts;
+    int64_t cap;
+    int64_t *pairs;
+    int64_t pairs_cap;
+} stream_t;
+
+/* decode_kernel.c's neighbourhood decoder: 0, or its ERR_* (-1..-7) */
+__attribute__((visibility("hidden"))) int repro_decode_neighborhood(
+    const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
+    int64_t deg, int64_t room, int intervals, int64_t *nbrs, int64_t *wgts,
+    int64_t *pairs, int64_t pairs_cap);
 
 typedef struct {
     int64_t n;
     const int64_t *chunk, *starts, *degs;
     const int64_t *adj, *wgt;
     int64_t unit_wgt, adj_len;
+    const stream_t *stream;
 } segments_t;
 
 typedef struct {
@@ -90,11 +124,26 @@ static inline int64_t forget(rating_map_t *m, int64_t seen, int64_t code)
 static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label64,
                            const int32_t *label32, rating_map_t *m)
 {
-    int64_t start = s->starts[i], deg = s->degs[i], seen = 0;
-    if (start < 0 || deg < 0 || start > s->adj_len || deg > s->adj_len - start)
-        return ERR_SEGMENT;
+    const int64_t *adj = s->adj, *wgt = s->wgt;
+    const stream_t *z = s->stream;
+    int64_t start = 0, deg = s->degs[i], seen = 0;
+    /* marked unlikely so that the call's register spills land on this path,
+     * whose per-vertex decode dwarfs them, not on the CSR path's loop */
+    if (__builtin_expect(z != 0, 0)) {
+        int rc = repro_decode_neighborhood(z->data, z->data_len, z->offsets, s->n, s->chunk[i],
+                                           deg, z->cap, (int)z->intervals, z->nbrs, z->wgts,
+                                           z->pairs, z->pairs_cap);
+        if (rc)
+            return ERR_DECODE + rc;
+        adj = z->nbrs;
+        wgt = z->wgts;
+    } else {
+        start = s->starts[i];
+        if (start < 0 || deg < 0 || start > s->adj_len || deg > s->adj_len - start)
+            return ERR_SEGMENT;
+    }
     for (int64_t e = start; e < start + deg; e++) {
-        int64_t v = s->adj[e];
+        int64_t v = adj[e];
         if (!IN_RANGE(v, s->n))
             return forget(m, seen, ERR_NEIGHBOR);
         int64_t label = label64 ? label64[v] : label32[v];
@@ -108,7 +157,7 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
             m->rating[seen] = 0;
             m->slot[label] = j = ++seen;
         }
-        m->rating[j - 1] += (uint64_t)(s->wgt ? s->wgt[e] : s->unit_wgt);
+        m->rating[j - 1] += (uint64_t)(wgt ? wgt[e] : s->unit_wgt);
     }
     return seen;
 }
@@ -129,9 +178,10 @@ int64_t repro_lp_cluster_chunk(
     int64_t adj_len, int64_t *clusters, int64_t *cluster_weights,
     const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
     int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav,
-    int64_t *best, int64_t *nc, int64_t *moved, int64_t out_cap, int64_t *info)
+    int64_t *best, int64_t *nc, int64_t *moved, int64_t out_cap, int64_t *info,
+    const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
     info[TARGETS] = 0;
     info[BAD] = -1;
@@ -205,9 +255,9 @@ int64_t repro_lp_refine_chunk(
     int64_t adj_len, int64_t k, int32_t *part, int64_t *block_weights,
     const int64_t *vwgt, int64_t unit_vwgt, const int64_t *limits, int64_t *slot,
     int64_t *seen, int64_t *rating, int64_t cap, int64_t *best, int64_t *moved,
-    int64_t out_cap, int64_t *info)
+    int64_t out_cap, int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
     info[TARGETS] = 0;
     info[BAD] = -1;

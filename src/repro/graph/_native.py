@@ -69,6 +69,10 @@ LP_ERRORS = {
     -5: "rating map or output capacity exhausted",
 }
 
+#: ``lp_kernel.c`` returns ``DECODE_ERROR + c`` for a stream that
+#: ``repro_decode_neighborhood`` refuses with code ``c`` (a key of ERRORS)
+DECODE_ERROR = -100
+
 #: the kernels sum vertex weights in int64: the callers hand them only
 #: weights >= 0 whose total stays below this (else the oracles run)
 WEIGHT_LIMIT = 1 << 62
@@ -82,6 +86,20 @@ def clamp_weight(weight: int) -> int:
 
 
 _p, _i64 = ctypes.c_void_p, ctypes.c_int64
+
+
+class Stream(ctypes.Structure):
+    """``stream_t`` of ``lp_kernel.c``, the LP chunk kernels' compressed
+    source: a graph's byte stream and offsets, its interval flag, and one
+    neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL, the
+    decoder's interval pairs)."""
+
+    _fields_ = [
+        ("data", _p), ("data_len", _i64), ("offsets", _p), ("intervals", _i64),
+        ("nbrs", _p), ("wgts", _p), ("cap", _i64), ("pairs", _p), ("pairs_cap", _i64),
+    ]  # fmt: skip
+
+
 #: (n, chunk, starts, degs, count, adj, wgt, unit_wgt, adj_len) and
 #: (slot, seen, rating, cap) of both LP chunk kernels
 _SEGMENTS = [_i64, _p, _p, _p, _i64, _p, _p, _i64, _i64]
@@ -105,14 +123,14 @@ SIGNATURES = {
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
     ],
     # segments, clusters, cluster_weights, vwgt, unit_vwgt, max_cluster_weight,
-    # rating map, fav, best, nc, moved, out_cap, info
+    # rating map, fav, best, nc, moved, out_cap, info, stream
     "repro_lp_cluster_chunk": [
-        *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _i64, _p,
+        *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _i64, _p, _p,
     ],
     # segments, k, part, block_weights, vwgt, unit_vwgt, limits, rating map,
-    # best, moved, out_cap, info
+    # best, moved, out_cap, info, stream
     "repro_lp_refine_chunk": [
-        *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p,
+        *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p,
     ],
 }  # fmt: skip
 

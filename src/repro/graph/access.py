@@ -50,9 +50,10 @@ def measured_decode_work_factor(*, refresh: bool = False) -> float:
     machines; the fallback 1.3 (the paper's ~6% overhead plus interpreter
     slack) is used only if measurement fails.
     """
-    global _work_factor_cache
+    global _work_factor_cache, _tracer
     if _work_factor_cache is not None and not refresh:
         return _work_factor_cache
+    tracer, _tracer = _tracer, None  # the probe's decodes are no run's edges
     try:
         import time
 
@@ -80,6 +81,8 @@ def measured_decode_work_factor(*, refresh: bool = False) -> float:
         _work_factor_cache = float(min(8.0, max(1.05, factor)))
     except Exception:
         _work_factor_cache = _FALLBACK_WORK_FACTOR
+    finally:
+        _tracer = tracer
     return _work_factor_cache
 
 
@@ -144,16 +147,20 @@ def chunk_adjacency(
 
 def chunk_segments(
     graph, chunk: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Adjacency of a vertex chunk as segments of one array, nothing gathered.
 
     Returns ``(starts, degs, adj, wgt)``: chunk vertex ``i`` owns
     ``adj[starts[i] : starts[i] + degs[i]]`` and the weights beside them.
     A CSR graph hands out its own ``adjncy`` / ``adjwgt`` (unit weights stay
-    the 8-byte zero-stride view); a compressed chunk is decoded once, by
+    the 8-byte zero-stride view).  A compressed chunk whose degrees all lie
+    in ``[0, max_plain_degree]`` is left encoded, ``(None, degs, None,
+    None)``: the caller decodes each neighbourhood from
+    ``CompressedGraph.stream`` itself.  Any other compressed chunk (a hub,
+    or a degree :meth:`decode_chunk` refuses) is decoded once, by
     :meth:`decode_chunk`, and its owner-major arrays are the segments.  What
     the compiled LP chunk (``core/kernels/lp_kernel.c``) walks; reports the
-    same ``decode.edges*`` counters as :func:`chunk_adjacency`.
+    same ``decode.edges*`` counters as :func:`chunk_adjacency` either way.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     if hasattr(graph, "indptr"):
@@ -161,9 +168,11 @@ def chunk_segments(
         degs = graph.indptr[chunk + 1] - starts
         adj, wgt, counter = graph.adjncy, np.asarray(graph.adjwgt), "decode.edges_csr"
     elif hasattr(graph, "decode_chunk"):
-        _, adj, wgt = graph.decode_chunk(chunk)
         degs = graph.degrees[chunk]
-        starts = np.cumsum(degs) - degs
+        starts = adj = wgt = None
+        if len(degs) and not 0 <= int(degs.min()) <= int(degs.max()) <= graph.max_plain_degree:
+            _, adj, wgt = graph.decode_chunk(chunk)
+            starts = np.cumsum(degs) - degs
         counter = "decode.edges"
     else:
         raise TypeError(

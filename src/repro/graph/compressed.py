@@ -492,6 +492,23 @@ class CompressedGraph:
             return self._decode_chunk_oracle(chunk, degs, total)
         return self._decode_chunk_native(kernel, chunk, degs, total)
 
+    @property
+    def max_plain_degree(self) -> int:
+        """The largest degree a neighbourhood can have and still be one plain
+        block a compiled walk decodes on its own.  Above it the vertex is
+        chunk-encoded, or its header is a lie: no vertex has more distinct
+        neighbours than ``n`` or than the graph has edges.
+        :meth:`decode_chunk` splices or refuses those."""
+        return min(self.config.high_degree_threshold, self._n, self._num_directed)
+
+    def stream(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(data, offsets)`` as a compiled walk reads them: contiguous
+        uint8 and int64, every vertex's byte range checked once to lie in the
+        data."""
+        if not self._byte_ranges_checked:
+            self._check_byte_ranges()
+        return self._data_u8, self.offsets
+
     def _check_byte_ranges(self) -> None:
         """Once per graph: every ``[offsets[u], offsets[u+1])`` lies in the data."""
         off, data = self.offsets, self._data_u8

@@ -3,13 +3,17 @@
  * One exported function, no state, no Python objects: ctypes calls it with
  * the GIL released.  It fills the same (owner, neighbors, weights) arrays the
  * numpy oracle `CompressedGraph._decode_chunk_simple` returns; the stream
- * layout is described in compressed.py.
+ * layout is described in compressed.py.  Its per-vertex decoder,
+ * decode_neighborhood, is also behind repro_decode_neighborhood, the entry of
+ * the compressed LP chunk (core/kernels/lp_kernel.c), which rates each
+ * neighborhood as it decodes it.
  *
  * Memory-safety contract (tests/test_bulk_decode.py holds it to this):
  *   - vertex u is read only inside data[offsets[u], offsets[u+1]), and only
  *     after 0 <= u < n and 0 <= offsets[u] <= offsets[u+1] <= data_len held;
  *   - vertex u is written only inside its own degs[i] output slots, and only
- *     after degs[i] >= 0 and the running slot count stayed <= capacity;
+ *     after degs[i] >= 0 and the running slot count stayed <= capacity
+ *     (the LP chunk hands over one vertex's scratch, `room` entries long);
  *   - `pairs` is written only below pairs_cap;
  *   - every structural value is range-checked before it is added to another,
  *     so no signed overflow; weights are prefix sums of arbitrary gaps and
@@ -156,8 +160,48 @@ static int decode_vertex(const uint8_t *p, const uint8_t *end, int64_t u,
     return p == end ? 0 : ERR_COUNT;
 }
 
+/* The library's one neighborhood decoder, from the header on: vertex u's
+ * `deg` neighbors from its bytes [p, end) into nbrs[0..deg) (sorted) and, if
+ * wgts, wgts[0..deg).  Both callers check the vertex id, the degree against
+ * the room they hand over and the byte range first; this checks the header
+ * and (decode_vertex) counts and neighbor ids. */
+static inline int decode_neighborhood(const uint8_t *p, const uint8_t *end, int64_t u,
+                                      int64_t n, int64_t deg, int intervals,
+                                      int64_t *nbrs, int64_t *wgts,
+                                      int64_t *pairs, int64_t pairs_cap)
+{
+    int64_t header;
+    int rc = read_varint(&p, end, &header); /* first edge id: deg came from it */
+    if (rc)
+        return rc;
+    if (deg == 0)
+        return p == end ? 0 : ERR_COUNT;
+    return decode_vertex(p, end, u, n, deg, intervals, nbrs, wgts, pairs, pairs_cap);
+}
+
+/* Vertex u's neighborhood into nbrs / wgts, `room` entries each: the entry
+ * of the compressed LP chunk (lp_kernel.c), which rates each neighborhood
+ * from there.  Returns 0 or a negative ERR_*.  Hidden: internal to the
+ * library, not in _native.SIGNATURES. */
+__attribute__((visibility("hidden"))) int repro_decode_neighborhood(
+    const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
+    int64_t deg, int64_t room, int intervals, int64_t *nbrs, int64_t *wgts,
+    int64_t *pairs, int64_t pairs_cap)
+{
+    if (u < 0 || u >= n || deg < 0 || deg > room)
+        return ERR_METADATA;
+    int64_t lo = offsets[u], hi = offsets[u + 1];
+    if (lo < 0 || lo > hi || hi > data_len)
+        return ERR_METADATA;
+    return decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, nbrs, wgts, pairs,
+                               pairs_cap);
+}
+
 /* Decode the neighborhoods of chunk[0..count) back to back.  Returns 0, or a
- * negative ERR_* with *bad set to the chunk index it was found at. */
+ * negative ERR_* with *bad set to the chunk index it was found at.  The loop
+ * keeps its own checks, in this order: with them after the owner fill, or
+ * inside a call to repro_decode_neighborhood, it measured 8-15 % slower per
+ * edge (gcc 12 -O3, permuted chunks of weblike(40 000, 14)). */
 int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
                            const int64_t *offsets, int64_t n,
                            const int64_t *chunk, const int64_t *degs,
@@ -182,18 +226,8 @@ int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
             out += deg;
             continue;
         }
-        const uint8_t *p = data + lo, *end = data + hi;
-        int64_t header;
-        int rc = read_varint(&p, end, &header); /* first edge id: degs came from it */
-        if (rc)
-            return rc;
-        if (deg == 0) {
-            if (p != end)
-                return ERR_COUNT;
-            continue;
-        }
-        rc = decode_vertex(p, end, u, n, deg, intervals, nbrs + out,
-                           wgts ? wgts + out : NULL, pairs, pairs_cap);
+        int rc = decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, nbrs + out,
+                                     wgts ? wgts + out : NULL, pairs, pairs_cap);
         if (rc)
             return rc;
         out += deg;

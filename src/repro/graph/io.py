@@ -214,13 +214,15 @@ def read_metis(path_or_file) -> CSRGraph:
     Lines starting with ``%`` are comments.  Text the format does not allow
     -- a header without ``n m``, a token that is no integer, an edge weight
     missing after its neighbour, a neighbour outside ``[1, n]``, fewer than
-    ``n`` vertex lines -- is a ``ValueError`` naming the 1-based line.
-    Nothing is sized by the header: the arrays grow with the lines read, so
-    a header announcing more vertices than the text holds costs nothing
-    before it is refused.
+    ``n`` vertex lines, bytes that are not UTF-8 -- is a ``ValueError``
+    naming the 1-based line.  Nothing is sized by the header: the arrays
+    grow with the lines read, so a header announcing more vertices than the
+    text holds costs nothing before it is refused.
     """
     if isinstance(path_or_file, (str, Path)):
-        f = Path(path_or_file).open("r")
+        # undecodable bytes become lone surrogates: a token holding one is
+        # refused like any other non-integer, on its own line
+        f = Path(path_or_file).open("r", encoding="utf-8", errors="surrogateescape")
         close = True
     else:
         f = path_or_file
@@ -230,6 +232,7 @@ def read_metis(path_or_file) -> CSRGraph:
             (no, line) for no, line in enumerate(f, 1) if not line.startswith("%")
         )
         no, line = next(lines, (1, ""))
+        header_no = no
         header = _metis_ints(line, no)
         if len(header) < 2 or min(header[:2]) < 0:
             raise ValueError(f"line {no}: header must be 'n m [fmt]', got {line.strip()!r}")
@@ -266,7 +269,7 @@ def read_metis(path_or_file) -> CSRGraph:
             indptr.append(len(adjncy))
         if indptr[-1] != 2 * m:
             raise ValueError(
-                f"header claims m={m} but found {indptr[-1]} directed edges"
+                f"line {header_no}: header claims m={m} but found {indptr[-1]} directed edges"
             )
         return CSRGraph(
             np.asarray(indptr, dtype=np.int64),

@@ -249,7 +249,6 @@ class CompareReport:
     verdicts: list[MetricVerdict] = field(default_factory=list)
     gate: GateResult = field(default_factory=GateResult)
     keys_compared: list[str] = field(default_factory=list)
-    keys_missing: list[str] = field(default_factory=list)
     attribution: list = field(default_factory=list)  # PhaseDelta list
 
     @property
@@ -373,8 +372,7 @@ def compare(
 
     shared = sorted(set(baseline.groups) & set(cand_by_key))
     report.keys_compared = shared
-    report.keys_missing = sorted(set(baseline.groups) - set(cand_by_key))
-    report.gate.uncompared.extend(report.keys_missing)
+    report.gate.uncompared.extend(sorted(set(baseline.groups) - set(cand_by_key)))
 
     # imbalance hard gate: any unbalanced candidate run fails, full stop
     for key in sorted(cand_by_key):

@@ -156,7 +156,6 @@ def trajectory_dict(
             for d in report.attribution
         ],
         "keys_compared": report.keys_compared,
-        "keys_missing": report.keys_missing,
         "records": slim,
     }
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.graph import access
 from repro.graph.access import (
     chunk_adjacency,
     full_adjacency,
@@ -153,3 +154,17 @@ class TestTraversalCost:
         b, f = traversal_cost(cg)
         assert b < 16.0
         assert f > 1.0
+
+    def test_the_probe_reports_no_decoded_edges(self):
+        """The work-factor probe decodes its own graph: whichever traced run
+        triggers it first must not count those edges as its own."""
+        from repro.obs.tracer import SpanTracer
+
+        tracer = SpanTracer()
+        access.install_tracer(tracer)
+        try:
+            access.measured_decode_work_factor(refresh=True)
+            assert access._tracer is tracer
+        finally:
+            access.uninstall_tracer()
+        assert not {k: v for k, v in tracer.counters.items() if k.startswith("decode.")}

@@ -1,11 +1,17 @@
 """Tests for binary / METIS I/O and streaming compression."""
 
+import io
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph, decompress_graph
+from repro.graph.csr import CSRGraph
 from repro.graph.io import (
     read_binary,
     read_metis,
@@ -174,6 +180,57 @@ class TestHostileFiles:
             commented += [line, "%\n"]
         path.write_text("".join(commented))
         assert graphs_equal(read_metis(path), tiny_graph)
+
+
+# valid texts to mutate: plain, edge-, vertex- and doubly weighted, commented
+METIS_TEXTS = [
+    b"4 4\n2 3\n1 3\n1 2 4\n3\n",
+    b"3 2 1\n2 7\n1 7 3 4\n2 4\n",
+    b"3 2 10\n5 2\n6 1 3\n1 2\n",
+    b"% a triangle\n3 3 11\n1 2 5 3 9\n2 1 5 3 2\n4 1 9 2 2\n",
+]
+
+
+@st.composite
+def mutated_metis(draw) -> bytes:
+    """A valid METIS text with one to four bytes inserted, deleted or flipped."""
+    data = bytearray(draw(st.sampled_from(METIS_TEXTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["insert", "delete", "flip"]))
+        at = draw(st.integers(0, len(data)))
+        if op == "insert":
+            data.insert(at, draw(st.integers(0, 255)))
+        elif at < len(data):
+            if op == "delete":
+                del data[at]
+            else:
+                data[at] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("metis") / "mutant.metis"
+
+
+@settings(max_examples=400, deadline=2000)  # ms: a parser that spins fails here
+@given(data=mutated_metis(), door=st.sampled_from(["path", "file"]))
+def test_mutated_metis_text_is_a_graph_or_a_line_numbered_error(mutant_path, data, door):
+    """Whatever a damaged byte does, ``read_metis`` returns a graph or
+    raises ``ValueError`` naming a 1-based line -- never ``IndexError``,
+    ``MemoryError`` or a hang -- through either door."""
+    if door == "path":
+        mutant_path.write_bytes(data)
+        source = mutant_path
+    else:
+        source = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    try:
+        graph = read_metis(source)
+    except ValueError as exc:
+        assert re.match(r"line [1-9][0-9]*: ", str(exc)), str(exc)
+    else:
+        assert isinstance(graph, CSRGraph)
+
 
 
 class TestStreamCompressed:

@@ -12,10 +12,17 @@ neighbour at all, sums that wrap) are pinned one by one; and, called without
 the wrapper's checks on corrupted arrays, the kernel must return an error
 code, write nothing outside the buffers it was given and leave its rating
 map zeroed.
+
+On a compressed graph the kernel decodes each neighbourhood as it rates it;
+a chunk holding a hub is decoded first, by ``decode_chunk``.  The two are
+held to each other chunk by chunk, and the decoding kernel to the same
+contract on corrupt streams.
 """
 
 from __future__ import annotations
 
+import collections
+import ctypes
 import dataclasses
 import itertools
 import sys
@@ -36,9 +43,10 @@ from repro.core.refinement.lp_refine import lp_refine
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, chunk_segments
-from repro.graph.compressed import compress_graph
+from repro.graph.compressed import CompressedGraph, compress_graph
 from repro.graph.csr import CSRGraph
 from repro.verify.declarations import recorder_for
+from test_bulk_decode import _body, _clone, _hand_built
 from test_initial_kernel import Guarded
 
 # the package re-exports the function under the module's name
@@ -116,23 +124,55 @@ def chunks_of(n: int, seed: int, size: int = 48):
     return [order[i : i + size] for i in range(0, n, size)]
 
 
+class DecodeCalls:
+    """Counts ``decode_chunk`` calls of one compressed graph."""
+
+    def __init__(self, graph) -> None:
+        self.calls = 0
+        decode = graph.decode_chunk
+
+        def counted(chunk):
+            self.calls += 1
+            return decode(chunk)
+
+        graph.decode_chunk = counted
+
+
+def on_decoded_chunks(fn, *args, **kwargs):
+    """``fn(...)`` with every compressed LP chunk decoded by ``decode_chunk``
+    before the kernel rates it -- the path a chunk holding a hub takes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CompressedGraph, "max_plain_degree", -1)
+        return fn(*args, **kwargs)
+
+
+def decoded_first(step):
+    return lambda chunk: on_decoded_chunks(step, chunk)
+
+
 # --------------------------------------------------------------------- #
 # chunk by chunk: the two steps of each driver, side by side
 # --------------------------------------------------------------------- #
 class ClusteringPair:
     """The kernel step and the oracle step of LP clustering, each on its own
-    copy of the shared arrays."""
+    copy of the shared arrays.  ``decoded=True`` puts the kernel step with
+    every chunk decoded first in the oracle's place."""
 
-    def __init__(self, graph, cap: int) -> None:
+    def __init__(self, graph, cap: int, decoded: bool = False) -> None:
         n = graph.n
         ctx = context(graph)
         start = np.asarray(graph.vwgt).astype(np.int64)
         self.states = [(np.arange(n, dtype=np.int64), start.copy()) for _ in range(2)]
         self.maps = np.zeros((3, n), dtype=np.int64)
         self.kernel = lp_chunk.clustering_step(graph, *self.states[0], cap, self.maps)
-        self.oracle = lp_clustering._oracle_step(
-            graph, ctx, *self.states[1], cap, 1 << 30, recorder_for(None, "lp-clustering")
-        )
+        if decoded:
+            self.oracle = decoded_first(
+                lp_chunk.clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
+            )
+        else:
+            self.oracle = lp_clustering._oracle_step(
+                graph, ctx, *self.states[1], cap, 1 << 30, recorder_for(None, "lp-clustering")
+            )
         assert self.kernel is not None
 
     def run(self, chunk) -> tuple | None:
@@ -152,16 +192,23 @@ class ClusteringPair:
 class RefinementPair:
     """The same for LP refinement, from one starting assignment."""
 
-    def __init__(self, graph, k: int, part, limits) -> None:
+    def __init__(self, graph, k: int, part, limits, decoded: bool = False) -> None:
         self.pgraphs = [PartitionedGraph(graph, k, np.array(part)) for _ in range(2)]
         limits = np.broadcast_to(np.asarray(limits, dtype=np.int64), (k,))
         kernel_side, oracle_side = self.pgraphs
         self.kernel = lp_chunk.refinement_step(
             graph, kernel_side.partition, kernel_side.block_weights, limits
         )
-        self.oracle = lp_refine_module._oracle_step(
-            oracle_side, limits, recorder_for(None, "lp-refinement")
-        )
+        if decoded:
+            self.oracle = decoded_first(
+                lp_chunk.refinement_step(
+                    graph, oracle_side.partition, oracle_side.block_weights, limits
+                )
+            )
+        else:
+            self.oracle = lp_refine_module._oracle_step(
+                oracle_side, limits, recorder_for(None, "lp-refinement")
+            )
         assert self.kernel is not None
 
     def run(self, chunk) -> tuple | None:
@@ -243,6 +290,56 @@ def test_kernel_equals_oracle_on_arbitrary_small_graphs(case):
 
 
 # --------------------------------------------------------------------- #
+# compressed chunk by chunk: decoded as rated vs decoded first
+# --------------------------------------------------------------------- #
+STREAMS = list(itertools.product(("web", "mesh", "kmer"), EDGE_WEIGHTS, (True, False)))
+STREAM_IDS = ["-".join([f, e, "intervals" if i else "no-intervals"]) for f, e, i in STREAMS]
+
+
+def fused_against_decoded(graph) -> int:
+    """Three sweeps of both LP steps on ``graph``, the kernel decoding each
+    neighbourhood as it rates it against the kernel rating ``decode_chunk``'s
+    arrays: same favorites, ``nc``, movers and shared arrays per chunk.
+    Only the second side and the chunks holding a hub call ``decode_chunk``;
+    returns how many chunks held one."""
+    calls = DecodeCalls(graph)
+    total, k = graph.total_vertex_weight, 5
+    clustering = ClusteringPair(graph, max(2, total // 25), decoded=True)
+    limit = int(1.1 * -(-total // k))
+    refinement = RefinementPair(graph, k, random_assignment(graph, k), limit, decoded=True)
+    chunks = [chunk for sweep in range(3) for chunk in chunks_of(graph.n, sweep)]
+    moved = 0
+    for chunk in chunks:
+        out = clustering.run(chunk)
+        moved += 0 if out is None else len(out[5])
+        out = refinement.run(chunk)
+        moved += 0 if out is None else len(out[1])
+    assert moved > 0
+    hub_chunks = sum(bool(graph.degrees[c].max() > graph.max_plain_degree) for c in chunks)
+    assert calls.calls == 2 * (len(chunks) + hub_chunks)
+    return hub_chunks
+
+
+@pytest.mark.parametrize("case", STREAMS, ids=STREAM_IDS)
+def test_decoding_as_rated_equals_decoding_first(case):
+    family, edge_weights, intervals = case
+    base = weighted(FAMILIES[family](), edge_weights, "random")
+    graph = compress_graph(base, enable_intervals=intervals)
+    assert graph.has_edge_weights == (edge_weights != "unit")
+    assert fused_against_decoded(graph) == 0
+
+
+def test_hub_chunks_and_decoded_chunks_mix_in_one_call():
+    """A lowered chunking threshold makes five hubs: the chunks holding one
+    are decoded first, the rest as rated, in the same LP call."""
+    base = weighted(gen.weblike(500, 8.0, seed=2), "random", "unit")
+    graph = compress_graph(base, high_degree_threshold=32, chunk_length=8)
+    assert int((graph.degrees > graph.max_plain_degree).sum()) == 5
+    hub_chunks = fused_against_decoded(graph)
+    assert 0 < hub_chunks < 3 * len(chunks_of(graph.n, 0)) // 2
+
+
+# --------------------------------------------------------------------- #
 # driver by driver, and whole partitions: results, cost records, counters
 # --------------------------------------------------------------------- #
 def run_clustering(graph, two_phase: bool):
@@ -300,11 +397,6 @@ def test_partition_reports_the_same_costs_and_counters(name):
     graph = weighted(gen.weblike(1500, 8.0, seed=4), "random", "random")
     cfg = preset(name, seed=2, p=4, obs=ObsConfig(enabled=True))
     got = repro.partition(graph, 6, cfg)
-    want = on_oracle(repro.partition, graph, 6, cfg)
-    assert np.array_equal(got.partition, want.partition)
-    assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
-    assert got.phase_stats == want.phase_stats
-    assert got.phase_stats["lp-refinement"].work > 0
 
     def counters(result):
         return {
@@ -313,7 +405,14 @@ def test_partition_reports_the_same_costs_and_counters(name):
             if key.startswith(LP_COUNTERS)
         }
 
-    assert counters(got) == counters(want)
+    # the oracle, and the kernel rating decoded chunks (terapart compresses)
+    for other in (on_oracle, on_decoded_chunks):
+        want = other(repro.partition, graph, 6, cfg)
+        assert np.array_equal(got.partition, want.partition)
+        assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
+        assert got.phase_stats == want.phase_stats
+        assert counters(got) == counters(want)
+    assert got.phase_stats["lp-refinement"].work > 0
     assert counters(got)["lp.moves"] > 0 and counters(got)["refine.lp_visited"] > 0
 
 
@@ -469,19 +568,30 @@ class TestEdges:
 
 
 def test_segments_describe_the_same_adjacency():
-    """``chunk_segments`` hands out what ``chunk_adjacency`` gathers, CSR in
-    place and compressed decoded once."""
+    """``chunk_segments`` hands out what ``chunk_adjacency`` gathers: CSR in
+    place, a compressed chunk holding a hub decoded once, any other
+    compressed chunk left encoded -- the same degrees every time."""
     base = weighted(gen.weblike(400, 7.0, seed=1), "random", "unit")
-    for graph in (base, compress_graph(base), gen.rgg2d(300, 8.0, seed=1)):
+    hubs = compress_graph(base, high_degree_threshold=32, chunk_length=8)
+    encoded = 0
+    for graph in (base, compress_graph(base), hubs, gen.rgg2d(300, 8.0, seed=1)):
         for chunk in chunks_of(graph.n, 1, size=64):
             owner, nbrs, wgts = chunk_adjacency(graph, chunk)
             starts, degs, adj, wgt = chunk_segments(graph, chunk)
+            assert np.array_equal(np.repeat(np.arange(len(chunk)), degs), owner)
+            if adj is None:
+                assert starts is wgt is None and degs.max() <= graph.max_plain_degree
+                encoded += 1
+                continue
+            if not hasattr(graph, "indptr"):  # decoded: it holds a hub
+                assert degs.max() > graph.max_plain_degree
             at = np.concatenate([np.arange(s, s + d) for s, d in zip(starts, degs)] or [[]])
             at = at.astype(np.int64)
-            assert np.array_equal(np.repeat(np.arange(len(chunk)), degs), owner)
             assert np.array_equal(adj[at], nbrs) and np.array_equal(wgt[at], wgts)
         if hasattr(graph, "indptr"):
             assert adj is graph.adjncy  # nothing gathered, nothing copied
+    # seven chunks a graph: all of the plain compressed graph's, some of hubs'
+    assert 7 < encoded < 2 * 7
     with pytest.raises(TypeError, match="CSRGraph or a CompressedGraph"):
         chunk_segments(object(), np.arange(3))
 
@@ -499,9 +609,6 @@ class Raw:
 
     def __init__(self, graph) -> None:
         self.n = graph.n
-        self.indptr = graph.indptr.copy()
-        self.adj = graph.adjncy.copy()
-        self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
         self.vwgt = np.ascontiguousarray(graph.vwgt).copy()
         self.chunk = np.random.default_rng(0).permutation(self.n)[:96].astype(np.int64)
         self.clusters = np.arange(self.n, dtype=np.int64)
@@ -509,9 +616,15 @@ class Raw:
         self.part = (np.arange(self.n) % self.K).astype(np.int32)
         self.block_weights = np.bincount(self.part, weights=self.vwgt).astype(np.int64)
         self.limits = np.full(self.K, int(self.vwgt.sum()), dtype=np.int64)
+        self.info = np.zeros(2, dtype=np.int64)
+        self._adjacency(graph)
+
+    def _adjacency(self, graph):
+        self.indptr = graph.indptr.copy()
+        self.adj = graph.adjncy.copy()
+        self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
         self.starts = self.indptr[self.chunk]
         self.degs = self.indptr[self.chunk + 1] - self.starts
-        self.info = np.zeros(2, dtype=np.int64)
         self.adj_len = len(self.adj)
 
     def _segments(self):
@@ -519,6 +632,9 @@ class Raw:
             self.n, self.chunk.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
             len(self.chunk), self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
         )  # fmt: skip
+
+    def _stream(self, out):
+        return None
 
     def _finish(self, rc, out):
         out.check()
@@ -534,7 +650,7 @@ class Raw:
         rc = _native.lp_kernels()[0](
             *self._segments(), self.clusters.ctypes.data, self.cluster_weights.ctypes.data,
             self.vwgt.ctypes.data, 0, 1 << 40, *maps, cap, *outputs, count - out_short,
-            self.info.ctypes.data,
+            self.info.ctypes.data, self._stream(out),
         )  # fmt: skip
         return self._finish(rc, out)
 
@@ -547,7 +663,7 @@ class Raw:
         rc = _native.lp_kernels()[1](
             *self._segments(), self.K, self.part.ctypes.data, self.block_weights.ctypes.data,
             self.vwgt.ctypes.data, 0, self.limits.ctypes.data, *maps, cap, *outputs,
-            count - out_short, self.info.ctypes.data,
+            count - out_short, self.info.ctypes.data, self._stream(out),
         )  # fmt: skip
         return self._finish(rc, out)
 
@@ -556,6 +672,49 @@ class Raw:
 
     def shared(self):
         return [a.copy() for a in (self.clusters, self.cluster_weights, self.part, self.block_weights)]
+
+
+class RawStream(Raw):
+    """The same calls with the compressed source: the byte stream (``data``,
+    ``offsets``) a test may corrupt, and the one-neighbourhood scratch --
+    sized for the chunk's largest degree, ``scratch_short`` entries less --
+    guarded like the outputs."""
+
+    scratch_short = 0
+
+    def _adjacency(self, graph):
+        data, offsets = graph.stream()
+        self.data, self.offsets = data.copy(), offsets.copy()
+        self.degs = graph.degrees[self.chunk].copy()
+        self.weighted = graph.has_edge_weights
+        self.intervals = graph.config.enable_intervals
+
+    def _segments(self):
+        return (
+            self.n, self.chunk.ctypes.data, None, self.degs.ctypes.data, len(self.chunk),
+            None, None, 1, 0,
+        )  # fmt: skip
+
+    def _stream(self, out):
+        cap = int(self.degs.max()) - self.scratch_short
+        pairs = 2 * (cap // 3)
+        self.block = _native.Stream(
+            self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
+            out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
+            out.ptr(pairs, np.int64), pairs,
+        )  # fmt: skip
+        return ctypes.addressof(self.block)
+
+
+def refused(raw, code, at=None):
+    """Both kernels return ``code`` (naming chunk index ``at``) and leave the
+    shared arrays as they were."""
+    before = raw.shared()
+    assert raw.both() == (code, code)
+    if at is not None:
+        assert raw.info[1] == at
+    for a, b in zip(before, raw.shared()):
+        assert np.array_equal(a, b), "an error return wrote a shared array"
 
 
 @pytest.fixture(scope="module")
@@ -575,26 +734,18 @@ class TestKernelContract:
         assert 0 < moved <= len(raw.chunk) and 0 < moved_blocks <= len(raw.chunk)
         assert raw.cluster_weights.sum() == raw.block_weights.sum() == raw.vwgt.sum()
 
-    def refused(self, raw, code, at=None):
-        before = raw.shared()
-        assert raw.both() == (code, code)
-        if at is not None:
-            assert raw.info[1] == at
-        for a, b in zip(before, raw.shared()):
-            assert np.array_equal(a, b), "an error return wrote a shared array"
-
     @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
     def test_chunk_id_out_of_range_is_refused(self, mesh, bad):
         raw = Raw(mesh)
         raw.chunk[40] = bad
-        self.refused(raw, -1, at=40)
+        refused(raw, -1, at=40)
 
     @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
     def test_neighbour_id_out_of_range_is_refused(self, mesh, bad):
         raw = Raw(mesh)
         at = int(np.flatnonzero(raw.degs > 1)[5])  # after its first edge is rated
         raw.adj[raw.starts[at] + 1] = bad
-        self.refused(raw, -3, at=at)
+        refused(raw, -3, at=at)
 
     @pytest.mark.parametrize("bad", [-1, 1 << 33, -(1 << 62)])
     def test_label_out_of_range_is_refused(self, mesh, bad):
@@ -603,11 +754,11 @@ class TestKernelContract:
         v = raw.adj[raw.starts[at] + 1]
         raw.clusters[v] = bad
         raw.part[v] = bad if abs(bad) < 1 << 31 else Raw.K
-        self.refused(raw, -4, at=at)
+        refused(raw, -4, at=at)
         raw = Raw(mesh)  # the label of the chunk vertex itself
         raw.clusters[raw.chunk[7]] = raw.n
         raw.part[raw.chunk[7]] = Raw.K
-        self.refused(raw, -4, at=7)
+        refused(raw, -4, at=7)
 
     def test_segment_past_the_adjacency_is_refused(self, mesh):
         for corrupt in (
@@ -619,12 +770,12 @@ class TestKernelContract:
         ):
             raw = Raw(mesh)
             corrupt(raw)
-            self.refused(raw, -2, at=9)
+            refused(raw, -2, at=9)
         raw = Raw(mesh)  # exactly to the end is still inside
         raw.adj_len = int((raw.starts + raw.degs).max())
         assert min(raw.both()) >= 0
         raw.adj_len -= 1
-        self.refused(raw, -2)
+        refused(raw, -2)
 
     def test_capacity_one_short_is_refused(self, mesh):
         """Exactly the bound is enough; one entry less is a code, not a write."""
@@ -642,7 +793,90 @@ class TestKernelContract:
         raw = Raw(mesh)
         last = len(raw.chunk) - 1
         raw.degs[last] = -1
-        self.refused(raw, -2, at=last)
+        refused(raw, -2, at=last)
+
+
+class TestStreamContract:
+    """With the compressed source the kernel holds the same contract: a
+    stream its decoder refuses is ``DECODE_ERROR`` + the decoder's code,
+    naming the chunk vertex, with nothing written outside the buffers, the
+    shared arrays as they were and the rating map zero again."""
+
+    N, U = 20, 2
+
+    @pytest.mark.parametrize("intervals", [True, False], ids=["intervals", "no-intervals"])
+    def test_decoding_as_rated_equals_the_segments(self, mesh, intervals):
+        segments, stream = Raw(mesh), RawStream(compress_graph(mesh, enable_intervals=intervals))
+        moved = stream.both()
+        assert segments.both() == moved and min(moved) > 0
+        for a, b in zip(segments.shared(), stream.shared()):
+            assert np.array_equal(a, b)
+
+    def hand_built(self, deg, body) -> RawStream:
+        raw = RawStream(_hand_built(self.N, self.U, deg, body))
+        assert len(raw.chunk) == self.N
+        return raw
+
+    def at(self, raw) -> int:
+        return int(np.flatnonzero(raw.chunk == self.U)[0])
+
+    @pytest.mark.parametrize(
+        "shape, code",
+        [
+            (dict(intervals=((3, 3), (8, 3)), claim=3), -3),  # interval count past degree
+            (dict(intervals=((5, 3),), residuals=(6,)), -4),  # residual inside an interval
+            (dict(residuals=(N + 5,)), -6),  # id out of range
+            (dict(intervals=((N - 2, 3),)), -6),
+        ],
+        ids=["interval-count", "residual-inside", "residual-id", "interval-id"],
+    )
+    def test_corrupt_neighbourhood_is_refused(self, shape, code):
+        claim = shape.pop("claim", None)
+        deg, body = _body(self.U, **shape)
+        raw = self.hand_built(claim or deg, body)
+        refused(raw, _native.DECODE_ERROR + code, at=self.at(raw))
+
+    def test_truncated_varint_is_refused(self):
+        deg, body = _body(self.U, residuals=(0, 9))
+        assert min(self.hand_built(deg, body).both()) >= 0  # the twin decodes
+        body[-1] |= 0x80  # the last value runs past the neighbourhood
+        raw = self.hand_built(deg, body)
+        refused(raw, _native.DECODE_ERROR - 1, at=self.at(raw))
+
+    def test_offsets_past_the_data_are_refused(self, mesh):
+        raw = RawStream(compress_graph(mesh))
+        raw.offsets += len(raw.data)
+        refused(raw, _native.DECODE_ERROR - 7, at=0)
+        raw = RawStream(compress_graph(mesh))
+        raw.data = raw.data[: len(raw.data) // 2]
+        first = int(np.flatnonzero(raw.offsets[raw.chunk + 1] > len(raw.data))[0])
+        refused(raw, _native.DECODE_ERROR - 7, at=first)
+
+    def test_scratch_one_short_is_refused(self, mesh):
+        raw = RawStream(compress_graph(mesh))
+        raw.scratch_short = 1
+        refused(raw, _native.DECODE_ERROR - 7, at=int(np.argmax(raw.degs)))
+
+    def test_byte_mutations_never_write_outside(self, mesh):
+        """Flipped bits and degrees the stream does not back: any code the
+        contract names, canaries intact, shared arrays untouched on refusal."""
+        clean = RawStream(compress_graph(mesh))
+        rng = np.random.default_rng(6)
+        allowed = {_native.DECODE_ERROR + code for code in _native.ERRORS}
+        codes = set()
+        for _ in range(150):
+            raw = RawStream(compress_graph(mesh))
+            raw.data[int(rng.integers(len(raw.data)))] ^= 1 << int(rng.integers(8))
+            off = rng.integers(-1, 2, size=len(raw.degs)) * (rng.random(len(raw.degs)) < 0.02)
+            raw.degs = np.minimum(np.maximum(raw.degs + off, 0), clean.degs.max())
+            before = raw.shared()
+            for rc in raw.both():
+                codes.add(rc if rc < 0 else 0)
+                assert rc >= 0 or rc in allowed, rc
+            if max(raw.both()) < 0:
+                for a, b in zip(before, raw.shared()):
+                    assert np.array_equal(a, b)
+        assert len(codes) >= 4, codes
 
 
 class TestCorruptGraph:
@@ -664,3 +898,27 @@ class TestCorruptGraph:
         pgraph.partition[5] = 9
         with pytest.raises(ValueError, match="cluster or block id out of range at vertex"):
             lp_refine(pgraph, context(graph), 100)
+
+    @pytest.mark.parametrize("edge_weights", ["unit", "random"])
+    def test_byte_mutations_of_a_compressed_graph(self, edge_weights):
+        """Whatever one flipped bit does to the stream, LP clustering and LP
+        refinement run or raise ``ValueError``; the decoder's refusals come
+        through with their own text."""
+        cg = compress_graph(weighted(gen.weblike(400, 7.0, seed=5), edge_weights, "unit"))
+        rng = np.random.default_rng(3)
+        outcomes = collections.Counter()
+        for _ in range(60):
+            data = bytearray(cg.data)
+            data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+            bad = _clone(cg, data=data)
+            for run in (
+                lambda: label_propagation_clustering(bad, context(bad), 10),
+                lambda: lp_refine(PartitionedGraph(bad, 4, np.arange(400) % 4), context(bad), 120),
+            ):
+                try:
+                    run()
+                    outcomes["ran"] += 1
+                except ValueError as exc:
+                    outcomes[str(exc).split(" at vertex")[0]] += 1
+        assert outcomes["ran"] > 0, outcomes
+        assert set(outcomes) & set(_native.ERRORS.values()), outcomes

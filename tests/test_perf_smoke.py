@@ -337,5 +337,6 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
             f"did a change make lp_chunk refuse the graph?"
         )
         assert calls["chunks"] > 20
-        decodes = calls["decode_chunk"]
-        assert (decodes == 0) if kind == "csr" else (0 < decodes <= calls["chunks"]), (kind, calls)
+        # nor is a chunk of the (hub-free) compressed graph decoded first:
+        # the kernel decodes each neighbourhood as it rates it
+        assert calls["decode_chunk"] == 0, (kind, calls)

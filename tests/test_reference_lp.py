@@ -9,7 +9,7 @@ per-thread sparse arrays, on the same visit order.
 import numpy as np
 import pytest
 
-from repro.core.coarsening.reference import (
+from lp_reference import (
     lp_round_algorithm1,
     lp_round_algorithm2,
 )

@@ -193,7 +193,7 @@ class TestClassification:
         cand = [r for r in _matrix() if r["run"]["instance"] == "fem-grid"]
         report = compare(base, cand, thresholds=THR)
         assert report.keys_compared == ["terapart|fem-grid|4"]
-        assert report.keys_missing == ["terapart|web-small|4"]
+        assert report.gate.uncompared == ["terapart|web-small|4"]
 
     def test_uncovered_baseline_group_fails_the_gate(self):
         """A gate that compared nothing, or only some of the baseline, has
@@ -218,7 +218,7 @@ class TestClassification:
                 del r["run"]["peak_bytes"]  # rows that lost a gated metric
                 r["run"]["seed"] += 10  # and share no seed with the baseline
         report = compare(base, cand, thresholds=THR)
-        assert report.keys_missing == []
+        assert not set(report.gate.uncompared) & set(base.groups)  # every group had rows
         assert report.regressed and not report.regressed_metrics
         assert report.gate.uncompared == [
             "cut@terapart|web-small|4",
