@@ -20,7 +20,8 @@ vectorized pipeline of :mod:`repro.graph.access`; the variant determines what
 gets charged to the memory ledger and how work is attributed to the cost
 model.  The rating-map classes in :mod:`repro.core.coarsening.rating_map`
 implement the real structures and are unit-tested for equivalence with the
-vectorized kernel.
+vectorized kernel.  Under the conflict detector the driver records the
+shared accesses of whichever step runs, so fuzzing checks the kernel.
 """
 
 from __future__ import annotations
@@ -78,25 +79,18 @@ def _charge_rating_maps(
     return handles
 
 
-def _oracle_step(
-    graph, ctx, clusters, cluster_weights, max_cluster_weight, t_bump, rec
-):
+def _oracle_step(graph, clusters, cluster_weights, max_cluster_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
     :func:`repro.core.kernels.lp_chunk.clustering_step`, which it is the
-    oracle of -- and the step that has the per-access index arrays the
-    conflict detector records."""
+    oracle and fallback of."""
     n = graph.n
     vwgt = np.asarray(graph.vwgt)
-    two_phase = ctx.config.coarsening.two_phase_lp
-    inject_race = ctx.config.debug.inject_lp_weight_race
     none = np.empty(0, dtype=np.int64)
 
     def step(chunk):
         owner, nbrs, wgts = chunk_adjacency(graph, chunk)
         if len(owner) == 0:
             return None
-        if rec.active:
-            rec.read("clusters", nbrs)
         pair_owner, pair_cluster, pair_rating = segment_reduce_ratings(
             owner, clusters[nbrs], wgts, n
         )
@@ -138,36 +132,43 @@ def _oracle_step(
         # contended targets replay in order inside the kernel
         mv_us = us[want_move]
         mv_tgt = best_cluster[want_move]
-        prevs = cur[want_move]
         acc = bulk_size_constrained_commit(
             mv_tgt,
-            prevs,
+            cur[want_move],
             vwgt[mv_us],
             cluster_weights,
             max_cluster_weight,
         )
         acc_us = mv_us[acc]
         clusters[acc_us] = mv_tgt[acc]
-        if rec.active and len(acc_us):
-            rec.atomic("clusters", acc_us)
-            touched = np.concatenate([prevs[acc], mv_tgt[acc]])
-            if inject_race:
-                # test-only injection drops the CAS claim so
-                # fuzzed schedules must catch the plain-write
-                # race
-                # repro-lint: ignore[parallel-access] -- deliberate race injection; the fuzzed-schedule tests must see the unprotected write
-                ctx.detector.record_write("cluster-weights", touched)
-            else:
-                rec.atomic("cluster-weights", touched)
-        if rec.active and two_phase:
-            # second phase: only bumped vertices' rating flushes hit the
-            # shared sparse array
-            bumped = (nc >= t_bump)[pair_owner]
-            if bumped.any():
-                rec.atomic("shared-sparse-array", pair_cluster[bumped])
         return len(owner), fav_us, fav, nc, len(best), acc_us
 
     return step
+
+
+def _recording(step, rec, graph, clusters, t_bump):
+    """``step`` with each chunk's shared accesses recorded, read off the
+    chunk and the step's outputs, so the kernel and the oracle record the
+    same sets: the neighbours' labels, the movers' labels, the old and new
+    clusters of the movers' weights and, in two-phase LP (``t_bump > 0``),
+    the labels bumped vertices flush into the shared sparse array."""
+
+    def recorded(chunk):
+        owner, nbrs, _ = chunk_adjacency(graph, chunk)
+        seen, before = clusters[nbrs], clusters[chunk]
+        out = step(chunk)
+        if out is None:
+            return None
+        nc, targets, moved = out[3:]
+        rec.read("clusters", nbrs)
+        rec.atomic("clusters", moved)
+        old = before[np.isin(chunk, moved)]
+        rec.atomic("cluster-weights", np.concatenate([old, clusters[moved]]))
+        if t_bump and targets:
+            rec.atomic("shared-sparse-array", seen[(nc >= t_bump)[owner]])
+        return out
+
+    return recorded
 
 
 def label_propagation_clustering(
@@ -180,8 +181,10 @@ def label_propagation_clustering(
     The driver owns the rounds: visiting order, schedule, favorites, bump
     counts, cost records and counters.  What happens to one chunk -- rate,
     pick, commit -- is a *step*: one call into ``lp_kernel.c`` when the
-    compiled library is there, else (and whenever the conflict detector
-    listens) the numpy pipeline of :func:`_oracle_step`, bit-identical.
+    compiled library is there, else the numpy pipeline of
+    :func:`_oracle_step`, bit-identical.  An attached conflict detector
+    hears the step's shared accesses from :func:`_recording`, whichever
+    step runs.
     """
     n = graph.n
     cc = ctx.config.coarsening
@@ -202,20 +205,15 @@ def label_propagation_clustering(
     # kernel touches live in repro.verify.declarations ("lp-clustering");
     # the recorder refuses anything outside that declaration set, and the
     # static `repro lint` pass cross-references the same registry.
-    det = ctx.detector
-    rec = recorder_for(det, "lp-clustering")
-    step = None
-    if det is None:
-        # the sparse array and non-zero buffers charged just above, for real:
-        # slot, seen and rating rows of the kernel's rating map
-        step = clustering_step(
-            graph, clusters, cluster_weights, max_cluster_weight,
-            np.zeros((3, n), dtype=np.int64),
-        )  # fmt: skip
-    if step is None:
-        step = _oracle_step(
-            graph, ctx, clusters, cluster_weights, max_cluster_weight, t_bump, rec
-        )
+    rec = recorder_for(ctx.detector, "lp-clustering")
+    # the sparse array and non-zero buffers charged just above, for real:
+    # slot, seen and rating rows of the kernel's rating map
+    step = clustering_step(
+        graph, clusters, cluster_weights, max_cluster_weight,
+        np.zeros((3, n), dtype=np.int64),
+    ) or _oracle_step(graph, clusters, cluster_weights, max_cluster_weight)  # fmt: skip
+    if rec.active:
+        step = _recording(step, rec, graph, clusters, t_bump if two_phase else 0)
     tracer = ctx.tracer
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
@@ -234,36 +232,32 @@ def label_propagation_clustering(
                         [int(degs[c].sum()) for c in sched.chunks],
                         dtype=np.int64,
                     )
-                if det is not None:
-                    det.begin_region(f"{phase_name}-round{_round}")
-                for _tid, chunk in runtime.execute(
-                    sched, weights=chunk_weights, phase=phase_name
-                ):
-                    out = step(chunk)
-                    if out is None:  # no edge in this chunk
-                        continue
-                    edges, fav_us, fav, nc, targets, moved = out
-                    bumped_mask = nc >= t_bump
-                    bumped_total += int(bumped_mask.sum())
-                    # record favorites (unconstrained best) for two-hop
-                    # matching
-                    favorites[fav_us] = fav
-                    if rec.active:
+                with runtime.region(f"{phase_name}-round{_round}"):
+                    for _tid, chunk in runtime.execute(
+                        sched, weights=chunk_weights, phase=phase_name
+                    ):
+                        out = step(chunk)
+                        if out is None:  # no edge in this chunk
+                            continue
+                        edges, fav_us, fav, nc, targets, moved = out
+                        bumped_mask = nc >= t_bump
+                        bumped_total += int(bumped_mask.sum())
+                        # record favorites (unconstrained best) for two-hop
+                        # matching
+                        favorites[fav_us] = fav
                         # per-owner slots: disjoint plain stores by design
                         rec.write("favorites", fav_us)
-                    if not targets:
-                        continue
-                    runtime.record(
-                        phase_name,
-                        work=float(edges) * work_factor,
-                        bytes_moved=edge_bytes * edges,
-                        # second-phase atomics: only bumped vertices' rating
-                        # flushes hit the shared sparse array
-                        atomic_ops=int(nc[bumped_mask].sum()) if two_phase else 0,
-                    )
-                    moves += len(moved)
-                if det is not None:
-                    det.end_region()
+                        if not targets:
+                            continue
+                        runtime.record(
+                            phase_name,
+                            work=float(edges) * work_factor,
+                            bytes_moved=edge_bytes * edges,
+                            # second-phase atomics: only bumped vertices'
+                            # rating flushes hit the shared sparse array
+                            atomic_ops=int(nc[bumped_mask].sum()) if two_phase else 0,
+                        )
+                        moves += len(moved)
                 # straggler span for classic LP: the largest neighborhood is
                 # scanned by a single thread (two-phase parallelizes it)
                 if not two_phase:

@@ -71,9 +71,8 @@ def contract_one_pass(
 
     # shared-access declarations: repro.verify.declarations, key
     # "one-pass-contraction" -- checked here dynamically and by `repro lint`
-    det = ctx.detector
-    rec = recorder_for(det, "one-pass-contraction")
-    dual = DualCounter(detector=det)
+    rec = recorder_for(ctx.detector, "one-pass-contraction")
+    dual = DualCounter(detector=ctx.detector)
     eprime_dst = np.empty(m2, dtype=np.int64)  # old cluster IDs, remapped later
     eprime_w = np.empty(m2, dtype=np.int64)
     pprime = np.zeros(n_coarse + 1, dtype=np.int64)
@@ -97,9 +96,7 @@ def contract_one_pass(
             [int((member_ends[c] - member_starts[c]).sum()) for c in sched.chunks],
             dtype=np.int64,
         )
-    if det is not None:
-        det.begin_region("contraction")
-    with ctx.tracer.span("contraction-aggregate"):
+    with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
         for _tid, leader_idx in runtime.execute(
             sched,
             weights=chunk_weights,
@@ -156,8 +153,6 @@ def contract_one_pass(
                 atomic_ops=1,
             )
 
-    if det is not None:
-        det.end_region()
     m2_coarse = dual.d
     assert dual.s == n_coarse
     pprime[n_coarse] = m2_coarse

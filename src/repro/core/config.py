@@ -64,10 +64,6 @@ class DebugConfig:
     # (None = model default; see repro.parallel.runtime.SCHEDULE_POLICIES)
     schedule_policy: str | None = None
     schedule_seed: int = 0
-    # test-only fault injection: drop the CAS loop on the cluster-weight
-    # array in LP clustering, declaring its updates as plain writes -- the
-    # deliberate race the conflict detector must catch
-    inject_lp_weight_race: bool = False
 
 
 @dataclass(frozen=True)

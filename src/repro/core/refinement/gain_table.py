@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.core.kernels.gains import (
     batch_hash_insert,
-    batch_hash_probe,
     entry_width_bits_bulk,
 )
 from repro.graph.access import (
@@ -419,30 +418,6 @@ class SparseGainTable:
         order = np.lexsort((b, o))
         o, b, v = o[order], b[order], v[order]
         return o, b, v - _current_affinities(self._pgraph.partition, us, o, b, v)
-
-    def affinities(self, us: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-        """Batch-probe ``affinity(us[i], blocks[i])`` for every query pair."""
-        us = np.asarray(us, dtype=np.int64)
-        blocks = np.asarray(blocks, dtype=np.int64)
-        out = tracked_zeros(len(us), np.int64, name="gain-batch-affinity")
-        if len(us) == 0:
-            return out
-        dense = self._dense[us]
-        if np.any(dense):
-            d = np.flatnonzero(dense)
-            out[d] = self._vals[self._offsets[us[d]] + blocks[d]]
-        h = np.flatnonzero(~dense)
-        if len(h):
-            slots = batch_hash_probe(
-                self._keys,
-                self._offsets[us[h]],
-                self._caps[us[h]],
-                blocks[h],
-                empty=self.EMPTY,
-            )
-            hit = slots >= 0
-            out[h[hit]] = self._vals[slots[hit]]
-        return out
 
     def apply_move(self, u: int, src: int, dst: int) -> None:
         g = self._pgraph.graph

@@ -8,7 +8,8 @@ so no ledger charges beyond block weights are needed.
 
 One step per chunk like LP clustering (compiled rating map, or the
 vectorized pipeline as oracle and fallback); moves commit sequentially with
-a re-check of the target block's weight.
+a re-check of the target block's weight.  Under the conflict detector the
+driver records each chunk's shared accesses around whichever step runs.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def lp_refine(
     vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
 
     What happens to one chunk -- rate, pick, commit -- is a *step*: one call
-    into ``lp_kernel.c`` when the compiled library is there, else (and
-    whenever the conflict detector listens) the numpy pipeline of
-    :func:`_oracle_step`, bit-identical.
+    into ``lp_kernel.c`` when the compiled library is there, else the numpy
+    pipeline of :func:`_oracle_step`, bit-identical; :func:`_recording`
+    tells an attached conflict detector what either one touched.
     """
     k = pgraph.k
     if k > np.iinfo(np.int32).max:
@@ -62,13 +63,11 @@ def lp_refine(
     total_moves = 0
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
-    step = None
-    if not rec.active:
-        step = refinement_step(
-            g, pgraph.partition, pgraph.block_weights, max_block_weight
-        )
-    if step is None:
-        step = _oracle_step(pgraph, max_block_weight, rec)
+    step = refinement_step(
+        g, pgraph.partition, pgraph.block_weights, max_block_weight
+    ) or _oracle_step(pgraph, max_block_weight)
+    if rec.active:
+        step = _recording(step, rec, g, pgraph.partition)
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
@@ -103,11 +102,32 @@ def lp_refine(
     return total_moves
 
 
-def _oracle_step(pgraph, max_block_weight, rec):
+def _recording(step, rec, graph, part):
+    """``step`` with each chunk's shared accesses recorded, read off the
+    chunk and the step's outputs, so the kernel and the oracle record the
+    same sets: the neighbours' blocks, the movers' blocks and the weights of
+    their old and new blocks."""
+
+    def recorded(chunk):
+        nbrs = chunk_adjacency(graph, chunk)[1]
+        before = part[chunk]
+        out = step(chunk)
+        if out is None:
+            return None
+        moved = out[1]
+        rec.read("partition", nbrs)
+        rec.atomic("partition", moved)
+        old = before[np.isin(chunk, moved)]
+        rec.atomic("block-weights", np.concatenate([old, part[moved]]))
+        return out
+
+    return recorded
+
+
+def _oracle_step(pgraph, max_block_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
     :func:`repro.core.kernels.lp_chunk.refinement_step`, which it is the
-    oracle of -- and the step that has the per-access index arrays the
-    conflict detector records."""
+    oracle and fallback of."""
     g = pgraph.graph
     k = pgraph.k
     part = pgraph.partition
@@ -118,8 +138,6 @@ def _oracle_step(pgraph, max_block_weight, rec):
         owner, nbrs, wgts = chunk_adjacency(g, chunk)
         if len(owner) == 0:
             return None
-        if rec.active:
-            rec.read("partition", nbrs)
         po, pb, pr = segment_reduce_ratings(
             owner, part[nbrs].astype(np.int64), wgts, k
         )
@@ -137,21 +155,15 @@ def _oracle_step(pgraph, max_block_weight, rec):
         # contended blocks in candidate order
         mv_us = chunk[po2[best]]
         mv_tgt = pb2[best]
-        prevs = part[mv_us].astype(np.int64)
         acc = bulk_size_constrained_commit(
             mv_tgt,
-            prevs,
+            part[mv_us].astype(np.int64),
             vwgt[mv_us],
             pgraph.block_weights,
             max_block_weight,
         )
         acc_us = mv_us[acc]
         part[acc_us] = mv_tgt[acc].astype(np.int32)
-        if rec.active and len(acc_us):
-            rec.atomic("partition", acc_us)
-            rec.atomic(
-                "block-weights", np.concatenate([prevs[acc], mv_tgt[acc]])
-            )
         return len(owner), acc_us
 
     return step

@@ -24,6 +24,7 @@ time), but:
 
 from __future__ import annotations
 
+import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -240,26 +241,21 @@ class ParallelRuntime:
         tr = self.tracer
         if tr is not None and not tr.enabled:
             tr = None
-        if tr is None:
+        name = phase or "parallel-region"
+        try:
             for ci in order.tolist():
-                if det is not None:
-                    det.current_tid = sched.owner[ci]
-                yield sched.owner[ci], sched.chunks[ci]
-        else:
-            import time as _time
-
-            name = phase or "parallel-region"
-            for ci in order.tolist():
-                tid = sched.owner[ci]
+                tid, chunk = sched.owner[ci], sched.chunks[ci]
                 if det is not None:
                     det.current_tid = tid
-                t0 = _time.perf_counter()
-                yield tid, sched.chunks[ci]
-                tr.record_chunk(
-                    name, tid, len(sched.chunks[ci]), _time.perf_counter() - t0
-                )
-        if det is not None:
-            det.current_tid = None
+                t0 = time.perf_counter()
+                yield tid, chunk
+                if tr is not None:
+                    tr.record_chunk(name, tid, len(chunk), time.perf_counter() - t0)
+        finally:
+            # also after a break or a raise in the consumer's loop: the
+            # sequential code that follows belongs to no virtual thread
+            if det is not None:
+                det.current_tid = None
 
     # ------------------------------------------------------------------ #
     # conflict-detector attachment

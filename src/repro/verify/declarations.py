@@ -195,8 +195,9 @@ class SharedAccessRecorder:
 
     Binding is cheap; with no detector attached every record method is a
     declaration check plus an early return, so kernels can keep one code
-    path.  Hot loops may still guard bulk index collection on
-    :attr:`active`, exactly as they previously guarded on ``det is None``.
+    path.  Index arrays that cost work to collect are gathered only when
+    :attr:`active` -- the LP drivers wrap their step in a recording one
+    then, and run the same step either way.
     """
 
     __slots__ = ("detector", "kernel", "_modes")

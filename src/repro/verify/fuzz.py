@@ -14,6 +14,9 @@ reference.  This is the CHESS-style systematic exploration the verify layer
 rests on: a declared race shows up as a detector conflict under at least
 one schedule; a schedule-dependent *outcome* shows up as an isomorphism or
 invariant failure.
+
+The LP drivers record whichever step runs, so the matrix checks the compiled
+chunk when it is loaded.  The deliberate race lives here, not in the kernels.
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ class FuzzCase:
         return f"{self.kernel}[{self.policy}/seed{self.seed}/p{self.p}]: {state}"
 
 
+class _RacyWeightsDetector(ConflictDetector):
+    """A detector that hears every ``cluster-weights`` atomic as a plain
+    write: LP clustering's weight transfers as if the CAS loop were gone,
+    the race the fuzzed schedules must catch."""
+
+    def record_atomic(self, array: str, indices, tid: int | None = None) -> None:
+        if array == "cluster-weights":
+            self.record_write(array, indices, tid)
+        else:
+            super().record_atomic(array, indices, tid)
+
+
 def _make_ctx(
     graph,
     *,
@@ -75,7 +90,6 @@ def _make_ctx(
             schedule_policy=policy,
             schedule_seed=seed,
             detect_conflicts=True,
-            inject_lp_weight_race=inject_race,
         ),
     )
     runtime = ParallelRuntime(
@@ -87,7 +101,7 @@ def _make_ctx(
         total_vertex_weight=graph.total_vertex_weight,
         runtime=runtime,
     )
-    detector = ConflictDetector()
+    detector = _RacyWeightsDetector() if inject_race else ConflictDetector()
     runtime.attach_detector(detector)
     return ctx, detector
 
@@ -107,9 +121,9 @@ def fuzz_clustering(
 
     Every run's post-state is invariant-checked (cluster weights vs
     recount); the returned cases carry the detector conflicts.  With
-    ``inject_race=True`` the kernel's cluster-weight CAS loop is disabled,
-    so the cluster-weight updates are declared as plain writes -- the
-    deliberate race the detector must catch.
+    ``inject_race=True`` the detector is a :class:`_RacyWeightsDetector`:
+    the clustering runs unchanged, but its cluster-weight updates are heard
+    as plain writes -- the deliberate race the detector must catch.
     """
     from repro.core.coarsening.lp_clustering import label_propagation_clustering
 

@@ -411,15 +411,6 @@ class TestGainTableKernels:
             assert np.array_equal(b[sel], blocks), (kind, u)
             assert np.array_equal(g[sel], gains), (kind, u)
 
-    def test_sparse_affinities_matches_affinity(self, pg):
-        table = SparseGainTable(pg)
-        rng = np.random.default_rng(2)
-        us = rng.integers(0, pg.graph.n, size=200)
-        blocks = rng.integers(0, pg.k, size=200)
-        got = table.affinities(us, blocks)
-        want = [table.affinity(int(u), int(b)) for u, b in zip(us, blocks)]
-        assert got.tolist() == want
-
     def test_gains_many_empty_chunk(self, pg):
         table = SparseGainTable(pg)
         o, b, g = table.gains_many(np.empty(0, dtype=np.int64))

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.coarsening import lp_clustering
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
-from repro.core.config import ObsConfig, preset
+from repro.core.config import DebugConfig, ObsConfig, preset
 from repro.core.context import PartitionContext
 from repro.core.kernels import lp_chunk
 from repro.core.partition import PartitionedGraph
@@ -45,7 +45,7 @@ from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, chunk_segments
 from repro.graph.compressed import CompressedGraph, compress_graph
 from repro.graph.csr import CSRGraph
-from repro.verify.declarations import recorder_for
+from repro.verify.fuzz import _make_ctx
 from test_bulk_decode import _body, _clone, _hand_built
 from test_initial_kernel import Guarded
 
@@ -160,7 +160,6 @@ class ClusteringPair:
 
     def __init__(self, graph, cap: int, decoded: bool = False) -> None:
         n = graph.n
-        ctx = context(graph)
         start = np.asarray(graph.vwgt).astype(np.int64)
         self.states = [(np.arange(n, dtype=np.int64), start.copy()) for _ in range(2)]
         self.maps = np.zeros((3, n), dtype=np.int64)
@@ -170,9 +169,7 @@ class ClusteringPair:
                 lp_chunk.clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
             )
         else:
-            self.oracle = lp_clustering._oracle_step(
-                graph, ctx, *self.states[1], cap, 1 << 30, recorder_for(None, "lp-clustering")
-            )
+            self.oracle = lp_clustering._oracle_step(graph, *self.states[1], cap)
         assert self.kernel is not None
 
     def run(self, chunk) -> tuple | None:
@@ -206,9 +203,7 @@ class RefinementPair:
                 )
             )
         else:
-            self.oracle = lp_refine_module._oracle_step(
-                oracle_side, limits, recorder_for(None, "lp-refinement")
-            )
+            self.oracle = lp_refine_module._oracle_step(oracle_side, limits)
         assert self.kernel is not None
 
     def run(self, chunk) -> tuple | None:
@@ -553,18 +548,73 @@ class TestEdges:
         with pytest.raises(ValueError, match="int32"):
             lp_refine(pgraph, context(graph), 100)
 
-    def test_the_conflict_detector_runs_the_pipeline_that_can_tell_it(self, monkeypatch):
-        """With the detector listening neither driver builds a kernel step."""
-        from repro.core.config import DebugConfig
+    def test_the_conflict_detector_watches_the_kernel_steps(self, monkeypatch):
+        """With the detector listening both drivers build their kernel step
+        and neither reaches its oracle."""
+        built = collections.Counter()
+
+        def counting(module, name):
+            build = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("kernel step built under the conflict detector")
+            raise AssertionError("oracle step reached with the kernels loaded")
 
-        monkeypatch.setattr(lp_clustering, "clustering_step", refuse)
-        monkeypatch.setattr(lp_refine_module, "refinement_step", refuse)
+        counting(lp_clustering, "clustering_step")
+        counting(lp_refine_module, "refinement_step")
+        monkeypatch.setattr(lp_clustering, "_oracle_step", refuse)
+        monkeypatch.setattr(lp_refine_module, "_oracle_step", refuse)
         cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
         result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
+        assert built["clustering_step"] > 0 and built["refinement_step"] > 0
         assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
+
+
+def detector_report(graph, policy: str, p: int, two_phase: bool, inject_race: bool):
+    ctx, det = _make_ctx(
+        graph, p=p, policy=policy, seed=1, chunk_size=32,
+        two_phase=two_phase, inject_race=inject_race,
+    )  # fmt: skip
+    label_propagation_clustering(graph, ctx, max(1, graph.total_vertex_weight // 8))
+    return [str(c) for c in det.conflicts], det.accesses_recorded
+
+
+def selfcheck_report(graph, name: str):
+    debug = DebugConfig(detect_conflicts=True, schedule_policy="random", schedule_seed=3)
+    result = repro.partition(graph, 8, preset(name, seed=1, p=4, debug=debug))
+    assert result.phase_stats["lp-refinement"].work > 0
+    return result.selfcheck["conflicts"], result.selfcheck["accesses_recorded"], result.cut
+
+
+@pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])
+def test_the_detector_hears_the_same_accesses_on_both_paths(inject_race):
+    """The drivers record off the chunk and the step's outputs, so the
+    kernel and the oracle report the same conflicts over as many accesses:
+    fuzzed schedules of both LP variants, CSR and compressed, with and
+    without the injected race."""
+    graphs = (gen.rgg2d(300, 8.0, seed=2), compress_graph(gen.weblike(300, 7.0, seed=2)))
+    found = 0
+    for graph, policy, p, two_phase in itertools.product(
+        graphs, ("random", "heavy-first"), (2, 4), (True, False)
+    ):
+        got = detector_report(graph, policy, p, two_phase, inject_race)
+        assert got == on_oracle(detector_report, graph, policy, p, two_phase, inject_race)
+        assert got[1] > 0
+        found += len(got[0])
+    assert bool(found) == inject_race
+
+
+@pytest.mark.parametrize("name", ["terapart", "kaminpar"])
+def test_a_selfcheck_partition_hears_the_same_accesses_on_both_paths(name):
+    graph = gen.rgg2d(1500, 8.0, seed=2)
+    got = selfcheck_report(graph, name)
+    assert got == on_oracle(selfcheck_report, graph, name)
+    assert got[0] == [] and got[1] > 0
 
 
 def test_segments_describe_the_same_adjacency():

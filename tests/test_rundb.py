@@ -268,7 +268,7 @@ class TestConfigStamp:
                 for f in dataclasses.fields(cls)
             )
 
-        assert leaves(C.PartitionerConfig) == 27
+        assert leaves(C.PartitionerConfig) == 26
         assert {n: config_digest(f()) for n, f in C.PRESETS.items()} == {
             "kaminpar": "62c73d3106edfed9",
             "kaminpar+2lp": "70349b6354d99d24",

@@ -1,5 +1,7 @@
 """Unit tests for pluggable schedule policies (repro.parallel.runtime)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,24 @@ class TestExecute:
             seen_tids.append(tid)
         assert det.current_tid is None
         assert seen_tids == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("leave", ["break", "raise"])
+    def test_leaving_the_loop_early_hands_the_tid_back(self, leave):
+        """After a break or a raise inside the loop the code that follows is
+        sequential: its accesses belong to no virtual thread."""
+        rt = ParallelRuntime(2, chunk_size=4)
+        det = ConflictDetector()
+        rt.attach_detector(det)
+        det.begin_region("t")
+        with pytest.raises(KeyError) if leave == "raise" else nullcontext():
+            for tid, _chunk in rt.execute(rt.schedule(np.arange(16))):
+                if tid == 1:
+                    if leave == "raise":
+                        raise KeyError("inside the loop")
+                    break
+        assert det.current_tid is None
+        det.record_write("shared", [0])
+        assert det.accesses_recorded == 0
 
     def test_detach_returns_detector(self):
         rt = ParallelRuntime(2)
