@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.initial.recursive import initial_partition
+from repro.core.kernels import cluster_leaders
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.graph.access import full_adjacency
 from repro.graph.csr import CSRGraph
@@ -70,7 +71,7 @@ def shem_matching(graph, rng: np.random.Generator) -> np.ndarray:
 
 def _contract_matching(graph, match: np.ndarray, tracker: MemoryTracker):
     """Contract a matching into the next level (buffered, Metis-style)."""
-    leaders = np.unique(match)
+    leaders = cluster_leaders(match)
     n_coarse = len(leaders)
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[leaders] = np.arange(n_coarse, dtype=np.int64)
@@ -168,7 +169,7 @@ def mtmetis_partition(
         # matching scans the level twice (sort + match), contraction once
         work_edges += 3.0 * current.num_directed_edges
         match = shem_matching(current, rng)
-        shrink = current.n / max(len(np.unique(match)), 1)
+        shrink = current.n / max(len(cluster_leaders(match)), 1)
         if shrink < 1.1:
             break
         coarse, f2c = _contract_matching(current, match, tracker)

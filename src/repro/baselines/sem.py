@@ -30,6 +30,7 @@ import numpy as np
 
 import repro
 from repro.core import config as C
+from repro.core.kernels import cluster_leaders
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings
 from repro.memory.tracker import MemoryTracker
@@ -129,7 +130,7 @@ def sem_partition(
             break
 
     # contract (streamed aggregation; coarse graph fits in memory)
-    leaders = np.unique(labels)
+    leaders = cluster_leaders(labels)
     n_coarse = len(leaders)
     remap = np.full(n, -1, dtype=np.int64)
     remap[leaders] = np.arange(n_coarse, dtype=np.int64)

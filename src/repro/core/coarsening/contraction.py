@@ -6,6 +6,13 @@ buffered edges into the final CSR arrays.  The coarse graph therefore exists
 twice in memory at the peak (Section IV-B: "a set of temporary buffers
 storing E' during aggregation; before the edges are copied to E'"), which is
 exactly what one-pass contraction eliminates.
+
+The aggregation is one call into ``lp_kernel.c``'s rating map
+(:func:`repro.core.kernels.lp_chunk.contraction_step`) over every coarse
+vertex in leader order, keyed by dense coarse id: each coarse neighbourhood
+comes out ascending, so the buffers already are the sorted CSR.  Without
+the compiled library, :func:`aggregate_coarse_edges` -- one global sort of
+the coarse edge keys -- builds the same arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.context import PartitionContext
+from repro.core.kernels.contraction import cluster_leaders, cluster_members
+from repro.core.kernels.lp_chunk import contraction_step
 from repro.graph.access import full_adjacency, traversal_cost
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_empty, tracked_full
@@ -36,7 +45,7 @@ class ContractionOutput:
 
 def _dense_remap(clusters: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Map sparse leader IDs to dense coarse IDs [0, n') in leader order."""
-    leaders = np.unique(clusters)
+    leaders = cluster_leaders(clusters)
     n_coarse = len(leaders)
     remap = tracked_full(len(clusters), -1, np.int64, name="contract-remap")
     remap[leaders] = np.arange(n_coarse, dtype=np.int64)
@@ -50,7 +59,8 @@ def aggregate_coarse_edges(
     """All coarse directed edges ``(cu, cv, w)`` with self-loops dropped.
 
     Parallel edges are merged by weight summation -- the contraction analogue
-    of rating aggregation.
+    of rating aggregation.  The oracle and fallback of the kernel call in
+    :func:`contract_buffered`.
     """
     src, dst, wgt = full_adjacency(graph)
     cu = fine_to_coarse[src]
@@ -87,13 +97,18 @@ def contract_buffered(
     maps_aid = tracker.alloc(
         "contraction-rating-maps", ctx.runtime.p * 16 * n_coarse, "contraction"
     )
-    cu, cv, w = aggregate_coarse_edges(graph, fine_to_coarse, n_coarse)
-    m2 = len(cu)
+    step = contraction_step(graph, fine_to_coarse, n_coarse)
+    if step is None:
+        cu, cv, w = aggregate_coarse_edges(graph, fine_to_coarse, n_coarse)
+        degrees = np.bincount(cu, minlength=n_coarse)
+    else:
+        members, offsets = cluster_members(clusters, leaders)
+        _, degrees, cv, w = step(members, offsets, np.arange(n_coarse, dtype=np.int64))
+    m2 = len(cv)
 
     # the temporary edge buffers: E' held once in buffers ...
     buf_aid = tracker.alloc("contraction-edge-buffers", 16 * m2, "contraction")
     # ... and once in the final CSR arrays (the duplicate one-pass removes)
-    degrees = np.bincount(cu, minlength=n_coarse).astype(np.int64)
     indptr = np.zeros(n_coarse + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     unit = bool(m2 == 0 or np.all(w == 1))

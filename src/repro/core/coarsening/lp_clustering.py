@@ -31,7 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels import bulk_size_constrained_commit, segment_best_last
+from repro.core.kernels import (
+    bulk_size_constrained_commit,
+    cluster_leaders,
+    segment_best_last,
+)
 from repro.core.kernels.lp_chunk import clustering_step
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings, traversal_cost
 from repro.memory.scratch import tracked_zeros
@@ -278,8 +282,7 @@ def label_propagation_clustering(
         for h in handles:
             ctx.tracker.free(h)
 
-    leaders = np.unique(clusters)
-    result.num_clusters = int(len(leaders))
+    result.num_clusters = len(cluster_leaders(clusters))
     return result
 
 

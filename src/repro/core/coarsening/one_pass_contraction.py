@@ -19,6 +19,14 @@ Because chunk completion order in a real parallel run is nondeterministic,
 the resulting coarse vertex numbering is a permutation of the buffered
 scheme's numbering.  We process chunks in a seeded shuffled order to exhibit
 exactly that behaviour; tests verify isomorphism against buffered output.
+
+A chunk's aggregation is one call into ``lp_kernel.c``'s rating map
+(:func:`repro.core.kernels.lp_chunk.contraction_step`) writing the chunk's
+buffer ``B_t``: each coarse vertex's members are summed into one map keyed
+by cluster leader, and the neighbours come out ascending -- the order of the
+sort-based oracle, :func:`_oracle_step`, which runs without the compiled
+library.  A compressed level is decoded neighbourhood by neighbourhood
+inside the call; only a chunk holding a hub is decoded first.
 """
 
 from __future__ import annotations
@@ -27,11 +35,51 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.coarsening.contraction import ContractionOutput
-from repro.core.kernels import aggregate_coarse_edges, gather_cluster_members
+from repro.core.kernels import (
+    aggregate_coarse_edges,
+    cluster_leaders,
+    cluster_members,
+    gather_cluster_members,
+)
+from repro.core.kernels.lp_chunk import contraction_step
 from repro.graph.access import chunk_adjacency, traversal_cost
 from repro.graph.csr import CSRGraph
 from repro.parallel.atomics import DualCounter
 from repro.verify.declarations import recorder_for
+
+
+def _oracle_step(graph, clusters, leaders, member_order, offsets):
+    """``step(leader_idx)`` by the numpy pipeline: ``(edges, degrees, pc,
+    pw)`` of the chunk's coarse vertices ``leaders[leader_idx]``, as the
+    kernel step returns them."""
+
+    def step(leader_idx):
+        members, member_owner = gather_cluster_members(
+            member_order, offsets[:-1], offsets[1:], leader_idx
+        )
+        owner_m, nbrs, wgts = chunk_adjacency(graph, members)
+        po, pc, pw, _ = aggregate_coarse_edges(
+            member_owner[owner_m], clusters[nbrs], wgts, leaders[leader_idx],
+            graph.n, len(leader_idx),
+        )  # fmt: skip
+        return len(owner_m), np.bincount(po, minlength=len(leader_idx)), pc, pw
+
+    return step
+
+
+def _kernel_step(graph, clusters, leaders, member_order, offsets):
+    """``step(leader_idx)`` on the kernel, or ``None`` without it."""
+    call = contraction_step(graph, clusters, graph.n)
+    if call is None:
+        return None
+
+    def step(leader_idx):
+        # a chunk is a run of consecutive leaders, so its members are too
+        a, b = int(leader_idx[0]), int(leader_idx[-1]) + 1
+        members = member_order[offsets[a] : offsets[b]]
+        return call(members, offsets[a : b + 1], leaders[a:b])
+
+    return step
 
 
 def contract_one_pass(
@@ -46,13 +94,13 @@ def contract_one_pass(
     n = graph.n
     m2 = graph.num_directed_edges
 
-    # leaders and member lists: vertices sorted by their cluster leader
-    leaders = np.unique(clusters)
+    # leaders and member lists: vertices grouped by their cluster leader
+    leaders = cluster_leaders(clusters)
     n_coarse = len(leaders)
-    member_order = np.argsort(clusters, kind="stable")
-    member_clusters = clusters[member_order]
-    member_starts = np.searchsorted(member_clusters, leaders)
-    member_ends = np.append(member_starts[1:], n)
+    member_order, offsets = cluster_members(clusters, leaders)
+    step = _kernel_step(graph, clusters, leaders, member_order, offsets) or _oracle_step(
+        graph, clusters, leaders, member_order, offsets
+    )
 
     # working-set accounting: per-thread hash tables + chunk buffers B_t,
     # the overcommitted E' (ids + weights), P', and the remap array
@@ -93,7 +141,7 @@ def contract_one_pass(
     chunk_weights = None
     if runtime.schedule_policy == "heavy-first":
         chunk_weights = np.array(
-            [int((member_ends[c] - member_starts[c]).sum()) for c in sched.chunks],
+            [int(offsets[c[-1] + 1] - offsets[c[0]]) for c in sched.chunks],
             dtype=np.int64,
         )
     with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
@@ -105,28 +153,18 @@ def contract_one_pass(
         ):
             # leader_idx: indices into `leaders`
             chunk_leaders = leaders[leader_idx]
-            # flatten all member vertices of this chunk's clusters
-            members, member_owner = gather_cluster_members(
-                member_order, member_starts, member_ends, leader_idx
-            )
-
-            owner_m, nbrs, wgts = chunk_adjacency(graph, members)
-            owner = member_owner[owner_m]  # chunk-local coarse vertex index
-            po, pc, pw, local_offsets = aggregate_coarse_edges(
-                owner, clusters[nbrs], wgts, chunk_leaders, n, len(leader_idx)
-            )
-
-            nc = np.bincount(po, minlength=len(leader_idx))
+            # B_t: the chunk's coarse neighbourhoods, grouped by coarse
+            # vertex (clusters ascending within each)
+            edges, nc, pc, pw = step(leader_idx)
             bumped += int(np.sum(nc >= t_bump))
 
             # dual-counter transaction for the whole chunk (buffered CAS)
-            d_prev, s_prev = dual.fetch_add(len(po), len(leader_idx))
+            d_prev, s_prev = dual.fetch_add(len(pc), len(leader_idx))
 
-            # neighborhoods are already grouped by owner (segment reduce
-            # sorts by (owner, cluster)); place them at E'[d_prev:]
-            eprime_dst[d_prev : d_prev + len(po)] = pc
-            eprime_w[d_prev : d_prev + len(po)] = pw
-            pprime[s_prev : s_prev + len(leader_idx)] = d_prev + local_offsets
+            # place the neighbourhoods at E'[d_prev:]
+            eprime_dst[d_prev : d_prev + len(pc)] = pc
+            eprime_w[d_prev : d_prev + len(pc)] = pw
+            pprime[s_prev : s_prev + len(leader_idx)] = d_prev + np.cumsum(nc) - nc
             new_ids = s_prev + np.arange(len(leader_idx), dtype=np.int64)
             new_id_of_leader[chunk_leaders] = new_ids
             new_vwgt[new_ids] = cluster_weights[chunk_leaders]
@@ -135,9 +173,9 @@ def contract_one_pass(
                 # plain writes: the dual counter's pre-increment values must
                 # make every chunk's slices disjoint -- the detector
                 # verifies it
-                if len(po):
+                if len(pc):
                     rec.write(
-                        "coarse-edges", np.arange(d_prev, d_prev + len(po))
+                        "coarse-edges", np.arange(d_prev, d_prev + len(pc))
                     )
                 rec.write(
                     "coarse-indptr", np.arange(s_prev, s_prev + len(leader_idx))
@@ -148,8 +186,8 @@ def contract_one_pass(
             tracker.touch(eprime_aid, 16 * dual.d)
             runtime.record(
                 "contraction",
-                work=float(len(owner_m)) * work_factor + float(len(po)),
-                bytes_moved=edge_bytes * len(owner_m) + 16.0 * len(po),
+                work=float(edges) * work_factor + float(len(pc)),
+                bytes_moved=edge_bytes * edges + 16.0 * len(pc),
                 atomic_ops=1,
             )
 

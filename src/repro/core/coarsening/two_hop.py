@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.coarsening.lp_clustering import ClusteringResult, cluster_sizes
+from repro.core.kernels import cluster_leaders
 
 
 def two_hop_match(
@@ -58,5 +59,5 @@ def two_hop_match(
         else:
             i += 1
     if merges:
-        result.num_clusters = int(len(np.unique(clusters)))
+        result.num_clusters = len(cluster_leaders(clusters))
     return merges

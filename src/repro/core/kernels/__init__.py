@@ -23,9 +23,10 @@ replay) are entirely the caller's.  The contract:
 One level up, :mod:`repro.core.kernels.lp_chunk` runs a whole LP chunk --
 the rate / pick / commit pipeline the first three kernels below form in the
 two LP drivers -- as one call into the compiled ``lp_kernel.c`` when
-:mod:`repro.graph._native` could load it; the numpy pipeline stays as its
-oracle and fallback, and :mod:`repro.dist`, the balancer and the baselines
-keep calling the kernels directly.
+:mod:`repro.graph._native` could load it, and the coarse-edge aggregation
+of both contractions the same way; the numpy pipelines stay as oracle and
+fallback, and :mod:`repro.dist`, the balancer and the baselines keep
+calling the kernels directly.
 
 Scratch arrays are allocated with the tracked constructors from
 :mod:`repro.memory.scratch` so the memory ledger (and the ``repro lint``
@@ -35,6 +36,8 @@ untracked-allocation pass) sees them.
 from repro.core.kernels.commit import bulk_size_constrained_commit
 from repro.core.kernels.contraction import (
     aggregate_coarse_edges,
+    cluster_leaders,
+    cluster_members,
     gather_cluster_members,
 )
 from repro.core.kernels.gains import (
@@ -49,6 +52,8 @@ from repro.core.kernels.segments import segment_best_last
 
 __all__ = [
     "bulk_size_constrained_commit",
+    "cluster_leaders",
+    "cluster_members",
     "gather_cluster_members",
     "aggregate_coarse_edges",
     "segment_best_last",

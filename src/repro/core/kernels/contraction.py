@@ -1,18 +1,61 @@
-"""Bulk kernels for one-pass contraction (Section IV-B2).
+"""Bulk kernels for contraction (Section IV-B).
 
-Per chunk of coarse vertices: flatten the member lists into one gather,
-aggregate the members' adjacency into coarse edges with a sort-based
-segment reduction, and derive the per-coarse-vertex offsets the caller
-writes behind the dual counter.  Pure functions -- the caller owns the
-dual-counter transaction, the ``E'``/``P'`` slice writes and all recorder
-declarations.
+Per level: the cluster leaders (:func:`cluster_leaders`, the one place that
+states "labels are vertex ids in ``[0, n)``") and the member lists
+(:func:`cluster_members`).  Per chunk of coarse vertices, the numpy oracle of
+``lp_kernel.c``'s ``repro_contract_chunk``: flatten the member lists into
+one gather, aggregate the members' adjacency into coarse edges with a
+sort-based segment reduction, and derive the per-coarse-vertex offsets the
+caller writes behind the dual counter.  Pure functions -- the caller owns
+the dual-counter transaction, the ``E'``/``P'`` slice writes and all
+recorder declarations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels.lp_chunk import group_by_label
 from repro.graph.access import segment_reduce_ratings
+from repro.memory.scratch import tracked_zeros
+
+
+def cluster_leaders(labels: np.ndarray) -> np.ndarray:
+    """The distinct labels ascending -- ``np.unique(labels)`` -- by marking
+    them in a bool array and scanning it once, O(n) for n labels.
+
+    Labels are vertex ids: a label outside ``[0, n)`` raises ``ValueError``
+    naming the first vertex that carries one.
+    """
+    labels = np.asarray(labels)
+    n = len(labels)
+    if n and not 0 <= int(labels.min()) <= int(labels.max()) < n:
+        bad = int(np.flatnonzero((labels < 0) | (labels >= n))[0])
+        raise ValueError(
+            f"vertex {bad} has cluster label {int(labels[bad])}, not a vertex id in [0, {n})"
+        )
+    marks = tracked_zeros(n, bool, name="cluster-leader-marks")
+    marks[labels] = True
+    return np.flatnonzero(marks)
+
+
+def cluster_members(clusters: np.ndarray, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(member_order, offsets)``: the vertices grouped by cluster in leader
+    order, ascending within a cluster, and the members of ``leaders[i]`` at
+    ``member_order[offsets[i] : offsets[i + 1]]``.
+
+    One compiled counting sort; without the library its oracle, the stable
+    argsort, gives the same permutation.
+    """
+    n = len(clusters)
+    grouped = group_by_label(clusters, n)
+    if grouped is None:
+        member_order = np.argsort(clusters, kind="stable")
+        starts = np.searchsorted(clusters[member_order], leaders)
+    else:
+        member_order, by_label = grouped
+        starts = by_label[leaders]
+    return member_order, np.append(starts, n)
 
 
 def gather_cluster_members(

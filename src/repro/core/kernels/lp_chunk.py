@@ -1,4 +1,5 @@
-"""One compiled call per label-propagation chunk (``lp_kernel.c``).
+"""One compiled call per label-propagation or contraction chunk
+(``lp_kernel.c``).
 
 The LP drivers (:mod:`repro.core.coarsening.lp_clustering`,
 :mod:`repro.core.refinement.lp_refine`) loop over chunks and, per chunk, run
@@ -9,7 +10,9 @@ around the kernel -- or return ``None``, and the driver runs its oracle:
 without the compiled library (:func:`repro.graph._native.lp_kernels`), or
 for vertex weights whose sums the kernel's commit cannot hold.  The C header
 states the contract and why the two are bit-identical; here the arrays are
-checked once per LP call and the pointers handed over.
+checked once per LP call and the pointers handed over.  The two contractions
+take their step from :func:`contraction_step` the same way: the rating map
+again, summing a whole coarse vertex's members into one map.
 
 On a compressed graph the kernel decodes each neighbourhood itself, as it
 rates it, from the graph's byte stream: no decoded chunk is built.  Only a
@@ -60,23 +63,23 @@ def _vertex_weights(graph) -> np.ndarray | None:
 
 
 class _ChunkKernel:
-    """One kernel of ``lp_kernel.c`` bound to the arrays of one LP call.
+    """One chunk kernel of ``lp_kernel.c`` bound to the arrays of one LP or
+    contraction call.
 
     ``state`` is the phase's own argument block (between the segments and
     the rating map in the C signature; arrays are held here for as long as
     their pointers are in use), ``maps`` the zeroed rating map (rows
-    ``slot``, ``seen``, ``rating``, one entry per label each), ``rows`` how
-    many per-vertex outputs the kernel writes, ``moved`` last.
+    ``slot``, ``seen``, ``rating``, one entry per label each).
     """
 
-    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int, rows: int) -> None:
+    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int) -> None:
         if maps.dtype != np.int64 or maps.shape != (3, labels) or not maps.flags.c_contiguous:
             raise ValueError(f"the rating map is three contiguous int64 rows of {labels}")
-        self._fn, self._graph, self._rows = fn, graph, rows
+        self._fn, self._graph = fn, graph
         self._held = (state, maps)
-        self._info = np.zeros(2, dtype=np.int64)
+        self.info = np.zeros(2, dtype=np.int64)
         self._fixed = _pointers((*state, *maps, labels))
-        self._tail = _pointers((self._info,))
+        self._tail = _pointers((self.info,))
         self._adjacency = None  # (adj, wgt) last handed out, their arguments, what those point into
         self._stream = None  # the compressed source's address and what it points into
 
@@ -114,9 +117,11 @@ class _ChunkKernel:
             self._stream = (ctypes.addressof(block), (block, data, offsets, scratch))
         return self._stream[0]
 
-    def __call__(self, chunk):
-        """``(edges, moved, targets, out)`` of one chunk, or ``None`` if it
-        has no edge (the kernel does not run then)."""
+    def __call__(self, chunk, outputs):
+        """``(edges, rc, out)`` of one chunk, or ``None`` if it has no edge
+        (the kernel does not run then).  ``outputs(count, edges)`` returns
+        ``(out, args)``: what the caller reads back, and the arguments the
+        kernel takes between the rating map and ``info``."""
         chunk = np.ascontiguousarray(chunk, dtype=np.int64)
         starts, degs, adj, wgt = chunk_segments(self._graph, chunk)
         edges = int(degs.sum())
@@ -126,20 +131,31 @@ class _ChunkKernel:
             at, adjacency, stream = None, (None, None, 1, 0), self._stream_address()
         else:
             at, adjacency, stream = starts.ctypes.data, self._adjacency_args(adj, wgt), None
-        count, info = len(chunk), self._info
-        out = tracked_empty((self._rows, count), name="lp-chunk-out")
-        first = out.ctypes.data
+        count = len(chunk)
+        out, args = outputs(count, edges)
         rc = self._fn(
             self._graph.n, chunk.ctypes.data, at, degs.ctypes.data, count, *adjacency, *self._fixed,
-            *range(first, first + out.nbytes, 8 * count), count, *self._tail, stream,
+            *_pointers(args), *self._tail, stream,
         )  # fmt: skip
         if rc < 0:
-            bad = int(info[1])
+            bad = int(self.info[1])
             where = f" at vertex {int(chunk[bad])}" if bad >= 0 else ""
             if rc in _native.LP_ERRORS:
                 raise ValueError(f"{_native.LP_ERRORS[rc]}{where} (corrupt graph?)")
             raise ValueError(f"{_native.ERRORS[rc - _native.DECODE_ERROR]}{where} (corrupt stream?)")
-        return edges, out[-1, :rc], int(info[0]), out
+        return edges, rc, out
+
+
+def _rows(rows: int):
+    """``outputs`` of an LP kernel: ``rows`` per-vertex rows, ``moved`` last,
+    and their capacity."""
+
+    def outputs(count, _edges):
+        out = tracked_empty((rows, count), name="lp-chunk-out")
+        first = out.ctypes.data
+        return out, (*range(first, first + out.nbytes, 8 * count), count)
+
+    return outputs
 
 
 def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
@@ -165,15 +181,15 @@ def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
         return None
     limit = _native.clamp_weight(max_cluster_weight)
     state = (clusters, cluster_weights, *_weight_args(vwgt), limit)
-    call = _ChunkKernel(kernels[0], graph, state, maps, n, rows=4)
+    call, outputs = _ChunkKernel(kernels[0], graph, state, maps, n), _rows(4)
 
     def step(chunk):
-        done = call(chunk)
+        done = call(chunk, outputs)
         if done is None:
             return None
-        edges, moved, targets, (fav, _, nc, _) = done
+        edges, moves, (fav, _, nc, moved) = done
         rated = nc > 0
-        return edges, chunk[rated], fav[rated], nc, targets, moved
+        return edges, chunk[rated], fav[rated], nc, int(call.info[0]), moved[:moves]
 
     return step
 
@@ -202,10 +218,68 @@ def refinement_step(graph, part, block_weights, limits):
         return None
     state = (k, part, block_weights, *_weight_args(vwgt), limits)
     maps = tracked_zeros((3, k), name="lp-refine-rating-map")
-    call = _ChunkKernel(kernels[1], graph, state, maps, k, rows=2)
+    call, outputs = _ChunkKernel(kernels[1], graph, state, maps, k), _rows(2)
 
     def step(chunk):
-        done = call(chunk)
-        return done and done[:2]
+        done = call(chunk, outputs)
+        return done and (done[0], done[2][-1, : done[1]])
 
     return step
+
+
+def contraction_step(graph, labels: np.ndarray, label_count: int):
+    """``step(members, groups, own)`` of contraction on the kernel, or
+    ``None`` without the compiled library.
+
+    ``labels`` keys every vertex by its coarse vertex, in ``[0,
+    label_count)``.  One call aggregates ``len(own)`` coarse vertices: coarse
+    vertex ``g`` is the members ``members[groups[g] - groups[0] : groups[g +
+    1] - groups[0]]``, its own key ``own[g]``.  ``step`` returns ``(edges,
+    degrees, keys, weights)``: the members' edges read, each coarse vertex's
+    number of coarse edges, and those edges coarse vertex by coarse vertex
+    -- neighbour keys ascending, own key dropped, weights summed.
+    """
+    kernels = _native.contraction_kernels()
+    if kernels is None or not _is_int64_vector(labels, graph.n):
+        return None
+    maps = tracked_zeros((3, label_count), name="contraction-rating-map")
+    call = _ChunkKernel(kernels[0], graph, (label_count, labels), maps, label_count)
+
+    def step(members, groups, own):
+        groups = np.ascontiguousarray(groups, dtype=np.int64)
+        own = np.ascontiguousarray(own, dtype=np.int64)
+        count = len(own)
+        if groups.shape != (count + 1,):
+            raise ValueError(f"{count} coarse vertices need {count + 1} member offsets")
+
+        def outputs(_, edges):
+            pairs = tracked_empty((2, edges), name="contraction-chunk-out")
+            degrees = tracked_empty(count, name="contraction-degrees")
+            return (pairs, degrees), (groups, own, count, *pairs, edges, degrees)
+
+        done = call(members, outputs)
+        if done is None:
+            none = np.empty(0, dtype=np.int64)
+            return 0, np.zeros(count, dtype=np.int64), none, none
+        edges, written, (pairs, degrees) = done
+        return edges, degrees, pairs[0, :written], pairs[1, :written]
+
+    return step
+
+
+def group_by_label(labels: np.ndarray, label_count: int):
+    """``(members, offsets)`` by one counting sort, or ``None`` without the
+    compiled library: the vertices grouped by label, ascending within a
+    label (what ``np.argsort(labels, kind="stable")`` returns), and label
+    ``c``'s run ``members[offsets[c] : offsets[c + 1]]``."""
+    kernels = _native.contraction_kernels()
+    if kernels is None:
+        return None
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    offsets = tracked_empty(label_count + 1, name="label-offsets")
+    members = tracked_empty(len(labels), name="label-members")
+    info = np.zeros(2, dtype=np.int64)
+    rc = kernels[1](*_pointers((labels, len(labels), label_count, offsets, members, info)))
+    if rc < 0:
+        raise ValueError(f"{_native.LP_ERRORS[rc]} at vertex {int(info[1])}")
+    return members, offsets

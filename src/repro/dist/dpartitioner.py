@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.config import DistObsConfig, PartitionerConfig, terapart
 from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
+from repro.core.kernels import cluster_leaders
 from repro.core.partition import max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
@@ -99,7 +100,7 @@ def _contract_distributed(
     """
     comm = dgraph.comm
     n = dgraph.n
-    leaders = np.unique(labels)
+    leaders = cluster_leaders(labels)
 
     # ---- coarse numbering: contiguous per owner rank ---- #
     leader_owner = dgraph.owner_of(leaders)
@@ -250,7 +251,7 @@ def dpartition(
                         tracer=tracer,
                         level=level,
                     )
-                shrink = current.n / max(len(np.unique(labels)), 1)
+                shrink = current.n / max(len(cluster_leaders(labels)), 1)
                 if shrink < MIN_SHRINK_FACTOR:
                     break
                 with tracer.phase(f"dist-contract-level{level}", level=level):

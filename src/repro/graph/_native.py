@@ -1,14 +1,15 @@
 """Loader of the optional compiled kernels: the chunk decode
 (``decode_kernel.c``), initial partitioning's sequential searches
-(``core/initial/bisection_kernel.c``) and the label-propagation chunk
-(``core/kernels/lp_kernel.c``), one library.
+(``core/initial/bisection_kernel.c``) and the rating-map chunks of label
+propagation and contraction (``core/kernels/lp_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
 kernel but availability: with no compiler, a failed build, a library that
 does not load or a symbol that does not resolve, :func:`decode_kernel`,
-:func:`bisection_kernels` and :func:`lp_kernels` return ``None`` and their
-callers run the numpy / Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
+:func:`bisection_kernels`, :func:`lp_kernels` and
+:func:`contraction_kernels` return ``None`` and their callers run the numpy
+/ Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
 whole test run can be held on the oracles.
 
 The library is named by the sha256 of every source, flags, compiler and
@@ -60,10 +61,10 @@ BISECTION_ERRORS = {
     -3: "assignment entry other than 0 or 1",
 }
 
-#: what the two functions of ``lp_kernel.c`` return for a chunk they refuse
+#: what the functions of ``lp_kernel.c`` return for a chunk they refuse
 LP_ERRORS = {
     -1: "vertex id out of range",
-    -2: "adjacency segment out of range",
+    -2: "adjacency or group segment out of range",
     -3: "neighbor id out of range",
     -4: "cluster or block id out of range",
     -5: "rating map or output capacity exhausted",
@@ -132,6 +133,13 @@ SIGNATURES = {
     "repro_lp_refine_chunk": [
         *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p,
     ],
+    # segments, label_count, labels, rating map, groups, own, group_count,
+    # label, weight, out_cap, degree, info, stream
+    "repro_contract_chunk": [
+        *_SEGMENTS, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p, _i64, _p, _p, _p,
+    ],
+    # labels, count, label_count, offsets, members, info
+    "repro_group_by_label": [_p, _i64, _i64, _p, _p, _p],
 }  # fmt: skip
 
 _lock = threading.Lock()
@@ -235,6 +243,13 @@ def lp_kernels():
     or ``None`` if unavailable."""
     lib = library()
     return lib and (lib["repro_lp_cluster_chunk"], lib["repro_lp_refine_chunk"])
+
+
+def contraction_kernels():
+    """``(contract_chunk, group_by_label)`` ctypes functions of
+    ``lp_kernel.c``, or ``None`` if unavailable."""
+    lib = library()
+    return lib and (lib["repro_contract_chunk"], lib["repro_group_by_label"])
 
 
 def available() -> bool:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.kernels import cluster_leaders
+
 
 class InvariantViolation(AssertionError):
     """A phase-boundary invariant does not hold."""
@@ -138,7 +140,7 @@ def check_clustering(graph, clusters, cluster_weights, *, phase: str = "") -> No
         _fail(phase, "cluster leader ids out of range")
     recount = np.zeros(n, dtype=np.int64)
     np.add.at(recount, clusters, np.asarray(graph.vwgt))
-    leaders = np.unique(clusters)
+    leaders = cluster_leaders(clusters)
     got = np.asarray(cluster_weights)[leaders]
     want = recount[leaders]
     if not np.array_equal(got, want):

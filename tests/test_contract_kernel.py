@@ -1,0 +1,542 @@
+"""Contraction on the rating map (``lp_kernel.c``'s ``repro_contract_chunk``
+and ``repro_group_by_label``) against the numpy pipelines it replaces.
+
+Buffered contraction is one kernel call per level and must build the same
+coarse CSR byte for byte as the global sort of
+``coarsening.contraction.aggregate_coarse_edges``; one-pass contraction is one
+call per chunk and must hand the dual counter the same ``E'`` / ``P'``
+slices as the per-chunk sort of ``kernels.contraction``.  Both are held to
+that over CSR and compressed input (intervals on and off, hubs mixed in),
+weighted edges, identity / single / random clusterings and the empty graph.
+Called without the wrapper's checks on corrupted arrays, the kernel returns
+an error code, writes nothing outside the buffers it was given and leaves its
+rating map zeroed; through the two contractions that is a ``ValueError``.
+The leader scan refuses a label that is not a vertex id on every path.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.coarsening import one_pass_contraction
+from repro.core.coarsening.contraction import (
+    _dense_remap,
+    aggregate_coarse_edges,
+    contract_buffered,
+)
+from repro.core.coarsening.one_pass_contraction import contract_one_pass
+from repro.core.config import kaminpar, terapart
+from repro.core.context import PartitionContext
+from repro.core.kernels import cluster_leaders, cluster_members
+from repro.graph import _native
+from repro.graph import generators as gen
+from repro.graph.access import measured_decode_work_factor
+from repro.graph.compressed import CompressedGraph, compress_graph
+from repro.graph.csr import CSRGraph
+from repro.memory import MemoryTracker
+from repro.parallel import ParallelRuntime
+from test_bulk_decode import _clone
+from test_initial_kernel import Guarded
+from test_lp_kernel import DecodeCalls, both_ways, csr, weighted
+
+needs_kernel = pytest.mark.skipif(
+    _native.contraction_kernels() is None,
+    reason="no compiled contraction (no C compiler, or REPRO_NATIVE=0)",
+)
+
+
+def context(graph, preset=terapart, chunk_size=64) -> PartitionContext:
+    return PartitionContext(
+        config=preset(seed=7, p=4),
+        k=4,
+        total_vertex_weight=graph.total_vertex_weight,
+        tracker=MemoryTracker(),
+        runtime=ParallelRuntime(4, chunk_size=chunk_size),
+    )
+
+
+def on_oracle(fn, *args, **kwargs):
+    """``fn(...)`` with the compiled contraction hidden."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_native, "contraction_kernels", lambda: None)
+        return fn(*args, **kwargs)
+
+
+def clustering(graph, kind: str, seed: int = 0):
+    """``(clusters, weights)``: leaders are member ids, as LP leaves them."""
+    n = graph.n
+    if kind == "identity":
+        clusters = np.arange(n, dtype=np.int64)
+    elif kind == "single":
+        clusters = np.zeros(n, dtype=np.int64)
+    else:  # about four members a cluster, scattered over the id range
+        rng = np.random.default_rng(seed)
+        group = rng.integers(0, max(1, n // 4), size=n)
+        first = np.full(max(1, n // 4), n, dtype=np.int64)
+        np.minimum.at(first, group, np.arange(n))
+        clusters = first[group]
+    weights = np.zeros(n, dtype=np.int64)
+    np.add.at(weights, clusters, np.asarray(graph.vwgt))
+    return clusters, weights
+
+
+def assert_same_contraction(graph, clusters, weights, contract, ctx_of):
+    got = contract(graph, clusters.copy(), weights.copy(), ctx_of(graph))
+    want = on_oracle(contract, graph, clusters.copy(), weights.copy(), ctx_of(graph))
+    for name in ("indptr", "adjncy", "vwgt"):
+        a, b = getattr(got.coarse, name), getattr(want.coarse, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.coarse.has_edge_weights == want.coarse.has_edge_weights
+    assert np.array_equal(got.coarse.adjwgt, want.coarse.adjwgt)
+    assert np.array_equal(got.fine_to_coarse, want.fine_to_coarse)
+    assert got.bumped_clusters == want.bumped_clusters
+    return got
+
+
+FAMILIES = {
+    "mesh": lambda: gen.rgg2d(400, 8.0, seed=3),
+    "web": lambda: gen.weblike(400, 7.0, seed=3),
+    "kmer": lambda: gen.kmer(400, 4, seed=3),
+    "sparse": lambda: gen.er(400, 1.5, seed=3),  # a third of it has no edge
+}
+INPUTS = ("csr", "compressed", "compressed-no-intervals", "hubs")
+MATRIX = list(
+    itertools.product(FAMILIES, ("unit", "random", "zeros"), INPUTS, ("random", "identity", "single"))
+)
+MATRIX_IDS = ["-".join(case) for case in MATRIX]
+
+
+def graph_of(family: str, edge_weights: str, kind: str):
+    base = weighted(FAMILIES[family](), edge_weights, "random")
+    if kind == "csr":
+        return base
+    if kind == "hubs":  # a lowered chunking threshold: hub and stream chunks mix
+        return compress_graph(base, high_degree_threshold=12, chunk_length=4)
+    return compress_graph(base, enable_intervals=kind == "compressed")
+
+
+# --------------------------------------------------------------------- #
+# kernel == oracle, level by level and chunk by chunk
+# --------------------------------------------------------------------- #
+@needs_kernel
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+def test_buffered_is_byte_identical(case):
+    family, edge_weights, kind, clusters_kind = case
+    graph = graph_of(family, edge_weights, kind)
+    clusters, weights = clustering(graph, clusters_kind)
+    out = assert_same_contraction(
+        graph, clusters, weights, contract_buffered, lambda g: context(g, kaminpar)
+    )
+    if edge_weights != "zeros":  # validate() wants positive weights
+        out.coarse.validate()
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
+def test_one_pass_is_byte_identical(case):
+    family, edge_weights, kind, clusters_kind = case
+    graph = graph_of(family, edge_weights, kind)
+    clusters, weights = clustering(graph, clusters_kind)
+    out = assert_same_contraction(
+        graph, clusters, weights, contract_one_pass, lambda g: context(g, chunk_size=16)
+    )
+    if edge_weights != "zeros":
+        out.coarse.validate()
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", INPUTS)
+def test_one_pass_chunks_agree(kind):
+    """Each chunk's ``B_t`` -- member edges read, per coarse vertex its
+    degree, and the ``(cluster, weight)`` pairs ``E'`` receives -- is the
+    oracle's, for chunks of one to many coarse vertices."""
+    graph = graph_of("web", "random", kind)
+    clusters, _ = clustering(graph, "random", seed=4)
+    leaders = cluster_leaders(clusters)
+    order, offsets = cluster_members(clusters, leaders)
+    args = (graph, clusters, leaders, order, offsets)
+    kernel = one_pass_contraction._kernel_step(*args)
+    oracle = one_pass_contraction._oracle_step(*args)
+    hubs = DecodeCalls(graph) if kind == "hubs" else None
+    chunks = 0
+    for size in (1, 7, 64):
+        for start in range(0, len(leaders), size):
+            idx = np.arange(start, min(start + size, len(leaders)), dtype=np.int64)
+            got, want = kernel(idx), oracle(idx)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert np.array_equal(a, b)
+            chunks += 1
+    if hubs is not None:  # the oracle decodes every chunk, the kernel those with a hub
+        assert chunks < hubs.calls < 2 * chunks
+
+
+@needs_kernel
+@pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
+def test_every_way_of_ordering_a_neighbourhood(compressed):
+    """A coarse vertex's labels come out in order by insertion sort (up to
+    16), by a bitmap over their id range (many labels in a narrow range),
+    or by the C library's sort (labels spread thin over a wide range): five
+    hubs of 17 to 600 neighbours strewn over 20 000 ids take all three."""
+    n, rng = 20_000, np.random.default_rng(8)
+    rows = []
+    for hub, degree in enumerate((17, 20, 40, 100, 600)):
+        for v in rng.choice(np.arange(5, n), size=degree, replace=False).tolist():
+            rows.append((hub, v, int(rng.integers(1, 9))))
+    graph = csr(n, both_ways(rows))
+    if compressed:
+        graph = compress_graph(graph)
+    for kind in ("identity", "random"):
+        clusters, weights = clustering(graph, kind, seed=1)
+        assert_same_contraction(
+            graph, clusters, weights, contract_buffered, lambda g: context(g, kaminpar)
+        )
+        assert_same_contraction(graph, clusters, weights, contract_one_pass, context)
+
+
+@needs_kernel
+def test_the_empty_graph():
+    graph = CSRGraph(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    none = np.empty(0, dtype=np.int64)
+    for contract in (contract_buffered, contract_one_pass):
+        out = assert_same_contraction(graph, none, none, contract, context)
+        assert out.coarse.n == 0 and out.coarse.num_directed_edges == 0
+
+
+@st.composite
+def small_clustered_graphs(draw):
+    """A graph of at most 12 vertices, weights that may be zero, and any
+    clustering of it whose labels are vertex ids."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(chosen), max_size=len(chosen)))
+    vwgt = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    graph = csr(n, both_ways([(u, v, w) for (u, v), w in zip(chosen, weights)]), vwgt)
+    clusters = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    cluster_weights = np.zeros(n, dtype=np.int64)
+    np.add.at(cluster_weights, clusters, vwgt)
+    return graph, clusters, cluster_weights, draw(st.booleans())
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(small_clustered_graphs())
+def test_kernel_equals_oracle_on_arbitrary_small_graphs(case):
+    graph, clusters, weights, compressed = case
+    if compressed:
+        graph = compress_graph(graph)
+    for contract in (contract_buffered, contract_one_pass):
+        ctx_of = lambda g: context(g, chunk_size=3)  # noqa: E731
+        assert_same_contraction(graph, clusters, weights, contract, ctx_of)
+
+
+# --------------------------------------------------------------------- #
+# the leader scan and the member lists
+# --------------------------------------------------------------------- #
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 40).flatmap(
+        lambda n: st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+    )
+)
+def test_leaders_and_members_equal_unique_and_stable_argsort(labels):
+    labels = np.array(labels, dtype=np.int64)
+    leaders = cluster_leaders(labels)
+    assert np.array_equal(leaders, np.unique(labels)) and leaders.dtype == np.int64
+    want = np.argsort(labels, kind="stable")
+    for paths in (cluster_members, lambda *a: on_oracle(cluster_members, *a)):
+        order, offsets = paths(labels, leaders)
+        assert np.array_equal(order, want)
+        assert np.array_equal(offsets, np.searchsorted(labels[want], [*leaders, len(labels)]))
+
+
+@pytest.mark.parametrize("bad", [-1, 16, 1 << 40, -(1 << 62)])
+@pytest.mark.parametrize("contract", [contract_buffered, contract_one_pass])
+@pytest.mark.parametrize("path", ["kernel", "oracle"])
+def test_a_label_that_is_no_vertex_id_is_refused(bad, contract, path):
+    """Unchecked, a negative label indexes from the end: either contraction
+    returns a 9-vertex coarse graph (vertex 3 as coarse vertex 0, its weight
+    charged to cluster 15; one-pass's is asymmetric), and a label past the
+    end is an ``IndexError``.  The leader scan names the vertex instead."""
+    graph = gen.path(16)
+    clusters = np.repeat(np.arange(0, 16, 2, dtype=np.int64), 2)
+    weights = np.bincount(clusters, minlength=16).astype(np.int64)
+    clusters[3] = bad
+    run = contract if path == "kernel" else lambda *a: on_oracle(contract, *a)
+    with pytest.raises(ValueError, match=f"vertex 3 has cluster label {bad}, not a vertex id"):
+        run(graph, clusters, weights, context(graph))
+
+
+# --------------------------------------------------------------------- #
+# the contract in the C header
+# --------------------------------------------------------------------- #
+FILL = 0x5A  # what Guarded fills every int64 entry with
+
+
+class Raw:
+    """``repro_contract_chunk`` called the way ``lp_chunk`` calls it for a
+    whole level (dense coarse ids as labels, groups in leader order), minus
+    its checks, on arrays a test may corrupt, with every output and the
+    rating map guarded.  ``out_short`` / ``map_short`` take that many entries
+    off the capacities handed over."""
+
+    def __init__(self, graph, clusters) -> None:
+        self.n = graph.n
+        fine_to_coarse, leaders, self.label_count = _dense_remap(clusters)
+        self.labels = fine_to_coarse.copy()
+        self.members, self.groups = cluster_members(clusters, leaders)
+        self.own = np.arange(self.label_count, dtype=np.int64)
+        self.info = np.zeros(2, dtype=np.int64)
+        self._adjacency(graph)
+
+    def _adjacency(self, graph):
+        self.adj = graph.adjncy.copy()
+        self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
+        self.starts = graph.indptr[self.members]
+        self.degs = graph.indptr[self.members + 1] - self.starts
+
+    def _segments(self):
+        return (
+            self.n, self.members.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
+            len(self.members), self.adj.ctypes.data, self.wgt.ctypes.data, 0, len(self.adj),
+        )  # fmt: skip
+
+    def _stream(self, out):
+        return None
+
+    def __call__(self, out_short=0, map_short=0):
+        out = self.out = Guarded()
+        cap = self.label_count - map_short
+        maps = [out.ptr(size, np.int64) for size in (self.label_count, cap, cap)]
+        out.inside(0)[:] = 0
+        room = int(self.degs.sum()) - out_short
+        pairs = [out.ptr(room, np.int64) for _ in range(2)]
+        rc = _native.contraction_kernels()[0](
+            *self._segments(), self.label_count, self.labels.ctypes.data, *maps, cap,
+            self.groups.ctypes.data, self.own.ctypes.data, len(self.own), *pairs, room,
+            out.ptr(len(self.own), np.int64), self.info.ctypes.data, self._stream(out),
+        )  # fmt: skip
+        out.check()
+        assert not out.inside(0).any(), "rating map left dirty"
+        return rc
+
+    def written(self) -> int:
+        """Entries of the pair outputs that no longer hold the fill."""
+        return int(sum((self.out.inside(i) != FILL).sum() for i in (3, 4)))
+
+
+class RawStream(Raw):
+    """The same call with the compressed source, a one-neighbourhood scratch
+    sized for the largest degree."""
+
+    def _adjacency(self, graph):
+        data, offsets = graph.stream()
+        self.data, self.offsets = data.copy(), offsets.copy()
+        self.degs = graph.degrees[self.members].copy()
+        self.weighted = graph.has_edge_weights
+        self.intervals = graph.config.enable_intervals
+
+    def _segments(self):
+        return (
+            self.n, self.members.ctypes.data, None, self.degs.ctypes.data, len(self.members),
+            None, None, 1, 0,
+        )  # fmt: skip
+
+    def _stream(self, out):
+        cap = int(self.degs.max())
+        pairs = 2 * (cap // 3)
+        self.block = _native.Stream(
+            self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
+            out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
+            out.ptr(pairs, np.int64), pairs,
+        )  # fmt: skip
+        return ctypes.addressof(self.block)
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    graph = weighted(gen.rgg2d(300, 8.0, seed=1), "random", "random")
+    return graph, clustering(graph, "random", seed=2)[0]
+
+
+def refused(raw, code, at=None):
+    assert raw() == code
+    if at is not None:
+        assert raw.info[1] == at
+
+
+@needs_kernel
+class TestKernelContract:
+    """``repro_contract_chunk`` defends itself: an id it cannot index, group
+    offsets that leave the chunk or an output one entry short come back as an
+    error code naming the chunk vertex, nothing is written outside the
+    capacities passed in and the rating map is zero again."""
+
+    def test_a_clean_call_is_the_oracle(self, mesh):
+        graph, clusters = mesh
+        raw = Raw(graph, clusters)
+        fine_to_coarse = raw.labels.copy()
+        cu, cv, w = aggregate_coarse_edges(graph, fine_to_coarse, raw.label_count)
+        assert raw() == len(cv)
+        assert np.array_equal(raw.out.inside(3)[: len(cv)], cv)
+        assert np.array_equal(raw.out.inside(4)[: len(cv)], w)
+        assert np.array_equal(raw.out.inside(5), np.bincount(cu, minlength=raw.label_count))
+
+    @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
+    def test_chunk_id_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(*mesh)
+        raw.members[40] = bad
+        refused(raw, -1, at=40)
+
+    @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
+    def test_neighbour_id_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(*mesh)
+        at = int(np.flatnonzero(raw.degs > 1)[5])
+        raw.adj[raw.starts[at] + 1] = bad
+        refused(raw, -3, at=at)
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 33, -(1 << 62)])
+    def test_label_out_of_range_is_refused(self, mesh, bad):
+        raw = Raw(*mesh)
+        at = int(np.flatnonzero(raw.degs > 1)[5])
+        v = raw.adj[raw.starts[at] + 1]
+        first = min(  # the first member, in chunk order, that rates v
+            i for i in range(len(raw.members))
+            if v in raw.adj[raw.starts[i] : raw.starts[i] + raw.degs[i]]
+        )  # fmt: skip
+        raw.labels[v] = bad
+        refused(raw, -4, at=first)
+        raw = Raw(*mesh)  # a group's own label, named by its first member
+        raw.own[9] = raw.label_count
+        refused(raw, -4, at=int(raw.groups[9]))
+
+    def test_segment_past_the_adjacency_is_refused(self, mesh):
+        for corrupt in (
+            lambda raw: raw.degs.__setitem__(9, len(raw.adj) - int(raw.starts[9]) + 1),
+            lambda raw: raw.starts.__setitem__(9, -1),
+            lambda raw: raw.starts.__setitem__(9, (1 << 63) - 1),
+        ):
+            raw = Raw(*mesh)
+            corrupt(raw)
+            refused(raw, -2, at=9)
+        raw = Raw(*mesh)  # a negative degree: refused before anything is written
+        raw.degs[9] = -1
+        refused(raw, -2, at=9)
+        assert raw.written() == 0
+
+    def test_group_offsets_outside_the_chunk_are_refused(self, mesh):
+        for corrupt in (
+            lambda raw: raw.groups.__setitem__(4, raw.groups[3] - 1),  # runs down
+            lambda raw: raw.groups.__setitem__(-1, raw.groups[-1] + 1),  # past the chunk
+            lambda raw: raw.groups.__setitem__(0, -(1 << 62)),  # a difference overflows
+            lambda raw: raw.groups.__setitem__(slice(1, None), 1 << 62),
+        ):
+            raw = Raw(*mesh)
+            corrupt(raw)
+            assert raw() == -2
+        raw = Raw(*mesh)  # rebased on groups[0]: a shifted array is the same groups
+        want = raw()
+        raw.groups += 1 << 40
+        assert raw() == want > 0
+
+    def test_capacity_one_short_is_refused_before_anything_is_written(self, mesh):
+        raw = Raw(*mesh)
+        assert raw(out_short=1) == -5 and raw.written() == 0
+        # a rating map with one seen slot, and groups that see more labels
+        raw = Raw(*mesh)
+        assert raw(map_short=raw.label_count - 1) == -5
+
+    @pytest.mark.parametrize("intervals", [True, False], ids=["intervals", "no-intervals"])
+    def test_decoding_as_rated_equals_the_segments(self, mesh, intervals):
+        graph, clusters = mesh
+        segments = Raw(graph, clusters)
+        stream = RawStream(compress_graph(graph, enable_intervals=intervals), clusters)
+        assert segments() == stream() > 0
+        for i in (3, 4, 5):
+            assert np.array_equal(segments.out.inside(i), stream.out.inside(i))
+
+    def test_byte_mutations_never_write_outside(self, mesh):
+        """Flipped bits of the compressed stream: a run or a code the decoder
+        names, canaries intact, the rating map zero."""
+        graph, clusters = mesh
+        cg = compress_graph(graph)
+        rng = np.random.default_rng(6)
+        allowed = {_native.DECODE_ERROR + code for code in _native.ERRORS}
+        codes = set()
+        for _ in range(100):
+            raw = RawStream(cg, clusters)
+            raw.data[int(rng.integers(len(raw.data)))] ^= 1 << int(rng.integers(8))
+            rc = raw()
+            codes.add(rc if rc < 0 else 0)
+            assert rc >= 0 or rc in allowed, rc
+        assert len(codes) >= 3, codes
+
+
+@needs_kernel
+class TestGroupByLabel:
+    def test_a_label_out_of_range_names_its_vertex(self):
+        labels = np.array([0, 2, 2, 5, 1], dtype=np.int64)
+        with pytest.raises(ValueError, match="cluster or block id out of range at vertex 3"):
+            cluster_members(labels, np.array([0, 1, 2]))
+        members = np.full(5, 7, dtype=np.int64)
+        offsets = np.full(6, 7, dtype=np.int64)
+        info = np.zeros(2, dtype=np.int64)
+        rc = _native.contraction_kernels()[1](
+            labels.ctypes.data, 5, 5, offsets.ctypes.data, members.ctypes.data, info.ctypes.data
+        )
+        assert (rc, int(info[1])) == (-4, 3) and (members == 7).all()
+
+
+@needs_kernel
+class TestCorruptGraph:
+    """Through either contraction a level the kernel refuses is a
+    ``ValueError`` naming the vertex -- never a trap."""
+
+    @pytest.mark.parametrize("contract", [contract_buffered, contract_one_pass])
+    def test_neighbour_out_of_range(self, contract):
+        graph = gen.rgg2d(300, 8.0, seed=1)
+        graph.adjncy[graph.indptr[17]] = 1 << 40  # after the constructor's check
+        clusters, weights = clustering(graph, "random")
+        with pytest.raises(ValueError, match="neighbor id out of range at vertex 17 "):
+            contract(graph, clusters, weights, context(graph))
+
+    @pytest.mark.parametrize("contract", [contract_buffered, contract_one_pass])
+    def test_byte_mutations_of_a_compressed_graph(self, contract):
+        cg = compress_graph(weighted(gen.weblike(400, 7.0, seed=5), "random", "unit"))
+        clusters, weights = clustering(cg, "random")
+        rng = np.random.default_rng(3)
+        outcomes = set()
+        for _ in range(40):
+            data = bytearray(cg.data)
+            data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+            bad = _clone(cg, data=data)
+            try:
+                contract(bad, clusters.copy(), weights.copy(), context(bad))
+                outcomes.add("ran")
+            except ValueError as exc:
+                outcomes.add(str(exc).split(" at vertex")[0])
+        assert "ran" in outcomes and outcomes & set(_native.ERRORS.values()), outcomes
+
+
+@needs_kernel
+def test_a_hub_free_compressed_graph_is_never_decoded_first():
+    """Only a chunk holding a hub is decoded before the kernel rates it (the
+    LP rule): contracting a hub-free compressed graph, either way, calls
+    ``decode_chunk`` not once."""
+    measured_decode_work_factor()  # its probe decodes; not this test's business
+    graph = compress_graph(gen.weblike(600, 8.0, seed=1))
+    clusters, weights = clustering(graph, "random")
+    with pytest.MonkeyPatch.context() as m:
+        calls = []
+        decode = CompressedGraph.decode_chunk
+        m.setattr(CompressedGraph, "decode_chunk", lambda g, c: calls.append(1) or decode(g, c))
+        contract_one_pass(graph, clusters, weights, context(graph))
+        contract_buffered(graph, clusters, weights, context(graph, kaminpar))
+    assert calls == []

@@ -435,7 +435,9 @@ def test_track_scratch_does_not_charge_the_rating_map_twice(monkeypatch):
     names = [name for name, _, _ in charged]
     assert names.count("shared-sparse-array") == names.count("nonzero-buffers") == 1
     in_scratch = {name: nbytes for name, nbytes, category in charged if category == "scratch"}
-    assert set(in_scratch) == {"lp-chunk-out"}  # the per-chunk outputs, chunk-sized
+    # the per-chunk outputs, chunk-sized, and the leader scan's byte a vertex
+    assert set(in_scratch) == {"lp-chunk-out", "cluster-leader-marks"}
+    assert in_scratch["cluster-leader-marks"] == graph.n
     assert max(in_scratch.values()) < 8 * graph.n
 
 

@@ -29,7 +29,10 @@ from repro.core.config import terapart
 from repro.graph import _native
 from repro.graph.generators import weblike
 loaded = _native.available()
-accessors = (_native.decode_kernel, _native.bisection_kernels, _native.lp_kernels)
+accessors = (
+    _native.decode_kernel, _native.bisection_kernels, _native.lp_kernels,
+    _native.contraction_kernels,
+)
 assert {accessor() is not None for accessor in accessors} == {loaded}
 assert sorted(_native.library() or _native.SIGNATURES) == sorted(_native.SIGNATURES)
 print(loaded)
@@ -97,7 +100,7 @@ def test_library_missing_a_symbol_is_not_used(tmp_path, fallback_answer):
     cc = shutil.which("cc") or shutil.which("gcc")
     procs = [
         _spawn(tmp_path / symbol, CC=f"{cc} -D{symbol}={symbol}_renamed")
-        for symbol in ("repro_fm2way", "repro_lp_refine_chunk")
+        for symbol in ("repro_fm2way", "repro_lp_refine_chunk", "repro_contract_chunk")
     ]
     for proc in procs:
         loaded, answer = _finish(proc)

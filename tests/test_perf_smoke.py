@@ -340,3 +340,65 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
         # nor is a chunk of the (hub-free) compressed graph decoded first:
         # the kernel decodes each neighbourhood as it rates it
         assert calls["decode_chunk"] == 0, (kind, calls)
+
+
+# Contraction is the rating map too (lp_kernel.c's repro_contract_chunk):
+# buffered contraction is one compiled call a level, one-pass one a chunk,
+# and neither sorts coarse edge keys or gathers member lists in numpy.  Those
+# pipelines stay as oracle and fallback, silent like LP's, so a change that
+# loses the kernel path fails here by count.  With the kernel hidden the same
+# partitions must reach them, or this guard guards nothing.
+CONTRACTION_PIPELINE = (
+    ("kernels", "repro.core.kernels.contraction", "aggregate_coarse_edges"),
+    ("kernels", "repro.core.kernels.contraction", "gather_cluster_members"),
+    ("coarsening", "repro.core.coarsening.contraction", "aggregate_coarse_edges"),
+)
+
+
+def _count_contraction_pipeline(monkeypatch, graph, preset):
+    """Calls of each ``CONTRACTION_PIPELINE`` function (under every module
+    name it is bound to) made by one ``partition``."""
+    import sys
+    from collections import Counter
+
+    import repro
+
+    calls = Counter()
+    with monkeypatch.context() as m:
+        for layer, home, name in CONTRACTION_PIPELINE:
+            original = getattr(sys.modules[home], name)
+
+            def counted(*args, _key=f"{layer}.{name}", _fn=original, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            for module in [mod for key, mod in sys.modules.items() if key.startswith("repro")]:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        m.setattr(module, attr, counted)
+        repro.partition(graph, 8, preset(seed=1))
+    return calls
+
+
+def test_contraction_is_one_compiled_call(monkeypatch):
+    import pytest
+    from repro.core.config import kaminpar, terapart
+
+    graph = weblike(5000, avg_degree=10, seed=1)
+    presets = {"kaminpar": kaminpar, "terapart": terapart}  # buffered, one-pass
+    for name, preset in presets.items():
+        with monkeypatch.context() as m:
+            m.setattr(_native, "contraction_kernels", lambda: None)
+            oracle = _count_contraction_pipeline(m, graph, preset)
+        reached = {"kaminpar": ["coarsening.aggregate_coarse_edges"]}.get(
+            name, ["kernels.aggregate_coarse_edges", "kernels.gather_cluster_members"]
+        )
+        assert all(oracle[key] > 0 for key in reached), (name, oracle)
+    if _native.contraction_kernels() is None:
+        pytest.skip("no compiled contraction (no C compiler, or REPRO_NATIVE=0)")
+    for name, preset in presets.items():
+        calls = _count_contraction_pipeline(monkeypatch, graph, preset)
+        assert not +calls, (
+            f"{name}: contraction fell back to the numpy pipeline ({dict(calls)}); "
+            f"did a change make lp_chunk.contraction_step refuse the level?"
+        )
