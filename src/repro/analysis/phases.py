@@ -128,8 +128,9 @@ def _is_span_site(node: ast.Call) -> str | None:
     if attr == "phase" and (
         recv in ("ctx", "tracker") or "tracker" in recv or "tracer" in recv
     ):
-        # "tracer" receivers cover the distributed driver, which threads a
-        # ClusterObserver under that name (ctx wraps the shared-memory one)
+        # "tracer" receivers cover the distributed driver, which threads its
+        # ClusterObserver (one span mirrored onto every rank's SpanTracer)
+        # under that name; ctx wraps the shared-memory tracer
         return "phase"
     return None
 

@@ -1,9 +1,11 @@
 """Distributed partitioner benchmark: the ``dist`` kind's cell function.
 
 One cell runs :func:`~repro.dist.dpartitioner.dpartition` on a simulated
-system with the :class:`~repro.obs.dist.cluster.ClusterObserver` enabled
-and folds the result plus its memory-ratio report into the flat ``run``
-section of a ``dist``-kind run-DB row.  The metrics the kind gates
+system with tracing on (``DistConfig.obs``) and folds the result plus the
+memory-ratio report frozen into ``result.obs`` into the flat ``run``
+section of a ``dist``-kind run-DB row.  The report's traffic is the
+communicator's one ledger (``result.comm``), so the row's ``comm_*``
+figures are the same numbers the cost model reads.  The metrics the kind gates
 (:data:`~repro.obs.regress.rundb.KINDS`) carry the paper's distributed
 claims:
 

@@ -186,7 +186,6 @@ def dpartition(
     compressed: bool = False,
     config: DistConfig | None = None,
     sm_config: PartitionerConfig | None = None,
-    observer=None,
 ) -> DistPartitionResult:
     """Partition ``graph`` on a simulated cluster of ranks.
 
@@ -195,13 +194,13 @@ def dpartition(
     the result's ``oom`` flag reports whether any rank exceeded the budget
     (the per-node 256 GiB constraint of Fig. 8).
 
-    With ``config.obs.enabled`` (or an explicit ``observer``), the run is
-    traced by a :class:`~repro.obs.dist.cluster.ClusterObserver`: every
-    driver phase is mirrored onto per-rank span trees coupled to the rank
-    ledgers, every collective is attributed to its phase, and the result
+    With ``config.obs.enabled``, the run is traced by a
+    :class:`~repro.obs.dist.cluster.ClusterObserver`: every driver phase is
+    mirrored onto per-rank span trees coupled to the rank ledgers, every
+    collective is attributed to the span that issued it, and the result
     carries the observer (``trace``) plus the memory-ratio registry
-    (``obs``).  Tracing never perturbs the partition (bit-identical,
-    tested).
+    (``obs``), frozen at return from the communicator's ledger.  Tracing
+    never perturbs the partition (bit-identical, tested).
     """
     cfg = config or DistConfig()
     comm = (
@@ -209,12 +208,7 @@ def dpartition(
         if isinstance(comm_or_ranks, SimComm)
         else SimComm(comm_or_ranks)
     )
-    if observer is not None:
-        tracer = observer
-    elif cfg.obs.enabled:
-        tracer = ClusterObserver(comm)
-    else:
-        tracer = NULL_CLUSTER_OBSERVER
+    tracer = ClusterObserver(comm) if cfg.obs.enabled else NULL_CLUSTER_OBSERVER
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
 

@@ -1,20 +1,16 @@
 """Distributed observability: per-rank span trees rolled up cluster-wide.
 
-One :class:`ClusterObserver` mirrors every driver phase onto one
+One :class:`ClusterObserver` mirrors every driver phase onto one ordinary
 :class:`~repro.obs.tracer.SpanTracer` per rank (each coupled to that rank's
-:class:`~repro.memory.tracker.MemoryTracker` on the :class:`SimComm`),
-instruments every collective with per-phase raw-vs-varint byte accounting,
-and collapses into the merged Chrome trace, the cluster memory waterfall,
-and the memory-ratio report.  See DESIGN.md §12.
+:class:`~repro.memory.tracker.MemoryTracker` on the :class:`SimComm`).
+Traffic is counted once, by the communicator's ledger
+(:class:`~repro.dist.comm.CommStats`), which also tags rank 0's open span
+with each collective's raw / varint bytes; the roll-ups read that span
+tree and the ledger into the merged Chrome trace, the cluster memory
+waterfall, and the memory-ratio report.  See DESIGN.md §12.
 """
 
-from repro.obs.dist.cluster import (
-    NULL_CLUSTER_OBSERVER,
-    ClusterObserver,
-    CommEvent,
-    NullClusterObserver,
-    varint_payload_nbytes,
-)
+from repro.obs.dist.cluster import ClusterObserver
 from repro.obs.dist.report import (
     dist_obs_registry,
     memory_ratio_report,
@@ -22,7 +18,6 @@ from repro.obs.dist.report import (
 )
 from repro.obs.dist.rollup import (
     cluster_chrome_trace,
-    cluster_chrome_trace_events,
     cluster_rollup,
     cluster_waterfall,
     write_cluster_trace,
@@ -30,16 +25,11 @@ from repro.obs.dist.rollup import (
 
 __all__ = [
     "ClusterObserver",
-    "CommEvent",
-    "NULL_CLUSTER_OBSERVER",
-    "NullClusterObserver",
     "cluster_chrome_trace",
-    "cluster_chrome_trace_events",
     "cluster_rollup",
     "cluster_waterfall",
     "dist_obs_registry",
     "memory_ratio_report",
     "render_memory_ratio",
-    "varint_payload_nbytes",
     "write_cluster_trace",
 ]

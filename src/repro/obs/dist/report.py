@@ -12,14 +12,19 @@ The distributed experiments stand on two quantitative claims:
   comm/compute byte ratio per level (traffic over resident shard bytes).
 
 Everything here is pure aggregation over a finished
-:class:`~repro.obs.dist.cluster.ClusterObserver`; the per-rank peaks come
-from the rank ledgers themselves, not a re-derivation.
+:class:`~repro.obs.dist.cluster.ClusterObserver`: the totals and the
+per-kind split are the communicator's one ledger
+(:class:`~repro.dist.comm.CommStats`), the per-phase and per-level split
+reads rank 0's span counters
+(:func:`~repro.obs.dist.rollup.attribute_traffic`), and the per-rank peaks
+come from the rank ledgers themselves.
 """
 
 from __future__ import annotations
 
-from repro.obs.dist.rollup import cluster_rollup
 from repro.memory.report import fmt_bytes
+from repro.obs.dist.rollup import COMM_FIELDS, attribute_traffic, cluster_rollup
+from repro.obs.tracer import normalize_phase
 
 REPORT_SCHEMA = 1
 
@@ -27,23 +32,32 @@ REPORT_SCHEMA = 1
 def memory_ratio_report(observer) -> dict:
     """Condense a finished observer into the memory-ratio report dict."""
     comm = observer.comm
+    stats = comm.stats
     size = comm.size
     peaks = [int(p) for p in comm.rank_peaks()]
     total_peak = sum(peaks)
     mean_peak = total_peak / size if size else 0.0
-    totals = observer.comm_totals()
-    raw = sum(e["raw_bytes"] for e in totals.values())
-    varint = sum(e["varint_bytes"] for e in totals.values())
-    msgs = sum(e["messages"] for e in totals.values())
+    raw, varint = stats.bytes_sent, stats.varint_bytes
+
+    tagged, untagged = attribute_traffic(observer)
+    per_phase: dict[str, dict[str, int]] = {}
+    comm_lv: dict[int | None, dict[str, int]] = {}
+    for span, level, traffic in tagged:
+        by_phase = per_phase.setdefault(
+            normalize_phase(span.name), dict.fromkeys(COMM_FIELDS, 0)
+        )
+        by_lv = comm_lv.setdefault(level, dict.fromkeys(COMM_FIELDS, 0))
+        for f in COMM_FIELDS:
+            by_phase[f] += traffic[f]
+            by_lv[f] += traffic[f]
+    if any(untagged.values()):
+        per_phase = {"(untagged)": untagged, **per_phase}
 
     by_level = {lv["level"]: lv for lv in observer.levels}
-    comm_lv = observer.comm_by_level()
     per_level = []
     for level in sorted(by_level):
         lv = by_level[level]
-        c = comm_lv.get(
-            level, {"raw_bytes": 0, "varint_bytes": 0, "messages": 0}
-        )
+        c = comm_lv.get(level, dict.fromkeys(COMM_FIELDS, 0))
         shard_bytes = lv["shard_bytes"]
         per_level.append(
             {
@@ -78,14 +92,23 @@ def memory_ratio_report(observer) -> dict:
         "comm": {
             "raw_bytes": raw,
             "varint_bytes": varint,
-            "messages": msgs,
-            "supersteps": comm.stats.supersteps,
+            "messages": stats.messages,
+            "supersteps": stats.supersteps,
             "compression_ratio": (varint / raw) if raw else 1.0,
-            "by_kind": totals,
+            "by_kind": {
+                kind: {
+                    "calls": ks.calls,
+                    "messages": ks.messages,
+                    "raw_bytes": ks.bytes_sent,
+                    "varint_bytes": ks.varint_bytes,
+                }
+                for kind, ks in stats.by_kind.items()
+            },
         },
-        "per_phase": observer.comm_by_phase(),
+        "per_phase": per_phase,
         "per_level": per_level,
-        "counters": dict(observer.counters),
+        # cluster counters live on rank 0's tracer (obs/dist/cluster.py)
+        "counters": dict(observer.rank_tracers[0].counters),
     }
 
 

@@ -1,5 +1,8 @@
 """Roll all ranks of a distributed run up into cluster-wide artifacts.
 
+* :func:`attribute_traffic` — the attribution rule: rank 0's span tree
+  carries each collective's traffic on the span that was innermost when it
+  was issued; what no span carried is untagged.
 * :func:`cluster_chrome_trace` — one Chrome-trace document with one process
   track per rank (``pid = rank + 1``) plus a ``pid 0`` cluster track
   carrying cumulative COMM counters (raw vs varint bytes, messages), all on
@@ -20,9 +23,45 @@ from repro.obs.export import chrome_trace_events
 #: pid of the cluster-wide COMM counter track (ranks are pid 1..size)
 CLUSTER_PID = 0
 
+#: the traffic fields SimComm adds (as ``comm.<field>``) to rank 0's spans
+COMM_FIELDS = ("raw_bytes", "varint_bytes", "messages")
 
-def cluster_chrome_trace_events(observer) -> list[dict]:
-    """The flat ``traceEvents`` list for a finished cluster observer."""
+
+def attribute_traffic(observer) -> tuple[list[tuple], dict[str, int]]:
+    """Split the ledger's traffic over rank 0's span tree.
+
+    Returns one ``(span, level, traffic)`` per span that carried traffic,
+    in the order the spans closed -- ``level`` is the nearest levelled
+    ancestor's (the span itself included; ``None`` outside any), ``traffic``
+    the span's own raw / varint bytes and messages -- and the untagged
+    rest: the ledger's totals minus what the spans carried (traffic issued
+    before the tracer was attached, or outside every span).
+    """
+    spans = observer.rank_tracers[0].spans
+    tagged = []
+    for span in sorted(spans, key=lambda s: s.t_end):
+        if "comm.messages" not in span.counters:
+            continue
+        anc = span
+        while anc.level is None and anc.parent >= 0:
+            anc = spans[anc.parent]
+        traffic = {f: span.counters.get(f"comm.{f}", 0) for f in COMM_FIELDS}
+        tagged.append((span, anc.level, traffic))
+    stats = observer.comm.stats
+    totals = (stats.bytes_sent, stats.varint_bytes, stats.messages)
+    untagged = {
+        f: total - sum(traffic[f] for _, _, traffic in tagged)
+        for f, total in zip(COMM_FIELDS, totals)
+    }
+    return tagged, untagged
+
+
+def cluster_chrome_trace(observer) -> dict:
+    """The merged Chrome trace of a finished cluster observer.
+
+    Its COMM track starts at the untagged traffic (ts 0) and steps up at
+    every traffic-carrying span's close, so it ends at the ledger's totals.
+    """
     events: list[dict] = []
     for rank, tracer in enumerate(observer.rank_tracers):
         events.extend(
@@ -40,39 +79,29 @@ def cluster_chrome_trace_events(observer) -> list[dict]:
             "args": {"name": "cluster-comm"},
         }
     )
-    raw = varint = msgs = 0
-    for ev in sorted(observer.comm_events, key=lambda e: e.t):
-        raw += ev.raw_bytes
-        varint += ev.varint_bytes
-        msgs += ev.messages
-        events.append(
-            {
-                "name": "comm-bytes",
-                "ph": "C",
-                "ts": ev.t * 1e6,
-                "pid": CLUSTER_PID,
-                "tid": 0,
-                "args": {"raw": raw, "varint": varint},
-            }
-        )
-        events.append(
-            {
-                "name": "comm-messages",
-                "ph": "C",
-                "ts": ev.t * 1e6,
-                "pid": CLUSTER_PID,
-                "tid": 0,
-                "args": {"messages": msgs},
-            }
-        )
-    return events
-
-
-def cluster_chrome_trace(observer) -> dict:
-    return {
-        "traceEvents": cluster_chrome_trace_events(observer),
-        "displayTimeUnit": "ms",
-    }
+    tagged, untagged = attribute_traffic(observer)
+    steps = [(0.0, untagged)]
+    steps += [(span.t_end, traffic) for span, _, traffic in tagged]
+    total = dict.fromkeys(COMM_FIELDS, 0)
+    for t, traffic in steps:
+        for f in COMM_FIELDS:
+            total[f] += traffic[f]
+        raw_varint = {"raw": total["raw_bytes"], "varint": total["varint_bytes"]}
+        for name, args in (
+            ("comm-bytes", raw_varint),
+            ("comm-messages", {"messages": total["messages"]}),
+        ):
+            events.append(
+                {
+                    "name": name,
+                    "ph": "C",
+                    "ts": t * 1e6,
+                    "pid": CLUSTER_PID,
+                    "tid": 0,
+                    "args": args,
+                }
+            )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def write_cluster_trace(path, observer) -> None:

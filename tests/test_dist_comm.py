@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist.comm import SimComm, _nbytes
+from repro.dist.comm import SimComm, payload_nbytes
 
 
 class TestCollectives:
@@ -82,29 +82,29 @@ class TestStats:
 
 
 class TestPayloadSizing:
-    """``_nbytes`` against hand-computed wire sizes."""
+    """``payload_nbytes`` against hand-computed wire sizes."""
 
     def test_array_is_true_buffer_size(self):
-        assert _nbytes(np.zeros(10, dtype=np.int64)) == 80
-        assert _nbytes(np.zeros(10, dtype=np.int32)) == 40
-        assert _nbytes(np.zeros((3, 4), dtype=np.float64)) == 96
-        assert _nbytes(np.empty(0, dtype=np.int64)) == 0
+        assert payload_nbytes(np.zeros(10, dtype=np.int64)) == 80
+        assert payload_nbytes(np.zeros(10, dtype=np.int32)) == 40
+        assert payload_nbytes(np.zeros((3, 4), dtype=np.float64)) == 96
+        assert payload_nbytes(np.empty(0, dtype=np.int64)) == 0
 
     def test_buffers_and_scalars(self):
-        assert _nbytes(b"abcd") == 4
-        assert _nbytes(bytearray(7)) == 7
-        assert _nbytes(True) == 1
-        assert _nbytes(np.bool_(False)) == 1
-        assert _nbytes(3) == 8
-        assert _nbytes(2.5) == 8
-        assert _nbytes(np.int32(3)) == 8
-        assert _nbytes("héllo") == len("héllo".encode("utf-8"))
-        assert _nbytes(None) == 0
+        assert payload_nbytes(b"abcd") == 4
+        assert payload_nbytes(bytearray(7)) == 7
+        assert payload_nbytes(True) == 1
+        assert payload_nbytes(np.bool_(False)) == 1
+        assert payload_nbytes(3) == 8
+        assert payload_nbytes(2.5) == 8
+        assert payload_nbytes(np.int32(3)) == 8
+        assert payload_nbytes("héllo") == len("héllo".encode("utf-8"))
+        assert payload_nbytes(None) == 0
 
     def test_containers_recurse(self):
         payload = [np.zeros(5, dtype=np.int64), (1, 2.0), None]
-        assert _nbytes(payload) == 40 + 16 + 0
-        assert _nbytes({"k": np.zeros(2, dtype=np.int64)}) == 1 + 16
+        assert payload_nbytes(payload) == 40 + 16 + 0
+        assert payload_nbytes({"k": np.zeros(2, dtype=np.int64)}) == 1 + 16
 
     def test_alltoallv_traffic_hand_computed(self):
         comm = SimComm(3)

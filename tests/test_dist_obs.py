@@ -7,6 +7,9 @@ The acceptance claims pinned here:
   byte-for-byte (the PR 3 invariant, per rank),
 * the memory ratio stays <= 2.0 at 4 ranks on the smoke matrix,
 * compressed (varint) ghost-exchange bytes are strictly below raw,
+* traffic is counted once (``SimComm.stats``): the report's totals are
+  ``result.comm``, and its per-phase, per-kind and per-level splits each
+  add up to them,
 * tracing never perturbs the computation: traced and untraced runs are
   bit-identical,
 * the distributed driver at ranks {1, 2, 4} produces valid, balanced
@@ -22,8 +25,10 @@ from repro.bench.instances import Instance, load_instance
 from repro.core import config as C
 from repro.core.config import DistObsConfig
 from repro.core.partitioner import partition as sm_partition
-from repro.dist.comm import SimComm
+from repro.dist import comm as comm_mod
+from repro.dist.comm import SimComm, payload_nbytes
 from repro.dist.dpartitioner import DistConfig, dpartition
+from repro.graph.generators import grid2d
 from repro.obs.dist import (
     ClusterObserver,
     cluster_chrome_trace,
@@ -31,13 +36,29 @@ from repro.obs.dist import (
     cluster_waterfall,
     memory_ratio_report,
     render_memory_ratio,
-    varint_payload_nbytes,
     write_cluster_trace,
 )
-from repro.obs.dist.rollup import CLUSTER_PID
+from repro.obs.dist.rollup import CLUSTER_PID, COMM_FIELDS, attribute_traffic
 
 K = 8
 OBS_CFG = DistConfig(obs=DistObsConfig(enabled=True))
+
+
+def varint_payload_nbytes(obj) -> int:
+    return payload_nbytes(obj, varint=True)
+
+
+def assert_attribution_complete(report: dict) -> None:
+    """Every byte and message of the ledger lands in exactly one phase,
+    one collective kind, and one level or the untagged bucket."""
+    comm = report["comm"]
+    untagged = report["per_phase"].get("(untagged)", {})
+    for f in COMM_FIELDS:
+        total = comm[f]
+        assert sum(p[f] for p in report["per_phase"].values()) == total, f
+        assert sum(k[f] for k in comm["by_kind"].values()) == total, f
+        levelled = sum(lv[f"comm_{f}"] for lv in report["per_level"])
+        assert levelled + untagged.get(f, 0) == total, f
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +116,7 @@ class TestClusterObserver:
     def test_phases_mirrored_on_every_rank(self):
         comm = SimComm(3)
         obs = ClusterObserver(comm)
+        assert comm.tracer is obs.rank_tracers[0]
         with obs.phase("dist-partition"):
             with obs.phase("dist-coarsening"):
                 pass
@@ -102,13 +124,18 @@ class TestClusterObserver:
         for tracer in obs.rank_tracers:
             names = [s.name for s in tracer.spans]
             assert names == ["dist-partition", "dist-coarsening"]
+            assert all(s.category == "phase" for s in tracer.spans)
+        # a finished observer no longer prices the communicator's traffic
+        assert comm.tracer is None
+        comm.bcast(np.arange(8, dtype=np.int64))
+        assert comm.stats.by_kind["bcast"].varint_bytes == 0
 
     def test_collectives_tagged_with_open_phase_and_level(self):
         comm = SimComm(2)
         obs = ClusterObserver(comm)
         with obs.phase("dist-partition"):
             with obs.phase("dist-lp-level1", level=1):
-                with obs.span("ghost-exchange", level=1):
+                with obs.span("ghost-exchange"):  # level from its ancestor
                     comm.alltoallv(
                         [
                             [None, np.arange(4, dtype=np.int64)],
@@ -116,27 +143,37 @@ class TestClusterObserver:
                         ]
                     )
             comm.bcast(7)
+        obs.note_level(1, n=4, m=4, shard_bytes=64, ghost_bytes=0)
         obs.finish()
-        ghost, bare = obs.comm_events
-        assert ghost.kind == "alltoallv"
-        assert ghost.name == "ghost-exchange"
-        assert ghost.level == 1
-        assert ghost.phase == "dist-partition/dist-lp-level1/ghost-exchange"
-        assert ghost.raw_bytes == 2 * 32
-        assert 0 < ghost.varint_bytes < ghost.raw_bytes
-        assert bare.kind == "bcast" and bare.name == "dist-partition"
-        assert bare.level is None
+        tagged, untagged = attribute_traffic(obs)
+        (ghost, ghost_level, ghost_traffic), (bare, bare_level, _) = tagged
+        assert not any(untagged.values())
+        assert ghost.name == "ghost-exchange" and ghost_level == 1
+        assert ghost.counters["comm.raw_bytes"] == 2 * 32
+        assert bare.name == "dist-partition" and bare_level is None
+        # only rank 0's span tree carries traffic
+        assert not any(s.counters for s in obs.rank_tracers[1].spans)
+        report = memory_ratio_report(obs)
+        tagged = report["per_phase"]["ghost-exchange"]
+        assert tagged == ghost_traffic
+        assert tagged["raw_bytes"] == 2 * 32
+        assert 0 < tagged["varint_bytes"] < tagged["raw_bytes"]
+        assert report["per_phase"]["dist-partition"]["raw_bytes"] == 8
+        (level1,) = report["per_level"]
+        assert level1["comm_raw_bytes"] == 2 * 32  # the bcast has no level
 
     def test_events_outside_spans_untagged(self):
         comm = SimComm(2)
+        comm.bcast(np.arange(4, dtype=np.int64))  # before tracing: raw only
         obs = ClusterObserver(comm)
-        comm.barrier()
+        comm.barrier()  # traced, but outside every span
         obs.finish()
-        (ev,) = obs.comm_events
-        assert ev.name == "" and ev.phase == "" and ev.level is None
-        assert obs.comm_by_phase() == {
-            "(untagged)": {"raw_bytes": 0, "varint_bytes": 0, "messages": 2}
+        assert attribute_traffic(obs)[0] == []
+        report = memory_ratio_report(obs)
+        assert report["per_phase"] == {
+            "(untagged)": {"raw_bytes": 32, "varint_bytes": 0, "messages": 3}
         }
+        assert_attribution_complete(report)
 
     def test_totals_split_by_kind(self):
         comm = SimComm(2)
@@ -144,10 +181,16 @@ class TestClusterObserver:
         comm.bcast(np.arange(8, dtype=np.int64))
         comm.bcast(np.arange(8, dtype=np.int64))
         comm.barrier()
-        totals = obs.comm_totals()
+        obs.finish()
+        totals = memory_ratio_report(obs)["comm"]["by_kind"]
         assert totals["bcast"]["calls"] == 2
         assert totals["bcast"]["raw_bytes"] == 2 * 64
+        assert totals["bcast"]["varint_bytes"] == 2 * varint_payload_nbytes(
+            np.arange(8, dtype=np.int64)
+        )
         assert totals["barrier"]["raw_bytes"] == 0
+        for kind, ks in comm.stats.by_kind.items():
+            assert totals[kind]["varint_bytes"] == ks.varint_bytes
 
     def test_counters_cluster_and_per_rank(self):
         comm = SimComm(2)
@@ -155,14 +198,18 @@ class TestClusterObserver:
         with obs.phase("dist-partition"):
             obs.add("dlp.moves", 5)
             obs.add("dlp.moves", 2)
+            obs.rank_add(0, "contract.rows_received", 4)
             obs.rank_add(1, "dlp.ghost_updates_sent", 3)
         obs.finish()
-        assert obs.counters["dlp.moves"] == 7
-        assert obs.rank_tracers[0].spans[0].counters["dlp.moves"] == 7
-        assert (
-            obs.rank_tracers[1].spans[0].counters["dlp.ghost_updates_sent"]
-            == 3
-        )
+        # per-rank counters stay on their rank's span, out of the cluster's
+        assert memory_ratio_report(obs)["counters"] == {"dlp.moves": 7}
+        assert obs.rank_tracers[0].spans[0].counters == {
+            "dlp.moves": 7,
+            "contract.rows_received": 4,
+        }
+        assert obs.rank_tracers[1].spans[0].counters == {
+            "dlp.ghost_updates_sent": 3
+        }
 
 
 # --------------------------------------------------------------------- #
@@ -306,6 +353,38 @@ class TestMemoryRatioReport:
             # coarsening shrinks the resident footprint level over level
             assert levels[-1]["shard_bytes"] < levels[0]["shard_bytes"]
 
+    def test_attribution_is_complete(self, traced_runs):
+        for result in traced_runs.values():
+            assert_attribution_complete(result.obs["report"])
+
+    def test_report_comm_is_the_result_ledger_on_a_pre_used_comm(self):
+        """The report's traffic is ``result.comm`` (the one ledger), even
+        for a communicator that carried traffic before the run, and stays
+        frozen when the same communicator runs again."""
+        comm = SimComm(2)
+        comm.bcast(np.arange(100))
+        graph = grid2d(30, 30)
+        r1 = dpartition(graph, 4, comm, config=OBS_CFG)
+        rc = r1.obs["report"]["comm"]
+        assert rc["raw_bytes"] == r1.comm.bytes_sent
+        assert rc["messages"] == r1.comm.messages
+        assert rc["supersteps"] == r1.comm.supersteps
+        assert rc["by_kind"] == {
+            kind: {
+                "calls": ks.calls,
+                "messages": ks.messages,
+                "raw_bytes": ks.bytes_sent,
+                "varint_bytes": ks.varint_bytes,
+            }
+            for kind, ks in r1.comm.by_kind.items()
+        }
+        untagged = r1.obs["report"]["per_phase"]["(untagged)"]
+        assert untagged["raw_bytes"] == 800 and untagged["varint_bytes"] == 0
+        assert_attribution_complete(r1.obs["report"])
+        frozen = json.dumps(r1.obs)
+        dpartition(graph, 4, comm, config=OBS_CFG)
+        assert json.dumps(r1.obs) == frozen
+
     def test_counters_surface_in_report(self, traced_runs):
         report = memory_ratio_report(traced_runs["fem-grid"].trace)
         assert report["counters"]["dlp.moves"] > 0
@@ -324,7 +403,7 @@ class TestMemoryRatioReport:
 class TestImportFootprint:
     def test_traced_run_does_not_import_the_regress_package(self):
         """The phase vocabulary lives with the spans (obs/tracer), so a
-        traced dpartition -- comm_by_phase normalizes span names -- needs
+        traced dpartition -- the report normalizes span names -- needs
         neither the regression observatory nor the bench harness."""
         import os
         import subprocess
@@ -340,7 +419,7 @@ class TestImportFootprint:
             "from repro.graph.generators import grid2d\n"
             "cfg = DistConfig(obs=DistObsConfig(enabled=True))\n"
             "r = dpartition(grid2d(20, 20), 4, 2, compressed=True, config=cfg)\n"
-            "assert r.obs['report']['per_phase'], 'comm_by_phase did not run'\n"
+            "assert r.obs['report']['per_phase'], 'no per-phase traffic'\n"
             "bad = [m for m in ('repro.obs.regress', 'repro.bench', 'repro.cli')"
             " if m in sys.modules]\n"
             "assert not bad, bad\n"
@@ -368,14 +447,17 @@ class TestBitIdentity:
         assert traced.rank_peak_bytes == plain.rank_peak_bytes
         assert plain.trace is None and plain.obs is None
 
-    def test_observer_kwarg_equals_config_path(self, smoke_graphs):
+    def test_untraced_run_never_prices_varint(self, smoke_graphs, monkeypatch):
+        def refuse(x):
+            raise AssertionError("varint leaf priced an untraced collective")
+
+        monkeypatch.setattr(comm_mod, "_varint_leaf", refuse)
         g = smoke_graphs["fem-grid"]
-        comm = SimComm(2)
-        obs = ClusterObserver(comm)
-        via_kwarg = dpartition(g, K, comm, compressed=True, observer=obs)
-        via_config = dpartition(g, K, 2, compressed=True, config=OBS_CFG)
-        assert via_kwarg.cut == via_config.cut
-        assert np.array_equal(via_kwarg.partition, via_config.partition)
+        plain = dpartition(g, K, 4, compressed=True, config=DistConfig())
+        assert plain.comm.bytes_sent > 0
+        assert all(ks.varint_bytes == 0 for ks in plain.comm.by_kind.values())
+        with pytest.raises(AssertionError, match="varint leaf"):
+            dpartition(g, K, 4, compressed=True, config=OBS_CFG)
 
 
 # --------------------------------------------------------------------- #
