@@ -424,7 +424,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def _main() -> None:
-        service = await PartitionService.create(cfg, serve_cfg)
+        service = PartitionService(cfg, serve_cfg)
         for spec in args.graph or []:
             name, _, path = spec.partition("=")
             if not path:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.config import DistObsConfig, PartitionerConfig, terapart
+from repro.core.config import DistObsConfig
 from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
 from repro.core.kernels import cluster_leaders
@@ -185,7 +185,6 @@ def dpartition(
     *,
     compressed: bool = False,
     config: DistConfig | None = None,
-    sm_config: PartitionerConfig | None = None,
 ) -> DistPartitionResult:
     """Partition ``graph`` on a simulated cluster of ranks.
 
@@ -285,7 +284,6 @@ def dpartition(
                 for r in range(comm.size)
             ]
             comm.allgather([coarsest.nbytes for _ in range(comm.size)])
-            sm_cfg = sm_config or terapart()
             best_part = None
             best_cut = None
             for r in range(comm.size):

@@ -14,11 +14,10 @@ import numpy as np
 
 from repro.memory.scratch import tracked_empty
 
-# Decode-work factor of compressed vs CSR traversal, measured once per
-# process by `measured_decode_work_factor` (fallback if measurement is
-# impossible, e.g. a stripped-down environment).
-_FALLBACK_WORK_FACTOR = 1.3
-_work_factor_cache: float | None = None
+# Per-edge work factor of compressed vs CSR traversal in the cost model: the
+# paper's ~6% decode overhead plus interpreter slack.  A constant, so
+# `modeled_seconds` of one (graph, config, seed) is the same in every process.
+_DECODE_WORK_FACTOR = 1.3
 
 # Obs-layer counter hook.  When a traced run is active the partitioner
 # installs its SpanTracer here and every bulk adjacency access reports how
@@ -38,62 +37,13 @@ def uninstall_tracer() -> None:
     _tracer = None
 
 
-def measured_decode_work_factor(*, refresh: bool = False) -> float:
-    """Per-edge work factor of compressed chunk traversal relative to CSR.
-
-    Times the chunk decode (compiled kernel or numpy, whichever this process
-    runs) against the raw CSR gather on a fixed weblike instance (best-of-5
-    to damp scheduler noise) and caches the ratio for the process.  The
-    probe uses chunks of ~1000 vertices -- the scale LP actually traverses
-    -- so the ratio reflects per-edge work, not per-call fixed overhead.
-    Clamped to ``[1.05, 8.0]`` so cost-model figures stay sane on noisy
-    machines; the fallback 1.3 (the paper's ~6% overhead plus interpreter
-    slack) is used only if measurement fails.
-    """
-    global _work_factor_cache, _tracer
-    if _work_factor_cache is not None and not refresh:
-        return _work_factor_cache
-    tracer, _tracer = _tracer, None  # the probe's decodes are no run's edges
-    try:
-        import time
-
-        from repro.graph._native import decode_kernel
-        from repro.graph.compressed import compress_graph
-        from repro.graph.generators import weblike
-
-        decode_kernel()  # a first-use compile belongs outside the timed loops
-        g = weblike(8000, avg_degree=10, seed=1)
-        cg = compress_graph(g)
-        chunks = np.array_split(np.arange(g.n, dtype=np.int64), 8)
-
-        def best_of(graph, reps: int = 5) -> float:
-            best = float("inf")
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                for c in chunks:
-                    chunk_adjacency(graph, c)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_csr = best_of(g)
-        t_cmp = best_of(cg)
-        factor = t_cmp / t_csr if t_csr > 0 else _FALLBACK_WORK_FACTOR
-        _work_factor_cache = float(min(8.0, max(1.05, factor)))
-    except Exception:
-        _work_factor_cache = _FALLBACK_WORK_FACTOR
-    finally:
-        _tracer = tracer
-    return _work_factor_cache
-
-
 def traversal_cost(graph) -> tuple[float, float]:
     """Per-directed-edge ``(bytes_moved, work_factor)`` of scanning ``graph``.
 
     Raw CSR moves 16 bytes per edge (ID + weight); a compressed graph moves
     only its encoded bytes but pays a decode-work overhead -- the mechanism
     behind the paper's "compression costs ~6% time, saves 3-26x memory".
-    The decode-work factor is measured from the actual bulk-decode path
-    (see :func:`measured_decode_work_factor`), not hardcoded.
+    The overhead is a fixed factor, not a timing of this machine's decoder.
     """
     if hasattr(graph, "indptr"):
         return 16.0, 1.0
@@ -102,7 +52,7 @@ def traversal_cost(graph) -> tuple[float, float]:
         data_bytes = len(graph.data) / graph.num_directed_edges
     else:
         data_bytes = 2.0
-    return data_bytes + 8.0 / max(1, graph.n), measured_decode_work_factor()
+    return data_bytes + 8.0 / max(1, graph.n), _DECODE_WORK_FACTOR
 
 
 def chunk_adjacency(

@@ -56,6 +56,20 @@ _ERROR_STATUS = {
 }
 
 
+def _bad_field(name: str, problem: str) -> ServiceError:
+    return ServiceError("bad-request", f"{name} {problem}", {"field": name})
+
+
+def _number(body: dict, name: str, kind: type):
+    """``kind(body[name])``, or a bad-request naming the field."""
+    try:
+        return kind(body[name])
+    except (TypeError, ValueError) as e:
+        raise _bad_field(
+            name, f"must be {kind.__name__}, got {body[name]!r}"
+        ) from e
+
+
 class HttpFrontend:
     """Bind a :class:`PartitionService` to a TCP port."""
 
@@ -119,7 +133,13 @@ class HttpFrontend:
             if not line:
                 break
             if line.lower().startswith("content-length:"):
-                content_length = int(line.split(":", 1)[1])
+                value = line.split(":", 1)[1].strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise _bad_field(
+                        "Content-Length",
+                        f"must be a non-negative integer, got {value!r}",
+                    )
+                content_length = int(value)
         if content_length > _MAX_BODY:
             return 413, {
                 "error": "body too large",
@@ -128,13 +148,22 @@ class HttpFrontend:
             }
         body = {}
         if content_length:
-            raw = await reader.readexactly(content_length)
+            try:
+                raw = await reader.readexactly(content_length)
+            except asyncio.IncompleteReadError as e:
+                raise _bad_field(
+                    "Content-Length",
+                    f"is {content_length}, but the body ended after "
+                    f"{len(e.partial)} bytes",
+                ) from e
             try:
                 body = json.loads(raw)
             except json.JSONDecodeError as e:
                 raise ServiceError(
                     "bad-request", f"invalid JSON body: {e}"
                 ) from e
+            if not isinstance(body, dict):
+                raise ServiceError("bad-request", "JSON body must be an object")
 
         if method == "GET" and path == "/healthz":
             return 200, {"ok": True, "graphs": self.service.graph_names()}
@@ -163,9 +192,10 @@ class HttpFrontend:
             )
         result = await self.service.partition(
             str(body["graph"]),
-            int(body["k"]),
+            _number(body, "k", int),
             epsilon=(
-                float(body["epsilon"]) if body.get("epsilon") is not None
+                _number(body, "epsilon", float)
+                if body.get("epsilon") is not None
                 else None
             ),
             force_full=bool(body.get("force_full", False)),

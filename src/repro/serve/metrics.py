@@ -73,7 +73,6 @@ class ServiceMetrics:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
         self.latency = LatencyReservoir()
-        self._started = None  # monotonic start, set by the service
 
     def bump(self, name: str, value: float = 1) -> None:
         with self._lock:
@@ -92,10 +91,16 @@ class ServiceMetrics:
             return dict(self._counters)
 
     # ------------------------------------------------------------------ #
-    def snapshot(self, *, elapsed_seconds: float | None = None) -> dict:
-        """Flat gauge dict: what ``GET /metrics`` and the bench report."""
+    def snapshot(
+        self, *, elapsed_seconds: float | None = None, gauges: dict | None = None
+    ) -> dict:
+        """Flat gauge dict: what ``GET /metrics`` and the bench report.
+
+        ``gauges`` are values the caller reads at call time (the cache's
+        residency), reported beside the counters as given.
+        """
         with self._lock:
-            c = dict(self._counters)
+            c = {**self._counters, **(gauges or {})}
             p50 = self.latency.quantile(0.50)
             p99 = self.latency.quantile(0.99)
             n = self.latency.count
@@ -117,10 +122,14 @@ class ServiceMetrics:
         return snap
 
     def to_registry(
-        self, *, meta: dict | None = None, elapsed_seconds: float | None = None
+        self,
+        *,
+        meta: dict | None = None,
+        elapsed_seconds: float | None = None,
+        gauges: dict | None = None,
     ) -> MetricsRegistry:
         """Fold the snapshot into the obs-layer registry schema."""
         return MetricsRegistry.from_counters(
-            self.snapshot(elapsed_seconds=elapsed_seconds),
+            self.snapshot(elapsed_seconds=elapsed_seconds, gauges=gauges),
             meta={"source": "serve", **(meta or {})},
         )

@@ -2,17 +2,23 @@
 
 Architecture (DESIGN.md §11)::
 
-    clients ──► request queue ──► admission batcher ──► LRU cache
-                                        │                  │ miss
-                                        ▼                  ▼
-                                 in-flight futures   warm-start decision
-                                 (same-key coalesce)   │           │
-                                                   refinement    full
-                                                   only (warm)  multilevel
+    clients ──► LRU cache ──hit──► answer
+                    │ miss
+                    ▼
+              in-flight runs ──same key──► await that run
+                    │ new key
+                    ▼
+              one-thread executor ──► warm-start decision
+              (the only queue)          │           │
+                                    refinement    full
+                                    only (warm)  multilevel
 
-* **Admission batching**: concurrent requests for the same
-  ``(graph fingerprint, k, ε, config_digest)`` key attach to one
-  in-flight future; exactly one partitioner run serves them all.
+* **Admission**: a cache miss whose key has no run in flight admits one
+  task, which waits its turn on the one-thread executor; runs execute
+  in admission order, and nothing else queues.
+* **Coalescing**: concurrent requests for the same
+  ``(graph fingerprint, k, ε, config_digest)`` key await the one
+  in-flight task; exactly one partitioner run serves them all.
 * **Caching**: finished partitions, compressed input graphs, and
   warm-start seeds share one byte-budgeted LRU
   (:class:`~repro.serve.cache.ByteLRUCache`) whose bytes are registered
@@ -55,8 +61,8 @@ class ServiceError(Exception):
 
     ``code`` is machine-readable (``unknown-graph``, ``bad-request``,
     ``partitioner-error``, ``shutdown``); ``detail`` carries request
-    context.  A request failing with a ServiceError never poisons the
-    queue: the worker resolves that request's future and moves on.
+    context.  A run failing with a ServiceError fails only the requests
+    awaiting that run; the executor moves on to the next one.
     """
 
     def __init__(self, code: str, message: str, detail: dict | None = None):
@@ -152,22 +158,18 @@ class _GraphEntry:
 class _Job:
     key: RequestKey
     entry_name: str
-    graph: object  # snapshot at enqueue time (CSR graphs are immutable)
+    graph: object  # snapshot at admission time (CSR graphs are immutable)
     fingerprint: str
     k: int
     config: PartitionerConfig
     total_changed: int
     deltas_applied: int
-    epoch: np.ndarray  # the entry's array at enqueue time
+    epoch: np.ndarray  # the entry's array at admission time
     force_full: bool
-    future: asyncio.Future = field(repr=False, default=None)
-
-
-_SHUTDOWN = object()
 
 
 class PartitionService:
-    """Asyncio service front end; create via :meth:`create`."""
+    """Asyncio service front end."""
 
     def __init__(
         self,
@@ -188,11 +190,11 @@ class PartitionService:
         self._partition_fn = partition_fn or _default_partition
         self._refine_fn = refine_fn or _default_refine
         self._entries: dict[str, _GraphEntry] = {}
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._inflight: dict[RequestKey, asyncio.Future] = {}
-        self._workers: list[asyncio.Task] = []
-        # one executor thread: partitioner runs are serialized, and the
-        # event loop stays responsive to attach batched requests mid-run
+        # admitted, unfinished runs: one task per key, awaited by every
+        # request for that key
+        self._inflight: dict[RequestKey, asyncio.Task] = {}
+        # the service's one queue: a single thread runs the admitted runs in
+        # order, and the event loop stays free to coalesce requests mid-run
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -200,33 +202,11 @@ class PartitionService:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    @classmethod
-    async def create(cls, *args, **kwargs) -> "PartitionService":
-        """Construct inside a running loop and start the worker task."""
-        svc = cls(*args, **kwargs)
-        svc.start()
-        return svc
-
-    def start(self) -> None:
-        if not self._workers:
-            self._workers.append(asyncio.ensure_future(self._worker()))
-
     async def aclose(self) -> None:
+        """Refuse new requests, finish every admitted run, stop the thread."""
         self._closed = True
-        await self._queue.put(_SHUTDOWN)
-        for w in self._workers:
-            try:
-                await w
-            except asyncio.CancelledError:
-                pass
-        self._workers.clear()
+        await asyncio.gather(*self._inflight.values(), return_exceptions=True)
         self._executor.shutdown(wait=True)
-        for fut in self._inflight.values():
-            if not fut.done():
-                fut.set_exception(
-                    ServiceError("shutdown", "service shut down mid-request")
-                )
-        self._inflight.clear()
 
     # ------------------------------------------------------------------ #
     # graph registry + deltas
@@ -273,7 +253,7 @@ class PartitionService:
         except ValueError as e:
             raise ServiceError("bad-request", str(e), {"graph": name}) from e
         entry.deltas_applied += 1
-        # a job enqueued earlier keeps the array it saw; marks are only ever
+        # a job admitted earlier keeps the array it saw; marks are only ever
         # added, so whichever array a warm start reads holds a superset
         grown = new_graph.n - len(entry.epoch)
         if grown:
@@ -317,7 +297,7 @@ class PartitionService:
         config: PartitionerConfig | None = None,
         force_full: bool = False,
     ) -> ServeResult:
-        """Serve one partition request (cache → batch → warm/full run)."""
+        """Serve one partition request (cache → coalesce → warm/full run)."""
         t0 = time.perf_counter()
         self.metrics.bump("serve.requests")
         try:
@@ -337,15 +317,8 @@ class PartitionService:
                 return replace(cached, mode="cached")
             self.metrics.bump("serve.cache_misses")
 
-            fut = self._inflight.get(key)
-            if fut is None:
-                fut = asyncio.get_running_loop().create_future()
-                # retrieve exceptions even if every client was cancelled,
-                # so an abandoned failed run never logs a warning
-                fut.add_done_callback(
-                    lambda f: f.exception() if not f.cancelled() else None
-                )
-                self._inflight[key] = fut
+            run = self._inflight.get(key)
+            if run is None:
                 job = _Job(
                     key=key,
                     entry_name=name,
@@ -357,12 +330,17 @@ class PartitionService:
                     deltas_applied=entry.deltas_applied,
                     epoch=entry.epoch,
                     force_full=force_full,
-                    future=fut,
                 )
-                await self._queue.put(job)
+                run = self._inflight[key] = asyncio.create_task(self._run(job))
+                # retrieve exceptions even if every client was cancelled,
+                # so an abandoned failed run never logs a warning
+                run.add_done_callback(
+                    lambda t: t.exception() if not t.cancelled() else None
+                )
             else:
                 self.metrics.bump("serve.batched")
-            return await asyncio.shield(fut)
+            # a cancelled client detaches; the run finishes for the others
+            return await asyncio.shield(run)
         except ServiceError:
             self.metrics.bump("serve.errors")
             raise
@@ -373,41 +351,26 @@ class PartitionService:
             self.metrics.observe_latency(time.perf_counter() - t0)
 
     # ------------------------------------------------------------------ #
-    async def _worker(self) -> None:
+    async def _run(self, job: _Job) -> ServeResult:
+        """One admitted run: its turn on the executor, then its key freed."""
         loop = asyncio.get_running_loop()
-        while True:
-            job = await self._queue.get()
-            if job is _SHUTDOWN:
-                self._queue.task_done()
-                return
-            fut = self._inflight.get(job.key)
-            try:
-                result = await loop.run_in_executor(
-                    self._executor, self._execute, job
-                )
-                self.cache.put(("part", job.key), result, result.nbytes)
-                if fut is not None and not fut.done():
-                    fut.set_result(result)
-            except Exception as e:  # noqa: BLE001 - converted to structured
-                if isinstance(e, ServiceError):
-                    err = e
-                else:
-                    err = ServiceError(
-                        "partitioner-error",
-                        f"{type(e).__name__}: {e}",
-                        {
-                            "graph": job.entry_name,
-                            "k": job.k,
-                            "config_digest": job.key.config_digest,
-                        },
-                    )
-                self.metrics.bump("serve.run_errors")
-                if fut is not None and not fut.done():
-                    fut.set_exception(err)
-            finally:
-                self._inflight.pop(job.key, None)
-                self._sync_cache_gauges()
-                self._queue.task_done()
+        try:
+            return await loop.run_in_executor(self._executor, self._execute, job)
+        except Exception as e:  # noqa: BLE001 - converted to structured
+            self.metrics.bump("serve.run_errors")
+            if isinstance(e, ServiceError):
+                raise
+            raise ServiceError(
+                "partitioner-error",
+                f"{type(e).__name__}: {e}",
+                {
+                    "graph": job.entry_name,
+                    "k": job.k,
+                    "config_digest": job.key.config_digest,
+                },
+            ) from e
+        finally:
+            self._inflight.pop(job.key, None)
 
     # ------------------------------------------------------------------ #
     # execution (runs on the executor thread)
@@ -496,7 +459,7 @@ class PartitionService:
             )
         self.cache.put(seed_key, new_seed, new_seed.nbytes)
         self.metrics.bump("serve.run_seconds", result.wall_seconds)
-        return ServeResult(
+        answer = ServeResult(
             partition=result.partition,
             cut=int(result.cut),
             imbalance=float(result.imbalance),
@@ -510,27 +473,27 @@ class PartitionService:
             drift=float(drift),
             num_levels=int(result.num_levels),
         )
+        self.cache.put(("part", job.key), answer, answer.nbytes)
+        return answer
 
     # ------------------------------------------------------------------ #
     # telemetry
     # ------------------------------------------------------------------ #
-    def _sync_cache_gauges(self) -> None:
-        """Mirror cache stats into counters (gauges set, not bumped)."""
+    def _cache_gauges(self) -> dict:
         st = self.cache.stats
-        m = self.metrics
-        with m._lock:
-            m._counters["serve.evictions"] = st.evictions
-            m._counters["serve.cache_resident_bytes"] = st.resident_bytes
-            m._counters["serve.cache_entries"] = st.entries
+        return {
+            "serve.evictions": st.evictions,
+            "serve.cache_resident_bytes": st.resident_bytes,
+            "serve.cache_entries": st.entries,
+        }
 
     def metrics_snapshot(self) -> dict:
-        self._sync_cache_gauges()
         return self.metrics.snapshot(
-            elapsed_seconds=time.perf_counter() - self._started
+            elapsed_seconds=time.perf_counter() - self._started,
+            gauges=self._cache_gauges(),
         )
 
     def metrics_registry(self, *, meta: dict | None = None):
-        self._sync_cache_gauges()
         return self.metrics.to_registry(
             meta={
                 "config": self.config.name,
@@ -538,6 +501,7 @@ class PartitionService:
                 **(meta or {}),
             },
             elapsed_seconds=time.perf_counter() - self._started,
+            gauges=self._cache_gauges(),
         )
 
 
@@ -549,7 +513,7 @@ class ServiceHandle:
 
     Runs the service's event loop on a daemon thread; every method
     round-trips through ``run_coroutine_threadsafe``, so tests and
-    benchmarks drive the *real* async path (queue, batcher, cache)
+    benchmarks drive the *real* async path (cache, coalescing, executor)
     without writing async code.  Usable as a context manager.
     """
 
@@ -564,9 +528,7 @@ class ServiceHandle:
             target=self._loop.run_forever, name="repro-serve-loop", daemon=True
         )
         self._thread.start()
-        self.service: PartitionService = self._call(
-            PartitionService.create(config, serve_config, **service_kwargs)
-        )
+        self.service = PartitionService(config, serve_config, **service_kwargs)
 
     def _call(self, coro, timeout: float | None = 300.0):
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
@@ -583,7 +545,7 @@ class ServiceHandle:
     def partition_many(
         self, requests: list[tuple[str, int]], **kwargs
     ) -> list[ServeResult]:
-        """Issue many requests *concurrently* (exercises the batcher)."""
+        """Issue many requests *concurrently* (exercises coalescing)."""
 
         async def _gather():
             return await asyncio.gather(

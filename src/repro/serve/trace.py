@@ -99,8 +99,8 @@ def make_trace(
     if delta_edges <= 0:
         delta_edges = max(4, graph.m // 200)
     # the cold request arrives as a concurrent burst: one client triggers
-    # the full run, the rest coalesce onto its in-flight future (the
-    # admission batcher's counter is live from event one)
+    # the full run, the rest coalesce onto its in-flight run (the
+    # ``serve.batched`` counter is live from event one)
     events: list[TraceEvent] = [
         TraceEvent("request", graph_name, k=k, concurrency=concurrency),
     ]

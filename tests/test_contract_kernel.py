@@ -36,7 +36,6 @@ from repro.core.context import PartitionContext
 from repro.core.kernels import cluster_leaders, cluster_members
 from repro.graph import _native
 from repro.graph import generators as gen
-from repro.graph.access import measured_decode_work_factor
 from repro.graph.compressed import CompressedGraph, compress_graph
 from repro.graph.csr import CSRGraph
 from repro.memory import MemoryTracker
@@ -530,7 +529,6 @@ def test_a_hub_free_compressed_graph_is_never_decoded_first():
     """Only a chunk holding a hub is decoded before the kernel rates it (the
     LP rule): contracting a hub-free compressed graph, either way, calls
     ``decode_chunk`` not once."""
-    measured_decode_work_factor()  # its probe decodes; not this test's business
     graph = compress_graph(gen.weblike(600, 8.0, seed=1))
     clusters, weights = clustering(graph, "random")
     with pytest.MonkeyPatch.context() as m:

@@ -3,10 +3,12 @@
 The contracts under test:
 
 * N concurrent clients asking for the same (graph, k, ε, config) key
-  trigger exactly ONE partitioner run (admission batching),
+  trigger exactly ONE partitioner run (coalescing),
 * requests under distinct config digests never share cache entries,
 * a client cancelled mid-run leaves the cache and the in-flight table
-  consistent — the shielded run completes and later clients hit it.
+  consistent — the shielded run completes and later clients hit it,
+* the executor is the only queue: every cache insert of a run happens on
+  its thread, and closing finishes every admitted run.
 
 A counting fake partitioner (injectable ``partition_fn``) makes "how
 many runs actually happened" observable without timing heuristics.
@@ -23,7 +25,7 @@ import pytest
 from repro.core import config as C
 from repro.core.config import ServeConfig, config_digest
 from repro.graph import generators as gen
-from repro.serve import PartitionService, ServiceHandle
+from repro.serve import PartitionService, ServiceError, ServiceHandle
 
 #: compression off so the fake partitioner sees the raw CSR graph
 CFG = C.terapart().with_(compress_input=False)
@@ -72,7 +74,7 @@ class TestAdmissionBatching:
         assert len({r.cut for r in results}) == 1
         assert all(np.array_equal(r.partition, results[0].partition)
                    for r in results)
-        # 1 enqueued + 7 batched onto the in-flight future
+        # 1 admitted + 7 coalesced onto the in-flight run
         assert snap["serve.batched"] == 7
         assert snap["serve.full_runs"] == 1
 
@@ -129,34 +131,33 @@ class TestConfigIsolation:
         assert counter.calls == 2
 
 
-class TestCancellation:
-    def _consistent(self, service) -> None:
-        cache = service.cache
-        assert not service._inflight
-        assert cache.stats.resident_bytes == sum(
-            cache._entries[k].nbytes for k in cache.keys()
-        )
-        assert (
-            service.tracker.breakdown().get("serve-cache", 0)
-            == cache.stats.resident_bytes
-        )
+def _consistent(service) -> None:
+    cache = service.cache
+    assert not service._inflight
+    assert cache.stats.resident_bytes == sum(
+        cache._entries[k].nbytes for k in cache.keys()
+    )
+    assert (
+        service.tracker.breakdown().get("serve-cache", 0)
+        == cache.stats.resident_bytes
+    )
 
+
+class TestCancellation:
     def test_cancel_mid_run_keeps_cache_consistent(self):
         counter = CountingPartitioner(delay=0.1)
 
         async def main():
-            svc = await PartitionService.create(
-                CFG, SCFG, partition_fn=counter
-            )
+            svc = PartitionService(CFG, SCFG, partition_fn=counter)
             await svc.register_graph("g", GRAPH)
             task = asyncio.create_task(svc.partition("g", 4))
             await asyncio.sleep(0.03)  # run is in the executor now
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            # the shielded run completes; wait for the worker to finish it
-            await svc._queue.join()
-            self._consistent(svc)
+            # the shielded run completes; wait for it
+            await asyncio.gather(*svc._inflight.values())
+            _consistent(svc)
             r = await svc.partition("g", 4)
             snap = svc.metrics_snapshot()
             await svc.aclose()
@@ -171,9 +172,7 @@ class TestCancellation:
         counter = CountingPartitioner(delay=0.1)
 
         async def main():
-            svc = await PartitionService.create(
-                CFG, SCFG, partition_fn=counter
-            )
+            svc = PartitionService(CFG, SCFG, partition_fn=counter)
             await svc.register_graph("g", GRAPH)
             tasks = [
                 asyncio.create_task(svc.partition("g", 4)) for _ in range(3)
@@ -181,7 +180,7 @@ class TestCancellation:
             await asyncio.sleep(0.03)
             tasks[1].cancel()
             survivors = await asyncio.gather(*tasks, return_exceptions=True)
-            self._consistent(svc)
+            _consistent(svc)
             await svc.aclose()
             return survivors
 
@@ -193,31 +192,93 @@ class TestCancellation:
 
     def test_cancel_before_run_starts(self):
         """Cancelling while the job is still queued must not wedge the
-        worker or leave the in-flight table dirty."""
+        executor or leave the in-flight table dirty."""
         counter = CountingPartitioner(delay=0.05)
 
         async def main():
-            svc = await PartitionService.create(
-                CFG, SCFG, partition_fn=counter
-            )
+            svc = PartitionService(CFG, SCFG, partition_fn=counter)
             await svc.register_graph("g", GRAPH)
             t1 = asyncio.create_task(svc.partition("g", 4))
             t2 = asyncio.create_task(svc.partition("g", 2))
-            await asyncio.sleep(0)  # enqueue both; neither finished
+            await asyncio.sleep(0)  # admit both; neither finished
             t2.cancel()
             r1 = await t1
             with pytest.raises(asyncio.CancelledError):
                 await t2
-            await svc._queue.join()
-            self._consistent(svc)
+            await asyncio.gather(*svc._inflight.values())
+            _consistent(svc)
             await svc.aclose()
             return r1
 
         r1 = asyncio.run(main())
         assert r1.balanced
-        # both jobs were queued before the cancel, so both ran; the
+        # both jobs were admitted before the cancel, so both ran; the
         # cancelled key's result is still cached for the next client
         assert counter.calls == 2
+
+
+class TestOneQueue:
+    def test_every_cache_insert_of_a_run_happens_on_the_run_thread(self):
+        """Full, warm and failed runs write the cache (and so the ledger)
+        only from the executor thread, never from the event loop."""
+        from repro.core.partitioner import partition
+        from repro.serve import GraphDelta
+
+        def fails_at_k3(graph, k, config, tracker=None):
+            if k == 3:
+                raise RuntimeError("injected")
+            return partition(graph, k, config, tracker=tracker)
+
+        puts = []
+        with ServiceHandle(C.terapart(), SCFG, partition_fn=fails_at_k3) as h:
+            put = h.service.cache.put
+
+            def recording_put(key, value, nbytes):
+                puts.append((key[0], threading.current_thread().name))
+                return put(key, value, nbytes)
+
+            h.service.cache.put = recording_put
+            h.register_graph("g", GRAPH)
+            assert h.partition("g", 4).mode == "full"
+            h.apply_delta("g", GraphDelta(add_edges=[[0, 50]]))
+            assert h.partition("g", 4).mode == "warm"
+            with pytest.raises(ServiceError):
+                h.partition("g", 3)
+        kinds = [kind for kind, _ in puts]
+        # full: compressed graph, seed, answer; warm: seed, answer; failed:
+        # the compressed graph it got to before the partitioner raised
+        assert kinds == ["graph", "seed", "part", "seed", "part", "graph"]
+        assert {name for _, name in puts} == {"repro-serve_0"}
+
+    def test_close_finishes_every_admitted_run(self):
+        """aclose() waits for runs still queued on the executor: their
+        clients get answers, and the cache and its ledger agree after."""
+        counter = CountingPartitioner(delay=0.0)
+        gate = threading.Event()
+
+        async def main():
+            svc = PartitionService(CFG, SCFG, partition_fn=counter)
+            await svc.register_graph("g", GRAPH)
+            blocker = svc._executor.submit(gate.wait, 10)
+            clients = [
+                asyncio.create_task(svc.partition("g", k)) for k in (2, 4)
+            ]
+            await asyncio.sleep(0.02)  # both admitted, behind the blocker
+            closing = asyncio.create_task(svc.aclose())
+            await asyncio.sleep(0.02)
+            with pytest.raises(ServiceError) as late:
+                await svc.partition("g", 8)
+            gate.set()
+            await asyncio.wait_for(closing, 30)
+            assert blocker.result(0)
+            _consistent(svc)
+            return await asyncio.gather(*clients), late.value.code
+
+        results, late_code = asyncio.run(main())
+        assert [r.mode for r in results] == ["full", "full"]
+        assert [r.k for r in results] == [2, 4]
+        assert counter.calls == 2
+        assert late_code == "shutdown"
 
 
 class TestDeltaBetweenEnqueueAndExecute:
@@ -242,9 +303,7 @@ class TestDeltaBetweenEnqueueAndExecute:
         gate = threading.Event()
 
         async def main():
-            svc = await PartitionService.create(
-                CFG, SCFG, refine_fn=recording_refine
-            )
+            svc = PartitionService(CFG, SCFG, refine_fn=recording_refine)
             await svc.register_graph("g", GRAPH)
             await svc.partition("g", 4)
             await svc.apply_delta("g", first)

@@ -274,13 +274,18 @@ class TestRequestModes:
 # the HTTP front end
 # --------------------------------------------------------------------- #
 async def _http(port: int, method: str, path: str, body: dict | None = None):
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = b"" if body is None else json.dumps(body).encode()
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
         f"Content-Length: {len(payload)}\r\n\r\n"
     ).encode()
-    writer.write(head + payload)
+    return await _raw_http(port, head + payload)
+
+
+async def _raw_http(port: int, request: bytes):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
+    writer.write_eof()  # a short body ends here rather than hanging the server
     await writer.drain()
     raw = await reader.read()
     writer.close()
@@ -293,13 +298,19 @@ async def _http(port: int, method: str, path: str, body: dict | None = None):
     return status, json.loads(body_s)
 
 
+def _body(payload: dict) -> bytes:
+    """Headers plus body of a well-framed JSON request."""
+    raw = json.dumps(payload).encode()
+    return b"Content-Length: %d\r\n\r\n%s" % (len(raw), raw)
+
+
 class TestHttpFrontend:
     def _run(self, coro_fn):
         """Run a coroutine against a live service + frontend on port 0."""
         from repro.serve.http import HttpFrontend
 
         async def _main():
-            service = await PartitionService.create(CFG, FAST_SERVE)
+            service = PartitionService(CFG, FAST_SERVE)
             service_graph = gen.weblike(200, avg_degree=8, seed=5)
             await service.register_graph("web", service_graph)
             frontend = HttpFrontend(service)
@@ -368,3 +379,25 @@ class TestHttpFrontend:
         assert s400 == 400 and e400["code"] == "bad-request"
         assert s405 == 405
         assert sbad == 404
+
+    @pytest.mark.parametrize(
+        "request_bytes, field",
+        [
+            (b"Content-Length: abc\r\n\r\n", "Content-Length"),
+            (b"Content-Length: -5\r\n\r\n", "Content-Length"),
+            (b'Content-Length: 40\r\n\r\n{"graph": "web"}', "Content-Length"),
+            (_body({"graph": "web", "k": "ab"}), "k"),
+            (_body({"graph": "web", "k": 4, "epsilon": "x"}), "epsilon"),
+        ],
+        ids=["length-not-a-number", "length-negative", "body-short",
+             "k-not-a-number", "epsilon-not-a-number"],
+    )
+    def test_hostile_input_is_a_bad_request(self, request_bytes, field):
+        async def flow(port):
+            return await _raw_http(
+                port, b"POST /partition HTTP/1.1\r\n" + request_bytes
+            )
+
+        status, err = self._run(flow)
+        assert status == 400 and err["code"] == "bad-request"
+        assert err["detail"]["field"] == field and field in err["error"]
