@@ -10,9 +10,12 @@ around the kernel -- or return ``None``, and the driver runs its oracle:
 without the compiled library (:func:`repro.graph._native.lp_kernels`), or
 for vertex weights whose sums the kernel's commit cannot hold.  The C header
 states the contract and why the two are bit-identical; here the arrays are
-checked once per LP call and the pointers handed over.  The two contractions
-take their step from :func:`contraction_step` the same way: the rating map
-again, summing a whole coarse vertex's members into one map.
+checked once per LP call and the pointers handed over.  Distributed LP
+(:mod:`repro.dist.dlp`) takes a *pick* from :func:`cluster_pick_step` /
+:func:`refine_pick_step` the same way: the same rate and pick over one
+rank's batch, without the commit.  The two contractions take their step from
+:func:`contraction_step` the same way: the rating map again, summing a whole
+coarse vertex's members into one map.
 
 On a compressed graph the kernel decodes each neighbourhood itself, as it
 rates it, from the graph's byte stream: no decoded chunk is built.  Only a
@@ -29,7 +32,7 @@ import numpy as np
 from repro.graph import _native
 from repro.graph.access import chunk_segments
 from repro.graph.compressed import MIN_INTERVAL_LEN
-from repro.memory.scratch import tracked_empty, tracked_zeros
+from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
 
 def _is_int64_vector(a: np.ndarray, size: int) -> bool:
@@ -147,8 +150,8 @@ class _ChunkKernel:
 
 
 def _rows(rows: int):
-    """``outputs`` of an LP kernel: ``rows`` per-vertex rows, ``moved`` last,
-    and their capacity."""
+    """``outputs`` of an LP kernel: ``rows`` per-vertex rows and their
+    capacity."""
 
     def outputs(count, _edges):
         out = tracked_empty((rows, count), name="lp-chunk-out")
@@ -156,6 +159,42 @@ def _rows(rows: int):
         return out, (*range(first, first + out.nbytes, 8 * count), count)
 
     return outputs
+
+
+def _picking(call, rows: int):
+    """``pick(chunk)`` around a pick entry of ``lp_kernel.c`` (``rows``
+    output rows, ``moved`` and ``target`` last): the chunk's movers in chunk
+    order and their targets; ``None`` for no kernel."""
+    if call is None:
+        return None
+    outputs = _rows(rows)
+    none = np.empty(0, dtype=np.int64)
+
+    def pick(chunk):
+        done = call(chunk, outputs)
+        if done is None:
+            return none, none
+        _, moves, out = done
+        return out[-2, :moves], out[-1, :moves]
+
+    return pick
+
+
+def _clustering_kernel(index, graph, clusters, cluster_weights, max_cluster_weight, maps):
+    """``lp_kernels()[index]`` bound to one clustering's arrays, or ``None``."""
+    kernels = _native.lp_kernels()
+    vwgt = _vertex_weights(graph)
+    n = graph.n
+    if (
+        kernels is None
+        or vwgt is None
+        or not _is_int64_vector(clusters, n)
+        or not _is_int64_vector(cluster_weights, n)
+    ):
+        return None
+    limit = _native.clamp_weight(max_cluster_weight)
+    state = (clusters, cluster_weights, *_weight_args(vwgt), limit)
+    return _ChunkKernel(kernels[index], graph, state, maps, n)
 
 
 def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
@@ -169,19 +208,10 @@ def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
     neighbour clusters, how many vertices had a target, and the vertices
     moved -- ``clusters`` / ``cluster_weights`` already updated.
     """
-    kernels = _native.lp_kernels()
-    vwgt = _vertex_weights(graph)
-    n = graph.n
-    if (
-        kernels is None
-        or vwgt is None
-        or not _is_int64_vector(clusters, n)
-        or not _is_int64_vector(cluster_weights, n)
-    ):
+    call = _clustering_kernel(0, graph, clusters, cluster_weights, max_cluster_weight, maps)
+    if call is None:
         return None
-    limit = _native.clamp_weight(max_cluster_weight)
-    state = (clusters, cluster_weights, *_weight_args(vwgt), limit)
-    call, outputs = _ChunkKernel(kernels[0], graph, state, maps, n), _rows(4)
+    outputs = _rows(4)
 
     def step(chunk):
         done = call(chunk, outputs)
@@ -194,13 +224,22 @@ def clustering_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
     return step
 
 
-def refinement_step(graph, part, block_weights, limits):
-    """``step(chunk)`` of LP refinement on the kernel, or ``None``.
+def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
+    """``pick(chunk)`` of distributed LP clustering on the kernel, or
+    ``None`` where :func:`clustering_step` would be.
 
-    ``limits`` is the per-block weight cap (``k`` entries).  ``step`` returns
-    ``None`` for a chunk without edges, else ``(edges, moved)`` -- ``part`` /
-    ``block_weights`` already updated.
+    ``pick`` returns ``(movers, targets)``: in chunk order, every chunk
+    vertex whose favorite cluster -- ranked as in :func:`clustering_step`,
+    the jitter keyed by the vertex's chunk index -- is not its own and fits
+    ``max_cluster_weight``.  Nothing is committed; ``clusters`` /
+    ``cluster_weights`` are only read.
     """
+    call = _clustering_kernel(2, graph, clusters, cluster_weights, max_cluster_weight, maps)
+    return _picking(call, 5)
+
+
+def _refinement_kernel(index, graph, part, block_weights, limits):
+    """``lp_kernels()[index]`` bound to one refinement's arrays, or ``None``."""
     kernels = _native.lp_kernels()
     vwgt = _vertex_weights(graph)
     k = len(block_weights)
@@ -218,13 +257,40 @@ def refinement_step(graph, part, block_weights, limits):
         return None
     state = (k, part, block_weights, *_weight_args(vwgt), limits)
     maps = tracked_zeros((3, k), name="lp-refine-rating-map")
-    call, outputs = _ChunkKernel(kernels[1], graph, state, maps, k), _rows(2)
+    return _ChunkKernel(kernels[index], graph, state, maps, k)
+
+
+def refinement_step(graph, part, block_weights, limits):
+    """``step(chunk)`` of LP refinement on the kernel, or ``None``.
+
+    ``limits`` is the per-block weight cap (``k`` entries).  ``step`` returns
+    ``None`` for a chunk without edges, else ``(edges, moved)`` -- ``part`` /
+    ``block_weights`` already updated.
+    """
+    call = _refinement_kernel(1, graph, part, block_weights, limits)
+    if call is None:
+        return None
+    outputs = _rows(2)
 
     def step(chunk):
         done = call(chunk, outputs)
         return done and (done[0], done[2][-1, : done[1]])
 
     return step
+
+
+def refine_pick_step(graph, part, block_weights, max_block_weight: int):
+    """``pick(chunk)`` of distributed LP refinement on the kernel, or
+    ``None`` where :func:`refinement_step` would be.
+
+    ``pick`` returns ``(movers, targets)``: in chunk order, every chunk
+    vertex with a target by :func:`refinement_step`'s rule, every block
+    capped at ``max_block_weight``.  Nothing is committed; ``part`` /
+    ``block_weights`` are only read.
+    """
+    limit = _native.clamp_weight(max_block_weight)
+    limits = tracked_full(len(block_weights), limit, name="dlp-block-limits")
+    return _picking(_refinement_kernel(3, graph, part, block_weights, limits), 3)
 
 
 def contraction_step(graph, labels: np.ndarray, label_count: int):

@@ -1,19 +1,21 @@
 /* Native rating-map chunk of repro.core: one call rates, picks and commits
  * a whole label-propagation chunk, for clustering (repro_lp_cluster_chunk)
- * and for refinement (repro_lp_refine_chunk), or aggregates the coarse
- * edges of a chunk of coarse vertices (repro_contract_chunk, below them with
- * its own contract).  The numpy pipelines of lp_clustering.py, lp_refine.py
- * and the two contractions (sort the (owner, label) keys, reduce the runs,
- * segment argmax, bulk commit) stay as oracle and fallback.
+ * and for refinement (repro_lp_refine_chunk); or rates and picks one without
+ * the commit, for distributed LP (repro_lp_cluster_pick, repro_lp_refine_pick);
+ * or aggregates the coarse edges of a chunk of coarse vertices
+ * (repro_contract_chunk, below them with its own contract).  The numpy
+ * pipelines of lp_clustering.py, lp_refine.py, dist/dlp.py and the two
+ * contractions (sort the (owner, label) keys, reduce the runs, segment
+ * argmax, bulk commit) stay as oracle and fallback.
  *
- * Four exported functions, no state, no Python objects: ctypes calls them
- * with the GIL released.  The three chunk functions share one calling
+ * Six exported functions, no state, no Python objects: ctypes calls them
+ * with the GIL released.  The five chunk functions share one calling
  * convention: the chunk's adjacency as segments of one array -- n, chunk /
  * starts / degs (count each), adj and wgt (adj_len each; wgt == NULL means
  * every edge weighs unit_wgt) -- then the shared arrays of the phase (vwgt ==
  * NULL means every vertex weighs unit_vwgt), then the rating map (slot,
  * seen, rating, cap), then the outputs (out_cap entries each), info[2] and
- * the stream.  The fourth, repro_group_by_label, is the counting sort that
+ * the stream.  The sixth, repro_group_by_label, is the counting sort that
  * hands contraction its groups.
  *
  * The stream is the compressed source (NULL: the CSR segments above).  With
@@ -42,7 +44,19 @@
  * chunk order by the scalar rule that bulk_size_constrained_commit names as
  * its reference.
  *
- * Contract (tests/test_lp_kernel.py holds it to this):
+ * The two picks are phase 1 of the same chunk without phase 2: the rank's
+ * batch of distributed LP is the chunk, and the movers with their targets
+ * come back in chunk order (moved[] / target[]) for the caller to commit.
+ * They write nothing shared -- clusters / cluster_weights / part /
+ * block_weights are const -- so every rank of a batch reads the labels as
+ * the batch found them.  Clustering keys its jitter by the chunk index i
+ * (the vertex's position in its rank's batch), not by the vertex id as the
+ * chunk kernel does, and moves a vertex to its favourite label (fav[i]),
+ * not to best[i], if that is not its own and fits; refinement moves it to
+ * best[i].
+ *
+ * Contract (tests/test_lp_kernel.py and tests/test_dlp_kernel.py hold it
+ * to this):
  *   - every chunk id is checked 0 <= u < n before it indexes anything, and
  *     starts[i] >= 0, degs[i] >= 0, starts[i] + degs[i] <= adj_len (without
  *     forming the sum) before adj / wgt are read -- with a stream, the
@@ -62,9 +76,9 @@
  *     then (errors arise in phase 1 only); the outputs are garbage.  A
  *     stream the decoder refuses returns ERR_DECODE + its own code.
  *
- * The LP functions return the number of vertices moved; moved[] holds them
- * in chunk order, info[TARGETS] counts the chunk vertices that had a target
- * at all.
+ * The LP functions return the number of vertices moved (picked, for the
+ * picks); moved[] holds them in chunk order, info[TARGETS] counts the chunk
+ * vertices that had a target at all.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -177,47 +191,42 @@ static inline int fits(int64_t a, int64_t b, int64_t limit)
     return (int64_t)((uint64_t)a + (uint64_t)b) <= limit;
 }
 
-/* fav[i]: the best-ranked label among vertex i's neighbours (-1: none);
- * best[i]: the same over the labels it may join (its own, or one whose
- * weight still fits), -1 where the best of those loses to one that does not
- * fit; nc[i]: distinct neighbour labels. */
-int64_t repro_lp_cluster_chunk(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
-    int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, int64_t *clusters, int64_t *cluster_weights,
-    const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
-    int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav,
-    int64_t *best, int64_t *nc, int64_t *moved, int64_t out_cap, int64_t *info,
-    const stream_t *stream)
+/* Phase 1 of a clustering chunk: per chunk vertex i, fav[i] is the
+ * best-ranked label among its neighbours (-1: none); best[i] the same over
+ * the labels it may join (its own, or one whose weight still fits), -1 where
+ * the best of those loses to one that does not fit; nc[i] its distinct
+ * neighbour labels.  The jitter is keyed by the vertex id, or with by_index
+ * by its chunk index i.  Reads clusters[] / cluster_weights[], writes
+ * neither; returns 0 or an error.  Inlined into each caller, so the chunk
+ * kernel's loop is compiled as before, by_index folded away. */
+static inline __attribute__((always_inline)) int64_t cluster_phase1(
+    const segments_t *s, rating_map_t *m, int64_t count, const int64_t *clusters,
+    const int64_t *cluster_weights, const int64_t *vwgt, int64_t unit_vwgt,
+    int64_t max_cluster_weight, int by_index, int64_t *fav, int64_t *best, int64_t *nc,
+    int64_t *info)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
-    rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
-    info[TARGETS] = 0;
-    info[BAD] = -1;
-    if (count < 0 || count > out_cap)
-        return ERR_CAPACITY;
     for (int64_t i = 0; i < count; i++) {
         info[BAD] = i;
-        int64_t u = chunk[i];
-        if (!IN_RANGE(u, n))
+        int64_t u = s->chunk[i];
+        if (!IN_RANGE(u, s->n))
             return ERR_VERTEX;
         int64_t own = clusters[u];
-        if (!IN_RANGE(own, n))
+        if (!IN_RANGE(own, s->n))
             return ERR_LABEL;
-        int64_t labels = rate(&s, i, clusters, 0, &m, 0);
+        int64_t labels = rate(s, i, clusters, 0, m, 0);
         if (labels < 0)
             return labels;
         int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
+        uint64_t key = by_index ? (uint64_t)i : (uint64_t)u;
         int64_t fav_rank = 0, fav_label = -1, best_rank = 0, best_label = -1;
         int best_ok = 0;
         for (int64_t j = 0; j < labels; j++) {
-            int64_t c = m.seen[j];
-            m.slot[c] = 0;
+            int64_t c = m->seen[j];
+            m->slot[c] = 0;
             uint64_t current = c == own;
             /* rating first, then staying put, then a seeded jitter */
-            uint64_t jitter =
-                ((((uint64_t)c * 0x9E3779B1u) ^ ((uint64_t)u * 0x85EBCA6Bu)) >> 7) & 0x3F;
-            int64_t rank = (int64_t)(((m.rating[j] * 2 + current) << 6) | jitter);
+            uint64_t jitter = ((((uint64_t)c * 0x9E3779B1u) ^ (key * 0x85EBCA6Bu)) >> 7) & 0x3F;
+            int64_t rank = (int64_t)(((m->rating[j] * 2 + current) << 6) | jitter);
             if (fav_label < 0 || rank > fav_rank || (rank == fav_rank && c > fav_label)) {
                 fav_rank = rank;
                 fav_label = c;
@@ -236,6 +245,30 @@ int64_t repro_lp_cluster_chunk(
         fav[i] = fav_label;
         best[i] = best_ok ? best_label : -1;
     }
+    return 0;
+}
+
+/* Shared memory's clustering chunk: phase 1, then every vertex with a
+ * target commits to it in chunk order if it still fits. */
+int64_t repro_lp_cluster_chunk(
+    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
+    int64_t adj_len, int64_t *clusters, int64_t *cluster_weights,
+    const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
+    int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav,
+    int64_t *best, int64_t *nc, int64_t *moved, int64_t out_cap, int64_t *info,
+    const stream_t *stream)
+{
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
+    info[TARGETS] = 0;
+    info[BAD] = -1;
+    if (count < 0 || count > out_cap)
+        return ERR_CAPACITY;
+    int64_t rc = cluster_phase1(&s, &m, count, clusters, cluster_weights, vwgt, unit_vwgt,
+                                max_cluster_weight, 0, fav, best, nc, info);
+    if (rc < 0)
+        return rc;
     int64_t targets = 0, moves = 0;
     for (int64_t i = 0; i < count; i++) {
         int64_t target = best[i];
@@ -255,9 +288,86 @@ int64_t repro_lp_cluster_chunk(
     return moves;
 }
 
-/* best[i]: the block of highest positive gain among vertex i's neighbouring
- * blocks other than its own whose weight limit still admits it (-1: none);
- * gain(b) = rating(b) - rating(own block). */
+/* Distributed LP's clustering pick (repro.dist.dlp), one rank's batch as the
+ * chunk: phase 1 with the jitter keyed by chunk index, then, in chunk order,
+ * every vertex whose fav[i] is not its own cluster and fits
+ * max_cluster_weight goes to moved[] and fav[i] to target[] beside it.
+ * clusters[] and cluster_weights[] are read, never written, error or not:
+ * the caller commits.  Returns the number of movers. */
+int64_t repro_lp_cluster_pick(
+    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
+    int64_t adj_len, const int64_t *clusters, const int64_t *cluster_weights,
+    const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
+    int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav,
+    int64_t *best, int64_t *nc, int64_t *moved, int64_t *target, int64_t out_cap,
+    int64_t *info, const stream_t *stream)
+{
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
+    info[TARGETS] = 0;
+    info[BAD] = -1;
+    if (count < 0 || count > out_cap)
+        return ERR_CAPACITY;
+    int64_t rc = cluster_phase1(&s, &m, count, clusters, cluster_weights, vwgt, unit_vwgt,
+                                max_cluster_weight, 1, fav, best, nc, info);
+    if (rc < 0)
+        return rc;
+    int64_t moves = 0;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t u = chunk[i], f = fav[i];
+        int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
+        if (f < 0 || f == clusters[u] || !fits(cluster_weights[f], weight, max_cluster_weight))
+            continue;
+        moved[moves] = u;
+        target[moves++] = f;
+    }
+    info[TARGETS] = moves;
+    return moves;
+}
+
+/* Phase 1 of a refinement chunk: best[i] is the block of highest positive
+ * gain among vertex i's neighbouring blocks other than its own whose weight
+ * limit still admits it (-1: none); gain(b) = rating(b) - rating(own
+ * block).  Reads part[] / block_weights[], writes neither; returns 0 or an
+ * error. */
+static inline __attribute__((always_inline)) int64_t refine_phase1(
+    const segments_t *s, rating_map_t *m, int64_t count, const int32_t *part,
+    const int64_t *block_weights, const int64_t *vwgt, int64_t unit_vwgt,
+    const int64_t *limits, int64_t *best, int64_t *info)
+{
+    for (int64_t i = 0; i < count; i++) {
+        info[BAD] = i;
+        int64_t u = s->chunk[i];
+        if (!IN_RANGE(u, s->n))
+            return ERR_VERTEX;
+        int64_t own = part[u];
+        if (!IN_RANGE(own, m->labels))
+            return ERR_LABEL;
+        int64_t labels = rate(s, i, 0, part, m, 0);
+        if (labels < 0)
+            return labels;
+        int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
+        uint64_t own_rating = m->slot[own] ? m->rating[m->slot[own] - 1] : 0;
+        int64_t best_gain = 0, best_block = -1;
+        for (int64_t j = 0; j < labels; j++) {
+            int64_t b = m->seen[j];
+            m->slot[b] = 0;
+            int64_t gain = (int64_t)(m->rating[j] - own_rating);
+            if (b == own || gain <= 0 || !fits(block_weights[b], weight, limits[b]))
+                continue;
+            if (best_block < 0 || gain > best_gain || (gain == best_gain && b > best_block)) {
+                best_gain = gain;
+                best_block = b;
+            }
+        }
+        best[i] = best_block;
+    }
+    return 0;
+}
+
+/* Shared memory's refinement chunk: phase 1, then every vertex with a target
+ * commits to it in chunk order if it still fits. */
 int64_t repro_lp_refine_chunk(
     int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
@@ -272,33 +382,10 @@ int64_t repro_lp_refine_chunk(
     info[BAD] = -1;
     if (count < 0 || count > out_cap)
         return ERR_CAPACITY;
-    for (int64_t i = 0; i < count; i++) {
-        info[BAD] = i;
-        int64_t u = chunk[i];
-        if (!IN_RANGE(u, n))
-            return ERR_VERTEX;
-        int64_t own = part[u];
-        if (!IN_RANGE(own, k))
-            return ERR_LABEL;
-        int64_t labels = rate(&s, i, 0, part, &m, 0);
-        if (labels < 0)
-            return labels;
-        int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
-        uint64_t own_rating = m.slot[own] ? m.rating[m.slot[own] - 1] : 0;
-        int64_t best_gain = 0, best_block = -1;
-        for (int64_t j = 0; j < labels; j++) {
-            int64_t b = m.seen[j];
-            m.slot[b] = 0;
-            int64_t gain = (int64_t)(m.rating[j] - own_rating);
-            if (b == own || gain <= 0 || !fits(block_weights[b], weight, limits[b]))
-                continue;
-            if (best_block < 0 || gain > best_gain || (gain == best_gain && b > best_block)) {
-                best_gain = gain;
-                best_block = b;
-            }
-        }
-        best[i] = best_block;
-    }
+    int64_t rc = refine_phase1(&s, &m, count, part, block_weights, vwgt, unit_vwgt, limits,
+                               best, info);
+    if (rc < 0)
+        return rc;
     int64_t targets = 0, moves = 0;
     for (int64_t i = 0; i < count; i++) {
         int64_t target = best[i];
@@ -315,6 +402,41 @@ int64_t repro_lp_refine_chunk(
         moved[moves++] = u;
     }
     info[TARGETS] = targets;
+    return moves;
+}
+
+/* Distributed LP's refinement pick (repro.dist.dlp), one rank's batch as the
+ * chunk: phase 1, then, in chunk order, every vertex with a best[i] goes to
+ * moved[] and best[i] to target[] beside it.  part[] and block_weights[] are
+ * read, never written, error or not: the caller applies every move and the
+ * rebalancer repairs what the batch overfilled.  Returns the number of
+ * movers. */
+int64_t repro_lp_refine_pick(
+    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
+    int64_t adj_len, int64_t k, const int32_t *part, const int64_t *block_weights,
+    const int64_t *vwgt, int64_t unit_vwgt, const int64_t *limits, int64_t *slot,
+    int64_t *seen, int64_t *rating, int64_t cap, int64_t *best, int64_t *moved,
+    int64_t *target, int64_t out_cap, int64_t *info, const stream_t *stream)
+{
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
+    info[TARGETS] = 0;
+    info[BAD] = -1;
+    if (count < 0 || count > out_cap)
+        return ERR_CAPACITY;
+    int64_t rc = refine_phase1(&s, &m, count, part, block_weights, vwgt, unit_vwgt, limits,
+                               best, info);
+    if (rc < 0)
+        return rc;
+    int64_t moves = 0;
+    for (int64_t i = 0; i < count; i++) {
+        if (best[i] < 0)
+            continue;
+        moved[moves] = chunk[i];
+        target[moves++] = best[i];
+    }
+    info[TARGETS] = moves;
     return moves;
 }
 

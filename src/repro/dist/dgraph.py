@@ -51,17 +51,10 @@ class Shard:
     def n_local(self) -> int:
         return self.hi - self.lo
 
-    def adjacency(
-        self, local_ids: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened ``(owner, neighbors, weights)`` of owned vertices.
-
-        ``local_ids`` defaults to every owned vertex; ``owner`` indexes
-        into it and neighbors are *global* IDs.
-        """
-        if local_ids is None:
-            return chunk_adjacency(self.graph, np.arange(self.lo, self.hi))
-        return chunk_adjacency(self.graph, self.lo + local_ids)
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened ``(owner, neighbors, weights)`` of the owned vertices:
+        ``owner`` is the local id, neighbors are *global* IDs."""
+        return chunk_adjacency(self.graph, np.arange(self.lo, self.hi))
 
     @property
     def ghost_bytes(self) -> int:
@@ -81,6 +74,11 @@ class DistributedGraph:
     total_vertex_weight: int
     total_edge_weight: int
     shard_aids: list[int] = field(default_factory=list)
+
+    @property
+    def graph(self):
+        """The level's graph, of which every shard is a row range."""
+        return self.shards[0].graph
 
     def owner_of(self, v: int | np.ndarray):
         return np.searchsorted(self.ranges, v, side="right") - 1

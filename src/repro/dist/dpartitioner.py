@@ -29,7 +29,7 @@ from repro.core.config import DistObsConfig
 from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
 from repro.core.kernels import cluster_leaders
-from repro.core.partition import max_block_weight
+from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
 from repro.dist.dlp import distributed_lp_clustering, distributed_lp_refine
@@ -74,6 +74,15 @@ class DistConfig:
     seed: int = 0
     epsilon: float = 0.03
     obs: DistObsConfig = field(default_factory=DistObsConfig)
+
+    def __post_init__(self) -> None:
+        # batches=0 would rate no vertex at all, silently
+        if self.batches < 1:
+            raise ValueError(f"DistConfig.batches must be at least 1, got {self.batches}")
+        for name in ("lp_rounds", "refine_rounds", "max_levels"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"DistConfig.{name} must not be negative, got {value}")
 
 
 def _shard_footprint(dgraph: DistributedGraph) -> tuple[int, int]:
@@ -151,10 +160,7 @@ def _contract_distributed(
     tracer.add("contract.coarse_edges", len(cv))
 
     vwgt = tracked_zeros(n_coarse, np.int64, name="coarse-vwgt")
-    all_vwgt = tracked_zeros(n, np.int64, name="gathered-vwgt")
-    for shard in dgraph.shards:
-        all_vwgt[shard.lo : shard.hi] = shard.vwgt
-    np.add.at(vwgt, fine_to_coarse, all_vwgt)
+    np.add.at(vwgt, fine_to_coarse, np.asarray(dgraph.graph.vwgt))
 
     degrees = np.bincount(cu, minlength=n_coarse).astype(np.int64)
     indptr = tracked_zeros(n_coarse + 1, np.int64, name="coarse-indptr")
@@ -208,7 +214,6 @@ def dpartition(
         else SimComm(comm_or_ranks)
     )
     tracer = ClusterObserver(comm) if cfg.obs.enabled else NULL_CLUSTER_OBSERVER
-    rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
 
     with tracer.phase("dist-partition"):
@@ -240,7 +245,6 @@ def dpartition(
                         max_cluster_weight,
                         cfg.lp_rounds,
                         cfg.batches,
-                        rng,
                         tracer=tracer,
                         level=level,
                     )
@@ -295,8 +299,6 @@ def dpartition(
                     attempts=2,
                     fm_rounds=1,
                 )
-                from repro.core.partition import PartitionedGraph
-
                 cut = PartitionedGraph(coarsest, k, part).cut_weight()
                 if best_cut is None or cut < best_cut:
                     best_cut, best_part = cut, part
@@ -384,9 +386,7 @@ def _rebalance_distributed(
     lmax: int,
 ) -> int:
     """Greedy repair of balance violations (the paper's rebalancing step)."""
-    vwgt = tracked_zeros(dgraph.n, np.int64, name="rebalance-vwgt")
-    for shard in dgraph.shards:
-        vwgt[shard.lo : shard.hi] = shard.vwgt
+    vwgt = np.asarray(dgraph.graph.vwgt)
     moves = 0
     overloaded = [b for b in range(k) if block_weights[b] > lmax]
     dgraph.comm.allreduce(

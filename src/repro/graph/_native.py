@@ -133,6 +133,13 @@ SIGNATURES = {
     "repro_lp_refine_chunk": [
         *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p,
     ],
+    # the two picks: their chunk's arguments, and target[] after moved[]
+    "repro_lp_cluster_pick": [
+        *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _p, _i64, _p, _p,
+    ],
+    "repro_lp_refine_pick": [
+        *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _p, _i64, _p, _p,
+    ],
     # segments, label_count, labels, rating map, groups, own, group_count,
     # label, weight, out_cap, degree, info, stream
     "repro_contract_chunk": [
@@ -239,10 +246,15 @@ def bisection_kernels():
 
 
 def lp_kernels():
-    """``(cluster_chunk, refine_chunk)`` ctypes functions of ``lp_kernel.c``,
-    or ``None`` if unavailable."""
+    """``(cluster_chunk, refine_chunk, cluster_pick, refine_pick)`` ctypes
+    functions of ``lp_kernel.c``, or ``None`` if unavailable."""
     lib = library()
-    return lib and (lib["repro_lp_cluster_chunk"], lib["repro_lp_refine_chunk"])
+    return lib and (
+        lib["repro_lp_cluster_chunk"],
+        lib["repro_lp_refine_chunk"],
+        lib["repro_lp_cluster_pick"],
+        lib["repro_lp_refine_pick"],
+    )
 
 
 def contraction_kernels():

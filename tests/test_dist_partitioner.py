@@ -10,6 +10,7 @@ from repro.dist.dlp import distributed_lp_clustering
 from repro.dist.dgraph import distribute_graph
 from repro.dist.dpartitioner import DistConfig
 from repro.graph import generators as gen
+from repro.graph.builder import from_edges
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +22,7 @@ class TestDistributedLP:
     def test_clustering_is_valid(self, medium_graph):
         comm = SimComm(4)
         dg = distribute_graph(medium_graph, comm)
-        labels = distributed_lp_clustering(
-            dg, 16, rounds=3, batches=4, rng=np.random.default_rng(0)
-        )
+        labels = distributed_lp_clustering(dg, 16, rounds=3, batches=4)
         assert len(labels) == medium_graph.n
         assert labels.min() >= 0 and labels.max() < medium_graph.n
         # it actually clusters
@@ -33,9 +32,7 @@ class TestDistributedLP:
         comm = SimComm(2)
         dg = distribute_graph(medium_graph, comm)
         cap = 5
-        labels = distributed_lp_clustering(
-            dg, cap, rounds=3, batches=2, rng=np.random.default_rng(1)
-        )
+        labels = distributed_lp_clustering(dg, cap, rounds=3, batches=2)
         sizes = np.zeros(medium_graph.n, dtype=np.int64)
         np.add.at(sizes, labels, 1)
         assert sizes.max() <= cap
@@ -90,12 +87,50 @@ class TestDPartition:
         assert r.comm.bytes_sent > 0
         assert r.comm.supersteps > 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batches", 0),
+            ("batches", -3),
+            ("lp_rounds", -1),
+            ("refine_rounds", -1),
+            ("max_levels", -2),
+        ],
+    )
+    def test_config_refuses_settings_that_turn_lp_off(self, field, value):
+        with pytest.raises(ValueError, match=f"DistConfig.{field} "):
+            DistConfig(**{field: value})
+
     def test_cut_matches_recount(self, medium_graph):
         from repro.core.partition import PartitionedGraph
 
         r = dpartition(medium_graph, 8, 4)
         pg = PartitionedGraph(medium_graph, 8, r.partition)
         assert pg.cut_weight() == r.cut
+
+
+DEGENERATE = {
+    "empty": (lambda: from_edges(0, np.empty((0, 2), dtype=np.int64)), 8),
+    "one-vertex": (lambda: from_edges(1, np.empty((0, 2), dtype=np.int64)), 8),
+    "isolated": (lambda: from_edges(50, np.empty((0, 2), dtype=np.int64)), 8),
+    "k-above-n": (lambda: gen.rgg2d(20, avg_degree=8, seed=1), 32),
+    "star": (lambda: gen.star(401), 8),
+}
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 4])
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_graphs(name, compressed, ranks):
+    """A valid, balanced assignment whose cut is the recount."""
+    from repro.core.partition import PartitionedGraph
+
+    make, k = DEGENERATE[name]
+    graph = make()
+    r = dpartition(graph, k, ranks, compressed=compressed)
+    assert len(r.partition) == graph.n and r.balanced
+    assert np.all((r.partition >= 0) & (r.partition < k))
+    assert r.cut == PartitionedGraph(graph, k, r.partition).cut_weight()
 
 
 # --------------------------------------------------------------------- #

@@ -342,6 +342,34 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
         assert calls["decode_chunk"] == 0, (kind, calls)
 
 
+# Distributed LP picks on the same kernel (lp_kernel.c's pick entries): one
+# call a rank and batch, a compressed shard rated from its byte stream.  Its
+# numpy pipeline stays as oracle and fallback, silent like the others, so a
+# change that loses the kernel path fails here by count.  With the kernel
+# hidden the same run must reach the pipeline, or this guard guards nothing.
+def test_distributed_lp_is_one_compiled_call_a_batch(monkeypatch):
+    import pytest
+    from repro.dist import dlp, dpartition
+    from repro.graph.generators import rhg
+
+    graph = rhg(2000, avg_degree=10, seed=5)
+
+    def ratings_calls():
+        calls = []
+        with monkeypatch.context() as m:
+            reduce = dlp.segment_reduce_ratings
+            m.setattr(dlp, "segment_reduce_ratings", lambda *a: calls.append(1) or reduce(*a))
+            assert dpartition(graph, 8, 4, compressed=True).num_levels > 0
+        return len(calls)
+
+    with monkeypatch.context() as m:
+        m.setattr(_native, "lp_kernels", lambda: None)
+        assert ratings_calls() > 0
+    if _native.lp_kernels() is None:
+        pytest.skip("no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)")
+    assert ratings_calls() == 0, "distributed LP fell back to the numpy pipeline"
+
+
 # Contraction is the rating map too (lp_kernel.c's repro_contract_chunk):
 # buffered contraction is one compiled call a level, one-pass one a chunk,
 # and neither sorts coarse edge keys or gathers member lists in numpy.  Those
