@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
@@ -173,6 +174,7 @@ def config_to_dict(cfg: PartitionerConfig) -> dict:
     return json.loads(json.dumps(asdict(cfg), default=_default))
 
 
+@functools.lru_cache(maxsize=256)
 def config_digest(cfg: PartitionerConfig) -> str:
     """Stable short hash identifying a configuration *variant*.
 
@@ -182,6 +184,9 @@ def config_digest(cfg: PartitionerConfig) -> str:
     untraced and schedule-independence are tested invariants, so turning
     tracing or validation on must not fork the service cache key or the
     run-DB group.  Any other knob change yields a new digest.
+
+    Memoized on the frozen, hashable config: the service asks once per
+    request, and equal configs share one digest.
     """
     d = config_to_dict(cfg)
     for key in ("seed", "debug", "obs"):

@@ -1,16 +1,17 @@
-"""Loader of the optional compiled kernels: the chunk decode
-(``decode_kernel.c``), initial partitioning's sequential searches
-(``core/initial/bisection_kernel.c``) and the rating-map chunks of label
-propagation and contraction (``core/kernels/lp_kernel.c``), one library.
+"""Loader of the optional compiled kernels: the codec's chunk decode and
+packet encoder (``decode_kernel.c``), initial partitioning's sequential
+searches (``core/initial/bisection_kernel.c``) and the rating-map chunks of
+label propagation and contraction (``core/kernels/lp_kernel.c``), one
+library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
 kernel but availability: with no compiler, a failed build, a library that
-does not load or a symbol that does not resolve, :func:`decode_kernel`,
-:func:`bisection_kernels`, :func:`lp_kernels` and
-:func:`contraction_kernels` return ``None`` and their callers run the numpy
-/ Python oracles.  ``REPRO_NATIVE=0`` (read at import) forces that answer, so a
-whole test run can be held on the oracles.
+does not load or a symbol that does not resolve, the five getters
+:func:`decode_kernel`, :func:`encode_kernel`, :func:`bisection_kernels`,
+:func:`lp_kernels` and :func:`contraction_kernels` return ``None`` and their
+callers run the numpy / Python oracles.  ``REPRO_NATIVE=0`` (read at
+import) forces that answer, so a whole test run can be held on the oracles.
 
 The library is named by the sha256 of every source, flags, compiler and
 platform, written under a temporary name and published with one
@@ -42,7 +43,8 @@ _SOURCES = (
 _FLAGS = ["-O3", "-shared", "-fPIC"]
 _DISABLED = os.environ.get("REPRO_NATIVE") == "0"
 
-#: what ``repro_decode_chunk`` returns for a stream it refuses
+#: the codec's one error enum: what ``repro_decode_chunk`` returns for a
+#: stream it refuses and ``repro_encode_run`` for a run it refuses
 ERRORS = {
     -1: "varint truncated",
     -2: "varint too long",
@@ -51,7 +53,15 @@ ERRORS = {
     -5: "neighborhood value count mismatch",
     -6: "neighbor id out of range",
     -7: "vertex id, byte offsets or degree out of range",
+    -8: "neighbors descend inside a row",
+    -9: "it lists the same neighbor twice",
+    -10: "an edge-weight gap does not fit 63 bits once sign-folded",
+    -11: "output capacity exhausted",
 }
+
+#: ``repro_encode_run``'s answer for an unsorted row (sort, then call
+#: again) and its two refusals, which the numpy encoder raises alike
+ENCODE_DESCENT, ENCODE_DUPLICATE, ENCODE_WEIGHT = -8, -9, -10
 
 #: what the three functions of ``bisection_kernel.c`` return for a workspace
 #: or a buffer they refuse (one enum in the source, one table here)
@@ -111,6 +121,11 @@ SIGNATURES = {
     # intervals, owner, nbrs, wgts, capacity, pairs, pairs_cap, bad
     "repro_decode_chunk": [
         _p, _i64, _p, _i64, _p, _p, _i64, _i64, ctypes.c_int32, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+    # lo, first_edge, count, nbrs, edges, wgts, intervals, out, out_cap,
+    # starts, stats, bad
+    "repro_encode_run": [
+        _i64, _p, _i64, _p, _i64, _p, ctypes.c_int32, _p, _i64, _p, _p, _p,
     ],
     # the searches share (n, xadj, adj, wgt, vwgt, ..., heap, heap_cap, work):
     # ... = order, target0, max0, gain, in_block, blocked, grown, grown_cap
@@ -232,6 +247,12 @@ def decode_kernel():
     """The ``repro_decode_chunk`` ctypes function, or ``None`` if unavailable."""
     lib = library()
     return lib and lib["repro_decode_chunk"]
+
+
+def encode_kernel():
+    """The ``repro_encode_run`` ctypes function, or ``None`` if unavailable."""
+    lib = library()
+    return lib and lib["repro_encode_run"]
 
 
 def bisection_kernels():

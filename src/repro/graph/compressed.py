@@ -25,6 +25,12 @@ Each neighborhood is encoded independently into one contiguous byte array:
 
 Like CSR, per-vertex byte offsets into the edge array are kept in an
 ``n+1``-entry pointer array.
+
+Both directions of the codec have a compiled kernel in ``decode_kernel.c``
+(loaded by :mod:`repro.graph._native`): the chunk decode behind
+:meth:`CompressedGraph.decode_chunk` and the packet encoder behind
+:func:`_encode_low_degree_bulk`.  The numpy code beside each is its oracle
+and the fallback without a compiler.
 """
 
 from __future__ import annotations
@@ -115,6 +121,24 @@ def split_intervals(
     return intervals, nbrs[residual_mask]
 
 
+def _refuse(u: int, code: int):
+    """Refuse vertex ``u``'s row, the cause from the codec's one error enum."""
+    raise ValueError(f"cannot compress vertex {u}: {_native.ERRORS[code]}")
+
+
+#: a signed value whose sign fold fits 63 bits lies strictly inside +-2^62
+_FOLD_LIMIT = 1 << 62
+
+
+def _weight_gaps(w: np.ndarray, row_head: np.ndarray | None = None) -> np.ndarray:
+    """Signed weight gaps in int64, wrapping like the decoder's cumsum;
+    ``row_head`` marks the entries whose gap is taken against 0."""
+    gaps = np.diff(w, prepend=np.int64(0))
+    if row_head is not None:
+        gaps[row_head] = w[row_head]
+    return gaps
+
+
 def _encode_block(
     u: int,
     nbrs: np.ndarray,
@@ -124,6 +148,11 @@ def _encode_block(
     stats: CompressionStats,
 ) -> None:
     """Encode one chunk (or whole low-degree neighborhood)."""
+    gaps = None
+    if wgts is not None:
+        gaps = _weight_gaps(np.asarray(wgts, dtype=np.int64))
+        if np.any((gaps >= _FOLD_LIMIT) | (gaps <= -_FOLD_LIMIT)):
+            _refuse(u, _native.ENCODE_WEIGHT)
     if cfg.enable_intervals:
         intervals, residuals = split_intervals(nbrs)
         encode_varint(len(intervals), out)
@@ -146,12 +175,10 @@ def _encode_block(
         else:
             encode_varint(v - prev - 1, out)
         prev = v
-    if wgts is not None:
+    if gaps is not None:
         before = len(out)
-        prev_w = 0
-        for w in wgts.tolist():
-            encode_signed_varint(w - prev_w, out)
-            prev_w = w
+        for gap in gaps.tolist():
+            encode_signed_varint(gap, out)
         stats.weight_bytes += len(out) - before
 
 
@@ -896,7 +923,13 @@ def encode_neighborhood(
     cfg: CompressionConfig,
     stats: CompressionStats,
 ) -> None:
-    """Encode one full neighborhood (header + chunks) into ``out``."""
+    """Encode one full neighborhood (header + chunks) into ``out``.
+
+    ``nbrs`` must be sorted; a repeat in it, or a weight gap whose sign
+    fold does not fit 63 bits, raises a ``ValueError`` naming ``u``.
+    """
+    if len(nbrs) > 1 and np.any(nbrs[1:] == nbrs[:-1]):
+        _refuse(u, _native.ENCODE_DUPLICATE)
     before = len(out)
     encode_varint(first_edge_id, out)
     stats.header_bytes += len(out) - before
@@ -931,6 +964,16 @@ def encode_neighborhood(
 PACKET_EDGES = 1 << 16
 
 
+def _sort_rows(
+    first_edge: np.ndarray, nb: np.ndarray, w: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Every row's neighbors ascending, its weights alongside: one segmented,
+    stable sort, so rows that were sorted keep their order byte for byte."""
+    deg = np.diff(first_edge)
+    order = np.lexsort((nb, np.repeat(np.arange(len(deg)), deg)))
+    return nb[order], None if w is None else w[order]
+
+
 def _encode_low_degree_bulk(
     lo: int,
     first_edge: np.ndarray,
@@ -939,23 +982,113 @@ def _encode_low_degree_bulk(
     cfg: CompressionConfig,
     stats: CompressionStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode the consecutive low-degree vertices ``lo..`` in one bulk pass.
+    """Encode the consecutive low-degree vertices ``lo..`` in one run.
 
     ``first_edge`` holds their first edge IDs plus the end sentinel, ``nb``
-    / ``w`` their sorted neighbors and weights.  Builds the *value sequence*
-    -- per vertex: header, [interval count], [interval pairs], [residual
-    gaps], [weight gaps] -- with pure array arithmetic, then VarInt-encodes
-    all values at once.  Returns the bytes and each vertex's byte start
-    within them, byte-identical to per-vertex :func:`encode_neighborhood`
-    calls.
+    / ``w`` their neighbors and weights, rows in any order.  Returns the
+    bytes and each vertex's byte start within them, byte-identical to
+    per-vertex :func:`encode_neighborhood` calls on the sorted rows.
+
+    With the compiled library loaded, ``repro_encode_run``
+    (``decode_kernel.c``) is called twice: a size pass that checks the run
+    and returns its exact byte count, then a write pass into a buffer of
+    exactly that size.  A descent inside a row comes back from the size
+    pass as a code; the rows are then sorted and sized again.  Without the
+    library (or under ``REPRO_NATIVE=0``) :func:`_encode_low_degree_oracle`
+    computes the same in numpy.  Either way a row the codec cannot hold --
+    a neighbor listed twice, a weight gap whose sign fold does not fit 63
+    bits -- raises a ``ValueError`` naming the vertex before a byte of the
+    run exists.
+    """
+    kernel = _native.encode_kernel()
+    if kernel is None:
+        if _descends(first_edge, nb):
+            nb, w = _sort_rows(first_edge, nb, w)
+        return _encode_low_degree_oracle(lo, first_edge, nb, w, cfg, stats)
+    nl = len(first_edge) - 1
+    first_edge = np.ascontiguousarray(first_edge, dtype=np.int64)
+    nb = np.ascontiguousarray(nb, dtype=np.int64)
+    w = None if w is None else np.ascontiguousarray(w, dtype=np.int64)
+    bad = ctypes.c_int64()
+
+    def call(out=None, out_cap=0, starts=None, deltas=None):
+        return kernel(
+            lo, first_edge.ctypes.data, nl, nb.ctypes.data, len(nb),
+            None if w is None else w.ctypes.data, cfg.enable_intervals,
+            out, out_cap, starts, deltas, ctypes.byref(bad),
+        )  # fmt: skip
+
+    size = call()
+    if size == _native.ENCODE_DESCENT:
+        nb, w = _sort_rows(first_edge, nb, w)
+        size = call()
+    if size < 0:
+        _refuse(lo + bad.value, size)
+    blob = tracked_empty(size, np.uint8, name="compress-run-bytes")
+    starts = tracked_empty(nl, np.int64, name="compress-run-starts")
+    deltas = np.zeros(4, dtype=np.int64)
+    written = call(blob.ctypes.data, size, starts.ctypes.data, deltas.ctypes.data)
+    if written != size:
+        raise RuntimeError(f"encoder wrote {written} of {size} sized bytes")
+    n_iv, iv_edges, header_bytes, weight_bytes = deltas.tolist()
+    stats.num_neighborhoods += nl
+    stats.num_intervals += n_iv
+    stats.num_interval_edges += iv_edges
+    stats.header_bytes += header_bytes
+    stats.weight_bytes += weight_bytes
+    return blob, starts
+
+
+def _descends(first_edge: np.ndarray, nb: np.ndarray) -> bool:
+    """A descent inside a row (the kernel reports one as a code)."""
+    if len(nb) < 2:
+        return False
+    edge = first_edge - first_edge[0]
+    row_start = tracked_zeros(len(nb), bool, name="compress-row-starts")
+    row_start[edge[:-1][np.diff(edge) > 0]] = True
+    return bool(np.any((nb[1:] < nb[:-1]) & ~row_start[1:]))
+
+
+def _encode_low_degree_oracle(
+    lo: int,
+    first_edge: np.ndarray,
+    nb: np.ndarray,
+    w: np.ndarray | None,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy encoder of sorted rows, :func:`_encode_low_degree_bulk`'s
+    oracle and fallback.
+
+    Builds the *value sequence* -- per vertex: header, [interval count],
+    [interval pairs], [residual gaps], [weight gaps] -- with pure array
+    arithmetic, then VarInt-encodes all values at once.
     """
     nl = len(first_edge) - 1
-    stats.num_neighborhoods += nl
     deg = np.diff(first_edge)
     tot = len(nb)
     owner = np.repeat(np.arange(nl, dtype=np.int64), deg)
     row_ofs = first_edge[:-1] - first_edge[0]
     pos_in_row = np.arange(tot, dtype=np.int64) - row_ofs[owner]
+
+    # refused in the kernel's order: the first row holding a repeat or a
+    # weight gap too wide, the repeat first within a row
+    repeat_row = wide_row = nl
+    if tot > 1:
+        repeat = np.flatnonzero((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1]))
+        if len(repeat):
+            repeat_row = int(owner[repeat[0] + 1])
+    w_gap = None
+    if w is not None and tot:
+        w_gap = _weight_gaps(w, pos_in_row == 0)
+        wide = np.flatnonzero((w_gap >= _FOLD_LIMIT) | (w_gap <= -_FOLD_LIMIT))
+        if len(wide):
+            wide_row = int(owner[wide[0]])
+    if min(repeat_row, wide_row) < nl:
+        if repeat_row <= wide_row:
+            _refuse(lo + repeat_row, _native.ENCODE_DUPLICATE)
+        _refuse(lo + wide_row, _native.ENCODE_WEIGHT)
+    stats.num_neighborhoods += nl
 
     # interval detection: maximal runs of consecutive IDs, len >= 3
     if cfg.enable_intervals:
@@ -1029,10 +1162,9 @@ def _encode_low_degree_bulk(
             res_nb - prev_res - 1,
         )
     w_pos = None
-    if w is not None and tot:
-        prev_w = np.where(pos_in_row == 0, 0, np.concatenate(([0], w[:-1])))
+    if w_gap is not None:
         w_pos = val_start[owner] + (count - deg)[owner] + pos_in_row
-        vals[w_pos] = zigzag_encode(w - prev_w)
+        vals[w_pos] = zigzag_encode(w_gap)
 
     lens = varint_lengths(vals)
     byte_start = np.cumsum(lens) - lens
@@ -1055,21 +1187,14 @@ def _encode_packet(
 
     A packet is the unit of encoding: consecutive vertices ``lo..``, their
     first edge IDs (plus end sentinel) and their slice of the edge arrays.
-    Unsorted neighborhoods are sorted first (one vectorized test, one
-    segmented sort).  Runs of low-degree vertices are encoded in bulk; a
-    vertex above the chunking threshold is the one case left to the scalar
-    :func:`encode_neighborhood`.
+    Runs of low-degree vertices are encoded in one run each
+    (:func:`_encode_low_degree_bulk`, which sorts unsorted rows); a vertex
+    above the chunking threshold is the one case left to the scalar
+    :func:`encode_neighborhood`, its row sorted first if it descends.
     """
     nv = len(first_edge) - 1
     edge = first_edge - first_edge[0]
     deg = np.diff(edge)
-    if len(nb) > 1:
-        row_start = tracked_zeros(len(nb), bool, name="compress-row-starts")
-        row_start[edge[:-1][deg > 0]] = True
-        if np.any((nb[1:] < nb[:-1]) & ~row_start[1:]):  # descent inside a row
-            order = np.lexsort((nb, np.repeat(np.arange(nv), deg)))
-            nb = nb[order]
-            w = None if w is None else w[order]
     offsets = tracked_empty(nv, np.int64, name="compress-packet-offsets")
     a = 0
     for h in [*np.flatnonzero(deg > cfg.high_degree_threshold).tolist(), nv]:
@@ -1084,9 +1209,11 @@ def _encode_packet(
         if h < nv:
             offsets[h] = len(out)
             end = int(edge[h + 1])
-            hub_w = None if w is None else w[eh:end]
+            hub_nb, hub_w = nb[eh:end], None if w is None else w[eh:end]
+            if _descends(first_edge[h : h + 2], hub_nb):
+                hub_nb, hub_w = _sort_rows(first_edge[h : h + 2], hub_nb, hub_w)
             encode_neighborhood(
-                lo + h, nb[eh:end], hub_w, int(first_edge[h]), out, cfg, stats
+                lo + h, hub_nb, hub_w, int(first_edge[h]), out, cfg, stats
             )
         a = h + 1
     return offsets

@@ -1,14 +1,17 @@
-/* Native chunk decode for repro.graph.compressed.CompressedGraph.
+/* The native codec of repro.graph.compressed: the chunk decode and the
+ * packet encoder, one file, one MIN_INTERVAL_LEN, one error enum.
  *
- * One exported function, no state, no Python objects: ctypes calls it with
- * the GIL released.  It fills the same (owner, neighbors, weights) arrays the
- * numpy oracle `CompressedGraph._decode_chunk_simple` returns; the stream
- * layout is described in compressed.py.  Its per-vertex decoder,
- * decode_neighborhood, is also behind repro_decode_neighborhood, the entry of
- * the compressed LP chunk (core/kernels/lp_kernel.c), which rates each
- * neighborhood as it decodes it.
+ * Two exported functions, no state, no Python objects: ctypes calls them with
+ * the GIL released.  repro_decode_chunk fills the same (owner, neighbors,
+ * weights) arrays the numpy oracle `CompressedGraph._decode_chunk_simple`
+ * returns; the stream layout is described in compressed.py.  Its per-vertex
+ * decoder, decode_neighborhood, is also behind repro_decode_neighborhood, the
+ * entry of the compressed LP chunk (core/kernels/lp_kernel.c), which rates
+ * each neighborhood as it decodes it.  repro_encode_run writes the bytes,
+ * per-vertex byte starts and stats deltas of its numpy oracle
+ * `_encode_low_degree_oracle` for one run of low-degree vertices.
  *
- * Memory-safety contract (tests/test_bulk_decode.py holds it to this):
+ * Reader's memory-safety contract (tests/test_bulk_decode.py holds it to this):
  *   - vertex u is read only inside data[offsets[u], offsets[u+1]), and only
  *     after 0 <= u < n and 0 <= offsets[u] <= offsets[u+1] <= data_len held;
  *   - vertex u is written only inside its own degs[i] output slots, and only
@@ -24,6 +27,24 @@
  *
  * A vertex above hub_threshold (chunked encoding) gets its owner slots filled
  * and its neighbor/weight slots skipped: the caller splices those in.
+ *
+ * Writer's memory-safety contract (tests/test_compress_kernel.py holds it to
+ * this):
+ *   - first_edge is read at [0, count], nbrs and wgts only inside
+ *     [0, edges), and a row only after first_edge[0] >= 0 and
+ *     first_edge[i] <= first_edge[i+1] <= first_edge[0] + edges held;
+ *   - out is written only below out_cap, a row only after its measured
+ *     bytes were checked against what is left; starts only at [0, count),
+ *     stats only at [0, 4);
+ *   - every neighbor id is checked to lie in [0, 2^62) and every vertex id
+ *     lo + i below 2^62 before any difference is taken, so no structural
+ *     value overflows; a weight gap wraps modulo 2^64 like numpy's
+ *     subtraction and is refused unless its sign fold fits 63 bits;
+ *   - a row it cannot take as it is -- a descent (the caller sorts and calls
+ *     again), a neighbor listed twice or a weight gap too wide (refused) --
+ *     returns a negative code with the run index of the vertex in *bad.
+ *     The size pass (out == NULL) writes nothing but *bad, so a caller that
+ *     sizes first refuses before writing a byte.
  */
 #include <stdint.h>
 #include <stddef.h>
@@ -36,8 +57,12 @@ enum {
     ERR_INTERVALS = -3, /* interval count or lengths exceed the degree */
     ERR_OVERLAP = -4,   /* a residual falls inside an interval */
     ERR_COUNT = -5,     /* neighborhood holds more or fewer values than its degree asks for */
-    ERR_RANGE = -6,     /* neighbor id outside [0, n) */
-    ERR_METADATA = -7   /* vertex id, byte range, degree or buffer size */
+    ERR_RANGE = -6,     /* neighbor id outside [0, n) (encoder: [0, 2^62)) */
+    ERR_METADATA = -7,  /* vertex id, byte range, degree or buffer size */
+    ERR_DESCENT = -8,   /* encoder: a row's neighbors descend (the caller sorts, calls again) */
+    ERR_DUPLICATE = -9, /* encoder: a row lists the same neighbor twice */
+    ERR_WEIGHT = -10,   /* encoder: an edge-weight gap whose sign fold does not fit 63 bits */
+    ERR_CAPACITY = -11  /* encoder: the output buffer is shorter than the run's bytes */
 };
 
 /* Read one VarInt from [*pp, end).  Nine bytes carry 63 bits; a tenth may
@@ -233,4 +258,214 @@ int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
         out += deg;
     }
     return out == capacity ? 0 : ERR_METADATA;
+}
+
+/* ---------------------------------------------------------------------- */
+/* The encoder                                                             */
+/* ---------------------------------------------------------------------- */
+
+/* ids and signed values stay strictly inside +-2^62: a sign fold fits 63 bits */
+#define FOLD_LIMIT ((int64_t)1 << 62)
+
+/* bytes of the VarInt of v < 2^63 (varint.varint_len) */
+static inline int64_t varint_bytes(uint64_t v)
+{
+    return (64 - __builtin_clzll(v | 1) + 6) / 7;
+}
+
+/* bit 0 = sign (varint.zigzag_encode); |x| < 2^62 */
+static inline uint64_t fold_sign(int64_t x)
+{
+    return x < 0 ? ((uint64_t)-x << 1) | 1 : (uint64_t)x << 1;
+}
+
+static inline uint8_t *put_varint(uint8_t *p, uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = (uint8_t)(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = (uint8_t)v;
+    return p;
+}
+
+/* One row's byte layout after its header, and the walk's state.  A row is
+ * cut into maximal runs of consecutive ids; a run of >= MIN_INTERVAL_LEN ids
+ * is an interval (with interval encoding on), any other run is residuals
+ * whose gaps after the first are 0. */
+typedef struct {
+    int64_t ni, covered;                /* intervals, the ids they cover */
+    int64_t iv_bytes, res_bytes, w_bytes;
+    int64_t prev_end, prev_res;         /* -1 before the first of each */
+} shape_t;
+
+static inline uint64_t interval_head(const shape_t *s, int64_t left, int64_t u)
+{
+    return s->prev_end < 0 ? fold_sign(left - u) : (uint64_t)(left - s->prev_end);
+}
+
+static inline uint64_t residual_head(const shape_t *s, int64_t v, int64_t u)
+{
+    return s->prev_res < 0 ? fold_sign(v - u) : (uint64_t)(v - s->prev_res - 1);
+}
+
+static inline void measure_run(shape_t *s, const int64_t *row, int64_t j, int64_t k, int64_t u,
+                               int intervals)
+{
+    if (intervals && k - j >= MIN_INTERVAL_LEN) {
+        s->iv_bytes += varint_bytes(interval_head(s, row[j], u)) +
+                       varint_bytes((uint64_t)(k - j - MIN_INTERVAL_LEN));
+        s->ni++;
+        s->covered += k - j;
+        s->prev_end = row[j] + (k - j);
+    } else {
+        s->res_bytes += varint_bytes(residual_head(s, row[j], u)) + (k - j - 1);
+        s->prev_res = row[k - 1];
+    }
+}
+
+/* Check vertex u's row (ids in [0, 2^62), strictly ascending, weight gaps
+ * that fold into 63 bits) and measure it.  Returns 0 or a negative ERR_*. */
+static inline int measure_row(shape_t *s, const int64_t *row, const int64_t *rw, int64_t deg,
+                              int64_t u, int intervals)
+{
+    *s = (shape_t){0, 0, 0, 0, 0, -1, -1};
+    int64_t prev = -1, j = 0;
+    for (int64_t t = 0; t < deg; t++) {
+        int64_t v = row[t];
+        if (v < 0 || v >= FOLD_LIMIT)
+            return ERR_RANGE;
+        if (v <= prev)
+            return v < prev ? ERR_DESCENT : ERR_DUPLICATE;
+        if (t && v != prev + 1) {
+            measure_run(s, row, j, t, u, intervals);
+            j = t;
+        }
+        prev = v;
+    }
+    measure_run(s, row, j, deg, u, intervals);
+    if (rw) {
+        uint64_t prev_w = 0;
+        for (int64_t t = 0; t < deg; t++) {
+            /* wraps modulo 2^64 like numpy's w - prev_w */
+            int64_t gap = (int64_t)((uint64_t)rw[t] - prev_w);
+            if (gap <= -FOLD_LIMIT || gap >= FOLD_LIMIT)
+                return ERR_WEIGHT;
+            s->w_bytes += varint_bytes(fold_sign(gap));
+            prev_w = (uint64_t)rw[t];
+        }
+    }
+    return 0;
+}
+
+/* Write a measured row after its header: [interval count], then the
+ * interval pairs from p on and the residuals from p + iv_bytes on in one
+ * walk over the runs, then the weight gaps. */
+static inline void write_row(uint8_t *p, const shape_t *m, const int64_t *row, const int64_t *rw,
+                             int64_t deg, int64_t u, int intervals)
+{
+    if (intervals)
+        p = put_varint(p, (uint64_t)m->ni);
+    uint8_t *res = p + m->iv_bytes;
+    if (!m->ni) {
+        res = put_varint(res, fold_sign(row[0] - u));
+        for (int64_t t = 1; t < deg; t++)
+            res = put_varint(res, (uint64_t)(row[t] - row[t - 1] - 1));
+    } else {
+        shape_t s = {0, 0, 0, 0, 0, -1, -1};
+        for (int64_t j = 0, k; j < deg; j = k) {
+            for (k = j + 1; k < deg && row[k] == row[k - 1] + 1; k++)
+                ;
+            if (k - j >= MIN_INTERVAL_LEN) {
+                p = put_varint(p, interval_head(&s, row[j], u));
+                p = put_varint(p, (uint64_t)(k - j - MIN_INTERVAL_LEN));
+                s.prev_end = row[j] + (k - j);
+            } else {
+                res = put_varint(res, residual_head(&s, row[j], u));
+                for (int64_t t = j + 1; t < k; t++)
+                    *res++ = 0;
+                s.prev_res = row[k - 1];
+            }
+        }
+    }
+    uint64_t prev_w = 0;
+    for (int64_t t = 0; rw && t < deg; t++) {
+        res = put_varint(res, fold_sign((int64_t)((uint64_t)rw[t] - prev_w)));
+        prev_w = (uint64_t)rw[t];
+    }
+}
+
+static inline __attribute__((always_inline)) int64_t encode_run(
+    int64_t lo, const int64_t *first_edge, int64_t count, const int64_t *nbrs, int64_t edges,
+    const int64_t *wgts, int intervals, uint8_t *out, int64_t out_cap, int64_t *starts,
+    int64_t *stats, int64_t *bad, const int write)
+{
+    int64_t pos = 0, num_iv = 0, iv_edges = 0, header_bytes = 0, weight_bytes = 0;
+    *bad = 0;
+    if (count < 0 || lo < 0 || lo > FOLD_LIMIT - count || edges < 0)
+        return ERR_METADATA;
+    int64_t fe0 = first_edge[0];
+    if (fe0 < 0)
+        return ERR_METADATA;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t a = first_edge[i], b = first_edge[i + 1];
+        *bad = i;
+        if (b < a || b - fe0 > edges)
+            return ERR_METADATA;
+        const int64_t *row = nbrs + (a - fe0);
+        const int64_t *rw = wgts && b > a ? wgts + (a - fe0) : NULL;
+        int64_t deg = b - a, head = varint_bytes((uint64_t)a), bytes = head;
+        shape_t s = {0, 0, 0, 0, 0, -1, -1};
+        if (deg) {
+            int rc = measure_row(&s, row, rw, deg, lo + i, intervals);
+            if (rc)
+                return rc;
+            bytes += (intervals ? varint_bytes((uint64_t)s.ni) : 0) + s.iv_bytes + s.res_bytes +
+                     s.w_bytes;
+        }
+        if (write) {
+            if (bytes > out_cap - pos)
+                return ERR_CAPACITY;
+            starts[i] = pos;
+            uint8_t *p = put_varint(out + pos, (uint64_t)a);
+            if (deg)
+                write_row(p, &s, row, rw, deg, lo + i, intervals);
+        }
+        pos += bytes;
+        header_bytes += head;
+        weight_bytes += s.w_bytes;
+        num_iv += s.ni;
+        iv_edges += s.covered;
+    }
+    *bad = count;
+    if (first_edge[count] - fe0 != edges)
+        return ERR_METADATA;
+    if (write) {
+        stats[0] += num_iv;
+        stats[1] += iv_edges;
+        stats[2] += header_bytes;
+        stats[3] += weight_bytes;
+    }
+    return pos;
+}
+
+/* Encode the consecutive low-degree vertices lo..lo+count-1 back to back:
+ * per vertex the first-edge header, [interval count, pairs], residual gaps
+ * and, if wgts, weight gaps.  With out == NULL only sizes and checks the run
+ * (the return value is the exact byte count); with out writes the bytes, the
+ * byte start of every vertex into starts[0..count) and adds (intervals,
+ * interval edges, header bytes, weight bytes) into stats[0..4).  Returns the
+ * bytes, or a negative ERR_* with *bad set to the run index of the vertex. */
+int64_t repro_encode_run(int64_t lo, const int64_t *first_edge, int64_t count,
+                         const int64_t *nbrs, int64_t edges, const int64_t *wgts,
+                         int32_t intervals, uint8_t *out, int64_t out_cap,
+                         int64_t *starts, int64_t *stats, int64_t *bad)
+{
+    if (!out)
+        return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, NULL, 0, NULL,
+                          NULL, bad, 0);
+    if (!starts || !stats || out_cap < 0)
+        return ERR_METADATA;
+    return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, out, out_cap, starts,
+                      stats, bad, 1);
 }

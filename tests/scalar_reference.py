@@ -270,9 +270,10 @@ def scalar_references():
 
     The swap reaches each loaded ``repro.*`` module holding the kernel
     under its own name (``from ... import`` bindings included).  The
-    compiled LP chunk (``lp_kernel.c``) replaces the very pipeline those
-    kernels form, so it is held off for the body: the run is the numpy
-    pipeline on the scalar references.  Yields a
+    compiled LP chunk (``lp_kernel.c``) and the compiled packet encoder
+    (``repro_encode_run``) replace the very pipelines those kernels form,
+    so both are held off for the body: the run is the numpy pipeline on
+    the scalar references.  Yields a
     :class:`~collections.Counter` of reference calls so a caller can prove
     the oracle actually ran.
     """
@@ -287,6 +288,7 @@ def scalar_references():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "lp_kernels", lambda: None)
+        mp.setattr(_native, "encode_kernel", lambda: None)
         for name, (home, ref) in REFERENCES.items():
             original = getattr(sys.modules[home], name)
             holders = [

@@ -30,8 +30,8 @@ from repro.graph import _native
 from repro.graph.generators import weblike
 loaded = _native.available()
 accessors = (
-    _native.decode_kernel, _native.bisection_kernels, _native.lp_kernels,
-    _native.contraction_kernels,
+    _native.decode_kernel, _native.encode_kernel, _native.bisection_kernels,
+    _native.lp_kernels, _native.contraction_kernels,
 )
 assert {accessor() is not None for accessor in accessors} == {loaded}
 assert sorted(_native.library() or _native.SIGNATURES) == sorted(_native.SIGNATURES)

@@ -218,6 +218,51 @@ def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
     assert 2 < len(cuts) <= 5
 
 
+# The packet encoder is compiled (`repro_encode_run`): each run of
+# low-degree vertices is one size call and one write call, so with the
+# library loaded no compressor reaches numpy's VarInt encoder or its length
+# pass.  The fallback is silent by design, so a change that loses the
+# kernel (a dtype the wrapper refuses, a renamed symbol) would show up only
+# as a slow ladder; here it fails by count.  With the kernel hidden the
+# same doors must reach both, or this guard guards nothing.
+def test_compression_is_one_compiled_call_a_run(monkeypatch, tmp_path):
+    from collections import Counter
+
+    import pytest
+    from repro.graph import compressed
+    from repro.graph.compression import compress_graph_parallel
+    from repro.graph.io import stream_compressed, write_binary
+    from repro.parallel.runtime import ParallelRuntime
+
+    if _native.encode_kernel() is None:
+        pytest.skip("no compiled encoder (no C compiler, or REPRO_NATIVE=0)")
+    calls = Counter()
+    for name in ("encode_stream_bulk", "varint_lengths"):
+        def counted(*args, _name=name, _fn=getattr(compressed, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(compressed, name, counted)
+    graph = weblike(3000, avg_degree=10.0, seed=1)
+    path = tmp_path / "web.bin"
+    write_binary(graph, path)
+
+    def doors():
+        compressed.compress_graph(graph)
+        yield "memory"
+        compress_graph_parallel(graph, ParallelRuntime(4, chunk_size=64))
+        yield "threads"
+        stream_compressed(path, packet_edges=1 << 10)
+        yield "file"
+
+    for door in doors():
+        assert not calls, f"{door}: {dict(calls)} -- the numpy encoder ran"
+    monkeypatch.setattr(_native, "encode_kernel", lambda: None)
+    for door in doors():
+        assert set(calls) == {"encode_stream_bulk", "varint_lengths"}, door
+        calls.clear()
+
+
 # A gain table is filled by one pass over the edges, on either
 # representation: building it on a compressed graph costs one bulk decode
 # more than on CSR -- ~2-4x for the sparse table, ~8x for the dense one,

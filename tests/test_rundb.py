@@ -255,6 +255,20 @@ class TestConfigStamp:
         digests = {config_digest(c) for c in different}
         assert len(digests) == 3 and config_digest(base) not in digests
 
+    def test_digest_is_computed_once_per_config(self):
+        """The service keys every request by the digest: equal configs get
+        the one memoized answer, a new epsilon still forks it, and what the
+        run DB records is what the unmemoized hash says."""
+        from repro.obs.regress.rundb import config_stamp
+
+        base = C.terapart_fm()
+        assert config_digest(base) is config_digest(C.terapart_fm())
+        widened = base.with_(epsilon=0.07)
+        assert config_digest(widened) != config_digest(base)
+        assert config_digest(widened) == config_digest(base.with_(epsilon=0.07))
+        for cfg in (base, widened, *[f() for f in C.PRESETS.values()]):
+            assert config_stamp(cfg)["digest"] == config_digest.__wrapped__(cfg)
+
     def test_knob_surface_is_pinned(self):
         """Adding, removing or re-defaulting a hashed knob forks every
         service cache key and run-DB group: make that a deliberate diff."""
