@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.access import adjacency_blocks
+from repro.graph.access import adjacency_blocks, crossing_weight
 from repro.memory.scratch import tracked_zeros
 
 
@@ -58,11 +58,7 @@ class PartitionedGraph:
     # ------------------------------------------------------------------ #
     def cut_weight(self) -> int:
         """Total weight of edges crossing blocks (each undirected edge once)."""
-        part = self.partition
-        total = 0
-        for src, dst, wgt in adjacency_blocks(self.graph):
-            total += int(wgt[part[src] != part[dst]].sum())
-        return total // 2
+        return crossing_weight(self.graph, self.partition) // 2
 
     def cut_fraction(self) -> float:
         tw = self.graph.total_edge_weight // 2

@@ -169,6 +169,25 @@ def adjacency_blocks(graph, block_size: int = 4096):
         yield owner + start, nbrs, wgts
 
 
+def crossing_weight(graph, labels: np.ndarray) -> int:
+    """Total weight of the directed edges whose endpoints carry different
+    ``labels`` (every undirected edge is counted from both sides).
+
+    On CSR the source side is ``np.repeat(labels, degrees)`` -- the labels'
+    width, no int64 source array -- and unit weights are a
+    ``count_nonzero``; a compressed graph goes block by block.
+    """
+    if hasattr(graph, "indptr"):
+        crossing = np.repeat(labels, graph.degrees) != labels[graph.adjncy]
+        if not graph.has_edge_weights:
+            return int(np.count_nonzero(crossing))
+        return int(graph.adjwgt[crossing].sum())
+    return sum(
+        int(wgt[labels[src] != labels[dst]].sum())
+        for src, dst, wgt in adjacency_blocks(graph)
+    )
+
+
 def segment_reduce_ratings(
     owner: np.ndarray,
     clusters: np.ndarray,

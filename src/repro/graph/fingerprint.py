@@ -12,6 +12,14 @@ header.  Both representations of the *same* graph deliberately produce
 *different* fingerprints — the cache stores representation-specific
 artifacts (a compressed graph is itself a cached value), so conflating
 them would alias entries of different byte sizes.
+
+This is the *content* fingerprint: the service hashes a graph with it once,
+when the graph is registered.  After that the service keys the graph by a
+*state digest* (:func:`repro.serve.deltas.state_fingerprint`): the same
+96-bit blake2b over the previous key and the delta's canonical form, so a
+delta costs what it changes instead of a re-hash of every array.  Both
+give different content different keys; only the content fingerprint
+gives two lineages that reach the same bytes the same key.
 """
 
 from __future__ import annotations
@@ -20,12 +28,12 @@ import hashlib
 
 import numpy as np
 
-_DIGEST_SIZE = 12  # 96 bits: collision-safe for any plausible cache size
+DIGEST_SIZE = 12  # 96 bits: collision-safe for any plausible cache size
 
 
 def graph_fingerprint(graph) -> str:
     """Hex content digest of a CSR or compressed graph."""
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
+    h = hashlib.blake2b(digest_size=DIGEST_SIZE)
     h.update(f"{graph.n}:{graph.num_directed_edges}:".encode())
     if hasattr(graph, "indptr"):  # CSR
         h.update(b"csr:")

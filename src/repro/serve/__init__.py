@@ -17,7 +17,12 @@ Public surface:
 """
 
 from repro.serve.cache import ByteLRUCache, CacheStats
-from repro.serve.deltas import GraphDelta, apply_delta, random_delta
+from repro.serve.deltas import (
+    DeltaFieldError,
+    GraphDelta,
+    apply_delta,
+    random_delta,
+)
 from repro.serve.metrics import LatencyReservoir, ServiceMetrics
 from repro.serve.service import (
     PartitionService,
@@ -31,6 +36,7 @@ from repro.serve.trace import TraceEvent, TraceReport, make_trace, replay
 __all__ = [
     "ByteLRUCache",
     "CacheStats",
+    "DeltaFieldError",
     "GraphDelta",
     "LatencyReservoir",
     "PartitionService",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.serve.deltas import GraphDelta
+from repro.serve.deltas import DeltaFieldError, GraphDelta
 from repro.serve.service import PartitionService, ServiceError
 
 _MAX_BODY = 64 * 1024 * 1024  # deltas can be large; a DoS guard regardless
@@ -209,8 +209,8 @@ class HttpFrontend:
             raise ServiceError("bad-request", "POST /delta needs 'graph'")
         try:
             delta = GraphDelta.from_dict(body)
-        except ValueError as e:
-            raise ServiceError("bad-request", str(e)) from e
+        except DeltaFieldError as e:
+            raise ServiceError("bad-request", str(e), {"field": e.field}) from e
         info = await self.service.apply_delta(str(body["graph"]), delta)
         return 200, info
 

@@ -28,6 +28,12 @@ Architecture (DESIGN.md §11)::
   re-runs refinement (:func:`repro.core.partitioner.refine_partition`),
   falling back to a full multilevel run once the cumulative drift since
   the last full run exceeds ``ServeConfig.drift_threshold``.
+* **Keys**: a graph is keyed by its content fingerprint when registered
+  and by a state digest after each delta that changed it
+  (:func:`repro.serve.deltas.state_fingerprint`: the previous key and the
+  delta's canonical form, never a re-hash of the graph).  Answers and
+  compressed graphs under a key no registered name holds any more can
+  never be asked for again, so a delta or a re-registration drops them.
 
 The service is a plain asyncio object (``PartitionService``) plus a
 thread-backed synchronous wrapper (``ServiceHandle``) for tests and
@@ -52,7 +58,7 @@ from repro.graph.compressed import compress_graph
 from repro.graph.fingerprint import graph_fingerprint
 from repro.memory.tracker import MemoryTracker
 from repro.serve.cache import ByteLRUCache
-from repro.serve.deltas import GraphDelta, apply_delta
+from repro.serve.deltas import GraphDelta, apply_delta, state_fingerprint
 from repro.serve.metrics import ServiceMetrics
 
 
@@ -212,7 +218,8 @@ class PartitionService:
     # graph registry + deltas
     # ------------------------------------------------------------------ #
     async def register_graph(self, name: str, graph) -> str:
-        """Register a finest-level CSR graph; returns its fingerprint."""
+        """Register a finest-level CSR graph; returns its content
+        fingerprint, the key its answers are cached under until a delta."""
         if not hasattr(graph, "indptr"):
             raise ServiceError(
                 "bad-request",
@@ -228,8 +235,23 @@ class PartitionService:
             self.tracker.free(old.epoch_aid)
         aid = self.tracker.alloc(f"serve-delta-epoch:{name}", 0, "serve")
         self._entries[name] = _GraphEntry(name, graph, fp, epoch_aid=aid)
+        self._evict_stranded()
         self.metrics.bump("serve.graphs_registered")
         return fp
+
+    def _evict_stranded(self) -> None:
+        """Drop cached answers and compressed graphs whose key no
+        registered name holds: nothing can ask for them again.  A run in
+        flight across the change may still store one; the next sweep
+        takes it."""
+        live = {e.fingerprint for e in self._entries.values()}
+
+        def stranded(key) -> bool:
+            if key[0] == "part":
+                return key[1].fingerprint not in live
+            return key[0] == "graph" and key[1] not in live
+
+        self.cache.invalidate_where(stranded)
 
     def graph_names(self) -> list[str]:
         return sorted(self._entries)
@@ -245,7 +267,10 @@ class PartitionService:
         return entry
 
     async def apply_delta(self, name: str, delta: GraphDelta) -> dict:
-        """Mutate the finest level; returns drift bookkeeping."""
+        """Mutate the finest level; returns drift bookkeeping and the new
+        key.  O(delta) plus one copy of each changed graph array: the key
+        advances by digest, and the answers under the key the graph left
+        are dropped unless another name still holds it."""
         entry = self._entry(name)
         t0 = time.perf_counter()
         try:
@@ -260,9 +285,14 @@ class PartitionService:
             entry.epoch = np.append(entry.epoch, np.zeros(grown, np.int32))
             self.tracker.resize(entry.epoch_aid, entry.epoch.nbytes)
         entry.epoch[delta.vertices(entry.graph.n)] = entry.deltas_applied
+        if changed or delta.add_vertices:
+            # a no-op delta keeps the key, and with it every cached answer
+            entry.fingerprint = state_fingerprint(
+                entry.fingerprint, delta, new_graph
+            )
         entry.graph = new_graph
-        entry.fingerprint = graph_fingerprint(new_graph)
         entry.total_changed += changed
+        self._evict_stranded()
         self.metrics.bump("serve.delta_batches")
         self.metrics.bump("serve.delta_edges_changed", changed)
         self.metrics.bump("serve.delta_seconds", time.perf_counter() - t0)

@@ -1,4 +1,4 @@
-"""``apply_delta`` (sorted merge) against ``reference_apply_delta`` (rebuild).
+"""``apply_delta`` (row search + merge) against ``reference_apply_delta`` (rebuild).
 
 Chains random deltas through both implementations and demands the same
 bytes: ``indptr`` / ``adjncy`` / ``adjwgt`` / ``vwgt``, the unit-weight
@@ -20,6 +20,7 @@ from repro.graph.fingerprint import graph_fingerprint
 from repro.serve import GraphDelta, apply_delta
 
 BASES = {
+    "star": gen.star(2100),  # one row deeper than 2**11: the search depth
     "rgg2d": gen.rgg2d(60, 6.0, seed=3),
     "rhg": gen.rhg(60, 6.0, seed=3),
     "weblike": gen.weblike(60, 6.0, seed=3),
@@ -113,6 +114,74 @@ def test_chained_deltas_match_the_rebuild(base, seed, chain):
         assert changed == ref_changed
         assert_same_graph(new, ref)
     new.validate()
+
+
+def hub_graph(n=3000, hub=1500, seed=0) -> CSRGraph:
+    """A weighted star whose hub sits mid-graph, plus a sparse ring: the hub
+    row has degree n - 1 and rows before and after it."""
+    rng = np.random.default_rng(seed)
+    others = np.delete(np.arange(n), hub)
+    spokes = np.stack([np.full(n - 1, hub), others], axis=1)
+    ring = np.stack([others, np.roll(others, 1)], axis=1)
+    edges = np.concatenate([spokes, ring])
+    return from_edges(n, edges, rng.integers(1, 9, size=len(edges)))
+
+
+def test_hub_row_is_searched_to_its_ends():
+    graph = hub_graph()
+    hub, last = 1500, graph.n - 1
+    spokes = [[hub, 0], [hub, 1], [hub, 1499], [hub, 1501], [last, hub]]
+    delta = GraphDelta(
+        remove_edges=spokes + [[hub, 7]],
+        # re-add two removed spokes, re-weight others, spokes to new vertices
+        add_edges=[[0, hub], [hub, last], [hub, 2], [hub, 2998],
+                   [hub, 3000], [3001, hub], [3000, 3001]],
+        add_weights=[3, 1, 9, 9, 2, 2, 5],
+        add_vertices=2,
+    )
+    new, changed = apply_delta(graph, delta)
+    ref, ref_changed = reference_apply_delta(graph, delta)
+    assert changed == ref_changed
+    assert_same_graph(new, ref)
+    assert new.degree(hub) == graph.degree(hub) - 6 + 2 + 2
+    new.validate()
+
+
+def test_pairs_removed_and_re_added_in_one_delta(rhg_graph):
+    rng = np.random.default_rng(3)
+    have = existing_edges(rhg_graph)
+    picked = have[rng.choice(len(have), size=40, replace=False)]
+    for weights in (None, rng.integers(1, 5, size=20)):
+        delta = GraphDelta(
+            remove_edges=picked, add_edges=picked[:20, ::-1], add_weights=weights
+        )
+        new, changed = apply_delta(rhg_graph, delta)
+        ref, ref_changed = reference_apply_delta(rhg_graph, delta)
+        assert changed == ref_changed == 60
+        assert_same_graph(new, ref)
+
+
+def test_edges_to_appended_vertices(tiny_graph, weighted_graph):
+    for graph in (tiny_graph, weighted_graph):
+        n = graph.n
+        delta = GraphDelta(
+            add_edges=[[n + 2, n], [0, n + 1], [n + 1, n + 2], [n, 1]],
+            add_vertices=4,  # n + 3 stays isolated
+        )
+        new, changed = apply_delta(graph, delta)
+        ref, ref_changed = reference_apply_delta(graph, delta)
+        assert changed == ref_changed == 4
+        assert_same_graph(new, ref)
+        assert new.degree(n + 3) == 0 and new.degree(n + 2) == 2
+
+
+def test_unit_weight_graph_keeps_its_zero_stride_view(rhg_graph):
+    delta = mixed_delta(rhg_graph, np.random.default_rng(2))
+    unit = GraphDelta(add_edges=delta.add_edges, remove_edges=delta.remove_edges)
+    new, _ = apply_delta(rhg_graph, unit)
+    assert not new.has_edge_weights and new.adjwgt.strides == (0,)
+    heavy = GraphDelta(add_edges=[[0, 1]], add_weights=[4])
+    assert apply_delta(new, heavy)[0].adjwgt.strides == (8,)
 
 
 def test_remove_then_add_of_one_pair_counts_twice(weighted_graph):

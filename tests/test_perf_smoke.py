@@ -475,3 +475,64 @@ def test_contraction_is_one_compiled_call(monkeypatch):
             f"{name}: contraction fell back to the numpy pipeline ({dict(calls)}); "
             f"did a change make lp_chunk.contraction_step refuse the level?"
         )
+
+
+# A service delta costs what it changes.  ``apply_delta`` binary-searches
+# the named pairs inside their rows and makes one ``np.delete`` and one
+# ``np.insert`` per array, so the only arrays of length m it allocates are
+# those two copies of ``adjncy`` (alive together inside ``np.insert``); the
+# m-length ``src * n + dst`` key array it used to build, an int64 source
+# array, or a ones array for unit weights would each add another 8 m bytes
+# on top.  The service then advances its key by digest instead of
+# re-hashing the graph: after registration, ``graph_fingerprint`` is never
+# called again.
+def test_delta_allocates_its_copies_only():
+    import tracemalloc
+
+    from repro.graph.generators import rhg
+    from repro.serve import apply_delta, random_delta
+
+    graph = rhg(20_000, avg_degree=10, seed=1)
+    per = int(0.005 * graph.m)
+    delta = random_delta(
+        graph, np.random.default_rng(0), n_add=per // 2, n_remove=per - per // 2
+    )
+    apply_delta(graph, delta)  # warm: lazy imports, the canonical form
+    tracemalloc.start()
+    try:
+        new, changed = apply_delta(graph, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert changed > 0 and new.adjwgt.strides == (0,)
+    copies = 2 * 8 * graph.num_directed_edges
+    assert peak < copies + 4 * 8 * (graph.n + 1), (
+        f"apply_delta peaked at {peak / copies:.2f}x its two adjncy copies "
+        f"(m={graph.num_directed_edges}, n={graph.n}); "
+        f"did a change bring back a whole-graph array?"
+    )
+
+
+def test_service_delta_never_rehashes_the_graph(monkeypatch):
+    from repro.core.config import ServeConfig, terapart
+    from repro.graph import fingerprint
+    from repro.graph.generators import rhg
+    from repro.serve import ServiceHandle, random_delta, service
+
+    calls = []
+    original = fingerprint.graph_fingerprint
+
+    def counted(graph):
+        calls.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(fingerprint, "graph_fingerprint", counted)
+    monkeypatch.setattr(service, "graph_fingerprint", counted)
+    graph = rhg(2000, avg_degree=10, seed=2)
+    rng = np.random.default_rng(1)
+    with ServiceHandle(terapart(), ServeConfig()) as h:
+        h.register_graph("g", graph)
+        assert len(calls) == 1
+        for _ in range(4):
+            h.apply_delta("g", random_delta(graph, rng, n_add=10, n_remove=10))
+    assert len(calls) == 1, f"{len(calls) - 1} graph_fingerprint calls in 4 deltas"

@@ -15,6 +15,7 @@ from repro.graph.compressed import compress_graph
 from repro.graph.fingerprint import graph_fingerprint
 from repro.memory.tracker import MemoryTracker
 from repro.serve import (
+    DeltaFieldError,
     GraphDelta,
     PartitionService,
     ServiceError,
@@ -140,6 +141,35 @@ class TestApplyDelta:
         assert np.array_equal(d.remove_edges, d2.remove_edges)
         assert np.array_equal(d.vertex_weights, d2.vertex_weights)
         assert d2.add_vertices == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"add_edges": [[0, 1.5]]}, "add"),
+            ({"add_edges": [[True, 2]]}, "add"),
+            ({"add_edges": np.array([[0, 1]], dtype=bool)}, "add"),
+            ({"add_edges": {"a": 1}}, "add"),
+            ({"remove_edges": [[0, 2**63]]}, "remove"),
+            ({"remove_edges": np.array([[0, 2**63]], dtype=np.uint64)}, "remove"),
+            ({"add_edges": [[0, 1]], "add_weights": [2.0]}, "add_weights"),
+            ({"vertex_weights": [[0, 2**63]]}, "vertex_weights"),
+            ({"vertex_weights": [[0, "2"]]}, "vertex_weights"),
+            ({"add_vertices": True}, "add_vertices"),
+            ({"add_vertices": 1.5}, "add_vertices"),
+            ({"add_vertices": 2**63}, "add_vertices"),
+        ],
+    )
+    def test_hostile_entries_name_their_field(self, kwargs, field):
+        with pytest.raises(DeltaFieldError) as ei:
+            GraphDelta(**kwargs)
+        assert ei.value.field == field and str(ei.value).startswith(field)
+
+    def test_empty_fields_stay_legal(self, tiny_graph):
+        d = GraphDelta.from_dict(
+            {"add": [], "remove": [], "add_weights": [], "vertex_weights": []}
+        )
+        g, changed = apply_delta(tiny_graph, d)
+        assert changed == 0 and g.m == tiny_graph.m
 
     def test_random_delta_applies_cleanly(self, small_web):
         rng = np.random.default_rng(0)
@@ -271,6 +301,101 @@ class TestRequestModes:
 
 
 # --------------------------------------------------------------------- #
+# the state digest and the cache it keys
+# --------------------------------------------------------------------- #
+def _stream(graph, seed: int, count: int) -> list[GraphDelta]:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        out.append(random_delta(graph, rng, n_add=5, n_remove=5, weighted=True))
+        graph, _ = apply_delta(graph, out[-1])
+    return out
+
+
+class TestStateDigest:
+    def test_registration_key_is_the_content_fingerprint(self, small_web):
+        with ServiceHandle(CFG, FAST_SERVE) as h:
+            fp = h.register_graph("g", small_web)
+            assert fp == graph_fingerprint(small_web)
+            assert h.service._entries["g"].fingerprint == fp
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            GraphDelta(),
+            GraphDelta(remove_edges=[[0, 1], [0, 1]], add_edges=[]),
+            GraphDelta(vertex_weights=[[3, 1]]),
+        ],
+        ids=["empty", "remove-absent", "same-vertex-weight"],
+    )
+    def test_a_no_op_delta_keeps_the_key(self, delta):
+        graph = from_edges(4, np.array([[1, 2], [2, 3]]))
+        with ServiceHandle(CFG, FAST_SERVE) as h:
+            fp = h.register_graph("g", graph)
+            info = h.apply_delta("g", delta)
+        assert info["changed_edges"] == 0 and info["fingerprint"] == fp
+
+    def test_every_change_advances_the_key(self, weighted_graph):
+        changes = [
+            GraphDelta(add_edges=[[1, 3]]),
+            GraphDelta(remove_edges=[[1, 3]]),
+            GraphDelta(add_edges=[[0, 1]], add_weights=[7]),
+            GraphDelta(vertex_weights=[[2, 4]]),
+            GraphDelta(add_vertices=1),
+        ]
+        with ServiceHandle(CFG, FAST_SERVE) as h:
+            seen = [h.register_graph("g", weighted_graph)]
+            for delta in changes:
+                seen.append(h.apply_delta("g", delta)["fingerprint"])
+        assert all(a != b for a, b in zip(seen, seen[1:]))
+
+    def test_two_services_fed_one_stream_agree(self, small_web):
+        stream = _stream(small_web, seed=4, count=5)
+        keys = []
+        for _ in range(2):
+            with ServiceHandle(CFG, FAST_SERVE) as h:
+                h.register_graph("g", small_web)
+                keys.append([h.apply_delta("g", d)["fingerprint"] for d in stream])
+        assert keys[0] == keys[1] and len(set(keys[0])) == len(stream)
+        with ServiceHandle(CFG, FAST_SERVE) as h:
+            h.register_graph("g", small_web)
+            other = [
+                h.apply_delta("g", d)["fingerprint"]
+                for d in _stream(small_web, seed=6, count=5)
+            ]
+        assert not set(other) & set(keys[0])
+
+    def test_deltas_strand_no_cached_answer(self, small_web):
+        tracker = MemoryTracker()
+        with ServiceHandle(CFG, FAST_SERVE, tracker=tracker) as h:
+            h.register_graph("g", small_web)
+            h.register_graph("twin", small_web)  # shares the first key
+            twin_key = h.service._entries["twin"].fingerprint
+            h.partition("g", 4, force_full=True)
+            for delta in _stream(small_web, seed=5, count=6):
+                h.apply_delta("g", delta)
+                h.partition("g", 4)
+            cache = h.service.cache
+            live = {e.fingerprint for e in h.service._entries.values()}
+            assert live == {h.service._entries["g"].fingerprint, twin_key}
+            fps = [
+                key[1].fingerprint if key[0] == "part" else key[1]
+                for key in cache.keys()
+                if key[0] in ("part", "graph")
+            ]
+            assert fps and set(fps) <= live
+            assert twin_key in fps  # still held by "twin": kept
+            assert h.partition("twin", 4).mode == "cached"
+            assert cache.resident_bytes == tracker.breakdown()["serve-cache"]
+            # a re-registration strands the old key's answers too
+            h.register_graph("twin", gen.weblike(120, avg_degree=6, seed=9))
+            assert not any(
+                twin_key in (key[1], getattr(key[1], "fingerprint", None))
+                for key in cache.keys()
+            )
+
+
+# --------------------------------------------------------------------- #
 # the HTTP front end
 # --------------------------------------------------------------------- #
 async def _http(port: int, method: str, path: str, body: dict | None = None):
@@ -381,21 +506,40 @@ class TestHttpFrontend:
         assert sbad == 404
 
     @pytest.mark.parametrize(
-        "request_bytes, field",
+        "route, request_bytes, field",
         [
-            (b"Content-Length: abc\r\n\r\n", "Content-Length"),
-            (b"Content-Length: -5\r\n\r\n", "Content-Length"),
-            (b'Content-Length: 40\r\n\r\n{"graph": "web"}', "Content-Length"),
-            (_body({"graph": "web", "k": "ab"}), "k"),
-            (_body({"graph": "web", "k": 4, "epsilon": "x"}), "epsilon"),
+            (b"/partition", b"Content-Length: abc\r\n\r\n", "Content-Length"),
+            (b"/partition", b"Content-Length: -5\r\n\r\n", "Content-Length"),
+            (b"/partition", b'Content-Length: 40\r\n\r\n{"graph": "web"}',
+             "Content-Length"),
+            (b"/partition", _body({"graph": "web", "k": "ab"}), "k"),
+            (b"/partition", _body({"graph": "web", "k": 4, "epsilon": "x"}),
+             "epsilon"),
+            (b"/delta", _body({"graph": "web", "add": [[0, 1.5]]}), "add"),
+            (b"/delta", _body({"graph": "web", "add": [[True, 2]]}), "add"),
+            (b"/delta", _body({"graph": "web", "add": {"a": 1}}), "add"),
+            (b"/delta", _body({"graph": "web", "remove": [[0, 2**63]]}),
+             "remove"),
+            (b"/delta", _body({"graph": "web", "add": [[0, 1]],
+                               "add_weights": [1.5]}), "add_weights"),
+            (b"/delta", _body({"graph": "web", "vertex_weights": [[0, 2**63]]}),
+             "vertex_weights"),
+            (b"/delta", _body({"graph": "web", "add_vertices": True}),
+             "add_vertices"),
+            (b"/delta", _body({"graph": "web", "add_vertices": 1.5}),
+             "add_vertices"),
         ],
         ids=["length-not-a-number", "length-negative", "body-short",
-             "k-not-a-number", "epsilon-not-a-number"],
+             "k-not-a-number", "epsilon-not-a-number",
+             "delta-float-id", "delta-bool-id", "delta-object-edges",
+             "delta-id-beyond-int64", "delta-float-weight",
+             "delta-vertex-weight-beyond-int64", "delta-bool-count",
+             "delta-float-count"],
     )
-    def test_hostile_input_is_a_bad_request(self, request_bytes, field):
+    def test_hostile_input_is_a_bad_request(self, route, request_bytes, field):
         async def flow(port):
             return await _raw_http(
-                port, b"POST /partition HTTP/1.1\r\n" + request_bytes
+                port, b"POST " + route + b" HTTP/1.1\r\n" + request_bytes
             )
 
         status, err = self._run(flow)
