@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.coarsening.contraction import contract_clusters
 from repro.core.initial.recursive import initial_partition
 from repro.core.kernels import cluster_leaders
 from repro.core.partition import PartitionedGraph, max_block_weight
-from repro.graph.access import full_adjacency
-from repro.graph.csr import CSRGraph
 from repro.memory.tracker import MemoryTracker
 
 
@@ -67,40 +66,6 @@ def shem_matching(graph, rng: np.random.Generator) -> np.ndarray:
         leader = min(u, v)
         match[u] = match[v] = leader
     return match
-
-
-def _contract_matching(graph, match: np.ndarray, tracker: MemoryTracker):
-    """Contract a matching into the next level (buffered, Metis-style)."""
-    leaders = cluster_leaders(match)
-    n_coarse = len(leaders)
-    remap = np.full(graph.n, -1, dtype=np.int64)
-    remap[leaders] = np.arange(n_coarse, dtype=np.int64)
-    f2c = remap[match]
-    src, dst, w = full_adjacency(graph)
-    cu, cv = f2c[src], f2c[dst]
-    keep = cu != cv
-    cu, cv, w = cu[keep], cv[keep], np.asarray(w)[keep]
-    if len(cu):
-        key = cu * np.int64(n_coarse) + cv
-        order = np.argsort(key, kind="stable")
-        key_s, w_s = key[order], w[order]
-        b = np.empty(len(key_s), dtype=bool)
-        b[0] = True
-        b[1:] = key_s[1:] != key_s[:-1]
-        starts = np.flatnonzero(b)
-        w = np.add.reduceat(w_s, starts)
-        key_u = key_s[starts]
-        cu, cv = key_u // n_coarse, key_u % n_coarse
-    vwgt = np.zeros(n_coarse, dtype=np.int64)
-    np.add.at(vwgt, f2c, np.asarray(graph.vwgt))
-    degrees = np.bincount(cu, minlength=n_coarse).astype(np.int64)
-    indptr = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    unit = bool(len(w) == 0 or np.all(np.asarray(w) == 1))
-    coarse = CSRGraph(
-        indptr, cv, None if unit else w, vwgt, sorted_neighborhoods=True
-    )
-    return coarse, f2c
 
 
 def _greedy_refine(pgraph: PartitionedGraph, soft_limit: int, rounds: int) -> None:
@@ -169,10 +134,10 @@ def mtmetis_partition(
         # matching scans the level twice (sort + match), contraction once
         work_edges += 3.0 * current.num_directed_edges
         match = shem_matching(current, rng)
-        shrink = current.n / max(len(cluster_leaders(match)), 1)
-        if shrink < 1.1:
+        leaders = cluster_leaders(match)
+        if current.n / max(len(leaders), 1) < 1.1:
             break
-        coarse, f2c = _contract_matching(current, match, tracker)
+        coarse, f2c = contract_clusters(current, match, leaders)
         # Metis keeps the full hierarchy, the matching map per level, and
         # buffered coarse edges during construction
         aids.append(tracker.alloc(f"cmap-{len(levels)}", 8 * current.n, "matching"))

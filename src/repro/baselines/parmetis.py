@@ -15,19 +15,8 @@ arrays and buffered coarse-edge arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.dist.comm import SimComm
 from repro.dist.dpartitioner import DistConfig, DistPartitionResult, dpartition
-
-
-@dataclass
-class _AuxCharge:
-    """Per-rank extra allocations active for the duration of the run."""
-
-    aids: list[tuple[int, int]]
 
 
 def parmetis_partition(

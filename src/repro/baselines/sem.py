@@ -30,7 +30,7 @@ import numpy as np
 
 import repro
 from repro.core import config as C
-from repro.core.kernels import cluster_leaders
+from repro.core.coarsening.contraction import contract_clusters
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings
 from repro.memory.tracker import MemoryTracker
@@ -130,27 +130,9 @@ def sem_partition(
             break
 
     # contract (streamed aggregation; coarse graph fits in memory)
-    leaders = cluster_leaders(labels)
-    n_coarse = len(leaders)
-    remap = np.full(n, -1, dtype=np.int64)
-    remap[leaders] = np.arange(n_coarse, dtype=np.int64)
-    f2c = remap[labels]
-    from repro.core.coarsening.contraction import aggregate_coarse_edges
-
-    cu, cv, w = aggregate_coarse_edges(graph, f2c, n_coarse)
+    coarse, f2c = contract_clusters(graph, labels)
     stream_bytes[0] += 16 * graph.num_directed_edges
     passes += 1
-    degrees = np.bincount(cu, minlength=n_coarse).astype(np.int64)
-    indptr = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    from repro.graph.csr import CSRGraph
-
-    cvw = np.zeros(n_coarse, dtype=np.int64)
-    np.add.at(cvw, f2c, vwgt)
-    unit = bool(len(w) == 0 or np.all(w == 1))
-    coarse = CSRGraph(
-        indptr, cv, None if unit else w, cvw, sorted_neighborhoods=True
-    )
     coarse_aid = tracker.alloc("coarse-graph", coarse.nbytes, "graph")
 
     # in-memory multilevel on the coarse graph

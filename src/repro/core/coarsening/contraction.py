@@ -7,12 +7,14 @@ twice in memory at the peak (Section IV-B: "a set of temporary buffers
 storing E' during aggregation; before the edges are copied to E'"), which is
 exactly what one-pass contraction eliminates.
 
-The aggregation is one call into ``lp_kernel.c``'s rating map
-(:func:`repro.core.kernels.lp_chunk.contraction_step`) over every coarse
-vertex in leader order, keyed by dense coarse id: each coarse neighbourhood
-comes out ascending, so the buffers already are the sorted CSR.  Without
-the compiled library, :func:`aggregate_coarse_edges` -- one global sort of
-the coarse edge keys -- builds the same arrays.
+The aggregation is one contraction step
+(:func:`repro.core.kernels.contraction_step`: ``lp_kernel.c``'s rating map,
+or its numpy oracle without the compiled library) over every coarse vertex
+in leader order, keyed by dense coarse id: each coarse neighbourhood comes
+out ascending, so the buffers already are the sorted CSR.  The same dense
+numbering (:func:`dense_remap`) and CSR assembly (:func:`coarse_csr`) build
+the coarse graphs of distributed contraction and of the Mt-Metis and SEM
+baselines (:func:`contract_clusters`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels.contraction import cluster_leaders, cluster_members
-from repro.core.kernels.lp_chunk import contraction_step
-from repro.graph.access import full_adjacency, traversal_cost
+from repro.core.kernels.contraction import cluster_leaders, cluster_members, contraction_step
+from repro.graph.access import traversal_cost
 from repro.graph.csr import CSRGraph
-from repro.memory.scratch import tracked_empty, tracked_full
+from repro.memory.scratch import tracked_full, tracked_zeros
 
 
 @dataclass
@@ -43,44 +44,49 @@ class ContractionOutput:
     bumped_clusters: int = 0
 
 
-def _dense_remap(clusters: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Map sparse leader IDs to dense coarse IDs [0, n') in leader order."""
-    leaders = cluster_leaders(clusters)
-    n_coarse = len(leaders)
+def dense_remap(clusters: np.ndarray, leaders: np.ndarray) -> np.ndarray:
+    """``fine_to_coarse``: each vertex's cluster leader as a dense coarse id
+    in ``[0, len(leaders))``, in leader order."""
     remap = tracked_full(len(clusters), -1, np.int64, name="contract-remap")
-    remap[leaders] = np.arange(n_coarse, dtype=np.int64)
-    fine_to_coarse = remap[clusters]
-    return fine_to_coarse, leaders, n_coarse
+    remap[leaders] = np.arange(len(leaders), dtype=np.int64)
+    return remap[clusters]
 
 
-def aggregate_coarse_edges(
-    graph, fine_to_coarse: np.ndarray, n_coarse: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All coarse directed edges ``(cu, cv, w)`` with self-loops dropped.
+def aggregate_clusters(graph, clusters, leaders, fine_to_coarse):
+    """``(degrees, adjncy, adjwgt)`` of a whole level: one contraction step
+    over every coarse vertex in leader order, keyed by dense coarse id."""
+    n_coarse = len(leaders)
+    members, offsets = cluster_members(clusters, leaders)
+    step = contraction_step(graph, fine_to_coarse, n_coarse)
+    _, degrees, adjncy, adjwgt = step(members, offsets, np.arange(n_coarse, dtype=np.int64))
+    return degrees, adjncy, adjwgt
 
-    Parallel edges are merged by weight summation -- the contraction analogue
-    of rating aggregation.  The oracle and fallback of the kernel call in
-    :func:`contract_buffered`.
-    """
-    src, dst, wgt = full_adjacency(graph)
-    cu = fine_to_coarse[src]
-    cv = fine_to_coarse[dst]
-    keep = cu != cv
-    cu, cv, wgt = cu[keep], cv[keep], np.asarray(wgt)[keep]
-    if len(cu) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    key = cu * np.int64(n_coarse) + cv
-    order = np.argsort(key, kind="stable")
-    key_s = key[order]
-    w_s = wgt[order]
-    boundary = tracked_empty(len(key_s), bool, name="contract-edge-bounds")
-    boundary[0] = True
-    boundary[1:] = key_s[1:] != key_s[:-1]
-    starts = np.flatnonzero(boundary)
-    w_merged = np.add.reduceat(w_s, starts)
-    key_u = key_s[starts]
-    return key_u // n_coarse, key_u % n_coarse, w_merged
+
+def coarse_csr(degrees, adjncy, adjwgt, vwgt) -> CSRGraph:
+    """The coarse graph of sorted neighbourhoods ``adjncy`` / ``adjwgt``,
+    ``degrees[c]`` of them for coarse vertex ``c``; unit weights are kept
+    as none.  Its arrays are the caller's to charge, with the graph."""
+    indptr = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+    unit = bool(len(adjwgt) == 0 or np.all(adjwgt == 1))
+    return CSRGraph(indptr, adjncy, None if unit else adjwgt, vwgt, sorted_neighborhoods=True)
+
+
+def summed_weights(fine_to_coarse: np.ndarray, n_coarse: int, vwgt) -> np.ndarray:
+    """Each coarse vertex's weight: the sum of its members' ``vwgt``."""
+    coarse = tracked_zeros(n_coarse, np.int64, name="coarse-vwgt")
+    np.add.at(coarse, fine_to_coarse, np.asarray(vwgt))
+    return coarse
+
+
+def contract_clusters(graph, clusters: np.ndarray, leaders: np.ndarray | None = None):
+    """``(coarse, fine_to_coarse)``: ``clusters`` contracted in one piece,
+    outside the ledger of a partitioner run (the baselines' contraction)."""
+    if leaders is None:
+        leaders = cluster_leaders(clusters)
+    fine_to_coarse = dense_remap(clusters, leaders)
+    degrees, adjncy, adjwgt = aggregate_clusters(graph, clusters, leaders, fine_to_coarse)
+    vwgt = summed_weights(fine_to_coarse, len(leaders), graph.vwgt)
+    return coarse_csr(degrees, adjncy, adjwgt, vwgt), fine_to_coarse
 
 
 def contract_buffered(
@@ -91,35 +97,22 @@ def contract_buffered(
 ) -> ContractionOutput:
     """Contract ``clusters`` with the two-copy buffered scheme."""
     tracker = ctx.tracker
-    fine_to_coarse, leaders, n_coarse = _dense_remap(clusters)
+    leaders = cluster_leaders(clusters)
+    n_coarse = len(leaders)
+    fine_to_coarse = dense_remap(clusters, leaders)
 
     # per-thread aggregation maps (sparse arrays over coarse IDs)
     maps_aid = tracker.alloc(
         "contraction-rating-maps", ctx.runtime.p * 16 * n_coarse, "contraction"
     )
-    step = contraction_step(graph, fine_to_coarse, n_coarse)
-    if step is None:
-        cu, cv, w = aggregate_coarse_edges(graph, fine_to_coarse, n_coarse)
-        degrees = np.bincount(cu, minlength=n_coarse)
-    else:
-        members, offsets = cluster_members(clusters, leaders)
-        _, degrees, cv, w = step(members, offsets, np.arange(n_coarse, dtype=np.int64))
+    degrees, cv, w = aggregate_clusters(graph, clusters, leaders, fine_to_coarse)
     m2 = len(cv)
 
     # the temporary edge buffers: E' held once in buffers ...
     buf_aid = tracker.alloc("contraction-edge-buffers", 16 * m2, "contraction")
     # ... and once in the final CSR arrays (the duplicate one-pass removes)
-    indptr = np.zeros(n_coarse + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    unit = bool(m2 == 0 or np.all(w == 1))
     vwgt = cluster_weights[leaders].astype(np.int64)
-    coarse = CSRGraph(
-        indptr,
-        cv.copy(),
-        None if unit else w.copy(),
-        vwgt,
-        sorted_neighborhoods=True,
-    )
+    coarse = coarse_csr(degrees, cv.copy(), w.copy(), vwgt)
     graph_aid = tracker.alloc("coarse-graph", coarse.nbytes, "graph")
     edge_bytes, work_factor = traversal_cost(graph)
     ctx.runtime.record(

@@ -20,12 +20,11 @@ the resulting coarse vertex numbering is a permutation of the buffered
 scheme's numbering.  We process chunks in a seeded shuffled order to exhibit
 exactly that behaviour; tests verify isomorphism against buffered output.
 
-A chunk's aggregation is one call into ``lp_kernel.c``'s rating map
-(:func:`repro.core.kernels.lp_chunk.contraction_step`) writing the chunk's
-buffer ``B_t``: each coarse vertex's members are summed into one map keyed
-by cluster leader, and the neighbours come out ascending -- the order of the
-sort-based oracle, :func:`_oracle_step`, which runs without the compiled
-library.  A compressed level is decoded neighbourhood by neighbourhood
+A chunk's aggregation is one contraction step
+(:func:`repro.core.kernels.contraction_step`) writing the chunk's buffer
+``B_t``: each coarse vertex's members are summed into one map keyed by
+cluster leader, and the neighbours come out ascending.  On ``lp_kernel.c``'s
+rating map a compressed level is decoded neighbourhood by neighbourhood
 inside the call; only a chunk holding a hub is decoded first.
 """
 
@@ -35,51 +34,11 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.coarsening.contraction import ContractionOutput
-from repro.core.kernels import (
-    aggregate_coarse_edges,
-    cluster_leaders,
-    cluster_members,
-    gather_cluster_members,
-)
-from repro.core.kernels.lp_chunk import contraction_step
-from repro.graph.access import chunk_adjacency, traversal_cost
+from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
+from repro.graph.access import traversal_cost
 from repro.graph.csr import CSRGraph
 from repro.parallel.atomics import DualCounter
 from repro.verify.declarations import recorder_for
-
-
-def _oracle_step(graph, clusters, leaders, member_order, offsets):
-    """``step(leader_idx)`` by the numpy pipeline: ``(edges, degrees, pc,
-    pw)`` of the chunk's coarse vertices ``leaders[leader_idx]``, as the
-    kernel step returns them."""
-
-    def step(leader_idx):
-        members, member_owner = gather_cluster_members(
-            member_order, offsets[:-1], offsets[1:], leader_idx
-        )
-        owner_m, nbrs, wgts = chunk_adjacency(graph, members)
-        po, pc, pw, _ = aggregate_coarse_edges(
-            member_owner[owner_m], clusters[nbrs], wgts, leaders[leader_idx],
-            graph.n, len(leader_idx),
-        )  # fmt: skip
-        return len(owner_m), np.bincount(po, minlength=len(leader_idx)), pc, pw
-
-    return step
-
-
-def _kernel_step(graph, clusters, leaders, member_order, offsets):
-    """``step(leader_idx)`` on the kernel, or ``None`` without it."""
-    call = contraction_step(graph, clusters, graph.n)
-    if call is None:
-        return None
-
-    def step(leader_idx):
-        # a chunk is a run of consecutive leaders, so its members are too
-        a, b = int(leader_idx[0]), int(leader_idx[-1]) + 1
-        members = member_order[offsets[a] : offsets[b]]
-        return call(members, offsets[a : b + 1], leaders[a:b])
-
-    return step
 
 
 def contract_one_pass(
@@ -98,9 +57,7 @@ def contract_one_pass(
     leaders = cluster_leaders(clusters)
     n_coarse = len(leaders)
     member_order, offsets = cluster_members(clusters, leaders)
-    step = _kernel_step(graph, clusters, leaders, member_order, offsets) or _oracle_step(
-        graph, clusters, leaders, member_order, offsets
-    )
+    step = contraction_step(graph, clusters, n)
 
     # working-set accounting: per-thread hash tables + chunk buffers B_t,
     # the overcommitted E' (ids + weights), P', and the remap array
@@ -151,11 +108,15 @@ def contract_one_pass(
             default_order=default_order,
             phase="contraction",
         ):
-            # leader_idx: indices into `leaders`
-            chunk_leaders = leaders[leader_idx]
+            # leader_idx: indices into `leaders`, a run of consecutive ones,
+            # so the chunk's members are a run of `member_order` too
+            a, b = int(leader_idx[0]), int(leader_idx[-1]) + 1
+            chunk_leaders = leaders[a:b]
             # B_t: the chunk's coarse neighbourhoods, grouped by coarse
             # vertex (clusters ascending within each)
-            edges, nc, pc, pw = step(leader_idx)
+            edges, nc, pc, pw = step(
+                member_order[offsets[a] : offsets[b]], offsets[a : b + 1], chunk_leaders
+            )
             bumped += int(np.sum(nc >= t_bump))
 
             # dual-counter transaction for the whole chunk (buffered CAS)

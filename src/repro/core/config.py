@@ -134,10 +134,6 @@ class ServeConfig:
     # changed since the last full run above which a request falls back to
     # a full repartition instead of a refinement-only warm start
     drift_threshold: float = 0.25
-    # extra LP refinement rounds for warm starts (on top of the config's
-    # lp_refinement_rounds) — drifted partitions need a little more work
-    # than a freshly projected level
-    warm_extra_lp_rounds: int = 2
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,10 @@ replay) are entirely the caller's.  The contract:
 One level up, :mod:`repro.core.kernels.lp_chunk` runs a whole LP chunk --
 the rate / pick / commit pipeline the first three kernels below form in the
 two LP drivers -- as one call into the compiled ``lp_kernel.c`` when
-:mod:`repro.graph._native` could load it, and the coarse-edge aggregation
-of both contractions the same way; the numpy pipelines stay as oracle and
-fallback, and :mod:`repro.dist`, the balancer and the baselines keep
-calling the kernels directly.
+:mod:`repro.graph._native` could load it; the numpy pipelines stay as
+oracle and fallback, and the balancer and the baselines keep calling the
+kernels directly.  Every coarse graph is aggregated by one
+:func:`contraction_step`, which picks the kernel or its oracle itself.
 
 Scratch arrays are allocated with the tracked constructors from
 :mod:`repro.memory.scratch` so the memory ledger (and the ``repro lint``
@@ -38,6 +38,7 @@ from repro.core.kernels.contraction import (
     aggregate_coarse_edges,
     cluster_leaders,
     cluster_members,
+    contraction_step,
     gather_cluster_members,
 )
 from repro.core.kernels.gains import (
@@ -54,6 +55,7 @@ __all__ = [
     "bulk_size_constrained_commit",
     "cluster_leaders",
     "cluster_members",
+    "contraction_step",
     "gather_cluster_members",
     "aggregate_coarse_edges",
     "segment_best_last",

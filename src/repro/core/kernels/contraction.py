@@ -2,21 +2,24 @@
 
 Per level: the cluster leaders (:func:`cluster_leaders`, the one place that
 states "labels are vertex ids in ``[0, n)``") and the member lists
-(:func:`cluster_members`).  Per chunk of coarse vertices, the numpy oracle of
-``lp_kernel.c``'s ``repro_contract_chunk``: flatten the member lists into
-one gather, aggregate the members' adjacency into coarse edges with a
-sort-based segment reduction, and derive the per-coarse-vertex offsets the
-caller writes behind the dual counter.  Pure functions -- the caller owns
-the dual-counter transaction, the ``E'``/``P'`` slice writes and all
-recorder declarations.
+(:func:`cluster_members`).  Per call: :func:`contraction_step`, the one
+aggregation every coarse graph in the tree is built by -- buffered and
+one-pass contraction, each rank's share of distributed contraction and the
+baselines.  It runs ``lp_kernel.c``'s ``repro_contract_chunk`` or, without
+the compiled library, its numpy oracle: flatten the member lists into one
+gather (:func:`gather_cluster_members`), read the members' adjacency, and
+aggregate it into coarse edges with a sort-based segment reduction
+(:func:`aggregate_coarse_edges`).  Pure functions -- the caller owns the
+dual-counter transaction, the ``E'``/``P'`` slice writes and all recorder
+declarations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels.lp_chunk import group_by_label
-from repro.graph.access import segment_reduce_ratings
+from repro.core.kernels import lp_chunk
+from repro.graph.access import chunk_adjacency, segment_reduce_ratings
 from repro.memory.scratch import tracked_zeros
 
 
@@ -39,16 +42,19 @@ def cluster_leaders(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(marks)
 
 
-def cluster_members(clusters: np.ndarray, leaders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cluster_members(
+    clusters: np.ndarray, leaders: np.ndarray, label_count: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``(member_order, offsets)``: the vertices grouped by cluster in leader
     order, ascending within a cluster, and the members of ``leaders[i]`` at
-    ``member_order[offsets[i] : offsets[i + 1]]``.
+    ``member_order[offsets[i] : offsets[i + 1]]``.  The labels lie in ``[0,
+    label_count)``, by default ``[0, len(clusters))``.
 
     One compiled counting sort; without the library its oracle, the stable
     argsort, gives the same permutation.
     """
     n = len(clusters)
-    grouped = group_by_label(clusters, n)
+    grouped = lp_chunk.group_by_label(clusters, n if label_count is None else label_count)
     if grouped is None:
         member_order = np.argsort(clusters, kind="stable")
         starts = np.searchsorted(clusters[member_order], leaders)
@@ -107,3 +113,36 @@ def aggregate_coarse_edges(
         po = pc = pw = np.empty(0, dtype=np.int64)
     local_offsets = np.searchsorted(po, np.arange(num_owners, dtype=np.int64))
     return po, pc, pw, local_offsets
+
+
+def contraction_step(graph, labels: np.ndarray, label_count: int):
+    """``step(members, groups, own)`` of contraction, with the contract of
+    :func:`repro.core.kernels.lp_chunk.contraction_step`: on the compiled
+    kernel, or without it on the numpy oracle below, which returns the same
+    arrays.
+
+    ``labels`` keys every vertex of ``graph`` by its coarse vertex, in ``[0,
+    label_count)``; coarse vertex ``g`` of one call is the members
+    ``members[groups[g] - groups[0] : groups[g + 1] - groups[0]]`` with its
+    own key ``own[g]``.  ``step`` returns ``(edges, degrees, keys,
+    weights)``: the members' edges read, each coarse vertex's number of
+    coarse edges, and those edges coarse vertex by coarse vertex -- neighbour
+    keys ascending, own key dropped, weights summed.
+    """
+    kernel = lp_chunk.contraction_step(graph, labels, label_count)
+    if kernel is not None:
+        return kernel
+
+    def step(members, groups, own):
+        groups = np.asarray(groups, dtype=np.int64)
+        count = len(own)
+        members, owner = gather_cluster_members(
+            members, groups[:-1] - groups[0], groups[1:] - groups[0], np.arange(count)
+        )
+        member, nbrs, wgts = chunk_adjacency(graph, members)
+        po, pc, pw, _ = aggregate_coarse_edges(
+            owner[member], labels[nbrs], wgts, np.asarray(own), label_count, count
+        )
+        return len(member), np.bincount(po, minlength=count), pc, pw
+
+    return step

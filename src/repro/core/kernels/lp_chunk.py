@@ -13,9 +13,10 @@ states the contract and why the two are bit-identical; here the arrays are
 checked once per LP call and the pointers handed over.  Distributed LP
 (:mod:`repro.dist.dlp`) takes a *pick* from :func:`cluster_pick_step` /
 :func:`refine_pick_step` the same way: the same rate and pick over one
-rank's batch, without the commit.  The two contractions take their step from
-:func:`contraction_step` the same way: the rating map again, summing a whole
-coarse vertex's members into one map.
+rank's batch, without the commit.  :func:`contraction_step` is the rating map
+again, summing a whole coarse vertex's members into one map; every
+contraction takes it through :func:`repro.core.kernels.contraction_step`,
+which runs the numpy oracle where this returns ``None``.
 
 On a compressed graph the kernel decodes each neighbourhood itself, as it
 rates it, from the graph's byte stream: no decoded chunk is built.  Only a

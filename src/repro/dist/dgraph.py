@@ -9,9 +9,8 @@ turns dKaMinPar into xTeraPart.
 
 The simulation keeps adjacency in global IDs, so a level is encoded once
 by the shared :func:`~repro.graph.compressed.compress_graph` and a shard is
-a row range of the result, read through
-:func:`~repro.graph.access.chunk_adjacency` like every other graph in the
-repo.  Per-rank ledgers charge the shard's storage (CSR or compressed) plus
+a row range of the result, read through the access layer like every
+other graph in the repo.  Per-rank ledgers charge the shard's storage (CSR or compressed) plus
 16 bytes per ghost for the mapping, reproducing the paper's 1.2-1.3x
 distributed overhead and the per-node OOM behaviour of the uncompressed
 baseline.
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dist.comm import SimComm
-from repro.graph.access import chunk_adjacency
 from repro.graph.compressed import compress_graph
 from repro.memory.scratch import tracked_full, tracked_zeros
 
@@ -50,11 +48,6 @@ class Shard:
     @property
     def n_local(self) -> int:
         return self.hi - self.lo
-
-    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened ``(owner, neighbors, weights)`` of the owned vertices:
-        ``owner`` is the local id, neighbors are *global* IDs."""
-        return chunk_adjacency(self.graph, np.arange(self.lo, self.hi))
 
     @property
     def ghost_bytes(self) -> int:

@@ -28,15 +28,15 @@ import numpy as np
 from repro.core.config import DistObsConfig
 from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
-from repro.core.kernels import cluster_leaders
+from repro.core.coarsening.contraction import coarse_csr, dense_remap, summed_weights
+from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
 from repro.dist.dlp import distributed_lp_clustering, distributed_lp_refine
-from repro.graph.access import segment_reduce_ratings
-from repro.graph.builder import from_edges
-from repro.graph.csr import CSRGraph
-from repro.memory.scratch import tracked_full, tracked_zeros
+from repro.graph.access import crossing_weight, segment_reduce_ratings
+from repro.graph.compressed import decompress_graph
+from repro.memory.scratch import tracked_zeros
 from repro.obs.dist.cluster import NULL_CLUSTER_OBSERVER, ClusterObserver
 
 
@@ -95,10 +95,12 @@ def _shard_footprint(dgraph: DistributedGraph) -> tuple[int, int]:
 def _contract_distributed(
     dgraph: DistributedGraph,
     labels: np.ndarray,
+    leaders: np.ndarray,
     compressed: bool,
     tracer=NULL_CLUSTER_OBSERVER,
 ) -> tuple[DistributedGraph, np.ndarray]:
-    """Contract a distributed clustering into a new distributed graph.
+    """Contract a distributed clustering (its ``leaders``, as
+    :func:`cluster_leaders` finds them) into a new distributed graph.
 
     Follows the dKaMinPar protocol: a coarse vertex is owned by the rank
     that owns its cluster leader; coarse IDs are assigned contiguously per
@@ -108,8 +110,6 @@ def _contract_distributed(
     shard of the coarse graph.
     """
     comm = dgraph.comm
-    n = dgraph.n
-    leaders = cluster_leaders(labels)
 
     # ---- coarse numbering: contiguous per owner rank ---- #
     leader_owner = dgraph.owner_of(leaders)
@@ -122,22 +122,23 @@ def _contract_distributed(
     n_coarse = int(coarse_ranges[-1])
     # leaders are sorted, and owner is monotone in leader id (contiguous
     # fine ranges), so within-owner order is just the sorted order
-    remap = tracked_full(n, -1, np.int64, name="dist-contract-remap")
-    remap[leaders] = np.arange(n_coarse, dtype=np.int64)
-    fine_to_coarse = remap[labels]
+    fine_to_coarse = dense_remap(labels, leaders)
 
     # ---- per-rank aggregation + bucketing by owner ---- #
     buckets: list[list[np.ndarray]] = [
         [np.empty((0, 3), dtype=np.int64) for _ in range(comm.size)]
         for _ in range(comm.size)
     ]
+    # a rank's local pre-merge (reduces traffic, exactly like the real
+    # system): one contraction step over its rows, a group per coarse id
+    step = contraction_step(dgraph.graph, fine_to_coarse, n_coarse)
+    coarse_ids = np.arange(n_coarse, dtype=np.int64)
     for shard in dgraph.shards:
-        owner, nbrs, w = shard.adjacency()
-        cu = fine_to_coarse[shard.lo + owner]
-        cv = fine_to_coarse[nbrs]
-        keep = cu != cv
-        # local pre-merge (reduces traffic, exactly like the real system)
-        cu, cv, w = segment_reduce_ratings(cu[keep], cv[keep], w[keep], n_coarse)
+        order, groups = cluster_members(
+            fine_to_coarse[shard.lo : shard.hi], coarse_ids, n_coarse
+        )
+        _, degrees, cv, w = step(shard.lo + order, groups, coarse_ids)
+        cu = np.repeat(coarse_ids, degrees)
         owners = np.searchsorted(coarse_ranges, cu, side="right") - 1
         for dst_rank in range(comm.size):
             mask = owners == dst_rank
@@ -159,29 +160,13 @@ def _contract_distributed(
     )
     tracer.add("contract.coarse_edges", len(cv))
 
-    vwgt = tracked_zeros(n_coarse, np.int64, name="coarse-vwgt")
-    np.add.at(vwgt, fine_to_coarse, np.asarray(dgraph.graph.vwgt))
-
-    degrees = np.bincount(cu, minlength=n_coarse).astype(np.int64)
-    indptr = tracked_zeros(n_coarse + 1, np.int64, name="coarse-indptr")
-    np.cumsum(degrees, out=indptr[1:])
-    unit = bool(len(w) == 0 or np.all(w == 1))
-    coarse = CSRGraph(
-        indptr, cv, None if unit else w, vwgt, sorted_neighborhoods=True
-    )
+    vwgt = summed_weights(fine_to_coarse, n_coarse, dgraph.graph.vwgt)
+    degrees = np.bincount(cu, minlength=n_coarse)
+    coarse = coarse_csr(degrees, cv, w, vwgt)
     dcoarse = distribute_graph(
         coarse, comm, compressed=compressed, ranges=coarse_ranges
     )
     return dcoarse, fine_to_coarse
-
-
-def _graph_cut(dgraph: DistributedGraph, partition: np.ndarray) -> int:
-    total = 0
-    for shard in dgraph.shards:
-        owner, nbrs, w = shard.adjacency()
-        cross = partition[shard.lo + owner] != partition[nbrs]
-        total += int(w[cross].sum())
-    return total // 2
 
 
 def dpartition(
@@ -248,12 +233,12 @@ def dpartition(
                         tracer=tracer,
                         level=level,
                     )
-                shrink = current.n / max(len(cluster_leaders(labels)), 1)
-                if shrink < MIN_SHRINK_FACTOR:
+                leaders = cluster_leaders(labels)
+                if current.n / max(len(leaders), 1) < MIN_SHRINK_FACTOR:
                     break
                 with tracer.phase(f"dist-contract-level{level}", level=level):
                     coarse, fine_to_coarse = _contract_distributed(
-                        current, labels, compressed, tracer=tracer
+                        current, labels, leaders, compressed, tracer=tracer
                     )
                 shard_bytes, ghost_bytes = _shard_footprint(coarse)
                 tracer.note_level(
@@ -269,18 +254,8 @@ def dpartition(
 
         # ---- initial partitioning: full coarsest copy on every rank ---- #
         with tracer.phase("dist-initial", level=len(hierarchy)):
-            coarsest_edges = []
-            coarsest_w = []
-            for shard in current.shards:
-                owner, nbrs, w = shard.adjacency()
-                u = shard.lo + owner
-                mask = nbrs > u
-                coarsest_edges.append(np.stack([u[mask], nbrs[mask]], axis=1))
-                coarsest_w.append(w[mask])
-            vwgt = np.concatenate([s.vwgt for s in current.shards])
-            e = np.concatenate(coarsest_edges)
-            w = np.concatenate(coarsest_w)
-            coarsest = from_edges(current.n, e, w, vwgt, symmetrize=True)
+            # every rank's copy is the level's own graph, as CSR
+            coarsest = decompress_graph(current.graph) if compressed else current.graph
             copy_aids = [
                 comm.trackers[r].alloc(
                     f"coarsest-copy-{r}", coarsest.nbytes, "initial"
@@ -340,7 +315,7 @@ def dpartition(
                     partition = partition[fine_to_coarse]
                     cur_graph = finer
 
-    cut = _graph_cut(cur_graph, partition)
+    cut = crossing_weight(cur_graph.graph, partition) // 2
     avg = total_weight / k
     imbalance = float(bw.max()) / avg - 1.0 if avg else 0.0
     wall = time.perf_counter() - t0

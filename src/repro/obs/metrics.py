@@ -21,7 +21,6 @@ against any later run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.obs.tracer import SpanTracer
@@ -138,11 +137,6 @@ class MetricsRegistry:
             "waterfall": self.waterfall,
             "threads": self.threads,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=False)
-            f.write("\n")
 
 
 def _num(v: float) -> float | int:

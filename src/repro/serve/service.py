@@ -445,12 +445,14 @@ class PartitionService:
             seeds = None
             if len(job.epoch) == job.graph.n:
                 seeds = np.flatnonzero(job.epoch > seed.deltas_applied)
+            # a drifted partition needs a little more work than a freshly
+            # projected level: two LP rounds on top of the config's
             result = self._refine_fn(
                 job.graph,
                 job.k,
                 part0,
                 job.config,
-                extra_lp_rounds=scfg.warm_extra_lp_rounds,
+                extra_lp_rounds=2,
                 tracker=self.tracker,
                 seeds=seeds,
             )

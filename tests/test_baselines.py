@@ -1,5 +1,7 @@
 """Tests for the five baseline partitioners."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,45 @@ class TestParMetis:
             rgg, 8, ranks=4, seed=1, rank_memory_budget=1000
         )
         assert pm.oom
+
+
+# --------------------------------------------------------------------- #
+# bit-stability of the two baselines that contract in-process
+# --------------------------------------------------------------------- #
+PIN_GRAPHS = {
+    "rgg2d": lambda: gen.rgg2d(1500, avg_degree=8, seed=31),
+    "weblike": lambda: gen.weblike(1200, avg_degree=12, seed=7),
+    "rhg": lambda: gen.rhg(1500, avg_degree=10, seed=5),
+}
+
+# (baseline, family, seed) -> (sha1 of the int64 partition, cut, peak_bytes)
+# at k=8, recorded before Mt-Metis and SEM moved onto the shared contraction
+# step; the same with and without the compiled library.
+PINS = {
+    ('mtmetis', 'rgg2d', 1): ('1cf8fc14f59b77d0c2fbc726a42d9053c6d0770b', 165, 648480),
+    ('mtmetis', 'rgg2d', 2): ('3d53d1718e6bc02b96503f12d384b3f5eccbb684', 173, 652864),
+    ('mtmetis', 'weblike', 1): ('ddcb6d0868bea07901e588bfc144596f6f1e285f', 1514, 1086728),
+    ('mtmetis', 'weblike', 2): ('523141db3c16930ca4a94823746779a4cec8d3a8', 1464, 1086376),
+    ('mtmetis', 'rhg', 1): ('dcda4682eb36e4c7370ec8563927048704be2db3', 164, 616280),
+    ('mtmetis', 'rhg', 2): ('4c55e8bea3ccb8425c00c47b935d2185240a8abc', 203, 613680),
+    ('sem', 'rgg2d', 1): ('1fe8b61fc7f073030cca96b6a5ecbe33250aec0b', 199, 352664),
+    ('sem', 'rgg2d', 2): ('27b3a8f28797ebb99a722d0b87cc7653c74f5188', 178, 355000),
+    ('sem', 'weblike', 1): ('54ce70e0a59510e45a62523f1882a2a8dbfabeef', 2009, 776768),
+    ('sem', 'weblike', 2): ('9288fca18c21af06f7a4aa1486f873705417c50c', 1735, 771352),
+    ('sem', 'rhg', 1): ('01ba3edb696e8477e428897cb71d12d3ca7ea4a3', 284, 446480),
+    ('sem', 'rhg', 2): ('e16932cbd26463abafe485a41b1d9eac7ad0d759', 270, 441472),
+}
+BASELINES = {"mtmetis": mtmetis_partition, "sem": sem_partition}
+
+
+@pytest.fixture(scope="module")
+def pin_graphs():
+    return {name: make() for name, make in PIN_GRAPHS.items()}
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=["-".join(map(str, key)) for key in PINS])
+def test_baseline_pins(pin_graphs, key):
+    baseline, family, seed = key
+    r = BASELINES[baseline](pin_graphs[family], 8, seed=seed)
+    digest = hashlib.sha1(np.ascontiguousarray(r.partition, dtype=np.int64).tobytes()).hexdigest()
+    assert (digest, int(r.cut), int(r.peak_bytes)) == PINS[key]

@@ -1,13 +1,15 @@
 """Contraction on the rating map (``lp_kernel.c``'s ``repro_contract_chunk``
 and ``repro_group_by_label``) against the numpy pipelines it replaces.
 
-Buffered contraction is one kernel call per level and must build the same
-coarse CSR byte for byte as the global sort of
-``coarsening.contraction.aggregate_coarse_edges``; one-pass contraction is one
-call per chunk and must hand the dual counter the same ``E'`` / ``P'``
-slices as the per-chunk sort of ``kernels.contraction``.  Both are held to
-that over CSR and compressed input (intervals on and off, hubs mixed in),
-weighted edges, identity / single / random clusterings and the empty graph.
+Every coarse graph is aggregated by ``kernels.contraction_step``: the kernel,
+or without the compiled library its one numpy oracle (member gather, the
+members' adjacency, the sort of ``kernels.aggregate_coarse_edges``).  Buffered
+contraction is one call per level and must build the same coarse CSR byte
+for byte either way; one-pass contraction is one call per chunk and must
+hand the dual counter the same ``E'`` / ``P'`` slices; a rank of distributed
+contraction is one call over its own rows.  All are held to that over CSR
+and compressed input (intervals on and off, hubs mixed in), weighted edges,
+identity / single / random clusterings and the empty graph.
 Called without the wrapper's checks on corrupted arrays, the kernel returns
 an error code, writes nothing outside the buffers it was given and leaves its
 rating map zeroed; through the two contractions that is a ``ValueError``.
@@ -24,16 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coarsening import one_pass_contraction
-from repro.core.coarsening.contraction import (
-    _dense_remap,
-    aggregate_coarse_edges,
-    contract_buffered,
-)
+from repro.core.coarsening.contraction import contract_buffered, dense_remap
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.config import kaminpar, terapart
 from repro.core.context import PartitionContext
-from repro.core.kernels import cluster_leaders, cluster_members
+from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.compressed import CompressedGraph, compress_graph
@@ -149,6 +146,14 @@ def test_one_pass_is_byte_identical(case):
         out.coarse.validate()
 
 
+def assert_same_step(kernel, oracle, *call):
+    got, want = kernel(*call), oracle(*call)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return got
+
+
 @needs_kernel
 @pytest.mark.parametrize("kind", INPUTS)
 def test_one_pass_chunks_agree(kind):
@@ -159,21 +164,43 @@ def test_one_pass_chunks_agree(kind):
     clusters, _ = clustering(graph, "random", seed=4)
     leaders = cluster_leaders(clusters)
     order, offsets = cluster_members(clusters, leaders)
-    args = (graph, clusters, leaders, order, offsets)
-    kernel = one_pass_contraction._kernel_step(*args)
-    oracle = one_pass_contraction._oracle_step(*args)
+    kernel = contraction_step(graph, clusters, graph.n)
+    oracle = on_oracle(contraction_step, graph, clusters, graph.n)
     hubs = DecodeCalls(graph) if kind == "hubs" else None
     chunks = 0
     for size in (1, 7, 64):
-        for start in range(0, len(leaders), size):
-            idx = np.arange(start, min(start + size, len(leaders)), dtype=np.int64)
-            got, want = kernel(idx), oracle(idx)
-            assert got[0] == want[0]
-            for a, b in zip(got[1:], want[1:]):
-                assert np.array_equal(a, b)
+        for a in range(0, len(leaders), size):
+            b = min(a + size, len(leaders))
+            assert_same_step(
+                kernel, oracle, order[offsets[a] : offsets[b]], offsets[a : b + 1], leaders[a:b]
+            )
             chunks += 1
     if hubs is not None:  # the oracle decodes every chunk, the kernel those with a hub
         assert chunks < hubs.calls < 2 * chunks
+
+
+@needs_kernel
+@pytest.mark.parametrize("kind", INPUTS)
+@pytest.mark.parametrize("ranks", [2, 3, 8])
+def test_a_ranks_rows_agree(kind, ranks):
+    """Distributed contraction's pre-merge: one call over a rank's rows, a
+    group per coarse id, most of them empty on the rank -- is the oracle's,
+    for every rank of a split whose last rank owns no vertex."""
+    graph = graph_of("mesh", "random", kind)
+    clusters, _ = clustering(graph, "random", seed=5)
+    leaders = cluster_leaders(clusters)
+    fine_to_coarse = dense_remap(clusters, leaders)
+    n_coarse = len(leaders)
+    coarse_ids = np.arange(n_coarse, dtype=np.int64)
+    kernel = contraction_step(graph, fine_to_coarse, n_coarse)
+    oracle = on_oracle(contraction_step, graph, fine_to_coarse, n_coarse)
+    bounds = [*np.linspace(0, graph.n, ranks, dtype=np.int64).tolist(), graph.n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        order, groups = cluster_members(fine_to_coarse[lo:hi], coarse_ids, n_coarse)
+        edges, degrees, cv, _ = assert_same_step(kernel, oracle, lo + order, groups, coarse_ids)
+        assert len(degrees) == n_coarse
+        if lo == hi:  # a rank that owns no vertex reads nothing and sends nothing
+            assert edges == 0 and not degrees.any() and len(cv) == 0
 
 
 @needs_kernel
@@ -288,8 +315,9 @@ class Raw:
 
     def __init__(self, graph, clusters) -> None:
         self.n = graph.n
-        fine_to_coarse, leaders, self.label_count = _dense_remap(clusters)
-        self.labels = fine_to_coarse.copy()
+        leaders = cluster_leaders(clusters)
+        self.label_count = len(leaders)
+        self.labels = dense_remap(clusters, leaders)
         self.members, self.groups = cluster_members(clusters, leaders)
         self.own = np.arange(self.label_count, dtype=np.int64)
         self.info = np.zeros(2, dtype=np.int64)
@@ -381,12 +409,12 @@ class TestKernelContract:
     def test_a_clean_call_is_the_oracle(self, mesh):
         graph, clusters = mesh
         raw = Raw(graph, clusters)
-        fine_to_coarse = raw.labels.copy()
-        cu, cv, w = aggregate_coarse_edges(graph, fine_to_coarse, raw.label_count)
+        oracle = on_oracle(contraction_step, graph, raw.labels.copy(), raw.label_count)
+        _, degrees, cv, w = oracle(raw.members, raw.groups, raw.own)
         assert raw() == len(cv)
         assert np.array_equal(raw.out.inside(3)[: len(cv)], cv)
         assert np.array_equal(raw.out.inside(4)[: len(cv)], w)
-        assert np.array_equal(raw.out.inside(5), np.bincount(cu, minlength=raw.label_count))
+        assert np.array_equal(raw.out.inside(5), degrees)
 
     @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
     def test_chunk_id_out_of_range_is_refused(self, mesh, bad):

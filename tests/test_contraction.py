@@ -5,11 +5,9 @@ import pytest
 
 from repro.core.config import kaminpar, terapart
 from repro.core.context import PartitionContext
-from repro.core.coarsening.contraction import (
-    aggregate_coarse_edges,
-    contract_buffered,
-)
+from repro.core.coarsening.contraction import contract_buffered
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
+from repro.core.kernels import contraction_step
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.memory import MemoryTracker
@@ -51,6 +49,16 @@ def canonical_edges(g, vertex_key):
         for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
             rows.append((vertex_key[u], vertex_key[v], w))
     return sorted(rows)
+
+
+def aggregate_coarse_edges(graph, f2c, n_coarse):
+    """``(cu, cv, w)``: every coarse edge of ``f2c``'s contraction, by one
+    contraction step over the whole level."""
+    members = np.argsort(f2c, kind="stable")
+    groups = np.searchsorted(f2c[members], np.arange(n_coarse + 1))
+    own = np.arange(n_coarse, dtype=np.int64)
+    _, degrees, cv, w = contraction_step(graph, f2c, n_coarse)(members, groups, own)
+    return np.repeat(own, degrees), cv, w
 
 
 class TestAggregateCoarseEdges:

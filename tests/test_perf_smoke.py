@@ -415,26 +415,29 @@ def test_distributed_lp_is_one_compiled_call_a_batch(monkeypatch):
     assert ratings_calls() == 0, "distributed LP fell back to the numpy pipeline"
 
 
-# Contraction is the rating map too (lp_kernel.c's repro_contract_chunk):
-# buffered contraction is one compiled call a level, one-pass one a chunk,
-# and neither sorts coarse edge keys or gathers member lists in numpy.  Those
-# pipelines stay as oracle and fallback, silent like LP's, so a change that
-# loses the kernel path fails here by count.  With the kernel hidden the same
-# partitions must reach them, or this guard guards nothing.
+# Contraction is the rating map too (lp_kernel.c's repro_contract_chunk),
+# and every coarse graph is built by the one contraction step: buffered
+# contraction is one compiled call a level, one-pass one a chunk,
+# distributed contraction one a rank and level, and none of them gathers
+# member lists or sorts coarse edge keys in numpy.  That pipeline stays as
+# the step's oracle and fallback, silent like LP's, so a change that loses
+# the kernel path fails here by count; the owner merge of distributed
+# contraction is its one sort left, once a level.  With the kernel hidden
+# the same runs must reach the oracle, or this guard guards nothing.
 CONTRACTION_PIPELINE = (
     ("kernels", "repro.core.kernels.contraction", "aggregate_coarse_edges"),
     ("kernels", "repro.core.kernels.contraction", "gather_cluster_members"),
-    ("coarsening", "repro.core.coarsening.contraction", "aggregate_coarse_edges"),
 )
 
 
-def _count_contraction_pipeline(monkeypatch, graph, preset):
-    """Calls of each ``CONTRACTION_PIPELINE`` function (under every module
-    name it is bound to) made by one ``partition``."""
+def _count_contraction_pipeline(monkeypatch, run):
+    """``(calls, run())``: calls of each ``CONTRACTION_PIPELINE`` function
+    (under every module name it is bound to), and of
+    ``segment_reduce_ratings`` in the distributed driver, made by ``run``."""
     import sys
     from collections import Counter
 
-    import repro
+    from repro.dist import dpartitioner
 
     calls = Counter()
     with monkeypatch.context() as m:
@@ -449,32 +452,49 @@ def _count_contraction_pipeline(monkeypatch, graph, preset):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         m.setattr(module, attr, counted)
-        repro.partition(graph, 8, preset(seed=1))
-    return calls
+        reduce = dpartitioner.segment_reduce_ratings
+        m.setattr(
+            dpartitioner,
+            "segment_reduce_ratings",
+            lambda *a: calls.update(["dist.segment_reduce_ratings"]) or reduce(*a),
+        )
+        result = run()
+    return calls, result
 
 
 def test_contraction_is_one_compiled_call(monkeypatch):
     import pytest
+
+    import repro
     from repro.core.config import kaminpar, terapart
+    from repro.dist import dpartition
 
     graph = weblike(5000, avg_degree=10, seed=1)
-    presets = {"kaminpar": kaminpar, "terapart": terapart}  # buffered, one-pass
-    for name, preset in presets.items():
+    runs = {
+        "kaminpar": lambda: repro.partition(graph, 8, kaminpar(seed=1)),  # buffered
+        "terapart": lambda: repro.partition(graph, 8, terapart(seed=1)),  # one-pass
+        "dpartition": lambda: dpartition(graph, 8, 4),
+        "dpartition-compressed": lambda: dpartition(graph, 8, 4, compressed=True),
+    }
+    for name, run in runs.items():
         with monkeypatch.context() as m:
             m.setattr(_native, "contraction_kernels", lambda: None)
-            oracle = _count_contraction_pipeline(m, graph, preset)
-        reached = {"kaminpar": ["coarsening.aggregate_coarse_edges"]}.get(
-            name, ["kernels.aggregate_coarse_edges", "kernels.gather_cluster_members"]
+            oracle, _ = _count_contraction_pipeline(m, run)
+        assert all(oracle[f"{layer}.{fn}"] > 0 for layer, _, fn in CONTRACTION_PIPELINE), (
+            name,
+            oracle,
         )
-        assert all(oracle[key] > 0 for key in reached), (name, oracle)
     if _native.contraction_kernels() is None:
         pytest.skip("no compiled contraction (no C compiler, or REPRO_NATIVE=0)")
-    for name, preset in presets.items():
-        calls = _count_contraction_pipeline(monkeypatch, graph, preset)
+    for name, run in runs.items():
+        calls, result = _count_contraction_pipeline(monkeypatch, run)
+        merges = calls.pop("dist.segment_reduce_ratings", 0)
         assert not +calls, (
             f"{name}: contraction fell back to the numpy pipeline ({dict(calls)}); "
             f"did a change make lp_chunk.contraction_step refuse the level?"
         )
+        if name.startswith("dpartition"):
+            assert result.num_levels > 0 and merges == result.num_levels, (name, merges)
 
 
 # A service delta costs what it changes.  ``apply_delta`` binary-searches
