@@ -14,14 +14,16 @@ balance:
   processed in a second phase with **one** shared sparse array and
   parallelism over edges -> ``O(n + p*T_bump)`` bytes.
 
-The decision kernel itself runs per chunk: one call into the compiled rating
-map (:mod:`repro.core.kernels.lp_chunk`) or, as its oracle and fallback, the
-vectorized pipeline of :mod:`repro.graph.access`; the variant determines what
-gets charged to the memory ledger and how work is attributed to the cost
-model.  The rating-map classes in :mod:`repro.core.coarsening.rating_map`
-implement the real structures and are unit-tested for equivalence with the
-vectorized kernel.  Under the conflict detector the driver records the
-shared accesses of whichever step runs, so fuzzing checks the kernel.
+A whole round is one call into the compiled rating map
+(:mod:`repro.core.kernels.lp_chunk`), which walks its chunks itself; as its
+oracle and fallback the vectorized pipeline of :mod:`repro.graph.access`
+runs chunk by chunk.  The variant determines what gets charged to the
+memory ledger and how work is attributed to the cost model.  The
+rating-map classes in :mod:`repro.core.coarsening.rating_map` implement the
+real structures and are unit-tested for equivalence with the vectorized
+kernel.  Under the conflict detector the driver runs one chunk a call and
+records the shared accesses of whichever step runs, so fuzzing checks the
+kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.core.kernels import (
     cluster_leaders,
     segment_best_last,
 )
-from repro.core.kernels.lp_chunk import clustering_step
+from repro.core.kernels.lp_chunk import BUMPED_NC, NANOS, clustering_round
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings, traversal_cost
 from repro.memory.scratch import tracked_zeros
 from repro.verify.declarations import recorder_for
@@ -85,8 +87,8 @@ def _charge_rating_maps(
 
 def _oracle_step(graph, clusters, cluster_weights, max_cluster_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    :func:`repro.core.kernels.lp_chunk.clustering_step`, which it is the
-    oracle and fallback of."""
+    the ``step`` of :func:`repro.core.kernels.lp_chunk.clustering_round`, whose
+    round it is the oracle and fallback of, looped chunk by chunk."""
     n = graph.n
     vwgt = np.asarray(graph.vwgt)
     none = np.empty(0, dtype=np.int64)
@@ -175,6 +177,26 @@ def _recording(step, rec, graph, clusters, t_bump):
     return recorded
 
 
+def _chunk_rows(step, chunks, favorites, t_bump, rec) -> list:
+    """The stats rows of a round run one ``step`` call a chunk (the oracle,
+    or any step under the detector): what the kernel's round returns, the
+    favorites written the same way."""
+    rows = []
+    for _tid, chunk in chunks:
+        out = step(chunk)
+        if out is None:  # no edge in this chunk
+            rows.append((0, 0, 0, 0, 0))
+            continue
+        edges, fav_us, fav, nc, targets, moved = out
+        bumped = nc >= t_bump
+        # record favorites (unconstrained best) for two-hop matching
+        favorites[fav_us] = fav
+        # per-owner slots: disjoint plain stores by design
+        rec.write("favorites", fav_us)
+        rows.append((edges, targets, len(moved), int(bumped.sum()), int(nc[bumped].sum())))
+    return rows
+
+
 def label_propagation_clustering(
     graph,
     ctx: PartitionContext,
@@ -183,12 +205,13 @@ def label_propagation_clustering(
     """Run ``lp_rounds`` of size-constrained label propagation.
 
     The driver owns the rounds: visiting order, schedule, favorites, bump
-    counts, cost records and counters.  What happens to one chunk -- rate,
-    pick, commit -- is a *step*: one call into ``lp_kernel.c`` when the
-    compiled library is there, else the numpy pipeline of
-    :func:`_oracle_step`, bit-identical.  An attached conflict detector
-    hears the step's shared accesses from :func:`_recording`, whichever
-    step runs.
+    counts, cost records and counters.  A round -- every chunk rated, picked
+    and committed in execution order -- is one call into ``lp_kernel.c``
+    when the compiled library is there, else the numpy pipeline of
+    :func:`_oracle_step`, chunk by chunk, bit-identical.  Either gives one
+    stats row a chunk, which the driver books the same way.  An attached
+    conflict detector gets one chunk a call and hears the step's shared
+    accesses from :func:`_recording`, whichever step runs.
     """
     n = graph.n
     cc = ctx.config.coarsening
@@ -212,56 +235,59 @@ def label_propagation_clustering(
     rec = recorder_for(ctx.detector, "lp-clustering")
     # the sparse array and non-zero buffers charged just above, for real:
     # slot, seen and rating rows of the kernel's rating map
-    step = clustering_step(
+    kernel = clustering_round(
         graph, clusters, cluster_weights, max_cluster_weight,
-        np.zeros((3, n), dtype=np.int64),
-    ) or _oracle_step(graph, clusters, cluster_weights, max_cluster_weight)  # fmt: skip
+        np.zeros((3, n), dtype=np.int64), favorites, t_bump,
+    )  # fmt: skip
+    if kernel is not None:
+        step = kernel.step
+    else:
+        step = _oracle_step(graph, clusters, cluster_weights, max_cluster_weight)
     if rec.active:
         step = _recording(step, rec, graph, clusters, t_bump if two_phase else 0)
+        kernel = None
+    degrees = np.asarray(graph.degrees) if runtime.schedule_policy == "heavy-first" else None
     tracer = ctx.tracer
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
     try:
         for _round in range(cc.lp_rounds):
-            order = rng.permutation(n).astype(np.int64)
+            order = rng.permutation(n).astype(np.int64, copy=False)
             moves = 0
             bumped_total = 0
             with tracer.span(f"{phase_name}-round{_round}"):
-                sched = runtime.schedule(order)
                 chunk_weights = None
-                if runtime.schedule_policy == "heavy-first":
-                    degs = np.asarray(graph.degrees)
-                    chunk_weights = np.array(
-                        [int(degs[c].sum()) for c in sched.chunks],
-                        dtype=np.int64,
-                    )
+                if degrees is not None and n:  # edges per chunk
+                    starts = np.arange(0, n, runtime.chunk_size)
+                    chunk_weights = np.add.reduceat(degrees[order], starts)
                 with runtime.region(f"{phase_name}-round{_round}"):
-                    for _tid, chunk in runtime.execute(
-                        sched, weights=chunk_weights, phase=phase_name
-                    ):
-                        out = step(chunk)
-                        if out is None:  # no edge in this chunk
-                            continue
-                        edges, fav_us, fav, nc, targets, moved = out
-                        bumped_mask = nc >= t_bump
-                        bumped_total += int(bumped_mask.sum())
-                        # record favorites (unconstrained best) for two-hop
-                        # matching
-                        favorites[fav_us] = fav
-                        # per-owner slots: disjoint plain stores by design
-                        rec.write("favorites", fav_us)
-                        if not targets:
-                            continue
-                        runtime.record(
-                            phase_name,
-                            work=float(edges) * work_factor,
-                            bytes_moved=edge_bytes * edges,
-                            # second-phase atomics: only bumped vertices'
-                            # rating flushes hit the shared sparse array
-                            atomic_ops=int(nc[bumped_mask].sum()) if two_phase else 0,
+                    if kernel is not None:
+                        bounds, tids = runtime.chunk_bounds(n, weights=chunk_weights)
+                        stats = kernel(order, bounds)
+                        runtime.record_chunks(
+                            phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9
                         )
-                        moves += len(moved)
+                        rows = stats[:, : BUMPED_NC + 1].tolist()
+                    else:
+                        sched = runtime.schedule(order)
+                        chunks = runtime.execute(sched, weights=chunk_weights, phase=phase_name)
+                        rows = _chunk_rows(step, chunks, favorites, t_bump, rec)
+                for edges, targets, moved, bumped, bumped_nc in rows:
+                    if not edges:
+                        continue
+                    bumped_total += bumped
+                    if not targets:
+                        continue
+                    runtime.record(
+                        phase_name,
+                        work=float(edges) * work_factor,
+                        bytes_moved=edge_bytes * edges,
+                        # second-phase atomics: only bumped vertices'
+                        # rating flushes hit the shared sparse array
+                        atomic_ops=bumped_nc if two_phase else 0,
+                    )
+                    moves += moved
                 # straggler span for classic LP: the largest neighborhood is
                 # scanned by a single thread (two-phase parallelizes it)
                 if not two_phase:

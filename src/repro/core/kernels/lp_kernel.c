@@ -1,31 +1,41 @@
-/* Native rating-map chunk of repro.core: one call rates, picks and commits
- * a whole label-propagation chunk, for clustering (repro_lp_cluster_chunk)
- * and for refinement (repro_lp_refine_chunk); or rates and picks one without
- * the commit, for distributed LP (repro_lp_cluster_pick, repro_lp_refine_pick);
- * or aggregates the coarse edges of a chunk of coarse vertices
+/* Native rating map of repro.core: one call runs a whole label-propagation
+ * round -- every chunk of it rated, picked and committed in turn -- for
+ * clustering (repro_lp_cluster_round) and for refinement
+ * (repro_lp_refine_round); or rates and picks one batch without the commit,
+ * for distributed LP (repro_lp_cluster_pick, repro_lp_refine_pick); or
+ * aggregates the coarse edges of a chunk of coarse vertices
  * (repro_contract_chunk, below them with its own contract).  The numpy
  * pipelines of lp_clustering.py, lp_refine.py, dist/dlp.py and the two
  * contractions (sort the (owner, label) keys, reduce the runs, segment
  * argmax, bulk commit) stay as oracle and fallback.
  *
- * Six exported functions, no state, no Python objects: ctypes calls them
- * with the GIL released.  The five chunk functions share one calling
- * convention: the chunk's adjacency as segments of one array -- n, chunk /
- * starts / degs (count each), adj and wgt (adj_len each; wgt == NULL means
- * every edge weighs unit_wgt) -- then the shared arrays of the phase (vwgt ==
- * NULL means every vertex weighs unit_vwgt), then the rating map (slot,
- * seen, rating, cap), then the outputs (out_cap entries each), info[2] and
- * the stream.  The sixth, repro_group_by_label, is the counting sort that
- * hands contraction its groups.
+ * Seven exported functions, no state, no Python objects: ctypes calls them
+ * with the GIL released.  The LP and contraction functions share one calling
+ * convention: the vertices and their adjacency as segments of one array --
+ * n, chunk / starts / degs, count, adj and wgt (adj_len each; wgt == NULL
+ * means every edge weighs unit_wgt) -- then the shared arrays of the phase
+ * (vwgt == NULL means every vertex weighs unit_vwgt), then the rating map
+ * (slot, seen, rating, cap), then the outputs, info[2] and the stream.  The
+ * seventh, repro_group_by_label, is the counting sort that hands contraction
+ * its groups.
+ *
+ * Segments are keyed by position: vertex chunk[i] owns adj[starts[i],
+ * starts[i] + degs[i]).  The two rounds also take them keyed by vertex id
+ * (by_vertex != 0), which is how a graph stores them: u owns adj[starts[u],
+ * starts[u + 1]) with degs == NULL (a CSR graph's indptr, n + 1 entries), or
+ * degs[u] neighbours in the stream (a compressed graph's degrees, n entries),
+ * so a round gathers nothing per chunk.
  *
  * The stream is the compressed source (NULL: the CSR segments above).  With
- * it, starts / adj / wgt are not read: vertex chunk[i]'s degs[i] neighbours
- * are decoded by decode_kernel.c's repro_decode_neighborhood -- the decoder
- * of repro_decode_chunk, with every check it makes -- into the stream's
- * one-neighbourhood scratch, and rated from there, so nothing decoded
- * outlives its vertex.  Neighbours come out in the sorted order the chunk
- * decode writes, though the winner below does not depend on it.  The caller
- * sends only chunks without a chunk-encoded (hub) neighbourhood this way.
+ * it, starts / adj / wgt are not read: vertex u's neighbours, as many as
+ * degs gives, are decoded by decode_kernel.c's repro_decode_neighborhood --
+ * the decoder of repro_decode_chunk, with every check it makes -- into the
+ * stream's one-neighbourhood scratch, and rated from there, so nothing
+ * decoded outlives its vertex.  Neighbours come out in the sorted order the
+ * chunk decode writes, though the winner below does not depend on it.  The
+ * caller sends only chunks without a chunk-encoded (hub) neighbourhood this
+ * way; a chunk holding a hub is decoded first and comes as its own call,
+ * keyed by position.
  *
  * The rating map is the paper's (PAPER.md section IV-A1): per vertex, each
  * incident edge weight is added to the entry of the neighbour's label, the
@@ -34,59 +44,76 @@
  * unseen), rating[] runs parallel to seen[]: a label whose edges sum to 0
  * is still seen, as it is a pair of the sorted list.
  *
- * Why this is bit-identical to the sorted pair list: every decision of the
- * chunk reads the labels and weights as they stood at chunk entry (phase 1
- * below writes neither); the rank of a (vertex, label) pair is the same
+ * A round is the chunks bounds[2j] .. bounds[2j + 1] (positions in chunk[],
+ * the round's visiting order) for j < chunks, run in that order -- the
+ * runtime's execution order, so every schedule policy is kept.  Each chunk
+ * is phase 1 below, then phase 2, before the next one starts: chunk j + 1
+ * reads chunk j's commits, as the per-chunk loop did.
+ *
+ * Why a chunk is bit-identical to the sorted pair list: every decision of
+ * the chunk reads the labels and weights as they stood at chunk entry
+ * (phase 1 writes neither); the rank of a (vertex, label) pair is the same
  * integer expression, evaluated modulo 2^64 and compared signed, as numpy
  * int64 does; and the pair list is sorted by label, so "the latest of the
  * equal ranks wins" is "the larger label wins".  The winner is therefore
  * max (rank, label), which needs no order.  Phase 2 commits the movers in
  * chunk order by the scalar rule that bulk_size_constrained_commit names as
- * its reference.
+ * its reference, and writes clustering's favourites.
  *
- * The two picks are phase 1 of the same chunk without phase 2: the rank's
- * batch of distributed LP is the chunk, and the movers with their targets
- * come back in chunk order (moved[] / target[]) for the caller to commit.
- * They write nothing shared -- clusters / cluster_weights / part /
- * block_weights are const -- so every rank of a batch reads the labels as
- * the batch found them.  Clustering keys its jitter by the chunk index i
- * (the vertex's position in its rank's batch), not by the vertex id as the
- * chunk kernel does, and moves a vertex to its favourite label (fav[i]),
- * not to best[i], if that is not its own and fits; refinement moves it to
- * best[i].
+ * The two picks are phase 1 of one chunk without phase 2: the rank's batch
+ * of distributed LP is the chunk, and the movers with their targets come
+ * back in chunk order (moved[] / target[]) for the caller to commit.  They
+ * write nothing shared -- clusters / cluster_weights / part / block_weights
+ * are const -- so every rank of a batch reads the labels as the batch found
+ * them.  Clustering keys its jitter by the chunk index i (the vertex's
+ * position in its rank's batch), not by the vertex id as the round does,
+ * and moves a vertex to its favourite label (fav[i]), not to best[i], if
+ * that is not its own and fits; refinement moves it to best[i].
  *
  * Contract (tests/test_lp_kernel.py and tests/test_dlp_kernel.py hold it
  * to this):
- *   - every chunk id is checked 0 <= u < n before it indexes anything, and
- *     starts[i] >= 0, degs[i] >= 0, starts[i] + degs[i] <= adj_len (without
- *     forming the sum) before adj / wgt are read -- with a stream, the
- *     decoder checks degs[i] against the scratch, the vertex's byte range,
+ *   - a round checks every chunk's bounds, 0 <= lo <= hi <= count and
+ *     hi - lo <= out_cap, and chunks <= stats_cap, before anything is
+ *     written; a pick refuses count > out_cap the same way.  Either returns
+ *     ERR_SEGMENT / ERR_CAPACITY then, info[BAD] = -1;
+ *   - every chunk id is checked 0 <= u < n before it indexes anything (the
+ *     caller hands over n + 1 starts, or n degs, keyed by vertex id), and
+ *     the segment 0 <= start <= end <= adj_len (without forming a sum that
+ *     overflows) before adj / wgt are read -- with a stream, the decoder
+ *     checks the degree against the scratch, the vertex's byte range,
  *     header, value count and neighbour ids before anything is rated;
  *   - every neighbour id is checked against [0, n) before it indexes the
  *     label array, every label (a neighbour's and the vertex's own) against
  *     the map's size before it indexes slot[] or a weight array;
- *   - seen[] and rating[] are written only below cap, the outputs only
- *     below out_cap (count > out_cap is refused before anything is written);
+ *   - seen[] and rating[] are written only below cap, fav / best / nc only
+ *     below out_cap, a round's stats[] only below STATS * chunks and moved[]
+ *     (NULL: not written) only below count;
  *   - slot[] is all zero on every return, error returns included;
  *   - rating sums, ranks and gains wrap modulo 2^64 like numpy's.  The
  *     weight sums of the commit do not wrap: the caller admits only vertex
  *     weights >= 0 whose total stays below 2^62, and limits inside int64;
- *   - a broken rule returns a negative code and the chunk index of the
- *     vertex in info[BAD], never a trap.  The shared arrays are untouched
- *     then (errors arise in phase 1 only); the outputs are garbage.  A
- *     stream the decoder refuses returns ERR_DECODE + its own code.
+ *   - a broken rule returns a negative code and the vertex's position in
+ *     chunk[] in info[BAD], never a trap.  Errors arise in phase 1 only: the
+ *     chunks before it stay committed, its own shared arrays (favourites
+ *     included) are untouched, the outputs are garbage.  A stream the
+ *     decoder refuses returns ERR_DECODE + its own code.
  *
  * The LP functions return the number of vertices moved (picked, for the
- * picks); moved[] holds them in chunk order, info[TARGETS] counts the chunk
- * vertices that had a target at all.
+ * picks); moved[] holds them in chunk order, info[TARGETS] counts the
+ * vertices that had a target at all.  A round also fills one stats row a
+ * chunk: its edges, targets, moves, the vertices it bumped (nc >= t_bump,
+ * clustering only), their nc summed, and its nanoseconds on CLOCK_MONOTONIC.
  */
+#define _POSIX_C_SOURCE 200809L
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
 
 enum {
     ERR_VERTEX = -1,   /* chunk vertex id outside [0, n) */
-    ERR_SEGMENT = -2,  /* starts[i] / degs[i] negative or past the adjacency,
-                          or group offsets that do not run up inside the chunk */
+    ERR_SEGMENT = -2,  /* an adjacency segment negative or past the adjacency,
+                          group offsets that do not run up inside the chunk,
+                          or chunk bounds that do not run up inside the round */
     ERR_NEIGHBOR = -3, /* neighbour id outside [0, n) */
     ERR_LABEL = -4,    /* cluster or block id outside the rating map */
     ERR_CAPACITY = -5, /* seen list or an output too short */
@@ -94,6 +121,9 @@ enum {
 };
 
 enum { TARGETS, BAD };
+
+/* the columns of a round's stats row, one row a chunk */
+enum { EDGES, ROW_TARGETS, MOVES, BUMPED, BUMPED_NC, NANOS, STATS };
 
 /* the byte stream and offsets of repro.graph.compressed, and the scratch of
  * one neighbourhood: nbrs / wgts (cap entries each, wgts NULL for unit
@@ -121,6 +151,7 @@ typedef struct {
     const int64_t *adj, *wgt;
     int64_t unit_wgt, adj_len;
     const stream_t *stream;
+    int by_vertex; /* starts / degs keyed by chunk[i], not by i */
 } segments_t;
 
 typedef struct {
@@ -139,20 +170,24 @@ static inline int64_t forget(rating_map_t *m, int64_t seen, int64_t code)
     return code;
 }
 
-/* Rate chunk vertex i into a map already holding `seen` labels (0: a fresh
- * vertex; contraction adds a group's members one after another): one map
- * entry per distinct label among its neighbours (labels are int64 in label64
- * or int32 in label32).  Returns how many are seen now, or an error with the
- * map already reset. */
+/* Rate chunk vertex i (its id checked by the caller) into a map already
+ * holding `seen` labels (0: a fresh vertex; contraction adds a group's
+ * members one after another): one map entry per distinct label among its
+ * neighbours (labels are int64 in label64 or int32 in label32), its degree
+ * added to *edges.  Returns how many are seen now, or an error with the map
+ * already reset. */
 static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label64,
-                           const int32_t *label32, rating_map_t *m, int64_t seen)
+                           const int32_t *label32, rating_map_t *m, int64_t seen,
+                           uint64_t *edges)
 {
     const int64_t *adj = s->adj, *wgt = s->wgt;
     const stream_t *z = s->stream;
-    int64_t start = 0, deg = s->degs[i];
+    int64_t key = s->by_vertex ? s->chunk[i] : i;
+    int64_t start = 0, deg;
     /* marked unlikely so that the call's register spills land on this path,
      * whose per-vertex decode dwarfs them, not on the CSR path's loop */
     if (__builtin_expect(z != 0, 0)) {
+        deg = s->degs[key];
         int rc = repro_decode_neighborhood(z->data, z->data_len, z->offsets, s->n, s->chunk[i],
                                            deg, z->cap, (int)z->intervals, z->nbrs, z->wgts,
                                            z->pairs, z->pairs_cap);
@@ -161,9 +196,17 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
         adj = z->nbrs;
         wgt = z->wgts;
     } else {
-        start = s->starts[i];
-        if (start < 0 || deg < 0 || start > s->adj_len || deg > s->adj_len - start)
-            return forget(m, seen, ERR_SEGMENT);
+        start = s->starts[key];
+        if (s->degs) {
+            deg = s->degs[key];
+            if (start < 0 || deg < 0 || start > s->adj_len || deg > s->adj_len - start)
+                return forget(m, seen, ERR_SEGMENT);
+        } else {
+            int64_t end = s->starts[key + 1];
+            if (start < 0 || end < start || end > s->adj_len)
+                return forget(m, seen, ERR_SEGMENT);
+            deg = end - start;
+        }
     }
     for (int64_t e = start; e < start + deg; e++) {
         int64_t v = adj[e];
@@ -182,6 +225,7 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
         }
         m->rating[j - 1] += (uint64_t)(wgt ? wgt[e] : s->unit_wgt);
     }
+    *edges += (uint64_t)deg;
     return seen;
 }
 
@@ -191,21 +235,48 @@ static inline int fits(int64_t a, int64_t b, int64_t limit)
     return (int64_t)((uint64_t)a + (uint64_t)b) <= limit;
 }
 
-/* Phase 1 of a clustering chunk: per chunk vertex i, fav[i] is the
- * best-ranked label among its neighbours (-1: none); best[i] the same over
- * the labels it may join (its own, or one whose weight still fits), -1 where
- * the best of those loses to one that does not fit; nc[i] its distinct
- * neighbour labels.  The jitter is keyed by the vertex id, or with by_index
- * by its chunk index i.  Reads clusters[] / cluster_weights[], writes
- * neither; returns 0 or an error.  Inlined into each caller, so the chunk
- * kernel's loop is compiled as before, by_index folded away. */
+static inline int64_t now_ns(void)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+}
+
+/* The chunk bounds of a round, checked before anything is written: each
+ * [lo, hi) runs up inside [0, count) and fits out_cap, one stats row each. */
+static int64_t check_round(int64_t count, const int64_t *bounds, int64_t chunks,
+                           int64_t out_cap, int64_t stats_cap, int64_t *info)
+{
+    info[TARGETS] = 0;
+    info[BAD] = -1;
+    if (count < 0 || chunks < 0 || chunks > stats_cap)
+        return ERR_CAPACITY;
+    for (int64_t j = 0; j < chunks; j++) {
+        int64_t lo = bounds[2 * j], hi = bounds[2 * j + 1];
+        if (lo < 0 || hi < lo || hi > count)
+            return ERR_SEGMENT;
+        if (hi - lo > out_cap)
+            return ERR_CAPACITY;
+    }
+    return 0;
+}
+
+/* Phase 1 of a clustering chunk, the vertices at positions [lo, hi): per
+ * vertex (row r = i - lo), fav[r] is the best-ranked label among its
+ * neighbours (-1: none); best[r] the same over the labels it may join (its
+ * own, or one whose weight still fits), -1 where the best of those loses to
+ * one that does not fit; nc[r] its distinct neighbour labels.  The jitter is
+ * keyed by the vertex id, or with by_index by its position i.  Reads
+ * clusters[] / cluster_weights[], writes neither; returns 0 or an error.
+ * Inlined into each caller, so each loop is compiled on its own, by_index
+ * folded away. */
 static inline __attribute__((always_inline)) int64_t cluster_phase1(
-    const segments_t *s, rating_map_t *m, int64_t count, const int64_t *clusters,
+    const segments_t *s, rating_map_t *m, int64_t lo, int64_t hi, const int64_t *clusters,
     const int64_t *cluster_weights, const int64_t *vwgt, int64_t unit_vwgt,
     int64_t max_cluster_weight, int by_index, int64_t *fav, int64_t *best, int64_t *nc,
-    int64_t *info)
+    uint64_t *edges, int64_t *info)
 {
-    for (int64_t i = 0; i < count; i++) {
+    for (int64_t i = lo; i < hi; i++) {
         info[BAD] = i;
         int64_t u = s->chunk[i];
         if (!IN_RANGE(u, s->n))
@@ -213,7 +284,7 @@ static inline __attribute__((always_inline)) int64_t cluster_phase1(
         int64_t own = clusters[u];
         if (!IN_RANGE(own, s->n))
             return ERR_LABEL;
-        int64_t labels = rate(s, i, clusters, 0, m, 0);
+        int64_t labels = rate(s, i, clusters, 0, m, 0, edges);
         if (labels < 0)
             return labels;
         int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
@@ -241,50 +312,72 @@ static inline __attribute__((always_inline)) int64_t cluster_phase1(
                 best_ok = ok;
             }
         }
-        nc[i] = labels;
-        fav[i] = fav_label;
-        best[i] = best_ok ? best_label : -1;
+        nc[i - lo] = labels;
+        fav[i - lo] = fav_label;
+        best[i - lo] = best_ok ? best_label : -1;
     }
     return 0;
 }
 
-/* Shared memory's clustering chunk: phase 1, then every vertex with a
- * target commits to it in chunk order if it still fits. */
-int64_t repro_lp_cluster_chunk(
+/* Shared memory's clustering round: chunk by chunk, phase 1, then every
+ * vertex with neighbours records its favourite in favorites[] and every
+ * vertex with a target commits to it in chunk order if it still fits. */
+int64_t repro_lp_cluster_round(
     int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, int64_t *clusters, int64_t *cluster_weights,
-    const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
-    int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav,
-    int64_t *best, int64_t *nc, int64_t *moved, int64_t out_cap, int64_t *info,
+    int64_t adj_len, int64_t by_vertex, const int64_t *bounds, int64_t chunks,
+    int64_t *clusters, int64_t *cluster_weights, const int64_t *vwgt, int64_t unit_vwgt,
+    int64_t max_cluster_weight, int64_t t_bump, int64_t *favorites, int64_t *slot,
+    int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav, int64_t *best, int64_t *nc,
+    int64_t out_cap, int64_t *moved, int64_t *stats, int64_t stats_cap, int64_t *info,
     const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, by_vertex != 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
-    info[TARGETS] = 0;
-    info[BAD] = -1;
-    if (count < 0 || count > out_cap)
-        return ERR_CAPACITY;
-    int64_t rc = cluster_phase1(&s, &m, count, clusters, cluster_weights, vwgt, unit_vwgt,
-                                max_cluster_weight, 0, fav, best, nc, info);
+    int64_t rc = check_round(count, bounds, chunks, out_cap, stats_cap, info);
     if (rc < 0)
         return rc;
-    int64_t targets = 0, moves = 0;
-    for (int64_t i = 0; i < count; i++) {
-        int64_t target = best[i];
-        if (target < 0)
-            continue;
-        targets++;
-        int64_t u = chunk[i], own = clusters[u];
-        int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
-        if (target == own || !fits(cluster_weights[target], weight, max_cluster_weight))
-            continue;
-        cluster_weights[own] -= weight;
-        cluster_weights[target] += weight;
-        clusters[u] = target;
-        moved[moves++] = u;
+    int64_t moves = 0, all_targets = 0;
+    for (int64_t j = 0; j < chunks; j++) {
+        int64_t t0 = now_ns(), lo = bounds[2 * j], hi = bounds[2 * j + 1];
+        uint64_t edges = 0, bumped_nc = 0;
+        rc = cluster_phase1(&s, &m, lo, hi, clusters, cluster_weights, vwgt, unit_vwgt,
+                            max_cluster_weight, 0, fav, best, nc, &edges, info);
+        if (rc < 0)
+            return rc;
+        int64_t targets = 0, first = moves, bumped = 0;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t r = i - lo, u = chunk[i], target = best[r];
+            if (nc[r] > 0)
+                favorites[u] = fav[r];
+            if (nc[r] >= t_bump) {
+                bumped++;
+                bumped_nc += (uint64_t)nc[r];
+            }
+            if (target < 0)
+                continue;
+            targets++;
+            int64_t own = clusters[u];
+            int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
+            if (target == own || !fits(cluster_weights[target], weight, max_cluster_weight))
+                continue;
+            cluster_weights[own] -= weight;
+            cluster_weights[target] += weight;
+            clusters[u] = target;
+            if (moved)
+                moved[moves] = u;
+            moves++;
+        }
+        int64_t *row = stats + STATS * j;
+        row[EDGES] = (int64_t)edges;
+        row[ROW_TARGETS] = targets;
+        row[MOVES] = moves - first;
+        row[BUMPED] = bumped;
+        row[BUMPED_NC] = (int64_t)bumped_nc;
+        row[NANOS] = now_ns() - t0;
+        all_targets += targets;
     }
-    info[TARGETS] = targets;
+    info[TARGETS] = all_targets;
     return moves;
 }
 
@@ -303,14 +396,15 @@ int64_t repro_lp_cluster_pick(
     int64_t *best, int64_t *nc, int64_t *moved, int64_t *target, int64_t out_cap,
     int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
+    uint64_t edges = 0;
     info[TARGETS] = 0;
     info[BAD] = -1;
     if (count < 0 || count > out_cap)
         return ERR_CAPACITY;
-    int64_t rc = cluster_phase1(&s, &m, count, clusters, cluster_weights, vwgt, unit_vwgt,
-                                max_cluster_weight, 1, fav, best, nc, info);
+    int64_t rc = cluster_phase1(&s, &m, 0, count, clusters, cluster_weights, vwgt, unit_vwgt,
+                                max_cluster_weight, 1, fav, best, nc, &edges, info);
     if (rc < 0)
         return rc;
     int64_t moves = 0;
@@ -326,17 +420,17 @@ int64_t repro_lp_cluster_pick(
     return moves;
 }
 
-/* Phase 1 of a refinement chunk: best[i] is the block of highest positive
- * gain among vertex i's neighbouring blocks other than its own whose weight
- * limit still admits it (-1: none); gain(b) = rating(b) - rating(own
- * block).  Reads part[] / block_weights[], writes neither; returns 0 or an
- * error. */
+/* Phase 1 of a refinement chunk, the vertices at positions [lo, hi):
+ * best[i - lo] is the block of highest positive gain among vertex i's
+ * neighbouring blocks other than its own whose weight limit still admits it
+ * (-1: none); gain(b) = rating(b) - rating(own block).  Reads part[] /
+ * block_weights[], writes neither; returns 0 or an error. */
 static inline __attribute__((always_inline)) int64_t refine_phase1(
-    const segments_t *s, rating_map_t *m, int64_t count, const int32_t *part,
+    const segments_t *s, rating_map_t *m, int64_t lo, int64_t hi, const int32_t *part,
     const int64_t *block_weights, const int64_t *vwgt, int64_t unit_vwgt,
-    const int64_t *limits, int64_t *best, int64_t *info)
+    const int64_t *limits, int64_t *best, uint64_t *edges, int64_t *info)
 {
-    for (int64_t i = 0; i < count; i++) {
+    for (int64_t i = lo; i < hi; i++) {
         info[BAD] = i;
         int64_t u = s->chunk[i];
         if (!IN_RANGE(u, s->n))
@@ -344,7 +438,7 @@ static inline __attribute__((always_inline)) int64_t refine_phase1(
         int64_t own = part[u];
         if (!IN_RANGE(own, m->labels))
             return ERR_LABEL;
-        int64_t labels = rate(s, i, 0, part, m, 0);
+        int64_t labels = rate(s, i, 0, part, m, 0, edges);
         if (labels < 0)
             return labels;
         int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
@@ -361,47 +455,61 @@ static inline __attribute__((always_inline)) int64_t refine_phase1(
                 best_block = b;
             }
         }
-        best[i] = best_block;
+        best[i - lo] = best_block;
     }
     return 0;
 }
 
-/* Shared memory's refinement chunk: phase 1, then every vertex with a target
- * commits to it in chunk order if it still fits. */
-int64_t repro_lp_refine_chunk(
+/* Shared memory's refinement round: chunk by chunk, phase 1, then every
+ * vertex with a target commits to it in chunk order if it still fits. */
+int64_t repro_lp_refine_round(
     int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, int64_t k, int32_t *part, int64_t *block_weights,
-    const int64_t *vwgt, int64_t unit_vwgt, const int64_t *limits, int64_t *slot,
-    int64_t *seen, int64_t *rating, int64_t cap, int64_t *best, int64_t *moved,
-    int64_t out_cap, int64_t *info, const stream_t *stream)
+    int64_t adj_len, int64_t by_vertex, const int64_t *bounds, int64_t chunks, int64_t k,
+    int32_t *part, int64_t *block_weights, const int64_t *vwgt, int64_t unit_vwgt,
+    const int64_t *limits, int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap,
+    int64_t *best, int64_t out_cap, int64_t *moved, int64_t *stats, int64_t stats_cap,
+    int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, by_vertex != 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
-    info[TARGETS] = 0;
-    info[BAD] = -1;
-    if (count < 0 || count > out_cap)
-        return ERR_CAPACITY;
-    int64_t rc = refine_phase1(&s, &m, count, part, block_weights, vwgt, unit_vwgt, limits,
-                               best, info);
+    int64_t rc = check_round(count, bounds, chunks, out_cap, stats_cap, info);
     if (rc < 0)
         return rc;
-    int64_t targets = 0, moves = 0;
-    for (int64_t i = 0; i < count; i++) {
-        int64_t target = best[i];
-        if (target < 0)
-            continue;
-        targets++;
-        int64_t u = chunk[i], own = part[u];
-        int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
-        if (target == own || !fits(block_weights[target], weight, limits[target]))
-            continue;
-        block_weights[own] -= weight;
-        block_weights[target] += weight;
-        part[u] = (int32_t)target;
-        moved[moves++] = u;
+    int64_t moves = 0, all_targets = 0;
+    for (int64_t j = 0; j < chunks; j++) {
+        int64_t t0 = now_ns(), lo = bounds[2 * j], hi = bounds[2 * j + 1];
+        uint64_t edges = 0;
+        rc = refine_phase1(&s, &m, lo, hi, part, block_weights, vwgt, unit_vwgt, limits, best,
+                           &edges, info);
+        if (rc < 0)
+            return rc;
+        int64_t targets = 0, first = moves;
+        for (int64_t i = lo; i < hi; i++) {
+            int64_t target = best[i - lo];
+            if (target < 0)
+                continue;
+            targets++;
+            int64_t u = chunk[i], own = part[u];
+            int64_t weight = vwgt ? vwgt[u] : unit_vwgt;
+            if (target == own || !fits(block_weights[target], weight, limits[target]))
+                continue;
+            block_weights[own] -= weight;
+            block_weights[target] += weight;
+            part[u] = (int32_t)target;
+            if (moved)
+                moved[moves] = u;
+            moves++;
+        }
+        int64_t *row = stats + STATS * j;
+        row[EDGES] = (int64_t)edges;
+        row[ROW_TARGETS] = targets;
+        row[MOVES] = moves - first;
+        row[BUMPED] = row[BUMPED_NC] = 0;
+        row[NANOS] = now_ns() - t0;
+        all_targets += targets;
     }
-    info[TARGETS] = targets;
+    info[TARGETS] = all_targets;
     return moves;
 }
 
@@ -419,14 +527,15 @@ int64_t repro_lp_refine_pick(
     int64_t *seen, int64_t *rating, int64_t cap, int64_t *best, int64_t *moved,
     int64_t *target, int64_t out_cap, int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
+    uint64_t edges = 0;
     info[TARGETS] = 0;
     info[BAD] = -1;
     if (count < 0 || count > out_cap)
         return ERR_CAPACITY;
-    int64_t rc = refine_phase1(&s, &m, count, part, block_weights, vwgt, unit_vwgt, limits,
-                               best, info);
+    int64_t rc = refine_phase1(&s, &m, 0, count, part, block_weights, vwgt, unit_vwgt, limits,
+                               best, &edges, info);
     if (rc < 0)
         return rc;
     int64_t moves = 0;
@@ -546,8 +655,9 @@ int64_t repro_contract_chunk(
     int64_t group_count, int64_t *label, int64_t *weight, int64_t out_cap, int64_t *degree,
     int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream};
+    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, label_count, cap};
+    uint64_t read = 0;
     info[TARGETS] = 0;
     info[BAD] = -1;
     if (count < 0 || group_count < 0)
@@ -583,7 +693,7 @@ int64_t repro_contract_chunk(
             /* members lie anywhere in adj: ask for one eight ahead */
             if (!stream && i + 8 < count && IN_RANGE(starts[i + 8], adj_len))
                 __builtin_prefetch(adj + starts[i + 8]);
-            touched = rate(&s, i, labels, 0, &m, touched);
+            touched = rate(&s, i, labels, 0, &m, touched, &read);
             if (touched < 0)
                 return touched;
         }

@@ -6,10 +6,11 @@ subject to the balance constraint ``w(V_i) <= L_max``.  Memory is
 proportional to ``k`` rather than ``n`` (the paper notes it is negligible),
 so no ledger charges beyond block weights are needed.
 
-One step per chunk like LP clustering (compiled rating map, or the
-vectorized pipeline as oracle and fallback); moves commit sequentially with
-a re-check of the target block's weight.  Under the conflict detector the
-driver records each chunk's shared accesses around whichever step runs.
+One compiled call per round like LP clustering (or the vectorized pipeline
+chunk by chunk, as oracle and fallback); moves commit sequentially with a
+re-check of the target block's weight.  Under the conflict detector the
+driver runs one chunk a call and records its shared accesses around
+whichever step runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from repro.core.kernels import (
     move_gains,
     segment_best_last,
 )
-from repro.core.kernels.lp_chunk import refinement_step
+from repro.core.kernels.lp_chunk import EDGES, MOVES, NANOS, refinement_round
 from repro.core.partition import PartitionedGraph
 from repro.graph.access import chunk_adjacency, segment_reduce_ratings
+from repro.memory.scratch import tracked_empty
 from repro.verify.declarations import recorder_for
 
 
@@ -45,10 +47,11 @@ def lp_refine(
     their neighbours, until that frontier is empty.  A warm start passes the
     vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
 
-    What happens to one chunk -- rate, pick, commit -- is a *step*: one call
-    into ``lp_kernel.c`` when the compiled library is there, else the numpy
-    pipeline of :func:`_oracle_step`, bit-identical; :func:`_recording`
-    tells an attached conflict detector what either one touched.
+    A round -- every chunk rated, picked and committed in execution order --
+    is one call into ``lp_kernel.c`` when the compiled library is there,
+    else the numpy pipeline of :func:`_oracle_step`, chunk by chunk,
+    bit-identical; under a conflict detector one chunk a call, and
+    :func:`_recording` tells it what either step touched.
     """
     k = pgraph.k
     if k > np.iinfo(np.int32).max:
@@ -63,40 +66,50 @@ def lp_refine(
     total_moves = 0
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
-    step = refinement_step(
-        g, pgraph.partition, pgraph.block_weights, max_block_weight
-    ) or _oracle_step(pgraph, max_block_weight)
+    kernel = refinement_round(g, pgraph.partition, pgraph.block_weights, max_block_weight)
+    step = kernel.step if kernel is not None else _oracle_step(pgraph, max_block_weight)
     if rec.active:
         step = _recording(step, rec, g, pgraph.partition)
+        kernel = None
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
         if frontier is None:
-            order = ctx.rng.permutation(n).astype(np.int64)
+            order = ctx.rng.permutation(n).astype(np.int64, copy=False)
         else:
             order = ctx.rng.permutation(frontier)
-        moved_chunks = []
-        sched = runtime.schedule(order)
         with runtime.region(f"lp-refinement-round{_round}"):
-            for _tid, chunk in runtime.execute(sched, phase="lp-refinement"):
-                out = step(chunk)
-                if out is None:  # no edge in this chunk
-                    continue
-                edges, moved = out
-                runtime.record(
-                    "lp-refinement",
-                    work=float(edges),
-                    bytes_moved=float(16 * edges),
-                )
-                moved_chunks.append(moved)
-        moves = sum(map(len, moved_chunks))
+            if kernel is not None:
+                bounds, tids = runtime.chunk_bounds(len(order))
+                # the movers only feed the next round's frontier
+                moved = None if frontier is None else tracked_empty(len(order), name="lp-moved")
+                stats = kernel(order, bounds, moved)
+                items = bounds[:, 1] - bounds[:, 0]
+                runtime.record_chunks("lp-refinement", tids, items, stats[:, NANOS] * 1e-9)
+                rows = stats[:, [EDGES, MOVES]].tolist()
+            else:
+                chunks = runtime.execute(runtime.schedule(order), phase="lp-refinement")
+                # a chunk without an edge records nothing
+                done = [out for out in (step(chunk) for _tid, chunk in chunks) if out]
+                rows = [(edges, len(movers)) for edges, movers in done]
+                moved = [movers for _, movers in done]
+        moves = 0
+        for edges, chunk_moves in rows:
+            if not edges:  # no edge in this chunk
+                continue
+            runtime.record(
+                "lp-refinement",
+                work=float(edges),
+                bytes_moved=float(16 * edges),
+            )
+            moves += chunk_moves
         total_moves += moves
         ctx.tracer.add("refine.lp_rounds", 1)
         ctx.tracer.add("refine.lp_visited", len(order))
         if moves == 0:
             break
         if frontier is not None:
-            moved = np.concatenate(moved_chunks)
+            moved = moved[:moves] if kernel is not None else np.concatenate(moved)
             frontier = np.union1d(moved, chunk_adjacency(g, moved)[1])
     ctx.tracer.add("refine.lp_moves", total_moves)
     return total_moves
@@ -126,8 +139,8 @@ def _recording(step, rec, graph, part):
 
 def _oracle_step(pgraph, max_block_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    :func:`repro.core.kernels.lp_chunk.refinement_step`, which it is the
-    oracle and fallback of."""
+    the ``step`` of :func:`repro.core.kernels.lp_chunk.refinement_round`, whose
+    round it is the oracle and fallback of, looped chunk by chunk."""
     g = pgraph.graph
     k = pgraph.k
     part = pgraph.partition

@@ -1,8 +1,8 @@
 """Loader of the optional compiled kernels: the codec's chunk decode and
 packet encoder (``decode_kernel.c``), initial partitioning's sequential
-searches (``core/initial/bisection_kernel.c``) and the rating-map chunks of
-label propagation and contraction (``core/kernels/lp_kernel.c``), one
-library.
+searches (``core/initial/bisection_kernel.c``) and the rating map of label
+propagation's rounds and picks and of contraction
+(``core/kernels/lp_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
@@ -71,10 +71,11 @@ BISECTION_ERRORS = {
     -3: "assignment entry other than 0 or 1",
 }
 
-#: what the functions of ``lp_kernel.c`` return for a chunk they refuse
+#: what the functions of ``lp_kernel.c`` return for a chunk or round they
+#: refuse
 LP_ERRORS = {
     -1: "vertex id out of range",
-    -2: "adjacency or group segment out of range",
+    -2: "adjacency, group or chunk bounds out of range",
     -3: "neighbor id out of range",
     -4: "cluster or block id out of range",
     -5: "rating map or output capacity exhausted",
@@ -112,8 +113,10 @@ class Stream(ctypes.Structure):
 
 
 #: (n, chunk, starts, degs, count, adj, wgt, unit_wgt, adj_len) and
-#: (slot, seen, rating, cap) of both LP chunk kernels
+#: (slot, seen, rating, cap) of every LP and contraction kernel; a round adds
+#: (by_vertex, bounds, chunks) to the segments
 _SEGMENTS = [_i64, _p, _p, _p, _i64, _p, _p, _i64, _i64]
+_ROUND = [*_SEGMENTS, _i64, _p, _i64]
 _RATING_MAP = [_p, _p, _p, _i64]
 #: exported symbol -> argtypes (all return int64); every one must resolve
 SIGNATURES = {
@@ -138,15 +141,18 @@ SIGNATURES = {
     "repro_fm2way": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
     ],
-    # segments, clusters, cluster_weights, vwgt, unit_vwgt, max_cluster_weight,
-    # rating map, fav, best, nc, moved, out_cap, info, stream
-    "repro_lp_cluster_chunk": [
-        *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _i64, _p, _p,
+    # segments, by_vertex, bounds, chunks, clusters, cluster_weights, vwgt,
+    # unit_vwgt, max_cluster_weight, t_bump, favorites, rating map, fav, best,
+    # nc, out_cap, moved, stats, stats_cap, info, stream
+    "repro_lp_cluster_round": [
+        *_ROUND, _p, _p, _p, _i64, _i64, _i64, _p, *_RATING_MAP, _p, _p, _p, _i64, _p, _p, _i64,
+        _p, _p,
     ],
-    # segments, k, part, block_weights, vwgt, unit_vwgt, limits, rating map,
-    # best, moved, out_cap, info, stream
-    "repro_lp_refine_chunk": [
-        *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p,
+    # segments, by_vertex, bounds, chunks, k, part, block_weights, vwgt,
+    # unit_vwgt, limits, rating map, best, out_cap, moved, stats, stats_cap,
+    # info, stream
+    "repro_lp_refine_round": [
+        *_ROUND, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _i64, _p, _p, _i64, _p, _p,
     ],
     # the two picks: their chunk's arguments, and target[] after moved[]
     "repro_lp_cluster_pick": [
@@ -267,12 +273,12 @@ def bisection_kernels():
 
 
 def lp_kernels():
-    """``(cluster_chunk, refine_chunk, cluster_pick, refine_pick)`` ctypes
+    """``(cluster_round, refine_round, cluster_pick, refine_pick)`` ctypes
     functions of ``lp_kernel.c``, or ``None`` if unavailable."""
     lib = library()
     return lib and (
-        lib["repro_lp_cluster_chunk"],
-        lib["repro_lp_refine_chunk"],
+        lib["repro_lp_cluster_round"],
+        lib["repro_lp_refine_round"],
         lib["repro_lp_cluster_pick"],
         lib["repro_lp_refine_pick"],
     )

@@ -116,22 +116,49 @@ def chunk_segments(
     if hasattr(graph, "indptr"):
         starts = graph.indptr[chunk]
         degs = graph.indptr[chunk + 1] - starts
-        adj, wgt, counter = graph.adjncy, np.asarray(graph.adjwgt), "decode.edges_csr"
+        adj, wgt = graph.adjncy, np.asarray(graph.adjwgt)
     elif hasattr(graph, "decode_chunk"):
         degs = graph.degrees[chunk]
         starts = adj = wgt = None
         if len(degs) and not 0 <= int(degs.min()) <= int(degs.max()) <= graph.max_plain_degree:
             _, adj, wgt = graph.decode_chunk(chunk)
             starts = np.cumsum(degs) - degs
-        counter = "decode.edges"
     else:
         raise TypeError(
             "chunk_segments needs a CSRGraph or a CompressedGraph, got "
             f"{type(graph).__name__}"
         )
-    if _tracer is not None and (total := int(degs.sum())):
-        _tracer.add(counter, total)
+    count_edges(graph, degs)
     return starts, degs, adj, wgt
+
+
+def vertex_segments(
+    graph,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """The whole adjacency keyed by vertex id, as the graph keeps it.
+
+    Returns ``(indptr, None, adj, wgt)`` for a CSR graph -- vertex ``u`` owns
+    ``adj[indptr[u] : indptr[u + 1]]`` and the weights beside them -- or
+    ``(None, degrees, None, None)`` for a compressed graph, whose
+    neighbourhoods the caller decodes from ``CompressedGraph.stream``.  What
+    a compiled LP round (``core/kernels/lp_kernel.c``) walks: nothing
+    gathered per chunk.
+    """
+    if hasattr(graph, "indptr"):
+        return graph.indptr, None, graph.adjncy, np.asarray(graph.adjwgt)
+    if hasattr(graph, "decode_chunk"):
+        return None, graph.degrees, None, None
+    raise TypeError(
+        f"vertex_segments needs a CSRGraph or a CompressedGraph, got {type(graph).__name__}"
+    )
+
+
+def count_edges(graph, degs: np.ndarray) -> None:
+    """Report the edges behind ``degs`` to the ``decode.edges*`` counters, as
+    if gathered: what :func:`chunk_segments` does for its chunk, and what the
+    LP rounds, which read the graph's segments in place, do once a round."""
+    if _tracer is not None and (total := int(degs.sum())):
+        _tracer.add("decode.edges_csr" if hasattr(graph, "indptr") else "decode.edges", total)
 
 
 def _csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

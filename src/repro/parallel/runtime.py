@@ -191,7 +191,13 @@ class ParallelRuntime:
         with their own modelled nondeterminism (one-pass contraction's
         bounded jitter) pass it so the model default stays untouched.
         """
-        n_chunks = sched.num_chunks
+        return self._policy_order(
+            sched.num_chunks, weights, lambda: [len(c) for c in sched.chunks], default
+        )
+
+    def _policy_order(self, n_chunks, weights, sizes, default=None) -> np.ndarray:
+        """:meth:`execution_order` over ``n_chunks`` chunks; ``sizes()``
+        gives heavy-first's chunk sizes when ``weights`` is absent."""
         identity = np.arange(n_chunks, dtype=np.int64)
         policy = self.schedule_policy
         if policy is None:
@@ -210,13 +216,41 @@ class ParallelRuntime:
             return rng.permutation(n_chunks).astype(np.int64)
         if policy == "heavy-first":
             if weights is None:
-                weights = np.array(
-                    [len(c) for c in sched.chunks], dtype=np.int64
-                )
+                weights = np.asarray(sizes(), dtype=np.int64)
             return np.argsort(-np.asarray(weights), kind="stable").astype(
                 np.int64
             )
         raise ValueError(f"unknown schedule policy {policy!r}")
+
+    def chunk_bounds(
+        self, count: int, *, weights: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(bounds, tids)`` of :meth:`execute` over :meth:`schedule` of an
+        order of ``count`` positions, without the chunks: ``bounds[j]`` is
+        the ``[lo, hi)`` of the ``j``-th chunk to run and ``tids[j]`` its
+        virtual thread.  For a kernel that walks the whole loop in one call;
+        it reports the chunks back through :meth:`record_chunks`.
+        """
+        cs = self.chunk_size
+        n_chunks = -(-count // cs)
+
+        def sizes():
+            return np.minimum(count - cs * np.arange(n_chunks, dtype=np.int64), cs)
+
+        order = self._policy_order(n_chunks, weights, sizes)
+        lo = order * cs
+        return np.stack([lo, np.minimum(lo + cs, count)], axis=1), order % self.p
+
+    def record_chunks(
+        self, phase: str, tids: np.ndarray, items: np.ndarray, seconds: np.ndarray
+    ) -> None:
+        """What :meth:`execute` tells an attached span tracer per chunk, for
+        chunks a kernel ran in one call (:meth:`chunk_bounds`)."""
+        tr = self.tracer
+        if tr is None or not tr.enabled:
+            return
+        for tid, n, sec in zip(tids.tolist(), items.tolist(), seconds.tolist()):
+            tr.record_chunk(phase, tid, n, sec)
 
     def execute(
         self,

@@ -1,17 +1,19 @@
-"""The compiled LP chunk (``core/kernels/lp_kernel.c``) against the numpy
-pipelines it replaces (ISSUE 24).
+"""The compiled LP round (``core/kernels/lp_kernel.c``) against the numpy
+pipelines it replaces.
 
 ``tests/test_bulk_equivalence.py`` compares whole partitions, kernel first,
 scalar references second.  Here both steps of one chunk run side by side in
-one process: same favorites, same ``nc``, same movers and the same shared
-arrays after every chunk, over generator families x edge weights (unit,
-random, with zeros) x vertex weights x CSR / compressed; the LP drivers and
-whole partitions must report the same cost records and counters on either
-path; the edges a sort gets for free (a label seen through weight 0, no
-neighbour at all, sums that wrap) are pinned one by one; and, called without
-the wrapper's checks on corrupted arrays, the kernel must return an error
-code, write nothing outside the buffers it was given and leave its rating
-map zeroed.
+one process (the kernel as a round of one chunk): same favorites, same
+``nc``, same movers and the same shared arrays after every chunk, over
+generator families x edge weights (unit, random, with zeros) x vertex
+weights x CSR / compressed; the LP drivers (one kernel call a round) and
+whole partitions must report the same cost records and counters as the
+oracle looped chunk by chunk, degenerate rounds and every schedule policy
+included; the edges a sort gets for free (a label seen through weight 0, no
+neighbour at all, sums that wrap) are pinned one by one; and, called
+without the wrapper's checks on corrupted arrays, the kernel must return an
+error code, write nothing outside the buffers it was given and leave its
+rating map zeroed.
 
 On a compressed graph the kernel decodes each neighbourhood as it rates it;
 a chunk holding a hub is decoded first, by ``decode_chunk``.  The two are
@@ -153,6 +155,20 @@ def decoded_first(step):
 # --------------------------------------------------------------------- #
 # chunk by chunk: the two steps of each driver, side by side
 # --------------------------------------------------------------------- #
+def clustering_step(graph, clusters, cluster_weights, cap, maps):
+    """The kernel's clustering step: its round entry over one chunk."""
+    favorites = np.arange(graph.n, dtype=np.int64)
+    kernel = lp_chunk.clustering_round(
+        graph, clusters, cluster_weights, cap, maps, favorites, t_bump=1
+    )
+    return kernel and kernel.step
+
+
+def refinement_step(graph, part, block_weights, limits):
+    kernel = lp_chunk.refinement_round(graph, part, block_weights, limits)
+    return kernel and kernel.step
+
+
 class ClusteringPair:
     """The kernel step and the oracle step of LP clustering, each on its own
     copy of the shared arrays.  ``decoded=True`` puts the kernel step with
@@ -163,10 +179,10 @@ class ClusteringPair:
         start = np.asarray(graph.vwgt).astype(np.int64)
         self.states = [(np.arange(n, dtype=np.int64), start.copy()) for _ in range(2)]
         self.maps = np.zeros((3, n), dtype=np.int64)
-        self.kernel = lp_chunk.clustering_step(graph, *self.states[0], cap, self.maps)
+        self.kernel = clustering_step(graph, *self.states[0], cap, self.maps)
         if decoded:
             self.oracle = decoded_first(
-                lp_chunk.clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
+                clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
             )
         else:
             self.oracle = lp_clustering._oracle_step(graph, *self.states[1], cap)
@@ -193,14 +209,12 @@ class RefinementPair:
         self.pgraphs = [PartitionedGraph(graph, k, np.array(part)) for _ in range(2)]
         limits = np.broadcast_to(np.asarray(limits, dtype=np.int64), (k,))
         kernel_side, oracle_side = self.pgraphs
-        self.kernel = lp_chunk.refinement_step(
+        self.kernel = refinement_step(
             graph, kernel_side.partition, kernel_side.block_weights, limits
         )
         if decoded:
             self.oracle = decoded_first(
-                lp_chunk.refinement_step(
-                    graph, oracle_side.partition, oracle_side.block_weights, limits
-                )
+                refinement_step(graph, oracle_side.partition, oracle_side.block_weights, limits)
             )
         else:
             self.oracle = lp_refine_module._oracle_step(oracle_side, limits)
@@ -411,6 +425,128 @@ def test_partition_reports_the_same_costs_and_counters(name):
     assert counters(got)["lp.moves"] > 0 and counters(got)["refine.lp_visited"] > 0
 
 
+class KernelCalls:
+    """Counts the calls of the round entries (``lp_kernels()[0]`` and
+    ``[1]``) for as long as the monkeypatch context lasts."""
+
+    def __init__(self, m) -> None:
+        self.calls = collections.Counter()
+        real = _native.lp_kernels()
+
+        def counted(i, fn):
+            def call(*args):
+                self.calls[i] += 1
+                return fn(*args)
+
+            return call
+
+        wrapped = tuple(counted(i, fn) for i, fn in enumerate(real))
+        m.setattr(_native, "lp_kernels", lambda: wrapped)
+
+
+def both_drivers(graph, policy=None, k: int = 4):
+    """LP clustering, then LP refinement from a random assignment, through
+    the drivers under schedule ``policy``: everything they report."""
+    debug = DebugConfig(schedule_policy=policy, schedule_seed=3)
+    ctx = PartitionContext(preset("terapart", seed=1, p=4, debug=debug), k, graph.total_vertex_weight)
+    total = graph.total_vertex_weight
+    result = label_propagation_clustering(graph, ctx, max(1, total // 25))
+    pgraph = PartitionedGraph(graph, k, random_assignment(graph, k))
+    moves = lp_refine(pgraph, ctx, max(1, int(1.1 * -(-total // k))), rounds=4)
+    return (
+        result.clusters, result.favorites, result.moves_per_round, result.bumped_per_round,
+        pgraph.partition, pgraph.block_weights, moves, ctx.runtime.all_stats(),
+    )  # fmt: skip
+
+
+def rounds_agree(graph, policy=None) -> collections.Counter:
+    """The drivers on the round kernel equal them on the oracle looped chunk
+    by chunk; returns the round-kernel calls made."""
+    with pytest.MonkeyPatch.context() as m:
+        calls = KernelCalls(m)
+        got = both_drivers(graph, policy)
+    want = on_oracle(both_drivers, graph, policy)
+    for a, b in zip(got, want):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b)
+        else:
+            assert a == b
+    return calls.calls
+
+
+def star(leaves: int) -> CSRGraph:
+    return csr(leaves + 1, both_ways([(0, v, 1) for v in range(1, leaves + 1)]))
+
+
+class TestDegenerateRounds:
+    """Rounds the chunk loop never met: each equals the oracle looped chunk
+    by chunk in partition, favorites, moves and bumps a round and phase
+    stats."""
+
+    def test_the_empty_graph(self):
+        assert rounds_agree(csr(0, [])) == {}  # no vertex weights to hold: the oracle
+
+    def test_an_all_isolated_graph(self):
+        graph = csr(50, [])
+        calls = rounds_agree(graph)
+        assert calls[0] == calls[1] == 1  # one round each, nothing moved
+        clusters, favorites, moves, bumped, *_, stats = both_drivers(graph)
+        assert np.array_equal(favorites, np.arange(50)), "a favorite was written"
+        assert moves == [0] and stats == {}, "a chunk recorded work"
+
+    def test_fewer_vertices_than_a_chunk(self):
+        graph = gen.rgg2d(100, 8.0, seed=1)
+        assert graph.n < context(graph).runtime.chunk_size
+        calls = rounds_agree(graph)
+        assert calls[0] > 1 and calls[1] > 1
+
+    def test_a_compressed_giant_star_splits_its_rounds(self):
+        """The hub is chunk-encoded, so its chunk is decoded first and run as
+        a call of its own: three calls a round with it mid-round, two with
+        it first or last."""
+        graph = compress_graph(star(1999), high_degree_threshold=32, chunk_length=8)
+        assert graph.degrees[0] > graph.max_plain_degree
+        rng = np.random.default_rng(1)  # the clustering's rounds draw from it alone
+        chunks = -(-graph.n // 512)
+        hub_chunks = [
+            int(np.flatnonzero(rng.permutation(graph.n) == 0)[0]) // 512
+            for _ in both_drivers(graph)[2]
+        ]
+        assert any(0 < c < chunks - 1 for c in hub_chunks), "the hub never sat mid-round"
+        calls = rounds_agree(graph)
+        assert calls[0] == sum(1 + (c > 0) + (c < chunks - 1) for c in hub_chunks)
+
+    def test_vertex_weights_the_commit_cannot_hold_go_to_the_oracle(self):
+        vwgt = np.full(200, 1 << 60)
+        base = gen.rgg2d(200, 8.0, seed=1)
+        graph = CSRGraph(base.indptr, base.adjncy, None, vwgt, sorted_neighborhoods=True)
+        with np.errstate(over="ignore"):
+            assert rounds_agree(graph) == {}
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
+    @pytest.mark.parametrize("policy", ["issue", "reversed", "random", "heavy-first"])
+    def test_every_schedule_policy(self, policy, compressed):
+        graph = weighted(gen.weblike(1500, 8.0, seed=4), "random", "random")
+        calls = rounds_agree(compress_graph(graph) if compressed else graph, policy)
+        assert calls[0] > 0 and calls[1] > 0
+
+
+def test_a_traced_partition_slices_threads_as_the_oracle_does():
+    """Every ``(phase, tid)`` thread slice counts the same chunks and items
+    on the round kernel as on the oracle's chunk loop, and its seconds --
+    the kernel's own clock -- are positive."""
+    graph = weighted(gen.weblike(3000, 8.0, seed=4), "unit", "unit")
+    for name in ("terapart", "kaminpar"):
+        cfg = preset(name, seed=2, p=4, obs=ObsConfig(enabled=True))
+        got = repro.partition(graph, 8, cfg).obs["threads"]
+        want = on_oracle(repro.partition, graph, 8, cfg).obs["threads"]
+        assert [(t["phase"], t["tid"], t["chunks"], t["items"]) for t in got] == [
+            (t["phase"], t["tid"], t["chunks"], t["items"]) for t in want
+        ]
+        lp = [t for t in got if t["phase"].startswith(("clustering", "lp-refinement"))]
+        assert lp and all(t["seconds"] > 0 for t in lp), lp
+
+
 def test_track_scratch_does_not_charge_the_rating_map_twice(monkeypatch):
     """The kernel's map is the `shared-sparse-array` and `nonzero-buffers`
     the ledger charges by model: a scratch-tracking run sees those charges
@@ -435,8 +571,9 @@ def test_track_scratch_does_not_charge_the_rating_map_twice(monkeypatch):
     names = [name for name, _, _ in charged]
     assert names.count("shared-sparse-array") == names.count("nonzero-buffers") == 1
     in_scratch = {name: nbytes for name, nbytes, category in charged if category == "scratch"}
-    # the per-chunk outputs, chunk-sized, and the leader scan's byte a vertex
-    assert set(in_scratch) == {"lp-chunk-out", "cluster-leader-marks"}
+    # the per-chunk scratch rows, chunk-sized, a round's stats rows and the
+    # leader scan's byte a vertex
+    assert set(in_scratch) == {"lp-chunk-out", "lp-round-stats", "cluster-leader-marks"}
     assert in_scratch["cluster-leader-marks"] == graph.n
     assert max(in_scratch.values()) < 8 * graph.n
 
@@ -528,10 +665,10 @@ class TestEdges:
         graph = csr(4, both_ways([(0, 1, 1), (1, 2, 1), (2, 3, 1)]), vwgt=vwgt)
         maps = np.zeros((3, 4), dtype=np.int64)
         clusters, weights = np.arange(4), vwgt.copy()
-        assert lp_chunk.clustering_step(graph, clusters, weights, 1 << 62, maps) is None
+        assert clustering_step(graph, clusters, weights, 1 << 62, maps) is None
         pgraph = PartitionedGraph(graph, 2, np.array([0, 0, 1, 1]))
         limits = np.array([1 << 62, 1 << 62])
-        assert lp_chunk.refinement_step(graph, pgraph.partition, pgraph.block_weights, limits) is None
+        assert refinement_step(graph, pgraph.partition, pgraph.block_weights, limits) is None
         with np.errstate(over="ignore"):
             result, _, _ = run_clustering(graph, True)
         assert len(result.clusters) == 4
@@ -551,8 +688,8 @@ class TestEdges:
             lp_refine(pgraph, context(graph), 100)
 
     def test_the_conflict_detector_watches_the_kernel_steps(self, monkeypatch):
-        """With the detector listening both drivers build their kernel step
-        and neither reaches its oracle."""
+        """With the detector listening both drivers build their kernel round
+        (and run it one chunk a call) and neither reaches its oracle."""
         built = collections.Counter()
 
         def counting(module, name):
@@ -567,13 +704,13 @@ class TestEdges:
         def refuse(*args, **kwargs):
             raise AssertionError("oracle step reached with the kernels loaded")
 
-        counting(lp_clustering, "clustering_step")
-        counting(lp_refine_module, "refinement_step")
+        counting(lp_clustering, "clustering_round")
+        counting(lp_refine_module, "refinement_round")
         monkeypatch.setattr(lp_clustering, "_oracle_step", refuse)
         monkeypatch.setattr(lp_refine_module, "_oracle_step", refuse)
         cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
         result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
-        assert built["clustering_step"] > 0 and built["refinement_step"] > 0
+        assert built["clustering_round"] > 0 and built["refinement_round"] > 0
         assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
 
 
@@ -651,24 +788,38 @@ def test_segments_describe_the_same_adjacency():
 # --------------------------------------------------------------------- #
 # the contract in the C header
 # --------------------------------------------------------------------- #
+STATS = 6  # columns of a round's stats row
+
+
 class Raw:
-    """Both kernels called the way ``lp_chunk`` calls them, minus its
+    """Both round entries called the way ``lp_chunk`` calls them, minus its
     checks, on arrays a test may corrupt, with every output and the rating
-    map guarded.  ``out_short`` / ``map_short`` take that many entries off the
-    capacities handed over."""
+    map guarded.  The segments are keyed by position (``starts`` / ``degs``
+    per chunk vertex, as a chunk decoded first goes in) or, ``by_vertex``,
+    by vertex id (the graph's ``indptr``).  ``bounds`` are the round's
+    chunks in the order they run, one chunk of all 96 vertices by default.
+    ``out_short`` / ``map_short`` / ``stats_short`` take that many entries
+    off the capacities handed over."""
 
     K = 4
+    by_vertex = False
 
-    def __init__(self, graph) -> None:
+    def __init__(self, graph, bounds=None, by_vertex=None) -> None:
         self.n = graph.n
         self.vwgt = np.ascontiguousarray(graph.vwgt).copy()
         self.chunk = np.random.default_rng(0).permutation(self.n)[:96].astype(np.int64)
+        whole = [[0, len(self.chunk)]]
+        self.bounds = np.array(whole if bounds is None else bounds, dtype=np.int64)
+        if by_vertex is not None:
+            self.by_vertex = by_vertex
         self.clusters = np.arange(self.n, dtype=np.int64)
         self.cluster_weights = self.vwgt.copy()
+        self.favorites = np.arange(self.n, dtype=np.int64)
         self.part = (np.arange(self.n) % self.K).astype(np.int32)
         self.block_weights = np.bincount(self.part, weights=self.vwgt).astype(np.int64)
         self.limits = np.full(self.K, int(self.vwgt.sum()), dtype=np.int64)
         self.info = np.zeros(2, dtype=np.int64)
+        self.stats = None  # the last call's stats rows
         self._adjacency(graph)
 
     def _adjacency(self, graph):
@@ -680,42 +831,57 @@ class Raw:
         self.adj_len = len(self.adj)
 
     def _segments(self):
+        if self.by_vertex:
+            starts, degs = self.indptr.ctypes.data, None
+        else:
+            starts, degs = self.starts.ctypes.data, self.degs.ctypes.data
         return (
-            self.n, self.chunk.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
-            len(self.chunk), self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
+            self.n, self.chunk.ctypes.data, starts, degs, len(self.chunk), self.adj.ctypes.data,
+            self.wgt.ctypes.data, 0, self.adj_len, int(self.by_vertex), self.bounds.ctypes.data,
+            len(self.bounds),
         )  # fmt: skip
 
     def _stream(self, out):
         return None
 
+    def _outputs(self, out, rows, out_short, stats_short):
+        """Scratch rows, out_cap, moved, stats, stats_cap: each guarded."""
+        width = int((self.bounds[:, 1] - self.bounds[:, 0]).max(initial=0)) - out_short
+        scratch = [out.ptr(width, np.int64) for _ in range(rows)]
+        moved = out.ptr(len(self.chunk), np.int64)
+        stats_cap = len(self.bounds) - stats_short
+        self._stats_at = len(out.buffers)
+        return (*scratch, width, moved, out.ptr(STATS * stats_cap, np.int64), stats_cap)
+
     def _finish(self, rc, out):
         out.check()
         assert not out.inside(0).any(), "rating map left dirty"
+        self.stats = out.inside(self._stats_at).reshape(-1, STATS).copy()
         return rc
 
-    def cluster(self, out_short=0, map_short=0):
-        out, count = Guarded(), len(self.chunk)
+    def cluster(self, out_short=0, map_short=0, stats_short=0):
+        out = Guarded()
         cap = self.n - map_short
         maps = [out.ptr(size, np.int64) for size in (self.n, cap, cap)]
         out.inside(0)[:] = 0
-        outputs = [out.ptr(count - out_short, np.int64) for _ in range(4)]
         rc = _native.lp_kernels()[0](
             *self._segments(), self.clusters.ctypes.data, self.cluster_weights.ctypes.data,
-            self.vwgt.ctypes.data, 0, 1 << 40, *maps, cap, *outputs, count - out_short,
-            self.info.ctypes.data, self._stream(out),
+            self.vwgt.ctypes.data, 0, 1 << 40, 4, self.favorites.ctypes.data, *maps, cap,
+            *self._outputs(out, 3, out_short, stats_short), self.info.ctypes.data,
+            self._stream(out),
         )  # fmt: skip
         return self._finish(rc, out)
 
-    def refine(self, out_short=0, map_short=0):
-        out, count = Guarded(), len(self.chunk)
+    def refine(self, out_short=0, map_short=0, stats_short=0):
+        out = Guarded()
         cap = self.K - map_short
         maps = [out.ptr(size, np.int64) for size in (self.K, cap, cap)]
         out.inside(0)[:] = 0
-        outputs = [out.ptr(count - out_short, np.int64) for _ in range(2)]
         rc = _native.lp_kernels()[1](
             *self._segments(), self.K, self.part.ctypes.data, self.block_weights.ctypes.data,
-            self.vwgt.ctypes.data, 0, self.limits.ctypes.data, *maps, cap, *outputs,
-            count - out_short, self.info.ctypes.data, self._stream(out),
+            self.vwgt.ctypes.data, 0, self.limits.ctypes.data, *maps, cap,
+            *self._outputs(out, 1, out_short, stats_short), self.info.ctypes.data,
+            self._stream(out),
         )  # fmt: skip
         return self._finish(rc, out)
 
@@ -723,32 +889,38 @@ class Raw:
         return self.cluster(**kwargs), self.refine(**kwargs)
 
     def shared(self):
-        return [a.copy() for a in (self.clusters, self.cluster_weights, self.part, self.block_weights)]
+        return [
+            a.copy()
+            for a in (
+                self.clusters, self.cluster_weights, self.favorites, self.part, self.block_weights
+            )
+        ]
 
 
 class RawStream(Raw):
     """The same calls with the compressed source: the byte stream (``data``,
-    ``offsets``) a test may corrupt, and the one-neighbourhood scratch --
-    sized for the chunk's largest degree, ``scratch_short`` entries less --
-    guarded like the outputs."""
+    ``offsets``) a test may corrupt, the degrees by vertex id, and the
+    one-neighbourhood scratch -- sized for the chunk's largest degree,
+    ``scratch_short`` entries less -- guarded like the outputs."""
 
     scratch_short = 0
+    by_vertex = True
 
     def _adjacency(self, graph):
         data, offsets = graph.stream()
         self.data, self.offsets = data.copy(), offsets.copy()
-        self.degs = graph.degrees[self.chunk].copy()
+        self.degs = graph.degrees.copy()
         self.weighted = graph.has_edge_weights
         self.intervals = graph.config.enable_intervals
 
     def _segments(self):
         return (
             self.n, self.chunk.ctypes.data, None, self.degs.ctypes.data, len(self.chunk),
-            None, None, 1, 0,
+            None, None, 1, 0, 1, self.bounds.ctypes.data, len(self.bounds),
         )  # fmt: skip
 
     def _stream(self, out):
-        cap = int(self.degs.max()) - self.scratch_short
+        cap = int(self.degs[self.chunk].max()) - self.scratch_short
         pairs = 2 * (cap // 3)
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
@@ -848,6 +1020,92 @@ class TestKernelContract:
         refused(raw, -2, at=last)
 
 
+    # a round of three chunks, run out of issue order
+    ROUND = [[32, 64], [0, 32], [64, 96]]
+
+    def test_segments_by_vertex_read_what_segments_by_position_read(self, mesh):
+        """Keyed by vertex id (the graph's ``indptr``, as a round reads a CSR
+        graph) the kernel moves the same vertices as keyed by position."""
+        by_position, by_vertex = Raw(mesh), Raw(mesh, by_vertex=True)
+        assert by_position.both() == by_vertex.both()
+        for a, b in zip(by_position.shared(), by_vertex.shared()):
+            assert np.array_equal(a, b)
+
+    def test_segment_by_vertex_past_the_adjacency_is_refused(self, mesh):
+        """A corrupt ``indptr`` entry is refused at the first chunk vertex
+        whose segment it bounds."""
+        for at, value in ((1, lambda raw: raw.adj_len + 1), (0, lambda raw: -1),
+                          (0, lambda raw: (1 << 63) - 1)):  # fmt: skip
+            raw = Raw(mesh, by_vertex=True)
+            u = int(raw.chunk[9]) + at  # ends vertex u - 1's segment, starts u's
+            raw.indptr[u] = value(raw)
+            owners = np.flatnonzero(np.isin(raw.chunk, [u - 1, u]))
+            refused(raw, -2, at=int(owners[0]))
+        raw = Raw(mesh, by_vertex=True)  # exactly to the end is still inside
+        ends = raw.indptr[raw.chunk + 1]
+        raw.adj_len = int(ends.max())
+        assert min(raw.both()) >= 0
+        raw = Raw(mesh, by_vertex=True)
+        raw.adj_len = int(ends.max()) - 1
+        refused(raw, -2, at=int(np.argmax(ends)))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [[[0, 32], [32, 64], [64, 97]], [[0, 32], [40, 39]], [[-1, 10]], [[32, 96], [96, 95]]],
+        ids=["past-count", "running-down", "negative", "empty-then-down"],
+    )
+    def test_chunk_bounds_are_checked_before_anything_is_written(self, mesh, bounds):
+        raw = Raw(mesh, bounds=bounds, by_vertex=True)
+        refused(raw, -2, at=-1)
+        assert (raw.stats == 0x5A).all(), "a stats row was written"
+
+    def test_a_short_stats_buffer_or_scratch_is_refused_before_anything_is_written(self, mesh):
+        raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+        before = raw.shared()
+        assert raw.both(stats_short=1) == (-5, -5) and raw.info[1] == -1
+        raw.bounds[2, 1] = 97 - 1  # one chunk 32 + 1 wide: the scratch is 32
+        raw.bounds[2, 0] = 63
+        assert raw.both(out_short=1) == (-5, -5) and raw.info[1] == -1
+        for a, b in zip(before, raw.shared()):
+            assert np.array_equal(a, b)
+
+    def test_a_round_is_its_chunks_one_after_another(self, mesh):
+        """One call over three chunks commits what three calls, one chunk
+        each in the same order, commit, and fills the same stats rows."""
+        whole, apart = Raw(mesh, bounds=self.ROUND, by_vertex=True), Raw(mesh, by_vertex=True)
+        edges = [int(whole.degs[lo:hi].sum()) for lo, hi in self.ROUND]
+        for run in ("cluster", "refine"):
+            moved = getattr(whole, run)()
+            rows = []
+            for bounds in self.ROUND:
+                apart.bounds = np.array([bounds], dtype=np.int64)
+                moved -= getattr(apart, run)()
+                rows.append(apart.stats[0, :5])
+            assert moved == 0 and np.array_equal(whole.stats[:, :5], rows)
+            assert whole.stats[:, 0].tolist() == edges and (whole.stats[:, 5] > 0).all()
+        assert whole.stats[:, 2].sum() > 0
+        for a, b in zip(whole.shared(), apart.shared()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("error", ["vertex", "neighbour"])
+    def test_a_bad_id_in_a_later_chunk_keeps_the_earlier_ones(self, mesh, error):
+        """The second chunk to run holds the bad id at position 10: its code
+        names that position, the first chunk stays committed and the second
+        is untouched (favorites included)."""
+        raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+        at = 10 + int(np.flatnonzero(raw.degs[10:32] > 1)[0])
+        if error == "vertex":
+            raw.chunk[at] = mesh.n
+        else:
+            raw.adj[raw.indptr[raw.chunk[at]] + 1] = -5
+        code = {"vertex": -1, "neighbour": -3}[error]
+        assert raw.both() == (code, code) and raw.info[1] == at
+        first = Raw(mesh, bounds=self.ROUND[:1], by_vertex=True)
+        assert min(first.both()) > 0
+        for a, b in zip(raw.shared(), first.shared()):
+            assert np.array_equal(a, b)
+
+
 class TestStreamContract:
     """With the compressed source the kernel holds the same contract: a
     stream its decoder refuses is ``DECODE_ERROR`` + the decoder's code,
@@ -907,7 +1165,7 @@ class TestStreamContract:
     def test_scratch_one_short_is_refused(self, mesh):
         raw = RawStream(compress_graph(mesh))
         raw.scratch_short = 1
-        refused(raw, _native.DECODE_ERROR - 7, at=int(np.argmax(raw.degs)))
+        refused(raw, _native.DECODE_ERROR - 7, at=int(np.argmax(raw.degs[raw.chunk])))
 
     def test_byte_mutations_never_write_outside(self, mesh):
         """Flipped bits and degrees the stream does not back: any code the

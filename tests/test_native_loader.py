@@ -100,7 +100,7 @@ def test_library_missing_a_symbol_is_not_used(tmp_path, fallback_answer):
     cc = shutil.which("cc") or shutil.which("gcc")
     procs = [
         _spawn(tmp_path / symbol, CC=f"{cc} -D{symbol}={symbol}_renamed")
-        for symbol in ("repro_fm2way", "repro_lp_refine_chunk", "repro_contract_chunk")
+        for symbol in ("repro_fm2way", "repro_lp_refine_round", "repro_contract_chunk")
     ]
     for proc in procs:
         loaded, answer = _finish(proc)

@@ -292,12 +292,13 @@ def test_gain_table_build_on_compressed_within_envelope():
         )
 
 
-# An LP chunk is one compiled call (lp_kernel.c): rate, pick and commit
-# without the sort-based numpy pipeline, a CSR graph read in place and a
-# compressed chunk decoded exactly once.  The fallback to that pipeline is
-# silent by design, so a change that loses the kernel path (a dtype the
-# wrapper refuses, a renamed symbol) would show up only as a slow ladder;
-# here it fails by count.  The same run with the kernel hidden must reach
+# An LP round is one compiled call (lp_kernel.c): every chunk rated, picked
+# and committed without the sort-based numpy pipeline or a Python round trip
+# a chunk, a CSR graph read in place and a hub-free compressed graph decoded
+# as rated.  The fallback to that pipeline is silent by design, so a change
+# that loses the kernel path (a dtype the wrapper refuses, a renamed symbol)
+# or brings a call a chunk back would show up only as a slow ladder; here it
+# fails by count.  The same run with the kernel hidden must reach
 # all four numpy kernels, or this guard guards nothing.
 LP_PIPELINE = (
     "segment_reduce_ratings",
@@ -309,7 +310,9 @@ LP_PIPELINE = (
 
 def _count_one_lp_pass(monkeypatch, graph):
     """Calls made by one clustering + one refinement: the numpy pipeline's
-    four kernels, ``np.argsort``, ``decode_chunk``, and the chunks handed out."""
+    four kernels, ``np.argsort``, ``decode_chunk``, the chunks handed out one
+    at a time, the rounds run whole (``chunk_bounds``) and the calls into the
+    round entries of the kernel."""
     import sys
     from collections import Counter
 
@@ -350,6 +353,13 @@ def _count_one_lp_pass(monkeypatch, graph):
             CompressedGraph, "decode_chunk", counted("decode_chunk", CompressedGraph.decode_chunk)
         )
         m.setattr(ParallelRuntime, "execute", execute)
+        m.setattr(
+            ParallelRuntime, "chunk_bounds", counted("rounds", ParallelRuntime.chunk_bounds)
+        )
+        kernels = _native.lp_kernels()
+        if kernels is not None:
+            rounds = tuple(counted("kernel", fn) for fn in kernels[:2])
+            m.setattr(_native, "lp_kernels", lambda: (*rounds, *kernels[2:]))
         ctx = PartitionContext(terapart(seed=1), 8, graph.total_vertex_weight)
         clustering = label_propagation_clustering(graph, ctx, graph.total_vertex_weight // 256)
         part = np.random.default_rng(1).integers(0, 8, size=graph.n)
@@ -381,7 +391,9 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
             f"{kind}: the LP drivers fell back to the numpy pipeline ({reached}); "
             f"did a change make lp_chunk refuse the graph?"
         )
-        assert calls["chunks"] > 20
+        # one call a round, no chunk handed out to Python
+        assert calls["kernel"] == calls["rounds"] > 5, (kind, calls)
+        assert calls["chunks"] == 0, (kind, calls)
         # nor is a chunk of the (hub-free) compressed graph decoded first:
         # the kernel decodes each neighbourhood as it rates it
         assert calls["decode_chunk"] == 0, (kind, calls)
