@@ -84,6 +84,29 @@ def _vertex_weights(graph) -> np.ndarray | None:
     return vwgt
 
 
+def stream_blocks(graph, count: int, name: str):
+    """``(blocks, held)``: ``count`` :class:`_native.Stream` blocks (a ctypes
+    array, whose address a kernel takes) over the compressed ``graph``'s
+    checked byte stream, each with its own scratch of one neighbourhood --
+    ``max_degree`` ids (weights too, if any) capped at ``max_plain_degree``,
+    plus its interval pairs -- charged as ``name``; ``held`` is what they
+    point into."""
+    data, offsets = graph.stream()
+    cap = max(0, min(graph.max_degree, graph.max_plain_degree))
+    rows = 2 if graph.has_edge_weights else 1
+    pairs = 2 * (cap // MIN_INTERVAL_LEN)
+    width = rows * cap + pairs
+    scratch = tracked_empty(count * width, name=name)
+    blocks = (_native.Stream * count)()
+    for i in range(count):
+        at = scratch.ctypes.data + 8 * width * i
+        blocks[i] = _native.Stream(
+            data.ctypes.data, len(data), offsets.ctypes.data, graph.config.enable_intervals,
+            at, at + 8 * cap if rows == 2 else None, cap, at + 8 * rows * cap, pairs,
+        )  # fmt: skip
+    return blocks, (data, offsets, scratch)
+
+
 class _Bound:
     """An entry of ``lp_kernel.c`` bound to the arrays of one call.
 
@@ -104,23 +127,10 @@ class _Bound:
 
     def _stream_address(self) -> int:
         """The kernel's compressed source, built on the first call that
-        leaves a chunk encoded (so once per LP call): the graph's checked
-        byte stream and the scratch of one neighbourhood, ``max_degree`` ids
-        (weights too, if any) capped at ``max_plain_degree``, plus its
-        interval pairs."""
+        leaves a chunk encoded (so once per LP call)."""
         if self._stream is None:
-            graph = self._graph
-            data, offsets = graph.stream()
-            cap = max(0, min(graph.max_degree, graph.max_plain_degree))
-            rows = 2 if graph.has_edge_weights else 1
-            pairs = 2 * (cap // MIN_INTERVAL_LEN)
-            scratch = tracked_empty(rows * cap + pairs, name="lp-stream-scratch")
-            at = scratch.ctypes.data
-            block = _native.Stream(
-                data.ctypes.data, len(data), offsets.ctypes.data, graph.config.enable_intervals,
-                at, at + 8 * cap if rows == 2 else None, cap, at + 8 * rows * cap, pairs,
-            )  # fmt: skip
-            self._stream = (ctypes.addressof(block), (block, data, offsets, scratch))
+            block, held = stream_blocks(self._graph, 1, "lp-stream-scratch")
+            self._stream = (ctypes.addressof(block), (block, held))
         return self._stream[0]
 
     def _checked(self, rc: int, ids: np.ndarray) -> int:

@@ -165,6 +165,22 @@ def _fm(pgraph, ctx, lmax) -> None:
         fm_refine(pgraph, ctx, lmax)
 
 
+def _exact_total(values: np.ndarray) -> int:
+    """The sum of int64 ``values`` as a Python int, never wrapped: numpy's
+    int64 sum where no partial sum can leave int64, else the high and low
+    32-bit halves summed apart (each fits) and joined."""
+    if len(values) == 0:
+        return 0
+    widest = max(abs(int(values.min())), abs(int(values.max())))
+    if widest * len(values) < 1 << 63:
+        return int(values.sum())
+    total = 0
+    for at in range(0, len(values), 1 << 30):
+        part = values[at : at + (1 << 30)]
+        total += (int((part >> 32).sum()) << 32) + int((part & 0xFFFFFFFF).sum())
+    return total
+
+
 def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     """The harness both entry points share.
 
@@ -172,8 +188,15 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     conflict detector, invariant checks, span tracer, decode counters,
     scratch ledger), runs ``phases(ctx, inv) -> (pgraph, num_levels,
     checks_run)``, tears the process-wide hooks down again and
-    assembles the :class:`PartitionResult`.
+    assembles the :class:`PartitionResult`.  A graph whose total vertex
+    weight does not fit int64 is refused with a ``ValueError`` naming it.
     """
+    total = _exact_total(np.asarray(graph.vwgt))
+    if not -(1 << 63) <= total < 1 << 63:
+        raise ValueError(
+            f"total vertex weight {total} does not fit in int64: the block weights "
+            "could not be summed"
+        )
     tracker = tracker if tracker is not None else MemoryTracker()
     dbg = config.debug
     runtime = runtime or ParallelRuntime(

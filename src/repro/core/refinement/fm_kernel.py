@@ -1,0 +1,189 @@
+"""One compiled call per k-way FM pass (``fm_kernel.c``).
+
+:func:`bind` ties ``repro_fm_pass`` to one round's partition, gain table and
+graph; calling the result with a pass's seeds runs the whole pass in C --
+seed scoring, the max-gain queue, every best move, the moves, the table's
+delta updates and the rollback to the best prefix -- in place on
+``pgraph.partition``, ``pgraph.block_weights`` and the table's own numpy
+arrays, which stay numpy-owned and ledger-charged.  A global pass
+(:mod:`repro.core.refinement.fm_refine`) is one search seeded with every
+seed; a localized pass (:mod:`repro.core.refinement.fm_localized`) one
+search per seed.  The C header states the contract and why the pass is
+bit-identical to the Python one (``_fm_pass`` / ``_run_search`` over
+``_best_move``), which stays as oracle and fallback: :func:`bind` returns
+``None`` without the compiled library (:func:`repro.graph._native.fm_kernel`),
+for vertex weights whose sums the kernel cannot hold (as the LP rounds do)
+and for a table whose arrays it does not know.
+
+A CSR graph is read through its ``indptr`` / adjacency, a compressed graph
+through its degrees and byte stream, one neighbourhood decoded at a time,
+plus the chunk-encoded hub rows, which :func:`repro.graph.access.hub_segments`
+decodes once a pass.  A refusal is raised as the Python pass raises it (a
+negative affinity as ``AssertionError``, a full hash row as
+``RuntimeError``, a bad id as ``ValueError`` naming the vertex), with the
+partition and the table as the pass found them.
+"""
+
+from __future__ import annotations
+
+import ctypes
+
+import numpy as np
+
+from repro.core.kernels.lp_chunk import (
+    _adjacency,
+    _pointers,
+    _vertex_weights,
+    _weight_args,
+    stream_blocks,
+)
+from repro.graph import _native
+from repro.graph.access import hub_segments, vertex_segments
+from repro.memory.scratch import tracked_zeros
+
+#: the fields of the kernel's ``out`` (``fm_kernel.c``)
+IMPROVEMENT_LO, IMPROVEMENT_HI, MOVES, ROLLED_BACK, SEARCHES, LOCKS, RECOMPUTE = range(7)
+_KINDS = {"none": 0, "full": 1, "sparse": 2}
+_VERTEX, _BLOCK, _NEGATIVE, _FULL, _MEMORY = -1, -3, -4, -5, -6
+#: stopping counts past this are never reached, so clamping keeps the rule
+_COUNT_LIMIT = 1 << 62
+#: the hub segment of a graph without chunk-encoded rows
+_NO_HUBS = (0, None, None, None, None)
+
+
+def _contiguous(a, dtype, shape) -> bool:
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.shape == shape
+        and a.flags.c_contiguous
+    )
+
+
+def _table_args(table, n: int, k: int):
+    """``(kind, keys, vals, offsets, dense, vals_len)`` of ``table`` as the
+    kernel takes it, or ``None`` for arrays it does not know."""
+    keys, vals, offsets, dense = table.kernel_arrays()
+    if table.kind == "none":
+        ok = True
+    elif table.kind == "full":
+        ok = _contiguous(vals, np.int64, (n, k))
+    else:
+        ok = table.kind == "sparse" and _contiguous(vals, np.int64, (len(vals),))
+        ok = ok and _contiguous(keys, np.int32, vals.shape)
+        ok = ok and _contiguous(offsets, np.int64, (n + 1,)) and _contiguous(dense, np.bool_, (n,))
+    size = 0 if vals is None else vals.size
+    return (_KINDS[table.kind], keys, vals, offsets, dense, size) if ok else None
+
+
+def _source_args(graph) -> tuple[tuple, list]:
+    """``(args, held)``: the graph as the kernel reads it -- ``(indptr, adj,
+    wgt, unit_wgt, adj_len, degs, streams)`` then the hub segment ``(hubs,
+    ids, starts, adj, wgt)`` -- and the arrays those point into."""
+    indptr, degrees, adj, wgt = vertex_segments(graph)
+    if indptr is not None:
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        if indptr.shape != (graph.n + 1,):
+            raise ValueError(f"indptr needs {graph.n + 1} entries")
+        (adj, wgt, unit, adj_len), adjacency = _adjacency(adj, wgt)
+        return (indptr, adj, wgt, unit, adj_len, None, None, *_NO_HUBS), [indptr, adjacency]
+    # compressed: decoded from the stream as read, hubs decoded once here
+    degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+    streams, stream_held = stream_blocks(graph, 2, "fm-stream-scratch")
+    args = (None, None, None, 1, 0, degrees, ctypes.addressof(streams))
+    held = [degrees, streams, stream_held]
+    hubs = hub_segments(graph)
+    if hubs is None:
+        return (*args, *_NO_HUBS), held
+    ids, starts, hub_adj, hub_wgt = hubs
+    hub_adj = np.ascontiguousarray(hub_adj, dtype=np.int64)
+    hub_wgt = np.ascontiguousarray(hub_wgt, dtype=np.int64)
+    if hub_wgt.shape != hub_adj.shape:
+        raise ValueError("hub edge weights do not align with the hub adjacency")
+    return (*args, len(ids), ids, starts, hub_adj, hub_wgt), [*held, ids, starts, hub_adj, hub_wgt]
+
+
+class FMPass:
+    """``repro_fm_pass`` bound to one round's partition, table and graph."""
+
+    def __init__(self, fn, pgraph, table, vwgt, max_block_weight: int, slack: int, table_args):
+        self._fn, self._pgraph, self._table, self._slack = fn, pgraph, table, slack
+        self.info = np.zeros(2, dtype=np.int64)
+        self.out = tracked_zeros(RECOMPUTE + 1, name="fm-pass-out")
+        source, held = _source_args(pgraph.graph)
+        self._held = (held, vwgt, table_args)
+        self._args = _pointers((
+            pgraph.graph.n, *source, pgraph.k, pgraph.partition, pgraph.block_weights,
+            *_weight_args(vwgt), _native.clamp_weight(max_block_weight), *table_args,
+        ))  # fmt: skip
+
+    def __call__(
+        self,
+        seeds: np.ndarray,
+        locked: np.ndarray,
+        *,
+        localized: bool,
+        max_fruitless: int = 0,
+        max_region: int = 0,
+    ) -> tuple[int, int, int, int]:
+        """Run one pass from ``seeds`` (a localized pass: one search each, in
+        this order); ``locked`` is the pass's zeroed ``n``-byte lock array.
+        Returns ``(improvement, moves kept, moves rolled back, searches)``
+        and adds the table's lock acquisitions / recompute edges to it."""
+        n = self._pgraph.graph.n
+        seeds = np.ascontiguousarray(seeds, dtype=np.int64)
+        if not _contiguous(locked, np.bool_, (n,)):
+            raise ValueError(f"locked must be {n} contiguous booleans")
+        out, info = self.out, self.info
+        rc = self._fn(
+            *self._args, seeds.ctypes.data, len(seeds), int(localized),
+            max(-1, min(max_fruitless, _COUNT_LIMIT)), max(-1, min(max_region, _COUNT_LIMIT)),
+            self._slack, locked.ctypes.data, out.ctypes.data, info.ctypes.data,
+        )  # fmt: skip
+        if rc < 0:
+            raise _refusal(rc, int(info[0]), int(info[1]))
+        if self._table.kind == "none":
+            self._table.recompute_edges += int(out[RECOMPUTE])
+        elif self._table.kind == "sparse":
+            self._table.lock_acquisitions += int(out[LOCKS])
+        improvement = (int(out[IMPROVEMENT_HI]) << 64) + (int(out[IMPROVEMENT_LO]) & (2**64 - 1))
+        return improvement, int(out[MOVES]), int(out[ROLLED_BACK]), int(out[SEARCHES])
+
+
+def _refusal(rc: int, vertex: int, block: int) -> Exception:
+    """The exception the Python pass raises for what the kernel refused."""
+    if rc == _NEGATIVE:
+        return AssertionError(f"negative affinity at vertex {vertex}, block {block}")
+    if rc == _FULL:
+        return RuntimeError(f"gain table for vertex {vertex} is full (degree bound violated?)")
+    if rc == _MEMORY:
+        return MemoryError("k-way FM pass: out of memory")
+    # an out-of-range id is named even when negative; -1 elsewhere is "none"
+    where = f" at vertex {vertex}" if rc == _VERTEX or vertex >= 0 else ""
+    if rc == _BLOCK:
+        where += f" (block {block})"
+    if rc in _native.FM_ERRORS:
+        return ValueError(f"{_native.FM_ERRORS[rc]}{where} (corrupt graph or gain table?)")
+    return ValueError(f"{_native.ERRORS[rc - _native.DECODE_ERROR]}{where} (corrupt stream?)")
+
+
+def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> FMPass | None:
+    """The compiled pass over ``pgraph`` and ``table``, or ``None`` where the
+    Python pass runs instead.  ``slack`` is a global pass's abort slack
+    (a localized search's is 2)."""
+    fn = _native.fm_kernel()
+    if fn is None or not 0 <= slack < _native.WEIGHT_LIMIT:
+        return None
+    graph = pgraph.graph
+    vwgt = _vertex_weights(graph)
+    if vwgt is None:
+        return None
+    n, k = graph.n, pgraph.k
+    if not _contiguous(pgraph.partition, np.int32, (n,)):
+        return None
+    if not _contiguous(pgraph.block_weights, np.int64, (k,)):
+        return None
+    table_args = _table_args(table, n, k)
+    if table_args is None:
+        return None
+    return FMPass(fn, pgraph, table, vwgt, max_block_weight, slack, table_args)

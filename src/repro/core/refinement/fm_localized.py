@@ -11,7 +11,9 @@ fight over a vertex -- the mechanism that makes the real algorithm safe in
 parallel, reproduced literally here.
 
 Shares the gain-table strategies of :mod:`repro.core.refinement.gain_table`
-(the memory story of Section V applies unchanged).
+(the memory story of Section V applies unchanged), and the compiled pass of
+:mod:`repro.core.refinement.fm_kernel`: one call runs every search of a
+pass, with :func:`_run_search` as its oracle and fallback.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from repro.core.config import FMConfig
 from repro.core.context import PartitionContext
 from repro.core.partition import PartitionedGraph
+from repro.core.refinement import fm_kernel
 from repro.core.refinement.fm_refine import _best_move
 from repro.core.refinement.gain_table import gain_table_for_round
 from repro.memory.scratch import tracked_zeros
@@ -64,26 +67,28 @@ def _localized_pass(
     max_region: int,
 ) -> int:
     g = pgraph.graph
+    kernel = fm_kernel.bind(pgraph, table, max_block_weight)
     locked = tracked_zeros(g.n, bool, name="fm-locked")
     seeds = pgraph.boundary_vertices()
     if len(seeds) == 0:
         return 0
     seeds = seeds[ctx.rng.permutation(len(seeds))]
-    improvement = 0
-    searches = 0
-    committed = 0
-    rolled_back = 0
-
-    for seed in seeds.tolist():
-        if locked[seed]:
-            continue
-        gain, kept, rolled = _run_search(
-            pgraph, table, int(seed), locked, max_block_weight, max_region
+    if kernel is not None:  # every search in one compiled call
+        improvement, committed, rolled_back, searches = kernel(
+            seeds, locked, localized=True, max_region=max_region
         )
-        improvement += gain
-        searches += 1
-        committed += kept
-        rolled_back += rolled
+    else:
+        improvement = searches = committed = rolled_back = 0
+        for seed in seeds.tolist():
+            if locked[seed]:
+                continue
+            gain, kept, rolled = _run_search(
+                pgraph, table, int(seed), locked, max_block_weight, max_region
+            )
+            improvement += gain
+            searches += 1
+            committed += kept
+            rolled_back += rolled
     tracer = ctx.tracer
     tracer.add("fm.searches", searches)
     tracer.add("fm.moves", committed)

@@ -7,6 +7,10 @@ prefix of its move sequence (rollback of the unprofitable tail).  Gains are
 served by one of the three gain-table strategies of
 :mod:`repro.core.refinement.gain_table`, which is the memory/time trade-off
 Figure 7 measures.
+
+A pass runs as one compiled call (:mod:`repro.core.refinement.fm_kernel`)
+where the library loads; :func:`_fm_pass` and :func:`_best_move` are its
+oracle and the fallback, bit-identical move for move.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from repro.core.config import FMConfig
 from repro.core.context import PartitionContext
 from repro.core.kernels import segment_best_last
 from repro.core.partition import PartitionedGraph
+from repro.core.refinement import fm_kernel
 from repro.core.refinement.gain_table import gain_table_for_round
+from repro.graph.access import count_edges
 from repro.memory.scratch import tracked_zeros
 
 
@@ -54,7 +60,7 @@ def fm_refine(
 
     for _ in range(cfg.max_rounds):
         with gain_table_for_round(cfg.gain_table, pgraph, ctx) as table:
-            improvement = _fm_pass(pgraph, ctx, table, max_block_weight, cfg)
+            improvement = _pass(pgraph, ctx, table, max_block_weight, cfg)
             if ctx.config.debug.validation_level >= 2:
                 # after a pass (moves + rollback) the incrementally
                 # maintained table must still match a recompute
@@ -73,6 +79,34 @@ def fm_refine(
         if improvement == 0:
             break
     return total_improvement
+
+
+def _pass(
+    pgraph: PartitionedGraph,
+    ctx: PartitionContext,
+    table,
+    max_block_weight: int,
+    cfg: FMConfig,
+) -> int:
+    """One FM pass in one compiled call (``fm_kernel.c``), or
+    :func:`_fm_pass` where the kernel does not run."""
+    kernel = fm_kernel.bind(pgraph, table, max_block_weight, slack=_abort_slack(pgraph))
+    if kernel is None:
+        return _fm_pass(pgraph, ctx, table, max_block_weight, cfg)
+    seeds = pgraph.boundary_vertices()
+    if len(seeds) == 0:
+        return 0
+    if table.kind == "none":  # the seeds' neighbourhoods, read as gains_many reads them
+        count_edges(pgraph.graph, pgraph.graph.degrees[seeds])
+    locked = tracked_zeros(pgraph.graph.n, bool, name="fm-locked")
+    improvement, moves, rolled_back, _ = kernel(
+        seeds, locked, localized=False, max_fruitless=cfg.max_fruitless_moves
+    )
+    tracer = ctx.tracer
+    tracer.add("fm.moves", moves)
+    tracer.add("fm.rollback_moves", rolled_back)
+    tracer.add("fm.improvement", improvement)
+    return improvement
 
 
 def _fm_pass(

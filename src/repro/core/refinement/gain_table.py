@@ -18,7 +18,8 @@ matching Figure 7:
   probe gap, so each table is guarded by a (simulated) spinlock.
 
 All tables share one interface: ``affinity``, ``adjacent_blocks``,
-``apply_move`` and ``nbytes``.
+``apply_move``, ``nbytes`` and ``kernel_arrays`` (the arrays the compiled FM
+pass, ``fm_kernel.c``, updates in place).
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class NoGainTable:
     def apply_move(self, u: int, src: int, dst: int) -> None:
         pass  # nothing cached
 
+    def kernel_arrays(self) -> tuple[None, None, None, None]:
+        """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
+        table: nothing cached."""
+        return None, None, None, None
+
     def free(self, tracker=None) -> None:
         pass
 
@@ -188,6 +194,11 @@ class FullGainTable:
         wgts = np.asarray(wgts)
         np.subtract.at(self._table, (nbrs, src), wgts)
         np.add.at(self._table, (nbrs, dst), wgts)
+
+    def kernel_arrays(self) -> tuple[None, np.ndarray, None, None]:
+        """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
+        table: the ``n x k`` rows, updated in place."""
+        return None, self._table, None, None
 
     def free(self, tracker=None) -> None:
         t = tracker or self._tracker
@@ -425,6 +436,12 @@ class SparseGainTable:
         for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
             self._insert_add(v, src, -w)
             self._insert_add(v, dst, w)
+
+    def kernel_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
+        table: the slots, the row offsets and the dense-row flags, the slots
+        updated in place by :meth:`_insert_add`'s probe and delete rules."""
+        return self._keys, self._vals, self._offsets, self._dense
 
     def free(self, tracker=None) -> None:
         t = tracker or self._tracker

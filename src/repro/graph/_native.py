@@ -1,17 +1,19 @@
 """Loader of the optional compiled kernels: the codec's chunk decode and
 packet encoder (``decode_kernel.c``), initial partitioning's sequential
-searches (``core/initial/bisection_kernel.c``) and the rating map of label
+searches (``core/initial/bisection_kernel.c``), the rating map of label
 propagation's rounds and picks and of contraction
-(``core/kernels/lp_kernel.c``), one library.
+(``core/kernels/lp_kernel.c``) and k-way FM's pass
+(``core/refinement/fm_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
 kernel but availability: with no compiler, a failed build, a library that
-does not load or a symbol that does not resolve, the five getters
+does not load or a symbol that does not resolve, the six getters
 :func:`decode_kernel`, :func:`encode_kernel`, :func:`bisection_kernels`,
-:func:`lp_kernels` and :func:`contraction_kernels` return ``None`` and their
-callers run the numpy / Python oracles.  ``REPRO_NATIVE=0`` (read at
-import) forces that answer, so a whole test run can be held on the oracles.
+:func:`lp_kernels`, :func:`contraction_kernels` and :func:`fm_kernel` return
+``None`` and their callers run the numpy / Python oracles.
+``REPRO_NATIVE=0`` (read at import) forces that answer, so a whole test run
+can be held on the oracles.
 
 The library is named by the sha256 of every source, flags, compiler and
 platform, written under a temporary name and published with one
@@ -39,6 +41,7 @@ _SOURCES = (
     Path(__file__).with_name("decode_kernel.c"),
     Path(__file__).parents[1] / "core" / "initial" / "bisection_kernel.c",
     Path(__file__).parents[1] / "core" / "kernels" / "lp_kernel.c",
+    Path(__file__).parents[1] / "core" / "refinement" / "fm_kernel.c",
 )
 _FLAGS = ["-O3", "-shared", "-fPIC"]
 _DISABLED = os.environ.get("REPRO_NATIVE") == "0"
@@ -81,8 +84,21 @@ LP_ERRORS = {
     -5: "rating map or output capacity exhausted",
 }
 
-#: ``lp_kernel.c`` returns ``DECODE_ERROR + c`` for a stream that
-#: ``repro_decode_neighborhood`` refuses with code ``c`` (a key of ERRORS)
+#: what ``repro_fm_pass`` (``core/refinement/fm_kernel.c``) returns for a
+#: pass it refuses, with every write of the pass undone; a negative affinity
+#: and a full hash row are the gain table's own refusals
+FM_ERRORS = {
+    -1: "vertex id out of range",
+    -2: "adjacency or gain-table row bounds out of range",
+    -3: "block id out of range",
+    -4: "negative affinity",
+    -5: "gain table row is full",
+    -6: "out of memory",
+}
+
+#: ``lp_kernel.c`` and ``fm_kernel.c`` return ``DECODE_ERROR + c`` for a
+#: stream that ``repro_decode_neighborhood`` refuses with code ``c`` (a key
+#: of ERRORS)
 DECODE_ERROR = -100
 
 #: the kernels sum vertex weights in int64: the callers hand them only
@@ -101,10 +117,10 @@ _p, _i64 = ctypes.c_void_p, ctypes.c_int64
 
 
 class Stream(ctypes.Structure):
-    """``stream_t`` of ``lp_kernel.c``, the LP chunk kernels' compressed
-    source: a graph's byte stream and offsets, its interval flag, and one
-    neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL, the
-    decoder's interval pairs)."""
+    """``stream_t`` of ``lp_kernel.c`` and ``fm_kernel.c``, the kernels'
+    compressed source: a graph's byte stream and offsets, its interval flag,
+    and one neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL,
+    the decoder's interval pairs)."""
 
     _fields_ = [
         ("data", _p), ("data_len", _i64), ("offsets", _p), ("intervals", _i64),
@@ -168,6 +184,14 @@ SIGNATURES = {
     ],
     # labels, count, label_count, offsets, members, info
     "repro_group_by_label": [_p, _i64, _i64, _p, _p, _p],
+    # n, indptr, adj, wgt, unit_wgt, adj_len, degs, streams, hubs, hub_ids,
+    # hub_starts, hub_adj, hub_wgt, k, part, block_weights, vwgt, unit_vwgt,
+    # max_block_weight, kind, keys, vals, offsets, dense, vals_len, seeds,
+    # count, localized, max_fruitless, max_region, slack, locked, out, info
+    "repro_fm_pass": [
+        _i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _i64,
+        _i64, _p, _p, _p, _p, _i64, _p, _i64, _i64, _i64, _i64, _i64, _p, _p, _p,
+    ],
 }  # fmt: skip
 
 _lock = threading.Lock()
@@ -289,6 +313,13 @@ def contraction_kernels():
     ``lp_kernel.c``, or ``None`` if unavailable."""
     lib = library()
     return lib and (lib["repro_contract_chunk"], lib["repro_group_by_label"])
+
+
+def fm_kernel():
+    """The ``repro_fm_pass`` ctypes function of ``fm_kernel.c``, or ``None``
+    if unavailable."""
+    lib = library()
+    return lib and lib["repro_fm_pass"]
 
 
 def available() -> bool:

@@ -153,6 +153,33 @@ def vertex_segments(
     )
 
 
+def hub_segments(
+    graph,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rows of a compressed graph that :func:`vertex_segments` leaves to
+    the caller's decoder but that no single-neighbourhood decode reads: the
+    vertices of degree outside ``[0, max_plain_degree]`` (chunk-encoded
+    hubs), decoded once by :meth:`decode_chunk`, which splices them or
+    raises its error.
+
+    Returns ``(ids, starts, adj, wgt)`` -- ``ids`` ascending, vertex
+    ``ids[i]`` owns ``adj[starts[i] : starts[i + 1]]`` -- or ``None`` for a
+    CSR graph or a compressed one without such rows.  What the compiled FM
+    pass (``core/refinement/fm_kernel.c``) reads beside the stream.
+    """
+    if hasattr(graph, "indptr"):
+        return None
+    degrees = graph.degrees
+    ids = np.flatnonzero((degrees < 0) | (degrees > graph.max_plain_degree))
+    if not len(ids):
+        return None
+    _, adj, wgt = graph.decode_chunk(ids)
+    starts = tracked_empty(len(ids) + 1, name="hub-segment-starts")
+    starts[0] = 0
+    np.cumsum(degrees[ids], out=starts[1:])
+    return ids, starts, adj, wgt
+
+
 def count_edges(graph, degs: np.ndarray) -> None:
     """Report the edges behind ``degs`` to the ``decode.edges*`` counters, as
     if gathered: what :func:`chunk_segments` does for its chunk, and what the

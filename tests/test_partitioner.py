@@ -188,3 +188,34 @@ class TestEdgeCases:
         r = repro.partition(text_graph, 4, C.terapart(seed=4))
         assert r.balanced
         r.pgraph.validate()
+
+
+class TestVertexWeightTotal:
+    """A total vertex weight past int64 is refused by name; 2^52-weight
+    vertices, whose total fits, still partition under every preset."""
+
+    @staticmethod
+    def heavy(bits):
+        from repro.graph.builder import from_edges
+
+        base = gen.rgg2d(300, 8.0, seed=1)
+        src = np.repeat(np.arange(base.n), base.degrees)
+        edges = np.stack([src, base.adjncy], axis=1)[src < base.adjncy]
+        return from_edges(base.n, edges, vwgt=np.full(base.n, 1 << bits, dtype=np.int64))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_a_total_past_int64_is_a_value_error(self, preset):
+        g = self.heavy(55)  # 300 * 2^55: int64 wraps it to about -7.6e18
+        total = 300 << 55
+        with pytest.raises(ValueError, match=f"total vertex weight {total} "):
+            repro.partition(g, 4, C.preset(preset, seed=1))
+        with pytest.raises(ValueError, match=f"total vertex weight {total} "):
+            repro.refine_partition(g, 4, np.arange(g.n) % 4, C.preset(preset, seed=1))
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_a_total_that_fits_is_partitioned(self, preset):
+        g = self.heavy(52)
+        r = repro.partition(g, 4, C.preset(preset, seed=1))
+        assert r.balanced and r.imbalance >= 0
+        warm = repro.refine_partition(g, 4, r.partition, C.preset(preset, seed=1))
+        assert warm.balanced and warm.cut <= r.cut
