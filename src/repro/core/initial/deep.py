@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.initial.recursive import bipartition_portfolio, extract_subgraphs
+from repro.core.initial.recursive import bipartition_portfolio, split
+from repro.core.initial.workspace import BisectionWorkspace
 from repro.core.partition import PartitionedGraph
 from repro.memory.scratch import tracked_zeros
 
@@ -142,10 +143,11 @@ def _split_round(
     ) - 1.0
     any_split = False
 
-    # blocks are disjoint and fresh labels start at k_old, so the lazily
-    # evaluated masks never see this round's earlier splits
+    # blocks are disjoint and fresh labels start at k_old, so the subgraphs
+    # (written up front, or extracted lazily) never see this round's earlier
+    # splits
     blocks = [b for b in range(k_old) if new_budgets[b] > 1]
-    subgraphs = extract_subgraphs(pgraph.graph, (part == b for b in blocks))
+    subgraphs = split(BisectionWorkspace(pgraph.graph), part, k_old, blocks)
     for b, (sub, ids) in zip(blocks, subgraphs):
         if sub.n < 2:
             continue  # cannot split a sub-2-vertex block

@@ -19,12 +19,11 @@ magnitude here and in ``bisection_kernel.c`` (which carries it in
 
 from __future__ import annotations
 
-import math
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.initial.workspace import BisectionWorkspace, fm_patience
 from repro.core.kernels import two_way_gains
 from repro.memory.scratch import tracked_slots
 
@@ -41,7 +40,7 @@ def fm2way_refine(
     in place; returns the refined assignment."""
     ws = BisectionWorkspace.of(graph)
     n = ws.n
-    patience = math.floor(math.log(max(n, 1)))  # steps > ln n, in integers
+    patience = fm_patience(n)
     kernels = ws.kernels()
     if kernels is not None:
         for kept in kernels.fm2way(part, max_weights, rounds, patience):

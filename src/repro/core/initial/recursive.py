@@ -19,15 +19,17 @@ from repro.core.initial.bipartition import (
     random_bipartition,
 )
 from repro.core.initial.fm2way import fm2way_refine
-from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.initial.workspace import RAN, KIND_CODES, BisectionWorkspace
 from repro.core.kernels import two_way_cut
 from repro.core.kernels.gains import flat_adjacency
+from repro.graph.access import installed_tracer
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_full, tracked_zeros
 
 # which bipartitioner seeds slot i of a bisection's portfolio, cyclically
 POOL = ("ggg", "ggg", "bfs", "random")
 POOL_SIGMAS = 2.0
+_POOL_CODES = np.array([KIND_CODES.index(kind) for kind in POOL], dtype=np.int64)
 
 
 def extract_subgraphs(graph, masks):
@@ -50,6 +52,18 @@ def extract_subgraphs(graph, masks):
         yield CSRGraph(indptr, d, None if unit else w, vwgt[ids]), ids
 
 
+def split(ws: BisectionWorkspace, labels, label_count: int, blocks, ids=None):
+    """``(subgraph, ids)`` per label of ``blocks``, the subgraph its vertices
+    induce in the workspace ``ws`` and their ``ids`` (their indices in ``ws``
+    when ``ids`` is ``None``): one ``repro_split`` call writing the next
+    workspaces, else :func:`extract_subgraphs`' CSR graphs, lazily."""
+    kernels = ws.kernels()
+    if kernels is not None:
+        return kernels.split(labels, label_count, blocks, ids)
+    subgraphs = extract_subgraphs(ws, (labels == b for b in blocks))
+    return ((sub, local if ids is None else ids[local]) for sub, local in subgraphs)
+
+
 def bipartition_portfolio(
     graph,
     target_weight0: int,
@@ -65,14 +79,38 @@ def bipartition_portfolio(
     The pool is adaptive as in KaMinPar's initial partitioner: a slot is
     skipped once its kind of bipartitioner has run and the mean of its
     post-FM cuts lies more than ``POOL_SIGMAS`` standard deviations above
-    the best feasible cut found so far."""
+    the best feasible cut found so far.  The compiled pool runs it in one
+    call; :func:`_portfolio` is its oracle, same answer, same draws."""
     ws = BisectionWorkspace.of(graph)
+    attempts = max(1, attempts)
+    kernels = ws.kernels()
+    pooled = kernels and kernels.pool(
+        _POOL_CODES, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds,
+        POOL_SIGMAS,
+    )  # fmt: skip
+    if pooled is not None:
+        best, rows = pooled
+        ran = int(np.count_nonzero(rows[:, RAN]))
+    else:
+        best, ran = _portfolio(
+            ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds
+        )
+    tracer = installed_tracer()
+    if tracer is not None:
+        tracer.add("initial.attempts_run", ran)
+        tracer.add("initial.attempts_skipped", attempts - ran)
+    return best
+
+
+def _portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds):
+    """``(best assignment, attempts run)``: the pool as Python loops."""
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     total = ws.total_vertex_weight
+    ran = 0
     # per kind: runs, sum and sum of squares of the post-FM cuts
     stats = dict.fromkeys(POOL, (0, 0, 0))
-    for attempt in range(max(1, attempts)):
+    for attempt in range(attempts):
         kind = POOL[attempt % len(POOL)]
         runs, cuts, squares = stats[kind]
         if runs and best_key is not None and best_key[0] == 0:
@@ -96,10 +134,11 @@ def bipartition_portfolio(
         infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
         cut = two_way_cut(ws, part)
         stats[kind] = (runs + 1, cuts + cut, squares + cut * cut)
+        ran += 1
         if best_key is None or (infeasible, cut) < best_key:
             best_key, best = (infeasible, cut), part
     assert best is not None
-    return best
+    return best, ran
 
 
 def initial_partition(
@@ -127,15 +166,17 @@ def initial_partition(
         target0 = int(round(total * k0 / k_here))
         max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
         max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
-        ws = BisectionWorkspace(g)
+        ws = BisectionWorkspace.of(g)
         bp = bipartition_portfolio(
             ws, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
         )
-        left = bp == 0
-        (sub0, ids0), (sub1, ids1) = extract_subgraphs(ws, (left, ~left))
-        del ws  # one bisection's workspace does not outlive it
-        recurse(sub0, ids[ids0], k0, block_offset)
-        recurse(sub1, ids[ids1], k1, block_offset + k0)
+        if k_here == 2:  # both sides are blocks
+            part[ids] = block_offset + bp
+            return
+        (sub0, ids0), (sub1, ids1) = split(ws, bp, 2, (0, 1), ids)
+        del ws, g  # one bisection's workspace does not outlive it
+        recurse(sub0, ids0, k0, block_offset)
+        recurse(sub1, ids1, k1, block_offset + k0)
 
     recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0)
     return part

@@ -1,6 +1,7 @@
 """Loader of the optional compiled kernels: the codec's chunk decode and
-packet encoder (``decode_kernel.c``), initial partitioning's sequential
-searches (``core/initial/bisection_kernel.c``), the rating map of label
+packet encoder (``decode_kernel.c``), initial partitioning's searches,
+attempt pool and subgraph split (``core/initial/bisection_kernel.c``), the
+rating map of label
 propagation's rounds and picks and of contraction
 (``core/kernels/lp_kernel.c``) and k-way FM's pass
 (``core/refinement/fm_kernel.c``), one library.
@@ -43,7 +44,9 @@ _SOURCES = (
     Path(__file__).parents[1] / "core" / "kernels" / "lp_kernel.c",
     Path(__file__).parents[1] / "core" / "refinement" / "fm_kernel.c",
 )
-_FLAGS = ["-O3", "-shared", "-fPIC"]
+# no fused multiply-add and no errno: the pool's skip rule rounds every
+# double operation once, as Python does, and sqrt is the bare instruction
+_FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno"]
 _DISABLED = os.environ.get("REPRO_NATIVE") == "0"
 
 #: the codec's one error enum: what ``repro_decode_chunk`` returns for a
@@ -66,12 +69,13 @@ ERRORS = {
 #: again) and its two refusals, which the numpy encoder raises alike
 ENCODE_DESCENT, ENCODE_DUPLICATE, ENCODE_WEIGHT = -8, -9, -10
 
-#: what the three functions of ``bisection_kernel.c`` return for a workspace
-#: or a buffer they refuse (one enum in the source, one table here)
+#: what the functions of ``bisection_kernel.c`` return for a workspace or a
+#: buffer they refuse (one enum in the source, one table here)
 BISECTION_ERRORS = {
     -1: "vertex id out of range",
-    -2: "heap, moves or grown capacity exhausted",
+    -2: "heap, moves, grown, orders or subgraph capacity exhausted",
     -3: "assignment entry other than 0 or 1",
+    -4: "label, slot or pool kind out of range",
 }
 
 #: what the functions of ``lp_kernel.c`` return for a chunk or round they
@@ -156,6 +160,19 @@ SIGNATURES = {
     # ... = max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap
     "repro_fm2way": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
+    ],
+    # ... = target0, max0, max1, pool, pool_len, attempts, sigmas, rounds,
+    # patience, orders, order_count, gain, in_block, blocked, visited, grown,
+    # side, best_side, fm_gain, locked, kept, moves, moves_cap, part, rows
+    "repro_bisect_pool": [
+        _i64, _p, _p, _p, _p, _i64, _i64, _i64, _p, _i64, _i64, ctypes.c_double, _i64, _i64,
+        _p, _i64, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _p,
+    ],
+    # n, xadj, adj, wgt, vwgt, labels, slot_of, label_count, slots, ids,
+    # local, out_xadj, out_adj, out_wgt, adj_cap, out_vwgt, out_ids,
+    # sort_scratch, sort_cap, info
+    "repro_split": [
+        _i64, _p, _p, _p, _p, _p, _p, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _p,
     ],
     # segments, by_vertex, bounds, chunks, clusters, cluster_weights, vwgt,
     # unit_vwgt, max_cluster_weight, t_bump, favorites, rating map, fav, best,
@@ -286,13 +303,15 @@ def encode_kernel():
 
 
 def bisection_kernels():
-    """``(greedy_graph_growing, bfs_growing, fm2way)`` ctypes functions of
-    ``bisection_kernel.c``, or ``None`` if unavailable."""
+    """``(greedy_graph_growing, bfs_growing, fm2way, bisect_pool, split)``
+    ctypes functions of ``bisection_kernel.c``, or ``None`` if unavailable."""
     lib = library()
     return lib and (
         lib["repro_greedy_graph_growing"],
         lib["repro_bfs_growing"],
         lib["repro_fm2way"],
+        lib["repro_bisect_pool"],
+        lib["repro_split"],
     )
 
 

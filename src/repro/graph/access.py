@@ -37,6 +37,11 @@ def uninstall_tracer() -> None:
     _tracer = None
 
 
+def installed_tracer():
+    """The tracer :func:`install_tracer` installed, or ``None``."""
+    return _tracer
+
+
 def traversal_cost(graph) -> tuple[float, float]:
     """Per-directed-edge ``(bytes_moved, work_factor)`` of scanning ``graph``.
 

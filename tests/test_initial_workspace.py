@@ -41,7 +41,7 @@ from repro.core.initial.recursive import (
     extract_subgraphs,
     initial_partition,
 )
-from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.initial.workspace import KIND_CODES, BisectionKernels, BisectionWorkspace
 from repro.core.kernels import two_way_cut, two_way_gains
 from repro.graph import _native
 from repro.graph import generators as gen
@@ -260,34 +260,71 @@ class TestDifferential:
 # --------------------------------------------------------------------- #
 # the pool: every kind once, never more than ``attempts``, best feasible
 # --------------------------------------------------------------------- #
+def on_each_path(monkeypatch):
+    """Yield ``"kernel"`` (if this process has one) and ``"oracle"``, the
+    latter with the compiled searches hidden."""
+    if _native.bisection_kernels() is not None:
+        yield "kernel"
+    with monkeypatch.context() as m:
+        m.setattr(_native, "bisection_kernels", lambda: None)
+        yield "oracle"
+
+
 def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
-    """``bipartition_portfolio`` with every attempt recorded as
-    ``(kind, infeasibility, cut)`` of its post-FM assignment."""
-    kinds: list[str] = []
-    outcomes: list[tuple[str, int, int]] = []
-    for kind, name in (
-        ("ggg", "greedy_graph_growing_bipartition"),
-        ("bfs", "bfs_bipartition"),
-        ("random", "random_bipartition"),
-    ):
-        def seeded(*args, _kind=kind, _seed=getattr(recursive, name)):
-            kinds.append(_kind)
-            return _seed(*args)
+    """``bipartition_portfolio`` on each path (see :func:`on_each_path`), as
+    ``{path: (best, outcomes, rng state after)}``; ``outcomes`` lists every
+    attempt that ran as ``(kind, infeasibility, cut)`` of its post-FM
+    assignment.  The kernel path reads them from the pool's stats rows; the
+    oracle path watches its seeds and ``fm2way_refine``."""
+    runs = {}
+    for path in on_each_path(monkeypatch):
+        outcomes: list[tuple[str, int, int]] = []
+        with monkeypatch.context() as m:
+            if path == "kernel":
+                pool = BisectionKernels.pool
 
-        monkeypatch.setattr(recursive, name, seeded)
+                def watched(self, *args):
+                    pooled = pool(self, *args)
+                    assert pooled is not None  # the kernel runs these pools
+                    for kind, ran, over, cut, *_ in pooled[1].tolist():
+                        if ran:
+                            outcomes.append((KIND_CODES[kind], over, cut))
+                    return pooled
 
-    def refined(ws, part, max_weights, rounds):
-        part = fm2way_refine(ws, part, max_weights, rounds=rounds)
-        over = [max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights)]
-        outcomes.append((kinds[-1], sum(over), two_way_cut(ws, part)))
-        return part
+                m.setattr(BisectionKernels, "pool", watched)
+            else:
+                kinds: list[str] = []
+                for kind, name in (
+                    ("ggg", "greedy_graph_growing_bipartition"),
+                    ("bfs", "bfs_bipartition"),
+                    ("random", "random_bipartition"),
+                ):
+                    def seeded(*args, _kind=kind, _seed=getattr(recursive, name)):
+                        kinds.append(_kind)
+                        return _seed(*args)
 
-    monkeypatch.setattr(recursive, "fm2way_refine", refined)
-    best = bipartition_portfolio(
-        graph, target, *caps, np.random.default_rng(seed), attempts=attempts
-    )
-    assert len(kinds) == len(outcomes)
-    return best, outcomes
+                    m.setattr(recursive, name, seeded)
+
+                def refined(ws, part, max_weights, rounds):
+                    part = fm2way_refine(ws, part, max_weights, rounds=rounds)
+                    over = [
+                        max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights)
+                    ]
+                    outcomes.append((kinds[-1], sum(over), two_way_cut(ws, part)))
+                    return part
+
+                m.setattr(recursive, "fm2way_refine", refined)
+            rng = np.random.default_rng(seed)
+            best = bipartition_portfolio(graph, target, *caps, rng, attempts=attempts)
+            if path == "oracle":
+                assert len(kinds) == len(outcomes)
+        runs[path] = (best, outcomes, rng.bit_generator.state)
+    # both paths: one answer, one attempt sequence, one stream position
+    first = next(iter(runs.values()))
+    for best, outcomes, state in runs.values():
+        assert np.array_equal(best, first[0]) and best.dtype == first[0].dtype
+        assert (outcomes, state) == first[1:]
+    return runs
 
 
 class TestPortfolio:
@@ -296,23 +333,22 @@ class TestPortfolio:
     def test_pool(self, coarsest, seed, attempts, monkeypatch):
         total = coarsest.total_vertex_weight
         target, cap = total // 2, int(0.53 * total)
-        best, outcomes = watched_portfolio(
-            monkeypatch, coarsest, target, (cap, cap), seed, attempts
-        )
-        assert 1 <= len(outcomes) <= attempts
-        # slot i belongs to kind POOL[i % 4]; a kind's first slot always runs
-        assert {kind for kind, _, _ in outcomes} == set(POOL[:attempts])
-        # the answer is the best attempt: feasible whenever one was
-        over = sum(max(0, w - cap) for w in side_weights(coarsest, best))
-        assert (over, two_way_cut(coarsest, best)) == min(o[1:] for o in outcomes)
-        # a skipped slot's kind had fallen behind the best feasible cut
-        if len(outcomes) < attempts:
-            assert any(o[1] == 0 for o in outcomes)
-        monkeypatch.undo()
-        again = bipartition_portfolio(
-            coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
-        )
-        assert np.array_equal(best, again)  # deterministic in rng
+        runs = watched_portfolio(monkeypatch, coarsest, target, (cap, cap), seed, attempts)
+        for path in on_each_path(monkeypatch):
+            best, outcomes, _ = runs[path]
+            assert 1 <= len(outcomes) <= attempts, path
+            # slot i belongs to kind POOL[i % 4]; a kind's first slot always runs
+            assert {kind for kind, _, _ in outcomes} == set(POOL[:attempts]), path
+            # the answer is the best attempt: feasible whenever one was
+            over = sum(max(0, w - cap) for w in side_weights(coarsest, best))
+            assert (over, two_way_cut(coarsest, best)) == min(o[1:] for o in outcomes), path
+            # a skipped slot's kind had fallen behind the best feasible cut
+            if len(outcomes) < attempts:
+                assert any(o[1] == 0 for o in outcomes), path
+            again = bipartition_portfolio(
+                coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
+            )
+            assert np.array_equal(best, again), path  # deterministic in rng
 
     def test_losing_kind_is_dropped(self, monkeypatch):
         """On a mesh, random + FM lands far above greedy growing: its second
@@ -320,9 +356,10 @@ class TestPortfolio:
         g = gen.rgg2d(600, avg_degree=8, seed=2)
         total = g.total_vertex_weight
         cap = int(0.53 * total)
-        _, outcomes = watched_portfolio(monkeypatch, g, total // 2, (cap, cap), 1, 8)
-        kinds = [kind for kind, _, _ in outcomes]
-        assert kinds.count("random") == 1 and kinds.count("ggg") == 4
+        runs = watched_portfolio(monkeypatch, g, total // 2, (cap, cap), 1, 8)
+        for path, (_, outcomes, _) in runs.items():
+            kinds = [kind for kind, _, _ in outcomes]
+            assert kinds.count("random") == 1 and kinds.count("ggg") == 4, path
 
     def test_infeasible_attempts_lose_to_a_feasible_one(self, monkeypatch):
         """One vertex outweighs side 1's cap: only an attempt that puts it on
@@ -333,10 +370,10 @@ class TestPortfolio:
             vwgt=np.array([1, 1, 9, 1, 1, 1]),
         )
         for seed in range(8):
-            best, outcomes = watched_portfolio(monkeypatch, g, 10, (11, 4), seed, 8)
-            monkeypatch.undo()
-            if any(over == 0 for _, over, _ in outcomes):
-                assert side_weights(g, best)[1] <= 4 and best[2] == 0
+            runs = watched_portfolio(monkeypatch, g, 10, (11, 4), seed, 8)
+            for path, (best, outcomes, _) in runs.items():
+                if any(over == 0 for _, over, _ in outcomes):
+                    assert side_weights(g, best)[1] <= 4 and best[2] == 0, path
 
 
 @st.composite
@@ -556,16 +593,6 @@ class RecordingTracker(MemoryTracker):
         return super().alloc(name, nbytes, *args, **kwargs)
 
 
-def on_each_path(monkeypatch):
-    """Yield ``"kernel"`` (if this process has one) and ``"oracle"``, the
-    latter with the compiled searches hidden."""
-    if _native.bisection_kernels() is not None:
-        yield "kernel"
-    with monkeypatch.context() as m:
-        m.setattr(_native, "bisection_kernels", lambda: None)
-        yield "oracle"
-
-
 class TestLedger:
     @pytest.fixture
     def ledger(self):
@@ -576,20 +603,21 @@ class TestLedger:
         finally:
             scratch.uninstall_ledger()
 
-    def test_workspace_charges_its_pointer_arrays(self, ledger):
+    def test_workspace_charges_its_pointer_arrays(self, ledger, monkeypatch):
         """The lists are the oracle's: charged when built, not before."""
         g = gen.rgg2d(300, avg_degree=8, seed=1)
-        before = ledger.current_bytes
-        ws = BisectionWorkspace(g)
-        assert ledger.current_bytes == before + ws.xadj.nbytes
-        slots = sum(len(lst) for lst in ws.lists)
-        assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
-        live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
-        assert live["bisection-workspace"] == 8 * slots
-        assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots
-        del ws
-        gc.collect()
-        assert ledger.current_bytes == before
+        for path in on_each_path(monkeypatch):
+            before = ledger.current_bytes
+            ws = BisectionWorkspace(g)
+            assert ledger.current_bytes == before + ws.xadj.nbytes, path
+            slots = sum(len(lst) for lst in ws.lists)
+            assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
+            live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
+            assert live["bisection-workspace"] == 8 * slots, path
+            assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots, path
+            del ws
+            gc.collect()
+            assert ledger.current_bytes == before, path
 
     def test_attempt_lists_keep_their_entry_names(self, ledger, monkeypatch):
         g = gen.rgg2d(300, avg_degree=8, seed=1)
@@ -623,6 +651,10 @@ class TestLedger:
                 "fm2way-side": n,
                 "fm2way-moves": 8 * 2 * n,
                 "fm2way-kept": 8 * 2,
+                # the pool's own: every order drawn, the best side, a row a slot
+                "bisection-orders": 8 * 4 * n,
+                "bisection-best-side": n,
+                "bisection-pool-stats": 8 * 4 * 7,
             }
             if path == "kernel":
                 assert "bisection-workspace" not in ledger.largest
@@ -634,7 +666,7 @@ class TestLedger:
             del best
         assert all(np.array_equal(answers[0], other) for other in answers)
 
-    def test_initial_phase_not_smaller_than_before(self):
+    def test_initial_phase_not_smaller_than_before(self, monkeypatch):
         """With scratch tracking on, the initial-partitioning phase of this
         run peaked at 200 290 B (83 405 B of scratch) while the loops still
         held arrays; neither the oracle's lists (239 601 / 122 716 B) nor the
@@ -649,9 +681,10 @@ class TestLedger:
             presets.terapart(seed=1),
             obs=presets.ObsConfig(enabled=True, track_scratch=True),
         )
-        tracker = MemoryTracker()
-        result = partition(g, 8, cfg, tracker=tracker)
-        assert int(result.cut) == 234
-        phase = tracker.phases()["partition/initial-partitioning"]
-        assert phase.peak_bytes >= 200_290
-        assert phase.peak_breakdown["scratch"] >= 83_405
+        for path in on_each_path(monkeypatch):
+            tracker = MemoryTracker()
+            result = partition(g, 8, cfg, tracker=tracker)
+            assert int(result.cut) == 234, path
+            phase = tracker.phases()["partition/initial-partitioning"]
+            assert phase.peak_bytes >= 200_290, path
+            assert phase.peak_breakdown["scratch"] >= 83_405, path

@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.core import config as C
 from repro.graph import generators as gen
+from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
 from repro.memory import MemoryTracker
 
@@ -219,3 +220,45 @@ class TestVertexWeightTotal:
         assert r.balanced and r.imbalance >= 0
         warm = repro.refine_partition(g, 4, r.partition, C.preset(preset, seed=1))
         assert warm.balanced and warm.cut <= r.cut
+
+
+class TestDegenerateWarmStarts:
+    """``refine_partition`` on the degenerate graphs ``partition`` is pinned
+    on: valid, balanced output from a balanced or a one-block start under
+    every preset, or a ``ValueError`` that names what is wrong."""
+
+    CASES = {
+        "empty": (lambda: from_edges(0, np.zeros((0, 2), dtype=np.int64)), 4),
+        "isolated-50": (lambda: from_edges(50, np.zeros((0, 2), dtype=np.int64)), 4),
+        "star-3000": (lambda: gen.star(3000), 4),
+        "k-equals-n": (lambda: gen.rgg2d(20, 4.0, seed=1), 20),
+        "k-above-n": (lambda: gen.rgg2d(20, 4.0, seed=1), 32),
+    }
+
+    @pytest.mark.parametrize("start", ["round-robin", "one-block"])
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_valid_and_balanced(self, preset, case, start):
+        make, k = self.CASES[case]
+        g = make()
+        part_in = np.arange(g.n) % k if start == "round-robin" else np.zeros(g.n, dtype=np.int64)
+        r = repro.refine_partition(g, k, part_in, C.preset(preset, seed=1))
+        part = r.partition
+        assert len(part) == g.n and r.num_levels == 0
+        assert g.n == 0 or (part.min() >= 0 and part.max() < k)
+        assert r.balanced and r.imbalance >= 0
+        src = np.repeat(np.arange(g.n), g.degrees)
+        assert r.cut == int(np.asarray(g.adjwgt)[part[src] != part[g.adjncy]].sum()) // 2
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_bad_starts_are_named(self, preset):
+        g = gen.rgg2d(20, 4.0, seed=1)
+        cfg = C.preset(preset, seed=1)
+        for part_in, k, cause in (
+            (np.zeros(5, dtype=np.int64), 4, "partition must assign every vertex"),
+            (np.full(20, 7), 4, "out-of-range block IDs"),
+            (np.full(20, -1), 4, "out-of-range block IDs"),
+            (np.zeros(20, dtype=np.int64), 0, "k must be >= 1"),
+        ):
+            with pytest.raises(ValueError, match=cause):
+                repro.refine_partition(g, k, part_in, cfg)
