@@ -15,15 +15,13 @@ balance:
   parallelism over edges -> ``O(n + p*T_bump)`` bytes.
 
 A whole round is one call into the compiled rating map
-(:mod:`repro.core.kernels.lp_chunk`), which walks its chunks itself; as its
-oracle and fallback the vectorized pipeline of :mod:`repro.graph.access`
-runs chunk by chunk.  The variant determines what gets charged to the
-memory ledger and how work is attributed to the cost model.  The
-rating-map classes in :mod:`repro.core.coarsening.rating_map` implement the
-real structures and are unit-tested for equivalence with the vectorized
-kernel.  Under the conflict detector the driver runs one chunk a call and
-records the shared accesses of whichever step runs, so fuzzing checks the
-kernel.
+(:mod:`repro.core.kernels.lp_chunk`), which walks its chunks itself.  The
+variant determines what gets charged to the memory ledger and how work is
+attributed to the cost model.  The rating-map classes in
+:mod:`repro.core.coarsening.rating_map` implement the real structures and
+are unit-tested for equivalence with the kernel.  Under the conflict
+detector the driver runs one chunk a call and records each step's shared
+accesses, so fuzzing checks the kernel.
 """
 
 from __future__ import annotations
@@ -33,13 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels import (
-    bulk_size_constrained_commit,
-    cluster_leaders,
-    segment_best_last,
-)
+from repro.core.kernels import cluster_leaders
 from repro.core.kernels.lp_chunk import BUMPED_NC, NANOS, clustering_round
-from repro.graph.access import chunk_adjacency, segment_reduce_ratings, traversal_cost
+from repro.graph.access import chunk_adjacency, traversal_cost
 from repro.memory.scratch import tracked_zeros
 from repro.verify.declarations import recorder_for
 
@@ -85,78 +79,10 @@ def _charge_rating_maps(
     return handles
 
 
-def _oracle_step(graph, clusters, cluster_weights, max_cluster_weight):
-    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    the ``step`` of :func:`repro.core.kernels.lp_chunk.clustering_round`, whose
-    round it is the oracle and fallback of, looped chunk by chunk."""
-    n = graph.n
-    vwgt = np.asarray(graph.vwgt)
-    none = np.empty(0, dtype=np.int64)
-
-    def step(chunk):
-        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
-        if len(owner) == 0:
-            return None
-        pair_owner, pair_cluster, pair_rating = segment_reduce_ratings(
-            owner, clusters[nbrs], wgts, n
-        )
-        # nc(u): distinct neighbor clusters per chunk vertex
-        nc = np.bincount(pair_owner, minlength=len(chunk))
-
-        u_of_pair = chunk[pair_owner]
-        fits = cluster_weights[pair_cluster] + vwgt[u_of_pair] <= max_cluster_weight
-        is_current = pair_cluster == clusters[u_of_pair]
-        # rank: rating first, keep-bonus on ties, then a seeded
-        # pseudo-random jitter -- LP must break remaining ties
-        # randomly or mesh clusters snake toward extreme IDs
-        jitter = (
-            ((pair_cluster * 0x9E3779B1) ^ (u_of_pair * 0x85EBCA6B)) >> 7
-        ) & 0x3F
-        rank = ((2 * pair_rating + is_current) << 6) | jitter
-
-        # unconstrained favorite per owner
-        fav_pairs = segment_best_last(pair_owner, rank)
-        fav_us, fav = u_of_pair[fav_pairs], pair_cluster[fav_pairs]
-
-        # constrained best per owner over the same segments:
-        # ranks are >= 0, so a pair that does not fit wins only
-        # where none fits, and that owner has no target
-        ok = fits | is_current
-        best = segment_best_last(pair_owner, np.where(ok, rank, -1))
-        best = best[ok[best]]
-        if len(best) == 0:
-            return len(owner), fav_us, fav, nc, 0, none
-        best_cluster = pair_cluster[best]
-
-        # commit sequentially (atomic weight updates in the
-        # paper); re-check the cap because earlier commits in
-        # this chunk may have filled the target cluster
-        us = u_of_pair[best]
-        cur = clusters[us]
-        want_move = best_cluster != cur
-        # safe-target commits apply with one scatter-add;
-        # contended targets replay in order inside the kernel
-        mv_us = us[want_move]
-        mv_tgt = best_cluster[want_move]
-        acc = bulk_size_constrained_commit(
-            mv_tgt,
-            cur[want_move],
-            vwgt[mv_us],
-            cluster_weights,
-            max_cluster_weight,
-        )
-        acc_us = mv_us[acc]
-        clusters[acc_us] = mv_tgt[acc]
-        return len(owner), fav_us, fav, nc, len(best), acc_us
-
-    return step
-
-
 def _recording(step, rec, graph, clusters, t_bump):
     """``step`` with each chunk's shared accesses recorded, read off the
-    chunk and the step's outputs, so the kernel and the oracle record the
-    same sets: the neighbours' labels, the movers' labels, the old and new
-    clusters of the movers' weights and, in two-phase LP (``t_bump > 0``),
+    chunk and the step's outputs: the neighbours' labels, the movers'
+    labels, the old and new clusters of the movers' weights and, in two-phase LP (``t_bump > 0``),
     the labels bumped vertices flush into the shared sparse array."""
 
     def recorded(chunk):
@@ -178,9 +104,9 @@ def _recording(step, rec, graph, clusters, t_bump):
 
 
 def _chunk_rows(step, chunks, favorites, t_bump, rec) -> list:
-    """The stats rows of a round run one ``step`` call a chunk (the oracle,
-    or any step under the detector): what the kernel's round returns, the
-    favorites written the same way."""
+    """The stats rows of a round run one ``step`` call a chunk (under the
+    detector): what the kernel's round returns, the favorites written the
+    same way."""
     rows = []
     for _tid, chunk in chunks:
         out = step(chunk)
@@ -206,12 +132,10 @@ def label_propagation_clustering(
 
     The driver owns the rounds: visiting order, schedule, favorites, bump
     counts, cost records and counters.  A round -- every chunk rated, picked
-    and committed in execution order -- is one call into ``lp_kernel.c``
-    when the compiled library is there, else the numpy pipeline of
-    :func:`_oracle_step`, chunk by chunk, bit-identical.  Either gives one
-    stats row a chunk, which the driver books the same way.  An attached
-    conflict detector gets one chunk a call and hears the step's shared
-    accesses from :func:`_recording`, whichever step runs.
+    and committed in execution order -- is one call into ``lp_kernel.c``,
+    which gives one stats row a chunk.  An attached conflict detector gets
+    one chunk a call (the same stats rows) and hears each step's shared
+    accesses from :func:`_recording`.
     """
     n = graph.n
     cc = ctx.config.coarsening
@@ -239,13 +163,9 @@ def label_propagation_clustering(
         graph, clusters, cluster_weights, max_cluster_weight,
         np.zeros((3, n), dtype=np.int64), favorites, t_bump,
     )  # fmt: skip
-    if kernel is not None:
-        step = kernel.step
-    else:
-        step = _oracle_step(graph, clusters, cluster_weights, max_cluster_weight)
+    step = None  # a round a call; under the detector one chunk a call
     if rec.active:
-        step = _recording(step, rec, graph, clusters, t_bump if two_phase else 0)
-        kernel = None
+        step = _recording(kernel.step, rec, graph, clusters, t_bump if two_phase else 0)
     degrees = np.asarray(graph.degrees) if runtime.schedule_policy == "heavy-first" else None
     tracer = ctx.tracer
     result = ClusteringResult(
@@ -262,7 +182,7 @@ def label_propagation_clustering(
                     starts = np.arange(0, n, runtime.chunk_size)
                     chunk_weights = np.add.reduceat(degrees[order], starts)
                 with runtime.region(f"{phase_name}-round{_round}"):
-                    if kernel is not None:
+                    if step is None:
                         bounds, tids = runtime.chunk_bounds(n, weights=chunk_weights)
                         stats = kernel(order, bounds)
                         runtime.record_chunks(

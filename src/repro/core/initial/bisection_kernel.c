@@ -1,10 +1,9 @@
 /* Native initial partitioning of repro.core.initial: greedy graph growing,
- * BFS growth and 2-way FM, each a port of the Python loop of the same name
- * (bipartition.py, fm2way.py); a bisection's whole attempt pool on them
- * (recursive.bipartition_portfolio); and the split of a labelled graph
- * into the induced subgraphs the next bisections work on
- * (recursive.extract_subgraphs).  The Python code stays as oracle and
- * fallback.
+ * BFS growth and 2-way FM, each a port of a Python loop of the same name;
+ * a bisection's whole attempt pool on them (recursive.bipartition_portfolio);
+ * and the split of a labelled graph into the induced subgraphs the next
+ * bisections work on (recursive.split).  The Python loops stay in
+ * tests/oracles.py as the reference.
  *
  * Five exported functions, no state, no Python objects: ctypes calls them
  * with the GIL released.  One calling convention: the int64 arrays of a
@@ -39,11 +38,12 @@
  *     and as a neighbour only by a vertex being absorbed / moved, which
  *     happens at most once per vertex (and pass) and pushes at most its
  *     degree;
- *   - no signed overflow: the caller admits only workspaces with
- *     4 n^3 G^2 < 2^126, G >= every sum of incident |weights| (so gains,
- *     sums of gains and both sides of the stopping rule fit, the latter in
- *     __int128), and total vertex weight and the caps below 2^62; the pool
- *     also needs attempts * sum |wgt| < 2^53 (see repro_bisect_pool);
+ *   - no signed overflow: the caller admits only workspaces with n and
+ *     W = sum |wgt| below 2^62 (so gains and sums of gains fit in int64,
+ *     sums of their squares in __int128, and FM's stopping rule compares
+ *     its products exactly in 192 bits), and total vertex weight and the
+ *     caps below 2^62; the pool also needs attempts * W < 2^53 (see
+ *     repro_bisect_pool);
  *   - a broken rule returns a negative code, never a trap.  Outputs are
  *     then partially written garbage the caller drops.
  *
@@ -90,6 +90,23 @@ static inline int before(const entry_t *a, const entry_t *b)
     __int128 x = a->key * high | (uint64_t)a->tie;
     __int128 y = b->key * high | (uint64_t)b->tie;
     return x < y;
+}
+
+/* a * x >= b * y, exactly: both products carried in 192 bits (x, y below
+ * 2^127, so each has a high and a low 64-bit word) */
+static int product_at_least(uint64_t a, unsigned __int128 x, uint64_t b, unsigned __int128 y)
+{
+    const unsigned __int128 low = ~(uint64_t)0;
+    unsigned __int128 ax0 = a * (x & low), ax1 = a * (x >> 64);
+    unsigned __int128 by0 = b * (y & low), by1 = b * (y >> 64);
+    /* a * x = ax1 * 2^64 + ax0 = top * 2^128 + mid * 2^64 + (ax0 & low) */
+    unsigned __int128 amid = (ax0 >> 64) + (ax1 & low), bmid = (by0 >> 64) + (by1 & low);
+    unsigned __int128 atop = (ax1 >> 64) + (amid >> 64), btop = (by1 >> 64) + (bmid >> 64);
+    if (atop != btop)
+        return atop > btop;
+    if ((amid & low) != (bmid & low))
+        return (amid & low) > (bmid & low);
+    return (ax0 & low) >= (by0 & low);
 }
 
 /* place e at slot i or above it */
@@ -332,10 +349,14 @@ static int64_t fm2way(
                 steps++;
                 fallen += gu;
                 squares += (__int128)gu * gu;
-                /* steps >= variance / (4 mean^2), cleared of divisions */
+                /* steps >= variance / (4 mean^2), cleared of divisions:
+                 * 4 (steps - 1) f^2 >= steps squares - f^2, as
+                 * (4 steps - 3) f^2 >= steps squares so no side is negative */
                 if (steps > patience) {
                     __int128 f2 = (__int128)fallen * fallen;
-                    if (fallen == 0 || 4 * (steps - 1) * f2 >= steps * squares - f2)
+                    if (fallen == 0
+                        || product_at_least(4 * (uint64_t)steps - 3, (unsigned __int128)f2,
+                                            (uint64_t)steps, (unsigned __int128)squares))
                         break;
                 }
             }

@@ -1,4 +1,4 @@
-"""The workspace one bisection's attempts share: arrays, and lists for the oracle."""
+"""The workspace one bisection's attempts share, and the compiled searches on it."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import numpy as np
 from repro.graph import _native
 from repro.graph.access import full_adjacency
 from repro.graph.csr import _ones_like_view
-from repro.memory.scratch import tracked_empty, tracked_full, tracked_slots, tracked_zeros
-
-_UNSET = object()
+from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
 #: the pool's seed kinds in ``bisection_kernel.c``'s numbering
 KIND_CODES = ("ggg", "bfs", "random")
@@ -32,24 +30,17 @@ class BisectionWorkspace:
     """One graph, flattened once, for the sequential searches and the bulk steps.
 
     ``xadj`` and ``flat = (src, dst, weight)`` are int64 arrays: the bulk
-    steps (gains, cut, subgraph extraction) read them, and so do the compiled
-    searches of ``bisection_kernel.c`` (:meth:`kernels`), which otherwise see
-    a graph (``n``, ``vwgt``, ``total_vertex_weight``).  ``lists = (xadj, adj,
-    wgt, vwgt)`` is the same adjacency as Python lists, the representation
-    the oracle loops scan (a numpy scalar subscript costs several list
-    subscripts); it is built when first asked for, and only then does the
-    ``"bisection-workspace"`` ledger entry charge the lists' pointer arrays
-    (8 B per slot, not the int objects behind them).  Nothing is cached on
-    the graph itself, so a resident graph never carries either.
+    steps (gains, cut) read them, and so do the compiled searches of
+    ``bisection_kernel.c`` (:meth:`kernels`), which otherwise see a graph
+    (``n``, ``vwgt``, ``total_vertex_weight``).  Nothing is cached on the
+    graph itself, so a resident graph never carries the workspace.
 
     A workspace :meth:`BisectionKernels.split` wrote holds the kernel's
-    arrays as they are (``src`` is expanded only if the oracle asks for
-    ``flat``) and comes bound to the kernels.
+    arrays as they are (``src`` is expanded only if ``flat`` is asked for)
+    and comes bound to the kernels.
     """
 
-    __slots__ = (
-        "n", "vwgt", "total_vertex_weight", "xadj", "_flat", "_lists", "_charge", "_kernels"
-    )  # fmt: skip
+    __slots__ = ("n", "vwgt", "total_vertex_weight", "xadj", "_flat", "_kernels")
 
     def __init__(self, graph) -> None:
         n = graph.n
@@ -61,8 +52,7 @@ class BisectionWorkspace:
         self.total_vertex_weight = graph.total_vertex_weight
         self._flat = (src, dst, w)
         self.xadj = xadj
-        self._lists = self._charge = None
-        self._kernels = _UNSET
+        self._kernels = None
 
     @classmethod
     def of(cls, graph) -> "BisectionWorkspace":
@@ -78,7 +68,6 @@ class BisectionWorkspace:
         ws.total_vertex_weight = total
         ws.xadj = xadj
         ws._flat = (None, adj, _ones_like_view(len(adj)) if wgt is None else wgt)
-        ws._lists = ws._charge = None
         return ws
 
     @property
@@ -89,30 +78,22 @@ class BisectionWorkspace:
             self._flat = (src, dst, w)
         return self._flat
 
-    @property
-    def lists(self) -> tuple[list, list, list, list]:
-        if self._lists is None:
-            _, dst, w = self._flat
-            self._lists = (self.xadj.tolist(), dst.tolist(), w.tolist(), self.vwgt.tolist())
-            self._charge = tracked_slots(2 * self.n + 1 + 2 * len(dst), "bisection-workspace")
-        return self._lists
-
-    def kernels(self) -> "BisectionKernels | None":
-        """The compiled searches bound to this workspace, or ``None`` when the
-        oracle loops must run: no library, or weights the kernels' int64 /
-        ``__int128`` arithmetic cannot be proven to hold (exact Python integers
-        can).  Raises ``ValueError`` for an ``xadj`` that does not tile ``adj``."""
-        if self._kernels is _UNSET:
-            functions = _native.bisection_kernels()
-            self._kernels = functions and BisectionKernels.bind(self, functions)
+    def kernels(self) -> "BisectionKernels":
+        """The compiled searches bound to this workspace.  Raises
+        ``ValueError`` for an ``xadj`` that does not tile ``adj`` and for
+        weights the kernels' int64 / ``__int128`` arithmetic cannot hold
+        (:func:`repro.graph._native.check_graph` refuses such an input graph
+        before any work)."""
+        if self._kernels is None:
+            self._kernels = BisectionKernels.bind(self, _native.bisection_kernels())
         return self._kernels
 
 
-def _weights(array: np.ndarray) -> tuple[np.ndarray | None, int, int]:
-    """``(contiguous int64 array or None for all ones, min, max)``."""
+def _weights(array: np.ndarray) -> np.ndarray | None:
+    """A contiguous int64 array, or ``None`` for all ones."""
     if not len(array) or (array.strides == (0,) and array[0] == 1):
-        return None, 1, 1
-    return np.ascontiguousarray(array, dtype=np.int64), int(array.min()), int(array.max())
+        return None
+    return np.ascontiguousarray(array, dtype=np.int64)
 
 
 class _Scratch:
@@ -152,7 +133,7 @@ class BisectionKernels:
         self._arrays = arrays  # the pointers below are only good while these live
         self._graph = pointers or tuple(None if a is None else a.ctypes.data for a in arrays)
         self._scratch = scratch
-        # (sum of |edge weights| bound, largest degree): hold for every subgraph
+        # (sum of |edge weights|, largest degree): bounds for every subgraph
         self._bounds = bounds
         self._heap = None
         self.work = np.zeros(4, dtype=np.int64)
@@ -172,7 +153,7 @@ class BisectionKernels:
         self._heap = heap
 
     @classmethod
-    def bind(cls, ws: BisectionWorkspace, functions) -> "BisectionKernels | None":
+    def bind(cls, ws: BisectionWorkspace, functions) -> "BisectionKernels":
         n, xadj = ws.n, ws.xadj
         _, dst, w = ws._flat
         degrees = np.diff(xadj)
@@ -186,19 +167,16 @@ class BisectionKernels:
         ):
             raise ValueError("xadj does not tile the adjacency (corrupt workspace?)")
         adj = np.ascontiguousarray(dst, dtype=np.int64)
-        wgt, lightest, heaviest = _weights(w)
-        vwgt, lightest_vertex, heaviest_vertex = _weights(ws.vwgt)
-        # every gain is at most a vertex's incident |weight|; 4 n^3 G^2 bounds
-        # both sides of FM's stopping rule, evaluated in __int128
-        max_degree = int(degrees.max(initial=0))
-        gain_bound = max(heaviest, -lightest) * max_degree
-        if (
-            4 * n**3 * gain_bound**2 >= 1 << 126
-            or lightest_vertex < 0
-            or heaviest_vertex * n >= _native.WEIGHT_LIMIT
-        ):
-            return None
-        bounds = (max(heaviest, -lightest) * len(adj), max_degree)
+        wgt = _weights(w)
+        vwgt = _weights(ws.vwgt)
+        # every gain, and every sum of gains in a pass, is at most W
+        total = len(adj) if wgt is None else _native.exact_sum(np.abs(wgt))
+        why = _native.vertex_weight_error(ws.vwgt)
+        if why is None and total >= _native.WEIGHT_LIMIT:
+            why = f"the summed |edge weights| {total} are not below 2^62"
+        if why is not None:
+            raise ValueError(f"the compiled bisection cannot hold this graph: {why}")
+        bounds = (total, int(degrees.max(initial=0)))
         return cls(n, (xadj, adj, wgt, vwgt), functions, _Scratch(), bounds)
 
     def _run(self, fn, *args) -> int:
@@ -266,17 +244,21 @@ class BisectionKernels:
     def pool(self, kinds, target0, max0, max1, rng, attempts, rounds, sigmas):
         """``(best assignment, one stats row a slot)`` of a bisection's whole
         attempt pool in one call (the rows a view of scratch, good until the
-        next pool of this recursion), or ``None`` when the oracle must run
-        it: a cap below 0, or cut sums a double would round.
+        next pool of this recursion).  A cap below 0, or cut sums a double
+        would round (:func:`repro.graph._native.cut_sum_error`), raise a
+        ``ValueError`` before anything is drawn.
 
         Every attempt that runs draws one ``rng.permutation(n)``; all
         ``attempts`` orders are drawn up front, and afterwards ``rng`` is
-        rewound to where the last order used left it -- the oracle's stream.
-        A refusal rewinds it to where it was."""
+        rewound to where the last order used left it -- the stream of the
+        attempts run one by one.  A refusal rewinds it to where it was."""
         n, get = self.n, self._scratch.get
         rounds = max(rounds, 0)
-        if min(max0, max1) < 0 or attempts * self._bounds[0] >= 1 << 53:
-            return None
+        if min(max0, max1) < 0:
+            raise ValueError(f"bisection caps {max0}, {max1}: a cap is negative")
+        why = _native.cut_sum_error(attempts, self._bounds[0])
+        if why is not None:
+            raise ValueError(f"the compiled bisection pool cannot sum its cuts: {why}")
         orders, orders_at = get("bisection-orders", attempts * n, np.int64)
         before = rng.bit_generator.state
         states = []

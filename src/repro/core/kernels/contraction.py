@@ -2,16 +2,18 @@
 
 Per level: the cluster leaders (:func:`cluster_leaders`, the one place that
 states "labels are vertex ids in ``[0, n)``") and the member lists
-(:func:`cluster_members`).  Per call: :func:`contraction_step`, the one
-aggregation every coarse graph in the tree is built by -- buffered and
-one-pass contraction, each rank's share of distributed contraction and the
-baselines.  It runs ``lp_kernel.c``'s ``repro_contract_chunk`` or, without
-the compiled library, its numpy oracle: flatten the member lists into one
-gather (:func:`gather_cluster_members`), read the members' adjacency, and
-aggregate it into coarse edges with a sort-based segment reduction
-(:func:`aggregate_coarse_edges`).  Pure functions -- the caller owns the
-dual-counter transaction, the ``E'``/``P'`` slice writes and all recorder
-declarations.
+(:func:`cluster_members`).  Per call: :func:`contraction_step`
+(``lp_kernel.c``'s ``repro_contract_chunk``, bound in
+:mod:`repro.core.kernels.lp_chunk`), the one aggregation every coarse graph
+in the tree is built by -- buffered and one-pass contraction, each rank's
+share of distributed contraction and the baselines.  Pure functions -- the
+caller owns the dual-counter transaction, the ``E'``/``P'`` slice writes
+and all recorder declarations.
+
+:func:`gather_cluster_members` and :func:`aggregate_coarse_edges` are the
+numpy gather and sort-based segment reduction the kernel replaced; no
+production code calls them, and they stay only because the ladder's
+microbenchmarks and layer boundaries still name them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.kernels import lp_chunk
-from repro.graph.access import chunk_adjacency, segment_reduce_ratings
+from repro.core.kernels.lp_chunk import contraction_step  # noqa: F401  (re-exported)
+from repro.graph.access import segment_reduce_ratings
 from repro.memory.scratch import tracked_zeros
 
 
@@ -50,18 +53,13 @@ def cluster_members(
     ``member_order[offsets[i] : offsets[i + 1]]``.  The labels lie in ``[0,
     label_count)``, by default ``[0, len(clusters))``.
 
-    One compiled counting sort; without the library its oracle, the stable
-    argsort, gives the same permutation.
+    One compiled counting sort (the permutation the stable argsort gives).
     """
     n = len(clusters)
-    grouped = lp_chunk.group_by_label(clusters, n if label_count is None else label_count)
-    if grouped is None:
-        member_order = np.argsort(clusters, kind="stable")
-        starts = np.searchsorted(clusters[member_order], leaders)
-    else:
-        member_order, by_label = grouped
-        starts = by_label[leaders]
-    return member_order, np.append(starts, n)
+    member_order, by_label = lp_chunk.group_by_label(
+        clusters, n if label_count is None else label_count
+    )
+    return member_order, np.append(by_label[leaders], n)
 
 
 def gather_cluster_members(
@@ -113,36 +111,3 @@ def aggregate_coarse_edges(
         po = pc = pw = np.empty(0, dtype=np.int64)
     local_offsets = np.searchsorted(po, np.arange(num_owners, dtype=np.int64))
     return po, pc, pw, local_offsets
-
-
-def contraction_step(graph, labels: np.ndarray, label_count: int):
-    """``step(members, groups, own)`` of contraction, with the contract of
-    :func:`repro.core.kernels.lp_chunk.contraction_step`: on the compiled
-    kernel, or without it on the numpy oracle below, which returns the same
-    arrays.
-
-    ``labels`` keys every vertex of ``graph`` by its coarse vertex, in ``[0,
-    label_count)``; coarse vertex ``g`` of one call is the members
-    ``members[groups[g] - groups[0] : groups[g + 1] - groups[0]]`` with its
-    own key ``own[g]``.  ``step`` returns ``(edges, degrees, keys,
-    weights)``: the members' edges read, each coarse vertex's number of
-    coarse edges, and those edges coarse vertex by coarse vertex -- neighbour
-    keys ascending, own key dropped, weights summed.
-    """
-    kernel = lp_chunk.contraction_step(graph, labels, label_count)
-    if kernel is not None:
-        return kernel
-
-    def step(members, groups, own):
-        groups = np.asarray(groups, dtype=np.int64)
-        count = len(own)
-        members, owner = gather_cluster_members(
-            members, groups[:-1] - groups[0], groups[1:] - groups[0], np.arange(count)
-        )
-        member, nbrs, wgts = chunk_adjacency(graph, members)
-        po, pc, pw, _ = aggregate_coarse_edges(
-            owner[member], labels[nbrs], wgts, np.asarray(own), label_count, count
-        )
-        return len(member), np.bincount(po, minlength=count), pc, pw
-
-    return step

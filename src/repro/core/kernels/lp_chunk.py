@@ -8,20 +8,17 @@ schedule, cost records and counters.  :func:`clustering_round` and
 arrays: called with the round's order and its chunk bounds in execution
 order, it rates, picks and commits every chunk in turn -- chunk *i + 1*
 reads chunk *i*'s commits -- and returns one stats row a chunk.  Its
-``step(chunk)`` is the same entry over a round of one chunk, with the
-contract of the driver's numpy oracle step (what the conflict detector and
-the chunk-by-chunk tests run).  Both builders return ``None`` without the
-compiled library (:func:`repro.graph._native.lp_kernels`), or for vertex
-weights whose sums the kernel's commit cannot hold: the driver then loops
-its oracle per chunk.  The C header states the contract and why the two are
-bit-identical; here the arrays are checked once per LP call and the
-pointers handed over.  Distributed LP (:mod:`repro.dist.dlp`) takes a
+``step(chunk)`` is the same entry over a round of one chunk (what the
+conflict detector and the chunk-by-chunk tests run).  The builders refuse,
+with a ``ValueError``, vertex weights whose sums the kernel's commit cannot
+hold (:func:`repro.graph._native.vertex_weight_error`; the entry points
+refuse such an input graph before any work).  The C header states the
+contract; here the arrays are checked once per LP call and the pointers
+handed over.  Distributed LP (:mod:`repro.dist.dlp`) takes a
 *pick* from :func:`cluster_pick_step` / :func:`refine_pick_step` the same
 way: the same rate and pick over one rank's batch, without the commit.
 :func:`contraction_step` is the rating map again, summing a whole coarse
-vertex's members into one map; every contraction takes it through
-:func:`repro.core.kernels.contraction_step`, which runs the numpy oracle
-where this returns ``None``.
+vertex's members into one map, every contraction's one aggregation.
 
 A round reads each vertex's segment where the graph keeps it: a CSR graph's
 ``indptr`` and adjacency, or a compressed graph's degrees and byte stream,
@@ -70,18 +67,24 @@ def _adjacency(adj: np.ndarray, wgt: np.ndarray) -> tuple[tuple, tuple]:
     return _pointers((adj, *_weight_args(wgt), len(adj))), (adj, wgt)
 
 
-def _vertex_weights(graph) -> np.ndarray | None:
-    """The vertex weights if the kernels' commit can sum them, else ``None``."""
+def _vertex_weights(graph) -> np.ndarray:
+    """The vertex weights as the kernels take them (a unit graph's zero-stride
+    view kept); a ``ValueError`` for weights the kernels' commit cannot sum."""
     vwgt = np.asarray(graph.vwgt)
-    n = graph.n
-    ok = vwgt.dtype == np.int64 and vwgt.shape == (n,)
-    ok = ok and (vwgt.strides == (0,) or vwgt.flags.c_contiguous)
-    if not ok or n == 0:
-        return None
-    values = vwgt[:1] if vwgt.strides == (0,) else vwgt
-    if int(values.min()) < 0 or int(values.max()) * n >= _native.WEIGHT_LIMIT:
-        return None
+    if vwgt.shape != (graph.n,):
+        raise ValueError(f"vertex weights need {graph.n} entries")
+    if vwgt.strides != (0,):
+        vwgt = np.ascontiguousarray(vwgt, dtype=np.int64)
+    why = _native.vertex_weight_error(vwgt)
+    if why is not None:
+        raise ValueError(f"the compiled kernels cannot sum these vertex weights: {why}")
     return vwgt
+
+
+def _int64_vector(a: np.ndarray, size: int, name: str) -> np.ndarray:
+    if not _is_int64_vector(a, size):
+        raise ValueError(f"{name} must be {size} contiguous int64 entries")
+    return a
 
 
 def stream_blocks(graph, count: int, name: str):
@@ -200,9 +203,7 @@ def _rows(rows: int):
 def _picking(call, rows: int):
     """``pick(chunk)`` around a pick entry of ``lp_kernel.c`` (``rows``
     output rows, ``moved`` and ``target`` last): the chunk's movers in chunk
-    order and their targets; ``None`` for no kernel."""
-    if call is None:
-        return None
+    order and their targets."""
     outputs = _rows(rows)
     none = np.empty(0, dtype=np.int64)
 
@@ -346,11 +347,11 @@ class _RefinementRound(_RoundKernel):
 
 
 def _clustering_state(graph, clusters, cluster_weights, max_cluster_weight):
-    """One clustering's argument block as the kernels take it, or ``None``."""
-    vwgt = _vertex_weights(graph)
+    """One clustering's argument block as the kernels take it."""
     n = graph.n
-    if vwgt is None or not _is_int64_vector(clusters, n) or not _is_int64_vector(cluster_weights, n):
-        return None
+    vwgt = _vertex_weights(graph)
+    _int64_vector(clusters, n, "clusters")
+    _int64_vector(cluster_weights, n, "cluster weights")
     limit = _native.clamp_weight(max_cluster_weight)
     return (clusters, cluster_weights, *_weight_args(vwgt), limit)
 
@@ -358,7 +359,7 @@ def _clustering_state(graph, clusters, cluster_weights, max_cluster_weight):
 def clustering_round(
     graph, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
 ):
-    """LP clustering's round on the kernel, or ``None``.
+    """LP clustering's round on the kernel.
 
     ``maps`` is the ``(3, n)`` zeroed rating map (the sparse array and its
     non-zero buffers, which the caller has on the ledger).  A round commits
@@ -367,17 +368,13 @@ def clustering_round(
     with at least ``t_bump`` distinct neighbour clusters (bumped to the
     second phase) and their cluster counts summed.
     """
-    kernels = _native.lp_kernels()
     state = _clustering_state(graph, clusters, cluster_weights, max_cluster_weight)
-    if kernels is None or state is None or not _is_int64_vector(favorites, graph.n):
-        return None
-    state = (*state, t_bump, favorites)
-    return _ClusteringRound(kernels[0], graph, state, maps, graph.n)
+    state = (*state, t_bump, _int64_vector(favorites, graph.n, "favorites"))
+    return _ClusteringRound(_native.lp_kernels()[0], graph, state, maps, graph.n)
 
 
 def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
-    """``pick(chunk)`` of distributed LP clustering on the kernel, or
-    ``None`` where :func:`clustering_round` would be.
+    """``pick(chunk)`` of distributed LP clustering on the kernel.
 
     ``pick`` returns ``(movers, targets)``: in chunk order, every chunk
     vertex whose favorite cluster -- ranked as in :func:`clustering_round`,
@@ -385,67 +382,55 @@ def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps
     ``max_cluster_weight``.  Nothing is committed; ``clusters`` /
     ``cluster_weights`` are only read.
     """
-    kernels = _native.lp_kernels()
     state = _clustering_state(graph, clusters, cluster_weights, max_cluster_weight)
-    if kernels is None or state is None:
-        return None
-    return _picking(_ChunkKernel(kernels[2], graph, state, maps, graph.n), 5)
+    return _picking(_ChunkKernel(_native.lp_kernels()[2], graph, state, maps, graph.n), 5)
 
 
 def _refinement_state(graph, part, block_weights, limits):
     """One refinement's argument block as the kernels take it and its rating
-    map, or ``None``."""
+    map."""
     vwgt = _vertex_weights(graph)
     k = len(block_weights)
-    if (
-        vwgt is None
-        or part.dtype != np.int32
-        or part.shape != (graph.n,)
-        or not part.flags.c_contiguous
-        or not _is_int64_vector(block_weights, k)
-    ):
-        return None
+    if part.dtype != np.int32 or part.shape != (graph.n,) or not part.flags.c_contiguous:
+        raise ValueError(f"the partition must be {graph.n} contiguous int32 block ids")
+    _int64_vector(block_weights, k, "block weights")
     limits = np.ascontiguousarray(limits, dtype=np.int64)
     if limits.shape != (k,):
-        return None
+        raise ValueError(f"one block weight limit a block: {k}")
     maps = tracked_zeros((3, k), name="lp-refine-rating-map")
     return (k, part, block_weights, *_weight_args(vwgt), limits), maps
 
 
 def refinement_round(graph, part, block_weights, limits):
-    """LP refinement's round on the kernel, or ``None``.
+    """LP refinement's round on the kernel.
 
     ``limits`` is the per-block weight cap (``k`` entries).  A round commits
     to ``part`` / ``block_weights``.
     """
-    kernels = _native.lp_kernels()
-    bound = kernels and _refinement_state(graph, part, block_weights, limits)
-    if bound is None:
-        return None
-    return _RefinementRound(kernels[1], graph, *bound, len(block_weights))
+    state = _refinement_state(graph, part, block_weights, limits)
+    return _RefinementRound(_native.lp_kernels()[1], graph, *state, len(block_weights))
 
 
 def refine_pick_step(graph, part, block_weights, max_block_weight: int):
-    """``pick(chunk)`` of distributed LP refinement on the kernel, or
-    ``None`` where :func:`refinement_round` would be.
+    """``pick(chunk)`` of distributed LP refinement on the kernel.
 
     ``pick`` returns ``(movers, targets)``: in chunk order, every chunk
     vertex with a target by :func:`refinement_round`'s rule, every block
     capped at ``max_block_weight``.  Nothing is committed; ``part`` /
     ``block_weights`` are only read.
     """
-    kernels = _native.lp_kernels()
-    if kernels is None:
-        return None
     limit = _native.clamp_weight(max_block_weight)
     limits = tracked_full(len(block_weights), limit, name="dlp-block-limits")
-    bound = _refinement_state(graph, part, block_weights, limits)
-    return bound and _picking(_ChunkKernel(kernels[3], graph, *bound, len(block_weights)), 3)
+    state = _refinement_state(graph, part, block_weights, limits)
+    fn = _native.lp_kernels()[3]
+    return _picking(_ChunkKernel(fn, graph, *state, len(block_weights)), 3)
 
 
 def contraction_step(graph, labels: np.ndarray, label_count: int):
-    """``step(members, groups, own)`` of contraction on the kernel, or
-    ``None`` without the compiled library.
+    """``step(members, groups, own)`` of contraction on the kernel: the one
+    aggregation every coarse graph is built by -- buffered and one-pass
+    contraction, each rank's share of distributed contraction and the
+    baselines.
 
     ``labels`` keys every vertex by its coarse vertex, in ``[0,
     label_count)``.  One call aggregates ``len(own)`` coarse vertices: coarse
@@ -455,11 +440,12 @@ def contraction_step(graph, labels: np.ndarray, label_count: int):
     number of coarse edges, and those edges coarse vertex by coarse vertex
     -- neighbour keys ascending, own key dropped, weights summed.
     """
-    kernels = _native.contraction_kernels()
-    if kernels is None or not _is_int64_vector(labels, graph.n):
-        return None
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if labels.shape != (graph.n,):
+        raise ValueError(f"contraction needs one label a vertex: {graph.n}")
     maps = tracked_zeros((3, label_count), name="contraction-rating-map")
-    call = _ChunkKernel(kernels[0], graph, (label_count, labels), maps, label_count)
+    fn = _native.contraction_kernels()[0]
+    call = _ChunkKernel(fn, graph, (label_count, labels), maps, label_count)
 
     def step(members, groups, own):
         groups = np.ascontiguousarray(groups, dtype=np.int64)
@@ -484,18 +470,16 @@ def contraction_step(graph, labels: np.ndarray, label_count: int):
 
 
 def group_by_label(labels: np.ndarray, label_count: int):
-    """``(members, offsets)`` by one counting sort, or ``None`` without the
-    compiled library: the vertices grouped by label, ascending within a
-    label (what ``np.argsort(labels, kind="stable")`` returns), and label
-    ``c``'s run ``members[offsets[c] : offsets[c + 1]]``."""
-    kernels = _native.contraction_kernels()
-    if kernels is None:
-        return None
+    """``(members, offsets)`` by one counting sort: the vertices grouped by
+    label, ascending within a label (what ``np.argsort(labels,
+    kind="stable")`` returns), and label ``c``'s run ``members[offsets[c] :
+    offsets[c + 1]]``."""
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     offsets = tracked_empty(label_count + 1, name="label-offsets")
     members = tracked_empty(len(labels), name="label-members")
     info = np.zeros(2, dtype=np.int64)
-    rc = kernels[1](*_pointers((labels, len(labels), label_count, offsets, members, info)))
+    group = _native.contraction_kernels()[1]
+    rc = group(*_pointers((labels, len(labels), label_count, offsets, members, info)))
     if rc < 0:
         raise ValueError(f"{_native.LP_ERRORS[rc]} at vertex {int(info[1])}")
     return members, offsets

@@ -5,9 +5,8 @@
  * for distributed LP (repro_lp_cluster_pick, repro_lp_refine_pick); or
  * aggregates the coarse edges of a chunk of coarse vertices
  * (repro_contract_chunk, below them with its own contract).  The numpy
- * pipelines of lp_clustering.py, lp_refine.py, dist/dlp.py and the two
- * contractions (sort the (owner, label) keys, reduce the runs, segment
- * argmax, bulk commit) stay as oracle and fallback.
+ * pipelines it replaced (sort the (owner, label) keys, reduce the runs,
+ * segment argmax, bulk commit) stay in tests/oracles.py as the reference.
  *
  * Seven exported functions, no state, no Python objects: ctypes calls them
  * with the GIL released.  The LP and contraction functions share one calling

@@ -26,6 +26,7 @@ from repro.core.refinement.balancer import rebalance
 from repro.core.refinement.fm_localized import fm_refine_localized
 from repro.core.refinement.fm_refine import fm_refine
 from repro.core.refinement.lp_refine import lp_refine
+from repro.graph import _native
 from repro.graph import access as graph_access
 from repro.graph.compressed import compress_graph
 from repro.memory.report import MemoryReport
@@ -79,12 +80,16 @@ def partition(
     ``graph`` may be a :class:`~repro.graph.csr.CSRGraph` or an
     already-compressed :class:`~repro.graph.compressed.CompressedGraph`.
     Returns a :class:`PartitionResult`; the partition array itself is
-    ``result.partition``.
+    ``result.partition``.  A graph whose weights the compiled kernels
+    cannot hold is refused before any work, with a ``ValueError`` naming
+    the bound (:func:`repro.graph._native.check_graph`).
     """
+    config = config or terapart()
+    _native.check_graph(graph, config.initial.attempts)
     return _run(
         graph,
         k,
-        config or terapart(),
+        config,
         tracker,
         runtime,
         lambda ctx, inv: _partition_phases(graph, ctx, inv),
@@ -119,8 +124,10 @@ def refine_partition(
     ``partition_in`` was computed.  Returns a full
     :class:`PartitionResult` with ``num_levels == 0``, traced and
     self-checked under the same ``config.obs`` / ``config.debug`` knobs as
-    :func:`partition`.
+    :func:`partition`, and refused as it refuses, but for the bisection's
+    bound: nothing is bisected here.
     """
+    _native.check_graph(graph, 0)
     part = np.ascontiguousarray(partition_in, dtype=np.int32)
     return _run(
         graph,
@@ -165,22 +172,6 @@ def _fm(pgraph, ctx, lmax) -> None:
         fm_refine(pgraph, ctx, lmax)
 
 
-def _exact_total(values: np.ndarray) -> int:
-    """The sum of int64 ``values`` as a Python int, never wrapped: numpy's
-    int64 sum where no partial sum can leave int64, else the high and low
-    32-bit halves summed apart (each fits) and joined."""
-    if len(values) == 0:
-        return 0
-    widest = max(abs(int(values.min())), abs(int(values.max())))
-    if widest * len(values) < 1 << 63:
-        return int(values.sum())
-    total = 0
-    for at in range(0, len(values), 1 << 30):
-        part = values[at : at + (1 << 30)]
-        total += (int((part >> 32).sum()) << 32) + int((part & 0xFFFFFFFF).sum())
-    return total
-
-
 def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     """The harness both entry points share.
 
@@ -188,15 +179,8 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     conflict detector, invariant checks, span tracer, decode counters,
     scratch ledger), runs ``phases(ctx, inv) -> (pgraph, num_levels,
     checks_run)``, tears the process-wide hooks down again and
-    assembles the :class:`PartitionResult`.  A graph whose total vertex
-    weight does not fit int64 is refused with a ``ValueError`` naming it.
+    assembles the :class:`PartitionResult`.
     """
-    total = _exact_total(np.asarray(graph.vwgt))
-    if not -(1 << 63) <= total < 1 << 63:
-        raise ValueError(
-            f"total vertex weight {total} does not fit in int64: the block weights "
-            "could not be summed"
-        )
     tracker = tracker if tracker is not None else MemoryTracker()
     dbg = config.debug
     runtime = runtime or ParallelRuntime(

@@ -2,8 +2,8 @@
  * seed scoring, the max-gain queue, the best move of every popped vertex,
  * the move, the gain table's delta updates and the rollback to the best
  * prefix -- on the gain table's own arrays (repro_fm_pass).  The Python pass
- * of fm_refine.py (_fm_pass, _best_move) and fm_localized.py (_run_search)
- * stays as oracle and fallback.
+ * it replaced (_fm_pass, _best_move, _run_search) stays in tests/oracles.py
+ * as the reference.
  *
  * One exported function, no state, no Python objects: ctypes calls it with
  * the GIL released.  Its arguments, in order:

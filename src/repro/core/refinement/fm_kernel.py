@@ -9,11 +9,11 @@ arrays, which stay numpy-owned and ledger-charged.  A global pass
 (:mod:`repro.core.refinement.fm_refine`) is one search seeded with every
 seed; a localized pass (:mod:`repro.core.refinement.fm_localized`) one
 search per seed.  The C header states the contract and why the pass is
-bit-identical to the Python one (``_fm_pass`` / ``_run_search`` over
-``_best_move``), which stays as oracle and fallback: :func:`bind` returns
-``None`` without the compiled library (:func:`repro.graph._native.fm_kernel`),
-for vertex weights whose sums the kernel cannot hold (as the LP rounds do)
-and for a table whose arrays it does not know.
+bit-identical to the Python pass it replaced (kept in ``tests/oracles.py``
+as its reference).  :func:`bind` refuses with a ``ValueError`` vertex
+weights whose sums the kernel cannot hold (as the LP rounds do), an abort
+slack outside ``[0, 2^62)`` and arrays it does not know; the entry points
+refuse such an input graph before any work.
 
 A CSR graph is read through its ``indptr`` / adjacency, a compressed graph
 through its degrees and byte stream, one neighbourhood decoded at a time,
@@ -38,7 +38,7 @@ from repro.core.kernels.lp_chunk import (
     stream_blocks,
 )
 from repro.graph import _native
-from repro.graph.access import hub_segments, vertex_segments
+from repro.graph.access import count_edges, hub_segments, vertex_segments
 from repro.memory.scratch import tracked_zeros
 
 #: the fields of the kernel's ``out`` (``fm_kernel.c``)
@@ -62,7 +62,7 @@ def _contiguous(a, dtype, shape) -> bool:
 
 def _table_args(table, n: int, k: int):
     """``(kind, keys, vals, offsets, dense, vals_len)`` of ``table`` as the
-    kernel takes it, or ``None`` for arrays it does not know."""
+    kernel takes it; a ``ValueError`` for arrays it does not know."""
     keys, vals, offsets, dense = table.kernel_arrays()
     if table.kind == "none":
         ok = True
@@ -72,8 +72,10 @@ def _table_args(table, n: int, k: int):
         ok = table.kind == "sparse" and _contiguous(vals, np.int64, (len(vals),))
         ok = ok and _contiguous(keys, np.int32, vals.shape)
         ok = ok and _contiguous(offsets, np.int64, (n + 1,)) and _contiguous(dense, np.bool_, (n,))
+    if not ok:
+        raise ValueError(f"the {table.kind} gain table's arrays are not what the kernel reads")
     size = 0 if vals is None else vals.size
-    return (_KINDS[table.kind], keys, vals, offsets, dense, size) if ok else None
+    return _KINDS[table.kind], keys, vals, offsets, dense, size
 
 
 def _source_args(graph) -> tuple[tuple, list]:
@@ -129,8 +131,12 @@ class FMPass:
         """Run one pass from ``seeds`` (a localized pass: one search each, in
         this order); ``locked`` is the pass's zeroed ``n``-byte lock array.
         Returns ``(improvement, moves kept, moves rolled back, searches)``
-        and adds the table's lock acquisitions / recompute edges to it."""
-        n = self._pgraph.graph.n
+        and adds the table's lock acquisitions / recompute edges to it.  A
+        global pass over a table that caches nothing reports the seeds'
+        neighbourhoods to the edge counters, read as a batched gain query
+        reads them."""
+        graph = self._pgraph.graph
+        n = graph.n
         seeds = np.ascontiguousarray(seeds, dtype=np.int64)
         if not _contiguous(locked, np.bool_, (n,)):
             raise ValueError(f"locked must be {n} contiguous booleans")
@@ -142,6 +148,8 @@ class FMPass:
         )  # fmt: skip
         if rc < 0:
             raise _refusal(rc, int(info[0]), int(info[1]))
+        if self._table.kind == "none" and not localized:
+            count_edges(graph, graph.degrees[seeds])
         if self._table.kind == "none":
             self._table.recompute_edges += int(out[RECOMPUTE])
         elif self._table.kind == "sparse":
@@ -167,23 +175,17 @@ def _refusal(rc: int, vertex: int, block: int) -> Exception:
     return ValueError(f"{_native.ERRORS[rc - _native.DECODE_ERROR]}{where} (corrupt stream?)")
 
 
-def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> FMPass | None:
-    """The compiled pass over ``pgraph`` and ``table``, or ``None`` where the
-    Python pass runs instead.  ``slack`` is a global pass's abort slack
-    (a localized search's is 2)."""
-    fn = _native.fm_kernel()
-    if fn is None or not 0 <= slack < _native.WEIGHT_LIMIT:
-        return None
+def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> FMPass:
+    """The compiled pass over ``pgraph`` and ``table``.  ``slack`` is a
+    global pass's abort slack (a localized search's is 2)."""
+    if not 0 <= slack < _native.WEIGHT_LIMIT:
+        raise ValueError(f"FM abort slack {slack} is outside [0, 2^62)")
     graph = pgraph.graph
     vwgt = _vertex_weights(graph)
-    if vwgt is None:
-        return None
     n, k = graph.n, pgraph.k
     if not _contiguous(pgraph.partition, np.int32, (n,)):
-        return None
+        raise ValueError(f"the partition must be {n} contiguous int32 block ids")
     if not _contiguous(pgraph.block_weights, np.int64, (k,)):
-        return None
+        raise ValueError(f"the block weights must be {k} contiguous int64 entries")
     table_args = _table_args(table, n, k)
-    if table_args is None:
-        return None
-    return FMPass(fn, pgraph, table, vwgt, max_block_weight, slack, table_args)
+    return FMPass(_native.fm_kernel(), pgraph, table, vwgt, max_block_weight, slack, table_args)

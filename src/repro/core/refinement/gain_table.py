@@ -18,8 +18,9 @@ matching Figure 7:
   probe gap, so each table is guarded by a (simulated) spinlock.
 
 All tables share one interface: ``affinity``, ``adjacent_blocks``,
-``apply_move``, ``nbytes`` and ``kernel_arrays`` (the arrays the compiled FM
-pass, ``fm_kernel.c``, updates in place).
+``nbytes`` and ``kernel_arrays`` (the arrays the compiled FM pass,
+``fm_kernel.c``, reads and updates in place: the gain queries and the
+updates after a move are the kernel's).
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ from repro.core.kernels.gains import (
     batch_hash_insert,
     entry_width_bits_bulk,
 )
-from repro.graph.access import (
-    chunk_adjacency,
-    full_adjacency,
-    segment_reduce_ratings,
-)
-from repro.memory.scratch import tracked_zeros
+from repro.graph.access import full_adjacency, segment_reduce_ratings
 
 
 def entry_width_bits(total_incident_weight: int) -> int:
@@ -79,45 +75,6 @@ class NoGainTable:
         self.recompute_edges += len(nbrs)
         return np.unique(self._pgraph.partition[nbrs])
 
-    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """(blocks, gains) for all adjacent blocks of ``u``."""
-        g = self._pgraph.graph
-        nbrs, wgts = g.neighbors_and_weights(u)
-        self.recompute_edges += len(nbrs)
-        blocks = self._pgraph.partition[np.asarray(nbrs)]
-        uniq, inv = np.unique(blocks, return_inverse=True)
-        aff = tracked_zeros(len(uniq), np.int64, name="gain-recompute-aff")
-        np.add.at(aff, inv, np.asarray(wgts))
-        cur = int(self._pgraph.partition[u])
-        cur_aff = int(aff[np.searchsorted(uniq, cur)]) if cur in uniq else 0
-        return uniq, aff - cur_aff
-
-    def gains_many(
-        self, us: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`gains`: ``(owner, blocks, gains)`` pair lists.
-
-        ``owner`` indexes into ``us``; blocks are ascending within each
-        owner, exactly the per-vertex :meth:`gains` output concatenated.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        e = np.empty(0, dtype=np.int64)
-        if len(us) == 0:
-            return e, e, e
-        g = self._pgraph.graph
-        owner, nbrs, wgts = chunk_adjacency(g, us)
-        self.recompute_edges += int(len(nbrs))
-        if len(owner) == 0:
-            return e, e, e
-        part = self._pgraph.partition
-        o, b, v = segment_reduce_ratings(
-            owner, part[nbrs].astype(np.int64), wgts, self._pgraph.k
-        )
-        return o, b, v - _current_affinities(part, us, o, b, v)
-
-    def apply_move(self, u: int, src: int, dst: int) -> None:
-        pass  # nothing cached
-
     def kernel_arrays(self) -> tuple[None, None, None, None]:
         """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
         table: nothing cached."""
@@ -125,16 +82,6 @@ class NoGainTable:
 
     def free(self, tracker=None) -> None:
         pass
-
-
-def _current_affinities(part, us, o, b, v) -> np.ndarray:
-    """Per-pair affinity of each owner's *current* block (0 when the owner
-    has no neighbor in its own block)."""
-    cur = part[us].astype(np.int64)
-    iscur = b == cur[o]
-    cur_aff = tracked_zeros(len(us), np.int64, name="gains-many-cur-aff")
-    cur_aff[o[iscur]] = v[iscur]
-    return cur_aff[o]
 
 
 class FullGainTable:
@@ -164,36 +111,6 @@ class FullGainTable:
 
     def adjacent_blocks(self, u: int) -> np.ndarray:
         return np.flatnonzero(self._table[u])
-
-    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        blocks = np.flatnonzero(self._table[u])
-        cur = int(self._pgraph.partition[u])
-        return blocks, self._table[u, blocks] - self._table[u, cur]
-
-    def gains_many(
-        self, us: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`gains` over the dense rows of ``us``."""
-        us = np.asarray(us, dtype=np.int64)
-        if len(us) == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, e
-        rows = self._table[us]
-        o, b = np.nonzero(rows)
-        o = o.astype(np.int64)
-        b = b.astype(np.int64)
-        v = rows[o, b]
-        cur = self._pgraph.partition[us].astype(np.int64)
-        return o, b, v - rows[o, cur[o]]
-
-    def apply_move(self, u: int, src: int, dst: int) -> None:
-        """Update neighbor affinities after ``u`` moved ``src -> dst``."""
-        g = self._pgraph.graph
-        nbrs, wgts = g.neighbors_and_weights(u)
-        nbrs = np.asarray(nbrs)
-        wgts = np.asarray(wgts)
-        np.subtract.at(self._table, (nbrs, src), wgts)
-        np.add.at(self._table, (nbrs, dst), wgts)
 
     def kernel_arrays(self) -> tuple[None, np.ndarray, None, None]:
         """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
@@ -264,15 +181,15 @@ class SparseGainTable:
             src, self._pgraph.partition[dst].astype(np.int64), wgt, self._pgraph.k
         )
         # dense rows scatter directly; hash rows insert via the rank-wave
-        # kernel, which reproduces the probe sequence of one `_insert_add`
-        # per pair (pairs arrive grouped by vertex, blocks ascending)
+        # kernel, which reproduces the probe sequence of one linear-probing
+        # insert per pair (pairs arrive grouped by vertex, blocks ascending)
         dense_pair = self._dense[po]
         if np.any(dense_pair):
             d = np.flatnonzero(dense_pair)
             self._vals[self._offsets[po[d]] + pb[d]] = pa[d]
         h = np.flatnonzero(~dense_pair)
         if len(h):
-            # one lock acquisition per hash insert, as `_insert_add` counts;
+            # one lock acquisition per hash insert, as a move's update counts;
             # aggregated affinities are > 0 (edge weights are positive), so
             # every pair lands as a fresh key
             self.lock_acquisitions += len(h)
@@ -305,51 +222,6 @@ class SparseGainTable:
                 return -(slot + 1)
             i = (i + 1) % cap
         raise RuntimeError(f"gain table for vertex {u} is full (degree bound violated?)")
-
-    def _insert_add(self, u: int, block: int, delta: int) -> None:
-        if self._dense[u]:
-            lo, _ = self._range(u)
-            self._vals[lo + block] += delta
-            return
-        self.lock_acquisitions += 1
-        slot = self._probe(u, block)
-        if slot >= 0:
-            self._vals[slot] += delta
-            if self._vals[slot] == 0:
-                self._delete_slot(u, slot)
-            elif self._vals[slot] < 0:
-                raise AssertionError(
-                    f"negative affinity at vertex {u}, block {block}"
-                )
-        else:
-            if delta == 0:
-                return
-            pos = -slot - 1
-            self._keys[pos] = block
-            self._vals[pos] = delta
-
-    def _delete_slot(self, u: int, slot: int) -> None:
-        """Backward-shift deletion: move up elements to close the gap [20]."""
-        lo, hi = self._range(u)
-        cap = hi - lo
-        i = slot - lo
-        self._keys[slot] = self.EMPTY
-        self._vals[slot] = 0
-        j = (i + 1) % cap
-        while self._keys[lo + j] != self.EMPTY:
-            k = int(self._keys[lo + j])
-            home = (k * 0x9E3779B1 & 0xFFFFFFFF) % cap
-            # can k move into the hole at i? yes iff home is cyclically
-            # outside (i, j]
-            if (j - home) % cap >= (j - i) % cap:
-                self._keys[lo + i] = k
-                self._vals[lo + i] = self._vals[lo + j]
-                self._keys[lo + j] = self.EMPTY
-                self._vals[lo + j] = 0
-                i = j
-            j = (j + 1) % cap
-            if j == (slot - lo):
-                break
 
     # -- interface ------------------------------------------------------ #
     @property
@@ -384,63 +256,11 @@ class SparseGainTable:
         mask = self._keys[lo:hi] != self.EMPTY
         return np.sort(self._keys[lo:hi][mask].astype(np.int64))
 
-    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        # one row read instead of a probe per adjacent block
-        lo, hi = self._range(u)
-        cur = int(self._pgraph.partition[u])
-        if self._dense[u]:
-            row = self._vals[lo:hi]
-            blocks = np.flatnonzero(row)
-            return blocks, row[blocks] - row[cur]
-        keys = self._keys[lo:hi]
-        mask = keys != self.EMPTY
-        blocks = keys[mask].astype(np.int64)
-        vals = self._vals[lo:hi][mask]
-        order = np.argsort(blocks, kind="stable")
-        blocks = blocks[order]
-        vals = vals[order]
-        j = int(np.searchsorted(blocks, cur))
-        cur_aff = int(vals[j]) if j < len(blocks) and blocks[j] == cur else 0
-        return blocks, vals - cur_aff
-
-    def gains_many(
-        self, us: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`gains`: gather every row of ``us`` in one pass."""
-        us = np.asarray(us, dtype=np.int64)
-        if len(us) == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, e
-        lo = self._offsets[us]
-        cap = self._caps[us]
-        total = int(cap.sum())
-        owner = np.repeat(np.arange(len(us), dtype=np.int64), cap)
-        seg = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(cap) - cap, cap
-        )
-        slots = np.repeat(lo, cap) + seg
-        vals = self._vals[slots]
-        dense_slot = np.repeat(self._dense[us], cap)
-        slot_keys = self._keys[slots]
-        # dense rows address blocks by slot position; hash rows by key
-        block = np.where(dense_slot, seg, slot_keys.astype(np.int64))
-        keep = np.where(dense_slot, vals != 0, slot_keys != self.EMPTY)
-        o, b, v = owner[keep], block[keep], vals[keep]
-        order = np.lexsort((b, o))
-        o, b, v = o[order], b[order], v[order]
-        return o, b, v - _current_affinities(self._pgraph.partition, us, o, b, v)
-
-    def apply_move(self, u: int, src: int, dst: int) -> None:
-        g = self._pgraph.graph
-        nbrs, wgts = g.neighbors_and_weights(u)
-        for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
-            self._insert_add(v, src, -w)
-            self._insert_add(v, dst, w)
-
     def kernel_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(keys, vals, offsets, dense)`` as the compiled FM pass takes a
         table: the slots, the row offsets and the dense-row flags, the slots
-        updated in place by :meth:`_insert_add`'s probe and delete rules."""
+        updated in place by the kernel's probe and backward-shift delete
+        rules (:meth:`_probe`'s hash and probe order)."""
         return self._keys, self._vals, self._offsets, self._dense
 
     def free(self, tracker=None) -> None:

@@ -6,11 +6,10 @@ subject to the balance constraint ``w(V_i) <= L_max``.  Memory is
 proportional to ``k`` rather than ``n`` (the paper notes it is negligible),
 so no ledger charges beyond block weights are needed.
 
-One compiled call per round like LP clustering (or the vectorized pipeline
-chunk by chunk, as oracle and fallback); moves commit sequentially with a
-re-check of the target block's weight.  Under the conflict detector the
-driver runs one chunk a call and records its shared accesses around
-whichever step runs.
+One compiled call per round like LP clustering; moves commit sequentially
+with a re-check of the target block's weight.  Under the conflict detector
+the driver runs one chunk a call and records its shared accesses around
+each step.
 """
 
 from __future__ import annotations
@@ -18,14 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels import (
-    bulk_size_constrained_commit,
-    move_gains,
-    segment_best_last,
-)
 from repro.core.kernels.lp_chunk import EDGES, MOVES, NANOS, refinement_round
 from repro.core.partition import PartitionedGraph
-from repro.graph.access import chunk_adjacency, segment_reduce_ratings
+from repro.graph.access import chunk_adjacency
 from repro.memory.scratch import tracked_empty
 from repro.verify.declarations import recorder_for
 
@@ -48,10 +42,8 @@ def lp_refine(
     vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
 
     A round -- every chunk rated, picked and committed in execution order --
-    is one call into ``lp_kernel.c`` when the compiled library is there,
-    else the numpy pipeline of :func:`_oracle_step`, chunk by chunk,
-    bit-identical; under a conflict detector one chunk a call, and
-    :func:`_recording` tells it what either step touched.
+    is one call into ``lp_kernel.c``; under a conflict detector one chunk a
+    call, and :func:`_recording` tells it what each step touched.
     """
     k = pgraph.k
     if k > np.iinfo(np.int32).max:
@@ -67,10 +59,8 @@ def lp_refine(
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
     kernel = refinement_round(g, pgraph.partition, pgraph.block_weights, max_block_weight)
-    step = kernel.step if kernel is not None else _oracle_step(pgraph, max_block_weight)
-    if rec.active:
-        step = _recording(step, rec, g, pgraph.partition)
-        kernel = None
+    # a round a call; under the detector one chunk a call
+    step = _recording(kernel.step, rec, g, pgraph.partition) if rec.active else None
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
@@ -79,7 +69,7 @@ def lp_refine(
         else:
             order = ctx.rng.permutation(frontier)
         with runtime.region(f"lp-refinement-round{_round}"):
-            if kernel is not None:
+            if step is None:
                 bounds, tids = runtime.chunk_bounds(len(order))
                 # the movers only feed the next round's frontier
                 moved = None if frontier is None else tracked_empty(len(order), name="lp-moved")
@@ -109,7 +99,7 @@ def lp_refine(
         if moves == 0:
             break
         if frontier is not None:
-            moved = moved[:moves] if kernel is not None else np.concatenate(moved)
+            moved = moved[:moves] if step is None else np.concatenate(moved)
             frontier = np.union1d(moved, chunk_adjacency(g, moved)[1])
     ctx.tracer.add("refine.lp_moves", total_moves)
     return total_moves
@@ -117,9 +107,8 @@ def lp_refine(
 
 def _recording(step, rec, graph, part):
     """``step`` with each chunk's shared accesses recorded, read off the
-    chunk and the step's outputs, so the kernel and the oracle record the
-    same sets: the neighbours' blocks, the movers' blocks and the weights of
-    their old and new blocks."""
+    chunk and the step's outputs: the neighbours' blocks, the movers' blocks
+    and the weights of their old and new blocks."""
 
     def recorded(chunk):
         nbrs = chunk_adjacency(graph, chunk)[1]
@@ -135,48 +124,3 @@ def _recording(step, rec, graph, part):
         return out
 
     return recorded
-
-
-def _oracle_step(pgraph, max_block_weight):
-    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    the ``step`` of :func:`repro.core.kernels.lp_chunk.refinement_round`, whose
-    round it is the oracle and fallback of, looped chunk by chunk."""
-    g = pgraph.graph
-    k = pgraph.k
-    part = pgraph.partition
-    vwgt = np.asarray(g.vwgt)
-    none = np.empty(0, dtype=np.int64)
-
-    def step(chunk):
-        owner, nbrs, wgts = chunk_adjacency(g, chunk)
-        if len(owner) == 0:
-            return None
-        po, pb, pr = segment_reduce_ratings(
-            owner, part[nbrs].astype(np.int64), wgts, k
-        )
-        us = chunk[po]
-        # gain of moving owner to block pb = pr - affinity(current block)
-        cur_of_owner = part[chunk].astype(np.int64)
-        gain, is_current = move_gains(po, pb, pr, cur_of_owner, len(chunk))
-        fits = pgraph.block_weights[pb] + vwgt[us] <= max_block_weight[pb]
-        ok = fits & ~is_current & (gain > 0)
-        if not np.any(ok):
-            return len(owner), none
-        po2, pb2, g2 = po[ok], pb[ok], gain[ok]
-        best = segment_best_last(po2, g2)
-        # commit against the real block-weight array; the kernel replays
-        # contended blocks in candidate order
-        mv_us = chunk[po2[best]]
-        mv_tgt = pb2[best]
-        acc = bulk_size_constrained_commit(
-            mv_tgt,
-            part[mv_us].astype(np.int64),
-            vwgt[mv_us],
-            pgraph.block_weights,
-            max_block_weight,
-        )
-        acc_us = mv_us[acc]
-        part[acc_us] = mv_tgt[acc].astype(np.int32)
-        return len(owner), acc_us
-
-    return step

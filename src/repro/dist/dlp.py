@@ -15,24 +15,16 @@ What one rank decides for one batch is a *pick*: one call into
 ``cluster_pick_step`` / ``refine_pick_step``), the rating map of
 shared-memory LP without its commit, which rates the rank's batch -- a
 compressed shard straight from its byte stream -- and returns the movers
-and their targets.  The numpy pipelines
-:func:`_cluster_oracle` / :func:`_refine_oracle` are its oracle and
-fallback, bit-identical: they run without the compiled library and for
-vertex weights the kernels refuse.  The commit stays the driver's own.
+and their targets.  The commit stays the driver's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import (
-    bulk_size_constrained_commit,
-    move_gains,
-    segment_best_last,
-)
+from repro.core.kernels import bulk_size_constrained_commit
 from repro.core.kernels.lp_chunk import cluster_pick_step, refine_pick_step
 from repro.dist.dgraph import DistributedGraph
-from repro.graph.access import chunk_adjacency, segment_reduce_ratings
 from repro.memory.scratch import tracked_zeros
 from repro.obs.dist.cluster import NULL_CLUSTER_OBSERVER
 
@@ -110,43 +102,6 @@ def _lp_round(
     return moved
 
 
-def _cluster_oracle(graph, labels, weights, max_cluster_weight):
-    """``pick(mine)`` of clustering in numpy: the oracle and fallback of
-    :func:`~repro.core.kernels.lp_chunk.cluster_pick_step`."""
-    vwgt = np.asarray(graph.vwgt)
-
-    def pick(mine):
-        owner, nbr, w = chunk_adjacency(graph, mine)
-        po, pl, ratings = segment_reduce_ratings(owner, labels[nbr], w, graph.n)
-        # ties favor the current label, then a jitter keyed by batch position
-        is_current = pl == labels[mine][po]
-        jitter = ((pl * 0x9E3779B1) ^ (po * 0x85EBCA6B)) >> 7 & 0x3F
-        best = segment_best_last(po, ((2 * ratings + is_current) << 6) | jitter)
-        us, pl = mine[po[best]], pl[best]
-        move = (pl != labels[us]) & (weights[pl] + vwgt[us] <= max_cluster_weight)
-        return us[move], pl[move]
-
-    return pick
-
-
-def _refine_oracle(graph, part, block_weights, k, max_block_weight):
-    """``pick(mine)`` of refinement in numpy: the oracle and fallback of
-    :func:`~repro.core.kernels.lp_chunk.refine_pick_step`."""
-    vwgt = np.asarray(graph.vwgt)
-
-    def pick(mine):
-        owner, nbr, w = chunk_adjacency(graph, mine)
-        po, pb, ratings = segment_reduce_ratings(owner, part[nbr], w, k)
-        gain, is_cur = move_gains(po, pb, ratings, part[mine], len(mine))
-        fits = block_weights[pb] + vwgt[mine[po]] <= max_block_weight
-        ok = fits & ~is_cur & (gain > 0)
-        po, pb = po[ok], pb[ok]
-        best = segment_best_last(po, gain[ok])
-        return mine[po[best]], pb[best]
-
-    return pick
-
-
 def distributed_lp_clustering(
     dgraph: DistributedGraph,
     max_cluster_weight: int,
@@ -190,9 +145,7 @@ def distributed_lp_clustering(
         )
 
     maps = tracked_zeros((3, n), name="dlp-rating-map")
-    pick = cluster_pick_step(
-        graph, labels, weights, max_cluster_weight, maps
-    ) or _cluster_oracle(graph, labels, weights, max_cluster_weight)
+    pick = cluster_pick_step(graph, labels, weights, max_cluster_weight, maps)
 
     def commit(us, ls):
         # in rank order; a target the batch overfilled rejects the late
@@ -221,7 +174,6 @@ def distributed_lp_refine(
     dgraph: DistributedGraph,
     partition: np.ndarray,
     block_weights: np.ndarray,
-    k: int,
     max_block_weight: int,
     rounds: int,
     batches: int,
@@ -233,9 +185,7 @@ def distributed_lp_refine(
     comm = dgraph.comm
     graph = dgraph.graph
     vwgt = np.asarray(graph.vwgt)
-    pick = refine_pick_step(
-        graph, partition, block_weights, max_block_weight
-    ) or _refine_oracle(graph, partition, block_weights, k, max_block_weight)
+    pick = refine_pick_step(graph, partition, block_weights, max_block_weight)
 
     def commit(us, bs):
         # the stale weight check may overfill; the rebalancer repairs it

@@ -34,6 +34,7 @@ from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
 from repro.dist.dlp import distributed_lp_clustering, distributed_lp_refine
+from repro.graph import _native
 from repro.graph.access import crossing_weight, segment_reduce_ratings
 from repro.graph.compressed import decompress_graph
 from repro.memory.scratch import tracked_zeros
@@ -169,6 +170,10 @@ def _contract_distributed(
     return dcoarse, fine_to_coarse
 
 
+#: bisection attempts of each rank's initial partitioning
+INITIAL_ATTEMPTS = 2
+
+
 def dpartition(
     graph,
     k: int,
@@ -190,8 +195,11 @@ def dpartition(
     collective is attributed to the span that issued it, and the result
     carries the observer (``trace``) plus the memory-ratio registry
     (``obs``), frozen at return from the communicator's ledger.  Tracing
-    never perturbs the partition (bit-identical, tested).
+    never perturbs the partition (bit-identical, tested).  A graph whose
+    weights the compiled kernels cannot hold is refused before any work, with
+    a ``ValueError`` naming the bound (:func:`repro.graph._native.check_graph`).
     """
+    _native.check_graph(graph, INITIAL_ATTEMPTS)
     cfg = config or DistConfig()
     comm = (
         comm_or_ranks
@@ -271,7 +279,7 @@ def dpartition(
                     k,
                     cfg.epsilon,
                     np.random.default_rng(cfg.seed * 1000 + r),
-                    attempts=2,
+                    attempts=INITIAL_ATTEMPTS,
                     fm_rounds=1,
                 )
                 cut = PartitionedGraph(coarsest, k, part).cut_weight()
@@ -297,7 +305,6 @@ def dpartition(
                         cur_graph,
                         partition,
                         bw,
-                        k,
                         lmax,
                         cfg.refine_rounds,
                         cfg.batches,

@@ -1,4 +1,4 @@
-"""Loader of the optional compiled kernels: the codec's chunk decode and
+"""Loader of the compiled kernels: the codec's chunk decode and
 packet encoder (``decode_kernel.c``), initial partitioning's searches,
 attempt pool and subgraph split (``core/initial/bisection_kernel.c``), the
 rating map of label
@@ -7,14 +7,19 @@ propagation's rounds and picks and of contraction
 (``core/refinement/fm_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
-per-user cache directory, loaded through :mod:`ctypes`.  Nothing selects a
-kernel but availability: with no compiler, a failed build, a library that
-does not load or a symbol that does not resolve, the six getters
-:func:`decode_kernel`, :func:`encode_kernel`, :func:`bisection_kernels`,
-:func:`lp_kernels`, :func:`contraction_kernels` and :func:`fm_kernel` return
-``None`` and their callers run the numpy / Python oracles.
-``REPRO_NATIVE=0`` (read at import) forces that answer, so a whole test run
-can be held on the oracles.
+per-user cache directory, loaded through :mod:`ctypes`.  The kernels are
+required: every hot phase has this one implementation.  No compiler, a
+failed build, a library that does not load or a symbol that does not
+resolve raises :class:`NativeBuildError` from :func:`library` and the six
+getters (:func:`decode_kernel`, :func:`encode_kernel`,
+:func:`bisection_kernels`, :func:`lp_kernels`, :func:`contraction_kernels`,
+:func:`fm_kernel`), naming the compiler command and its stderr or the
+missing symbol; the error is kept for the process, like the library.
+
+:func:`check_graph` states the inputs the kernels' integer arithmetic
+holds on an input graph, so that the entry points refuse the rest before
+any work: contraction only sums weights, so a bound that holds on the input
+holds at every coarse level.
 
 The library is named by the sha256 of every source, flags, compiler and
 platform, written under a temporary name and published with one
@@ -38,6 +43,8 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
+
 _SOURCES = (
     Path(__file__).with_name("decode_kernel.c"),
     Path(__file__).parents[1] / "core" / "initial" / "bisection_kernel.c",
@@ -47,7 +54,6 @@ _SOURCES = (
 # no fused multiply-add and no errno: the pool's skip rule rounds every
 # double operation once, as Python does, and sqrt is the bare instruction
 _FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno"]
-_DISABLED = os.environ.get("REPRO_NATIVE") == "0"
 
 #: the codec's one error enum: what ``repro_decode_chunk`` returns for a
 #: stream it refuses and ``repro_encode_run`` for a run it refuses
@@ -105,9 +111,110 @@ FM_ERRORS = {
 #: of ERRORS)
 DECODE_ERROR = -100
 
-#: the kernels sum vertex weights in int64: the callers hand them only
-#: weights >= 0 whose total stays below this (else the oracles run)
+#: the kernels sum vertex weights in int64: they take only weights >= 0
+#: whose total stays below this
 WEIGHT_LIMIT = 1 << 62
+#: the bisection pool's skip rule divides cut sums as doubles: every cut a
+#: pool sums stays below this, so each converts exactly
+CUT_SUM_LIMIT = 1 << 53
+
+
+class NativeBuildError(RuntimeError):
+    """The compiled kernels could not be built or loaded: the compiler
+    command and its stderr, or the symbol the library lacks."""
+
+
+def exact_sum(values) -> int:
+    """The sum of int64 ``values`` as a Python int, never wrapped: numpy's
+    int64 sum where no partial sum can leave int64, else the high and low
+    32-bit halves summed apart (each fits) and joined."""
+    values = np.asarray(values)
+    if len(values) == 0:
+        return 0
+    widest = max(abs(int(values.min())), abs(int(values.max())))
+    if widest * len(values) < 1 << 63:
+        return int(values.sum())
+    total = 0
+    for at in range(0, len(values), 1 << 30):
+        part = values[at : at + (1 << 30)]
+        total += (int((part >> 32).sum()) << 32) + int((part & 0xFFFFFFFF).sum())
+    return total
+
+
+def vertex_weight_error(vwgt) -> str | None:
+    """Why the kernels cannot sum the vertex weights ``vwgt``, or ``None``:
+    a negative weight, or a total of :data:`WEIGHT_LIMIT` or more."""
+    vwgt = np.asarray(vwgt)
+    if len(vwgt) == 0:
+        return None
+    values = vwgt[:1] if vwgt.strides == (0,) else vwgt
+    if int(values.min()) < 0:
+        return "a vertex weight is negative"
+    if int(values.max()) * len(vwgt) < WEIGHT_LIMIT:
+        return None
+    total = int(values[0]) * len(vwgt) if vwgt.strides == (0,) else exact_sum(values)
+    if total >= WEIGHT_LIMIT:
+        return f"the total vertex weight {total} is not below 2^62"
+    return None
+
+
+def edge_weight_sum(graph) -> int:
+    """``W``: the sum of |edge weight| over the directed edges of ``graph``,
+    which bounds every coarse graph's, every subgraph's and every vertex's
+    incident weight sum (a compressed graph's was summed at compression)."""
+    if not graph.has_edge_weights:
+        return graph.num_directed_edges
+    if not hasattr(graph, "adjwgt"):
+        return graph.edge_weight_sum
+    return exact_sum(np.abs(np.asarray(graph.adjwgt)))
+
+
+def slack_error(edge_weight_sum: int) -> str | None:
+    """Why k-way FM's abort slack, ten average edge weights of a level, may
+    leave ``[0, 2^62)`` on a graph of |edge weight| sum ``edge_weight_sum``
+    (no level's average exceeds it), or ``None``."""
+    if 10 * edge_weight_sum >= WEIGHT_LIMIT:
+        return (
+            f"10 W is not below 2^62 (W = {edge_weight_sum} summed |edge weights|, "
+            f"k-way FM's abort slack)"
+        )
+    return None
+
+
+def cut_sum_error(attempts: int, edge_weight_sum: int) -> str | None:
+    """Why a bisection pool of ``attempts`` cannot sum its cuts exactly as
+    doubles, or ``None``."""
+    if max(1, attempts) * edge_weight_sum >= CUT_SUM_LIMIT:
+        return (
+            f"attempts * W is not below 2^53 ({max(1, attempts)} bisection attempts, "
+            f"W = {edge_weight_sum} summed |edge weights|)"
+        )
+    return None
+
+
+def check_graph(graph, attempts: int) -> None:
+    """Refuse, with one ``ValueError`` naming the bound, an input graph whose
+    weights the kernels' integer arithmetic cannot hold at some level of a
+    run whose initial partitioning makes ``attempts`` bisection attempts (0:
+    a warm start, which bisects nothing): vertex weights negative or summing
+    to 2^62 or more, ``10 W`` not below 2^62, or ``attempts * W`` not below
+    2^53 (``W``: :func:`edge_weight_sum`).  Contraction only sums weights
+    and subgraphs only drop them, so each bound holds at every coarse level
+    once it holds here.  A CSR graph's ``W`` is summed only when its cheap
+    bound, the heaviest |weight| times the edges, fails a bound."""
+    why = vertex_weight_error(graph.vwgt)
+    if why is None:
+        def error(total):
+            return slack_error(total) or (cut_sum_error(attempts, total) if attempts else None)
+
+        if graph.has_edge_weights and hasattr(graph, "adjwgt"):  # CSR
+            w = np.asarray(graph.adjwgt)
+            heaviest = max(abs(int(w.min(initial=0))), abs(int(w.max(initial=0))))
+            why = error(heaviest * graph.num_directed_edges) and error(edge_weight_sum(graph))
+        else:
+            why = error(edge_weight_sum(graph))
+    if why is not None:
+        raise ValueError(f"graph refused: {why}")
 
 
 def clamp_weight(weight: int) -> int:
@@ -245,10 +352,16 @@ def _build(cache: Path) -> Path:
     if not lib.exists():
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
         os.close(fd)
+        cmd = [*cc, *_FLAGS, "-o", tmp, *map(str, _SOURCES)]
         try:
-            cmd = [*cc, *_FLAGS, "-o", tmp, *map(str, _SOURCES)]
-            subprocess.run(cmd, check=True, capture_output=True, timeout=120)
+            subprocess.run(cmd, check=True, capture_output=True, text=True, timeout=120)
             os.replace(tmp, lib)
+        except (OSError, subprocess.SubprocessError) as exc:
+            stderr = (getattr(exc, "stderr", None) or "").strip()
+            raise NativeBuildError(
+                f"building the compiled kernels failed: {shlex.join(cmd)}: "
+                + (stderr or str(exc))
+            ) from exc
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -258,55 +371,61 @@ def _build(cache: Path) -> Path:
 def _load() -> dict:
     cache, ephemeral = _cache_dir()
     try:
-        lib = ctypes.CDLL(str(_build(cache)))
+        path = _build(cache)
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError as exc:
+            raise NativeBuildError(f"loading the compiled kernels failed: {exc}") from exc
     finally:
         if ephemeral:  # the mapping outlives the file
             shutil.rmtree(cache, ignore_errors=True)
     functions = {}
     for name, argtypes in SIGNATURES.items():
-        fn = getattr(lib, name)
+        try:
+            fn = getattr(lib, name)
+        except AttributeError as exc:
+            raise NativeBuildError(f"the compiled kernels lack the symbol {name}") from exc
         fn.argtypes = argtypes
         fn.restype = _i64
         functions[name] = fn
     return functions
 
 
-def library() -> dict | None:
-    """``{symbol: ctypes function}`` for all of :data:`SIGNATURES`, or ``None``
-    if unavailable.
+def library() -> dict:
+    """``{symbol: ctypes function}`` for all of :data:`SIGNATURES`.
 
-    The first call builds and loads; the answer, either way, is kept for the
-    process.
+    The first call builds and loads; the answer, the library or the
+    :class:`NativeBuildError` raised, is kept for the process.
     """
     global _library, _loaded
     if not _loaded:
         with _lock:
-            if not _loaded and not _DISABLED:
+            if not _loaded:
                 try:
                     _library = _load()
-                except (OSError, subprocess.SubprocessError, AttributeError):
-                    _library = None
-            _loaded = True
+                except NativeBuildError as exc:
+                    _library = exc
+                _loaded = True
+    if isinstance(_library, NativeBuildError):
+        raise _library
     return _library
 
 
 def decode_kernel():
-    """The ``repro_decode_chunk`` ctypes function, or ``None`` if unavailable."""
-    lib = library()
-    return lib and lib["repro_decode_chunk"]
+    """The ``repro_decode_chunk`` ctypes function."""
+    return library()["repro_decode_chunk"]
 
 
 def encode_kernel():
-    """The ``repro_encode_run`` ctypes function, or ``None`` if unavailable."""
-    lib = library()
-    return lib and lib["repro_encode_run"]
+    """The ``repro_encode_run`` ctypes function."""
+    return library()["repro_encode_run"]
 
 
 def bisection_kernels():
     """``(greedy_graph_growing, bfs_growing, fm2way, bisect_pool, split)``
-    ctypes functions of ``bisection_kernel.c``, or ``None`` if unavailable."""
+    ctypes functions of ``bisection_kernel.c``."""
     lib = library()
-    return lib and (
+    return (
         lib["repro_greedy_graph_growing"],
         lib["repro_bfs_growing"],
         lib["repro_fm2way"],
@@ -317,9 +436,9 @@ def bisection_kernels():
 
 def lp_kernels():
     """``(cluster_round, refine_round, cluster_pick, refine_pick)`` ctypes
-    functions of ``lp_kernel.c``, or ``None`` if unavailable."""
+    functions of ``lp_kernel.c``."""
     lib = library()
-    return lib and (
+    return (
         lib["repro_lp_cluster_round"],
         lib["repro_lp_refine_round"],
         lib["repro_lp_cluster_pick"],
@@ -329,18 +448,11 @@ def lp_kernels():
 
 def contraction_kernels():
     """``(contract_chunk, group_by_label)`` ctypes functions of
-    ``lp_kernel.c``, or ``None`` if unavailable."""
+    ``lp_kernel.c``."""
     lib = library()
-    return lib and (lib["repro_contract_chunk"], lib["repro_group_by_label"])
+    return lib["repro_contract_chunk"], lib["repro_group_by_label"]
 
 
 def fm_kernel():
-    """The ``repro_fm_pass`` ctypes function of ``fm_kernel.c``, or ``None``
-    if unavailable."""
-    lib = library()
-    return lib and lib["repro_fm_pass"]
-
-
-def available() -> bool:
-    """True if the compiled library is loaded (loading it now if need be)."""
-    return library() is not None
+    """The ``repro_fm_pass`` ctypes function of ``fm_kernel.c``."""
+    return library()["repro_fm_pass"]

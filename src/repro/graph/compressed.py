@@ -26,11 +26,11 @@ Each neighborhood is encoded independently into one contiguous byte array:
 Like CSR, per-vertex byte offsets into the edge array are kept in an
 ``n+1``-entry pointer array.
 
-Both directions of the codec have a compiled kernel in ``decode_kernel.c``
+Both directions of the codec run a compiled kernel in ``decode_kernel.c``
 (loaded by :mod:`repro.graph._native`): the chunk decode behind
 :meth:`CompressedGraph.decode_chunk` and the packet encoder behind
-:func:`_encode_low_degree_bulk`.  The numpy code beside each is its oracle
-and the fallback without a compiler.
+:func:`_encode_low_degree_bulk`.  The per-vertex block codec here serves
+the chunk-encoded hubs and is the scalar reference.
 """
 
 from __future__ import annotations
@@ -44,16 +44,12 @@ from repro.graph import _native
 from repro.graph.csr import CSRGraph, _ones_like_view
 from repro.graph.varint import (
     as_byte_array,
-    decode_region_bulk,
     decode_signed_varint,
     decode_stream_bulk,
     decode_varint,
     encode_signed_varint,
-    encode_stream_bulk,
     encode_varint,
-    varint_lengths,
     zigzag_decode,
-    zigzag_encode,
     MAX_VARINT64_BYTES,
 )
 from repro.memory.scratch import tracked_empty, tracked_ones, tracked_zeros
@@ -304,6 +300,7 @@ class CompressedGraph:
         config: CompressionConfig,
         stats: CompressionStats,
         total_edge_weight: int | None = None,
+        edge_weight_sum: int | None = None,
     ) -> None:
         self._n = n
         self._num_directed = num_directed_edges
@@ -317,6 +314,10 @@ class CompressedGraph:
         self._total_vertex_weight = int(n if vwgt is None else self.vwgt.sum())
         self._total_edge_weight = (
             num_directed_edges if total_edge_weight is None else total_edge_weight
+        )
+        # the sum of |edge weight|, which repro.graph._native bounds
+        self.edge_weight_sum = (
+            self._total_edge_weight if edge_weight_sum is None else edge_weight_sum
         )
         self.sorted_neighborhoods = True
         self._data_u8 = as_byte_array(data)
@@ -484,12 +485,9 @@ class CompressedGraph:
         """Flattened adjacency ``(owner, neighbors, weights)`` of a vertex chunk.
 
         ``owner[i]`` is the index within ``chunk`` of the vertex owning edge
-        ``i``.  All non-chunked neighborhoods of the chunk are decoded by the
-        compiled kernel when :mod:`repro.graph._native` could load it, else
-        in a few numpy passes over the gathered byte region
-        (:meth:`_decode_chunk_simple`, which tests keep as the oracle: same
-        arrays, same refusals).  High-degree chunked vertices go through the
-        per-vertex block decoder and are spliced in on either path.
+        ``i``.  All non-chunked neighborhoods of the chunk are decoded by one
+        call into the compiled kernel; high-degree chunked vertices go
+        through the per-vertex block decoder and are spliced in.
         """
         chunk = np.asarray(chunk, dtype=np.int64)
         if self._decode_cache is not None:
@@ -514,10 +512,7 @@ class CompressedGraph:
         if total == 0:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
-        kernel = _native.decode_kernel()
-        if kernel is None:
-            return self._decode_chunk_oracle(chunk, degs, total)
-        return self._decode_chunk_native(kernel, chunk, degs, total)
+        return self._decode_chunk_native(chunk, degs, total)
 
     @property
     def max_plain_degree(self) -> int:
@@ -551,7 +546,7 @@ class CompressedGraph:
         self._byte_ranges_checked = True
 
     def _decode_chunk_native(
-        self, kernel, chunk: np.ndarray, degs: np.ndarray, total: int
+        self, chunk: np.ndarray, degs: np.ndarray, total: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One call into ``decode_kernel.c``, whose header states the contract:
         reads stay inside a vertex's byte range, writes inside its ``deg``
@@ -569,7 +564,7 @@ class CompressedGraph:
             2 * (min(max_deg, hub_deg) // MIN_INTERVAL_LEN), name="decode-native-intervals"
         )
         bad = ctypes.c_int64()
-        rc = kernel(
+        rc = _native.decode_kernel()(
             self._data_u8.ctypes.data, len(self._data_u8), self.offsets.ctypes.data, self._n,
             chunk.ctypes.data, degs.ctypes.data, len(chunk), hub_deg, self.config.enable_intervals,
             owner.ctypes.data, nbrs.ctypes.data, None if wgts is None else wgts.ctypes.data, total,
@@ -591,7 +586,7 @@ class CompressedGraph:
         return owner, nbrs, wgts
 
     def _decode_hub(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The per-vertex decode both chunk decoders splice in for a vertex
+        """The per-vertex decode the chunk decoder splices in for a vertex
         above the chunking threshold.  A corrupt header can make any vertex
         look like one; its bytes are then not chunk-encoded, and whatever the
         block decoder trips over is reported as the stream's fault."""
@@ -603,166 +598,6 @@ class CompressedGraph:
             ) from exc
         if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < self._n:
             raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
-        return nbrs, wgts
-
-    def _decode_chunk_oracle(
-        self, chunk: np.ndarray, degs: np.ndarray, total: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        C = len(chunk)
-        owner = np.repeat(np.arange(C, dtype=np.int64), degs)
-        # runs of simple vertices are decoded in bulk; the chunked vertices
-        # between them go through the per-vertex block decoder
-        parts = []
-        a = 0
-        hubs = np.flatnonzero(degs > self.config.high_degree_threshold).tolist()
-        for h in [*hubs, C]:
-            if h > a:
-                parts.append(self._decode_chunk_simple(chunk[a:h], degs[a:h]))
-            if h < C:
-                parts.append(self._decode_hub(int(chunk[h])))
-            a = h + 1
-        nbrs, wgts = parts[0]
-        if len(parts) > 1:
-            nbrs = np.concatenate([p[0] for p in parts])
-            if wgts is not None:
-                wgts = np.concatenate([p[1] for p in parts])
-        if wgts is None:
-            wgts = _ones_like_view(total)
-        return owner, nbrs, wgts
-
-    def _decode_chunk_simple(
-        self, chunk: np.ndarray, degs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Vectorized decode of non-chunked neighborhoods.
-
-        One byte gather, one terminator mask, one VarInt assembly over the
-        whole region; then the interval/residual/weight sub-streams of every
-        vertex are located arithmetically and undone with shared segmented
-        cumsums instead of per-vertex loops.  Every segmented index is
-        ``repeat(base - cum, counts) + arange(total)``: one repeat a gather.
-        """
-        weighted = self._has_edge_weights
-        C = len(chunk)
-        total = int(degs.sum())
-        byte_start = self.offsets[chunk]
-        byte_len = self.offsets[chunk + 1] - byte_start
-        tot_b = int(byte_len.sum())
-        gstart = np.cumsum(byte_len) - byte_len
-        if C and int(chunk[-1] - chunk[0]) == C - 1 and np.all(np.diff(chunk) == 1):
-            block = self._data_u8[int(byte_start[0]) : int(byte_start[0]) + tot_b]
-        else:
-            gather = np.repeat(byte_start - gstart, byte_len) + np.arange(
-                tot_b, dtype=np.int64
-            )
-            block = self._data_u8[gather]
-        vals, vstarts = decode_region_bulk(block)
-        nvals = len(vals)
-        first_val = np.searchsorted(vstarts, gstart)
-        if not nvals or not np.array_equal(
-            vstarts[np.minimum(first_val, nvals - 1)], gstart
-        ):
-            raise ValueError("neighborhood boundary not on a varint boundary")
-        end_val = np.append(first_val[1:], nvals)  # one past a vertex's values
-        has_body = degs > 0
-
-        # interval section: count, per-interval (left, length) undo
-        L = tracked_zeros(C, np.int64, name="decode-simple-scratch")
-        res_base = first_val + 1
-        totI = 0
-        if self.config.enable_intervals:
-            nI = np.where(has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0)
-            # a corrupt count must not reach past the vertex's own values
-            if np.any(nI > (end_val - res_base - has_body) // 2):
-                raise ValueError("interval count past neighborhood (corrupt stream?)")
-            res_base += has_body + 2 * nI
-            totI = int(nI.sum())
-        if totI:
-            hasI = nI > 0
-            cumI = np.cumsum(nI) - nI
-            slot = np.repeat(first_val + 2 - 2 * cumI, nI) + 2 * np.arange(
-                totI, dtype=np.int64
-            )
-            raw_gap = vals[slot]
-            ilen = vals[slot + 1]
-            if int(ilen.max()) > int(degs.max()):  # also keeps the sums below exact
-                raise ValueError("interval lengths exceed degree (corrupt stream?)")
-            ilen += MIN_INTERVAL_LEN
-            # index of each vertex's first interval entry (vertices w/ nI>0)
-            fidx = cumI[hasI]
-            adj = raw_gap.copy()
-            adj[1:] += ilen[:-1]
-            adj[fidx] = chunk[hasI] + zigzag_decode(raw_gap[fidx])
-            csum = np.cumsum(adj)
-            seg_base = csum[fidx] - adj[fidx]
-            lefts = csum - np.repeat(seg_base, nI[hasI])
-            L[hasI] = np.add.reduceat(ilen, fidx)
-
-        # residual section: u-relative signed first value, then +1 gaps
-        n_res = degs - L
-        if np.any(n_res < 0):
-            raise ValueError("interval lengths exceed degree (corrupt stream?)")
-        if not np.array_equal(res_base + n_res + (degs if weighted else 0), end_val):
-            raise ValueError("neighborhood value count mismatch (corrupt stream?)")
-        totR = total - int(L.sum())
-        if totR:
-            hasR = n_res > 0
-            cumR = np.cumsum(n_res) - n_res
-            raw = vals[
-                np.repeat(res_base - cumR, n_res) + np.arange(totR, dtype=np.int64)
-            ]
-            fidx = cumR[hasR]
-            adjR = raw + 1
-            adjR[fidx] = chunk[hasR] + zigzag_decode(raw[fidx])
-            csum = np.cumsum(adjR)
-            seg_base = csum[fidx] - adjR[fidx]
-            res_ids = csum - np.repeat(seg_base, n_res[hasR])
-            if int(res_ids.min()) < 0 or int(res_ids.max()) >= self._n:
-                raise ValueError("neighbor id out of range (corrupt stream?)")
-        if totI and (int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n):
-            raise ValueError("neighbor id out of range (corrupt stream?)")
-
-        # weight section: signed gap undo against the sorted neighbor order
-        wgts = None
-        if weighted:
-            cumD = np.cumsum(degs) - degs
-            adjW = zigzag_decode(
-                vals[
-                    np.repeat(res_base + n_res - cumD, degs)
-                    + np.arange(total, dtype=np.int64)
-                ]
-            )
-            csum = np.cumsum(adjW)
-            fidx = cumD[has_body]
-            seg_base = csum[fidx] - adjW[fidx]
-            wgts = csum - np.repeat(seg_base, degs[has_body])
-
-        if not totI:
-            return res_ids if totR else np.empty(0, dtype=np.int64), wgts
-        cumlen = np.cumsum(ilen) - ilen
-        iota = np.arange(total - totR, dtype=np.int64)
-        exp_vals = np.repeat(lefts - cumlen, ilen) + iota
-        if not totR:
-            return exp_vals, wgts
-        # assemble: merge the (sorted) interval and residual streams of each
-        # vertex without sorting.  An interval contains no residual, so all
-        # its elements sit above the same number of residuals: one
-        # searchsorted of the interval lefts into the owner-major residual
-        # keys (owner = position in chunk, so keys are globally sorted even
-        # for permuted chunks); the residuals fill the slots left free.
-        stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
-        res_keys = np.repeat(stride, n_res) + res_ids
-        iv_keys = np.repeat(stride, nI) + lefts
-        below = np.searchsorted(res_keys, iv_keys)
-        if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
-            raise ValueError("interval contains a residual (corrupt stream?)")
-        slots = np.repeat(below, ilen) + iota
-        nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
-        free = tracked_ones(total, bool, name="decode-simple-free")
-        nbrs[slots] = exp_vals
-        free[slots] = False
-        if np.count_nonzero(free) != totR:
-            raise ValueError("intervals overlap (corrupt stream?)")
-        nbrs[free] = res_ids
         return nbrs, wgts
 
     # -- optional decoded-chunk cache -------------------------------------#
@@ -989,22 +824,15 @@ def _encode_low_degree_bulk(
     bytes and each vertex's byte start within them, byte-identical to
     per-vertex :func:`encode_neighborhood` calls on the sorted rows.
 
-    With the compiled library loaded, ``repro_encode_run``
-    (``decode_kernel.c``) is called twice: a size pass that checks the run
-    and returns its exact byte count, then a write pass into a buffer of
-    exactly that size.  A descent inside a row comes back from the size
-    pass as a code; the rows are then sorted and sized again.  Without the
-    library (or under ``REPRO_NATIVE=0``) :func:`_encode_low_degree_oracle`
-    computes the same in numpy.  Either way a row the codec cannot hold --
-    a neighbor listed twice, a weight gap whose sign fold does not fit 63
-    bits -- raises a ``ValueError`` naming the vertex before a byte of the
-    run exists.
+    ``repro_encode_run`` (``decode_kernel.c``) is called twice: a size
+    pass that checks the run and returns its exact byte count, then a write
+    pass into a buffer of exactly that size.  A descent inside a row comes
+    back from the size pass as a code; the rows are then sorted and sized
+    again.  A row the codec cannot hold -- a neighbor listed twice, a
+    weight gap whose sign fold does not fit 63 bits -- raises a
+    ``ValueError`` naming the vertex before a byte of the run exists.
     """
     kernel = _native.encode_kernel()
-    if kernel is None:
-        if _descends(first_edge, nb):
-            nb, w = _sort_rows(first_edge, nb, w)
-        return _encode_low_degree_oracle(lo, first_edge, nb, w, cfg, stats)
     nl = len(first_edge) - 1
     first_edge = np.ascontiguousarray(first_edge, dtype=np.int64)
     nb = np.ascontiguousarray(nb, dtype=np.int64)
@@ -1037,141 +865,6 @@ def _encode_low_degree_bulk(
     stats.header_bytes += header_bytes
     stats.weight_bytes += weight_bytes
     return blob, starts
-
-
-def _descends(first_edge: np.ndarray, nb: np.ndarray) -> bool:
-    """A descent inside a row (the kernel reports one as a code)."""
-    if len(nb) < 2:
-        return False
-    edge = first_edge - first_edge[0]
-    row_start = tracked_zeros(len(nb), bool, name="compress-row-starts")
-    row_start[edge[:-1][np.diff(edge) > 0]] = True
-    return bool(np.any((nb[1:] < nb[:-1]) & ~row_start[1:]))
-
-
-def _encode_low_degree_oracle(
-    lo: int,
-    first_edge: np.ndarray,
-    nb: np.ndarray,
-    w: np.ndarray | None,
-    cfg: CompressionConfig,
-    stats: CompressionStats,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The numpy encoder of sorted rows, :func:`_encode_low_degree_bulk`'s
-    oracle and fallback.
-
-    Builds the *value sequence* -- per vertex: header, [interval count],
-    [interval pairs], [residual gaps], [weight gaps] -- with pure array
-    arithmetic, then VarInt-encodes all values at once.
-    """
-    nl = len(first_edge) - 1
-    deg = np.diff(first_edge)
-    tot = len(nb)
-    owner = np.repeat(np.arange(nl, dtype=np.int64), deg)
-    row_ofs = first_edge[:-1] - first_edge[0]
-    pos_in_row = np.arange(tot, dtype=np.int64) - row_ofs[owner]
-
-    # refused in the kernel's order: the first row holding a repeat or a
-    # weight gap too wide, the repeat first within a row
-    repeat_row = wide_row = nl
-    if tot > 1:
-        repeat = np.flatnonzero((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1]))
-        if len(repeat):
-            repeat_row = int(owner[repeat[0] + 1])
-    w_gap = None
-    if w is not None and tot:
-        w_gap = _weight_gaps(w, pos_in_row == 0)
-        wide = np.flatnonzero((w_gap >= _FOLD_LIMIT) | (w_gap <= -_FOLD_LIMIT))
-        if len(wide):
-            wide_row = int(owner[wide[0]])
-    if min(repeat_row, wide_row) < nl:
-        if repeat_row <= wide_row:
-            _refuse(lo + repeat_row, _native.ENCODE_DUPLICATE)
-        _refuse(lo + wide_row, _native.ENCODE_WEIGHT)
-    stats.num_neighborhoods += nl
-
-    # interval detection: maximal runs of consecutive IDs, len >= 3
-    if cfg.enable_intervals:
-        run_start = np.ones(tot, dtype=bool)
-        if tot > 1:
-            run_start[1:] = (owner[1:] != owner[:-1]) | (nb[1:] != nb[:-1] + 1)
-        run_id = np.cumsum(run_start) - 1
-        run_len = np.bincount(run_id)
-        is_iv_run = run_len >= MIN_INTERVAL_LEN
-        in_interval = is_iv_run[run_id] if tot else np.zeros(0, dtype=bool)
-        run_first = np.flatnonzero(run_start)
-        iv = np.flatnonzero(is_iv_run)
-        iv_left = nb[run_first[iv]]
-        iv_len = run_len[iv].astype(np.int64)
-        iv_owner = owner[run_first[iv]]
-        ni = np.bincount(iv_owner, minlength=nl).astype(np.int64)
-        stats.num_intervals += len(iv)
-        stats.num_interval_edges += int(iv_len.sum())
-    else:
-        in_interval = np.zeros(tot, dtype=bool)
-        iv_left = iv_len = iv_owner = np.empty(0, dtype=np.int64)
-        ni = np.zeros(nl, dtype=np.int64)
-
-    res = np.flatnonzero(~in_interval)
-    res_owner = owner[res]
-    res_nb = nb[res]
-    nr = np.bincount(res_owner, minlength=nl).astype(np.int64)
-
-    # value-sequence layout: header, [nint], [pairs], [residuals], [weights]
-    has_edges = deg > 0
-    count = np.ones(nl, dtype=np.int64)
-    if cfg.enable_intervals:
-        count += has_edges * (1 + 2 * ni)
-    count += nr
-    if w is not None:
-        count += deg
-    val_start = np.cumsum(count) - count
-    nvals = int(val_start[-1] + count[-1])
-    vals = tracked_empty(nvals, np.int64, name="compress-bulk-values")
-
-    vals[val_start] = first_edge[:-1]  # headers: first edge IDs
-    if cfg.enable_intervals and np.any(has_edges):
-        vals[val_start[has_edges] + 1] = ni[has_edges]
-    if len(iv_owner):
-        iv_rank = (
-            np.arange(len(iv_owner), dtype=np.int64)
-            - (np.cumsum(ni) - ni)[iv_owner]
-        )
-        prev_end = np.concatenate(([0], (iv_left + iv_len)[:-1]))
-        p = val_start[iv_owner] + 2 + 2 * iv_rank
-        vals[p] = np.where(
-            iv_rank == 0,
-            zigzag_encode(iv_left - (lo + iv_owner)),
-            iv_left - prev_end,
-        )
-        vals[p + 1] = iv_len - MIN_INTERVAL_LEN
-    if len(res):
-        prev_res = np.concatenate(([0], res_nb[:-1]))
-        res_rank = (
-            np.arange(len(res), dtype=np.int64)
-            - (np.cumsum(nr) - nr)[res_owner]
-        )
-        res_pos = (
-            val_start[res_owner]
-            + (count - nr - (deg if w is not None else 0))[res_owner]
-            + res_rank
-        )
-        vals[res_pos] = np.where(
-            res_rank == 0,
-            zigzag_encode(res_nb - (lo + res_owner)),
-            res_nb - prev_res - 1,
-        )
-    w_pos = None
-    if w_gap is not None:
-        w_pos = val_start[owner] + (count - deg)[owner] + pos_in_row
-        vals[w_pos] = zigzag_encode(w_gap)
-
-    lens = varint_lengths(vals)
-    byte_start = np.cumsum(lens) - lens
-    stats.header_bytes += int(lens[val_start].sum())
-    if w_pos is not None:
-        stats.weight_bytes += int(lens[w_pos].sum())
-    return encode_stream_bulk(vals, lens), byte_start[val_start]
 
 
 def _encode_packet(
@@ -1210,7 +903,7 @@ def _encode_packet(
             offsets[h] = len(out)
             end = int(edge[h + 1])
             hub_nb, hub_w = nb[eh:end], None if w is None else w[eh:end]
-            if _descends(first_edge[h : h + 2], hub_nb):
+            if np.any(hub_nb[1:] < hub_nb[:-1]):
                 hub_nb, hub_w = _sort_rows(first_edge[h : h + 2], hub_nb, hub_w)
             encode_neighborhood(
                 lo + h, hub_nb, hub_w, int(first_edge[h]), out, cfg, stats
@@ -1244,7 +937,7 @@ def _compress_packets(
     stats = CompressionStats()
     out = bytearray()
     offsets = tracked_empty(n + 1, np.int64, name="compress-offsets")
-    total_edge_weight = 0 if weighted else num_directed_edges
+    total_edge_weight = edge_weight_sum = 0 if weighted else num_directed_edges
     for packet in packets:
         lo, first_edge, _nb, w = packet
         claim = len(out)
@@ -1253,6 +946,7 @@ def _compress_packets(
         )
         if w is not None:
             total_edge_weight += int(w.sum())
+            edge_weight_sum += _native.exact_sum(np.abs(w))
         if on_packet is not None:
             on_packet(packet, claim, len(out) - claim)
     offsets[n] = len(out)
@@ -1273,6 +967,7 @@ def _compress_packets(
         config=cfg,
         stats=stats,
         total_edge_weight=total_edge_weight,
+        edge_weight_sum=edge_weight_sum,
     )
     if tracker is not None:
         tracker.alloc("compressed-graph", cg.nbytes, "graph")

@@ -3,13 +3,13 @@
  *
  * Two exported functions, no state, no Python objects: ctypes calls them with
  * the GIL released.  repro_decode_chunk fills the same (owner, neighbors,
- * weights) arrays the numpy oracle `CompressedGraph._decode_chunk_simple`
- * returns; the stream layout is described in compressed.py.  Its per-vertex
+ * weights) arrays as the numpy reference decoder (tests/oracles.py); the
+ * stream layout is described in compressed.py.  Its per-vertex
  * decoder, decode_neighborhood, is also behind repro_decode_neighborhood, the
  * entry of the compressed LP chunk (core/kernels/lp_kernel.c), which rates
  * each neighborhood as it decodes it.  repro_encode_run writes the bytes,
- * per-vertex byte starts and stats deltas of its numpy oracle
- * `_encode_low_degree_oracle` for one run of low-degree vertices.
+ * per-vertex byte starts and stats deltas of the numpy reference encoder
+ * (tests/oracles.py) for one run of low-degree vertices.
  *
  * Reader's memory-safety contract (tests/test_bulk_decode.py holds it to this):
  *   - vertex u is read only inside data[offsets[u], offsets[u+1]), and only

@@ -54,6 +54,7 @@ import numpy as np
 from repro.core.config import PartitionerConfig, ServeConfig, config_digest, terapart
 from repro.core.partitioner import partition as _default_partition
 from repro.core.partitioner import refine_partition as _default_refine
+from repro.graph import _native
 from repro.graph.compressed import compress_graph
 from repro.graph.fingerprint import graph_fingerprint
 from repro.memory.tracker import MemoryTracker
@@ -227,6 +228,7 @@ class PartitionService:
                 "compression; deltas apply to the CSR finest level)",
                 {"graph": name},
             )
+        self._check_bounds(name, graph, self.config.initial.attempts)
         fp = graph_fingerprint(graph)
         old = self._entries.get(name)
         if old is not None:
@@ -238,6 +240,15 @@ class PartitionService:
         self._evict_stranded()
         self.metrics.bump("serve.graphs_registered")
         return fp
+
+    def _check_bounds(self, name: str, graph, attempts: int) -> None:
+        """A graph the compiled kernels cannot hold in a run of ``attempts``
+        bisection attempts is a bad request, named by its bound
+        (:func:`repro.graph._native.check_graph`), not a failed run."""
+        try:
+            _native.check_graph(graph, attempts)
+        except ValueError as e:
+            raise ServiceError("bad-request", str(e), {"graph": name}) from e
 
     def _evict_stranded(self) -> None:
         """Drop cached answers and compressed graphs whose key no
@@ -277,6 +288,7 @@ class PartitionService:
             new_graph, changed = apply_delta(entry.graph, delta)
         except ValueError as e:
             raise ServiceError("bad-request", str(e), {"graph": name}) from e
+        self._check_bounds(name, new_graph, self.config.initial.attempts)
         entry.deltas_applied += 1
         # a job admitted earlier keeps the array it saw; marks are only ever
         # added, so whichever array a warm start reads holds a superset
@@ -339,6 +351,9 @@ class PartitionService:
             cfg = config or self.config
             if epsilon is not None:
                 cfg = cfg.with_(epsilon=float(epsilon))
+            if cfg.initial.attempts > self.config.initial.attempts:
+                # registration checked the bisection bound for the default's
+                self._check_bounds(name, entry.graph, cfg.initial.attempts)
             key = self._request_key(entry, k, cfg)
 
             cached = self.cache.get(("part", key))

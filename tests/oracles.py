@@ -1,0 +1,1370 @@
+"""The numpy and Python twins the compiled kernels replaced, kept as their
+reference: every kernel == oracle test compares against the functions here.
+
+Each hot phase runs one compiled kernel in production (``graph/_native.py``
+builds them or raises).  The code here is what those phases ran before,
+moved here unchanged but for the seam: the LP drivers' numpy chunk
+pipelines, distributed LP's picks, the numpy contraction step, the codec's
+numpy chunk decoder and run encoder, k-way FM's Python pass with the gain
+tables' Python queries and updates, and initial partitioning's list loops,
+Python attempt pool and subgraph extraction.
+
+:func:`installed` puts them in the drivers' place for the body of a
+``with``: it swaps every loaded ``repro.*`` binding of a kernel entry for
+the twin with its contract, so ``partition()``, ``dpartition()`` and the
+service run on the oracles end to end.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import heapq
+import importlib
+import math
+import pkgutil
+import sys
+import time
+from collections import deque
+from heapq import heapify, heappop, heappush
+
+import numpy as np
+import pytest
+
+import repro
+from repro.core.initial import bipartition, fm2way, recursive
+from repro.core.initial.bipartition import random_bipartition
+from repro.core.initial.recursive import POOL, POOL_SIGMAS
+from repro.core.initial.workspace import BisectionWorkspace, fm_patience
+from repro.core.kernels import (
+    aggregate_coarse_edges,
+    bulk_size_constrained_commit,
+    gather_cluster_members,
+    lp_chunk,
+    move_gains,
+    segment_best_last,
+    two_way_cut,
+    two_way_gains,
+)
+from repro.core.kernels.gains import flat_adjacency
+from repro.core.kernels.lp_chunk import NANOS
+from repro.core.refinement import fm_kernel
+from repro.graph import _native, compressed
+from repro.graph.access import chunk_adjacency, installed_tracer, segment_reduce_ratings
+from repro.graph.compressed import (
+    _FOLD_LIMIT,
+    MIN_INTERVAL_LEN,
+    CompressedGraph,
+    CompressionConfig,
+    CompressionStats,
+    _refuse,
+    _sort_rows,
+    _weight_gaps,
+)
+from repro.graph.csr import CSRGraph, _ones_like_view
+from repro.graph.varint import (
+    decode_region_bulk,
+    encode_stream_bulk,
+    varint_lengths,
+    zigzag_decode,
+    zigzag_encode,
+)
+from repro.core.partition import PartitionedGraph
+from repro.memory.scratch import (
+    tracked_empty,
+    tracked_full,
+    tracked_ones,
+    tracked_slots,
+    tracked_zeros,
+)
+
+
+# --------------------------------------------------------------------- #
+# label propagation: the numpy chunk pipelines and their rounds
+# --------------------------------------------------------------------- #
+def clustering_step(graph, clusters, cluster_weights, max_cluster_weight):
+    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
+    the ``step`` of :func:`repro.core.kernels.lp_chunk.clustering_round`."""
+    n = graph.n
+    vwgt = np.asarray(graph.vwgt)
+    none = np.empty(0, dtype=np.int64)
+
+    def step(chunk):
+        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
+        if len(owner) == 0:
+            return None
+        pair_owner, pair_cluster, pair_rating = segment_reduce_ratings(
+            owner, clusters[nbrs], wgts, n
+        )
+        # nc(u): distinct neighbor clusters per chunk vertex
+        nc = np.bincount(pair_owner, minlength=len(chunk))
+
+        u_of_pair = chunk[pair_owner]
+        fits = cluster_weights[pair_cluster] + vwgt[u_of_pair] <= max_cluster_weight
+        is_current = pair_cluster == clusters[u_of_pair]
+        # rank: rating first, keep-bonus on ties, then a seeded
+        # pseudo-random jitter -- LP must break remaining ties
+        # randomly or mesh clusters snake toward extreme IDs
+        jitter = (
+            ((pair_cluster * 0x9E3779B1) ^ (u_of_pair * 0x85EBCA6B)) >> 7
+        ) & 0x3F
+        rank = ((2 * pair_rating + is_current) << 6) | jitter
+
+        # unconstrained favorite per owner
+        fav_pairs = segment_best_last(pair_owner, rank)
+        fav_us, fav = u_of_pair[fav_pairs], pair_cluster[fav_pairs]
+
+        # constrained best per owner over the same segments:
+        # ranks are >= 0, so a pair that does not fit wins only
+        # where none fits, and that owner has no target
+        ok = fits | is_current
+        best = segment_best_last(pair_owner, np.where(ok, rank, -1))
+        best = best[ok[best]]
+        if len(best) == 0:
+            return len(owner), fav_us, fav, nc, 0, none
+        best_cluster = pair_cluster[best]
+
+        # commit sequentially (atomic weight updates in the
+        # paper); re-check the cap because earlier commits in
+        # this chunk may have filled the target cluster
+        us = u_of_pair[best]
+        cur = clusters[us]
+        want_move = best_cluster != cur
+        # safe-target commits apply with one scatter-add;
+        # contended targets replay in order inside the kernel
+        mv_us = us[want_move]
+        mv_tgt = best_cluster[want_move]
+        acc = bulk_size_constrained_commit(
+            mv_tgt,
+            cur[want_move],
+            vwgt[mv_us],
+            cluster_weights,
+            max_cluster_weight,
+        )
+        acc_us = mv_us[acc]
+        clusters[acc_us] = mv_tgt[acc]
+        return len(owner), fav_us, fav, nc, len(best), acc_us
+
+    return step
+
+
+def refinement_step(graph, part, block_weights, max_block_weight):
+    """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
+    the ``step`` of :func:`repro.core.kernels.lp_chunk.refinement_round`
+    (``max_block_weight`` one limit a block)."""
+    g = graph
+    k = len(block_weights)
+    vwgt = np.asarray(g.vwgt)
+    none = np.empty(0, dtype=np.int64)
+
+    def step(chunk):
+        owner, nbrs, wgts = chunk_adjacency(g, chunk)
+        if len(owner) == 0:
+            return None
+        po, pb, pr = segment_reduce_ratings(
+            owner, part[nbrs].astype(np.int64), wgts, k
+        )
+        us = chunk[po]
+        # gain of moving owner to block pb = pr - affinity(current block)
+        cur_of_owner = part[chunk].astype(np.int64)
+        gain, is_current = move_gains(po, pb, pr, cur_of_owner, len(chunk))
+        fits = block_weights[pb] + vwgt[us] <= max_block_weight[pb]
+        ok = fits & ~is_current & (gain > 0)
+        if not np.any(ok):
+            return len(owner), none
+        po2, pb2, g2 = po[ok], pb[ok], gain[ok]
+        best = segment_best_last(po2, g2)
+        # commit against the real block-weight array; the kernel replays
+        # contended blocks in candidate order
+        mv_us = chunk[po2[best]]
+        mv_tgt = pb2[best]
+        acc = bulk_size_constrained_commit(
+            mv_tgt,
+            part[mv_us].astype(np.int64),
+            vwgt[mv_us],
+            block_weights,
+            max_block_weight,
+        )
+        acc_us = mv_us[acc]
+        part[acc_us] = mv_tgt[acc].astype(np.int32)
+        return len(owner), acc_us
+
+    return step
+
+
+class OracleRound:
+    """A round entry of ``lp_kernel.c`` on a chunk step: ``round(order,
+    bounds, moved)`` runs ``step`` over the chunks in order and returns
+    their stats rows, ``step`` is the step itself."""
+
+    def __init__(self, step, row, favorites=None) -> None:
+        self.step, self._row, self._favorites = step, row, favorites
+
+    def __call__(self, order, bounds, moved=None) -> np.ndarray:
+        bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)
+        stats = np.zeros((len(bounds), NANOS + 1), dtype=np.int64)
+        at = 0
+        for i, (lo, hi) in enumerate(bounds.tolist()):
+            t0 = time.perf_counter_ns()
+            out = self.step(order[lo:hi])
+            stats[i, NANOS] = time.perf_counter_ns() - t0
+            if out is None:  # no edge in this chunk
+                continue
+            stats[i, :NANOS], movers = self._row(out)
+            if moved is not None:
+                moved[at : at + len(movers)] = movers
+                at += len(movers)
+        return stats
+
+
+def clustering_round(
+    graph, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
+):
+    """:func:`repro.core.kernels.lp_chunk.clustering_round` on the oracle."""
+    step = clustering_step(graph, clusters, cluster_weights, max_cluster_weight)
+
+    def row(out):
+        edges, fav_us, fav, nc, targets, moved = out
+        favorites[fav_us] = fav
+        bumped = nc >= t_bump
+        return (edges, targets, len(moved), int(bumped.sum()), int(nc[bumped].sum())), moved
+
+    return OracleRound(step, row)
+
+
+def refinement_round(graph, part, block_weights, limits):
+    """:func:`repro.core.kernels.lp_chunk.refinement_round` on the oracle."""
+    step = refinement_step(graph, part, block_weights, limits)
+    return OracleRound(step, lambda out: ((out[0], 0, len(out[1]), 0, 0), out[1]))
+
+
+# --------------------------------------------------------------------- #
+# distributed LP's picks
+# --------------------------------------------------------------------- #
+def cluster_pick(graph, labels, weights, max_cluster_weight):
+    """``pick(mine)`` of clustering in numpy: the oracle of
+    :func:`~repro.core.kernels.lp_chunk.cluster_pick_step`."""
+    vwgt = np.asarray(graph.vwgt)
+
+    def pick(mine):
+        owner, nbr, w = chunk_adjacency(graph, mine)
+        po, pl, ratings = segment_reduce_ratings(owner, labels[nbr], w, graph.n)
+        # ties favor the current label, then a jitter keyed by batch position
+        is_current = pl == labels[mine][po]
+        jitter = ((pl * 0x9E3779B1) ^ (po * 0x85EBCA6B)) >> 7 & 0x3F
+        best = segment_best_last(po, ((2 * ratings + is_current) << 6) | jitter)
+        us, pl = mine[po[best]], pl[best]
+        move = (pl != labels[us]) & (weights[pl] + vwgt[us] <= max_cluster_weight)
+        return us[move], pl[move]
+
+    return pick
+
+
+def refine_pick(graph, part, block_weights, k, max_block_weight):
+    """``pick(mine)`` of refinement in numpy: the oracle of
+    :func:`~repro.core.kernels.lp_chunk.refine_pick_step`."""
+    vwgt = np.asarray(graph.vwgt)
+
+    def pick(mine):
+        owner, nbr, w = chunk_adjacency(graph, mine)
+        po, pb, ratings = segment_reduce_ratings(owner, part[nbr], w, k)
+        gain, is_cur = move_gains(po, pb, ratings, part[mine], len(mine))
+        fits = block_weights[pb] + vwgt[mine[po]] <= max_block_weight
+        ok = fits & ~is_cur & (gain > 0)
+        po, pb = po[ok], pb[ok]
+        best = segment_best_last(po, gain[ok])
+        return mine[po[best]], pb[best]
+
+    return pick
+
+
+def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
+    """:func:`repro.core.kernels.lp_chunk.cluster_pick_step` on the oracle."""
+    return cluster_pick(graph, clusters, cluster_weights, max_cluster_weight)
+
+
+def refine_pick_step(graph, part, block_weights, max_block_weight):
+    """:func:`repro.core.kernels.lp_chunk.refine_pick_step` on the oracle."""
+    return refine_pick(graph, part, block_weights, len(block_weights), max_block_weight)
+
+
+# --------------------------------------------------------------------- #
+# contraction: the numpy step and the argsort grouping
+# --------------------------------------------------------------------- #
+def contraction_step(graph, labels: np.ndarray, label_count: int):
+    """:func:`repro.core.kernels.lp_chunk.contraction_step` in numpy: flatten
+    the member lists into one gather, read the members' adjacency, and
+    aggregate it into coarse edges with a sort-based segment reduction."""
+
+    def step(members, groups, own):
+        groups = np.asarray(groups, dtype=np.int64)
+        count = len(own)
+        members, owner = gather_cluster_members(
+            members, groups[:-1] - groups[0], groups[1:] - groups[0], np.arange(count)
+        )
+        member, nbrs, wgts = chunk_adjacency(graph, members)
+        po, pc, pw, _ = aggregate_coarse_edges(
+            owner[member], labels[nbrs], wgts, np.asarray(own), label_count, count
+        )
+        return len(member), np.bincount(po, minlength=count), pc, pw
+
+    return step
+
+    return step
+
+
+def group_by_label(labels: np.ndarray, label_count: int):
+    """:func:`repro.core.kernels.lp_chunk.group_by_label` as the stable
+    argsort it equals."""
+    members = np.argsort(labels, kind="stable")
+    offsets = np.searchsorted(labels[members], np.arange(label_count + 1))
+    return members, offsets
+
+
+# --------------------------------------------------------------------- #
+# the codec: numpy chunk decode and run encode
+# --------------------------------------------------------------------- #
+def decode_chunk_oracle(
+    self, chunk: np.ndarray, degs: np.ndarray, total: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    C = len(chunk)
+    owner = np.repeat(np.arange(C, dtype=np.int64), degs)
+    # runs of simple vertices are decoded in bulk; the chunked vertices
+    # between them go through the per-vertex block decoder
+    parts = []
+    a = 0
+    hubs = np.flatnonzero(degs > self.config.high_degree_threshold).tolist()
+    for h in [*hubs, C]:
+        if h > a:
+            parts.append(decode_chunk_simple(self, chunk[a:h], degs[a:h]))
+        if h < C:
+            parts.append(self._decode_hub(int(chunk[h])))
+        a = h + 1
+    nbrs, wgts = parts[0]
+    if len(parts) > 1:
+        nbrs = np.concatenate([p[0] for p in parts])
+        if wgts is not None:
+            wgts = np.concatenate([p[1] for p in parts])
+    if wgts is None:
+        wgts = _ones_like_view(total)
+    return owner, nbrs, wgts
+
+
+def decode_chunk_simple(
+    self, chunk: np.ndarray, degs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vectorized decode of non-chunked neighborhoods.
+
+    One byte gather, one terminator mask, one VarInt assembly over the
+    whole region; then the interval/residual/weight sub-streams of every
+    vertex are located arithmetically and undone with shared segmented
+    cumsums instead of per-vertex loops.  Every segmented index is
+    ``repeat(base - cum, counts) + arange(total)``: one repeat a gather.
+    """
+    weighted = self._has_edge_weights
+    C = len(chunk)
+    total = int(degs.sum())
+    byte_start = self.offsets[chunk]
+    byte_len = self.offsets[chunk + 1] - byte_start
+    tot_b = int(byte_len.sum())
+    gstart = np.cumsum(byte_len) - byte_len
+    if C and int(chunk[-1] - chunk[0]) == C - 1 and np.all(np.diff(chunk) == 1):
+        block = self._data_u8[int(byte_start[0]) : int(byte_start[0]) + tot_b]
+    else:
+        gather = np.repeat(byte_start - gstart, byte_len) + np.arange(
+            tot_b, dtype=np.int64
+        )
+        block = self._data_u8[gather]
+    vals, vstarts = decode_region_bulk(block)
+    nvals = len(vals)
+    first_val = np.searchsorted(vstarts, gstart)
+    if not nvals or not np.array_equal(
+        vstarts[np.minimum(first_val, nvals - 1)], gstart
+    ):
+        raise ValueError("neighborhood boundary not on a varint boundary")
+    end_val = np.append(first_val[1:], nvals)  # one past a vertex's values
+    has_body = degs > 0
+
+    # interval section: count, per-interval (left, length) undo
+    L = tracked_zeros(C, np.int64, name="decode-simple-scratch")
+    res_base = first_val + 1
+    totI = 0
+    if self.config.enable_intervals:
+        nI = np.where(has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0)
+        # a corrupt count must not reach past the vertex's own values
+        if np.any(nI > (end_val - res_base - has_body) // 2):
+            raise ValueError("interval count past neighborhood (corrupt stream?)")
+        res_base += has_body + 2 * nI
+        totI = int(nI.sum())
+    if totI:
+        hasI = nI > 0
+        cumI = np.cumsum(nI) - nI
+        slot = np.repeat(first_val + 2 - 2 * cumI, nI) + 2 * np.arange(
+            totI, dtype=np.int64
+        )
+        raw_gap = vals[slot]
+        ilen = vals[slot + 1]
+        if int(ilen.max()) > int(degs.max()):  # also keeps the sums below exact
+            raise ValueError("interval lengths exceed degree (corrupt stream?)")
+        ilen += MIN_INTERVAL_LEN
+        # index of each vertex's first interval entry (vertices w/ nI>0)
+        fidx = cumI[hasI]
+        adj = raw_gap.copy()
+        adj[1:] += ilen[:-1]
+        adj[fidx] = chunk[hasI] + zigzag_decode(raw_gap[fidx])
+        csum = np.cumsum(adj)
+        seg_base = csum[fidx] - adj[fidx]
+        lefts = csum - np.repeat(seg_base, nI[hasI])
+        L[hasI] = np.add.reduceat(ilen, fidx)
+
+    # residual section: u-relative signed first value, then +1 gaps
+    n_res = degs - L
+    if np.any(n_res < 0):
+        raise ValueError("interval lengths exceed degree (corrupt stream?)")
+    if not np.array_equal(res_base + n_res + (degs if weighted else 0), end_val):
+        raise ValueError("neighborhood value count mismatch (corrupt stream?)")
+    totR = total - int(L.sum())
+    if totR:
+        hasR = n_res > 0
+        cumR = np.cumsum(n_res) - n_res
+        raw = vals[
+            np.repeat(res_base - cumR, n_res) + np.arange(totR, dtype=np.int64)
+        ]
+        fidx = cumR[hasR]
+        adjR = raw + 1
+        adjR[fidx] = chunk[hasR] + zigzag_decode(raw[fidx])
+        csum = np.cumsum(adjR)
+        seg_base = csum[fidx] - adjR[fidx]
+        res_ids = csum - np.repeat(seg_base, n_res[hasR])
+        if int(res_ids.min()) < 0 or int(res_ids.max()) >= self._n:
+            raise ValueError("neighbor id out of range (corrupt stream?)")
+    if totI and (int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n):
+        raise ValueError("neighbor id out of range (corrupt stream?)")
+
+    # weight section: signed gap undo against the sorted neighbor order
+    wgts = None
+    if weighted:
+        cumD = np.cumsum(degs) - degs
+        adjW = zigzag_decode(
+            vals[
+                np.repeat(res_base + n_res - cumD, degs)
+                + np.arange(total, dtype=np.int64)
+            ]
+        )
+        csum = np.cumsum(adjW)
+        fidx = cumD[has_body]
+        seg_base = csum[fidx] - adjW[fidx]
+        wgts = csum - np.repeat(seg_base, degs[has_body])
+
+    if not totI:
+        return res_ids if totR else np.empty(0, dtype=np.int64), wgts
+    cumlen = np.cumsum(ilen) - ilen
+    iota = np.arange(total - totR, dtype=np.int64)
+    exp_vals = np.repeat(lefts - cumlen, ilen) + iota
+    if not totR:
+        return exp_vals, wgts
+    # assemble: merge the (sorted) interval and residual streams of each
+    # vertex without sorting.  An interval contains no residual, so all
+    # its elements sit above the same number of residuals: one
+    # searchsorted of the interval lefts into the owner-major residual
+    # keys (owner = position in chunk, so keys are globally sorted even
+    # for permuted chunks); the residuals fill the slots left free.
+    stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
+    res_keys = np.repeat(stride, n_res) + res_ids
+    iv_keys = np.repeat(stride, nI) + lefts
+    below = np.searchsorted(res_keys, iv_keys)
+    if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
+        raise ValueError("interval contains a residual (corrupt stream?)")
+    slots = np.repeat(below, ilen) + iota
+    nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
+    free = tracked_ones(total, bool, name="decode-simple-free")
+    nbrs[slots] = exp_vals
+    free[slots] = False
+    if np.count_nonzero(free) != totR:
+        raise ValueError("intervals overlap (corrupt stream?)")
+    nbrs[free] = res_ids
+    return nbrs, wgts
+
+
+def descends(first_edge: np.ndarray, nb: np.ndarray) -> bool:
+    """A descent inside a row (the kernel reports one as a code)."""
+    if len(nb) < 2:
+        return False
+    edge = first_edge - first_edge[0]
+    row_start = tracked_zeros(len(nb), bool, name="compress-row-starts")
+    row_start[edge[:-1][np.diff(edge) > 0]] = True
+    return bool(np.any((nb[1:] < nb[:-1]) & ~row_start[1:]))
+
+
+def encode_low_degree_oracle(
+    lo: int,
+    first_edge: np.ndarray,
+    nb: np.ndarray,
+    w: np.ndarray | None,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy encoder of sorted rows, the oracle of
+    :func:`repro.graph.compressed._encode_low_degree_bulk`.
+
+    Builds the *value sequence* -- per vertex: header, [interval count],
+    [interval pairs], [residual gaps], [weight gaps] -- with pure array
+    arithmetic, then VarInt-encodes all values at once.
+    """
+    nl = len(first_edge) - 1
+    deg = np.diff(first_edge)
+    tot = len(nb)
+    owner = np.repeat(np.arange(nl, dtype=np.int64), deg)
+    row_ofs = first_edge[:-1] - first_edge[0]
+    pos_in_row = np.arange(tot, dtype=np.int64) - row_ofs[owner]
+
+    # refused in the kernel's order: the first row holding a repeat or a
+    # weight gap too wide, the repeat first within a row
+    repeat_row = wide_row = nl
+    if tot > 1:
+        repeat = np.flatnonzero((nb[1:] == nb[:-1]) & (owner[1:] == owner[:-1]))
+        if len(repeat):
+            repeat_row = int(owner[repeat[0] + 1])
+    w_gap = None
+    if w is not None and tot:
+        w_gap = _weight_gaps(w, pos_in_row == 0)
+        wide = np.flatnonzero((w_gap >= _FOLD_LIMIT) | (w_gap <= -_FOLD_LIMIT))
+        if len(wide):
+            wide_row = int(owner[wide[0]])
+    if min(repeat_row, wide_row) < nl:
+        if repeat_row <= wide_row:
+            _refuse(lo + repeat_row, _native.ENCODE_DUPLICATE)
+        _refuse(lo + wide_row, _native.ENCODE_WEIGHT)
+    stats.num_neighborhoods += nl
+
+    # interval detection: maximal runs of consecutive IDs, len >= 3
+    if cfg.enable_intervals:
+        run_start = np.ones(tot, dtype=bool)
+        if tot > 1:
+            run_start[1:] = (owner[1:] != owner[:-1]) | (nb[1:] != nb[:-1] + 1)
+        run_id = np.cumsum(run_start) - 1
+        run_len = np.bincount(run_id)
+        is_iv_run = run_len >= MIN_INTERVAL_LEN
+        in_interval = is_iv_run[run_id] if tot else np.zeros(0, dtype=bool)
+        run_first = np.flatnonzero(run_start)
+        iv = np.flatnonzero(is_iv_run)
+        iv_left = nb[run_first[iv]]
+        iv_len = run_len[iv].astype(np.int64)
+        iv_owner = owner[run_first[iv]]
+        ni = np.bincount(iv_owner, minlength=nl).astype(np.int64)
+        stats.num_intervals += len(iv)
+        stats.num_interval_edges += int(iv_len.sum())
+    else:
+        in_interval = np.zeros(tot, dtype=bool)
+        iv_left = iv_len = iv_owner = np.empty(0, dtype=np.int64)
+        ni = np.zeros(nl, dtype=np.int64)
+
+    res = np.flatnonzero(~in_interval)
+    res_owner = owner[res]
+    res_nb = nb[res]
+    nr = np.bincount(res_owner, minlength=nl).astype(np.int64)
+
+    # value-sequence layout: header, [nint], [pairs], [residuals], [weights]
+    has_edges = deg > 0
+    count = np.ones(nl, dtype=np.int64)
+    if cfg.enable_intervals:
+        count += has_edges * (1 + 2 * ni)
+    count += nr
+    if w is not None:
+        count += deg
+    val_start = np.cumsum(count) - count
+    nvals = int(val_start[-1] + count[-1])
+    vals = tracked_empty(nvals, np.int64, name="compress-bulk-values")
+
+    vals[val_start] = first_edge[:-1]  # headers: first edge IDs
+    if cfg.enable_intervals and np.any(has_edges):
+        vals[val_start[has_edges] + 1] = ni[has_edges]
+    if len(iv_owner):
+        iv_rank = (
+            np.arange(len(iv_owner), dtype=np.int64)
+            - (np.cumsum(ni) - ni)[iv_owner]
+        )
+        prev_end = np.concatenate(([0], (iv_left + iv_len)[:-1]))
+        p = val_start[iv_owner] + 2 + 2 * iv_rank
+        vals[p] = np.where(
+            iv_rank == 0,
+            zigzag_encode(iv_left - (lo + iv_owner)),
+            iv_left - prev_end,
+        )
+        vals[p + 1] = iv_len - MIN_INTERVAL_LEN
+    if len(res):
+        prev_res = np.concatenate(([0], res_nb[:-1]))
+        res_rank = (
+            np.arange(len(res), dtype=np.int64)
+            - (np.cumsum(nr) - nr)[res_owner]
+        )
+        res_pos = (
+            val_start[res_owner]
+            + (count - nr - (deg if w is not None else 0))[res_owner]
+            + res_rank
+        )
+        vals[res_pos] = np.where(
+            res_rank == 0,
+            zigzag_encode(res_nb - (lo + res_owner)),
+            res_nb - prev_res - 1,
+        )
+    w_pos = None
+    if w_gap is not None:
+        w_pos = val_start[owner] + (count - deg)[owner] + pos_in_row
+        vals[w_pos] = zigzag_encode(w_gap)
+
+    lens = varint_lengths(vals)
+    byte_start = np.cumsum(lens) - lens
+    stats.header_bytes += int(lens[val_start].sum())
+    if w_pos is not None:
+        stats.weight_bytes += int(lens[w_pos].sum())
+    return encode_stream_bulk(vals, lens), byte_start[val_start]
+
+
+def encode_low_degree_bulk(lo, first_edge, nb, w, cfg, stats):
+    """:func:`repro.graph.compressed._encode_low_degree_bulk` on the oracle:
+    rows sorted first if one descends."""
+    if descends(first_edge, nb):
+        nb, w = _sort_rows(first_edge, nb, w)
+    return encode_low_degree_oracle(lo, first_edge, nb, w, cfg, stats)
+
+
+# --------------------------------------------------------------------- #
+# k-way FM: the gain tables' Python queries and updates, the Python pass
+# --------------------------------------------------------------------- #
+class NoGainTableOracle:
+    """:class:`~repro.core.refinement.gain_table.NoGainTable`'s queries
+    (``self`` is the table)."""
+
+    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(blocks, gains) for all adjacent blocks of ``u``."""
+        g = self._pgraph.graph
+        nbrs, wgts = g.neighbors_and_weights(u)
+        self.recompute_edges += len(nbrs)
+        blocks = self._pgraph.partition[np.asarray(nbrs)]
+        uniq, inv = np.unique(blocks, return_inverse=True)
+        aff = tracked_zeros(len(uniq), np.int64, name="gain-recompute-aff")
+        np.add.at(aff, inv, np.asarray(wgts))
+        cur = int(self._pgraph.partition[u])
+        cur_aff = int(aff[np.searchsorted(uniq, cur)]) if cur in uniq else 0
+        return uniq, aff - cur_aff
+
+    def gains_many(
+        self, us: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`gains`: ``(owner, blocks, gains)`` pair lists.
+
+        ``owner`` indexes into ``us``; blocks are ascending within each
+        owner, exactly the per-vertex :meth:`gains` output concatenated.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        e = np.empty(0, dtype=np.int64)
+        if len(us) == 0:
+            return e, e, e
+        g = self._pgraph.graph
+        owner, nbrs, wgts = chunk_adjacency(g, us)
+        self.recompute_edges += int(len(nbrs))
+        if len(owner) == 0:
+            return e, e, e
+        part = self._pgraph.partition
+        o, b, v = segment_reduce_ratings(
+            owner, part[nbrs].astype(np.int64), wgts, self._pgraph.k
+        )
+        return o, b, v - _current_affinities(part, us, o, b, v)
+
+    def apply_move(self, u: int, src: int, dst: int) -> None:
+        pass  # nothing cached
+
+
+def _current_affinities(part, us, o, b, v) -> np.ndarray:
+    """Per-pair affinity of each owner's *current* block (0 when the owner
+    has no neighbor in its own block)."""
+    cur = part[us].astype(np.int64)
+    iscur = b == cur[o]
+    cur_aff = tracked_zeros(len(us), np.int64, name="gains-many-cur-aff")
+    cur_aff[o[iscur]] = v[iscur]
+    return cur_aff[o]
+
+
+class FullGainTableOracle:
+    """:class:`~repro.core.refinement.gain_table.FullGainTable`'s queries and
+    updates (``self`` is the table)."""
+
+    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        blocks = np.flatnonzero(self._table[u])
+        cur = int(self._pgraph.partition[u])
+        return blocks, self._table[u, blocks] - self._table[u, cur]
+
+    def gains_many(
+        self, us: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`gains` over the dense rows of ``us``."""
+        us = np.asarray(us, dtype=np.int64)
+        if len(us) == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e, e
+        rows = self._table[us]
+        o, b = np.nonzero(rows)
+        o = o.astype(np.int64)
+        b = b.astype(np.int64)
+        v = rows[o, b]
+        cur = self._pgraph.partition[us].astype(np.int64)
+        return o, b, v - rows[o, cur[o]]
+
+    def apply_move(self, u: int, src: int, dst: int) -> None:
+        """Update neighbor affinities after ``u`` moved ``src -> dst``."""
+        g = self._pgraph.graph
+        nbrs, wgts = g.neighbors_and_weights(u)
+        nbrs = np.asarray(nbrs)
+        wgts = np.asarray(wgts)
+        np.subtract.at(self._table, (nbrs, src), wgts)
+        np.add.at(self._table, (nbrs, dst), wgts)
+
+
+class SparseGainTableOracle:
+    """:class:`~repro.core.refinement.gain_table.SparseGainTable`'s queries,
+    its probe-and-insert update and backward-shift delete (``self`` is the
+    table)."""
+
+    def _insert_add(self, u: int, block: int, delta: int) -> None:
+        if self._dense[u]:
+            lo, _ = self._range(u)
+            self._vals[lo + block] += delta
+            return
+        self.lock_acquisitions += 1
+        slot = self._probe(u, block)
+        if slot >= 0:
+            self._vals[slot] += delta
+            if self._vals[slot] == 0:
+                SparseGainTableOracle._delete_slot(self, u, slot)
+            elif self._vals[slot] < 0:
+                raise AssertionError(
+                    f"negative affinity at vertex {u}, block {block}"
+                )
+        else:
+            if delta == 0:
+                return
+            pos = -slot - 1
+            self._keys[pos] = block
+            self._vals[pos] = delta
+
+    def _delete_slot(self, u: int, slot: int) -> None:
+        """Backward-shift deletion: move up elements to close the gap [20]."""
+        lo, hi = self._range(u)
+        cap = hi - lo
+        i = slot - lo
+        self._keys[slot] = self.EMPTY
+        self._vals[slot] = 0
+        j = (i + 1) % cap
+        while self._keys[lo + j] != self.EMPTY:
+            k = int(self._keys[lo + j])
+            home = (k * 0x9E3779B1 & 0xFFFFFFFF) % cap
+            # can k move into the hole at i? yes iff home is cyclically
+            # outside (i, j]
+            if (j - home) % cap >= (j - i) % cap:
+                self._keys[lo + i] = k
+                self._vals[lo + i] = self._vals[lo + j]
+                self._keys[lo + j] = self.EMPTY
+                self._vals[lo + j] = 0
+                i = j
+            j = (j + 1) % cap
+            if j == (slot - lo):
+                break
+
+    def gains(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        # one row read instead of a probe per adjacent block
+        lo, hi = self._range(u)
+        cur = int(self._pgraph.partition[u])
+        if self._dense[u]:
+            row = self._vals[lo:hi]
+            blocks = np.flatnonzero(row)
+            return blocks, row[blocks] - row[cur]
+        keys = self._keys[lo:hi]
+        mask = keys != self.EMPTY
+        blocks = keys[mask].astype(np.int64)
+        vals = self._vals[lo:hi][mask]
+        order = np.argsort(blocks, kind="stable")
+        blocks = blocks[order]
+        vals = vals[order]
+        j = int(np.searchsorted(blocks, cur))
+        cur_aff = int(vals[j]) if j < len(blocks) and blocks[j] == cur else 0
+        return blocks, vals - cur_aff
+
+    def gains_many(
+        self, us: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batched :meth:`gains`: gather every row of ``us`` in one pass."""
+        us = np.asarray(us, dtype=np.int64)
+        if len(us) == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e, e
+        lo = self._offsets[us]
+        cap = self._caps[us]
+        total = int(cap.sum())
+        owner = np.repeat(np.arange(len(us), dtype=np.int64), cap)
+        seg = np.arange(total, dtype=np.int64) - np.repeat(
+            np.cumsum(cap) - cap, cap
+        )
+        slots = np.repeat(lo, cap) + seg
+        vals = self._vals[slots]
+        dense_slot = np.repeat(self._dense[us], cap)
+        slot_keys = self._keys[slots]
+        # dense rows address blocks by slot position; hash rows by key
+        block = np.where(dense_slot, seg, slot_keys.astype(np.int64))
+        keep = np.where(dense_slot, vals != 0, slot_keys != self.EMPTY)
+        o, b, v = owner[keep], block[keep], vals[keep]
+        order = np.lexsort((b, o))
+        o, b, v = o[order], b[order], v[order]
+        return o, b, v - _current_affinities(self._pgraph.partition, us, o, b, v)
+
+    def apply_move(self, u: int, src: int, dst: int) -> None:
+        g = self._pgraph.graph
+        nbrs, wgts = g.neighbors_and_weights(u)
+        for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
+            SparseGainTableOracle._insert_add(self, v, src, -w)
+            SparseGainTableOracle._insert_add(self, v, dst, w)
+
+
+_TABLES = {"none": NoGainTableOracle, "full": FullGainTableOracle, "sparse": SparseGainTableOracle}
+
+
+def gains(table, u: int):
+    """``(blocks, gains)`` of ``u``'s adjacent blocks, blocks ascending."""
+    return _TABLES[table.kind].gains(table, u)
+
+
+def gains_many(table, us):
+    """Batched :func:`gains`: ``(owner, blocks, gains)`` pair lists."""
+    return _TABLES[table.kind].gains_many(table, us)
+
+
+def apply_move(table, u: int, src: int, dst: int) -> None:
+    """Update ``table`` after ``u`` moved ``src -> dst``."""
+    _TABLES[table.kind].apply_move(table, u, src, dst)
+
+
+def insert_add(table, u: int, block: int, delta: int) -> None:
+    """Add ``delta`` to ``u``'s affinity to ``block`` in a sparse table."""
+    SparseGainTableOracle._insert_add(table, u, block, delta)
+
+
+def best_move(table, pgraph: PartitionedGraph, u: int, max_block_weight: int):
+    """Highest-gain feasible move for ``u``; returns (gain, target) or None."""
+    blocks, block_gains = gains(table, u)
+    if len(blocks) == 0:
+        return None
+    cur = int(pgraph.partition[u])
+    w = int(pgraph.graph.vwgt[u])
+    best = None
+    for b, g in zip(blocks.tolist(), block_gains.tolist()):
+        if b == cur:
+            continue
+        if pgraph.block_weights[b] + w > max_block_weight:
+            continue
+        if best is None or g > best[0]:
+            best = (int(g), int(b))
+    return best
+
+
+def fm_pass(pgraph, table, seeds, locked, max_block_weight: int, max_fruitless: int, slack: int):
+    """One global pass from ``seeds``: ``(improvement, kept, rolled back)``."""
+    heap: list[tuple[int, int, int, int]] = []  # (-gain, tiebreak, u, target)
+    counter = 0
+    in_moves: list[tuple[int, int, int]] = []  # (u, src, dst)
+
+    # score every seed in one batched pass; winners surface in seed
+    # order, which fixes the heap tiebreak counters
+    po, pb, pg = gains_many(table, seeds)
+    cur = pgraph.partition[seeds].astype(np.int64)
+    w = np.asarray(pgraph.graph.vwgt)[seeds]
+    feasible = (pb != cur[po]) & (
+        pgraph.block_weights[pb] + w[po] <= max_block_weight
+    )
+    po2, pb2, pg2 = po[feasible], pb[feasible], pg[feasible]
+    # max gain, then smallest block -- _best_move's strict-> scan order
+    best = segment_best_last(po2, pg2, tiebreak=-pb2)
+    for o, b, gn in zip(
+        po2[best].tolist(), pb2[best].tolist(), pg2[best].tolist()
+    ):
+        heapq.heappush(heap, (-int(gn), counter, int(seeds[o]), int(b)))
+        counter += 1
+
+    cumulative = 0
+    best_cumulative = 0
+    best_prefix = 0
+    fruitless = 0
+
+    while heap and fruitless < max_fruitless:
+        neg_g, _, u, target = heapq.heappop(heap)
+        if locked[u]:
+            continue
+        mv = best_move(table, pgraph, u, max_block_weight)
+        if mv is None:
+            continue
+        gain, target = mv
+        if gain != -neg_g:
+            heapq.heappush(heap, (-gain, counter, u, target))
+            counter += 1
+            continue
+        src = int(pgraph.partition[u])
+        # stop descending into deeply negative territory
+        if gain < 0 and cumulative + gain < best_cumulative - slack:
+            break
+        locked[u] = True
+        pgraph.move(u, target)
+        apply_move(table, u, src, target)
+        cumulative += gain
+        in_moves.append((u, src, target))
+        if cumulative > best_cumulative:
+            best_cumulative = cumulative
+            best_prefix = len(in_moves)
+            fruitless = 0
+        else:
+            fruitless += 1
+        # requeue affected neighbors
+        for v in np.asarray(pgraph.graph.neighbors(u)).tolist():
+            if locked[v]:
+                continue
+            mv = best_move(table, pgraph, int(v), max_block_weight)
+            if mv is not None:
+                heapq.heappush(heap, (-mv[0], counter, int(v), mv[1]))
+                counter += 1
+
+    # rollback tail
+    for u, src, dst in reversed(in_moves[best_prefix:]):
+        pgraph.move(u, src)
+        apply_move(table, u, dst, src)
+    return best_cumulative, best_prefix, len(in_moves) - best_prefix
+
+
+def run_search(
+    pgraph,
+    table,
+    seed: int,
+    locked: np.ndarray,
+    max_block_weight: int,
+    max_region: int,
+) -> tuple[int, int, int]:
+    """One localized search: expand from ``seed``, keep the best prefix.
+
+    Returns ``(improvement, kept_moves, rolled_back_moves)``.
+    """
+    heap: list[tuple[int, int, int, int]] = []
+    counter = 0
+    touched: list[int] = []  # vertices this search acquired
+
+    def push(u: int) -> None:
+        nonlocal counter
+        mv = best_move(table, pgraph, u, max_block_weight)
+        if mv is not None:
+            heapq.heappush(heap, (-mv[0], counter, u, mv[1]))
+            counter += 1
+
+    push(seed)
+    moves: list[tuple[int, int, int]] = []
+    cumulative = 0
+    best = 0
+    best_prefix = 0
+
+    while heap and len(moves) < max_region:
+        neg_g, _, u, target = heapq.heappop(heap)
+        if locked[u]:
+            continue
+        mv = best_move(table, pgraph, u, max_block_weight)
+        if mv is None:
+            continue
+        gain, target = mv
+        if gain != -neg_g:
+            heapq.heappush(heap, (-gain, counter, u, target))
+            counter += 1
+            continue
+        if gain < 0 and cumulative + gain < best - 2:
+            break  # this search has gone sour
+        locked[u] = True  # acquire: other searches skip u from now on
+        touched.append(u)
+        src = int(pgraph.partition[u])
+        pgraph.move(u, target)
+        apply_move(table, u, src, target)
+        cumulative += gain
+        moves.append((u, src, target))
+        if cumulative > best:
+            best = cumulative
+            best_prefix = len(moves)
+        for v in np.asarray(pgraph.graph.neighbors(u)).tolist():
+            if not locked[v]:
+                push(int(v))
+
+    for u, src, dst in reversed(moves[best_prefix:]):
+        pgraph.move(u, src)
+        apply_move(table, u, dst, src)
+    return best, best_prefix, len(moves) - best_prefix
+
+
+class OraclePass:
+    """:class:`repro.core.refinement.fm_kernel.FMPass`'s call on the Python
+    pass: a global pass is :func:`fm_pass`, a localized one
+    :func:`run_search` a seed."""
+
+    def __init__(self, pgraph, table, max_block_weight: int, slack: int) -> None:
+        self._pgraph, self._table = pgraph, table
+        self._max_block_weight, self._slack = max_block_weight, slack
+
+    def __call__(self, seeds, locked, *, localized, max_fruitless=0, max_region=0):
+        pgraph, table, lmax = self._pgraph, self._table, self._max_block_weight
+        if not localized:
+            improvement, kept, rolled = fm_pass(
+                pgraph, table, seeds, locked, lmax, max_fruitless, self._slack
+            )
+            return improvement, kept, rolled, 1
+        improvement = searches = committed = rolled_back = 0
+        for seed in np.asarray(seeds).tolist():
+            if locked[seed]:
+                continue
+            gain, kept, rolled = run_search(pgraph, table, int(seed), locked, lmax, max_region)
+            improvement += gain
+            searches += 1
+            committed += kept
+            rolled_back += rolled
+        return improvement, committed, rolled_back, searches
+
+
+def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> OraclePass:
+    """:func:`repro.core.refinement.fm_kernel.bind` on the Python pass."""
+    return OraclePass(pgraph, table, max_block_weight, slack)
+
+
+# --------------------------------------------------------------------- #
+# initial partitioning: the list loops, the Python pool, the extraction
+# --------------------------------------------------------------------- #
+STOP_DIVISOR = 4  # the alpha = 1/4 of KaMinPar's initial FM
+
+
+def lists(ws: BisectionWorkspace) -> tuple[list, list, list, list, object]:
+    """``(xadj, adj, wgt, vwgt, charge)``: ``ws`` as Python lists, the
+    representation the loops scan (a numpy scalar subscript costs several
+    list subscripts), and the ``"bisection-workspace"`` ledger charge of
+    their pointer arrays (8 B per slot, not the int objects behind them),
+    which the caller holds while it scans them."""
+    _, dst, w = ws.flat
+    charge = tracked_slots(2 * ws.n + 1 + 2 * len(dst), "bisection-workspace")
+    return ws.xadj.tolist(), dst.tolist(), w.tolist(), ws.vwgt.tolist(), charge
+
+
+def greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
+    """:func:`repro.core.initial.bipartition.greedy_graph_growing_bipartition`
+    over the workspace's lists."""
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    part = tracked_ones(n, np.int32, name="bipartition-part")
+    order = rng.permutation(n)
+    xadj, adj, wgt, vwgt, _charge = lists(ws)
+    in_block = [False] * n
+    # a vertex that once exceeded the cap can never fit later (the block
+    # only grows), so block it permanently to guarantee termination
+    blocked = [False] * n
+    gain = [0] * n
+    names = ("bipartition-in-block", "bipartition-blocked", "bipartition-gain")
+    charges = [tracked_slots(n, name) for name in names]  # held for the attempt
+    heap: list[tuple[int, int, int]] = []
+    counter = 0
+    weight0 = 0
+    grown: list[int] = []
+
+    unassigned = order.tolist()
+    up = 0
+
+    while weight0 < target_weight0:
+        if not heap:
+            # (re)start from a fresh random seed (handles disconnected graphs)
+            while up < n and (in_block[unassigned[up]] or blocked[unassigned[up]]):
+                up += 1
+            if up >= n:
+                break
+            heappush(heap, (0, counter, unassigned[up]))
+            counter += 1
+        # gains only grow and the largest is popped first, so the first entry
+        # of an unassigned vertex to surface carries its current gain; its
+        # older entries surface after it is assigned
+        u = heappop(heap)[2]
+        if in_block[u] or blocked[u]:
+            continue
+        w = vwgt[u]
+        if weight0 + w > max_weight0:
+            blocked[u] = True
+            continue
+        in_block[u] = True
+        grown.append(u)
+        weight0 += w
+        lo, hi = xadj[u], xadj[u + 1]
+        for v, ew in zip(adj[lo:hi], wgt[lo:hi]):
+            if in_block[v]:
+                continue
+            g = gain[v] + 2 * ew  # edge flips from cut to internal
+            gain[v] = g
+            heappush(heap, (-g, counter, v))
+            counter += 1
+    part[grown] = 0
+    return part
+
+
+def bfs_bipartition(graph, target_weight0, rng):
+    """:func:`repro.core.initial.bipartition.bfs_bipartition` over the
+    workspace's lists."""
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    part = tracked_ones(n, np.int32, name="bipartition-part")
+    order = rng.permutation(n)
+    xadj, adj, _, vwgt, _charge = lists(ws)
+    visited = [False] * n
+    charge = tracked_slots(n, "bipartition-visited")
+    weight0 = 0
+    grown: list[int] = []
+    order = order.tolist()
+    oi = 0
+    q: deque[int] = deque()
+    while weight0 < target_weight0:
+        if not q:
+            while oi < n and visited[order[oi]]:
+                oi += 1
+            if oi >= n:
+                break
+            q.append(order[oi])
+            visited[order[oi]] = True
+        u = q.popleft()
+        grown.append(u)
+        weight0 += vwgt[u]
+        for v in adj[xadj[u] : xadj[u + 1]]:
+            if not visited[v]:
+                visited[v] = True
+                q.append(v)
+    part[grown] = 0
+    return part
+
+
+def fm2way_refine(graph, part, max_weights, rounds: int = 2):
+    """:func:`repro.core.initial.fm2way.fm2way_refine` over the workspace's
+    lists."""
+    ws = BisectionWorkspace.of(graph)
+    n = ws.n
+    patience = fm_patience(n)
+    xadj, adj, wgt, vwgt, _charge = lists(ws)
+    tail, head, _ = ws.flat
+    weights = np.zeros(2, dtype=np.int64)
+    np.add.at(weights, part, ws.vwgt)
+    side_weight = weights.tolist()
+
+    for _ in range(rounds):
+        side = part.tolist()  # ``part`` itself only receives the kept prefix
+        gain = two_way_gains(ws, part).tolist()
+        locked = [False] * n
+        names = ("fm2way-gains", "fm2way-locked")
+        charges = [tracked_slots(n, name) for name in names]  # held for the pass
+        boundary = np.unique(tail[part[tail] != part[head]]).tolist()
+        heap = [(-gain[u], u, u) for u in boundary]
+        heapify(heap)
+        counter = n  # later pushes sort after the seeds on equal gain
+
+        moves: list[int] = []
+        best_prefix = 0
+        balance_total = 0
+        best_total = 0
+        # moves since the best prefix, the sum and sum of squares of their gains
+        steps = fallen = squares = 0
+
+        while heap:
+            neg_g, _, u = heappop(heap)
+            if locked[u]:
+                continue
+            g = gain[u]
+            if g != -neg_g:
+                continue  # stale: the update that changed the gain pushed its own entry
+            locked[u] = True
+            src = side[u]
+            dst = 1 - src
+            w = vwgt[u]
+            if side_weight[dst] + w > max_weights[dst]:
+                continue  # cannot move this pass
+            side[u] = dst
+            side_weight[src] -= w
+            side_weight[dst] += w
+            balance_total += g
+            moves.append(u)
+            if balance_total > best_total:
+                best_total = balance_total
+                best_prefix = len(moves)
+                steps = fallen = squares = 0
+            else:
+                steps += 1
+                fallen += g
+                squares += g * g
+                # steps >= variance / (STOP_DIVISOR * mean**2), cleared of divisions
+                if steps > patience and (
+                    fallen == 0
+                    or STOP_DIVISOR * (steps - 1) * fallen * fallen
+                    >= steps * squares - fallen * fallen
+                ):
+                    break
+            lo, hi = xadj[u], xadj[u + 1]
+            for v, ew in zip(adj[lo:hi], wgt[lo:hi]):
+                if locked[v]:
+                    continue
+                g = gain[v] - 2 * ew if side[v] == dst else gain[v] + 2 * ew
+                gain[v] = g
+                heappush(heap, (-g, counter, v))
+                counter += 1
+
+        # keep the best prefix; the tail beyond it only gives its weight back
+        kept = moves[:best_prefix]
+        part[kept] = 1 - part[kept]
+        for u in moves[best_prefix:]:
+            dst = side[u]
+            side_weight[dst] -= vwgt[u]
+            side_weight[1 - dst] += vwgt[u]
+        if best_total <= 0:
+            break
+    return part
+
+
+def extract_subgraphs(graph, masks):
+    """Yield ``(induced subgraph, original_ids)`` per vertex mask, all from one
+    flattened adjacency of ``graph`` (a graph or a :class:`BisectionWorkspace`)."""
+    src, dst, weight = flat_adjacency(graph)
+    vwgt = np.asarray(graph.vwgt)
+    local = tracked_full(graph.n, -1, np.int64, name="subgraph-local-ids")
+    for mask in masks:
+        ids = np.flatnonzero(mask)
+        nsub = len(ids)
+        local[ids] = np.arange(nsub, dtype=np.int64)
+        keep = mask[src] & mask[dst]
+        s, d, w = local[src[keep]], local[dst[keep]], weight[keep]
+        order = np.lexsort((d, s))
+        s, d, w = s[order], d[order], w[order]
+        indptr = tracked_zeros(nsub + 1, np.int64, name="subgraph-indptr")
+        np.cumsum(np.bincount(s, minlength=nsub), out=indptr[1:])
+        unit = bool(len(w) == 0 or np.all(w == 1))
+        yield CSRGraph(indptr, d, None if unit else w, vwgt[ids]), ids
+
+
+def split(ws, labels, label_count: int, blocks, ids=None):
+    """:func:`repro.core.initial.recursive.split` on
+    :func:`extract_subgraphs`' CSR graphs, lazily."""
+    subgraphs = extract_subgraphs(ws, (labels == b for b in blocks))
+    return ((sub, local if ids is None else ids[local]) for sub, local in subgraphs)
+
+
+def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds):
+    """``(best assignment, attempts run)``: the pool as Python loops."""
+    best: np.ndarray | None = None
+    best_key: tuple[int, int] | None = None
+    total = ws.total_vertex_weight
+    ran = 0
+    # per kind: runs, sum and sum of squares of the post-FM cuts
+    stats = dict.fromkeys(POOL, (0, 0, 0))
+    for attempt in range(attempts):
+        kind = POOL[attempt % len(POOL)]
+        runs, cuts, squares = stats[kind]
+        if runs and best_key is not None and best_key[0] == 0:
+            mean = cuts / runs
+            variance = (squares - cuts * mean) / (runs - 1) if runs > 1 else 0.0
+            if mean - POOL_SIGMAS * math.sqrt(max(variance, 0.0)) > best_key[1]:
+                continue
+        if kind == "random":
+            part = random_bipartition(ws, target_weight0, rng)
+        elif kind == "bfs":
+            part = bfs_bipartition(ws, target_weight0, rng)
+        else:
+            part = greedy_graph_growing_bipartition(
+                ws, target_weight0, max_weight0, rng
+            )
+        part = fm2way_refine(
+            ws, part, (max_weight0, max_weight1), rounds=fm_rounds
+        )
+        w0 = int(ws.vwgt[part == 0].sum())
+        w1 = total - w0
+        infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
+        cut = two_way_cut(ws, part)
+        stats[kind] = (runs + 1, cuts + cut, squares + cut * cut)
+        ran += 1
+        if best_key is None or (infeasible, cut) < best_key:
+            best_key, best = (infeasible, cut), part
+    assert best is not None
+    return best, ran
+
+
+def bipartition_portfolio(
+    graph, target_weight0, max_weight0, max_weight1, rng, attempts=8, fm_rounds=2
+):
+    """:func:`repro.core.initial.recursive.bipartition_portfolio` on the
+    Python pool."""
+    ws = BisectionWorkspace.of(graph)
+    attempts = max(1, attempts)
+    best, ran = portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds)
+    tracer = installed_tracer()
+    if tracer is not None:
+        tracer.add("initial.attempts_run", ran)
+        tracer.add("initial.attempts_skipped", attempts - ran)
+    return best
+
+
+# --------------------------------------------------------------------- #
+# the seam
+# --------------------------------------------------------------------- #
+#: phase -> (home module, kernel entry, its twin here); ``decode`` swaps a
+#: method of :class:`~repro.graph.compressed.CompressedGraph`
+TWINS = {
+    "lp": [
+        (lp_chunk, "clustering_round", clustering_round),
+        (lp_chunk, "refinement_round", refinement_round),
+        (lp_chunk, "cluster_pick_step", cluster_pick_step),
+        (lp_chunk, "refine_pick_step", refine_pick_step),
+    ],
+    "contraction": [
+        (lp_chunk, "contraction_step", contraction_step),
+        (lp_chunk, "group_by_label", group_by_label),
+    ],
+    "encode": [(compressed, "_encode_low_degree_bulk", encode_low_degree_bulk)],
+    "decode": [(CompressedGraph, "_decode_chunk_native", decode_chunk_oracle)],
+    "fm": [(fm_kernel, "bind", bind)],
+    "bisection": [
+        (bipartition, "greedy_graph_growing_bipartition", greedy_graph_growing_bipartition),
+        (bipartition, "bfs_bipartition", bfs_bipartition),
+        (fm2way, "fm2way_refine", fm2way_refine),
+        (recursive, "bipartition_portfolio", bipartition_portfolio),
+        (recursive, "split", split),
+    ],
+}
+
+
+# every module that could bind a kernel entry, loaded before anything is swapped
+for _info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not _info.name.endswith("__main__"):
+        importlib.import_module(_info.name)
+
+
+def holders(original) -> list:
+    """Every loaded ``repro.*`` module binding ``original`` by a name of its
+    own (``from ... import`` bindings included), and the names."""
+    return [
+        (mod, name)
+        for modname, mod in list(sys.modules.items())
+        if modname.startswith("repro") and mod is not None
+        for name, value in list(vars(mod).items())
+        if value is original
+    ]
+
+
+@contextlib.contextmanager
+def installed(*phases: str):
+    """Run the body with the kernel entries of ``phases`` (every phase of
+    :data:`TWINS` if none is named) replaced by their twins here, in every
+    module that binds them: the drivers then run the oracles, one path as
+    before, and a test compares their answer with the kernels'."""
+    with pytest.MonkeyPatch.context() as mp:
+        for phase in phases or tuple(TWINS):
+            for home, name, twin in TWINS[phase]:
+                original = getattr(home, name)
+                if isinstance(home, type):
+                    mp.setattr(home, name, twin)
+                    continue
+                for mod, bound in holders(original):
+                    mp.setattr(mod, bound, twin)
+        yield

@@ -21,11 +21,9 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-import repro  # noqa: F401  (loads every module that imports a kernel)
-import repro.dist  # noqa: F401
+import oracles
 from repro.core.kernels.gains import HASH_MULT
 from repro.core.refinement.gain_table import entry_width_bits
-from repro.graph import _native
 from repro.graph.varint import encode_stream
 
 
@@ -269,11 +267,12 @@ def scalar_references():
     """Run the body with every bulk kernel replaced by its scalar reference.
 
     The swap reaches each loaded ``repro.*`` module holding the kernel
-    under its own name (``from ... import`` bindings included).  The
-    compiled LP chunk (``lp_kernel.c``) and the compiled packet encoder
-    (``repro_encode_run``) replace the very pipelines those kernels form,
-    so both are held off for the body: the run is the numpy pipeline on
-    the scalar references.  Yields a
+    under its own name (``from ... import`` bindings included), and the
+    test-side :mod:`oracles`.  The compiled LP round (``lp_kernel.c``) and
+    the compiled packet encoder (``repro_encode_run``) replace the very
+    pipelines those kernels form, so both are swapped for their numpy
+    oracles for the body (:func:`oracles.installed`): the run is the numpy
+    pipeline on the scalar references.  Yields a
     :class:`~collections.Counter` of reference calls so a caller can prove
     the oracle actually ran.
     """
@@ -286,15 +285,13 @@ def scalar_references():
 
         return wrapper
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "lp_kernels", lambda: None)
-        mp.setattr(_native, "encode_kernel", lambda: None)
+    with oracles.installed("lp", "encode"), pytest.MonkeyPatch.context() as mp:
         for name, (home, ref) in REFERENCES.items():
             original = getattr(sys.modules[home], name)
             holders = [
                 mod
                 for modname, mod in list(sys.modules.items())
-                if modname.startswith("repro")
+                if (modname.startswith("repro") or modname == "oracles")
                 and getattr(mod, name, None) is original
             ]
             assert len(holders) >= 2, name  # home + at least one caller

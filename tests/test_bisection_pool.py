@@ -1,15 +1,16 @@
 """A bisection's attempt pool and the subgraph split in C (``repro_bisect_pool``,
 ``repro_split`` in ``bisection_kernel.c``) against the Python they replace.
 
-The oracles are ``recursive._portfolio`` (the pool as Python loops, reached
-with the compiled searches hidden) and ``recursive.extract_subgraphs``.  The
+The oracles are ``oracles.portfolio`` (the pool as Python loops, installed
+in the compiled pool's place) and ``oracles.extract_subgraphs``.  The
 kernel must return the oracle's best assignment byte for byte, leave the
 generator where the oracle leaves it (it pre-draws every order and rewinds),
 report each slot as the oracle ran it -- kind, skipped or run,
 infeasibility, cut, heap pops / pushes and FM passes -- and charge its
 scratch under the names the ledger knows; the split must write the CSR
 graphs ``extract_subgraphs`` builds.  A refusal leaves the generator and
-the inputs as they were.
+the inputs as they were; inputs only the oracle's Python integers hold
+(negative caps, cut sums a double would round) are refused by name.
 """
 
 from __future__ import annotations
@@ -22,20 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repro
 from repro.core import config as C
 from repro.core import partitioner
-from repro.core.initial import bipartition, fm2way, recursive
+from repro.core.initial import recursive
 from repro.core.initial.deep import deep_initial_partition
-from repro.core.initial.recursive import (
-    POOL,
-    bipartition_portfolio,
-    extract_subgraphs,
-    initial_partition,
-)
+from repro.core.initial.recursive import POOL, bipartition_portfolio, initial_partition
 from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionKernels, BisectionWorkspace
 from repro.core.kernels import two_way_cut
-from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
@@ -43,17 +39,11 @@ from repro.graph.csr import CSRGraph
 from repro.memory import scratch
 from test_initial_workspace import RecordingTracker, reweighted, side_weights
 
-pytestmark = pytest.mark.skipif(
-    _native.bisection_kernels() is None,
-    reason="no compiled searches (no C compiler, or REPRO_NATIVE=0)",
-)
-
-
 @contextmanager
 def oracle():
-    """The compiled searches hidden: every call takes the Python path."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_native, "bisection_kernels", lambda: None)
+    """The Python pool, loops and extraction of ``tests/oracles.py`` in the
+    compiled ones' place: every call takes the Python path."""
+    with oracles.installed("bisection"), pytest.MonkeyPatch.context() as m:
         yield m
 
 
@@ -64,7 +54,6 @@ def kernel_pool(graph, target, caps, seed, attempts, rounds):
 
     def watched(self, *args):
         pooled = pool(self, *args)
-        assert pooled is not None, "the kernel should run this pool"
         rows.append(pooled[1].tolist())
         return pooled
 
@@ -98,30 +87,31 @@ def oracle_pool(graph, target, caps, seed, attempts, rounds):
 
     rng = np.random.default_rng(seed)
     with oracle() as m:
-        for module in (bipartition, fm2way):
-            m.setattr(module, "heappop", heappop)
-            m.setattr(module, "heappush", heappush)
-        m.setattr(fm2way, "heapify", heapify)
+        m.setattr(oracles, "heappop", heappop)
+        m.setattr(oracles, "heappush", heappush)
+        m.setattr(oracles, "heapify", heapify)
         for kind, name in (
             ("ggg", "greedy_graph_growing_bipartition"),
             ("bfs", "bfs_bipartition"),
             ("random", "random_bipartition"),
         ):
-            def seeded(*args, _kind=kind, _seed=getattr(recursive, name)):
+            def seeded(*args, _kind=kind, _seed=getattr(oracles, name)):
                 ran.append([_kind, list(counts)])
                 return _seed(*args)
 
-            m.setattr(recursive, name, seeded)
+            m.setattr(oracles, name, seeded)
 
-        def refined(ws, part, max_weights, rounds):
-            part = fm2way.fm2way_refine(ws, part, max_weights, rounds=rounds)
+        def refined(ws, part, max_weights, rounds, _refine=oracles.fm2way_refine):
+            part = _refine(ws, part, max_weights, rounds=rounds)
             over = sum(max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights))
             kind, start = ran[-1]
             ran[-1] = (kind, over, two_way_cut(ws, part), *(b - a for a, b in zip(start, counts)))
             return part
 
-        m.setattr(recursive, "fm2way_refine", refined)
-        best = bipartition_portfolio(graph, target, *caps, rng, attempts=attempts, fm_rounds=rounds)
+        m.setattr(oracles, "fm2way_refine", refined)
+        best = recursive.bipartition_portfolio(
+            graph, target, *caps, rng, attempts=attempts, fm_rounds=rounds
+        )
     return best, ran, rng.bit_generator.state
 
 
@@ -212,7 +202,9 @@ class TestPool:
             try:
                 if path == "oracle":
                     with oracle():
-                        bipartition_portfolio(g, total // 2, cap, cap, np.random.default_rng(0))
+                        recursive.bipartition_portfolio(
+                            g, total // 2, cap, cap, np.random.default_rng(0)
+                        )
                 else:
                     bipartition_portfolio(g, total // 2, cap, cap, np.random.default_rng(0))
             finally:
@@ -232,7 +224,7 @@ class TestPool:
 def assert_split_is_extract(graph, labels, label_count, blocks, ids=None):
     ws = BisectionWorkspace(graph)
     got = ws.kernels().split(labels, label_count, blocks, ids)
-    want = list(extract_subgraphs(graph, [labels == b for b in blocks]))
+    want = list(oracles.extract_subgraphs(graph, [labels == b for b in blocks]))
     assert len(got) == len(want)
     for (child, child_ids), (sub, local) in zip(got, want):
         assert child.n == sub.n
@@ -246,7 +238,7 @@ def assert_split_is_extract(graph, labels, label_count, blocks, ids=None):
         # unit weights travel as no array at all, as extract_subgraphs' None
         kernel_wgt = child.kernels()._arrays[2]
         assert (kernel_wgt is None) == sub._unit_edge_weights
-        assert child.lists == BisectionWorkspace(sub).lists
+        assert oracles.lists(child)[:4] == oracles.lists(BisectionWorkspace(sub))[:4]
     return got
 
 
@@ -373,23 +365,39 @@ class TestDegenerate:
         assert got.tolist() == want.tolist()
 
     def test_caps_below_zero_take_the_oracle(self):
-        """Infeasibility is only exact for caps >= 0: the pool steps aside."""
+        """Infeasibility is only exact for caps >= 0: the kernel pool refuses
+        a negative cap by name, before it draws; only the oracle takes one.
+        No run reaches it: vertex weights are >= 0, so every cap is."""
         g = gen.grid2d(4, 4)
-        ws = BisectionWorkspace(g)
-        assert ws.kernels().pool(recursive._POOL_CODES, 8, -1, 9, np.random.default_rng(0), 8, 2, 2.0) is None
-        got, want = both_paths(lambda rng: bipartition_portfolio(g, 8, -1, 9, rng), 4)
-        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="a cap is negative"):
+            BisectionWorkspace(g).kernels().pool(recursive._POOL_CODES, 8, -1, 9, rng, 8, 2, 2.0)
+        with pytest.raises(ValueError, match="a cap is negative"):
+            bipartition_portfolio(g, 8, -1, 9, rng)
+        assert rng.bit_generator.state == state
+        part = oracles.bipartition_portfolio(g, 8, -1, 9, rng)
+        assert set(part.tolist()) <= {0, 1}
 
     def test_cut_sums_past_double_precision_take_the_oracle(self):
-        """attempts * sum |w| >= 2^53: the skip rule's sums could round."""
+        """attempts * sum |w| >= 2^53: the skip rule's sums could round.  The
+        kernel pool refuses by name, before it draws, and ``partition()``
+        before any work; only the oracle takes them."""
         edges = np.array([[i, i + 1] for i in range(11)])
         g = from_edges(12, edges, np.full(11, 1 << 47, dtype=np.int64))
-        assert BisectionWorkspace(g).kernels() is not None
-        assert BisectionWorkspace(g).kernels().pool(
-            recursive._POOL_CODES, 6, 7, 7, np.random.default_rng(0), 8, 2, 2.0
-        ) is None  # fmt: skip
-        got, want = both_paths(lambda rng: initial_partition(g, 4, 0.03, rng), 5)
-        assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"attempts \* W is not below 2\^53"):
+            BisectionWorkspace(g).kernels().pool(recursive._POOL_CODES, 6, 7, 7, rng, 8, 2, 2.0)
+        with pytest.raises(ValueError, match=r"attempts \* W is not below 2\^53"):
+            initial_partition(g, 4, 0.03, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match=r"graph refused: attempts \* W"):
+            repro.partition(g, 4, C.preset("terapart", seed=1))
+        # two attempts keep it below the bound
+        assert initial_partition(g, 4, 0.03, rng, attempts=2).shape == (12,)
+        with oracle():
+            assert initial_partition(g, 4, 0.03, rng).shape == (12,)
 
 
 class TestRefusals:

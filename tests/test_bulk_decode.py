@@ -8,6 +8,7 @@ neighborhoods -- for every chunk shape LP's scheduler can produce.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, full_adjacency
@@ -119,16 +121,10 @@ class TestStreamBulk:
             assert ref == v == got[i]
 
 
-NO_KERNEL = "no compiled decode kernel (no C compiler, or REPRO_NATIVE=0)"
-needs_kernel = pytest.mark.skipif(not _native.available(), reason=NO_KERNEL)
-
-
-def _select_decoder(which, monkeypatch):
-    """Pin ``decode_chunk`` to the compiled kernel or to the numpy oracle."""
-    if which == "oracle":
-        monkeypatch.setattr(_native, "decode_kernel", lambda: None)
-    elif not _native.available():
-        pytest.skip(NO_KERNEL)
+def _decoder(which):
+    """A context pinning ``decode_chunk`` to the compiled kernel or to the
+    numpy oracle of ``tests/oracles.py``."""
+    return oracles.installed("decode") if which == "oracle" else contextlib.nullcontext()
 
 
 class _OnEachDecoder:
@@ -138,8 +134,9 @@ class _OnEachDecoder:
     decoder = "oracle"
 
     @pytest.fixture(autouse=True)
-    def _pin_decoder(self, monkeypatch):
-        _select_decoder(self.decoder, monkeypatch)
+    def _pin_decoder(self):
+        with _decoder(self.decoder):
+            yield
 
 
 def _assert_chunk_matches_scalar(cg, chunk):
@@ -561,16 +558,14 @@ class TestHostileMetadataNative(TestHostileMetadata):
     decoder = "native"
 
 
-def _outcome(cg, chunk, which, monkeypatch):
-    with monkeypatch.context() as m:
-        _select_decoder(which, m)
+def _outcome(cg, chunk, which):
+    with _decoder(which):
         try:
             return cg.decode_chunk(chunk)
         except ValueError:
             return None
 
 
-@needs_kernel
 class TestDecodersAgree:
     """Differential fuzz: on a damaged stream the compiled kernel and the
     numpy oracle reach the same outcome -- the same three arrays, or both
@@ -579,7 +574,7 @@ class TestDecodersAgree:
     FLIPS = 1100  # per weighting; two chunks each
 
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-    def test_single_bit_flips(self, weighted, monkeypatch):
+    def test_single_bit_flips(self, weighted):
         g = _weighted_weblike(400, 7) if weighted else gen.weblike(400, 8.0, seed=7)
         cg = compress_graph(g)
         rng = np.random.default_rng(11)
@@ -595,8 +590,8 @@ class TestDecodersAgree:
             except ValueError:  # a header neither decoder gets to see
                 continue
             for chunk in chunks:
-                got = _outcome(bad, chunk, "native", monkeypatch)
-                ref = _outcome(bad, chunk, "oracle", monkeypatch)
+                got = _outcome(bad, chunk, "native")
+                ref = _outcome(bad, chunk, "oracle")
                 assert (got is None) == (ref is None), (flip, got, ref)
                 if ref is None:
                     refused += 1
@@ -632,7 +627,6 @@ def _raw_kernel_call(cg, chunk, degs, *, data=None, offsets=None, n=None, short=
     return rc
 
 
-@needs_kernel
 class TestKernelContract:
     """``decode_kernel.c`` defends itself: called without the wrapper's
     checks it returns an error code and writes nothing outside the slots it
@@ -683,8 +677,7 @@ class TestKernelContract:
         assert codes <= set(_native.ERRORS) | {0} and len(codes) >= 4, codes
 
 
-@needs_kernel
-def test_native_scratch_charge_is_at_most_the_oracles(monkeypatch):
+def test_native_scratch_charge_is_at_most_the_oracles():
     """With ``obs.track_scratch`` on, the ledger sees what the compiled path
     allocates per chunk: owner + neighbors + one interval buffer of at most
     max-degree slots -- no more than the oracle's tracked temporaries."""
@@ -696,8 +689,7 @@ def test_native_scratch_charge_is_at_most_the_oracles(monkeypatch):
         tracker = MemoryTracker()
         scratch.install_ledger(tracker)
         try:
-            with monkeypatch.context() as m:
-                _select_decoder(which, m)
+            with _decoder(which):
                 out = cg.decode_chunk(chunk)
         finally:
             scratch.uninstall_ledger()

@@ -1,5 +1,5 @@
 """The compiled packet encoder, ``repro_encode_run`` in ``decode_kernel.c``,
-against its numpy oracle ``_encode_low_degree_oracle``.
+against its numpy oracle ``oracles.encode_low_degree_oracle``.
 
 Both must produce the same bytes, offsets and :class:`CompressionStats` on
 every input the compressors hand them. They must give the same named
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.graph import _native, compressed
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
@@ -26,11 +27,6 @@ from repro.graph.compressed import (
     encode_neighborhood,
 )
 from repro.graph.csr import CSRGraph
-
-needs_kernel = pytest.mark.skipif(
-    _native.encode_kernel() is None,
-    reason="no compiled encoder (no C compiler, or REPRO_NATIVE=0)",
-)
 
 ERR_METADATA, ERR_RANGE = -7, -6
 ERR_DESCENT, ERR_DUPLICATE, ERR_WEIGHT, ERR_CAPACITY = -8, -9, -10, -11
@@ -54,8 +50,7 @@ def _image(graph, cut=None, **codec):
 
 
 def _on_oracle(fn, *args, **kwargs):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "encode_kernel", lambda: None)
+    with oracles.installed("encode"):
         return fn(*args, **kwargs)
 
 
@@ -104,7 +99,6 @@ def _weights(graph, kind):
     return rng.integers(0, 3, size=m2)  # a third of them zero
 
 
-@needs_kernel
 class TestKernelIsOracle:
     @pytest.mark.parametrize("intervals", [True, False])
     @pytest.mark.parametrize("weights", ["unit", "random", "zeros"])
@@ -181,12 +175,12 @@ class TestKernelIsOracle:
 # refusals: named, the same on both paths, before a byte is appended
 # --------------------------------------------------------------------- #
 @pytest.fixture(params=["native", "oracle"])
-def path(request, monkeypatch):
+def path(request):
     if request.param == "oracle":
-        monkeypatch.setattr(_native, "encode_kernel", lambda: None)
-    elif _native.encode_kernel() is None:
-        pytest.skip("no compiled encoder")
-    return request.param
+        with oracles.installed("encode"):
+            yield request.param
+    else:
+        yield request.param
 
 
 REFUSED = {
@@ -293,7 +287,6 @@ def _raw(first_edge, nbrs, wgts=None, *, lo=0, intervals=True, cap=None, edges=N
     return size, rc, int(bad[0]), out[PAD : PAD + cap].tobytes()
 
 
-@needs_kernel
 class TestRawContract:
     FE = [10, 13, 13, 17, 18]  # a run starting at edge 10, one isolated vertex
     NB = [0, 1, 2, 0, 4, 5, 7, 3]
@@ -301,7 +294,7 @@ class TestRawContract:
 
     def _oracle_bytes(self, weighted):
         stats = CompressionStats()
-        blob, _ = compressed._encode_low_degree_oracle(
+        blob, _ = oracles.encode_low_degree_oracle(
             2, np.array(self.FE), np.array(self.NB), np.array(self.W) if weighted else None,
             CompressionConfig(), stats,
         )  # fmt: skip

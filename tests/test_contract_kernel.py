@@ -1,8 +1,8 @@
 """Contraction on the rating map (``lp_kernel.c``'s ``repro_contract_chunk``
 and ``repro_group_by_label``) against the numpy pipelines it replaces.
 
-Every coarse graph is aggregated by ``kernels.contraction_step``: the kernel,
-or without the compiled library its one numpy oracle (member gather, the
+Every coarse graph is aggregated by ``kernels.contraction_step``, the kernel;
+its numpy oracle is ``oracles.contraction_step`` (member gather, the
 members' adjacency, the sort of ``kernels.aggregate_coarse_edges``).  Buffered
 contraction is one call per level and must build the same coarse CSR byte
 for byte either way; one-pass contraction is one call per chunk and must
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from repro.core.coarsening.contraction import contract_buffered, dense_remap
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.config import kaminpar, terapart
@@ -41,12 +42,6 @@ from test_bulk_decode import _clone
 from test_initial_kernel import Guarded
 from test_lp_kernel import DecodeCalls, both_ways, csr, weighted
 
-needs_kernel = pytest.mark.skipif(
-    _native.contraction_kernels() is None,
-    reason="no compiled contraction (no C compiler, or REPRO_NATIVE=0)",
-)
-
-
 def context(graph, preset=terapart, chunk_size=64) -> PartitionContext:
     return PartitionContext(
         config=preset(seed=7, p=4),
@@ -58,9 +53,8 @@ def context(graph, preset=terapart, chunk_size=64) -> PartitionContext:
 
 
 def on_oracle(fn, *args, **kwargs):
-    """``fn(...)`` with the compiled contraction hidden."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_native, "contraction_kernels", lambda: None)
+    """``fn(...)`` with the contraction oracles in the kernel's place."""
+    with oracles.installed("contraction"):
         return fn(*args, **kwargs)
 
 
@@ -120,7 +114,6 @@ def graph_of(family: str, edge_weights: str, kind: str):
 # --------------------------------------------------------------------- #
 # kernel == oracle, level by level and chunk by chunk
 # --------------------------------------------------------------------- #
-@needs_kernel
 @pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
 def test_buffered_is_byte_identical(case):
     family, edge_weights, kind, clusters_kind = case
@@ -133,7 +126,6 @@ def test_buffered_is_byte_identical(case):
         out.coarse.validate()
 
 
-@needs_kernel
 @pytest.mark.parametrize("case", MATRIX, ids=MATRIX_IDS)
 def test_one_pass_is_byte_identical(case):
     family, edge_weights, kind, clusters_kind = case
@@ -154,7 +146,6 @@ def assert_same_step(kernel, oracle, *call):
     return got
 
 
-@needs_kernel
 @pytest.mark.parametrize("kind", INPUTS)
 def test_one_pass_chunks_agree(kind):
     """Each chunk's ``B_t`` -- member edges read, per coarse vertex its
@@ -165,7 +156,7 @@ def test_one_pass_chunks_agree(kind):
     leaders = cluster_leaders(clusters)
     order, offsets = cluster_members(clusters, leaders)
     kernel = contraction_step(graph, clusters, graph.n)
-    oracle = on_oracle(contraction_step, graph, clusters, graph.n)
+    oracle = oracles.contraction_step(graph, clusters, graph.n)
     hubs = DecodeCalls(graph) if kind == "hubs" else None
     chunks = 0
     for size in (1, 7, 64):
@@ -179,7 +170,6 @@ def test_one_pass_chunks_agree(kind):
         assert chunks < hubs.calls < 2 * chunks
 
 
-@needs_kernel
 @pytest.mark.parametrize("kind", INPUTS)
 @pytest.mark.parametrize("ranks", [2, 3, 8])
 def test_a_ranks_rows_agree(kind, ranks):
@@ -193,7 +183,7 @@ def test_a_ranks_rows_agree(kind, ranks):
     n_coarse = len(leaders)
     coarse_ids = np.arange(n_coarse, dtype=np.int64)
     kernel = contraction_step(graph, fine_to_coarse, n_coarse)
-    oracle = on_oracle(contraction_step, graph, fine_to_coarse, n_coarse)
+    oracle = oracles.contraction_step(graph, fine_to_coarse, n_coarse)
     bounds = [*np.linspace(0, graph.n, ranks, dtype=np.int64).tolist(), graph.n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         order, groups = cluster_members(fine_to_coarse[lo:hi], coarse_ids, n_coarse)
@@ -203,7 +193,6 @@ def test_a_ranks_rows_agree(kind, ranks):
             assert edges == 0 and not degrees.any() and len(cv) == 0
 
 
-@needs_kernel
 @pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
 def test_every_way_of_ordering_a_neighbourhood(compressed):
     """A coarse vertex's labels come out in order by insertion sort (up to
@@ -226,7 +215,6 @@ def test_every_way_of_ordering_a_neighbourhood(compressed):
         assert_same_contraction(graph, clusters, weights, contract_one_pass, context)
 
 
-@needs_kernel
 def test_the_empty_graph():
     graph = CSRGraph(np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64))
     none = np.empty(0, dtype=np.int64)
@@ -251,7 +239,6 @@ def small_clustered_graphs(draw):
     return graph, clusters, cluster_weights, draw(st.booleans())
 
 
-@needs_kernel
 @settings(max_examples=150, deadline=None)
 @given(small_clustered_graphs())
 def test_kernel_equals_oracle_on_arbitrary_small_graphs(case):
@@ -399,7 +386,6 @@ def refused(raw, code, at=None):
         assert raw.info[1] == at
 
 
-@needs_kernel
 class TestKernelContract:
     """``repro_contract_chunk`` defends itself: an id it cannot index, group
     offsets that leave the chunk or an output one entry short come back as an
@@ -409,7 +395,7 @@ class TestKernelContract:
     def test_a_clean_call_is_the_oracle(self, mesh):
         graph, clusters = mesh
         raw = Raw(graph, clusters)
-        oracle = on_oracle(contraction_step, graph, raw.labels.copy(), raw.label_count)
+        oracle = oracles.contraction_step(graph, raw.labels.copy(), raw.label_count)
         _, degrees, cv, w = oracle(raw.members, raw.groups, raw.own)
         assert raw() == len(cv)
         assert np.array_equal(raw.out.inside(3)[: len(cv)], cv)
@@ -506,7 +492,6 @@ class TestKernelContract:
         assert len(codes) >= 3, codes
 
 
-@needs_kernel
 class TestGroupByLabel:
     def test_a_label_out_of_range_names_its_vertex(self):
         labels = np.array([0, 2, 2, 5, 1], dtype=np.int64)
@@ -521,7 +506,6 @@ class TestGroupByLabel:
         assert (rc, int(info[1])) == (-4, 3) and (members == 7).all()
 
 
-@needs_kernel
 class TestCorruptGraph:
     """Through either contraction a level the kernel refuses is a
     ``ValueError`` naming the vertex -- never a trap."""
@@ -552,7 +536,6 @@ class TestCorruptGraph:
         assert "ran" in outcomes and outcomes & set(_native.ERRORS.values()), outcomes
 
 
-@needs_kernel
 def test_a_hub_free_compressed_graph_is_never_decoded_first():
     """Only a chunk holding a hub is decoded before the kernel rates it (the
     LP rule): contracting a hub-free compressed graph, either way, calls

@@ -1,6 +1,6 @@
 """Distributed LP's pick on the compiled rating map (``lp_kernel.c``'s
 ``repro_lp_cluster_pick`` / ``repro_lp_refine_pick``) against the numpy
-pipelines of ``repro.dist.dlp`` it replaces.
+pipelines it replaces (``oracles.cluster_pick`` / ``oracles.refine_pick``).
 
 One batch of one rank, side by side: on random labels, weight tables and
 batches, the kernel's pick and the oracle's return the same movers and
@@ -18,8 +18,9 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from repro.core.kernels import lp_chunk
-from repro.dist import dlp, dpartition
+from repro.dist import dpartition
 from repro.dist.dpartitioner import DistConfig
 from repro.graph import _native
 from repro.graph import generators as gen
@@ -27,12 +28,6 @@ from repro.graph.compressed import compress_graph
 from repro.graph.csr import CSRGraph
 from test_bulk_decode import _body, _hand_built
 from test_lp_kernel import DecodeCalls, weighted
-
-pytestmark = pytest.mark.skipif(
-    _native.lp_kernels() is None,
-    reason="no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)",
-)
-
 
 def graphs():
     """``(name, graph)``: CSR unit / weighted, compressed, and compressed
@@ -94,7 +89,7 @@ def test_cluster_pick_equals_the_oracle(name):
         cap = int(rng.integers(2, 12))
         maps = zeroed_map(n)
         kernel = lp_chunk.cluster_pick_step(graph, labels, weights, cap, maps)
-        oracle = dlp._cluster_oracle(graph, labels, weights, cap)
+        oracle = oracles.cluster_pick(graph, labels, weights, cap)
         for batch in batches_of(n, rng):
             moved += assert_same_pick(kernel, oracle, batch, [labels, weights])
         assert not maps[0].any(), "rating map left dirty"  # slot[]; the rest is scratch
@@ -116,7 +111,7 @@ def test_refine_pick_equals_the_oracle(name):
         block_weights = block_weights.astype(np.int64) + rng.integers(0, 20, size=k)
         lmax = int(np.median(block_weights)) + 3
         kernel = lp_chunk.refine_pick_step(graph, part, block_weights, lmax)
-        oracle = dlp._refine_oracle(graph, part, block_weights, k, lmax)
+        oracle = oracles.refine_pick(graph, part, block_weights, k, lmax)
         for batch in batches_of(n, rng):
             moved += assert_same_pick(kernel, oracle, batch, [part, block_weights])
     assert moved > 0
@@ -125,8 +120,9 @@ def test_refine_pick_equals_the_oracle(name):
 
 
 def test_weights_the_commit_cannot_sum_go_to_the_oracle():
-    """At ``WEIGHT_LIMIT / n`` a vertex the builders refuse: both return
-    ``None`` and the driver picks in numpy; one below, they build."""
+    """At ``WEIGHT_LIMIT / n`` a vertex the builders refuse by name, and
+    ``dpartition`` before any work; only the numpy oracle still picks on
+    them.  One below, they build."""
     base = gen.rgg2d(256, 8.0, seed=1)
     n = base.n
     at_limit = _native.WEIGHT_LIMIT // n
@@ -137,10 +133,20 @@ def test_weights_the_commit_cannot_sum_go_to_the_oracle():
         part = (np.arange(n) % 4).astype(np.int32)
         block_weights = np.bincount(part, weights=graph.vwgt, minlength=4).astype(np.int64)
         steps = (
-            lp_chunk.cluster_pick_step(graph, labels, weights, 1 << 62, zeroed_map(n)),
-            lp_chunk.refine_pick_step(graph, part, block_weights, 1 << 62),
+            lambda: lp_chunk.cluster_pick_step(graph, labels, weights, 1 << 62, zeroed_map(n)),
+            lambda: lp_chunk.refine_pick_step(graph, part, block_weights, 1 << 62),
+            lambda: dpartition(graph, 4, 2),
         )
-        assert all((step is None) == refused for step in steps), per_vertex
+        for step in steps:
+            if refused:
+                with pytest.raises(ValueError, match=r"is not below 2\^62"):
+                    step()
+            else:
+                step()
+        batch = np.arange(0, n, 3, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            oracles.cluster_pick(graph, labels, weights, 1 << 62)(batch)
+            oracles.refine_pick(graph, part, block_weights, 4, 1 << 62)(batch)
 
 
 E2E_GRAPHS = {
@@ -158,13 +164,12 @@ def summary(graph, ranks, compressed, batches):
 
 
 @pytest.mark.parametrize("family", list(E2E_GRAPHS))
-def test_dpartition_is_the_same_with_the_pick_entry_off(family, monkeypatch):
+def test_dpartition_is_the_same_with_the_pick_entry_off(family):
     graph = E2E_GRAPHS[family]()
     levels = 0
     for ranks, compressed, batches in itertools.product((1, 2, 4), (False, True), (1, 3, 4)):
         got = summary(graph, ranks, compressed, batches)
-        with monkeypatch.context() as m:
-            m.setattr(_native, "lp_kernels", lambda: None)
+        with oracles.installed("lp"):
             assert got == summary(graph, ranks, compressed, batches), (ranks, compressed, batches)
         levels += got[-1]
     assert levels > 0  # distributed clustering ran, not refinement alone

@@ -2,9 +2,9 @@
 Python pass it replaces.
 
 One pass runs twice from the same partition and the same freshly built
-table: on the kernel (``fm_refine._pass`` / ``fm_localized._localized_pass``
-with the library) and on the oracle (``fm_refine._fm_pass`` /
-``fm_localized._run_search`` over ``_best_move``).  Everything the pass
+table, through ``fm_refine._pass`` / ``fm_localized._localized_pass``: on
+the kernel and on the oracle installed in its place (``oracles.fm_pass`` /
+``oracles.run_search`` over ``oracles.best_move``).  Everything the pass
 touches must come out byte-equal: the partition, the block weights, the
 table's arrays, the returned improvement, ``recompute_edges``,
 ``lock_acquisitions`` and the tracer's counters (``fm.*`` and the
@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repro
 from repro.core.config import DebugConfig, FMConfig, ObsConfig, preset
 from repro.core.context import PartitionContext
@@ -45,11 +46,6 @@ from test_bulk_decode import _body, _hand_built
 
 # the package re-exports the function under the module's name
 fm_refine = importlib.import_module("repro.core.refinement.fm_refine")
-
-pytestmark = pytest.mark.skipif(
-    _native.fm_kernel() is None,
-    reason="no compiled FM pass (no C compiler, or REPRO_NATIVE=0)",
-)
 
 KINDS = ("none", "full", "sparse")
 
@@ -125,29 +121,12 @@ def one_pass(graph, k, kind, part, *, native, localized=False, cfg=None, lmax=No
             preset("terapart-fm", seed=ctx_seed), k, graph.total_vertex_weight, tracer=tracer
         )
         table = make_gain_table(kind, pg)
-        if native:
-            assert fm_kernel.bind(pg, table, lmax) is not None
-        if localized:
-            with _kernel_hidden(not native):
+        with contextlib.nullcontext() if native else oracles.installed("fm"):
+            if localized:
                 result = fm_localized._localized_pass(pg, ctx, table, lmax, cfg, 16)
-        elif native:
-            result = fm_refine._pass(pg, ctx, table, lmax, cfg)
-        else:
-            result = fm_refine._fm_pass(pg, ctx, table, lmax, cfg)
+            else:
+                result = fm_refine._pass(pg, ctx, table, lmax, cfg)
     return snapshot(pg, table, result, tracer)
-
-
-@contextlib.contextmanager
-def _kernel_hidden(hide: bool):
-    if not hide:
-        yield
-        return
-    mp = pytest.MonkeyPatch()
-    mp.setattr(fm_kernel, "bind", lambda *a, **kw: None)
-    try:
-        yield
-    finally:
-        mp.undo()
 
 
 def assert_pass_agrees(graph, k, kind, seed, **kw) -> dict:
@@ -228,7 +207,7 @@ def test_a_pass_that_ends_on_the_abort_slack(kind, monkeypatch):
     g = weighted(gen.rgg2d(300, 8.0, seed=6), seed=2)
     cfg = FMConfig(gain_table=kind, max_fruitless_moves=10**9)
     recording = RecordingHeap()
-    monkeypatch.setattr(fm_refine, "heapq", recording)
+    monkeypatch.setattr(oracles, "heapq", recording)
     got = assert_pass_agrees(g, 16, kind, seed=9, cfg=cfg)
     assert got["counters"]["fm.rollback_moves"] > 0
     assert len(recording.heaps) == 1 and len(recording.heaps[0]) > 0
@@ -287,7 +266,8 @@ def test_a_negative_affinity_stays_an_assertion():
     corrupt(pg, table)
     ctx = PartitionContext(preset("terapart-fm"), 64, g.total_vertex_weight)
     with pytest.raises(AssertionError, match="negative affinity"):  # the oracle's refusal
-        fm_refine._fm_pass(pg, ctx, table, g.total_vertex_weight, FMConfig())
+        with oracles.installed("fm"):
+            fm_refine._pass(pg, ctx, table, g.total_vertex_weight, FMConfig())
     refused(g, 64, "sparse", corrupt, AssertionError, r"negative affinity at vertex \d+, block \d+")
 
 
@@ -380,19 +360,18 @@ def test_a_stream_the_decoder_refuses_is_a_value_error(kind):
 
 
 def test_weights_past_the_kernels_limit_take_the_python_pass():
+    """Only the Python pass takes them: the kernel refuses them by name, and
+    ``partition()`` / ``refine_partition()`` before any work."""
     base = gen.rgg2d(150, 6.0, seed=2)
     heavy = from_edges(base.n, edges_of(base), vwgt=np.full(base.n, 1 << 55, dtype=np.int64))
     part = np.arange(heavy.n) % 4
     pg = PartitionedGraph(heavy, 4, part)
-    assert fm_kernel.bind(pg, make_gain_table("sparse", pg), 1 << 62) is None
+    with pytest.raises(ValueError, match=r"is not below 2\^62"):
+        fm_kernel.bind(pg, make_gain_table("sparse", pg), 1 << 62)
+    with pytest.raises(ValueError, match=r"graph refused: the total vertex weight"):
+        repro.refine_partition(heavy, 4, part, preset("terapart-fm", seed=7))
     lmax = 50 << 55
     want = one_pass(heavy, 4, "sparse", part, native=False, lmax=lmax)
-    pg = PartitionedGraph(heavy, 4, part)
-    with traced() as tracer:  # _pass falls back to _fm_pass
-        ctx = PartitionContext(preset("terapart-fm", seed=7), 4, heavy.total_vertex_weight, tracer=tracer)
-        table = make_gain_table("sparse", pg)
-        result = fm_refine._pass(pg, ctx, table, lmax, FMConfig())
-    assert snapshot(pg, table, result, tracer) == want
     assert want["counters"]["fm.moves"] > 0
 
 
@@ -413,8 +392,8 @@ def test_a_traced_partition_is_the_oracles(name, localized, monkeypatch):
     monkeypatch.setattr(_native, "fm_kernel", lambda: lambda *a: calls.append(1) or kernel(*a))
     got = repro.partition(g, 16, config)
     assert calls
-    monkeypatch.setattr(_native, "fm_kernel", lambda: None)
-    want = repro.partition(g, 16, config)
+    with oracles.installed("fm"):
+        want = repro.partition(g, 16, config)
     assert np.array_equal(got.partition, want.partition)
     assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
     assert got.obs["counters"] == want.obs["counters"]
@@ -425,8 +404,7 @@ def test_a_pass_is_one_call_and_no_python_move(name, monkeypatch):
     def no_python(*a, **kw):
         raise AssertionError("the Python pass ran")
 
-    monkeypatch.setattr(fm_refine, "_best_move", no_python)
-    monkeypatch.setattr(fm_localized, "_best_move", no_python)
+    monkeypatch.setattr(oracles, "best_move", no_python)
     calls = []
     kernel = _native.fm_kernel()
     monkeypatch.setattr(_native, "fm_kernel", lambda: lambda *a: calls.append(1) or kernel(*a))

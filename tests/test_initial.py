@@ -8,11 +8,9 @@ from repro.core.initial.bipartition import (
     greedy_graph_growing_bipartition,
     random_bipartition,
 )
+from oracles import extract_subgraphs
 from repro.core.initial.fm2way import fm2way_refine
-from repro.core.initial.recursive import (
-    extract_subgraphs,
-    initial_partition,
-)
+from repro.core.initial.recursive import initial_partition
 from repro.core.kernels import two_way_cut
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges

@@ -1,13 +1,14 @@
 """The compiled searches of initial partitioning (``bisection_kernel.c``)
 against the Python loops they port (ISSUE 22).
 
-``tests/test_initial_workspace.py`` runs its matrix on whichever path the
-process has.  Here both run in one process: the kernel must give the oracle's
-assignment, write the same prefixes and leave the RNG where the oracle
-leaves it, over that same matrix; it must step aside for weights its
-fixed-width arithmetic cannot hold; and, called without the wrapper's checks
-on a corrupted workspace, it must return an error code and write nothing
-outside the buffers it was given.
+Here both run in one process, the loops from ``tests/oracles.py``: the
+kernel must give the oracle's assignment, write the same prefixes and leave
+the RNG where the oracle leaves it, over the matrix of
+``tests/test_initial_workspace.py``; it must refuse, by name, weights its
+fixed-width arithmetic cannot hold (which only the oracle's Python integers
+still take); and, called without the wrapper's checks on a corrupted
+workspace, it must return an error code and write nothing outside the
+buffers it was given.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import oracles
+import repro
 from repro.core.initial.bipartition import (
     bfs_bipartition,
     greedy_graph_growing_bipartition,
 )
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial.recursive import initial_partition
-from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.initial.workspace import BisectionWorkspace, fm_patience
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
@@ -35,42 +38,34 @@ from test_initial_workspace import (  # noqa: F401  (coarsest is a fixture)
     small_bisections,
 )
 
-pytestmark = pytest.mark.skipif(
-    _native.bisection_kernels() is None,
-    reason="no compiled searches (no C compiler, or REPRO_NATIVE=0)",
-)
-
-
 def on_oracle(fn, *args, **kwargs):
-    """``fn(...)`` with the compiled searches hidden."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_native, "bisection_kernels", lambda: None)
+    """``fn(...)`` with the bisection oracles in the compiled searches' place."""
+    with oracles.installed("bisection"):
         return fn(*args, **kwargs)
 
 
-def recorded_fm(graph, start, caps, rounds):
-    """``(refined, written prefixes)`` of one ``fm2way_refine`` call."""
+def recorded_fm(graph, start, caps, rounds, refine=fm2way_refine):
+    """``(refined, written prefixes)`` of one ``refine`` call."""
     part = start.copy().view(RecordingPart)
     part.writes = []
-    fm2way_refine(graph, part, caps, rounds=rounds)
+    refine(graph, part, caps, rounds=rounds)
     return np.asarray(part), part.writes
 
 
 def assert_searches_agree(graph, target, cap, seed, start, fm_caps):
     """Both growths, and FM from ``start``: same answers, same draws, same writes."""
-    assert BisectionWorkspace(graph).kernels() is not None
-    for grow, args in (
-        (greedy_graph_growing_bipartition, (target, cap)),
-        (bfs_bipartition, (target,)),
+    for grow, oracle, args in (
+        (greedy_graph_growing_bipartition, oracles.greedy_graph_growing_bipartition, (target, cap)),
+        (bfs_bipartition, oracles.bfs_bipartition, (target,)),
     ):
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = grow(graph, *args, rng)
-        want = on_oracle(grow, graph, *args, rng_ref)
+        want = oracle(graph, *args, rng_ref)
         assert got.dtype == want.dtype and np.array_equal(got, want), grow.__name__
         assert rng.integers(1 << 30) == rng_ref.integers(1 << 30)
     for rounds in (1, 2):
         got, writes = recorded_fm(graph, start, fm_caps, rounds)
-        want, want_writes = on_oracle(recorded_fm, graph, start, fm_caps, rounds)
+        want, want_writes = recorded_fm(graph, start, fm_caps, rounds, oracles.fm2way_refine)
         assert np.array_equal(got, want) and writes == want_writes, rounds
 
 
@@ -124,7 +119,7 @@ def test_kernel_equals_oracle_on_arbitrary_small_graphs(case):
 
 
 # --------------------------------------------------------------------- #
-# magnitudes: exact where the kernel runs, the oracle where it cannot
+# magnitudes: exact where the kernel runs, refused by name where it cannot
 # --------------------------------------------------------------------- #
 def ladder_graph(weight: int):
     """12 vertices, two rails and rungs, every edge ``weight``."""
@@ -139,16 +134,43 @@ class TestMagnitudes:
         product there rounds), the kernel's __int128 and the oracle's
         integers still evaluate one inequality."""
         g = ladder_graph((1 << 40) + 1)
-        assert BisectionWorkspace(g).kernels() is not None
         for seed in range(6):
             start = np.random.default_rng(seed).integers(0, 2, size=12).astype(np.int32)
             assert_searches_agree(g, 6, 7, seed, start, (8, 8))
+
+    def test_stop_rule_is_exact_past_int128(self):
+        """The rule's products past 2**127, where an ``__int128`` wraps: a
+        heavy edge h1-h2 of weight ~2**61 (W just below 2**62) and ``ln n``
+        = 9 zero-gain moves along a path before h2 leaves h1 at step 10.
+        There ``4 (steps - 1) f^2`` is 36 * 2**122: the exact rule stops the
+        pass (so the start comes back), a wrapped one would go on to move h1
+        after h2 and keep the gain of 1 the light edge h2-r adds."""
+        n, steps = 8200, 9
+        assert fm_patience(n) == steps
+        h1, h2, r, z = 0, 1, 2, 3  # r, z too heavy to move
+        path = list(range(4, 4 + steps))
+        edges = [(h1, h2), (h2, r), (h1, path[0]), *zip(path, path[1:]), (path[-1], z)]
+        weights = np.ones(len(edges), dtype=np.int64)
+        weights[:2] = (1 << 61) - 64, 2
+        vwgt = np.ones(n, dtype=np.int64)
+        vwgt[[r, z]] = 10**6
+        g = from_edges(n, np.array(edges), weights, vwgt)
+        assert 2 * int(weights.sum()) < 1 << 62 <= 4 * n**3 * (2 * int(weights.sum())) ** 2
+        start = np.zeros(n, dtype=np.int32)
+        start[[*path, r, z]] = 1
+        caps = (int(vwgt[start == 0].sum()) + steps, int(vwgt[start == 1].sum()))
+        want = oracles.fm2way_refine(g, start.copy(), caps, rounds=1)
+        assert np.array_equal(want, start)
+        got, writes = recorded_fm(g, start, caps, 1)
+        assert np.array_equal(got, want) and writes == recorded_fm(
+            g, start, caps, 1, oracles.fm2way_refine
+        )[1]
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: ladder_graph(1 << 61),  # a gain may reach 3 * 2**61
-            lambda: ladder_graph(1 << 59),  # fits int64, not the stop rule's __int128
+            lambda: ladder_graph(1 << 59),  # W = 2**64: past 2**62, and its stop rule past __int128
             lambda: from_edges(
                 3, np.array([[0, 1], [1, 2]]), vwgt=np.array([1, 1 << 61, 1 << 61])
             ),
@@ -156,21 +178,26 @@ class TestMagnitudes:
         ids=["gain-past-int64", "rule-past-int128", "vertex-weights"],
     )
     def test_weights_the_kernel_cannot_hold_run_the_oracle(self, make):
+        """Only the oracle's Python integers hold them: the kernels refuse
+        them by name, ``partition()`` before any work."""
         g = make()
-        assert BisectionWorkspace(g).kernels() is None
-        part = greedy_graph_growing_bipartition(g, 2, 1 << 62, np.random.default_rng(0))
-        refined = fm2way_refine(g, part.copy(), (1 << 63, 1 << 63))
+        with pytest.raises(ValueError, match=r"cannot hold this graph: .* not below 2\^62"):
+            BisectionWorkspace(g).kernels()
+        with pytest.raises(ValueError, match=r"graph refused: .* not below 2\^62"):
+            repro.partition(g, 2)
+        part = oracles.greedy_graph_growing_bipartition(g, 2, 1 << 62, np.random.default_rng(0))
+        refined = oracles.fm2way_refine(g, part.copy(), (1 << 63, 1 << 63))
         assert set(np.unique(refined).tolist()) <= {0, 1}
 
     def test_caps_beyond_int64_are_clamped_not_truncated(self):
         g = gen.grid2d(6, 6)
         huge = 1 << 70  # ctypes would silently keep the low 64 bits: zero
         got = greedy_graph_growing_bipartition(g, 18, huge, np.random.default_rng(3))
-        want = on_oracle(greedy_graph_growing_bipartition, g, 18, huge, np.random.default_rng(3))
+        want = oracles.greedy_graph_growing_bipartition(g, 18, huge, np.random.default_rng(3))
         assert np.array_equal(got, want) and int((got == 0).sum()) == 18
         start = scalar_random_bipartition(g, 18, np.random.default_rng(3))
         got = fm2way_refine(g, start.copy(), (huge, huge))
-        assert np.array_equal(got, on_oracle(fm2way_refine, g, start.copy(), (huge, huge)))
+        assert np.array_equal(got, oracles.fm2way_refine(g, start.copy(), (huge, huge)))
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,9 @@
 """Initial partitioning on the bisection workspace.
 
-Everything here runs on whichever searches this process has: the compiled
-ones (``bisection_kernel.c``) by default, the Python oracle loops under
-``REPRO_NATIVE=0`` -- CI runs both; ``tests/test_initial_kernel.py`` holds
-the two equal over the same matrix in one run.
+Everything here runs on the compiled searches (``bisection_kernel.c``), and
+the pool and ledger tests also on the Python loops of ``tests/oracles.py``
+installed in their place; ``tests/test_initial_kernel.py`` holds the two
+equal over the same matrix.
 
 BFS growth, random assignment, the gain / cut kernels and the workspace
 itself are bit-identical to the loops as they were, and are held to that
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import sys
 from itertools import accumulate
 
 import numpy as np
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repro
 from repro.core import config as presets
 from repro.core.initial.bipartition import (
@@ -35,15 +37,9 @@ from repro.core.initial.bipartition import (
 )
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial import recursive
-from repro.core.initial.recursive import (
-    POOL,
-    bipartition_portfolio,
-    extract_subgraphs,
-    initial_partition,
-)
+from repro.core.initial.recursive import POOL, initial_partition
 from repro.core.initial.workspace import KIND_CODES, BisectionKernels, BisectionWorkspace
 from repro.core.kernels import two_way_cut, two_way_gains
-from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import full_adjacency
 from repro.graph.builder import from_edges
@@ -118,7 +114,7 @@ def side_weights(graph, part):
 
 def exact_cut(ws, side) -> int:
     """The cut in Python integers (``two_way_cut`` wraps past 2**63)."""
-    xadj, adj, wgt, _ = ws.lists
+    xadj, adj, wgt, _, _charge = oracles.lists(ws)
     return sum(
         wgt[e]
         for u in range(ws.n)
@@ -127,13 +123,17 @@ def exact_cut(ws, side) -> int:
     ) // 2
 
 
-def check_fm2way(graph, start, max_weights, rounds=2):
+#: the searches under test: the compiled ones, or ``oracles`` for the loops
+KERNELS = sys.modules[__name__]
+
+
+def check_fm2way(graph, start, max_weights, rounds=2, on=KERNELS):
     """Run ``fm2way_refine`` from ``start`` and replay what it wrote."""
     ws = BisectionWorkspace(graph)
-    xadj, adj, wgt, vwgt = ws.lists
+    xadj, adj, wgt, vwgt, _charge = oracles.lists(ws)
     part = start.copy().view(RecordingPart)
     part.writes = []
-    refined = fm2way_refine(ws, part, max_weights, rounds=rounds)
+    refined = on.fm2way_refine(ws, part, max_weights, rounds=rounds)
     assert refined is part
     assert set(np.unique(part).tolist()) <= {0, 1}
     assert len(part.writes) <= rounds  # one write a pass: its kept prefix
@@ -172,17 +172,17 @@ def check_fm2way(graph, start, max_weights, rounds=2):
     return np.asarray(part)
 
 
-def check_ggg(graph, target, cap, seed):
+def check_ggg(graph, target, cap, seed, on=KERNELS):
     """Run greedy graph growing; the block is in range unless nothing fits."""
     rng = np.random.default_rng(seed)
-    part = greedy_graph_growing_bipartition(graph, target, cap, rng)
+    part = on.greedy_graph_growing_bipartition(graph, target, cap, rng)
     assert part.dtype == np.int32 and set(np.unique(part).tolist()) <= {0, 1}
     vwgt = np.asarray(graph.vwgt)
     weight0 = int(vwgt[part == 0].sum())
     assert weight0 <= cap
     if weight0 < target:  # every vertex left outside was blocked by the cap
         assert np.all(weight0 + vwgt[part == 1] > cap)
-    again = greedy_graph_growing_bipartition(graph, target, cap, np.random.default_rng(seed))
+    again = on.greedy_graph_growing_bipartition(graph, target, cap, np.random.default_rng(seed))
     assert np.array_equal(part, again)
     return part
 
@@ -237,7 +237,7 @@ class TestDifferential:
 
     def test_workspace_matches_accessor(self, coarsest):
         ws = BisectionWorkspace(coarsest)
-        xadj, adj, wgt, vwgt = ws.lists
+        xadj, adj, wgt, vwgt, _charge = oracles.lists(ws)
         assert vwgt == np.asarray(coarsest.vwgt).tolist()
         for u in range(coarsest.n):
             nbrs, wgts = coarsest.neighbors_and_weights(u)
@@ -246,9 +246,9 @@ class TestDifferential:
 
     def test_both_sides_from_one_workspace(self, coarsest):
         left = np.random.default_rng(1).random(coarsest.n) < 0.5
-        shared = list(extract_subgraphs(BisectionWorkspace(coarsest), (left, ~left)))
+        shared = list(oracles.extract_subgraphs(BisectionWorkspace(coarsest), (left, ~left)))
         for (sub, ids), mask in zip(shared, (left, ~left)):
-            ((alone, alone_ids),) = extract_subgraphs(coarsest, [mask])
+            ((alone, alone_ids),) = oracles.extract_subgraphs(coarsest, [mask])
             assert np.array_equal(ids, alone_ids) and np.array_equal(ids, np.flatnonzero(mask))
             assert np.array_equal(sub.indptr, alone.indptr)
             assert np.array_equal(sub.adjncy, alone.adjncy)
@@ -260,13 +260,11 @@ class TestDifferential:
 # --------------------------------------------------------------------- #
 # the pool: every kind once, never more than ``attempts``, best feasible
 # --------------------------------------------------------------------- #
-def on_each_path(monkeypatch):
-    """Yield ``"kernel"`` (if this process has one) and ``"oracle"``, the
-    latter with the compiled searches hidden."""
-    if _native.bisection_kernels() is not None:
-        yield "kernel"
-    with monkeypatch.context() as m:
-        m.setattr(_native, "bisection_kernels", lambda: None)
+def on_each_path():
+    """Yield ``"kernel"`` and ``"oracle"``, the latter with the Python loops
+    of ``tests/oracles.py`` installed in the compiled searches' place."""
+    yield "kernel"
+    with oracles.installed("bisection"):
         yield "oracle"
 
 
@@ -277,7 +275,7 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
     assignment.  The kernel path reads them from the pool's stats rows; the
     oracle path watches its seeds and ``fm2way_refine``."""
     runs = {}
-    for path in on_each_path(monkeypatch):
+    for path in on_each_path():
         outcomes: list[tuple[str, int, int]] = []
         with monkeypatch.context() as m:
             if path == "kernel":
@@ -285,7 +283,6 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
 
                 def watched(self, *args):
                     pooled = pool(self, *args)
-                    assert pooled is not None  # the kernel runs these pools
                     for kind, ran, over, cut, *_ in pooled[1].tolist():
                         if ran:
                             outcomes.append((KIND_CODES[kind], over, cut))
@@ -299,23 +296,23 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
                     ("bfs", "bfs_bipartition"),
                     ("random", "random_bipartition"),
                 ):
-                    def seeded(*args, _kind=kind, _seed=getattr(recursive, name)):
+                    def seeded(*args, _kind=kind, _seed=getattr(oracles, name)):
                         kinds.append(_kind)
                         return _seed(*args)
 
-                    m.setattr(recursive, name, seeded)
+                    m.setattr(oracles, name, seeded)
 
-                def refined(ws, part, max_weights, rounds):
-                    part = fm2way_refine(ws, part, max_weights, rounds=rounds)
+                def refined(ws, part, max_weights, rounds, _refine=oracles.fm2way_refine):
+                    part = _refine(ws, part, max_weights, rounds=rounds)
                     over = [
                         max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights)
                     ]
                     outcomes.append((kinds[-1], sum(over), two_way_cut(ws, part)))
                     return part
 
-                m.setattr(recursive, "fm2way_refine", refined)
+                m.setattr(oracles, "fm2way_refine", refined)
             rng = np.random.default_rng(seed)
-            best = bipartition_portfolio(graph, target, *caps, rng, attempts=attempts)
+            best = recursive.bipartition_portfolio(graph, target, *caps, rng, attempts=attempts)
             if path == "oracle":
                 assert len(kinds) == len(outcomes)
         runs[path] = (best, outcomes, rng.bit_generator.state)
@@ -334,7 +331,7 @@ class TestPortfolio:
         total = coarsest.total_vertex_weight
         target, cap = total // 2, int(0.53 * total)
         runs = watched_portfolio(monkeypatch, coarsest, target, (cap, cap), seed, attempts)
-        for path in on_each_path(monkeypatch):
+        for path in on_each_path():
             best, outcomes, _ = runs[path]
             assert 1 <= len(outcomes) <= attempts, path
             # slot i belongs to kind POOL[i % 4]; a kind's first slot always runs
@@ -345,7 +342,7 @@ class TestPortfolio:
             # a skipped slot's kind had fallen behind the best feasible cut
             if len(outcomes) < attempts:
                 assert any(o[1] == 0 for o in outcomes), path
-            again = bipartition_portfolio(
+            again = recursive.bipartition_portfolio(
                 coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
             )
             assert np.array_equal(best, again), path  # deterministic in rng
@@ -487,19 +484,19 @@ def test_golden_deep_end_to_end(name):
 # --------------------------------------------------------------------- #
 # (c) the inputs lists could get wrong
 # --------------------------------------------------------------------- #
-def _all_heuristics(graph, target, cap, seed=0):
+def _all_heuristics(graph, target, cap, seed=0, on=KERNELS):
     """Every loop on one (degenerate) graph: the unchanged ones against
     their references, the searches against their properties."""
     limits = (cap, max(cap, graph.total_vertex_weight - target))
     for new, ref in (
-        (bfs_bipartition, scalar_bfs_bipartition),
+        (on.bfs_bipartition, scalar_bfs_bipartition),
         (random_bipartition, scalar_random_bipartition),
     ):
         got = new(graph, target, np.random.default_rng(seed))
         want = ref(graph, target, np.random.default_rng(seed))
         assert np.array_equal(got, want), new.__name__
-        check_fm2way(graph, got, limits)
-    check_fm2way(graph, check_ggg(graph, target, cap, seed), limits)
+        check_fm2way(graph, got, limits, on=on)
+    check_fm2way(graph, check_ggg(graph, target, cap, seed, on=on), limits, on=on)
 
 
 class TestEdges:
@@ -509,7 +506,7 @@ class TestEdges:
         g = from_edges(n, np.zeros((0, 2), dtype=np.int64))
         g = compress_graph(g) if compressed else g
         ws = BisectionWorkspace(g)
-        assert ws.lists == ([0] * (n + 1), [], [], [1] * n)
+        assert oracles.lists(ws)[:4] == ([0] * (n + 1), [], [], [1] * n)
         _all_heuristics(g, n, n)
         _all_heuristics(g, 0, 0)
         # a lone vertex lands on side 1 of every bisection, as it always did
@@ -551,23 +548,27 @@ class TestEdges:
 
     def test_huge_edge_weights_agree_with_int64(self):
         """2**61 per edge, at most three edges per vertex: every gain fits
-        int64, so exact list arithmetic and the int64 gains kernel must tell
-        the same story, and the stopping rule's sums of squared gains
-        (2**124 and up) must not overflow anything."""
+        int64, so the exact list arithmetic of the Python loops and the int64
+        gains kernel must tell the same story, and the stopping rule's sums
+        of squared gains (2**124 and up) must not overflow anything.  The
+        compiled searches take W (the summed |edge weights|) below 2**62
+        only: they refuse the graph by name."""
         big = 1 << 61
         edges = np.array([[i, i + 1] for i in range(11)] + [[0, 6], [3, 9]])
         g = from_edges(12, edges, np.full(len(edges), big, dtype=np.int64))
         assert int(np.bincount(full_adjacency(g)[0]).max()) == 3
+        with pytest.raises(ValueError, match=r"\|edge weights\| \d+ are not below 2\^62"):
+            BisectionWorkspace(g).kernels()
         for seed in range(4):
-            _all_heuristics(g, 6, 7, seed)
+            _all_heuristics(g, 6, 7, seed, on=oracles)
         lone = np.zeros(12, dtype=np.int32)
         lone[3] = 1  # all three neighbors across: the largest gain there is
         assert np.array_equal(two_way_gains(g, lone), scalar_two_way_gains(g, lone))
         assert int(two_way_gains(g, lone)[3]) == 3 * big
         part = np.array([0, 1] * 6, dtype=np.int32)
         start = part.copy()
-        refined = fm2way_refine(g, part, (7, 7))
-        assert np.array_equal(refined, check_fm2way(g, start, (7, 7)))
+        refined = oracles.fm2way_refine(g, part, (7, 7))
+        assert np.array_equal(refined, check_fm2way(g, start, (7, 7), on=oracles))
         ws = BisectionWorkspace(g)
         assert exact_cut(ws, refined.tolist()) < exact_cut(ws, start.tolist())
         # one crossing edge: 2 * 2**61 directed weight still fits (a cut
@@ -603,21 +604,21 @@ class TestLedger:
         finally:
             scratch.uninstall_ledger()
 
-    def test_workspace_charges_its_pointer_arrays(self, ledger, monkeypatch):
-        """The lists are the oracle's: charged when built, not before."""
+    def test_workspace_charges_its_pointer_arrays(self, ledger):
+        """The lists are the oracle's: charged while held, not before."""
         g = gen.rgg2d(300, avg_degree=8, seed=1)
-        for path in on_each_path(monkeypatch):
-            before = ledger.current_bytes
-            ws = BisectionWorkspace(g)
-            assert ledger.current_bytes == before + ws.xadj.nbytes, path
-            slots = sum(len(lst) for lst in ws.lists)
-            assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
-            live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
-            assert live["bisection-workspace"] == 8 * slots, path
-            assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots, path
-            del ws
-            gc.collect()
-            assert ledger.current_bytes == before, path
+        before = ledger.current_bytes
+        ws = BisectionWorkspace(g)
+        assert ledger.current_bytes == before + ws.xadj.nbytes
+        *lists, charge = oracles.lists(ws)
+        slots = sum(len(lst) for lst in lists)
+        assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
+        live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
+        assert live["bisection-workspace"] == 8 * slots
+        assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots
+        del ws, lists, charge
+        gc.collect()
+        assert ledger.current_bytes == before
 
     def test_attempt_lists_keep_their_entry_names(self, ledger, monkeypatch):
         g = gen.rgg2d(300, avg_degree=8, seed=1)
@@ -627,10 +628,10 @@ class TestLedger:
         flags = ("fm2way-locked", "bipartition-in-block", "bipartition-blocked", "bipartition-visited")
         gains = ("fm2way-gains", "bipartition-gain")
         answers = []
-        for path in on_each_path(monkeypatch):
+        for path in on_each_path():
             ledger.largest.clear()
             before = ledger.current_bytes
-            best = bipartition_portfolio(
+            best = recursive.bipartition_portfolio(
                 g, total // 2, cap, cap, np.random.default_rng(0), attempts=4
             )
             gc.collect()
@@ -666,7 +667,7 @@ class TestLedger:
             del best
         assert all(np.array_equal(answers[0], other) for other in answers)
 
-    def test_initial_phase_not_smaller_than_before(self, monkeypatch):
+    def test_initial_phase_not_smaller_than_before(self):
         """With scratch tracking on, the initial-partitioning phase of this
         run peaked at 200 290 B (83 405 B of scratch) while the loops still
         held arrays; neither the oracle's lists (239 601 / 122 716 B) nor the
@@ -681,7 +682,7 @@ class TestLedger:
             presets.terapart(seed=1),
             obs=presets.ObsConfig(enabled=True, track_scratch=True),
         )
-        for path in on_each_path(monkeypatch):
+        for path in on_each_path():
             tracker = MemoryTracker()
             result = partition(g, 8, cfg, tracker=tracker)
             assert int(result.cut) == 234, path

@@ -2,23 +2,21 @@
 
 Each kernel in :mod:`repro.core.kernels` (plus the bulk varint encoder
 and the bulk graph compressor it enables) is checked against its scalar
-reference (``tests/scalar_reference.py`` plus the retained per-item
-primitives ``_insert_add`` / ``_best_move`` / ``encode_neighborhood``),
+reference (``tests/scalar_reference.py`` plus the per-item primitives
+``oracles.insert_add`` / ``oracles.best_move`` / ``encode_neighborhood``),
 with emphasis on the cases the issue calls out: empty chunks, isolated
 vertices, single-cluster graphs, max-degree vertices whose neighborhoods
 cross chunk boundaries, and integer-width overflow guards.
 """
-
-import importlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repro
-from repro.core.config import FMConfig, preset
-from repro.core.context import PartitionContext
+from repro.core.config import preset
 from repro.core.kernels import (
     aggregate_coarse_edges,
     batch_hash_insert,
@@ -69,10 +67,6 @@ from scalar_reference import (
     scalar_two_way_cut,
     scalar_two_way_gains,
 )
-
-
-# the package re-exports the function `fm_refine` under the module's name
-fm_refine = importlib.import_module("repro.core.refinement.fm_refine")
 
 
 def make_pgraph(graph, k, seed=0):
@@ -312,7 +306,7 @@ class TestGainTableKernels:
             src, pg.partition[dst].astype(np.int64), np.asarray(wgt), pg.k
         )
         for u, b, a in zip(po.tolist(), pb.tolist(), pa.tolist()):
-            ref._insert_add(u, b, a)
+            oracles.insert_add(ref, u, b, a)
         assert np.array_equal(bulk._keys, ref._keys)
         assert np.array_equal(bulk._vals, ref._vals)
         assert np.array_equal(bulk._offsets, ref._offsets)
@@ -327,7 +321,7 @@ class TestGainTableKernels:
         table = SparseGainTable(pg)
         assert table._dense.any() and not table._dense.all()
         for u in range(pg.graph.n):
-            blocks, gains = table.gains(u)
+            blocks, gains = oracles.gains(table, u)
             assert np.array_equal(blocks, table.adjacent_blocks(u)), u
             cur_aff = table.affinity(u, int(pg.partition[u]))
             want = [table.affinity(u, int(b)) - cur_aff for b in blocks]
@@ -375,8 +369,8 @@ class TestGainTableKernels:
 
     @pytest.mark.parametrize("kind", ["none", "full", "sparse"])
     def test_fm_seeding_matches_per_seed_best_move(self, pg, kind, monkeypatch):
-        # the batched seed scoring of `_fm_pass` must push exactly what one
-        # `_best_move` per seed would, in seed order; max_fruitless_moves=0
+        # the batched seed scoring of the Python pass must push exactly what
+        # one `best_move` per seed would, in seed order; max_fruitless_moves=0
         # stops the pass right after seeding
         pushed = []
 
@@ -385,17 +379,14 @@ class TestGainTableKernels:
             def heappush(heap, item):
                 pushed.append(item)
 
-        monkeypatch.setattr(fm_refine, "heapq", RecordingHeap)
+        monkeypatch.setattr(oracles, "heapq", RecordingHeap)
         lmax = int(pg.block_weights.max()) + 2
-        ctx = PartitionContext(
-            preset("terapart-fm"), pg.k, pg.graph.total_vertex_weight
-        )
-        cfg = FMConfig(max_fruitless_moves=0)
         table = make_gain_table(kind, pg)
-        assert fm_refine._fm_pass(pg, ctx, table, lmax, cfg) == 0
+        seeds, locked = pg.boundary_vertices(), np.zeros(pg.graph.n, dtype=bool)
+        assert oracles.fm_pass(pg, table, seeds, locked, lmax, 0, 10) == (0, 0, 0)
         want = []
         for u in pg.boundary_vertices().tolist():
-            mv = fm_refine._best_move(table, pg, u, lmax)
+            mv = oracles.best_move(table, pg, u, lmax)
             if mv is not None:
                 want.append((-mv[0], len(want), u, mv[1]))
         assert pushed == want and len(want) > 10
@@ -404,16 +395,16 @@ class TestGainTableKernels:
     def test_gains_many_matches_per_vertex(self, pg, kind):
         table = make_gain_table(kind, pg)
         us = np.arange(0, pg.graph.n, 3, dtype=np.int64)
-        o, b, g = table.gains_many(us)
+        o, b, g = oracles.gains_many(table, us)
         for i, u in enumerate(us.tolist()):
             sel = o == i
-            blocks, gains = table.gains(int(u))
+            blocks, gains = oracles.gains(table, int(u))
             assert np.array_equal(b[sel], blocks), (kind, u)
             assert np.array_equal(g[sel], gains), (kind, u)
 
     def test_gains_many_empty_chunk(self, pg):
         table = SparseGainTable(pg)
-        o, b, g = table.gains_many(np.empty(0, dtype=np.int64))
+        o, b, g = oracles.gains_many(table, np.empty(0, dtype=np.int64))
         assert len(o) == 0 and len(b) == 0 and len(g) == 0
 
     def test_hash_insert_block_overflow_guard(self):

@@ -115,7 +115,7 @@ class TestUntrackedAlloc:
         "rel",
         [
             "graph/builder.py",
-            "core/refinement/gain_table.py",
+            "core/refinement/fm_kernel.py",
             "dist/dpartitioner.py",
         ],
     )

@@ -3,7 +3,8 @@ pipelines it replaces.
 
 ``tests/test_bulk_equivalence.py`` compares whole partitions, kernel first,
 scalar references second.  Here both steps of one chunk run side by side in
-one process (the kernel as a round of one chunk): same favorites, same
+one process (the kernel as a round of one chunk, the oracle from
+``tests/oracles.py``): same favorites, same
 ``nc``, same movers and the same shared arrays after every chunk, over
 generator families x edge weights (unit, random, with zeros) x vertex
 weights x CSR / compressed; the LP drivers (one kernel call a round) and
@@ -34,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import repro
 from repro.core.coarsening import lp_clustering
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
@@ -53,11 +55,6 @@ from test_initial_kernel import Guarded
 
 # the package re-exports the function under the module's name
 lp_refine_module = sys.modules["repro.core.refinement.lp_refine"]
-
-pytestmark = pytest.mark.skipif(
-    _native.lp_kernels() is None,
-    reason="no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)",
-)
 
 FAMILIES = {
     "mesh": lambda: gen.rgg2d(260, 8.0, seed=3),
@@ -96,9 +93,8 @@ def context(graph, k: int = 4, **overrides) -> PartitionContext:
 
 
 def on_oracle(fn, *args, **kwargs):
-    """``fn(...)`` with the compiled LP chunk hidden."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_native, "lp_kernels", lambda: None)
+    """``fn(...)`` with the LP oracles in the compiled rounds' place."""
+    with oracles.installed("lp"):
         return fn(*args, **kwargs)
 
 
@@ -161,12 +157,11 @@ def clustering_step(graph, clusters, cluster_weights, cap, maps):
     kernel = lp_chunk.clustering_round(
         graph, clusters, cluster_weights, cap, maps, favorites, t_bump=1
     )
-    return kernel and kernel.step
+    return kernel.step
 
 
 def refinement_step(graph, part, block_weights, limits):
-    kernel = lp_chunk.refinement_round(graph, part, block_weights, limits)
-    return kernel and kernel.step
+    return lp_chunk.refinement_round(graph, part, block_weights, limits).step
 
 
 class ClusteringPair:
@@ -185,8 +180,7 @@ class ClusteringPair:
                 clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
             )
         else:
-            self.oracle = lp_clustering._oracle_step(graph, *self.states[1], cap)
-        assert self.kernel is not None
+            self.oracle = oracles.clustering_step(graph, *self.states[1], cap)
 
     def run(self, chunk) -> tuple | None:
         got, want = self.kernel(chunk), self.oracle(chunk)
@@ -217,8 +211,9 @@ class RefinementPair:
                 refinement_step(graph, oracle_side.partition, oracle_side.block_weights, limits)
             )
         else:
-            self.oracle = lp_refine_module._oracle_step(oracle_side, limits)
-        assert self.kernel is not None
+            self.oracle = oracles.refinement_step(
+                graph, oracle_side.partition, oracle_side.block_weights, limits
+            )
 
     def run(self, chunk) -> tuple | None:
         got, want = self.kernel(chunk), self.oracle(chunk)
@@ -484,7 +479,7 @@ class TestDegenerateRounds:
     stats."""
 
     def test_the_empty_graph(self):
-        assert rounds_agree(csr(0, [])) == {}  # no vertex weights to hold: the oracle
+        assert rounds_agree(csr(0, [])) == {}  # no chunk: no call
 
     def test_an_all_isolated_graph(self):
         graph = csr(50, [])
@@ -517,11 +512,20 @@ class TestDegenerateRounds:
         assert calls[0] == sum(1 + (c > 0) + (c < chunks - 1) for c in hub_chunks)
 
     def test_vertex_weights_the_commit_cannot_hold_go_to_the_oracle(self):
+        """Only the oracle takes them: the drivers refuse them by name before
+        a kernel call, and ``partition()`` before any work."""
         vwgt = np.full(200, 1 << 60)
         base = gen.rgg2d(200, 8.0, seed=1)
         graph = CSRGraph(base.indptr, base.adjncy, None, vwgt, sorted_neighborhoods=True)
+        with pytest.MonkeyPatch.context() as m:
+            calls = KernelCalls(m)
+            with pytest.raises(ValueError, match=r"is not below 2\^62"):
+                both_drivers(graph)
+        assert calls.calls == {}
         with np.errstate(over="ignore"):
-            assert rounds_agree(graph) == {}
+            on_oracle(both_drivers, graph)
+        with pytest.raises(ValueError, match=r"graph refused: the total vertex weight"):
+            repro.partition(graph, 4, preset("terapart", seed=1))
 
     @pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
     @pytest.mark.parametrize("policy", ["issue", "reversed", "random", "heavy-first"])
@@ -662,15 +666,19 @@ class TestEdges:
         ids=["sum-past-int64", "negative"],
     )
     def test_vertex_weights_the_commit_cannot_hold_run_the_oracle(self, vwgt):
+        """The kernels refuse them by name; only the oracle still runs them."""
         graph = csr(4, both_ways([(0, 1, 1), (1, 2, 1), (2, 3, 1)]), vwgt=vwgt)
         maps = np.zeros((3, 4), dtype=np.int64)
         clusters, weights = np.arange(4), vwgt.copy()
-        assert clustering_step(graph, clusters, weights, 1 << 62, maps) is None
+        why = "negative" if vwgt.min() < 0 else r"not below 2\^62"
+        with pytest.raises(ValueError, match=why):
+            clustering_step(graph, clusters, weights, 1 << 62, maps)
         pgraph = PartitionedGraph(graph, 2, np.array([0, 0, 1, 1]))
         limits = np.array([1 << 62, 1 << 62])
-        assert refinement_step(graph, pgraph.partition, pgraph.block_weights, limits) is None
+        with pytest.raises(ValueError, match=why):
+            refinement_step(graph, pgraph.partition, pgraph.block_weights, limits)
         with np.errstate(over="ignore"):
-            result, _, _ = run_clustering(graph, True)
+            result, _, _ = on_oracle(run_clustering, graph, True)
         assert len(result.clusters) == 4
 
     def test_a_cap_beyond_int64_is_clamped_not_truncated(self):
@@ -689,7 +697,7 @@ class TestEdges:
 
     def test_the_conflict_detector_watches_the_kernel_steps(self, monkeypatch):
         """With the detector listening both drivers build their kernel round
-        (and run it one chunk a call) and neither reaches its oracle."""
+        and run it one chunk a call."""
         built = collections.Counter()
 
         def counting(module, name):
@@ -701,16 +709,15 @@ class TestEdges:
 
             monkeypatch.setattr(module, name, counted)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("oracle step reached with the kernels loaded")
-
         counting(lp_clustering, "clustering_round")
         counting(lp_refine_module, "refinement_round")
-        monkeypatch.setattr(lp_clustering, "_oracle_step", refuse)
-        monkeypatch.setattr(lp_refine_module, "_oracle_step", refuse)
+        calls = KernelCalls(monkeypatch)
         cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
-        result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
+        graph = gen.rgg2d(600, 8.0, seed=1)
+        result = repro.partition(graph, 4, cfg)
         assert built["clustering_round"] > 0 and built["refinement_round"] > 0
+        # one call a chunk: more calls than rounds
+        assert calls.calls[0] > built["clustering_round"] and calls.calls[1] > 0
         assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
 
 

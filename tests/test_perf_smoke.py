@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+import oracles
 from repro.graph import _native
 from repro.graph.access import chunk_adjacency
 from repro.graph.compressed import compress_graph
@@ -53,8 +54,7 @@ def test_compressed_traversal_within_envelope():
     )
 
 
-# The numpy decoder (the oracle, and the only path without a C compiler)
-# merges the interval and residual streams of a chunk by interval, not by
+# The numpy decoder (the oracle of ``tests/oracles.py``) merges the interval and residual streams of a chunk by interval, not by
 # edge: one binary search per vertex (locating its values in the decoded
 # region) and two per interval (the residuals below its left end and below
 # its right end -- equal unless a corrupt interval swallows a residual);
@@ -65,7 +65,6 @@ def test_compressed_traversal_within_envelope():
 def test_decode_merges_by_interval_not_by_edge(monkeypatch):
     g = weblike(10_000, avg_degree=10, seed=42)
     cg = compress_graph(g)
-    monkeypatch.setattr(_native, "decode_kernel", lambda: None)
     order = np.random.default_rng(0).permutation(g.n).astype(np.int64)
     queries = 0
     searchsorted = np.searchsorted
@@ -76,7 +75,8 @@ def test_decode_merges_by_interval_not_by_edge(monkeypatch):
         return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
-    edges = sum(len(cg.decode_chunk(c)[1]) for c in np.array_split(order, 16))
+    with oracles.installed("decode"):
+        edges = sum(len(cg.decode_chunk(c)[1]) for c in np.array_split(order, 16))
     monkeypatch.undo()
     assert edges == cg.num_directed_edges
     assert 0 < cg.stats.num_intervals < edges // 4
@@ -105,8 +105,6 @@ def _heap_work_of_the_oracle(monkeypatch, run):
     """``[pops, pushes, passes, re-pushes]`` after greedy growing and after FM."""
     import heapq
 
-    from repro.core.initial import bipartition, fm2way
-
     counts = [0, 0, 0, 0]
     last_popped = [None]
 
@@ -127,12 +125,10 @@ def _heap_work_of_the_oracle(monkeypatch, run):
         last_popped[0] = None
         heapq.heapify(heap)
 
-    with monkeypatch.context() as m:
-        m.setattr(_native, "bisection_kernels", lambda: None)
-        for module in (fm2way, bipartition):
-            m.setattr(module, "heappop", heappop)
-            m.setattr(module, "heappush", heappush)
-        m.setattr(fm2way, "heapify", heapify)
+    with oracles.installed("bisection"), monkeypatch.context() as m:
+        m.setattr(oracles, "heappop", heappop)
+        m.setattr(oracles, "heappush", heappush)
+        m.setattr(oracles, "heapify", heapify)
         return run(lambda ws: list(counts))
 
 
@@ -155,9 +151,8 @@ def test_initial_heap_work_stays_proportional(monkeypatch):
         return grown, [b - a for a, b in zip(grown, read_counts(ws))]
 
     paths = {"oracle": _heap_work_of_the_oracle(monkeypatch, run)}
-    if _native.bisection_kernels() is not None:
-        paths["kernel"] = run(lambda ws: ws.kernels().work.tolist())
-        assert paths["kernel"] == paths["oracle"]
+    paths["kernel"] = run(lambda ws: ws.kernels().work.tolist())
+    assert paths["kernel"] == paths["oracle"]
     for path, (grown, refined) in paths.items():
         pops, _, passes, repushes = refined
         assert grown[0] > 0 and grown[3] == 0, path
@@ -221,28 +216,23 @@ def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
 # The packet encoder is compiled (`repro_encode_run`): each run of
 # low-degree vertices is one size call and one write call, so with the
 # library loaded no compressor reaches numpy's VarInt encoder or its length
-# pass.  The fallback is silent by design, so a change that loses the
-# kernel (a dtype the wrapper refuses, a renamed symbol) would show up only
-# as a slow ladder; here it fails by count.  With the kernel hidden the
-# same doors must reach both, or this guard guards nothing.
+# pass.  With the numpy oracle installed the same doors must reach both, or
+# this guard guards nothing.
 def test_compression_is_one_compiled_call_a_run(monkeypatch, tmp_path):
     from collections import Counter
 
-    import pytest
     from repro.graph import compressed
     from repro.graph.compression import compress_graph_parallel
     from repro.graph.io import stream_compressed, write_binary
     from repro.parallel.runtime import ParallelRuntime
 
-    if _native.encode_kernel() is None:
-        pytest.skip("no compiled encoder (no C compiler, or REPRO_NATIVE=0)")
     calls = Counter()
     for name in ("encode_stream_bulk", "varint_lengths"):
-        def counted(*args, _name=name, _fn=getattr(compressed, name), **kwargs):
+        def counted(*args, _name=name, _fn=getattr(oracles, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(compressed, name, counted)
+        monkeypatch.setattr(oracles, name, counted)
     graph = weblike(3000, avg_degree=10.0, seed=1)
     path = tmp_path / "web.bin"
     write_binary(graph, path)
@@ -257,10 +247,10 @@ def test_compression_is_one_compiled_call_a_run(monkeypatch, tmp_path):
 
     for door in doors():
         assert not calls, f"{door}: {dict(calls)} -- the numpy encoder ran"
-    monkeypatch.setattr(_native, "encode_kernel", lambda: None)
-    for door in doors():
-        assert set(calls) == {"encode_stream_bulk", "varint_lengths"}, door
-        calls.clear()
+    with oracles.installed("encode"):
+        for door in doors():
+            assert set(calls) == {"encode_stream_bulk", "varint_lengths"}, door
+            calls.clear()
 
 
 # A gain table is filled by one pass over the edges, on either
@@ -295,11 +285,9 @@ def test_gain_table_build_on_compressed_within_envelope():
 # An LP round is one compiled call (lp_kernel.c): every chunk rated, picked
 # and committed without the sort-based numpy pipeline or a Python round trip
 # a chunk, a CSR graph read in place and a hub-free compressed graph decoded
-# as rated.  The fallback to that pipeline is silent by design, so a change
-# that loses the kernel path (a dtype the wrapper refuses, a renamed symbol)
-# or brings a call a chunk back would show up only as a slow ladder; here it
-# fails by count.  The same run with the kernel hidden must reach
-# all four numpy kernels, or this guard guards nothing.
+# as rated.  A change that brings a call a chunk back would show up only as
+# a slow ladder; here it fails by count.  The same run with the oracle
+# installed must reach all four numpy kernels, or this guard guards nothing.
 LP_PIPELINE = (
     "segment_reduce_ratings",
     "segment_best_last",
@@ -342,6 +330,7 @@ def _count_one_lp_pass(monkeypatch, graph):
     drivers = [
         sys.modules["repro.core.coarsening.lp_clustering"],
         sys.modules["repro.core.refinement.lp_refine"],
+        oracles,
     ]
     with monkeypatch.context() as m:
         for name in LP_PIPELINE:
@@ -357,9 +346,8 @@ def _count_one_lp_pass(monkeypatch, graph):
             ParallelRuntime, "chunk_bounds", counted("rounds", ParallelRuntime.chunk_bounds)
         )
         kernels = _native.lp_kernels()
-        if kernels is not None:
-            rounds = tuple(counted("kernel", fn) for fn in kernels[:2])
-            m.setattr(_native, "lp_kernels", lambda: (*rounds, *kernels[2:]))
+        rounds = tuple(counted("kernel", fn) for fn in kernels[:2])
+        m.setattr(_native, "lp_kernels", lambda: (*rounds, *kernels[2:]))
         ctx = PartitionContext(terapart(seed=1), 8, graph.total_vertex_weight)
         clustering = label_propagation_clustering(graph, ctx, graph.total_vertex_weight // 256)
         part = np.random.default_rng(1).integers(0, 8, size=graph.n)
@@ -369,7 +357,6 @@ def _count_one_lp_pass(monkeypatch, graph):
 
 
 def test_lp_chunk_is_one_compiled_call(monkeypatch):
-    import pytest
     from repro.graph.generators import kmer
 
     graphs = {
@@ -377,13 +364,10 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
         "compressed": compress_graph(weblike(5000, avg_degree=10, seed=1)),
     }
     for kind, graph in graphs.items():
-        with monkeypatch.context() as m:
-            m.setattr(_native, "lp_kernels", lambda: None)
+        with oracles.installed("lp"), monkeypatch.context() as m:
             oracle = _count_one_lp_pass(m, graph)
         assert all(oracle[name] > 0 for name in LP_PIPELINE), (kind, oracle)
-        assert oracle["chunks"] > 20
-    if _native.lp_kernels() is None:
-        pytest.skip("no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)")
+        assert oracle["kernel"] == 0 and oracle["rounds"] > 5, (kind, oracle)
     for kind, graph in graphs.items():
         calls = _count_one_lp_pass(monkeypatch, graph)
         reached = {name: calls[name] for name in (*LP_PIPELINE, "argsort") if calls[name]}
@@ -400,42 +384,42 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
 
 
 # Distributed LP picks on the same kernel (lp_kernel.c's pick entries): one
-# call a rank and batch, a compressed shard rated from its byte stream.  Its
-# numpy pipeline stays as oracle and fallback, silent like the others, so a
-# change that loses the kernel path fails here by count.  With the kernel
-# hidden the same run must reach the pipeline, or this guard guards nothing.
+# call a rank and batch, a compressed shard rated from its byte stream, and
+# no numpy rating.  With the oracle installed the same run must reach the
+# numpy pipeline and no pick entry, or this guard guards nothing.
 def test_distributed_lp_is_one_compiled_call_a_batch(monkeypatch):
-    import pytest
-    from repro.dist import dlp, dpartition
+    from repro.dist import dpartition
     from repro.graph.generators import rhg
 
     graph = rhg(2000, avg_degree=10, seed=5)
 
-    def ratings_calls():
-        calls = []
+    def calls():
+        """``(numpy ratings, pick entry calls)`` of one run."""
+        ratings, picks = [], []
+        kernels = _native.lp_kernels()
+        counted = tuple(lambda *a, _fn=fn: picks.append(1) or _fn(*a) for fn in kernels[2:])
         with monkeypatch.context() as m:
-            reduce = dlp.segment_reduce_ratings
-            m.setattr(dlp, "segment_reduce_ratings", lambda *a: calls.append(1) or reduce(*a))
+            reduce = oracles.segment_reduce_ratings
+            m.setattr(oracles, "segment_reduce_ratings", lambda *a: ratings.append(1) or reduce(*a))
+            m.setattr(_native, "lp_kernels", lambda: (*kernels[:2], *counted))
             assert dpartition(graph, 8, 4, compressed=True).num_levels > 0
-        return len(calls)
+        return len(ratings), len(picks)
 
-    with monkeypatch.context() as m:
-        m.setattr(_native, "lp_kernels", lambda: None)
-        assert ratings_calls() > 0
-    if _native.lp_kernels() is None:
-        pytest.skip("no compiled LP chunk (no C compiler, or REPRO_NATIVE=0)")
-    assert ratings_calls() == 0, "distributed LP fell back to the numpy pipeline"
+    with oracles.installed("lp"):
+        ratings, picks = calls()
+        assert ratings > 0 and picks == 0
+    ratings, picks = calls()
+    assert ratings == 0 and picks > 0, "distributed LP ran the numpy pipeline"
 
 
 # Contraction is the rating map too (lp_kernel.c's repro_contract_chunk),
 # and every coarse graph is built by the one contraction step: buffered
 # contraction is one compiled call a level, one-pass one a chunk,
 # distributed contraction one a rank and level, and none of them gathers
-# member lists or sorts coarse edge keys in numpy.  That pipeline stays as
-# the step's oracle and fallback, silent like LP's, so a change that loses
-# the kernel path fails here by count; the owner merge of distributed
-# contraction is its one sort left, once a level.  With the kernel hidden
-# the same runs must reach the oracle, or this guard guards nothing.
+# member lists or sorts coarse edge keys in numpy; the owner merge of
+# distributed contraction is its one sort left, once a level.  With the
+# oracle installed the same runs must reach the numpy pipeline, or this
+# guard guards nothing.
 CONTRACTION_PIPELINE = (
     ("kernels", "repro.core.kernels.contraction", "aggregate_coarse_edges"),
     ("kernels", "repro.core.kernels.contraction", "gather_cluster_members"),
@@ -460,7 +444,8 @@ def _count_contraction_pipeline(monkeypatch, run):
                 calls[_key] += 1
                 return _fn(*args, **kwargs)
 
-            for module in [mod for key, mod in sys.modules.items() if key.startswith("repro")]:
+            holders = [mod for key, mod in sys.modules.items() if key.startswith("repro")]
+            for module in [*holders, oracles]:
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         m.setattr(module, attr, counted)
@@ -475,7 +460,6 @@ def _count_contraction_pipeline(monkeypatch, run):
 
 
 def test_contraction_is_one_compiled_call(monkeypatch):
-    import pytest
 
     import repro
     from repro.core.config import kaminpar, terapart
@@ -489,15 +473,12 @@ def test_contraction_is_one_compiled_call(monkeypatch):
         "dpartition-compressed": lambda: dpartition(graph, 8, 4, compressed=True),
     }
     for name, run in runs.items():
-        with monkeypatch.context() as m:
-            m.setattr(_native, "contraction_kernels", lambda: None)
+        with oracles.installed("contraction"), monkeypatch.context() as m:
             oracle, _ = _count_contraction_pipeline(m, run)
         assert all(oracle[f"{layer}.{fn}"] > 0 for layer, _, fn in CONTRACTION_PIPELINE), (
             name,
             oracle,
         )
-    if _native.contraction_kernels() is None:
-        pytest.skip("no compiled contraction (no C compiler, or REPRO_NATIVE=0)")
     for name, run in runs.items():
         calls, result = _count_contraction_pipeline(monkeypatch, run)
         merges = calls.pop("dist.segment_reduce_ratings", 0)

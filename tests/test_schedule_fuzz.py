@@ -14,6 +14,7 @@ The acceptance bar from the verify-layer issue:
 import numpy as np
 import pytest
 
+import oracles
 from repro.cli import main
 from repro.core.coarsening.contraction import contract_buffered
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
@@ -189,7 +190,7 @@ class TestGainTableEquivalence:
                     (pg_ref, ref),
                 ):
                     pg.move(u, dst)
-                    table.apply_move(u, src, dst)
+                    oracles.apply_move(table, u, src, dst)
             probe = rng.choice(graph.n, size=min(64, graph.n), replace=False)
             for u in probe.tolist():
                 bf = set(full.adjacent_blocks(u).tolist())
