@@ -22,10 +22,9 @@ vertex's members into one map, every contraction's one aggregation.
 
 A round reads each vertex's segment where the graph keeps it: a CSR graph's
 ``indptr`` and adjacency, or a compressed graph's degrees and byte stream,
-each neighbourhood decoded as it is rated.  Only a chunk holding a
-chunk-encoded hub or an implausible degree is decoded first, by
-``decode_chunk`` (which splices the hub in or raises its error), and run as
-a call of its own: a round makes ``1 + 2 * hub_chunks`` calls.
+each neighbourhood -- a chunk-encoded hub chunk by chunk -- decoded as it is
+rated, so a round is one call.  A degree the stream's scratch cannot hold
+(only a corrupt header makes one) is refused by the kernel.
 """
 
 from __future__ import annotations
@@ -91,21 +90,24 @@ def stream_blocks(graph, count: int, name: str):
     """``(blocks, held)``: ``count`` :class:`_native.Stream` blocks (a ctypes
     array, whose address a kernel takes) over the compressed ``graph``'s
     checked byte stream, each with its own scratch of one neighbourhood --
-    ``max_degree`` ids (weights too, if any) capped at ``max_plain_degree``,
-    plus its interval pairs -- charged as ``name``; ``held`` is what they
-    point into."""
+    ``max_degree`` ids (weights too, if any), capped at ``n`` and at the
+    edges (no row of distinct neighbours is longer), plus one block's
+    interval pairs -- charged as ``name``; ``held`` is what they point
+    into."""
     data, offsets = graph.stream()
-    cap = max(0, min(graph.max_degree, graph.max_plain_degree))
+    cfg = graph.config
+    cap = max(0, min(graph.max_degree, graph.n, graph.num_directed_edges))
     rows = 2 if graph.has_edge_weights else 1
-    pairs = 2 * (cap // MIN_INTERVAL_LEN)
+    pairs = 2 * (min(cap, cfg.high_degree_threshold) // MIN_INTERVAL_LEN)
     width = rows * cap + pairs
     scratch = tracked_empty(count * width, name=name)
     blocks = (_native.Stream * count)()
     for i in range(count):
         at = scratch.ctypes.data + 8 * width * i
         blocks[i] = _native.Stream(
-            data.ctypes.data, len(data), offsets.ctypes.data, graph.config.enable_intervals,
+            data.ctypes.data, len(data), offsets.ctypes.data, cfg.enable_intervals,
             at, at + 8 * cap if rows == 2 else None, cap, at + 8 * rows * cap, pairs,
+            cfg.high_degree_threshold, cfg.chunk_length,
         )  # fmt: skip
     return blocks, (data, offsets, scratch)
 
@@ -236,46 +238,20 @@ class _RoundKernel(_Bound):
         super().__init__(fn, graph, state, maps, labels)
         self.scratch = tracked_empty((self.rows, 0), name="lp-chunk-out")
         self._scratch_args = _pointers((*self.scratch, 0))
-        self._hubs = (None, None)  # (max_plain_degree, mask of the vertices decoded first)
         indptr, degrees, adj, wgt = vertex_segments(graph)
         if indptr is None:  # compressed: decoded from the stream as rated
-            self._degrees = np.ascontiguousarray(degrees, dtype=np.int64)
-            self._segments = _pointers((None, self._degrees)), (None, None, 1, 0)
+            degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+            self._segments = _pointers((None, degrees)), (None, None, 1, 0)
+            self._held += (degrees,)
+            self._compressed = True
             return
-        self._degrees = None
+        self._compressed = False
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         if indptr.shape != (graph.n + 1,):
             raise ValueError(f"indptr needs {graph.n + 1} entries")
         adjacency, held = _adjacency(adj, wgt)
         self._segments = _pointers((indptr, None)), adjacency
         self._held += (indptr, *held)
-
-    def _hub_chunks(self, order: np.ndarray, bounds: np.ndarray) -> list[int]:
-        """The chunks of ``bounds`` holding a vertex ``chunk_segments`` would
-        decode first: a degree outside ``[0, max_plain_degree]``."""
-        if self._degrees is None or not len(bounds):
-            return []
-        limit = self._graph.max_plain_degree
-        if self._hubs[0] != limit:
-            bad = (self._degrees < 0) | (self._degrees > limit)
-            self._hubs = (limit, bad if bad.any() else None)
-        if self._hubs[1] is None:
-            return []
-        at = np.flatnonzero(self._hubs[1][order])
-        lo = bounds[:, 0]
-        by_lo = np.argsort(lo, kind="stable")
-        j = by_lo[np.maximum(np.searchsorted(lo[by_lo], at, side="right") - 1, 0)]
-        return np.unique(j[(lo[j] <= at) & (at < bounds[j, 1])]).tolist()
-
-    def _run(self, order, segments, by_vertex, bounds, stats, moved, moves, stream) -> int:
-        (starts, degs), adjacency = segments
-        out = None if moved is None else moved.ctypes.data + 8 * moves
-        rc = self._fn(
-            self._graph.n, order.ctypes.data, starts, degs, len(order), *adjacency, by_vertex,
-            bounds.ctypes.data, len(bounds), *self._fixed, *self._scratch_args, out,
-            stats.ctypes.data, len(stats), self.info.ctypes.data, stream,
-        )  # fmt: skip
-        return self._checked(rc, order)
 
     def __call__(self, order, bounds, moved: np.ndarray | None = None) -> np.ndarray:
         """One round: the stats rows of the chunks ``bounds`` (``(lo, hi)``
@@ -286,27 +262,22 @@ class _RoundKernel(_Bound):
         bounds = np.ascontiguousarray(bounds, dtype=np.int64).reshape(-1, 2)
         chunks = len(bounds)
         stats = tracked_empty((chunks, NANOS + 1), name="lp-round-stats")
-        width = int((bounds[:, 1] - bounds[:, 0]).max()) if chunks else 0
+        if not chunks:
+            return stats
+        width = int((bounds[:, 1] - bounds[:, 0]).max())
         if self.scratch.shape[1] < width:
             self.scratch = tracked_empty((self.rows, width), name="lp-chunk-out")
             self._scratch_args = _pointers((*self.scratch, width))
-        moves = at = 0
-        for j in (*self._hub_chunks(order, bounds), chunks):
-            if at < j:
-                stream = None if self._degrees is None else self._stream_address()
-                part = slice(at, j)
-                moves += self._run(
-                    order, self._segments, 1, bounds[part], stats[part], moved, moves, stream
-                )
-                count_edges(self._graph, stats[part, EDGES])
-            if j < chunks:  # decoded first, keyed by position
-                chunk = order[bounds[j, 0] : bounds[j, 1]]
-                starts, degs, adj, wgt = chunk_segments(self._graph, chunk)
-                adjacency, held = _adjacency(adj, wgt)  # held: what they point into
-                segments = _pointers((starts, degs)), adjacency
-                whole = np.array([[0, len(chunk)]], dtype=np.int64)
-                moves += self._run(chunk, segments, 0, whole, stats[j : j + 1], moved, moves, None)
-            at = j + 1
+        (starts, degs), adjacency = self._segments
+        out = None if moved is None else moved.ctypes.data
+        stream = self._stream_address() if self._compressed else None
+        rc = self._fn(
+            self._graph.n, order.ctypes.data, starts, degs, len(order), *adjacency, 1,
+            bounds.ctypes.data, chunks, *self._fixed, *self._scratch_args, out,
+            stats.ctypes.data, chunks, self.info.ctypes.data, stream,
+        )  # fmt: skip
+        self._checked(rc, order)
+        count_edges(self._graph, stats[:, EDGES])
         return stats
 
     def one(self, chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,13 +28,12 @@
  * The stream is the compressed source (NULL: the CSR segments above).  With
  * it, starts / adj / wgt are not read: vertex u's neighbours, as many as
  * degs gives, are decoded by decode_kernel.c's repro_decode_neighborhood --
- * the decoder of repro_decode_chunk, with every check it makes -- into the
- * stream's one-neighbourhood scratch, and rated from there, so nothing
- * decoded outlives its vertex.  Neighbours come out in the sorted order the
- * chunk decode writes, though the winner below does not depend on it.  The
- * caller sends only chunks without a chunk-encoded (hub) neighbourhood this
- * way; a chunk holding a hub is decoded first and comes as its own call,
- * keyed by position.
+ * the decoder of repro_decode_chunk, with every check it makes, chunk by
+ * chunk for a chunk-encoded hub -- into the stream's one-neighbourhood
+ * scratch, and rated from there, so nothing decoded outlives its vertex.  A
+ * degree above the scratch is refused (ERR_DECODE + the decoder's
+ * ERR_METADATA).  Neighbours come out in the sorted order the chunk decode
+ * writes, though the winner below does not depend on it.
  *
  * The rating map is the paper's (PAPER.md section IV-A1): per vertex, each
  * incident edge weight is added to the entry of the neighbour's label, the
@@ -116,7 +115,7 @@ enum {
     ERR_NEIGHBOR = -3, /* neighbour id outside [0, n) */
     ERR_LABEL = -4,    /* cluster or block id outside the rating map */
     ERR_CAPACITY = -5, /* seen list or an output too short */
-    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c, -1..-7) */
+    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c: -1..-7, -12) */
 };
 
 enum { TARGETS, BAD };
@@ -124,9 +123,10 @@ enum { TARGETS, BAD };
 /* the columns of a round's stats row, one row a chunk */
 enum { EDGES, ROW_TARGETS, MOVES, BUMPED, BUMPED_NC, NANOS, STATS };
 
-/* the byte stream and offsets of repro.graph.compressed, and the scratch of
- * one neighbourhood: nbrs / wgts (cap entries each, wgts NULL for unit
- * weights) and the decoder's interval pairs */
+/* the byte stream and offsets of repro.graph.compressed, its two format
+ * parameters (hub_threshold, chunk_length) and the scratch of one
+ * neighbourhood: nbrs / wgts (cap entries each, wgts NULL for unit weights)
+ * and the decoder's interval pairs */
 typedef struct {
     const uint8_t *data;
     int64_t data_len;
@@ -136,13 +136,14 @@ typedef struct {
     int64_t cap;
     int64_t *pairs;
     int64_t pairs_cap;
+    int64_t hub_threshold, chunk_length;
 } stream_t;
 
 /* decode_kernel.c's neighbourhood decoder: 0, or its ERR_* (-1..-7) */
 __attribute__((visibility("hidden"))) int repro_decode_neighborhood(
     const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
-    int64_t deg, int64_t room, int intervals, int64_t *nbrs, int64_t *wgts,
-    int64_t *pairs, int64_t pairs_cap);
+    int64_t deg, int64_t room, int intervals, int64_t hub_threshold, int64_t chunk_length,
+    int64_t *nbrs, int64_t *wgts, int64_t *pairs, int64_t pairs_cap);
 
 typedef struct {
     int64_t n;
@@ -188,8 +189,9 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
     if (__builtin_expect(z != 0, 0)) {
         deg = s->degs[key];
         int rc = repro_decode_neighborhood(z->data, z->data_len, z->offsets, s->n, s->chunk[i],
-                                           deg, z->cap, (int)z->intervals, z->nbrs, z->wgts,
-                                           z->pairs, z->pairs_cap);
+                                           deg, z->cap, (int)z->intervals, z->hub_threshold,
+                                           z->chunk_length, z->nbrs, z->wgts, z->pairs,
+                                           z->pairs_cap);
         if (rc)
             return forget(m, seen, ERR_DECODE + rc);
         adj = z->nbrs;

@@ -9,12 +9,10 @@
  * the GIL released.  Its arguments, in order:
  *   - the graph: n, indptr (CSR, n + 1 entries) or NULL, adj / wgt
  *     (adj_len each; wgt == NULL means every edge weighs unit_wgt), degs (a
- *     compressed graph's n degrees, with indptr NULL), the stream (two
+ *     compressed graph's n degrees, with indptr NULL) and the stream (two
  *     stream_t, one neighbourhood's scratch each: [0] holds the vertex that
- *     moves, [1] what is read while it is held), then the hub segment:
- *     hubs ids ascending, hub_starts (hubs + 1 entries) into hub_adj /
- *     hub_wgt (NULL: unit_wgt) -- the chunk-encoded rows, which the caller
- *     decodes once a pass;
+ *     moves, [1] what is read while it is held; a chunk-encoded hub is
+ *     decoded chunk by chunk like any other row);
  *   - the partition: k, part (int32, n), block_weights (k), vwgt (NULL:
  *     every vertex weighs unit_vwgt), max_block_weight;
  *   - the gain table: its kind, then keys (int32) / vals / offsets (n + 1)
@@ -58,8 +56,9 @@
  * Contract (tests/test_fm_kernel.py holds it to this):
  *   - every vertex id (a seed, a neighbour) is checked against [0, n) and
  *     every block id (part[], a sparse key) against [0, k) before it indexes
- *     anything; a row's segment (indptr, offsets, hub_starts) is checked to
- *     lie inside its array before it is read, a dense row to hold k entries;
+ *     anything; a row's segment (indptr, offsets) is checked to lie inside
+ *     its array before it is read, a compressed row's degree against the
+ *     stream's scratch, a dense row to hold k entries;
  *   - the queue, the move log and the undo log are malloc'd and grow by
  *     doubling, so no capacity runs out mid-pass (a failed allocation is
  *     ERR_MEMORY); NoGainTable's per-block sums, seen list and slots take 3k
@@ -92,7 +91,7 @@ enum {
     ERR_NEGATIVE = -4, /* a sparse affinity dropped below zero */
     ERR_FULL = -5,     /* a sparse hash row has no slot left */
     ERR_MEMORY = -6,   /* the queue or a log could not grow */
-    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c, -1..-11) */
+    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c: -1..-7, -12) */
 };
 
 enum { TABLE_NONE, TABLE_FULL, TABLE_SPARSE };
@@ -125,12 +124,13 @@ typedef struct {
     int64_t cap;
     int64_t *pairs;
     int64_t pairs_cap;
+    int64_t hub_threshold, chunk_length;
 } stream_t;
 
 __attribute__((visibility("hidden"))) int repro_decode_neighborhood(
     const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
-    int64_t deg, int64_t room, int intervals, int64_t *nbrs, int64_t *wgts,
-    int64_t *pairs, int64_t pairs_cap);
+    int64_t deg, int64_t room, int intervals, int64_t hub_threshold, int64_t chunk_length,
+    int64_t *nbrs, int64_t *wgts, int64_t *pairs, int64_t pairs_cap);
 
 typedef struct {
     int64_t gain, counter, vertex;
@@ -176,8 +176,6 @@ typedef struct {
     const int64_t *indptr, *adj, *wgt, *degs;
     int64_t unit_wgt, adj_len;
     const stream_t *stream;
-    int64_t hubs;
-    const int64_t *hub_ids, *hub_starts, *hub_adj, *hub_wgt;
     /* partition */
     int64_t k;
     int32_t *part;
@@ -261,8 +259,8 @@ static entry_t pop(fm_t *f)
 
 /* ---- neighbourhoods ---- */
 
-/* Vertex u's (checked) neighbourhood: a CSR row, a hub's decoded row, or
- * the stream's scratch `which` decoded. */
+/* Vertex u's (checked) neighbourhood: a CSR row, or the stream's scratch
+ * `which` decoded (a chunk-encoded hub chunk by chunk). */
 static int64_t neighborhood(fm_t *f, int64_t u, int which, nbhd_t *out)
 {
     if (f->indptr) {
@@ -276,29 +274,9 @@ static int64_t neighborhood(fm_t *f, int64_t u, int which, nbhd_t *out)
     }
     const stream_t *z = &f->stream[which];
     int64_t deg = f->degs[u];
-    if (deg < 0 || deg > z->cap) {
-        /* a hub: its row was decoded once, ids ascending */
-        int64_t lo = 0, hi = f->hubs;
-        while (lo < hi) {
-            int64_t mid = lo + (hi - lo) / 2;
-            if (f->hub_ids[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo == f->hubs || f->hub_ids[lo] != u)
-            return fail(f, ERR_SEGMENT, u, -1);
-        int64_t start = f->hub_starts[lo], end = f->hub_starts[lo + 1];
-        if (start < 0 || end < start || end > f->hub_starts[f->hubs])
-            return fail(f, ERR_SEGMENT, u, -1);
-        out->adj = f->hub_adj + start;
-        out->wgt = f->hub_wgt ? f->hub_wgt + start : 0;
-        out->deg = end - start;
-        return 0;
-    }
     int rc = repro_decode_neighborhood(z->data, z->data_len, z->offsets, f->n, u, deg, z->cap,
-                                       (int)z->intervals, z->nbrs, z->wgts, z->pairs,
-                                       z->pairs_cap);
+                                       (int)z->intervals, z->hub_threshold, z->chunk_length,
+                                       z->nbrs, z->wgts, z->pairs, z->pairs_cap);
     if (rc)
         return fail(f, ERR_DECODE + rc, u, -1);
     out->adj = z->nbrs;
@@ -673,9 +651,8 @@ static int64_t run(fm_t *f, const int64_t *seeds, int64_t count, int64_t localiz
 
 int64_t repro_fm_pass(
     int64_t n, const int64_t *indptr, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, const int64_t *degs, const stream_t *stream, int64_t hubs,
-    const int64_t *hub_ids, const int64_t *hub_starts, const int64_t *hub_adj,
-    const int64_t *hub_wgt, int64_t k, int32_t *part, int64_t *block_weights,
+    int64_t adj_len, const int64_t *degs, const stream_t *stream, int64_t k, int32_t *part,
+    int64_t *block_weights,
     const int64_t *vwgt, int64_t unit_vwgt, int64_t max_block_weight, int64_t kind,
     int32_t *keys, int64_t *vals, const int64_t *offsets, const uint8_t *dense,
     int64_t vals_len, const int64_t *seeds, int64_t count, int64_t localized,
@@ -684,15 +661,13 @@ int64_t repro_fm_pass(
 {
     fm_t f = {
         .n = n, .indptr = indptr, .adj = adj, .wgt = wgt, .degs = degs, .unit_wgt = unit_wgt,
-        .adj_len = adj_len, .stream = stream, .hubs = hubs, .hub_ids = hub_ids,
-        .hub_starts = hub_starts, .hub_adj = hub_adj, .hub_wgt = hub_wgt, .k = k, .part = part,
-        .block_weights = block_weights, .vwgt = vwgt, .unit_vwgt = unit_vwgt,
+        .adj_len = adj_len, .stream = stream, .k = k, .part = part, .block_weights = block_weights, .vwgt = vwgt, .unit_vwgt = unit_vwgt,
         .max_block_weight = max_block_weight, .kind = kind, .keys = keys, .vals = vals,
         .offsets = offsets, .dense = dense, .vals_len = vals_len, .locked = locked, .info = info,
     };
     info[BAD_VERTEX] = info[BAD_BLOCK] = -1;
     int64_t rc;
-    if (n < 0 || k < 1 || count < 0 || hubs < 0 || kind < TABLE_NONE || kind > TABLE_SPARSE)
+    if (n < 0 || k < 1 || count < 0 || kind < TABLE_NONE || kind > TABLE_SPARSE)
         rc = fail(&f, ERR_SEGMENT, -1, -1);
     else if (kind == TABLE_FULL && (n > INT64_MAX / k || vals_len != n * k))
         rc = fail(&f, ERR_SEGMENT, -1, -1);

@@ -16,10 +16,9 @@ slack outside ``[0, 2^62)`` and arrays it does not know; the entry points
 refuse such an input graph before any work.
 
 A CSR graph is read through its ``indptr`` / adjacency, a compressed graph
-through its degrees and byte stream, one neighbourhood decoded at a time,
-plus the chunk-encoded hub rows, which :func:`repro.graph.access.hub_segments`
-decodes once a pass.  A refusal is raised as the Python pass raises it (a
-negative affinity as ``AssertionError``, a full hash row as
+through its degrees and byte stream, one neighbourhood decoded at a time (a
+chunk-encoded hub chunk by chunk).  A refusal is raised as the Python pass
+raises it (a negative affinity as ``AssertionError``, a full hash row as
 ``RuntimeError``, a bad id as ``ValueError`` naming the vertex), with the
 partition and the table as the pass found them.
 """
@@ -38,7 +37,7 @@ from repro.core.kernels.lp_chunk import (
     stream_blocks,
 )
 from repro.graph import _native
-from repro.graph.access import count_edges, hub_segments, vertex_segments
+from repro.graph.access import count_edges, vertex_segments
 from repro.memory.scratch import tracked_zeros
 
 #: the fields of the kernel's ``out`` (``fm_kernel.c``)
@@ -47,8 +46,6 @@ _KINDS = {"none": 0, "full": 1, "sparse": 2}
 _VERTEX, _BLOCK, _NEGATIVE, _FULL, _MEMORY = -1, -3, -4, -5, -6
 #: stopping counts past this are never reached, so clamping keeps the rule
 _COUNT_LIMIT = 1 << 62
-#: the hub segment of a graph without chunk-encoded rows
-_NO_HUBS = (0, None, None, None, None)
 
 
 def _contiguous(a, dtype, shape) -> bool:
@@ -80,29 +77,20 @@ def _table_args(table, n: int, k: int):
 
 def _source_args(graph) -> tuple[tuple, list]:
     """``(args, held)``: the graph as the kernel reads it -- ``(indptr, adj,
-    wgt, unit_wgt, adj_len, degs, streams)`` then the hub segment ``(hubs,
-    ids, starts, adj, wgt)`` -- and the arrays those point into."""
+    wgt, unit_wgt, adj_len, degs, streams)`` -- and the arrays those point
+    into."""
     indptr, degrees, adj, wgt = vertex_segments(graph)
     if indptr is not None:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         if indptr.shape != (graph.n + 1,):
             raise ValueError(f"indptr needs {graph.n + 1} entries")
         (adj, wgt, unit, adj_len), adjacency = _adjacency(adj, wgt)
-        return (indptr, adj, wgt, unit, adj_len, None, None, *_NO_HUBS), [indptr, adjacency]
-    # compressed: decoded from the stream as read, hubs decoded once here
+        return (indptr, adj, wgt, unit, adj_len, None, None), [indptr, adjacency]
+    # compressed: every row decoded from the stream as it is read
     degrees = np.ascontiguousarray(degrees, dtype=np.int64)
     streams, stream_held = stream_blocks(graph, 2, "fm-stream-scratch")
     args = (None, None, None, 1, 0, degrees, ctypes.addressof(streams))
-    held = [degrees, streams, stream_held]
-    hubs = hub_segments(graph)
-    if hubs is None:
-        return (*args, *_NO_HUBS), held
-    ids, starts, hub_adj, hub_wgt = hubs
-    hub_adj = np.ascontiguousarray(hub_adj, dtype=np.int64)
-    hub_wgt = np.ascontiguousarray(hub_wgt, dtype=np.int64)
-    if hub_wgt.shape != hub_adj.shape:
-        raise ValueError("hub edge weights do not align with the hub adjacency")
-    return (*args, len(ids), ids, starts, hub_adj, hub_wgt), [*held, ids, starts, hub_adj, hub_wgt]
+    return args, [degrees, streams, stream_held]
 
 
 class FMPass:

@@ -69,6 +69,7 @@ ERRORS = {
     -9: "it lists the same neighbor twice",
     -10: "an edge-weight gap does not fit 63 bits once sign-folded",
     -11: "output capacity exhausted",
+    -12: "a chunk's byte length runs past its neighborhood",
 }
 
 #: ``repro_encode_run``'s answer for an unsorted row (sort, then call
@@ -230,12 +231,14 @@ _p, _i64 = ctypes.c_void_p, ctypes.c_int64
 class Stream(ctypes.Structure):
     """``stream_t`` of ``lp_kernel.c`` and ``fm_kernel.c``, the kernels'
     compressed source: a graph's byte stream and offsets, its interval flag,
-    and one neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL,
-    the decoder's interval pairs)."""
+    one neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL, the
+    decoder's interval pairs) and the chunking threshold and chunk length of
+    its format."""
 
     _fields_ = [
         ("data", _p), ("data_len", _i64), ("offsets", _p), ("intervals", _i64),
         ("nbrs", _p), ("wgts", _p), ("cap", _i64), ("pairs", _p), ("pairs_cap", _i64),
+        ("hub_threshold", _i64), ("chunk_length", _i64),
     ]  # fmt: skip
 
 
@@ -248,14 +251,15 @@ _RATING_MAP = [_p, _p, _p, _i64]
 #: exported symbol -> argtypes (all return int64); every one must resolve
 SIGNATURES = {
     # data, data_len, offsets, n, chunk, degs, count, hub_threshold,
-    # intervals, owner, nbrs, wgts, capacity, pairs, pairs_cap, bad
+    # chunk_length, intervals, owner, nbrs, wgts, capacity, pairs, pairs_cap, bad
     "repro_decode_chunk": [
-        _p, _i64, _p, _i64, _p, _p, _i64, _i64, ctypes.c_int32, _p, _p, _p, _i64, _p, _i64, _p,
+        _p, _i64, _p, _i64, _p, _p, _i64, _i64, _i64, ctypes.c_int32, _p, _p, _p, _i64, _p, _i64,
+        _p,
     ],
-    # lo, first_edge, count, nbrs, edges, wgts, intervals, out, out_cap,
-    # starts, stats, bad
+    # lo, first_edge, count, nbrs, edges, wgts, intervals, hub_threshold,
+    # chunk_length, out, out_cap, starts, stats, bad
     "repro_encode_run": [
-        _i64, _p, _i64, _p, _i64, _p, ctypes.c_int32, _p, _i64, _p, _p, _p,
+        _i64, _p, _i64, _p, _i64, _p, ctypes.c_int32, _i64, _i64, _p, _i64, _p, _p, _p,
     ],
     # the searches share (n, xadj, adj, wgt, vwgt, ..., heap, heap_cap, work):
     # ... = order, target0, max0, gain, in_block, blocked, grown, grown_cap
@@ -308,13 +312,13 @@ SIGNATURES = {
     ],
     # labels, count, label_count, offsets, members, info
     "repro_group_by_label": [_p, _i64, _i64, _p, _p, _p],
-    # n, indptr, adj, wgt, unit_wgt, adj_len, degs, streams, hubs, hub_ids,
-    # hub_starts, hub_adj, hub_wgt, k, part, block_weights, vwgt, unit_vwgt,
-    # max_block_weight, kind, keys, vals, offsets, dense, vals_len, seeds,
-    # count, localized, max_fruitless, max_region, slack, locked, out, info
+    # n, indptr, adj, wgt, unit_wgt, adj_len, degs, streams, k, part,
+    # block_weights, vwgt, unit_vwgt, max_block_weight, kind, keys, vals,
+    # offsets, dense, vals_len, seeds, count, localized, max_fruitless,
+    # max_region, slack, locked, out, info
     "repro_fm_pass": [
-        _i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _i64,
-        _i64, _p, _p, _p, _p, _i64, _p, _i64, _i64, _i64, _i64, _i64, _p, _p, _p,
+        _i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _p, _p, _i64, _i64, _i64, _p, _p, _p, _p,
+        _i64, _p, _i64, _i64, _i64, _i64, _i64, _p, _p, _p,
     ],
 }  # fmt: skip
 

@@ -5,7 +5,10 @@ vertices*: they need, for a chunk ``[u_0, u_1, ...]``, the flattened arrays
 ``(owner_index, neighbor, edge_weight)``.  For CSR graphs this is a pure
 numpy gather; for compressed graphs each neighborhood is decoded on the fly
 (the paper's point: decoding speed is close enough to raw CSR that the
-partitioner can run directly on the compressed representation).
+partitioner can run directly on the compressed representation).  The
+compiled kernels take a compressed graph's segments encoded instead
+(:func:`chunk_segments`, :func:`vertex_segments`) and decode every row,
+chunk-encoded hubs included, from its byte stream as they read it.
 """
 
 from __future__ import annotations
@@ -108,14 +111,12 @@ def chunk_segments(
     Returns ``(starts, degs, adj, wgt)``: chunk vertex ``i`` owns
     ``adj[starts[i] : starts[i] + degs[i]]`` and the weights beside them.
     A CSR graph hands out its own ``adjncy`` / ``adjwgt`` (unit weights stay
-    the 8-byte zero-stride view).  A compressed chunk whose degrees all lie
-    in ``[0, max_plain_degree]`` is left encoded, ``(None, degs, None,
-    None)``: the caller decodes each neighbourhood from
-    ``CompressedGraph.stream`` itself.  Any other compressed chunk (a hub,
-    or a degree :meth:`decode_chunk` refuses) is decoded once, by
-    :meth:`decode_chunk`, and its owner-major arrays are the segments.  What
-    the compiled LP chunk (``core/kernels/lp_kernel.c``) walks; reports the
-    same ``decode.edges*`` counters as :func:`chunk_adjacency` either way.
+    the 8-byte zero-stride view).  A compressed chunk is left encoded,
+    ``(None, degs, None, None)``: the caller decodes each neighbourhood,
+    chunk-encoded hubs included, from ``CompressedGraph.stream`` itself and
+    refuses a degree its scratch cannot hold.  What the compiled LP chunk
+    (``core/kernels/lp_kernel.c``) walks; reports the same ``decode.edges*``
+    counters as :func:`chunk_adjacency`.
     """
     chunk = np.asarray(chunk, dtype=np.int64)
     if hasattr(graph, "indptr"):
@@ -125,9 +126,6 @@ def chunk_segments(
     elif hasattr(graph, "decode_chunk"):
         degs = graph.degrees[chunk]
         starts = adj = wgt = None
-        if len(degs) and not 0 <= int(degs.min()) <= int(degs.max()) <= graph.max_plain_degree:
-            _, adj, wgt = graph.decode_chunk(chunk)
-            starts = np.cumsum(degs) - degs
     else:
         raise TypeError(
             "chunk_segments needs a CSRGraph or a CompressedGraph, got "
@@ -156,33 +154,6 @@ def vertex_segments(
     raise TypeError(
         f"vertex_segments needs a CSRGraph or a CompressedGraph, got {type(graph).__name__}"
     )
-
-
-def hub_segments(
-    graph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """The rows of a compressed graph that :func:`vertex_segments` leaves to
-    the caller's decoder but that no single-neighbourhood decode reads: the
-    vertices of degree outside ``[0, max_plain_degree]`` (chunk-encoded
-    hubs), decoded once by :meth:`decode_chunk`, which splices them or
-    raises its error.
-
-    Returns ``(ids, starts, adj, wgt)`` -- ``ids`` ascending, vertex
-    ``ids[i]`` owns ``adj[starts[i] : starts[i + 1]]`` -- or ``None`` for a
-    CSR graph or a compressed one without such rows.  What the compiled FM
-    pass (``core/refinement/fm_kernel.c``) reads beside the stream.
-    """
-    if hasattr(graph, "indptr"):
-        return None
-    degrees = graph.degrees
-    ids = np.flatnonzero((degrees < 0) | (degrees > graph.max_plain_degree))
-    if not len(ids):
-        return None
-    _, adj, wgt = graph.decode_chunk(ids)
-    starts = tracked_empty(len(ids) + 1, name="hub-segment-starts")
-    starts[0] = 0
-    np.cumsum(degrees[ids], out=starts[1:])
-    return ids, starts, adj, wgt
 
 
 def count_edges(graph, degs: np.ndarray) -> None:

@@ -26,32 +26,24 @@ Each neighborhood is encoded independently into one contiguous byte array:
 Like CSR, per-vertex byte offsets into the edge array are kept in an
 ``n+1``-entry pointer array.
 
-Both directions of the codec run a compiled kernel in ``decode_kernel.c``
-(loaded by :mod:`repro.graph._native`): the chunk decode behind
-:meth:`CompressedGraph.decode_chunk` and the packet encoder behind
-:func:`_encode_low_degree_bulk`.  The per-vertex block codec here serves
-the chunk-encoded hubs and is the scalar reference.
+Both directions of the codec, chunk-encoded neighborhoods included, run
+one compiled kernel in ``decode_kernel.c`` (loaded by
+:mod:`repro.graph._native`): the chunk decode behind
+:meth:`CompressedGraph.decode_chunk` (and every per-vertex accessor) and the
+run encoder behind :func:`_encode_run`.  Their per-vertex and numpy
+references live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.graph import _native
 from repro.graph.csr import CSRGraph, _ones_like_view
-from repro.graph.varint import (
-    as_byte_array,
-    decode_signed_varint,
-    decode_stream_bulk,
-    decode_varint,
-    encode_signed_varint,
-    encode_varint,
-    zigzag_decode,
-    MAX_VARINT64_BYTES,
-)
+from repro.graph.varint import MAX_VARINT64_BYTES, as_byte_array
 from repro.memory.scratch import tracked_empty, tracked_ones, tracked_zeros
 from repro.parallel.runtime import balanced_cuts
 
@@ -92,11 +84,6 @@ class CompressionStats:
             return 1.0
         return self.uncompressed_bytes / self.compressed_bytes
 
-    @property
-    def bytes_per_edge(self) -> float:
-        edges = max(1, self.num_interval_edges + self.num_neighborhoods)
-        return self.compressed_bytes / edges
-
 
 def split_intervals(
     nbrs: np.ndarray, min_len: int = MIN_INTERVAL_LEN
@@ -120,164 +107,6 @@ def split_intervals(
 def _refuse(u: int, code: int):
     """Refuse vertex ``u``'s row, the cause from the codec's one error enum."""
     raise ValueError(f"cannot compress vertex {u}: {_native.ERRORS[code]}")
-
-
-#: a signed value whose sign fold fits 63 bits lies strictly inside +-2^62
-_FOLD_LIMIT = 1 << 62
-
-
-def _weight_gaps(w: np.ndarray, row_head: np.ndarray | None = None) -> np.ndarray:
-    """Signed weight gaps in int64, wrapping like the decoder's cumsum;
-    ``row_head`` marks the entries whose gap is taken against 0."""
-    gaps = np.diff(w, prepend=np.int64(0))
-    if row_head is not None:
-        gaps[row_head] = w[row_head]
-    return gaps
-
-
-def _encode_block(
-    u: int,
-    nbrs: np.ndarray,
-    wgts: np.ndarray | None,
-    out: bytearray,
-    cfg: CompressionConfig,
-    stats: CompressionStats,
-) -> None:
-    """Encode one chunk (or whole low-degree neighborhood)."""
-    gaps = None
-    if wgts is not None:
-        gaps = _weight_gaps(np.asarray(wgts, dtype=np.int64))
-        if np.any((gaps >= _FOLD_LIMIT) | (gaps <= -_FOLD_LIMIT)):
-            _refuse(u, _native.ENCODE_WEIGHT)
-    if cfg.enable_intervals:
-        intervals, residuals = split_intervals(nbrs)
-        encode_varint(len(intervals), out)
-        prev_end = None
-        for left, length in intervals:
-            if prev_end is None:
-                encode_signed_varint(left - u, out)
-            else:
-                encode_varint(left - prev_end, out)
-            encode_varint(length - MIN_INTERVAL_LEN, out)
-            prev_end = left + length
-        stats.num_intervals += len(intervals)
-        stats.num_interval_edges += int(len(nbrs) - len(residuals))
-    else:
-        residuals = nbrs
-    prev = None
-    for v in residuals.tolist():
-        if prev is None:
-            encode_signed_varint(v - u, out)
-        else:
-            encode_varint(v - prev - 1, out)
-        prev = v
-    if gaps is not None:
-        before = len(out)
-        for gap in gaps.tolist():
-            encode_signed_varint(gap, out)
-        stats.weight_bytes += len(out) - before
-
-
-def _decode_block(
-    u: int,
-    buf,
-    pos: int,
-    count: int,
-    cfg: CompressionConfig,
-    weighted: bool,
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Decode one chunk of ``count`` neighbors starting at ``buf[pos]``."""
-    nbrs = tracked_empty(count, np.int64, name="decode-block-nbrs")
-    idx = 0
-    if cfg.enable_intervals:
-        num_intervals, pos = decode_varint(buf, pos)
-        prev_end = None
-        for _ in range(num_intervals):
-            if prev_end is None:
-                delta, pos = decode_signed_varint(buf, pos)
-                left = u + delta
-            else:
-                gap, pos = decode_varint(buf, pos)
-                left = prev_end + gap
-            length_off, pos = decode_varint(buf, pos)
-            length = length_off + MIN_INTERVAL_LEN
-            nbrs[idx : idx + length] = np.arange(left, left + length)
-            idx += length
-            prev_end = left + length
-    n_res = count - idx
-    res_start = idx
-    prev = None
-    for _ in range(n_res):
-        if prev is None:
-            delta, pos = decode_signed_varint(buf, pos)
-            v = u + delta
-        else:
-            gap, pos = decode_varint(buf, pos)
-            v = prev + gap + 1
-        nbrs[idx] = v
-        idx += 1
-        prev = v
-    # The interval stream and the residual stream are each sorted but were
-    # written interval-first; sorting the merged IDs restores the original
-    # sorted neighbor order.  Weights were encoded against that sorted
-    # order, so the weight stream below aligns with the sorted IDs as-is.
-    if cfg.enable_intervals and 0 < res_start < count:
-        nbrs.sort(kind="stable")
-    wgts = None
-    if weighted:
-        wgts = tracked_empty(count, np.int64, name="decode-block-wgts")
-        prev_w = 0
-        for i in range(count):
-            dw, pos = decode_signed_varint(buf, pos)
-            prev_w += dw
-            wgts[i] = prev_w
-    return nbrs, wgts, pos
-
-
-def _decode_block_bulk(
-    u: int,
-    buf,
-    data_u8: np.ndarray,
-    pos: int,
-    count: int,
-    cfg: CompressionConfig,
-    weighted: bool,
-) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """Bulk-decode one chunk: same output as :func:`_decode_block`.
-
-    Used for the fixed-size blocks of chunked high-degree neighborhoods,
-    where ``count`` (the paper's 1000) amortizes the vectorization setup.
-    """
-    nbrs = tracked_empty(count, np.int64, name="decode-block-nbrs")
-    idx = 0
-    if cfg.enable_intervals:
-        num_intervals, pos = decode_varint(buf, pos)
-        if num_intervals:
-            ivals, pos = decode_stream_bulk(data_u8, pos, 2 * num_intervals)
-            gaps = ivals[0::2].copy()
-            lengths = ivals[1::2] + MIN_INTERVAL_LEN
-            # left edges: first is u-relative (signed), later ones chain off
-            # the previous interval's end -> one cumsum after adjusting gaps
-            gaps[0] = u + int(zigzag_decode(gaps[:1])[0])
-            gaps[1:] += lengths[:-1]
-            lefts = np.cumsum(gaps)
-            total = int(lengths.sum())
-            cum = np.cumsum(lengths) - lengths
-            nbrs[:total] = np.repeat(lefts - cum, lengths) + np.arange(total)
-            idx = total
-    n_res = count - idx
-    if n_res:
-        rvals, pos = decode_stream_bulk(data_u8, pos, n_res)
-        adj = rvals + 1
-        adj[0] = u + int(zigzag_decode(rvals[:1])[0])
-        nbrs[idx:] = np.cumsum(adj)
-    if cfg.enable_intervals and 0 < idx < count:
-        nbrs.sort(kind="stable")
-    wgts = None
-    if weighted:
-        wvals, pos = decode_stream_bulk(data_u8, pos, count)
-        wgts = np.cumsum(zigzag_decode(wvals))
-    return nbrs, wgts, pos
 
 
 class CompressedGraph:
@@ -377,21 +206,29 @@ class CompressedGraph:
         return self._first_edge_ids
 
     def _decode_headers(self) -> np.ndarray:
+        """Every vertex's VarInt header, each read inside its own byte range:
+        a header that runs past it is a ``ValueError`` naming the vertex."""
         n = self._n
         if n == 0:
             return np.empty(0, dtype=np.int64)
-        data = self._data_u8
-        pos = self.offsets[:n]
+        data, off = self.stream()
         values = tracked_zeros(n, np.int64, name="decode-header-values")
         pending = np.arange(n, dtype=np.int64)
         # one masked pass per header byte; headers are tiny so 1-2 passes
         for j in range(MAX_VARINT64_BYTES - 1):
-            b = data[np.minimum(pos[pending] + j, len(data) - 1)].astype(np.int64)
+            at = off[pending] + j
+            past = at >= off[pending + 1]
+            if past.any():
+                vertex = int(pending[np.argmax(past)])
+                raise ValueError(
+                    f"header of vertex {vertex} runs past its bytes (corrupt stream?)"
+                )
+            b = data[at].astype(np.int64)
             values[pending] |= (b & 0x7F) << (7 * j)
             pending = pending[(b & 0x80) != 0]
             if pending.size == 0:
                 return values
-        raise ValueError("varint too long (corrupt header?)")
+        raise ValueError(f"header of vertex {int(pending[0])} is too long (corrupt stream?)")
 
     @property
     def degrees(self) -> np.ndarray:
@@ -410,18 +247,13 @@ class CompressedGraph:
 
     # -- neighborhood protocol -------------------------------------------#
     def neighbors(self, u: int) -> np.ndarray:
-        return self._decode(u)[0]
+        return self.neighbors_and_weights(u)[0]
 
     def edge_weights(self, u: int) -> np.ndarray:
-        nbrs, wgts = self._decode(u)
-        if wgts is None:
-            return _ones_like_view(len(nbrs))
-        return wgts
+        return self.neighbors_and_weights(u)[1]
 
     def neighbors_and_weights(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        nbrs, wgts = self._decode(u)
-        if wgts is None:
-            wgts = _ones_like_view(len(nbrs))
+        _owner, nbrs, wgts = self.decode_chunk(np.array([u], dtype=np.int64))
         return nbrs, wgts
 
     def incident_edge_ids(self, u: int) -> np.ndarray:
@@ -431,53 +263,6 @@ class CompressedGraph:
     def incident_weight(self, u: int) -> int:
         return int(np.asarray(self.edge_weights(u)).sum())
 
-    def _decode(
-        self, u: int, *, scalar: bool = False
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Decode one neighborhood.  Chunks of a high-degree vertex are large
-        (paper: 1000 neighbors), so they go through the byte-parallel block
-        decoder unless ``scalar`` asks for the reference path."""
-        buf = self.data
-        pos = int(self.offsets[u])
-        fe, pos = decode_varint(buf, pos)
-        deg = self.first_edge_id(u + 1) - fe
-        cfg = self.config
-        weighted = self._has_edge_weights
-        if deg == 0:
-            return np.empty(0, dtype=np.int64), (
-                np.empty(0, dtype=np.int64) if weighted else None
-            )
-        if deg <= cfg.high_degree_threshold:
-            nbrs, wgts, _ = _decode_block(u, buf, pos, deg, cfg, weighted)
-            return nbrs, wgts
-        parts: list[np.ndarray] = []
-        wparts: list[np.ndarray] = []
-        remaining = deg
-        while remaining:
-            chunk_count = min(cfg.chunk_length, remaining)
-            chunk_bytes, pos = decode_varint(buf, pos)
-            if scalar:
-                nbrs, wgts, end = _decode_block(u, buf, pos, chunk_count, cfg, weighted)
-            else:
-                nbrs, wgts, end = _decode_block_bulk(
-                    u, buf, self._data_u8, pos, chunk_count, cfg, weighted
-                )
-            if end - pos != chunk_bytes:
-                raise ValueError(
-                    f"chunk length mismatch at vertex {u}: "
-                    f"declared {chunk_bytes}, consumed {end - pos}"
-                )
-            pos = end
-            parts.append(nbrs)
-            if wgts is not None:
-                wparts.append(wgts)
-            remaining -= chunk_count
-        return np.concatenate(parts), (np.concatenate(wparts) if wparts else None)
-
-    def _decode_scalar(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pure-scalar reference decode (tests check bulk paths against it)."""
-        return self._decode(u, scalar=True)
-
     # -- bulk chunk decode (the kernels' hot path) ------------------------#
     def decode_chunk(
         self, chunk: np.ndarray
@@ -485,9 +270,8 @@ class CompressedGraph:
         """Flattened adjacency ``(owner, neighbors, weights)`` of a vertex chunk.
 
         ``owner[i]`` is the index within ``chunk`` of the vertex owning edge
-        ``i``.  All non-chunked neighborhoods of the chunk are decoded by one
-        call into the compiled kernel; high-degree chunked vertices go
-        through the per-vertex block decoder and are spliced in.
+        ``i``.  Every neighborhood of the chunk, chunk-encoded ones included,
+        is decoded by one call into the compiled kernel.
         """
         chunk = np.asarray(chunk, dtype=np.int64)
         if self._decode_cache is not None:
@@ -504,7 +288,7 @@ class CompressedGraph:
             raise ValueError("negative degree (corrupt header?)")
         # sorted distinct neighbours: no vertex has more than n of them, nor
         # more than the graph has edges; a header that says otherwise would
-        # size the output (and send the vertex down the hub path) by a lie
+        # size the output by a lie
         if len(chunk) and int(degs.max()) > min(self._n, self._num_directed):
             vertex = int(chunk[int(degs.argmax())])
             raise ValueError(f"degree of vertex {vertex} exceeds the graph (corrupt header?)")
@@ -513,15 +297,6 @@ class CompressedGraph:
             e = np.empty(0, dtype=np.int64)
             return e, e, e
         return self._decode_chunk_native(chunk, degs, total)
-
-    @property
-    def max_plain_degree(self) -> int:
-        """The largest degree a neighbourhood can have and still be one plain
-        block a compiled walk decodes on its own.  Above it the vertex is
-        chunk-encoded, or its header is a lie: no vertex has more distinct
-        neighbours than ``n`` or than the graph has edges.
-        :meth:`decode_chunk` splices or refuses those."""
-        return min(self.config.high_degree_threshold, self._n, self._num_directed)
 
     def stream(self) -> tuple[np.ndarray, np.ndarray]:
         """``(data, offsets)`` as a compiled walk reads them: contiguous
@@ -551,54 +326,37 @@ class CompressedGraph:
         """One call into ``decode_kernel.c``, whose header states the contract:
         reads stay inside a vertex's byte range, writes inside its ``deg``
         output slots, a bad stream comes back as an error code."""
-        hub_deg = self.config.high_degree_threshold
-        max_deg = int(degs.max())
+        cfg = self.config
         chunk = np.ascontiguousarray(chunk)
         owner = tracked_empty(total, np.int64, name="decode-native-owner")
         nbrs = tracked_empty(total, np.int64, name="decode-native-nbrs")
         wgts = None
         if self._has_edge_weights:
             wgts = tracked_empty(total, np.int64, name="decode-native-wgts")
-        # one vertex's (left, length) interval pairs, each >= MIN_INTERVAL_LEN long
-        pairs = tracked_empty(
-            2 * (min(max_deg, hub_deg) // MIN_INTERVAL_LEN), name="decode-native-intervals"
-        )
+        # one block's (left, length) interval pairs, each >= MIN_INTERVAL_LEN
+        # long; no block is longer than the chunking threshold
+        block = min(int(degs.max()), cfg.high_degree_threshold)
+        pairs = tracked_empty(2 * (block // MIN_INTERVAL_LEN), name="decode-native-intervals")
         bad = ctypes.c_int64()
         rc = _native.decode_kernel()(
             self._data_u8.ctypes.data, len(self._data_u8), self.offsets.ctypes.data, self._n,
-            chunk.ctypes.data, degs.ctypes.data, len(chunk), hub_deg, self.config.enable_intervals,
-            owner.ctypes.data, nbrs.ctypes.data, None if wgts is None else wgts.ctypes.data, total,
-            pairs.ctypes.data, len(pairs), ctypes.byref(bad),
+            chunk.ctypes.data, degs.ctypes.data, len(chunk), cfg.high_degree_threshold,
+            cfg.chunk_length, cfg.enable_intervals, owner.ctypes.data, nbrs.ctypes.data,
+            None if wgts is None else wgts.ctypes.data, total, pairs.ctypes.data, len(pairs),
+            ctypes.byref(bad),
         )  # fmt: skip
         if rc:
-            vertex = int(chunk[bad.value])
-            raise ValueError(f"{_native.ERRORS[rc]} at vertex {vertex} (corrupt stream?)")
-        if max_deg > hub_deg:
-            first = np.cumsum(degs) - degs
-            for h in np.flatnonzero(degs > hub_deg).tolist():
-                lo, hi = int(first[h]), int(first[h] + degs[h])
-                hub_nbrs, hub_wgts = self._decode_hub(int(chunk[h]))
-                nbrs[lo:hi] = hub_nbrs
-                if wgts is not None:
-                    wgts[lo:hi] = hub_wgts
+            vertex, why = int(chunk[bad.value]), _native.ERRORS[rc]
+            if int(degs[bad.value]) > cfg.high_degree_threshold:
+                # a corrupt header can make any vertex look chunk-encoded
+                raise ValueError(
+                    f"chunked neighborhood of vertex {vertex} does not decode: {why} "
+                    "(corrupt header?)"
+                )
+            raise ValueError(f"{why} at vertex {vertex} (corrupt stream?)")
         if wgts is None:
             wgts = _ones_like_view(total)
         return owner, nbrs, wgts
-
-    def _decode_hub(self, u: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """The per-vertex decode the chunk decoder splices in for a vertex
-        above the chunking threshold.  A corrupt header can make any vertex
-        look like one; its bytes are then not chunk-encoded, and whatever the
-        block decoder trips over is reported as the stream's fault."""
-        try:
-            nbrs, wgts = self._decode(u)
-        except (IndexError, MemoryError, OverflowError, ValueError) as exc:
-            raise ValueError(
-                f"chunked neighborhood of vertex {u} does not decode: {exc} (corrupt header?)"
-            ) from exc
-        if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < self._n:
-            raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
-        return nbrs, wgts
 
     # -- optional decoded-chunk cache -------------------------------------#
     def enable_decode_cache(
@@ -749,50 +507,6 @@ class _DecodedPageCache:
         return owner, nbrs, wgts
 
 
-def encode_neighborhood(
-    u: int,
-    nbrs: np.ndarray,
-    wgts: np.ndarray | None,
-    first_edge_id: int,
-    out: bytearray,
-    cfg: CompressionConfig,
-    stats: CompressionStats,
-) -> None:
-    """Encode one full neighborhood (header + chunks) into ``out``.
-
-    ``nbrs`` must be sorted; a repeat in it, or a weight gap whose sign
-    fold does not fit 63 bits, raises a ``ValueError`` naming ``u``.
-    """
-    if len(nbrs) > 1 and np.any(nbrs[1:] == nbrs[:-1]):
-        _refuse(u, _native.ENCODE_DUPLICATE)
-    before = len(out)
-    encode_varint(first_edge_id, out)
-    stats.header_bytes += len(out) - before
-    deg = len(nbrs)
-    stats.num_neighborhoods += 1
-    if deg == 0:
-        return
-    if deg <= cfg.high_degree_threshold:
-        _encode_block(u, nbrs, wgts, out, cfg, stats)
-        return
-    stats.num_chunked_vertices += 1
-    # repro-lint: ignore[untracked-alloc] -- bytearray cannot be weakref-finalized, so the scratch ledger cannot follow it; its bytes are covered by the callers' bulk output-chunk charges
-    scratch = bytearray()
-    for start in range(0, deg, cfg.chunk_length):
-        end = min(start + cfg.chunk_length, deg)
-        scratch.clear()
-        _encode_block(
-            u,
-            nbrs[start:end],
-            None if wgts is None else wgts[start:end],
-            scratch,
-            cfg,
-            stats,
-        )
-        encode_varint(len(scratch), out)
-        out.extend(scratch)
-
-
 #: Directed edges per packet when the CSR is already in memory -- the value
 #: :func:`repro.graph.io.stream_compressed` defaults to.  Encoder scratch is
 #: proportional to the packet, not to the graph.
@@ -809,7 +523,7 @@ def _sort_rows(
     return nb[order], None if w is None else w[order]
 
 
-def _encode_low_degree_bulk(
+def _encode_run(
     lo: int,
     first_edge: np.ndarray,
     nb: np.ndarray,
@@ -817,12 +531,12 @@ def _encode_low_degree_bulk(
     cfg: CompressionConfig,
     stats: CompressionStats,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Encode the consecutive low-degree vertices ``lo..`` in one run.
+    """Encode the consecutive vertices ``lo..`` in one run.
 
     ``first_edge`` holds their first edge IDs plus the end sentinel, ``nb``
     / ``w`` their neighbors and weights, rows in any order.  Returns the
-    bytes and each vertex's byte start within them, byte-identical to
-    per-vertex :func:`encode_neighborhood` calls on the sorted rows.
+    bytes and each vertex's byte start within them; a row above the
+    chunking threshold is written as its chunks.
 
     ``repro_encode_run`` (``decode_kernel.c``) is called twice: a size
     pass that checks the run and returns its exact byte count, then a write
@@ -843,6 +557,7 @@ def _encode_low_degree_bulk(
         return kernel(
             lo, first_edge.ctypes.data, nl, nb.ctypes.data, len(nb),
             None if w is None else w.ctypes.data, cfg.enable_intervals,
+            cfg.high_degree_threshold, cfg.chunk_length,
             out, out_cap, starts, deltas, ctypes.byref(bad),
         )  # fmt: skip
 
@@ -854,16 +569,17 @@ def _encode_low_degree_bulk(
         _refuse(lo + bad.value, size)
     blob = tracked_empty(size, np.uint8, name="compress-run-bytes")
     starts = tracked_empty(nl, np.int64, name="compress-run-starts")
-    deltas = np.zeros(4, dtype=np.int64)
+    deltas = np.zeros(5, dtype=np.int64)
     written = call(blob.ctypes.data, size, starts.ctypes.data, deltas.ctypes.data)
     if written != size:
         raise RuntimeError(f"encoder wrote {written} of {size} sized bytes")
-    n_iv, iv_edges, header_bytes, weight_bytes = deltas.tolist()
+    n_iv, iv_edges, header_bytes, weight_bytes, chunked = deltas.tolist()
     stats.num_neighborhoods += nl
     stats.num_intervals += n_iv
     stats.num_interval_edges += iv_edges
     stats.header_bytes += header_bytes
     stats.weight_bytes += weight_bytes
+    stats.num_chunked_vertices += chunked
     return blob, starts
 
 
@@ -879,37 +595,13 @@ def _encode_packet(
     """Append the encoding of one packet to ``out``; return its byte offsets.
 
     A packet is the unit of encoding: consecutive vertices ``lo..``, their
-    first edge IDs (plus end sentinel) and their slice of the edge arrays.
-    Runs of low-degree vertices are encoded in one run each
-    (:func:`_encode_low_degree_bulk`, which sorts unsorted rows); a vertex
-    above the chunking threshold is the one case left to the scalar
-    :func:`encode_neighborhood`, its row sorted first if it descends.
+    first edge IDs (plus end sentinel) and their slice of the edge arrays,
+    encoded as one run (:func:`_encode_run`, which sorts unsorted rows).
     """
-    nv = len(first_edge) - 1
-    edge = first_edge - first_edge[0]
-    deg = np.diff(edge)
-    offsets = tracked_empty(nv, np.int64, name="compress-packet-offsets")
-    a = 0
-    for h in [*np.flatnonzero(deg > cfg.high_degree_threshold).tolist(), nv]:
-        ea, eh = int(edge[a]), int(edge[h])
-        if h > a:
-            run_w = None if w is None else w[ea:eh]
-            blob, starts = _encode_low_degree_bulk(
-                lo + a, first_edge[a : h + 1], nb[ea:eh], run_w, cfg, stats
-            )
-            offsets[a:h] = len(out) + starts
-            out += memoryview(blob)
-        if h < nv:
-            offsets[h] = len(out)
-            end = int(edge[h + 1])
-            hub_nb, hub_w = nb[eh:end], None if w is None else w[eh:end]
-            if np.any(hub_nb[1:] < hub_nb[:-1]):
-                hub_nb, hub_w = _sort_rows(first_edge[h : h + 2], hub_nb, hub_w)
-            encode_neighborhood(
-                lo + h, hub_nb, hub_w, int(first_edge[h]), out, cfg, stats
-            )
-        a = h + 1
-    return offsets
+    blob, starts = _encode_run(lo, first_edge, nb, w, cfg, stats)
+    starts += len(out)
+    out += memoryview(blob)
+    return starts
 
 
 def _compress_packets(
@@ -1004,8 +696,7 @@ def compress_graph(
     virtual-thread pipeline (:mod:`repro.graph.compression`) and the file
     loader (:func:`repro.graph.io.stream_compressed`) are other packet
     sources over the same loop, byte-identical by construction and checked
-    against a per-vertex :func:`encode_neighborhood` reference in
-    ``tests/test_kernels.py``.
+    against a per-vertex reference encoder in ``tests/test_kernels.py``.
     """
     return _compress_packets(
         _csr_packets(graph, balanced_cuts(graph.indptr, PACKET_EDGES)),

@@ -2,14 +2,16 @@
  * packet encoder, one file, one MIN_INTERVAL_LEN, one error enum.
  *
  * Two exported functions, no state, no Python objects: ctypes calls them with
- * the GIL released.  repro_decode_chunk fills the same (owner, neighbors,
- * weights) arrays as the numpy reference decoder (tests/oracles.py); the
- * stream layout is described in compressed.py.  Its per-vertex
- * decoder, decode_neighborhood, is also behind repro_decode_neighborhood, the
- * entry of the compressed LP chunk (core/kernels/lp_kernel.c), which rates
- * each neighborhood as it decodes it.  repro_encode_run writes the bytes,
- * per-vertex byte starts and stats deltas of the numpy reference encoder
- * (tests/oracles.py) for one run of low-degree vertices.
+ * the GIL released.  The one codec of every row, chunk-encoded hubs
+ * included: repro_decode_chunk fills the same (owner, neighbors, weights)
+ * arrays as the numpy reference decoder (tests/oracles.py); the stream layout
+ * is described in compressed.py.  Its per-vertex decoder,
+ * decode_neighborhood, is also behind repro_decode_neighborhood, the entry of
+ * the compressed LP and contraction chunks (core/kernels/lp_kernel.c) and of
+ * the FM pass (core/refinement/fm_kernel.c), which read each neighborhood as
+ * they decode it.  repro_encode_run writes the bytes, per-vertex byte starts
+ * and stats deltas of the numpy and per-vertex reference encoders
+ * (tests/oracles.py) for one run of vertices.
  *
  * Reader's memory-safety contract (tests/test_bulk_decode.py holds it to this):
  *   - vertex u is read only inside data[offsets[u], offsets[u+1]), and only
@@ -25,8 +27,12 @@
  *     index of the vertex in *bad) instead of trapping.  Outputs are then
  *     partially written garbage the caller drops.
  *
- * A vertex above hub_threshold (chunked encoding) gets its owner slots filled
- * and its neighbor/weight slots skipped: the caller splices those in.
+ * A neighborhood above hub_threshold is chunk-encoded: chunks of chunk_length
+ * values (the last one shorter), each a VarInt byte length and a block laid
+ * out like a plain neighborhood, its first values relative to u and its
+ * weights from 0.  Both directions walk it chunk by chunk; a chunk's length
+ * is checked against what is left of the vertex's byte range before its
+ * block is read.
  *
  * Writer's memory-safety contract (tests/test_compress_kernel.py holds it to
  * this):
@@ -35,11 +41,14 @@
  *     first_edge[i] <= first_edge[i+1] <= first_edge[0] + edges held;
  *   - out is written only below out_cap, a row only after its measured
  *     bytes were checked against what is left; starts only at [0, count),
- *     stats only at [0, 4);
+ *     stats only at [0, 5);
  *   - every neighbor id is checked to lie in [0, 2^62) and every vertex id
  *     lo + i below 2^62 before any difference is taken, so no structural
  *     value overflows; a weight gap wraps modulo 2^64 like numpy's
  *     subtraction and is refused unless its sign fold fits 63 bits;
+ *   - a row above hub_threshold has its ids checked whole before its chunks
+ *     are measured (each chunk's weight gaps from 0), so a descent or a
+ *     repeat across a chunk boundary is caught as inside a plain row;
  *   - a row it cannot take as it is -- a descent (the caller sorts and calls
  *     again), a neighbor listed twice or a weight gap too wide (refused) --
  *     returns a negative code with the run index of the vertex in *bad.
@@ -62,7 +71,8 @@ enum {
     ERR_DESCENT = -8,   /* encoder: a row's neighbors descend (the caller sorts, calls again) */
     ERR_DUPLICATE = -9, /* encoder: a row lists the same neighbor twice */
     ERR_WEIGHT = -10,   /* encoder: an edge-weight gap whose sign fold does not fit 63 bits */
-    ERR_CAPACITY = -11  /* encoder: the output buffer is shorter than the run's bytes */
+    ERR_CAPACITY = -11, /* encoder: the output buffer is shorter than the run's bytes */
+    ERR_CHUNK = -12     /* a chunk's byte length runs past its neighborhood */
 };
 
 /* Read one VarInt from [*pp, end).  Nine bytes carry 63 bits; a tenth may
@@ -185,13 +195,39 @@ static int decode_vertex(const uint8_t *p, const uint8_t *end, int64_t u,
     return p == end ? 0 : ERR_COUNT;
 }
 
+/* A neighborhood above hub_threshold: per chunk of chunk_length values (the
+ * last one shorter) its VarInt byte length, checked against what is left of
+ * [p, end), then its block, decoded by decode_vertex into the chunk's slots. */
+static int decode_chunks(const uint8_t *p, const uint8_t *end, int64_t u, int64_t n,
+                         int64_t deg, int intervals, int64_t chunk_length, int64_t *nbrs,
+                         int64_t *wgts, int64_t *pairs, int64_t pairs_cap)
+{
+    if (chunk_length < 1)
+        return ERR_METADATA;
+    for (int64_t at = 0, count; at < deg; at += count) {
+        int64_t bytes;
+        READ(bytes);
+        if (bytes > end - p)
+            return ERR_CHUNK;
+        count = deg - at < chunk_length ? deg - at : chunk_length;
+        int rc = decode_vertex(p, p + bytes, u, n, count, intervals, nbrs + at,
+                               wgts ? wgts + at : NULL, pairs, pairs_cap);
+        if (rc)
+            return rc;
+        p += bytes;
+    }
+    return p == end ? 0 : ERR_COUNT;
+}
+
 /* The library's one neighborhood decoder, from the header on: vertex u's
- * `deg` neighbors from its bytes [p, end) into nbrs[0..deg) (sorted) and, if
- * wgts, wgts[0..deg).  Both callers check the vertex id, the degree against
- * the room they hand over and the byte range first; this checks the header
- * and (decode_vertex) counts and neighbor ids. */
+ * `deg` neighbors from its bytes [p, end) into nbrs[0..deg) (sorted, by chunk
+ * above hub_threshold) and, if wgts, wgts[0..deg).  Both callers check the
+ * vertex id, the degree against the room they hand over and the byte range
+ * first; this checks the header, chunk lengths and (decode_vertex) counts and
+ * neighbor ids. */
 static inline int decode_neighborhood(const uint8_t *p, const uint8_t *end, int64_t u,
                                       int64_t n, int64_t deg, int intervals,
+                                      int64_t hub_threshold, int64_t chunk_length,
                                       int64_t *nbrs, int64_t *wgts,
                                       int64_t *pairs, int64_t pairs_cap)
 {
@@ -201,25 +237,28 @@ static inline int decode_neighborhood(const uint8_t *p, const uint8_t *end, int6
         return rc;
     if (deg == 0)
         return p == end ? 0 : ERR_COUNT;
+    if (deg > hub_threshold)
+        return decode_chunks(p, end, u, n, deg, intervals, chunk_length, nbrs, wgts, pairs,
+                             pairs_cap);
     return decode_vertex(p, end, u, n, deg, intervals, nbrs, wgts, pairs, pairs_cap);
 }
 
 /* Vertex u's neighborhood into nbrs / wgts, `room` entries each: the entry
- * of the compressed LP chunk (lp_kernel.c), which rates each neighborhood
- * from there.  Returns 0 or a negative ERR_*.  Hidden: internal to the
- * library, not in _native.SIGNATURES. */
+ * of the compressed LP chunk (lp_kernel.c) and of the FM pass (fm_kernel.c),
+ * which read each neighborhood from there.  Returns 0 or a negative ERR_*.
+ * Hidden: internal to the library, not in _native.SIGNATURES. */
 __attribute__((visibility("hidden"))) int repro_decode_neighborhood(
     const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
-    int64_t deg, int64_t room, int intervals, int64_t *nbrs, int64_t *wgts,
-    int64_t *pairs, int64_t pairs_cap)
+    int64_t deg, int64_t room, int intervals, int64_t hub_threshold, int64_t chunk_length,
+    int64_t *nbrs, int64_t *wgts, int64_t *pairs, int64_t pairs_cap)
 {
     if (u < 0 || u >= n || deg < 0 || deg > room)
         return ERR_METADATA;
     int64_t lo = offsets[u], hi = offsets[u + 1];
     if (lo < 0 || lo > hi || hi > data_len)
         return ERR_METADATA;
-    return decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, nbrs, wgts, pairs,
-                               pairs_cap);
+    return decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, hub_threshold,
+                               chunk_length, nbrs, wgts, pairs, pairs_cap);
 }
 
 /* Decode the neighborhoods of chunk[0..count) back to back.  Returns 0, or a
@@ -230,7 +269,7 @@ __attribute__((visibility("hidden"))) int repro_decode_neighborhood(
 int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
                            const int64_t *offsets, int64_t n,
                            const int64_t *chunk, const int64_t *degs,
-                           int64_t count, int64_t hub_threshold,
+                           int64_t count, int64_t hub_threshold, int64_t chunk_length,
                            int32_t intervals,
                            int64_t *owner, int64_t *nbrs, int64_t *wgts,
                            int64_t capacity,
@@ -247,12 +286,9 @@ int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
             return ERR_METADATA;
         for (int64_t t = 0; t < deg; t++)
             owner[out + t] = i;
-        if (deg > hub_threshold) {
-            out += deg;
-            continue;
-        }
-        int rc = decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, nbrs + out,
-                                     wgts ? wgts + out : NULL, pairs, pairs_cap);
+        int rc = decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, hub_threshold,
+                                     chunk_length, nbrs + out, wgts ? wgts + out : NULL, pairs,
+                                     pairs_cap);
         if (rc)
             return rc;
         out += deg;
@@ -358,6 +394,44 @@ static inline int measure_row(shape_t *s, const int64_t *row, const int64_t *rw,
     return 0;
 }
 
+/* bytes of a measured row (or chunk) after its header */
+static inline int64_t block_bytes(const shape_t *s, int intervals)
+{
+    return (intervals ? varint_bytes((uint64_t)s->ni) : 0) + s->iv_bytes + s->res_bytes +
+           s->w_bytes;
+}
+
+/* Check and measure vertex u's row above hub_threshold: its ids whole (in
+ * [0, 2^62), strictly ascending), then chunk by chunk of chunk_length its
+ * runs and weight gaps, each chunk's first gap against 0.  Sums the chunks'
+ * shapes into *s; returns the bytes after the header, each chunk's length
+ * prefix included, or a negative ERR_*. */
+static int64_t measure_chunks(shape_t *s, const int64_t *row, const int64_t *rw, int64_t deg,
+                              int64_t u, int intervals, int64_t chunk_length)
+{
+    for (int64_t t = 0, prev = -1; t < deg; prev = row[t++]) {
+        if (row[t] < 0 || row[t] >= FOLD_LIMIT)
+            return ERR_RANGE;
+        if (row[t] <= prev)
+            return row[t] < prev ? ERR_DESCENT : ERR_DUPLICATE;
+    }
+    int64_t bytes = 0;
+    *s = (shape_t){0, 0, 0, 0, 0, -1, -1};
+    for (int64_t at = 0, count; at < deg; at += count) {
+        count = deg - at < chunk_length ? deg - at : chunk_length;
+        shape_t c;
+        int rc = measure_row(&c, row + at, rw ? rw + at : NULL, count, u, intervals);
+        if (rc)
+            return rc;
+        int64_t b = block_bytes(&c, intervals);
+        bytes += varint_bytes((uint64_t)b) + b;
+        s->ni += c.ni;
+        s->covered += c.covered;
+        s->w_bytes += c.w_bytes;
+    }
+    return bytes;
+}
+
 /* Write a measured row after its header: [interval count], then the
  * interval pairs from p on and the residuals from p + iv_bytes on in one
  * walk over the runs, then the weight gaps. */
@@ -395,14 +469,32 @@ static inline void write_row(uint8_t *p, const shape_t *m, const int64_t *row, c
     }
 }
 
+/* Write a row measure_chunks took after its header: per chunk its byte
+ * length, then its block. */
+static void write_chunks(uint8_t *p, const int64_t *row, const int64_t *rw, int64_t deg,
+                         int64_t u, int intervals, int64_t chunk_length)
+{
+    for (int64_t at = 0, count; at < deg; at += count) {
+        count = deg - at < chunk_length ? deg - at : chunk_length;
+        shape_t c;
+        measure_row(&c, row + at, rw ? rw + at : NULL, count, u, intervals);
+        int64_t b = block_bytes(&c, intervals);
+        p = put_varint(p, (uint64_t)b);
+        write_row(p, &c, row + at, rw ? rw + at : NULL, count, u, intervals);
+        p += b;
+    }
+}
+
 static inline __attribute__((always_inline)) int64_t encode_run(
     int64_t lo, const int64_t *first_edge, int64_t count, const int64_t *nbrs, int64_t edges,
-    const int64_t *wgts, int intervals, uint8_t *out, int64_t out_cap, int64_t *starts,
-    int64_t *stats, int64_t *bad, const int write)
+    const int64_t *wgts, int intervals, int64_t hub_threshold, int64_t chunk_length,
+    uint8_t *out, int64_t out_cap, int64_t *starts, int64_t *stats, int64_t *bad,
+    const int write)
 {
-    int64_t pos = 0, num_iv = 0, iv_edges = 0, header_bytes = 0, weight_bytes = 0;
+    int64_t pos = 0, num_iv = 0, iv_edges = 0, header_bytes = 0, weight_bytes = 0, hubs = 0;
     *bad = 0;
-    if (count < 0 || lo < 0 || lo > FOLD_LIMIT - count || edges < 0)
+    if (count < 0 || lo < 0 || lo > FOLD_LIMIT - count || edges < 0 || hub_threshold < 0 ||
+        chunk_length < 1)
         return ERR_METADATA;
     int64_t fe0 = first_edge[0];
     if (fe0 < 0)
@@ -416,19 +508,26 @@ static inline __attribute__((always_inline)) int64_t encode_run(
         const int64_t *rw = wgts && b > a ? wgts + (a - fe0) : NULL;
         int64_t deg = b - a, head = varint_bytes((uint64_t)a), bytes = head;
         shape_t s = {0, 0, 0, 0, 0, -1, -1};
-        if (deg) {
+        int hub = deg > hub_threshold;
+        if (hub) {
+            int64_t body = measure_chunks(&s, row, rw, deg, lo + i, intervals, chunk_length);
+            if (body < 0)
+                return body;
+            bytes += body;
+        } else if (deg) {
             int rc = measure_row(&s, row, rw, deg, lo + i, intervals);
             if (rc)
                 return rc;
-            bytes += (intervals ? varint_bytes((uint64_t)s.ni) : 0) + s.iv_bytes + s.res_bytes +
-                     s.w_bytes;
+            bytes += block_bytes(&s, intervals);
         }
         if (write) {
             if (bytes > out_cap - pos)
                 return ERR_CAPACITY;
             starts[i] = pos;
             uint8_t *p = put_varint(out + pos, (uint64_t)a);
-            if (deg)
+            if (hub)
+                write_chunks(p, row, rw, deg, lo + i, intervals, chunk_length);
+            else if (deg)
                 write_row(p, &s, row, rw, deg, lo + i, intervals);
         }
         pos += bytes;
@@ -436,6 +535,7 @@ static inline __attribute__((always_inline)) int64_t encode_run(
         weight_bytes += s.w_bytes;
         num_iv += s.ni;
         iv_edges += s.covered;
+        hubs += hub;
     }
     *bad = count;
     if (first_edge[count] - fe0 != edges)
@@ -445,27 +545,31 @@ static inline __attribute__((always_inline)) int64_t encode_run(
         stats[1] += iv_edges;
         stats[2] += header_bytes;
         stats[3] += weight_bytes;
+        stats[4] += hubs;
     }
     return pos;
 }
 
-/* Encode the consecutive low-degree vertices lo..lo+count-1 back to back:
- * per vertex the first-edge header, [interval count, pairs], residual gaps
- * and, if wgts, weight gaps.  With out == NULL only sizes and checks the run
- * (the return value is the exact byte count); with out writes the bytes, the
- * byte start of every vertex into starts[0..count) and adds (intervals,
- * interval edges, header bytes, weight bytes) into stats[0..4).  Returns the
- * bytes, or a negative ERR_* with *bad set to the run index of the vertex. */
+/* Encode the consecutive vertices lo..lo+count-1 back to back: per vertex
+ * the first-edge header, then [interval count, pairs], residual gaps and, if
+ * wgts, weight gaps -- as one block, or above hub_threshold as chunks of
+ * chunk_length values, each its byte length and its block.  With out == NULL
+ * only sizes and checks the run (the return value is the exact byte count);
+ * with out writes the bytes, the byte start of every vertex into
+ * starts[0..count) and adds (intervals, interval edges, header bytes, weight
+ * bytes, chunk-encoded vertices) into stats[0..5).  Returns the bytes, or a
+ * negative ERR_* with *bad set to the run index of the vertex. */
 int64_t repro_encode_run(int64_t lo, const int64_t *first_edge, int64_t count,
                          const int64_t *nbrs, int64_t edges, const int64_t *wgts,
-                         int32_t intervals, uint8_t *out, int64_t out_cap,
-                         int64_t *starts, int64_t *stats, int64_t *bad)
+                         int32_t intervals, int64_t hub_threshold, int64_t chunk_length,
+                         uint8_t *out, int64_t out_cap, int64_t *starts, int64_t *stats,
+                         int64_t *bad)
 {
     if (!out)
-        return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, NULL, 0, NULL,
-                          NULL, bad, 0);
+        return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, hub_threshold,
+                          chunk_length, NULL, 0, NULL, NULL, bad, 0);
     if (!starts || !stats || out_cap < 0)
         return ERR_METADATA;
-    return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, out, out_cap, starts,
-                      stats, bad, 1);
+    return encode_run(lo, first_edge, count, nbrs, edges, wgts, intervals, hub_threshold,
+                      chunk_length, out, out_cap, starts, stats, bad, 1);
 }

@@ -5,7 +5,8 @@ Each hot phase runs one compiled kernel in production (``graph/_native.py``
 builds them or raises).  The code here is what those phases ran before,
 moved here unchanged but for the seam: the LP drivers' numpy chunk
 pipelines, distributed LP's picks, the numpy contraction step, the codec's
-numpy chunk decoder and run encoder, k-way FM's Python pass with the gain
+scalar VarInt routines, per-vertex block codec and numpy chunk decoder and
+run encoder, k-way FM's Python pass with the gain
 tables' Python queries and updates, and initial partitioning's list loops,
 Python attempt pool and subgraph extraction.
 
@@ -51,21 +52,23 @@ from repro.core.refinement import fm_kernel
 from repro.graph import _native, compressed
 from repro.graph.access import chunk_adjacency, installed_tracer, segment_reduce_ratings
 from repro.graph.compressed import (
-    _FOLD_LIMIT,
     MIN_INTERVAL_LEN,
     CompressedGraph,
     CompressionConfig,
     CompressionStats,
     _refuse,
     _sort_rows,
-    _weight_gaps,
+    split_intervals,
 )
 from repro.graph.csr import CSRGraph, _ones_like_view
 from repro.graph.varint import (
+    MAX_VARINT64_BYTES,
+    _decode_spans,
+    as_byte_array,
     decode_region_bulk,
+    decode_varint,
     encode_stream_bulk,
     varint_lengths,
-    zigzag_decode,
     zigzag_encode,
 )
 from repro.core.partition import PartitionedGraph
@@ -321,8 +324,332 @@ def group_by_label(labels: np.ndarray, label_count: int):
 
 
 # --------------------------------------------------------------------- #
-# the codec: numpy chunk decode and run encode
+# the codec: scalar VarInts, the per-vertex block codec, numpy chunk decode
+# and run encode
 # --------------------------------------------------------------------- #
+def varint_len(value: int) -> int:
+    """Number of bytes :func:`encode_varint` produces for ``value``."""
+    if value < 0:
+        raise ValueError(f"varint cannot encode negative value {value}")
+    n = 1
+    value >>= 7
+    while value:
+        n += 1
+        value >>= 7
+    return n
+
+
+def encode_varint(value: int, out: bytearray) -> int:
+    """Append the VarInt encoding of ``value`` to ``out``; return byte count."""
+    if value < 0:
+        raise ValueError(f"varint cannot encode negative value {value}")
+    n = 0
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        n += 1
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return n
+
+
+def encode_signed_varint(value: int, out: bytearray) -> int:
+    """Append a signed VarInt (sign bit in bit 0 of the first byte)."""
+    # The paper stores "an additional sign bit"; we fold it into the
+    # least-significant bit so small magnitudes stay small either way.
+    zz = ((-value) << 1) | 1 if value < 0 else value << 1
+    return encode_varint(zz, out)
+
+
+def decode_signed_varint(buf, pos: int) -> tuple[int, int]:
+    zz, pos = decode_varint(buf, pos)
+    value = zz >> 1
+    if zz & 1:
+        value = -value
+    return value, pos
+
+
+def encode_stream(values: np.ndarray, out: bytearray) -> int:
+    """Append VarInt encodings of every element of ``values``; return bytes."""
+    total = 0
+    append = out.append
+    for v in values.tolist():
+        if v < 0:
+            raise ValueError(f"varint cannot encode negative value {v}")
+        while True:
+            byte = v & 0x7F
+            v >>= 7
+            total += 1
+            if v:
+                append(byte | 0x80)
+            else:
+                append(byte)
+                break
+    return total
+
+
+def decode_stream(buf, pos: int, count: int) -> tuple[np.ndarray, int]:
+    """Decode ``count`` VarInts starting at ``buf[pos:]``."""
+    out = tracked_empty(count, np.int64, name="varint-decode-values")
+    for i in range(count):
+        result = 0
+        shift = 0
+        while True:
+            byte = buf[pos]
+            pos += 1
+            result |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                break
+            shift += 7
+        out[i] = result
+    return out, pos
+
+
+def zigzag_decode(zz: np.ndarray) -> np.ndarray:
+    """Vectorized inverse of the signed-VarInt sign fold (bit 0 = sign)."""
+    zz = np.asarray(zz, dtype=np.int64)
+    mag = zz >> 1
+    return np.where(zz & 1, -mag, mag)
+
+
+def decode_stream_bulk(buf, pos: int, count: int) -> tuple[np.ndarray, int]:
+    """Byte-parallel equivalent of :func:`decode_stream`.
+
+    Scans a window of the buffer for terminator bytes, widening it until
+    ``count`` values are covered (streams average well under two bytes per
+    value, so the initial guess of two bytes/value almost always suffices).
+    """
+    if count == 0:
+        return np.empty(0, dtype=np.int64), pos
+    data = as_byte_array(buf)
+    limit = min(len(data), pos + count * MAX_VARINT64_BYTES)
+    hi = min(limit, pos + 2 * count + 8)
+    while True:
+        window = data[pos:hi]
+        term = np.flatnonzero((window & 0x80) == 0)
+        if len(term) >= count or hi >= limit:
+            break
+        hi = limit
+    if len(term) < count:
+        raise ValueError("varint stream truncated (corrupt stream?)")
+    ends = term[:count]
+    starts = tracked_empty(count, np.int64, name="varint-span-starts")
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    nbytes = int(ends[-1]) + 1
+    values = _decode_spans(window[:nbytes], starts, lengths)
+    return values, pos + nbytes
+
+
+#: a signed value whose sign fold fits 63 bits lies strictly inside +-2^62
+_FOLD_LIMIT = 1 << 62
+
+
+def _weight_gaps(w: np.ndarray, row_head: np.ndarray | None = None) -> np.ndarray:
+    """Signed weight gaps in int64, wrapping like the decoder's cumsum;
+    ``row_head`` marks the entries whose gap is taken against 0."""
+    gaps = np.diff(w, prepend=np.int64(0))
+    if row_head is not None:
+        gaps[row_head] = w[row_head]
+    return gaps
+
+
+def encode_block(
+    u: int,
+    nbrs: np.ndarray,
+    wgts: np.ndarray | None,
+    out: bytearray,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> None:
+    """Encode one chunk (or whole low-degree neighborhood)."""
+    gaps = None
+    if wgts is not None:
+        gaps = _weight_gaps(np.asarray(wgts, dtype=np.int64))
+        if np.any((gaps >= _FOLD_LIMIT) | (gaps <= -_FOLD_LIMIT)):
+            _refuse(u, _native.ENCODE_WEIGHT)
+    if cfg.enable_intervals:
+        intervals, residuals = split_intervals(nbrs)
+        encode_varint(len(intervals), out)
+        prev_end = None
+        for left, length in intervals:
+            if prev_end is None:
+                encode_signed_varint(left - u, out)
+            else:
+                encode_varint(left - prev_end, out)
+            encode_varint(length - MIN_INTERVAL_LEN, out)
+            prev_end = left + length
+        stats.num_intervals += len(intervals)
+        stats.num_interval_edges += int(len(nbrs) - len(residuals))
+    else:
+        residuals = nbrs
+    prev = None
+    for v in residuals.tolist():
+        if prev is None:
+            encode_signed_varint(v - u, out)
+        else:
+            encode_varint(v - prev - 1, out)
+        prev = v
+    if gaps is not None:
+        before = len(out)
+        for gap in gaps.tolist():
+            encode_signed_varint(gap, out)
+        stats.weight_bytes += len(out) - before
+
+
+def encode_neighborhood(
+    u: int,
+    nbrs: np.ndarray,
+    wgts: np.ndarray | None,
+    first_edge_id: int,
+    out: bytearray,
+    cfg: CompressionConfig,
+    stats: CompressionStats,
+) -> None:
+    """Encode one full neighborhood (header + chunks) into ``out``.
+
+    ``nbrs`` must be sorted; a repeat in it, or a weight gap whose sign
+    fold does not fit 63 bits, raises a ``ValueError`` naming ``u``.
+    """
+    if len(nbrs) > 1 and np.any(nbrs[1:] == nbrs[:-1]):
+        _refuse(u, _native.ENCODE_DUPLICATE)
+    before = len(out)
+    encode_varint(first_edge_id, out)
+    stats.header_bytes += len(out) - before
+    deg = len(nbrs)
+    stats.num_neighborhoods += 1
+    if deg == 0:
+        return
+    if deg <= cfg.high_degree_threshold:
+        encode_block(u, nbrs, wgts, out, cfg, stats)
+        return
+    stats.num_chunked_vertices += 1
+    scratch = bytearray()
+    for start in range(0, deg, cfg.chunk_length):
+        end = min(start + cfg.chunk_length, deg)
+        scratch.clear()
+        encode_block(
+            u,
+            nbrs[start:end],
+            None if wgts is None else wgts[start:end],
+            scratch,
+            cfg,
+            stats,
+        )
+        encode_varint(len(scratch), out)
+        out.extend(scratch)
+
+
+def decode_block(
+    u: int,
+    buf,
+    pos: int,
+    count: int,
+    cfg: CompressionConfig,
+    weighted: bool,
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """Decode one chunk of ``count`` neighbors starting at ``buf[pos]``."""
+    nbrs = tracked_empty(count, np.int64, name="decode-block-nbrs")
+    idx = 0
+    if cfg.enable_intervals:
+        num_intervals, pos = decode_varint(buf, pos)
+        prev_end = None
+        for _ in range(num_intervals):
+            if prev_end is None:
+                delta, pos = decode_signed_varint(buf, pos)
+                left = u + delta
+            else:
+                gap, pos = decode_varint(buf, pos)
+                left = prev_end + gap
+            length_off, pos = decode_varint(buf, pos)
+            length = length_off + MIN_INTERVAL_LEN
+            if length > count - idx:  # a corrupt stream must not size the arange
+                raise ValueError("interval lengths exceed degree (corrupt stream?)")
+            nbrs[idx : idx + length] = np.arange(left, left + length)
+            idx += length
+            prev_end = left + length
+    n_res = count - idx
+    res_start = idx
+    prev = None
+    for _ in range(n_res):
+        if prev is None:
+            delta, pos = decode_signed_varint(buf, pos)
+            v = u + delta
+        else:
+            gap, pos = decode_varint(buf, pos)
+            v = prev + gap + 1
+        nbrs[idx] = v
+        idx += 1
+        prev = v
+    # The interval stream and the residual stream are each sorted but were
+    # written interval-first; sorting the merged IDs restores the original
+    # sorted neighbor order.  Weights were encoded against that sorted
+    # order, so the weight stream below aligns with the sorted IDs as-is.
+    if cfg.enable_intervals and 0 < res_start < count:
+        nbrs.sort(kind="stable")
+    wgts = None
+    if weighted:
+        wgts = tracked_empty(count, np.int64, name="decode-block-wgts")
+        prev_w = 0
+        for i in range(count):
+            dw, pos = decode_signed_varint(buf, pos)
+            prev_w += dw
+            wgts[i] = prev_w
+    return nbrs, wgts, pos
+
+
+def neighborhood(graph, u: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Vertex ``u``'s neighbors and weights (``None``: unit weights) by the
+    per-vertex block decoder, chunk by chunk above the chunking threshold:
+    the scalar reference every decode of the compiled codec is checked
+    against."""
+    buf, cfg, weighted = graph.data, graph.config, graph.has_edge_weights
+    fe, pos = decode_varint(buf, int(graph.offsets[u]))
+    deg = graph.first_edge_id(u + 1) - fe
+    if deg == 0:
+        return np.empty(0, dtype=np.int64), (np.empty(0, dtype=np.int64) if weighted else None)
+    if deg <= cfg.high_degree_threshold:
+        nbrs, wgts, _ = decode_block(u, buf, pos, deg, cfg, weighted)
+        return nbrs, wgts
+    parts: list[np.ndarray] = []
+    wparts: list[np.ndarray] = []
+    remaining = deg
+    while remaining:
+        count = min(cfg.chunk_length, remaining)
+        chunk_bytes, pos = decode_varint(buf, pos)
+        nbrs, wgts, end = decode_block(u, buf, pos, count, cfg, weighted)
+        if end - pos != chunk_bytes:
+            raise ValueError(
+                f"chunk length mismatch at vertex {u}: "
+                f"declared {chunk_bytes}, consumed {end - pos}"
+            )
+        pos = end
+        parts.append(nbrs)
+        if wgts is not None:
+            wparts.append(wgts)
+        remaining -= count
+    return np.concatenate(parts), (np.concatenate(wparts) if wparts else None)
+
+
+def decode_hub(graph, u: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`neighborhood` of a vertex above the chunking threshold, as the
+    numpy chunk decoder splices it in.  A corrupt header can make any vertex
+    look like one; its bytes are then not chunk-encoded, and whatever the
+    block decoder trips over is reported as the stream's fault."""
+    try:
+        nbrs, wgts = neighborhood(graph, u)
+    except (IndexError, MemoryError, OverflowError, ValueError) as exc:
+        raise ValueError(
+            f"chunked neighborhood of vertex {u} does not decode: {exc} (corrupt header?)"
+        ) from exc
+    if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < graph.n:
+        raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
+    return nbrs, wgts
+
+
 def decode_chunk_oracle(
     self, chunk: np.ndarray, degs: np.ndarray, total: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,7 +664,7 @@ def decode_chunk_oracle(
         if h > a:
             parts.append(decode_chunk_simple(self, chunk[a:h], degs[a:h]))
         if h < C:
-            parts.append(self._decode_hub(int(chunk[h])))
+            parts.append(decode_hub(self, int(chunk[h])))
         a = h + 1
     nbrs, wgts = parts[0]
     if len(parts) > 1:
@@ -504,7 +831,8 @@ def encode_low_degree_oracle(
     stats: CompressionStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The numpy encoder of sorted rows, the oracle of
-    :func:`repro.graph.compressed._encode_low_degree_bulk`.
+    runs of rows at or below the chunking threshold in
+    :func:`repro.graph.compressed._encode_run`.
 
     Builds the *value sequence* -- per vertex: header, [interval count],
     [interval pairs], [residual gaps], [weight gaps] -- with pure array
@@ -620,12 +948,35 @@ def encode_low_degree_oracle(
     return encode_stream_bulk(vals, lens), byte_start[val_start]
 
 
-def encode_low_degree_bulk(lo, first_edge, nb, w, cfg, stats):
-    """:func:`repro.graph.compressed._encode_low_degree_bulk` on the oracle:
-    rows sorted first if one descends."""
+def encode_run(lo, first_edge, nb, w, cfg, stats):
+    """:func:`repro.graph.compressed._encode_run` on the oracles: rows
+    sorted first if one descends, each stretch of rows at or below the
+    chunking threshold by :func:`encode_low_degree_oracle`, each row above
+    it by :func:`encode_neighborhood`."""
     if descends(first_edge, nb):
         nb, w = _sort_rows(first_edge, nb, w)
-    return encode_low_degree_oracle(lo, first_edge, nb, w, cfg, stats)
+    nl = len(first_edge) - 1
+    edge = first_edge - first_edge[0]
+    deg = np.diff(edge)
+    out = bytearray()
+    starts = tracked_empty(nl, np.int64, name="compress-run-starts")
+    a = 0
+    for h in [*np.flatnonzero(deg > cfg.high_degree_threshold).tolist(), nl]:
+        ea, eh = int(edge[a]), int(edge[h])
+        if h > a:
+            run_w = None if w is None else w[ea:eh]
+            blob, run_starts = encode_low_degree_oracle(
+                lo + a, first_edge[a : h + 1], nb[ea:eh], run_w, cfg, stats
+            )
+            starts[a:h] = len(out) + run_starts
+            out += memoryview(blob)
+        if h < nl:
+            starts[h] = len(out)
+            end = int(edge[h + 1])
+            hub_w = None if w is None else w[eh:end]
+            encode_neighborhood(lo + h, nb[eh:end], hub_w, int(first_edge[h]), out, cfg, stats)
+        a = h + 1
+    return np.frombuffer(bytes(out), dtype=np.uint8), starts
 
 
 # --------------------------------------------------------------------- #
@@ -1321,7 +1672,7 @@ TWINS = {
         (lp_chunk, "contraction_step", contraction_step),
         (lp_chunk, "group_by_label", group_by_label),
     ],
-    "encode": [(compressed, "_encode_low_degree_bulk", encode_low_degree_bulk)],
+    "encode": [(compressed, "_encode_run", encode_run)],
     "decode": [(CompressedGraph, "_decode_chunk_native", decode_chunk_oracle)],
     "fm": [(fm_kernel, "bind", bind)],
     "bisection": [

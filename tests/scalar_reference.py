@@ -24,7 +24,6 @@ import pytest
 import oracles
 from repro.core.kernels.gains import HASH_MULT
 from repro.core.refinement.gain_table import entry_width_bits
-from repro.graph.varint import encode_stream
 
 
 def scalar_commit(targets, prevs, weights, capacities, limits):
@@ -111,7 +110,7 @@ def scalar_entry_widths(total_incident_weight):
 
 def scalar_encode_stream(values, lengths=None):
     out = bytearray()
-    encode_stream(np.asarray(values, dtype=np.int64), out)
+    oracles.encode_stream(np.asarray(values, dtype=np.int64), out)
     return np.frombuffer(bytes(out), dtype=np.uint8)
 
 

@@ -17,6 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import (
+    decode_signed_varint,
+    decode_stream,
+    decode_stream_bulk,
+    encode_signed_varint,
+    encode_stream,
+    encode_varint,
+    zigzag_decode,
+)
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, full_adjacency
@@ -28,17 +37,7 @@ from repro.graph.compressed import (
     compress_graph,
     decompress_graph,
 )
-from repro.graph.varint import (
-    decode_region_bulk,
-    decode_signed_varint,
-    decode_stream,
-    decode_stream_bulk,
-    decode_varint,
-    encode_signed_varint,
-    encode_stream,
-    encode_varint,
-    zigzag_decode,
-)
+from repro.graph.varint import decode_region_bulk, decode_varint
 from repro.memory import scratch
 from repro.memory.tracker import MemoryTracker
 
@@ -142,12 +141,12 @@ class _OnEachDecoder:
 def _assert_chunk_matches_scalar(cg, chunk):
     owner, nbrs, wgts = cg.decode_chunk(chunk)
     degs = np.array(
-        [len(cg._decode_scalar(int(u))[0]) for u in chunk], dtype=np.int64
+        [len(oracles.neighborhood(cg, int(u))[0]) for u in chunk], dtype=np.int64
     )
     assert np.array_equal(owner, np.repeat(np.arange(len(chunk)), degs))
     lo = 0
     for i, u in enumerate(chunk.tolist()):
-        ref_n, ref_w = cg._decode_scalar(u)
+        ref_n, ref_w = oracles.neighborhood(cg, u)
         hi = lo + len(ref_n)
         assert np.array_equal(nbrs[lo:hi], ref_n), f"vertex {u}"
         if ref_w is None:
@@ -220,7 +219,7 @@ class TestDecodeChunk:
         degs = cg.degrees
         assert np.array_equal(degs, cg.degrees)  # cached object is stable
         for u in range(cg.n):
-            assert degs[u] == len(cg._decode_scalar(u)[0])
+            assert degs[u] == len(oracles.neighborhood(cg, u)[0])
 
     def test_full_adjacency_matches_csr(self, family_graph):
         cg = compress_graph(family_graph)
@@ -297,7 +296,7 @@ def _stream_cases():
 
 
 class TestDecodeChunkStreamShapes(_OnEachDecoder):
-    """``decode_chunk`` == ``_decode_scalar`` vertex by vertex, on every
+    """``decode_chunk`` == ``oracles.neighborhood`` vertex by vertex, on every
     shape of value stream times every shape of chunk."""
 
     @pytest.mark.parametrize("case", list(_stream_cases()))
@@ -434,6 +433,28 @@ class TestCorruptStream(_OnEachDecoder):
         assert (outcomes["hub"] > 0) == (hub_threshold == 64), outcomes
 
 
+    def test_an_empty_stream_names_the_first_vertex(self):
+        """Three vertices and no bytes: the first header has none to read."""
+        empty = CompressedGraph(
+            3, 0, np.zeros(4, dtype=np.int64), b"", None,
+            has_edge_weights=False, config=CompressionConfig(), stats=CompressionStats(),
+        )  # fmt: skip
+        for read in (lambda: empty.degrees, lambda: empty.decode_chunk(np.arange(3))):
+            with pytest.raises(ValueError, match="header of vertex 0 runs past its bytes"):
+                read()
+
+    def test_an_empty_byte_range_does_not_borrow_the_next_header(self):
+        """Vertex 5's range emptied (vertex 4's now holds its bytes): its
+        header is not read from vertex 6's first byte."""
+        cg = compress_graph(gen.weblike(300, 6.0, seed=2))
+        offsets = cg.offsets.copy()
+        offsets[5] = offsets[6]
+        bad = _clone(cg, offsets=offsets)
+        for read in (lambda: bad.degrees, lambda: bad.decode_chunk(np.arange(cg.n))):
+            with pytest.raises(ValueError, match="header of vertex 5 runs past its bytes"):
+                read()
+
+
 class TestCorruptStreamNative(TestCorruptStream):
     decoder = "native"
 
@@ -456,7 +477,7 @@ def _hand_built(n, u, deg, body):
 
 
 def _body(u, *, intervals=(), residuals=()):
-    """``(degree, bytes)`` of one neighborhood laid out as ``_encode_block``
+    """``(degree, bytes)`` of one neighborhood laid out as ``oracles.encode_block``
     does, without its checks, so ids outside the graph can be written."""
     out = bytearray()
     encode_varint(len(intervals), out)
@@ -602,7 +623,9 @@ class TestDecodersAgree:
         assert refused > 100 and decoded > 100, (refused, decoded)
 
 
-def _raw_kernel_call(cg, chunk, degs, *, data=None, offsets=None, n=None, short=0):
+def _raw_kernel_call(
+    cg, chunk, degs, *, data=None, offsets=None, n=None, short=0, chunk_length=None
+):
     """Call the kernel the way ``_decode_chunk_native`` does, minus the
     Python-side checks, with canaries around every output buffer."""
     kernel = _native.decode_kernel()
@@ -617,7 +640,9 @@ def _raw_kernel_call(cg, chunk, degs, *, data=None, offsets=None, n=None, short=
         data.ctypes.data, len(data), offsets.ctypes.data,
         cg.n if n is None else n,
         chunk.ctypes.data, degs.ctypes.data, len(chunk),
-        cg.config.high_degree_threshold, cg.config.enable_intervals,
+        cg.config.high_degree_threshold,
+        cg.config.chunk_length if chunk_length is None else chunk_length,
+        cg.config.enable_intervals,
         bufs[0][pad:].ctypes.data, bufs[1][pad:].ctypes.data,
         bufs[2][pad:].ctypes.data if cg.has_edge_weights else None,
         total, pairs[pad:].ctypes.data, len(pairs) - 2 * pad, bad.ctypes.data,
@@ -670,6 +695,45 @@ class TestKernelContract:
         for _ in range(300):
             data = np.frombuffer(cg.data, dtype=np.uint8).copy()
             data[int(rng.integers(len(data)))] ^= 1 << int(rng.integers(8))
+            degs = cg.degrees[chunk] + rng.integers(-1, 3, size=len(chunk)) * (
+                rng.random(len(chunk)) < 0.02
+            )
+            codes.add(_raw_kernel_call(cg, chunk, np.maximum(degs, 0), data=data))
+        assert codes <= set(_native.ERRORS) | {0} and len(codes) >= 4, codes
+
+
+class TestKernelContractChunked:
+    """The same contract on chunk-encoded rows (threshold 32, chunks of 8)."""
+
+    @pytest.fixture(scope="class")
+    def cg(self):
+        cg = compress_graph(_weighted_weblike(400, 3), high_degree_threshold=32, chunk_length=8)
+        assert cg.stats.num_chunked_vertices > 0
+        return cg
+
+    def test_clean_call_fills_exactly_the_slots(self, cg):
+        chunk = np.arange(cg.n, dtype=np.int64)
+        assert _raw_kernel_call(cg, chunk, cg.degrees.copy()) == 0
+
+    def test_a_chunk_length_past_the_row_is_refused(self):
+        star = compress_graph(gen.star(41), high_degree_threshold=32, chunk_length=8)
+        data = np.frombuffer(star.data, dtype=np.uint8).copy()
+        _, at = decode_varint(star.data, int(star.offsets[0]))  # the first chunk's length
+        assert int(star.offsets[1]) - at < 0x7F
+        data[at] = 0x7F
+        chunk, degs = np.array([0], dtype=np.int64), star.degrees[:1].copy()
+        assert _raw_kernel_call(star, chunk, degs, data=data) == -12
+        assert _raw_kernel_call(star, chunk, degs, chunk_length=0) == -7
+
+    def test_wrong_degrees_never_write_outside_their_slots(self, cg):
+        rng = np.random.default_rng(5)
+        hubs = np.flatnonzero(cg.degrees > cg.config.high_degree_threshold)
+        chunk = np.concatenate([hubs, rng.permutation(cg.n)[:100]]).astype(np.int64)
+        codes = set()
+        for _ in range(300):
+            data = np.frombuffer(cg.data, dtype=np.uint8).copy()
+            at = int(cg.offsets[int(rng.choice(hubs))])
+            data[int(rng.integers(at, at + 40))] ^= 1 << int(rng.integers(8))
             degs = cg.degrees[chunk] + rng.integers(-1, 3, size=len(chunk)) * (
                 rng.random(len(chunk)) < 0.02
             )

@@ -1,5 +1,7 @@
-"""The compiled packet encoder, ``repro_encode_run`` in ``decode_kernel.c``,
-against its numpy oracle ``oracles.encode_low_degree_oracle``.
+"""The compiled run encoder, ``repro_encode_run`` in ``decode_kernel.c``,
+against its oracles: the numpy ``oracles.encode_low_degree_oracle`` and,
+for a row above the chunking threshold, the per-vertex
+``oracles.encode_neighborhood``.
 
 Both must produce the same bytes, offsets and :class:`CompressionStats` on
 every input the compressors hand them. They must give the same named
@@ -24,7 +26,6 @@ from repro.graph.compressed import (
     CompressionStats,
     compress_graph,
     decompress_graph,
-    encode_neighborhood,
 )
 from repro.graph.csr import CSRGraph
 
@@ -208,7 +209,7 @@ REFUSED = {
         "63 bits",
     ),
     "first-weight": (CSRGraph([0, 1, 2], [1, 0], np.array([2**62, 1])), {}, 0, "63 bits"),
-    # the hub goes through the scalar encoder: refused there the same way
+    # a chunk-encoded row is checked whole: refused the same way
     "hub-repeat": (
         CSRGraph([0, 4, 5, 6, 7], [1, 2, 2, 3, 0, 0, 0]),
         {"high_degree_threshold": 3, "chunk_length": 2},
@@ -248,9 +249,10 @@ def test_weight_gaps_at_the_fold_limit_round_trip(path):
 def test_scalar_encoder_refuses_the_same_rows():
     cfg, stats = CompressionConfig(), CompressionStats()
     with pytest.raises(ValueError, match="vertex 4: .*same neighbor twice"):
-        encode_neighborhood(4, np.array([1, 2, 2]), None, 0, bytearray(), cfg, stats)
+        oracles.encode_neighborhood(4, np.array([1, 2, 2]), None, 0, bytearray(), cfg, stats)
     with pytest.raises(ValueError, match="vertex 4: .*63 bits"):
-        encode_neighborhood(4, np.array([1, 2]), np.array([1, LIMIT + 1]), 0, bytearray(), cfg, stats)
+        w = np.array([1, LIMIT + 1])
+        oracles.encode_neighborhood(4, np.array([1, 2]), w, 0, bytearray(), cfg, stats)
 
 
 # --------------------------------------------------------------------- #
@@ -260,7 +262,10 @@ PAD = 64
 CANARY = 0xA5
 
 
-def _raw(first_edge, nbrs, wgts=None, *, lo=0, intervals=True, cap=None, edges=None):
+def _raw(
+    first_edge, nbrs, wgts=None, *, lo=0, intervals=True, cap=None, edges=None, hub=1 << 40,
+    chunk=1,
+):
     """Size pass, then write pass into ``cap`` bytes (default: the size, or
     room to spare for a refused run), every buffer the kernel writes fenced
     by canaries.  Returns ``(size, rc, bad, bytes)``."""
@@ -272,14 +277,14 @@ def _raw(first_edge, nbrs, wgts=None, *, lo=0, intervals=True, cap=None, edges=N
     edges = len(nb) if edges is None else edges
     bad = np.full(1, -1, dtype=np.int64)
     args = (lo, fe.ctypes.data, count, nb.ctypes.data, edges, None if w is None else w.ctypes.data,
-            intervals)  # fmt: skip
+            intervals, hub, chunk)  # fmt: skip
     size = kernel(*args, None, 0, None, None, bad.ctypes.data)
     if cap is None:
         cap = size if size >= 0 else 256
     out = np.full(cap + 2 * PAD, CANARY, dtype=np.uint8)
     starts = np.full(max(count, 0) + 2 * PAD, -7, dtype=np.int64)
-    stats = np.full(4 + 2 * PAD, -7, dtype=np.int64)
-    stats[PAD : PAD + 4] = 0
+    stats = np.full(5 + 2 * PAD, -7, dtype=np.int64)
+    stats[PAD : PAD + 5] = 0
     rc = kernel(*args, out[PAD:].ctypes.data, cap, starts[PAD:].ctypes.data,
                 stats[PAD:].ctypes.data, bad.ctypes.data)  # fmt: skip
     for buf, fill in ((out, CANARY), (starts, -7), (stats, -7)):
@@ -351,6 +356,50 @@ class TestRawContract:
     )
     def test_hostile_metadata(self, first_edge, nbrs, kw):
         size, rc, _bad, _data = _raw(first_edge, nbrs, **kw)
+        assert size == rc == ERR_METADATA
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_chunked_rows_write_the_oracles_bytes(self, weighted):
+        """Above a threshold of 2 the rows of 3 and 4 neighbours go by chunks
+        of 2: the bytes and stats of ``oracles.encode_run``."""
+        w = self.W if weighted else None
+        size, rc, _bad, data = _raw(self.FE, self.NB, w, lo=2, hub=2, chunk=2)
+        stats, cfg = CompressionStats(), CompressionConfig(high_degree_threshold=2, chunk_length=2)
+        ref, _ = oracles.encode_run(
+            2, np.array(self.FE), np.array(self.NB), None if w is None else np.array(w), cfg, stats
+        )
+        assert size == rc == len(ref) and data == ref.tobytes()
+        assert stats.num_chunked_vertices == 2
+
+    @pytest.mark.parametrize("short", [1, 2, 1000])
+    def test_short_capacity_inside_a_chunked_row(self, short):
+        size, _rc, _bad, _data = _raw(self.FE, self.NB, self.W, hub=2, chunk=2)
+        _size, rc, bad, _data = _raw(
+            self.FE, self.NB, self.W, cap=max(size - short, 0), hub=2, chunk=2
+        )
+        assert rc == ERR_CAPACITY and 0 <= bad < 4
+
+    @pytest.mark.parametrize(
+        "nbrs,weights,code",
+        [
+            ([1, 3, 2, 4], None, ERR_DESCENT),  # across the chunk boundary
+            ([1, 2, 2, 3], None, ERR_DUPLICATE),
+            ([0, 1, 2, 3], [1, 2, LIMIT, LIMIT + 1], ERR_WEIGHT),  # chunk 1 starts from 0
+            ([0, 1, 2, 2], [LIMIT, 0, 0, 0], ERR_DUPLICATE),  # the ids first, whole
+            ([0, 1, 2, LIMIT], None, ERR_RANGE),
+        ],
+    )
+    def test_a_chunked_row_is_checked_whole(self, nbrs, weights, code):
+        size, rc, bad, _data = _raw([0, 4], nbrs, weights, hub=3, chunk=2)
+        assert size == rc == code and bad == 0
+
+    def test_chunk_weights_within_the_fold_range_unchunked(self):
+        size, rc, _bad, _data = _raw([0, 4], [0, 1, 2, 3], [1, 2, LIMIT, LIMIT + 1])
+        assert size > 0 and rc == size
+
+    @pytest.mark.parametrize("hub,chunk", [(3, 0), (-1, 1), (3, -5)])
+    def test_hostile_chunking(self, hub, chunk):
+        size, rc, _bad, _data = _raw([0, 4], [0, 1, 2, 3], hub=hub, chunk=chunk)
         assert size == rc == ERR_METADATA
 
     @pytest.mark.parametrize("nbrs", [[-1, 2], [0, LIMIT]])

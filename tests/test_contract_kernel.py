@@ -166,8 +166,8 @@ def test_one_pass_chunks_agree(kind):
                 kernel, oracle, order[offsets[a] : offsets[b]], offsets[a : b + 1], leaders[a:b]
             )
             chunks += 1
-    if hubs is not None:  # the oracle decodes every chunk, the kernel those with a hub
-        assert chunks < hubs.calls < 2 * chunks
+    if hubs is not None:  # the oracle decodes every chunk, the kernel none
+        assert hubs.calls == chunks
 
 
 @pytest.mark.parametrize("kind", INPUTS)
@@ -356,6 +356,7 @@ class RawStream(Raw):
         self.degs = graph.degrees[self.members].copy()
         self.weighted = graph.has_edge_weights
         self.intervals = graph.config.enable_intervals
+        self.chunking = graph.config.high_degree_threshold, graph.config.chunk_length
 
     def _segments(self):
         return (
@@ -369,7 +370,7 @@ class RawStream(Raw):
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
             out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
-            out.ptr(pairs, np.int64), pairs,
+            out.ptr(pairs, np.int64), pairs, *self.chunking,
         )  # fmt: skip
         return ctypes.addressof(self.block)
 
@@ -534,6 +535,18 @@ class TestCorruptGraph:
             except ValueError as exc:
                 outcomes.add(str(exc).split(" at vertex")[0])
         assert "ran" in outcomes and outcomes & set(_native.ERRORS.values()), outcomes
+
+
+def test_a_chunk_encoded_hub_is_never_decoded_first():
+    """The kernel reads a hub's row from the stream too: contracting a graph
+    with chunk-encoded rows, either way, calls ``decode_chunk`` not once."""
+    graph = graph_of("web", "random", "hubs")
+    assert graph.stats.num_chunked_vertices > 0
+    clusters, weights = clustering(graph, "random")
+    calls = DecodeCalls(graph)
+    contract_one_pass(graph, clusters.copy(), weights.copy(), context(graph))
+    contract_buffered(graph, clusters.copy(), weights.copy(), context(graph, kaminpar))
+    assert calls.calls == 0
 
 
 def test_a_hub_free_compressed_graph_is_never_decoded_first():

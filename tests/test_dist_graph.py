@@ -8,12 +8,9 @@ from repro.dist.dgraph import distribute_graph, _split_ranges
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency
 from repro.graph.builder import from_edges
-from repro.graph.compressed import (
-    CompressionConfig,
-    CompressionStats,
-    compress_graph,
-    encode_neighborhood,
-)
+from repro.graph.compressed import CompressionConfig, CompressionStats, compress_graph
+
+from oracles import encode_neighborhood
 
 #: default split, an explicit uneven split, and one with two empty ranks
 RANGES = {

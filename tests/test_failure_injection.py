@@ -28,7 +28,7 @@ class TestCorruptVarint:
 
     def test_truncated_buffer_raises(self):
         buf = bytearray()
-        from repro.graph.varint import encode_varint
+        from oracles import encode_varint
 
         encode_varint(2**40, buf)
         with pytest.raises(IndexError):
@@ -50,7 +50,7 @@ class TestCorruptCompressedGraph:
 
     def test_truncated_data_fails(self, web_cg):
         bad = self._clone_with_data(web_cg, web_cg.data[: len(web_cg.data) // 2])
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(ValueError):
             decompress_graph(bad)
 
     def test_chunk_length_mismatch_detected(self):
@@ -72,7 +72,7 @@ class TestCorruptCompressedGraph:
             config=cg.config,
             stats=cg.stats,
         )
-        with pytest.raises((ValueError, IndexError)):
+        with pytest.raises(ValueError, match="vertex 0"):
             bad.neighbors(0)
 
     def test_header_tamper_changes_degrees_consistently(self, web_graph):

@@ -43,6 +43,7 @@ from repro.graph.compressed import compress_graph
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import SpanTracer
 from test_bulk_decode import _body, _hand_built
+from test_lp_kernel import DecodeCalls
 
 # the package re-exports the function under the module's name
 fm_refine = importlib.import_module("repro.core.refinement.fm_refine")
@@ -156,19 +157,35 @@ def test_pass_is_the_oracle(base, form, weights, k, kind, localized):
 
 @pytest.mark.parametrize("localized", [False, True], ids=["global", "localized"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_a_chunk_encoded_hub_is_read_from_its_side_segment(kind, localized):
+def test_a_chunk_encoded_hub_is_read_from_the_stream(kind, localized):
+    """A chunk-encoded hub is decoded from the stream, chunk by chunk, like
+    every other row: alone, and as one of many vertices (a mesh with a star
+    spliced in)."""
     graph = as_input(star(300), "hub")
-    ids, starts, _, _ = graph_access.hub_segments(graph)
-    assert ids.tolist() == [0] and starts.tolist() == [0, 300]
+    assert graph.stats.num_chunked_vertices == 1
     for k in (2, 16):
         assert_pass_agrees(graph, k, kind, seed=k, localized=localized)
-    # the hub as one of many vertices: a mesh with a star spliced in
     mesh = gen.rgg2d(240, 8.0, seed=5)
     spokes = np.stack([np.full(60, 17), np.arange(100, 160)], axis=1)
     edges = np.unique(np.vstack([edges_of(mesh), spokes]), axis=0)
     hubbed = as_input(from_edges(mesh.n, edges), "hub")
-    assert 17 in graph_access.hub_segments(hubbed)[0].tolist()
+    assert hubbed.degrees[17] > hubbed.config.high_degree_threshold
     assert_pass_agrees(hubbed, 16, kind, seed=3, localized=localized)
+
+
+def test_binding_a_hub_decodes_nothing_first():
+    """``bind`` on ``star(401)`` at a chunking threshold of 32 (chunks of 8)
+    binds no side segment -- ``decode_chunk`` is not called, the hub is read
+    from the stream -- and the pass matches the oracle byte for byte."""
+    graph = compress_graph(star(401), high_degree_threshold=32, chunk_length=8)
+    pg = PartitionedGraph(graph, 4, np.random.default_rng(1).integers(0, 4, size=graph.n))
+    table = make_gain_table("sparse", pg)
+    calls = DecodeCalls(graph)
+    fm_kernel.bind(pg, table, max_block_weight(graph.total_vertex_weight, 4, 0.03) + 1)
+    assert calls.calls == 0
+    for kind in KINDS:
+        for localized in (False, True):
+            assert_pass_agrees(graph, 4, kind, seed=1, localized=localized)
 
 
 class RecordingHeap:

@@ -16,10 +16,10 @@ without the wrapper's checks on corrupted arrays, the kernel must return an
 error code, write nothing outside the buffers it was given and leave its
 rating map zeroed.
 
-On a compressed graph the kernel decodes each neighbourhood as it rates it;
-a chunk holding a hub is decoded first, by ``decode_chunk``.  The two are
-held to each other chunk by chunk, and the decoding kernel to the same
-contract on corrupt streams.
+On a compressed graph the kernel decodes each neighbourhood as it rates it,
+a chunk-encoded hub chunk by chunk, in the same one call a round.  It is
+held chunk by chunk to the kernel rating the decompressed graph, and the
+decoding kernel to the same contract on corrupt streams.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from repro.core.refinement.lp_refine import lp_refine
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, chunk_segments
-from repro.graph.compressed import CompressedGraph, compress_graph
+from repro.graph.compressed import compress_graph, decompress_graph
 from repro.graph.csr import CSRGraph
 from repro.verify.fuzz import _make_ctx
 from test_bulk_decode import _body, _clone, _hand_built
@@ -136,18 +136,6 @@ class DecodeCalls:
         graph.decode_chunk = counted
 
 
-def on_decoded_chunks(fn, *args, **kwargs):
-    """``fn(...)`` with every compressed LP chunk decoded by ``decode_chunk``
-    before the kernel rates it -- the path a chunk holding a hub takes."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(CompressedGraph, "max_plain_degree", -1)
-        return fn(*args, **kwargs)
-
-
-def decoded_first(step):
-    return lambda chunk: on_decoded_chunks(step, chunk)
-
-
 # --------------------------------------------------------------------- #
 # chunk by chunk: the two steps of each driver, side by side
 # --------------------------------------------------------------------- #
@@ -166,8 +154,8 @@ def refinement_step(graph, part, block_weights, limits):
 
 class ClusteringPair:
     """The kernel step and the oracle step of LP clustering, each on its own
-    copy of the shared arrays.  ``decoded=True`` puts the kernel step with
-    every chunk decoded first in the oracle's place."""
+    copy of the shared arrays.  ``decoded=True`` puts the kernel step over
+    the decompressed graph in the oracle's place."""
 
     def __init__(self, graph, cap: int, decoded: bool = False) -> None:
         n = graph.n
@@ -176,8 +164,8 @@ class ClusteringPair:
         self.maps = np.zeros((3, n), dtype=np.int64)
         self.kernel = clustering_step(graph, *self.states[0], cap, self.maps)
         if decoded:
-            self.oracle = decoded_first(
-                clustering_step(graph, *self.states[1], cap, np.zeros((3, n), np.int64))
+            self.oracle = clustering_step(
+                decompress_graph(graph), *self.states[1], cap, np.zeros((3, n), np.int64)
             )
         else:
             self.oracle = oracles.clustering_step(graph, *self.states[1], cap)
@@ -207,8 +195,8 @@ class RefinementPair:
             graph, kernel_side.partition, kernel_side.block_weights, limits
         )
         if decoded:
-            self.oracle = decoded_first(
-                refinement_step(graph, oracle_side.partition, oracle_side.block_weights, limits)
+            self.oracle = refinement_step(
+                decompress_graph(graph), oracle_side.partition, oracle_side.block_weights, limits
             )
         else:
             self.oracle = oracles.refinement_step(
@@ -302,15 +290,15 @@ STREAM_IDS = ["-".join([f, e, "intervals" if i else "no-intervals"]) for f, e, i
 
 def fused_against_decoded(graph) -> int:
     """Three sweeps of both LP steps on ``graph``, the kernel decoding each
-    neighbourhood as it rates it against the kernel rating ``decode_chunk``'s
-    arrays: same favorites, ``nc``, movers and shared arrays per chunk.
-    Only the second side and the chunks holding a hub call ``decode_chunk``;
+    neighbourhood as it rates it against the kernel rating the decompressed
+    graph: same favorites, ``nc``, movers and shared arrays per chunk.
+    Neither side calls ``decode_chunk``, not even for a chunk-encoded hub;
     returns how many chunks held one."""
-    calls = DecodeCalls(graph)
     total, k = graph.total_vertex_weight, 5
     clustering = ClusteringPair(graph, max(2, total // 25), decoded=True)
     limit = int(1.1 * -(-total // k))
     refinement = RefinementPair(graph, k, random_assignment(graph, k), limit, decoded=True)
+    calls = DecodeCalls(graph)  # after the two decompressions
     chunks = [chunk for sweep in range(3) for chunk in chunks_of(graph.n, sweep)]
     moved = 0
     for chunk in chunks:
@@ -319,9 +307,9 @@ def fused_against_decoded(graph) -> int:
         out = refinement.run(chunk)
         moved += 0 if out is None else len(out[1])
     assert moved > 0
-    hub_chunks = sum(bool(graph.degrees[c].max() > graph.max_plain_degree) for c in chunks)
-    assert calls.calls == 2 * (len(chunks) + hub_chunks)
-    return hub_chunks
+    assert calls.calls == 0
+    threshold = graph.config.high_degree_threshold
+    return sum(bool(graph.degrees[c].max() > threshold) for c in chunks)
 
 
 @pytest.mark.parametrize("case", STREAMS, ids=STREAM_IDS)
@@ -335,12 +323,47 @@ def test_decoding_as_rated_equals_decoding_first(case):
 
 def test_hub_chunks_and_decoded_chunks_mix_in_one_call():
     """A lowered chunking threshold makes five hubs: the chunks holding one
-    are decoded first, the rest as rated, in the same LP call."""
+    are rated from the stream like the rest, chunk by chunk of the hub."""
     base = weighted(gen.weblike(500, 8.0, seed=2), "random", "unit")
     graph = compress_graph(base, high_degree_threshold=32, chunk_length=8)
-    assert int((graph.degrees > graph.max_plain_degree).sum()) == 5
+    assert int((graph.degrees > 32).sum()) == graph.stats.num_chunked_vertices == 5
     hub_chunks = fused_against_decoded(graph)
     assert 0 < hub_chunks < 3 * len(chunks_of(graph.n, 0)) // 2
+
+
+def test_a_round_over_a_hub_is_one_kernel_call():
+    """A clustering and a refinement round over a compressed level holding a
+    chunk-encoded hub in a middle chunk are one kernel call each (not ``1 +
+    2``, the hub's chunk split off and decoded first), with the stats rows
+    and shared arrays of the oracle looped chunk by chunk."""
+    graph = compress_graph(star(1999), high_degree_threshold=32, chunk_length=8)
+    n, k = graph.n, 4
+    assert graph.stats.num_chunked_vertices == 1
+    order = np.roll(np.arange(n, dtype=np.int64), n // 2)  # the hub at n // 2
+    bounds = np.array([[lo, min(lo + 256, n)] for lo in range(0, n, 256)], dtype=np.int64)
+
+    def rounds(module):
+        vwgt = np.asarray(graph.vwgt).astype(np.int64)
+        clusters, weights = np.arange(n, dtype=np.int64), vwgt.copy()
+        favorites = np.arange(n, dtype=np.int64)
+        maps = np.zeros((3, n), dtype=np.int64)
+        cluster = module.clustering_round(graph, clusters, weights, 40, maps, favorites, 1)
+        pgraph = PartitionedGraph(graph, k, random_assignment(graph, k))
+        limits = np.full(k, n // 3, dtype=np.int64)
+        refine = module.refinement_round(graph, pgraph.partition, pgraph.block_weights, limits)
+        # the oracle's refinement rows count no targets
+        stats = cluster(order, bounds)[:, : lp_chunk.NANOS]
+        moves = refine(order, bounds)[:, [lp_chunk.EDGES, lp_chunk.MOVES]]
+        return [stats, moves], clusters, favorites, pgraph.partition
+
+    with pytest.MonkeyPatch.context() as m:
+        calls = KernelCalls(m)
+        got = rounds(lp_chunk)
+    assert calls.calls == {0: 1, 1: 1}
+    want = rounds(oracles)
+    for a, b in zip([*got[0], *got[1:]], [*want[0], *want[1:]]):
+        assert np.array_equal(a, b)
+    assert got[0][0][:, lp_chunk.MOVES].sum() > 0
 
 
 # --------------------------------------------------------------------- #
@@ -409,13 +432,11 @@ def test_partition_reports_the_same_costs_and_counters(name):
             if key.startswith(LP_COUNTERS)
         }
 
-    # the oracle, and the kernel rating decoded chunks (terapart compresses)
-    for other in (on_oracle, on_decoded_chunks):
-        want = other(repro.partition, graph, 6, cfg)
-        assert np.array_equal(got.partition, want.partition)
-        assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
-        assert got.phase_stats == want.phase_stats
-        assert counters(got) == counters(want)
+    want = on_oracle(repro.partition, graph, 6, cfg)
+    assert np.array_equal(got.partition, want.partition)
+    assert (got.cut, got.peak_bytes) == (want.cut, want.peak_bytes)
+    assert got.phase_stats == want.phase_stats
+    assert counters(got) == counters(want)
     assert got.phase_stats["lp-refinement"].work > 0
     assert counters(got)["lp.moves"] > 0 and counters(got)["refine.lp_visited"] > 0
 
@@ -495,21 +516,20 @@ class TestDegenerateRounds:
         calls = rounds_agree(graph)
         assert calls[0] > 1 and calls[1] > 1
 
-    def test_a_compressed_giant_star_splits_its_rounds(self):
-        """The hub is chunk-encoded, so its chunk is decoded first and run as
-        a call of its own: three calls a round with it mid-round, two with
-        it first or last."""
+    def test_a_compressed_giant_star_is_one_call_a_round(self):
+        """The hub is chunk-encoded and rated from the stream like every
+        other vertex: one call a round, wherever in it the hub sits."""
         graph = compress_graph(star(1999), high_degree_threshold=32, chunk_length=8)
-        assert graph.degrees[0] > graph.max_plain_degree
+        assert graph.stats.num_chunked_vertices == 1
         rng = np.random.default_rng(1)  # the clustering's rounds draw from it alone
         chunks = -(-graph.n // 512)
+        rounds = both_drivers(graph)[2]
         hub_chunks = [
-            int(np.flatnonzero(rng.permutation(graph.n) == 0)[0]) // 512
-            for _ in both_drivers(graph)[2]
+            int(np.flatnonzero(rng.permutation(graph.n) == 0)[0]) // 512 for _ in rounds
         ]
         assert any(0 < c < chunks - 1 for c in hub_chunks), "the hub never sat mid-round"
         calls = rounds_agree(graph)
-        assert calls[0] == sum(1 + (c > 0) + (c < chunks - 1) for c in hub_chunks)
+        assert calls[0] == len(rounds) and 0 < calls[1] <= 4
 
     def test_vertex_weights_the_commit_cannot_hold_go_to_the_oracle(self):
         """Only the oracle takes them: the drivers refuse them by name before
@@ -765,29 +785,27 @@ def test_a_selfcheck_partition_hears_the_same_accesses_on_both_paths(name):
 
 def test_segments_describe_the_same_adjacency():
     """``chunk_segments`` hands out what ``chunk_adjacency`` gathers: CSR in
-    place, a compressed chunk holding a hub decoded once, any other
-    compressed chunk left encoded -- the same degrees every time."""
+    place, every compressed chunk left encoded, a chunk holding a
+    chunk-encoded hub too -- the same degrees every time."""
     base = weighted(gen.weblike(400, 7.0, seed=1), "random", "unit")
     hubs = compress_graph(base, high_degree_threshold=32, chunk_length=8)
+    assert hubs.stats.num_chunked_vertices > 0
     encoded = 0
     for graph in (base, compress_graph(base), hubs, gen.rgg2d(300, 8.0, seed=1)):
         for chunk in chunks_of(graph.n, 1, size=64):
             owner, nbrs, wgts = chunk_adjacency(graph, chunk)
             starts, degs, adj, wgt = chunk_segments(graph, chunk)
             assert np.array_equal(np.repeat(np.arange(len(chunk)), degs), owner)
-            if adj is None:
-                assert starts is wgt is None and degs.max() <= graph.max_plain_degree
+            if not hasattr(graph, "indptr"):
+                assert starts is adj is wgt is None
                 encoded += 1
                 continue
-            if not hasattr(graph, "indptr"):  # decoded: it holds a hub
-                assert degs.max() > graph.max_plain_degree
             at = np.concatenate([np.arange(s, s + d) for s, d in zip(starts, degs)] or [[]])
             at = at.astype(np.int64)
             assert np.array_equal(adj[at], nbrs) and np.array_equal(wgt[at], wgts)
         if hasattr(graph, "indptr"):
             assert adj is graph.adjncy  # nothing gathered, nothing copied
-    # seven chunks a graph: all of the plain compressed graph's, some of hubs'
-    assert 7 < encoded < 2 * 7
+    assert encoded == 2 * 7  # seven chunks a compressed graph
     with pytest.raises(TypeError, match="CSRGraph or a CompressedGraph"):
         chunk_segments(object(), np.arange(3))
 
@@ -919,6 +937,7 @@ class RawStream(Raw):
         self.degs = graph.degrees.copy()
         self.weighted = graph.has_edge_weights
         self.intervals = graph.config.enable_intervals
+        self.chunking = graph.config.high_degree_threshold, graph.config.chunk_length
 
     def _segments(self):
         return (
@@ -932,7 +951,7 @@ class RawStream(Raw):
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
             out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
-            out.ptr(pairs, np.int64), pairs,
+            out.ptr(pairs, np.int64), pairs, *self.chunking,
         )  # fmt: skip
         return ctypes.addressof(self.block)
 

@@ -84,6 +84,19 @@ class TestEndToEnd:
         assert r.balanced
         assert len(r.partition) == medium_web.n
 
+    @pytest.mark.parametrize("preset", ["terapart", "terapart-fm"])
+    def test_chunk_encoded_rows_partition_like_plain_ones(self, medium_web, preset):
+        """Compressed == CSR with hubs: at a chunking threshold of 16 (chunks
+        of 4) many rows are chunk-encoded, and the partition and cut are
+        those of the CSR input, traced or not."""
+        cg = compress_graph(medium_web, high_degree_threshold=16, chunk_length=4)
+        assert cg.stats.num_chunked_vertices > 100
+        want = repro.partition(medium_web, 8, C.preset(preset, seed=3))
+        for obs in (False, True):
+            cfg = C.preset(preset, seed=3, obs=C.ObsConfig(enabled=obs))
+            got = repro.partition(cg, 8, cfg)
+            assert np.array_equal(got.partition, want.partition) and got.cut == want.cut
+
     def test_deterministic_given_seed(self, medium_rgg):
         r1 = repro.partition(medium_rgg, 8, C.terapart(seed=6))
         r2 = repro.partition(medium_rgg, 8, C.terapart(seed=6))

@@ -164,10 +164,10 @@ def test_initial_heap_work_stays_proportional(monkeypatch):
 
 
 # All three compressors (memory, virtual threads, file) are packet sources
-# over one loop with one bulk encoder: the scalar `encode_neighborhood` runs
-# only for a vertex above the chunking threshold, once.  At the parent the
-# thread and file doors called it once per vertex (3 000 here).  The packets
-# of all three are cut by `balanced_cuts`, which `schedule_balanced` wraps.
+# over one loop with one run encoder: every vertex, a chunk-encoded hub
+# included, is encoded once by `_encode_run`, one call a packet; no
+# per-vertex scalar encoder is left for a hub.  The packets of all three are
+# cut by `balanced_cuts`, which `schedule_balanced` wraps.
 def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
     from repro.graph import compressed
     from repro.graph.compression import compress_graph_parallel
@@ -175,14 +175,15 @@ def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
     from repro.graph.io import stream_compressed, write_binary
     from repro.parallel.runtime import ParallelRuntime, balanced_cuts
 
-    calls = []
-    scalar = compressed.encode_neighborhood
+    runs = []
+    encode = compressed._encode_run
 
-    def counting(u, *args):
-        calls.append(u)
-        scalar(u, *args)
+    def counting(lo, first_edge, *args):
+        runs.append((lo, len(first_edge) - 1))
+        return encode(lo, first_edge, *args)
 
-    monkeypatch.setattr(compressed, "encode_neighborhood", counting)
+    monkeypatch.setattr(compressed, "_encode_run", counting)
+    assert not hasattr(compressed, "encode_neighborhood")
 
     def doors(graph, name, **kw):
         path = tmp_path / name
@@ -194,13 +195,14 @@ def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
         stream_compressed(path, packet_edges=1 << 10, **kw)
         yield "file"
 
-    for door in doors(weblike(3000, avg_degree=10.0, seed=1), "web.bin"):
-        assert calls == [], f"{door}: per-vertex scalar encode is back"
-    for door in doors(
-        star(500), "star.bin", high_degree_threshold=100, chunk_length=64
+    for graph, kw in (
+        (weblike(3000, avg_degree=10.0, seed=1), {}),
+        (star(500), {"high_degree_threshold": 100, "chunk_length": 64}),
     ):
-        assert calls == [0], f"{door}: only the hub is encoded by the scalar path"
-        calls.clear()
+        for door in doors(graph, "graph.bin", **kw):
+            covered = sorted(v for lo, count in runs for v in range(lo, lo + count))
+            assert covered == list(range(graph.n)), f"{door}: a vertex not encoded once by a run"
+            runs.clear()
 
     weights = np.array([1, 1, 900, 1, 1, 1, 40, 40, 40, 1, 1, 0, 0, 500, 3, 3])
     sched = ParallelRuntime(3, chunk_size=4).schedule_balanced(

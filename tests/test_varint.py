@@ -1,20 +1,20 @@
-"""Unit + property tests for the VarInt codec."""
+"""Unit + property tests for the VarInt codec: the scalar reference routines
+(``tests/oracles.py``) and what ``repro.graph.varint`` keeps."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.varint import (
+from oracles import (
     decode_signed_varint,
     decode_stream,
-    decode_varint,
     encode_signed_varint,
     encode_stream,
     encode_varint,
-    stream_len,
     varint_len,
 )
+from repro.graph.varint import decode_varint, stream_len
 
 
 class TestScalar:
