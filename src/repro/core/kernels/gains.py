@@ -91,7 +91,9 @@ def batch_hash_insert(
     in that row, so inserting in *rank waves* -- wave ``j`` places the
     ``j``-th pair of every row simultaneously (at most one pending pair
     per row, rows disjoint) -- replays the sequential per-row insertion
-    order exactly, including the linear-probe steps.
+    order exactly, including the linear-probe steps.  A pair still unplaced
+    after its wave has probed every slot of the widest row is in a full row:
+    a ``RuntimeError``, as :func:`batch_hash_probe` raises.
     """
     m = len(blocks)
     if m == 0:
@@ -106,7 +108,8 @@ def batch_hash_insert(
     for j in range(int(rank.max()) + 1):
         sel = np.flatnonzero(rank == j)
         p = pos[sel]
-        while len(sel):
+        # a row's free slot, if it has one, is at most its capacity away
+        for _ in range(int(caps[sel].max())):
             slot = lo[sel] + p
             occupied = keys[slot] != empty
             placeable = ~occupied
@@ -116,6 +119,10 @@ def batch_hash_insert(
                 vals[s] = deltas[sel[placeable]]
             sel = sel[occupied]
             p = (p[occupied] + 1) % caps[sel]
+            if not len(sel):
+                break
+        if len(sel):
+            raise RuntimeError("gain-table insert overran row capacity (table full?)")
 
 
 def batch_hash_probe(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.access import adjacency_blocks, crossing_weight
+from repro.graph.access import crossing_weight
 from repro.memory.scratch import tracked_zeros
 
 
@@ -79,13 +79,11 @@ class PartitionedGraph:
         return int(np.count_nonzero(np.bincount(self.partition, minlength=self.k)))
 
     def boundary_vertices(self) -> np.ndarray:
-        """Vertices with at least one neighbor in a different block."""
-        part = self.partition
-        out = [
-            np.unique(src[part[src] != part[dst]])
-            for src, dst, _ in adjacency_blocks(self.graph)
-        ]
-        return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        """Vertices with at least one neighbor in a different block,
+        ascending: one compiled scan (``fm_kernel.c``)."""
+        from repro.core.refinement import fm_kernel
+
+        return fm_kernel.boundary_vertices(self)
 
     def validate(self) -> None:
         """Check invariants: weights consistent, assignment in range."""

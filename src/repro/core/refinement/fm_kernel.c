@@ -3,10 +3,12 @@
  * the move, the gain table's delta updates and the rollback to the best
  * prefix -- on the gain table's own arrays (repro_fm_pass).  The Python pass
  * it replaced (_fm_pass, _best_move, _run_search) stays in tests/oracles.py
- * as the reference.
+ * as the reference.  Two more entries, at the end of the file, build a
+ * round's table (repro_gain_table_build) and list its seeds
+ * (repro_boundary_vertices) on the same row reader.
  *
- * One exported function, no state, no Python objects: ctypes calls it with
- * the GIL released.  Its arguments, in order:
+ * No state, no Python objects: ctypes calls each entry with the GIL
+ * released.  repro_fm_pass's arguments, in order:
  *   - the graph: n, indptr (CSR, n + 1 entries) or NULL, adj / wgt
  *     (adj_len each; wgt == NULL means every edge weighs unit_wgt), degs (a
  *     compressed graph's n degrees, with indptr NULL) and the stream (two
@@ -297,9 +299,12 @@ static inline int64_t wrap_sub(int64_t a, int64_t b)
     return (int64_t)((uint64_t)a - (uint64_t)b);
 }
 
+/* (block * 0x9E3779B1 & 0xFFFFFFFF) % cap, cap > 0: a mask where cap is a
+ * power of two, as every hash row the layout makes is */
 static inline int64_t hash_home(int64_t block, int64_t cap)
 {
-    return (int64_t)((((uint64_t)block * 0x9E3779B1u) & 0xFFFFFFFFu) % (uint64_t)cap);
+    uint64_t h = ((uint64_t)block * 0x9E3779B1u) & 0xFFFFFFFFu, c = (uint64_t)cap;
+    return (int64_t)(c & (c - 1) ? h % c : h & (c - 1));
 }
 
 /* a sparse row's [lo, hi), checked to lie in the table */
@@ -681,4 +686,226 @@ int64_t repro_fm_pass(
     free(f.sums);
     free(f.slot);
     return rc;
+}
+
+/* ---- a round's table and seeds ----
+ *
+ * repro_gain_table_build fills a freshly allocated table from the partition
+ * and lists the round's seeds in one walk over the rows, read as the pass
+ * reads them (a CSR row as stored, a compressed row decoded into the
+ * stream's scratch [0]).  Each row's affinities are summed in an O(k)
+ * scratch (sums, the blocks in first-touch order, a seen flag a block), then
+ * written:
+ *   - TABLE_FULL: into the row's k entries (vals is n x k, zeroed by the
+ *     caller);
+ *   - TABLE_SPARSE, a dense row: straight into its k values;
+ *   - TABLE_SPARSE, a hash row: every touched block (a zero sum included)
+ *     inserted into the empty row in ascending block order, each by linear
+ *     probing from hash_home to the first empty slot.
+ * Why the sparse arrays come out byte-equal to the numpy build it replaced
+ * (tests/oracles.py, "gain-table"): that build sorted the (vertex, block)
+ * pairs by vertex * k + block, so each row's touched blocks reached
+ * batch_hash_insert ascending, and its rank waves place a row's j-th pair
+ * only after its (j-1)-th -- the sequential insertion order, which a slot's
+ * final key depends on and this loop replays; a dense row is written by
+ * index, where order does not matter; sums wrap modulo 2^64 like numpy's.
+ * width[u] is the smallest of 8/16/32/64 bits above log2 of u's total
+ * incident weight (entry_width_bits).  keys (EMPTY everywhere), offsets and
+ * dense come from the caller's layout: a row outside vals, a dense row not k
+ * wide or a hash row of no slot is ERR_SEGMENT, and a hash row with no empty
+ * slot left is ERR_FULL (vertex, block) -- the layout gives a row of degree
+ * d at least 2d slots, so only a layout that lies about the degree meets it.
+ *
+ * The seeds are PartitionedGraph.boundary_vertices(): every vertex with a
+ * neighbour in another block, ascending, into seeds (n entries).
+ * repro_boundary_vertices is the same walk with no table (TABLE_NONE), which
+ * stops reading a row at its first such neighbour.
+ *
+ * Both check every vertex id against [0, n) and every block id they read
+ * (a neighbour's, and a vertex's own where it has a neighbour) against
+ * [0, k) before it indexes anything, refuse a stream the decoder refuses
+ * (ERR_DECODE + its code), and report a refusal as the pass does
+ * (info[BAD_VERTEX], info[BAD_BLOCK]); they write only the table, width and
+ * seeds, which the caller discards then.  On success out[BUILD_LOCKS] holds
+ * the lock acquisitions (one per hash-row insert, as the numpy build
+ * counted) and out[BUILD_SEEDS] the number of seeds. */
+
+enum { BUILD_LOCKS, BUILD_SEEDS };
+
+static inline int64_t entry_width(int64_t total)
+{
+    return total < (1LL << 8) ? 8 : total < (1LL << 16) ? 16 : total < (1LL << 32) ? 32 : 64;
+}
+
+static int ascending(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+static void sort_blocks(int64_t *a, int64_t len)
+{
+    if (len > 32) {
+        qsort(a, (size_t)len, sizeof(int64_t), ascending);
+        return;
+    }
+    for (int64_t i = 1; i < len; i++) {
+        int64_t x = a[i], j = i;
+        for (; j > 0 && a[j - 1] > x; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+/* the block of neighbour e of h, checked */
+static inline int64_t block_of(fm_t *f, const nbhd_t *h, int64_t e, int64_t *block)
+{
+    int64_t v = h->adj[e];
+    if (!IN_RANGE(v, f->n))
+        return fail(f, ERR_VERTEX, v, -1);
+    *block = f->part[v];
+    if (!IN_RANGE(*block, f->k))
+        return fail(f, ERR_BLOCK, v, *block);
+    return 0;
+}
+
+/* insert a touched block into the empty slots of u's hash row [lo, lo + cap) */
+static int64_t insert_new(fm_t *f, int64_t u, int64_t lo, int64_t cap, int64_t block,
+                          int64_t sum)
+{
+    int64_t i = hash_home(block, cap);
+    for (int64_t t = 0; t < cap; t++) {
+        if (f->keys[lo + i] == EMPTY) {
+            f->keys[lo + i] = (int32_t)block;
+            f->vals[lo + i] = sum;
+            return 0;
+        }
+        i = i + 1 == cap ? 0 : i + 1;
+    }
+    return fail(f, ERR_FULL, u, block);
+}
+
+typedef struct {
+    int64_t *sums, *touched; /* k each: a block's sum, the row's blocks */
+    uint8_t *seen;           /* k flags, all 0 between rows */
+    int64_t *width, *seeds;
+} walk_t;
+
+/* u's sparse row from its neighbourhood h; *count: the blocks it touches,
+ * left ascending in w->touched */
+static int64_t sparse_row(fm_t *f, walk_t *w, int64_t u, const nbhd_t *h, int64_t *count)
+{
+    uint64_t total = 0;
+    int64_t c = 0;
+    for (int64_t e = 0; e < h->deg; e++) {
+        int64_t block, wt = weight_at(f, h, e);
+        TRY(block_of(f, h, e, &block));
+        total += (uint64_t)wt;
+        if (!w->seen[block]) {
+            w->seen[block] = 1;
+            w->sums[block] = 0;
+            w->touched[c++] = block;
+        }
+        w->sums[block] = (int64_t)((uint64_t)w->sums[block] + (uint64_t)wt);
+    }
+    *count = c;
+    w->width[u] = entry_width((int64_t)total);
+    int64_t lo, hi;
+    TRY(row(f, u, &lo, &hi));
+    if (!f->dense[u]) {
+        if (hi == lo && c)
+            return fail(f, ERR_SEGMENT, u, -1);
+        sort_blocks(w->touched, c);
+    }
+    for (int64_t j = 0; j < c; j++) {
+        int64_t block = w->touched[j];
+        w->seen[block] = 0;
+        if (f->dense[u])
+            f->vals[lo + block] = w->sums[block];
+        else
+            TRY(insert_new(f, u, lo, hi - lo, block, w->sums[block]));
+    }
+    return 0;
+}
+
+static int64_t walk(fm_t *f, walk_t *w, int64_t *out)
+{
+    out[BUILD_LOCKS] = out[BUILD_SEEDS] = 0;
+    for (int64_t u = 0; u < f->n; u++) {
+        nbhd_t h;
+        TRY(neighborhood(f, u, 0, &h));
+        if (!h.deg) {
+            if (f->kind == TABLE_SPARSE)
+                w->width[u] = entry_width(0);
+            continue;
+        }
+        int64_t own = f->part[u], crossing = 0, block;
+        if (!IN_RANGE(own, f->k))
+            return fail(f, ERR_BLOCK, u, own);
+        if (f->kind == TABLE_SPARSE) {
+            int64_t count;
+            TRY(sparse_row(f, w, u, &h, &count));
+            if (!f->dense[u])
+                out[BUILD_LOCKS] += count;
+            crossing = count > 1 || w->touched[0] != own;
+        } else if (f->kind == TABLE_FULL) {
+            int64_t *r = f->vals + u * f->k;
+            for (int64_t e = 0; e < h.deg; e++) {
+                TRY(block_of(f, &h, e, &block));
+                crossing |= block != own;
+                r[block] = (int64_t)((uint64_t)r[block] + (uint64_t)weight_at(f, &h, e));
+            }
+        } else {
+            for (int64_t e = 0; e < h.deg && !crossing; e++) {
+                TRY(block_of(f, &h, e, &block));
+                crossing = block != own;
+            }
+        }
+        if (crossing)
+            w->seeds[out[BUILD_SEEDS]++] = u;
+    }
+    return 0;
+}
+
+int64_t repro_gain_table_build(
+    int64_t n, const int64_t *indptr, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
+    int64_t adj_len, const int64_t *degs, const stream_t *stream, int64_t k, const int32_t *part,
+    int64_t kind, int32_t *keys, int64_t *vals, const int64_t *offsets, const uint8_t *dense,
+    int64_t vals_len, int64_t *width, int64_t *seeds, int64_t *out, int64_t *info)
+{
+    fm_t f = {
+        .n = n, .indptr = indptr, .adj = adj, .wgt = wgt, .degs = degs, .unit_wgt = unit_wgt,
+        .adj_len = adj_len, .stream = stream, .k = k, .part = (int32_t *)part, .kind = kind,
+        .keys = keys, .vals = vals, .offsets = offsets, .dense = dense, .vals_len = vals_len,
+        .info = info,
+    };
+    info[BAD_VERTEX] = info[BAD_BLOCK] = -1;
+    if (n < 0 || k < 1 || kind < TABLE_NONE || kind > TABLE_SPARSE)
+        return fail(&f, ERR_SEGMENT, -1, -1);
+    if (kind == TABLE_FULL && (n > INT64_MAX / k || vals_len != n * k))
+        return fail(&f, ERR_SEGMENT, -1, -1);
+    walk_t w = {.width = width, .seeds = seeds};
+    if (kind == TABLE_SPARSE) {
+        w.sums = malloc(2 * (size_t)k * sizeof(int64_t));
+        w.seen = calloc((size_t)k, 1);
+        if (!w.sums || !w.seen) {
+            free(w.sums);
+            free(w.seen);
+            return fail(&f, ERR_MEMORY, -1, -1);
+        }
+        w.touched = w.sums + k;
+    }
+    int64_t rc = walk(&f, &w, out);
+    free(w.sums);
+    free(w.seen);
+    return rc;
+}
+
+int64_t repro_boundary_vertices(
+    int64_t n, const int64_t *indptr, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
+    int64_t adj_len, const int64_t *degs, const stream_t *stream, int64_t k, const int32_t *part,
+    int64_t *seeds, int64_t *out, int64_t *info)
+{
+    return repro_gain_table_build(n, indptr, adj, wgt, unit_wgt, adj_len, degs, stream, k, part,
+                                  TABLE_NONE, 0, 0, 0, 0, 0, 0, seeds, out, info);
 }

@@ -15,6 +15,12 @@ weights whose sums the kernel cannot hold (as the LP rounds do), an abort
 slack outside ``[0, 2^62)`` and arrays it does not know; the entry points
 refuse such an input graph before any work.
 
+The round before the pass is compiled too: :func:`build_table` fills a
+freshly laid-out sparse or full table and lists the round's seeds in one
+``repro_gain_table_build`` walk, byte-equal to the numpy build it replaced
+(also in ``tests/oracles.py``); :func:`boundary_vertices` is the same walk
+with no table.
+
 A CSR graph is read through its ``indptr`` / adjacency, a compressed graph
 through its degrees and byte stream, one neighbourhood decoded at a time (a
 chunk-encoded hub chunk by chunk).  A refusal is raised as the Python pass
@@ -37,8 +43,8 @@ from repro.core.kernels.lp_chunk import (
     stream_blocks,
 )
 from repro.graph import _native
-from repro.graph.access import count_edges, vertex_segments
-from repro.memory.scratch import tracked_zeros
+from repro.graph.access import count_edges, count_walk, vertex_segments
+from repro.memory.scratch import tracked_empty, tracked_zeros
 
 #: the fields of the kernel's ``out`` (``fm_kernel.c``)
 IMPROVEMENT_LO, IMPROVEMENT_HI, MOVES, ROLLED_BACK, SEARCHES, LOCKS, RECOMPUTE = range(7)
@@ -75,10 +81,10 @@ def _table_args(table, n: int, k: int):
     return _KINDS[table.kind], keys, vals, offsets, dense, size
 
 
-def _source_args(graph) -> tuple[tuple, list]:
+def _source_args(graph, streams: int = 2) -> tuple[tuple, list]:
     """``(args, held)``: the graph as the kernel reads it -- ``(indptr, adj,
-    wgt, unit_wgt, adj_len, degs, streams)`` -- and the arrays those point
-    into."""
+    wgt, unit_wgt, adj_len, degs, streams)``, ``streams`` neighbourhood
+    scratches for a compressed graph -- and the arrays those point into."""
     indptr, degrees, adj, wgt = vertex_segments(graph)
     if indptr is not None:
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
@@ -88,9 +94,55 @@ def _source_args(graph) -> tuple[tuple, list]:
         return (indptr, adj, wgt, unit, adj_len, None, None), [indptr, adjacency]
     # compressed: every row decoded from the stream as it is read
     degrees = np.ascontiguousarray(degrees, dtype=np.int64)
-    streams, stream_held = stream_blocks(graph, 2, "fm-stream-scratch")
-    args = (None, None, None, 1, 0, degrees, ctypes.addressof(streams))
-    return args, [degrees, streams, stream_held]
+    blocks, stream_held = stream_blocks(graph, streams, "fm-stream-scratch")
+    args = (None, None, None, 1, 0, degrees, ctypes.addressof(blocks))
+    return args, [degrees, blocks, stream_held]
+
+
+def _partition(pgraph) -> np.ndarray:
+    if not _contiguous(pgraph.partition, np.int32, (pgraph.graph.n,)):
+        raise ValueError(f"the partition must be {pgraph.graph.n} contiguous int32 block ids")
+    return pgraph.partition
+
+
+def _walk(fn, pgraph, *table) -> tuple[int, np.ndarray]:
+    """One walk of ``fn`` over ``pgraph``'s rows, the table arguments
+    ``table`` filled as it goes: ``(locks, seeds)``, the seeds ascending
+    int64.  A refusal (a bad id, a corrupt stream, a row with no slot left)
+    is raised as the pass raises it."""
+    graph = pgraph.graph
+    part = _partition(pgraph)
+    source, held = _source_args(graph, 1)
+    seeds = tracked_empty(graph.n, name="fm-seeds")
+    out, info = np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    rc = fn(graph.n, *_pointers((*source, pgraph.k, part, *table, seeds, out, info)))
+    if rc < 0:
+        raise _refusal(rc, int(info[0]), int(info[1]))
+    count_walk(graph)
+    return int(out[0]), seeds[: out[1]]
+
+
+def build_table(table) -> tuple[int, np.ndarray]:
+    """Fill ``table``, a sparse or full gain table whose arrays are freshly
+    laid out (keys empty, values zero), from its partition and list the
+    round's seeds, in one ``repro_gain_table_build`` call; a sparse table's
+    ``_width_bits`` too.  Returns the lock acquisitions of the hash-row
+    inserts and the seeds (what :func:`boundary_vertices` returns)."""
+    pgraph = table._pgraph
+    n, k = pgraph.graph.n, pgraph.k
+    kind, keys, vals, offsets, dense, size = _table_args(table, n, k)
+    width = getattr(table, "_width_bits", None)
+    if kind == _KINDS["sparse"] and not _contiguous(width, np.int64, (n,)):
+        raise ValueError(f"the entry widths must be {n} contiguous int64 entries")
+    build, _ = _native.gain_table_kernels()
+    return _walk(build, pgraph, kind, keys, vals, offsets, dense, size, width)
+
+
+def boundary_vertices(pgraph) -> np.ndarray:
+    """Every vertex with a neighbour in another block, ascending (int64): one
+    ``repro_boundary_vertices`` call."""
+    _, scan = _native.gain_table_kernels()
+    return _walk(scan, pgraph)[1]
 
 
 class FMPass:
@@ -171,8 +223,7 @@ def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> FMPass:
     graph = pgraph.graph
     vwgt = _vertex_weights(graph)
     n, k = graph.n, pgraph.k
-    if not _contiguous(pgraph.partition, np.int32, (n,)):
-        raise ValueError(f"the partition must be {n} contiguous int32 block ids")
+    _partition(pgraph)
     if not _contiguous(pgraph.block_weights, np.int64, (k,)):
         raise ValueError(f"the block weights must be {k} contiguous int64 entries")
     table_args = _table_args(table, n, k)

@@ -64,7 +64,7 @@ def _localized_pass(
     g = pgraph.graph
     kernel = fm_kernel.bind(pgraph, table, max_block_weight)
     locked = tracked_zeros(g.n, bool, name="fm-locked")
-    seeds = pgraph.boundary_vertices()
+    seeds = table.seeds
     if len(seeds) == 0:
         return 0
     seeds = seeds[ctx.rng.permutation(len(seeds))]

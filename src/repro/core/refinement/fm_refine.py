@@ -64,7 +64,7 @@ def _pass(
 ) -> int:
     """One FM pass in one compiled call (``fm_kernel.c``)."""
     kernel = fm_kernel.bind(pgraph, table, max_block_weight, slack=_abort_slack(pgraph))
-    seeds = pgraph.boundary_vertices()
+    seeds = table.seeds
     if len(seeds) == 0:
         return 0
     locked = tracked_zeros(pgraph.graph.n, bool, name="fm-locked")

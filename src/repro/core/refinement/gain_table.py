@@ -20,7 +20,10 @@ matching Figure 7:
 All tables share one interface: ``affinity``, ``adjacent_blocks``,
 ``nbytes`` and ``kernel_arrays`` (the arrays the compiled FM pass,
 ``fm_kernel.c``, reads and updates in place: the gain queries and the
-updates after a move are the kernel's).
+updates after a move are the kernel's) -- and ``seeds``, the boundary
+vertices of the partition it was built from, which the round's pass starts
+from.  The full and sparse tables are filled by one compiled call, which
+lists the seeds in the same walk (:func:`fm_kernel.build_table`).
 """
 
 from __future__ import annotations
@@ -29,11 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.kernels.gains import (
-    batch_hash_insert,
-    entry_width_bits_bulk,
-)
-from repro.graph.access import full_adjacency, segment_reduce_ratings
+from repro.core.refinement import fm_kernel
 
 
 def entry_width_bits(total_incident_weight: int) -> int:
@@ -42,10 +41,6 @@ def entry_width_bits(total_incident_weight: int) -> int:
         if total_incident_weight < (1 << w):
             return w
     return 64
-
-
-def _next_pow2(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
 
 
 class NoGainTable:
@@ -57,6 +52,7 @@ class NoGainTable:
         self._pgraph = pgraph
         self.recompute_edges = 0  # scratch-scan work, feeds the cost model
         self._aid = None
+        self.seeds = fm_kernel.boundary_vertices(pgraph)
 
     @property
     def nbytes(self) -> int:
@@ -93,8 +89,7 @@ class FullGainTable:
         self._pgraph = pgraph
         n, k = pgraph.graph.n, pgraph.k
         self._table = np.zeros((n, k), dtype=np.int64)
-        src, dst, wgt = full_adjacency(pgraph.graph)
-        np.add.at(self._table, (src, pgraph.partition[dst]), wgt)
+        _, self.seeds = fm_kernel.build_table(self)
         self._aid = (
             tracker.alloc("gain-table-full", self._table.nbytes, "gain-table")
             if tracker is not None
@@ -146,63 +141,30 @@ class SparseGainTable:
         n, k = g.n, pgraph.k
         degrees = np.asarray(g.degrees)
         self._dense = degrees >= k
-        caps = np.where(
-            self._dense,
-            k,
-            np.maximum(2, 2 ** np.ceil(np.log2(2 * np.maximum(degrees, 1))).astype(np.int64)),
-        ).astype(np.int64)
+        # a hash row's capacity by degree, looked up: degrees below
+        # min(k, max degree + 1), then k for a dense row
+        top = min(k, int(degrees.max(initial=0)) + 1)
+        per_degree = np.maximum(1, np.arange(top, dtype=np.int64))
+        lookup = np.append(
+            np.maximum(2, 2 ** np.ceil(np.log2(2 * per_degree)).astype(np.int64)), k
+        )
+        caps = lookup[np.minimum(degrees, top)]
         self._offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(caps, out=self._offsets[1:])
         total = int(self._offsets[-1])
         self._caps = caps
         self._keys = np.full(total, self.EMPTY, dtype=np.int32)
         self._vals = np.zeros(total, dtype=np.int64)
-        # one pass over the edges fills both the entry widths (from each
-        # vertex's total incident weight) and the table itself
-        src, dst, wgt = full_adjacency(g)
-        inc = np.zeros(n, dtype=np.int64)
-        np.add.at(inc, src, wgt)
-        self._width_bits = entry_width_bits_bulk(inc)
-        self.lock_acquisitions = 0
-        self._build(src, dst, wgt)
+        # one kernel call fills the slots and the entry widths (from each
+        # vertex's total incident weight) and lists the seeds
+        self._width_bits = np.empty(n, dtype=np.int64)
+        self.lock_acquisitions, self.seeds = fm_kernel.build_table(self)
         self._aid = (
             tracker.alloc("gain-table-sparse", self.nbytes, "gain-table")
             if tracker is not None
             else None
         )
         self._tracker = tracker
-
-    # -- construction -------------------------------------------------- #
-    def _build(self, src: np.ndarray, dst: np.ndarray, wgt: np.ndarray) -> None:
-        if len(src) == 0:
-            return
-        # aggregate all (vertex, block) affinities in one vectorized pass
-        po, pb, pa = segment_reduce_ratings(
-            src, self._pgraph.partition[dst].astype(np.int64), wgt, self._pgraph.k
-        )
-        # dense rows scatter directly; hash rows insert via the rank-wave
-        # kernel, which reproduces the probe sequence of one linear-probing
-        # insert per pair (pairs arrive grouped by vertex, blocks ascending)
-        dense_pair = self._dense[po]
-        if np.any(dense_pair):
-            d = np.flatnonzero(dense_pair)
-            self._vals[self._offsets[po[d]] + pb[d]] = pa[d]
-        h = np.flatnonzero(~dense_pair)
-        if len(h):
-            # one lock acquisition per hash insert, as a move's update counts;
-            # aggregated affinities are > 0 (edge weights are positive), so
-            # every pair lands as a fresh key
-            self.lock_acquisitions += len(h)
-            rows = po[h]
-            batch_hash_insert(
-                self._keys,
-                self._vals,
-                self._offsets[rows],
-                self._caps[rows],
-                pb[h],
-                pa[h],
-                empty=self.EMPTY,
-            )
 
     # -- slot arithmetic ------------------------------------------------ #
     def _range(self, u: int) -> tuple[int, int]:

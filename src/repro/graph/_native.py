@@ -3,18 +3,19 @@ packet encoder (``decode_kernel.c``), initial partitioning's searches,
 attempt pool and subgraph split (``core/initial/bisection_kernel.c``), the
 rating map of label
 propagation's rounds and picks and of contraction
-(``core/kernels/lp_kernel.c``) and k-way FM's pass
-(``core/refinement/fm_kernel.c``), one library.
+(``core/kernels/lp_kernel.c``) and k-way FM's pass, gain-table build and
+seed scan (``core/refinement/fm_kernel.c``), one library.
 
 Compiled on first use with ``$CC`` (else ``cc``, else ``gcc``) into a
 per-user cache directory, loaded through :mod:`ctypes`.  The kernels are
 required: every hot phase has this one implementation.  No compiler, a
 failed build, a library that does not load or a symbol that does not
-resolve raises :class:`NativeBuildError` from :func:`library` and the six
+resolve raises :class:`NativeBuildError` from :func:`library` and the seven
 getters (:func:`decode_kernel`, :func:`encode_kernel`,
 :func:`bisection_kernels`, :func:`lp_kernels`, :func:`contraction_kernels`,
-:func:`fm_kernel`), naming the compiler command and its stderr or the
-missing symbol; the error is kept for the process, like the library.
+:func:`fm_kernel`, :func:`gain_table_kernels`), naming the compiler command
+and its stderr or the missing symbol; the error is kept for the process,
+like the library.
 
 :func:`check_graph` states the inputs the kernels' integer arithmetic
 holds on an input graph, so that the entry points refuse the rest before
@@ -96,8 +97,10 @@ LP_ERRORS = {
 }
 
 #: what ``repro_fm_pass`` (``core/refinement/fm_kernel.c``) returns for a
-#: pass it refuses, with every write of the pass undone; a negative affinity
-#: and a full hash row are the gain table's own refusals
+#: pass it refuses, with every write of the pass undone (a negative affinity
+#: and a full hash row are the gain table's own refusals), and what its
+#: table build and seed scan return for a graph, partition or layout they
+#: refuse
 FM_ERRORS = {
     -1: "vertex id out of range",
     -2: "adjacency or gain-table row bounds out of range",
@@ -320,6 +323,14 @@ SIGNATURES = {
         _i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _p, _p, _i64, _i64, _i64, _p, _p, _p, _p,
         _i64, _p, _i64, _i64, _i64, _i64, _i64, _p, _p, _p,
     ],
+    # the graph as above, k, part, kind, keys, vals, offsets, dense,
+    # vals_len, width, seeds, out, info
+    "repro_gain_table_build": [
+        _i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _i64, _p, _p, _p, _p, _i64, _p, _p, _p,
+        _p,
+    ],
+    # the graph as above, k, part, seeds, out, info
+    "repro_boundary_vertices": [_i64, _p, _p, _p, _i64, _i64, _p, _p, _i64, _p, _p, _p, _p],
 }  # fmt: skip
 
 _lock = threading.Lock()
@@ -460,3 +471,10 @@ def contraction_kernels():
 def fm_kernel():
     """The ``repro_fm_pass`` ctypes function of ``fm_kernel.c``."""
     return library()["repro_fm_pass"]
+
+
+def gain_table_kernels():
+    """``(gain_table_build, boundary_vertices)`` ctypes functions of
+    ``fm_kernel.c``."""
+    lib = library()
+    return lib["repro_gain_table_build"], lib["repro_boundary_vertices"]

@@ -164,6 +164,15 @@ def count_edges(graph, degs: np.ndarray) -> None:
         _tracer.add("decode.edges_csr" if hasattr(graph, "indptr") else "decode.edges", total)
 
 
+def count_walk(graph) -> None:
+    """Report a compiled walk over every row of ``graph`` as
+    :func:`full_adjacency` and :func:`adjacency_blocks` report theirs: a
+    compressed graph's edges to ``decode.edges``; a CSR graph's zero-copy
+    rows to nothing."""
+    if not hasattr(graph, "indptr"):
+        count_edges(graph, graph.degrees)
+
+
 def _csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(src, dst, weight)`` of a CSR graph; ``dst``/``weight`` are views."""
     src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)

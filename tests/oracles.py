@@ -7,7 +7,8 @@ moved here unchanged but for the seam: the LP drivers' numpy chunk
 pipelines, distributed LP's picks, the numpy contraction step, the codec's
 scalar VarInt routines, per-vertex block codec and numpy chunk decoder and
 run encoder, k-way FM's Python pass with the gain
-tables' Python queries and updates, and initial partitioning's list loops,
+tables' Python queries and updates, the tables' numpy build and the numpy
+seed scan, and initial partitioning's list loops,
 Python attempt pool and subgraph extraction.
 
 :func:`installed` puts them in the drivers' place for the body of a
@@ -46,11 +47,17 @@ from repro.core.kernels import (
     two_way_cut,
     two_way_gains,
 )
-from repro.core.kernels.gains import flat_adjacency
+from repro.core.kernels.gains import batch_hash_insert, entry_width_bits_bulk, flat_adjacency
 from repro.core.kernels.lp_chunk import NANOS
 from repro.core.refinement import fm_kernel
 from repro.graph import _native, compressed
-from repro.graph.access import chunk_adjacency, installed_tracer, segment_reduce_ratings
+from repro.graph.access import (
+    adjacency_blocks,
+    chunk_adjacency,
+    full_adjacency,
+    installed_tracer,
+    segment_reduce_ratings,
+)
 from repro.graph.compressed import (
     MIN_INTERVAL_LEN,
     CompressedGraph,
@@ -1384,6 +1391,69 @@ def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> OraclePass:
 
 
 # --------------------------------------------------------------------- #
+# a round's gain-table build and seed scan, in numpy
+# --------------------------------------------------------------------- #
+def build_table(table) -> tuple[int, np.ndarray]:
+    """:func:`repro.core.refinement.fm_kernel.build_table` as numpy: the
+    whole adjacency once, summed into the full table, or aggregated per
+    (vertex, block) and written into the sparse table's dense rows /
+    inserted into its hash rows by rank waves; the seeds from the same
+    adjacency.  Returns the lock acquisitions (one per hash insert) and the
+    seeds."""
+    pgraph = table._pgraph
+    src, dst, wgt = full_adjacency(pgraph.graph)
+    part = pgraph.partition
+    return _fill(table, pgraph, src, dst, wgt), np.unique(src[part[src] != part[dst]])
+
+
+def _fill(table, pgraph, src, dst, wgt) -> int:
+    if table.kind == "full":
+        np.add.at(table._table, (src, pgraph.partition[dst]), wgt)
+        return 0
+    inc = np.zeros(pgraph.graph.n, dtype=np.int64)
+    np.add.at(inc, src, wgt)
+    table._width_bits = entry_width_bits_bulk(inc)
+    if len(src) == 0:
+        return 0
+    # aggregate all (vertex, block) affinities in one vectorized pass
+    po, pb, pa = segment_reduce_ratings(
+        src, pgraph.partition[dst].astype(np.int64), wgt, pgraph.k
+    )
+    # dense rows scatter directly; hash rows insert via the rank-wave
+    # kernel, which reproduces the probe sequence of one linear-probing
+    # insert per pair (pairs arrive grouped by vertex, blocks ascending)
+    dense_pair = table._dense[po]
+    if np.any(dense_pair):
+        d = np.flatnonzero(dense_pair)
+        table._vals[table._offsets[po[d]] + pb[d]] = pa[d]
+    h = np.flatnonzero(~dense_pair)
+    if len(h):
+        rows = po[h]
+        batch_hash_insert(
+            table._keys,
+            table._vals,
+            table._offsets[rows],
+            table._caps[rows],
+            pb[h],
+            pa[h],
+            empty=table.EMPTY,
+        )
+    # one lock acquisition per hash insert, as a move's update counts
+    return len(h)
+
+
+def boundary_vertices(pgraph) -> np.ndarray:
+    """:func:`repro.core.refinement.fm_kernel.boundary_vertices` as numpy:
+    the crossing edges' sources, block by block of the adjacency."""
+    part = pgraph.partition
+    out = [
+        np.unique(src[part[src] != part[dst]])
+        for src, dst, _ in adjacency_blocks(pgraph.graph)
+    ]
+    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+
+
+# --------------------------------------------------------------------- #
 # initial partitioning: the list loops, the Python pool, the extraction
 # --------------------------------------------------------------------- #
 STOP_DIVISOR = 4  # the alpha = 1/4 of KaMinPar's initial FM
@@ -1675,6 +1745,10 @@ TWINS = {
     "encode": [(compressed, "_encode_run", encode_run)],
     "decode": [(CompressedGraph, "_decode_chunk_native", decode_chunk_oracle)],
     "fm": [(fm_kernel, "bind", bind)],
+    "gain-table": [
+        (fm_kernel, "build_table", build_table),
+        (fm_kernel, "boundary_vertices", boundary_vertices),
+    ],
     "bisection": [
         (bipartition, "greedy_graph_growing_bipartition", greedy_graph_growing_bipartition),
         (bipartition, "bfs_bipartition", bfs_bipartition),

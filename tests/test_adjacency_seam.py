@@ -34,11 +34,12 @@ from repro.graph import generators as gen
 from repro.graph.access import adjacency_blocks, chunk_adjacency, full_adjacency
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
+from repro.obs.tracer import SpanTracer
 from repro.verify.invariants import check_gain_table_vs_recompute
 from scalar_reference import scalar_rebalance
 
-# ``repro.core.partition`` the attribute is the entry-point function
-partition_module = importlib.import_module("repro.core.partition")
+# ``crossing_weight`` reads ``adjacency_blocks`` from its own module
+access_module = importlib.import_module("repro.graph.access")
 
 FAMILIES = {
     "rgg2d": lambda seed: gen.rgg2d(300, avg_degree=8, seed=seed),
@@ -120,21 +121,32 @@ def test_sparse_table_keeps_a_dense_row_for_the_hub():
 
 
 def test_sparse_table_decodes_the_graph_once(monkeypatch):
-    from repro.core.refinement import gain_table as gt
+    """Both cached tables read every row once, inside the kernel's walk: no
+    whole-graph gather (``full_adjacency``), no ``decode_chunk`` and no
+    per-vertex decode, and the edges are reported to ``decode.edges`` once
+    a build; the table still equals the CSR twin's."""
 
-    calls = []
-    real = gt.full_adjacency
-    monkeypatch.setattr(
-        gt, "full_adjacency", lambda g: calls.append(g) or real(g)
-    )
-    cg = compress_graph(FAMILIES["rgg2d"](1))
-    monkeypatch.setattr(
-        type(cg), "incident_weight", lambda *a: pytest.fail("per-vertex decode")
-    )
-    for kind in ("sparse", "full"):
-        del calls[:]
-        make_gain_table(kind, random_pgraph(cg, 8, 1))
-        assert len(calls) == 1, kind
+    def forbidden(name):
+        return lambda *a, **kw: pytest.fail(f"the build called {name}")
+
+    g = FAMILIES["rgg2d"](1)
+    cg = compress_graph(g)
+    want = {kind: make_gain_table(kind, random_pgraph(g, 8, 1)) for kind in ("sparse", "full")}
+    for mod, bound in oracles.holders(full_adjacency):
+        monkeypatch.setattr(mod, bound, forbidden("full_adjacency"))
+    for name in ("decode_chunk", "incident_weight", "neighbors_and_weights"):
+        monkeypatch.setattr(type(cg), name, forbidden(name))
+    tracer = SpanTracer()
+    access_module.install_tracer(tracer)
+    try:
+        for kind in ("sparse", "full"):
+            tracer.counters.clear()
+            table = make_gain_table(kind, random_pgraph(cg, 8, 1))
+            assert dict(tracer.counters) == {"decode.edges": cg.num_directed_edges}, kind
+            got = [a.tobytes() for a in table.kernel_arrays() if a is not None]
+            assert got == [a.tobytes() for a in want[kind].kernel_arrays() if a is not None]
+    finally:
+        access_module.uninstall_tracer()
 
 
 # --------------------------------------------------------------------- #
@@ -159,7 +171,7 @@ def test_cut_and_boundary_via_blocks(monkeypatch, compressed, block_size):
     pg = random_pgraph(compress_graph(g) if compressed else g, 5, 2)
     want_cut, want_boundary = per_vertex_cut_and_boundary(random_pgraph(g, 5, 2))
     monkeypatch.setattr(
-        partition_module,
+        access_module,
         "adjacency_blocks",
         functools.partial(adjacency_blocks, block_size=block_size),
     )

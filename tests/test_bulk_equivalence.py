@@ -77,8 +77,7 @@ def test_terapart_bit_identical_weblike(web, p):
 
 
 FM_KERNELS = {
-    "terapart-fm": LP_KERNELS
-    + ("batch_hash_insert", "entry_width_bits_bulk"),
+    "terapart-fm": LP_KERNELS,
     "terapart-fm-full": LP_KERNELS,
     "terapart-fm-none": LP_KERNELS,
 }
