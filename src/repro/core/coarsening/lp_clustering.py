@@ -20,8 +20,9 @@ variant determines what gets charged to the memory ledger and how work is
 attributed to the cost model.  The rating-map classes in
 :mod:`repro.core.coarsening.rating_map` implement the real structures and
 are unit-tested for equivalence with the kernel.  Under the conflict
-detector the driver runs one chunk a call and records each step's shared
-accesses, so fuzzing checks the kernel.
+detector the driver makes the same round call and then replays the round
+to it chunk by chunk, in the order the kernel ran the chunks, so fuzzing
+checks the round production runs.
 """
 
 from __future__ import annotations
@@ -32,9 +33,15 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.kernels import cluster_leaders
-from repro.core.kernels.lp_chunk import BUMPED_NC, NANOS, clustering_round
+from repro.core.kernels.lp_chunk import (
+    BUMPED_NC,
+    NANOS,
+    clustering_round,
+    replayed_chunks,
+    round_bounds,
+)
 from repro.graph.access import chunk_adjacency, traversal_cost
-from repro.memory.scratch import tracked_zeros
+from repro.memory.scratch import tracked_empty, tracked_zeros
 from repro.verify.declarations import recorder_for
 
 
@@ -79,48 +86,29 @@ def _charge_rating_maps(
     return handles
 
 
-def _recording(step, rec, graph, clusters, t_bump):
-    """``step`` with each chunk's shared accesses recorded, read off the
-    chunk and the step's outputs: the neighbours' labels, the movers'
-    labels, the old and new clusters of the movers' weights and, in two-phase LP (``t_bump > 0``),
-    the labels bumped vertices flush into the shared sparse array."""
-
-    def recorded(chunk):
+def _record(rec, graph, start, clusters, t_bump, chunks) -> None:
+    """Tell the detector what each chunk of a round touched, in the order the
+    chunks ran (:func:`~repro.core.kernels.lp_chunk.replayed_chunks`): the
+    neighbours' labels it read, the movers' labels, the old and new
+    clusters of the movers' weights, in two-phase LP (``t_bump > 0``) the
+    labels bumped vertices flush into the shared sparse array, and the
+    favorites of its vertices with a neighbour.  ``start`` is the
+    round-start labels, carried forward by each chunk's movers to what the
+    next chunk sees."""
+    n = graph.n
+    for chunk, movers, targets in chunks:
         owner, nbrs, _ = chunk_adjacency(graph, chunk)
-        seen, before = clusters[nbrs], clusters[chunk]
-        out = step(chunk)
-        if out is None:
-            return None
-        nc, targets, moved = out[3:]
+        seen = start[nbrs]
         rec.read("clusters", nbrs)
-        rec.atomic("clusters", moved)
-        old = before[np.isin(chunk, moved)]
-        rec.atomic("cluster-weights", np.concatenate([old, clusters[moved]]))
+        rec.atomic("clusters", movers)
+        rec.atomic("cluster-weights", np.concatenate([start[movers], clusters[movers]]))
+        # distinct neighbour labels per chunk vertex, as the kernel counted them
+        nc = np.bincount(np.unique(owner * n + seen) // n, minlength=len(chunk))
         if t_bump and targets:
             rec.atomic("shared-sparse-array", seen[(nc >= t_bump)[owner]])
-        return out
-
-    return recorded
-
-
-def _chunk_rows(step, chunks, favorites, t_bump, rec) -> list:
-    """The stats rows of a round run one ``step`` call a chunk (under the
-    detector): what the kernel's round returns, the favorites written the
-    same way."""
-    rows = []
-    for _tid, chunk in chunks:
-        out = step(chunk)
-        if out is None:  # no edge in this chunk
-            rows.append((0, 0, 0, 0, 0))
-            continue
-        edges, fav_us, fav, nc, targets, moved = out
-        bumped = nc >= t_bump
-        # record favorites (unconstrained best) for two-hop matching
-        favorites[fav_us] = fav
         # per-owner slots: disjoint plain stores by design
-        rec.write("favorites", fav_us)
-        rows.append((edges, targets, len(moved), int(bumped.sum()), int(nc[bumped].sum())))
-    return rows
+        rec.write("favorites", chunk[nc > 0])
+        start[movers] = clusters[movers]
 
 
 def label_propagation_clustering(
@@ -133,9 +121,9 @@ def label_propagation_clustering(
     The driver owns the rounds: visiting order, schedule, favorites, bump
     counts, cost records and counters.  A round -- every chunk rated, picked
     and committed in execution order -- is one call into ``lp_kernel.c``,
-    which gives one stats row a chunk.  An attached conflict detector gets
-    one chunk a call (the same stats rows) and hears each step's shared
-    accesses from :func:`_recording`.
+    which gives one stats row a chunk.  An attached conflict detector hears
+    the round's shared accesses afterwards, chunk by chunk under each
+    chunk's virtual thread, from :func:`_record`.
     """
     n = graph.n
     cc = ctx.config.coarsening
@@ -163,36 +151,29 @@ def label_propagation_clustering(
         graph, clusters, cluster_weights, max_cluster_weight,
         np.zeros((3, n), dtype=np.int64), favorites, t_bump,
     )  # fmt: skip
-    step = None  # a round a call; under the detector one chunk a call
-    if rec.active:
-        step = _recording(kernel.step, rec, graph, clusters, t_bump if two_phase else 0)
-    degrees = np.asarray(graph.degrees) if runtime.schedule_policy == "heavy-first" else None
     tracer = ctx.tracer
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
+    # the movers of a round, in the order they moved: only the detector reads them
+    movers = tracked_empty(n, name="lp-moved") if rec.active else None
     try:
         for _round in range(cc.lp_rounds):
             order = rng.permutation(n).astype(np.int64, copy=False)
             moves = 0
             bumped_total = 0
             with tracer.span(f"{phase_name}-round{_round}"):
-                chunk_weights = None
-                if degrees is not None and n:  # edges per chunk
-                    starts = np.arange(0, n, runtime.chunk_size)
-                    chunk_weights = np.add.reduceat(degrees[order], starts)
                 with runtime.region(f"{phase_name}-round{_round}"):
-                    if step is None:
-                        bounds, tids = runtime.chunk_bounds(n, weights=chunk_weights)
-                        stats = kernel(order, bounds)
-                        runtime.record_chunks(
-                            phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9
-                        )
-                        rows = stats[:, : BUMPED_NC + 1].tolist()
-                    else:
-                        sched = runtime.schedule(order)
-                        chunks = runtime.execute(sched, weights=chunk_weights, phase=phase_name)
-                        rows = _chunk_rows(step, chunks, favorites, t_bump, rec)
+                    bounds, tids = round_bounds(runtime, graph, order)
+                    start = clusters.copy() if rec.active else None  # what chunk 0 sees
+                    stats = kernel(order, bounds, movers)
+                    runtime.record_chunks(
+                        phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9
+                    )
+                    if rec.active:
+                        chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, movers)
+                        _record(rec, graph, start, clusters, t_bump if two_phase else 0, chunks)
+                    rows = stats[:, : BUMPED_NC + 1].tolist()
                 for edges, targets, moved, bumped, bumped_nc in rows:
                     if not edges:
                         continue

@@ -12,10 +12,11 @@ KaMinPar/TeraPart:
   culprit), two-phase LP allocates exactly **one**, shared, updated with
   atomic fetch-adds.
 
-These structures are exercised directly by unit tests; the vectorized
-clustering kernel aggregates ratings with numpy (identical results) while
-charging the tracker for whichever structure the configured variant would
-allocate, so the ledger reflects the real footprints.
+These structures are exercised directly by unit tests.  The clustering
+round itself rates in C (``core/kernels/lp_kernel.c``, one ``n``-entry
+sparse array for either variant) while the driver charges the tracker for
+whichever structure the configured variant would allocate, so the ledger
+reflects the real footprints.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ schedule, cost records and counters.  :func:`clustering_round` and
 :func:`refinement_round` bind a *round entry* of the kernel to one LP call's
 arrays: called with the round's order and its chunk bounds in execution
 order, it rates, picks and commits every chunk in turn -- chunk *i + 1*
-reads chunk *i*'s commits -- and returns one stats row a chunk.  Its
-``step(chunk)`` is the same entry over a round of one chunk (what the
-conflict detector and the chunk-by-chunk tests run).  The builders refuse,
-with a ``ValueError``, vertex weights whose sums the kernel's commit cannot
-hold (:func:`repro.graph._native.vertex_weight_error`; the entry points
-refuse such an input graph before any work).  The C header states the
+reads chunk *i*'s commits -- and returns one stats row a chunk.  With a
+conflict detector attached the drivers make the same call and then walk
+the round's chunks again for it (:func:`replayed_chunks`).  Binding an
+entry refuses, with a ``ValueError``, vertex weights whose sums the
+kernel's commit cannot hold (:func:`repro.graph._native.vertex_weight_error`;
+the entry points refuse such an input graph before any work).  The C header states the
 contract; here the arrays are checked once per LP call and the pointers
 handed over.  Distributed LP (:mod:`repro.dist.dlp`) takes a
 *pick* from :func:`cluster_pick_step` / :func:`refine_pick_step` the same
@@ -227,16 +227,16 @@ class _RoundKernel(_Bound):
     """A round entry bound to the arrays of one LP call: one call a round.
 
     ``rows`` is the number of per-vertex scratch rows the entry fills for
-    each chunk.  The graph's segments go in keyed by vertex id, checked
-    once: a CSR graph's ``indptr`` and adjacency, or a compressed graph's
-    degrees (and its stream).
+    each chunk; ``scratch`` holds them, the last chunk's after a call.  The
+    graph's segments go in keyed by vertex id, checked once: a CSR graph's
+    ``indptr`` and adjacency, or a compressed graph's degrees (and its
+    stream).
     """
 
-    rows = 1
-
-    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int) -> None:
+    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int, rows: int) -> None:
         super().__init__(fn, graph, state, maps, labels)
-        self.scratch = tracked_empty((self.rows, 0), name="lp-chunk-out")
+        self.rows = rows
+        self.scratch = tracked_empty((rows, 0), name="lp-chunk-out")
         self._scratch_args = _pointers((*self.scratch, 0))
         indptr, degrees, adj, wgt = vertex_segments(graph)
         if indptr is None:  # compressed: decoded from the stream as rated
@@ -280,41 +280,30 @@ class _RoundKernel(_Bound):
         count_edges(self._graph, stats[:, EDGES])
         return stats
 
-    def one(self, chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(row, moved, scratch)`` of ``chunk`` run as a round of one chunk:
-        its stats row, its movers and its per-vertex scratch rows."""
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        moved = tracked_empty(len(chunk), name="lp-chunk-moved")
-        row = self(chunk, np.array([0, len(chunk)], dtype=np.int64), moved)[0]
-        return row, moved[: row[MOVES]], self.scratch[:, : len(chunk)]
+
+def round_bounds(runtime, graph, order) -> tuple[np.ndarray, np.ndarray]:
+    """``runtime.chunk_bounds`` of an LP round over ``order``: under the
+    ``heavy-first`` policy each chunk weighs its edges."""
+    weights = None
+    if runtime.schedule_policy == "heavy-first" and len(order):
+        starts = np.arange(0, len(order), runtime.chunk_size)
+        weights = np.add.reduceat(np.asarray(graph.degrees)[order], starts)
+    return runtime.chunk_bounds(len(order), weights=weights)
 
 
-class _ClusteringRound(_RoundKernel):
-    rows = 3  # fav, best, nc
-
-    def step(self, chunk):
-        """``None`` for a chunk without edges, else ``(edges, fav_us, fav,
-        nc, targets, moved)``: the chunk vertices that have a neighbour and
-        the favorite cluster of each (also written to ``favorites``), per
-        chunk vertex its number of distinct neighbour clusters, how many
-        vertices had a target, and the vertices moved -- ``clusters`` /
-        ``cluster_weights`` already updated."""
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        row, moved, (fav, _, nc) = self.one(chunk)
-        if not row[EDGES]:
-            return None
-        rated = nc > 0
-        return int(row[EDGES]), chunk[rated], fav[rated], nc.copy(), int(row[TARGETS]), moved
-
-
-class _RefinementRound(_RoundKernel):
-    rows = 1  # best
-
-    def step(self, chunk):
-        """``None`` for a chunk without edges, else ``(edges, moved)`` --
-        ``part`` / ``block_weights`` already updated."""
-        row, moved, _ = self.one(chunk)
-        return (int(row[EDGES]), moved) if row[EDGES] else None
+def replayed_chunks(detector, order, bounds, tids, stats, moved):
+    """The chunks of a round the kernel ran, for a conflict detector: in the
+    order they ran, with ``detector.current_tid`` set to each one's virtual
+    thread, ``(chunk, movers, targets)`` of every chunk with an edge -- its
+    movers the next :data:`MOVES` entries of the round's ``moved``."""
+    at = 0
+    rows = stats[:, [EDGES, TARGETS, MOVES]].tolist()
+    for (lo, hi), tid, (edges, targets, moves) in zip(bounds.tolist(), tids.tolist(), rows):
+        movers = moved[at : at + moves]
+        at += moves
+        if edges:
+            detector.current_tid = tid
+            yield order[lo:hi], movers, targets
 
 
 def _clustering_state(graph, clusters, cluster_weights, max_cluster_weight):
@@ -341,7 +330,8 @@ def clustering_round(
     """
     state = _clustering_state(graph, clusters, cluster_weights, max_cluster_weight)
     state = (*state, t_bump, _int64_vector(favorites, graph.n, "favorites"))
-    return _ClusteringRound(_native.lp_kernels()[0], graph, state, maps, graph.n)
+    fn = _native.lp_kernels()[0]
+    return _RoundKernel(fn, graph, state, maps, graph.n, rows=3)  # fav, best, nc
 
 
 def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps):
@@ -379,7 +369,8 @@ def refinement_round(graph, part, block_weights, limits):
     to ``part`` / ``block_weights``.
     """
     state = _refinement_state(graph, part, block_weights, limits)
-    return _RefinementRound(_native.lp_kernels()[1], graph, *state, len(block_weights))
+    fn = _native.lp_kernels()[1]
+    return _RoundKernel(fn, graph, *state, len(block_weights), rows=1)  # best
 
 
 def refine_pick_step(graph, part, block_weights, max_block_weight: int):

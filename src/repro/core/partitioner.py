@@ -29,7 +29,6 @@ from repro.core.refinement.lp_refine import lp_refine
 from repro.graph import _native
 from repro.graph import access as graph_access
 from repro.graph.compressed import compress_graph
-from repro.memory.report import MemoryReport
 from repro.memory.tracker import MemoryTracker
 from repro.obs.tracer import NULL_TRACER, SpanTracer
 from repro.parallel.cost_model import CostModel
@@ -48,7 +47,6 @@ class PartitionResult:
     wall_seconds: float
     modeled_seconds: float
     peak_bytes: int
-    memory: MemoryReport
     num_levels: int
     config_name: str
     phase_stats: dict = field(default_factory=dict)
@@ -276,7 +274,6 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
         wall_seconds=wall,
         modeled_seconds=modeled,
         peak_bytes=tracker.peak_bytes,
-        memory=MemoryReport.from_tracker(tracker),
         num_levels=num_levels,
         config_name=config.name,
         phase_stats={name: s for name, s in runtime.all_stats().items()},

@@ -8,8 +8,8 @@ so no ledger charges beyond block weights are needed.
 
 One compiled call per round like LP clustering; moves commit sequentially
 with a re-check of the target block's weight.  Under the conflict detector
-the driver runs one chunk a call and records its shared accesses around
-each step.
+the driver makes the same round call and then replays the round to it
+chunk by chunk, in the order the kernel ran the chunks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels.lp_chunk import EDGES, MOVES, NANOS, refinement_round
+from repro.core.kernels.lp_chunk import (
+    EDGES,
+    MOVES,
+    NANOS,
+    refinement_round,
+    replayed_chunks,
+    round_bounds,
+)
 from repro.core.partition import PartitionedGraph
 from repro.graph.access import chunk_adjacency
 from repro.memory.scratch import tracked_empty
@@ -42,8 +49,8 @@ def lp_refine(
     vertices its delta named; ``seeds=None`` sweeps all of ``V`` each round.
 
     A round -- every chunk rated, picked and committed in execution order --
-    is one call into ``lp_kernel.c``; under a conflict detector one chunk a
-    call, and :func:`_recording` tells it what each step touched.
+    is one call into ``lp_kernel.c``; an attached conflict detector hears
+    what each chunk touched afterwards, from :func:`_record`.
     """
     k = pgraph.k
     if k > np.iinfo(np.int32).max:
@@ -59,8 +66,6 @@ def lp_refine(
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
     kernel = refinement_round(g, pgraph.partition, pgraph.block_weights, max_block_weight)
-    # a round a call; under the detector one chunk a call
-    step = _recording(kernel.step, rec, g, pgraph.partition) if rec.active else None
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
@@ -69,22 +74,20 @@ def lp_refine(
         else:
             order = ctx.rng.permutation(frontier)
         with runtime.region(f"lp-refinement-round{_round}"):
-            if step is None:
-                bounds, tids = runtime.chunk_bounds(len(order))
-                # the movers only feed the next round's frontier
-                moved = None if frontier is None else tracked_empty(len(order), name="lp-moved")
-                stats = kernel(order, bounds, moved)
-                items = bounds[:, 1] - bounds[:, 0]
-                runtime.record_chunks("lp-refinement", tids, items, stats[:, NANOS] * 1e-9)
-                rows = stats[:, [EDGES, MOVES]].tolist()
-            else:
-                chunks = runtime.execute(runtime.schedule(order), phase="lp-refinement")
-                # a chunk without an edge records nothing
-                done = [out for out in (step(chunk) for _tid, chunk in chunks) if out]
-                rows = [(edges, len(movers)) for edges, movers in done]
-                moved = [movers for _, movers in done]
+            bounds, tids = round_bounds(runtime, g, order)
+            # the movers feed the next round's frontier and the detector
+            moved = None
+            if frontier is not None or rec.active:
+                moved = tracked_empty(len(order), name="lp-moved")
+            start = pgraph.partition.copy() if rec.active else None
+            stats = kernel(order, bounds, moved)
+            items = bounds[:, 1] - bounds[:, 0]
+            runtime.record_chunks("lp-refinement", tids, items, stats[:, NANOS] * 1e-9)
+            if rec.active:
+                chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, moved)
+                _record(rec, g, start, pgraph.partition, chunks)
         moves = 0
-        for edges, chunk_moves in rows:
+        for edges, chunk_moves in stats[:, [EDGES, MOVES]].tolist():
             if not edges:  # no edge in this chunk
                 continue
             runtime.record(
@@ -99,28 +102,18 @@ def lp_refine(
         if moves == 0:
             break
         if frontier is not None:
-            moved = moved[:moves] if step is None else np.concatenate(moved)
+            moved = moved[:moves]
             frontier = np.union1d(moved, chunk_adjacency(g, moved)[1])
     ctx.tracer.add("refine.lp_moves", total_moves)
     return total_moves
 
 
-def _recording(step, rec, graph, part):
-    """``step`` with each chunk's shared accesses recorded, read off the
-    chunk and the step's outputs: the neighbours' blocks, the movers' blocks
-    and the weights of their old and new blocks."""
-
-    def recorded(chunk):
-        nbrs = chunk_adjacency(graph, chunk)[1]
-        before = part[chunk]
-        out = step(chunk)
-        if out is None:
-            return None
-        moved = out[1]
-        rec.read("partition", nbrs)
-        rec.atomic("partition", moved)
-        old = before[np.isin(chunk, moved)]
-        rec.atomic("block-weights", np.concatenate([old, part[moved]]))
-        return out
-
-    return recorded
+def _record(rec, graph, start, part, chunks) -> None:
+    """Tell the detector what each chunk of a round touched, in the order the
+    chunks ran (:func:`~repro.core.kernels.lp_chunk.replayed_chunks`): the
+    neighbours' blocks, the movers' blocks and the weights of their old
+    (``start``, the round-start blocks) and new blocks."""
+    for chunk, movers, _ in chunks:
+        rec.read("partition", chunk_adjacency(graph, chunk)[1])
+        rec.atomic("partition", movers)
+        rec.atomic("block-weights", np.concatenate([start[movers], part[movers]]))

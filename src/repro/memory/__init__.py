@@ -21,7 +21,7 @@ from repro.memory.tracker import (
     MemoryTracker,
     PhaseStats,
 )
-from repro.memory.report import MemoryReport, render_phase_breakdown
+from repro.memory.report import render_phase_breakdown
 from repro.memory.scratch import (
     install_ledger,
     tracked_empty,
@@ -36,7 +36,6 @@ __all__ = [
     "MemoryBudgetExceeded",
     "MemoryTracker",
     "PhaseStats",
-    "MemoryReport",
     "render_phase_breakdown",
     "install_ledger",
     "tracked_empty",

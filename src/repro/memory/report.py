@@ -1,13 +1,10 @@
 """Rendering of memory ledgers into the breakdowns shown in the paper.
 
 :func:`render_phase_breakdown` reproduces the layout of Figure 2 (memory per
-phase, per level, split by data-structure category) as an ASCII table;
-:class:`MemoryReport` aggregates tracker state for benchmark harnesses.
+phase, per level, split by data-structure category) as an ASCII table.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.memory.tracker import MemoryTracker
 
@@ -19,28 +16,6 @@ def fmt_bytes(n: float) -> str:
             return f"{n:.2f} {unit}" if unit != "B" else f"{int(n)} B"
         n /= 1024
     raise AssertionError("unreachable")
-
-
-@dataclass
-class MemoryReport:
-    """Summary of a tracker after a partitioning run."""
-
-    peak_bytes: int
-    peak_breakdown: dict[str, int]
-    phase_peaks: dict[str, int]
-
-    @classmethod
-    def from_tracker(cls, tracker: MemoryTracker) -> "MemoryReport":
-        return cls(
-            peak_bytes=tracker.peak_bytes,
-            peak_breakdown=tracker.peak_breakdown,
-            phase_peaks={p: s.peak_bytes for p, s in tracker.phases().items()},
-        )
-
-    def dominant_category(self) -> str:
-        if not self.peak_breakdown:
-            return "none"
-        return max(self.peak_breakdown.items(), key=lambda kv: kv[1])[0]
 
 
 def render_phase_breakdown(tracker: MemoryTracker, *, max_depth: int = 3) -> str:

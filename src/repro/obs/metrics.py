@@ -10,7 +10,7 @@ document with four sections:
 * ``waterfall`` -- the per-phase peak-memory waterfall (Figure 2): for every
   ledger-coupled span, the exact ``MemoryTracker`` phase peak and the
   category breakdown *at the peak sample* (breakdown values sum to the
-  peak, and entries equal ``MemoryReport.phase_peaks`` byte-for-byte),
+  peak, and entries equal the tracker's ``phases()`` peaks byte-for-byte),
 * ``threads`` -- per-(region, tid) chunk/item/time attribution from
   :meth:`ParallelRuntime.execute`.
 

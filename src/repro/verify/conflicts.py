@@ -20,7 +20,8 @@ unsynchronized (plain) write:
 A *region* is one parallel loop between barriers (one LP round, one
 contraction chunk sweep); :meth:`ConflictDetector.begin_region` clears the
 access maps because the barrier orders everything before it.  The current
-virtual thread is announced by :meth:`ParallelRuntime.execute`; accesses
+virtual thread is announced by :meth:`ParallelRuntime.execute`, or by the LP
+drivers as they replay a round the kernel ran in one call; accesses
 recorded with no current thread (sequential sections) are ignored.
 
 Because the analysis is membership-based rather than timing-based, a

@@ -196,8 +196,8 @@ class SharedAccessRecorder:
     Binding is cheap; with no detector attached every record method is a
     declaration check plus an early return, so kernels can keep one code
     path.  Index arrays that cost work to collect are gathered only when
-    :attr:`active` -- the LP drivers wrap their step in a recording one
-    then, and run the same step either way.
+    :attr:`active` -- the LP drivers make the same round call either way,
+    and then replay the round's chunks to the recorder.
     """
 
     __slots__ = ("detector", "kernel", "_modes")

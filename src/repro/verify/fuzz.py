@@ -15,8 +15,9 @@ rests on: a declared race shows up as a detector conflict under at least
 one schedule; a schedule-dependent *outcome* shows up as an isomorphism or
 invariant failure.
 
-The LP drivers record whichever step runs, so the matrix checks the compiled
-chunk when it is loaded.  The deliberate race lives here, not in the kernels.
+The LP drivers replay to the detector the round call they make, so the
+matrix checks the compiled round entry production runs.  The deliberate
+race lives here, not in the kernels.
 """
 
 from __future__ import annotations

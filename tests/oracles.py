@@ -93,7 +93,8 @@ from repro.memory.scratch import (
 # --------------------------------------------------------------------- #
 def clustering_step(graph, clusters, cluster_weights, max_cluster_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    the ``step`` of :func:`repro.core.kernels.lp_chunk.clustering_round`."""
+    ``clustering_step`` in ``tests/test_lp_kernel.py`` (the kernel's round
+    over one chunk)."""
     n = graph.n
     vwgt = np.asarray(graph.vwgt)
     none = np.empty(0, dtype=np.int64)
@@ -159,8 +160,8 @@ def clustering_step(graph, clusters, cluster_weights, max_cluster_weight):
 
 def refinement_step(graph, part, block_weights, max_block_weight):
     """The numpy pipeline of one chunk: ``step(chunk)`` with the contract of
-    the ``step`` of :func:`repro.core.kernels.lp_chunk.refinement_round`
-    (``max_block_weight`` one limit a block)."""
+    ``refinement_step`` in ``tests/test_lp_kernel.py`` (``max_block_weight``
+    one limit a block)."""
     g = graph
     k = len(block_weights)
     vwgt = np.asarray(g.vwgt)
@@ -204,10 +205,10 @@ def refinement_step(graph, part, block_weights, max_block_weight):
 class OracleRound:
     """A round entry of ``lp_kernel.c`` on a chunk step: ``round(order,
     bounds, moved)`` runs ``step`` over the chunks in order and returns
-    their stats rows, ``step`` is the step itself."""
+    their stats rows."""
 
-    def __init__(self, step, row, favorites=None) -> None:
-        self.step, self._row, self._favorites = step, row, favorites
+    def __init__(self, step, row) -> None:
+        self.step, self._row = step, row
 
     def __call__(self, order, bounds, moved=None) -> np.ndarray:
         bounds = np.asarray(bounds, dtype=np.int64).reshape(-1, 2)

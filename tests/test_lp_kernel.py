@@ -25,6 +25,7 @@ decoding kernel to the same contract on corrupt streams.
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import dataclasses
 import itertools
@@ -37,7 +38,6 @@ from hypothesis import strategies as st
 
 import oracles
 import repro
-from repro.core.coarsening import lp_clustering
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
 from repro.core.config import DebugConfig, ObsConfig, preset
 from repro.core.context import PartitionContext
@@ -49,6 +49,7 @@ from repro.graph import generators as gen
 from repro.graph.access import chunk_adjacency, chunk_segments
 from repro.graph.compressed import compress_graph, decompress_graph
 from repro.graph.csr import CSRGraph
+from repro.parallel.runtime import ParallelRuntime
 from repro.verify.fuzz import _make_ctx
 from test_bulk_decode import _body, _clone, _hand_built
 from test_initial_kernel import Guarded
@@ -139,17 +140,49 @@ class DecodeCalls:
 # --------------------------------------------------------------------- #
 # chunk by chunk: the two steps of each driver, side by side
 # --------------------------------------------------------------------- #
+def one_chunk(kernel, chunk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(chunk, row, moved, scratch)`` of ``chunk`` run through a round
+    entry as a round of one chunk: its stats row, its movers and its
+    per-vertex scratch rows."""
+    chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+    moved = np.empty(len(chunk), dtype=np.int64)
+    row = kernel(chunk, np.array([0, len(chunk)], dtype=np.int64), moved)[0]
+    return chunk, row, moved[: row[lp_chunk.MOVES]], kernel.scratch[:, : len(chunk)]
+
+
 def clustering_step(graph, clusters, cluster_weights, cap, maps):
-    """The kernel's clustering step: its round entry over one chunk."""
+    """The kernel's clustering step: its round entry over one chunk.  The
+    step returns ``None`` for a chunk without edges, else ``(edges, fav_us,
+    fav, nc, targets, moved)``: the chunk vertices that have a neighbour
+    and the favorite cluster of each, per chunk vertex its number of
+    distinct neighbour clusters, how many vertices had a target, and the
+    vertices moved -- ``clusters`` / ``cluster_weights`` already updated."""
     favorites = np.arange(graph.n, dtype=np.int64)
     kernel = lp_chunk.clustering_round(
         graph, clusters, cluster_weights, cap, maps, favorites, t_bump=1
     )
-    return kernel.step
+
+    def step(chunk):
+        chunk, row, moved, (fav, _, nc) = one_chunk(kernel, chunk)
+        if not row[lp_chunk.EDGES]:
+            return None
+        rated = nc > 0
+        edges, targets = int(row[lp_chunk.EDGES]), int(row[lp_chunk.TARGETS])
+        return edges, chunk[rated], fav[rated], nc.copy(), targets, moved
+
+    return step
 
 
 def refinement_step(graph, part, block_weights, limits):
-    return lp_chunk.refinement_round(graph, part, block_weights, limits).step
+    """The same for LP refinement: ``None`` or ``(edges, moved)`` --
+    ``part`` / ``block_weights`` already updated."""
+    kernel = lp_chunk.refinement_round(graph, part, block_weights, limits)
+
+    def step(chunk):
+        _, row, moved, _ = one_chunk(kernel, chunk)
+        return (int(row[lp_chunk.EDGES]), moved) if row[lp_chunk.EDGES] else None
+
+    return step
 
 
 class ClusteringPair:
@@ -555,6 +588,37 @@ class TestDegenerateRounds:
         assert calls[0] > 0 and calls[1] > 0
 
 
+def test_heavy_first_runs_a_refinement_round_heaviest_chunks_first(monkeypatch):
+    """Under ``heavy-first`` LP refinement hands its kernel the chunks in
+    descending edge order, as clustering does -- not in issue order, which
+    is what its equal-sized chunks would give if weighed by size."""
+    graph = gen.weblike(1500, 8.0, seed=4)
+    runtime = ParallelRuntime(4, chunk_size=64, schedule_policy="heavy-first")
+    cfg = preset("terapart", seed=1, p=4)
+    ctx = PartitionContext(cfg, 4, graph.total_vertex_weight, runtime=runtime)
+    rounds = []
+    build = lp_refine_module.refinement_round
+
+    def recording(*args):
+        kernel = build(*args)
+
+        def call(order, bounds, moved=None):
+            rounds.append((order.copy(), bounds.copy()))
+            return kernel(order, bounds, moved)
+
+        return call
+
+    monkeypatch.setattr(lp_refine_module, "refinement_round", recording)
+    pgraph = PartitionedGraph(graph, 4, random_assignment(graph, 4))
+    lp_refine(pgraph, ctx, int(1.1 * -(-graph.total_vertex_weight // 4)), rounds=2)
+    degrees = np.asarray(graph.degrees)
+    assert rounds
+    for order, bounds in rounds:
+        edges = [int(degrees[order[lo:hi]].sum()) for lo, hi in bounds.tolist()]
+        assert edges == sorted(edges, reverse=True)
+        assert bounds[:, 0].tolist() != sorted(bounds[:, 0].tolist())
+
+
 def test_a_traced_partition_slices_threads_as_the_oracle_does():
     """Every ``(phase, tid)`` thread slice counts the same chunks and items
     on the round kernel as on the oracle's chunk loop, and its seconds --
@@ -716,28 +780,29 @@ class TestEdges:
             lp_refine(pgraph, context(graph), 100)
 
     def test_the_conflict_detector_watches_the_kernel_steps(self, monkeypatch):
-        """With the detector listening both drivers build their kernel round
-        and run it one chunk a call."""
-        built = collections.Counter()
-
-        def counting(module, name):
-            build = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                built[name] += 1
-                return build(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        counting(lp_clustering, "clustering_round")
-        counting(lp_refine_module, "refinement_round")
+        """With the detector listening, every LP round -- clustering and
+        refinement, on every level -- is one kernel call inside the round's
+        parallel region, the call production makes; the detector hears the
+        round replayed after it."""
         calls = KernelCalls(monkeypatch)
+        region = ParallelRuntime.region
+        rounds = collections.Counter()
+
+        @contextlib.contextmanager
+        def counted(self, phase):
+            before = calls.calls.copy()
+            with region(self, phase):
+                yield
+            lp = ("clustering", "lp-refinement")
+            entry = [i for i, name in enumerate(lp) if phase.startswith(name)]
+            assert list((calls.calls - before).elements()) == entry, phase
+            rounds.update(entry)
+
+        monkeypatch.setattr(ParallelRuntime, "region", counted)
         cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
-        graph = gen.rgg2d(600, 8.0, seed=1)
-        result = repro.partition(graph, 4, cfg)
-        assert built["clustering_round"] > 0 and built["refinement_round"] > 0
-        # one call a chunk: more calls than rounds
-        assert calls.calls[0] > built["clustering_round"] and calls.calls[1] > 0
+        result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
+        assert rounds[0] > 0 and rounds[1] > 0
+        assert calls.calls == rounds  # no round entry called outside a round
         assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
 
 
@@ -759,10 +824,11 @@ def selfcheck_report(graph, name: str):
 
 @pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])
 def test_the_detector_hears_the_same_accesses_on_both_paths(inject_race):
-    """The drivers record off the chunk and the step's outputs, so the
-    kernel and the oracle report the same conflicts over as many accesses:
-    fuzzed schedules of both LP variants, CSR and compressed, with and
-    without the injected race."""
+    """The drivers replay a round from its stats rows and movers, which the
+    oracle's round fills as the kernel does, so the kernel and the oracle
+    report the same conflicts over as many accesses: fuzzed schedules of
+    both LP variants, CSR and compressed, with and without the injected
+    race."""
     graphs = (gen.rgg2d(300, 8.0, seed=2), compress_graph(gen.weblike(300, 7.0, seed=2)))
     found = 0
     for graph, policy, p, two_phase in itertools.product(
@@ -773,6 +839,57 @@ def test_the_detector_hears_the_same_accesses_on_both_paths(inject_race):
         assert got[1] > 0
         found += len(got[0])
     assert bool(found) == inject_race
+
+
+#: per cell of the detector matrix below (graph, policy, p, LP variant): the
+#: accesses recorded and the conflicts of the injected race, as the detector
+#: heard them when it ran the kernel one chunk a call; without the race there
+#: are none.  The replay of the round call must hear exactly these.
+DETECTOR_GOLDEN = {
+    ("rgg2d", "random", 2, "two-phase"): (10418, 126),
+    ("rgg2d", "random", 2, "classic"): (10418, 126),
+    ("rgg2d", "random", 4, "two-phase"): (10418, 200),
+    ("rgg2d", "random", 4, "classic"): (10418, 200),
+    ("rgg2d", "heavy-first", 2, "two-phase"): (10477, 141),
+    ("rgg2d", "heavy-first", 2, "classic"): (10477, 141),
+    ("rgg2d", "heavy-first", 4, "two-phase"): (10477, 215),
+    ("rgg2d", "heavy-first", 4, "classic"): (10477, 215),
+    ("weblike", "random", 2, "two-phase"): (8977, 118),
+    ("weblike", "random", 2, "classic"): (8806, 118),
+    ("weblike", "random", 4, "two-phase"): (8977, 174),
+    ("weblike", "random", 4, "classic"): (8806, 174),
+    ("weblike", "heavy-first", 2, "two-phase"): (9037, 124),
+    ("weblike", "heavy-first", 2, "classic"): (8839, 124),
+    ("weblike", "heavy-first", 4, "two-phase"): (9037, 188),
+    ("weblike", "heavy-first", 4, "classic"): (8839, 188),
+}
+#: ``selfcheck_report`` on ``rgg2d(1500)``: (conflicts, accesses recorded, cut)
+SELFCHECK_GOLDEN = {"terapart": (0, 52648, 161), "kaminpar": (0, 49946, 161)}
+
+
+@pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])
+def test_the_detector_hears_what_the_chunk_path_heard(inject_race):
+    graphs = {
+        "rgg2d": gen.rgg2d(300, 8.0, seed=2),
+        "weblike": compress_graph(gen.weblike(300, 7.0, seed=2)),
+    }
+    got = {}
+    for (name, graph), policy, p, two_phase in itertools.product(
+        graphs.items(), ("random", "heavy-first"), (2, 4), (True, False)
+    ):
+        conflicts, accesses = detector_report(graph, policy, p, two_phase, inject_race)
+        got[name, policy, p, "two-phase" if two_phase else "classic"] = (accesses, len(conflicts))
+    want = {
+        cell: (accesses, race if inject_race else 0)
+        for cell, (accesses, race) in DETECTOR_GOLDEN.items()
+    }
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ["terapart", "kaminpar"])
+def test_a_selfcheck_partition_hears_what_the_chunk_path_heard(name):
+    conflicts, accesses, cut = selfcheck_report(gen.rgg2d(1500, 8.0, seed=2), name)
+    assert (len(conflicts), accesses, cut) == SELFCHECK_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", ["terapart", "kaminpar"])

@@ -1,28 +1,7 @@
 """Tests for memory report rendering (repro.memory.report)."""
 
 from repro.memory import MemoryTracker
-from repro.memory.report import MemoryReport, render_phase_breakdown
-
-
-class TestMemoryReport:
-    def test_from_tracker(self):
-        t = MemoryTracker()
-        with t.phase("a"):
-            aid = t.alloc("x", 1000, "graph")
-        t.free(aid)
-        report = MemoryReport.from_tracker(t)
-        assert report.peak_bytes == 1000
-        assert report.phase_peaks["a"] == 1000
-        assert report.dominant_category() == "graph"
-
-    def test_dominant_category_empty(self):
-        assert MemoryReport.from_tracker(MemoryTracker()).dominant_category() == "none"
-
-    def test_dominant_category_picks_largest(self):
-        t = MemoryTracker()
-        t.alloc("a", 10, "small")
-        t.alloc("b", 1000, "big")
-        assert MemoryReport.from_tracker(t).dominant_category() == "big"
+from repro.memory.report import render_phase_breakdown
 
 
 class TestRenderPhaseBreakdown:

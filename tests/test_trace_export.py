@@ -17,6 +17,7 @@ import pytest
 import repro
 from repro.core import config as C
 from repro.graph import generators as gen
+from repro.memory import MemoryTracker
 from repro.obs.export import chrome_trace, chrome_trace_events, render_level_summary
 
 GOLDEN = Path(__file__).parent / "data" / "golden_trace_tree.json"
@@ -24,16 +25,21 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace_tree.json"
 MANDATORY_KEYS = ("name", "ph", "ts", "pid", "tid")
 
 
-def mini_run():
+def mini_run(tracker=None):
     """The deterministic mini-run the golden tree is generated from."""
     graph = gen.weblike(400, avg_degree=8, seed=5)
     cfg = C.preset("terapart", seed=3, p=4).with_(obs=C.ObsConfig(enabled=True))
-    return repro.partition(graph, 4, cfg)
+    return repro.partition(graph, 4, cfg, tracker=tracker)
 
 
 @pytest.fixture(scope="module")
-def traced_result():
-    return mini_run()
+def tracker():
+    return MemoryTracker()
+
+
+@pytest.fixture(scope="module")
+def traced_result(tracker):
+    return mini_run(tracker)
 
 
 def test_every_event_has_mandatory_keys(traced_result):
@@ -86,19 +92,19 @@ def test_span_tree_matches_golden(traced_result):
     )
 
 
-def test_waterfall_agrees_with_memory_report(traced_result):
+def test_waterfall_agrees_with_memory_report(traced_result, tracker):
     """The acceptance criterion: per-phase peak-memory entries in the
-    metrics JSON equal ``MemoryReport.phase_peaks`` byte-for-byte, and each
-    breakdown sums exactly to its peak."""
+    metrics JSON equal the run's tracker's phase peaks byte-for-byte, and
+    each breakdown sums exactly to its peak."""
     obs = traced_result.obs
-    phase_peaks = traced_result.memory.phase_peaks
+    phase_peaks = {phase: stats.peak_bytes for phase, stats in tracker.phases().items()}
     assert obs["waterfall"], "waterfall must not be empty"
     for entry in obs["waterfall"]:
         assert entry["phase"] in phase_peaks
         assert entry["peak_bytes"] == phase_peaks[entry["phase"]]
         assert sum(entry["breakdown"].values()) == entry["peak_bytes"]
-    # the global peak and its breakdown agree with the report as well
-    assert obs["peak_bytes"] == traced_result.peak_bytes
+    # the global peak and its breakdown agree with the tracker as well
+    assert obs["peak_bytes"] == traced_result.peak_bytes == tracker.peak_bytes
     assert sum(obs["peak_breakdown"].values()) == obs["peak_bytes"]
 
 
