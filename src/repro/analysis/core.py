@@ -175,7 +175,7 @@ class Module:
 def terminal_name(node: ast.AST) -> str | None:
     """Rightmost-but-one identifier of a call receiver.
 
-    ``runtime.execute`` -> "runtime"; ``self.tracer.span`` -> "tracer";
+    ``runtime.region`` -> "runtime"; ``self.tracer.span`` -> "tracer";
     ``ctx.phase`` -> "ctx".
     """
     if isinstance(node, ast.Attribute):

@@ -1,6 +1,7 @@
 """Pass 1: parallel-access discipline (PA001-PA005).
 
-Kernels dispatched through :meth:`ParallelRuntime.execute` must route every
+Kernels that run a parallel region (``with runtime.region(...)``, the
+chunks of :meth:`ParallelRuntime.chunk_bounds` inside) must route every
 shared-array access through a :class:`~repro.verify.declarations
 .SharedAccessRecorder` bound to a declared kernel key.  This pass
 cross-references the kernel ASTs against the *same* declaration registry
@@ -20,7 +21,7 @@ Codes:
   aliases a declared shared array (``AccessDecl.vars``) whose declaration
   grants neither ``write`` nor ``atomic`` -- a store bypassing the
   recorder's discipline entirely.
-* ``PA004`` (warning) -- function iterates ``runtime.execute(...)`` but
+* ``PA004`` (warning) -- function opens ``with runtime.region(...)`` but
   binds no recorder and records nothing: parallel work with no access
   declarations at all.
 * ``PA005`` (error) -- ``recorder_for(..., key)`` with a key missing from
@@ -248,15 +249,13 @@ def run(mod: Module) -> list[Finding]:
                         )
                     )
 
-    # PA004: execute loop in a function with no declarations at all
+    # PA004: parallel region in a function with no declarations at all
     for node in ast.walk(mod.tree):
-        if not isinstance(node, (ast.For, ast.AsyncFor)):
-            continue
-        it = node.iter
-        if not (
-            isinstance(it, ast.Call)
-            and isinstance(it.func, ast.Attribute)
-            and it.func.attr == "execute"
+        if not isinstance(node, (ast.With, ast.AsyncWith)) or not any(
+            isinstance(item.context_expr, ast.Call)
+            and isinstance(item.context_expr.func, ast.Attribute)
+            and item.context_expr.func.attr == "region"
+            for item in node.items
         ):
             continue
         fn = mod.enclosing_function(node)
@@ -277,10 +276,10 @@ def run(mod: Module) -> list[Finding]:
                     "PA004",
                     "warning",
                     mod.rel,
-                    node.iter.lineno,
-                    f"{mod.qualname(node)} dispatches parallel work via "
-                    "execute() without binding a SharedAccessRecorder or "
-                    "recording any accesses",
+                    node.lineno,
+                    f"{mod.qualname(node)} runs a parallel region without "
+                    "binding a SharedAccessRecorder or recording any "
+                    "accesses",
                     subject=mod.qualname(node),
                 )
             )

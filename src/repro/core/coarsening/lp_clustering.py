@@ -192,12 +192,7 @@ def label_propagation_clustering(
                 # straggler span for classic LP: the largest neighborhood is
                 # scanned by a single thread (two-phase parallelizes it)
                 if not two_phase:
-                    runtime.record(
-                        phase_name,
-                        work=0.0,
-                        span=float(max_degree),
-                        sequential=False,
-                    )
+                    runtime.record(phase_name, work=0.0, span=float(max_degree))
             tracer.add("lp.rounds", 1)
             tracer.add("lp.moves", moves)
             tracer.add("lp.bumped", bumped_total)

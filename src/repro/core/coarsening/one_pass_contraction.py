@@ -30,6 +30,8 @@ inside the call; only a chunk holding a hub is decoded first.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.core.context import PartitionContext
@@ -90,27 +92,28 @@ def contract_one_pass(
     # chunk finishes within ~p positions of its index.  Model that with a
     # bounded perturbation (a full shuffle would destroy the vertex-ID
     # locality real runs retain, measurably hurting downstream quality).
-    sched = runtime.schedule(np.arange(n_coarse, dtype=np.int64))
+    cs = runtime.chunk_size
+    n_chunks = -(-n_coarse // cs)
     # the jitter is always drawn so the rng stream is independent of any
     # schedule-policy override the verify layer installs
-    jitter = ctx.rng.uniform(0.0, 2.0 * runtime.p, size=sched.num_chunks)
-    default_order = np.argsort(np.arange(sched.num_chunks) + jitter)
+    jitter = ctx.rng.uniform(0.0, 2.0 * runtime.p, size=n_chunks)
+    default_order = np.argsort(np.arange(n_chunks) + jitter)
     chunk_weights = None
     if runtime.schedule_policy == "heavy-first":
-        chunk_weights = np.array(
-            [int(offsets[c[-1] + 1] - offsets[c[0]]) for c in sched.chunks],
-            dtype=np.int64,
-        )
+        # a chunk weighs its members
+        chunk_weights = np.diff(offsets[np.minimum(np.arange(n_chunks + 1) * cs, n_coarse)])
+    det = ctx.detector
+    seconds = np.zeros(n_chunks)
     with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
-        for _tid, leader_idx in runtime.execute(
-            sched,
-            weights=chunk_weights,
-            default_order=default_order,
-            phase="contraction",
-        ):
-            # leader_idx: indices into `leaders`, a run of consecutive ones,
-            # so the chunk's members are a run of `member_order` too
-            a, b = int(leader_idx[0]), int(leader_idx[-1]) + 1
+        bounds, tids = runtime.chunk_bounds(
+            n_coarse, weights=chunk_weights, default=default_order
+        )
+        for j, ((a, b), tid) in enumerate(zip(bounds.tolist(), tids.tolist())):
+            if det is not None:
+                det.current_tid = tid
+            t0 = time.perf_counter()
+            # [a, b): a run of consecutive indices into `leaders`, so the
+            # chunk's members are a run of `member_order` too
             chunk_leaders = leaders[a:b]
             # B_t: the chunk's coarse neighbourhoods, grouped by coarse
             # vertex (clusters ascending within each)
@@ -120,13 +123,13 @@ def contract_one_pass(
             bumped += int(np.sum(nc >= t_bump))
 
             # dual-counter transaction for the whole chunk (buffered CAS)
-            d_prev, s_prev = dual.fetch_add(len(pc), len(leader_idx))
+            d_prev, s_prev = dual.fetch_add(len(pc), b - a)
 
             # place the neighbourhoods at E'[d_prev:]
             eprime_dst[d_prev : d_prev + len(pc)] = pc
             eprime_w[d_prev : d_prev + len(pc)] = pw
-            pprime[s_prev : s_prev + len(leader_idx)] = d_prev + np.cumsum(nc) - nc
-            new_ids = s_prev + np.arange(len(leader_idx), dtype=np.int64)
+            pprime[s_prev : s_prev + b - a] = d_prev + np.cumsum(nc) - nc
+            new_ids = s_prev + np.arange(b - a, dtype=np.int64)
             new_id_of_leader[chunk_leaders] = new_ids
             new_vwgt[new_ids] = cluster_weights[chunk_leaders]
 
@@ -138,9 +141,7 @@ def contract_one_pass(
                     rec.write(
                         "coarse-edges", np.arange(d_prev, d_prev + len(pc))
                     )
-                rec.write(
-                    "coarse-indptr", np.arange(s_prev, s_prev + len(leader_idx))
-                )
+                rec.write("coarse-indptr", np.arange(s_prev, s_prev + b - a))
                 rec.write("new-id-of-leader", chunk_leaders)
                 rec.write("coarse-vwgt", new_ids)
 
@@ -151,13 +152,15 @@ def contract_one_pass(
                 bytes_moved=edge_bytes * edges + 16.0 * len(pc),
                 atomic_ops=1,
             )
+            seconds[j] = time.perf_counter() - t0
+        runtime.record_chunks("contraction", tids, bounds[:, 1] - bounds[:, 0], seconds)
 
     m2_coarse = dual.d
     assert dual.s == n_coarse
     pprime[n_coarse] = m2_coarse
     tracer = ctx.tracer
     tracer.add("contraction.coarse_edges", m2_coarse)
-    tracer.add("contraction.cas_transactions", sched.num_chunks)
+    tracer.add("contraction.cas_transactions", n_chunks)
     tracer.add("contraction.bumped_clusters", bumped)
 
     # remap endpoints from old cluster IDs to new coarse IDs (Fig. 3, bottom)

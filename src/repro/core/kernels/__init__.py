@@ -1,7 +1,7 @@
 """Chunk-granular numpy bulk kernels for the hot phases (ROADMAP item 1).
 
-Every kernel in this package operates on *one chunk* of work as handed out
-by :meth:`repro.parallel.runtime.ParallelRuntime.execute` -- the kernels
+Every kernel in this package operates on *one chunk* of work, bounded by
+:meth:`repro.parallel.runtime.ParallelRuntime.chunk_bounds` -- the kernels
 never schedule work themselves and never hold state across chunks, so the
 simulated-parallel semantics (ownership, conflict detection, deterministic
 replay) are entirely the caller's.  The contract:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.graph.compressed import CompressedGraph, _compress_packets, _csr_packets
 from repro.graph.csr import CSRGraph
-from repro.parallel.runtime import ParallelRuntime
+from repro.parallel.runtime import ParallelRuntime, balanced_cuts
 
 
 def compressed_size_upper_bound(
@@ -83,11 +83,13 @@ def compress_graph_parallel(
             overcommit=True,
         )
 
-    # packets of consecutive vertices with similar edge counts
-    schedule = runtime.schedule_balanced(
-        np.arange(n, dtype=np.int64), np.maximum(degrees, 1)
-    )
-    cuts = np.cumsum([0, *map(len, schedule.chunks)])
+    # packets of consecutive vertices with similar edge counts (a vertex
+    # weighs at least 1), about one per chunk of vertices
+    cuts = np.zeros(1, dtype=np.int64)
+    if n:
+        prefix = np.concatenate(([0], np.cumsum(np.maximum(degrees, 1))))
+        n_chunks = -(-n // runtime.chunk_size)
+        cuts = balanced_cuts(prefix, max(float(prefix[-1]) / n_chunks, 1.0))
     traces: list[PacketTrace] = []
     thread_buf_aids: dict[int, int] = {}
 
@@ -98,7 +100,7 @@ def compress_graph_parallel(
     # time; the tracker charges the per-thread high-water mark.
     def claim_range(packet, claim: int, buffer_bytes: int) -> None:
         packet_id = len(traces)
-        tid = schedule.owner[packet_id]
+        tid = packet_id % runtime.p
         first_edge = packet[1]
         num_vertices = len(first_edge) - 1
         if tracker is not None:

@@ -12,7 +12,7 @@ document with four sections:
   category breakdown *at the peak sample* (breakdown values sum to the
   peak, and entries equal the tracker's ``phases()`` peaks byte-for-byte),
 * ``threads`` -- per-(region, tid) chunk/item/time attribution from
-  :meth:`ParallelRuntime.execute`.
+  :meth:`ParallelRuntime.record_chunks`.
 
 Benchmarks consume this registry instead of re-measuring: a
 ``BENCH_*.json`` produced from ``--metrics-json`` is regression-comparable

@@ -4,8 +4,9 @@ A *span* is a named, nested interval of work (a phase, a hierarchy level, a
 refinement pass).  Spans carry:
 
 * the algorithm phase and multilevel hierarchy ``level`` they belong to,
-* virtual-thread attribution (``tid``) for work done inside
-  :meth:`~repro.parallel.runtime.ParallelRuntime.execute` loops,
+* virtual-thread attribution (``tid``) for the chunks of parallel loops,
+  reported through
+  :meth:`~repro.parallel.runtime.ParallelRuntime.record_chunks`,
 * named counters (edges decoded, LP bumps, FM moves, gain-table width mix),
 * memory snapshots from the :class:`~repro.memory.tracker.MemoryTracker`
   taken at every span boundary -- enter bytes, exit bytes, and the in-span
@@ -207,9 +208,9 @@ class SpanTracer:
     ) -> None:
         """Attribute one executed chunk to ``(phase, tid)``.
 
-        Called by :meth:`ParallelRuntime.execute` when a tracer is attached;
-        aggregation (rather than one span per chunk) keeps traces of
-        million-chunk runs small.
+        Called by :meth:`ParallelRuntime.record_chunks` when a tracer is
+        attached; aggregation (rather than one span per chunk) keeps traces
+        of million-chunk runs small.
         """
         key = (phase, tid)
         ts = self.thread_slices.get(key)

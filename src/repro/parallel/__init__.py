@@ -4,9 +4,9 @@ CPython's GIL rules out real parallel refinement (see DESIGN.md), so this
 package provides a *deterministic simulation* of the paper's TBB runtime:
 
 * :class:`ParallelRuntime` schedules work items over ``p`` virtual threads in
-  chunks, giving every algorithm the same structure it has in the paper --
-  per-thread scratch data really exists once per virtual thread, so the
-  memory ledger reproduces the ``O(n*p)`` vs ``O(n)`` distinction exactly.
+  chunks, giving every algorithm the same loop structure it has in the
+  paper: one chunk walk (``chunk_bounds``) hands every loop the bounds of
+  its chunks, their run order and their virtual threads.
 * :mod:`repro.parallel.atomics` emulates the atomic primitives the paper
   relies on (fetch-add with returned previous value; the double-width
   compare-and-swap used by one-pass contraction) and counts contended
@@ -16,14 +16,13 @@ package provides a *deterministic simulation* of the paper's TBB runtime:
 """
 
 from repro.parallel.atomics import AtomicArray, AtomicCounter, DualCounter
-from repro.parallel.runtime import ChunkSchedule, ParallelRuntime, WorkStats
+from repro.parallel.runtime import ParallelRuntime, WorkStats
 from repro.parallel.cost_model import CostModel, MachineModel, PhaseCost
 
 __all__ = [
     "AtomicArray",
     "AtomicCounter",
     "DualCounter",
-    "ChunkSchedule",
     "ParallelRuntime",
     "WorkStats",
     "CostModel",

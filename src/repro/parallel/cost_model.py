@@ -7,10 +7,11 @@ explicitly: each phase reports total work ``W``, critical-path span ``S``,
 bytes moved ``B`` and atomic-op count ``A``; the modelled parallel time on
 ``p`` cores is
 
-    T(p) = max( (W-W_seq)/min(p, P_max) + W_seq + S ,  B / BW(p) )
+    T(p) = max( W/min(p, P_max) + S ,  B / BW(p) )
            +  A/p * c_atomic * contention(p)
 
-where ``BW(p)`` is a saturating bandwidth curve (linear up to the number of
+where ``P_max`` caps the threads a phase can use (``1`` for a sequential
+one), ``BW(p)`` is a saturating bandwidth curve (linear up to the number of
 memory channels' worth of cores, then flat) and ``contention(p)`` grows
 mildly with ``p``.  Self-relative speedup is ``T(1)/T(p)``.
 
@@ -72,12 +73,8 @@ class CostModel:
 
     def phase_time(self, stats: WorkStats, p: int) -> PhaseCost:
         m = self.machine
-        parallel_work = stats.work - stats.sequential_work
         effective_p = max(1.0, min(float(p), stats.max_parallelism))
-        compute = (
-            parallel_work / (effective_p * m.work_rate)
-            + (stats.sequential_work + stats.span) / m.work_rate
-        )
+        compute = stats.work / (effective_p * m.work_rate) + stats.span / m.work_rate
         bandwidth = stats.bytes_moved / m.bandwidth(p)
         atomics = stats.atomic_ops / p * m.atomic_cost * m.contention(p)
         return PhaseCost(stats.name, compute, bandwidth, atomics)

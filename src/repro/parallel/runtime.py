@@ -1,38 +1,34 @@
 """Deterministic virtual-thread scheduler.
 
 All "parallel" loops in this reproduction run through
-:class:`ParallelRuntime`.  The runtime splits a work order into chunks and
-assigns chunks to ``p`` virtual threads round-robin, exactly like a static
-TBB partitioner would.  Execution is sequential (one virtual thread at a
-time), but:
+:class:`ParallelRuntime`.  The runtime splits a loop over ``count``
+positions into chunks of ``chunk_size`` and assigns chunks to ``p`` virtual
+threads round-robin, exactly like a static TBB partitioner would.  There is
+one chunk walk, :meth:`ParallelRuntime.chunk_bounds`: the ``[lo, hi)``
+bounds of every chunk in the order they run, with their virtual threads.
+Execution is sequential (one virtual thread at a time), but:
 
-* per-thread scratch structures are allocated once per virtual thread
-  through :meth:`ParallelRuntime.thread_locals`, so the memory ledger sees
-  the true ``O(n*p)`` footprint of the classic algorithms;
-* chunk assignment is a pure function of ``(p, chunk_size, order)``, so runs
+* chunk assignment is a pure function of ``(p, chunk_size, count)``, so runs
   are reproducible regardless of ``p``;
 * every loop reports work/span/bytes-moved into :class:`WorkStats`, which the
   cost model converts into modelled parallel running times;
 * the *execution order* of chunks is pluggable (:data:`SCHEDULE_POLICIES`):
   by default chunks run in issue order, but a policy can replay the same
   loop under reversed, seeded-random, or adversarial heavy-first
-  interleavings.  Kernels iterate via :meth:`ParallelRuntime.execute`, which
-  also announces the current virtual thread to an attached
-  :class:`~repro.verify.conflicts.ConflictDetector` -- the schedule-fuzzing
-  substrate of the verify layer.
+  interleavings.  A loop walking the bounds announces each chunk's virtual
+  thread to an attached :class:`~repro.verify.conflicts.ConflictDetector`
+  (inside :meth:`ParallelRuntime.region`, which hands the thread back at
+  the barrier) -- the schedule-fuzzing substrate of the verify layer -- and
+  reports the chunk times to an attached span tracer through
+  :meth:`ParallelRuntime.record_chunks`.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
 
 #: Recognized chunk-execution orders.  ``issue`` is the model default (the
 #: order chunks are created, i.e. a static TBB partitioner with no work
@@ -59,16 +55,7 @@ class WorkStats:
     span: float = 0.0  # irreducible critical-path work units
     bytes_moved: float = 0.0  # memory traffic estimate
     atomic_ops: int = 0
-    sequential_work: float = 0.0  # work that ran on one thread only
     max_parallelism: float = float("inf")
-
-    def merge(self, other: "WorkStats") -> None:
-        self.work += other.work
-        self.span += other.span
-        self.bytes_moved += other.bytes_moved
-        self.atomic_ops += other.atomic_ops
-        self.sequential_work += other.sequential_work
-        self.max_parallelism = min(self.max_parallelism, other.max_parallelism)
 
 
 def balanced_cuts(prefix: np.ndarray, target: float) -> np.ndarray:
@@ -85,21 +72,6 @@ def balanced_cuts(prefix: np.ndarray, target: float) -> np.ndarray:
     marks = np.arange(target, prefix[-1], target)
     cuts = np.searchsorted(prefix, marks, side="left")
     return np.unique(np.concatenate(([0], cuts, [len(prefix) - 1])))
-
-
-@dataclass
-class ChunkSchedule:
-    """A static assignment of chunks to virtual threads."""
-
-    chunks: list[np.ndarray]
-    owner: list[int]
-
-    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
-        return iter(zip(self.owner, self.chunks))
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.chunks)
 
 
 class ParallelRuntime:
@@ -136,160 +108,62 @@ class ParallelRuntime:
         self._stats: dict[str, WorkStats] = {}
 
     # ------------------------------------------------------------------ #
-    # scheduling
+    # scheduling: the one chunk walk
     # ------------------------------------------------------------------ #
-    def schedule(self, order: np.ndarray) -> ChunkSchedule:
-        """Split ``order`` into chunks assigned round-robin to threads."""
-        n = len(order)
-        if n == 0:
-            return ChunkSchedule([], [])
-        n_chunks = -(-n // self.chunk_size)
-        chunks = [
-            order[i * self.chunk_size : (i + 1) * self.chunk_size]
-            for i in range(n_chunks)
-        ]
-        owner = [i % self.p for i in range(n_chunks)]
-        return ChunkSchedule(chunks, owner)
-
-    def schedule_balanced(
-        self, order: np.ndarray, weights: np.ndarray
-    ) -> ChunkSchedule:
-        """Chunk ``order`` so each chunk has roughly equal total ``weights``.
-
-        This mirrors the paper's compression packets, which contain "a
-        similar number of edges" rather than a similar number of vertices.
-        """
-        n = len(order)
-        if n == 0:
-            return ChunkSchedule([], [])
-        prefix = np.concatenate(([0], np.cumsum(weights)))
-        n_chunks = -(-n // self.chunk_size)
-        cuts = balanced_cuts(prefix, max(float(prefix[-1]) / n_chunks, 1.0))
-        chunks = [order[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
-        owner = [i % self.p for i in range(len(chunks))]
-        return ChunkSchedule(chunks, owner)
-
-    def thread_locals(self, factory: Callable[[int], T]) -> list[T]:
-        """Build one scratch object per virtual thread."""
-        return [factory(tid) for tid in range(self.p)]
-
-    # ------------------------------------------------------------------ #
-    # execution order (schedule policies)
-    # ------------------------------------------------------------------ #
-    def execution_order(
+    def chunk_bounds(
         self,
-        sched: ChunkSchedule,
+        count: int,
         *,
         weights: np.ndarray | None = None,
         default: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Chunk execution order under the configured policy.
-
-        ``weights`` (one entry per chunk, e.g. summed degrees) drives the
-        ``heavy-first`` adversarial order; chunk sizes are used when absent.
-        ``default`` is the order used when no policy is configured -- kernels
-        with their own modelled nondeterminism (one-pass contraction's
-        bounded jitter) pass it so the model default stays untouched.
-        """
-        return self._policy_order(
-            sched.num_chunks, weights, lambda: [len(c) for c in sched.chunks], default
-        )
-
-    def _policy_order(self, n_chunks, weights, sizes, default=None) -> np.ndarray:
-        """:meth:`execution_order` over ``n_chunks`` chunks; ``sizes()``
-        gives heavy-first's chunk sizes when ``weights`` is absent."""
-        identity = np.arange(n_chunks, dtype=np.int64)
-        policy = self.schedule_policy
-        if policy is None:
-            return identity if default is None else np.asarray(default, dtype=np.int64)
-        if policy == "issue":
-            return identity
-        if policy == "reversed":
-            return identity[::-1]
-        if policy == "random":
-            # fresh permutation per parallel region, reproducible per
-            # (schedule_seed, region index)
-            self._region_counter += 1
-            rng = np.random.default_rng(
-                [self.schedule_seed, self._region_counter]
-            )
-            return rng.permutation(n_chunks).astype(np.int64)
-        if policy == "heavy-first":
-            if weights is None:
-                weights = np.asarray(sizes(), dtype=np.int64)
-            return np.argsort(-np.asarray(weights), kind="stable").astype(
-                np.int64
-            )
-        raise ValueError(f"unknown schedule policy {policy!r}")
-
-    def chunk_bounds(
-        self, count: int, *, weights: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(bounds, tids)`` of :meth:`execute` over :meth:`schedule` of an
-        order of ``count`` positions, without the chunks: ``bounds[j]`` is
-        the ``[lo, hi)`` of the ``j``-th chunk to run and ``tids[j]`` its
-        virtual thread.  For a kernel that walks the whole loop in one call;
-        it reports the chunks back through :meth:`record_chunks`.
+        """``(bounds, tids)`` of a loop over ``count`` positions:
+        ``bounds[j]`` is the ``[lo, hi)`` of the ``j``-th chunk to run and
+        ``tids[j]`` its virtual thread (chunk ``i`` covers positions
+        ``i * chunk_size`` on and belongs to thread ``i % p``, whatever the
+        order).  The loop reports the chunks back through
+        :meth:`record_chunks`.
+
+        The run order follows the configured policy.  ``weights`` (one
+        entry per chunk, e.g. summed degrees) drives the ``heavy-first``
+        adversarial order; chunk sizes are used when absent.  ``default``
+        is the order used when no policy is configured -- kernels with their
+        own modelled nondeterminism (one-pass contraction's bounded jitter)
+        pass it so the model default stays untouched.
         """
         cs = self.chunk_size
         n_chunks = -(-count // cs)
-
-        def sizes():
-            return np.minimum(count - cs * np.arange(n_chunks, dtype=np.int64), cs)
-
-        order = self._policy_order(n_chunks, weights, sizes)
+        order = np.arange(n_chunks, dtype=np.int64)
+        policy = self.schedule_policy
+        if policy is None:
+            if default is not None:
+                order = np.asarray(default, dtype=np.int64)
+        elif policy == "reversed":
+            order = order[::-1]
+        elif policy == "random":
+            # fresh permutation per parallel region, reproducible per
+            # (schedule_seed, region index)
+            self._region_counter += 1
+            rng = np.random.default_rng([self.schedule_seed, self._region_counter])
+            order = rng.permutation(n_chunks).astype(np.int64)
+        elif policy == "heavy-first":
+            if weights is None:
+                weights = np.minimum(count - cs * order, cs)
+            order = np.argsort(-np.asarray(weights), kind="stable").astype(np.int64)
         lo = order * cs
         return np.stack([lo, np.minimum(lo + cs, count)], axis=1), order % self.p
 
     def record_chunks(
         self, phase: str, tids: np.ndarray, items: np.ndarray, seconds: np.ndarray
     ) -> None:
-        """What :meth:`execute` tells an attached span tracer per chunk, for
-        chunks a kernel ran in one call (:meth:`chunk_bounds`)."""
+        """Attribute each chunk of a :meth:`chunk_bounds` walk -- its virtual
+        thread, item count and seconds -- to ``(phase, tid)`` of an attached
+        span tracer."""
         tr = self.tracer
         if tr is None or not tr.enabled:
             return
         for tid, n, sec in zip(tids.tolist(), items.tolist(), seconds.tolist()):
             tr.record_chunk(phase, tid, n, sec)
-
-    def execute(
-        self,
-        sched: ChunkSchedule,
-        *,
-        weights: np.ndarray | None = None,
-        default_order: np.ndarray | None = None,
-        phase: str | None = None,
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(tid, chunk)`` in policy order, announcing ``tid``.
-
-        This is the instrumented replacement for iterating a
-        :class:`ChunkSchedule` directly: an attached conflict detector
-        learns which virtual thread issues each subsequent shared-memory
-        access, and an attached span tracer attributes each chunk's wall
-        time to ``(phase, tid)`` (the time between two yields is the
-        consumer's chunk processing).  With no policy, no detector and no
-        tracer it degenerates to plain issue-order iteration.
-        """
-        order = self.execution_order(sched, weights=weights, default=default_order)
-        det = self.detector
-        tr = self.tracer
-        if tr is not None and not tr.enabled:
-            tr = None
-        name = phase or "parallel-region"
-        try:
-            for ci in order.tolist():
-                tid, chunk = sched.owner[ci], sched.chunks[ci]
-                if det is not None:
-                    det.current_tid = tid
-                t0 = time.perf_counter()
-                yield tid, chunk
-                if tr is not None:
-                    tr.record_chunk(name, tid, len(chunk), time.perf_counter() - t0)
-        finally:
-            # also after a break or a raise in the consumer's loop: the
-            # sequential code that follows belongs to no virtual thread
-            if det is not None:
-                det.current_tid = None
 
     # ------------------------------------------------------------------ #
     # conflict-detector attachment
@@ -331,9 +205,6 @@ class ParallelRuntime:
     # ------------------------------------------------------------------ #
     # cost accounting
     # ------------------------------------------------------------------ #
-    def stats(self, name: str) -> WorkStats:
-        return self._stats.setdefault(name, WorkStats(name))
-
     def record(
         self,
         name: str,
@@ -342,18 +213,15 @@ class ParallelRuntime:
         span: float | None = None,
         bytes_moved: float = 0.0,
         atomic_ops: int = 0,
-        sequential: bool = False,
         max_parallelism: float | None = None,
     ) -> None:
         """Record cost for phase ``name``.
 
-        ``sequential=True`` work runs on one thread regardless of ``p``;
         ``span`` adds irreducible critical-path work on top of the
-        ``work / p`` division; ``max_parallelism`` caps usable threads.
+        ``work / p`` division; ``max_parallelism`` caps usable threads
+        (``1``: the phase runs on one thread regardless of ``p``).
         """
-        s = self.stats(name)
-        if sequential:
-            s.sequential_work += work
+        s = self._stats.setdefault(name, WorkStats(name))
         if span is not None:
             s.span += span
         s.work += work
@@ -364,7 +232,4 @@ class ParallelRuntime:
 
     def all_stats(self) -> dict[str, WorkStats]:
         return dict(self._stats)
-
-    def reset_stats(self) -> None:
-        self._stats.clear()
 

@@ -20,8 +20,10 @@ unsynchronized (plain) write:
 A *region* is one parallel loop between barriers (one LP round, one
 contraction chunk sweep); :meth:`ConflictDetector.begin_region` clears the
 access maps because the barrier orders everything before it.  The current
-virtual thread is announced by :meth:`ParallelRuntime.execute`, or by the LP
-drivers as they replay a round the kernel ran in one call; accesses
+virtual thread is announced by the loop walking the region's
+:meth:`ParallelRuntime.chunk_bounds` (one-pass contraction chunk by chunk,
+the LP drivers as they replay a round the kernel ran in one call), and
+:meth:`ParallelRuntime.region` hands it back at the barrier; accesses
 recorded with no current thread (sequential sections) are ignored.
 
 Because the analysis is membership-based rather than timing-based, a
@@ -71,9 +73,9 @@ class _AccessMaps:
 class ConflictDetector:
     """Records per-virtual-thread access sets and flags conflicts.
 
-    Attach to a runtime with :meth:`ParallelRuntime.attach_detector`; the
-    runtime's :meth:`~ParallelRuntime.execute` loop sets
-    :attr:`current_tid` before yielding each chunk.
+    Attach to a runtime with :meth:`ParallelRuntime.attach_detector`; a
+    loop over :meth:`~ParallelRuntime.chunk_bounds` sets
+    :attr:`current_tid` to each chunk's virtual thread before its accesses.
     """
 
     def __init__(self, *, max_conflicts: int = 1000) -> None:

@@ -2,8 +2,8 @@
 dynamic :class:`~repro.verify.conflicts.ConflictDetector` and the static
 ``repro lint`` parallel-access pass.
 
-Every kernel that dispatches work through
-:meth:`~repro.parallel.runtime.ParallelRuntime.execute` must declare, up
+Every kernel that runs a parallel region
+(:meth:`~repro.parallel.runtime.ParallelRuntime.region`) must declare, up
 front, every shared location it touches and the synchronization class of
 each access:
 

@@ -3,13 +3,15 @@
 from repro.verify.declarations import recorder_for
 
 
-def bad_kernel(det, runtime, sched, clusters, vwgt, scratch):
+def bad_kernel(det, runtime, order, clusters, vwgt, scratch):
     rec = recorder_for(det, "lp-clustering")
-    for _tid, chunk in runtime.execute(sched):
-        rec.read("ratings-scratch", chunk)  # PA001: never declared
-        rec.write("clusters", chunk)  # PA002: declared read/atomic only
-        det.record_write("cluster-weights", chunk)  # PA002 via direct call
-        vwgt[chunk] = 0  # PA003: vertex-weights is declared read-only
+    with runtime.region("lp-clustering-round0"):
+        for lo, hi in runtime.chunk_bounds(len(order))[0].tolist():
+            chunk = order[lo:hi]
+            rec.read("ratings-scratch", chunk)  # PA001: never declared
+            rec.write("clusters", chunk)  # PA002: declared read/atomic only
+            det.record_write("cluster-weights", chunk)  # PA002 via direct call
+            vwgt[chunk] = 0  # PA003: vertex-weights is declared read-only
     return clusters
 
 

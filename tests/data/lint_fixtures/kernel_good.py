@@ -5,17 +5,21 @@ import numpy as np
 from repro.verify.declarations import recorder_for
 
 
-def good_kernel(det, runtime, sched, clusters, cluster_weights, vwgt):
+def good_kernel(det, runtime, order, clusters, cluster_weights, vwgt):
     rec = recorder_for(det, "lp-clustering")
-    for _tid, chunk in runtime.execute(sched):
-        nbrs = chunk
-        if rec.active:
-            rec.read("clusters", nbrs)
-            rec.read("vertex-weights", chunk)
-        moved = chunk[clusters[chunk] != 0]
-        if rec.active:
-            rec.atomic("clusters", moved)
-            rec.atomic("cluster-weights", moved)
+    with runtime.region("lp-clustering-round0"):
+        bounds, tids = runtime.chunk_bounds(len(order))
+        for (lo, hi), tid in zip(bounds.tolist(), tids.tolist()):
+            det.current_tid = tid
+            chunk = order[lo:hi]
+            nbrs = chunk
+            if rec.active:
+                rec.read("clusters", nbrs)
+                rec.read("vertex-weights", chunk)
+            moved = chunk[clusters[chunk] != 0]
+            if rec.active:
+                rec.atomic("clusters", moved)
+                rec.atomic("cluster-weights", moved)
     return clusters
 
 

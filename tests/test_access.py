@@ -165,7 +165,7 @@ class TestTraversalCost:
         import repro
         from repro.core import config as C
         from repro.core import partitioner
-        from repro.parallel import runtime
+        from repro.core.coarsening import one_pass_contraction
 
         def no_clock():
             raise AssertionError("the cost model read the clock")
@@ -173,7 +173,7 @@ class TestTraversalCost:
         monkeypatch.setattr(time, "perf_counter", no_clock)
         frozen = SimpleNamespace(perf_counter=lambda: 0.0)
         monkeypatch.setattr(partitioner, "time", frozen)
-        monkeypatch.setattr(runtime, "time", frozen)
+        monkeypatch.setattr(one_pass_contraction, "time", frozen)
         cfg = C.terapart(seed=1)
         assert cfg.compress_input
         first, second = (

@@ -21,7 +21,7 @@ class TestPhaseTime:
 
     def test_sequential_work_does_not_scale(self):
         cm = CostModel()
-        s = _stats(work=1e9, sequential_work=1e9)  # all sequential
+        s = _stats(work=1e9, max_parallelism=1)  # all sequential
         t1 = cm.phase_time(s, 1).compute_seconds
         t96 = cm.phase_time(s, 96).compute_seconds
         assert abs(t1 - t96) < 1e-9
@@ -62,7 +62,8 @@ class TestSpeedups:
 
     def test_amdahl_with_sequential_fraction(self):
         cm = CostModel(MachineModel(bandwidth_cores=10**9))
-        phases = {"a": _stats(work=1e9, sequential_work=1e8)}
+        # a tenth of the work in a one-thread phase
+        phases = {"a": _stats(work=9e8), "seq": _stats(work=1e8, max_parallelism=1)}
         s96 = cm.speedup(phases, 96)
         # Amdahl bound: 1 / (0.1 + 0.9/96)
         assert s96 < 1 / (0.1 + 0.9 / 96) + 1e-6
@@ -79,6 +80,7 @@ class TestSpeedups:
         """Figure 5's pattern: sequential IP amortises on larger graphs."""
         cm = CostModel(MachineModel(bandwidth_cores=10**9))
         fixed_sequential = 1e7
-        small = {"a": _stats(work=1e8, sequential_work=fixed_sequential)}
-        large = {"a": _stats(work=1e10, sequential_work=fixed_sequential)}
+        seq = _stats(work=fixed_sequential, max_parallelism=1)
+        small = {"a": _stats(work=1e8 - fixed_sequential), "seq": seq}
+        large = {"a": _stats(work=1e10 - fixed_sequential), "seq": seq}
         assert cm.speedup(large, 96) > cm.speedup(small, 96)

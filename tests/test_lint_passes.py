@@ -43,11 +43,11 @@ class TestParallelAccess:
     def test_bad_kernel_all_codes(self):
         findings = lint_one(FIXTURES / "kernel_bad.py", "parallel-access")
         assert codes_at(findings) == {
-            ("PA001", 9),
-            ("PA002", 10),
-            ("PA002", 11),
-            ("PA003", 12),
-            ("PA005", 17),
+            ("PA001", 11),
+            ("PA002", 12),
+            ("PA002", 13),
+            ("PA003", 14),
+            ("PA005", 19),
         }
         assert all(f.pass_id == "parallel-access" for f in findings)
         assert all(f.file == "kernel_bad.py" for f in findings)
@@ -61,8 +61,8 @@ class TestParallelAccess:
         """Acceptance: an injected undeclared write is reported with the
         exact file:line and pass ID."""
         src = (FIXTURES / "kernel_good.py").read_text().splitlines()
-        marker = src.index("        nbrs = chunk")
-        src.insert(marker + 1, '        rec.write("partition", chunk)')
+        marker = src.index("            nbrs = chunk")
+        src.insert(marker + 1, '            rec.write("partition", chunk)')
         bad = tmp_path / "injected.py"
         bad.write_text("\n".join(src) + "\n")
         findings = lint_one(bad, "parallel-access")
@@ -612,7 +612,7 @@ class TestEngineRuntimeAgreement:
 # --------------------------------------------------------------------- #
 class TestPhaseVocabularyDrift:
     #: KNOWN_PHASES names that belong to the runtime cost model's kernel
-    #: phases (runtime.execute / ConflictDetector scopes), not the span
+    #: phases (runtime.record / ConflictDetector scopes), not the span
     #: tracer; they never appear as span names.
     RUNTIME_ONLY = frozenset({"fm-pass", "lp-refinement"})
 

@@ -28,7 +28,6 @@ def _stats_signature(result) -> dict:
             s.span,
             s.bytes_moved,
             s.atomic_ops,
-            s.sequential_work,
             s.max_parallelism,
         )
         for name, s in sorted(result.phase_stats.items())

@@ -167,7 +167,7 @@ def test_initial_heap_work_stays_proportional(monkeypatch):
 # over one loop with one run encoder: every vertex, a chunk-encoded hub
 # included, is encoded once by `_encode_run`, one call a packet; no
 # per-vertex scalar encoder is left for a hub.  The packets of all three are
-# cut by `balanced_cuts`, which `schedule_balanced` wraps.
+# cut by `balanced_cuts`.
 def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
     from repro.graph import compressed
     from repro.graph.compression import compress_graph_parallel
@@ -204,15 +204,15 @@ def test_compressors_share_one_bulk_encoder(monkeypatch, tmp_path):
             assert covered == list(range(graph.n)), f"{door}: a vertex not encoded once by a run"
             runs.clear()
 
-    weights = np.array([1, 1, 900, 1, 1, 1, 40, 40, 40, 1, 1, 0, 0, 500, 3, 3])
-    sched = ParallelRuntime(3, chunk_size=4).schedule_balanced(
-        np.arange(len(weights)), weights
-    )
-    prefix = np.concatenate(([0], np.cumsum(weights)))
-    cuts = balanced_cuts(prefix, prefix[-1] / 4)
-    assert [c[0] for c in sched.chunks] == cuts[:-1].tolist()
-    assert [c[-1] + 1 for c in sched.chunks] == cuts[1:].tolist()
-    assert 2 < len(cuts) <= 5
+    # the virtual-thread door: about one packet a chunk of vertices, every
+    # vertex weighing at least 1
+    graph = star(500)
+    _, traces = compress_graph_parallel(graph, ParallelRuntime(3, chunk_size=64))
+    prefix = np.concatenate(([0], np.cumsum(np.maximum(graph.degrees, 1))))
+    cuts = balanced_cuts(prefix, prefix[-1] / 8)
+    assert np.cumsum([0] + [t.num_vertices for t in traces]).tolist() == cuts.tolist()
+    assert [t.thread_id for t in traces] == [i % 3 for i in range(len(traces))]
+    assert 2 < len(cuts) <= 9
 
 
 # The packet encoder is compiled (`repro_encode_run`): each run of
@@ -300,8 +300,8 @@ LP_PIPELINE = (
 
 def _count_one_lp_pass(monkeypatch, graph):
     """Calls made by one clustering + one refinement: the numpy pipeline's
-    four kernels, ``np.argsort``, ``decode_chunk``, the chunks handed out one
-    at a time, the rounds run whole (``chunk_bounds``) and the calls into the
+    four kernels, ``np.argsort``, ``decode_chunk``, the rounds
+    (``chunk_bounds``, the runtime's one chunk walk) and the calls into the
     round entries of the kernel."""
     import sys
     from collections import Counter
@@ -323,12 +323,6 @@ def _count_one_lp_pass(monkeypatch, graph):
 
         return wrapper
 
-    def execute(self, sched, **kwargs):
-        for item in run_chunks(self, sched, **kwargs):
-            calls["chunks"] += 1
-            yield item
-
-    run_chunks = ParallelRuntime.execute
     drivers = [
         sys.modules["repro.core.coarsening.lp_clustering"],
         sys.modules["repro.core.refinement.lp_refine"],
@@ -343,7 +337,6 @@ def _count_one_lp_pass(monkeypatch, graph):
         m.setattr(
             CompressedGraph, "decode_chunk", counted("decode_chunk", CompressedGraph.decode_chunk)
         )
-        m.setattr(ParallelRuntime, "execute", execute)
         m.setattr(
             ParallelRuntime, "chunk_bounds", counted("rounds", ParallelRuntime.chunk_bounds)
         )
@@ -377,9 +370,8 @@ def test_lp_chunk_is_one_compiled_call(monkeypatch):
             f"{kind}: the LP drivers fell back to the numpy pipeline ({reached}); "
             f"did a change make lp_chunk refuse the graph?"
         )
-        # one call a round, no chunk handed out to Python
+        # one call a round
         assert calls["kernel"] == calls["rounds"] > 5, (kind, calls)
-        assert calls["chunks"] == 0, (kind, calls)
         # nor is a chunk of the (hub-free) compressed graph decoded first:
         # the kernel decodes each neighbourhood as it rates it
         assert calls["decode_chunk"] == 0, (kind, calls)

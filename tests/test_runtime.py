@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.graph import generators as gen
+from repro.graph.builder import from_edges
+from repro.graph.compression import compress_graph_parallel
 from repro.parallel.runtime import ParallelRuntime
 
 
@@ -10,24 +13,23 @@ class TestSchedule:
     def test_covers_all_items_once(self):
         rt = ParallelRuntime(4, chunk_size=7)
         order = np.random.default_rng(0).permutation(100)
-        seen = np.concatenate([c for _, c in rt.schedule(order)])
+        bounds, _ = rt.chunk_bounds(len(order))
+        seen = np.concatenate([order[lo:hi] for lo, hi in bounds.tolist()])
         assert np.array_equal(seen, order)
 
     def test_round_robin_ownership(self):
         rt = ParallelRuntime(3, chunk_size=10)
-        sched = rt.schedule(np.arange(45))
-        assert sched.owner == [0, 1, 2, 0, 1]
+        _, tids = rt.chunk_bounds(45)
+        assert tids.tolist() == [0, 1, 2, 0, 1]
 
     def test_empty_order(self):
-        rt = ParallelRuntime(2)
-        sched = rt.schedule(np.empty(0, dtype=np.int64))
-        assert sched.num_chunks == 0
+        bounds, tids = ParallelRuntime(2).chunk_bounds(0)
+        assert bounds.shape == (0, 2)
+        assert len(tids) == 0
 
     def test_chunk_sizes(self):
-        rt = ParallelRuntime(2, chunk_size=8)
-        sched = rt.schedule(np.arange(20))
-        sizes = [len(c) for _, c in sched]
-        assert sizes == [8, 8, 4]
+        bounds, _ = ParallelRuntime(2, chunk_size=8).chunk_bounds(20)
+        assert (bounds[:, 1] - bounds[:, 0]).tolist() == [8, 8, 4]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -36,83 +38,73 @@ class TestSchedule:
             ParallelRuntime(1, chunk_size=0)
 
     def test_deterministic_wrt_p(self):
-        """Chunk contents depend only on order and chunk_size, not p."""
-        order = np.arange(50)
-        c4 = [c.tolist() for _, c in ParallelRuntime(4, chunk_size=6).schedule(order)]
-        c8 = [c.tolist() for _, c in ParallelRuntime(8, chunk_size=6).schedule(order)]
-        assert c4 == c8
+        """Chunk bounds depend only on the count and chunk_size, not p."""
+        b4, _ = ParallelRuntime(4, chunk_size=6).chunk_bounds(50)
+        b8, _ = ParallelRuntime(8, chunk_size=6).chunk_bounds(50)
+        assert b4.tolist() == b8.tolist()
 
 
 class TestScheduleBalanced:
+    """The packets of ``compress_graph_parallel``: runs of consecutive
+    vertices with similar edge counts, owned round-robin."""
+
     def test_covers_all_items(self):
         rt = ParallelRuntime(4, chunk_size=10)
-        order = np.arange(100)
-        weights = np.random.default_rng(1).integers(1, 50, size=100)
-        seen = np.concatenate([c for _, c in rt.schedule_balanced(order, weights)])
-        assert np.array_equal(seen, order)
+        _, traces = compress_graph_parallel(gen.weblike(100, seed=1), rt)
+        assert sum(t.num_vertices for t in traces) == 100
+        assert all(t.num_vertices > 0 for t in traces)
+        assert [t.thread_id for t in traces] == [i % 4 for i in range(len(traces))]
 
     def test_balances_heavy_items(self):
-        rt = ParallelRuntime(2, chunk_size=4)
-        order = np.arange(8)
-        weights = np.array([100, 1, 1, 1, 1, 1, 1, 100])
-        sched = rt.schedule_balanced(order, weights)
-        # the heavy head item should not share a chunk with everything
-        first_chunk = sched.chunks[0]
-        assert len(first_chunk) < 8
+        # two chunks' worth of vertices, half the edges on the hub: the hub
+        # gets a packet of its own
+        _, traces = compress_graph_parallel(gen.star(200), ParallelRuntime(2, chunk_size=100))
+        assert traces[0].num_vertices == 1
+        assert sum(t.num_vertices for t in traces) == 200
 
     def test_empty(self):
-        rt = ParallelRuntime(2)
-        sched = rt.schedule_balanced(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert sched.num_chunks == 0
-
-
-class TestThreadLocals:
-    def test_one_per_thread(self):
-        rt = ParallelRuntime(5)
-        locals_ = rt.thread_locals(lambda tid: {"tid": tid})
-        assert len(locals_) == 5
-        assert [d["tid"] for d in locals_] == list(range(5))
+        # no packet: cutting would divide the summed weight by zero chunks
+        empty = from_edges(0, np.empty((0, 2), dtype=np.int64))
+        cg, traces = compress_graph_parallel(empty, ParallelRuntime(3, chunk_size=64))
+        assert (cg.n, bytes(cg.data), cg.offsets.tolist()) == (0, b"", [0])
+        assert traces == []
 
 
 class TestStats:
     def test_record_parallel_work(self):
         rt = ParallelRuntime(8)
         rt.record("phase", work=80.0)
-        s = rt.stats("phase")
+        s = rt.all_stats()["phase"]
         assert s.work == 80.0
         assert s.span == 0.0  # no irreducible critical path recorded
 
     def test_sequential_work_tracked_separately(self):
+        """A one-thread phase is its own phase with ``max_parallelism=1``."""
         rt = ParallelRuntime(8)
-        rt.record("phase", work=80.0, sequential=True)
-        s = rt.stats("phase")
-        assert s.sequential_work == 80.0
+        rt.record("sequential", work=80.0, max_parallelism=1)
+        rt.record("parallel", work=80.0)
+        stats = rt.all_stats()
+        assert stats["sequential"].work == stats["parallel"].work == 80.0
+        assert stats["sequential"].max_parallelism == 1
+        assert stats["parallel"].max_parallelism == float("inf")
 
     def test_explicit_span_accumulates(self):
         rt = ParallelRuntime(8)
         rt.record("phase", work=80.0, span=5.0)
         rt.record("phase", work=80.0, span=7.0)
-        assert rt.stats("phase").span == 12.0
+        assert rt.all_stats()["phase"].span == 12.0
 
     def test_max_parallelism_takes_minimum(self):
         rt = ParallelRuntime(8)
         rt.record("phase", work=1.0, max_parallelism=16)
         rt.record("phase", work=1.0, max_parallelism=4)
-        assert rt.stats("phase").max_parallelism == 4
+        assert rt.all_stats()["phase"].max_parallelism == 4
 
     def test_stats_accumulate(self):
         rt = ParallelRuntime(2)
         rt.record("x", work=10, bytes_moved=100, atomic_ops=3)
         rt.record("x", work=20, bytes_moved=200, atomic_ops=4)
-        s = rt.stats("x")
+        s = rt.all_stats()["x"]
         assert s.work == 30
         assert s.bytes_moved == 300
         assert s.atomic_ops == 7
-
-    def test_reset(self):
-        rt = ParallelRuntime(2)
-        rt.record("x", work=1)
-        rt.reset_stats()
-        assert rt.all_stats() == {}

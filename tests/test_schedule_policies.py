@@ -5,13 +5,25 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
+from repro.core.coarsening.one_pass_contraction import contract_one_pass
+from repro.core.config import terapart
+from repro.core.context import PartitionContext
+from repro.graph import generators as gen
+from repro.obs.tracer import SpanTracer
 from repro.parallel.runtime import SCHEDULE_POLICIES, ParallelRuntime
 from repro.verify.conflicts import ConflictDetector
 
 
 def _chunk_lists(runtime, order):
-    sched = runtime.schedule(order)
-    return [c.tolist() for _, c in runtime.execute(sched)]
+    """The chunks of a loop over ``order``, in the order they run."""
+    bounds, _ = runtime.chunk_bounds(len(order))
+    return [order[lo:hi].tolist() for lo, hi in bounds.tolist()]
+
+
+def _run_order(runtime, count, **kwargs):
+    """Indices of the chunks of a ``count``-position loop, in run order."""
+    bounds, _ = runtime.chunk_bounds(count, **kwargs)
+    return (bounds[:, 0] // runtime.chunk_size).tolist()
 
 
 class TestExecutionOrder:
@@ -21,9 +33,7 @@ class TestExecutionOrder:
 
     def test_default_is_issue_order(self):
         rt = ParallelRuntime(2, chunk_size=4)
-        sched = rt.schedule(np.arange(20))
-        order = rt.execution_order(sched)
-        assert order.tolist() == list(range(sched.num_chunks))
+        assert _run_order(rt, 20) == list(range(5))
 
     def test_issue_policy_matches_default(self):
         order = np.arange(30)
@@ -63,28 +73,21 @@ class TestExecutionOrder:
 
     def test_heavy_first_uses_weights(self):
         rt = ParallelRuntime(2, chunk_size=2, schedule_policy="heavy-first")
-        sched = rt.schedule(np.arange(8))
         weights = np.array([1, 9, 3, 7])
-        order = rt.execution_order(sched, weights=weights)
-        assert order.tolist() == [1, 3, 2, 0]
+        assert _run_order(rt, 8, weights=weights) == [1, 3, 2, 0]
 
     def test_heavy_first_falls_back_to_chunk_sizes(self):
         rt = ParallelRuntime(2, chunk_size=4, schedule_policy="heavy-first")
-        sched = rt.schedule(np.arange(10))  # sizes 4, 4, 2
-        order = rt.execution_order(sched)
-        assert order.tolist()[-1] == 2  # the short tail chunk runs last
+        # sizes 4, 4, 2: the short tail chunk runs last
+        assert _run_order(rt, 10)[-1] == 2
 
     def test_default_order_passthrough_without_policy(self):
         rt = ParallelRuntime(2, chunk_size=4)
-        sched = rt.schedule(np.arange(12))
-        custom = np.array([2, 0, 1])
-        assert rt.execution_order(sched, default=custom).tolist() == [2, 0, 1]
+        assert _run_order(rt, 12, default=np.array([2, 0, 1])) == [2, 0, 1]
 
     def test_policy_overrides_default_order(self):
         rt = ParallelRuntime(2, chunk_size=4, schedule_policy="reversed")
-        sched = rt.schedule(np.arange(12))
-        custom = np.array([2, 0, 1])
-        assert rt.execution_order(sched, default=custom).tolist() == [2, 1, 0]
+        assert _run_order(rt, 12, default=np.array([2, 0, 1])) == [2, 1, 0]
 
 
 class TestExecute:
@@ -92,46 +95,63 @@ class TestExecute:
     def test_every_item_executed_exactly_once(self, policy):
         rt = ParallelRuntime(3, chunk_size=5, schedule_policy=policy)
         order = np.random.default_rng(0).permutation(47)
-        sched = rt.schedule(order)
-        seen = np.concatenate([c for _, c in rt.execute(sched)])
+        seen = np.concatenate(_chunk_lists(rt, order))
         assert sorted(seen.tolist()) == sorted(order.tolist())
 
     def test_owner_stays_attached_to_chunk(self):
         # reordering execution must not reassign chunks to other threads
         rt = ParallelRuntime(3, chunk_size=4, schedule_policy="reversed")
-        sched = rt.schedule(np.arange(24))
-        executed = list(rt.execute(sched))
-        by_chunk = {tuple(c.tolist()): tid for tid, c in executed}
-        for ci, chunk in enumerate(sched.chunks):
-            assert by_chunk[tuple(chunk.tolist())] == ci % 3
+        bounds, tids = rt.chunk_bounds(24)
+        chunks = (bounds[:, 0] // 4).tolist()
+        assert chunks == [5, 4, 3, 2, 1, 0]
+        assert tids.tolist() == [ci % 3 for ci in chunks]
 
     def test_announces_tid_to_detector(self):
-        rt = ParallelRuntime(2, chunk_size=4)
-        det = ConflictDetector()
-        rt.attach_detector(det)
-        det.begin_region("t")
-        seen_tids = []
-        sched = rt.schedule(np.arange(16))
-        for tid, _chunk in rt.execute(sched):
-            assert det.current_tid == tid
-            seen_tids.append(tid)
-        assert det.current_tid is None
-        assert seen_tids == [0, 1, 0, 1]
+        """One-pass contraction walks its bounds announcing each chunk's
+        virtual thread; the region's barrier hands the thread back."""
+        writes = []
+
+        class Spy(ConflictDetector):
+            def record_write(self, array, indices, tid=None):
+                if array == "coarse-vwgt":
+                    writes.append(self.current_tid)
+                super().record_write(array, indices, tid)
+
+        graph = gen.rgg2d(200, seed=1)
+        runtime = ParallelRuntime(2, chunk_size=4, schedule_policy="issue")
+        ctx = PartitionContext(terapart(seed=1), 2, graph.total_vertex_weight, runtime=runtime)
+        det = Spy()
+        runtime.attach_detector(det)
+        tracer = SpanTracer()
+        runtime.attach_tracer(tracer)
+        clusters = np.arange(graph.n, dtype=np.int64) & ~1  # pairs (2i, 2i+1)
+        weights = np.bincount(clusters, minlength=graph.n).astype(np.int64)
+        out = contract_one_pass(graph, clusters, weights, ctx)
+        assert out.coarse.n == 100
+        assert writes == [i % 2 for i in range(25)]
+        assert det.current_tid is None and det.clean
+        # the chunk times reach the tracer once per chunk, under its owner
+        for tid in (0, 1):
+            ts = tracer.thread_slices["contraction", tid]
+            assert (ts.chunks, ts.items) == (13 - tid, 52 - 4 * tid)
 
     @pytest.mark.parametrize("leave", ["break", "raise"])
     def test_leaving_the_loop_early_hands_the_tid_back(self, leave):
-        """After a break or a raise inside the loop the code that follows is
-        sequential: its accesses belong to no virtual thread."""
+        """After a break or a raise inside a region's chunk walk the code
+        that follows is sequential: its accesses belong to no virtual
+        thread."""
         rt = ParallelRuntime(2, chunk_size=4)
         det = ConflictDetector()
         rt.attach_detector(det)
-        det.begin_region("t")
         with pytest.raises(KeyError) if leave == "raise" else nullcontext():
-            for tid, _chunk in rt.execute(rt.schedule(np.arange(16))):
-                if tid == 1:
-                    if leave == "raise":
-                        raise KeyError("inside the loop")
-                    break
+            with rt.region("t"):
+                _, tids = rt.chunk_bounds(16)
+                for tid in tids.tolist():
+                    det.current_tid = tid
+                    if tid == 1:
+                        if leave == "raise":
+                            raise KeyError("inside the loop")
+                        break
         assert det.current_tid is None
         det.record_write("shared", [0])
         assert det.accesses_recorded == 0
