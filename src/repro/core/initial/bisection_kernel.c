@@ -30,14 +30,14 @@
  *     or the queue (which only the kernel writes), every side[] entry is
  *     0 or 1 before it indexes a side weight, and every label and pool kind
  *     is range-checked before it indexes a table;
- *   - heap, moves, grown, queue, orders and the split's outputs are used
- *     only below the capacity passed with them.  n + xadj[n] entries bound
- *     every push count: a vertex is pushed as a seed at most once (growing
- *     seeds only a vertex that is then absorbed or blocked; FM seeds each
- *     boundary vertex once a pass and the heap is emptied between passes)
- *     and as a neighbour only by a vertex being absorbed / moved, which
- *     happens at most once per vertex (and pass) and pushes at most its
- *     degree;
+ *   - heap, moves, grown, queue and the split's outputs are used only
+ *     below the capacity passed with them (the pool's order row: n
+ *     entries).  n + xadj[n] entries bound every push count: a vertex is
+ *     pushed as a seed at most once (growing seeds only a vertex that is
+ *     then absorbed or blocked; FM seeds each boundary vertex once a pass
+ *     and the heap is emptied between passes) and as a neighbour only by a
+ *     vertex being absorbed / moved, which happens at most once per vertex
+ *     (and pass) and pushes at most its degree;
  *   - no signed overflow: the caller admits only workspaces with n and
  *     W = sum |wgt| below 2^62 (so gains and sums of gains fit in int64,
  *     sums of their squares in __int128, and FM's stopping rule compares
@@ -57,7 +57,7 @@
 
 enum {
     ERR_ID = -1,       /* vertex id outside [0, n) */
-    ERR_CAPACITY = -2, /* heap, moves, grown, queue, orders or output would overflow */
+    ERR_CAPACITY = -2, /* heap, moves, grown, queue or output would overflow */
     ERR_SIDE = -3,     /* assignment entry other than 0 or 1 */
     ERR_LABEL = -4     /* label, slot or pool kind out of range */
 };
@@ -429,27 +429,59 @@ enum { KIND_GGG, KIND_BFS, KIND_RANDOM, KINDS };
 /* one stats row a pool slot */
 enum { ROW_KIND, ROW_RAN, ROW_INFEASIBLE, ROW_CUT, ROW_POPS, ROW_PUSHES, ROW_PASSES, ROW_LEN };
 
+#define GOLDEN_GAMMA 0x9e3779b97f4a7c15u
+
+/* splitmix64's output function: a bijection of 64-bit words */
+static inline uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebu;
+    return z ^ (z >> 31);
+}
+
+/* Pool slot `slot`'s visiting order of 0..n-1 for a bisection seeded `seed`:
+ * a Fisher-Yates shuffle (i from n-1 down to 1 swaps i with j = the high
+ * word of r * (i + 1)) fed by splitmix64 from the key
+ * mix64(seed ^ mix64(slot + gamma)).  The slot is mixed before it meets
+ * the seed, so the slots of one seed start from unrelated keys and their
+ * streams do not overlap; an order depends on (seed, slot, n) alone, not on
+ * how many slots the pool has or runs.  tests/oracles.py::slot_order is the
+ * same derivation in Python. */
+static void slot_order(uint64_t seed, int64_t slot, int64_t n, int64_t *order)
+{
+    uint64_t state = mix64(seed ^ mix64((uint64_t)slot + GOLDEN_GAMMA));
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        state += GOLDEN_GAMMA;
+        int64_t j = (int64_t)(((unsigned __int128)mix64(state) * (uint64_t)(i + 1)) >> 64);
+        int64_t swap = order[i];
+        order[i] = order[j];
+        order[j] = swap;
+    }
+}
+
 /* A bisection's whole attempt pool (recursive.bipartition_portfolio): slot
  * i seeds with kind pool[i % pool_len] -- greedy growing, BFS growth or the
- * random walk -- from the next unused row of orders[] (n ids a row; only a
- * slot that runs takes one), polishes the seed with 2-way FM and keeps the
- * best (infeasibility, cut), the first on ties.  A slot is skipped once its
- * kind has run, a feasible assignment exists and the mean of the kind's cuts
- * lies more than `sigmas` standard deviations above the best cut: the rule
- * in doubles with Python's order of operations, exact while every sum of
- * cuts stays below 2^53 (the caller admits attempts * sum |wgt| < 2^53, so
- * sums convert to doubles exactly and each operation rounds once, as
- * Python's).  Writes the best assignment to part[] and one row of ROW_LEN
- * to rows[] a slot (kind, ran, infeasibility, cut, heap pops, heap pushes,
- * FM passes; zeros past the kind for a skipped slot).  Returns the number of
- * orders used, or a negative ERR_*. */
+ * random walk -- from slot_order(seed, i) written into order[] (n entries;
+ * only a slot that runs builds its order), polishes the seed with 2-way FM
+ * and keeps the best (infeasibility, cut), the first on ties.  A slot is
+ * skipped once its kind has run, a feasible assignment exists and the mean
+ * of the kind's cuts lies more than `sigmas` standard deviations above the
+ * best cut: the rule in doubles with Python's order of operations, exact
+ * while every sum of cuts stays below 2^53 (the caller admits attempts *
+ * sum |wgt| < 2^53, so sums convert to doubles exactly and each operation
+ * rounds once, as Python's).  Writes the best assignment to part[] and one
+ * row of ROW_LEN to rows[] a slot (kind, ran, infeasibility, cut, heap
+ * pops, heap pushes, FM passes; zeros past the kind for a skipped slot).
+ * Returns 0 or a negative ERR_*. */
 int64_t repro_bisect_pool(
     int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
     const int64_t *vwgt, int64_t target0, int64_t max0, int64_t max1,
     const int64_t *pool, int64_t pool_len, int64_t attempts, double sigmas,
-    int64_t rounds, int64_t patience, const int64_t *orders, int64_t order_count,
+    int64_t rounds, int64_t patience, uint64_t seed,
     int64_t *gain, uint8_t *in_block, uint8_t *blocked, uint8_t *visited,
-    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *fm_gain,
+    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *order, int64_t *fm_gain,
     uint8_t *locked, int64_t *kept, int64_t *moves, int64_t moves_cap,
     int32_t *part, int64_t *rows, int64_t *heap, int64_t heap_cap, int64_t *work)
 {
@@ -458,7 +490,7 @@ int64_t repro_bisect_pool(
     /* per kind: runs, sum and sum of squares of the post-FM cuts */
     int64_t runs[KINDS] = {0}, cuts[KINDS] = {0};
     __int128 squares[KINDS] = {0};
-    int64_t total = 0, used = 0, best_infeasible = 0, best_cut = 0;
+    int64_t total = 0, best_infeasible = 0, best_cut = 0;
     int have_best = 0;
 
     if (n < 0 || pool_len <= 0)
@@ -481,9 +513,7 @@ int64_t repro_bisect_pool(
             if (mean - sigmas * sqrt(0.0 > variance ? 0.0 : variance) > (double)best_cut)
                 continue;
         }
-        if (used >= order_count)
-            return ERR_CAPACITY;
-        const int64_t *order = orders + used++ * n;
+        slot_order(seed, slot, n, order);
         const int64_t pops = work[POPS], pushes = work[PUSHES], passes = work[PASSES];
 
         /* the seed: block 0 is what the search grew, everything else is 1 */
@@ -546,7 +576,7 @@ int64_t repro_bisect_pool(
     }
     for (int64_t u = 0; u < n; u++)
         part[u] = best_side[u];
-    return used;
+    return 0;
 }
 
 /* one row of repro_split's info a slot */

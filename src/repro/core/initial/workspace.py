@@ -102,10 +102,13 @@ class _Scratch:
     the ledger name its Python list has (subgraphs are never larger, so the
     root allocates them once).  The kernels initialise what they use."""
 
-    __slots__ = ("_held",)
+    __slots__ = ("_held", "_pool")
 
     def __init__(self) -> None:
         self._held: dict[str, tuple[np.ndarray, int]] = {}
+        # (n, rounds, attempts, stats rows, their address, pointers) of the
+        # last pool: good for any smaller pool until an array moves
+        self._pool = None
 
     def get(self, name: str, size: int, dtype) -> tuple[np.ndarray, int]:
         """``(the first size entries, their address)``."""
@@ -113,10 +116,41 @@ class _Scratch:
         if held is None or len(held[0]) < size:
             array = tracked_empty(size, dtype, name=name)
             held = self._held[name] = (array, array.ctypes.data)
+            self._pool = None
         return held[0][:size], held[1]
 
     def pointers(self, *specs) -> list[int]:
         return [self.get(*spec)[1] for spec in specs]
+
+    def fm(self, n: int, rounds: int) -> list[int]:
+        """2-way FM's scratch for ``rounds`` passes on ``n`` vertices."""
+        return self.pointers(
+            ("fm2way-gains", n, np.int64),
+            ("fm2way-locked", n, np.uint8),
+            ("fm2way-kept", rounds, np.int64),
+            ("fm2way-moves", rounds * n, np.int64),
+        )
+
+    def pool(self, n: int, rounds: int, attempts: int):
+        """``(stats rows, their address, scratch pointers)`` of a pool on
+        ``n`` vertices: looked up once a recursion, again only when a pool
+        is larger or shaped differently, or an array moved."""
+        memo = self._pool
+        if memo is None or memo[0] < n or memo[1:3] != (rounds, attempts):
+            rows, rows_at = self.get("bisection-pool-stats", attempts * len(ROW_FIELDS), np.int64)
+            pointers = self.pointers(
+                ("bipartition-gain", n, np.int64),
+                ("bipartition-in-block", n, np.uint8),
+                ("bipartition-blocked", n, np.uint8),
+                ("bipartition-visited", n, np.uint8),
+                ("bipartition-grown", n, np.int64),
+                ("fm2way-side", n, np.int8),
+                ("bisection-best-side", n, np.int8),
+                ("bisection-orders", n, np.int64),
+            ) + self.fm(n, rounds)
+            rows = rows.reshape(attempts, len(ROW_FIELDS))
+            memo = self._pool = (n, rounds, attempts, rows, rows_at, pointers)
+        return memo[3:]
 
 
 class BisectionKernels:
@@ -133,7 +167,6 @@ class BisectionKernels:
         self._arrays = arrays  # the pointers below are only good while these live
         self._graph = pointers or tuple(None if a is None else a.ctypes.data for a in arrays)
         self._scratch = scratch
-        # (sum of |edge weights|, largest degree): bounds for every subgraph
         self._bounds = bounds
         self._heap = None
         self.work = np.zeros(4, dtype=np.int64)
@@ -176,7 +209,10 @@ class BisectionKernels:
             why = f"the summed |edge weights| {total} are not below 2^62"
         if why is not None:
             raise ValueError(f"the compiled bisection cannot hold this graph: {why}")
-        bounds = (total, int(degrees.max(initial=0)))
+        # (W, largest degree, most attempts whose cut sums stay exact): bounds
+        # for every subgraph, since subgraphs only drop edges
+        most = (_native.CUT_SUM_LIMIT - 1) // total if total else math.inf
+        bounds = (total, int(degrees.max(initial=0)), most)
         return cls(n, (xadj, adj, wgt, vwgt), functions, _Scratch(), bounds)
 
     def _run(self, fn, *args) -> int:
@@ -215,15 +251,6 @@ class BisectionKernels:
         count = self._run(self._functions[1], order.ctypes.data, target0, visited_at, queue_at, n)
         return queue[:count]
 
-    def _fm_scratch(self, rounds: int) -> list[int]:
-        n = self.n
-        return self._scratch.pointers(
-            ("fm2way-gains", n, np.int64),
-            ("fm2way-locked", n, np.uint8),
-            ("fm2way-kept", rounds, np.int64),
-            ("fm2way-moves", rounds * n, np.int64),
-        )
-
     def fm2way(self, part, max_weights, rounds: int, patience: int) -> list[list[int]]:
         """The kept prefix of each 2-way FM pass run from ``part``, in order."""
         if rounds <= 0:
@@ -234,7 +261,7 @@ class BisectionKernels:
         max0, max1 = map(_native.clamp_weight, max_weights)
         passes = self._run(
             self._functions[2], max0, max1, rounds, patience, side_at,
-            *self._fm_scratch(rounds), rounds * n,
+            *self._scratch.fm(n, rounds), rounds * n,
         )  # fmt: skip
         kept = get("fm2way-kept", rounds, np.int64)[0]
         moves = get("fm2way-moves", rounds * n, np.int64)[0]
@@ -248,48 +275,30 @@ class BisectionKernels:
         would round (:func:`repro.graph._native.cut_sum_error`), raise a
         ``ValueError`` before anything is drawn.
 
-        Every attempt that runs draws one ``rng.permutation(n)``; all
-        ``attempts`` orders are drawn up front, and afterwards ``rng`` is
-        rewound to where the last order used left it -- the stream of the
-        attempts run one by one.  A refusal rewinds it to where it was."""
-        n, get = self.n, self._scratch.get
+        The pool draws one 64-bit seed from ``rng``, whatever ``attempts``
+        is and however many slots run; the kernel derives slot ``i``'s order
+        from ``(seed, i)``.  A refusal leaves ``rng`` where it was."""
+        n = self.n
         rounds = max(rounds, 0)
         if min(max0, max1) < 0:
             raise ValueError(f"bisection caps {max0}, {max1}: a cap is negative")
-        why = _native.cut_sum_error(attempts, self._bounds[0])
-        if why is not None:
+        if max(1, attempts) > self._bounds[2]:
+            why = _native.cut_sum_error(attempts, self._bounds[0])
             raise ValueError(f"the compiled bisection pool cannot sum its cuts: {why}")
-        orders, orders_at = get("bisection-orders", attempts * n, np.int64)
-        before = rng.bit_generator.state
-        states = []
-        for row in orders.reshape(attempts, n):
-            row[:] = rng.permutation(n)
-            states.append(rng.bit_generator.state)
+        rows, rows_at, pointers = self._scratch.pool(n, rounds, attempts)
         part = tracked_empty(n, np.int32, name="bipartition-part")
-        rows, rows_at = get("bisection-pool-stats", attempts * len(ROW_FIELDS), np.int64)
-        pointers = self._scratch.pointers(
-            ("bipartition-gain", n, np.int64),
-            ("bipartition-in-block", n, np.uint8),
-            ("bipartition-blocked", n, np.uint8),
-            ("bipartition-visited", n, np.uint8),
-            ("bipartition-grown", n, np.int64),
-            ("fm2way-side", n, np.int8),
-            ("bisection-best-side", n, np.int8),
-        )
         clamp = _native.clamp_weight
+        before = rng.bit_generator.state
         try:
-            used = self._run(
+            self._run(
                 self._functions[3], clamp(target0), clamp(max0), clamp(max1),
                 kinds.ctypes.data, len(kinds), attempts, sigmas, rounds, fm_patience(n),
-                orders_at, attempts, *pointers, *self._fm_scratch(rounds), rounds * n,
-                part.ctypes.data, rows_at,
+                rng.bit_generator.random_raw(), *pointers, rounds * n, part.ctypes.data, rows_at,
             )  # fmt: skip
         except ValueError:
             rng.bit_generator.state = before
             raise
-        if used < attempts:
-            rng.bit_generator.state = states[used - 1]
-        return part, rows.reshape(attempts, len(ROW_FIELDS))
+        return part, rows
 
     def split(self, labels, label_count: int, blocks, ids=None) -> list:
         """``[(workspace, ids)]`` of the subgraph each label of ``blocks``

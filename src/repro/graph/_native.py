@@ -81,7 +81,7 @@ ENCODE_DESCENT, ENCODE_DUPLICATE, ENCODE_WEIGHT = -8, -9, -10
 #: buffer they refuse (one enum in the source, one table here)
 BISECTION_ERRORS = {
     -1: "vertex id out of range",
-    -2: "heap, moves, grown, orders or subgraph capacity exhausted",
+    -2: "heap, moves, grown or subgraph capacity exhausted",
     -3: "assignment entry other than 0 or 1",
     -4: "label, slot or pool kind out of range",
 }
@@ -276,11 +276,11 @@ SIGNATURES = {
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
     ],
     # ... = target0, max0, max1, pool, pool_len, attempts, sigmas, rounds,
-    # patience, orders, order_count, gain, in_block, blocked, visited, grown,
-    # side, best_side, fm_gain, locked, kept, moves, moves_cap, part, rows
+    # patience, seed, gain, in_block, blocked, visited, grown, side,
+    # best_side, order, fm_gain, locked, kept, moves, moves_cap, part, rows
     "repro_bisect_pool": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _p, _i64, _i64, ctypes.c_double, _i64, _i64,
-        _p, _i64, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _p,
+        ctypes.c_uint64, *[_p] * 12, _i64, _p, _p, _p, _i64, _p,
     ],
     # n, xadj, adj, wgt, vwgt, labels, slot_of, label_count, slots, ids,
     # local, out_xadj, out_adj, out_wgt, adj_cap, out_vwgt, out_ids,

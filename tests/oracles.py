@@ -34,7 +34,6 @@ import pytest
 
 import repro
 from repro.core.initial import bipartition, fm2way, recursive
-from repro.core.initial.bipartition import random_bipartition
 from repro.core.initial.recursive import POOL, POOL_SIGMAS
 from repro.core.initial.workspace import BisectionWorkspace, fm_patience
 from repro.core.kernels import (
@@ -1471,13 +1470,43 @@ def lists(ws: BisectionWorkspace) -> tuple[list, list, list, list, object]:
     return ws.xadj.tolist(), dst.tolist(), w.tolist(), ws.vwgt.tolist(), charge
 
 
+#: splitmix64's increment and the 64-bit mask of its arithmetic
+GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+MASK64 = (1 << 64) - 1
+
+
+def mix64(z: int) -> int:
+    """splitmix64's output function, ``mix64`` of ``bisection_kernel.c``."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def slot_order(seed: int, slot: int, n: int) -> list[int]:
+    """Pool slot ``slot``'s visiting order of ``0..n-1`` for a bisection
+    seeded ``seed``, as ``slot_order`` of ``bisection_kernel.c`` derives it:
+    Fisher-Yates from the top, ``j`` the high word of ``r * (i + 1)``, ``r``
+    splitmix64's stream from the key ``mix64(seed ^ mix64(slot + gamma))``."""
+    state = mix64(seed ^ mix64((slot + GOLDEN_GAMMA) & MASK64))
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        state = (state + GOLDEN_GAMMA) & MASK64
+        j = (mix64(state) * (i + 1)) >> 64
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
     """:func:`repro.core.initial.bipartition.greedy_graph_growing_bipartition`
     over the workspace's lists."""
     ws = BisectionWorkspace.of(graph)
+    return grow_greedy(ws, rng.permutation(ws.n).tolist(), target_weight0, max_weight0)
+
+
+def grow_greedy(ws, order: list[int], target_weight0, max_weight0):
+    """Greedy graph growing on ``ws`` from the visiting order ``order``."""
     n = ws.n
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    order = rng.permutation(n)
     xadj, adj, wgt, vwgt, _charge = lists(ws)
     in_block = [False] * n
     # a vertex that once exceeded the cap can never fit later (the block
@@ -1490,18 +1519,16 @@ def greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
     counter = 0
     weight0 = 0
     grown: list[int] = []
-
-    unassigned = order.tolist()
     up = 0
 
     while weight0 < target_weight0:
         if not heap:
             # (re)start from a fresh random seed (handles disconnected graphs)
-            while up < n and (in_block[unassigned[up]] or blocked[unassigned[up]]):
+            while up < n and (in_block[order[up]] or blocked[order[up]]):
                 up += 1
             if up >= n:
                 break
-            heappush(heap, (0, counter, unassigned[up]))
+            heappush(heap, (0, counter, order[up]))
             counter += 1
         # gains only grow and the largest is popped first, so the first entry
         # of an unassigned vertex to surface carries its current gain; its
@@ -1532,15 +1559,18 @@ def bfs_bipartition(graph, target_weight0, rng):
     """:func:`repro.core.initial.bipartition.bfs_bipartition` over the
     workspace's lists."""
     ws = BisectionWorkspace.of(graph)
+    return grow_bfs(ws, rng.permutation(ws.n).tolist(), target_weight0)
+
+
+def grow_bfs(ws, order: list[int], target_weight0):
+    """BFS growth on ``ws`` from the visiting order ``order``."""
     n = ws.n
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    order = rng.permutation(n)
     xadj, adj, _, vwgt, _charge = lists(ws)
     visited = [False] * n
     charge = tracked_slots(n, "bipartition-visited")
     weight0 = 0
     grown: list[int] = []
-    order = order.tolist()
     oi = 0
     q: deque[int] = deque()
     while weight0 < target_weight0:
@@ -1559,6 +1589,17 @@ def bfs_bipartition(graph, target_weight0, rng):
                 visited[v] = True
                 q.append(v)
     part[grown] = 0
+    return part
+
+
+def random_walk(ws, order: list[int], target_weight0):
+    """:func:`repro.core.initial.bipartition.random_bipartition` on the
+    visiting order ``order``: block 0 takes the vertices whose preceding
+    weight in it is below the target."""
+    part = tracked_ones(ws.n, np.int32, name="bipartition-part")
+    perm = np.array(order, dtype=np.int64)
+    w = np.asarray(ws.vwgt)[perm]
+    part[perm[: np.searchsorted(np.cumsum(w) - w, target_weight0)]] = 0
     return part
 
 
@@ -1674,7 +1715,10 @@ def split(ws, labels, label_count: int, blocks, ids=None):
 
 
 def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds):
-    """``(best assignment, attempts run)``: the pool as Python loops."""
+    """``(best assignment, attempts run)``: the pool as Python loops, slot
+    ``i`` seeded from :func:`slot_order` of the bisection's one 64-bit draw
+    from ``rng``."""
+    seed = rng.bit_generator.random_raw()
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
     total = ws.total_vertex_weight
@@ -1689,14 +1733,13 @@ def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_ro
             variance = (squares - cuts * mean) / (runs - 1) if runs > 1 else 0.0
             if mean - POOL_SIGMAS * math.sqrt(max(variance, 0.0)) > best_key[1]:
                 continue
+        order = slot_order(seed, attempt, ws.n)
         if kind == "random":
-            part = random_bipartition(ws, target_weight0, rng)
+            part = random_walk(ws, order, target_weight0)
         elif kind == "bfs":
-            part = bfs_bipartition(ws, target_weight0, rng)
+            part = grow_bfs(ws, order, target_weight0)
         else:
-            part = greedy_graph_growing_bipartition(
-                ws, target_weight0, max_weight0, rng
-            )
+            part = grow_greedy(ws, order, target_weight0, max_weight0)
         part = fm2way_refine(
             ws, part, (max_weight0, max_weight1), rounds=fm_rounds
         )

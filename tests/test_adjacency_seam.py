@@ -248,7 +248,8 @@ def test_rebalance_matches_scalar_reference(family, compressed, limits):
 # (d) golden pins, recorded at the commit before the collapse
 #     (the 16 partition pins re-recorded once for PR 17's initial-partitioning
 #     contract: sha1 and cut moved, every ledger peak stayed; the warm-start
-#     pins, which run no initial partitioning, did not move)
+#     pins, which run no initial partitioning, did not move; and the same
+#     again when each pool slot's order came from (seed, slot))
 # --------------------------------------------------------------------- #
 GOLDEN_GRAPHS = {
     "rgg2d": lambda: gen.rgg2d(1500, avg_degree=8, seed=31),
@@ -270,22 +271,22 @@ def golden_config(preset, seed):
 # of partition(graph, 8, config); the full / none tables and localized FM
 # run on no ladder workload
 GOLDEN_PARTITION = {
-    ("terapart-fm", "rgg2d", 1): ("e360cdc3ae0383799208b94cb500f5a4eaeed968", 136, 109677),
-    ("terapart-fm", "rgg2d", 2): ("759331138c1e8936e3dd1c6c876b7591922c008b", 169, 108373),
-    ("terapart-fm", "weblike", 1): ("7a2c0a64031619325b80b05258f77d446915d0ad", 1337, 313154),
-    ("terapart-fm", "weblike", 2): ("84a62911b1c9f538dae578dbdb45805c57c58f88", 1341, 311746),
-    ("terapart-fm-full", "rgg2d", 1): ("e360cdc3ae0383799208b94cb500f5a4eaeed968", 136, 121645),
-    ("terapart-fm-full", "rgg2d", 2): ("759331138c1e8936e3dd1c6c876b7591922c008b", 169, 121645),
-    ("terapart-fm-full", "weblike", 1): ("7a2c0a64031619325b80b05258f77d446915d0ad", 1337, 313154),
-    ("terapart-fm-full", "weblike", 2): ("84a62911b1c9f538dae578dbdb45805c57c58f88", 1341, 311746),
-    ("terapart-fm-none", "rgg2d", 1): ("e360cdc3ae0383799208b94cb500f5a4eaeed968", 136, 109677),
-    ("terapart-fm-none", "rgg2d", 2): ("759331138c1e8936e3dd1c6c876b7591922c008b", 169, 108373),
-    ("terapart-fm-none", "weblike", 1): ("7a2c0a64031619325b80b05258f77d446915d0ad", 1337, 313154),
-    ("terapart-fm-none", "weblike", 2): ("84a62911b1c9f538dae578dbdb45805c57c58f88", 1341, 311746),
-    ("terapart-fm-localized", "rgg2d", 1): ("1ac163bfc13ff18c545348a97bc866265860f01d", 134, 109677),
-    ("terapart-fm-localized", "rgg2d", 2): ("4b0043deab17b207e9cdfc694b3b036ff58455d7", 173, 108373),
-    ("terapart-fm-localized", "weblike", 1): ("fc716c891ad7c8b978ed558d0a913d4260e71ac0", 1354, 313154),
-    ("terapart-fm-localized", "weblike", 2): ("9e873bf6800ee461ed3f05fdc380f2d6398fbd46", 1384, 311746),
+    ("terapart-fm", "rgg2d", 1): ("05266bd336e77fccceb8bc92fb280fd0242be5ff", 127, 109677),
+    ("terapart-fm", "rgg2d", 2): ("106ffb0469e84a8ea2ac7a50dd19d68ba9ea68db", 209, 108373),
+    ("terapart-fm", "weblike", 1): ("86687f582a61cf1f3922f6f41fe037f4a6d275a9", 1437, 313154),
+    ("terapart-fm", "weblike", 2): ("cb4e3076f281cc9a9b92d24bc11a4c0cb67e5814", 1452, 311746),
+    ("terapart-fm-full", "rgg2d", 1): ("05266bd336e77fccceb8bc92fb280fd0242be5ff", 127, 121645),
+    ("terapart-fm-full", "rgg2d", 2): ("106ffb0469e84a8ea2ac7a50dd19d68ba9ea68db", 209, 121645),
+    ("terapart-fm-full", "weblike", 1): ("86687f582a61cf1f3922f6f41fe037f4a6d275a9", 1437, 313154),
+    ("terapart-fm-full", "weblike", 2): ("cb4e3076f281cc9a9b92d24bc11a4c0cb67e5814", 1452, 311746),
+    ("terapart-fm-none", "rgg2d", 1): ("05266bd336e77fccceb8bc92fb280fd0242be5ff", 127, 109677),
+    ("terapart-fm-none", "rgg2d", 2): ("106ffb0469e84a8ea2ac7a50dd19d68ba9ea68db", 209, 108373),
+    ("terapart-fm-none", "weblike", 1): ("86687f582a61cf1f3922f6f41fe037f4a6d275a9", 1437, 313154),
+    ("terapart-fm-none", "weblike", 2): ("cb4e3076f281cc9a9b92d24bc11a4c0cb67e5814", 1452, 311746),
+    ("terapart-fm-localized", "rgg2d", 1): ("7b20b6873934ea43a1cd1b742f94328b87bb04de", 135, 109677),
+    ("terapart-fm-localized", "rgg2d", 2): ("a625d059e41e43f36a996a2049a6c2fe3b73ea01", 209, 108373),
+    ("terapart-fm-localized", "weblike", 1): ("21bc11baebcfb40719daca0a3e3af4f3390d53c9", 1516, 313154),
+    ("terapart-fm-localized", "weblike", 2): ("90e5df4bb327a588afb1d1bf49b6216d2af92c28", 1488, 311746),
 }
 
 # refine_partition(graph, 8, overloaded random start, terapart_fm(seed=3),

@@ -182,20 +182,21 @@ PIN_GRAPHS = {
 
 # (baseline, family, seed) -> (sha1 of the int64 partition, cut, peak_bytes)
 # at k=8, recorded before Mt-Metis and SEM moved onto the shared contraction
-# step; the same with and without the compiled library.
+# step; the same with and without the compiled library.  Re-recorded when
+# each pool slot's order came from (seed, slot): sha1 and cut moved, no peak.
 PINS = {
-    ('mtmetis', 'rgg2d', 1): ('1cf8fc14f59b77d0c2fbc726a42d9053c6d0770b', 165, 648480),
-    ('mtmetis', 'rgg2d', 2): ('3d53d1718e6bc02b96503f12d384b3f5eccbb684', 173, 652864),
-    ('mtmetis', 'weblike', 1): ('ddcb6d0868bea07901e588bfc144596f6f1e285f', 1514, 1086728),
-    ('mtmetis', 'weblike', 2): ('523141db3c16930ca4a94823746779a4cec8d3a8', 1464, 1086376),
-    ('mtmetis', 'rhg', 1): ('dcda4682eb36e4c7370ec8563927048704be2db3', 164, 616280),
-    ('mtmetis', 'rhg', 2): ('4c55e8bea3ccb8425c00c47b935d2185240a8abc', 203, 613680),
-    ('sem', 'rgg2d', 1): ('1fe8b61fc7f073030cca96b6a5ecbe33250aec0b', 199, 352664),
-    ('sem', 'rgg2d', 2): ('27b3a8f28797ebb99a722d0b87cc7653c74f5188', 178, 355000),
-    ('sem', 'weblike', 1): ('54ce70e0a59510e45a62523f1882a2a8dbfabeef', 2009, 776768),
-    ('sem', 'weblike', 2): ('9288fca18c21af06f7a4aa1486f873705417c50c', 1735, 771352),
-    ('sem', 'rhg', 1): ('01ba3edb696e8477e428897cb71d12d3ca7ea4a3', 284, 446480),
-    ('sem', 'rhg', 2): ('e16932cbd26463abafe485a41b1d9eac7ad0d759', 270, 441472),
+    ('mtmetis', 'rgg2d', 1): ('6b7e536d072f4eccb571d31f4e2ea39ccc628c43', 185, 648480),
+    ('mtmetis', 'rgg2d', 2): ('62af4bd5ea7d1b1f802e7f628cd5edb5b8c657bc', 232, 652864),
+    ('mtmetis', 'weblike', 1): ('375fd71d175181810534a72d0355843311fe7dfd', 1414, 1086728),
+    ('mtmetis', 'weblike', 2): ('0c201668401059f84601655a1d8ab71d086ae987', 1471, 1086376),
+    ('mtmetis', 'rhg', 1): ('06154915aba3da3deab517700b0887169ba1ef4b', 154, 616280),
+    ('mtmetis', 'rhg', 2): ('6078430606c4aa7e3b792f8b2476ca4f5e418b2a', 132, 613680),
+    ('sem', 'rgg2d', 1): ('3794ee2e4ff2cb7e33d968789b1151d109a70f8d', 175, 352664),
+    ('sem', 'rgg2d', 2): ('35340a67c5c35ac57fbe399acdaf7a113272e23a', 147, 355000),
+    ('sem', 'weblike', 1): ('08e040b5ea992319c396c144b2a14af91b7c183b', 1911, 776768),
+    ('sem', 'weblike', 2): ('8a74afed10ac78827dea86932ab8ecd1c4af9a27', 1707, 771352),
+    ('sem', 'rhg', 1): ('a73334ad949e0efddb73c92ece5e667316eaaedb', 312, 446480),
+    ('sem', 'rhg', 2): ('39b401babd152697f504f0d1b5d0a29e8aaf9caf', 247, 441472),
 }
 BASELINES = {"mtmetis": mtmetis_partition, "sem": sem_partition}
 

@@ -4,7 +4,8 @@
 The oracles are ``oracles.portfolio`` (the pool as Python loops, installed
 in the compiled pool's place) and ``oracles.extract_subgraphs``.  The
 kernel must return the oracle's best assignment byte for byte, leave the
-generator where the oracle leaves it (it pre-draws every order and rewinds),
+generator where the oracle leaves it (one 64-bit draw a bisection: slot i's
+order comes from that seed and i, ``oracles.slot_order`` in Python),
 report each slot as the oracle ran it -- kind, skipped or run,
 infeasibility, cut, heap pops / pushes and FM passes -- and charge its
 scratch under the names the ledger knows; the split must write the CSR
@@ -16,7 +17,9 @@ the inputs as they were; inputs only the oracle's Python integers hold
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.core.initial.deep import deep_initial_partition
 from repro.core.initial.recursive import POOL, bipartition_portfolio, initial_partition
 from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionKernels, BisectionWorkspace
 from repro.core.kernels import two_way_cut
+from repro.dist.dpartitioner import DistConfig, dpartition
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
@@ -91,9 +95,9 @@ def oracle_pool(graph, target, caps, seed, attempts, rounds):
         m.setattr(oracles, "heappush", heappush)
         m.setattr(oracles, "heapify", heapify)
         for kind, name in (
-            ("ggg", "greedy_graph_growing_bipartition"),
-            ("bfs", "bfs_bipartition"),
-            ("random", "random_bipartition"),
+            ("ggg", "grow_greedy"),
+            ("bfs", "grow_bfs"),
+            ("random", "random_walk"),
         ):
             def seeded(*args, _kind=kind, _seed=getattr(oracles, name)):
                 ran.append([_kind, list(counts)])
@@ -216,6 +220,107 @@ class TestPool:
         }  # fmt: skip
         assert names["kernel"] - names["oracle"] == kernel_only
         assert names["oracle"] - names["kernel"] == {"bisection-workspace"}
+
+
+# --------------------------------------------------------------------- #
+# the orders: one 64-bit draw a bisection, slot i's order from (seed, i)
+# --------------------------------------------------------------------- #
+class FixedSeed:
+    """A generator whose one 64-bit draw is ``seed``."""
+
+    def __init__(self, seed: int) -> None:
+        self.bit_generator = SimpleNamespace(state=None, random_raw=lambda: seed)
+
+
+def one_draw_later(seed: int) -> dict:
+    """The state of ``default_rng(seed)`` after one 64-bit draw."""
+    rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(1)
+    return rng.bit_generator.state
+
+
+class TestOrders:
+    #: (seed, slot, n) -> the order, derived once and pinned
+    KNOWN = {
+        (0, 0, 10): [1, 4, 5, 0, 7, 6, 9, 8, 2, 3],
+        ((1 << 64) - 1, 7, 10): [7, 2, 3, 6, 8, 0, 4, 9, 1, 5],
+    }
+
+    @pytest.mark.parametrize("key", list(KNOWN), ids=["seed-0-slot-0", "seed-max-slot-7"])
+    def test_known_answers(self, key):
+        """The Python twin and the kernel each give the pinned order: the
+        derivation cannot drift in both together.  On an edgeless graph no
+        slot is skipped, so the kernel's order row ends on the last slot's."""
+        seed, slot, n = key
+        assert oracles.slot_order(seed, slot, n) == self.KNOWN[key]
+        kernels = BisectionWorkspace(from_edges(n, np.zeros((0, 2), dtype=np.int64))).kernels()
+        _, rows = kernels.pool(recursive._POOL_CODES, n // 2, n, n, FixedSeed(seed), slot + 1, 2, 2.0)
+        assert rows[:, 1].tolist() == [1] * (slot + 1)
+        assert kernels._scratch.get("bisection-orders", n, np.int64)[0].tolist() == self.KNOWN[key]
+
+    def test_orders_are_permutations_and_slots_differ(self):
+        for n in (0, 1, 2, 17):
+            orders = [oracles.slot_order(12345, slot, n) for slot in range(12)]
+            assert all(sorted(order) == list(range(n)) for order in orders)
+        assert len({tuple(order) for order in orders}) == 12
+
+    @pytest.mark.parametrize("attempts", [1, 8, 12])
+    def test_a_bisection_draws_one_64_bit_word(self, attempts):
+        """Whatever the pool size and however many slots run or are skipped,
+        the generator advances by exactly one 64-bit draw."""
+        mesh = gen.rgg2d(600, avg_degree=8, seed=2)  # BFS and random fall behind: skips
+        isolated = from_edges(12, np.zeros((0, 2), dtype=np.int64))  # every cut 0: no skip
+        skipped = {}
+        for name, g in (("mesh", mesh), ("isolated", isolated)):
+            total = g.total_vertex_weight
+            cap = int(0.53 * total)
+            for seed in (1, 2):
+                best, rows, state = kernel_pool(g, total // 2, (cap, cap), seed, attempts, 2)
+                assert state == one_draw_later(seed)
+                skipped[name] = skipped.get(name, 0) + sum(1 for r in rows if not r[1])
+        assert skipped["isolated"] == 0
+        assert (skipped["mesh"] > 0) == (attempts > 4)
+
+    def test_slot_rows_do_not_depend_on_the_pool_around_them(self):
+        """Slot i's order is (seed, i)'s alone.  Slots 0-7 report the same
+        rows in a pool of 8 and of 12 (this held before too: the orders were
+        drawn in slot order).  A slot that runs reports the same row whether
+        or not the slots before it were skipped (before, a skipped slot
+        handed its order to the next slot that ran)."""
+        g = gen.rgg2d(300, avg_degree=8, seed=1)
+        total = g.total_vertex_weight
+        cap = int(0.53 * total)
+        kinds = recursive._POOL_CODES
+        for seed in range(4):
+            rows = {}
+            for attempts, sigmas in ((8, 2.0), (12, 2.0), (12, math.inf)):
+                kernels = BisectionWorkspace(g).kernels()
+                rng = np.random.default_rng(seed)
+                _, pooled = kernels.pool(kinds, total // 2, cap, cap, rng, attempts, 2, sigmas)
+                rows[attempts, sigmas] = pooled.tolist()
+            assert rows[8, 2.0] == rows[12, 2.0][:8]
+            everything = rows[12, math.inf]
+            assert all(r[1] for r in everything)  # no skip at infinite sigmas
+            ran = [slot for slot, r in enumerate(rows[12, 2.0]) if r[1]]
+            assert [rows[12, 2.0][slot] for slot in ran] == [everything[slot] for slot in ran]
+            assert len(ran) < 12, seed  # some slot was skipped
+
+
+@pytest.mark.parametrize("preset", list(C.PRESETS))
+def test_the_same_seed_gives_the_same_partition(preset):
+    """In one process, twice: the pool's orders depend on the seed alone."""
+    g = gen.rgg2d(2500, avg_degree=8, seed=6)
+    first, again = (repro.partition(g, 32, C.preset(preset, seed=4)) for _ in range(2))
+    assert first.partition.tobytes() == again.partition.tobytes()
+    assert first.cut == again.cut
+
+
+def test_the_same_seed_gives_the_same_dist_partition():
+    g = gen.rgg2d(2500, avg_degree=8, seed=6)
+    cfg = DistConfig(seed=4)
+    first, again = (dpartition(g, 16, 4, compressed=True, config=cfg) for _ in range(2))
+    assert first.partition.tobytes() == again.partition.tobytes()
+    assert first.cut == again.cut
 
 
 # --------------------------------------------------------------------- #
@@ -356,7 +461,7 @@ class TestDegenerate:
         assert_pools_agree(g, 22, (24, 24), 1, 8, 2)
         assert_split_is_extract(g, sides(9, 2), 2, (0, 1))
         got, want = both_paths(lambda rng: initial_partition(g, 3, 0.1, rng), 2)
-        assert got.tolist() == want.tolist() == [0, 1, 1, 1, 2, 1, 0, 0, 2]
+        assert got.tolist() == want.tolist() == [2, 1, 0, 0, 2, 1, 1, 0, 2]
 
     @pytest.mark.parametrize("k", [7, 16, 40])
     def test_k_above_coarsest_n(self, k):

@@ -292,9 +292,9 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
             else:
                 kinds: list[str] = []
                 for kind, name in (
-                    ("ggg", "greedy_graph_growing_bipartition"),
-                    ("bfs", "bfs_bipartition"),
-                    ("random", "random_bipartition"),
+                    ("ggg", "grow_greedy"),
+                    ("bfs", "grow_bfs"),
+                    ("random", "random_walk"),
                 ):
                     def seeded(*args, _kind=kind, _seed=getattr(oracles, name)):
                         kinds.append(_kind)
@@ -402,9 +402,10 @@ def test_searches_hold_their_properties_on_arbitrary_small_graphs(case):
 
 
 # --------------------------------------------------------------------- #
-# (b) golden pins, re-recorded once when FM went boundary-seeded with the
-#     adaptive stopping rule and the pool went adaptive (old -> new cuts in
-#     CHANGES.md, PR 17); the two deep pins did not move
+# (b) golden pins, re-recorded when FM went boundary-seeded with the
+#     adaptive stopping rule and the pool went adaptive (the two deep pins
+#     did not move then), and again, all of them, when each pool slot's
+#     order came from (seed, slot); old -> new cuts in CHANGES.md
 # --------------------------------------------------------------------- #
 GOLDEN_GRAPHS = {
     "rgg2d": lambda: gen.rgg2d(900, avg_degree=8, seed=31),
@@ -414,24 +415,24 @@ GOLDEN_GRAPHS = {
 
 # (family, k, seed) -> sha1 of initial_partition(g, k, 0.03, default_rng(seed))
 GOLDEN_INITIAL = {
-    ("rgg2d", 2, 1): "a518861d861409d1095135a904cd62ff49612b1b",
-    ("rgg2d", 2, 2): "31f10009ba79773f1b693bde55b9bcd344e4c498",
-    ("rgg2d", 7, 1): "b1eb3f0c65374fcdec35373e3663de9bc5d56a92",
-    ("rgg2d", 7, 2): "e510f87dc2265d8f31d7bbdeee1e20dfd484b6ad",
-    ("rgg2d", 64, 1): "4bb14c66055dcf0811ba3686d6cb9ae7417f9076",
-    ("rgg2d", 64, 2): "96d66865e670b8fa8447861a8dbeb60e7baae657",
-    ("weblike", 2, 1): "c4b902fd7ecd1b6e1d4831bee98740c454411ec8",
-    ("weblike", 2, 2): "c4b902fd7ecd1b6e1d4831bee98740c454411ec8",
-    ("weblike", 7, 1): "501029d82bdb40aadca209c3dc92e10434bfc0ef",
-    ("weblike", 7, 2): "f3711a51172e3b2e56457149095c9a91bffc2e86",
-    ("weblike", 64, 1): "0d47780dc7ead9efeee49bc7d7b20c02a21ec0e3",
-    ("weblike", 64, 2): "60a76653e744117243c12a384cf8b5de37136b39",
-    ("rhg", 2, 1): "cee1ddb3bbca4c60cfe6a0ae840c42c945c340c4",
-    ("rhg", 2, 2): "c4e859e5cc8d3d0cddab7efb5f548296a0dc25cd",
-    ("rhg", 7, 1): "aac1a35346c4881e95b3198dd62874cd74021f2c",
-    ("rhg", 7, 2): "aa51c5e1d93d9ea3ce44f30fe7eaf6867f4c3f12",
-    ("rhg", 64, 1): "9930abbe2c41909dd7a94f5433a9fc928c877c73",
-    ("rhg", 64, 2): "16851903c09a5960d63e8c349b8ba45203c577be",
+    ("rgg2d", 2, 1): "ca03b7f81853c9be42b9caa07c76de7105eaecee",
+    ("rgg2d", 2, 2): "164e5941ed10252fe6d4a89d971b62d1609afdcc",
+    ("rgg2d", 7, 1): "9c964ce3a5bb3220abd1dfcf0c1b9d76ab6d8d4b",
+    ("rgg2d", 7, 2): "ce83c889bbc7192ab0e6ea957ddf63df92964bc3",
+    ("rgg2d", 64, 1): "dca479513d2dacfd804937b0edfc6b2135f79aa6",
+    ("rgg2d", 64, 2): "a6203a097d98b7eaac49560c555f774d5e908d29",
+    ("weblike", 2, 1): "4a3ce3794ea8bf20cbd0e9436d4e715b8a989c27",
+    ("weblike", 2, 2): "aa040d493536ce2193c1b588e4c81dcf0e2cc6c1",
+    ("weblike", 7, 1): "1fa718e1d58aa1f00a819fedffd219cab1d352e3",
+    ("weblike", 7, 2): "43fed5a0e0155c61f961a6b93b4ca05db3a7ded0",
+    ("weblike", 64, 1): "69ed6f83c7d2a119e413c87ddb9477369ada8562",
+    ("weblike", 64, 2): "a1a257292dfe5329d0f7b7d8da463c564f09a65c",
+    ("rhg", 2, 1): "e619ed905b7453a3b6a138e5cb9bf504c7898306",
+    ("rhg", 2, 2): "f5efdee7cfa955fa2350542cf66f99611f7b21df",
+    ("rhg", 7, 1): "a617aadd5b260ca4f547f2124c94fdbfee5bce5b",
+    ("rhg", 7, 2): "d6423583c541cf6e278973e1c161428ad6ba565f",
+    ("rhg", 64, 1): "78ac1107fa0c3bf1e302aa72fa4a612171028813",
+    ("rhg", 64, 2): "729c3863467459f4f505124237a634a78e95d3af",
 }
 
 # name -> (graph, k, sha1 of the partition, cut) of partition(g, k,
@@ -441,14 +442,14 @@ GOLDEN_DEEP = {
     "weblike-k16": (
         lambda: gen.weblike(6000, avg_degree=10, seed=3),
         16,
-        "3c4f8787e30f7bccb84fff18fdf7cb4d9a646226",
-        9310,
+        "c33af920dd7973f3424b6a748069375a45f4325c",
+        9272,
     ),
     "rgg2d-k48": (
         lambda: gen.rgg2d(1000, avg_degree=8, seed=9),
         48,
-        "f31f000fa26864f58f98817bb05352d3f40a0abf",
-        888,
+        "9875961e4456d1841df957ca3b242694e0908838",
+        806,
     ),
 }
 
@@ -525,7 +526,7 @@ class TestEdges:
         g = from_edges(9, np.zeros((0, 2), dtype=np.int64), vwgt=np.arange(1, 10))
         _all_heuristics(g, 22, 24)
         part = initial_partition(g, 3, 0.1, np.random.default_rng(2))
-        assert part.tolist() == [0, 1, 1, 1, 2, 1, 0, 0, 2]  # unchanged since before the lists
+        assert part.tolist() == [2, 1, 0, 0, 2, 1, 1, 0, 2]  # re-recorded for the (seed, slot) orders
 
     def test_vertex_heavier_than_cap(self):
         g = from_edges(
@@ -539,12 +540,12 @@ class TestEdges:
         assert part[1] == 1  # the 50 never fits under a cap of 3
 
     @pytest.mark.parametrize(
-        "seed, want", [(1, [11, 3, 1, 9, 15, 7]), (2, [1, 9, 11, 3, 7, 15])]
+        "seed, want", [(1, [11, 15, 3, 9, 7, 1]), (2, [7, 11, 9, 3, 1, 15])]
     )
     def test_k_larger_than_n(self, seed, want):
         """6 vertices, 16 blocks: subgraphs run empty on the way down."""
         part = initial_partition(gen.grid2d(2, 3), 16, 0.03, np.random.default_rng(seed))
-        assert part.tolist() == want  # unchanged since before the lists
+        assert part.tolist() == want  # re-recorded for the (seed, slot) orders
 
     def test_huge_edge_weights_agree_with_int64(self):
         """2**61 per edge, at most three edges per vertex: every gain fits
@@ -652,8 +653,8 @@ class TestLedger:
                 "fm2way-side": n,
                 "fm2way-moves": 8 * 2 * n,
                 "fm2way-kept": 8 * 2,
-                # the pool's own: every order drawn, the best side, a row a slot
-                "bisection-orders": 8 * 4 * n,
+                # the pool's own: the running slot's order, the best side, a row a slot
+                "bisection-orders": 8 * n,
                 "bisection-best-side": n,
                 "bisection-pool-stats": 8 * 4 * 7,
             }
@@ -671,8 +672,8 @@ class TestLedger:
         """With scratch tracking on, the initial-partitioning phase of this
         run peaked at 200 290 B (83 405 B of scratch) while the loops still
         held arrays; neither the oracle's lists (239 601 / 122 716 B) nor the
-        kernel's arrays and heap (267 722 / 150 837 B) may make it look
-        cheaper."""
+        kernel's arrays and heap (313 311 / 196 426 B, one order row a
+        recursion) may make it look cheaper."""
         import dataclasses
 
         from repro.core.partitioner import partition
@@ -685,7 +686,7 @@ class TestLedger:
         for path in on_each_path():
             tracker = MemoryTracker()
             result = partition(g, 8, cfg, tracker=tracker)
-            assert int(result.cut) == 234, path
+            assert int(result.cut) == 233, path
             phase = tracker.phases()["partition/initial-partitioning"]
             assert phase.peak_bytes >= 200_290, path
             assert phase.peak_breakdown["scratch"] >= 83_405, path

@@ -864,7 +864,7 @@ DETECTOR_GOLDEN = {
     ("weblike", "heavy-first", 4, "classic"): (8839, 188),
 }
 #: ``selfcheck_report`` on ``rgg2d(1500)``: (conflicts, accesses recorded, cut)
-SELFCHECK_GOLDEN = {"terapart": (0, 52648, 161), "kaminpar": (0, 49946, 161)}
+SELFCHECK_GOLDEN = {"terapart": (0, 52673, 144), "kaminpar": (0, 49971, 144)}
 
 
 @pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])

@@ -69,11 +69,12 @@ def test_identical_rerun_is_neutral(baseline, tmp_path):
 
 def test_slowed_config_flagged_with_phase_named(base_records, tmp_path):
     # same algorithm *name* (the pairing identity), deliberately slowed:
-    # a 256x initial-partitioning portfolio.  The adaptive pool skips most
-    # of those slots, which left attempts=128 at ~1.5x the wall (inside the
-    # noise of three 40 ms runs); 2048 measures 6-15x.
+    # a 1024x initial-partitioning portfolio.  The adaptive pool skips most
+    # of those slots and a skipped slot builds no order, which left
+    # attempts=2048 at 2.5-3.6x the wall (at the edge of the band for three
+    # 40 ms runs); 8192 measures 8x.
     slowed = C.terapart().with_(
-        initial=C.InitialPartitioningConfig(attempts=2048)
+        initial=C.InitialPartitioningConfig(attempts=8192)
     )
     cand = _run_candidate(slowed, tmp_path, "slow")
     # seconds have no declared band: both the vector and the band are
