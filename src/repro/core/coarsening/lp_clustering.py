@@ -160,35 +160,28 @@ def label_propagation_clustering(
     try:
         for _round in range(cc.lp_rounds):
             order = rng.permutation(n).astype(np.int64, copy=False)
-            moves = 0
-            bumped_total = 0
             with tracer.span(f"{phase_name}-round{_round}"):
                 with runtime.region(f"{phase_name}-round{_round}"):
                     bounds, tids = round_bounds(runtime, graph, order)
                     start = clusters.copy() if rec.active else None  # what chunk 0 sees
                     stats = kernel(order, bounds, movers)
+                    edges, targets, moved, bumped, bumped_nc = stats[:, : BUMPED_NC + 1].T
+                    # work is booked for the chunks that rated a target;
+                    # second-phase atomics: only bumped vertices' rating
+                    # flushes hit the shared sparse array
+                    rated = (edges > 0) & (targets > 0)
+                    booked = int(edges[rated].sum())
                     runtime.record_chunks(
-                        phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9
+                        phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9,
+                        work=float(booked) * work_factor,
+                        bytes_moved=edge_bytes * booked,
+                        atomic_ops=int(bumped_nc[rated].sum()) if two_phase else 0,
                     )
+                    moves = int(moved[rated].sum())
+                    bumped_total = int(bumped[edges > 0].sum())
                     if rec.active:
                         chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, movers)
                         _record(rec, graph, start, clusters, t_bump if two_phase else 0, chunks)
-                    rows = stats[:, : BUMPED_NC + 1].tolist()
-                for edges, targets, moved, bumped, bumped_nc in rows:
-                    if not edges:
-                        continue
-                    bumped_total += bumped
-                    if not targets:
-                        continue
-                    runtime.record(
-                        phase_name,
-                        work=float(edges) * work_factor,
-                        bytes_moved=edge_bytes * edges,
-                        # second-phase atomics: only bumped vertices'
-                        # rating flushes hit the shared sparse array
-                        atomic_ops=bumped_nc if two_phase else 0,
-                    )
-                    moves += moved
                 # straggler span for classic LP: the largest neighborhood is
                 # scanned by a single thread (two-phase parallelizes it)
                 if not two_phase:

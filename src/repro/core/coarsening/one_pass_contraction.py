@@ -103,7 +103,10 @@ def contract_one_pass(
         # a chunk weighs its members
         chunk_weights = np.diff(offsets[np.minimum(np.arange(n_chunks + 1) * cs, n_coarse)])
     det = ctx.detector
+    # per chunk: seconds, fine edges scanned, coarse edges written
     seconds = np.zeros(n_chunks)
+    scanned = np.zeros(n_chunks, dtype=np.int64)
+    written = np.zeros(n_chunks, dtype=np.int64)
     with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
         bounds, tids = runtime.chunk_bounds(
             n_coarse, weights=chunk_weights, default=default_order
@@ -146,14 +149,15 @@ def contract_one_pass(
                 rec.write("coarse-vwgt", new_ids)
 
             tracker.touch(eprime_aid, 16 * dual.d)
-            runtime.record(
-                "contraction",
-                work=float(edges) * work_factor + float(len(pc)),
-                bytes_moved=edge_bytes * edges + 16.0 * len(pc),
-                atomic_ops=1,
-            )
+            scanned[j], written[j] = edges, len(pc)
             seconds[j] = time.perf_counter() - t0
-        runtime.record_chunks("contraction", tids, bounds[:, 1] - bounds[:, 0], seconds)
+        fine_edges, coarse_edges = int(scanned.sum()), int(written.sum())
+        runtime.record_chunks(
+            "contraction", tids, bounds[:, 1] - bounds[:, 0], seconds,
+            work=float(fine_edges) * work_factor + float(coarse_edges),
+            bytes_moved=edge_bytes * fine_edges + 16.0 * coarse_edges,
+            atomic_ops=n_chunks,  # one dual-counter CAS a chunk
+        )  # fmt: skip
 
     m2_coarse = dual.d
     assert dual.s == n_coarse

@@ -186,6 +186,7 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
         schedule_policy=dbg.schedule_policy,
         schedule_seed=dbg.schedule_seed,
     )
+    runtime.clear_ledger()  # a reused runtime holds its last run's costs
     detector = runtime.detector
     if dbg.detect_conflicts and detector is None:
         from repro.verify.conflicts import ConflictDetector
@@ -199,7 +200,6 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     obs_cfg = config.obs
     tracer = SpanTracer(tracker) if obs_cfg.enabled else NULL_TRACER
     if obs_cfg.enabled:
-        runtime.attach_tracer(tracer)
         graph_access.install_tracer(tracer)
     if obs_cfg.track_scratch:
         from repro.memory import scratch as _scratch
@@ -221,7 +221,6 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     finally:
         if obs_cfg.enabled:
             graph_access.uninstall_tracer()
-            runtime.detach_tracer()
             tracer.finish()
         if obs_cfg.track_scratch:
             from repro.memory import scratch as _scratch
@@ -229,8 +228,8 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
             _scratch.uninstall_ledger()
 
     wall = time.perf_counter() - t0
-    model = CostModel()
-    modeled = model.total_time(runtime.all_stats(), runtime.p)
+    phase_stats = runtime.all_stats()
+    modeled = CostModel().total_time(phase_stats, runtime.p)
     selfcheck = None
     if dbg.validation_level or dbg.detect_conflicts:
         selfcheck = {
@@ -253,6 +252,7 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
         obs_dict = MetricsRegistry.from_run(
             tracer,
             tracker,
+            threads=runtime.thread_slices(),
             meta={
                 "config": config.name,
                 "k": k,
@@ -276,7 +276,7 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
         peak_bytes=tracker.peak_bytes,
         num_levels=num_levels,
         config_name=config.name,
-        phase_stats={name: s for name, s in runtime.all_stats().items()},
+        phase_stats=phase_stats,
         selfcheck=selfcheck,
         trace=tracer if obs_cfg.enabled else None,
         obs=obs_dict,

@@ -81,21 +81,16 @@ def lp_refine(
                 moved = tracked_empty(len(order), name="lp-moved")
             start = pgraph.partition.copy() if rec.active else None
             stats = kernel(order, bounds, moved)
-            items = bounds[:, 1] - bounds[:, 0]
-            runtime.record_chunks("lp-refinement", tids, items, stats[:, NANOS] * 1e-9)
-            if rec.active:
-                chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, moved)
-                _record(rec, g, start, pgraph.partition, chunks)
-        moves = 0
-        for edges, chunk_moves in stats[:, [EDGES, MOVES]].tolist():
-            if not edges:  # no edge in this chunk
-                continue
-            runtime.record(
-                "lp-refinement",
+            edges = int(stats[:, EDGES].sum())
+            runtime.record_chunks(
+                "lp-refinement", tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9,
                 work=float(edges),
                 bytes_moved=float(16 * edges),
             )
-            moves += chunk_moves
+            if rec.active:
+                chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, moved)
+                _record(rec, g, start, pgraph.partition, chunks)
+        moves = int(stats[:, MOVES].sum())
         total_moves += moves
         ctx.tracer.add("refine.lp_rounds", 1)
         ctx.tracer.add("refine.lp_visited", len(order))

@@ -11,8 +11,10 @@ document with four sections:
   ledger-coupled span, the exact ``MemoryTracker`` phase peak and the
   category breakdown *at the peak sample* (breakdown values sum to the
   peak, and entries equal the tracker's ``phases()`` peaks byte-for-byte),
-* ``threads`` -- per-(region, tid) chunk/item/time attribution from
-  :meth:`ParallelRuntime.record_chunks`.
+* ``threads`` -- per-(phase, tid) chunk/item/time attribution: the
+  runtime's thread slices
+  (:meth:`~repro.parallel.runtime.ParallelRuntime.thread_slices`), which
+  every chunk walk feeds through ``record_chunks``, traced or not.
 
 Benchmarks consume this registry instead of re-measuring: a
 ``BENCH_*.json`` produced from ``--metrics-json`` is regression-comparable
@@ -43,11 +45,17 @@ class MetricsRegistry:
     # ------------------------------------------------------------------ #
     @classmethod
     def from_run(
-        cls, tracer: SpanTracer, tracker=None, *, meta: dict | None = None
+        cls,
+        tracer: SpanTracer,
+        tracker=None,
+        *,
+        threads: list[dict] | None = None,
+        meta: dict | None = None,
     ) -> "MetricsRegistry":
-        """Assemble the registry from a finished tracer (+ its ledger)."""
+        """Assemble the registry from a finished tracer (+ its ledger) and
+        the run's thread slices (``runtime.thread_slices()``)."""
         tracker = tracker if tracker is not None else tracer.tracker
-        reg = cls(meta=dict(meta or {}))
+        reg = cls(meta=dict(meta or {}), threads=list(threads or ()))
         reg.counters = {k: _num(v) for k, v in sorted(tracer.counters.items())}
 
         for s in tracer.spans:
@@ -95,17 +103,6 @@ class MetricsRegistry:
                         },
                     }
                 )
-
-        for (phase, tid), ts in sorted(tracer.thread_slices.items()):
-            reg.threads.append(
-                {
-                    "phase": phase,
-                    "tid": tid,
-                    "chunks": ts.chunks,
-                    "items": ts.items,
-                    "seconds": ts.seconds,
-                }
-            )
         return reg
 
     # ------------------------------------------------------------------ #

@@ -4,9 +4,10 @@ A *span* is a named, nested interval of work (a phase, a hierarchy level, a
 refinement pass).  Spans carry:
 
 * the algorithm phase and multilevel hierarchy ``level`` they belong to,
-* virtual-thread attribution (``tid``) for the chunks of parallel loops,
-  reported through
-  :meth:`~repro.parallel.runtime.ParallelRuntime.record_chunks`,
+* the virtual thread (``tid``) that opened them (0: the driver); the
+  chunks of a parallel loop are no spans but the runtime's per-``(phase,
+  tid)`` thread slices
+  (:meth:`~repro.parallel.runtime.ParallelRuntime.record_chunks`),
 * named counters (edges decoded, LP bumps, FM moves, gain-table width mix),
 * memory snapshots from the :class:`~repro.memory.tracker.MemoryTracker`
   taken at every span boundary -- enter bytes, exit bytes, and the in-span
@@ -107,19 +108,8 @@ class Span:
         return self.t_end - self.t_start
 
 
-@dataclass
-class ThreadSlice:
-    """Aggregated chunk work of one virtual thread inside one region."""
-
-    phase: str
-    tid: int
-    chunks: int = 0
-    items: int = 0  # order entries processed (vertices, clusters, ...)
-    seconds: float = 0.0
-
-
 class SpanTracer:
-    """Records a tree of spans plus global counters and thread slices."""
+    """Records a tree of spans plus global counters."""
 
     enabled = True
 
@@ -130,7 +120,6 @@ class SpanTracer:
         self.spans: list[Span] = []
         self._stack: list[int] = []
         self.counters: dict[str, float] = {}
-        self.thread_slices: dict[tuple[str, int], ThreadSlice] = {}
 
     # ------------------------------------------------------------------ #
     # span lifecycle
@@ -194,7 +183,7 @@ class SpanTracer:
         return _PhaseSpanContext(self, tracker or self.tracker, name, level)
 
     # ------------------------------------------------------------------ #
-    # counters & thread attribution
+    # counters
     # ------------------------------------------------------------------ #
     def add(self, name: str, value: float = 1) -> None:
         """Bump counter ``name`` on the current span and globally."""
@@ -202,23 +191,6 @@ class SpanTracer:
         if self._stack:
             c = self.spans[self._stack[-1]].counters
             c[name] = c.get(name, 0) + value
-
-    def record_chunk(
-        self, phase: str, tid: int, items: int, seconds: float
-    ) -> None:
-        """Attribute one executed chunk to ``(phase, tid)``.
-
-        Called by :meth:`ParallelRuntime.record_chunks` when a tracer is
-        attached; aggregation (rather than one span per chunk) keeps traces
-        of million-chunk runs small.
-        """
-        key = (phase, tid)
-        ts = self.thread_slices.get(key)
-        if ts is None:
-            ts = self.thread_slices[key] = ThreadSlice(phase, tid)
-        ts.chunks += 1
-        ts.items += items
-        ts.seconds += seconds
 
     # ------------------------------------------------------------------ #
     # queries
@@ -346,9 +318,6 @@ class NullTracer:
         return _NULL_CONTEXT
 
     def add(self, name: str, value: float = 1) -> None:
-        pass
-
-    def record_chunk(self, phase, tid, items, seconds) -> None:
         pass
 
     def finish(self) -> None:

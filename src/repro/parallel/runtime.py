@@ -10,23 +10,25 @@ Execution is sequential (one virtual thread at a time), but:
 
 * chunk assignment is a pure function of ``(p, chunk_size, count)``, so runs
   are reproducible regardless of ``p``;
-* every loop reports work/span/bytes-moved into :class:`WorkStats`, which the
-  cost model converts into modelled parallel running times;
+* the runtime keeps the one cost ledger of a run: every loop reports
+  work/span/bytes-moved into :class:`WorkStats`, which the cost model
+  converts into modelled parallel running times, and a chunk walk reports
+  once, through :meth:`ParallelRuntime.record_chunks`, which also adds its
+  chunks, items and seconds to per-``(phase, tid)`` thread slices --
+  traced or not (a traced run's metrics ``threads`` rows read them);
 * the *execution order* of chunks is pluggable (:data:`SCHEDULE_POLICIES`):
   by default chunks run in issue order, but a policy can replay the same
   loop under reversed, seeded-random, or adversarial heavy-first
   interleavings.  A loop walking the bounds announces each chunk's virtual
   thread to an attached :class:`~repro.verify.conflicts.ConflictDetector`
   (inside :meth:`ParallelRuntime.region`, which hands the thread back at
-  the barrier) -- the schedule-fuzzing substrate of the verify layer -- and
-  reports the chunk times to an attached span tracer through
-  :meth:`ParallelRuntime.record_chunks`.
+  the barrier) -- the schedule-fuzzing substrate of the verify layer.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,9 +105,8 @@ class ParallelRuntime:
         self.schedule_policy = schedule_policy
         self.schedule_seed = schedule_seed
         self.detector = None  # ConflictDetector, attached by the verify layer
-        self.tracer = None  # SpanTracer, attached by the obs layer
         self._region_counter = 0
-        self._stats: dict[str, WorkStats] = {}
+        self.clear_ledger()
 
     # ------------------------------------------------------------------ #
     # scheduling: the one chunk walk
@@ -154,16 +155,25 @@ class ParallelRuntime:
         return np.stack([lo, np.minimum(lo + cs, count)], axis=1), order % self.p
 
     def record_chunks(
-        self, phase: str, tids: np.ndarray, items: np.ndarray, seconds: np.ndarray
+        self,
+        phase: str,
+        tids: np.ndarray,
+        items: np.ndarray,
+        seconds: np.ndarray,
+        *,
+        work: float = 0.0,
+        bytes_moved: float = 0.0,
+        atomic_ops: int = 0,
     ) -> None:
-        """Attribute each chunk of a :meth:`chunk_bounds` walk -- its virtual
-        thread, item count and seconds -- to ``(phase, tid)`` of an attached
-        span tracer."""
-        tr = self.tracer
-        if tr is None or not tr.enabled:
-            return
-        for tid, n, sec in zip(tids.tolist(), items.tolist(), seconds.tolist()):
-            tr.record_chunk(phase, tid, n, sec)
+        """Report one :meth:`chunk_bounds` walk of ``phase``: each chunk's
+        virtual thread, item count and seconds go to the ``(phase, tid)``
+        thread slices, and the walk's summed ``work`` / ``bytes_moved`` /
+        ``atomic_ops`` to the phase's :class:`WorkStats` (a walk that books
+        none of them adds no entry there)."""
+        if work or bytes_moved or atomic_ops:
+            self.record(phase, work=work, bytes_moved=bytes_moved, atomic_ops=atomic_ops)
+        walk = [np.bincount(tids, weights=w, minlength=self.p) for w in (None, items, seconds)]
+        self._slices[phase] = self._slices.get(phase, 0) + np.array(walk)
 
     # ------------------------------------------------------------------ #
     # conflict-detector attachment
@@ -174,17 +184,6 @@ class ParallelRuntime:
     def detach_detector(self):
         det, self.detector = self.detector, None
         return det
-
-    # ------------------------------------------------------------------ #
-    # span-tracer attachment (obs layer)
-    # ------------------------------------------------------------------ #
-    def attach_tracer(self, tracer) -> None:
-        """Attach a span tracer for per-(phase, tid) chunk attribution."""
-        self.tracer = tracer
-
-    def detach_tracer(self):
-        tr, self.tracer = self.tracer, None
-        return tr
 
     @contextmanager
     def region(self, phase: str):
@@ -230,6 +229,23 @@ class ParallelRuntime:
         if max_parallelism is not None:
             s.max_parallelism = min(s.max_parallelism, max_parallelism)
 
-    def all_stats(self) -> dict[str, WorkStats]:
-        return dict(self._stats)
+    def clear_ledger(self) -> None:
+        """Start the ledger afresh: every run reads only its own costs."""
+        self._stats: dict[str, WorkStats] = {}
+        self._slices: dict[str, np.ndarray] = {}  # phase -> chunks/items/seconds by tid
 
+    def all_stats(self) -> dict[str, WorkStats]:
+        """Copies of the per-phase :class:`WorkStats`: later records leave
+        them as they are."""
+        return {name: replace(s) for name, s in self._stats.items()}
+
+    def thread_slices(self) -> list[dict]:
+        """The ``(phase, tid)`` thread slices of every chunk walk, sorted by
+        ``(phase, tid)``: one ``{"phase", "tid", "chunks", "items",
+        "seconds"}`` row for each virtual thread that ran a chunk."""
+        return [
+            {"phase": phase, "tid": tid, "chunks": int(chunks[tid]),
+             "items": int(items[tid]), "seconds": float(seconds[tid])}
+            for phase, (chunks, items, seconds) in sorted(self._slices.items())
+            for tid in np.flatnonzero(chunks).tolist()
+        ]  # fmt: skip

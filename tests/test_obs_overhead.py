@@ -1,8 +1,9 @@
 """Disabled-tracing overhead guard (obs satellite; also asserted in CI).
 
 When ``config.obs.enabled`` is False the partitioner must not install any
-hooks: no tracer on the runtime, no decode-counter hook in
-``graph.access``, no trace artifacts on the result -- and the per-call cost
+hooks: no decode-counter hook in ``graph.access``, no trace artifacts on
+the result (the runtime holds no tracer at all: it keeps its chunk ledger
+traced or not) -- and the per-call cost
 of the ``NullTracer`` fast path must stay within an order of magnitude of
 a plain no-op function call (generous bound; this guards against someone
 accidentally adding allocation or string formatting to the disabled path).

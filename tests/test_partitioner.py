@@ -9,6 +9,7 @@ from repro.graph import generators as gen
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
 from repro.memory import MemoryTracker
+from repro.parallel import ParallelRuntime
 
 PRESETS = list(C.PRESETS)
 
@@ -158,6 +159,30 @@ class TestResultFields:
         assert r.config_name == "terapart"
         assert r.num_levels >= 1
         assert "initial-partitioning" in r.phase_stats
+
+    def test_a_reused_runtime_reports_each_run_alone(self):
+        """Two calls on one runtime: each result holds only its own run's
+        costs and thread slices, and the second call leaves the first
+        result's as they were."""
+        graph = gen.rgg2d(3000, seed=3)
+        cfg = C.terapart(seed=3).with_(obs=C.ObsConfig(enabled=True))
+
+        def ledger(r):
+            fields = [(s.work, s.span, s.bytes_moved, s.atomic_ops) for s in r.phase_stats.values()]
+            threads = [(t["phase"], t["tid"], t["chunks"], t["items"]) for t in r.obs["threads"]]
+            return r.modeled_seconds, list(r.phase_stats), fields, threads
+
+        alone = ledger(repro.partition(graph, 8, cfg))
+        runtime = ParallelRuntime(cfg.p)
+        first = repro.partition(graph, 8, cfg, runtime=runtime)
+        assert ledger(first) == alone
+        second = repro.partition(graph, 8, cfg, runtime=runtime)
+        assert ledger(second) == alone
+        assert ledger(first) == alone
+        warm = repro.refine_partition(graph, 8, first.partition, cfg)
+        again = repro.refine_partition(graph, 8, first.partition, cfg, runtime=runtime)
+        assert ledger(again) == ledger(warm)
+        assert ledger(first) == alone
 
 
 class TestEdgeCases:

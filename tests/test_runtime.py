@@ -100,6 +100,38 @@ class TestStats:
         rt.record("phase", work=1.0, max_parallelism=4)
         assert rt.all_stats()["phase"].max_parallelism == 4
 
+    def test_record_chunks_aggregates_per_phase_and_tid(self):
+        """One chunk walk reports once: per-(phase, tid) chunks, items and
+        seconds, and the walk's totals into the phase's WorkStats."""
+        rt = ParallelRuntime(3)
+        rt.record_chunks(
+            "lp", np.array([0, 0, 1]), np.array([512, 256, 128]), np.array([0.5, 0.25, 0.1]),
+            work=900.0, bytes_moved=14400.0, atomic_ops=2,
+        )  # fmt: skip
+        rt.record_chunks("lp", np.array([1]), np.array([64]), np.array([0.125]), work=64.0)
+        rt.record_chunks("walk", np.array([2]), np.array([7]), np.array([1.0]))
+        rows = rt.thread_slices()
+        assert [(t["phase"], t["tid"], t["chunks"], t["items"]) for t in rows] == [
+            ("lp", 0, 2, 768),
+            ("lp", 1, 2, 192),
+            ("walk", 2, 1, 7),
+        ]
+        assert [t["seconds"] for t in rows] == pytest.approx([0.75, 0.225, 1.0])
+        s = rt.all_stats()["lp"]
+        assert (s.work, s.bytes_moved, s.atomic_ops, s.span) == (964.0, 14400.0, 2, 0.0)
+        # a walk that books no cost adds no WorkStats entry
+        assert "walk" not in rt.all_stats()
+
+    def test_ledger_reads_are_copies_and_clear_starts_afresh(self):
+        rt = ParallelRuntime(2)
+        rt.record("x", work=10)
+        rt.record_chunks("x", np.array([1]), np.array([4]), np.array([0.5]))
+        stats, rows = rt.all_stats(), rt.thread_slices()
+        rt.record("x", work=20)
+        rt.clear_ledger()
+        assert stats["x"].work == 10 and rows[0]["chunks"] == 1
+        assert rt.all_stats() == {} and rt.thread_slices() == []
+
     def test_stats_accumulate(self):
         rt = ParallelRuntime(2)
         rt.record("x", work=10, bytes_moved=100, atomic_ops=3)

@@ -9,7 +9,6 @@ from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.config import terapart
 from repro.core.context import PartitionContext
 from repro.graph import generators as gen
-from repro.obs.tracer import SpanTracer
 from repro.parallel.runtime import SCHEDULE_POLICIES, ParallelRuntime
 from repro.verify.conflicts import ConflictDetector
 
@@ -122,18 +121,18 @@ class TestExecute:
         ctx = PartitionContext(terapart(seed=1), 2, graph.total_vertex_weight, runtime=runtime)
         det = Spy()
         runtime.attach_detector(det)
-        tracer = SpanTracer()
-        runtime.attach_tracer(tracer)
         clusters = np.arange(graph.n, dtype=np.int64) & ~1  # pairs (2i, 2i+1)
         weights = np.bincount(clusters, minlength=graph.n).astype(np.int64)
         out = contract_one_pass(graph, clusters, weights, ctx)
         assert out.coarse.n == 100
         assert writes == [i % 2 for i in range(25)]
         assert det.current_tid is None and det.clean
-        # the chunk times reach the tracer once per chunk, under its owner
-        for tid in (0, 1):
-            ts = tracer.thread_slices["contraction", tid]
-            assert (ts.chunks, ts.items) == (13 - tid, 52 - 4 * tid)
+        # the walk reaches the runtime's thread slices once per chunk, under
+        # its owner
+        slices = [
+            (t["phase"], t["tid"], t["chunks"], t["items"]) for t in runtime.thread_slices()
+        ]
+        assert slices == [("contraction", tid, 13 - tid, 52 - 4 * tid) for tid in (0, 1)]
 
     @pytest.mark.parametrize("leave", ["break", "raise"])
     def test_leaving_the_loop_early_hands_the_tid_back(self, leave):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.memory.tracker import MemoryTracker
 from repro.obs.tracer import NULL_TRACER, NullTracer, SpanTracer
@@ -95,17 +94,6 @@ def test_finish_closes_leaked_spans():
     assert tr.current_span is None
 
 
-def test_record_chunk_aggregates_per_phase_and_tid():
-    tr = SpanTracer()
-    tr.record_chunk("lp", 0, 512, 0.5)
-    tr.record_chunk("lp", 0, 256, 0.25)
-    tr.record_chunk("lp", 1, 128, 0.1)
-    ts = tr.thread_slices[("lp", 0)]
-    assert ts.chunks == 2 and ts.items == 768
-    assert ts.seconds == pytest.approx(0.75)
-    assert tr.thread_slices[("lp", 1)].items == 128
-
-
 def test_null_tracer_is_inert_and_shared():
     nt = NULL_TRACER
     assert isinstance(nt, NullTracer)
@@ -113,7 +101,6 @@ def test_null_tracer_is_inert_and_shared():
     with nt.span("whatever") as s:
         assert s is None
     nt.add("anything", 42)
-    nt.record_chunk("p", 0, 1, 1.0)
     nt.finish()  # all no-ops, nothing to assert beyond "did not raise"
 
 

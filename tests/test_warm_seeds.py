@@ -59,6 +59,23 @@ class TestWorkGuard:
         rounds = int(sweep.obs["counters"]["refine.lp_rounds"])
         assert visited(sweep) == rounds * n == 4000
 
+        # a start round 0 changes: named vertices trade blocks (the block
+        # weights stay), their old blocks pull them back and round 1 has a
+        # frontier
+        named = np.unique(np.random.default_rng(3).choice(n, 40, replace=False))
+        moved_start = start.copy()
+        moved_start[named] = start[np.roll(named, 1)]
+        assert PartitionedGraph(GRAPH, K, moved_start).is_balanced(TRACED.epsilon)
+        once = refine_partition(GRAPH, K, moved_start, one_round, seeds=named)
+        movers = np.flatnonzero(once.partition != moved_start)
+        assert len(movers) and np.isin(movers, named).all()
+        frontier = np.union1d(movers, chunk_adjacency(GRAPH, movers)[1])
+        two_rounds = TRACED.with_(lp_refinement_rounds=2)
+        twice = refine_partition(GRAPH, K, moved_start, two_rounds, seeds=named)
+        assert int(twice.obs["counters"]["refine.lp_rounds"]) == 2
+        assert visited(twice) == len(named) + len(frontier)
+        assert visited(twice) < n // 4
+
     def test_empty_and_repeated_seeds(self):
         start = partition(GRAPH, K, TRACED).partition
         nothing = refine_partition(GRAPH, K, start, TRACED, seeds=[])
