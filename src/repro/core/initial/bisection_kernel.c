@@ -1,43 +1,50 @@
 /* Native initial partitioning of repro.core.initial: greedy graph growing,
  * BFS growth and 2-way FM, each a port of a Python loop of the same name;
  * a bisection's whole attempt pool on them (recursive.bipartition_portfolio);
- * and the split of a labelled graph into the induced subgraphs the next
- * bisections work on (recursive.split).  The Python loops stay in
- * tests/oracles.py as the reference.
+ * the split of a labelled graph into the induced subgraphs the next
+ * bisections work on (recursive.split); and one depth of recursive
+ * bisection's tree, every node's pool and split in one call
+ * (recursive.initial_partition).  The Python loops and the recursion stay
+ * in tests/oracles.py as the reference.
  *
- * Five exported functions, no state, no Python objects: ctypes calls them
+ * Six exported functions, no state, no Python objects: ctypes calls them
  * with the GIL released.  One calling convention: the int64 arrays of a
  * BisectionWorkspace first -- n, xadj (n + 1), adj and wgt (xadj[n] each),
  * vwgt (n); wgt == NULL or vwgt == NULL means unit weights -- then the
  * function's own arguments and scratch (which the caller allocates and the
- * kernel initialises), then (searches and pool) the heap buffer, its
- * capacity in entries, and the work counters.
+ * kernel initialises), then (searches, pool and depth) the heap buffer, its
+ * capacity in entries of three words, and the work counters.
  *
  * Why the port is bit-identical: the queue holds (key, tie, vertex) triples
  * ordered by (key, tie), and tie is unique per entry (greedy growing counts
  * pushes; FM seeds vertex u with tie u < n and counts later pushes from n).
  * The order is total, so the sequence of pops is a function of the sequence
- * of pushes and any correct heap -- this one, Python's heapq -- produces it.
+ * of pushes and any correct priority queue -- this one, Python's heapq --
+ * produces it.  The queue is a binary heap, or buckets when the keys are
+ * small integers (queue_init): both searches push their ties in increasing
+ * order, so a bucket's FIFO order is its (key, tie) order.
  *
  * Memory-safety contract (tests/test_initial_kernel.py and
  * tests/test_bisection_pool.py hold it to this):
  *   - adj and wgt are read only inside [xadj[u], xadj[u+1]) for 0 <= u < n;
  *     that xadj starts at 0, never descends and ends at len(adj) is the
  *     caller's to check, once per workspace (workspace.py does, in numpy;
- *     the workspaces repro_split writes are well formed by construction);
+ *     the workspaces repro_split writes are well formed by construction,
+ *     and repro_bisect_depth checks each node's region itself);
  *   - every id taken from adj or from `order` is range-checked against
- *     [0, n) before it indexes gain / state / side / vwgt or enters the heap
- *     or the queue (which only the kernel writes), every side[] entry is
- *     0 or 1 before it indexes a side weight, and every label and pool kind
- *     is range-checked before it indexes a table;
- *   - heap, moves, grown, queue and the split's outputs are used only
- *     below the capacity passed with them (the pool's order row: n
- *     entries).  n + xadj[n] entries bound every push count: a vertex is
- *     pushed as a seed at most once (growing seeds only a vertex that is
- *     then absorbed or blocked; FM seeds each boundary vertex once a pass
- *     and the heap is emptied between passes) and as a neighbour only by a
- *     vertex being absorbed / moved, which happens at most once per vertex
- *     (and pass) and pushes at most its degree;
+ *     [0, n) before it indexes gain / state / side / vwgt or enters the
+ *     queue (which only the kernel writes), every side[] entry is 0 or 1
+ *     before it indexes a side weight, every label, pool kind, seed index
+ *     and block id is range-checked before it indexes a table, and every
+ *     key before it indexes a bucket;
+ *   - heap, moves, grown, queue and the outputs are used only below the
+ *     capacity passed with them (the pool's order row: n entries).  n +
+ *     xadj[n] entries bound every push count: a vertex is pushed as a seed
+ *     at most once (growing seeds only a vertex that is then absorbed or
+ *     blocked; FM seeds each boundary vertex once a pass and the queue is
+ *     emptied between passes) and as a neighbour only by a vertex being
+ *     absorbed / moved, which happens at most once per vertex (and pass)
+ *     and pushes at most its degree;
  *   - no signed overflow: the caller admits only workspaces with n and
  *     W = sum |wgt| below 2^62 (so gains and sums of gains fit in int64,
  *     sums of their squares in __int128, and FM's stopping rule compares
@@ -47,7 +54,7 @@
  *   - a broken rule returns a negative code, never a trap.  Outputs are
  *     then partially written garbage the caller drops.
  *
- * work[0..4) accumulates heap pops, heap pushes (FM's seeds included), FM
+ * work[0..4) accumulates queue pops, queue pushes (FM's seeds included), FM
  * passes and pushes of the vertex popped last in the same pass (always 0: a
  * stale entry is dropped, not renewed).
  */
@@ -59,7 +66,8 @@ enum {
     ERR_ID = -1,       /* vertex id outside [0, n) */
     ERR_CAPACITY = -2, /* heap, moves, grown, queue or output would overflow */
     ERR_SIDE = -3,     /* assignment entry other than 0 or 1 */
-    ERR_LABEL = -4     /* label, slot or pool kind out of range */
+    ERR_LABEL = -4,    /* label, slot, pool kind, seed or block out of range */
+    ERR_XADJ = -5      /* a node's xadj does not tile its adjacency */
 };
 
 enum { POPS, PUSHES, PASSES, REPUSHES };
@@ -73,12 +81,25 @@ typedef struct {
     const int64_t *xadj, *adj, *wgt, *vwgt; /* wgt, vwgt: NULL for unit */
 } graph_t;
 
+/* The searches' priority queue over the caller's heap buffer (cap entries
+ * of three words), in one of two layouts picked by queue_init:
+ *   - a binary heap of (key, tie, vertex) triples;
+ *   - buckets, one a key of [-offset, buckets - offset): entry e's vertex
+ *     and successor are words e and cap + e, bucket b's first and last
+ *     entries words 2 cap + b and 2 cap + buckets + b.  A bucket is a FIFO
+ *     list, a popped entry goes to a free list, and no bucket below
+ *     `lowest` holds an entry.  The tie is not stored: pushes come in
+ *     increasing tie order, so FIFO within a key is (key, tie) order.
+ * Either layout holds at most cap entries at once and counts work alike. */
 typedef struct {
-    entry_t *at;
     int64_t size, cap;
     int64_t *work;
     int64_t popped; /* vertex of the last pop, -1 before the first */
-} heap_t;
+    entry_t *at;    /* the heap */
+    int64_t buckets, offset; /* buckets == 0: the heap */
+    int64_t *vertex, *next, *head, *tail;
+    int64_t lowest, fresh, free_list; /* entries [fresh, cap) were never used */
+} queue_t;
 
 /* (key, tie) as one signed 128-bit number, key high and tie as its unsigned
  * low word: one branch-free comparison.  key * 2^64, not key << 64: shifting
@@ -122,24 +143,13 @@ static inline void sift_up(entry_t *at, int64_t i, entry_t e)
     at[i] = e;
 }
 
-static inline int heap_push(heap_t *h, int64_t key, int64_t tie, int64_t vertex)
-{
-    if (h->size >= h->cap)
-        return ERR_CAPACITY;
-    entry_t e = {key, tie, vertex};
-    sift_up(h->at, h->size++, e);
-    h->work[PUSHES]++;
-    h->work[REPUSHES] += vertex == h->popped;
-    return 0;
-}
-
 /* Caller checked size > 0.  The hole left by the top walks down to a leaf
  * along the smaller children, then the last entry rises from there: the
  * descent has no data-dependent branch but its end. */
-static inline entry_t heap_pop(heap_t *h)
+static inline entry_t heap_pop(entry_t *at, int64_t *size)
 {
-    entry_t *at = h->at, top = at[0], last = at[--h->size];
-    int64_t i = 0, n = h->size, child;
+    entry_t top = at[0], last = at[--*size];
+    int64_t i = 0, n = *size, child;
     while ((child = 2 * i + 1) < n) {
         /* at[child + 1] is at most the slot just vacated: readable */
         child += (child + 1 < n) & before(&at[child + 1], &at[child]);
@@ -148,8 +158,119 @@ static inline entry_t heap_pop(heap_t *h)
     }
     if (n > 0)
         sift_up(at, i, last);
-    h->work[POPS]++;
-    h->popped = top.vertex;
+    return top;
+}
+
+/* The largest sum of edge weights at one vertex, or -1 if an edge weighs
+ * less than 0 (every sum stays below W < 2^62) */
+static int64_t heaviest_vertex(const graph_t *g)
+{
+    int64_t heaviest = 0;
+    for (int64_t u = 0; u < g->n; u++) {
+        int64_t sum = g->xadj[u + 1] - g->xadj[u];
+        if (g->wgt) {
+            sum = 0;
+            for (int64_t e = g->xadj[u]; e < g->xadj[u + 1]; e++) {
+                if (g->wgt[e] < 0)
+                    return -1;
+                sum += g->wgt[e];
+            }
+        }
+        heaviest = sum > heaviest ? sum : heaviest;
+    }
+    return heaviest;
+}
+
+/* The queue of one graph's searches over `words` (cap entries).  With D the
+ * heaviest vertex, keys lie in [-2D, D]: growing's gains in [0, 2D] (twice
+ * a vertex's weight into the block), FM's in [-D, D] (its weight across
+ * minus its weight inside).  Buckets when their 3D + 1 take at most half of
+ * min(n + m, cap) -- heads and tails then fit beside the entries, and
+ * resetting them costs less than a search's own scan -- else the heap. */
+static void queue_init(queue_t *q, const graph_t *g, int64_t *words, int64_t cap, int64_t *work)
+{
+    int64_t limit = g->n + g->xadj[g->n], heaviest = heaviest_vertex(g);
+    memset(q, 0, sizeof *q);
+    q->cap = cap;
+    q->work = work;
+    q->popped = -1;
+    q->at = (entry_t *)words;
+    limit = (cap < limit ? cap : limit) / 2;
+    if (heaviest >= 0 && limit >= 1 && heaviest <= (limit - 1) / 3) {
+        q->buckets = 3 * heaviest + 1;
+        q->offset = 2 * heaviest;
+        q->vertex = words;
+        q->next = words + cap;
+        q->head = words + 2 * cap;
+        q->tail = q->head + q->buckets;
+    }
+}
+
+static void queue_reset(queue_t *q)
+{
+    q->size = 0;
+    q->popped = -1;
+    if (q->buckets) {
+        memset(q->head, 0xff, (size_t)q->buckets * sizeof *q->head); /* every head -1 */
+        q->lowest = q->buckets;
+        q->fresh = 0;
+        q->free_list = -1;
+    }
+}
+
+static inline int queue_push(queue_t *q, int64_t key, int64_t tie, int64_t vertex)
+{
+    if (q->size >= q->cap)
+        return ERR_CAPACITY;
+    if (q->buckets) {
+        /* unsigned: a key outside the range wraps above it, never indexes */
+        uint64_t b = (uint64_t)key + (uint64_t)q->offset;
+        if (b >= (uint64_t)q->buckets)
+            return ERR_CAPACITY;
+        int64_t e = q->free_list;
+        if (e >= 0)
+            q->free_list = q->next[e];
+        else
+            e = q->fresh++; /* no free entry: [0, fresh) are all held, fresh < cap */
+        q->vertex[e] = vertex;
+        q->next[e] = -1;
+        if (q->head[b] < 0)
+            q->head[b] = e;
+        else
+            q->next[q->tail[b]] = e;
+        q->tail[b] = e;
+        q->lowest = (int64_t)b < q->lowest ? (int64_t)b : q->lowest;
+        q->size++;
+    } else {
+        entry_t e = {key, tie, vertex};
+        sift_up(q->at, q->size++, e);
+    }
+    q->work[PUSHES]++;
+    q->work[REPUSHES] += vertex == q->popped;
+    return 0;
+}
+
+/* Caller checked size > 0, so a bucket at or above `lowest` holds an entry.
+ * A bucket's pop carries tie 0: no caller reads it. */
+static inline entry_t queue_pop(queue_t *q)
+{
+    entry_t top;
+    if (q->buckets) {
+        while (q->head[q->lowest] < 0)
+            q->lowest++;
+        int64_t b = q->lowest, e = q->head[b];
+        q->head[b] = q->next[e];
+        q->next[e] = q->free_list;
+        q->free_list = e;
+        q->size--;
+        top.key = b - q->offset;
+        top.tie = 0;
+        top.vertex = q->vertex[e];
+    } else {
+        top = heap_pop(q->at, &q->size);
+    }
+    q->work[POPS]++;
+    q->popped = top.vertex;
     return top;
 }
 
@@ -177,13 +298,12 @@ static inline entry_t heap_pop(heap_t *h)
 static int64_t grow_greedy(
     const graph_t *g, const int64_t *order, int64_t target0, int64_t max0,
     int64_t *gain, uint8_t *in_block, uint8_t *blocked,
-    int64_t *grown, int64_t grown_cap, heap_t *h)
+    int64_t *grown, int64_t grown_cap, queue_t *q)
 {
     const int64_t n = g->n;
     int64_t counter = 0, weight0 = 0, count = 0, next = 0;
 
-    h->size = 0;
-    h->popped = -1;
+    queue_reset(q);
     if (n <= 0)
         return 0;
     memset(gain, 0, (size_t)n * sizeof *gain);
@@ -191,7 +311,7 @@ static int64_t grow_greedy(
     memset(blocked, 0, (size_t)n);
 
     while (weight0 < target0) {
-        if (h->size == 0) {
+        if (q->size == 0) {
             /* (re)start from a fresh random seed (disconnected graphs) */
             for (; next < n; next++) {
                 CHECK_ID(order[next]);
@@ -200,11 +320,11 @@ static int64_t grow_greedy(
             }
             if (next >= n)
                 break;
-            TRY(heap_push(h, 0, counter++, order[next]));
+            TRY(queue_push(q, 0, counter++, order[next]));
         }
         /* gains only grow and the largest is popped first, so the first
          * entry of an unassigned vertex to surface carries its current gain */
-        int64_t u = heap_pop(h).vertex;
+        int64_t u = queue_pop(q).vertex;
         if (in_block[u] || blocked[u])
             continue;
         int64_t w = VWGT(g, u);
@@ -223,7 +343,7 @@ static int64_t grow_greedy(
             if (in_block[v])
                 continue;
             gain[v] += 2 * WGT(g, e); /* edge flips from cut to internal */
-            TRY(heap_push(h, -gain[v], counter++, v));
+            TRY(queue_push(q, -gain[v], counter++, v));
         }
     }
     return count;
@@ -281,7 +401,7 @@ static int64_t grow_bfs(
 static int64_t fm2way(
     const graph_t *g, int64_t max0, int64_t max1, int64_t rounds,
     int64_t patience, int8_t *side, int64_t *gain, uint8_t *locked,
-    int64_t *kept, int64_t *moves, int64_t moves_cap, heap_t *h)
+    int64_t *kept, int64_t *moves, int64_t moves_cap, queue_t *q)
 {
     const int64_t n = g->n;
     const int64_t max_weight[2] = {max0, max1};
@@ -296,8 +416,7 @@ static int64_t fm2way(
 
     while (passes < rounds) {
         /* gains, and the boundary as the pass's seeds: (-gain, u, u) */
-        h->size = 0;
-        h->popped = -1;
+        queue_reset(q);
         for (int64_t u = 0; u < n; u++) {
             int64_t gu = 0, cut_edges = 0;
             for (int64_t e = g->xadj[u]; e < g->xadj[u + 1]; e++) {
@@ -310,7 +429,7 @@ static int64_t fm2way(
             gain[u] = gu;
             locked[u] = 0;
             if (cut_edges)
-                TRY(heap_push(h, -gu, u, u));
+                TRY(queue_push(q, -gu, u, u));
         }
         int64_t counter = n; /* later pushes sort after the seeds on equal gain */
         int64_t count = 0, best_prefix = 0, balance_total = 0, best_total = 0;
@@ -318,10 +437,10 @@ static int64_t fm2way(
         int64_t steps = 0, fallen = 0;
         __int128 squares = 0;
         passes++;
-        h->work[PASSES]++;
+        q->work[PASSES]++;
 
-        while (h->size) {
-            entry_t top = heap_pop(h);
+        while (q->size) {
+            entry_t top = queue_pop(q);
             int64_t u = top.vertex;
             if (locked[u])
                 continue;
@@ -366,7 +485,7 @@ static int64_t fm2way(
                 if (locked[v])
                     continue;
                 gain[v] += side[v] == dst ? -w2 : w2;
-                TRY(heap_push(h, -gain[v], counter++, v));
+                TRY(queue_push(q, -gain[v], counter++, v));
             }
         }
 
@@ -396,8 +515,9 @@ int64_t repro_greedy_graph_growing(
     int64_t *work)
 {
     graph_t g = {n, xadj, adj, wgt, vwgt};
-    heap_t h = {(entry_t *)heap, 0, heap_cap, work, -1};
-    return grow_greedy(&g, order, target0, max0, gain, in_block, blocked, grown, grown_cap, &h);
+    queue_t q;
+    queue_init(&q, &g, heap, heap_cap, work);
+    return grow_greedy(&g, order, target0, max0, gain, in_block, blocked, grown, grown_cap, &q);
 }
 
 /* Edge weights, heap and counters are part of the shared calling convention
@@ -421,8 +541,9 @@ int64_t repro_fm2way(
     int64_t *heap, int64_t heap_cap, int64_t *work)
 {
     graph_t g = {n, xadj, adj, wgt, vwgt};
-    heap_t h = {(entry_t *)heap, 0, heap_cap, work, -1};
-    return fm2way(&g, max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap, &h);
+    queue_t q;
+    queue_init(&q, &g, heap, heap_cap, work);
+    return fm2way(&g, max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap, &q);
 }
 
 enum { KIND_GGG, KIND_BFS, KIND_RANDOM, KINDS };
@@ -461,45 +582,59 @@ static void slot_order(uint64_t seed, int64_t slot, int64_t n, int64_t *order)
     }
 }
 
+/* A pool's per-vertex scratch (n entries each unless noted) */
+typedef struct {
+    int64_t *gain;
+    uint8_t *in_block, *blocked, *visited;
+    int64_t *grown;
+    int8_t *side, *best_side;
+    int64_t *order, *fm_gain;
+    uint8_t *locked;
+    int64_t *kept, *moves, moves_cap; /* kept: rounds entries, moves: moves_cap */
+} pool_scratch_t;
+
+/* What every pool of a call shares: the kinds, the size and the rules */
+typedef struct {
+    const int64_t *kinds;
+    int64_t kinds_len, attempts;
+    double sigmas;
+    int64_t rounds;
+} pool_spec_t;
+
 /* A bisection's whole attempt pool (recursive.bipartition_portfolio): slot
- * i seeds with kind pool[i % pool_len] -- greedy growing, BFS growth or the
- * random walk -- from slot_order(seed, i) written into order[] (n entries;
- * only a slot that runs builds its order), polishes the seed with 2-way FM
- * and keeps the best (infeasibility, cut), the first on ties.  A slot is
- * skipped once its kind has run, a feasible assignment exists and the mean
- * of the kind's cuts lies more than `sigmas` standard deviations above the
- * best cut: the rule in doubles with Python's order of operations, exact
- * while every sum of cuts stays below 2^53 (the caller admits attempts *
- * sum |wgt| < 2^53, so sums convert to doubles exactly and each operation
- * rounds once, as Python's).  Writes the best assignment to part[] and one
- * row of ROW_LEN to rows[] a slot (kind, ran, infeasibility, cut, heap
- * pops, heap pushes, FM passes; zeros past the kind for a skipped slot).
+ * i seeds with kind kinds[i % kinds_len] -- greedy growing, BFS growth or
+ * the random walk -- from slot_order(seed, i) written into order[] (n
+ * entries; only a slot that runs builds its order), polishes the seed with
+ * 2-way FM and keeps the best (infeasibility, cut), the first on ties.  A
+ * slot is skipped once its kind has run, a feasible assignment exists and
+ * the mean of the kind's cuts lies more than `sigmas` standard deviations
+ * above the best cut: the rule in doubles with Python's order of
+ * operations, exact while every sum of cuts stays below 2^53 (the caller
+ * admits attempts * sum |wgt| < 2^53, so sums convert to doubles exactly
+ * and each operation rounds once, as Python's).  Points *best at the best
+ * assignment (side or best_side of the scratch) and writes one row of
+ * ROW_LEN to rows[] a slot (kind, ran, infeasibility, cut, queue pops,
+ * queue pushes, FM passes; zeros past the kind for a skipped slot).
  * Returns 0 or a negative ERR_*. */
-int64_t repro_bisect_pool(
-    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
-    const int64_t *vwgt, int64_t target0, int64_t max0, int64_t max1,
-    const int64_t *pool, int64_t pool_len, int64_t attempts, double sigmas,
-    int64_t rounds, int64_t patience, uint64_t seed,
-    int64_t *gain, uint8_t *in_block, uint8_t *blocked, uint8_t *visited,
-    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *order, int64_t *fm_gain,
-    uint8_t *locked, int64_t *kept, int64_t *moves, int64_t moves_cap,
-    int32_t *part, int64_t *rows, int64_t *heap, int64_t heap_cap, int64_t *work)
+static int64_t bisect_pool(
+    const graph_t *g, int64_t target0, int64_t max0, int64_t max1, const pool_spec_t *spec,
+    int64_t patience, uint64_t seed, pool_scratch_t s, int64_t *rows, queue_t *q,
+    const int8_t **best)
 {
-    graph_t g = {n, xadj, adj, wgt, vwgt};
-    heap_t h = {(entry_t *)heap, 0, heap_cap, work, -1};
+    const int64_t n = g->n, *work = q->work;
     /* per kind: runs, sum and sum of squares of the post-FM cuts */
     int64_t runs[KINDS] = {0}, cuts[KINDS] = {0};
     __int128 squares[KINDS] = {0};
     int64_t total = 0, best_infeasible = 0, best_cut = 0;
     int have_best = 0;
 
-    if (n < 0 || pool_len <= 0)
+    if (n < 0 || spec->kinds_len <= 0)
         return ERR_LABEL;
     for (int64_t u = 0; u < n; u++)
-        total += VWGT(&g, u);
+        total += VWGT(g, u);
 
-    for (int64_t slot = 0; slot < attempts; slot++) {
-        int64_t *row = rows + slot * ROW_LEN, kind = pool[slot % pool_len];
+    for (int64_t slot = 0; slot < spec->attempts; slot++) {
+        int64_t *row = rows + slot * ROW_LEN, kind = spec->kinds[slot % spec->kinds_len];
         if ((uint64_t)kind >= KINDS)
             return ERR_LABEL;
         memset(row, 0, ROW_LEN * sizeof *row);
@@ -510,46 +645,47 @@ int64_t repro_bisect_pool(
                 ? ((double)squares[kind] - (double)cuts[kind] * mean) / (double)(runs[kind] - 1)
                 : 0.0;
             /* best_cut < 2^53 converts exactly: the comparison is Python's */
-            if (mean - sigmas * sqrt(0.0 > variance ? 0.0 : variance) > (double)best_cut)
+            if (mean - spec->sigmas * sqrt(0.0 > variance ? 0.0 : variance) > (double)best_cut)
                 continue;
         }
-        slot_order(seed, slot, n, order);
+        slot_order(seed, slot, n, s.order);
         const int64_t pops = work[POPS], pushes = work[PUSHES], passes = work[PASSES];
 
         /* the seed: block 0 is what the search grew, everything else is 1 */
-        memset(side, 1, (size_t)n);
+        memset(s.side, 1, (size_t)n);
         if (kind == KIND_RANDOM) {
             /* the vertices whose preceding weight in the order is below the
              * target: random_bipartition's searchsorted, as a walk */
             int64_t before = 0;
             for (int64_t i = 0; i < n && before < target0; i++) {
-                int64_t v = order[i];
+                int64_t v = s.order[i];
                 CHECK_ID(v);
-                side[v] = 0;
-                before += VWGT(&g, v);
+                s.side[v] = 0;
+                before += VWGT(g, v);
             }
         } else {
             int64_t count = kind == KIND_GGG
-                ? grow_greedy(&g, order, target0, max0, gain, in_block, blocked, grown, n, &h)
-                : grow_bfs(&g, order, target0, visited, grown, n);
+                ? grow_greedy(g, s.order, target0, max0, s.gain, s.in_block, s.blocked, s.grown,
+                              n, q)
+                : grow_bfs(g, s.order, target0, s.visited, s.grown, n);
             if (count < 0)
                 return count;
             for (int64_t i = 0; i < count; i++)
-                side[grown[i]] = 0;
+                s.side[s.grown[i]] = 0;
         }
-        int64_t rc = fm2way(&g, max0, max1, rounds, patience, side, fm_gain, locked, kept,
-                            moves, moves_cap, &h);
+        int64_t rc = fm2way(g, max0, max1, spec->rounds, patience, s.side, s.fm_gain, s.locked,
+                            s.kept, s.moves, s.moves_cap, q);
         if (rc < 0)
             return rc;
 
         int64_t w0 = 0, crossing = 0;
         for (int64_t u = 0; u < n; u++) {
-            if (side[u] == 0)
-                w0 += VWGT(&g, u);
-            for (int64_t e = xadj[u]; e < xadj[u + 1]; e++) {
-                CHECK_ID(adj[e]);
-                if (side[adj[e]] != side[u])
-                    crossing += WGT(&g, e);
+            if (s.side[u] == 0)
+                w0 += VWGT(g, u);
+            for (int64_t e = g->xadj[u]; e < g->xadj[u + 1]; e++) {
+                CHECK_ID(g->adj[e]);
+                if (s.side[g->adj[e]] != s.side[u])
+                    crossing += WGT(g, e);
             }
         }
         int64_t cut = (crossing - (crossing & 1)) / 2; /* floor, as Python's // */
@@ -566,16 +702,44 @@ int64_t repro_bisect_pool(
         squares[kind] += (__int128)cut * cut;
         if (!have_best || infeasible < best_infeasible
             || (infeasible == best_infeasible && cut < best_cut)) {
-            int8_t *swap = best_side;
-            best_side = side;
-            side = swap;
+            int8_t *swap = s.best_side;
+            s.best_side = s.side;
+            s.side = swap;
             best_infeasible = infeasible;
             best_cut = cut;
             have_best = 1;
         }
     }
+    *best = s.best_side;
+    return 0;
+}
+
+/* One bisection's pool (bisect_pool) on a workspace: the best assignment
+ * lands in part[]. */
+int64_t repro_bisect_pool(
+    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
+    const int64_t *vwgt, int64_t target0, int64_t max0, int64_t max1,
+    const int64_t *pool, int64_t pool_len, int64_t attempts, double sigmas,
+    int64_t rounds, int64_t patience, uint64_t seed,
+    int64_t *gain, uint8_t *in_block, uint8_t *blocked, uint8_t *visited,
+    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *order, int64_t *fm_gain,
+    uint8_t *locked, int64_t *kept, int64_t *moves, int64_t moves_cap,
+    int32_t *part, int64_t *rows, int64_t *heap, int64_t heap_cap, int64_t *work)
+{
+    graph_t g = {n, xadj, adj, wgt, vwgt};
+    pool_spec_t spec = {pool, pool_len, attempts, sigmas, rounds};
+    pool_scratch_t s = {gain, in_block, blocked, visited, grown, side, best_side, order, fm_gain,
+                        locked, kept, moves, moves_cap};
+    const int8_t *best = NULL;
+    queue_t q;
+    if (n < 0)
+        return ERR_LABEL;
+    queue_init(&q, &g, heap, heap_cap, work);
+    int64_t rc = bisect_pool(&g, target0, max0, max1, &spec, patience, seed, s, rows, &q, &best);
+    if (rc < 0)
+        return rc;
     for (int64_t u = 0; u < n; u++)
-        part[u] = best_side[u];
+        part[u] = best[u];
     return 0;
 }
 
@@ -648,14 +812,13 @@ static void sort_row(int64_t *adj, int64_t *wgt, int64_t len, int64_t *tmp_adj, 
  * 1 if every kept edge weighs 1.  local[] (n) and the sort scratch (two
  * halves of sort_cap, sort_cap >= the largest degree) are scratch.
  * Returns 0 or a negative ERR_*. */
-int64_t repro_split(
-    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
-    const int64_t *vwgt, const int32_t *labels, const int64_t *slot_of,
-    int64_t label_count, int64_t slots, const int64_t *ids, int64_t *local,
-    int64_t *out_xadj, int64_t *out_adj, int64_t *out_wgt, int64_t adj_cap,
-    int64_t *out_vwgt, int64_t *out_ids, int64_t *sort_scratch, int64_t sort_cap,
-    int64_t *info)
+static int64_t split_graph(
+    const graph_t *g, const int32_t *labels, const int64_t *slot_of, int64_t label_count,
+    int64_t slots, const int64_t *ids, int64_t *local, int64_t *out_xadj, int64_t *out_adj,
+    int64_t *out_wgt, int64_t adj_cap, int64_t *out_vwgt, int64_t *out_ids,
+    int64_t *sort_scratch, int64_t sort_cap, int64_t *info)
 {
+    const int64_t n = g->n, *xadj = g->xadj, *adj = g->adj, *wgt = g->wgt, *vwgt = g->vwgt;
     int64_t vertex_start = 0, edge_start = 0;
 
     if (n < 0 || slots < 0)
@@ -725,4 +888,142 @@ int64_t repro_split(
         out_xadj[at + s + 1] = row[SPLIT_M];
     }
     return 0;
+}
+
+int64_t repro_split(
+    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
+    const int64_t *vwgt, const int32_t *labels, const int64_t *slot_of,
+    int64_t label_count, int64_t slots, const int64_t *ids, int64_t *local,
+    int64_t *out_xadj, int64_t *out_adj, int64_t *out_wgt, int64_t adj_cap,
+    int64_t *out_vwgt, int64_t *out_ids, int64_t *sort_scratch, int64_t sort_cap,
+    int64_t *info)
+{
+    graph_t g = {n, xadj, adj, wgt, vwgt};
+    return split_graph(&g, labels, slot_of, label_count, slots, ids, local, out_xadj, out_adj,
+                       out_wgt, adj_cap, out_vwgt, out_ids, sort_scratch, sort_cap, info);
+}
+
+/* One row of repro_bisect_depth's nodes: the node's subgraph in the depth's
+ * arena -- n, m, where its xadj, vertices and edges start, 1 if its edges
+ * all weigh 1 -- then its place in the tree -- blocks to make (k >= 2),
+ * its first block, its seed's index -- then target0, max0, max1 and FM's
+ * patience.  A child row is the first nine columns and the child's total
+ * vertex weight. */
+enum {
+    NODE_N, NODE_M, NODE_XADJ, NODE_VERTEX, NODE_EDGE, NODE_UNIT, NODE_K, NODE_FIRST,
+    NODE_SEED, NODE_TARGET0, NODE_MAX0, NODE_MAX1, NODE_PATIENCE, NODE_LEN
+};
+enum { CHILD_WEIGHT = NODE_SEED + 1, CHILD_LEN };
+
+/* One depth of recursive bisection's tree (recursive.initial_partition):
+ * node i's subgraph is read from the arena (xadj, adj, wgt, vwgt, ids; wgt
+ * and vwgt NULL when all weights are 1, ids NULL when the ids are the
+ * vertices themselves) at its row's starts; its pool runs from
+ * seeds[its seed index] and writes its rows at rows + i * attempts *
+ * ROW_LEN.  A node with k == 2 writes its two blocks to part[ids]; a larger
+ * node splits k into k0 = ceil(k / 2) and k1 = k - k0, and each side with
+ * two blocks or more becomes a child whose subgraph split_graph writes into
+ * the next arena (out_*) at the node's own starts, the child's xadj at its
+ * vertex start plus its index among the depth's children -- a side with
+ * one block goes to part[] at once.  Children are numbered in node order,
+ * side 0 first, one row of CHILD_LEN each in children[]: side 0 makes k0
+ * blocks from the node's first, side 1 k1 from first + k0, and their seed
+ * indices are the node's + 1 and + k0 (side 0's subtree holds k0 - 1
+ * bisections), so seed i is the i-th bisection of the depth-first
+ * preorder.  The pool's
+ * scratch holds scratch_n vertices, the queue's words heap_cap entries.
+ * Returns the number of children, or a negative ERR_*. */
+int64_t repro_bisect_depth(
+    int64_t nodes, const int64_t *node_rows,
+    const int64_t *xadj, int64_t xadj_len, const int64_t *adj, const int64_t *wgt,
+    int64_t adj_len, const int64_t *vwgt, const int64_t *ids, int64_t vertex_len,
+    const uint64_t *seeds, int64_t seed_count,
+    const int64_t *pool, int64_t pool_len, int64_t attempts, double sigmas, int64_t rounds,
+    int64_t scratch_n, int64_t *gain, uint8_t *in_block, uint8_t *blocked, uint8_t *visited,
+    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *order, int64_t *fm_gain,
+    uint8_t *locked, int64_t *kept, int64_t *moves, int64_t moves_cap,
+    int32_t *labels, int64_t *local, int64_t *sort_scratch, int64_t sort_cap,
+    int64_t *out_xadj, int64_t out_xadj_len, int64_t *out_adj, int64_t *out_wgt,
+    int64_t out_adj_len, int64_t *out_vwgt, int64_t *out_ids, int64_t out_vertex_len,
+    int64_t *children, int32_t *part, int64_t part_len, int64_t *rows,
+    int64_t *heap, int64_t heap_cap, int64_t *work)
+{
+    const pool_spec_t spec = {pool, pool_len, attempts, sigmas, rounds};
+    const pool_scratch_t s = {gain, in_block, blocked, visited, grown, side, best_side, order,
+                              fm_gain, locked, kept, moves, moves_cap};
+    int64_t count = 0; /* children written */
+
+    if (nodes < 0 || attempts < 1)
+        return ERR_LABEL;
+    for (int64_t i = 0; i < nodes; i++) {
+        const int64_t *r = node_rows + i * NODE_LEN;
+        const int64_t n = r[NODE_N], m = r[NODE_M], x0 = r[NODE_XADJ], v0 = r[NODE_VERTEX];
+        const int64_t e0 = r[NODE_EDGE], k = r[NODE_K], first = r[NODE_FIRST];
+        /* the node's regions lie inside the arena, its xadj tiles its edges */
+        if (n < 0 || m < 0 || x0 < 0 || v0 < 0 || e0 < 0 || n > scratch_n
+            || x0 > xadj_len - n - 1 || v0 > vertex_len - n || e0 > adj_len - m)
+            return ERR_CAPACITY;
+        const int64_t *node_xadj = xadj + x0;
+        if (node_xadj[0] != 0 || node_xadj[n] != m)
+            return ERR_XADJ;
+        for (int64_t u = 0; u < n; u++)
+            if (node_xadj[u] > node_xadj[u + 1])
+                return ERR_XADJ;
+        if (k < 2 || first < 0 || first > INT32_MAX - k + 1
+            || (uint64_t)r[NODE_SEED] >= (uint64_t)seed_count)
+            return ERR_LABEL;
+        graph_t g = {n, node_xadj, adj + e0, wgt && !r[NODE_UNIT] ? wgt + e0 : NULL,
+                     vwgt ? vwgt + v0 : NULL};
+        const int64_t *node_ids = ids ? ids + v0 : NULL;
+        const int8_t *best = NULL;
+        queue_t q;
+        queue_init(&q, &g, heap, heap_cap, work);
+        int64_t rc = bisect_pool(&g, r[NODE_TARGET0], r[NODE_MAX0], r[NODE_MAX1], &spec,
+                                 r[NODE_PATIENCE], seeds[r[NODE_SEED]], s,
+                                 rows + i * attempts * ROW_LEN, &q, &best);
+        if (rc < 0)
+            return rc;
+
+        /* side 0 makes blocks [first, first + k0), side 1 the rest; a side
+         * of one block is that block, a side of more is a child */
+        const int64_t k0 = (k + 1) / 2;
+        const int64_t slot_of[2] = {k > 2 ? 0 : -1, k > 3 ? 1 : -1};
+        const int64_t slots = (slot_of[0] >= 0) + (slot_of[1] >= 0);
+        for (int64_t u = 0; u < n; u++) {
+            int64_t id = node_ids ? node_ids[u] : u;
+            if ((uint64_t)id >= (uint64_t)part_len)
+                return ERR_ID;
+            labels[u] = best[u];
+            if (slot_of[best[u]] < 0)
+                part[id] = (int32_t)(first + (best[u] ? k0 : 0));
+        }
+        if (!slots)
+            continue;
+        if (v0 + count > out_xadj_len - n - slots || v0 > out_vertex_len - n
+            || e0 > out_adj_len - m || (g.wgt && !out_wgt) || (g.vwgt && !out_vwgt))
+            return ERR_CAPACITY;
+        const int64_t c0 = count;
+        int64_t info[2 * SPLIT_LEN];
+        rc = split_graph(&g, labels, slot_of, 2, slots, node_ids, local, out_xadj + v0 + c0,
+                         out_adj + e0, g.wgt ? out_wgt + e0 : NULL, m,
+                         g.vwgt ? out_vwgt + v0 : NULL, out_ids + v0, sort_scratch, sort_cap,
+                         info);
+        if (rc < 0)
+            return rc;
+        for (int64_t c = 0; c < slots; c++, count++) {
+            const int64_t *row = info + c * SPLIT_LEN;
+            int64_t *child = children + count * CHILD_LEN;
+            child[NODE_N] = row[SPLIT_N];
+            child[NODE_M] = row[SPLIT_M];
+            child[NODE_XADJ] = v0 + c0 + row[SPLIT_VERTEX_START] + c;
+            child[NODE_VERTEX] = v0 + row[SPLIT_VERTEX_START];
+            child[NODE_EDGE] = e0 + row[SPLIT_EDGE_START];
+            child[NODE_UNIT] = row[SPLIT_UNIT];
+            child[NODE_K] = c ? k - k0 : k0;
+            child[NODE_FIRST] = c ? first + k0 : first;
+            child[NODE_SEED] = r[NODE_SEED] + (c ? k0 : 1);
+            child[CHILD_WEIGHT] = row[SPLIT_WEIGHT];
+        }
+    }
+    return count;
 }

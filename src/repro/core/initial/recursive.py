@@ -5,6 +5,11 @@ Each bisection splits the remaining block budget ``k`` into
 the budget; the per-bisection imbalance allowance is relaxed to
 ``(1+eps)^(1/ceil(log2 k)) - 1`` so the final k-way partition lands inside
 the global constraint (the standard recursive-bisection correction).
+
+The tree runs a depth at a time: one ``repro_bisect_depth`` call runs every
+bisection of a depth and writes the subgraphs of the next
+(:class:`~repro.core.initial.workspace.BisectionTree`); only the caps of
+each bisection are computed here, from its subgraph's total weight.
 """
 
 from __future__ import annotations
@@ -13,7 +18,15 @@ import math
 
 import numpy as np
 
-from repro.core.initial.workspace import RAN, KIND_CODES, BisectionWorkspace
+from repro.core.initial.workspace import (
+    RAN,
+    KIND_CODES,
+    NODE_FIELDS,
+    BisectionTree,
+    BisectionWorkspace,
+    fm_patience,
+)
+from repro.graph._native import clamp_weight
 from repro.graph.access import installed_tracer
 from repro.memory.scratch import tracked_zeros
 
@@ -21,6 +34,7 @@ from repro.memory.scratch import tracked_zeros
 POOL = ("ggg", "ggg", "bfs", "random")
 POOL_SIGMAS = 2.0
 _POOL_CODES = np.array([KIND_CODES.index(kind) for kind in POOL], dtype=np.int64)
+_K = NODE_FIELDS.index("k")
 
 
 def split(ws: BisectionWorkspace, labels, label_count: int, blocks, ids=None):
@@ -70,34 +84,41 @@ def initial_partition(
     attempts: int = 8,
     fm_rounds: int = 2,
 ) -> np.ndarray:
-    """k-way partition of (the coarsest) ``graph`` via recursive bisection."""
+    """k-way partition of (the coarsest) ``graph`` via recursive bisection.
+
+    The k - 1 bisections draw their seeds in one ``random_raw(k - 1)``, the
+    i-th bisection of the depth-first preorder taking seed i, as one draw a
+    bisection in that order would.  A refusal leaves ``rng`` where it was."""
     part = tracked_zeros(graph.n, np.int32, name="recursive-part")
     if k <= 1:
         return part
     depth = max(1, math.ceil(math.log2(k)))
     eps_b = (1.0 + epsilon) ** (1.0 / depth) - 1.0
-
-    def recurse(g, ids: np.ndarray, k_here: int, block_offset: int) -> None:
-        if k_here == 1:
-            part[ids] = block_offset
-            return
-        k0 = (k_here + 1) // 2
-        k1 = k_here - k0
-        total = g.total_vertex_weight
-        target0 = int(round(total * k0 / k_here))
-        max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
-        max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
-        ws = BisectionWorkspace.of(g)
-        bp = bipartition_portfolio(
-            ws, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
-        )
-        if k_here == 2:  # both sides are blocks
-            part[ids] = block_offset + bp
-            return
-        (sub0, ids0), (sub1, ids1) = split(ws, bp, 2, (0, 1), ids)
-        del ws, g  # one bisection's workspace does not outlive it
-        recurse(sub0, ids0, k0, block_offset)
-        recurse(sub1, ids1, k1, block_offset + k0)
-
-    recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0)
+    attempts = max(1, attempts)
+    tree = BisectionTree(
+        BisectionWorkspace.of(graph), part, k, _POOL_CODES, attempts, fm_rounds, POOL_SIGMAS
+    )
+    before = rng.bit_generator.state
+    try:
+        seeds = rng.bit_generator.random_raw(k - 1)
+        level = [tree.root]  # the subgraphs of one depth, with their blocks
+        while level:
+            nodes = []
+            for *node, total in level:
+                k_here = node[_K]
+                k0 = (k_here + 1) // 2
+                k1 = k_here - k0
+                target0 = int(round(total * k0 / k_here))
+                max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
+                max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
+                caps = map(clamp_weight, (target0, max0, max1))
+                nodes.append([*node, *caps, fm_patience(node[0])])
+            level = tree.depth(nodes, seeds)
+    except ValueError:
+        rng.bit_generator.state = before
+        raise
+    tracer = installed_tracer()
+    if tracer is not None:
+        tracer.add("initial.attempts_run", tree.ran)
+        tracer.add("initial.attempts_skipped", tree.slots - tree.ran)
     return part

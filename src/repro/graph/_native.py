@@ -1,6 +1,7 @@
 """Loader of the compiled kernels: the codec's chunk decode and
 packet encoder (``decode_kernel.c``), initial partitioning's searches,
-attempt pool and subgraph split (``core/initial/bisection_kernel.c``), the
+attempt pool, subgraph split and bisection-tree depth
+(``core/initial/bisection_kernel.c``), the
 rating map of label
 propagation's rounds and picks and of contraction
 (``core/kernels/lp_kernel.c``) and k-way FM's pass, gain-table build and
@@ -83,7 +84,8 @@ BISECTION_ERRORS = {
     -1: "vertex id out of range",
     -2: "heap, moves, grown or subgraph capacity exhausted",
     -3: "assignment entry other than 0 or 1",
-    -4: "label, slot or pool kind out of range",
+    -4: "label, slot, pool kind, seed or block out of range",
+    -5: "xadj does not tile the adjacency",
 }
 
 #: what the functions of ``lp_kernel.c`` return for a chunk or round they
@@ -288,6 +290,17 @@ SIGNATURES = {
     "repro_split": [
         _i64, _p, _p, _p, _p, _p, _p, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _p, _p, _i64, _p,
     ],
+    # nodes, node_rows, xadj, xadj_len, adj, wgt, adj_len, vwgt, ids,
+    # vertex_len, seeds, seed_count, pool, pool_len, attempts, sigmas,
+    # rounds, scratch_n, the pool's twelve scratch arrays, moves_cap,
+    # labels, local, sort_scratch, sort_cap, out_xadj, out_xadj_len,
+    # out_adj, out_wgt, out_adj_len, out_vwgt, out_ids, out_vertex_len,
+    # children, part, part_len, rows, heap, heap_cap, work
+    "repro_bisect_depth": [
+        _i64, _p, _p, _i64, _p, _p, _i64, _p, _p, _i64, _p, _i64, _p, _i64, _i64, ctypes.c_double,
+        _i64, _i64, *[_p] * 12, _i64, _p, _p, _p, _i64, _p, _i64, _p, _p, _i64, _p, _p, _i64, _p,
+        _p, _i64, _p, _p, _i64, _p,
+    ],
     # segments, by_vertex, bounds, chunks, clusters, cluster_weights, vwgt,
     # unit_vwgt, max_cluster_weight, t_bump, favorites, rating map, fav, best,
     # nc, out_cap, moved, stats, stats_cap, info, stream
@@ -437,8 +450,8 @@ def encode_kernel():
 
 
 def bisection_kernels():
-    """``(greedy_graph_growing, bfs_growing, fm2way, bisect_pool, split)``
-    ctypes functions of ``bisection_kernel.c``."""
+    """``(greedy_graph_growing, bfs_growing, fm2way, bisect_pool, split,
+    bisect_depth)`` ctypes functions of ``bisection_kernel.c``."""
     lib = library()
     return (
         lib["repro_greedy_graph_growing"],
@@ -446,6 +459,7 @@ def bisection_kernels():
         lib["repro_fm2way"],
         lib["repro_bisect_pool"],
         lib["repro_split"],
+        lib["repro_bisect_depth"],
     )
 
 

@@ -9,7 +9,7 @@ scalar VarInt routines, per-vertex block codec and numpy chunk decoder and
 run encoder, k-way FM's Python pass with the gain
 tables' Python queries and updates, the tables' numpy build and the numpy
 seed scan, and initial partitioning's list loops,
-Python attempt pool and subgraph extraction.
+Python attempt pool, subgraph extraction and bisection recursion.
 
 :func:`installed` puts them in the drivers' place for the body of a
 ``with``: it swaps every loaded ``repro.*`` binding of a kernel entry for
@@ -1770,6 +1770,42 @@ def bipartition_portfolio(
     return best
 
 
+def initial_partition(graph, k, epsilon, rng, attempts=8, fm_rounds=2):
+    """:func:`repro.core.initial.recursive.initial_partition` as the
+    recursion it was: one :func:`bipartition_portfolio` and one
+    :func:`split` a bisection, in depth-first order."""
+    part = tracked_zeros(graph.n, np.int32, name="recursive-part")
+    if k <= 1:
+        return part
+    depth = max(1, math.ceil(math.log2(k)))
+    eps_b = (1.0 + epsilon) ** (1.0 / depth) - 1.0
+
+    def recurse(g, ids: np.ndarray, k_here: int, block_offset: int) -> None:
+        if k_here == 1:
+            part[ids] = block_offset
+            return
+        k0 = (k_here + 1) // 2
+        k1 = k_here - k0
+        total = g.total_vertex_weight
+        target0 = int(round(total * k0 / k_here))
+        max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
+        max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
+        ws = BisectionWorkspace.of(g)
+        bp = bipartition_portfolio(
+            ws, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
+        )
+        if k_here == 2:  # both sides are blocks
+            part[ids] = block_offset + bp
+            return
+        (sub0, ids0), (sub1, ids1) = split(ws, bp, 2, (0, 1), ids)
+        del ws, g  # one bisection's workspace does not outlive it
+        recurse(sub0, ids0, k0, block_offset)
+        recurse(sub1, ids1, k1, block_offset + k0)
+
+    recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0)
+    return part
+
+
 # --------------------------------------------------------------------- #
 # the seam
 # --------------------------------------------------------------------- #
@@ -1799,6 +1835,7 @@ TWINS = {
         (fm2way, "fm2way_refine", fm2way_refine),
         (recursive, "bipartition_portfolio", bipartition_portfolio),
         (recursive, "split", split),
+        (recursive, "initial_partition", initial_partition),
     ],
 }
 

@@ -453,20 +453,20 @@ class TestDegenerate:
         if n:
             assert_split_is_extract(g, sides(n, 1), 2, (0, 1))
         for k in (2, 4):
-            got, want = both_paths(lambda rng: initial_partition(g, k, 0.03, rng), 1)
+            got, want = both_paths(lambda rng: recursive.initial_partition(g, k, 0.03, rng), 1)
             assert got.tolist() == want.tolist()
 
     def test_all_isolated(self):
         g = from_edges(9, self.NO_EDGES, vwgt=np.arange(1, 10))
         assert_pools_agree(g, 22, (24, 24), 1, 8, 2)
         assert_split_is_extract(g, sides(9, 2), 2, (0, 1))
-        got, want = both_paths(lambda rng: initial_partition(g, 3, 0.1, rng), 2)
+        got, want = both_paths(lambda rng: recursive.initial_partition(g, 3, 0.1, rng), 2)
         assert got.tolist() == want.tolist() == [2, 1, 0, 0, 2, 1, 1, 0, 2]
 
     @pytest.mark.parametrize("k", [7, 16, 40])
     def test_k_above_coarsest_n(self, k):
         g = gen.grid2d(2, 3)
-        got, want = both_paths(lambda rng: initial_partition(g, k, 0.03, rng), 1)
+        got, want = both_paths(lambda rng: recursive.initial_partition(g, k, 0.03, rng), 1)
         assert got.tolist() == want.tolist()
 
     def test_caps_below_zero_take_the_oracle(self):
@@ -502,7 +502,7 @@ class TestDegenerate:
         # two attempts keep it below the bound
         assert initial_partition(g, 4, 0.03, rng, attempts=2).shape == (12,)
         with oracle():
-            assert initial_partition(g, 4, 0.03, rng).shape == (12,)
+            assert recursive.initial_partition(g, 4, 0.03, rng).shape == (12,)
 
 
 class TestRefusals:

@@ -85,7 +85,7 @@ class TestKernelEqualsOracle:
         g = GOLDEN_GRAPHS[family]()
         for k, seed in ((7, 1), (64, 2)):
             got = initial_partition(g, k, 0.03, np.random.default_rng(seed))
-            want = on_oracle(initial_partition, g, k, 0.03, np.random.default_rng(seed))
+            want = on_oracle(oracles.initial_partition, g, k, 0.03, np.random.default_rng(seed))
             assert np.array_equal(got, want), (k, seed)
 
     def test_degenerate_graphs(self):
@@ -105,7 +105,7 @@ class TestKernelEqualsOracle:
                 assert_searches_agree(g, target, cap, seed, start, caps)
         # k > n: subgraphs run empty on the way down
         got = initial_partition(gen.grid2d(2, 3), 16, 0.03, np.random.default_rng(1))
-        want = on_oracle(initial_partition, gen.grid2d(2, 3), 16, 0.03, np.random.default_rng(1))
+        want = on_oracle(oracles.initial_partition, gen.grid2d(2, 3), 16, 0.03, np.random.default_rng(1))
         assert got.tolist() == want.tolist() == [11, 15, 3, 9, 7, 1]
 
 
