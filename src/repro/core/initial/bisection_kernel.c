@@ -1,18 +1,18 @@
 /* Native initial partitioning of repro.core.initial: greedy graph growing,
  * BFS growth and 2-way FM, each a port of a Python loop of the same name;
- * a bisection's whole attempt pool on them (recursive.bipartition_portfolio);
  * the split of a labelled graph into the induced subgraphs the next
- * bisections work on (recursive.split); and one depth of recursive
- * bisection's tree, every node's pool and split in one call
- * (recursive.initial_partition).  The Python loops and the recursion stay
- * in tests/oracles.py as the reference.
+ * bisections work on (deep multilevel's split rounds); and one depth of
+ * recursive bisection's tree, every node's attempt pool on those searches
+ * and its split in one call (recursive.initial_partition, and each deep
+ * split round).  The Python loops, the recursion and the per-block split
+ * round stay in tests/oracles.py as the reference.
  *
- * Six exported functions, no state, no Python objects: ctypes calls them
+ * Five exported functions, no state, no Python objects: ctypes calls them
  * with the GIL released.  One calling convention: the int64 arrays of a
  * BisectionWorkspace first -- n, xadj (n + 1), adj and wgt (xadj[n] each),
  * vwgt (n); wgt == NULL or vwgt == NULL means unit weights -- then the
  * function's own arguments and scratch (which the caller allocates and the
- * kernel initialises), then (searches, pool and depth) the heap buffer, its
+ * kernel initialises), then (searches and depth) the heap buffer, its
  * capacity in entries of three words, and the work counters.
  *
  * Why the port is bit-identical: the queue holds (key, tie, vertex) triples
@@ -49,8 +49,8 @@
  *     W = sum |wgt| below 2^62 (so gains and sums of gains fit in int64,
  *     sums of their squares in __int128, and FM's stopping rule compares
  *     its products exactly in 192 bits), and total vertex weight and the
- *     caps below 2^62; the pool also needs attempts * W < 2^53 (see
- *     repro_bisect_pool);
+ *     caps below 2^62; a pool also needs attempts * W < 2^53 (see
+ *     bisect_pool);
  *   - a broken rule returns a negative code, never a trap.  Outputs are
  *     then partially written garbage the caller drops.
  *
@@ -601,7 +601,7 @@ typedef struct {
     int64_t rounds;
 } pool_spec_t;
 
-/* A bisection's whole attempt pool (recursive.bipartition_portfolio): slot
+/* A bisection's whole attempt pool (tests/oracles.py::portfolio): slot
  * i seeds with kind kinds[i % kinds_len] -- greedy growing, BFS growth or
  * the random walk -- from slot_order(seed, i) written into order[] (n
  * entries; only a slot that runs builds its order), polishes the seed with
@@ -714,35 +714,6 @@ static int64_t bisect_pool(
     return 0;
 }
 
-/* One bisection's pool (bisect_pool) on a workspace: the best assignment
- * lands in part[]. */
-int64_t repro_bisect_pool(
-    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
-    const int64_t *vwgt, int64_t target0, int64_t max0, int64_t max1,
-    const int64_t *pool, int64_t pool_len, int64_t attempts, double sigmas,
-    int64_t rounds, int64_t patience, uint64_t seed,
-    int64_t *gain, uint8_t *in_block, uint8_t *blocked, uint8_t *visited,
-    int64_t *grown, int8_t *side, int8_t *best_side, int64_t *order, int64_t *fm_gain,
-    uint8_t *locked, int64_t *kept, int64_t *moves, int64_t moves_cap,
-    int32_t *part, int64_t *rows, int64_t *heap, int64_t heap_cap, int64_t *work)
-{
-    graph_t g = {n, xadj, adj, wgt, vwgt};
-    pool_spec_t spec = {pool, pool_len, attempts, sigmas, rounds};
-    pool_scratch_t s = {gain, in_block, blocked, visited, grown, side, best_side, order, fm_gain,
-                        locked, kept, moves, moves_cap};
-    const int8_t *best = NULL;
-    queue_t q;
-    if (n < 0)
-        return ERR_LABEL;
-    queue_init(&q, &g, heap, heap_cap, work);
-    int64_t rc = bisect_pool(&g, target0, max0, max1, &spec, patience, seed, s, rows, &q, &best);
-    if (rc < 0)
-        return rc;
-    for (int64_t u = 0; u < n; u++)
-        part[u] = best[u];
-    return 0;
-}
-
 /* one row of repro_split's info a slot */
 enum { SPLIT_N, SPLIT_M, SPLIT_VERTEX_START, SPLIT_EDGE_START, SPLIT_WEIGHT, SPLIT_UNIT, SPLIT_LEN };
 
@@ -799,7 +770,7 @@ static void sort_row(int64_t *adj, int64_t *wgt, int64_t len, int64_t *tmp_adj, 
 }
 
 /* The induced subgraphs of the vertices labelled b, for every label b with
- * slot_of[b] >= 0, in one pass (recursive.extract_subgraphs): slot s's
+ * slot_of[b] >= 0, in one pass (tests/oracles.py::extract_subgraphs): slot s's
  * vertices keep their order and are renumbered 0.., each row lists the
  * neighbours inside the slot by new id, stably sorted (lexsort's order), and
  * the slot's workspace lands in the outputs at the starts info[] names --
@@ -915,7 +886,8 @@ enum {
 };
 enum { CHILD_WEIGHT = NODE_SEED + 1, CHILD_LEN };
 
-/* One depth of recursive bisection's tree (recursive.initial_partition):
+/* One depth of recursive bisection's tree (recursive.initial_partition;
+ * a deep split round is one depth of k == 2 nodes over repro_split's arena):
  * node i's subgraph is read from the arena (xadj, adj, wgt, vwgt, ids; wgt
  * and vwgt NULL when all weights are 1, ids NULL when the ids are the
  * vertices themselves) at its row's starts; its pool runs from

@@ -27,8 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.initial.recursive import bipartition_portfolio, split
-from repro.core.initial.workspace import BisectionWorkspace
+from repro.core.initial.recursive import (
+    _POOL_CODES,
+    POOL_SIGMAS,
+    bisection_caps,
+    report_attempts,
+)
+from repro.core.initial.workspace import BisectionTree, BisectionWorkspace, fm_patience
 from repro.core.partition import PartitionedGraph
 from repro.memory.scratch import tracked_zeros
 
@@ -50,8 +55,8 @@ class DeepState:
 
 
 def supported_block_count(n: int, k_target: int, factor: int) -> int:
-    """How many blocks a graph with ``n`` vertices supports (``n/factor``),
-    clamped to ``[1, k_target]`` and rounded to keep splits productive."""
+    """How many blocks a graph with ``n`` vertices supports: ``n // factor``,
+    clamped to ``[1, k_target]``."""
     return max(1, min(k_target, n // max(1, factor)))
 
 
@@ -114,14 +119,11 @@ def _split_until(
     fm_rounds: int,
 ) -> int:
     splits = 0
-    guard = 0
-    while state.k_current < want and not state.done():
+    # defensive: every round doubles the block count, and k_target < 2^64
+    while splits <= 64 and state.k_current < want and not state.done():
         if not _split_round(pgraph, state, rng, attempts, fm_rounds):
             break
         splits += 1
-        guard += 1
-        if guard > 64:  # defensive: k_target <= 2^64 splits anyway
-            break
     return splits
 
 
@@ -132,48 +134,56 @@ def _split_round(
     attempts: int,
     fm_rounds: int,
 ) -> bool:
-    """Bisect every block with budget > 1 once; returns True if any split."""
-    k_old = len(state.budgets)
-    # positions 0..k_old-1 keep their (possibly halved) budgets; each split
-    # appends its second half as a brand-new label at the end
-    new_budgets: list[int] = [int(b) for b in state.budgets]
+    """Bisect every block with budget > 1 and two vertices or more once;
+    returns True if any split.
+
+    Two kernel calls whatever the block count: one ``repro_split`` writes
+    the blocks' subgraphs, one ``repro_bisect_depth`` bisects them all, one
+    ``k = 2`` node a block, node i taking seed i of the round's one
+    ``random_raw``.  Side 0 keeps block b's label (budget ``ceil``), side 1
+    takes a fresh label at the end (budget ``floor``).  Nothing is written
+    before the depth call returns: a refusal leaves the partition, the block
+    weights, the budgets and ``rng`` as they were."""
+    budgets = state.budgets.tolist()
+    k_old = len(budgets)
     part = pgraph.partition
     eps_b = (1.0 + state.epsilon) ** (
         1.0 / max(1, int(np.ceil(np.log2(max(2, state.k_target)))))
     ) - 1.0
-    any_split = False
-
-    # blocks are disjoint and fresh labels start at k_old, so the subgraphs
-    # (written up front, or extracted lazily) never see this round's earlier
-    # splits
-    blocks = [b for b in range(k_old) if new_budgets[b] > 1]
-    subgraphs = split(BisectionWorkspace(pgraph.graph), part, k_old, blocks)
-    for b, (sub, ids) in zip(blocks, subgraphs):
-        if sub.n < 2:
+    sides = tracked_zeros(len(part), np.int32, name="deep-round-sides")
+    tree = BisectionTree(
+        BisectionWorkspace(pgraph.graph), sides, _POOL_CODES, max(1, attempts), fm_rounds,
+        POOL_SIGMAS,
+    )  # fmt: skip
+    blocks = [b for b in range(k_old) if budgets[b] > 1]
+    nodes, split = [], []
+    for b, (n, *child, total) in zip(blocks, tree.split(part, k_old, blocks)):
+        if n < 2:
             continue  # cannot split a sub-2-vertex block
-        budget = new_budgets[b]
-        b0 = (budget + 1) // 2
-        b1 = budget - b0
-        sub_total = sub.total_vertex_weight
-        target0 = int(round(sub_total * b0 / budget))
-        max0 = max(target0, int((1.0 + eps_b) * sub_total * b0 / budget))
-        max1 = max(
-            sub_total - target0, int((1.0 + eps_b) * sub_total * b1 / budget)
-        )
-        bp = bipartition_portfolio(
-            sub, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
-        )
-        # side 0 keeps label b (budget b0); side 1 gets a fresh label
-        next_label = len(new_budgets)
-        movers = bp == 1
-        moved = int(sub.vwgt[movers].sum())
-        part[ids[movers]] = next_label
-        pgraph.block_weights[b] -= moved
-        pgraph.block_weights[next_label] += moved
-        new_budgets[b] = b0
-        new_budgets.append(b1)
-        any_split = True
+        caps = bisection_caps(total, budgets[b], eps_b)
+        nodes.append([n, *child[:5], 2, 0, len(nodes), *caps, fm_patience(n)])
+        split.append(b)
+    if not split:
+        return False
+    before = rng.bit_generator.state
+    try:
+        tree.depth(nodes, rng.bit_generator.random_raw(len(nodes)))
+    except ValueError:
+        rng.bit_generator.state = before
+        raise
+    report_attempts(tree)
 
-    if any_split:
-        state.budgets = np.array(new_budgets, dtype=np.int64)
-    return any_split
+    fresh = np.zeros(k_old, dtype=np.int32)
+    fresh[split] = np.arange(k_old, k_old + len(split))
+    movers = np.flatnonzero(sides)
+    old = part[movers]
+    moved = np.zeros(k_old, dtype=np.int64)
+    np.add.at(moved, old, np.asarray(pgraph.graph.vwgt)[movers])
+    part[movers] = fresh[old]
+    pgraph.block_weights[split] -= moved[split]
+    pgraph.block_weights[k_old : k_old + len(split)] += moved[split]
+    for b in split:
+        budgets.append(budgets[b] // 2)
+        budgets[b] -= budgets[-1]
+    state.budgets = np.array(budgets, dtype=np.int64)
+    return True

@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from repro.core.initial.workspace import (
-    RAN,
     KIND_CODES,
     NODE_FIELDS,
     BisectionTree,
@@ -37,43 +36,16 @@ _POOL_CODES = np.array([KIND_CODES.index(kind) for kind in POOL], dtype=np.int64
 _K = NODE_FIELDS.index("k")
 
 
-def split(ws: BisectionWorkspace, labels, label_count: int, blocks, ids=None):
-    """``(subgraph, ids)`` per label of ``blocks``, the subgraph its vertices
-    induce in the workspace ``ws`` and their ``ids`` (their indices in ``ws``
-    when ``ids`` is ``None``): one ``repro_split`` call writing the next
-    workspaces."""
-    return ws.kernels().split(labels, label_count, blocks, ids)
-
-
-def bipartition_portfolio(
-    graph,
-    target_weight0: int,
-    max_weight0: int,
-    max_weight1: int,
-    rng: np.random.Generator,
-    attempts: int = 8,
-    fm_rounds: int = 2,
-) -> np.ndarray:
-    """Best-of-at-most-``attempts`` bipartition: GGG/BFS/random seeds + 2-way
-    FM, all on one :class:`BisectionWorkspace` (``graph`` may already be one).
-
-    The pool is adaptive as in KaMinPar's initial partitioner: a slot is
-    skipped once its kind of bipartitioner has run and the mean of its
-    post-FM cuts lies more than ``POOL_SIGMAS`` standard deviations above
-    the best feasible cut found so far.  The compiled pool runs it in one
-    call."""
-    ws = BisectionWorkspace.of(graph)
-    attempts = max(1, attempts)
-    best, rows = ws.kernels().pool(
-        _POOL_CODES, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds,
-        POOL_SIGMAS,
-    )  # fmt: skip
-    ran = int(np.count_nonzero(rows[:, RAN]))
-    tracer = installed_tracer()
-    if tracer is not None:
-        tracer.add("initial.attempts_run", ran)
-        tracer.add("initial.attempts_skipped", attempts - ran)
-    return best
+def bisection_caps(total: int, k: int, eps_b: float) -> list[int]:
+    """``[target0, max0, max1]`` of a bisection of weight ``total`` whose
+    sides make ``ceil(k/2)`` and ``floor(k/2)`` of its ``k`` blocks, each
+    side allowed ``1 + eps_b`` times its share, as the kernels compare them."""
+    k0 = (k + 1) // 2
+    k1 = k - k0
+    target0 = int(round(total * k0 / k))
+    max0 = max(target0, int((1.0 + eps_b) * total * k0 / k))
+    max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k))
+    return [clamp_weight(weight) for weight in (target0, max0, max1)]
 
 
 def initial_partition(
@@ -96,29 +68,30 @@ def initial_partition(
     eps_b = (1.0 + epsilon) ** (1.0 / depth) - 1.0
     attempts = max(1, attempts)
     tree = BisectionTree(
-        BisectionWorkspace.of(graph), part, k, _POOL_CODES, attempts, fm_rounds, POOL_SIGMAS
+        BisectionWorkspace.of(graph), part, _POOL_CODES, attempts, fm_rounds, POOL_SIGMAS
     )
     before = rng.bit_generator.state
     try:
         seeds = rng.bit_generator.random_raw(k - 1)
-        level = [tree.root]  # the subgraphs of one depth, with their blocks
+        level = [tree.root(k)]  # the subgraphs of one depth, with their blocks
         while level:
-            nodes = []
-            for *node, total in level:
-                k_here = node[_K]
-                k0 = (k_here + 1) // 2
-                k1 = k_here - k0
-                target0 = int(round(total * k0 / k_here))
-                max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
-                max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
-                caps = map(clamp_weight, (target0, max0, max1))
-                nodes.append([*node, *caps, fm_patience(node[0])])
-            level = tree.depth(nodes, seeds)
+            level = tree.depth(
+                [
+                    [*node, *bisection_caps(total, node[_K], eps_b), fm_patience(node[0])]
+                    for *node, total in level
+                ],
+                seeds,
+            )
     except ValueError:
         rng.bit_generator.state = before
         raise
+    report_attempts(tree)
+    return part
+
+
+def report_attempts(tree: BisectionTree) -> None:
+    """Count the pool slots ``tree`` ran and skipped on the installed tracer."""
     tracer = installed_tracer()
     if tracer is not None:
         tracer.add("initial.attempts_run", tree.ran)
         tracer.add("initial.attempts_skipped", tree.slots - tree.ran)
-    return part

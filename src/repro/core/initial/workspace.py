@@ -1,5 +1,6 @@
 """The workspace one bisection's attempts share, the compiled searches on it,
-and recursive bisection's tree on it, a depth per call."""
+and the bisection tree on it, a depth per call: recursive bisection's, and
+each split round of deep multilevel's."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ import numpy as np
 
 from repro.graph import _native
 from repro.graph.access import full_adjacency
-from repro.graph.csr import _ones_like_view
-from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
+from repro.memory.scratch import tracked_empty, tracked_zeros
 
 #: the pool's seed kinds in ``bisection_kernel.c``'s numbering
 KIND_CODES = ("ggg", "bfs", "random")
@@ -27,6 +27,7 @@ NODE_FIELDS = (
     "patience",
 )  # fmt: skip
 CHILD_FIELDS = (*NODE_FIELDS[: NODE_FIELDS.index("target0")], "weight")
+_K, _MAX0, _MAX1 = (NODE_FIELDS.index(name) for name in ("k", "max0", "max1"))
 
 
 def fm_patience(n: int) -> int:
@@ -42,14 +43,9 @@ class BisectionWorkspace:
     ``bisection_kernel.c`` (:meth:`kernels`), which otherwise see a graph
     (``n``, ``vwgt``, ``total_vertex_weight``).  Nothing is cached on the
     graph itself, so a resident graph never carries the workspace.
-
-    A workspace :meth:`BisectionKernels.split` wrote holds the kernel's
-    arrays as they are (``src`` and unit weights are expanded only if
-    ``flat`` or ``vwgt`` is asked for) and is bound to the kernels at its
-    first :meth:`kernels` call.
     """
 
-    __slots__ = ("n", "_vwgt", "total_vertex_weight", "xadj", "_flat", "_kernels", "_bound")
+    __slots__ = ("n", "vwgt", "total_vertex_weight", "xadj", "flat", "_kernels")
 
     def __init__(self, graph) -> None:
         n = graph.n
@@ -57,48 +53,16 @@ class BisectionWorkspace:
         xadj = tracked_zeros(n + 1, np.int64, name="bisection-xadj")
         np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
         self.n = n
-        self._vwgt = np.asarray(graph.vwgt)
+        self.vwgt = np.asarray(graph.vwgt)
         self.total_vertex_weight = graph.total_vertex_weight
-        self._flat = (src, dst, w)
+        self.flat = (src, dst, w)
         self.xadj = xadj
-        self._kernels = self._bound = None
+        self._kernels = None
 
     @classmethod
     def of(cls, graph) -> "BisectionWorkspace":
         """``graph`` itself when it already is a workspace, else a new one."""
         return graph if isinstance(graph, cls) else cls(graph)
-
-    @classmethod
-    def _induced(cls, n, arrays, total, bound) -> "BisectionWorkspace":
-        """A workspace over ``arrays = (xadj, adj, wgt, vwgt)`` ``repro_split``
-        wrote (``None`` weights: unit); ``bound`` holds what its kernels take
-        besides ``n`` and the arrays."""
-        xadj, adj, wgt, vwgt = arrays
-        ws = cls.__new__(cls)
-        ws.n = n
-        ws._vwgt = vwgt
-        ws.total_vertex_weight = total
-        ws.xadj = xadj
-        ws._flat = (None, adj, wgt)
-        ws._kernels, ws._bound = None, (arrays, *bound)
-        return ws
-
-    @property
-    def vwgt(self) -> np.ndarray:
-        if self._vwgt is None:
-            self._vwgt = _ones_like_view(self.n)
-        return self._vwgt
-
-    @property
-    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src, dst, w = self._flat
-        if src is None or w is None:
-            if src is None:
-                src = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.xadj))
-            if w is None:
-                w = _ones_like_view(len(dst))
-            self._flat = (src, dst, w)
-        return self._flat
 
     def kernels(self) -> "BisectionKernels":
         """The compiled searches bound to this workspace.  Raises
@@ -107,10 +71,7 @@ class BisectionWorkspace:
         (:func:`repro.graph._native.check_graph` refuses such an input graph
         before any work)."""
         if self._kernels is None:
-            if self._bound is None:
-                self._kernels = BisectionKernels.bind(self, _native.bisection_kernels())
-            else:
-                self._kernels = BisectionKernels(self.n, *self._bound)
+            self._kernels = BisectionKernels.bind(self, _native.bisection_kernels())
         return self._kernels
 
 
@@ -122,29 +83,26 @@ def _weights(array: np.ndarray) -> np.ndarray | None:
 
 
 class _Scratch:
-    """Named scratch arrays of one recursion: a workspace and every workspace
-    split from it share them, each search taking a prefix of the array under
-    the ledger name its Python list has (subgraphs are never larger, so the
-    root allocates them once).  The kernels initialise what they use.  The
-    recursion's work counters live here too, and every address is taken
-    once."""
+    """Named scratch arrays of one recursion: every search and depth on a
+    workspace shares them, each taking a prefix of the array under the
+    ledger name its Python list has, grown only when a larger call comes.
+    The kernels initialise what they use.  The recursion's work counters
+    live here too, their address taken once."""
 
-    __slots__ = ("_held", "_pool", "_kinds", "work", "work_at")
+    __slots__ = ("_held", "work", "work_at")
 
     def __init__(self) -> None:
         self._held: dict[str, tuple[np.ndarray, int]] = {}
-        # (n, rounds, attempts, stats rows, their address, pointers) of the
-        # last pool: good for any smaller pool until an array moves
-        self._pool = None
-        self._kinds = (None, 0)  # the last pool kinds and their address
         self.work = np.zeros(4, dtype=np.int64)
         self.work_at = self.work.ctypes.data
 
-    def kinds(self, kinds: np.ndarray) -> int:
-        """The address of a pool's kinds (one array a recursion, as a rule)."""
-        if self._kinds[0] is not kinds:
-            self._kinds = (kinds, kinds.ctypes.data)
-        return self._kinds[1]
+    def queue(self, entries: int) -> tuple[int, int, int]:
+        """``(heap address, its capacity in entries, work address)`` of a
+        queue of ``entries`` entries: the arguments every search and depth
+        call ends with.  A graph's n + m entries of three words bound every
+        push count of a search on it (see the C header)."""
+        heap, heap_at = self.get("bisection-heap", 3 * entries, np.int64)
+        return heap_at, len(heap) // 3, self.work_at
 
     def get(self, name: str, size: int, dtype) -> tuple[np.ndarray, int]:
         """``(the first size entries, their address)``."""
@@ -152,7 +110,6 @@ class _Scratch:
         if held is None or len(held[0]) < size:
             array = tracked_empty(size, dtype, name=name)
             held = self._held[name] = (array, array.ctypes.data)
-            self._pool = None
         return held[0][:size], held[1]
 
     def pointers(self, *specs) -> list[int]:
@@ -167,26 +124,18 @@ class _Scratch:
             ("fm2way-moves", rounds * n, np.int64),
         )
 
-    def pool(self, n: int, rounds: int, attempts: int):
-        """``(stats rows, their address, scratch pointers)`` of a pool on
-        ``n`` vertices: looked up once a recursion, again only when a pool
-        is larger or shaped differently, or an array moved."""
-        memo = self._pool
-        if memo is None or memo[0] < n or memo[1:3] != (rounds, attempts):
-            rows, rows_at = self.get("bisection-pool-stats", attempts * len(ROW_FIELDS), np.int64)
-            pointers = self.pointers(
-                ("bipartition-gain", n, np.int64),
-                ("bipartition-in-block", n, np.uint8),
-                ("bipartition-blocked", n, np.uint8),
-                ("bipartition-visited", n, np.uint8),
-                ("bipartition-grown", n, np.int64),
-                ("fm2way-side", n, np.int8),
-                ("bisection-best-side", n, np.int8),
-                ("bisection-orders", n, np.int64),
-            ) + self.fm(n, rounds)
-            rows = rows.reshape(attempts, len(ROW_FIELDS))
-            memo = self._pool = (n, rounds, attempts, rows, rows_at, pointers)
-        return memo[3:]
+    def pool(self, n: int, rounds: int) -> list[int]:
+        """A pool's per-vertex scratch for nodes of up to ``n`` vertices."""
+        return self.pointers(
+            ("bipartition-gain", n, np.int64),
+            ("bipartition-in-block", n, np.uint8),
+            ("bipartition-blocked", n, np.uint8),
+            ("bipartition-visited", n, np.uint8),
+            ("bipartition-grown", n, np.int64),
+            ("fm2way-side", n, np.int8),
+            ("bisection-best-side", n, np.int8),
+            ("bisection-orders", n, np.int64),
+        ) + self.fm(n, rounds)
 
 
 class BisectionKernels:
@@ -195,39 +144,24 @@ class BisectionKernels:
     buffer serves every search.  ``work`` accumulates the recursion's queue
     pops, pushes, FM passes and stale re-pushes."""
 
-    __slots__ = ("n", "_functions", "_graph", "_arrays", "_scratch", "_bounds", "_heap")
+    __slots__ = ("n", "_functions", "_graph", "_arrays", "_scratch", "_bounds")
 
-    def __init__(self, n, arrays, functions, scratch, bounds, pointers=None) -> None:
+    def __init__(self, n, arrays, functions, scratch, bounds) -> None:
         self.n = n
         self._functions = functions
         self._arrays = arrays  # the pointers below are only good while these live
-        self._graph = pointers or tuple(None if a is None else a.ctypes.data for a in arrays)
+        self._graph = tuple(None if a is None else a.ctypes.data for a in arrays)
         self._scratch = scratch
         self._bounds = bounds
-        self._heap = None  # (heap, its address)
 
     @property
     def work(self) -> np.ndarray:
         return self._scratch.work
 
-    @property
-    def heap(self) -> np.ndarray:
-        """The searches' queue buffer, taken at first use (a workspace that
-        is only split never needs one): n + m entries of three words bound
-        every push count (see the C header)."""
-        if self._heap is None:
-            size = 3 * (self.n + len(self._arrays[1]))
-            self._heap = self._scratch.get("bisection-heap", size, np.int64)
-        return self._heap[0]
-
-    @heap.setter
-    def heap(self, heap: np.ndarray) -> None:
-        self._heap = (heap, heap.ctypes.data)
-
     @classmethod
     def bind(cls, ws: BisectionWorkspace, functions) -> "BisectionKernels":
         n, xadj = ws.n, ws.xadj
-        _, dst, w = ws._flat
+        _, dst, w = ws.flat
         degrees = np.diff(xadj)
         if (
             xadj.dtype != np.int64
@@ -254,25 +188,12 @@ class BisectionKernels:
         bounds = (total, int(degrees.max(initial=0)), most)
         return cls(n, (xadj, adj, wgt, vwgt), functions, _Scratch(), bounds)
 
-    def _queue(self) -> tuple[int, int, int]:
-        """``(heap address, its capacity in entries, work address)``: the
-        arguments every search, pool and depth call ends with."""
-        heap = self.heap
-        return self._heap[1], len(heap) // 3, self._scratch.work_at
-
     def _run(self, fn, *args) -> int:
         """The shared calling convention: workspace arrays, ``args``, heap, counters."""
-        rc = fn(self.n, *self._graph, *args, *self._queue())
+        rc = fn(self.n, *self._graph, *args, *self._scratch.queue(self.n + len(self._arrays[1])))
         if rc < 0:
             raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
         return rc
-
-    def check_pool(self, attempts: int) -> None:
-        """Refuse a pool of ``attempts`` whose cut sums a double would round
-        (:func:`repro.graph._native.cut_sum_error`)."""
-        if max(1, attempts) > self._bounds[2]:
-            why = _native.cut_sum_error(attempts, self._bounds[0])
-            raise ValueError(f"the compiled bisection pool cannot sum its cuts: {why}")
 
     def grow_greedy(self, order: np.ndarray, target0: int, max0: int) -> np.ndarray:
         """Vertices greedy graph growing absorbed, in absorption order (a view
@@ -319,168 +240,141 @@ class BisectionKernels:
         ends = np.cumsum(kept[:passes])
         return [prefix.tolist() for prefix in np.split(moves[: ends[-1]], ends[:-1])]
 
-    def pool(self, kinds, target0, max0, max1, rng, attempts, rounds, sigmas):
-        """``(best assignment, one stats row a slot)`` of a bisection's whole
-        attempt pool in one call (the rows a view of scratch, good until the
-        next pool of this recursion).  A cap below 0, or cut sums a double
-        would round (:func:`repro.graph._native.cut_sum_error`), raise a
-        ``ValueError`` before anything is drawn.
-
-        The pool draws one 64-bit seed from ``rng``, whatever ``attempts``
-        is and however many slots run; the kernel derives slot ``i``'s order
-        from ``(seed, i)``.  A refusal leaves ``rng`` where it was."""
-        n = self.n
-        rounds = max(rounds, 0)
-        if min(max0, max1) < 0:
-            raise ValueError(f"bisection caps {max0}, {max1}: a cap is negative")
-        self.check_pool(attempts)
-        rows, rows_at, pointers = self._scratch.pool(n, rounds, attempts)
-        part = tracked_empty(n, np.int32, name="bipartition-part")
-        clamp = _native.clamp_weight
-        before = rng.bit_generator.state
-        try:
-            self._run(
-                self._functions[3], clamp(target0), clamp(max0), clamp(max1),
-                self._scratch.kinds(kinds), len(kinds), attempts, sigmas, rounds, fm_patience(n),
-                rng.bit_generator.random_raw(), *pointers, rounds * n, part.ctypes.data, rows_at,
-            )  # fmt: skip
-        except ValueError:
-            rng.bit_generator.state = before
-            raise
-        return part, rows
-
-    def split(self, labels, label_count: int, blocks, ids=None) -> list:
-        """``[(workspace, ids)]`` of the subgraph each label of ``blocks``
-        induces, in one call: the workspaces share these kernels' scratch
-        and are bound to the kernels when first asked; ``ids`` names each
-        subgraph vertex by ``ids`` of its vertex here (by the vertex itself
-        when ``ids`` is ``None``)."""
-        n = self.n
-        xadj, adj, wgt, vwgt = self._arrays
-        m, slots = len(adj), len(blocks)
-        labels = np.ascontiguousarray(labels, dtype=np.int32)
-        if len(labels) != n or (ids is not None and len(ids) != n):
-            raise ValueError("one label and one id a vertex")
-        get = self._scratch.get
-        slot_of, slot_of_at = get("subgraph-slots", label_count, np.int64)
-        slot_of.fill(-1)
-        slot_of[list(blocks)] = np.arange(slots)
-        info, info_at = get("subgraph-info", slots * _SPLIT_ROW, np.int64)
-        if ids is not None:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
-        out_xadj = tracked_empty(n + slots, np.int64, name="subgraph-indptr")
-        out_adj = tracked_empty(m, np.int64, name="subgraph-adjncy")
-        out_wgt = None if wgt is None else tracked_empty(m, np.int64, name="subgraph-adjwgt")
-        out_vwgt = None if vwgt is None else tracked_empty(n, np.int64, name="subgraph-vwgt")
-        out_ids = tracked_empty(n, np.int64, name="subgraph-ids")
-        max_degree = self._bounds[1]
-        (local_at, sort_at) = self._scratch.pointers(
-            ("subgraph-local-ids", n, np.int64), ("subgraph-sort", 2 * max_degree, np.int64)
-        )
-        xadj_at, adj_at, wgt_at, vwgt_at, ids_at, out_ids_at = (
-            None if a is None else a.ctypes.data
-            for a in (out_xadj, out_adj, out_wgt, out_vwgt, ids, out_ids)
-        )
-        rc = self._functions[4](
-            n, *self._graph, labels.ctypes.data, slot_of_at, label_count, slots,
-            ids_at, local_at, xadj_at, adj_at, wgt_at, m, vwgt_at, out_ids_at,
-            sort_at, max_degree, info_at,
-        )  # fmt: skip
-        if rc < 0:
-            raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
-        bound = (self._functions, self._scratch, self._bounds)
-        out = []
-        for s, (ns, ms, v0, e0, total, unit) in enumerate(info.reshape(slots, _SPLIT_ROW).tolist()):
-            unit = unit or out_wgt is None
-            sub = (
-                out_xadj[v0 + s : v0 + s + ns + 1],
-                out_adj[e0 : e0 + ms],
-                None if unit else out_wgt[e0 : e0 + ms],
-                None if out_vwgt is None else out_vwgt[v0 : v0 + ns],
-            )
-            pointers = (
-                xadj_at + 8 * (v0 + s),
-                adj_at + 8 * e0,
-                None if unit else wgt_at + 8 * e0,
-                None if out_vwgt is None else vwgt_at + 8 * v0,
-            )
-            child = BisectionWorkspace._induced(ns, sub, total, (*bound, pointers))
-            out.append((child, out_ids[v0 : v0 + ns]))
-        return out
-
 
 class BisectionTree:
     """Recursive bisection's tree on one workspace, a depth of it per
-    ``repro_bisect_depth`` call.  The first depth reads the workspace
-    itself; each call writes the subgraphs of the next depth into a fresh
-    arena the workspace's size (the nodes of one depth hold disjoint
-    vertices and edges), which the next call reads, and the blocks of the
-    nodes that end here into ``part``.  The caller names each depth's
-    nodes by rows of :data:`NODE_FIELDS`; :attr:`root` is the row of
-    :data:`CHILD_FIELDS` of the workspace split into ``k`` blocks.  A pool
-    that cannot sum its cuts exactly is refused here, before anything is
-    drawn."""
+    ``repro_bisect_depth`` call.  The first depth reads the workspace itself
+    (its node :meth:`root`) or the subgraphs :meth:`split` wrote; each call
+    writes the subgraphs of the next depth into a fresh arena the
+    workspace's size (the nodes of one depth hold disjoint vertices and
+    edges), which the next call reads, and the blocks of the nodes that end
+    here into ``part``.  The caller names each depth's nodes by rows of
+    :data:`NODE_FIELDS`.  The scratch of a depth is sized by its largest
+    node."""
 
-    def __init__(self, ws: BisectionWorkspace, part, k, kinds, attempts, rounds, sigmas) -> None:
+    def __init__(self, ws: BisectionWorkspace, part, kinds, attempts, rounds, sigmas) -> None:
         kernels = ws.kernels()
-        kernels.check_pool(attempts)
-        rounds = max(rounds, 0)
         xadj, adj, wgt, vwgt = kernels._arrays
-        n, m = kernels.n, len(adj)
-        self.root = [n, m, 0, 0, 0, int(wgt is None), k, 0, 0, ws.total_vertex_weight]
+        self.n, self.m = kernels.n, len(adj)
+        self.total = ws.total_vertex_weight
         self.ran = self.slots = 0
-        self._kernels = kernels
+        self.rows = None  # the last depth's pool rows, one a node and slot
+        self._functions, self._scratch, self._bounds = (
+            kernels._functions, kernels._scratch, kernels._bounds
+        )
         self._part = part
+        self._kinds = kinds  # the address below is only good while it lives
+        self._pool = (kinds.ctypes.data, len(kinds), attempts, sigmas, max(rounds, 0))
         self._weighted = (wgt is not None, vwgt is not None)
         # the arena a depth reads: its arrays, (xadj, its length, adj, wgt,
-        # their length, vwgt, ids, their length) as the kernel takes them
+        # their length, vwgt, ids, their length) as the kernel takes them;
+        # the workspace's own until a split or a depth replaces them
         self._arena = kernels._arrays
-        self._graph = (*kernels._graph[:1], n + 1, *kernels._graph[1:3], m, kernels._graph[3], None, n)
-        self._spec = (
-            kernels._scratch.kinds(kinds), len(kinds), attempts, sigmas, rounds, n,
-            *kernels._scratch.pool(n, rounds, attempts)[2], rounds * n,
+        graph = kernels._graph
+        self._graph = (graph[0], self.n + 1, *graph[1:3], self.m, graph[3], None, self.n)
+
+    def root(self, k: int) -> list[int]:
+        """The row of :data:`CHILD_FIELDS` of the workspace split into ``k`` blocks."""
+        return [self.n, self.m, 0, 0, 0, int(not self._weighted[0]), k, 0, 0, self.total]
+
+    def _next_arena(self, extra: int):
+        """A fresh arena, and its pointers as :attr:`_graph` holds them, for
+        subgraphs of up to ``extra`` more xadj entries than vertices."""
+        n, m = self.n, self.m
+        weighted, vertex_weighted = self._weighted
+        arena = (
+            tracked_empty(n + extra, np.int64, name="subgraph-indptr"),
+            tracked_empty(m, np.int64, name="subgraph-adjncy"),
+            tracked_empty(m, np.int64, name="subgraph-adjwgt") if weighted else None,
+            tracked_empty(n, np.int64, name="subgraph-vwgt") if vertex_weighted else None,
+            tracked_empty(n, np.int64, name="subgraph-ids"),
+        )
+        at = [None if a is None else a.ctypes.data for a in arena]
+        return arena, (at[0], n + extra, at[1], at[2], m, at[3], at[4], n)
+
+    def split(self, labels, label_count: int, blocks) -> list[list[int]]:
+        """The tree's first step instead of :meth:`root`: write the subgraph
+        each label of ``blocks`` induces in the workspace into the arena the
+        first depth reads, in one ``repro_split`` call.  Returns their rows
+        of :data:`CHILD_FIELDS`, in block order (k, first block and seed 0)."""
+        n, slots, scratch = self.n, len(blocks), self._scratch
+        labels = np.ascontiguousarray(labels, dtype=np.int32)
+        if len(labels) != n:
+            raise ValueError("one label a vertex")
+        xadj_at, _, adj_at, wgt_at, _, vwgt_at, ids_at, _ = self._graph
+        if ids_at is not None:
+            raise ValueError("only the workspace itself splits, before any depth")
+        slot_of, slot_of_at = scratch.get("subgraph-slots", label_count, np.int64)
+        slot_of.fill(-1)
+        slot_of[list(blocks)] = np.arange(slots)
+        info, info_at = scratch.get("subgraph-info", slots * _SPLIT_ROW, np.int64)
+        local_at, sort_at = scratch.pointers(
+            ("subgraph-local-ids", n, np.int64), ("subgraph-sort", 2 * self._bounds[1], np.int64)
+        )
+        arena, out = self._next_arena(slots)
+        rc = self._functions[3](
+            n, xadj_at, adj_at, wgt_at, vwgt_at, labels.ctypes.data, slot_of_at, label_count,
+            slots, None, local_at, out[0], out[2], out[3], self.m, out[5], out[6], sort_at,
+            self._bounds[1], info_at,
         )  # fmt: skip
+        if rc < 0:
+            raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
+        self._arena, self._graph = arena, out
+        return [
+            [ns, ms, v0 + s, v0, e0, unit, 0, 0, 0, total]
+            for s, (ns, ms, v0, e0, total, unit) in enumerate(
+                info.reshape(slots, _SPLIT_ROW).tolist()
+            )
+        ]
 
     def depth(self, nodes: list, seeds: np.ndarray) -> list[list[int]]:
         """Run the bisections ``nodes`` (rows of :data:`NODE_FIELDS`) from
         ``seeds``: the rows of :data:`CHILD_FIELDS` of the next depth's
-        subgraphs, in node order, side 0 first."""
-        kernels, count = self._kernels, len(nodes)
-        n, m = self.root[:2]
+        subgraphs, in node order, side 0 first.  A negative cap, or a pool
+        whose cut sums a double would round
+        (:func:`repro.graph._native.cut_sum_error`), is refused before the
+        kernel runs."""
+        count, scratch, (total, max_degree, most) = len(nodes), self._scratch, self._bounds
         rows = np.array(nodes, dtype=np.int64).reshape(count, len(NODE_FIELDS))
-        get = kernels._scratch.get
-        attempts = self._spec[2]
-        stats, stats_at = get("bisection-pool-stats", count * attempts * len(ROW_FIELDS), np.int64)
-        children, children_at = get("subgraph-info", 2 * count * len(CHILD_FIELDS), np.int64)
-        labels_at, local_at, sort_at = kernels._scratch.pointers(
-            ("bipartition-part", n, np.int32),
-            ("subgraph-local-ids", n, np.int64),
-            ("subgraph-sort", 2 * kernels._bounds[1], np.int64),
+        caps = rows[:, _MAX0 : _MAX1 + 1]
+        if caps.size and int(caps.min()) < 0:
+            raise ValueError(f"bisection cap {int(caps.min())}: a cap is negative")
+        attempts, rounds = self._pool[2], self._pool[4]
+        if attempts > most:
+            why = _native.cut_sum_error(attempts, total)
+            raise ValueError(f"the compiled bisection pool cannot sum its cuts: {why}")
+        # the largest node's vertices and queue entries, within the arena's
+        n = min(max(int(rows[:, 0].max(initial=0)), 0), self.n)
+        entries = min(max(int((rows[:, 0] + rows[:, 1]).max(initial=0)), 0), self.n + self.m)
+        stats, stats_at = scratch.get(
+            "bisection-pool-stats", count * attempts * len(ROW_FIELDS), np.int64
         )
-        arena = None
+        (labels_at,) = scratch.pointers(("bipartition-part", n, np.int32))
+        # the split's scratch, the children's rows and the next arena, if a node splits
+        local_at = sort_at = children = children_at = arena = None
         out = (None, 0, None, None, 0, None, None, 0)
-        if int(rows[:, NODE_FIELDS.index("k")].max(initial=0)) > 2:  # a node splits
-            weighted, vertex_weighted = self._weighted
-            arena = (
-                tracked_empty(n + 2 * count, np.int64, name="subgraph-indptr"),
-                tracked_empty(m, np.int64, name="subgraph-adjncy"),
-                tracked_empty(m, np.int64, name="subgraph-adjwgt") if weighted else None,
-                tracked_empty(n, np.int64, name="subgraph-vwgt") if vertex_weighted else None,
-                tracked_empty(n, np.int64, name="subgraph-ids"),
+        if int(rows[:, _K].max(initial=0)) > 2:
+            children, children_at = scratch.get(
+                "subgraph-info", 2 * count * len(CHILD_FIELDS), np.int64
             )
-            at = [None if a is None else a.ctypes.data for a in arena]
-            out = (at[0], n + 2 * count, at[1], at[2], m, at[3], at[4], n)
-        rc = kernels._functions[5](
-            count, rows.ctypes.data, *self._graph, seeds.ctypes.data, len(seeds), *self._spec,
-            labels_at, local_at, sort_at, kernels._bounds[1], *out, children_at,
-            self._part.ctypes.data, len(self._part), stats_at, *kernels._queue(),
+            local_at, sort_at = scratch.pointers(
+                ("subgraph-local-ids", n, np.int64), ("subgraph-sort", 2 * max_degree, np.int64)
+            )
+            arena, out = self._next_arena(2 * count)
+        rc = self._functions[4](
+            count, rows.ctypes.data, *self._graph, seeds.ctypes.data, len(seeds), *self._pool, n,
+            *scratch.pool(n, rounds), rounds * n, labels_at, local_at, sort_at, max_degree, *out,
+            children_at, self._part.ctypes.data, len(self._part), stats_at,
+            *scratch.queue(entries),
         )  # fmt: skip
         if rc < 0:
             raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
-        self.ran += int(np.count_nonzero(stats.reshape(-1, len(ROW_FIELDS))[:, RAN]))
+        self.rows = stats.reshape(count, attempts, len(ROW_FIELDS))
+        self.ran += int(np.count_nonzero(self.rows[:, :, RAN]))
         self.slots += count * attempts
-        if arena is not None:
-            self._arena, self._graph = arena, out
+        if arena is None:
+            return []
+        self._arena, self._graph = arena, out
         return children[: rc * len(CHILD_FIELDS)].reshape(rc, len(CHILD_FIELDS)).tolist()
 
 

@@ -1,6 +1,6 @@
 """Loader of the compiled kernels: the codec's chunk decode and
 packet encoder (``decode_kernel.c``), initial partitioning's searches,
-attempt pool, subgraph split and bisection-tree depth
+subgraph split and bisection-tree depth, which runs every attempt pool
 (``core/initial/bisection_kernel.c``), the
 rating map of label
 propagation's rounds and picks and of contraction
@@ -277,13 +277,6 @@ SIGNATURES = {
     "repro_fm2way": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
     ],
-    # ... = target0, max0, max1, pool, pool_len, attempts, sigmas, rounds,
-    # patience, seed, gain, in_block, blocked, visited, grown, side,
-    # best_side, order, fm_gain, locked, kept, moves, moves_cap, part, rows
-    "repro_bisect_pool": [
-        _i64, _p, _p, _p, _p, _i64, _i64, _i64, _p, _i64, _i64, ctypes.c_double, _i64, _i64,
-        ctypes.c_uint64, *[_p] * 12, _i64, _p, _p, _p, _i64, _p,
-    ],
     # n, xadj, adj, wgt, vwgt, labels, slot_of, label_count, slots, ids,
     # local, out_xadj, out_adj, out_wgt, adj_cap, out_vwgt, out_ids,
     # sort_scratch, sort_cap, info
@@ -450,14 +443,13 @@ def encode_kernel():
 
 
 def bisection_kernels():
-    """``(greedy_graph_growing, bfs_growing, fm2way, bisect_pool, split,
-    bisect_depth)`` ctypes functions of ``bisection_kernel.c``."""
+    """``(greedy_graph_growing, bfs_growing, fm2way, split, bisect_depth)``
+    ctypes functions of ``bisection_kernel.c``."""
     lib = library()
     return (
         lib["repro_greedy_graph_growing"],
         lib["repro_bfs_growing"],
         lib["repro_fm2way"],
-        lib["repro_bisect_pool"],
         lib["repro_split"],
         lib["repro_bisect_depth"],
     )

@@ -24,7 +24,6 @@ All generators take a ``seed`` and are deterministic given it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.memory.scratch import tracked_zeros
 
@@ -45,6 +44,8 @@ def rgg2d(n: int, avg_degree: float = 8.0, seed: int = 0) -> CSRGraph:
     Connects points within Euclidean distance ``r`` chosen so the expected
     average degree is ``avg_degree``.  Mesh-like: no high-degree vertices.
     """
+    from scipy.spatial import cKDTree  # scipy loads with the first mesh, not with repro
+
     if n < 2:
         return from_edges(n, np.zeros((0, 2), dtype=np.int64))
     rng = _rng(seed)

@@ -9,7 +9,8 @@ scalar VarInt routines, per-vertex block codec and numpy chunk decoder and
 run encoder, k-way FM's Python pass with the gain
 tables' Python queries and updates, the tables' numpy build and the numpy
 seed scan, and initial partitioning's list loops,
-Python attempt pool, subgraph extraction and bisection recursion.
+Python attempt pool, subgraph extraction, bisection recursion and deep
+multilevel's per-block split round.
 
 :func:`installed` puts them in the drivers' place for the body of a
 ``with``: it swaps every loaded ``repro.*`` binding of a kernel entry for
@@ -33,7 +34,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.initial import bipartition, fm2way, recursive
+from repro.core.initial import bipartition, deep, fm2way, recursive
 from repro.core.initial.recursive import POOL, POOL_SIGMAS
 from repro.core.initial.workspace import BisectionWorkspace, fm_patience
 from repro.core.kernels import (
@@ -1708,8 +1709,10 @@ def extract_subgraphs(graph, masks):
 
 
 def split(ws, labels, label_count: int, blocks, ids=None):
-    """:func:`repro.core.initial.recursive.split` on
-    :func:`extract_subgraphs`' CSR graphs, lazily."""
+    """``(subgraph, ids)`` per label of ``blocks``: the subgraph its vertices
+    induce in ``ws`` and their ``ids`` (their indices in ``ws`` when ``ids``
+    is ``None``), :func:`extract_subgraphs`' CSR graphs, lazily -- what
+    ``BisectionTree.split`` writes into an arena."""
     subgraphs = extract_subgraphs(ws, (labels == b for b in blocks))
     return ((sub, local if ids is None else ids[local]) for sub, local in subgraphs)
 
@@ -1758,8 +1761,8 @@ def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_ro
 def bipartition_portfolio(
     graph, target_weight0, max_weight0, max_weight1, rng, attempts=8, fm_rounds=2
 ):
-    """:func:`repro.core.initial.recursive.bipartition_portfolio` on the
-    Python pool."""
+    """Best-of-at-most-``attempts`` bipartition on the Python pool: one
+    node of ``repro_bisect_depth``, the attempts counted on the tracer."""
     ws = BisectionWorkspace.of(graph)
     attempts = max(1, attempts)
     best, ran = portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds)
@@ -1806,6 +1809,56 @@ def initial_partition(graph, k, epsilon, rng, attempts=8, fm_rounds=2):
     return part
 
 
+def split_round(pgraph, state, rng, attempts, fm_rounds):
+    """:func:`repro.core.initial.deep._split_round` as the per-block loop it
+    was: one :func:`split` of the level, then one
+    :func:`bipartition_portfolio` a block, relabelled as it goes."""
+    k_old = len(state.budgets)
+    # positions 0..k_old-1 keep their (possibly halved) budgets; each split
+    # appends its second half as a brand-new label at the end
+    new_budgets: list[int] = [int(b) for b in state.budgets]
+    part = pgraph.partition
+    eps_b = (1.0 + state.epsilon) ** (
+        1.0 / max(1, int(np.ceil(np.log2(max(2, state.k_target)))))
+    ) - 1.0
+    any_split = False
+
+    # blocks are disjoint and fresh labels start at k_old, so the subgraphs
+    # (written up front, or extracted lazily) never see this round's earlier
+    # splits
+    blocks = [b for b in range(k_old) if new_budgets[b] > 1]
+    subgraphs = split(BisectionWorkspace(pgraph.graph), part, k_old, blocks)
+    for b, (sub, ids) in zip(blocks, subgraphs):
+        if sub.n < 2:
+            continue  # cannot split a sub-2-vertex block
+        budget = new_budgets[b]
+        b0 = (budget + 1) // 2
+        b1 = budget - b0
+        sub_total = sub.total_vertex_weight
+        target0 = int(round(sub_total * b0 / budget))
+        max0 = max(target0, int((1.0 + eps_b) * sub_total * b0 / budget))
+        max1 = max(
+            sub_total - target0, int((1.0 + eps_b) * sub_total * b1 / budget)
+        )
+        bp = bipartition_portfolio(
+            sub, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
+        )
+        # side 0 keeps label b (budget b0); side 1 gets a fresh label
+        next_label = len(new_budgets)
+        movers = bp == 1
+        moved = int(sub.vwgt[movers].sum())
+        part[ids[movers]] = next_label
+        pgraph.block_weights[b] -= moved
+        pgraph.block_weights[next_label] += moved
+        new_budgets[b] = b0
+        new_budgets.append(b1)
+        any_split = True
+
+    if any_split:
+        state.budgets = np.array(new_budgets, dtype=np.int64)
+    return any_split
+
+
 # --------------------------------------------------------------------- #
 # the seam
 # --------------------------------------------------------------------- #
@@ -1833,9 +1886,8 @@ TWINS = {
         (bipartition, "greedy_graph_growing_bipartition", greedy_graph_growing_bipartition),
         (bipartition, "bfs_bipartition", bfs_bipartition),
         (fm2way, "fm2way_refine", fm2way_refine),
-        (recursive, "bipartition_portfolio", bipartition_portfolio),
-        (recursive, "split", split),
         (recursive, "initial_partition", initial_partition),
+        (deep, "_split_round", split_round),
     ],
 }
 

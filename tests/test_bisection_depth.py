@@ -33,7 +33,7 @@ from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
 from repro.graph.csr import CSRGraph
 from test_bisection_pool import assert_pools_agree
-from test_initial_workspace import reweighted
+from test_initial_workspace import compiled_pool, reweighted
 
 SCALE = 1 << 10  # a power of two: the skip rule's doubles scale exactly
 
@@ -62,7 +62,8 @@ def queue_mode(graph) -> str:
     assert kernels.grow_greedy(order, 1, ws.total_vertex_weight).tolist() == [seed]
     lo, hi = ws.xadj[seed], ws.xadj[seed + 1]
     neighbours, weights = ws.flat[1][lo:hi].tolist(), ws.flat[2][lo:hi].tolist()
-    degree, heap = hi - lo, kernels.heap
+    degree = hi - lo
+    heap = kernels._scratch.get("bisection-heap", 3 * (ws.n + len(ws.flat[1])), np.int64)[0]
     if heap[:degree].tolist() == neighbours:
         return "buckets"
     triples = heap[: 3 * degree].reshape(degree, 3).tolist()
@@ -75,12 +76,9 @@ def queue_mode(graph) -> str:
 
 def pooled(graph, target, caps, seed, attempts=8, rounds=2):
     """``(best, rows, work, rng state)`` of one compiled pool on ``graph``."""
-    kernels = BisectionWorkspace(graph).kernels()
     rng = np.random.default_rng(seed)
-    best, rows = kernels.pool(
-        recursive._POOL_CODES, target, *caps, rng, attempts, rounds, POOL_SIGMAS
-    )
-    return best.copy(), rows.copy(), kernels.work.tolist(), rng.bit_generator.state
+    best, tree = compiled_pool(graph, target, *caps, rng, attempts, rounds)
+    return best, tree.rows[0].copy(), tree._scratch.work.tolist(), rng.bit_generator.state
 
 
 class TestQueue:
@@ -163,11 +161,15 @@ def traced(fn, *args):
     return result, tracer.counts
 
 
+def compiled_portfolio(graph, target0, max0, max1, rng, attempts=8, fm_rounds=2):
+    """``oracles.bipartition_portfolio`` on the compiled pool."""
+    return compiled_pool(graph, target0, max0, max1, rng, attempts, fm_rounds)[0]
+
+
 def kernel_recursion(graph, k, epsilon, rng):
-    """The recursion on the compiled pool and split: fast enough for k = 64."""
+    """The recursion on the compiled pool: fast enough for k = 64."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(oracles, "bipartition_portfolio", recursive.bipartition_portfolio)
-        m.setattr(oracles, "split", recursive.split)
+        m.setattr(oracles, "bipartition_portfolio", compiled_portfolio)
         return oracles.initial_partition(graph, k, epsilon, rng)
 
 
@@ -278,7 +280,7 @@ class TestDepthEntry:
         for k in (64, 48, 5):
             calls[:] = [0] * len(functions)
             initial_partition(g, k, 0.03, np.random.default_rng(1))
-            assert calls == [0, 0, 0, 0, 0, math.ceil(math.log2(k))], k
+            assert calls == [0, 0, 0, 0, math.ceil(math.log2(k))], k
 
 
 class TestRefusals:
@@ -286,14 +288,14 @@ class TestRefusals:
         """The seeds are drawn before the first depth runs: the depth that
         refuses must put the generator back where initial_partition found it."""
         functions = _native.bisection_kernels()
-        depth = functions[5]
+        depth = functions[4]
         calls = []
 
         def refuses_second(*args):
             calls.append(1)
             return -2 if len(calls) == 2 else depth(*args)
 
-        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:5], refuses_second))
+        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:4], refuses_second))
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="capacity"):
@@ -330,13 +332,10 @@ class TestNodeRows:
 
         g = gen.rgg2d(200, avg_degree=8, seed=2)
         part = np.zeros(g.n, dtype=np.int32)
-        tree = BisectionTree(
-            BisectionWorkspace(g), part, 4, recursive._POOL_CODES, 8, 2, POOL_SIGMAS
-        )
-        return tree
+        return BisectionTree(BisectionWorkspace(g), part, recursive._POOL_CODES, 8, 2, POOL_SIGMAS)
 
     def row(self, tree, **changes):
-        *root, total = tree.root
+        *root, total = tree.root(4)
         row = dict(zip(NODE_FIELDS, [*root, total // 2, total, total, 3]))
         row.update(changes)
         return [row[name] for name in NODE_FIELDS]
@@ -365,4 +364,4 @@ class TestNodeRows:
         children = tree.depth([self.row(tree)], np.arange(3, dtype=np.uint64))
         assert all(len(c) == len(CHILD_FIELDS) for c in children)
         assert [c[6:9] for c in children] == [[2, 0, 1], [2, 2, 2]]
-        assert sum(c[0] for c in children) == tree.root[0]
+        assert sum(c[0] for c in children) == tree.n

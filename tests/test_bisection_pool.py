@@ -1,5 +1,6 @@
-"""A bisection's attempt pool and the subgraph split in C (``repro_bisect_pool``,
-``repro_split`` in ``bisection_kernel.c``) against the Python they replace.
+"""A bisection's attempt pool and the subgraph split in C (a one-node
+``repro_bisect_depth`` call and ``repro_split`` in ``bisection_kernel.c``)
+against the Python they replace.
 
 The oracles are ``oracles.portfolio`` (the pool as Python loops, installed
 in the compiled pool's place) and ``oracles.extract_subgraphs``.  The
@@ -32,8 +33,8 @@ from repro.core import config as C
 from repro.core import partitioner
 from repro.core.initial import recursive
 from repro.core.initial.deep import deep_initial_partition
-from repro.core.initial.recursive import POOL, bipartition_portfolio, initial_partition
-from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionKernels, BisectionWorkspace
+from repro.core.initial.recursive import POOL, POOL_SIGMAS, initial_partition
+from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionTree, BisectionWorkspace
 from repro.core.kernels import two_way_cut
 from repro.dist.dpartitioner import DistConfig, dpartition
 from repro.graph import generators as gen
@@ -41,7 +42,13 @@ from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
 from repro.graph.csr import CSRGraph
 from repro.memory import scratch
-from test_initial_workspace import RecordingTracker, reweighted, side_weights
+from test_initial_workspace import (
+    RecordingTracker,
+    compiled_pool,
+    reweighted,
+    short_heap,
+    side_weights,
+)
 
 @contextmanager
 def oracle():
@@ -53,20 +60,9 @@ def oracle():
 
 def kernel_pool(graph, target, caps, seed, attempts, rounds):
     """``(best, stats rows, rng state after)`` of the kernel's pool."""
-    rows = []
-    pool = BisectionKernels.pool
-
-    def watched(self, *args):
-        pooled = pool(self, *args)
-        rows.append(pooled[1].tolist())
-        return pooled
-
     rng = np.random.default_rng(seed)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(BisectionKernels, "pool", watched)
-        best = bipartition_portfolio(graph, target, *caps, rng, attempts=attempts, fm_rounds=rounds)
-    (rows,) = rows
-    return best, rows, rng.bit_generator.state
+    best, tree = compiled_pool(graph, target, *caps, rng, attempts, rounds)
+    return best, tree.rows[0].tolist(), rng.bit_generator.state
 
 
 def oracle_pool(graph, target, caps, seed, attempts, rounds):
@@ -113,7 +109,7 @@ def oracle_pool(graph, target, caps, seed, attempts, rounds):
             return part
 
         m.setattr(oracles, "fm2way_refine", refined)
-        best = recursive.bipartition_portfolio(
+        best = oracles.bipartition_portfolio(
             graph, target, *caps, rng, attempts=attempts, fm_rounds=rounds
         )
     return best, ran, rng.bit_generator.state
@@ -205,12 +201,9 @@ class TestPool:
             scratch.install_ledger(tracker)
             try:
                 if path == "oracle":
-                    with oracle():
-                        recursive.bipartition_portfolio(
-                            g, total // 2, cap, cap, np.random.default_rng(0)
-                        )
+                    oracles.bipartition_portfolio(g, total // 2, cap, cap, np.random.default_rng(0))
                 else:
-                    bipartition_portfolio(g, total // 2, cap, cap, np.random.default_rng(0))
+                    compiled_pool(g, total // 2, cap, cap, np.random.default_rng(0))
             finally:
                 scratch.uninstall_ledger()
             names[path] = set(tracker.largest)
@@ -253,10 +246,11 @@ class TestOrders:
         slot is skipped, so the kernel's order row ends on the last slot's."""
         seed, slot, n = key
         assert oracles.slot_order(seed, slot, n) == self.KNOWN[key]
-        kernels = BisectionWorkspace(from_edges(n, np.zeros((0, 2), dtype=np.int64))).kernels()
-        _, rows = kernels.pool(recursive._POOL_CODES, n // 2, n, n, FixedSeed(seed), slot + 1, 2, 2.0)
-        assert rows[:, 1].tolist() == [1] * (slot + 1)
-        assert kernels._scratch.get("bisection-orders", n, np.int64)[0].tolist() == self.KNOWN[key]
+        g = from_edges(n, np.zeros((0, 2), dtype=np.int64))
+        _, tree = compiled_pool(g, n // 2, n, n, FixedSeed(seed), slot + 1, 2, sigmas=2.0)
+        assert tree.rows[0][:, 1].tolist() == [1] * (slot + 1)
+        orders = tree._scratch.get("bisection-orders", n, np.int64)[0]
+        assert orders.tolist() == self.KNOWN[key]
 
     def test_orders_are_permutations_and_slots_differ(self):
         for n in (0, 1, 2, 17):
@@ -290,14 +284,12 @@ class TestOrders:
         g = gen.rgg2d(300, avg_degree=8, seed=1)
         total = g.total_vertex_weight
         cap = int(0.53 * total)
-        kinds = recursive._POOL_CODES
         for seed in range(4):
             rows = {}
             for attempts, sigmas in ((8, 2.0), (12, 2.0), (12, math.inf)):
-                kernels = BisectionWorkspace(g).kernels()
                 rng = np.random.default_rng(seed)
-                _, pooled = kernels.pool(kinds, total // 2, cap, cap, rng, attempts, 2, sigmas)
-                rows[attempts, sigmas] = pooled.tolist()
+                _, tree = compiled_pool(g, total // 2, cap, cap, rng, attempts, 2, sigmas=sigmas)
+                rows[attempts, sigmas] = tree.rows[0].tolist()
             assert rows[8, 2.0] == rows[12, 2.0][:8]
             everything = rows[12, math.inf]
             assert all(r[1] for r in everything)  # no skip at infinite sigmas
@@ -326,25 +318,43 @@ def test_the_same_seed_gives_the_same_dist_partition():
 # --------------------------------------------------------------------- #
 # the split
 # --------------------------------------------------------------------- #
-def assert_split_is_extract(graph, labels, label_count, blocks, ids=None):
-    ws = BisectionWorkspace(graph)
-    got = ws.kernels().split(labels, label_count, blocks, ids)
+def split_tree(graph):
+    """A tree on ``graph``'s workspace (``graph`` may be one), for its split."""
+    ws = BisectionWorkspace.of(graph)
+    return BisectionTree(ws, np.zeros(ws.n, dtype=np.int32), recursive._POOL_CODES, 1, 0, POOL_SIGMAS)
+
+
+def arena_graphs(tree, rows):
+    """``(CSR graph, ids, unit)`` of each child row in the tree's arena:
+    ``unit`` when its edges travel without weights."""
+    xadj, adj, wgt, vwgt, ids = tree._arena
+    for ns, ms, x0, v0, e0, unit, *_ in rows:
+        weights = None if unit or wgt is None else wgt[e0 : e0 + ms]
+        sub = CSRGraph(
+            xadj[x0 : x0 + ns + 1], adj[e0 : e0 + ms], weights,
+            None if vwgt is None else vwgt[v0 : v0 + ns],
+        )  # fmt: skip
+        yield sub, ids[v0 : v0 + ns], weights is None
+
+
+def assert_split_is_extract(graph, labels, label_count, blocks):
+    tree = split_tree(graph)
+    rows = tree.split(labels, label_count, blocks)
     want = list(oracles.extract_subgraphs(graph, [labels == b for b in blocks]))
-    assert len(got) == len(want)
-    for (child, child_ids), (sub, local) in zip(got, want):
+    assert len(rows) == len(want)
+    for row, (child, ids, unit), (sub, local) in zip(rows, arena_graphs(tree, rows), want):
         assert child.n == sub.n
-        assert child.total_vertex_weight == sub.total_vertex_weight
-        assert np.array_equal(child_ids, local if ids is None else ids[local])
-        assert np.array_equal(child.xadj, sub.indptr)
-        src, dst, w = child.flat
-        assert np.array_equal(dst, sub.adjncy) and np.array_equal(w, sub.adjwgt)
-        assert np.array_equal(src, np.repeat(np.arange(sub.n), sub.degrees))
+        assert row[-1] == child.total_vertex_weight == sub.total_vertex_weight
+        assert np.array_equal(ids, local)
+        assert np.array_equal(child.indptr, sub.indptr)
+        assert np.array_equal(child.adjncy, sub.adjncy)
+        assert np.array_equal(child.adjwgt, sub.adjwgt)
         assert np.array_equal(child.vwgt, sub.vwgt)
         # unit weights travel as no array at all, as extract_subgraphs' None
-        kernel_wgt = child.kernels()._arrays[2]
-        assert (kernel_wgt is None) == sub._unit_edge_weights
-        assert oracles.lists(child)[:4] == oracles.lists(BisectionWorkspace(sub))[:4]
-    return got
+        assert unit == sub._unit_edge_weights
+        lists = oracles.lists(BisectionWorkspace(child))[:4]
+        assert lists == oracles.lists(BisectionWorkspace(sub))[:4]
+    return [unit for _, _, unit in arena_graphs(tree, rows)]
 
 
 def sides(n, seed):
@@ -363,9 +373,8 @@ class TestSplit:
         g = compress_graph(g) if compressed else g
         for seed in range(3):
             labels = sides(g.n, seed)
-            ids = np.random.default_rng(seed).permutation(10 * g.n)[: g.n]
             assert_split_is_extract(g, labels, 2, (0, 1))
-            assert_split_is_extract(g, labels, 2, (1, 0), ids)
+            assert_split_is_extract(g, labels, 2, (1, 0))
 
     def test_blocks_of_a_k_way_labelling(self):
         """deep.py's shape: many labels, only some wanted, some empty."""
@@ -379,10 +388,8 @@ class TestSplit:
         """Every edge inside a side weighs 1: the side gets None weights."""
         edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]])
         g = from_edges(6, edges, np.array([1, 1, 7, 1, 1]))
-        (left, _), (right, _) = assert_split_is_extract(
-            g, np.array([0, 0, 0, 1, 1, 1], dtype=np.int32), 2, (0, 1)
-        )
-        assert left.kernels()._arrays[2] is None and right.kernels()._arrays[2] is None
+        units = assert_split_is_extract(g, np.array([0, 0, 0, 1, 1, 1], dtype=np.int32), 2, (0, 1))
+        assert units == [True, True]
 
     def test_unsorted_rows_from_contraction(self, monkeypatch):
         """One-pass contraction leaves rows unsorted: the split sorts each
@@ -477,9 +484,7 @@ class TestDegenerate:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="a cap is negative"):
-            BisectionWorkspace(g).kernels().pool(recursive._POOL_CODES, 8, -1, 9, rng, 8, 2, 2.0)
-        with pytest.raises(ValueError, match="a cap is negative"):
-            bipartition_portfolio(g, 8, -1, 9, rng)
+            compiled_pool(g, 8, -1, 9, rng)
         assert rng.bit_generator.state == state
         part = oracles.bipartition_portfolio(g, 8, -1, 9, rng)
         assert set(part.tolist()) <= {0, 1}
@@ -493,7 +498,7 @@ class TestDegenerate:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"attempts \* W is not below 2\^53"):
-            BisectionWorkspace(g).kernels().pool(recursive._POOL_CODES, 6, 7, 7, rng, 8, 2, 2.0)
+            compiled_pool(g, 6, 7, 7, rng)
         with pytest.raises(ValueError, match=r"attempts \* W is not below 2\^53"):
             initial_partition(g, 4, 0.03, rng)
         assert rng.bit_generator.state == state
@@ -526,24 +531,23 @@ class TestRefusals:
         before, rng = self.snapshot(ws), np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="vertex id out of range"):
-            bipartition_portfolio(ws, 150, 160, 160, rng)
+            compiled_pool(ws, 150, 160, 160, rng)
         assert rng.bit_generator.state == state
         self.assert_untouched(ws, before)
 
-    def test_pool_heap_too_small(self, ws):
-        kernels = ws.kernels()
-        kernels.heap = kernels.heap[:3]
+    def test_pool_heap_too_small(self, ws, monkeypatch):
+        short_heap(monkeypatch)
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="capacity"):
-            bipartition_portfolio(ws, 150, 160, 160, rng)
+            compiled_pool(ws, 150, 160, 160, rng)
         assert rng.bit_generator.state == state
 
     def test_pool_bad_kind(self, ws):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="pool kind"):
-            ws.kernels().pool(np.array([0, 3]), 150, 160, 160, rng, 4, 2, 2.0)
+            compiled_pool(ws, 150, 160, 160, rng, 4, 2, kinds=np.array([0, 3]))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("bad", [2, -1, 1 << 20])
@@ -552,7 +556,7 @@ class TestRefusals:
         labels[17] = bad
         before, labels_before = self.snapshot(ws), labels.copy()
         with pytest.raises(ValueError, match="label"):
-            ws.kernels().split(labels, 2, (0, 1))
+            split_tree(ws).split(labels, 2, (0, 1))
         self.assert_untouched(ws, before)
         assert np.array_equal(labels, labels_before)
 
@@ -560,12 +564,12 @@ class TestRefusals:
         ws.flat[1][5] = ws.n
         before = self.snapshot(ws)
         with pytest.raises(ValueError, match="vertex id out of range"):
-            ws.kernels().split(sides(ws.n, 0), 2, (0, 1))
+            split_tree(ws).split(sides(ws.n, 0), 2, (0, 1))
         self.assert_untouched(ws, before)
 
     def test_split_needs_one_label_a_vertex(self, ws):
         with pytest.raises(ValueError, match="one label"):
-            ws.kernels().split(sides(ws.n - 1, 0), 2, (0, 1))
+            split_tree(ws).split(sides(ws.n - 1, 0), 2, (0, 1))
 
 
 @st.composite

@@ -1,10 +1,23 @@
-"""Tests for the deep multilevel scheme (KaMinPar [3])."""
+"""Tests for the deep multilevel scheme (KaMinPar [3]).
+
+A split round is two kernel calls: one ``repro_split`` of the level by its
+labels and one ``repro_bisect_depth`` over that arena, a ``k = 2`` node a
+block.  It must give the per-block loop it replaced
+(``oracles.split_round``: one split, then one pool a block, relabelling as
+it goes) the same partition, block weights, budgets, generator state and
+attempts counters, and a refused round must leave all of them as they were.
+"""
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import oracles
 import repro
 from repro.core import config as C
+from repro.core.initial import deep, workspace
 from repro.core.initial.deep import (
     DeepState,
     deep_initial_partition,
@@ -12,7 +25,12 @@ from repro.core.initial.deep import (
     supported_block_count,
 )
 from repro.core.partition import PartitionedGraph
+from repro.graph import _native
 from repro.graph import generators as gen
+from repro.graph.builder import from_edges
+from repro.graph.compressed import compress_graph
+from test_bisection_depth import compiled_portfolio, traced
+from test_initial_workspace import reweighted
 
 
 class TestSupportedBlockCount:
@@ -103,3 +121,149 @@ class TestEndToEnd:
     def test_weighted_vertices(self, text_graph):
         r = repro.partition(text_graph, 8, C.preset("terapart-deep", seed=4))
         assert r.balanced
+
+
+# --------------------------------------------------------------------- #
+# the split round: two kernel calls against the per-block loop
+# --------------------------------------------------------------------- #
+def on_the_loop(fn, *args, python=False):
+    """``fn(*args)`` with deep's split round the per-block loop it was, its
+    pools compiled (one-node depth calls) unless ``python``."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deep, "_split_round", oracles.split_round)
+        if not python:
+            m.setattr(oracles, "bipartition_portfolio", compiled_portfolio)
+        return fn(*args)
+
+
+def rounds(graph, k, seed, factor=32):
+    """A few blocks on ``graph`` (``deep_initial_partition`` at 16 times
+    ``factor``), then ``extend_partition`` to what ``factor`` supports:
+    ``(partition, block weights, budgets, generator state, attempts
+    counters, splits)``."""
+    rng = np.random.default_rng(seed)
+
+    def run():
+        part, state = deep_initial_partition(graph, k, 0.03, rng, factor=16 * factor)
+        pgraph = PartitionedGraph(graph, k, part)
+        splits = extend_partition(pgraph, state, rng, factor=factor)
+        pgraph.validate()
+        return pgraph, state, splits
+
+    (pgraph, state, splits), counts = traced(run)
+    return (
+        pgraph.partition.tolist(), pgraph.block_weights.tolist(), state.budgets.tolist(),
+        rng.bit_generator.state, counts, splits,
+    )  # fmt: skip
+
+
+ROUND_GRAPHS = {
+    "csr": lambda: gen.rgg2d(3000, avg_degree=8, seed=2),
+    "compressed": lambda: compress_graph(gen.weblike(3000, avg_degree=10, seed=3)),
+}
+
+
+class TestSplitRound:
+    @pytest.mark.parametrize("k", [3, 8, 48, 64])
+    @pytest.mark.parametrize("family", list(ROUND_GRAPHS))
+    def test_is_the_loop(self, family, k):
+        g = ROUND_GRAPHS[family]()
+        for seed in (1, 2):
+            got = rounds(g, k, seed)
+            assert got == on_the_loop(rounds, g, k, seed)
+            assert len(set(got[0])) == len(got[2]) == supported_block_count(g.n, k, 32)
+            assert got[4]["initial.attempts_run"] > 0
+
+    def test_is_the_python_loop(self):
+        """The whole reference in Python: split, pools and loop."""
+        g = reweighted(gen.rgg2d(400, avg_degree=6, seed=4), edge_weights=True, vertex_weights=True)
+        assert rounds(g, 12, 3, factor=16) == on_the_loop(rounds, g, 12, 3, 16, python=True)
+
+    def test_two_calls_a_round(self, monkeypatch):
+        """One ``repro_split`` and one ``repro_bisect_depth`` a round,
+        whatever its block count: six rounds for k = 64, not 63 pools."""
+        functions = _native.bisection_kernels()
+        calls = [0] * len(functions)
+
+        def counted(i, fn):
+            def call(*args):
+                calls[i] += 1
+                return fn(*args)
+
+            return call
+
+        monkeypatch.setattr(
+            _native,
+            "bisection_kernels",
+            lambda: tuple(counted(i, fn) for i, fn in enumerate(functions)),
+        )
+        g = gen.rgg2d(3000, avg_degree=8, seed=1)
+        for k in (64, 48, 5):
+            calls[:] = [0] * len(functions)
+            _, state = deep_initial_partition(g, k, 0.03, np.random.default_rng(1))
+            assert state.k_current == k
+            depth = math.ceil(math.log2(k))
+            assert calls == [0, 0, 0, depth, depth], k
+
+    def test_a_round_allocates_each_scratch_name_once(self, monkeypatch):
+        """The pool scratch is sized by the round's largest block up front:
+        no name is allocated twice (grown) within a round."""
+        g = gen.rgg2d(3000, avg_degree=8, seed=1)
+        part, state = deep_initial_partition(g, 64, 0.03, np.random.default_rng(1), factor=256)
+        pgraph = PartitionedGraph(g, 64, part)
+        k_before = state.k_current
+        names = Counter()
+        real = workspace.tracked_empty
+
+        def recorded(size, dtype, *, name):
+            names[name] += 1
+            return real(size, dtype, name=name)
+
+        monkeypatch.setattr(workspace, "tracked_empty", recorded)
+        assert deep._split_round(pgraph, state, np.random.default_rng(2), 4, 1)
+        assert state.k_current == 2 * k_before
+        assert names and max(names.values()) == 1, names
+
+
+class TestRoundRefusals:
+    """A refused round leaves the partition, the block weights, the budgets
+    and the generator where it found them."""
+
+    def snapshot(self, pgraph, state, rng):
+        return (
+            pgraph.partition.tolist(), pgraph.block_weights.tolist(), state.budgets.tolist(),
+            rng.bit_generator.state,
+        )  # fmt: skip
+
+    def test_cut_sums_past_double_precision(self):
+        """Two attempts keep attempts * W below 2^53, eight do not."""
+        edges = np.array([[i, i + 1] for i in range(11)])
+        g = from_edges(12, edges, np.full(11, 1 << 47, dtype=np.int64))
+        rng = np.random.default_rng(0)
+        part, state = deep_initial_partition(g, 4, 0.03, rng, factor=6, attempts=2)
+        assert state.k_current == 2
+        pgraph = PartitionedGraph(g, 4, part)
+        before = self.snapshot(pgraph, state, rng)
+        with pytest.raises(ValueError, match=r"attempts \* W is not below 2\^53"):
+            extend_partition(pgraph, state, rng, factor=2, attempts=8)
+        assert self.snapshot(pgraph, state, rng) == before
+
+    def test_a_refusal_after_the_kernel_wrote(self, monkeypatch):
+        """The depth entry runs every pool and writes every side, then
+        refuses: nothing of it reaches the partition (the per-block loop
+        had relabelled the blocks before the refusing one)."""
+        g = gen.rgg2d(3000, avg_degree=8, seed=1)
+        rng = np.random.default_rng(3)
+        part, state = deep_initial_partition(g, 64, 0.03, rng, factor=256)
+        pgraph = PartitionedGraph(g, 64, part)
+        functions = _native.bisection_kernels()
+
+        def refuses(*args):
+            assert functions[4](*args) == 0
+            return -2
+
+        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:4], refuses))
+        before = self.snapshot(pgraph, state, rng)
+        with pytest.raises(ValueError, match="capacity"):
+            extend_partition(pgraph, state, rng, factor=32)
+        assert self.snapshot(pgraph, state, rng) == before

@@ -35,6 +35,7 @@ from test_initial_workspace import (  # noqa: F401  (coarsest is a fixture)
     SEEDS,
     RecordingPart,
     coarsest,
+    short_heap,
     small_bisections,
 )
 
@@ -387,9 +388,8 @@ class TestCorruptWorkspace:
             self.SEARCHES[search](ws)
 
     @pytest.mark.parametrize("search", ["greedy", "fm"])
-    def test_heap_one_entry_short_of_what_the_search_needs(self, ws, search):
-        kernels = ws.kernels()
-        kernels.heap = kernels.heap[:3]
+    def test_heap_one_entry_short_of_what_the_search_needs(self, ws, search, monkeypatch):
+        short_heap(monkeypatch)
         with pytest.raises(ValueError, match="capacity"):
             self.SEARCHES[search](ws)
 

@@ -37,9 +37,16 @@ from repro.core.initial.bipartition import (
 )
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial import recursive
-from repro.core.initial.recursive import POOL, initial_partition
-from repro.core.initial.workspace import KIND_CODES, BisectionKernels, BisectionWorkspace
+from repro.core.initial.recursive import POOL, POOL_SIGMAS, initial_partition
+from repro.core.initial.workspace import (
+    KIND_CODES,
+    BisectionTree,
+    BisectionWorkspace,
+    _Scratch,
+    fm_patience,
+)
 from repro.core.kernels import two_way_cut, two_way_gains
+from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.access import full_adjacency
 from repro.graph.builder import from_edges
@@ -104,6 +111,50 @@ class RecordingPart(np.ndarray):
     def __setitem__(self, index, value):
         self.writes.append(list(index))
         super().__setitem__(index, value)
+
+
+def compiled_pool(
+    graph, target0, max0, max1, rng, attempts=8, fm_rounds=2, *,
+    kinds=recursive._POOL_CODES, sigmas=POOL_SIGMAS,
+):  # fmt: skip
+    """``(best assignment, its tree)`` of one bisection's compiled pool: a
+    one-node ``repro_bisect_depth`` call (k = 2 from block 0, seed 0 of one
+    64-bit draw from ``rng``), the attempts counted on the tracer as
+    ``initial_partition`` counts them.  ``tree.rows[0]`` holds the pool's
+    stats rows, ``tree._scratch.work`` its work counters.  A refusal leaves
+    ``rng`` where it was."""
+    ws = BisectionWorkspace.of(graph)
+    part = scratch.tracked_empty(ws.n, np.int32, name="bipartition-part")
+    tree = BisectionTree(ws, part, kinds, max(1, attempts), fm_rounds, sigmas)
+    caps = map(_native.clamp_weight, (target0, max0, max1))
+    node = [*tree.root(2)[:-1], *caps, fm_patience(ws.n)]
+    before = rng.bit_generator.state
+    try:
+        tree.depth([node], np.array([rng.bit_generator.random_raw()], dtype=np.uint64))
+    except ValueError:
+        rng.bit_generator.state = before
+        raise
+    recursive.report_attempts(tree)
+    return part, tree
+
+
+def bipartition(path, graph, target0, max0, max1, rng, attempts=8):
+    """One bisection's best assignment on ``path``: ``"kernel"`` (the
+    compiled pool) or ``"oracle"`` (the Python one)."""
+    if path == "kernel":
+        return compiled_pool(graph, target0, max0, max1, rng, attempts)[0]
+    return oracles.bipartition_portfolio(graph, target0, max0, max1, rng, attempts=attempts)
+
+
+def short_heap(monkeypatch, entries: int = 1) -> None:
+    """Every queue buffer the kernels are handed holds ``entries`` entries."""
+    get = _Scratch.get
+
+    def short(self, name, size, dtype):
+        array, at = get(self, name, size, dtype)
+        return (array[: 3 * entries], at) if name == "bisection-heap" else (array, at)
+
+    monkeypatch.setattr(_Scratch, "get", short)
 
 
 def side_weights(graph, part):
@@ -269,27 +320,22 @@ def on_each_path():
 
 
 def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
-    """``bipartition_portfolio`` on each path (see :func:`on_each_path`), as
-    ``{path: (best, outcomes, rng state after)}``; ``outcomes`` lists every
-    attempt that ran as ``(kind, infeasibility, cut)`` of its post-FM
-    assignment.  The kernel path reads them from the pool's stats rows; the
-    oracle path watches its seeds and ``fm2way_refine``."""
+    """One bisection on each path (see :func:`bipartition`), as ``{path:
+    (best, outcomes, rng state after)}``; ``outcomes`` lists every attempt
+    that ran as ``(kind, infeasibility, cut)`` of its post-FM assignment.
+    The kernel path reads them from the pool's stats rows; the oracle path
+    watches its seeds and ``fm2way_refine``."""
     runs = {}
-    for path in on_each_path():
+    for path in ("kernel", "oracle"):
         outcomes: list[tuple[str, int, int]] = []
-        with monkeypatch.context() as m:
-            if path == "kernel":
-                pool = BisectionKernels.pool
-
-                def watched(self, *args):
-                    pooled = pool(self, *args)
-                    for kind, ran, over, cut, *_ in pooled[1].tolist():
-                        if ran:
-                            outcomes.append((KIND_CODES[kind], over, cut))
-                    return pooled
-
-                m.setattr(BisectionKernels, "pool", watched)
-            else:
+        rng = np.random.default_rng(seed)
+        if path == "kernel":
+            best, tree = compiled_pool(graph, target, *caps, rng, attempts)
+            for kind, ran, over, cut, *_ in tree.rows[0].tolist():
+                if ran:
+                    outcomes.append((KIND_CODES[kind], over, cut))
+        else:
+            with monkeypatch.context() as m:
                 kinds: list[str] = []
                 for kind, name in (
                     ("ggg", "grow_greedy"),
@@ -311,10 +357,8 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
                     return part
 
                 m.setattr(oracles, "fm2way_refine", refined)
-            rng = np.random.default_rng(seed)
-            best = recursive.bipartition_portfolio(graph, target, *caps, rng, attempts=attempts)
-            if path == "oracle":
-                assert len(kinds) == len(outcomes)
+                best = bipartition(path, graph, target, *caps, rng, attempts=attempts)
+            assert len(kinds) == len(outcomes)
         runs[path] = (best, outcomes, rng.bit_generator.state)
     # both paths: one answer, one attempt sequence, one stream position
     first = next(iter(runs.values()))
@@ -331,7 +375,7 @@ class TestPortfolio:
         total = coarsest.total_vertex_weight
         target, cap = total // 2, int(0.53 * total)
         runs = watched_portfolio(monkeypatch, coarsest, target, (cap, cap), seed, attempts)
-        for path in on_each_path():
+        for path in ("kernel", "oracle"):
             best, outcomes, _ = runs[path]
             assert 1 <= len(outcomes) <= attempts, path
             # slot i belongs to kind POOL[i % 4]; a kind's first slot always runs
@@ -342,8 +386,8 @@ class TestPortfolio:
             # a skipped slot's kind had fallen behind the best feasible cut
             if len(outcomes) < attempts:
                 assert any(o[1] == 0 for o in outcomes), path
-            again = recursive.bipartition_portfolio(
-                coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
+            again = bipartition(
+                path, coarsest, target, cap, cap, np.random.default_rng(seed), attempts=attempts
             )
             assert np.array_equal(best, again), path  # deterministic in rng
 
@@ -629,12 +673,10 @@ class TestLedger:
         flags = ("fm2way-locked", "bipartition-in-block", "bipartition-blocked", "bipartition-visited")
         gains = ("fm2way-gains", "bipartition-gain")
         answers = []
-        for path in on_each_path():
+        for path in ("kernel", "oracle"):
             ledger.largest.clear()
             before = ledger.current_bytes
-            best = recursive.bipartition_portfolio(
-                g, total // 2, cap, cap, np.random.default_rng(0), attempts=4
-            )
+            best = bipartition(path, g, total // 2, cap, cap, np.random.default_rng(0), attempts=4)
             gc.collect()
             # only the winning assignment outlives the bisection
             assert ledger.current_bytes == before + best.nbytes

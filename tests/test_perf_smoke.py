@@ -543,3 +543,26 @@ def test_service_delta_never_rehashes_the_graph(monkeypatch):
         for _ in range(4):
             h.apply_delta("g", random_delta(graph, rng, n_add=10, n_remove=10))
     assert len(calls) == 1, f"{len(calls) - 1} graph_fingerprint calls in 4 deltas"
+
+
+def test_import_repro_loads_no_scipy():
+    """The package's import floor is numpy's: scipy (only ``rgg2d``'s
+    k-d tree needs it) loads with the first mesh generated, not with
+    ``import repro``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = "import sys, repro\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(repro.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
