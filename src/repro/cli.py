@@ -44,6 +44,7 @@ import numpy as np
 
 import repro
 from repro.core import config as C
+from repro.core.metrics import write_partition
 from repro.graph import generators
 from repro.graph.compressed import compress_graph
 from repro.graph.io import read_binary, read_metis, stream_compressed, write_binary
@@ -96,7 +97,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         result = repro.partition(graph, args.k, cfg)
     elapsed = time.perf_counter() - t0
     out = args.out or f"{args.graph}.part{args.k}"
-    np.savetxt(out, result.partition, fmt="%d")
+    write_partition(out, result.partition)
     print(f"cut:        {result.cut} ({result.cut_fraction:.3%})")
     print(f"imbalance:  {result.imbalance:.4f} (balanced: {result.balanced})")
     print(f"peak bytes: {result.peak_bytes}")

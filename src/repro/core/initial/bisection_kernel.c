@@ -7,13 +7,14 @@
  * split round).  The Python loops, the recursion and the per-block split
  * round stay in tests/oracles.py as the reference.
  *
- * Five exported functions, no state, no Python objects: ctypes calls them
- * with the GIL released.  One calling convention: the int64 arrays of a
- * BisectionWorkspace first -- n, xadj (n + 1), adj and wgt (xadj[n] each),
- * vwgt (n); wgt == NULL or vwgt == NULL means unit weights -- then the
- * function's own arguments and scratch (which the caller allocates and the
- * kernel initialises), then (searches and depth) the heap buffer, its
- * capacity in entries of three words, and the work counters.
+ * Four exported functions, no state, no Python objects: ctypes calls them
+ * with the GIL released.  One calling convention: the int64 arrays of the
+ * graph a BisectionTree binds first -- n, xadj (n + 1), adj and wgt
+ * (xadj[n] each), vwgt (n); wgt == NULL or vwgt == NULL means unit weights
+ * -- then the function's own arguments and scratch (which the caller
+ * allocates and the kernel initialises), then (searches and depth) the
+ * heap buffer, its capacity in entries of three words, and the work
+ * counters.
  *
  * Why the port is bit-identical: the queue holds (key, tie, vertex) triples
  * ordered by (key, tie), and tie is unique per entry (greedy growing counts
@@ -28,8 +29,8 @@
  * tests/test_bisection_pool.py hold it to this):
  *   - adj and wgt are read only inside [xadj[u], xadj[u+1]) for 0 <= u < n;
  *     that xadj starts at 0, never descends and ends at len(adj) is the
- *     caller's to check, once per workspace (workspace.py does, in numpy;
- *     the workspaces repro_split writes are well formed by construction,
+ *     caller's to check, once per bound graph (workspace.py does, in numpy;
+ *     the subgraphs repro_split writes are well formed by construction,
  *     and repro_bisect_depth checks each node's region itself);
  *   - every id taken from adj or from `order` is range-checked against
  *     [0, n) before it indexes gain / state / side / vwgt or enters the
@@ -45,7 +46,7 @@
  *     emptied between passes) and as a neighbour only by a vertex being
  *     absorbed / moved, which happens at most once per vertex (and pass)
  *     and pushes at most its degree;
- *   - no signed overflow: the caller admits only workspaces with n and
+ *   - no signed overflow: the caller admits only graphs with n and
  *     W = sum |wgt| below 2^62 (so gains and sums of gains fit in int64,
  *     sums of their squares in __int128, and FM's stopping rule compares
  *     its products exactly in 192 bits), and total vertex weight and the
@@ -505,7 +506,7 @@ static int64_t fm2way(
     return passes;
 }
 
-/* The three searches as Python's BisectionKernels calls them one at a time
+/* The two searches as Python's BisectionTree calls them one at a time
  * (the public functions of bipartition.py and fm2way.py). */
 int64_t repro_greedy_graph_growing(
     int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
@@ -518,19 +519,6 @@ int64_t repro_greedy_graph_growing(
     queue_t q;
     queue_init(&q, &g, heap, heap_cap, work);
     return grow_greedy(&g, order, target0, max0, gain, in_block, blocked, grown, grown_cap, &q);
-}
-
-/* Edge weights, heap and counters are part of the shared calling convention
- * and unused. */
-int64_t repro_bfs_growing(
-    int64_t n, const int64_t *xadj, const int64_t *adj, const int64_t *wgt,
-    const int64_t *vwgt, const int64_t *order, int64_t target0,
-    uint8_t *visited, int64_t *queue, int64_t queue_cap,
-    int64_t *heap, int64_t heap_cap, int64_t *work)
-{
-    graph_t g = {n, xadj, adj, wgt, vwgt};
-    (void)heap, (void)heap_cap, (void)work;
-    return grow_bfs(&g, order, target0, visited, queue, queue_cap);
 }
 
 int64_t repro_fm2way(
@@ -655,7 +643,7 @@ static int64_t bisect_pool(
         memset(s.side, 1, (size_t)n);
         if (kind == KIND_RANDOM) {
             /* the vertices whose preceding weight in the order is below the
-             * target: random_bipartition's searchsorted, as a walk */
+             * target: tests/oracles.py::random_walk's searchsorted, as a walk */
             int64_t before = 0;
             for (int64_t i = 0; i < n && before < target0; i++) {
                 int64_t v = s.order[i];
@@ -773,7 +761,7 @@ static void sort_row(int64_t *adj, int64_t *wgt, int64_t len, int64_t *tmp_adj, 
  * slot_of[b] >= 0, in one pass (tests/oracles.py::extract_subgraphs): slot s's
  * vertices keep their order and are renumbered 0.., each row lists the
  * neighbours inside the slot by new id, stably sorted (lexsort's order), and
- * the slot's workspace lands in the outputs at the starts info[] names --
+ * the slot's subgraph lands in the outputs at the starts info[] names --
  * xadj at out_xadj[vertex start + s] (n_s + 1 entries from 0), adj / wgt at
  * the edge start (m_s entries; a slot's region is the degree sum of its
  * vertices, so m_s may leave a gap), vwgt and ids at the vertex start.

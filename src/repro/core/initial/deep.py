@@ -31,9 +31,10 @@ from repro.core.initial.recursive import (
     _POOL_CODES,
     POOL_SIGMAS,
     bisection_caps,
+    bisection_epsilon,
     report_attempts,
 )
-from repro.core.initial.workspace import BisectionTree, BisectionWorkspace, fm_patience
+from repro.core.initial.workspace import BisectionTree, fm_patience
 from repro.core.partition import PartitionedGraph
 from repro.memory.scratch import tracked_zeros
 
@@ -119,9 +120,13 @@ def _split_until(
     fm_rounds: int,
 ) -> int:
     splits = 0
+    if state.k_current >= want or state.done():
+        return splits
+    # the level bound once: every round splits it by the current labels
+    tree = BisectionTree(pgraph.graph, _POOL_CODES, max(1, attempts), fm_rounds, POOL_SIGMAS)
     # defensive: every round doubles the block count, and k_target < 2^64
     while splits <= 64 and state.k_current < want and not state.done():
-        if not _split_round(pgraph, state, rng, attempts, fm_rounds):
+        if not _split_round(pgraph, state, rng, tree):
             break
         splits += 1
     return splits
@@ -131,11 +136,10 @@ def _split_round(
     pgraph: PartitionedGraph,
     state: DeepState,
     rng: np.random.Generator,
-    attempts: int,
-    fm_rounds: int,
+    tree: BisectionTree,
 ) -> bool:
-    """Bisect every block with budget > 1 and two vertices or more once;
-    returns True if any split.
+    """Bisect every block with budget > 1 and two vertices or more once, on
+    ``tree`` (bound to the level graph); returns True if any split.
 
     Two kernel calls whatever the block count: one ``repro_split`` writes
     the blocks' subgraphs, one ``repro_bisect_depth`` bisects them all, one
@@ -147,14 +151,8 @@ def _split_round(
     budgets = state.budgets.tolist()
     k_old = len(budgets)
     part = pgraph.partition
-    eps_b = (1.0 + state.epsilon) ** (
-        1.0 / max(1, int(np.ceil(np.log2(max(2, state.k_target)))))
-    ) - 1.0
+    eps_b = bisection_epsilon(state.epsilon, state.k_target)
     sides = tracked_zeros(len(part), np.int32, name="deep-round-sides")
-    tree = BisectionTree(
-        BisectionWorkspace(pgraph.graph), sides, _POOL_CODES, max(1, attempts), fm_rounds,
-        POOL_SIGMAS,
-    )  # fmt: skip
     blocks = [b for b in range(k_old) if budgets[b] > 1]
     nodes, split = [], []
     for b, (n, *child, total) in zip(blocks, tree.split(part, k_old, blocks)):
@@ -167,7 +165,7 @@ def _split_round(
         return False
     before = rng.bit_generator.state
     try:
-        tree.depth(nodes, rng.bit_generator.random_raw(len(nodes)))
+        tree.depth(nodes, rng.bit_generator.random_raw(len(nodes)), sides)
     except ValueError:
         rng.bit_generator.state = before
         raise

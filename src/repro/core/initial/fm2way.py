@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.initial.workspace import BisectionWorkspace, fm_patience
+from repro.core.initial.workspace import BisectionTree, fm_patience
 
 
 def fm2way_refine(
@@ -30,9 +30,9 @@ def fm2way_refine(
     max_weights: tuple[int, int],
     rounds: int = 2,
 ) -> np.ndarray:
-    """Improve a bipartition (of a graph or its :class:`BisectionWorkspace`)
-    in place; returns the refined assignment."""
-    ws = BisectionWorkspace.of(graph)
-    for kept in ws.kernels().fm2way(part, max_weights, rounds, fm_patience(ws.n)):
+    """Improve a bipartition of ``graph`` in place; returns the refined
+    assignment."""
+    tree = BisectionTree(graph)
+    for kept in tree.fm2way(part, max_weights, rounds, fm_patience(tree.n)):
         part[kept] = 1 - part[kept]
     return part

@@ -18,13 +18,7 @@ import math
 
 import numpy as np
 
-from repro.core.initial.workspace import (
-    KIND_CODES,
-    NODE_FIELDS,
-    BisectionTree,
-    BisectionWorkspace,
-    fm_patience,
-)
+from repro.core.initial.workspace import KIND_CODES, NODE_FIELDS, BisectionTree, fm_patience
 from repro.graph._native import clamp_weight
 from repro.graph.access import installed_tracer
 from repro.memory.scratch import tracked_zeros
@@ -34,6 +28,13 @@ POOL = ("ggg", "ggg", "bfs", "random")
 POOL_SIGMAS = 2.0
 _POOL_CODES = np.array([KIND_CODES.index(kind) for kind in POOL], dtype=np.int64)
 _K = NODE_FIELDS.index("k")
+
+
+def bisection_epsilon(epsilon: float, k: int) -> float:
+    """The imbalance each bisection of a ``k``-way recursion may take,
+    ``(1 + epsilon)^(1 / ceil(log2 k)) - 1``: a block that went through
+    ``ceil(log2 k)`` of them lands inside ``1 + epsilon``."""
+    return (1.0 + epsilon) ** (1.0 / max(1, math.ceil(math.log2(max(2, k))))) - 1.0
 
 
 def bisection_caps(total: int, k: int, eps_b: float) -> list[int]:
@@ -64,12 +65,8 @@ def initial_partition(
     part = tracked_zeros(graph.n, np.int32, name="recursive-part")
     if k <= 1:
         return part
-    depth = max(1, math.ceil(math.log2(k)))
-    eps_b = (1.0 + epsilon) ** (1.0 / depth) - 1.0
-    attempts = max(1, attempts)
-    tree = BisectionTree(
-        BisectionWorkspace.of(graph), part, _POOL_CODES, attempts, fm_rounds, POOL_SIGMAS
-    )
+    eps_b = bisection_epsilon(epsilon, k)
+    tree = BisectionTree(graph, _POOL_CODES, max(1, attempts), fm_rounds, POOL_SIGMAS)
     before = rng.bit_generator.state
     try:
         seeds = rng.bit_generator.random_raw(k - 1)
@@ -81,6 +78,7 @@ def initial_partition(
                     for *node, total in level
                 ],
                 seeds,
+                part,
             )
     except ValueError:
         rng.bit_generator.state = before

@@ -1,5 +1,5 @@
-"""The workspace one bisection's attempts share, the compiled searches on it,
-and the bisection tree on it, a depth per call: recursive bisection's, and
+"""The compiled bisection bound once to a graph: the two searches on it, and
+the bisection tree on it, a depth per call -- recursive bisection's, and
 each split round of deep multilevel's."""
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from repro.graph import _native
-from repro.graph.access import full_adjacency
+from repro.graph.access import full_adjacency, vertex_segments
 from repro.memory.scratch import tracked_empty, tracked_zeros
 
 #: the pool's seed kinds in ``bisection_kernel.c``'s numbering
@@ -35,46 +35,6 @@ def fm_patience(n: int) -> int:
     return math.floor(math.log(max(n, 1)))
 
 
-class BisectionWorkspace:
-    """One graph, flattened once, for the sequential searches and the bulk steps.
-
-    ``xadj`` and ``flat = (src, dst, weight)`` are int64 arrays: the bulk
-    steps (gains, cut) read them, and so do the compiled searches of
-    ``bisection_kernel.c`` (:meth:`kernels`), which otherwise see a graph
-    (``n``, ``vwgt``, ``total_vertex_weight``).  Nothing is cached on the
-    graph itself, so a resident graph never carries the workspace.
-    """
-
-    __slots__ = ("n", "vwgt", "total_vertex_weight", "xadj", "flat", "_kernels")
-
-    def __init__(self, graph) -> None:
-        n = graph.n
-        src, dst, w = full_adjacency(graph)
-        xadj = tracked_zeros(n + 1, np.int64, name="bisection-xadj")
-        np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
-        self.n = n
-        self.vwgt = np.asarray(graph.vwgt)
-        self.total_vertex_weight = graph.total_vertex_weight
-        self.flat = (src, dst, w)
-        self.xadj = xadj
-        self._kernels = None
-
-    @classmethod
-    def of(cls, graph) -> "BisectionWorkspace":
-        """``graph`` itself when it already is a workspace, else a new one."""
-        return graph if isinstance(graph, cls) else cls(graph)
-
-    def kernels(self) -> "BisectionKernels":
-        """The compiled searches bound to this workspace.  Raises
-        ``ValueError`` for an ``xadj`` that does not tile ``adj`` and for
-        weights the kernels' int64 / ``__int128`` arithmetic cannot hold
-        (:func:`repro.graph._native.check_graph` refuses such an input graph
-        before any work)."""
-        if self._kernels is None:
-            self._kernels = BisectionKernels.bind(self, _native.bisection_kernels())
-        return self._kernels
-
-
 def _weights(array: np.ndarray) -> np.ndarray | None:
     """A contiguous int64 array, or ``None`` for all ones."""
     if not len(array) or (array.strides == (0,) and array[0] == 1):
@@ -83,11 +43,11 @@ def _weights(array: np.ndarray) -> np.ndarray | None:
 
 
 class _Scratch:
-    """Named scratch arrays of one recursion: every search and depth on a
-    workspace shares them, each taking a prefix of the array under the
-    ledger name its Python list has, grown only when a larger call comes.
-    The kernels initialise what they use.  The recursion's work counters
-    live here too, their address taken once."""
+    """Named scratch arrays of one tree: every search and depth on it shares
+    them, each taking a prefix of the array under the ledger name its
+    Python list has, grown only when a larger call comes.  The kernels
+    initialise what they use.  The tree's work counters live here too,
+    their address taken once."""
 
     __slots__ = ("_held", "work", "work_at")
 
@@ -138,46 +98,51 @@ class _Scratch:
         ) + self.fm(n, rounds)
 
 
-class BisectionKernels:
-    """``bisection_kernel.c`` on one workspace.  Graph pointers are prepared
-    once; scratch comes from the recursion's :class:`_Scratch`, one heap
-    buffer serves every search.  ``work`` accumulates the recursion's queue
-    pops, pushes, FM passes and stale re-pushes."""
+class BisectionTree:
+    """``bisection_kernel.c`` bound once to one graph: the two searches, and
+    recursive bisection's tree a depth per ``repro_bisect_depth`` call.
 
-    __slots__ = ("n", "_functions", "_graph", "_arrays", "_scratch", "_bounds")
+    A CSR graph's own ``indptr`` / ``adjncy`` / ``adjwgt`` and ``vwgt`` are
+    bound as they are, nothing copied; a compressed graph is decoded once
+    and the copy is held (on the ledger) while the tree lives.  The first
+    depth reads the bound graph (its node :meth:`root`) or the subgraphs
+    :meth:`split` wrote of it; each depth call writes the subgraphs of the
+    next into a fresh arena the graph's size (the nodes of one depth hold
+    disjoint vertices and edges), which the next call reads, and the blocks
+    of the nodes that end there into its ``part``.  The caller names each
+    depth's nodes by rows of :data:`NODE_FIELDS`; every node runs the pool
+    of ``attempts`` slots of ``kinds``, ``rounds`` FM passes an attempt.
+    Scratch comes from one :class:`_Scratch`, a depth's sized by its largest
+    node; ``work`` accumulates the queue pops, pushes, FM passes and stale
+    re-pushes of every call.  Raises ``ValueError`` for an ``xadj`` that
+    does not tile the adjacency and for weights the kernels' int64 /
+    ``__int128`` arithmetic cannot hold (:func:`repro.graph._native.check_graph`
+    refuses such an input graph before any work)."""
 
-    def __init__(self, n, arrays, functions, scratch, bounds) -> None:
-        self.n = n
-        self._functions = functions
-        self._arrays = arrays  # the pointers below are only good while these live
-        self._graph = tuple(None if a is None else a.ctypes.data for a in arrays)
-        self._scratch = scratch
-        self._bounds = bounds
-
-    @property
-    def work(self) -> np.ndarray:
-        return self._scratch.work
-
-    @classmethod
-    def bind(cls, ws: BisectionWorkspace, functions) -> "BisectionKernels":
-        n, xadj = ws.n, ws.xadj
-        _, dst, w = ws.flat
+    def __init__(self, graph, kinds=(), attempts: int = 1, rounds: int = 0, sigmas=0.0) -> None:
+        n = graph.n
+        xadj, _, adj, w = vertex_segments(graph)
+        if xadj is None:  # compressed: decoded once, the copy held while bound
+            _, adj, w = full_adjacency(graph)
+            xadj = tracked_zeros(n + 1, np.int64, name="bisection-xadj")
+            np.cumsum(graph.degrees, out=xadj[1:])
+        vertex_weights = np.asarray(graph.vwgt)
         degrees = np.diff(xadj)
         if (
             xadj.dtype != np.int64
             or not xadj.flags.c_contiguous
-            or (len(xadj), len(w), len(ws.vwgt)) != (n + 1, len(dst), n)
+            or (len(xadj), len(w), len(vertex_weights)) != (n + 1, len(adj), n)
             or int(xadj[0]) != 0
-            or int(xadj[-1]) != len(dst)
+            or int(xadj[-1]) != len(adj)
             or int(degrees.min(initial=0)) < 0
         ):
-            raise ValueError("xadj does not tile the adjacency (corrupt workspace?)")
-        adj = np.ascontiguousarray(dst, dtype=np.int64)
+            raise ValueError("xadj does not tile the adjacency (corrupt graph?)")
+        adj = np.ascontiguousarray(adj, dtype=np.int64)
         wgt = _weights(w)
-        vwgt = _weights(ws.vwgt)
+        vwgt = _weights(vertex_weights)
         # every gain, and every sum of gains in a pass, is at most W
         total = len(adj) if wgt is None else _native.exact_sum(np.abs(wgt))
-        why = _native.vertex_weight_error(ws.vwgt)
+        why = _native.vertex_weight_error(vertex_weights)
         if why is None and total >= _native.WEIGHT_LIMIT:
             why = f"the summed |edge weights| {total} are not below 2^62"
         if why is not None:
@@ -185,19 +150,40 @@ class BisectionKernels:
         # (W, largest degree, most attempts whose cut sums stay exact): bounds
         # for every subgraph, since subgraphs only drop edges
         most = (_native.CUT_SUM_LIMIT - 1) // total if total else math.inf
-        bounds = (total, int(degrees.max(initial=0)), most)
-        return cls(n, (xadj, adj, wgt, vwgt), functions, _Scratch(), bounds)
+        self._bounds = (total, int(degrees.max(initial=0)), most)
+        self.n, self.m = n, len(adj)
+        self.total = graph.total_vertex_weight
+        self.ran = self.slots = 0
+        self.rows = None  # the last depth's pool rows, one a node and slot
+        self._functions = _native.bisection_kernels()
+        self._scratch = _Scratch()
+        self._kinds = np.ascontiguousarray(kinds, dtype=np.int64)
+        self.attempts, self.rounds = attempts, max(rounds, 0)
+        self._pool = (self._kinds.ctypes.data, len(self._kinds), attempts, sigmas, self.rounds)
+        self._weighted = (wgt is not None, vwgt is not None)
+        # the bound arrays (the pointers below are only good while they
+        # live), then the arena a depth reads, as the kernel takes it:
+        # (xadj, its length, adj, wgt, their length, vwgt, ids, their length)
+        self._arrays = (xadj, adj, wgt, vwgt)
+        at = [None if a is None else a.ctypes.data for a in self._arrays]
+        self._level = (at[0], n + 1, at[1], at[2], self.m, at[3], None, n)
+        self._arena, self._graph = self._arrays, self._level
+
+    @property
+    def work(self) -> np.ndarray:
+        return self._scratch.work
 
     def _run(self, fn, *args) -> int:
-        """The shared calling convention: workspace arrays, ``args``, heap, counters."""
-        rc = fn(self.n, *self._graph, *args, *self._scratch.queue(self.n + len(self._arrays[1])))
-        if rc < 0:
-            raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
-        return rc
+        """A search's calling convention: the bound graph, ``args``, heap, counters."""
+        xadj_at, _, adj_at, wgt_at, _, vwgt_at, _, _ = self._level
+        rc = fn(
+            self.n, xadj_at, adj_at, wgt_at, vwgt_at, *args, *self._scratch.queue(self.n + self.m)
+        )
+        return _checked(rc)
 
     def grow_greedy(self, order: np.ndarray, target0: int, max0: int) -> np.ndarray:
         """Vertices greedy graph growing absorbed, in absorption order (a view
-        of scratch: good until the next search of this recursion)."""
+        of scratch: good until the next search on this tree)."""
         n = self.n
         grown, grown_at = self._scratch.get("bipartition-grown", n, np.int64)
         pointers = self._scratch.pointers(
@@ -212,17 +198,6 @@ class BisectionKernels:
         )
         return grown[:count]
 
-    def grow_bfs(self, order: np.ndarray, target0: int) -> np.ndarray:
-        """Vertices BFS growth dequeued into block 0, in that order (a view of
-        scratch, as above)."""
-        n = self.n
-        queue, queue_at = self._scratch.get("bipartition-grown", n, np.int64)
-        (visited_at,) = self._scratch.pointers(("bipartition-visited", n, np.uint8))
-        order = _order(order, n)
-        target0 = _native.clamp_weight(target0)
-        count = self._run(self._functions[1], order.ctypes.data, target0, visited_at, queue_at, n)
-        return queue[:count]
-
     def fm2way(self, part, max_weights, rounds: int, patience: int) -> list[list[int]]:
         """The kept prefix of each 2-way FM pass run from ``part``, in order."""
         if rounds <= 0:
@@ -232,7 +207,7 @@ class BisectionKernels:
         side[:] = part
         max0, max1 = map(_native.clamp_weight, max_weights)
         passes = self._run(
-            self._functions[2], max0, max1, rounds, patience, side_at,
+            self._functions[1], max0, max1, rounds, patience, side_at,
             *self._scratch.fm(n, rounds), rounds * n,
         )  # fmt: skip
         kept = get("fm2way-kept", rounds, np.int64)[0]
@@ -240,41 +215,11 @@ class BisectionKernels:
         ends = np.cumsum(kept[:passes])
         return [prefix.tolist() for prefix in np.split(moves[: ends[-1]], ends[:-1])]
 
-
-class BisectionTree:
-    """Recursive bisection's tree on one workspace, a depth of it per
-    ``repro_bisect_depth`` call.  The first depth reads the workspace itself
-    (its node :meth:`root`) or the subgraphs :meth:`split` wrote; each call
-    writes the subgraphs of the next depth into a fresh arena the
-    workspace's size (the nodes of one depth hold disjoint vertices and
-    edges), which the next call reads, and the blocks of the nodes that end
-    here into ``part``.  The caller names each depth's nodes by rows of
-    :data:`NODE_FIELDS`.  The scratch of a depth is sized by its largest
-    node."""
-
-    def __init__(self, ws: BisectionWorkspace, part, kinds, attempts, rounds, sigmas) -> None:
-        kernels = ws.kernels()
-        xadj, adj, wgt, vwgt = kernels._arrays
-        self.n, self.m = kernels.n, len(adj)
-        self.total = ws.total_vertex_weight
-        self.ran = self.slots = 0
-        self.rows = None  # the last depth's pool rows, one a node and slot
-        self._functions, self._scratch, self._bounds = (
-            kernels._functions, kernels._scratch, kernels._bounds
-        )
-        self._part = part
-        self._kinds = kinds  # the address below is only good while it lives
-        self._pool = (kinds.ctypes.data, len(kinds), attempts, sigmas, max(rounds, 0))
-        self._weighted = (wgt is not None, vwgt is not None)
-        # the arena a depth reads: its arrays, (xadj, its length, adj, wgt,
-        # their length, vwgt, ids, their length) as the kernel takes them;
-        # the workspace's own until a split or a depth replaces them
-        self._arena = kernels._arrays
-        graph = kernels._graph
-        self._graph = (graph[0], self.n + 1, *graph[1:3], self.m, graph[3], None, self.n)
-
     def root(self, k: int) -> list[int]:
-        """The row of :data:`CHILD_FIELDS` of the workspace split into ``k`` blocks."""
+        """Start a tree at the bound graph: its row of :data:`CHILD_FIELDS`,
+        split into ``k`` blocks."""
+        self._arena, self._graph = self._arrays, self._level
+        self.ran = self.slots = 0
         return [self.n, self.m, 0, 0, 0, int(not self._weighted[0]), k, 0, 0, self.total]
 
     def _next_arena(self, extra: int):
@@ -293,17 +238,15 @@ class BisectionTree:
         return arena, (at[0], n + extra, at[1], at[2], m, at[3], at[4], n)
 
     def split(self, labels, label_count: int, blocks) -> list[list[int]]:
-        """The tree's first step instead of :meth:`root`: write the subgraph
-        each label of ``blocks`` induces in the workspace into the arena the
-        first depth reads, in one ``repro_split`` call.  Returns their rows
-        of :data:`CHILD_FIELDS`, in block order (k, first block and seed 0)."""
+        """Start a tree at the subgraphs of the bound graph instead of
+        :meth:`root`: write the subgraph each label of ``blocks`` induces
+        into the arena the first depth reads, in one ``repro_split`` call.
+        Returns their rows of :data:`CHILD_FIELDS`, in block order (k, first
+        block and seed 0)."""
         n, slots, scratch = self.n, len(blocks), self._scratch
         labels = np.ascontiguousarray(labels, dtype=np.int32)
         if len(labels) != n:
             raise ValueError("one label a vertex")
-        xadj_at, _, adj_at, wgt_at, _, vwgt_at, ids_at, _ = self._graph
-        if ids_at is not None:
-            raise ValueError("only the workspace itself splits, before any depth")
         slot_of, slot_of_at = scratch.get("subgraph-slots", label_count, np.int64)
         slot_of.fill(-1)
         slot_of[list(blocks)] = np.arange(slots)
@@ -311,15 +254,15 @@ class BisectionTree:
         local_at, sort_at = scratch.pointers(
             ("subgraph-local-ids", n, np.int64), ("subgraph-sort", 2 * self._bounds[1], np.int64)
         )
+        xadj_at, _, adj_at, wgt_at, _, vwgt_at, _, _ = self._level
         arena, out = self._next_arena(slots)
-        rc = self._functions[3](
+        _checked(self._functions[2](
             n, xadj_at, adj_at, wgt_at, vwgt_at, labels.ctypes.data, slot_of_at, label_count,
             slots, None, local_at, out[0], out[2], out[3], self.m, out[5], out[6], sort_at,
             self._bounds[1], info_at,
-        )  # fmt: skip
-        if rc < 0:
-            raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
+        ))  # fmt: skip
         self._arena, self._graph = arena, out
+        self.ran = self.slots = 0
         return [
             [ns, ms, v0 + s, v0, e0, unit, 0, 0, 0, total]
             for s, (ns, ms, v0, e0, total, unit) in enumerate(
@@ -327,9 +270,10 @@ class BisectionTree:
             )
         ]
 
-    def depth(self, nodes: list, seeds: np.ndarray) -> list[list[int]]:
+    def depth(self, nodes: list, seeds: np.ndarray, part: np.ndarray) -> list[list[int]]:
         """Run the bisections ``nodes`` (rows of :data:`NODE_FIELDS`) from
-        ``seeds``: the rows of :data:`CHILD_FIELDS` of the next depth's
+        ``seeds``, the blocks of the nodes that end here written into
+        ``part``: the rows of :data:`CHILD_FIELDS` of the next depth's
         subgraphs, in node order, side 0 first.  A negative cap, or a pool
         whose cut sums a double would round
         (:func:`repro.graph._native.cut_sum_error`), is refused before the
@@ -339,7 +283,7 @@ class BisectionTree:
         caps = rows[:, _MAX0 : _MAX1 + 1]
         if caps.size and int(caps.min()) < 0:
             raise ValueError(f"bisection cap {int(caps.min())}: a cap is negative")
-        attempts, rounds = self._pool[2], self._pool[4]
+        attempts, rounds = self.attempts, self.rounds
         if attempts > most:
             why = _native.cut_sum_error(attempts, total)
             raise ValueError(f"the compiled bisection pool cannot sum its cuts: {why}")
@@ -361,14 +305,11 @@ class BisectionTree:
                 ("subgraph-local-ids", n, np.int64), ("subgraph-sort", 2 * max_degree, np.int64)
             )
             arena, out = self._next_arena(2 * count)
-        rc = self._functions[4](
+        rc = _checked(self._functions[3](
             count, rows.ctypes.data, *self._graph, seeds.ctypes.data, len(seeds), *self._pool, n,
             *scratch.pool(n, rounds), rounds * n, labels_at, local_at, sort_at, max_degree, *out,
-            children_at, self._part.ctypes.data, len(self._part), stats_at,
-            *scratch.queue(entries),
-        )  # fmt: skip
-        if rc < 0:
-            raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt workspace?)")
+            children_at, part.ctypes.data, len(part), stats_at, *scratch.queue(entries),
+        ))  # fmt: skip
         self.rows = stats.reshape(count, attempts, len(ROW_FIELDS))
         self.ran += int(np.count_nonzero(self.rows[:, :, RAN]))
         self.slots += count * attempts
@@ -376,6 +317,13 @@ class BisectionTree:
             return []
         self._arena, self._graph = arena, out
         return children[: rc * len(CHILD_FIELDS)].reshape(rc, len(CHILD_FIELDS)).tolist()
+
+
+def _checked(rc: int) -> int:
+    """A kernel's answer, or the ``ValueError`` its error code names."""
+    if rc < 0:
+        raise ValueError(f"{_native.BISECTION_ERRORS[rc]} (corrupt graph?)")
+    return rc
 
 
 def _order(order: np.ndarray, n: int) -> np.ndarray:

@@ -44,23 +44,17 @@ def move_gains(
     return pr - cur_aff[po], is_current
 
 
-def flat_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, weight)`` as a bisection workspace holds it, else decoded."""
-    return getattr(graph, "flat", None) or full_adjacency(graph)
-
-
 def two_way_gains(graph, part: np.ndarray) -> np.ndarray:
-    """``gain[u] = w(edges to other side) - w(edges to own side)``, on a graph
-    or a bisection workspace (whose held adjacency saves the expansion)."""
+    """``gain[u] = w(edges to other side) - w(edges to own side)``."""
     gain = tracked_zeros(graph.n, np.int64, name="fm2way-gains")
-    src, dst, w = flat_adjacency(graph)
+    src, dst, w = full_adjacency(graph)
     np.add.at(gain, src, np.where(part[dst] == part[src], -w, w))
     return gain
 
 
 def two_way_cut(graph, part: np.ndarray) -> int:
-    """Total weight of edges crossing a bipartition (graph or workspace)."""
-    src, dst, w = flat_adjacency(graph)
+    """Total weight of edges crossing a bipartition."""
+    src, dst, w = full_adjacency(graph)
     return int(w[part[dst] != part[src]].sum()) // 2
 
 

@@ -78,7 +78,7 @@ ERRORS = {
 #: again) and its two refusals, which the numpy encoder raises alike
 ENCODE_DESCENT, ENCODE_DUPLICATE, ENCODE_WEIGHT = -8, -9, -10
 
-#: what the functions of ``bisection_kernel.c`` return for a workspace or a
+#: what the functions of ``bisection_kernel.c`` return for a graph or a
 #: buffer they refuse (one enum in the source, one table here)
 BISECTION_ERRORS = {
     -1: "vertex id out of range",
@@ -271,8 +271,6 @@ SIGNATURES = {
     "repro_greedy_graph_growing": [
         _i64, _p, _p, _p, _p, _p, _i64, _i64, _p, _p, _p, _p, _i64, _p, _i64, _p,
     ],
-    # ... = order, target0, visited, queue, queue_cap
-    "repro_bfs_growing": [_i64, _p, _p, _p, _p, _p, _i64, _p, _p, _i64, _p, _i64, _p],
     # ... = max0, max1, rounds, patience, side, gain, locked, kept, moves, moves_cap
     "repro_fm2way": [
         _i64, _p, _p, _p, _p, _i64, _i64, _i64, _i64, _p, _p, _p, _p, _p, _i64, _p, _i64, _p,
@@ -443,12 +441,11 @@ def encode_kernel():
 
 
 def bisection_kernels():
-    """``(greedy_graph_growing, bfs_growing, fm2way, split, bisect_depth)``
-    ctypes functions of ``bisection_kernel.c``."""
+    """``(greedy_graph_growing, fm2way, split, bisect_depth)`` ctypes
+    functions of ``bisection_kernel.c``."""
     lib = library()
     return (
         lib["repro_greedy_graph_growing"],
-        lib["repro_bfs_growing"],
         lib["repro_fm2way"],
         lib["repro_split"],
         lib["repro_bisect_depth"],

@@ -36,7 +36,7 @@ import pytest
 import repro
 from repro.core.initial import bipartition, deep, fm2way, recursive
 from repro.core.initial.recursive import POOL, POOL_SIGMAS
-from repro.core.initial.workspace import BisectionWorkspace, fm_patience
+from repro.core.initial.workspace import _weights, fm_patience
 from repro.core.kernels import (
     aggregate_coarse_edges,
     bulk_size_constrained_commit,
@@ -47,7 +47,7 @@ from repro.core.kernels import (
     two_way_cut,
     two_way_gains,
 )
-from repro.core.kernels.gains import batch_hash_insert, entry_width_bits_bulk, flat_adjacency
+from repro.core.kernels.gains import batch_hash_insert, entry_width_bits_bulk
 from repro.core.kernels.lp_chunk import NANOS
 from repro.core.refinement import fm_kernel
 from repro.graph import _native, compressed
@@ -1460,15 +1460,18 @@ def boundary_vertices(pgraph) -> np.ndarray:
 STOP_DIVISOR = 4  # the alpha = 1/4 of KaMinPar's initial FM
 
 
-def lists(ws: BisectionWorkspace) -> tuple[list, list, list, list, object]:
-    """``(xadj, adj, wgt, vwgt, charge)``: ``ws`` as Python lists, the
+def lists(graph) -> tuple[list, list, list, list, object]:
+    """``(xadj, adj, wgt, vwgt, charge)``: ``graph`` as Python lists, the
     representation the loops scan (a numpy scalar subscript costs several
     list subscripts), and the ``"bisection-workspace"`` ledger charge of
     their pointer arrays (8 B per slot, not the int objects behind them),
     which the caller holds while it scans them."""
-    _, dst, w = ws.flat
-    charge = tracked_slots(2 * ws.n + 1 + 2 * len(dst), "bisection-workspace")
-    return ws.xadj.tolist(), dst.tolist(), w.tolist(), ws.vwgt.tolist(), charge
+    g = as_csr(graph)
+    charge = tracked_slots(2 * g.n + 1 + 2 * len(g.adjncy), "bisection-workspace")
+    return (
+        g.indptr.tolist(), g.adjncy.tolist(), np.asarray(g.adjwgt).tolist(),
+        np.asarray(g.vwgt).tolist(), charge,
+    )  # fmt: skip
 
 
 #: splitmix64's increment and the 64-bit mask of its arithmetic
@@ -1499,16 +1502,15 @@ def slot_order(seed: int, slot: int, n: int) -> list[int]:
 
 def greedy_graph_growing_bipartition(graph, target_weight0, max_weight0, rng):
     """:func:`repro.core.initial.bipartition.greedy_graph_growing_bipartition`
-    over the workspace's lists."""
-    ws = BisectionWorkspace.of(graph)
-    return grow_greedy(ws, rng.permutation(ws.n).tolist(), target_weight0, max_weight0)
+    over the graph's lists."""
+    return grow_greedy(graph, rng.permutation(graph.n).tolist(), target_weight0, max_weight0)
 
 
-def grow_greedy(ws, order: list[int], target_weight0, max_weight0):
-    """Greedy graph growing on ``ws`` from the visiting order ``order``."""
-    n = ws.n
+def grow_greedy(graph, order: list[int], target_weight0, max_weight0):
+    """Greedy graph growing on ``graph`` from the visiting order ``order``."""
+    n = graph.n
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    xadj, adj, wgt, vwgt, _charge = lists(ws)
+    xadj, adj, wgt, vwgt, _charge = lists(graph)
     in_block = [False] * n
     # a vertex that once exceeded the cap can never fit later (the block
     # only grows), so block it permanently to guarantee termination
@@ -1557,17 +1559,16 @@ def grow_greedy(ws, order: list[int], target_weight0, max_weight0):
 
 
 def bfs_bipartition(graph, target_weight0, rng):
-    """:func:`repro.core.initial.bipartition.bfs_bipartition` over the
-    workspace's lists."""
-    ws = BisectionWorkspace.of(graph)
-    return grow_bfs(ws, rng.permutation(ws.n).tolist(), target_weight0)
+    """Plain BFS growth (the pool's ``"bfs"`` seed) from a random visiting
+    order, over the graph's lists."""
+    return grow_bfs(graph, rng.permutation(graph.n).tolist(), target_weight0)
 
 
-def grow_bfs(ws, order: list[int], target_weight0):
-    """BFS growth on ``ws`` from the visiting order ``order``."""
-    n = ws.n
+def grow_bfs(graph, order: list[int], target_weight0):
+    """BFS growth on ``graph`` from the visiting order ``order``."""
+    n = graph.n
     part = tracked_ones(n, np.int32, name="bipartition-part")
-    xadj, adj, _, vwgt, _charge = lists(ws)
+    xadj, adj, _, vwgt, _charge = lists(graph)
     visited = [False] * n
     charge = tracked_slots(n, "bipartition-visited")
     weight0 = 0
@@ -1593,32 +1594,36 @@ def grow_bfs(ws, order: list[int], target_weight0):
     return part
 
 
-def random_walk(ws, order: list[int], target_weight0):
-    """:func:`repro.core.initial.bipartition.random_bipartition` on the
-    visiting order ``order``: block 0 takes the vertices whose preceding
-    weight in it is below the target."""
-    part = tracked_ones(ws.n, np.int32, name="bipartition-part")
-    perm = np.array(order, dtype=np.int64)
-    w = np.asarray(ws.vwgt)[perm]
+def random_bipartition(graph, target_weight0, rng):
+    """A random balanced assignment (the pool's ``"random"`` seed) from a
+    random visiting order."""
+    return random_walk(graph, rng.permutation(graph.n), target_weight0)
+
+
+def random_walk(graph, order, target_weight0):
+    """The random assignment on the visiting order ``order``: block 0 takes
+    the vertices whose preceding weight in it is below the target."""
+    part = tracked_ones(graph.n, np.int32, name="bipartition-part")
+    perm = np.asarray(order, dtype=np.int64)
+    w = np.asarray(graph.vwgt)[perm]
     part[perm[: np.searchsorted(np.cumsum(w) - w, target_weight0)]] = 0
     return part
 
 
 def fm2way_refine(graph, part, max_weights, rounds: int = 2):
-    """:func:`repro.core.initial.fm2way.fm2way_refine` over the workspace's
+    """:func:`repro.core.initial.fm2way.fm2way_refine` over the graph's
     lists."""
-    ws = BisectionWorkspace.of(graph)
-    n = ws.n
+    n = graph.n
     patience = fm_patience(n)
-    xadj, adj, wgt, vwgt, _charge = lists(ws)
-    tail, head, _ = ws.flat
+    xadj, adj, wgt, vwgt, _charge = lists(graph)
+    tail, head, _ = full_adjacency(graph)
     weights = np.zeros(2, dtype=np.int64)
-    np.add.at(weights, part, ws.vwgt)
+    np.add.at(weights, part, np.asarray(graph.vwgt))
     side_weight = weights.tolist()
 
     for _ in range(rounds):
         side = part.tolist()  # ``part`` itself only receives the kept prefix
-        gain = two_way_gains(ws, part).tolist()
+        gain = two_way_gains(graph, part).tolist()
         locked = [False] * n
         names = ("fm2way-gains", "fm2way-locked")
         charges = [tracked_slots(n, name) for name in names]  # held for the pass
@@ -1690,8 +1695,8 @@ def fm2way_refine(graph, part, max_weights, rounds: int = 2):
 
 def extract_subgraphs(graph, masks):
     """Yield ``(induced subgraph, original_ids)`` per vertex mask, all from one
-    flattened adjacency of ``graph`` (a graph or a :class:`BisectionWorkspace`)."""
-    src, dst, weight = flat_adjacency(graph)
+    flattened adjacency of ``graph``."""
+    src, dst, weight = full_adjacency(graph)
     vwgt = np.asarray(graph.vwgt)
     local = tracked_full(graph.n, -1, np.int64, name="subgraph-local-ids")
     for mask in masks:
@@ -1708,23 +1713,40 @@ def extract_subgraphs(graph, masks):
         yield CSRGraph(indptr, d, None if unit else w, vwgt[ids]), ids
 
 
-def split(ws, labels, label_count: int, blocks, ids=None):
+def as_csr(graph):
+    """``graph`` itself when it is CSR, else decoded once into a CSR graph,
+    as a bisection tree binds it."""
+    if hasattr(graph, "indptr"):
+        return graph
+    _, adj, wgt = full_adjacency(graph)
+    indptr = np.concatenate(([0], np.cumsum(graph.degrees)))
+    return CSRGraph(indptr, adj, _weights(wgt), _weights(np.asarray(graph.vwgt)))
+
+
+def bound_graph(tree):
+    """The level ``tree`` is bound to, as a CSR graph over the arrays it binds."""
+    xadj, adj, wgt, vwgt = tree._arrays
+    return CSRGraph(xadj, adj, wgt, vwgt)
+
+
+def split(graph, labels, label_count: int, blocks, ids=None):
     """``(subgraph, ids)`` per label of ``blocks``: the subgraph its vertices
-    induce in ``ws`` and their ``ids`` (their indices in ``ws`` when ``ids``
-    is ``None``), :func:`extract_subgraphs`' CSR graphs, lazily -- what
-    ``BisectionTree.split`` writes into an arena."""
-    subgraphs = extract_subgraphs(ws, (labels == b for b in blocks))
+    induce in ``graph`` and their ``ids`` (their indices in ``graph`` when
+    ``ids`` is ``None``), :func:`extract_subgraphs`' CSR graphs, lazily --
+    what ``BisectionTree.split`` writes into an arena."""
+    subgraphs = extract_subgraphs(graph, (labels == b for b in blocks))
     return ((sub, local if ids is None else ids[local]) for sub, local in subgraphs)
 
 
-def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds):
+def portfolio(graph, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds):
     """``(best assignment, attempts run)``: the pool as Python loops, slot
     ``i`` seeded from :func:`slot_order` of the bisection's one 64-bit draw
     from ``rng``."""
     seed = rng.bit_generator.random_raw()
     best: np.ndarray | None = None
     best_key: tuple[int, int] | None = None
-    total = ws.total_vertex_weight
+    total = graph.total_vertex_weight
+    vwgt = np.asarray(graph.vwgt)
     ran = 0
     # per kind: runs, sum and sum of squares of the post-FM cuts
     stats = dict.fromkeys(POOL, (0, 0, 0))
@@ -1736,20 +1758,20 @@ def portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_ro
             variance = (squares - cuts * mean) / (runs - 1) if runs > 1 else 0.0
             if mean - POOL_SIGMAS * math.sqrt(max(variance, 0.0)) > best_key[1]:
                 continue
-        order = slot_order(seed, attempt, ws.n)
+        order = slot_order(seed, attempt, graph.n)
         if kind == "random":
-            part = random_walk(ws, order, target_weight0)
+            part = random_walk(graph, order, target_weight0)
         elif kind == "bfs":
-            part = grow_bfs(ws, order, target_weight0)
+            part = grow_bfs(graph, order, target_weight0)
         else:
-            part = grow_greedy(ws, order, target_weight0, max_weight0)
+            part = grow_greedy(graph, order, target_weight0, max_weight0)
         part = fm2way_refine(
-            ws, part, (max_weight0, max_weight1), rounds=fm_rounds
+            graph, part, (max_weight0, max_weight1), rounds=fm_rounds
         )
-        w0 = int(ws.vwgt[part == 0].sum())
+        w0 = int(vwgt[part == 0].sum())
         w1 = total - w0
         infeasible = int(max(0, w0 - max_weight0) + max(0, w1 - max_weight1))
-        cut = two_way_cut(ws, part)
+        cut = two_way_cut(graph, part)
         stats[kind] = (runs + 1, cuts + cut, squares + cut * cut)
         ran += 1
         if best_key is None or (infeasible, cut) < best_key:
@@ -1763,9 +1785,8 @@ def bipartition_portfolio(
 ):
     """Best-of-at-most-``attempts`` bipartition on the Python pool: one
     node of ``repro_bisect_depth``, the attempts counted on the tracer."""
-    ws = BisectionWorkspace.of(graph)
     attempts = max(1, attempts)
-    best, ran = portfolio(ws, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds)
+    best, ran = portfolio(graph, target_weight0, max_weight0, max_weight1, rng, attempts, fm_rounds)
     tracer = installed_tracer()
     if tracer is not None:
         tracer.add("initial.attempts_run", ran)
@@ -1793,26 +1814,27 @@ def initial_partition(graph, k, epsilon, rng, attempts=8, fm_rounds=2):
         target0 = int(round(total * k0 / k_here))
         max0 = max(target0, int((1.0 + eps_b) * total * k0 / k_here))
         max1 = max(total - target0, int((1.0 + eps_b) * total * k1 / k_here))
-        ws = BisectionWorkspace.of(g)
         bp = bipartition_portfolio(
-            ws, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
+            g, target0, max0, max1, rng, attempts=attempts, fm_rounds=fm_rounds
         )
         if k_here == 2:  # both sides are blocks
             part[ids] = block_offset + bp
             return
-        (sub0, ids0), (sub1, ids1) = split(ws, bp, 2, (0, 1), ids)
-        del ws, g  # one bisection's workspace does not outlive it
+        (sub0, ids0), (sub1, ids1) = split(g, bp, 2, (0, 1), ids)
+        del g  # one bisection's graph does not outlive its split
         recurse(sub0, ids0, k0, block_offset)
         recurse(sub1, ids1, k1, block_offset + k0)
 
-    recurse(graph, np.arange(graph.n, dtype=np.int64), k, 0)
+    recurse(as_csr(graph), np.arange(graph.n, dtype=np.int64), k, 0)
     return part
 
 
-def split_round(pgraph, state, rng, attempts, fm_rounds):
+def split_round(pgraph, state, rng, tree):
     """:func:`repro.core.initial.deep._split_round` as the per-block loop it
     was: one :func:`split` of the level, then one
-    :func:`bipartition_portfolio` a block, relabelled as it goes."""
+    :func:`bipartition_portfolio` a block (the pool of ``tree``'s
+    ``attempts`` and ``rounds``), relabelled as it goes."""
+    attempts, fm_rounds = tree.attempts, tree.rounds
     k_old = len(state.budgets)
     # positions 0..k_old-1 keep their (possibly halved) budgets; each split
     # appends its second half as a brand-new label at the end
@@ -1827,7 +1849,7 @@ def split_round(pgraph, state, rng, attempts, fm_rounds):
     # (written up front, or extracted lazily) never see this round's earlier
     # splits
     blocks = [b for b in range(k_old) if new_budgets[b] > 1]
-    subgraphs = split(BisectionWorkspace(pgraph.graph), part, k_old, blocks)
+    subgraphs = split(bound_graph(tree), part, k_old, blocks)
     for b, (sub, ids) in zip(blocks, subgraphs):
         if sub.n < 2:
             continue  # cannot split a sub-2-vertex block
@@ -1884,7 +1906,6 @@ TWINS = {
     ],
     "bisection": [
         (bipartition, "greedy_graph_growing_bipartition", greedy_graph_growing_bipartition),
-        (bipartition, "bfs_bipartition", bfs_bipartition),
         (fm2way, "fm2way_refine", fm2way_refine),
         (recursive, "initial_partition", initial_partition),
         (deep, "_split_round", split_round),

@@ -24,7 +24,7 @@ import pytest
 import oracles
 from repro.core.initial import recursive
 from repro.core.initial.recursive import POOL_SIGMAS, initial_partition
-from repro.core.initial.workspace import BisectionWorkspace, CHILD_FIELDS, NODE_FIELDS
+from repro.core.initial.workspace import CHILD_FIELDS, NODE_FIELDS, BisectionTree
 from repro.graph import _native
 from repro.graph import access
 from repro.graph import generators as gen
@@ -55,15 +55,14 @@ def queue_mode(graph) -> str:
     block 0 to one vertex from the seed ``s``.  The buckets then hold the
     neighbours of ``s`` as vertex ids in push order (the seed's popped entry
     is reused by the first), the heap the triples (-2 w, tie 1.., vertex)."""
-    ws = BisectionWorkspace(graph)
-    kernels = ws.kernels()
-    seed = int(np.argmax(np.diff(ws.xadj)))  # a vertex with neighbours
-    order = np.concatenate([[seed], np.delete(np.arange(ws.n), seed)])
-    assert kernels.grow_greedy(order, 1, ws.total_vertex_weight).tolist() == [seed]
-    lo, hi = ws.xadj[seed], ws.xadj[seed + 1]
-    neighbours, weights = ws.flat[1][lo:hi].tolist(), ws.flat[2][lo:hi].tolist()
+    tree, g = BisectionTree(graph), oracles.as_csr(graph)
+    seed = int(np.argmax(np.diff(g.indptr)))  # a vertex with neighbours
+    order = np.concatenate([[seed], np.delete(np.arange(g.n), seed)])
+    assert tree.grow_greedy(order, 1, g.total_vertex_weight).tolist() == [seed]
+    lo, hi = g.indptr[seed], g.indptr[seed + 1]
+    neighbours, weights = g.adjncy[lo:hi].tolist(), np.asarray(g.adjwgt)[lo:hi].tolist()
     degree = hi - lo
-    heap = kernels._scratch.get("bisection-heap", 3 * (ws.n + len(ws.flat[1])), np.int64)[0]
+    heap = tree._scratch.get("bisection-heap", 3 * (g.n + len(g.adjncy)), np.int64)[0]
     if heap[:degree].tolist() == neighbours:
         return "buckets"
     triples = heap[: 3 * degree].reshape(degree, 3).tolist()
@@ -78,7 +77,7 @@ def pooled(graph, target, caps, seed, attempts=8, rounds=2):
     """``(best, rows, work, rng state)`` of one compiled pool on ``graph``."""
     rng = np.random.default_rng(seed)
     best, tree = compiled_pool(graph, target, *caps, rng, attempts, rounds)
-    return best, tree.rows[0].copy(), tree._scratch.work.tolist(), rng.bit_generator.state
+    return best, tree.rows[0].copy(), tree.work.tolist(), rng.bit_generator.state
 
 
 class TestQueue:
@@ -280,7 +279,7 @@ class TestDepthEntry:
         for k in (64, 48, 5):
             calls[:] = [0] * len(functions)
             initial_partition(g, k, 0.03, np.random.default_rng(1))
-            assert calls == [0, 0, 0, 0, math.ceil(math.log2(k))], k
+            assert calls == [0, 0, 0, math.ceil(math.log2(k))], k
 
 
 class TestRefusals:
@@ -288,14 +287,14 @@ class TestRefusals:
         """The seeds are drawn before the first depth runs: the depth that
         refuses must put the generator back where initial_partition found it."""
         functions = _native.bisection_kernels()
-        depth = functions[4]
+        depth = functions[3]
         calls = []
 
         def refuses_second(*args):
             calls.append(1)
             return -2 if len(calls) == 2 else depth(*args)
 
-        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:4], refuses_second))
+        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:3], refuses_second))
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="capacity"):
@@ -303,12 +302,12 @@ class TestRefusals:
         assert len(calls) == 2 and rng.bit_generator.state == state
 
     def test_a_corrupt_workspace_is_refused_after_the_draw(self):
-        ws = BisectionWorkspace(gen.rgg2d(300, avg_degree=8, seed=1))
-        ws.flat[1][7::11] = ws.n
+        g = gen.rgg2d(300, avg_degree=8, seed=1)
+        g.adjncy[7::11] = g.n  # the tree binds the graph's own adjacency
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="vertex id out of range"):
-            initial_partition(ws, 8, 0.03, rng)
+            initial_partition(g, 8, 0.03, rng)
         assert rng.bit_generator.state == state
 
     def test_cut_sums_are_refused_before_the_draw(self):
@@ -328,11 +327,12 @@ class TestNodeRows:
 
     @pytest.fixture
     def tree(self):
-        from repro.core.initial.workspace import BisectionTree
-
         g = gen.rgg2d(200, avg_degree=8, seed=2)
-        part = np.zeros(g.n, dtype=np.int32)
-        return BisectionTree(BisectionWorkspace(g), part, recursive._POOL_CODES, 8, 2, POOL_SIGMAS)
+        return BisectionTree(g, recursive._POOL_CODES, 8, 2, POOL_SIGMAS)
+
+    @staticmethod
+    def depth(tree, nodes, seeds):
+        return tree.depth(nodes, seeds, np.zeros(tree.n, dtype=np.int32))
 
     def row(self, tree, **changes):
         *root, total = tree.root(4)
@@ -357,11 +357,11 @@ class TestNodeRows:
     def test_bad_rows_are_refused(self, tree, changes, match):
         seeds = np.arange(3, dtype=np.uint64)
         with pytest.raises(ValueError, match=match):
-            tree.depth([self.row(tree, **changes)], seeds)
+            self.depth(tree, [self.row(tree, **changes)], seeds)
 
     def test_a_good_row_splits(self, tree):
         """k = 4: two children of two blocks each, seeds 1 and 2 in preorder."""
-        children = tree.depth([self.row(tree)], np.arange(3, dtype=np.uint64))
+        children = self.depth(tree, [self.row(tree)], np.arange(3, dtype=np.uint64))
         assert all(len(c) == len(CHILD_FIELDS) for c in children)
         assert [c[6:9] for c in children] == [[2, 0, 1], [2, 2, 2]]
         assert sum(c[0] for c in children) == tree.n

@@ -34,7 +34,7 @@ from repro.core import partitioner
 from repro.core.initial import recursive
 from repro.core.initial.deep import deep_initial_partition
 from repro.core.initial.recursive import POOL, POOL_SIGMAS, initial_partition
-from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionTree, BisectionWorkspace
+from repro.core.initial.workspace import KIND_CODES, ROW_FIELDS, BisectionTree
 from repro.core.kernels import two_way_cut
 from repro.dist.dpartitioner import DistConfig, dpartition
 from repro.graph import generators as gen
@@ -101,11 +101,11 @@ def oracle_pool(graph, target, caps, seed, attempts, rounds):
 
             m.setattr(oracles, name, seeded)
 
-        def refined(ws, part, max_weights, rounds, _refine=oracles.fm2way_refine):
-            part = _refine(ws, part, max_weights, rounds=rounds)
-            over = sum(max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights))
+        def refined(g, part, max_weights, rounds, _refine=oracles.fm2way_refine):
+            part = _refine(g, part, max_weights, rounds=rounds)
+            over = sum(max(0, w - cap) for w, cap in zip(side_weights(g, part), max_weights))
             kind, start = ran[-1]
-            ran[-1] = (kind, over, two_way_cut(ws, part), *(b - a for a, b in zip(start, counts)))
+            ran[-1] = (kind, over, two_way_cut(g, part), *(b - a for a, b in zip(start, counts)))
             return part
 
         m.setattr(oracles, "fm2way_refine", refined)
@@ -319,9 +319,8 @@ def test_the_same_seed_gives_the_same_dist_partition():
 # the split
 # --------------------------------------------------------------------- #
 def split_tree(graph):
-    """A tree on ``graph``'s workspace (``graph`` may be one), for its split."""
-    ws = BisectionWorkspace.of(graph)
-    return BisectionTree(ws, np.zeros(ws.n, dtype=np.int32), recursive._POOL_CODES, 1, 0, POOL_SIGMAS)
+    """A tree bound to ``graph``, for its split."""
+    return BisectionTree(graph, recursive._POOL_CODES, 1, 0, POOL_SIGMAS)
 
 
 def arena_graphs(tree, rows):
@@ -352,8 +351,7 @@ def assert_split_is_extract(graph, labels, label_count, blocks):
         assert np.array_equal(child.vwgt, sub.vwgt)
         # unit weights travel as no array at all, as extract_subgraphs' None
         assert unit == sub._unit_edge_weights
-        lists = oracles.lists(BisectionWorkspace(child))[:4]
-        assert lists == oracles.lists(BisectionWorkspace(sub))[:4]
+        assert oracles.lists(child)[:4] == oracles.lists(sub)[:4]
     return [unit for _, _, unit in arena_graphs(tree, rows)]
 
 
@@ -511,65 +509,66 @@ class TestDegenerate:
 
 
 class TestRefusals:
-    """A corrupt workspace is a ``ValueError``; the generator and every
-    input array are as they were."""
+    """A corrupt graph is a ``ValueError``; the generator and every input
+    array are as they were (the tree binds a CSR graph's own arrays, so
+    corrupting the graph corrupts what the kernels read)."""
 
     @pytest.fixture
-    def ws(self):
-        return BisectionWorkspace(gen.rgg2d(300, avg_degree=8, seed=1))
+    def graph(self):
+        return gen.rgg2d(300, avg_degree=8, seed=1)
 
-    def snapshot(self, ws):
-        return [a.copy() for a in (ws.xadj, *ws.flat, ws.vwgt)]
+    def snapshot(self, g):
+        return [np.array(a) for a in (g.indptr, g.adjncy, g.adjwgt, g.vwgt)]
 
-    def assert_untouched(self, ws, before):
-        for a, b in zip((ws.xadj, *ws.flat, ws.vwgt), before):
+    def assert_untouched(self, g, before):
+        for a, b in zip((g.indptr, g.adjncy, g.adjwgt, g.vwgt), before):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("bad", [300, -1, 1 << 40])
-    def test_pool_bad_neighbour(self, ws, bad):
-        ws.flat[1][7::11] = bad
-        before, rng = self.snapshot(ws), np.random.default_rng(9)
+    def test_pool_bad_neighbour(self, graph, bad):
+        graph.adjncy[7::11] = bad
+        before, rng = self.snapshot(graph), np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="vertex id out of range"):
-            compiled_pool(ws, 150, 160, 160, rng)
+            compiled_pool(graph, 150, 160, 160, rng)
         assert rng.bit_generator.state == state
-        self.assert_untouched(ws, before)
+        self.assert_untouched(graph, before)
 
-    def test_pool_heap_too_small(self, ws, monkeypatch):
+    def test_pool_heap_too_small(self, graph, monkeypatch):
         short_heap(monkeypatch)
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="capacity"):
-            compiled_pool(ws, 150, 160, 160, rng)
+            compiled_pool(graph, 150, 160, 160, rng)
         assert rng.bit_generator.state == state
 
-    def test_pool_bad_kind(self, ws):
+    def test_pool_bad_kind(self, graph):
         rng = np.random.default_rng(9)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="pool kind"):
-            compiled_pool(ws, 150, 160, 160, rng, 4, 2, kinds=np.array([0, 3]))
+            compiled_pool(graph, 150, 160, 160, rng, 4, 2, kinds=np.array([0, 3]))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("bad", [2, -1, 1 << 20])
-    def test_split_label_out_of_range(self, ws, bad):
-        labels = sides(ws.n, 0)
+    def test_split_label_out_of_range(self, graph, bad):
+        labels = sides(graph.n, 0)
         labels[17] = bad
-        before, labels_before = self.snapshot(ws), labels.copy()
+        before, labels_before = self.snapshot(graph), labels.copy()
         with pytest.raises(ValueError, match="label"):
-            split_tree(ws).split(labels, 2, (0, 1))
-        self.assert_untouched(ws, before)
+            split_tree(graph).split(labels, 2, (0, 1))
+        self.assert_untouched(graph, before)
         assert np.array_equal(labels, labels_before)
 
-    def test_split_bad_neighbour(self, ws):
-        ws.flat[1][5] = ws.n
-        before = self.snapshot(ws)
+    def test_split_bad_neighbour(self, graph):
+        graph.adjncy[5] = graph.n
+        before = self.snapshot(graph)
         with pytest.raises(ValueError, match="vertex id out of range"):
-            split_tree(ws).split(sides(ws.n, 0), 2, (0, 1))
-        self.assert_untouched(ws, before)
+            split_tree(graph).split(sides(graph.n, 0), 2, (0, 1))
+        self.assert_untouched(graph, before)
 
-    def test_split_needs_one_label_a_vertex(self, ws):
+    def test_split_needs_one_label_a_vertex(self, graph):
         with pytest.raises(ValueError, match="one label"):
-            split_tree(ws).split(sides(ws.n - 1, 0), 2, (0, 1))
+            split_tree(graph).split(sides(graph.n - 1, 0), 2, (0, 1))
 
 
 @st.composite

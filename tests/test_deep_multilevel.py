@@ -203,7 +203,28 @@ class TestSplitRound:
             _, state = deep_initial_partition(g, k, 0.03, np.random.default_rng(1))
             assert state.k_current == k
             depth = math.ceil(math.log2(k))
-            assert calls == [0, 0, 0, depth, depth], k
+            assert calls == [0, 0, depth, depth], k
+
+    @pytest.mark.parametrize("family", list(ROUND_GRAPHS))
+    def test_a_level_is_bound_once(self, family, monkeypatch):
+        """``extend_partition`` binds its level once (one
+        ``bisection_kernels`` lookup, a compressed level decoded once, a CSR
+        level never flattened), however many rounds it runs on it."""
+        g = ROUND_GRAPHS[family]()
+        rng = np.random.default_rng(1)
+        part, state = deep_initial_partition(g, 64, 0.03, rng, factor=512)
+        pgraph = PartitionedGraph(g, 64, part)
+        binds, flattens = [], []
+        functions, full_adjacency = _native.bisection_kernels, workspace.full_adjacency
+        monkeypatch.setattr(
+            _native, "bisection_kernels", lambda: binds.append(1) or functions()
+        )
+        monkeypatch.setattr(
+            workspace, "full_adjacency", lambda graph: flattens.append(1) or full_adjacency(graph)
+        )
+        assert extend_partition(pgraph, state, rng, factor=32) >= 2
+        assert len(binds) == 1
+        assert len(flattens) == (family == "compressed")
 
     def test_a_round_allocates_each_scratch_name_once(self, monkeypatch):
         """The pool scratch is sized by the round's largest block up front:
@@ -220,7 +241,8 @@ class TestSplitRound:
             return real(size, dtype, name=name)
 
         monkeypatch.setattr(workspace, "tracked_empty", recorded)
-        assert deep._split_round(pgraph, state, np.random.default_rng(2), 4, 1)
+        tree = workspace.BisectionTree(g, deep._POOL_CODES, 4, 1, deep.POOL_SIGMAS)
+        assert deep._split_round(pgraph, state, np.random.default_rng(2), tree)
         assert state.k_current == 2 * k_before
         assert names and max(names.values()) == 1, names
 
@@ -259,10 +281,10 @@ class TestRoundRefusals:
         functions = _native.bisection_kernels()
 
         def refuses(*args):
-            assert functions[4](*args) == 0
+            assert functions[3](*args) == 0
             return -2
 
-        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:4], refuses))
+        monkeypatch.setattr(_native, "bisection_kernels", lambda: (*functions[:3], refuses))
         before = self.snapshot(pgraph, state, rng)
         with pytest.raises(ValueError, match="capacity"):
             extend_partition(pgraph, state, rng, factor=32)

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.initial.bipartition import (
-    bfs_bipartition,
-    greedy_graph_growing_bipartition,
-    random_bipartition,
-)
-from oracles import extract_subgraphs
+from repro.core.initial.bipartition import greedy_graph_growing_bipartition
+from oracles import extract_subgraphs, random_bipartition
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial.recursive import initial_partition
 from repro.core.kernels import two_way_cut

@@ -4,11 +4,11 @@ against the Python loops they port (ISSUE 22).
 Here both run in one process, the loops from ``tests/oracles.py``: the
 kernel must give the oracle's assignment, write the same prefixes and leave
 the RNG where the oracle leaves it, over the matrix of
-``tests/test_initial_workspace.py``; it must refuse, by name, weights its
-fixed-width arithmetic cannot hold (which only the oracle's Python integers
-still take); and, called without the wrapper's checks on a corrupted
-workspace, it must return an error code and write nothing outside the
-buffers it was given.
+``tests/test_initial_workspace.py`` (BFS growth as the pool's one ``"bfs"``
+slot); it must refuse, by name, weights its fixed-width arithmetic cannot
+hold (which only the oracle's Python integers still take); and, called
+without the bind's checks on a corrupted graph, it must return an error
+code and write nothing outside the buffers it was given.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ from hypothesis import given, settings
 
 import oracles
 import repro
-from repro.core.initial.bipartition import (
-    bfs_bipartition,
-    greedy_graph_growing_bipartition,
-)
+from repro.core.initial.bipartition import greedy_graph_growing_bipartition
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial.recursive import initial_partition
-from repro.core.initial.workspace import BisectionWorkspace, fm_patience
+from repro.core.initial.workspace import KIND_CODES, BisectionTree, fm_patience
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.builder import from_edges
@@ -35,9 +32,13 @@ from test_initial_workspace import (  # noqa: F401  (coarsest is a fixture)
     SEEDS,
     RecordingPart,
     coarsest,
+    compiled_pool,
     short_heap,
     small_bisections,
 )
+
+BFS_ONLY = np.array([KIND_CODES.index("bfs")], dtype=np.int64)
+
 
 def on_oracle(fn, *args, **kwargs):
     """``fn(...)`` with the bisection oracles in the compiled searches' place."""
@@ -53,11 +54,23 @@ def recorded_fm(graph, start, caps, rounds, refine=fm2way_refine):
     return np.asarray(part), part.writes
 
 
+def compiled_bfs(graph, target, rng):
+    """BFS growth in C: a pool of one ``"bfs"`` slot and no FM pass."""
+    total = graph.total_vertex_weight
+    return compiled_pool(graph, target, total, total, rng, 1, 0, kinds=BFS_ONLY)[0]
+
+
+def oracle_bfs(graph, target, rng):
+    """The oracle's BFS growth from the order slot 0 of ``rng``'s one draw gets."""
+    seed = int(rng.bit_generator.random_raw())
+    return oracles.grow_bfs(graph, oracles.slot_order(seed, 0, graph.n), target)
+
+
 def assert_searches_agree(graph, target, cap, seed, start, fm_caps):
     """Both growths, and FM from ``start``: same answers, same draws, same writes."""
     for grow, oracle, args in (
         (greedy_graph_growing_bipartition, oracles.greedy_graph_growing_bipartition, (target, cap)),
-        (bfs_bipartition, oracles.bfs_bipartition, (target,)),
+        (compiled_bfs, oracle_bfs, (target,)),
     ):
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         got = grow(graph, *args, rng)
@@ -183,7 +196,7 @@ class TestMagnitudes:
         them by name, ``partition()`` before any work."""
         g = make()
         with pytest.raises(ValueError, match=r"cannot hold this graph: .* not below 2\^62"):
-            BisectionWorkspace(g).kernels()
+            BisectionTree(g)
         with pytest.raises(ValueError, match=r"graph refused: .* not below 2\^62"):
             repro.partition(g, 2)
         part = oracles.greedy_graph_growing_bipartition(g, 2, 1 << 62, np.random.default_rng(0))
@@ -228,18 +241,18 @@ class Guarded:
 
 
 class Raw:
-    """The three functions called the way ``BisectionKernels`` calls them,
-    minus its checks, on arrays a test may corrupt, with every output guarded.
+    """The two searches called the way ``BisectionTree`` calls them, minus
+    its checks, on arrays a test may corrupt, with every output guarded.
     ``short`` takes that many entries off each capacity handed over."""
 
     def __init__(self, graph) -> None:
-        ws = BisectionWorkspace(graph)
-        self.n = ws.n
-        self.xadj = ws.xadj.copy()
-        self.adj = np.ascontiguousarray(ws.flat[1]).copy()
-        self.wgt = np.ascontiguousarray(ws.flat[2]).copy()
-        self.vwgt = np.ascontiguousarray(ws.vwgt).copy()
-        self.order = np.random.default_rng(0).permutation(ws.n)
+        g = oracles.as_csr(graph)
+        self.n = g.n
+        self.xadj = g.indptr.copy()
+        self.adj = g.adjncy.copy()
+        self.wgt = np.ascontiguousarray(g.adjwgt).copy()
+        self.vwgt = np.ascontiguousarray(g.vwgt).copy()
+        self.order = np.random.default_rng(0).permutation(g.n)
         self.work = np.zeros(4, dtype=np.int64)
         self.total = int(self.vwgt.sum())
 
@@ -263,19 +276,11 @@ class Raw:
         )  # fmt: skip
         return rc, out.inside(3)
 
-    def bfs(self, short=0):
-        n, out = self.n, Guarded()
-        rc = self._call(
-            1, out, self.order.ctypes.data, self.total // 2,
-            out.ptr(n, np.uint8), out.ptr(n - short, np.int64), n - short,
-        )  # fmt: skip
-        return rc, out.inside(1)
-
     def fm(self, side, short=0, heap_short=0, rounds=2):
         n, out = self.n, Guarded()
         side = np.ascontiguousarray(side, dtype=np.int8)
         rc = self._call(
-            2, out, self.total, self.total, rounds, 0, side.ctypes.data,
+            1, out, self.total, self.total, rounds, 0, side.ctypes.data,
             out.ptr(n, np.int64), out.ptr(n, np.uint8), out.ptr(rounds, np.int64),
             out.ptr(rounds * n - short, np.int64), rounds * n - short, heap_short=heap_short,
         )  # fmt: skip
@@ -300,8 +305,6 @@ class TestKernelContract:
         raw = Raw(mesh)
         count, grown = raw.greedy()
         assert 0 < count <= mesh.n and len(set(grown[:count].tolist())) == count
-        count, queue = raw.bfs()
-        assert count == mesh.n // 2 and len(set(queue[:count].tolist())) == count
         passes, side = raw.fm(alternating(mesh.n))
         assert 1 <= passes <= 2 and set(np.unique(side).tolist()) == {0, 1}
         assert raw.work[0] > 0 and raw.work[2] == passes and raw.work[3] == 0
@@ -310,10 +313,10 @@ class TestKernelContract:
     def test_id_out_of_range_is_refused(self, mesh, bad):
         raw = Raw(mesh)
         raw.adj[3::7] = bad
-        assert raw.greedy()[0] == raw.bfs()[0] == raw.fm(alternating(mesh.n))[0] == -1
+        assert raw.greedy()[0] == raw.fm(alternating(mesh.n))[0] == -1
         raw = Raw(mesh)
         raw.order[:] = bad  # the first seed is already unusable
-        assert raw.greedy()[0] == raw.bfs()[0] == -1
+        assert raw.greedy()[0] == -1
 
     def test_side_other_than_0_or_1_is_refused(self, mesh):
         for bad in (2, -1, 127, -128):
@@ -325,10 +328,10 @@ class TestKernelContract:
         """Exactly the bound is enough; one entry less is a code, not a write."""
         raw = Raw(mesh)
         n = mesh.n
-        # the whole graph in block 0 fills grown[] and the BFS queue to n
+        # the whole graph in block 0 fills grown[] to n
         raw.total *= 2
-        assert raw.greedy()[0] == n and raw.bfs()[0] == n
-        assert raw.greedy(short=1)[0] == -2 and raw.bfs(short=1)[0] == -2
+        assert raw.greedy()[0] == n
+        assert raw.greedy(short=1)[0] == -2
         raw.total //= 2
         # a heap of one entry cannot take a seed's neighbours
         m = len(raw.adj)
@@ -350,51 +353,53 @@ class TestKernelContract:
 
 
 class TestCorruptWorkspace:
-    """Through the public functions a workspace the kernels refuse is a
-    ``ValueError`` -- on all three, and never a trap."""
+    """Through the public functions (BFS growth: the pool's ``"bfs"`` slot)
+    a graph the kernels refuse is a ``ValueError`` -- on all three, and
+    never a trap.  The tree binds a CSR graph's own arrays, so corrupting
+    the graph corrupts what the kernels read."""
 
     SEARCHES = {
-        "greedy": lambda ws: greedy_graph_growing_bipartition(
-            ws, ws.n // 2, ws.n, np.random.default_rng(0)
+        "greedy": lambda g: greedy_graph_growing_bipartition(
+            g, g.n // 2, g.n, np.random.default_rng(0)
         ),
-        "bfs": lambda ws: bfs_bipartition(ws, ws.n // 2, np.random.default_rng(0)),
-        "fm": lambda ws: fm2way_refine(
-            ws, alternating(ws.n).astype(np.int32), (ws.n, ws.n)
+        "bfs": lambda g: compiled_bfs(g, g.n // 2, np.random.default_rng(0)),
+        "fm": lambda g: fm2way_refine(
+            g, alternating(g.n).astype(np.int32), (g.n, g.n)
         ),
     }
 
     @pytest.fixture
-    def ws(self):
-        return BisectionWorkspace(gen.rgg2d(300, avg_degree=8, seed=1))
+    def graph(self):
+        return gen.rgg2d(300, avg_degree=8, seed=1)
 
     @pytest.mark.parametrize("search", list(SEARCHES))
     @pytest.mark.parametrize("bad", [300, -1], ids=["id-n", "negative-id"])
-    def test_bad_neighbour_id(self, ws, search, bad):
-        ws.flat[1][::5] = bad
+    def test_bad_neighbour_id(self, graph, search, bad):
+        graph.adjncy[::5] = bad
         with pytest.raises(ValueError, match="vertex id out of range"):
-            self.SEARCHES[search](ws)
+            self.SEARCHES[search](graph)
 
     @pytest.mark.parametrize("search", list(SEARCHES))
-    def test_descending_xadj(self, ws, search):
-        ws.xadj[[10, 11]] = ws.xadj[[11, 10]]
-        assert ws.xadj[10] > ws.xadj[11]
+    def test_descending_xadj(self, graph, search):
+        graph.indptr[[10, 11]] = graph.indptr[[11, 10]]
+        assert graph.indptr[10] > graph.indptr[11]
         with pytest.raises(ValueError, match="xadj"):
-            self.SEARCHES[search](ws)
+            self.SEARCHES[search](graph)
 
     @pytest.mark.parametrize("search", list(SEARCHES))
-    def test_xadj_past_the_adjacency(self, ws, search):
-        ws.xadj[-1] += 1
+    def test_xadj_past_the_adjacency(self, graph, search):
+        graph.indptr[-1] += 1
         with pytest.raises(ValueError, match="xadj"):
-            self.SEARCHES[search](ws)
+            self.SEARCHES[search](graph)
 
     @pytest.mark.parametrize("search", ["greedy", "fm"])
-    def test_heap_one_entry_short_of_what_the_search_needs(self, ws, search, monkeypatch):
+    def test_heap_one_entry_short_of_what_the_search_needs(self, graph, search, monkeypatch):
         short_heap(monkeypatch)
         with pytest.raises(ValueError, match="capacity"):
-            self.SEARCHES[search](ws)
+            self.SEARCHES[search](graph)
 
-    def test_fm_refuses_an_assignment_that_is_not_a_bipartition(self, ws):
-        part = alternating(ws.n).astype(np.int32)
+    def test_fm_refuses_an_assignment_that_is_not_a_bipartition(self, graph):
+        part = alternating(graph.n).astype(np.int32)
         part[5] = 2
         with pytest.raises(ValueError, match="other than 0 or 1"):
-            fm2way_refine(ws, part, (ws.n, ws.n))
+            fm2way_refine(graph, part, (graph.n, graph.n))

@@ -1,12 +1,13 @@
-"""Initial partitioning on the bisection workspace.
+"""Initial partitioning on the compiled bisection bound to a graph.
 
 Everything here runs on the compiled searches (``bisection_kernel.c``), and
 the pool and ledger tests also on the Python loops of ``tests/oracles.py``
 installed in their place; ``tests/test_initial_kernel.py`` holds the two
 equal over the same matrix.
 
-BFS growth, random assignment, the gain / cut kernels and the workspace
-itself are bit-identical to the loops as they were, and are held to that
+The pool's BFS growth and random assignment (their loops in
+``tests/oracles.py``), the gain / cut kernels and the bound arrays are
+bit-identical to the loops as they were, and are held to that
 differentially (``scalar_*`` in ``tests/scalar_reference.py``).  2-way FM,
 greedy graph growing and the bipartitioner pool work on what can still
 improve -- boundary-seeded queue, adaptive stopping rule, adaptive pool --
@@ -30,21 +31,11 @@ from hypothesis import strategies as st
 import oracles
 import repro
 from repro.core import config as presets
-from repro.core.initial.bipartition import (
-    bfs_bipartition,
-    greedy_graph_growing_bipartition,
-    random_bipartition,
-)
+from repro.core.initial.bipartition import greedy_graph_growing_bipartition
 from repro.core.initial.fm2way import fm2way_refine
 from repro.core.initial import recursive
 from repro.core.initial.recursive import POOL, POOL_SIGMAS, initial_partition
-from repro.core.initial.workspace import (
-    KIND_CODES,
-    BisectionTree,
-    BisectionWorkspace,
-    _Scratch,
-    fm_patience,
-)
+from repro.core.initial.workspace import KIND_CODES, BisectionTree, _Scratch, fm_patience
 from repro.core.kernels import two_way_cut, two_way_gains
 from repro.graph import _native
 from repro.graph import generators as gen
@@ -121,16 +112,16 @@ def compiled_pool(
     one-node ``repro_bisect_depth`` call (k = 2 from block 0, seed 0 of one
     64-bit draw from ``rng``), the attempts counted on the tracer as
     ``initial_partition`` counts them.  ``tree.rows[0]`` holds the pool's
-    stats rows, ``tree._scratch.work`` its work counters.  A refusal leaves
-    ``rng`` where it was."""
-    ws = BisectionWorkspace.of(graph)
-    part = scratch.tracked_empty(ws.n, np.int32, name="bipartition-part")
-    tree = BisectionTree(ws, part, kinds, max(1, attempts), fm_rounds, sigmas)
+    stats rows, ``tree.work`` its work counters.  A refusal leaves ``rng``
+    where it was."""
+    tree = BisectionTree(graph, kinds, max(1, attempts), fm_rounds, sigmas)
+    part = scratch.tracked_empty(tree.n, np.int32, name="bipartition-part")
     caps = map(_native.clamp_weight, (target0, max0, max1))
-    node = [*tree.root(2)[:-1], *caps, fm_patience(ws.n)]
+    node = [*tree.root(2)[:-1], *caps, fm_patience(tree.n)]
     before = rng.bit_generator.state
     try:
-        tree.depth([node], np.array([rng.bit_generator.random_raw()], dtype=np.uint64))
+        seeds = np.array([rng.bit_generator.random_raw()], dtype=np.uint64)
+        tree.depth([node], seeds, part)
     except ValueError:
         rng.bit_generator.state = before
         raise
@@ -163,12 +154,12 @@ def side_weights(graph, part):
     return weights.tolist()
 
 
-def exact_cut(ws, side) -> int:
+def exact_cut(graph, side) -> int:
     """The cut in Python integers (``two_way_cut`` wraps past 2**63)."""
-    xadj, adj, wgt, _, _charge = oracles.lists(ws)
+    xadj, adj, wgt, _, _charge = oracles.lists(graph)
     return sum(
         wgt[e]
-        for u in range(ws.n)
+        for u in range(graph.n)
         for e in range(xadj[u], xadj[u + 1])
         if side[adj[e]] != side[u]
     ) // 2
@@ -180,11 +171,10 @@ KERNELS = sys.modules[__name__]
 
 def check_fm2way(graph, start, max_weights, rounds=2, on=KERNELS):
     """Run ``fm2way_refine`` from ``start`` and replay what it wrote."""
-    ws = BisectionWorkspace(graph)
-    xadj, adj, wgt, vwgt, _charge = oracles.lists(ws)
+    xadj, adj, wgt, vwgt, _charge = oracles.lists(graph)
     part = start.copy().view(RecordingPart)
     part.writes = []
-    refined = on.fm2way_refine(ws, part, max_weights, rounds=rounds)
+    refined = on.fm2way_refine(graph, part, max_weights, rounds=rounds)
     assert refined is part
     assert set(np.unique(part).tolist()) <= {0, 1}
     assert len(part.writes) <= rounds  # one write a pass: its kept prefix
@@ -192,11 +182,11 @@ def check_fm2way(graph, start, max_weights, rounds=2, on=KERNELS):
     side = start.tolist()
     weight = side_weights(graph, start)
     feasible = all(w <= cap for w, cap in zip(weight, max_weights))
-    cut = before = exact_cut(ws, side)
+    cut = before = exact_cut(graph, side)
     for kept in part.writes:
         assert len(set(kept)) == len(kept)
         reachable = {
-            u for u in range(ws.n)
+            u for u in range(graph.n)
             if any(side[v] != side[u] for v in adj[xadj[u] : xadj[u + 1]])
         }
         gains = []
@@ -213,7 +203,7 @@ def check_fm2way(graph, start, max_weights, rounds=2, on=KERNELS):
         # the kept prefix is the walk's first best point, so it ends above
         # every earlier point of itself and its gains are the cut it saved
         assert all(point < sum(gains) for point in [0, *accumulate(gains)][:-1])
-        now = exact_cut(ws, side)
+        now = exact_cut(graph, side)
         assert cut - now == sum(gains)
         cut = now
     assert part.tolist() == side  # nothing but the kept prefixes was written
@@ -248,8 +238,8 @@ class TestDifferential:
         total = coarsest.total_vertex_weight
         target, cap = total // 2, int(0.53 * total)
         for new, ref in (
-            (bfs_bipartition, scalar_bfs_bipartition),
-            (random_bipartition, scalar_random_bipartition),
+            (oracles.bfs_bipartition, scalar_bfs_bipartition),
+            (oracles.random_bipartition, scalar_random_bipartition),
         ):
             rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = new(coarsest, target, rng_new)
@@ -279,25 +269,28 @@ class TestDifferential:
 
     def test_gains_and_cut(self, coarsest):
         part = np.random.default_rng(0).integers(0, 2, size=coarsest.n).astype(np.int32)
-        ws = BisectionWorkspace(coarsest)
-        want_gain = scalar_two_way_gains(coarsest, part)
-        want_cut = scalar_two_way_cut(coarsest, part)
-        for graph in (coarsest, ws):
-            assert np.array_equal(two_way_gains(graph, part), want_gain)
-            assert two_way_cut(graph, part) == want_cut
+        assert np.array_equal(two_way_gains(coarsest, part), scalar_two_way_gains(coarsest, part))
+        assert two_way_cut(coarsest, part) == scalar_two_way_cut(coarsest, part)
 
     def test_workspace_matches_accessor(self, coarsest):
-        ws = BisectionWorkspace(coarsest)
-        xadj, adj, wgt, vwgt, _charge = oracles.lists(ws)
+        """The oracle's lists and the arrays a tree binds are the graph's rows."""
+        xadj, adj, wgt, vwgt, _charge = oracles.lists(coarsest)
         assert vwgt == np.asarray(coarsest.vwgt).tolist()
+        bound_xadj, bound_adj, bound_wgt, bound_vwgt = BisectionTree(coarsest)._arrays
+        assert bound_xadj.tolist() == xadj and bound_adj.tolist() == adj
+        assert (bound_wgt is None) == all(w == 1 for w in wgt)
+        assert bound_wgt is None or bound_wgt.tolist() == wgt
+        assert (bound_vwgt is None) == all(w == 1 for w in vwgt)
+        assert bound_vwgt is None or bound_vwgt.tolist() == vwgt
         for u in range(coarsest.n):
             nbrs, wgts = coarsest.neighbors_and_weights(u)
             assert adj[xadj[u] : xadj[u + 1]] == np.asarray(nbrs).tolist()
             assert wgt[xadj[u] : xadj[u + 1]] == np.asarray(wgts).tolist()
 
     def test_both_sides_from_one_workspace(self, coarsest):
+        """Both masks from one flattening are each mask alone."""
         left = np.random.default_rng(1).random(coarsest.n) < 0.5
-        shared = list(oracles.extract_subgraphs(BisectionWorkspace(coarsest), (left, ~left)))
+        shared = list(oracles.extract_subgraphs(coarsest, (left, ~left)))
         for (sub, ids), mask in zip(shared, (left, ~left)):
             ((alone, alone_ids),) = oracles.extract_subgraphs(coarsest, [mask])
             assert np.array_equal(ids, alone_ids) and np.array_equal(ids, np.flatnonzero(mask))
@@ -348,12 +341,12 @@ def watched_portfolio(monkeypatch, graph, target, caps, seed, attempts):
 
                     m.setattr(oracles, name, seeded)
 
-                def refined(ws, part, max_weights, rounds, _refine=oracles.fm2way_refine):
-                    part = _refine(ws, part, max_weights, rounds=rounds)
+                def refined(g, part, max_weights, rounds, _refine=oracles.fm2way_refine):
+                    part = _refine(g, part, max_weights, rounds=rounds)
                     over = [
-                        max(0, w - cap) for w, cap in zip(side_weights(ws, part), max_weights)
+                        max(0, w - cap) for w, cap in zip(side_weights(g, part), max_weights)
                     ]
-                    outcomes.append((kinds[-1], sum(over), two_way_cut(ws, part)))
+                    outcomes.append((kinds[-1], sum(over), two_way_cut(g, part)))
                     return part
 
                 m.setattr(oracles, "fm2way_refine", refined)
@@ -530,12 +523,12 @@ def test_golden_deep_end_to_end(name):
 # (c) the inputs lists could get wrong
 # --------------------------------------------------------------------- #
 def _all_heuristics(graph, target, cap, seed=0, on=KERNELS):
-    """Every loop on one (degenerate) graph: the unchanged ones against
-    their references, the searches against their properties."""
+    """Every loop on one (degenerate) graph: the pool's unchanged seeds
+    against their references, the searches against their properties."""
     limits = (cap, max(cap, graph.total_vertex_weight - target))
     for new, ref in (
-        (on.bfs_bipartition, scalar_bfs_bipartition),
-        (random_bipartition, scalar_random_bipartition),
+        (oracles.bfs_bipartition, scalar_bfs_bipartition),
+        (oracles.random_bipartition, scalar_random_bipartition),
     ):
         got = new(graph, target, np.random.default_rng(seed))
         want = ref(graph, target, np.random.default_rng(seed))
@@ -550,8 +543,8 @@ class TestEdges:
     def test_tiny(self, n, compressed):
         g = from_edges(n, np.zeros((0, 2), dtype=np.int64))
         g = compress_graph(g) if compressed else g
-        ws = BisectionWorkspace(g)
-        assert oracles.lists(ws)[:4] == ([0] * (n + 1), [], [], [1] * n)
+        assert oracles.lists(g)[:4] == ([0] * (n + 1), [], [], [1] * n)
+        assert BisectionTree(g)._arrays[0].tolist() == [0] * (n + 1)
         _all_heuristics(g, n, n)
         _all_heuristics(g, 0, 0)
         # a lone vertex lands on side 1 of every bisection, as it always did
@@ -603,7 +596,7 @@ class TestEdges:
         g = from_edges(12, edges, np.full(len(edges), big, dtype=np.int64))
         assert int(np.bincount(full_adjacency(g)[0]).max()) == 3
         with pytest.raises(ValueError, match=r"\|edge weights\| \d+ are not below 2\^62"):
-            BisectionWorkspace(g).kernels()
+            BisectionTree(g)
         for seed in range(4):
             _all_heuristics(g, 6, 7, seed, on=oracles)
         lone = np.zeros(12, dtype=np.int32)
@@ -614,8 +607,7 @@ class TestEdges:
         start = part.copy()
         refined = oracles.fm2way_refine(g, part, (7, 7))
         assert np.array_equal(refined, check_fm2way(g, start, (7, 7), on=oracles))
-        ws = BisectionWorkspace(g)
-        assert exact_cut(ws, refined.tolist()) < exact_cut(ws, start.tolist())
+        assert exact_cut(g, refined.tolist()) < exact_cut(g, start.tolist())
         # one crossing edge: 2 * 2**61 directed weight still fits (a cut
         # whose directed weight passes 2**63 wraps in the bulk kernel, as it
         # always has on CSR graphs)
@@ -653,15 +645,38 @@ class TestLedger:
         """The lists are the oracle's: charged while held, not before."""
         g = gen.rgg2d(300, avg_degree=8, seed=1)
         before = ledger.current_bytes
-        ws = BisectionWorkspace(g)
-        assert ledger.current_bytes == before + ws.xadj.nbytes
-        *lists, charge = oracles.lists(ws)
+        *lists, charge = oracles.lists(g)
         slots = sum(len(lst) for lst in lists)
         assert slots == 2 * g.n + 1 + 2 * g.num_directed_edges
         live = {a.name: a.charged_bytes for a in ledger.live_allocations()}
         assert live["bisection-workspace"] == 8 * slots
-        assert ledger.current_bytes == before + ws.xadj.nbytes + 8 * slots
-        del ws, lists, charge
+        assert ledger.current_bytes == before + 8 * slots
+        del lists, charge
+        gc.collect()
+        assert ledger.current_bytes == before
+
+    def test_a_csr_bind_shares_the_graphs_arrays(self, ledger):
+        """A tree binds a CSR graph's own arrays, nothing copied or charged;
+        a compressed graph is decoded once, and the copy is charged while
+        the tree holds it."""
+        g = reweighted(gen.rgg2d(300, avg_degree=8, seed=1), edge_weights=True, vertex_weights=True)
+        before = ledger.current_bytes
+        tree = BisectionTree(g)
+        assert ledger.current_bytes == before
+        xadj, adj, wgt, vwgt = tree._arrays
+        for bound, own in ((xadj, g.indptr), (adj, g.adjncy), (wgt, g.adjwgt), (vwgt, g.vwgt)):
+            assert np.shares_memory(bound, own)
+        del tree
+        gc.collect()
+        compressed = compress_graph(g)
+        compressed.degrees  # the graph's own cache, charged when first read
+        before = ledger.current_bytes
+        tree = BisectionTree(compressed)
+        # xadj, and the decoded neighbours and weights
+        m = compressed.num_directed_edges
+        assert ledger.current_bytes - before == 8 * (compressed.n + 1) + 2 * 8 * m
+        assert np.array_equal(tree._arrays[1], g.adjncy)
+        del tree
         gc.collect()
         assert ledger.current_bytes == before
 

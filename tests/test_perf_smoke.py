@@ -129,12 +129,12 @@ def _heap_work_of_the_oracle(monkeypatch, run):
         m.setattr(oracles, "heappop", heappop)
         m.setattr(oracles, "heappush", heappush)
         m.setattr(oracles, "heapify", heapify)
-        return run(lambda ws: list(counts))
+        return run(lambda: list(counts))
 
 
 def test_initial_heap_work_stays_proportional(monkeypatch):
     from repro.core.initial import bipartition, fm2way
-    from repro.core.initial.workspace import BisectionWorkspace
+    from repro.core.initial.workspace import BisectionTree
     from repro.graph.generators import rgg2d
 
     g = rgg2d(2048, 8.0, seed=1)
@@ -142,16 +142,20 @@ def test_initial_heap_work_stays_proportional(monkeypatch):
     half, cap = total // 2, int(1.03 * -(-total // 2))
 
     def run(read_counts):
-        ws = BisectionWorkspace(g)
         start = bipartition.greedy_graph_growing_bipartition(
-            ws, half, cap, np.random.default_rng(1)
+            g, half, cap, np.random.default_rng(1)
         )
-        grown = read_counts(ws)
-        fm2way.fm2way_refine(ws, start, (cap, cap), rounds=2)
-        return grown, [b - a for a, b in zip(grown, read_counts(ws))]
+        grown = read_counts()
+        fm2way.fm2way_refine(g, start, (cap, cap), rounds=2)
+        return grown, [b - a for a, b in zip(grown, read_counts())]
 
     paths = {"oracle": _heap_work_of_the_oracle(monkeypatch, run)}
-    paths["kernel"] = run(lambda ws: ws.kernels().work.tolist())
+    # both searches on one tree, whose counters accumulate across them
+    tree = BisectionTree(g)
+    with monkeypatch.context() as m:
+        for module in (bipartition, fm2way):
+            m.setattr(module, "BisectionTree", lambda graph: tree)
+        paths["kernel"] = run(lambda: tree.work.tolist())
     assert paths["kernel"] == paths["oracle"]
     for path, (grown, refined) in paths.items():
         pops, _, passes, repushes = refined
