@@ -42,7 +42,6 @@ PASS_ID = "parallel-access"
 EXCLUDE = (
     "repro/verify/",
     "repro/parallel/runtime.py",
-    "repro/parallel/atomics.py",
     "repro/analysis/",
 )
 

@@ -17,12 +17,13 @@ balance:
 A whole round is one call into the compiled rating map
 (:mod:`repro.core.kernels.lp_chunk`), which walks its chunks itself.  The
 variant determines what gets charged to the memory ledger and how work is
-attributed to the cost model.  The rating-map classes in
-:mod:`repro.core.coarsening.rating_map` implement the real structures and
-are unit-tested for equivalence with the kernel.  Under the conflict
-detector the driver makes the same round call and then replays the round
-to it chunk by chunk, in the order the kernel ran the chunks, so fuzzing
-checks the round production runs.
+attributed to the cost model.  The paper's structures themselves -- the
+fixed-capacity hash tables and the shared atomic sparse array -- live
+beside the tests (``tests/rating_map.py``), where the pseudocode reference
+of both algorithms runs on them and is tested against the kernel.  Under
+the conflict detector the driver makes the same round call and then
+replays the round to it chunk by chunk, in the order the kernel ran the
+chunks, so fuzzing checks the round production runs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,12 @@ class ClusteringResult:
 def _charge_rating_maps(
     graph, ctx: PartitionContext, two_phase: bool, t_bump: int
 ) -> list[int]:
-    """Register the clustering working set with the ledger; return handles."""
+    """Register the clustering working set with the ledger; return handles.
+
+    The charges model the structures the configured variant would allocate
+    (``tests/rating_map.py`` builds them); the kernel itself rates through
+    one dense ``(3, n)`` map.
+    """
     tracker = ctx.tracker
     p = ctx.runtime.p
     n = graph.n

@@ -20,12 +20,18 @@ the resulting coarse vertex numbering is a permutation of the buffered
 scheme's numbering.  We process chunks in a seeded shuffled order to exhibit
 exactly that behaviour; tests verify isomorphism against buffered output.
 
-A chunk's aggregation is one contraction step
-(:func:`repro.core.kernels.contraction_step`) writing the chunk's buffer
-``B_t``: each coarse vertex's members are summed into one map keyed by
-cluster leader, and the neighbours come out ascending.  On ``lp_kernel.c``'s
-rating map a compressed level is decoded neighbourhood by neighbourhood
-inside the call; only a chunk holding a hub is decoded first.
+The run order is fixed before the walk, so every ``(d_prev, s_prev)`` is a
+prefix sum over it: the coarse vertices are numbered in run order up front,
+and a level is one contraction step
+(:func:`repro.core.kernels.contraction_step`) over all of them, its output
+buffer ``E'``.  Each coarse vertex's members are summed into one map keyed
+by cluster leader, and the neighbours come out ascending; on
+``lp_kernel.c``'s rating map a compressed level is decoded neighbourhood by
+neighbourhood inside the call.  ``P'`` is the prefix sum of the returned
+degrees, and each chunk's ``(d_prev, s_prev)`` is ``(P'[s_prev], s_prev)``
+at its first coarse vertex.  An attached conflict detector then hears the
+walk chunk by chunk, in run order under each chunk's virtual thread: its
+dual-counter transaction and its slice writes.
 """
 
 from __future__ import annotations
@@ -36,11 +42,30 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.coarsening.contraction import ContractionOutput
-from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
+from repro.core.kernels import cluster_leaders, contraction_step
+from repro.core.kernels.lp_chunk import group_by_label
 from repro.graph.access import traversal_cost
 from repro.graph.csr import CSRGraph
-from repro.parallel.atomics import DualCounter
 from repro.verify.declarations import recorder_for
+
+
+def _record(rec, leaders, bounds, tids, firsts, pprime) -> None:
+    """Tell the detector what each chunk wrote, in the order the chunks ran:
+    the dual-counter transaction, then its ``E'`` / ``P'`` slices (from
+    ``d_prev = P'[s_prev]``), its leaders' new ids and its coarse weights.
+    ``firsts[j]`` is chunk ``j``'s ``s_prev``."""
+    det = rec.detector
+    rows = zip(bounds.tolist(), tids.tolist(), firsts.tolist())
+    for (a, b), tid, s_prev in rows:
+        det.current_tid = tid
+        d_prev, d_next = int(pprime[s_prev]), int(pprime[s_prev + b - a])
+        rec.atomic("dual-counter", (0,))
+        if d_next > d_prev:
+            rec.write("coarse-edges", np.arange(d_prev, d_next))
+        new_ids = np.arange(s_prev, s_prev + b - a)
+        rec.write("coarse-indptr", new_ids)
+        rec.write("new-id-of-leader", leaders[a:b])
+        rec.write("coarse-vwgt", new_ids)
 
 
 def contract_one_pass(
@@ -49,17 +74,18 @@ def contract_one_pass(
     cluster_weights: np.ndarray,
     ctx: PartitionContext,
 ) -> ContractionOutput:
-    """Contract ``clusters`` with the one-pass dual-counter scheme."""
+    """Contract ``clusters`` with the one-pass dual-counter scheme.
+
+    The runtime's thread slices get each chunk's seconds as the one step
+    call's measured time split by the chunk's share of the fine edges read.
+    """
     tracker = ctx.tracker
     runtime = ctx.runtime
     n = graph.n
     m2 = graph.num_directed_edges
 
-    # leaders and member lists: vertices grouped by their cluster leader
     leaders = cluster_leaders(clusters)
     n_coarse = len(leaders)
-    member_order, offsets = cluster_members(clusters, leaders)
-    step = contraction_step(graph, clusters, n)
 
     # working-set accounting: per-thread hash tables + chunk buffers B_t,
     # the overcommitted E' (ids + weights), P', and the remap array
@@ -79,13 +105,6 @@ def contract_one_pass(
     # shared-access declarations: repro.verify.declarations, key
     # "one-pass-contraction" -- checked here dynamically and by `repro lint`
     rec = recorder_for(ctx.detector, "one-pass-contraction")
-    dual = DualCounter(detector=ctx.detector)
-    eprime_dst = np.empty(m2, dtype=np.int64)  # old cluster IDs, remapped later
-    eprime_w = np.empty(m2, dtype=np.int64)
-    pprime = np.zeros(n_coarse + 1, dtype=np.int64)
-    new_id_of_leader = np.full(n, -1, dtype=np.int64)
-    new_vwgt = np.empty(n_coarse, dtype=np.int64)
-    bumped = 0
 
     # Chunk completion order in a real parallel run is nondeterministic but
     # only *locally* so: with p threads pulling chunks in issue order, a
@@ -99,86 +118,62 @@ def contract_one_pass(
     jitter = ctx.rng.uniform(0.0, 2.0 * runtime.p, size=n_chunks)
     default_order = np.argsort(np.arange(n_chunks) + jitter)
     chunk_weights = None
-    if runtime.schedule_policy == "heavy-first":
+    if runtime.schedule_policy == "heavy-first" and n_chunks:
         # a chunk weighs its members
-        chunk_weights = np.diff(offsets[np.minimum(np.arange(n_chunks + 1) * cs, n_coarse)])
-    det = ctx.detector
-    # per chunk: seconds, fine edges scanned, coarse edges written
-    seconds = np.zeros(n_chunks)
-    scanned = np.zeros(n_chunks, dtype=np.int64)
-    written = np.zeros(n_chunks, dtype=np.int64)
+        sizes = np.bincount(clusters, minlength=n)[leaders]
+        chunk_weights = np.add.reduceat(sizes, np.arange(0, n_coarse, cs))
     with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
         bounds, tids = runtime.chunk_bounds(
             n_coarse, weights=chunk_weights, default=default_order
         )
-        for j, ((a, b), tid) in enumerate(zip(bounds.tolist(), tids.tolist())):
-            if det is not None:
-                det.current_tid = tid
-            t0 = time.perf_counter()
-            # [a, b): a run of consecutive indices into `leaders`, so the
-            # chunk's members are a run of `member_order` too
-            chunk_leaders = leaders[a:b]
-            # B_t: the chunk's coarse neighbourhoods, grouped by coarse
-            # vertex (clusters ascending within each)
-            edges, nc, pc, pw = step(
-                member_order[offsets[a] : offsets[b]], offsets[a : b + 1], chunk_leaders
-            )
-            bumped += int(np.sum(nc >= t_bump))
-
-            # dual-counter transaction for the whole chunk (buffered CAS)
-            d_prev, s_prev = dual.fetch_add(len(pc), b - a)
-
-            # place the neighbourhoods at E'[d_prev:]
-            eprime_dst[d_prev : d_prev + len(pc)] = pc
-            eprime_w[d_prev : d_prev + len(pc)] = pw
-            pprime[s_prev : s_prev + b - a] = d_prev + np.cumsum(nc) - nc
-            new_ids = s_prev + np.arange(b - a, dtype=np.int64)
-            new_id_of_leader[chunk_leaders] = new_ids
-            new_vwgt[new_ids] = cluster_weights[chunk_leaders]
-
-            if rec.active:
-                # plain writes: the dual counter's pre-increment values must
-                # make every chunk's slices disjoint -- the detector
-                # verifies it
-                if len(pc):
-                    rec.write(
-                        "coarse-edges", np.arange(d_prev, d_prev + len(pc))
-                    )
-                rec.write("coarse-indptr", np.arange(s_prev, s_prev + b - a))
-                rec.write("new-id-of-leader", chunk_leaders)
-                rec.write("coarse-vwgt", new_ids)
-
-            tracker.touch(eprime_aid, 16 * dual.d)
-            scanned[j], written[j] = edges, len(pc)
-            seconds[j] = time.perf_counter() - t0
-        fine_edges, coarse_edges = int(scanned.sum()), int(written.sum())
+        # s_prev of each chunk: the coarse vertices of the chunks run before
+        counts = bounds[:, 1] - bounds[:, 0]
+        firsts = np.cumsum(counts) - counts
+        # leaders in run order, numbered 0.. in that order
+        own = leaders[np.repeat(bounds[:, 0] - firsts, counts) + np.arange(n_coarse)]
+        new_id_of_leader = np.full(n, -1, dtype=np.int64)
+        new_id_of_leader[own] = np.arange(n_coarse, dtype=np.int64)
+        fine_to_coarse = new_id_of_leader[clusters]
+        members, groups = group_by_label(fine_to_coarse, n_coarse)
+        step = contraction_step(graph, clusters, n)
+        t0 = time.perf_counter()
+        # E': every coarse neighbourhood, in run order, keyed by old leader
+        fine_edges, degrees, eprime_dst, eprime_w = step(members, groups, own)
+        seconds = time.perf_counter() - t0
+        pprime = np.zeros(n_coarse + 1, dtype=np.int64)
+        np.cumsum(degrees, out=pprime[1:])
+        m2_coarse = int(pprime[n_coarse])
+        tracker.touch(eprime_aid, 16 * m2_coarse)
+        # each chunk's share of the fine edges read, as the step counted them
+        read = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.asarray(graph.degrees)[members], out=read[1:])
+        scanned = read[groups[firsts + counts]] - read[groups[firsts]]
         runtime.record_chunks(
-            "contraction", tids, bounds[:, 1] - bounds[:, 0], seconds,
-            work=float(fine_edges) * work_factor + float(coarse_edges),
-            bytes_moved=edge_bytes * fine_edges + 16.0 * coarse_edges,
+            "contraction", tids, counts, seconds * scanned / max(fine_edges, 1),
+            work=float(fine_edges) * work_factor + float(m2_coarse),
+            bytes_moved=edge_bytes * fine_edges + 16.0 * m2_coarse,
             atomic_ops=n_chunks,  # one dual-counter CAS a chunk
         )  # fmt: skip
+        if rec.active:
+            _record(rec, leaders, bounds, tids, firsts, pprime)
 
-    m2_coarse = dual.d
-    assert dual.s == n_coarse
-    pprime[n_coarse] = m2_coarse
+    bumped = int(np.sum(degrees >= t_bump))
     tracer = ctx.tracer
     tracer.add("contraction.coarse_edges", m2_coarse)
     tracer.add("contraction.cas_transactions", n_chunks)
     tracer.add("contraction.bumped_clusters", bumped)
 
     # remap endpoints from old cluster IDs to new coarse IDs (Fig. 3, bottom)
-    adjncy = new_id_of_leader[eprime_dst[:m2_coarse]]
-    adjwgt = eprime_w[:m2_coarse]
-    unit = bool(m2_coarse == 0 or np.all(adjwgt == 1))
+    adjncy = new_id_of_leader[eprime_dst]
+    unit = bool(m2_coarse == 0 or np.all(eprime_w == 1))
+    new_vwgt = np.asarray(cluster_weights[own], dtype=np.int64)
     coarse = CSRGraph(
         pprime,
         adjncy,
-        None if unit else adjwgt.copy(),
+        None if unit else eprime_w.copy(),
         new_vwgt,
         sorted_neighborhoods=False,
     )
-    fine_to_coarse = new_id_of_leader[clusters]
 
     tracker.free(aux_aid)
     tracker.free(eprime_aid)

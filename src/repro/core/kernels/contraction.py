@@ -7,8 +7,7 @@ states "labels are vertex ids in ``[0, n)``") and the member lists
 :mod:`repro.core.kernels.lp_chunk`), the one aggregation every coarse graph
 in the tree is built by -- buffered and one-pass contraction, each rank's
 share of distributed contraction and the baselines.  Pure functions -- the
-caller owns the dual-counter transaction, the ``E'``/``P'`` slice writes
-and all recorder declarations.
+caller owns the coarse numbering, ``P'`` and all recorder declarations.
 
 :func:`gather_cluster_members` and :func:`aggregate_coarse_edges` are the
 numpy gather and sort-based segment reduction the kernel replaced; no

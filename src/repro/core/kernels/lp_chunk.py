@@ -1,4 +1,4 @@
-"""One compiled call per label-propagation round, pick or contraction chunk
+"""One compiled call per label-propagation round, pick or contraction step
 (``lp_kernel.c``).
 
 The LP drivers (:mod:`repro.core.coarsening.lp_clustering`,

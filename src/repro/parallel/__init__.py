@@ -9,22 +9,14 @@ package provides a *deterministic simulation* of the paper's TBB runtime:
   its chunks, their run order and their virtual threads, and one ledger
   (``record_chunks`` / ``record``) keeps each phase's costs and each
   ``(phase, tid)`` thread slice, traced or not.
-* :mod:`repro.parallel.atomics` emulates the atomic primitives the paper
-  relies on (fetch-add with returned previous value; the double-width
-  compare-and-swap used by one-pass contraction) and counts contended
-  operations so benchmarks can report contention.
 * :mod:`repro.parallel.cost_model` turns per-phase work/span/bytes-moved
   measurements into modelled speedups for the scaling figures (Fig. 5, 8).
 """
 
-from repro.parallel.atomics import AtomicArray, AtomicCounter, DualCounter
 from repro.parallel.runtime import ParallelRuntime, WorkStats
 from repro.parallel.cost_model import CostModel, MachineModel, PhaseCost
 
 __all__ = [
-    "AtomicArray",
-    "AtomicCounter",
-    "DualCounter",
     "ParallelRuntime",
     "WorkStats",
     "CostModel",

@@ -21,8 +21,8 @@ A *region* is one parallel loop between barriers (one LP round, one
 contraction chunk sweep); :meth:`ConflictDetector.begin_region` clears the
 access maps because the barrier orders everything before it.  The current
 virtual thread is announced by the loop walking the region's
-:meth:`ParallelRuntime.chunk_bounds` (one-pass contraction chunk by chunk,
-the LP drivers as they replay a round the kernel ran in one call), and
+:meth:`ParallelRuntime.chunk_bounds` (the LP drivers and one-pass
+contraction as they replay a round or a level the kernel ran in one call), and
 :meth:`ParallelRuntime.region` hands it back at the barrier; accesses
 recorded with no current thread (sequential sections) are ignored.
 

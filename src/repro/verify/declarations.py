@@ -10,9 +10,10 @@ each access:
 * ``read``   -- relaxed load; the algorithm tolerates staleness (LP reads
   neighbor labels mid-round).
 * ``write``  -- plain store that is *provably disjoint* across virtual
-  threads (one-pass contraction's dual-counter slices, per-owner favorite
-  slots).  The dynamic detector verifies the disjointness claim under
-  fuzzed schedules.
+  threads (one-pass contraction's per-chunk ``E'`` / ``P'`` slices, which
+  its dual counter's prefix sums place apart; per-owner favorite slots).
+  The dynamic detector verifies the disjointness claim under fuzzed
+  schedules.
 * ``atomic`` -- fetch-add / CAS / atomic store (label commits, weight
   transfers).
 
@@ -119,7 +120,7 @@ KERNELS: dict[str, tuple[AccessDecl, ...]] = {
             "coarse-edges",
             "write",
             vars=("eprime_dst", "eprime_w"),
-            note="dual-counter pre-increment makes chunk slices disjoint",
+            note="each chunk's slice starts at its d_prev, a prefix sum in run order",
         ),
         AccessDecl(
             "coarse-indptr",
@@ -142,7 +143,7 @@ KERNELS: dict[str, tuple[AccessDecl, ...]] = {
         AccessDecl(
             "dual-counter",
             "atomic",
-            note="the 128-bit (d, s) CMPXCHG16B transaction",
+            note="the 128-bit (d, s) CMPXCHG16B transaction, one a chunk",
         ),
     ),
     "lp-refinement": (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.coarsening.rating_map import (
+from rating_map import (
     FixedCapacityHashTable,
     SparseArrayRatingMap,
 )

@@ -320,8 +320,6 @@ def contraction_step(graph, labels: np.ndarray, label_count: int):
 
     return step
 
-    return step
-
 
 def group_by_label(labels: np.ndarray, label_count: int):
     """:func:`repro.core.kernels.lp_chunk.group_by_label` as the stable

@@ -1,4 +1,5 @@
-"""Rating-map data structures (Section IV-A1).
+"""Rating-map data structures (Section IV-A1), the structures the paper's
+pseudocode names, for :mod:`lp_reference` and the unit tests.
 
 A *rating map* aggregates, for one vertex ``u``, the total edge weight from
 ``u`` into each neighboring cluster.  Two implementations exist in
@@ -10,25 +11,88 @@ KaMinPar/TeraPart:
 * :class:`SparseArrayRatingMap` -- an ``n``-entry array plus a non-zero list
   used to reset it; classic LP allocates **one per thread** (the ``O(n*p)``
   culprit), two-phase LP allocates exactly **one**, shared, updated with
-  atomic fetch-adds.
+  atomic fetch-adds (:class:`AtomicArray`).
 
-These structures are exercised directly by unit tests.  The clustering
-round itself rates in C (``core/kernels/lp_kernel.c``, one ``n``-entry
-sparse array for either variant) while the driver charges the tracker for
-whichever structure the configured variant would allocate, so the ledger
-reflects the real footprints.
+The clustering round itself rates in C (``core/kernels/lp_kernel.c``, one
+``n``-entry sparse array for either variant) while the driver charges the
+tracker for whichever structure the configured variant would allocate, so
+the ledger reflects the real footprints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel.atomics import AtomicArray
 from repro.memory.scratch import tracked_full, tracked_zeros
 
 
 def _next_pow2(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
+
+
+class AtomicArray:
+    """An int64 array supporting per-slot fetch-add (the sparse array ``A``).
+
+    Backed by numpy; exposes both scalar fetch-add (faithful to Algorithm 2)
+    and a bulk variant used by the hash-table flush, which applies a batch of
+    (index, delta) pairs and reports which slots rose from zero -- the
+    condition under which a thread appends the cluster to its local non-zero
+    list ``L_t``.
+    """
+
+    def __init__(
+        self, data: np.ndarray, *, detector=None, name: str = "atomic-array"
+    ) -> None:
+        if data.dtype != np.int64:
+            raise TypeError(f"AtomicArray requires int64, got {data.dtype}")
+        self._data = data
+        self.op_count = 0
+        self._detector = detector
+        self._name = name
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def load(self, idx: int) -> int:
+        return int(self._data[idx])
+
+    def fetch_add(self, idx: int, delta: int) -> int:
+        self.op_count += 1
+        if self._detector is not None:
+            self._detector.record_atomic(self._name, (idx,))
+        prev = int(self._data[idx])
+        self._data[idx] = prev + delta
+        return prev
+
+    def bulk_fetch_add(
+        self, indices: np.ndarray, deltas: np.ndarray
+    ) -> np.ndarray:
+        """Apply ``A[indices] += deltas``; return mask of slots that were 0.
+
+        Duplicate indices within one batch are handled sequentially (as the
+        individual atomic adds would be): only the *first* add that raises a
+        slot from zero reports True for that slot.
+        """
+        self.op_count += len(indices)
+        if self._detector is not None and len(indices):
+            self._detector.record_atomic(self._name, indices)
+        was_zero = tracked_zeros(len(indices), bool, name="atomic-was-zero")
+        # np.add.at handles duplicates; we need per-op previous values only
+        # to detect zero-crossings, so detect duplicates first.
+        if len(indices) == 0:
+            return was_zero
+        unique, first_pos = np.unique(indices, return_index=True)
+        zero_before = self._data[unique] == 0
+        np.add.at(self._data, indices, deltas)
+        was_zero[first_pos[zero_before]] = True
+        return was_zero
+
+    def reset(self, indices: np.ndarray) -> None:
+        self._data[indices] = 0
 
 
 class FixedCapacityHashTable:

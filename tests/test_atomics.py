@@ -1,75 +1,10 @@
-"""Unit tests for emulated atomics (repro.parallel.atomics)."""
+"""Unit tests for the atomic sparse array of the reference rating map
+(``rating_map.AtomicArray``)."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.atomics import AtomicArray, AtomicCounter, DualCounter
-
-
-class TestAtomicCounter:
-    def test_fetch_add_returns_previous(self):
-        c = AtomicCounter(10)
-        assert c.fetch_add(5) == 10
-        assert c.value == 15
-
-    def test_op_count(self):
-        c = AtomicCounter()
-        for _ in range(7):
-            c.fetch_add(1)
-        assert c.op_count == 7
-
-    def test_store_counts_as_op(self):
-        # store() is an atomic op like the rest; it must hit the op ledger
-        c = AtomicCounter(1)
-        c.store(42)
-        assert c.value == 42
-        assert c.op_count == 1
-        c.fetch_add(1)
-        c.store(0)
-        assert c.op_count == 3
-
-    def test_compare_exchange(self):
-        c = AtomicCounter(3)
-        assert c.compare_exchange(3, 9)
-        assert not c.compare_exchange(3, 11)
-        assert c.value == 9
-
-
-class TestDualCounter:
-    def test_fetch_add_returns_pair_before(self):
-        dc = DualCounter()
-        assert dc.fetch_add(10, 2) == (0, 0)
-        assert dc.fetch_add(5, 1) == (10, 2)
-        assert (dc.d, dc.s) == (15, 3)
-
-    def test_pack_unpack_roundtrip(self):
-        dc = DualCounter(d=123456789, s=987654321)
-        assert dc.d == 123456789
-        assert dc.s == 987654321
-
-    def test_large_values_fit_64_bits(self):
-        dc = DualCounter()
-        big = (1 << 63) - 1
-        dc.fetch_add(big, big)
-        assert dc.d == big
-        assert dc.s == big
-
-    def test_overflow_rejected(self):
-        dc = DualCounter(d=(1 << 64) - 1)
-        with pytest.raises(OverflowError):
-            dc.fetch_add(1, 0)
-
-    def test_cas_count_one_per_transaction(self):
-        dc = DualCounter()
-        for _ in range(5):
-            dc.fetch_add(1, 1)
-        assert dc.cas_count == 5
-
-    def test_halves_independent(self):
-        dc = DualCounter()
-        dc.fetch_add(7, 0)
-        dc.fetch_add(0, 3)
-        assert (dc.d, dc.s) == (7, 3)
+from rating_map import AtomicArray
 
 
 class TestAtomicArray:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.atomics import AtomicArray, AtomicCounter, DualCounter
+from rating_map import AtomicArray
 from repro.verify.conflicts import ConflictDetector
 
 
@@ -120,28 +120,6 @@ class TestRegions:
 
 
 class TestAtomicsIntegration:
-    def test_atomic_counter_reports_all_ops(self):
-        d = ConflictDetector()
-        d.begin_region("r")
-        d.current_tid = 0
-        c = AtomicCounter(detector=d, name="ctr")
-        c.fetch_add(1)
-        c.store(5)
-        c.compare_exchange(5, 6)
-        d.current_tid = 1
-        c.fetch_add(1)
-        assert d.clean  # atomics never conflict with atomics
-        assert d.accesses_recorded == 4
-
-    def test_dual_counter_reports_cas(self):
-        d = ConflictDetector()
-        d.begin_region("r")
-        d.current_tid = 2
-        dc = DualCounter(detector=d, name="dual")
-        dc.fetch_add(3, 1)
-        assert d.accesses_recorded == 1
-        assert d.clean
-
     def test_atomic_array_conflicts_with_plain_write(self):
         d = ConflictDetector()
         d.begin_region("r")

@@ -4,10 +4,9 @@ and ``repro_group_by_label``) against the numpy pipelines it replaces.
 Every coarse graph is aggregated by ``kernels.contraction_step``, the kernel;
 its numpy oracle is ``oracles.contraction_step`` (member gather, the
 members' adjacency, the sort of ``kernels.aggregate_coarse_edges``).  Buffered
-contraction is one call per level and must build the same coarse CSR byte
-for byte either way; one-pass contraction is one call per chunk and must
-hand the dual counter the same ``E'`` / ``P'`` slices; a rank of distributed
-contraction is one call over its own rows.  All are held to that over CSR
+and one-pass contraction are one call per level and must build the same
+coarse CSR byte for byte either way; a rank of distributed contraction is
+one call over its own rows.  All are held to that over CSR
 and compressed input (intervals on and off, hubs mixed in), weighted edges,
 identity / single / random clusterings and the empty graph.
 Called without the wrapper's checks on corrupted arrays, the kernel returns
@@ -18,6 +17,7 @@ The leader scan refuses a label that is not a vertex id on every path.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 
@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from repro.core.coarsening import one_pass_contraction
 from repro.core.coarsening.contraction import contract_buffered, dense_remap
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.config import kaminpar, terapart
@@ -136,6 +137,35 @@ def test_one_pass_is_byte_identical(case):
     )
     if edge_weights != "zeros":
         out.coarse.validate()
+
+
+@pytest.mark.parametrize("on", ["kernel", "oracle"])
+@pytest.mark.parametrize("kind", ["csr", "compressed", "hubs"])
+def test_one_pass_is_one_step_call_a_level(kind, on):
+    """The coarse vertices are numbered in run order before the walk, so a
+    level of many chunks is one contraction step: one compiled call with
+    the kernel, one oracle step and no compiled call under the oracle."""
+    graph = graph_of("web", "random", kind)
+    clusters, weights = clustering(graph, "random")
+    n_coarse = len(cluster_leaders(clusters))
+    assert n_coarse > 16  # more than one chunk of 16
+    steps, compiled = [], []
+    kernel, group = _native.contraction_kernels()
+    phase = oracles.installed("contraction") if on == "oracle" else contextlib.nullcontext()
+    with phase, pytest.MonkeyPatch.context() as m:
+        bind = one_pass_contraction.contraction_step  # the kernel's or the oracle's
+
+        def counted(*args):
+            step = bind(*args)
+            return lambda *call: steps.append(len(call[2])) or step(*call)
+
+        m.setattr(one_pass_contraction, "contraction_step", counted)
+        m.setattr(
+            _native, "contraction_kernels", lambda: (lambda *a: compiled.append(a) or kernel(*a), group)
+        )
+        contract_one_pass(graph, clusters, weights, context(graph, chunk_size=16))
+    assert steps == [n_coarse]
+    assert len(compiled) == (1 if on == "kernel" else 0)
 
 
 def assert_same_step(kernel, oracle, *call):

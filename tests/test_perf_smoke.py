@@ -412,7 +412,7 @@ def test_distributed_lp_is_one_compiled_call_a_batch(monkeypatch):
 
 # Contraction is the rating map too (lp_kernel.c's repro_contract_chunk),
 # and every coarse graph is built by the one contraction step: buffered
-# contraction is one compiled call a level, one-pass one a chunk,
+# contraction is one compiled call a level, one-pass one a level too,
 # distributed contraction one a rank and level, and none of them gathers
 # member lists or sorts coarse edge keys in numpy; the owner merge of
 # distributed contraction is its one sort left, once a level.  With the

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coarsening.rating_map import (
+from rating_map import (
     FixedCapacityHashTable,
     SparseArrayRatingMap,
 )
