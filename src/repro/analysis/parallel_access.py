@@ -18,9 +18,10 @@ Codes:
   declaration does not grant (e.g. a plain ``write`` on an array declared
   atomic-only).
 * ``PA003`` (error) -- raw subscript store to a kernel-local variable that
-  aliases a declared shared array (``AccessDecl.vars``) whose declaration
-  grants neither ``write`` nor ``atomic`` -- a store bypassing the
-  recorder's discipline entirely.
+  aliases a declared shared array (``AccessDecl.vars``), where its
+  declaration grants neither ``write`` nor ``atomic``, or anywhere inside
+  the parallel region (whose shared writes the detector hears only through
+  the recorder) -- a store bypassing the recorder's discipline entirely.
 * ``PA004`` (warning) -- function opens ``with runtime.region(...)`` but
   binds no recorder and records nothing: parallel work with no access
   declarations at all.
@@ -107,6 +108,26 @@ def _kernel_for(
     if len({b.kernel for b in bindings}) == 1 and bindings:
         return bindings[0]
     return None
+
+
+def _is_region(node: ast.AST) -> bool:
+    """``with runtime.region(...)``: the block of a parallel region."""
+    return isinstance(node, (ast.With, ast.AsyncWith)) and any(
+        isinstance(item.context_expr, ast.Call)
+        and isinstance(item.context_expr.func, ast.Attribute)
+        and item.context_expr.func.attr == "region"
+        for item in node.items
+    )
+
+
+def _in_region(mod: Module, node: ast.AST) -> bool:
+    """Whether ``node`` lies in a parallel region of its own function."""
+    cur = mod.parent(node)
+    while cur is not None and not isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if _is_region(cur):
+            return True
+        cur = mod.parent(cur)
+    return False
 
 
 def _check_access(
@@ -233,29 +254,28 @@ def run(mod: Module) -> list[Finding]:
                     continue
                 modes = declared_modes(binding.kernel)[array]
                 if "write" not in modes and "atomic" not in modes:
-                    findings.append(
-                        Finding(
-                            PASS_ID,
-                            "PA003",
-                            "error",
-                            mod.rel,
-                            node.lineno,
-                            f"raw store to {t.value.id!r} aliases shared "
-                            f"array {array!r}, declared "
-                            f"{sorted(modes)}-only in kernel "
-                            f"{binding.kernel!r}",
-                            subject=f"{binding.kernel}:{array}:store",
-                        )
+                    why = f"declared {sorted(modes)}-only"
+                elif _in_region(mod, node):
+                    why = "stored to in the parallel region, not through the recorder,"
+                else:
+                    continue
+                findings.append(
+                    Finding(
+                        PASS_ID,
+                        "PA003",
+                        "error",
+                        mod.rel,
+                        node.lineno,
+                        f"raw store to {t.value.id!r} aliases shared "
+                        f"array {array!r}, {why} in kernel "
+                        f"{binding.kernel!r}",
+                        subject=f"{binding.kernel}:{array}:store",
                     )
+                )
 
     # PA004: parallel region in a function with no declarations at all
     for node in ast.walk(mod.tree):
-        if not isinstance(node, (ast.With, ast.AsyncWith)) or not any(
-            isinstance(item.context_expr, ast.Call)
-            and isinstance(item.context_expr.func, ast.Attribute)
-            and item.context_expr.func.attr == "region"
-            for item in node.items
-        ):
+        if not _is_region(node):
             continue
         fn = mod.enclosing_function(node)
         if fn is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.kernels.contraction import cluster_leaders, cluster_members, contraction_step
+from repro.core.kernels.contraction import cluster_leaders, contraction_step, group_by_label
 from repro.graph.access import traversal_cost
 from repro.graph.csr import CSRGraph
 from repro.memory.scratch import tracked_full, tracked_zeros
@@ -52,14 +52,15 @@ def dense_remap(clusters: np.ndarray, leaders: np.ndarray) -> np.ndarray:
     return remap[clusters]
 
 
-def aggregate_clusters(graph, clusters, leaders, fine_to_coarse):
-    """``(degrees, adjncy, adjwgt)`` of a whole level: one contraction step
-    over every coarse vertex in leader order, keyed by dense coarse id."""
-    n_coarse = len(leaders)
-    members, offsets = cluster_members(clusters, leaders)
+def aggregate_clusters(graph, fine_to_coarse, n_coarse: int, out=None):
+    """``(edges, degrees, adjncy, adjwgt)`` of a whole level: one
+    contraction step over every coarse vertex, coarse vertex ``c`` keyed by
+    ``c``, so each row comes out ascending and ``adjncy`` / ``adjwgt`` are
+    the sorted coarse CSR -- written into ``out`` if given (one-pass
+    contraction's ``E'``); ``edges`` is the fine edges read."""
+    members, groups = group_by_label(fine_to_coarse, n_coarse)
     step = contraction_step(graph, fine_to_coarse, n_coarse)
-    _, degrees, adjncy, adjwgt = step(members, offsets, np.arange(n_coarse, dtype=np.int64))
-    return degrees, adjncy, adjwgt
+    return step(members, groups, out)
 
 
 def coarse_csr(degrees, adjncy, adjwgt, vwgt) -> CSRGraph:
@@ -84,7 +85,7 @@ def contract_clusters(graph, clusters: np.ndarray, leaders: np.ndarray | None = 
     if leaders is None:
         leaders = cluster_leaders(clusters)
     fine_to_coarse = dense_remap(clusters, leaders)
-    degrees, adjncy, adjwgt = aggregate_clusters(graph, clusters, leaders, fine_to_coarse)
+    _, degrees, adjncy, adjwgt = aggregate_clusters(graph, fine_to_coarse, len(leaders))
     vwgt = summed_weights(fine_to_coarse, len(leaders), graph.vwgt)
     return coarse_csr(degrees, adjncy, adjwgt, vwgt), fine_to_coarse
 
@@ -105,7 +106,7 @@ def contract_buffered(
     maps_aid = tracker.alloc(
         "contraction-rating-maps", ctx.runtime.p * 16 * n_coarse, "contraction"
     )
-    degrees, cv, w = aggregate_clusters(graph, clusters, leaders, fine_to_coarse)
+    _, degrees, cv, w = aggregate_clusters(graph, fine_to_coarse, n_coarse)
     m2 = len(cv)
 
     # the temporary edge buffers: E' held once in buffers ...

@@ -12,8 +12,8 @@ Builds the coarse CSR *directly*, without a second buffered copy:
    contention.
 3. The pre-increment values ``(d_prev, s_prev)`` give both the write position
    in ``E'`` and the *new* coarse vertex IDs, so neighborhoods of consecutive
-   coarse IDs are consecutive in ``E'`` without shuffling; endpoints are
-   remapped from old cluster IDs to new IDs at the end.
+   coarse IDs are consecutive in ``E'`` without shuffling, and ``E'``'s
+   touched prefix is the coarse CSR's adjacency.
 
 Because chunk completion order in a real parallel run is nondeterministic,
 the resulting coarse vertex numbering is a permutation of the buffered
@@ -23,15 +23,17 @@ exactly that behaviour; tests verify isomorphism against buffered output.
 The run order is fixed before the walk, so every ``(d_prev, s_prev)`` is a
 prefix sum over it: the coarse vertices are numbered in run order up front,
 and a level is one contraction step
-(:func:`repro.core.kernels.contraction_step`) over all of them, its output
-buffer ``E'``.  Each coarse vertex's members are summed into one map keyed
-by cluster leader, and the neighbours come out ascending; on
-``lp_kernel.c``'s rating map a compressed level is decoded neighbourhood by
-neighbourhood inside the call.  ``P'`` is the prefix sum of the returned
-degrees, and each chunk's ``(d_prev, s_prev)`` is ``(P'[s_prev], s_prev)``
-at its first coarse vertex.  An attached conflict detector then hears the
-walk chunk by chunk, in run order under each chunk's virtual thread: its
-dual-counter transaction and its slice writes.
+(:func:`repro.core.coarsening.contraction.aggregate_clusters`) over all of
+them, written into ``E'``.  Each coarse vertex's members are summed into one
+map keyed by coarse id, so the neighbours come out ascending in the new ids
+and ``E'``'s touched prefix *is* the coarse ``adjncy`` / ``adjwgt`` (views,
+no remap, no copy); on ``lp_kernel.c``'s rating map a compressed level is
+decoded neighbourhood by neighbourhood inside the call.  ``P'`` is the
+prefix sum of the returned degrees, and each chunk's ``(d_prev, s_prev)``
+is ``(P'[s_prev], s_prev)`` at its first coarse vertex.  An attached
+conflict detector then hears the walk chunk by chunk, in run order under
+each chunk's virtual thread: its dual-counter transaction and its slice
+writes.
 """
 
 from __future__ import annotations
@@ -41,11 +43,14 @@ import time
 import numpy as np
 
 from repro.core.context import PartitionContext
-from repro.core.coarsening.contraction import ContractionOutput
-from repro.core.kernels import cluster_leaders, contraction_step
-from repro.core.kernels.lp_chunk import group_by_label
+from repro.core.coarsening.contraction import (
+    ContractionOutput,
+    aggregate_clusters,
+    coarse_csr,
+    dense_remap,
+)
+from repro.core.kernels import cluster_leaders
 from repro.graph.access import traversal_cost
-from repro.graph.csr import CSRGraph
 from repro.verify.declarations import recorder_for
 
 
@@ -131,23 +136,24 @@ def contract_one_pass(
         firsts = np.cumsum(counts) - counts
         # leaders in run order, numbered 0.. in that order
         own = leaders[np.repeat(bounds[:, 0] - firsts, counts) + np.arange(n_coarse)]
-        new_id_of_leader = np.full(n, -1, dtype=np.int64)
-        new_id_of_leader[own] = np.arange(n_coarse, dtype=np.int64)
-        fine_to_coarse = new_id_of_leader[clusters]
-        members, groups = group_by_label(fine_to_coarse, n_coarse)
-        step = contraction_step(graph, clusters, n)
+        fine_to_coarse = dense_remap(clusters, own)
+        # E': ids and weights, as the overcommitted booking above reserves it
+        eprime = np.empty((2, m2), dtype=np.int64)
         t0 = time.perf_counter()
-        # E': every coarse neighbourhood, in run order, keyed by old leader
-        fine_edges, degrees, eprime_dst, eprime_w = step(members, groups, own)
+        # every coarse neighbourhood, in run order, keyed by coarse id
+        fine_edges, degrees, adjncy, adjwgt = aggregate_clusters(
+            graph, fine_to_coarse, n_coarse, eprime
+        )
         seconds = time.perf_counter() - t0
-        pprime = np.zeros(n_coarse + 1, dtype=np.int64)
-        np.cumsum(degrees, out=pprime[1:])
-        m2_coarse = int(pprime[n_coarse])
+        new_vwgt = np.asarray(cluster_weights[own], dtype=np.int64)
+        coarse = coarse_csr(degrees, adjncy, adjwgt, new_vwgt)
+        pprime = coarse.indptr
+        m2_coarse = len(adjncy)
         tracker.touch(eprime_aid, 16 * m2_coarse)
         # each chunk's share of the fine edges read, as the step counted them
-        read = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.asarray(graph.degrees)[members], out=read[1:])
-        scanned = read[groups[firsts + counts]] - read[groups[firsts]]
+        read = np.zeros(n_coarse + 1)
+        np.cumsum(np.bincount(fine_to_coarse, np.asarray(graph.degrees), n_coarse), out=read[1:])
+        scanned = read[firsts + counts] - read[firsts]
         runtime.record_chunks(
             "contraction", tids, counts, seconds * scanned / max(fine_edges, 1),
             work=float(fine_edges) * work_factor + float(m2_coarse),
@@ -162,18 +168,6 @@ def contract_one_pass(
     tracer.add("contraction.coarse_edges", m2_coarse)
     tracer.add("contraction.cas_transactions", n_chunks)
     tracer.add("contraction.bumped_clusters", bumped)
-
-    # remap endpoints from old cluster IDs to new coarse IDs (Fig. 3, bottom)
-    adjncy = new_id_of_leader[eprime_dst]
-    unit = bool(m2_coarse == 0 or np.all(eprime_w == 1))
-    new_vwgt = np.asarray(cluster_weights[own], dtype=np.int64)
-    coarse = CSRGraph(
-        pprime,
-        adjncy,
-        None if unit else eprime_w.copy(),
-        new_vwgt,
-        sorted_neighborhoods=False,
-    )
 
     tracker.free(aux_aid)
     tracker.free(eprime_aid)

@@ -37,9 +37,9 @@ from repro.core.kernels.commit import bulk_size_constrained_commit
 from repro.core.kernels.contraction import (
     aggregate_coarse_edges,
     cluster_leaders,
-    cluster_members,
     contraction_step,
     gather_cluster_members,
+    group_by_label,
 )
 from repro.core.kernels.gains import (
     batch_hash_insert,
@@ -54,9 +54,9 @@ from repro.core.kernels.segments import segment_best_last
 __all__ = [
     "bulk_size_constrained_commit",
     "cluster_leaders",
-    "cluster_members",
     "contraction_step",
     "gather_cluster_members",
+    "group_by_label",
     "aggregate_coarse_edges",
     "segment_best_last",
     "move_gains",

@@ -1,13 +1,14 @@
 """Bulk kernels for contraction (Section IV-B).
 
 Per level: the cluster leaders (:func:`cluster_leaders`, the one place that
-states "labels are vertex ids in ``[0, n)``") and the member lists
-(:func:`cluster_members`).  Per call: :func:`contraction_step`
-(``lp_kernel.c``'s ``repro_contract_chunk``, bound in
-:mod:`repro.core.kernels.lp_chunk`), the one aggregation every coarse graph
-in the tree is built by -- buffered and one-pass contraction, each rank's
-share of distributed contraction and the baselines.  Pure functions -- the
-caller owns the coarse numbering, ``P'`` and all recorder declarations.
+states "labels are vertex ids in ``[0, n)``") and, once the caller has
+numbered them, the members of each coarse vertex (:func:`group_by_label`).
+Per call: :func:`contraction_step` (``lp_kernel.c``'s
+``repro_contract_chunk``, bound in :mod:`repro.core.kernels.lp_chunk`), the
+one aggregation every coarse graph in the tree is built by -- buffered and
+one-pass contraction, each rank's share of distributed contraction and the
+baselines -- keyed by coarse id.  Pure functions -- the caller owns the
+coarse numbering, ``P'`` and all recorder declarations.
 
 :func:`gather_cluster_members` and :func:`aggregate_coarse_edges` are the
 numpy gather and sort-based segment reduction the kernel replaced; no
@@ -19,8 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import lp_chunk
-from repro.core.kernels.lp_chunk import contraction_step  # noqa: F401  (re-exported)
+from repro.core.kernels.lp_chunk import contraction_step, group_by_label  # noqa: F401  (re-exported)
 from repro.graph.access import segment_reduce_ratings
 from repro.memory.scratch import tracked_zeros
 
@@ -42,23 +42,6 @@ def cluster_leaders(labels: np.ndarray) -> np.ndarray:
     marks = tracked_zeros(n, bool, name="cluster-leader-marks")
     marks[labels] = True
     return np.flatnonzero(marks)
-
-
-def cluster_members(
-    clusters: np.ndarray, leaders: np.ndarray, label_count: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(member_order, offsets)``: the vertices grouped by cluster in leader
-    order, ascending within a cluster, and the members of ``leaders[i]`` at
-    ``member_order[offsets[i] : offsets[i + 1]]``.  The labels lie in ``[0,
-    label_count)``, by default ``[0, len(clusters))``.
-
-    One compiled counting sort (the permutation the stable argsort gives).
-    """
-    n = len(clusters)
-    member_order, by_label = lp_chunk.group_by_label(
-        clusters, n if label_count is None else label_count
-    )
-    return member_order, np.append(by_label[leaders], n)
 
 
 def gather_cluster_members(

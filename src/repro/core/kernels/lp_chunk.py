@@ -389,18 +389,22 @@ def refine_pick_step(graph, part, block_weights, max_block_weight: int):
 
 
 def contraction_step(graph, labels: np.ndarray, label_count: int):
-    """``step(members, groups, own)`` of contraction on the kernel: the one
-    aggregation every coarse graph is built by -- buffered and one-pass
+    """``step(members, groups, out=None)`` of contraction on the kernel: the
+    one aggregation every coarse graph is built by -- buffered and one-pass
     contraction, each rank's share of distributed contraction and the
     baselines.
 
     ``labels`` keys every vertex by its coarse vertex, in ``[0,
-    label_count)``.  One call aggregates ``len(own)`` coarse vertices: coarse
-    vertex ``g`` is the members ``members[groups[g] - groups[0] : groups[g +
-    1] - groups[0]]``, its own key ``own[g]``.  ``step`` returns ``(edges,
-    degrees, keys, weights)``: the members' edges read, each coarse vertex's
-    number of coarse edges, and those edges coarse vertex by coarse vertex
-    -- neighbour keys ascending, own key dropped, weights summed.
+    label_count)``.  One call aggregates coarse vertices ``0 .. len(groups)
+    - 2``: coarse vertex ``g`` is the members ``members[groups[g] -
+    groups[0] : groups[g + 1] - groups[0]]``, its own key ``g``.  ``step``
+    returns ``(edges, degrees, keys, weights)``: the members' edges read,
+    each coarse vertex's number of coarse edges, and those edges coarse
+    vertex by coarse vertex -- neighbour keys ascending, own key dropped,
+    weights summed.  ``keys`` / ``weights`` are the touched prefixes of the
+    two rows of ``out``, a ``(2, width)`` int64 buffer of at least ``edges``
+    columns the caller owns (one-pass contraction's ``E'``); without it the
+    step allocates one of ``edges`` columns.
     """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.shape != (graph.n,):
@@ -409,17 +413,20 @@ def contraction_step(graph, labels: np.ndarray, label_count: int):
     fn = _native.contraction_kernels()[0]
     call = _ChunkKernel(fn, graph, (label_count, labels), maps, label_count)
 
-    def step(members, groups, own):
+    def step(members, groups, out=None):
         groups = np.ascontiguousarray(groups, dtype=np.int64)
-        own = np.ascontiguousarray(own, dtype=np.int64)
-        count = len(own)
-        if groups.shape != (count + 1,):
-            raise ValueError(f"{count} coarse vertices need {count + 1} member offsets")
+        count = len(groups) - 1
 
         def outputs(_, edges):
-            pairs = tracked_empty((2, edges), name="contraction-chunk-out")
+            if out is None:
+                pairs = tracked_empty((2, edges), name="contraction-chunk-out")
+            elif out.dtype == np.int64 and out.ndim == 2 and len(out) == 2 \
+                    and out.shape[1] >= edges and out.flags.c_contiguous:  # fmt: skip
+                pairs = out
+            else:
+                raise ValueError(f"the output is two contiguous int64 rows of {edges} or more")
             degrees = tracked_empty(count, name="contraction-degrees")
-            return (pairs, degrees), (groups, own, count, *pairs, edges, degrees)
+            return (pairs, degrees), (groups, count, *pairs, pairs.shape[1], degrees)
 
         done = call(members, outputs)
         if done is None:

@@ -622,18 +622,20 @@ static inline int64_t emit(rating_map_t *m, int64_t touched, int64_t mine, int64
 /* Contraction on the rating map (PAPER.md section IV-B): the coarse
  * neighbourhoods of group_count coarse vertices.  Group g is the chunk
  * vertices [groups[g] - groups[0], groups[g + 1] - groups[0]) -- the members
- * of one coarse vertex -- and own[g] its own label.  Every member's
- * neighbourhood is rated into one map keyed by the neighbour's label
- * (labels[v], below label_count), the own label is dropped, and the labels
- * left are written ascending with their summed weights: label[] / weight[]
- * continue where the previous group stopped, degree[g] counts group g's.
+ * of coarse vertex g, whose own label is g.  Every member's neighbourhood is
+ * rated into one map keyed by the neighbour's label (labels[v], below
+ * label_count), the own label is dropped, and the labels left are written
+ * ascending with their summed weights: label[] / weight[] continue where the
+ * previous group stopped, degree[g] counts group g's.
  *
  * Why this is byte-identical to the sorted (owner, label) pair list of
  * kernels/contraction.py and of coarsening/contraction.py: both hold one
  * pair per distinct (group, label) -- a label whose edges sum to 0 included
  * -- with the weights summed modulo 2^64, owners in group order and labels
- * ascending within.  With dense coarse ids as labels and the groups in
- * leader order, the pairs are the coarse CSR itself.
+ * ascending within.  With every coarse vertex a group, in coarse id order,
+ * the pairs are the coarse CSR itself: every caller (buffered and one-pass
+ * contraction, a rank of distributed contraction) numbers its coarse
+ * vertices first, so label[] / weight[] are the coarse adjncy / adjwgt.
  *
  * Contract, besides the one above (tests/test_contract_kernel.py):
  *   - degs[i] >= 0 for every chunk vertex and sum(degs) <= out_cap, checked
@@ -642,8 +644,8 @@ static inline int64_t emit(rating_map_t *m, int64_t touched, int64_t mine, int64
  *   - groups[] never runs down and groups[group_count] - groups[0] <= count,
  *     checked (without forming a sum that overflows) before a group is read;
  *     degree[] is written only below group_count;
- *   - every own label is checked against [0, label_count) before its group
- *     is rated, every chunk id against [0, n) before it is;
+ *   - every chunk id is checked against [0, n) and every neighbour's label
+ *     against [0, label_count) before it is rated;
  *   - an error returns the chunk index of the vertex in info[BAD] (-1 for a
  *     group that has none), the outputs are garbage then, slot[] is zero.
  *
@@ -652,9 +654,9 @@ int64_t repro_contract_chunk(
     int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
     int64_t adj_len, int64_t label_count, const int64_t *labels, int64_t *slot,
-    int64_t *seen, int64_t *rating, int64_t cap, const int64_t *groups, const int64_t *own,
-    int64_t group_count, int64_t *label, int64_t *weight, int64_t out_cap, int64_t *degree,
-    int64_t *info, const stream_t *stream)
+    int64_t *seen, int64_t *rating, int64_t cap, const int64_t *groups, int64_t group_count,
+    int64_t *label, int64_t *weight, int64_t out_cap, int64_t *degree, int64_t *info,
+    const stream_t *stream)
 {
     segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
     rating_map_t m = {slot, seen, (uint64_t *)rating, label_count, cap};
@@ -681,11 +683,6 @@ int64_t repro_contract_chunk(
             return ERR_SEGMENT;
         int64_t lo = (int64_t)((uint64_t)groups[g] - (uint64_t)groups[0]);
         int64_t hi = (int64_t)((uint64_t)groups[g + 1] - (uint64_t)groups[0]);
-        int64_t mine = own[g];
-        if (lo < hi)
-            info[BAD] = lo;
-        if (!IN_RANGE(mine, label_count))
-            return ERR_LABEL;
         int64_t touched = 0;
         for (int64_t i = lo; i < hi; i++) {
             info[BAD] = i;
@@ -698,7 +695,7 @@ int64_t repro_contract_chunk(
             if (touched < 0)
                 return touched;
         }
-        int64_t d = emit(&m, touched, mine, label + written, weight + written);
+        int64_t d = emit(&m, touched, g, label + written, weight + written);
         degree[g] = d;
         written += d;
     }

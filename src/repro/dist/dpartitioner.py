@@ -29,7 +29,7 @@ from repro.core.config import DistObsConfig
 from repro.core.context import CONTRACTION_LIMIT_FACTOR, MIN_SHRINK_FACTOR
 from repro.core.initial.recursive import initial_partition
 from repro.core.coarsening.contraction import coarse_csr, dense_remap, summed_weights
-from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
+from repro.core.kernels import cluster_leaders, contraction_step, group_by_label
 from repro.core.partition import PartitionedGraph, max_block_weight
 from repro.dist.comm import CommStats, SimComm
 from repro.dist.dgraph import DistributedGraph, distribute_graph
@@ -135,10 +135,8 @@ def _contract_distributed(
     step = contraction_step(dgraph.graph, fine_to_coarse, n_coarse)
     coarse_ids = np.arange(n_coarse, dtype=np.int64)
     for shard in dgraph.shards:
-        order, groups = cluster_members(
-            fine_to_coarse[shard.lo : shard.hi], coarse_ids, n_coarse
-        )
-        _, degrees, cv, w = step(shard.lo + order, groups, coarse_ids)
+        order, groups = group_by_label(fine_to_coarse[shard.lo : shard.hi], n_coarse)
+        _, degrees, cv, w = step(shard.lo + order, groups)
         cu = np.repeat(coarse_ids, degrees)
         owners = np.searchsorted(coarse_ranges, cu, side="right") - 1
         for dst_rank in range(comm.size):

@@ -312,10 +312,10 @@ SIGNATURES = {
     "repro_lp_refine_pick": [
         *_SEGMENTS, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _p, _p, _i64, _p, _p,
     ],
-    # segments, label_count, labels, rating map, groups, own, group_count,
-    # label, weight, out_cap, degree, info, stream
+    # segments, label_count, labels, rating map, groups, group_count, label,
+    # weight, out_cap, degree, info, stream
     "repro_contract_chunk": [
-        *_SEGMENTS, _i64, _p, *_RATING_MAP, _p, _p, _i64, _p, _p, _i64, _p, _p, _p,
+        *_SEGMENTS, _i64, _p, *_RATING_MAP, _p, _i64, _p, _p, _i64, _p, _p, _p,
     ],
     # labels, count, label_count, offsets, members, info
     "repro_group_by_label": [_p, _i64, _i64, _p, _p, _p],

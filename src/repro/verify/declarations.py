@@ -119,7 +119,7 @@ KERNELS: dict[str, tuple[AccessDecl, ...]] = {
         AccessDecl(
             "coarse-edges",
             "write",
-            vars=("eprime_dst", "eprime_w"),
+            vars=("eprime",),
             note="each chunk's slice starts at its d_prev, a prefix sum in run order",
         ),
         AccessDecl(
@@ -131,8 +131,7 @@ KERNELS: dict[str, tuple[AccessDecl, ...]] = {
         AccessDecl(
             "new-id-of-leader",
             "write",
-            vars=("new_id_of_leader",),
-            note="each leader belongs to exactly one chunk",
+            note="each leader belongs to exactly one chunk (dense_remap writes them)",
         ),
         AccessDecl(
             "coarse-vwgt",

@@ -304,18 +304,23 @@ def refine_pick_step(graph, part, block_weights, max_block_weight):
 def contraction_step(graph, labels: np.ndarray, label_count: int):
     """:func:`repro.core.kernels.lp_chunk.contraction_step` in numpy: flatten
     the member lists into one gather, read the members' adjacency, and
-    aggregate it into coarse edges with a sort-based segment reduction."""
+    aggregate it into coarse edges with a sort-based segment reduction,
+    group ``g`` keyed by ``g``; the pairs are copied into ``out`` if given."""
 
-    def step(members, groups, own):
+    def step(members, groups, out=None):
         groups = np.asarray(groups, dtype=np.int64)
-        count = len(own)
+        count = len(groups) - 1
+        keys = np.arange(count)
         members, owner = gather_cluster_members(
-            members, groups[:-1] - groups[0], groups[1:] - groups[0], np.arange(count)
+            members, groups[:-1] - groups[0], groups[1:] - groups[0], keys
         )
         member, nbrs, wgts = chunk_adjacency(graph, members)
         po, pc, pw, _ = aggregate_coarse_edges(
-            owner[member], labels[nbrs], wgts, np.asarray(own), label_count, count
+            owner[member], labels[nbrs], wgts, keys, label_count, count
         )
+        if out is not None and len(pc):
+            out[:, : len(pc)] = pc, pw
+            pc, pw = out[0, : len(pc)], out[1, : len(pc)]
         return len(member), np.bincount(po, minlength=count), pc, pw
 
     return step

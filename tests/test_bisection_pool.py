@@ -389,9 +389,11 @@ class TestSplit:
         units = assert_split_is_extract(g, np.array([0, 0, 0, 1, 1, 1], dtype=np.int32), 2, (0, 1))
         assert units == [True, True]
 
-    def test_unsorted_rows_from_contraction(self, monkeypatch):
-        """One-pass contraction leaves rows unsorted: the split sorts each
-        by new id, stably, as lexsort does."""
+    def test_sorted_rows_from_contraction(self, monkeypatch):
+        """One-pass contraction writes each coarse row ascending by coarse
+        id, and says so: the coarse graph initial partitioning gets is
+        sorted, and the split of it is ``extract_subgraphs``'.  (Unsorted
+        rows: the next test.)"""
         seen = []
         real = partitioner.initial_partition
 
@@ -402,9 +404,9 @@ class TestSplit:
         monkeypatch.setattr(partitioner, "initial_partition", probe)
         repro.partition(gen.rgg2d(8000, avg_degree=8, seed=1), 64, C.terapart(seed=1))
         (coarse,) = seen
-        assert isinstance(coarse, CSRGraph)
+        assert isinstance(coarse, CSRGraph) and coarse.sorted_neighborhoods
         rows = np.split(coarse.adjncy, coarse.indptr[1:-1])
-        assert any(np.any(np.diff(row) < 0) for row in rows)
+        assert all(np.all(np.diff(row) > 0) for row in rows)
         for seed in range(3):
             assert_split_is_extract(coarse, sides(coarse.n, seed), 2, (0, 1))
 

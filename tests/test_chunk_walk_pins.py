@@ -3,8 +3,8 @@
 One-pass contraction and the packet model of ``compress_graph_parallel``
 used to take their chunks from a slice-list scheduler.  The digests below
 were recorded on that scheduler, so the bounds walk must give the same
-chunks, in the same order, to the same virtual threads: the coarse graphs,
-the bump counts, the conflict detector's verdicts, the compressed bytes and
+chunks, in the same order, to the same virtual threads: the coarse graphs
+(their rows sorted, see :data:`ONE_PASS`), the bump counts, the conflict detector's verdicts, the compressed bytes and
 the packet traces all stay byte for byte what they were.  The empty graph's
 packets are pinned in ``test_runtime.py::TestScheduleBalanced::test_empty``.
 """
@@ -38,18 +38,22 @@ GRAPHS = {
 }
 
 #: (graph, policy) -> (coarse graph + fine_to_coarse digest, bumped
-#: clusters, detector accesses recorded, conflicts)
+#: clusters, detector accesses recorded, conflicts).  The coarse rows are
+#: ascending by coarse id; the scheduler's rows were ascending by leader id,
+#: and each digest here is that coarse graph's after
+#: ``with_sorted_neighborhoods()`` (chunks run in index order number the
+#: coarse vertices in leader order, so those two rows were sorted already)
 ONE_PASS = {
-    ("rgg2d-csr", None): ("628d2951f5660901", 0, 1822, 0),
+    ("rgg2d-csr", None): ("4d78211c3a8a8bc5", 0, 1822, 0),
     ("rgg2d-csr", "issue"): ("120f18c5a279bd91", 0, 1822, 0),
-    ("rgg2d-csr", "reversed"): ("35b634d35f962c04", 0, 1822, 0),
-    ("rgg2d-csr", "random"): ("5f1989ac51809aa5", 0, 1822, 0),
-    ("rgg2d-csr", "heavy-first"): ("c5273f8a3432aa58", 0, 1822, 0),
-    ("weblike-compressed", None): ("f6d39b7666800b9b", 4, 7818, 0),
+    ("rgg2d-csr", "reversed"): ("9b6e3aa490c80cf0", 0, 1822, 0),
+    ("rgg2d-csr", "random"): ("4290aaefa5d7044e", 0, 1822, 0),
+    ("rgg2d-csr", "heavy-first"): ("aab7b897fca1f7b5", 0, 1822, 0),
+    ("weblike-compressed", None): ("f264883fa840e982", 4, 7818, 0),
     ("weblike-compressed", "issue"): ("af5a4f65e0dd1335", 4, 7818, 0),
-    ("weblike-compressed", "reversed"): ("3300983d1cecb478", 4, 7818, 0),
-    ("weblike-compressed", "random"): ("c0773727da0f78c1", 4, 7818, 0),
-    ("weblike-compressed", "heavy-first"): ("ea75aa8c62885041", 4, 7818, 0),
+    ("weblike-compressed", "reversed"): ("e93aea99cc0a90cf", 4, 7818, 0),
+    ("weblike-compressed", "random"): ("29fcff378e7a3ceb", 4, 7818, 0),
+    ("weblike-compressed", "heavy-first"): ("af5c400ccf8dcd51", 4, 7818, 0),
 }
 
 

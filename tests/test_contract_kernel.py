@@ -27,12 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from repro.core.coarsening import one_pass_contraction
+from repro.core.coarsening import contraction
 from repro.core.coarsening.contraction import contract_buffered, dense_remap
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
 from repro.core.config import kaminpar, terapart
 from repro.core.context import PartitionContext
-from repro.core.kernels import cluster_leaders, cluster_members, contraction_step
+from repro.core.kernels import cluster_leaders, contraction_step, group_by_label
 from repro.graph import _native
 from repro.graph import generators as gen
 from repro.graph.compressed import CompressedGraph, compress_graph
@@ -143,8 +143,9 @@ def test_one_pass_is_byte_identical(case):
 @pytest.mark.parametrize("kind", ["csr", "compressed", "hubs"])
 def test_one_pass_is_one_step_call_a_level(kind, on):
     """The coarse vertices are numbered in run order before the walk, so a
-    level of many chunks is one contraction step: one compiled call with
-    the kernel, one oracle step and no compiled call under the oracle."""
+    level of many chunks is one contraction step (bound where
+    ``aggregate_clusters`` calls it): one compiled call with the kernel, one
+    oracle step and no compiled call under the oracle."""
     graph = graph_of("web", "random", kind)
     clusters, weights = clustering(graph, "random")
     n_coarse = len(cluster_leaders(clusters))
@@ -153,13 +154,13 @@ def test_one_pass_is_one_step_call_a_level(kind, on):
     kernel, group = _native.contraction_kernels()
     phase = oracles.installed("contraction") if on == "oracle" else contextlib.nullcontext()
     with phase, pytest.MonkeyPatch.context() as m:
-        bind = one_pass_contraction.contraction_step  # the kernel's or the oracle's
+        bind = contraction.contraction_step  # the kernel's or the oracle's
 
         def counted(*args):
             step = bind(*args)
-            return lambda *call: steps.append(len(call[2])) or step(*call)
+            return lambda *call: steps.append(len(call[1]) - 1) or step(*call)
 
-        m.setattr(one_pass_contraction, "contraction_step", counted)
+        m.setattr(contraction, "contraction_step", counted)
         m.setattr(
             _native, "contraction_kernels", lambda: (lambda *a: compiled.append(a) or kernel(*a), group)
         )
@@ -178,26 +179,30 @@ def assert_same_step(kernel, oracle, *call):
 
 @pytest.mark.parametrize("kind", INPUTS)
 def test_one_pass_chunks_agree(kind):
-    """Each chunk's ``B_t`` -- member edges read, per coarse vertex its
-    degree, and the ``(cluster, weight)`` pairs ``E'`` receives -- is the
-    oracle's, for chunks of one to many coarse vertices."""
+    """A whole level's step -- member edges read, per coarse vertex its
+    degree, and the ``(coarse id, weight)`` pairs ``E'`` receives, rows
+    ascending -- is the oracle's, with the coarse vertices numbered in
+    leader order (buffered contraction) or in a shuffled run order
+    (one-pass contraction), written into a caller's ``E'`` or not."""
     graph = graph_of("web", "random", kind)
     clusters, _ = clustering(graph, "random", seed=4)
     leaders = cluster_leaders(clusters)
-    order, offsets = cluster_members(clusters, leaders)
-    kernel = contraction_step(graph, clusters, graph.n)
-    oracle = oracles.contraction_step(graph, clusters, graph.n)
+    n_coarse = len(leaders)
     hubs = DecodeCalls(graph) if kind == "hubs" else None
-    chunks = 0
-    for size in (1, 7, 64):
-        for a in range(0, len(leaders), size):
-            b = min(a + size, len(leaders))
-            assert_same_step(
-                kernel, oracle, order[offsets[a] : offsets[b]], offsets[a : b + 1], leaders[a:b]
-            )
-            chunks += 1
-    if hubs is not None:  # the oracle decodes every chunk, the kernel none
-        assert hubs.calls == chunks
+    for numbering in (leaders, np.random.default_rng(4).permutation(leaders)):
+        fine_to_coarse = dense_remap(clusters, numbering)
+        kernel = contraction_step(graph, fine_to_coarse, n_coarse)
+        oracle = oracles.contraction_step(graph, fine_to_coarse, n_coarse)
+        members, groups = group_by_label(fine_to_coarse, n_coarse)
+        want = assert_same_step(kernel, oracle, members, groups)
+        rows = np.split(want[2], np.cumsum(want[1])[:-1])
+        assert all(np.all(np.diff(row) > 0) for row in rows)
+        eprime = np.full((2, graph.num_directed_edges + 5), -1, dtype=np.int64)
+        got = kernel(members, groups, eprime)
+        assert got[0] == want[0] and all(map(np.array_equal, got[1:], want[1:]))
+        assert np.shares_memory(got[2], eprime) and np.shares_memory(got[3], eprime)
+    if hubs is not None:  # the oracle decodes the level's hubs, the kernel none
+        assert hubs.calls == 2
 
 
 @pytest.mark.parametrize("kind", INPUTS)
@@ -216,8 +221,8 @@ def test_a_ranks_rows_agree(kind, ranks):
     oracle = oracles.contraction_step(graph, fine_to_coarse, n_coarse)
     bounds = [*np.linspace(0, graph.n, ranks, dtype=np.int64).tolist(), graph.n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        order, groups = cluster_members(fine_to_coarse[lo:hi], coarse_ids, n_coarse)
-        edges, degrees, cv, _ = assert_same_step(kernel, oracle, lo + order, groups, coarse_ids)
+        order, groups = group_by_label(fine_to_coarse[lo:hi], n_coarse)
+        edges, degrees, cv, _ = assert_same_step(kernel, oracle, lo + order, groups)
         assert len(degrees) == n_coarse
         if lo == hi:  # a rank that owns no vertex reads nothing and sends nothing
             assert edges == 0 and not degrees.any() and len(cv) == 0
@@ -294,8 +299,9 @@ def test_leaders_and_members_equal_unique_and_stable_argsort(labels):
     leaders = cluster_leaders(labels)
     assert np.array_equal(leaders, np.unique(labels)) and leaders.dtype == np.int64
     want = np.argsort(labels, kind="stable")
-    for paths in (cluster_members, lambda *a: on_oracle(cluster_members, *a)):
-        order, offsets = paths(labels, leaders)
+    coarse = dense_remap(labels, leaders)
+    for paths in (group_by_label, lambda *a: on_oracle(group_by_label, *a)):
+        order, offsets = paths(coarse, len(leaders))
         assert np.array_equal(order, want)
         assert np.array_equal(offsets, np.searchsorted(labels[want], [*leaders, len(labels)]))
 
@@ -335,8 +341,7 @@ class Raw:
         leaders = cluster_leaders(clusters)
         self.label_count = len(leaders)
         self.labels = dense_remap(clusters, leaders)
-        self.members, self.groups = cluster_members(clusters, leaders)
-        self.own = np.arange(self.label_count, dtype=np.int64)
+        self.members, self.groups = group_by_label(self.labels, self.label_count)
         self.info = np.zeros(2, dtype=np.int64)
         self._adjacency(graph)
 
@@ -364,8 +369,8 @@ class Raw:
         pairs = [out.ptr(room, np.int64) for _ in range(2)]
         rc = _native.contraction_kernels()[0](
             *self._segments(), self.label_count, self.labels.ctypes.data, *maps, cap,
-            self.groups.ctypes.data, self.own.ctypes.data, len(self.own), *pairs, room,
-            out.ptr(len(self.own), np.int64), self.info.ctypes.data, self._stream(out),
+            self.groups.ctypes.data, self.label_count, *pairs, room,
+            out.ptr(self.label_count, np.int64), self.info.ctypes.data, self._stream(out),
         )  # fmt: skip
         out.check()
         assert not out.inside(0).any(), "rating map left dirty"
@@ -427,7 +432,7 @@ class TestKernelContract:
         graph, clusters = mesh
         raw = Raw(graph, clusters)
         oracle = oracles.contraction_step(graph, raw.labels.copy(), raw.label_count)
-        _, degrees, cv, w = oracle(raw.members, raw.groups, raw.own)
+        _, degrees, cv, w = oracle(raw.members, raw.groups)
         assert raw() == len(cv)
         assert np.array_equal(raw.out.inside(3)[: len(cv)], cv)
         assert np.array_equal(raw.out.inside(4)[: len(cv)], w)
@@ -457,9 +462,6 @@ class TestKernelContract:
         )  # fmt: skip
         raw.labels[v] = bad
         refused(raw, -4, at=first)
-        raw = Raw(*mesh)  # a group's own label, named by its first member
-        raw.own[9] = raw.label_count
-        refused(raw, -4, at=int(raw.groups[9]))
 
     def test_segment_past_the_adjacency_is_refused(self, mesh):
         for corrupt in (
@@ -527,7 +529,7 @@ class TestGroupByLabel:
     def test_a_label_out_of_range_names_its_vertex(self):
         labels = np.array([0, 2, 2, 5, 1], dtype=np.int64)
         with pytest.raises(ValueError, match="cluster or block id out of range at vertex 3"):
-            cluster_members(labels, np.array([0, 1, 2]))
+            group_by_label(labels, 3)
         members = np.full(5, 7, dtype=np.int64)
         offsets = np.full(6, 7, dtype=np.int64)
         info = np.zeros(2, dtype=np.int64)

@@ -41,6 +41,25 @@ class TestRegistry:
         assert shared_vars("lp-refinement")["part"] == "partition"
         assert shared_vars("lp-clustering")["vwgt"] == "vertex-weights"
 
+    def test_one_pass_vars_name_locals_of_the_kernel(self):
+        """The static pass spots raw stores by these names, so each must be a
+        local ``contract_one_pass`` assigns: ``E'``'s buffer, ``P'``..."""
+        import ast
+        from pathlib import Path
+
+        from repro.core.coarsening import one_pass_contraction
+
+        module = ast.parse(Path(one_pass_contraction.__file__).read_text())
+        (kernel,) = [
+            f for f in module.body if isinstance(f, ast.FunctionDef) and f.name == "contract_one_pass"
+        ]
+        stored = {
+            n.id for n in ast.walk(kernel) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        aliases = shared_vars("one-pass-contraction")
+        assert aliases["eprime"] == "coarse-edges" and aliases["pprime"] == "coarse-indptr"
+        assert set(aliases) <= stored, set(aliases) - stored
+
     def test_every_kernel_mode_is_valid(self):
         for kernel, decls in KERNELS.items():
             for d in decls:

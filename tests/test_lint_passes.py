@@ -72,6 +72,26 @@ class TestParallelAccess:
         assert (f.file, f.line) == ("injected.py", marker + 2)
 
 
+    def test_a_raw_store_into_eprime_is_flagged(self, tmp_path):
+        """One-pass contraction's ``E'`` is declared ``write``: its chunks'
+        slices reach the detector through the recorder, so a raw store into
+        it inside the parallel region is a PA003 at its line -- and the
+        module as it stands has none."""
+        from repro.core.coarsening import one_pass_contraction
+
+        path = Path(one_pass_contraction.__file__)
+        assert lint_one(path, "parallel-access") == []
+        src = path.read_text().splitlines()
+        at = src.index("        seconds = time.perf_counter() - t0")
+        src.insert(at + 1, "        eprime[0, :1] = 0")
+        bad = tmp_path / "one_pass_contraction.py"
+        bad.write_text("\n".join(src) + "\n")
+        findings = lint_one(bad, "parallel-access")
+        assert [(f.code, f.line, f.subject) for f in findings] == [
+            ("PA003", at + 2, "one-pass-contraction:coarse-edges:store")
+        ]
+
+
 # --------------------------------------------------------------------- #
 # pass 2: untracked allocations
 # --------------------------------------------------------------------- #
