@@ -137,8 +137,9 @@ def label_propagation_clustering(
     runtime = ctx.runtime
     rng = ctx.rng
 
+    vwgt = graph.vwgt
     clusters = np.arange(n, dtype=np.int64)
-    cluster_weights = np.asarray(graph.vwgt).astype(np.int64).copy()
+    cluster_weights = np.asarray(vwgt).astype(np.int64).copy()
     favorites = np.arange(n, dtype=np.int64)
 
     t_bump = ctx.effective_t_bump(n)
@@ -154,7 +155,7 @@ def label_propagation_clustering(
     # the sparse array and non-zero buffers charged just above, for real:
     # slot, seen and rating rows of the kernel's rating map
     kernel = clustering_round(
-        graph, clusters, cluster_weights, max_cluster_weight,
+        graph, vwgt, clusters, cluster_weights, max_cluster_weight,
         np.zeros((3, n), dtype=np.int64), favorites, t_bump,
     )  # fmt: skip
     tracer = ctx.tracer

@@ -22,9 +22,9 @@ vertex's members into one map, every contraction's one aggregation.
 
 A round reads each vertex's segment where the graph keeps it: a CSR graph's
 ``indptr`` and adjacency, or a compressed graph's degrees and byte stream,
-each neighbourhood -- a chunk-encoded hub chunk by chunk -- decoded as it is
-rated, so a round is one call.  A degree the stream's scratch cannot hold
-(only a corrupt header makes one) is refused by the kernel.
+each neighbourhood -- a chunk-encoded hub chunk by chunk -- rated as it is
+decoded, with no row written, so a round is one call.  A degree above the
+graph's largest (only a corrupt header makes one) is refused by the kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.graph import _native
 from repro.graph.access import chunk_segments, count_edges, vertex_segments
-from repro.graph.compressed import MIN_INTERVAL_LEN
+from repro.graph.compressed import stream_blocks
 from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
 
@@ -66,12 +66,12 @@ def _adjacency(adj: np.ndarray, wgt: np.ndarray) -> tuple[tuple, tuple]:
     return _pointers((adj, *_weight_args(wgt), len(adj))), (adj, wgt)
 
 
-def _vertex_weights(graph) -> np.ndarray:
-    """The vertex weights as the kernels take them (a unit graph's zero-stride
-    view kept); a ``ValueError`` for weights the kernels' commit cannot sum."""
-    vwgt = np.asarray(graph.vwgt)
-    if vwgt.shape != (graph.n,):
-        raise ValueError(f"vertex weights need {graph.n} entries")
+def _vertex_weights(vwgt, n: int) -> np.ndarray:
+    """``n`` vertex weights as the kernels take them (a zero-stride view kept);
+    a ``ValueError`` for weights the kernels' commit cannot sum."""
+    vwgt = np.asarray(vwgt)
+    if vwgt.shape != (n,):
+        raise ValueError(f"vertex weights need {n} entries")
     if vwgt.strides != (0,):
         vwgt = np.ascontiguousarray(vwgt, dtype=np.int64)
     why = _native.vertex_weight_error(vwgt)
@@ -84,32 +84,6 @@ def _int64_vector(a: np.ndarray, size: int, name: str) -> np.ndarray:
     if not _is_int64_vector(a, size):
         raise ValueError(f"{name} must be {size} contiguous int64 entries")
     return a
-
-
-def stream_blocks(graph, count: int, name: str):
-    """``(blocks, held)``: ``count`` :class:`_native.Stream` blocks (a ctypes
-    array, whose address a kernel takes) over the compressed ``graph``'s
-    checked byte stream, each with its own scratch of one neighbourhood --
-    ``max_degree`` ids (weights too, if any), capped at ``n`` and at the
-    edges (no row of distinct neighbours is longer), plus one block's
-    interval pairs -- charged as ``name``; ``held`` is what they point
-    into."""
-    data, offsets = graph.stream()
-    cfg = graph.config
-    cap = max(0, min(graph.max_degree, graph.n, graph.num_directed_edges))
-    rows = 2 if graph.has_edge_weights else 1
-    pairs = 2 * (min(cap, cfg.high_degree_threshold) // MIN_INTERVAL_LEN)
-    width = rows * cap + pairs
-    scratch = tracked_empty(count * width, name=name)
-    blocks = (_native.Stream * count)()
-    for i in range(count):
-        at = scratch.ctypes.data + 8 * width * i
-        blocks[i] = _native.Stream(
-            data.ctypes.data, len(data), offsets.ctypes.data, cfg.enable_intervals,
-            at, at + 8 * cap if rows == 2 else None, cap, at + 8 * rows * cap, pairs,
-            cfg.high_degree_threshold, cfg.chunk_length,
-        )  # fmt: skip
-    return blocks, (data, offsets, scratch)
 
 
 class _Bound:
@@ -134,7 +108,7 @@ class _Bound:
         """The kernel's compressed source, built on the first call that
         leaves a chunk encoded (so once per LP call)."""
         if self._stream is None:
-            block, held = stream_blocks(self._graph, 1, "lp-stream-scratch")
+            block, held = stream_blocks(self._graph, 1, "lp-stream-scratch", rows=False)
             self._stream = (ctypes.addressof(block), (block, held))
         return self._stream[0]
 
@@ -306,10 +280,10 @@ def replayed_chunks(detector, order, bounds, tids, stats, moved):
             yield order[lo:hi], movers, targets
 
 
-def _clustering_state(graph, clusters, cluster_weights, max_cluster_weight):
+def _clustering_state(graph, vwgt, clusters, cluster_weights, max_cluster_weight):
     """One clustering's argument block as the kernels take it."""
     n = graph.n
-    vwgt = _vertex_weights(graph)
+    vwgt = _vertex_weights(vwgt, n)
     _int64_vector(clusters, n, "clusters")
     _int64_vector(cluster_weights, n, "cluster weights")
     limit = _native.clamp_weight(max_cluster_weight)
@@ -317,9 +291,9 @@ def _clustering_state(graph, clusters, cluster_weights, max_cluster_weight):
 
 
 def clustering_round(
-    graph, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
+    graph, vwgt, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
 ):
-    """LP clustering's round on the kernel.
+    """LP clustering's round on the kernel (``vwgt``: the graph's weights).
 
     ``maps`` is the ``(3, n)`` zeroed rating map (the sparse array and its
     non-zero buffers, which the caller has on the ledger).  A round commits
@@ -328,7 +302,7 @@ def clustering_round(
     with at least ``t_bump`` distinct neighbour clusters (bumped to the
     second phase) and their cluster counts summed.
     """
-    state = _clustering_state(graph, clusters, cluster_weights, max_cluster_weight)
+    state = _clustering_state(graph, vwgt, clusters, cluster_weights, max_cluster_weight)
     state = (*state, t_bump, _int64_vector(favorites, graph.n, "favorites"))
     fn = _native.lp_kernels()[0]
     return _RoundKernel(fn, graph, state, maps, graph.n, rows=3)  # fav, best, nc
@@ -343,14 +317,14 @@ def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps
     ``max_cluster_weight``.  Nothing is committed; ``clusters`` /
     ``cluster_weights`` are only read.
     """
-    state = _clustering_state(graph, clusters, cluster_weights, max_cluster_weight)
+    state = _clustering_state(graph, graph.vwgt, clusters, cluster_weights, max_cluster_weight)
     return _picking(_ChunkKernel(_native.lp_kernels()[2], graph, state, maps, graph.n), 5)
 
 
-def _refinement_state(graph, part, block_weights, limits):
+def _refinement_state(graph, vwgt, part, block_weights, limits):
     """One refinement's argument block as the kernels take it and its rating
     map."""
-    vwgt = _vertex_weights(graph)
+    vwgt = _vertex_weights(vwgt, graph.n)
     k = len(block_weights)
     if part.dtype != np.int32 or part.shape != (graph.n,) or not part.flags.c_contiguous:
         raise ValueError(f"the partition must be {graph.n} contiguous int32 block ids")
@@ -362,13 +336,13 @@ def _refinement_state(graph, part, block_weights, limits):
     return (k, part, block_weights, *_weight_args(vwgt), limits), maps
 
 
-def refinement_round(graph, part, block_weights, limits):
-    """LP refinement's round on the kernel.
+def refinement_round(graph, vwgt, part, block_weights, limits):
+    """LP refinement's round on the kernel (``vwgt``: the graph's weights).
 
     ``limits`` is the per-block weight cap (``k`` entries).  A round commits
     to ``part`` / ``block_weights``.
     """
-    state = _refinement_state(graph, part, block_weights, limits)
+    state = _refinement_state(graph, vwgt, part, block_weights, limits)
     fn = _native.lp_kernels()[1]
     return _RoundKernel(fn, graph, *state, len(block_weights), rows=1)  # best
 
@@ -383,7 +357,7 @@ def refine_pick_step(graph, part, block_weights, max_block_weight: int):
     """
     limit = _native.clamp_weight(max_block_weight)
     limits = tracked_full(len(block_weights), limit, name="dlp-block-limits")
-    state = _refinement_state(graph, part, block_weights, limits)
+    state = _refinement_state(graph, graph.vwgt, part, block_weights, limits)
     fn = _native.lp_kernels()[3]
     return _picking(_ChunkKernel(fn, graph, *state, len(block_weights)), 3)
 

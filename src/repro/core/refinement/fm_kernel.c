@@ -53,7 +53,7 @@
  * order (per neighbour: source block, then target block), so its arrays
  * stay byte-equal; the full table's are the same integer sums.  Neighbours
  * come in adjacency order: a CSR row as stored, a compressed row sorted, as
- * the Python decoder and repro_decode_neighborhood both write it.
+ * the Python decoder and neighborhood.h's visitor both hand it out.
  *
  * Contract (tests/test_fm_kernel.py holds it to this):
  *   - every vertex id (a seed, a neighbour) is checked against [0, n) and
@@ -86,6 +86,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 
+#include "../../graph/neighborhood.h"
+
 enum {
     ERR_VERTEX = -1,   /* vertex id outside [0, n) */
     ERR_SEGMENT = -2,  /* a row's segment outside its array, a dense row not k wide */
@@ -93,7 +95,7 @@ enum {
     ERR_NEGATIVE = -4, /* a sparse affinity dropped below zero */
     ERR_FULL = -5,     /* a sparse hash row has no slot left */
     ERR_MEMORY = -6,   /* the queue or a log could not grow */
-    ERR_DECODE = -100  /* plus the decoder's code (decode_kernel.c: -1..-7, -12) */
+    ERR_DECODE = -100  /* plus the row reader's code (neighborhood.h: -1..-7, -12) */
 };
 
 enum { TABLE_NONE, TABLE_FULL, TABLE_SPARSE };
@@ -115,24 +117,6 @@ enum { BAD_VERTEX, BAD_BLOCK };
 
 /* 0 <= v < n in one comparison (n >= 0) */
 #define IN_RANGE(v, n) ((uint64_t)(v) < (uint64_t)(n))
-
-/* lp_kernel.c's stream_t, field for field (_native.Stream) */
-typedef struct {
-    const uint8_t *data;
-    int64_t data_len;
-    const int64_t *offsets;
-    int64_t intervals;
-    int64_t *nbrs, *wgts;
-    int64_t cap;
-    int64_t *pairs;
-    int64_t pairs_cap;
-    int64_t hub_threshold, chunk_length;
-} stream_t;
-
-__attribute__((visibility("hidden"))) int repro_decode_neighborhood(
-    const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
-    int64_t deg, int64_t room, int intervals, int64_t hub_threshold, int64_t chunk_length,
-    int64_t *nbrs, int64_t *wgts, int64_t *pairs, int64_t pairs_cap);
 
 typedef struct {
     int64_t gain, counter, vertex;
@@ -262,7 +246,8 @@ static entry_t pop(fm_t *f)
 /* ---- neighbourhoods ---- */
 
 /* Vertex u's (checked) neighbourhood: a CSR row, or the stream's scratch
- * `which` decoded (a chunk-encoded hub chunk by chunk). */
+ * `which` decoded by neighborhood.h's store sink (a chunk-encoded hub chunk
+ * by chunk). */
 static int64_t neighborhood(fm_t *f, int64_t u, int which, nbhd_t *out)
 {
     if (f->indptr) {
@@ -276,9 +261,8 @@ static int64_t neighborhood(fm_t *f, int64_t u, int which, nbhd_t *out)
     }
     const stream_t *z = &f->stream[which];
     int64_t deg = f->degs[u];
-    int rc = repro_decode_neighborhood(z->data, z->data_len, z->offsets, f->n, u, deg, z->cap,
-                                       (int)z->intervals, z->hub_threshold, z->chunk_length,
-                                       z->nbrs, z->wgts, z->pairs, z->pairs_cap);
+    row_t row = {z->nbrs, z->wgts, 0};
+    int rc = visit_stream_row(z, f->n, u, deg, z->weighted != 0, f->unit_wgt, store, &row);
     if (rc)
         return fail(f, ERR_DECODE + rc, u, -1);
     out->adj = z->nbrs;

@@ -35,15 +35,10 @@ import ctypes
 
 import numpy as np
 
-from repro.core.kernels.lp_chunk import (
-    _adjacency,
-    _pointers,
-    _vertex_weights,
-    _weight_args,
-    stream_blocks,
-)
+from repro.core.kernels.lp_chunk import _adjacency, _pointers, _vertex_weights, _weight_args
 from repro.graph import _native
 from repro.graph.access import count_edges, count_walk, vertex_segments
+from repro.graph.compressed import stream_blocks
 from repro.memory.scratch import tracked_empty, tracked_zeros
 
 #: the fields of the kernel's ``out`` (``fm_kernel.c``)
@@ -221,7 +216,7 @@ def bind(pgraph, table, max_block_weight: int, *, slack: int = 2) -> FMPass:
     if not 0 <= slack < _native.WEIGHT_LIMIT:
         raise ValueError(f"FM abort slack {slack} is outside [0, 2^62)")
     graph = pgraph.graph
-    vwgt = _vertex_weights(graph)
+    vwgt = _vertex_weights(graph.vwgt, graph.n)
     n, k = graph.n, pgraph.k
     _partition(pgraph)
     if not _contiguous(pgraph.block_weights, np.int64, (k,)):

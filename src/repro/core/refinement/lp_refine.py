@@ -65,7 +65,8 @@ def lp_refine(
     total_moves = 0
     # shared accesses declared in repro.verify.declarations ("lp-refinement")
     rec = recorder_for(ctx.detector, "lp-refinement")
-    kernel = refinement_round(g, pgraph.partition, pgraph.block_weights, max_block_weight)
+    part, vwgt = pgraph.partition, g.vwgt
+    kernel = refinement_round(g, vwgt, part, pgraph.block_weights, max_block_weight)
 
     frontier = None if seeds is None else np.unique(np.asarray(seeds, np.int64))
     for _round in range(rounds):
@@ -79,7 +80,7 @@ def lp_refine(
             moved = None
             if frontier is not None or rec.active:
                 moved = tracked_empty(len(order), name="lp-moved")
-            start = pgraph.partition.copy() if rec.active else None
+            start = part.copy() if rec.active else None
             stats = kernel(order, bounds, moved)
             edges = int(stats[:, EDGES].sum())
             runtime.record_chunks(
@@ -89,7 +90,7 @@ def lp_refine(
             )
             if rec.active:
                 chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, moved)
-                _record(rec, g, start, pgraph.partition, chunks)
+                _record(rec, g, start, part, chunks)
         moves = int(stats[:, MOVES].sum())
         total_moves += moves
         ctx.tracer.add("refine.lp_rounds", 1)

@@ -23,8 +23,8 @@ holds on an input graph, so that the entry points refuse the rest before
 any work: contraction only sums weights, so a bound that holds on the input
 holds at every coarse level.
 
-The library is named by the sha256 of every source, flags, compiler and
-platform, written under a temporary name and published with one
+The library is named by the sha256 of every source and header, flags,
+compiler and platform, written under a temporary name and published with one
 ``os.replace``: concurrent first builds each publish a complete file, and a
 build of other source is never loaded.  It is only ever loaded from a
 directory this user owns and nobody else can write.
@@ -53,6 +53,8 @@ _SOURCES = (
     Path(__file__).parents[1] / "core" / "kernels" / "lp_kernel.c",
     Path(__file__).parents[1] / "core" / "refinement" / "fm_kernel.c",
 )
+#: what the sources include: part of the library's name, not compiled alone
+_HEADERS = (Path(__file__).with_name("neighborhood.h"),)
 # no fused multiply-add and no errno: the pool's skip rule rounds every
 # double operation once, as Python does, and sqrt is the bare instruction
 _FLAGS = ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno"]
@@ -113,8 +115,8 @@ FM_ERRORS = {
 }
 
 #: ``lp_kernel.c`` and ``fm_kernel.c`` return ``DECODE_ERROR + c`` for a
-#: stream that ``repro_decode_neighborhood`` refuses with code ``c`` (a key
-#: of ERRORS)
+#: stream that the row reader (``neighborhood.h``) refuses with code ``c``
+#: (a key of ERRORS)
 DECODE_ERROR = -100
 
 #: the kernels sum vertex weights in int64: they take only weights >= 0
@@ -234,16 +236,16 @@ _p, _i64 = ctypes.c_void_p, ctypes.c_int64
 
 
 class Stream(ctypes.Structure):
-    """``stream_t`` of ``lp_kernel.c`` and ``fm_kernel.c``, the kernels'
-    compressed source: a graph's byte stream and offsets, its interval flag,
-    one neighbourhood's scratch (``cap`` ids, ``cap`` weights or NULL, the
-    decoder's interval pairs) and the chunking threshold and chunk length of
-    its format."""
+    """``stream_t`` of ``neighborhood.h``, the kernels' compressed source: a
+    graph's bytes and offsets, its interval flag, the largest degree a row
+    may claim (``cap``) with one row's scratch (NULL where rows are visited,
+    not decoded), one block's interval pairs, its format's chunking, and
+    whether it holds edge weights."""
 
     _fields_ = [
         ("data", _p), ("data_len", _i64), ("offsets", _p), ("intervals", _i64),
         ("nbrs", _p), ("wgts", _p), ("cap", _i64), ("pairs", _p), ("pairs_cap", _i64),
-        ("hub_threshold", _i64), ("chunk_length", _i64),
+        ("hub_threshold", _i64), ("chunk_length", _i64), ("weighted", _i64),
     ]  # fmt: skip
 
 
@@ -261,6 +263,8 @@ SIGNATURES = {
         _p, _i64, _p, _i64, _p, _p, _i64, _i64, _i64, ctypes.c_int32, _p, _p, _p, _i64, _p, _i64,
         _p,
     ],
+    # n, degs, label32, label64, stream, out, bad
+    "repro_crossing_weight": [_i64, _p, _p, _p, _p, _p, _p],
     # lo, first_edge, count, nbrs, edges, wgts, intervals, hub_threshold,
     # chunk_length, out, out_cap, starts, stats, bad
     "repro_encode_run": [
@@ -358,16 +362,21 @@ def _cache_dir() -> tuple[Path, bool]:
     return Path(tempfile.mkdtemp(prefix="repro-native-")), True
 
 
+def _build_key(cc: list[str]) -> str:
+    """The library's name: a hash of every source and header, the flags, the
+    compiler command and the platform."""
+    texts = [path.read_text() for path in (*_SOURCES, *_HEADERS)]
+    return hashlib.sha256(
+        "\0".join([*texts, *_FLAGS, *cc, platform.platform()]).encode()
+    ).hexdigest()[:20]
+
+
 def _build(cache: Path) -> Path:
     """Path of the compiled library in ``cache``, compiling it if missing."""
     cc = shlex.split(os.environ.get("CC", "")) or [
         shutil.which("cc") or shutil.which("gcc") or "cc"
     ]
-    sources = [path.read_text() for path in _SOURCES]
-    key = hashlib.sha256(
-        "\0".join([*sources, *_FLAGS, *cc, platform.platform()]).encode()
-    ).hexdigest()[:20]
-    lib = cache / f"kernels-{key}.so"
+    lib = cache / f"kernels-{_build_key(cc)}.so"
     if not lib.exists():
         fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
         os.close(fd)

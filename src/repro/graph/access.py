@@ -112,9 +112,9 @@ def chunk_segments(
     ``adj[starts[i] : starts[i] + degs[i]]`` and the weights beside them.
     A CSR graph hands out its own ``adjncy`` / ``adjwgt`` (unit weights stay
     the 8-byte zero-stride view).  A compressed chunk is left encoded,
-    ``(None, degs, None, None)``: the caller decodes each neighbourhood,
-    chunk-encoded hubs included, from ``CompressedGraph.stream`` itself and
-    refuses a degree its scratch cannot hold.  What the compiled LP chunk
+    ``(None, degs, None, None)``: the caller visits each neighbourhood,
+    chunk-encoded hubs included, in ``CompressedGraph.stream`` itself and
+    refuses a degree above the graph's largest.  What the compiled LP chunk
     (``core/kernels/lp_kernel.c``) walks; reports the same ``decode.edges*``
     counters as :func:`chunk_adjacency`.
     """
@@ -166,46 +166,23 @@ def count_edges(graph, degs: np.ndarray) -> None:
 
 def count_walk(graph) -> None:
     """Report a compiled walk over every row of ``graph`` as
-    :func:`full_adjacency` and :func:`adjacency_blocks` report theirs: a
-    compressed graph's edges to ``decode.edges``; a CSR graph's zero-copy
-    rows to nothing."""
+    :func:`full_adjacency` reports its own: a compressed graph's edges to
+    ``decode.edges``; a CSR graph's zero-copy rows to nothing."""
     if not hasattr(graph, "indptr"):
         count_edges(graph, graph.degrees)
 
 
-def _csr_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src, dst, weight)`` of a CSR graph; ``dst``/``weight`` are views."""
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
-    return src, graph.adjncy, np.asarray(graph.adjwgt)
-
-
 def full_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flattened adjacency of the whole graph: ``(src, dst, weight)``.
+    """Flattened adjacency of the whole graph: ``(src, dst, weight)``, a CSR
+    graph's ``dst`` / ``weight`` views of its own arrays.
 
     For compressed graphs this hits the bulk decode path (one contiguous
     byte scan), not the per-vertex loop.
     """
     if hasattr(graph, "indptr"):
-        return _csr_adjacency(graph)
+        src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+        return src, graph.adjncy, np.asarray(graph.adjwgt)
     return chunk_adjacency(graph, np.arange(graph.n, dtype=np.int64))
-
-
-def adjacency_blocks(graph, block_size: int = 4096):
-    """Yield ``(src, dst, weight)`` blocks that together cover every edge once.
-
-    For whole-graph reductions (cut, boundary) that must not hold the input
-    decoded: a CSR graph is one zero-copy block, a compressed graph is
-    decoded ``block_size`` consecutive vertices at a time, so the decoded
-    working set stays bounded however large the top level is.  ``src``
-    ascends within and across blocks.
-    """
-    if hasattr(graph, "indptr"):
-        yield _csr_adjacency(graph)
-        return
-    for start in range(0, graph.n, block_size):
-        chunk = np.arange(start, min(start + block_size, graph.n), dtype=np.int64)
-        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
-        yield owner + start, nbrs, wgts
 
 
 def crossing_weight(graph, labels: np.ndarray) -> int:
@@ -214,17 +191,16 @@ def crossing_weight(graph, labels: np.ndarray) -> int:
 
     On CSR the source side is ``np.repeat(labels, degrees)`` -- the labels'
     width, no int64 source array -- and unit weights are a
-    ``count_nonzero``; a compressed graph goes block by block.
+    ``count_nonzero``; a compressed graph is one compiled walk over its
+    stream (:meth:`CompressedGraph.crossing_weight`).
     """
     if hasattr(graph, "indptr"):
         crossing = np.repeat(labels, graph.degrees) != labels[graph.adjncy]
         if not graph.has_edge_weights:
             return int(np.count_nonzero(crossing))
         return int(graph.adjwgt[crossing].sum())
-    return sum(
-        int(wgt[labels[src] != labels[dst]].sum())
-        for src, dst, wgt in adjacency_blocks(graph)
-    )
+    count_walk(graph)
+    return graph.crossing_weight(labels)
 
 
 def segment_reduce_ratings(

@@ -263,6 +263,25 @@ class CompressedGraph:
     def incident_weight(self, u: int) -> int:
         return int(np.asarray(self.edge_weights(u)).sum())
 
+    def crossing_weight(self, labels: np.ndarray) -> int:
+        """Weight of the directed edges whose endpoints carry different
+        ``labels`` (``n`` integers), summed by one compiled walk over the
+        stream that writes no row (``repro_crossing_weight``)."""
+        wide = np.asarray(labels).dtype != np.int32
+        labels = np.ascontiguousarray(labels, dtype=np.int64 if wide else np.int32)
+        if labels.shape != (self._n,):
+            raise ValueError(f"labels need {self._n} entries")
+        blocks, held = stream_blocks(self, 1, "crossing-stream-scratch", rows=False)
+        out, bad = ctypes.c_int64(), ctypes.c_int64()
+        label32, label64 = (None, labels.ctypes.data) if wide else (labels.ctypes.data, None)
+        rc = _native.library()["repro_crossing_weight"](
+            self._n, self.degrees.ctypes.data, label32, label64, ctypes.addressof(blocks),
+            ctypes.byref(out), ctypes.byref(bad),
+        )  # fmt: skip
+        if rc:
+            raise ValueError(f"{_native.ERRORS[rc]} at vertex {bad.value} (corrupt stream?)")
+        return out.value
+
     # -- bulk chunk decode (the kernels' hot path) ------------------------#
     def decode_chunk(
         self, chunk: np.ndarray
@@ -511,6 +530,30 @@ class _DecodedPageCache:
 #: :func:`repro.graph.io.stream_compressed` defaults to.  Encoder scratch is
 #: proportional to the packet, not to the graph.
 PACKET_EDGES = 1 << 16
+
+
+def stream_blocks(graph: CompressedGraph, count: int, name: str, rows: bool = True):
+    """``(blocks, held)``: ``count`` :class:`_native.Stream` blocks (a ctypes
+    array) over ``graph``'s checked stream, each with its own scratch charged
+    as ``name``: one block's interval pairs and, with ``rows``, one row of
+    ``cap`` ids (weights too, if any), ``cap`` the largest degree capped at
+    ``n`` and the edges; ``held`` is what they point into."""
+    data, offsets = graph.stream()
+    cfg = graph.config
+    cap = max(0, min(graph.max_degree, graph.n, graph.num_directed_edges))
+    weighted = graph.has_edge_weights
+    row = (1 + weighted) * cap if rows else 0
+    pairs = 2 * (min(cap, cfg.high_degree_threshold) // MIN_INTERVAL_LEN)
+    scratch = tracked_empty(count * (row + pairs), name=name)
+    blocks = (_native.Stream * count)()
+    for i in range(count):
+        at = scratch.ctypes.data + 8 * (row + pairs) * i
+        blocks[i] = _native.Stream(
+            data.ctypes.data, len(data), offsets.ctypes.data, cfg.enable_intervals,
+            at if rows else None, at + 8 * cap if rows and weighted else None, cap, at + 8 * row,
+            pairs, cfg.high_degree_threshold, cfg.chunk_length, weighted,
+        )  # fmt: skip
+    return blocks, (data, offsets, scratch)
 
 
 def _sort_rows(

@@ -1,30 +1,31 @@
-/* The native codec of repro.graph.compressed: the chunk decode and the
- * packet encoder, one file, one MIN_INTERVAL_LEN, one error enum.
+/* The native codec of repro.graph.compressed: the chunk decode, the crossing
+ * walk and the packet encoder, one file over one row reader (neighborhood.h:
+ * MIN_INTERVAL_LEN, the reader's codes and the visitor).
  *
- * Two exported functions, no state, no Python objects: ctypes calls them with
- * the GIL released.  The one codec of every row, chunk-encoded hubs
- * included: repro_decode_chunk fills the same (owner, neighbors, weights)
- * arrays as the numpy reference decoder (tests/oracles.py); the stream layout
- * is described in compressed.py.  Its per-vertex decoder,
- * decode_neighborhood, is also behind repro_decode_neighborhood, the entry of
- * the compressed LP and contraction chunks (core/kernels/lp_kernel.c) and of
- * the FM pass (core/refinement/fm_kernel.c), which read each neighborhood as
- * they decode it.  repro_encode_run writes the bytes, per-vertex byte starts
- * and stats deltas of the numpy and per-vertex reference encoders
+ * Three exported functions, no state, no Python objects: ctypes calls them
+ * with the GIL released.  repro_decode_chunk, the visitor with the store
+ * sink, fills the same (owner, neighbors, weights) arrays as the numpy
+ * reference decoder (tests/oracles.py) for every row, chunk-encoded hubs
+ * included; the stream layout is described in compressed.py.
+ * repro_crossing_weight sums the weight of a labelling's crossing edges as
+ * it visits every row, with no row written: the cut of a compressed graph
+ * (repro.graph.access.crossing_weight; its reference is the block loop in
+ * tests/oracles.py).  The LP rounds and contraction (core/kernels/lp_kernel.c)
+ * and the FM pass (core/refinement/fm_kernel.c) read rows through the same
+ * header.  repro_encode_run writes the bytes, per-vertex byte starts and
+ * stats deltas of the numpy and per-vertex reference encoders
  * (tests/oracles.py) for one run of vertices.
  *
- * Reader's memory-safety contract (tests/test_bulk_decode.py holds it to this):
+ * Reader's memory-safety contract (tests/test_bulk_decode.py and
+ * tests/test_visitor.py hold it to this; neighborhood.h states the rest):
  *   - vertex u is read only inside data[offsets[u], offsets[u+1]), and only
  *     after 0 <= u < n and 0 <= offsets[u] <= offsets[u+1] <= data_len held;
- *   - vertex u is written only inside its own degs[i] output slots, and only
- *     after degs[i] >= 0 and the running slot count stayed <= capacity
- *     (the LP chunk hands over one vertex's scratch, `room` entries long);
+ *   - the chunk decode writes vertex u only inside its own degs[i] output
+ *     slots, and only after degs[i] >= 0 and the running slot count stayed
+ *     <= capacity; the crossing walk takes a degree only in [0, stream->cap];
  *   - `pairs` is written only below pairs_cap;
- *   - every structural value is range-checked before it is added to another,
- *     so no signed overflow; weights are prefix sums of arbitrary gaps and
- *     wrap modulo 2^64 exactly like numpy's cumsum;
  *   - a stream that breaks a rule returns a negative code (and the chunk
- *     index of the vertex in *bad) instead of trapping.  Outputs are then
+ *     index, or the vertex, in *bad) instead of trapping.  Outputs are then
  *     partially written garbage the caller drops.
  *
  * A neighborhood above hub_threshold is chunk-encoded: chunks of chunk_length
@@ -55,217 +56,24 @@
  *     The size pass (out == NULL) writes nothing but *bad, so a caller that
  *     sizes first refuses before writing a byte.
  */
-#include <stdint.h>
 #include <stddef.h>
+#include <stdint.h>
 
-#define MIN_INTERVAL_LEN 3
+#include "neighborhood.h"
 
+/* the writer's codes, after the reader's (neighborhood.h) */
 enum {
-    ERR_TRUNCATED = -1, /* varint runs past the end of the neighborhood */
-    ERR_TOO_LONG = -2,  /* varint does not fit 63 bits */
-    ERR_INTERVALS = -3, /* interval count or lengths exceed the degree */
-    ERR_OVERLAP = -4,   /* a residual falls inside an interval */
-    ERR_COUNT = -5,     /* neighborhood holds more or fewer values than its degree asks for */
-    ERR_RANGE = -6,     /* neighbor id outside [0, n) (encoder: [0, 2^62)) */
-    ERR_METADATA = -7,  /* vertex id, byte range, degree or buffer size */
     ERR_DESCENT = -8,   /* encoder: a row's neighbors descend (the caller sorts, calls again) */
     ERR_DUPLICATE = -9, /* encoder: a row lists the same neighbor twice */
     ERR_WEIGHT = -10,   /* encoder: an edge-weight gap whose sign fold does not fit 63 bits */
-    ERR_CAPACITY = -11, /* encoder: the output buffer is shorter than the run's bytes */
-    ERR_CHUNK = -12     /* a chunk's byte length runs past its neighborhood */
+    ERR_CAPACITY = -11  /* encoder: the output buffer is shorter than the run's bytes */
 };
 
-/* Read one VarInt from [*pp, end).  Nine bytes carry 63 bits; a tenth may
- * only be the terminator 0x00, which is what the oracle accepts too. */
-static inline int read_varint(const uint8_t **pp, const uint8_t *end, int64_t *out)
-{
-    const uint8_t *p = *pp;
-    uint64_t v = 0;
-    for (int shift = 0; shift < 63; shift += 7) {
-        if (p >= end)
-            return ERR_TRUNCATED;
-        uint8_t b = *p++;
-        v |= (uint64_t)(b & 0x7F) << shift;
-        if (!(b & 0x80)) {
-            *pp = p;
-            *out = (int64_t)v;
-            return 0;
-        }
-    }
-    if (p >= end)
-        return ERR_TRUNCATED;
-    if (*p != 0)
-        return ERR_TOO_LONG;
-    *pp = p + 1;
-    *out = (int64_t)v;
-    return 0;
-}
-
-/* sign bit in bit 0 (varint.zigzag_decode); |result| < 2^62 */
-static inline int64_t unfold_sign(int64_t zz)
-{
-    int64_t mag = zz >> 1;
-    return (zz & 1) ? -mag : mag;
-}
-
-#define READ(var)                                  \
-    do {                                           \
-        int rc_ = read_varint(&p, end, &(var));    \
-        if (rc_)                                   \
-            return rc_;                            \
-    } while (0)
-
-/* Decode one non-chunked neighborhood of `deg` > 0 neighbors of vertex u
- * from [p, end) into nbrs[0..deg) (sorted) and, if wgts, wgts[0..deg). */
-static int decode_vertex(const uint8_t *p, const uint8_t *end, int64_t u,
-                         int64_t n, int64_t deg, int intervals,
-                         int64_t *nbrs, int64_t *wgts,
-                         int64_t *pairs, int64_t pairs_cap)
-{
-    int64_t num_iv = 0, covered = 0, v;
-
-    if (intervals) {
-        READ(num_iv);
-        if (num_iv > deg / MIN_INTERVAL_LEN || 2 * num_iv > pairs_cap)
-            return ERR_INTERVALS;
-        int64_t prev_end = 0;
-        for (int64_t j = 0; j < num_iv; j++) {
-            int64_t left, len;
-            READ(v);
-            if (j == 0) {
-                left = u + unfold_sign(v);
-                if (left < 0)
-                    return ERR_RANGE;
-            } else {
-                if (v >= n)
-                    return ERR_RANGE;
-                left = prev_end + v;
-            }
-            READ(len);
-            if (len > deg - covered - MIN_INTERVAL_LEN)
-                return ERR_INTERVALS;
-            len += MIN_INTERVAL_LEN;
-            if (left > n - len)
-                return ERR_RANGE;
-            covered += len;
-            prev_end = left + len;
-            pairs[2 * j] = left;
-            pairs[2 * j + 1] = len;
-        }
-    }
-
-    /* residuals arrive ascending; before each, emit the intervals below it */
-    int64_t out = 0, next_iv = 0, prev = 0;
-    for (int64_t r = 0; r < deg - covered; r++) {
-        READ(v);
-        if (r == 0) {
-            v = u + unfold_sign(v);
-            if (v < 0 || v >= n)
-                return ERR_RANGE;
-        } else {
-            if (v >= n - prev - 1)
-                return ERR_RANGE;
-            v += prev + 1;
-        }
-        while (next_iv < num_iv && pairs[2 * next_iv] <= v) {
-            int64_t left = pairs[2 * next_iv], len = pairs[2 * next_iv + 1];
-            if (v < left + len)
-                return ERR_OVERLAP;
-            for (int64_t t = 0; t < len; t++)
-                nbrs[out++] = left + t;
-            next_iv++;
-        }
-        nbrs[out++] = v;
-        prev = v;
-    }
-    for (; next_iv < num_iv; next_iv++) {
-        int64_t left = pairs[2 * next_iv], len = pairs[2 * next_iv + 1];
-        for (int64_t t = 0; t < len; t++)
-            nbrs[out++] = left + t;
-    }
-
-    if (wgts) {
-        uint64_t w = 0;
-        for (int64_t i = 0; i < deg; i++) {
-            READ(v);
-            w += (uint64_t)unfold_sign(v);
-            wgts[i] = (int64_t)w;
-        }
-    }
-    return p == end ? 0 : ERR_COUNT;
-}
-
-/* A neighborhood above hub_threshold: per chunk of chunk_length values (the
- * last one shorter) its VarInt byte length, checked against what is left of
- * [p, end), then its block, decoded by decode_vertex into the chunk's slots. */
-static int decode_chunks(const uint8_t *p, const uint8_t *end, int64_t u, int64_t n,
-                         int64_t deg, int intervals, int64_t chunk_length, int64_t *nbrs,
-                         int64_t *wgts, int64_t *pairs, int64_t pairs_cap)
-{
-    if (chunk_length < 1)
-        return ERR_METADATA;
-    for (int64_t at = 0, count; at < deg; at += count) {
-        int64_t bytes;
-        READ(bytes);
-        if (bytes > end - p)
-            return ERR_CHUNK;
-        count = deg - at < chunk_length ? deg - at : chunk_length;
-        int rc = decode_vertex(p, p + bytes, u, n, count, intervals, nbrs + at,
-                               wgts ? wgts + at : NULL, pairs, pairs_cap);
-        if (rc)
-            return rc;
-        p += bytes;
-    }
-    return p == end ? 0 : ERR_COUNT;
-}
-
-/* The library's one neighborhood decoder, from the header on: vertex u's
- * `deg` neighbors from its bytes [p, end) into nbrs[0..deg) (sorted, by chunk
- * above hub_threshold) and, if wgts, wgts[0..deg).  Both callers check the
- * vertex id, the degree against the room they hand over and the byte range
- * first; this checks the header, chunk lengths and (decode_vertex) counts and
- * neighbor ids. */
-static inline int decode_neighborhood(const uint8_t *p, const uint8_t *end, int64_t u,
-                                      int64_t n, int64_t deg, int intervals,
-                                      int64_t hub_threshold, int64_t chunk_length,
-                                      int64_t *nbrs, int64_t *wgts,
-                                      int64_t *pairs, int64_t pairs_cap)
-{
-    int64_t header;
-    int rc = read_varint(&p, end, &header); /* first edge id: deg came from it */
-    if (rc)
-        return rc;
-    if (deg == 0)
-        return p == end ? 0 : ERR_COUNT;
-    if (deg > hub_threshold)
-        return decode_chunks(p, end, u, n, deg, intervals, chunk_length, nbrs, wgts, pairs,
-                             pairs_cap);
-    return decode_vertex(p, end, u, n, deg, intervals, nbrs, wgts, pairs, pairs_cap);
-}
-
-/* Vertex u's neighborhood into nbrs / wgts, `room` entries each: the entry
- * of the compressed LP chunk (lp_kernel.c) and of the FM pass (fm_kernel.c),
- * which read each neighborhood from there.  Returns 0 or a negative ERR_*.
- * Hidden: internal to the library, not in _native.SIGNATURES. */
-__attribute__((visibility("hidden"))) int repro_decode_neighborhood(
-    const uint8_t *data, int64_t data_len, const int64_t *offsets, int64_t n, int64_t u,
-    int64_t deg, int64_t room, int intervals, int64_t hub_threshold, int64_t chunk_length,
-    int64_t *nbrs, int64_t *wgts, int64_t *pairs, int64_t pairs_cap)
-{
-    if (u < 0 || u >= n || deg < 0 || deg > room)
-        return ERR_METADATA;
-    int64_t lo = offsets[u], hi = offsets[u + 1];
-    if (lo < 0 || lo > hi || hi > data_len)
-        return ERR_METADATA;
-    return decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, hub_threshold,
-                               chunk_length, nbrs, wgts, pairs, pairs_cap);
-}
-
-/* Decode the neighborhoods of chunk[0..count) back to back.  Returns 0, or a
- * negative ERR_* with *bad set to the chunk index it was found at.  The loop
- * keeps its own checks, in this order: with them after the owner fill, or
- * inside a call to repro_decode_neighborhood, it measured 8-15 % slower per
- * edge (gcc 12 -O3, permuted chunks of weblike(40 000, 14)). */
+/* Decode the neighborhoods of chunk[0..count) back to back: the visitor with
+ * the store sink.  Returns 0, or a negative ERR_* with *bad set to the chunk
+ * index it was found at.  The loop keeps its own checks, in this order: with
+ * them after the owner fill it measured 8-15 % slower per edge (gcc 12 -O3,
+ * permuted chunks of weblike(40 000, 14)). */
 int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
                            const int64_t *offsets, int64_t n,
                            const int64_t *chunk, const int64_t *degs,
@@ -286,14 +94,53 @@ int64_t repro_decode_chunk(const uint8_t *data, int64_t data_len,
             return ERR_METADATA;
         for (int64_t t = 0; t < deg; t++)
             owner[out + t] = i;
-        int rc = decode_neighborhood(data + lo, data + hi, u, n, deg, intervals, hub_threshold,
-                                     chunk_length, nbrs + out, wgts ? wgts + out : NULL, pairs,
-                                     pairs_cap);
+        row_t row = {nbrs + out, wgts ? wgts + out : NULL, 0};
+        int rc = visit_neighborhood(data + lo, data + hi, u, n, deg, intervals, wgts != NULL, 0,
+                                    hub_threshold, chunk_length, pairs, pairs_cap, store, &row);
         if (rc)
             return rc;
         out += deg;
     }
     return out == capacity ? 0 : ERR_METADATA;
+}
+
+/* the crossing sink: adds w where v's label is not the row owner's */
+typedef struct {
+    const int32_t *label32;
+    const int64_t *label64;
+    int64_t own;
+    uint64_t sum;
+} crossing_t;
+
+static inline int cross(void *ctx, int64_t v, int64_t w)
+{
+    crossing_t *c = ctx;
+    if ((c->label64 ? c->label64[v] : c->label32[v]) != c->own)
+        c->sum += (uint64_t)w;
+    return 0;
+}
+
+/* The weight of the directed edges of vertices 0..n-1 whose endpoints carry
+ * different labels (int32 label32, else int64 label64, n entries each): every
+ * row visited from the stream, degs[u] neighbours each, unit weights where it
+ * holds none.  Sums wrap modulo 2^64 like numpy's.  Returns 0 with the sum in
+ * *out, or the visitor's negative ERR_* with the vertex in *bad. */
+int64_t repro_crossing_weight(int64_t n, const int64_t *degs, const int32_t *label32,
+                              const int64_t *label64, const stream_t *stream, int64_t *out,
+                              int64_t *bad)
+{
+    crossing_t c = {label32, label64, 0, 0};
+    *bad = -1;
+    for (int64_t u = 0; u < n; u++) {
+        c.own = label64 ? label64[u] : label32[u];
+        int rc = visit_stream_row(stream, n, u, degs[u], stream->weighted != 0, 1, cross, &c);
+        if (rc) {
+            *bad = u;
+            return rc;
+        }
+    }
+    *out = (int64_t)c.sum;
+    return 0;
 }
 
 /* ---------------------------------------------------------------------- */

@@ -18,3 +18,10 @@ def bad_kernel(det, runtime, order, clusters, vwgt, scratch):
 def bad_binding(det):
     rec = recorder_for(det, "no-such-kernel")  # PA005: unknown key
     return rec
+
+
+def bad_refine(det, runtime, order, part):
+    rec = recorder_for(det, "lp-refinement")
+    with runtime.region("lp-refinement-round0"):
+        part[order] = 0  # PA003: stored to in the region, not through the recorder
+    return rec

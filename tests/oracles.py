@@ -52,7 +52,6 @@ from repro.core.kernels.lp_chunk import NANOS
 from repro.core.refinement import fm_kernel
 from repro.graph import _native, compressed
 from repro.graph.access import (
-    adjacency_blocks,
     chunk_adjacency,
     full_adjacency,
     installed_tracer,
@@ -228,9 +227,10 @@ class OracleRound:
 
 
 def clustering_round(
-    graph, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
+    graph, vwgt, clusters, cluster_weights, max_cluster_weight, maps, favorites, t_bump: int
 ):
-    """:func:`repro.core.kernels.lp_chunk.clustering_round` on the oracle."""
+    """:func:`repro.core.kernels.lp_chunk.clustering_round` on the oracle
+    (which reads ``vwgt``, the graph's, off the graph)."""
     step = clustering_step(graph, clusters, cluster_weights, max_cluster_weight)
 
     def row(out):
@@ -242,8 +242,9 @@ def clustering_round(
     return OracleRound(step, row)
 
 
-def refinement_round(graph, part, block_weights, limits):
-    """:func:`repro.core.kernels.lp_chunk.refinement_round` on the oracle."""
+def refinement_round(graph, vwgt, part, block_weights, limits):
+    """:func:`repro.core.kernels.lp_chunk.refinement_round` on the oracle
+    (which reads ``vwgt``, the graph's, off the graph)."""
     step = refinement_step(graph, part, block_weights, limits)
     return OracleRound(step, lambda out: ((out[0], 0, len(out[1]), 0, 0), out[1]))
 
@@ -659,6 +660,30 @@ def decode_hub(graph, u: int) -> tuple[np.ndarray, np.ndarray | None]:
     if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < graph.n:
         raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
     return nbrs, wgts
+
+
+def adjacency_blocks(graph, block_size: int = 4096):
+    """Yield ``(src, dst, weight)`` blocks that together cover every edge
+    once: a CSR graph is one zero-copy block, a compressed graph is decoded
+    ``block_size`` consecutive vertices at a time; ``src`` ascends within and
+    across blocks.  The reference walk of the cut and of the seed scan."""
+    if hasattr(graph, "indptr"):
+        yield full_adjacency(graph)
+        return
+    for start in range(0, graph.n, block_size):
+        chunk = np.arange(start, min(start + block_size, graph.n), dtype=np.int64)
+        owner, nbrs, wgts = chunk_adjacency(graph, chunk)
+        yield owner + start, nbrs, wgts
+
+
+def crossing_weight(graph, labels: np.ndarray, block_size: int = 4096) -> int:
+    """:meth:`CompressedGraph.crossing_weight` (``repro_crossing_weight``)
+    as numpy: the crossing edges' weights, block by block of the
+    adjacency."""
+    return sum(
+        int(wgt[labels[src] != labels[dst]].sum())
+        for src, dst, wgt in adjacency_blocks(graph, block_size)
+    )
 
 
 def decode_chunk_oracle(
@@ -1887,8 +1912,8 @@ def split_round(pgraph, state, rng, tree):
 # --------------------------------------------------------------------- #
 # the seam
 # --------------------------------------------------------------------- #
-#: phase -> (home module, kernel entry, its twin here); ``decode`` swaps a
-#: method of :class:`~repro.graph.compressed.CompressedGraph`
+#: phase -> (home module, kernel entry, its twin here); ``decode`` swaps two
+#: methods of :class:`~repro.graph.compressed.CompressedGraph`
 TWINS = {
     "lp": [
         (lp_chunk, "clustering_round", clustering_round),
@@ -1901,7 +1926,10 @@ TWINS = {
         (lp_chunk, "group_by_label", group_by_label),
     ],
     "encode": [(compressed, "_encode_run", encode_run)],
-    "decode": [(CompressedGraph, "_decode_chunk_native", decode_chunk_oracle)],
+    "decode": [
+        (CompressedGraph, "_decode_chunk_native", decode_chunk_oracle),
+        (CompressedGraph, "crossing_weight", crossing_weight),
+    ],
     "fm": [(fm_kernel, "bind", bind)],
     "gain-table": [
         (fm_kernel, "build_table", build_table),

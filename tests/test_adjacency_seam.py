@@ -13,7 +13,6 @@ representation fork grows back.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import importlib
 import re
@@ -31,14 +30,13 @@ from repro.core.partitioner import refine_partition
 from repro.core.refinement.balancer import rebalance
 from repro.core.refinement.gain_table import make_gain_table
 from repro.graph import generators as gen
-from repro.graph.access import adjacency_blocks, chunk_adjacency, full_adjacency
+from repro.graph.access import chunk_adjacency, full_adjacency
 from repro.graph.builder import from_edges
 from repro.graph.compressed import compress_graph
 from repro.obs.tracer import SpanTracer
 from repro.verify.invariants import check_gain_table_vs_recompute
 from scalar_reference import scalar_rebalance
 
-# ``crossing_weight`` reads ``adjacency_blocks`` from its own module
 access_module = importlib.import_module("repro.graph.access")
 
 FAMILIES = {
@@ -150,7 +148,7 @@ def test_sparse_table_decodes_the_graph_once(monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# (b) cut / boundary through adjacency_blocks
+# (b) cut / boundary: the crossing walk and the block loop it replaced
 # --------------------------------------------------------------------- #
 def per_vertex_cut_and_boundary(pg):
     g, part = pg.graph, pg.partition
@@ -166,15 +164,11 @@ def per_vertex_cut_and_boundary(pg):
 
 @pytest.mark.parametrize("block_size", [1, 7, 64, 4096])
 @pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
-def test_cut_and_boundary_via_blocks(monkeypatch, compressed, block_size):
+def test_cut_and_boundary_via_blocks(compressed, block_size):
     g = reweighted(gen.weblike(201, avg_degree=8, seed=4), 4)  # 201 = 28 * 7 + 5
     pg = random_pgraph(compress_graph(g) if compressed else g, 5, 2)
     want_cut, want_boundary = per_vertex_cut_and_boundary(random_pgraph(g, 5, 2))
-    monkeypatch.setattr(
-        access_module,
-        "adjacency_blocks",
-        functools.partial(adjacency_blocks, block_size=block_size),
-    )
+    assert oracles.crossing_weight(pg.graph, pg.partition, block_size) == 2 * want_cut
     assert pg.cut_weight() == want_cut
     got = pg.boundary_vertices()
     assert got.dtype == np.int64 and np.array_equal(got, want_boundary)
@@ -184,7 +178,7 @@ def test_cut_and_boundary_via_blocks(monkeypatch, compressed, block_size):
 def test_adjacency_blocks_cover_every_edge_once(compressed):
     g = gen.rgg2d(150, avg_degree=6, seed=3)
     graph = compress_graph(g) if compressed else g
-    blocks = list(adjacency_blocks(graph, block_size=32))
+    blocks = list(oracles.adjacency_blocks(graph, block_size=32))
     assert len(blocks) == (5 if compressed else 1)
     for got, want in zip(map(np.concatenate, zip(*blocks)), full_adjacency(g)):
         assert np.array_equal(got, want)

@@ -382,8 +382,8 @@ class Raw:
 
 
 class RawStream(Raw):
-    """The same call with the compressed source, a one-neighbourhood scratch
-    sized for the largest degree."""
+    """The same call with the compressed source: no row scratch, a degree cap
+    of the largest degree and one block's interval pairs."""
 
     def _adjacency(self, graph):
         data, offsets = graph.stream()
@@ -404,8 +404,7 @@ class RawStream(Raw):
         pairs = 2 * (cap // 3)
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
-            out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
-            out.ptr(pairs, np.int64), pairs, *self.chunking,
+            None, None, cap, out.ptr(pairs, np.int64), pairs, *self.chunking, self.weighted,
         )  # fmt: skip
         return ctypes.addressof(self.block)
 

@@ -60,6 +60,28 @@ class TestRegistry:
         assert aliases["eprime"] == "coarse-edges" and aliases["pprime"] == "coarse-indptr"
         assert set(aliases) <= stored, set(aliases) - stored
 
+    @pytest.mark.parametrize(
+        "key, module, function",
+        [
+            ("lp-clustering", "repro.core.coarsening.lp_clustering", "label_propagation_clustering"),
+            ("lp-refinement", "repro.core.refinement.lp_refine", "lp_refine"),
+        ],
+    )  # fmt: skip
+    def test_lp_vars_name_locals_of_the_lp_loops(self, key, module, function):
+        """The same for the two LP loops: ``clusters``, ``cluster_weights``,
+        ``favorites``, ``part`` and ``vwgt`` are the locals each hands its
+        round kernel."""
+        import ast
+        import importlib
+        from pathlib import Path
+
+        tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+        (loop,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
+        stored = {
+            n.id for n in ast.walk(loop) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        assert set(shared_vars(key)) <= stored, set(shared_vars(key)) - stored
+
     def test_every_kernel_mode_is_valid(self):
         for kernel, decls in KERNELS.items():
             for d in decls:

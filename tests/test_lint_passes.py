@@ -48,6 +48,7 @@ class TestParallelAccess:
             ("PA002", 13),
             ("PA003", 14),
             ("PA005", 19),
+            ("PA003", 26),
         }
         assert all(f.pass_id == "parallel-access" for f in findings)
         assert all(f.file == "kernel_bad.py" for f in findings)
@@ -71,6 +72,36 @@ class TestParallelAccess:
         assert (f.pass_id, f.code) == ("parallel-access", "PA001")
         assert (f.file, f.line) == ("injected.py", marker + 2)
 
+
+    @pytest.mark.parametrize(
+        "module, after, store, subject",
+        [
+            ("refinement.lp_refine", "            stats = kernel(order, bounds, moved)",
+             "part[order] = 0", "lp-refinement:partition:store"),
+            ("refinement.lp_refine", "            stats = kernel(order, bounds, moved)",
+             "vwgt[order] = 0", "lp-refinement:vertex-weights:store"),
+            ("coarsening.lp_clustering", "                    stats = kernel(order, bounds, movers)",
+             "vwgt[order] = 0", "lp-clustering:vertex-weights:store"),
+        ],
+        ids=["refine-part", "refine-vwgt", "clustering-vwgt"],
+    )  # fmt: skip
+    def test_a_raw_store_in_an_lp_round_is_flagged(self, tmp_path, module, after, store, subject):
+        """``label_propagation_clustering`` and ``lp_refine`` bind the arrays
+        their rounds share as the locals they hand the kernel (``part``,
+        ``vwgt``), so a raw store into one inside a round's region is a PA003
+        at its line -- and the modules as they stand have none."""
+        import importlib
+
+        path = Path(importlib.import_module(f"repro.core.{module}").__file__)
+        assert lint_one(path, "parallel-access") == []
+        src = path.read_text().splitlines()
+        at = src.index(after)
+        indent = after[: len(after) - len(after.lstrip())]
+        src.insert(at + 1, indent + store)
+        bad = tmp_path / path.name
+        bad.write_text("\n".join(src) + "\n")
+        findings = lint_one(bad, "parallel-access")
+        assert [(f.code, f.line, f.subject) for f in findings] == [("PA003", at + 2, subject)]
 
     def test_a_raw_store_into_eprime_is_flagged(self, tmp_path):
         """One-pass contraction's ``E'`` is declared ``write``: its chunks'
@@ -372,9 +403,9 @@ class TestSelfCheck:
             ]
         )
         data = json.loads(out.read_text())
-        assert data["total_findings"] == 5
-        assert data["by_pass"]["parallel-access"] == 5
-        assert len(data["new_findings"]) == 5
+        assert data["total_findings"] == 6
+        assert data["by_pass"]["parallel-access"] == 6
+        assert len(data["new_findings"]) == 6
 
     def test_real_spans_resolve_statically(self):
         """The analyzer must fully resolve every span/phase name in the

@@ -159,7 +159,7 @@ def clustering_step(graph, clusters, cluster_weights, cap, maps):
     vertices moved -- ``clusters`` / ``cluster_weights`` already updated."""
     favorites = np.arange(graph.n, dtype=np.int64)
     kernel = lp_chunk.clustering_round(
-        graph, clusters, cluster_weights, cap, maps, favorites, t_bump=1
+        graph, graph.vwgt, clusters, cluster_weights, cap, maps, favorites, t_bump=1
     )
 
     def step(chunk):
@@ -176,7 +176,7 @@ def clustering_step(graph, clusters, cluster_weights, cap, maps):
 def refinement_step(graph, part, block_weights, limits):
     """The same for LP refinement: ``None`` or ``(edges, moved)`` --
     ``part`` / ``block_weights`` already updated."""
-    kernel = lp_chunk.refinement_round(graph, part, block_weights, limits)
+    kernel = lp_chunk.refinement_round(graph, graph.vwgt, part, block_weights, limits)
 
     def step(chunk):
         _, row, moved, _ = one_chunk(kernel, chunk)
@@ -380,10 +380,14 @@ def test_a_round_over_a_hub_is_one_kernel_call():
         clusters, weights = np.arange(n, dtype=np.int64), vwgt.copy()
         favorites = np.arange(n, dtype=np.int64)
         maps = np.zeros((3, n), dtype=np.int64)
-        cluster = module.clustering_round(graph, clusters, weights, 40, maps, favorites, 1)
+        cluster = module.clustering_round(
+            graph, graph.vwgt, clusters, weights, 40, maps, favorites, 1
+        )
         pgraph = PartitionedGraph(graph, k, random_assignment(graph, k))
         limits = np.full(k, n // 3, dtype=np.int64)
-        refine = module.refinement_round(graph, pgraph.partition, pgraph.block_weights, limits)
+        refine = module.refinement_round(
+            graph, graph.vwgt, pgraph.partition, pgraph.block_weights, limits
+        )
         # the oracle's refinement rows count no targets
         stats = cluster(order, bounds)[:, : lp_chunk.NANOS]
         moves = refine(order, bounds)[:, [lp_chunk.EDGES, lp_chunk.MOVES]]
@@ -1041,9 +1045,10 @@ class Raw:
 
 class RawStream(Raw):
     """The same calls with the compressed source: the byte stream (``data``,
-    ``offsets``) a test may corrupt, the degrees by vertex id, and the
-    one-neighbourhood scratch -- sized for the chunk's largest degree,
-    ``scratch_short`` entries less -- guarded like the outputs."""
+    ``offsets``) a test may corrupt, the degrees by vertex id, a degree cap
+    of the chunk's largest degree, ``scratch_short`` less, and one block's
+    interval pairs, guarded like the outputs (no row scratch: the kernel
+    rates each row as it decodes it)."""
 
     scratch_short = 0
     by_vertex = True
@@ -1067,8 +1072,7 @@ class RawStream(Raw):
         pairs = 2 * (cap // 3)
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
-            out.ptr(cap, np.int64), out.ptr(cap, np.int64) if self.weighted else None, cap,
-            out.ptr(pairs, np.int64), pairs, *self.chunking,
+            None, None, cap, out.ptr(pairs, np.int64), pairs, *self.chunking, self.weighted,
         )  # fmt: skip
         return ctypes.addressof(self.block)
 

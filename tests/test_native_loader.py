@@ -9,6 +9,7 @@ in a fresh interpreter with its own empty ``XDG_CACHE_HOME``.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -130,3 +131,32 @@ def test_cache_others_can_write_is_not_used(tmp_path):
     code = "from repro.graph import _native; print(len(_native.library())); print()"
     assert _finish(_spawn(tmp_path, code))[0] == str(len(_native.SIGNATURES))
     assert not list(shared.iterdir())  # built somewhere private
+
+
+def test_every_included_header_names_the_library_and_ships():
+    """A header a kernel source includes is hashed into the library's name
+    (``_native._HEADERS``) and listed in the package data: left out of the
+    first, an edit to it loads a stale library; of the second, an installed
+    package does not build."""
+    included = {
+        (source.parent / name).resolve()
+        for source in _native._SOURCES
+        for name in re.findall(r'^#include "([^"]+)"', source.read_text(), re.M)
+    }
+    assert included and included == {h.resolve() for h in _native._HEADERS}
+    root = Path(SRC).resolve()
+    data = (root.parent / "pyproject.toml").read_text()
+    data = data.split("[tool.setuptools.package-data]")[1].split("\n[")[0]
+    for path in (*_native._SOURCES, *_native._HEADERS):
+        package = ".".join(path.resolve().parent.relative_to(root).parts)
+        listed = re.search(rf'^"{re.escape(package)}" = \[(.*)\]$', data, re.M)
+        assert listed and f'"{path.name}"' in listed.group(1), path
+
+
+def test_a_header_edit_renames_the_library(tmp_path, monkeypatch):
+    header = _native._HEADERS[0]
+    before = _native._build_key(["cc"])
+    edited = tmp_path / header.name
+    edited.write_text(header.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(_native, "_HEADERS", (edited,))
+    assert _native._build_key(["cc"]) != before
