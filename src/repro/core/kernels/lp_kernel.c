@@ -44,6 +44,32 @@
  * unseen), rating[] runs parallel to seen[]: a label whose edges sum to 0
  * is still seen, as it is a pair of the sorted list.
  *
+ * Reading ahead.  Rounds visit vertices in random order, so on a level that
+ * does not fit in cache every visit starts with misses: the segment, the
+ * row, then one label a neighbour.  Before chunk vertex i is rated,
+ * read_ahead() asks the cache for what rate() will read of a vertex further
+ * on in the same chunk (by_vertex ? chunk[j] : j keys it, as in rate()):
+ *   - at i + 16, its segment start and degree (the stream's offsets) and its
+ *     own label, once 0 <= chunk[j] < n;
+ *   - at i + 8, the first line of its row (of its bytes in the stream),
+ *     once its segment passed rate()'s check (the stream's degree and byte
+ *     range visit_stream_row()'s);
+ *   - at i + 4, CSR only, the labels of its first 8 neighbours, each once
+ *     0 <= v < n.  The stream's would have to be decoded twice.
+ * Each stage reads only what rate() reads, after the check rate() makes
+ * first, and skips what fails it; a prefetch changes no result, and the
+ * fault is reported when the round reaches its vertex, with the same code
+ * and info[BAD].  The distances leave every line at least four vertices'
+ * work to arrive before the next stage, or rate(), reads it.  Contraction
+ * reads its members ahead the same way on CSR, and not on the stream.
+ * On the benchmark ladder's kmer(70 000, 4) partition (gcc 12 -O3, a
+ * 2-vCPU Xeon with 2 MiB of L2 a core; EXPERIMENTS.md "LP rounds read
+ * ahead"), alternating runs measured the first two stages alone at a
+ * 1.05x speed-up over none, the label stage in the rounds at a further
+ * 1.10x and in contraction at a further 1.07x.  An in-process sweep read
+ * no setting of 8/4/2, 16/8/4 or 32/16/8 and no cap of 8, 16 or 32 labels
+ * consistently ahead of another.
+ *
  * A round is the chunks bounds[2j] .. bounds[2j + 1] (positions in chunk[],
  * the round's visiting order) for j < chunks, run in that order -- the
  * runtime's execution order, so every schedule policy is kept.  Each chunk
@@ -85,6 +111,8 @@
  *   - every neighbour id is checked against [0, n) before it indexes the
  *     label array, every label (a neighbour's and the vertex's own) against
  *     the map's size before it indexes slot[] or a weight array;
+ *   - reading ahead keeps the two rules above for the vertices it reads
+ *     ahead of, and reports nothing: their faults are reported in turn;
  *   - seen[] and rating[] are written only below cap, fav / best / nc only
  *     below out_cap, a round's stats[] only below STATS * chunks and moved[]
  *     (NULL: not written) only below count;
@@ -226,6 +254,28 @@ static __attribute__((noinline)) int64_t rate_stream(const segments_t *s, int64_
     return r.seen;
 }
 
+/* Vertex `key`'s segment of the adjacency, [*start, *start + *deg): 1 if it
+ * lies inside [0, adj_len), checked without forming a sum that overflows;
+ * 0 and nothing stored if not.  The one check rate() and read_ahead() make
+ * before they read a row. */
+static inline int segment(const segments_t *s, int64_t key, int64_t *start, int64_t *deg)
+{
+    int64_t a = s->starts[key], d;
+    if (s->degs) {
+        d = s->degs[key];
+        if (a < 0 || d < 0 || a > s->adj_len || d > s->adj_len - a)
+            return 0;
+    } else {
+        int64_t end = s->starts[key + 1];
+        if (a < 0 || end < a || end > s->adj_len)
+            return 0;
+        d = end - a;
+    }
+    *start = a;
+    *deg = d;
+    return 1;
+}
+
 /* Rate chunk vertex i (its id checked by the caller) into a map already
  * holding `seen` labels (0: a fresh vertex; contraction adds a group's
  * members one after another): one map entry per distinct label among its
@@ -239,18 +289,9 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
     if (__builtin_expect(s->stream != 0, 0))
         return rate_stream(s, i, label64, label32, m, seen, edges);
     rater_t r = rater(label64, label32, m, seen);
-    int64_t key = s->by_vertex ? s->chunk[i] : i;
-    int64_t start = s->starts[key], deg;
-    if (s->degs) {
-        deg = s->degs[key];
-        if (start < 0 || deg < 0 || start > s->adj_len || deg > s->adj_len - start)
-            return forget(m, seen, ERR_SEGMENT);
-    } else {
-        int64_t end = s->starts[key + 1];
-        if (start < 0 || end < start || end > s->adj_len)
-            return forget(m, seen, ERR_SEGMENT);
-        deg = end - start;
-    }
+    int64_t start, deg;
+    if (!segment(s, s->by_vertex ? s->chunk[i] : i, &start, &deg))
+        return forget(m, seen, ERR_SEGMENT);
     for (int64_t e = start; e < start + deg; e++) {
         int64_t v = s->adj[e];
         if (!IN_RANGE(v, s->n))
@@ -260,6 +301,58 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
     }
     *edges += (uint64_t)deg;
     return r.seen;
+}
+
+/* How far ahead of the vertex being rated read_ahead() asks for each stage,
+ * in chunk positions, and for how many neighbours' labels: the header's
+ * "Reading ahead" gives the runs that chose them. */
+#define AHEAD_SEGMENT 16
+#define AHEAD_ROW 8
+#define AHEAD_LABELS 4
+#define FANOUT 8
+
+/* The header's "Reading ahead", before chunk vertex i is rated, for the
+ * vertices below hi.  Every read is one rate() makes, after the check it
+ * makes first; anything that fails one is skipped and left for rate() to
+ * report. */
+static inline __attribute__((always_inline)) void read_ahead(const segments_t *s, int64_t i,
+                                                             int64_t hi, const int64_t *label64,
+                                                             const int32_t *label32)
+{
+    const stream_t *z = s->stream;
+    int64_t j = i + AHEAD_SEGMENT, u, start, deg;
+    if (j < hi && IN_RANGE(u = s->chunk[j], s->n)) {
+        int64_t key = s->by_vertex ? u : j;
+        if (z) {
+            __builtin_prefetch(&s->degs[key]);
+            prefetch_stream_offsets(z, s->n, u);
+        } else {
+            __builtin_prefetch(&s->starts[key]);
+            if (s->degs)
+                __builtin_prefetch(&s->degs[key]);
+        }
+        __builtin_prefetch(label64 ? (const void *)&label64[u] : &label32[u]);
+    }
+    j = i + AHEAD_ROW;
+    if (j < hi && IN_RANGE(u = s->chunk[j], s->n)) {
+        int64_t key = s->by_vertex ? u : j;
+        if (z) {
+            prefetch_stream_bytes(z, s->n, u, s->degs[key]);
+        } else if (segment(s, key, &start, &deg) && deg > 0) {
+            __builtin_prefetch(&s->adj[start]);
+            if (s->wgt)
+                __builtin_prefetch(&s->wgt[start]);
+        }
+    }
+    j = i + AHEAD_LABELS;
+    if (z || j >= hi || !IN_RANGE(u = s->chunk[j], s->n) ||
+        !segment(s, s->by_vertex ? u : j, &start, &deg))
+        return;
+    for (int64_t e = start; e < start + (deg < FANOUT ? deg : FANOUT); e++) {
+        int64_t v = s->adj[e];
+        if (IN_RANGE(v, s->n))
+            __builtin_prefetch(label64 ? (const void *)&label64[v] : &label32[v]);
+    }
 }
 
 /* a + b <= limit for weights the caller keeps far from overflow */
@@ -310,6 +403,7 @@ static inline __attribute__((always_inline)) int64_t cluster_phase1(
     uint64_t *edges, int64_t *info)
 {
     for (int64_t i = lo; i < hi; i++) {
+        read_ahead(s, i, hi, clusters, 0);
         info[BAD] = i;
         int64_t u = s->chunk[i];
         if (!IN_RANGE(u, s->n))
@@ -464,6 +558,7 @@ static inline __attribute__((always_inline)) int64_t refine_phase1(
     const int64_t *limits, int64_t *best, uint64_t *edges, int64_t *info)
 {
     for (int64_t i = lo; i < hi; i++) {
+        read_ahead(s, i, hi, 0, part);
         info[BAD] = i;
         int64_t u = s->chunk[i];
         if (!IN_RANGE(u, s->n))
@@ -720,9 +815,9 @@ int64_t repro_contract_chunk(
             info[BAD] = i;
             if (!IN_RANGE(chunk[i], n))
                 return forget(&m, touched, ERR_VERTEX);
-            /* members lie anywhere in adj: ask for one eight ahead */
-            if (!stream && i + 8 < count && IN_RANGE(starts[i + 8], adj_len))
-                __builtin_prefetch(adj + starts[i + 8]);
+            /* members lie anywhere in adj: read them ahead (CSR only) */
+            if (!stream)
+                read_ahead(&s, i, count, labels, 0);
             touched = rate(&s, i, labels, 0, &m, touched, &read);
             if (touched < 0)
                 return touched;

@@ -312,6 +312,26 @@ VISIT_INLINE int visit_stream_row(const stream_t *z, int64_t n, int64_t u, int64
                               z->pairs, z->pairs_cap, sink, ctx);
 }
 
+/* Ask the cache for what visit_stream_row() reads first of vertex u, after
+ * the checks it makes before it reads them: its offsets, and once those are
+ * in, the first line of its bytes.  A row either would refuse is not
+ * touched, so the visit still reports it; a prefetch changes no result. */
+VISIT_INLINE void prefetch_stream_offsets(const stream_t *z, int64_t n, int64_t u)
+{
+    if (u >= 0 && u < n)
+        __builtin_prefetch(&z->offsets[u]);
+}
+
+VISIT_INLINE void prefetch_stream_bytes(const stream_t *z, int64_t n, int64_t u, int64_t deg)
+{
+    if (u < 0 || u >= n || deg < 0 || deg > z->cap)
+        return;
+    int64_t lo = z->offsets[u], hi = z->offsets[u + 1];
+    if (lo < 0 || lo >= hi || hi > z->data_len)
+        return;
+    __builtin_prefetch(z->data + lo);
+}
+
 /* the store sink: the sorted row into nbrs[] and, if wgts, wgts[] */
 typedef struct {
     int64_t *nbrs, *wgts, out;

@@ -459,9 +459,10 @@ class TestCorruptStreamNative(TestCorruptStream):
     decoder = "native"
 
 
-def _hand_built(n, u, deg, body):
-    """A unit-weight stream in which only vertex ``u`` has neighbors: ``body``
-    follows its header, and the next header makes its degree ``deg``."""
+def _hand_built(n, u, deg, body, weighted=False):
+    """A stream in which only vertex ``u`` has neighbors: ``body`` follows
+    its header, and the next header makes its degree ``deg``.  Unit weights,
+    or ``weighted``: ``body`` then ends in the row's weight gaps."""
     data = bytearray()
     offsets = np.zeros(n + 1, dtype=np.int64)
     for v in range(n):
@@ -472,7 +473,7 @@ def _hand_built(n, u, deg, body):
     offsets[n] = len(data)
     return CompressedGraph(
         n, deg, offsets, bytes(data), None,
-        has_edge_weights=False, config=CompressionConfig(), stats=CompressionStats(),
+        has_edge_weights=weighted, config=CompressionConfig(), stats=CompressionStats(),
     )  # fmt: skip
 
 
@@ -542,6 +543,52 @@ class TestNeighborRange(_OnEachDecoder):
 
 
 class TestNeighborRangeNative(TestNeighborRange):
+    decoder = "native"
+
+
+class TestTwoFaultsInARow(_OnEachDecoder):
+    """A row with two faults gets the code ``graph/neighborhood.h`` names
+    first: residuals in stream order, then the weights, then the byte count.
+    A weight fault is held until every residual was read, so a bad residual
+    wins over it wherever the two sit, and it wins over a byte count that is
+    off.  The numpy oracle parses every VarInt of the chunk before it reads a
+    row, so where a malformed weight VarInt and a bad residual meet it is
+    held only to refusing the row (``refused``)."""
+
+    N, U = 20, 2
+    TOO_LONG = bytes([0xFF] * 9 + [0x01])  # a weight gap wider than 63 bits
+    CUT = bytes([0x80])  # a weight gap whose VarInt runs past the row
+
+    def refused(self, code):
+        return pytest.raises(ValueError, match=code if self.decoder == "native" else None)
+
+    def decode(self, residuals, weights, tail=b""):
+        deg, body = _body(self.U, residuals=residuals)
+        body += b"".join(weights) + tail
+        cg = _hand_built(self.N, self.U, deg, body, weighted=True)
+        return cg.decode_chunk(np.arange(self.N, dtype=np.int64))
+
+    def test_the_twin_decodes(self):
+        gaps = [bytearray(), bytearray()]
+        encode_signed_varint(7, gaps[0])
+        encode_signed_varint(-2, gaps[1])
+        owner, nbrs, wgts = self.decode((3, 9), gaps)
+        assert nbrs.tolist() == [3, 9] and wgts.tolist() == [7, 5]
+
+    def test_a_weight_fault_then_a_bad_residual(self):
+        with self.refused("out of range"):
+            self.decode((3, self.N + 5), [self.TOO_LONG, bytes([0])])
+
+    def test_a_bad_residual_then_a_weight_fault(self):
+        with self.refused("out of range"):
+            self.decode((self.N + 5, self.N + 6), [bytes([0]), self.CUT])
+
+    def test_a_weight_fault_before_a_byte_count_fault_is_the_weight(self):
+        with pytest.raises(ValueError, match="too long"):
+            self.decode((3, 9), [self.TOO_LONG, bytes([0])], tail=bytes([0]))
+
+
+class TestTwoFaultsInARowNative(TestTwoFaultsInARow):
     decoder = "native"
 
 

@@ -476,6 +476,23 @@ class TestKernelContract:
         refused(raw, -2, at=9)
         assert raw.written() == 0
 
+    @pytest.mark.parametrize("after", [1, 4, 8, 16])
+    def test_a_fault_read_ahead_is_reported_where_it_sits(self, mesh, after):
+        """Members are read ahead 4, 8 and 16 positions before they are
+        rated (``read_ahead`` in ``lp_kernel.c``, on CSR): a fault that far
+        on is still reported by its own member, with its own code."""
+        n = mesh[0].n
+        for corrupt, code in (
+            (lambda raw: raw.members.__setitem__(after, n), -1),
+            (lambda raw: raw.starts.__setitem__(after, len(raw.adj) + 1), -2),
+            (lambda raw: raw.adj.__setitem__(raw.starts[after], n), -3),
+            (lambda raw: raw.adj.__setitem__(raw.starts[after], -(1 << 62)), -3),
+        ):
+            raw = Raw(*mesh)
+            assert raw.degs[after] > 0
+            corrupt(raw)
+            refused(raw, code, at=after)
+
     def test_group_offsets_outside_the_chunk_are_refused(self, mesh):
         for corrupt in (
             lambda raw: raw.groups.__setitem__(4, raw.groups[3] - 1),  # runs down

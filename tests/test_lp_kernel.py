@@ -497,11 +497,14 @@ class KernelCalls:
         m.setattr(_native, "lp_kernels", lambda: wrapped)
 
 
-def both_drivers(graph, policy=None, k: int = 4):
+def both_drivers(graph, policy=None, k: int = 4, chunk_size=None):
     """LP clustering, then LP refinement from a random assignment, through
-    the drivers under schedule ``policy``: everything they report."""
+    the drivers under schedule ``policy`` (or on a runtime of ``chunk_size``
+    positions a chunk): everything they report."""
     debug = DebugConfig(schedule_policy=policy, schedule_seed=3)
-    ctx = PartitionContext(preset("terapart", seed=1, p=4, debug=debug), k, graph.total_vertex_weight)
+    cfg = preset("terapart", seed=1, p=4, debug=debug)
+    runtime = None if chunk_size is None else ParallelRuntime(4, chunk_size=chunk_size)
+    ctx = PartitionContext(cfg, k, graph.total_vertex_weight, runtime=runtime)
     total = graph.total_vertex_weight
     result = label_propagation_clustering(graph, ctx, max(1, total // 25))
     pgraph = PartitionedGraph(graph, k, random_assignment(graph, k))
@@ -512,13 +515,13 @@ def both_drivers(graph, policy=None, k: int = 4):
     )  # fmt: skip
 
 
-def rounds_agree(graph, policy=None) -> collections.Counter:
+def rounds_agree(graph, policy=None, chunk_size=None) -> collections.Counter:
     """The drivers on the round kernel equal them on the oracle looped chunk
     by chunk; returns the round-kernel calls made."""
     with pytest.MonkeyPatch.context() as m:
         calls = KernelCalls(m)
-        got = both_drivers(graph, policy)
-    want = on_oracle(both_drivers, graph, policy)
+        got = both_drivers(graph, policy, chunk_size=chunk_size)
+    want = on_oracle(both_drivers, graph, policy, chunk_size=chunk_size)
     for a, b in zip(got, want):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b)
@@ -1034,6 +1037,32 @@ class Raw:
     def both(self, **kwargs):
         return self.cluster(**kwargs), self.refine(**kwargs)
 
+    def picks(self):
+        """Both pick entries on the first 64 positions as one rank's batch
+        (segments keyed by position, as distributed LP hands them over):
+        their return codes, ``info[BAD]`` of each."""
+        count, rcs = 64, []
+        segments = (
+            self.n, self.chunk.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
+            count, self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
+        )  # fmt: skip
+        for which, labels, state in (
+            (2, self.n, (self.clusters, self.cluster_weights, self.vwgt, 0, 1 << 40)),
+            (3, self.K, (self.K, self.part, self.block_weights, self.vwgt, 0, self.limits)),
+        ):
+            out = Guarded()
+            maps = [out.ptr(labels, np.int64) for _ in range(3)]
+            out.inside(0)[:] = 0
+            rows = [out.ptr(count, np.int64) for _ in range(5 if which == 2 else 3)]
+            state = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in state]
+            rc = _native.lp_kernels()[which](
+                *segments, *state, *maps, labels, *rows, count, self.info.ctypes.data, None
+            )
+            out.check()
+            assert not out.inside(0).any(), "rating map left dirty"
+            rcs.append((rc, int(self.info[1])))
+        return rcs
+
     def shared(self):
         return [
             a.copy()
@@ -1334,6 +1363,114 @@ class TestStreamContract:
                 for a, b in zip(before, raw.shared()):
                     assert np.array_equal(a, b)
         assert len(codes) >= 4, codes
+
+
+def first_run(raw, vertices) -> int:
+    """The first position, in the order the round runs its chunks, whose
+    chunk vertex is one of ``vertices``."""
+    for lo, hi in raw.bounds.tolist():
+        for i in range(lo, hi):
+            if raw.chunk[i] in vertices:
+                return i
+    raise AssertionError("no such vertex in the round")
+
+
+class TestReadAhead:
+    """Before a chunk vertex is rated the kernel asks the cache for what it
+    will read of the vertices 4, 8 and 16 positions on (``read_ahead`` in
+    ``lp_kernel.c``): their segments, rows and neighbours' labels.  A fault
+    there is met by the read-ahead first.  It must still come back from the
+    vertex that holds it, with the code and position the kernel names
+    without reading ahead, in the rounds and the picks, with the chunks
+    that ran before it committed as a clean run commits them
+    (contraction's: ``test_contract_kernel.py``)."""
+
+    # the read-ahead's three distances and the vertex right after
+    AFTER = (1, 4, 8, 16)
+    # three chunks; [0, 32) runs second and holds the fault at position d
+    ROUND = [[32, 64], [0, 32], [64, 96]]
+
+    FAULTS = {
+        "vertex": (lambda raw, p: raw.chunk.__setitem__(p, raw.n), -1),
+        "vertex-negative": (lambda raw, p: raw.chunk.__setitem__(p, -(1 << 62)), -1),
+        "segment-past-adjacency": (
+            lambda raw, p: raw.degs.__setitem__(p, raw.adj_len - int(raw.starts[p]) + 1), -2),
+        "start-past-adjacency": (lambda raw, p: raw.starts.__setitem__(p, raw.adj_len + 1), -2),
+        "start-plus-degree-overflows": (
+            lambda raw, p: raw.degs.__setitem__(p, (1 << 63) - 1), -2),
+        "neighbour": (lambda raw, p: raw.adj.__setitem__(raw.starts[p], raw.n), -3),
+        "neighbour-far": (lambda raw, p: raw.adj.__setitem__(raw.starts[p], 1 << 40), -3),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("after", AFTER)
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_a_fault_ahead_is_reported_where_it_sits(self, mesh, fault, after):
+        corrupt, code = self.FAULTS[fault]
+        raw, clean = Raw(mesh, bounds=self.ROUND), Raw(mesh, bounds=self.ROUND[:1])
+        assert (raw.degs > 0).all()  # the fault's first neighbour is rated
+        corrupt(raw, after)
+        for run in ("cluster", "refine"):
+            assert getattr(clean, run)() > 0
+            assert getattr(raw, run)() == code and raw.info[1] == after, run
+            assert np.array_equal(raw.stats[0, :5], clean.stats[0, :5]), "the first chunk moved"
+            assert (raw.stats[1:] == 0x5A).all(), "a later chunk wrote its stats row"
+        for a, b in zip(raw.shared(), clean.shared()):
+            assert np.array_equal(a, b)
+        assert raw.picks() == [(code, after), (code, after)]
+
+    @pytest.mark.parametrize("after", AFTER)
+    def test_a_corrupt_indptr_ahead_is_reported_where_it_sits(self, mesh, after):
+        """Keyed by vertex id: the entry that ends vertex u's segment and
+        starts vertex u + 1's past the adjacency, or a chunk id that would
+        key one outside ``indptr``."""
+        for value in (lambda raw: raw.adj_len + 1, lambda raw: (1 << 63) - 1):
+            raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+            u = int(raw.chunk[after])
+            raw.indptr[u + 1] = value(raw)
+            at = first_run(raw, {u, u + 1})
+            assert raw.both() == (-2, -2) and raw.info[1] == at
+        for bad in (mesh.n, -1, -(1 << 62)):  # an id that would key the segment
+            raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+            raw.chunk[after] = bad
+            assert raw.both() == (-1, -1) and raw.info[1] == after
+
+    @pytest.mark.parametrize("after", AFTER)
+    def test_a_stream_fault_ahead_is_reported_where_it_sits(self, mesh, after):
+        """Offsets past the data and a degree past the stream's cap: the
+        row visitor's ``ERR_METADATA`` at the vertex that holds it."""
+        graph = compress_graph(mesh)
+        raw = RawStream(graph, bounds=self.ROUND)
+        u = int(raw.chunk[after])
+        raw.offsets[u + 1] = len(raw.data) + 7  # ends u's bytes, starts u + 1's
+        at = first_run(raw, {u, u + 1})
+        assert raw.both() == (_native.DECODE_ERROR - 7,) * 2 and raw.info[1] == at
+        raw = RawStream(graph, bounds=self.ROUND)
+        raw.offsets[u] = raw.offsets[u + 1] = len(raw.data) + 64  # past the data, lo == hi
+        at = first_run(raw, {u - 1, u, u + 1})
+        assert raw.both() == (_native.DECODE_ERROR - 7,) * 2 and raw.info[1] == at
+        raw = RawStream(graph, bounds=self.ROUND)
+        raw.degs[u] = int(raw.degs[raw.chunk].max()) + 1
+        raw.scratch_short = 1  # the cap the chunk's degrees set before: u's is past it
+        assert raw.both() == (_native.DECODE_ERROR - 7,) * 2 and raw.info[1] == after
+        raw = RawStream(graph, bounds=self.ROUND)
+        raw.chunk[after] = -1
+        assert raw.both() == (-1, -1) and raw.info[1] == after
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_chunks_shorter_than_every_distance(self, width):
+        """On a graph of fewer than 16 vertices, chunks of 1-3 positions run
+        what the oracle runs, and a fault in one is reported where it sits."""
+        graph = weighted(gen.rgg2d(14, 8.0, seed=2), "random", "random")
+        assert graph.n < 16 and graph.m > 0
+        calls = rounds_agree(graph, chunk_size=width)
+        assert calls[0] > 0 and calls[1] > 0
+        rounds_agree(compress_graph(graph), chunk_size=width)
+        bounds = [[lo, min(lo + width, graph.n)] for lo in range(0, graph.n, width)][::-1]
+        assert min(Raw(graph, bounds=bounds).both()) >= 0
+        for at in range(graph.n):
+            raw = Raw(graph, bounds=bounds)
+            raw.chunk[at] = graph.n
+            assert raw.both() == (-1, -1) and raw.info[1] == at
 
 
 class TestCorruptGraph:
