@@ -15,10 +15,15 @@ Builds the coarse CSR *directly*, without a second buffered copy:
    coarse IDs are consecutive in ``E'`` without shuffling, and ``E'``'s
    touched prefix is the coarse CSR's adjacency.
 
-Because chunk completion order in a real parallel run is nondeterministic,
-the resulting coarse vertex numbering is a permutation of the buffered
-scheme's numbering.  We process chunks in a seeded shuffled order to exhibit
-exactly that behaviour; tests verify isomorphism against buffered output.
+In a real parallel run the chunks finish in any order, and the coarse
+numbering is a permutation of the buffered scheme's.  Here each chunk is
+one deterministic synchronous sub-round: the chunks run in the runtime's
+order, which is issue order unless a schedule policy replays another, so
+the default numbering is leader order -- the buffered scheme's.  The two
+schemes then return the same coarse graph and ``fine_to_coarse`` byte for
+byte and differ only in what they book on the ledger; under a policy's
+order the coarse graph is the buffered one renumbered (the verify layer's
+fuzz checks that isomorphism).
 
 The run order is fixed before the walk, so every ``(d_prev, s_prev)`` is a
 prefix sum over it: the coarse vertices are numbered in run order up front,
@@ -111,26 +116,15 @@ def contract_one_pass(
     # "one-pass-contraction" -- checked here dynamically and by `repro lint`
     rec = recorder_for(ctx.detector, "one-pass-contraction")
 
-    # Chunk completion order in a real parallel run is nondeterministic but
-    # only *locally* so: with p threads pulling chunks in issue order, a
-    # chunk finishes within ~p positions of its index.  Model that with a
-    # bounded perturbation (a full shuffle would destroy the vertex-ID
-    # locality real runs retain, measurably hurting downstream quality).
     cs = runtime.chunk_size
     n_chunks = -(-n_coarse // cs)
-    # the jitter is always drawn so the rng stream is independent of any
-    # schedule-policy override the verify layer installs
-    jitter = ctx.rng.uniform(0.0, 2.0 * runtime.p, size=n_chunks)
-    default_order = np.argsort(np.arange(n_chunks) + jitter)
     chunk_weights = None
     if runtime.schedule_policy == "heavy-first" and n_chunks:
         # a chunk weighs its members
         sizes = np.bincount(clusters, minlength=n)[leaders]
         chunk_weights = np.add.reduceat(sizes, np.arange(0, n_coarse, cs))
     with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
-        bounds, tids = runtime.chunk_bounds(
-            n_coarse, weights=chunk_weights, default=default_order
-        )
+        bounds, tids = runtime.chunk_bounds(n_coarse, weights=chunk_weights)
         # s_prev of each chunk: the coarse vertices of the chunks run before
         counts = bounds[:, 1] - bounds[:, 0]
         firsts = np.cumsum(counts) - counts

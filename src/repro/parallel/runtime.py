@@ -8,8 +8,13 @@ one chunk walk, :meth:`ParallelRuntime.chunk_bounds`: the ``[lo, hi)``
 bounds of every chunk in the order they run, with their virtual threads.
 Execution is sequential (one virtual thread at a time), but:
 
-* chunk assignment is a pure function of ``(p, chunk_size, count)``, so runs
-  are reproducible regardless of ``p``;
+* chunk assignment is a pure function of ``(p, chunk_size, count)``, and
+  ``p`` decides only which virtual thread owns a chunk, never the order
+  chunks run in: under the default schedule a partition depends on the
+  graph, ``k``, the preset and its seed alone -- not on ``p``, and not on
+  which memory optimisations (two-phase LP, compression, one-pass
+  contraction) the preset turns on.  What ``p`` changes is the ledger:
+  thread-local structures, modelled times and thread slices;
 * the runtime keeps the one cost ledger of a run: every loop reports
   work/span/bytes-moved into :class:`WorkStats`, which the cost model
   converts into modelled parallel running times, and a chunk walk reports
@@ -112,11 +117,7 @@ class ParallelRuntime:
     # scheduling: the one chunk walk
     # ------------------------------------------------------------------ #
     def chunk_bounds(
-        self,
-        count: int,
-        *,
-        weights: np.ndarray | None = None,
-        default: np.ndarray | None = None,
+        self, count: int, *, weights: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(bounds, tids)`` of a loop over ``count`` positions:
         ``bounds[j]`` is the ``[lo, hi)`` of the ``j``-th chunk to run and
@@ -125,21 +126,16 @@ class ParallelRuntime:
         order).  The loop reports the chunks back through
         :meth:`record_chunks`.
 
-        The run order follows the configured policy.  ``weights`` (one
-        entry per chunk, e.g. summed degrees) drives the ``heavy-first``
-        adversarial order; chunk sizes are used when absent.  ``default``
-        is the order used when no policy is configured -- kernels with their
-        own modelled nondeterminism (one-pass contraction's bounded jitter)
-        pass it so the model default stays untouched.
+        The run order follows the configured policy: issue order when none
+        is configured, for every loop alike.  ``weights`` (one entry per
+        chunk, e.g. summed degrees) drives the ``heavy-first`` adversarial
+        order; chunk sizes are used when absent.
         """
         cs = self.chunk_size
         n_chunks = -(-count // cs)
         order = np.arange(n_chunks, dtype=np.int64)
         policy = self.schedule_policy
-        if policy is None:
-            if default is not None:
-                order = np.asarray(default, dtype=np.int64)
-        elif policy == "reversed":
+        if policy == "reversed":
             order = order[::-1]
         elif policy == "random":
             # fresh permutation per parallel region, reproducible per

@@ -159,9 +159,9 @@ def fuzz_clustering(
 def canonical_coarse_form(fine_n: int, coarse, fine_to_coarse):
     """Schedule-independent canonical form of a contracted graph.
 
-    Coarse vertex ids depend on chunk completion order; keying every coarse
-    vertex by its smallest fine member id removes that freedom, so two
-    isomorphic coarse graphs compare equal.
+    Under a schedule policy, coarse vertex ids follow the chunks' run order;
+    keying every coarse vertex by its smallest fine member id removes that
+    freedom, so two isomorphic coarse graphs compare equal.
     """
     from repro.graph.access import full_adjacency
 

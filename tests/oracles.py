@@ -69,9 +69,9 @@ from repro.graph.compressed import (
 from repro.graph.csr import CSRGraph, _ones_like_view
 from repro.graph.varint import (
     MAX_VARINT64_BYTES,
+    _assemble_payloads,
     _decode_spans,
     as_byte_array,
-    decode_region_bulk,
     decode_varint,
     encode_stream_bulk,
     varint_lengths,
@@ -712,6 +712,50 @@ def decode_chunk_oracle(
     return owner, nbrs, wgts
 
 
+#: a reader fault of one VarInt, named as ``graph/neighborhood.h`` names it
+_TRUNCATED, _TOO_LONG = 1, 2
+_FAULTS = {
+    _TRUNCATED: "varint truncated (corrupt stream?)",
+    _TOO_LONG: "varint too long (corrupt stream?)",
+}
+
+
+def _row_values(block: np.ndarray, gstart: np.ndarray):
+    """Every VarInt of the rows gathered in ``block`` (row ``i`` from byte
+    ``gstart[i]`` on): ``(values, starts, fault)``.  A value ends at its
+    terminator or at its row's last byte, so none runs into the next row;
+    ``fault`` is ``_TRUNCATED`` for a value its row cuts short,
+    ``_TOO_LONG`` for one whose tenth byte is not the terminator 0x00 (the
+    compiled reader's two refusals), else 0.  A faulty value reads 0."""
+    if not len(block):
+        e = np.empty(0, dtype=np.int64)
+        return e, e, e.astype(np.int8)
+    last = (block & 0x80) == 0
+    last[np.append(gstart[1:], len(block)) - 1] = True
+    ends = np.flatnonzero(last)
+    starts = tracked_empty(len(ends), np.int64, name="varint-span-starts")
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    tail = block[ends]
+    fault = np.where(tail & 0x80, _TRUNCATED, 0).astype(np.int8)
+    full = MAX_VARINT64_BYTES
+    fault[(lengths > full) | ((lengths == full) & (tail != 0))] = _TOO_LONG
+    values = _assemble_payloads(block.astype(np.int64), starts, lengths)
+    values[fault != 0] = 0
+    return values, starts, fault
+
+
+def _raise_fault(fault, first_val, lo, hi) -> None:
+    """Raise the first reader fault among row ``i``'s values ``[lo[i], hi[i])``."""
+    at = np.flatnonzero(fault)
+    if len(at):
+        row = np.searchsorted(first_val, at, side="right") - 1
+        inside = at[(lo[row] <= at) & (at < hi[row])]
+        if len(inside):
+            raise ValueError(_FAULTS[int(fault[inside[0]])])
+
+
 def decode_chunk_simple(
     self, chunk: np.ndarray, degs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -722,6 +766,12 @@ def decode_chunk_simple(
     vertex are located arithmetically and undone with shared segmented
     cumsums instead of per-vertex loops.  Every segmented index is
     ``repeat(base - cum, counts) + arange(total)``: one repeat a gather.
+
+    A corrupt row is refused section by section, in the order
+    ``graph/neighborhood.h`` reads it: header and intervals, residuals,
+    weights, then the value count -- so a bad residual is named ahead of a
+    bad weight VarInt wherever the two sit.  Within a section, and between
+    two faulty rows, the code may differ from the compiled decoder's.
     """
     weighted = self._has_edge_weights
     C = len(chunk)
@@ -737,7 +787,7 @@ def decode_chunk_simple(
             tot_b, dtype=np.int64
         )
         block = self._data_u8[gather]
-    vals, vstarts = decode_region_bulk(block)
+    vals, vstarts, fault = _row_values(block, gstart)
     nvals = len(vals)
     first_val = np.searchsorted(vstarts, gstart)
     if not nvals or not np.array_equal(
@@ -758,6 +808,7 @@ def decode_chunk_simple(
             raise ValueError("interval count past neighborhood (corrupt stream?)")
         res_base += has_body + 2 * nI
         totI = int(nI.sum())
+    _raise_fault(fault, first_val, first_val, res_base)
     if totI:
         hasI = nI > 0
         cumI = np.cumsum(nI) - nI
@@ -778,73 +829,83 @@ def decode_chunk_simple(
         seg_base = csum[fidx] - adj[fidx]
         lefts = csum - np.repeat(seg_base, nI[hasI])
         L[hasI] = np.add.reduceat(ilen, fidx)
+        if int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n:
+            raise ValueError("neighbor id out of range (corrupt stream?)")
 
     # residual section: u-relative signed first value, then +1 gaps
     n_res = degs - L
     if np.any(n_res < 0):
         raise ValueError("interval lengths exceed degree (corrupt stream?)")
-    if not np.array_equal(res_base + n_res + (degs if weighted else 0), end_val):
-        raise ValueError("neighborhood value count mismatch (corrupt stream?)")
-    totR = total - int(L.sum())
+    # the residuals the row holds: a bad one is named before the row runs out
+    held = np.minimum(n_res, end_val - res_base)
+    _raise_fault(fault, first_val, res_base, res_base + held)
+    totR = int(held.sum())
     if totR:
-        hasR = n_res > 0
-        cumR = np.cumsum(n_res) - n_res
+        hasR = held > 0
+        cumR = np.cumsum(held) - held
         raw = vals[
-            np.repeat(res_base - cumR, n_res) + np.arange(totR, dtype=np.int64)
+            np.repeat(res_base - cumR, held) + np.arange(totR, dtype=np.int64)
         ]
         fidx = cumR[hasR]
         adjR = raw + 1
         adjR[fidx] = chunk[hasR] + zigzag_decode(raw[fidx])
         csum = np.cumsum(adjR)
         seg_base = csum[fidx] - adjR[fidx]
-        res_ids = csum - np.repeat(seg_base, n_res[hasR])
+        res_ids = csum - np.repeat(seg_base, held[hasR])
         if int(res_ids.min()) < 0 or int(res_ids.max()) >= self._n:
             raise ValueError("neighbor id out of range (corrupt stream?)")
-    if totI and (int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n):
-        raise ValueError("neighbor id out of range (corrupt stream?)")
+    if np.any(held < n_res):
+        raise ValueError(_FAULTS[_TRUNCATED])
+    w_base = res_base + n_res
+
+    if not totI:
+        nbrs = res_ids if totR else np.empty(0, dtype=np.int64)
+    else:
+        cumlen = np.cumsum(ilen) - ilen
+        iota = np.arange(total - totR, dtype=np.int64)
+        nbrs = np.repeat(lefts - cumlen, ilen) + iota
+    if totI and totR:
+        # assemble: merge the (sorted) interval and residual streams of each
+        # vertex without sorting.  An interval contains no residual, so all
+        # its elements sit above the same number of residuals: one
+        # searchsorted of the interval lefts into the owner-major residual
+        # keys (owner = position in chunk, so keys are globally sorted even
+        # for permuted chunks); the residuals fill the slots left free.
+        exp_vals = nbrs
+        stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
+        res_keys = np.repeat(stride, n_res) + res_ids
+        iv_keys = np.repeat(stride, nI) + lefts
+        below = np.searchsorted(res_keys, iv_keys)
+        if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
+            raise ValueError("interval contains a residual (corrupt stream?)")
+        slots = np.repeat(below, ilen) + iota
+        nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
+        free = tracked_ones(total, bool, name="decode-simple-free")
+        nbrs[slots] = exp_vals
+        free[slots] = False
+        if np.count_nonzero(free) != totR:
+            raise ValueError("intervals overlap (corrupt stream?)")
+        nbrs[free] = res_ids
 
     # weight section: signed gap undo against the sorted neighbor order
     wgts = None
     if weighted:
+        count_end = w_base + degs
+        _raise_fault(fault, first_val, w_base, np.minimum(count_end, end_val))
+        if np.any(count_end > end_val):
+            raise ValueError(_FAULTS[_TRUNCATED])
         cumD = np.cumsum(degs) - degs
         adjW = zigzag_decode(
-            vals[
-                np.repeat(res_base + n_res - cumD, degs)
-                + np.arange(total, dtype=np.int64)
-            ]
+            vals[np.repeat(w_base - cumD, degs) + np.arange(total, dtype=np.int64)]
         )
         csum = np.cumsum(adjW)
         fidx = cumD[has_body]
         seg_base = csum[fidx] - adjW[fidx]
         wgts = csum - np.repeat(seg_base, degs[has_body])
-
-    if not totI:
-        return res_ids if totR else np.empty(0, dtype=np.int64), wgts
-    cumlen = np.cumsum(ilen) - ilen
-    iota = np.arange(total - totR, dtype=np.int64)
-    exp_vals = np.repeat(lefts - cumlen, ilen) + iota
-    if not totR:
-        return exp_vals, wgts
-    # assemble: merge the (sorted) interval and residual streams of each
-    # vertex without sorting.  An interval contains no residual, so all
-    # its elements sit above the same number of residuals: one
-    # searchsorted of the interval lefts into the owner-major residual
-    # keys (owner = position in chunk, so keys are globally sorted even
-    # for permuted chunks); the residuals fill the slots left free.
-    stride = np.arange(C, dtype=np.int64) * np.int64(self._n + 1)
-    res_keys = np.repeat(stride, n_res) + res_ids
-    iv_keys = np.repeat(stride, nI) + lefts
-    below = np.searchsorted(res_keys, iv_keys)
-    if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
-        raise ValueError("interval contains a residual (corrupt stream?)")
-    slots = np.repeat(below, ilen) + iota
-    nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
-    free = tracked_ones(total, bool, name="decode-simple-free")
-    nbrs[slots] = exp_vals
-    free[slots] = False
-    if np.count_nonzero(free) != totR:
-        raise ValueError("intervals overlap (corrupt stream?)")
-    nbrs[free] = res_ids
+    else:
+        count_end = w_base
+    if not np.array_equal(count_end, end_val):
+        raise ValueError("neighborhood value count mismatch (corrupt stream?)")
     return nbrs, wgts
 
 

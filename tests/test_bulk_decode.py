@@ -551,16 +551,11 @@ class TestTwoFaultsInARow(_OnEachDecoder):
     first: residuals in stream order, then the weights, then the byte count.
     A weight fault is held until every residual was read, so a bad residual
     wins over it wherever the two sit, and it wins over a byte count that is
-    off.  The numpy oracle parses every VarInt of the chunk before it reads a
-    row, so where a malformed weight VarInt and a bad residual meet it is
-    held only to refusing the row (``refused``)."""
+    off.  Both decoders are held to that code."""
 
     N, U = 20, 2
     TOO_LONG = bytes([0xFF] * 9 + [0x01])  # a weight gap wider than 63 bits
     CUT = bytes([0x80])  # a weight gap whose VarInt runs past the row
-
-    def refused(self, code):
-        return pytest.raises(ValueError, match=code if self.decoder == "native" else None)
 
     def decode(self, residuals, weights, tail=b""):
         deg, body = _body(self.U, residuals=residuals)
@@ -576,11 +571,11 @@ class TestTwoFaultsInARow(_OnEachDecoder):
         assert nbrs.tolist() == [3, 9] and wgts.tolist() == [7, 5]
 
     def test_a_weight_fault_then_a_bad_residual(self):
-        with self.refused("out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             self.decode((3, self.N + 5), [self.TOO_LONG, bytes([0])])
 
     def test_a_bad_residual_then_a_weight_fault(self):
-        with self.refused("out of range"):
+        with pytest.raises(ValueError, match="out of range"):
             self.decode((self.N + 5, self.N + 6), [bytes([0]), self.CUT])
 
     def test_a_weight_fault_before_a_byte_count_fault_is_the_weight(self):

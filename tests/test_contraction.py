@@ -47,16 +47,6 @@ def random_clustering(graph, n_clusters, seed=0):
     return clusters, weights
 
 
-def canonical_edges(g, vertex_key):
-    """Edge multiset relabeled by a canonical vertex key for comparison."""
-    rows = []
-    for u in range(g.n):
-        nbrs, wgts = g.neighbors_and_weights(u)
-        for v, w in zip(np.asarray(nbrs).tolist(), np.asarray(wgts).tolist()):
-            rows.append((vertex_key[u], vertex_key[v], w))
-    return sorted(rows)
-
-
 def aggregate_coarse_edges(graph, f2c, n_coarse):
     """``(cu, cv, w)``: every coarse edge of ``f2c``'s contraction, by one
     contraction step over the whole level."""
@@ -149,43 +139,26 @@ class TestOnePassContraction:
         out.coarse.validate()
 
     def test_isomorphic_to_buffered(self, family_graph):
-        clusters, weights = random_clustering(family_graph, 15, seed=4)
+        """Under the default schedule the chunks run in issue order, so
+        one-pass numbers the coarse vertices in leader order, as buffered
+        does: the two return the same arrays byte for byte."""
+        clusters, weights = random_clustering(family_graph, family_graph.n // 2, seed=4)
         out_b = contract_buffered(
             family_graph, clusters.copy(), weights.copy(), make_ctx(family_graph)
         )
-        out_o = contract_one_pass(
-            family_graph, clusters.copy(), weights.copy(), make_ctx(family_graph)
-        )
-        assert out_b.coarse.n == out_o.coarse.n
-        assert out_b.coarse.m == out_o.coarse.m
-        # exact correspondence through cluster leaders: vertex keys from the
-        # respective fine_to_coarse maps relabel both to the same multiset
-        key_b = np.empty(out_b.coarse.n, dtype=np.int64)
-        key_b[out_b.fine_to_coarse] = clusters  # coarse id -> leader id
-        key_o = np.empty(out_o.coarse.n, dtype=np.int64)
-        key_o[out_o.fine_to_coarse] = clusters
-        assert canonical_edges(out_b.coarse, key_b) == canonical_edges(
-            out_o.coarse, key_o
-        )
-        # vertex weights correspond too
-        wb = {int(k): int(out_b.coarse.vwgt[i]) for i, k in enumerate(key_b)}
-        wo = {int(k): int(out_o.coarse.vwgt[i]) for i, k in enumerate(key_o)}
-        assert wb == wo
-
-    def test_relabeling_differs_from_buffered(self, web_graph):
-        """One-pass relabels by chunk completion order (not leader order)."""
-        clusters, weights = random_clustering(web_graph, 50, seed=5)
-        out_b = contract_buffered(
-            web_graph, clusters.copy(), weights.copy(), make_ctx(web_graph)
-        )
-        # small chunks -> several chunks -> shuffled completion order
-        out_o = contract_one_pass(
-            web_graph,
-            clusters.copy(),
-            weights.copy(),
-            make_ctx(web_graph, chunk_size=8),
-        )
-        assert not np.array_equal(out_b.fine_to_coarse, out_o.fine_to_coarse)
+        b = out_b.coarse
+        for chunk_size in (8, 64, 512):
+            out_o = contract_one_pass(
+                family_graph, clusters.copy(), weights.copy(),
+                make_ctx(family_graph, chunk_size=chunk_size),
+            )  # fmt: skip
+            o = out_o.coarse
+            for want, got in [
+                (b.indptr, o.indptr), (b.adjncy, o.adjncy), (b.adjwgt, o.adjwgt),
+                (b.vwgt, o.vwgt), (out_b.fine_to_coarse, out_o.fine_to_coarse),
+            ]:  # fmt: skip
+                assert np.asarray(got).dtype == np.asarray(want).dtype, chunk_size
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), chunk_size
 
     def test_neighborhoods_consecutive_in_eprime(self, grid_graph):
         """P' must be non-decreasing: consecutive IDs, consecutive ranges."""
@@ -255,7 +228,7 @@ def test_eprime_is_charged_once(track):
     step writes into it rather than into a tracked buffer of its own.  With
     scratch tracking on, GOLDEN_DEEP's weblike-k16 coarsening peaks at no
     more than 1 707 502 B (1 803 286 B while both were charged); without
-    it, at 1 368 406 B as before."""
+    it, at 1 368 670 B."""
     make, k, _, cut = GOLDEN_DEEP["weblike-k16"]
     cfg = C.terapart_deep(seed=1)
     if track:
@@ -267,4 +240,4 @@ def test_eprime_is_charged_once(track):
     if track:
         assert peak <= 1_707_502
     else:
-        assert peak == 1_368_406
+        assert peak == 1_368_670

@@ -80,14 +80,6 @@ class TestExecutionOrder:
         # sizes 4, 4, 2: the short tail chunk runs last
         assert _run_order(rt, 10)[-1] == 2
 
-    def test_default_order_passthrough_without_policy(self):
-        rt = ParallelRuntime(2, chunk_size=4)
-        assert _run_order(rt, 12, default=np.array([2, 0, 1])) == [2, 0, 1]
-
-    def test_policy_overrides_default_order(self):
-        rt = ParallelRuntime(2, chunk_size=4, schedule_policy="reversed")
-        assert _run_order(rt, 12, default=np.array([2, 0, 1])) == [2, 1, 0]
-
 
 class TestExecute:
     @pytest.mark.parametrize("policy", [None, *SCHEDULE_POLICIES])
