@@ -17,8 +17,8 @@ Two derived metrics carry the acceptance claims:
 
 ``cut_overhead`` is deterministic per seed and is the one metric the kind
 gates (:data:`~repro.obs.regress.rundb.KINDS`), so
-``repro bench compare --kind service`` classifies it exactly like cut for
-partition records; ``warm_over_full`` is wall-clock, so CI holds it to its
+``repro bench compare --kind service`` holds it to its baseline value
+exactly like cut for partition records; ``warm_over_full`` is wall-clock, so CI holds it to its
 absolute bound only.
 """
 

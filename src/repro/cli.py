@@ -313,53 +313,41 @@ def cmd_bench_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.obs.regress import report as R
-    from repro.obs.regress.compare import Baseline, CompareThresholds, compare
+    from repro.obs.regress.compare import Baseline, compare
+    from repro.obs.regress.report import render_markdown
 
     baseline = Baseline.load(args.baseline)
     candidates = _candidate_records(args)
     if not candidates:
         raise SystemExit(f"no candidate records in {args.db} match the filter")
-    # default: everything the kind gates, each with a band by construction
-    metrics = tuple(args.metrics.split(",")) if args.metrics else None
-    thresholds = CompareThresholds()
-    try:
-        for metric in metrics or ():
-            thresholds.band(metric)
-    except ValueError as err:
-        raise SystemExit(
-            f"bench compare: {err}; seconds are judged by the ladder "
-            "(BENCHMARK.json), not here"
-        ) from None
-    result = compare(
-        baseline, candidates, kind=args.kind, metrics=metrics,
-        thresholds=thresholds,
-    )
-    md = R.render_markdown(
-        result, baseline=baseline, candidate_label=args.label
-    )
+    result = compare(baseline, candidates, kind=args.kind)
+    md = render_markdown(result, baseline=baseline, candidate_label=args.label)
     print(md)
     if args.report:
         Path(args.report).write_text(md)
         print(f"report:     {args.report}")
-    traj = R.trajectory_dict(
-        result,
-        candidate_records=candidates,
-        baseline=baseline,
-        candidate_label=args.label,
-    )
-    R.write_trajectory(args.trajectory, traj)
-    print(f"trajectory: {args.trajectory}")
     if args.attrib:
         _write_attrib_diff(args.attrib, baseline, candidates, args.label)
         print(f"attribution: {args.attrib}")
-    if args.gate and result.regressed:
-        why = [f"{m} regressed" for m in result.regressed_metrics]
+    if args.gate and not result.passed:
+        why = []
+        if result.changes:
+            why.append(f"{len(result.changes)} value(s) differ from the baseline")
         if result.gate.violations:
             why.append(f"{len(result.gate.violations)} unbalanced run(s)")
         if result.gate.uncompared:
             why.append("not compared: " + ", ".join(result.gate.uncompared))
         print(f"perf gate: FAILED ({'; '.join(why)})")
+        # a baseline that no longer reproduces is stale: re-record it at the
+        # commit whose values it should hold
+        db = f"{baseline.name}-runs.jsonl"
+        common = f"--kind {args.kind} --suite {args.suite} --db {db}"
+        print(
+            f"to re-record {args.baseline} (on a clean checkout of that commit):\n"
+            f"  python -m repro bench record {common}\n"
+            f"  python -m repro bench baseline {common} --name {baseline.name} "
+            f"--out {args.baseline}"
+        )
         return 1
     if args.gate:
         print("perf gate: passed")
@@ -717,38 +705,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = bench_sub.add_parser(
         "compare",
-        help="compare candidate runs against a baseline; --gate exits 1 "
-        "on a confirmed regression or a baseline entry left uncompared",
+        help="compare candidate runs against a baseline, value by value; "
+        "--gate exits 1 on any value that differs or was left uncompared",
     )
     _common_args(bp)
     bp.add_argument(
         "--baseline", required=True, help="baseline JSON captured earlier"
     )
     bp.add_argument(
-        "--metrics",
-        default=None,
-        help="comma-separated metric list (default: everything the kind "
-        "gates).  Only deterministic metrics with a declared neutral band "
-        "classify; seconds are judged by the ladder",
-    )
-    bp.add_argument(
         "--gate",
         action="store_true",
-        help="exit 1 if any metric is classified regressed, a candidate "
-        "run is unbalanced, or a baseline group / requested metric was "
-        "not compared",
+        help="exit 1 if any gated value differs from the baseline (either "
+        "way), a candidate run is unbalanced, or a baseline value was not "
+        "compared",
     )
     bp.add_argument("--report", default=None, help="write the Markdown report here")
-    bp.add_argument(
-        "--trajectory",
-        default="BENCH_trajectory.json",
-        help="machine-readable output (default: %(default)s)",
-    )
     bp.add_argument(
         "--attrib",
         default=None,
         help="write the full per-phase attribution diff (JSON) here, "
-        "regardless of verdicts",
+        "whatever the values",
     )
     bp.set_defaults(func=cmd_bench_compare)
     return ap

@@ -7,8 +7,8 @@ Chrome-trace file (``--trace-out``) loadable in ``chrome://tracing`` or
 Perfetto.  See DESIGN.md §7 for the span model and counter taxonomy.
 
 The :mod:`repro.obs.regress` subpackage builds on these snapshots: a
-persisted run database, statistical baseline comparison, and per-phase
-regression attribution (DESIGN.md §8, ``python -m repro bench``).
+persisted run database, exact baseline comparison, and per-phase
+attribution (DESIGN.md §8, ``python -m repro bench``).
 """
 
 from repro.obs.export import (

@@ -5,13 +5,13 @@ Four layers (DESIGN.md §8):
 * :mod:`~repro.obs.regress.rundb`   — append-only JSONL run database with
   versioned, provenance-stamped records, a schema check on load, and the
   kinds table (:data:`KINDS`) stating what a row of each kind is,
-* :mod:`~repro.obs.regress.compare` — named baselines + seed-aware
-  bootstrap classification (improved / neutral / regressed) with the
-  imbalance hard gate,
+* :mod:`~repro.obs.regress.compare` — named baselines and the exact
+  paired comparison: every baseline (group, seed, gated metric) value is
+  reproduced or named as ``group seed metric old → new``, beside the
+  balance and coverage gates,
 * :mod:`~repro.obs.regress.attrib`  — per-phase diffing of the obs
-  waterfalls to *name* the phase behind a wall/memory regression,
-* :mod:`~repro.obs.regress.report`  — Markdown report and the
-  machine-readable ``BENCH_trajectory.json``.
+  waterfalls to *name* the phase behind a wall/memory rise,
+* :mod:`~repro.obs.regress.report`  — the Markdown report.
 
 Driven by ``repro bench record|baseline|compare`` (see
 EXPERIMENTS.md for the workflow) and by the CI perf gate.
@@ -27,18 +27,13 @@ from repro.obs.regress.attrib import (
 )
 from repro.obs.regress.compare import (
     Baseline,
+    Change,
     CompareReport,
-    CompareThresholds,
     GateResult,
-    MetricVerdict,
     capture_baseline,
     compare,
 )
-from repro.obs.regress.report import (
-    render_markdown,
-    trajectory_dict,
-    write_trajectory,
-)
+from repro.obs.regress.report import render_markdown
 from repro.obs.regress.rundb import (
     KINDS,
     RUNDB_SCHEMA,
@@ -56,11 +51,10 @@ __all__ = [
     "KINDS",
     "RUNDB_SCHEMA",
     "Baseline",
+    "Change",
     "CompareReport",
-    "CompareThresholds",
     "GateResult",
     "Measurement",
-    "MetricVerdict",
     "PhaseDelta",
     "RunDB",
     "aggregate_profiles",
@@ -77,6 +71,4 @@ __all__ = [
     "phase_profile",
     "render_markdown",
     "run_key",
-    "trajectory_dict",
-    "write_trajectory",
 ]

@@ -1,12 +1,12 @@
 """Per-phase attribution of wall-time / memory regressions.
 
-When the compare engine flags a total (wall or peak bytes) as regressed,
-this module answers *where*: it condenses each run's obs registry (the
-span records + memory waterfall of :class:`~repro.obs.metrics
-.MetricsRegistry`) into a small per-phase profile, aggregates profiles
-across seeds, and diffs baseline vs candidate to name the offending
-phase — "clustering +210% time, coarsening +96% bytes" instead of a bare
-"wall regressed".
+When a total rose -- a peak the compare engine found above its baseline,
+or a wall time asked about directly -- this module answers *where*: it
+condenses each run's obs registry (the span records + memory waterfall of
+:class:`~repro.obs.metrics.MetricsRegistry`) into a small per-phase
+profile, aggregates profiles across seeds, and diffs baseline vs candidate
+to name the offending phase — "clustering +210% time, coarsening +96%
+bytes" instead of a bare "wall regressed".
 
 Phase naming: ledger-coupled spans carry a ``tracker_path`` like
 ``partition/coarsening/coarsening-level0/clustering``.  Depth-1 children

@@ -3,8 +3,8 @@
 Every benchmark run is persisted as one JSON line in a ``.jsonl`` file.
 What a row *is* depends on its kind -- a one-shot ``partition`` run, a
 replayed ``service`` trace, a ``dist`` cluster run -- and that decision is
-stated once, in :data:`KINDS`: the metrics the kind gates (with their
-neutral bands), the bench-name prefix, the default cell matrix, the
+stated once, in :data:`KINDS`: the metrics the kind gates, the
+bench-name prefix, the default cell matrix, the
 summary columns and the function that runs one cell.  Everything else
 (:func:`make_record`, the matrix loop in :mod:`repro.bench.harness`,
 baseline capture, compare, the ``repro bench`` verbs) reads that table.
@@ -51,11 +51,11 @@ class Kind:
     """What a run-DB row of one kind is."""
 
     name: str
-    #: gated metric -> half-width of its neutral band around ratio 1.0.
-    #: Every gated metric is lower-is-better and deterministic per seed;
-    #: wall-clock fields ride in the rows but are judged by the ladder
-    #: (``BENCHMARK.json``) and, for the service, by CI's absolute SLOs
-    gated: dict[str, float]
+    #: the metrics a baseline of the kind must reproduce exactly: each is
+    #: deterministic per seed; wall-clock fields ride in the rows but are
+    #: judged by the ladder (``BENCHMARK.json``) and, for the service, by
+    #: CI's absolute SLOs
+    gated: tuple[str, ...]
     #: rows are stamped ``bench = bench_prefix + suite``
     bench_prefix: str
     #: default k values and seeds of ``repro bench record`` (the matrix the
@@ -91,7 +91,7 @@ KINDS: dict[str, Kind] = {
     for kind in (
         Kind(
             "partition",
-            gated={"cut": 0.02, "peak_bytes": 0.02},
+            gated=("cut", "peak_bytes"),
             bench_prefix="",
             ks=(4,),
             seeds=(0, 1, 2),
@@ -108,7 +108,7 @@ KINDS: dict[str, Kind] = {
             # the warm-start quality overhead (warm cut / from-scratch cut);
             # the latency quantiles and warm_over_full beside it are
             # wall-clock
-            gated={"cut_overhead": 0.02},
+            gated=("cut_overhead",),
             bench_prefix="service-",
             ks=(8,),
             seeds=(0,),
@@ -127,17 +127,14 @@ KINDS: dict[str, Kind] = {
             # quality, the worst single-rank ledger peak, the cluster memory
             # ratio (max rank peak / mean rank peak -- 1.0 is perfectly
             # even, the paper's tera-scale runs stay under ~2) and the raw /
-            # varint-compressed communication volumes.  Ledger peaks and
-            # collective byte counts are deterministic (tight bands);
-            # memory_ratio divides two such peaks, so small shifts in either
-            # compound -- it gets a little more room
-            gated={
-                "cut": 0.02,
-                "max_rank_peak_bytes": 0.02,
-                "memory_ratio": 0.05,
-                "comm_raw_bytes": 0.02,
-                "comm_varint_bytes": 0.02,
-            },
+            # varint-compressed communication volumes
+            gated=(
+                "cut",
+                "max_rank_peak_bytes",
+                "memory_ratio",
+                "comm_raw_bytes",
+                "comm_varint_bytes",
+            ),
             bench_prefix="dist-",
             ks=(8,),
             seeds=(0,),
@@ -174,12 +171,16 @@ def environment_stamp() -> dict:
 
 
 def _git_state() -> tuple[str | None, bool | None]:
+    """HEAD and dirty flag of the checkout this package runs from, wherever
+    the process's cwd is (``None``: not run from a git checkout)."""
+    here = Path(__file__).resolve().parent
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=here,
         )
         if sha.returncode != 0:
             return None, None
@@ -188,6 +189,7 @@ def _git_state() -> tuple[str | None, bool | None]:
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=here,
         )
         dirty = bool(status.stdout.strip()) if status.returncode == 0 else None
         return sha.stdout.strip(), dirty

@@ -646,20 +646,17 @@ def neighborhood(graph, u: int) -> tuple[np.ndarray, np.ndarray | None]:
     return np.concatenate(parts), (np.concatenate(wparts) if wparts else None)
 
 
-def decode_hub(graph, u: int) -> tuple[np.ndarray, np.ndarray | None]:
+def decode_hub(
+    graph, u: int, deg: int, pairs_cap: int
+) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`neighborhood` of a vertex above the chunking threshold, as the
     numpy chunk decoder splices it in.  A corrupt header can make any vertex
-    look like one; its bytes are then not chunk-encoded, and whatever the
-    block decoder trips over is reported as the stream's fault."""
-    try:
-        nbrs, wgts = neighborhood(graph, u)
-    except (IndexError, MemoryError, OverflowError, ValueError) as exc:
-        raise ValueError(
-            f"chunked neighborhood of vertex {u} does not decode: {exc} (corrupt header?)"
-        ) from exc
-    if len(nbrs) and not 0 <= int(nbrs.min()) <= int(nbrs.max()) < graph.n:
-        raise ValueError(f"neighbor id out of range at vertex {u} (corrupt stream?)")
-    return nbrs, wgts
+    look like one; its bytes are then not chunk-encoded, and the row is
+    refused with the compiled decoder's message (:func:`_refusal`)."""
+    why = _refusal(graph, u, deg, pairs_cap)
+    if why:
+        raise ValueError(why)
+    return neighborhood(graph, u)
 
 
 def adjacency_blocks(graph, block_size: int = 4096):
@@ -695,12 +692,15 @@ def decode_chunk_oracle(
     # between them go through the per-vertex block decoder
     parts = []
     a = 0
-    hubs = np.flatnonzero(degs > self.config.high_degree_threshold).tolist()
+    threshold = self.config.high_degree_threshold
+    hubs = np.flatnonzero(degs > threshold).tolist()
+    # the compiled decode's room for one block's interval pairs
+    pairs_cap = 2 * (min(int(degs.max()), threshold) // MIN_INTERVAL_LEN)
     for h in [*hubs, C]:
         if h > a:
             parts.append(decode_chunk_simple(self, chunk[a:h], degs[a:h]))
         if h < C:
-            parts.append(decode_hub(self, int(chunk[h])))
+            parts.append(decode_hub(self, int(chunk[h]), int(degs[h]), pairs_cap))
         a = h + 1
     nbrs, wgts = parts[0]
     if len(parts) > 1:
@@ -712,24 +712,154 @@ def decode_chunk_oracle(
     return owner, nbrs, wgts
 
 
-#: a reader fault of one VarInt, named as ``graph/neighborhood.h`` names it
-_TRUNCATED, _TOO_LONG = 1, 2
-_FAULTS = {
-    _TRUNCATED: "varint truncated (corrupt stream?)",
-    _TOO_LONG: "varint too long (corrupt stream?)",
-}
+#: the codes of ``graph/neighborhood.h``'s row reader (``_native.ERRORS``)
+_TRUNCATED, _TOO_LONG, _INTERVALS, _OVERLAP, _COUNT, _RANGE = range(-1, -7, -1)
+_METADATA, _CHUNK = -7, -12
+
+
+class _Refused(Exception):
+    """A row fault, with the code ``graph/neighborhood.h`` returns for it."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
+def _read(row: bytes, p: int, end: int) -> tuple[int, int]:
+    """One VarInt of ``row[p:end]`` as ``read_varint`` reads it: nine bytes
+    carry 63 bits, and a tenth may only be the terminator 0x00."""
+    value = 0
+    for shift in range(0, 63, 7):
+        if p >= end:
+            raise _Refused(_TRUNCATED)
+        byte = row[p]
+        p += 1
+        value |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return value, p
+    if p >= end:
+        raise _Refused(_TRUNCATED)
+    if row[p]:
+        raise _Refused(_TOO_LONG)
+    return value, p + 1
+
+
+def _unfold(zz: int) -> int:
+    return -(zz >> 1) if zz & 1 else zz >> 1
+
+
+def _check_block(row, p, end, u, n, deg, intervals, weighted, pairs_cap) -> None:
+    """``visit_block``: one block of ``deg`` > 0 neighbours in ``row[p:end]``
+    read value by value, every check where the compiled reader makes it --
+    the interval block, the residuals in stream order (each one's range,
+    then its overlap with the intervals below it), the weights, the byte
+    count."""
+    pairs = []
+    covered = 0
+    if intervals:
+        num_iv, p = _read(row, p, end)
+        if num_iv > deg // MIN_INTERVAL_LEN or 2 * num_iv > pairs_cap:
+            raise _Refused(_INTERVALS)
+        prev_end = 0
+        for j in range(num_iv):
+            v, p = _read(row, p, end)
+            if j == 0:
+                left = u + _unfold(v)
+                if left < 0:
+                    raise _Refused(_RANGE)
+            elif v >= n:
+                raise _Refused(_RANGE)
+            else:
+                left = prev_end + v
+            length, p = _read(row, p, end)
+            if length > deg - covered - MIN_INTERVAL_LEN:
+                raise _Refused(_INTERVALS)
+            length += MIN_INTERVAL_LEN
+            if left > n - length:
+                raise _Refused(_RANGE)
+            covered += length
+            prev_end = left + length
+            pairs.append((left, length))
+    next_iv = prev = 0
+    for r in range(deg - covered):
+        v, p = _read(row, p, end)
+        if r == 0:
+            v = u + _unfold(v)
+            if v < 0 or v >= n:
+                raise _Refused(_RANGE)
+        elif v >= n - prev - 1:
+            raise _Refused(_RANGE)
+        else:
+            v += prev + 1
+        while next_iv < len(pairs) and pairs[next_iv][0] <= v:
+            left, length = pairs[next_iv]
+            if v < left + length:
+                raise _Refused(_OVERLAP)
+            next_iv += 1
+        prev = v
+    for _ in range(deg if weighted else 0):
+        _, p = _read(row, p, end)
+    if p != end:
+        raise _Refused(_COUNT)
+
+
+def _refusal(graph, u: int, deg: int, pairs_cap: float = math.inf) -> str | None:
+    """The message the compiled chunk decode refuses vertex ``u``'s row with
+    (``visit_neighborhood``: the header, then the block or a hub's chunks,
+    each chunk's byte length checked first), or ``None``: the row reads."""
+    cfg = graph.config
+    lo, hi = int(graph.offsets[u]), int(graph.offsets[u + 1])
+    row = graph._data_u8[lo:hi].tobytes()
+    hub = deg > cfg.high_degree_threshold
+    try:
+        _, p = _read(row, 0, len(row))  # the header
+        if hub and cfg.chunk_length < 1:
+            raise _Refused(_METADATA)
+        at = 0
+        while at < deg:
+            stop, count = len(row), deg
+            if hub:
+                nbytes, p = _read(row, p, len(row))
+                if nbytes > len(row) - p:
+                    raise _Refused(_CHUNK)
+                stop, count = p + nbytes, min(deg - at, cfg.chunk_length)
+            _check_block(
+                row, p, stop, u, graph.n, count, cfg.enable_intervals,
+                graph.has_edge_weights, pairs_cap,
+            )  # fmt: skip
+            p = stop
+            at += count
+        if p != len(row):
+            raise _Refused(_COUNT)
+    except _Refused as fault:
+        why = _native.ERRORS[fault.code]
+        if hub:
+            why = f"chunked neighborhood of vertex {u} does not decode: {why}"
+            return f"{why} (corrupt header?)"
+        return f"{why} at vertex {u} (corrupt stream?)"
+    return None
+
+
+def _refuse_chunk(graph, chunk: np.ndarray, degs: np.ndarray):
+    """Raise what the compiled chunk decode raises for a chunk the numpy
+    decode found a fault in: the refusal of its first row that has one."""
+    for u, deg in zip(chunk.tolist(), degs.tolist()):
+        why = _refusal(graph, u, deg)
+        if why:
+            raise ValueError(why)
+    raise AssertionError("the numpy decode refused a chunk every row of which reads")
 
 
 def _row_values(block: np.ndarray, gstart: np.ndarray):
     """Every VarInt of the rows gathered in ``block`` (row ``i`` from byte
-    ``gstart[i]`` on): ``(values, starts, fault)``.  A value ends at its
+    ``gstart[i]`` on): ``(values, starts, faulty)``.  A value ends at its
     terminator or at its row's last byte, so none runs into the next row;
-    ``fault`` is ``_TRUNCATED`` for a value its row cuts short,
-    ``_TOO_LONG`` for one whose tenth byte is not the terminator 0x00 (the
-    compiled reader's two refusals), else 0.  A faulty value reads 0."""
+    ``faulty`` says whether some value is cut short by its row's end or has
+    a tenth byte other than the terminator 0x00 (the compiled reader's two
+    refusals)."""
     if not len(block):
         e = np.empty(0, dtype=np.int64)
-        return e, e, e.astype(np.int8)
+        return e, e, False
     last = (block & 0x80) == 0
     last[np.append(gstart[1:], len(block)) - 1] = True
     ends = np.flatnonzero(last)
@@ -738,22 +868,12 @@ def _row_values(block: np.ndarray, gstart: np.ndarray):
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
     tail = block[ends]
-    fault = np.where(tail & 0x80, _TRUNCATED, 0).astype(np.int8)
     full = MAX_VARINT64_BYTES
-    fault[(lengths > full) | ((lengths == full) & (tail != 0))] = _TOO_LONG
-    values = _assemble_payloads(block.astype(np.int64), starts, lengths)
-    values[fault != 0] = 0
-    return values, starts, fault
-
-
-def _raise_fault(fault, first_val, lo, hi) -> None:
-    """Raise the first reader fault among row ``i``'s values ``[lo[i], hi[i])``."""
-    at = np.flatnonzero(fault)
-    if len(at):
-        row = np.searchsorted(first_val, at, side="right") - 1
-        inside = at[(lo[row] <= at) & (at < hi[row])]
-        if len(inside):
-            raise ValueError(_FAULTS[int(fault[inside[0]])])
+    too_long = (lengths > full) | ((lengths == full) & (tail != 0))
+    faulty = bool(np.any(tail & 0x80) or np.any(too_long))
+    if faulty:
+        return None, None, True
+    return _assemble_payloads(block.astype(np.int64), starts, lengths), starts, False
 
 
 def decode_chunk_simple(
@@ -767,11 +887,11 @@ def decode_chunk_simple(
     cumsums instead of per-vertex loops.  Every segmented index is
     ``repeat(base - cum, counts) + arange(total)``: one repeat a gather.
 
-    A corrupt row is refused section by section, in the order
-    ``graph/neighborhood.h`` reads it: header and intervals, residuals,
-    weights, then the value count -- so a bad residual is named ahead of a
-    bad weight VarInt wherever the two sit.  Within a section, and between
-    two faulty rows, the code may differ from the compiled decoder's.
+    Whatever fault the arrays show -- a bad VarInt, a count or a length
+    past the row, an id out of range, a residual inside an interval, a
+    value count off -- the chunk is refused by :func:`_refuse_chunk`,
+    which reads its rows value by value as ``graph/neighborhood.h`` does:
+    the compiled decoder's message, at its first faulty row.
     """
     weighted = self._has_edge_weights
     C = len(chunk)
@@ -787,13 +907,11 @@ def decode_chunk_simple(
             tot_b, dtype=np.int64
         )
         block = self._data_u8[gather]
-    vals, vstarts, fault = _row_values(block, gstart)
+    vals, vstarts, faulty = _row_values(block, gstart)
+    if faulty or not len(vals):
+        _refuse_chunk(self, chunk, degs)
     nvals = len(vals)
     first_val = np.searchsorted(vstarts, gstart)
-    if not nvals or not np.array_equal(
-        vstarts[np.minimum(first_val, nvals - 1)], gstart
-    ):
-        raise ValueError("neighborhood boundary not on a varint boundary")
     end_val = np.append(first_val[1:], nvals)  # one past a vertex's values
     has_body = degs > 0
 
@@ -805,10 +923,9 @@ def decode_chunk_simple(
         nI = np.where(has_body, vals[np.minimum(first_val + 1, nvals - 1)], 0)
         # a corrupt count must not reach past the vertex's own values
         if np.any(nI > (end_val - res_base - has_body) // 2):
-            raise ValueError("interval count past neighborhood (corrupt stream?)")
+            _refuse_chunk(self, chunk, degs)
         res_base += has_body + 2 * nI
         totI = int(nI.sum())
-    _raise_fault(fault, first_val, first_val, res_base)
     if totI:
         hasI = nI > 0
         cumI = np.cumsum(nI) - nI
@@ -818,7 +935,7 @@ def decode_chunk_simple(
         raw_gap = vals[slot]
         ilen = vals[slot + 1]
         if int(ilen.max()) > int(degs.max()):  # also keeps the sums below exact
-            raise ValueError("interval lengths exceed degree (corrupt stream?)")
+            _refuse_chunk(self, chunk, degs)
         ilen += MIN_INTERVAL_LEN
         # index of each vertex's first interval entry (vertices w/ nI>0)
         fidx = cumI[hasI]
@@ -830,32 +947,27 @@ def decode_chunk_simple(
         lefts = csum - np.repeat(seg_base, nI[hasI])
         L[hasI] = np.add.reduceat(ilen, fidx)
         if int(lefts.min()) < 0 or int((lefts + ilen).max()) > self._n:
-            raise ValueError("neighbor id out of range (corrupt stream?)")
+            _refuse_chunk(self, chunk, degs)
 
     # residual section: u-relative signed first value, then +1 gaps
     n_res = degs - L
-    if np.any(n_res < 0):
-        raise ValueError("interval lengths exceed degree (corrupt stream?)")
-    # the residuals the row holds: a bad one is named before the row runs out
-    held = np.minimum(n_res, end_val - res_base)
-    _raise_fault(fault, first_val, res_base, res_base + held)
-    totR = int(held.sum())
+    if np.any(n_res < 0) or np.any(n_res > end_val - res_base):
+        _refuse_chunk(self, chunk, degs)
+    totR = int(n_res.sum())
     if totR:
-        hasR = held > 0
-        cumR = np.cumsum(held) - held
+        hasR = n_res > 0
+        cumR = np.cumsum(n_res) - n_res
         raw = vals[
-            np.repeat(res_base - cumR, held) + np.arange(totR, dtype=np.int64)
+            np.repeat(res_base - cumR, n_res) + np.arange(totR, dtype=np.int64)
         ]
         fidx = cumR[hasR]
         adjR = raw + 1
         adjR[fidx] = chunk[hasR] + zigzag_decode(raw[fidx])
         csum = np.cumsum(adjR)
         seg_base = csum[fidx] - adjR[fidx]
-        res_ids = csum - np.repeat(seg_base, held[hasR])
+        res_ids = csum - np.repeat(seg_base, n_res[hasR])
         if int(res_ids.min()) < 0 or int(res_ids.max()) >= self._n:
-            raise ValueError("neighbor id out of range (corrupt stream?)")
-    if np.any(held < n_res):
-        raise ValueError(_FAULTS[_TRUNCATED])
+            _refuse_chunk(self, chunk, degs)
     w_base = res_base + n_res
 
     if not totI:
@@ -877,23 +989,22 @@ def decode_chunk_simple(
         iv_keys = np.repeat(stride, nI) + lefts
         below = np.searchsorted(res_keys, iv_keys)
         if not np.array_equal(below, np.searchsorted(res_keys, iv_keys + ilen)):
-            raise ValueError("interval contains a residual (corrupt stream?)")
+            _refuse_chunk(self, chunk, degs)
         slots = np.repeat(below, ilen) + iota
         nbrs = tracked_empty(total, np.int64, name="decode-simple-nbrs")
         free = tracked_ones(total, bool, name="decode-simple-free")
         nbrs[slots] = exp_vals
         free[slots] = False
         if np.count_nonzero(free) != totR:
-            raise ValueError("intervals overlap (corrupt stream?)")
+            _refuse_chunk(self, chunk, degs)
         nbrs[free] = res_ids
 
     # weight section: signed gap undo against the sorted neighbor order
     wgts = None
     if weighted:
         count_end = w_base + degs
-        _raise_fault(fault, first_val, w_base, np.minimum(count_end, end_val))
         if np.any(count_end > end_val):
-            raise ValueError(_FAULTS[_TRUNCATED])
+            _refuse_chunk(self, chunk, degs)
         cumD = np.cumsum(degs) - degs
         adjW = zigzag_decode(
             vals[np.repeat(w_base - cumD, degs) + np.arange(total, dtype=np.int64)]
@@ -905,7 +1016,7 @@ def decode_chunk_simple(
     else:
         count_end = w_base
     if not np.array_equal(count_end, end_val):
-        raise ValueError("neighborhood value count mismatch (corrupt stream?)")
+        _refuse_chunk(self, chunk, degs)
     return nbrs, wgts
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench.harness import run_matrix
 from repro.bench.instances import Instance
+from repro.cli import main
 from repro.obs.regress.compare import Baseline, capture_baseline, compare
 from repro.obs.regress.rundb import KINDS, RunDB
 
@@ -48,18 +49,16 @@ def test_record_baseline_compare_per_kind(kind, tmp_path):
     assert set(group["metrics"]) - {"imbalance"} == set(kind.gated)
 
     same = compare(base, rows, kind=kind.name)
-    assert [v.metric for v in same.verdicts] == list(kind.gated)
-    for v in same.verdicts:
-        assert (v.ratio, v.ci_low, v.ci_high) == (1.0, 1.0, 1.0), v
-        assert v.classification == "neutral"
-    assert same.gate.passed and not same.regressed
+    assert same.metrics == kind.gated and same.pairs == len(kind.gated)
+    assert same.passed
 
-    metric = next(iter(kind.gated))
+    metric = kind.gated[0]
     worse = copy.deepcopy(rows)
     for row in worse:
         row["run"][metric] *= 1.03
     flipped = compare(base, worse, kind=kind.name)
-    assert flipped.regressed_metrics == [metric]
+    assert [c.metric for c in flipped.changes] == [metric]
+    assert flipped.risen_metrics == [metric]
 
 
 @pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
@@ -70,6 +69,21 @@ def test_committed_baseline_holds_the_kinds_gated_metrics(kind):
     assert base.groups
     for key, group in base.groups.items():
         assert set(group["metrics"]) - {"imbalance"} == set(kind.gated), key
+
+
+@pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
+def test_committed_baseline_reproduces(kind, tmp_path, capsys):
+    """What CI's three gates run, in-process: the kind's default smoke
+    matrix, recorded now, equals its committed baseline value for value,
+    so a stale baseline fails here and not only in CI."""
+    path = REPO / "benchmarks" / "baselines" / f"{kind.bench_prefix}smoke.json"
+    db = str(tmp_path / "runs.jsonl")
+    common = ["--kind", kind.name, "--suite", "smoke", "--db", db]
+    assert main(["bench", "record", *common]) == 0
+    rc = main(["bench", "compare", *common, "--baseline", str(path), "--gate"])
+    out = capsys.readouterr().out
+    assert rc == 0, out[out.index("## Values"):]
+    assert "perf gate: passed" in out
 
 
 def test_committed_run_db_loads_with_legacy_rows_as_opaque_data():

@@ -629,6 +629,16 @@ def _outcome(cg, chunk, which):
             return None
 
 
+def _message(cg, chunk, which):
+    """What decoding ``chunk`` raises on one decoder (``None``: it decodes)."""
+    with _decoder(which):
+        try:
+            cg.decode_chunk(chunk)
+        except ValueError as err:
+            return str(err)
+    return None
+
+
 class TestDecodersAgree:
     """Differential fuzz: on a damaged stream the compiled kernel and the
     numpy oracle reach the same outcome -- the same three arrays, or both
@@ -663,6 +673,29 @@ class TestDecodersAgree:
                 for a, b in zip(got, ref):
                     assert np.array_equal(a, b), flip
         assert refused > 100 and decoded > 100, (refused, decoded)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_byte_flips_get_the_compiled_message(self, weighted):
+        """A row is refused value by value, as ``graph/neighborhood.h`` reads
+        it, and a chunk by its first faulty row: on every damaged chunk both
+        decoders raise the same message, or neither raises."""
+        g = _weighted_weblike(300, 7) if weighted else gen.weblike(300, 8.0, seed=7)
+        cg = compress_graph(g)
+        rng = np.random.default_rng(13)
+        chunks = (
+            np.arange(g.n, dtype=np.int64),
+            np.random.default_rng(1).permutation(g.n).astype(np.int64),
+        )
+        refused = 0
+        for flip in range(1500):
+            data = bytearray(cg.data)
+            data[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+            bad = _clone(cg, data=data)
+            chunk = chunks[flip % 2]
+            got = _message(bad, chunk, "native")
+            assert _message(bad, chunk, "oracle") == got, flip
+            refused += got is not None
+        assert refused > 500, refused
 
 
 def _raw_kernel_call(

@@ -1,12 +1,11 @@
-"""Tests for baselines and bootstrap classification (obs/regress/compare)."""
+"""Tests for baselines and the exact comparison (obs/regress/compare)."""
 
 import pytest
 
 from repro.obs.regress.compare import (
     BASELINE_SCHEMA,
-    DEFAULT_NEUTRAL_BANDS,
     Baseline,
-    CompareThresholds,
+    Change,
     capture_baseline,
     compare,
 )
@@ -67,9 +66,6 @@ def _matrix(scale_cut=1.0, scale_wall=1.0, scale_peak=1.0, **kw):
     return recs
 
 
-THR = CompareThresholds(bootstrap_samples=300)
-
-
 class TestBaseline:
     def test_capture_groups(self):
         base = capture_baseline(_matrix(), "b", timestamp=1.0)
@@ -107,91 +103,72 @@ class TestBaseline:
 
 
 class TestClassification:
+    """Every baseline (group, seed, gated metric) value is reproduced
+    exactly or named as a change, whichever way it moved."""
+
     def test_identical_runs_are_neutral(self):
-        """Paired seeds: an unchanged tree reads exactly 1 [1, 1], however
-        much the seeds differ among themselves."""
+        """However much the seeds differ among themselves, an unchanged
+        tree reproduces every value."""
         base = capture_baseline(_matrix(), "b")
-        report = compare(base, _matrix(), thresholds=THR)
-        assert not report.regressed
-        assert [v.metric for v in report.verdicts] == ["cut", "peak_bytes"]
-        for v in report.verdicts:
-            assert v.classification == "neutral", v
-            assert (v.ratio, v.ci_low, v.ci_high) == (1.0, 1.0, 1.0)
+        report = compare(base, _matrix())
+        assert report.passed and report.changes == []
+        assert report.metrics == ("cut", "peak_bytes")
+        assert report.pairs == 2 * 3 * 2  # groups x seeds x metrics
 
     def test_regression_flagged(self):
         base = capture_baseline(_matrix(), "b")
-        cand = _matrix(scale_peak=1.5)
-        report = compare(base, cand, thresholds=THR)
-        assert report.regressed_metrics == ["peak_bytes"]
-        peak = report.verdict_for("peak_bytes")
-        assert peak.ratio == pytest.approx(1.5)
-        assert peak.ci_low > 1.02
-        assert report.verdict_for("cut").classification == "neutral"
+        report = compare(base, _matrix(scale_peak=1.5))
+        assert not report.passed
+        assert {c.metric for c in report.changes} == {"peak_bytes"}
+        assert len(report.changes) == 6
+        assert str(report.changes[0]) == (
+            "terapart|fem-grid|4 seed 0 peak_bytes 1000 → 1500"
+        )
+        assert report.risen_metrics == ["peak_bytes"]
 
     def test_uniform_three_percent_cut_is_regressed(self):
-        """The +-2% band must resolve a +3% shift: the seed-to-seed spread
-        is shared by both sides and may not widen the interval."""
+        """The seed-to-seed spread both sides share hides nothing, and one
+        value off by one is enough."""
         base = capture_baseline(_matrix(), "b")
-        report = compare(base, _matrix(scale_cut=1.03), thresholds=THR)
-        cut = report.verdict_for("cut")
-        assert cut.classification == "regressed"
-        assert cut.ci_low == pytest.approx(1.03) == cut.ci_high
+        assert len(compare(base, _matrix(scale_cut=1.03)).changes) == 6
+        cand = _matrix()
+        cand[2]["run"]["cut"] += 1  # fem-grid seed 2: 98 -> 99
+        (change,) = compare(base, cand).changes
+        assert change == Change("terapart|fem-grid|4", 2, "cut", 98.0, 99.0)
+        assert str(change) == "terapart|fem-grid|4 seed 2 cut 98 → 99"
 
     def test_seconds_never_move_the_default_verdict(self):
         """Wall-clock fields ride in the rows but decide nothing."""
         base = capture_baseline(_matrix(), "b")
-        same = compare(base, _matrix(), thresholds=THR)
-        slow = compare(base, _matrix(scale_wall=3.0), thresholds=THR)
-        assert not slow.regressed
-        assert [v.to_dict() for v in slow.verdicts] == [
-            v.to_dict() for v in same.verdicts
-        ]
-
-    def test_undeclared_band_is_an_error(self):
-        base = capture_baseline(_matrix(), "b", metrics=("wall_seconds",))
-        with pytest.raises(ValueError, match="'wall_seconds' has no declared"):
-            compare(base, _matrix(), metrics=("wall_seconds",), thresholds=THR)
+        slow = compare(base, _matrix(scale_wall=3.0))
+        assert slow.passed and slow.pairs == 12
+        assert "wall_seconds" not in slow.metrics
 
     def test_only_seeds_on_both_sides_are_compared(self):
+        """A candidate-only seed has nothing to equal; a baseline seed the
+        candidate did not run is a hole."""
         base = capture_baseline(_matrix(), "b")
-        cand = [r for r in _matrix(scale_cut=1.5) if r["run"]["seed"] != 2]
-        cand += [r for r in _matrix() if r["run"]["seed"] == 2]
+        cand = _matrix()[1:]  # fem-grid seed 0 missing from the candidate
         cand += [_rec(inst="fem-grid", seed=7, cut=10.0)]
-        del cand[0]  # fem-grid seed 0 missing from the candidate
-        report = compare(base, cand, metrics=("cut",), thresholds=THR)
-        cut = report.verdict_for("cut")
-        # fem-grid pairs seeds {1, 2}; baseline-only 0 and candidate-only 7
-        assert cut.dropped_seeds == 2
-        assert cut.per_key["terapart|fem-grid|4"] == pytest.approx(
-            (1.5 * 102.0 + 98.0) / (102.0 + 98.0)
-        )
+        report = compare(base, cand)
+        assert report.changes == [] and report.pairs == 10
+        assert report.gate.uncompared == [
+            "cut@terapart|fem-grid|4 seed 0",
+            "peak_bytes@terapart|fem-grid|4 seed 0",
+        ]
+        assert not report.passed
 
     def test_improvement_flagged(self):
+        """A lower value fails too: the baseline no longer reproduces."""
         base = capture_baseline(_matrix(), "b")
-        report = compare(base, _matrix(scale_peak=0.5), thresholds=THR)
-        assert report.verdict_for("peak_bytes").classification == "improved"
-        assert not report.regressed
-
-    def test_noise_within_band_is_neutral(self):
-        base = capture_baseline(_matrix(), "b")
-        # +1% cut sits inside the 2% band
-        report = compare(base, _matrix(scale_cut=1.01), thresholds=THR)
-        assert report.verdict_for("cut").classification == "neutral"
-
-    def test_bootstrap_deterministic(self):
-        base = capture_baseline(_matrix(), "b")
-        cand = _matrix(scale_cut=1.3)
-        cand[0]["run"]["cut"] *= 0.9  # make the interval non-degenerate
-        a = compare(base, cand, thresholds=THR)
-        b = compare(base, cand, thresholds=THR)
-        assert a.verdict_for("cut").ci_low < a.verdict_for("cut").ci_high
-        for va, vb in zip(a.verdicts, b.verdicts):
-            assert (va.ci_low, va.ci_high) == (vb.ci_low, vb.ci_high)
+        report = compare(base, _matrix(scale_peak=0.5))
+        assert not report.passed and len(report.changes) == 6
+        assert report.risen_metrics == [] and report.attribution == []
 
     def test_missing_and_extra_keys(self):
         base = capture_baseline(_matrix(), "b")
         cand = [r for r in _matrix() if r["run"]["instance"] == "fem-grid"]
-        report = compare(base, cand, thresholds=THR)
+        report = compare(base, cand)
         assert report.keys_compared == ["terapart|fem-grid|4"]
         assert report.gate.uncompared == ["terapart|web-small|4"]
 
@@ -200,14 +177,14 @@ class TestClassification:
         not passed: every baseline group needs candidate rows."""
         base = capture_baseline(_matrix(), "b")
         stranger = [_rec(alg="no-such-algorithm", seed=s) for s in range(3)]
-        nothing = compare(base, stranger, thresholds=THR)
-        assert nothing.keys_compared == [] and nothing.verdicts == []
-        assert nothing.regressed and not nothing.gate.passed
+        nothing = compare(base, stranger)
+        assert nothing.keys_compared == [] and nothing.pairs == 0
+        assert not nothing.passed and not nothing.gate.passed
         assert nothing.gate.uncompared == sorted(base.groups)
         half = [r for r in _matrix() if r["run"]["instance"] == "fem-grid"]
-        partial = compare(base, half, thresholds=THR)
-        assert not partial.regressed_metrics  # what was compared is neutral
-        assert partial.regressed
+        partial = compare(base, half)
+        assert not partial.changes  # what was compared is equal
+        assert not partial.passed
         assert partial.gate.uncompared == ["terapart|web-small|4"]
 
     def test_metric_without_a_paired_seed_fails_the_gate(self):
@@ -216,45 +193,29 @@ class TestClassification:
         for r in cand:
             if r["run"]["instance"] == "web-small":
                 del r["run"]["peak_bytes"]  # rows that lost a gated metric
-                r["run"]["seed"] += 10  # and share no seed with the baseline
-        report = compare(base, cand, thresholds=THR)
+        report = compare(base, cand)
         assert not set(report.gate.uncompared) & set(base.groups)  # every group had rows
-        assert report.regressed and not report.regressed_metrics
+        assert not report.passed and not report.changes
         assert report.gate.uncompared == [
-            "cut@terapart|web-small|4",
-            "peak_bytes@terapart|web-small|4",
+            f"peak_bytes@terapart|web-small|4 seed {s}" for s in range(3)
         ]
-        assert report.verdict_for("cut").n_keys == 1
+        assert report.pairs == 9
 
 
 class TestZeroCuts:
-    def test_zero_to_zero_counts_as_ratio_one(self):
-        base = capture_baseline([_rec(cut=0.0, seed=s) for s in range(3)], "b")
-        cand = [_rec(cut=0.0, seed=s) for s in range(3)]
-        report = compare(base, cand, metrics=("cut",), thresholds=THR)
-        v = report.verdict_for("cut")
-        assert v.classification == "neutral"
-        assert v.per_key["terapart|fem-grid|4"] == 1.0
-
     def test_lost_zero_baseline_forces_regressed(self):
-        """A vanished perfect cut can't hide behind the geometric mean."""
+        """0 is a value like any other: 0 -> 0 is equal, and a vanished
+        perfect cut or a newly perfect one is a change."""
         base = capture_baseline([_rec(cut=0.0, seed=s) for s in range(3)], "b")
-        cand = [_rec(cut=7.0, seed=s) for s in range(3)]
-        report = compare(base, cand, metrics=("cut",), thresholds=THR)
-        v = report.verdict_for("cut")
-        assert v.classification == "regressed"
-        assert v.infinite_pairs == 1
-
-    def test_candidate_reaching_zero_is_counted_dropped(self):
-        base = capture_baseline(_matrix(), "b")
-        cand = _matrix()
-        for r in cand:
-            if r["run"]["instance"] == "fem-grid":
-                r["run"]["cut"] = 0.0
-        report = compare(base, cand, metrics=("cut",), thresholds=THR)
-        v = report.verdict_for("cut")
-        assert v.dropped_pairs == 1
-        assert v.n_keys == 2  # the dropped pair is still surfaced per-key
+        same = compare(base, [_rec(cut=0.0, seed=s) for s in range(3)])
+        assert same.passed
+        lost = compare(base, [_rec(cut=7.0, seed=s) for s in range(3)])
+        assert [str(c) for c in lost.changes] == [
+            f"terapart|fem-grid|4 seed {s} cut 0 → 7" for s in range(3)
+        ]
+        base = capture_baseline([_rec(cut=7.0, seed=0)], "b")
+        (found,) = compare(base, [_rec(cut=0.0, seed=0)]).changes
+        assert (found.old, found.new) == (7.0, 0.0)
 
 
 class TestImbalanceHardGate:
@@ -263,16 +224,17 @@ class TestImbalanceHardGate:
         cand = _matrix()
         cand[0]["run"]["balanced"] = False
         cand[0]["run"]["imbalance"] = 0.09
-        report = compare(base, cand, thresholds=THR)
+        report = compare(base, cand)
         assert not report.gate.passed
-        assert report.regressed  # even though every metric is neutral
+        assert not report.passed  # even though every value is equal
+        assert not report.changes
         viol = report.gate.violations[0]
         assert viol["key"] == "terapart|fem-grid|4"
         assert viol["imbalance"] == 0.09
 
     def test_balanced_candidate_passes_gate(self):
         base = capture_baseline(_matrix(), "b")
-        report = compare(base, _matrix(), thresholds=THR)
+        report = compare(base, _matrix())
         assert report.gate.passed
 
 
@@ -309,7 +271,7 @@ class TestServiceKind:
     def test_default_kinds_ignore_service_records(self):
         base = capture_baseline(_matrix() + [_service_rec()], "b")
         assert "serve-terapart|fem-grid|8" not in base.groups
-        report = compare(base, _matrix() + [_service_rec()], thresholds=THR)
+        report = compare(base, _matrix() + [_service_rec()])
         assert report.keys_compared == sorted(
             {"terapart|fem-grid|4", "terapart|web-small|4"}
         )
@@ -335,26 +297,24 @@ class TestServiceKind:
         # warm starts lose 10% quality: the gate must catch it
         worse = [_service_rec(inst=i, seed=s, cut_overhead=0.98 * 1.1)
                  for i in ("fem-grid", "web-small") for s in range(2)]
-        report = compare(base, worse, thresholds=THR, **kw)
-        assert report.verdict_for("cut_overhead").classification == (
-            "regressed"
-        )
-        # unchanged quality stays neutral, however the latencies moved
+        report = compare(base, worse, **kw)
+        assert {c.metric for c in report.changes} == {"cut_overhead"}
+        assert len(report.changes) == 4
+        # unchanged quality is equal, however the latencies moved
         slow = [_service_rec(inst=i, seed=s, warm_over_full=0.15, p99=0.3)
                 for i in ("fem-grid", "web-small") for s in range(2)]
-        ok = compare(base, slow, thresholds=THR, **kw)
-        assert not ok.regressed
-        assert ok.verdict_for("cut_overhead").ci_high == 1.0
+        ok = compare(base, slow, **kw)
+        assert ok.passed and ok.pairs == 4
 
     def test_missing_metric_groups_skipped(self):
-        """A partition-metrics compare over service records yields no
-        verdict rather than a KeyError."""
+        """A baseline captured without a gated metric is a hole in every
+        group that lacks it, not a KeyError."""
         recs = [_service_rec(seed=s) for s in range(2)]
         base = capture_baseline(recs, "svc", kind="service",
                                 metrics=("p99_seconds",))
-        report = compare(base, recs, kind="service", metrics=("cut",),
-                         thresholds=THR)
-        assert report.verdict_for("cut") is None
+        report = compare(base, recs, kind="service")
+        assert report.pairs == 0 and not report.passed
+        assert report.gate.uncompared == ["cut_overhead@serve-terapart|fem-grid|8"]
 
 
 class TestGateCommand:
@@ -371,7 +331,6 @@ class TestGateCommand:
                 "bench", "compare", "--gate",
                 "--baseline", str(tmp_path / "base.json"),
                 "--db", str(tmp_path / "runs.jsonl"),
-                "--trajectory", str(tmp_path / "traj.json"),
                 *extra,
             ]
         )
@@ -389,26 +348,43 @@ class TestGateCommand:
         assert "perf gate: FAILED (not compared: terapart|web-small|4)" in out
         assert "## Coverage" in out
 
-    def test_gating_seconds_is_a_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="'wall_seconds' has no declared"):
-            self._gate(tmp_path, _matrix(), "--metrics", "wall_seconds")
+    def test_changed_value_fails_names_the_pair_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The failing gate names the pair and the two commands that
+        re-record the file; no file is written that was not asked for."""
+        cand = _matrix()
+        cand[4]["run"]["cut"] = 409.0  # web-small seed 1: 408 -> 409
+        monkeypatch.chdir(tmp_path)
+        assert self._gate(tmp_path, cand) == 1
+        out = capsys.readouterr().out
+        assert "- `terapart|web-small|4 seed 1 cut 408 → 409`" in out
+        assert "perf gate: FAILED (1 value(s) differ from the baseline)" in out
+        base = tmp_path / "base.json"
+        assert (
+            "python -m repro bench record --kind partition --suite smoke "
+            "--db b-runs.jsonl\n"
+        ) in out
+        assert f"--name b --out {base}\n" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "base.json", "runs.jsonl"
+        ]
 
 
 class TestDeclaredBands:
-    """One rule: the observatory classifies deterministic metrics only."""
+    """One rule: the observatory gates deterministic metrics only."""
 
-    def test_every_gated_metric_has_a_band_and_none_is_seconds(self):
-        gated = {m for kind in KINDS.values() for m in kind.gated}
-        assert gated == set(DEFAULT_NEUTRAL_BANDS)
-        assert not [m for m in gated if "seconds" in m or "warm" in m]
+    def test_no_gated_metric_is_seconds(self):
+        gated = [m for kind in KINDS.values() for m in kind.gated]
+        assert gated and not [m for m in gated if "seconds" in m or "warm" in m]
 
     def test_committed_baselines_hold_declared_metrics_only(self):
         """A seconds vector cannot be recommitted: every metric vector in
-        benchmarks/baselines/ is band-declared (or the imbalance record of
-        the hard gate, which is never ratio-classified)."""
+        benchmarks/baselines/ is a gated metric of some kind (or the
+        imbalance record, which the gate reads off the candidate's flag)."""
         from pathlib import Path
 
-        allowed = set(DEFAULT_NEUTRAL_BANDS) | {"imbalance"}
+        allowed = {m for kind in KINDS.values() for m in kind.gated} | {"imbalance"}
         files = sorted(
             (Path(__file__).parent.parent / "benchmarks" / "baselines").glob(
                 "*.json"

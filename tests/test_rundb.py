@@ -1,12 +1,15 @@
 """Tests for the regression observatory's run database (obs/regress/rundb)."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
 from repro.bench.harness import RunRecord
 from repro.core import config as C
 from repro.core.config import config_digest
+from repro.obs.regress import rundb
 from repro.obs.regress.rundb import (
     KINDS,
     RUNDB_SCHEMA,
@@ -305,6 +308,20 @@ class TestEnvironmentStamp:
         env = environment_stamp()
         assert set(env) >= {"git_sha", "python", "numpy", "platform"}
         assert env["python"].count(".") >= 1
+
+    def test_git_sha_is_the_checkout_head_from_any_cwd(self, tmp_path, monkeypatch):
+        """The stamp names the commit of the code that ran, not whatever
+        repository (or none) the process was started in."""
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(rundb.__file__).parent,
+            capture_output=True,
+            text=True,
+        )
+        if head.returncode:
+            pytest.skip("the package does not run from a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert environment_stamp()["git_sha"] == head.stdout.strip()
 
 
 class TestRunDB:
