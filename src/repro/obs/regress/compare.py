@@ -248,8 +248,10 @@ def compare(
                     report.gate.uncompared.append(f"{metric}@{key} seed {seed}")
                     continue
                 report.pairs += 1
-                if float(new) != old:
-                    report.changes.append(Change(key, seed, metric, old, float(new)))
+                if float(new) != float(old):
+                    report.changes.append(
+                        Change(key, seed, metric, float(old), float(new))
+                    )
 
     risen = report.risen_metrics
     if risen:

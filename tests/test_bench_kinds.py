@@ -72,18 +72,19 @@ def test_committed_baseline_holds_the_kinds_gated_metrics(kind):
 
 
 @pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
-def test_committed_baseline_reproduces(kind, tmp_path, capsys):
+def test_committed_baseline_reproduces(kind, tmp_path, capsys, monkeypatch):
     """What CI's three gates run, in-process: the kind's default smoke
     matrix, recorded now, equals its committed baseline value for value,
     so a stale baseline fails here and not only in CI."""
     path = REPO / "benchmarks" / "baselines" / f"{kind.bench_prefix}smoke.json"
-    db = str(tmp_path / "runs.jsonl")
-    common = ["--kind", kind.name, "--suite", "smoke", "--db", db]
+    monkeypatch.chdir(tmp_path)
+    common = ["--kind", kind.name, "--suite", "smoke", "--db", "runs.jsonl"]
     assert main(["bench", "record", *common]) == 0
     rc = main(["bench", "compare", *common, "--baseline", str(path), "--gate"])
     out = capsys.readouterr().out
-    assert rc == 0, out[out.index("## Values"):]
-    assert "perf gate: passed" in out
+    values = len(Baseline.load(path).groups) * len(kind.seeds) * len(kind.gated)
+    assert rc == 0, out[out.find("## Values"):]
+    assert f"All {values} values ({', '.join(kind.gated)}) equal the baseline." in out
 
 
 def test_committed_run_db_loads_with_legacy_rows_as_opaque_data():

@@ -203,12 +203,17 @@ class TestClassification:
 
 
 class TestZeroCuts:
-    def test_lost_zero_baseline_forces_regressed(self):
-        """0 is a value like any other: 0 -> 0 is equal, and a vanished
-        perfect cut or a newly perfect one is a change."""
+    """0 is a value like any other: no ratio, so no special case."""
+
+    def test_zero_to_zero_counts_as_ratio_one(self):
+        """A perfect cut that stays perfect is equal to its baseline."""
         base = capture_baseline([_rec(cut=0.0, seed=s) for s in range(3)], "b")
         same = compare(base, [_rec(cut=0.0, seed=s) for s in range(3)])
-        assert same.passed
+        assert same.passed and same.pairs == 6
+
+    def test_lost_zero_baseline_forces_regressed(self):
+        """A vanished perfect cut, or a newly perfect one, is a change."""
+        base = capture_baseline([_rec(cut=0.0, seed=s) for s in range(3)], "b")
         lost = compare(base, [_rec(cut=7.0, seed=s) for s in range(3)])
         assert [str(c) for c in lost.changes] == [
             f"terapart|fem-grid|4 seed {s} cut 0 → 7" for s in range(3)
