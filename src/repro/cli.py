@@ -292,16 +292,17 @@ def _candidate_records(args: argparse.Namespace) -> list[dict]:
 
 def cmd_bench_baseline(args: argparse.Namespace) -> int:
     from repro.obs.regress.compare import capture_baseline
-    from repro.obs.regress.rundb import environment_stamp
 
     records = _candidate_records(args)
     if not records:
         raise SystemExit(
             f"no {args.kind} records in {args.db} match the filter"
         )
-    base = capture_baseline(
-        records, args.name, env=environment_stamp(), kind=args.kind
-    )
+    # the records' provenance, not this process's: the tree may have moved on
+    try:
+        base = capture_baseline(records, args.name, kind=args.kind)
+    except ValueError as e:
+        raise SystemExit(f"bench baseline: {e}") from None
     out = args.out or f"benchmarks/baselines/{args.name}.json"
     base.save(out)
     n_seeds = {len(g["seeds"]) for g in base.groups.values()}
@@ -331,6 +332,8 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
         print(f"attribution: {args.attrib}")
     if args.gate and not result.passed:
         why = []
+        if result.configs:
+            why.append(f"{len(result.configs)} group(s) ran under another config")
         if result.changes:
             why.append(f"{len(result.changes)} value(s) differ from the baseline")
         if result.gate.violations:

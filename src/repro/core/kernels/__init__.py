@@ -1,32 +1,25 @@
-"""Chunk-granular numpy bulk kernels for the hot phases (ROADMAP item 1).
+"""The hot phases' kernels: the compiled LP and contraction entries, and the
+numpy bulk kernels the balancer, distributed LP and the baselines call.
 
-Every kernel in this package operates on *one chunk* of work, bounded by
-:meth:`repro.parallel.runtime.ParallelRuntime.chunk_bounds` -- the kernels
-never schedule work themselves and never hold state across chunks, so the
-simulated-parallel semantics (ownership, conflict detection, deterministic
-replay) are entirely the caller's.  The contract:
+:mod:`repro.core.kernels.lp_chunk` binds ``lp_kernel.c``
+(:mod:`repro.graph._native`): one call runs a whole LP round of clustering
+or refinement -- the kernel walks the round's chunk bounds itself, in the
+runtime's execution order, rating, picking and committing chunk by chunk --
+or picks one batch of distributed LP.  Every coarse graph is aggregated by
+one :func:`contraction_step` on the same compiled rating map.  Each entry
+reads the graph where it keeps its rows, keyed by vertex id.  The numpy
+pipelines these calls replaced live in ``tests/oracles.py`` as their
+reference.
 
-* inputs are the chunk's flattened adjacency (``owner``/``neighbors``/
-  ``weights`` from :func:`repro.graph.access.chunk_adjacency`) plus whatever
-  shared arrays the phase reads;
-* shared-array *mutations* happen either in the calling kernel (which binds
-  a :class:`~repro.verify.declarations.SharedAccessRecorder`) or through an
-  explicitly-passed capacity array (:func:`bulk_size_constrained_commit`),
-  never through hidden module state;
-* every kernel is the *only* implementation of its phase -- the
-  shared-memory partitioner, :mod:`repro.dist` and the service all call
-  it -- and is bit-identical to a same-signature scalar reference.  Those
-  references live outside production, in ``tests/scalar_reference.py``;
-  the differential tests (``tests/test_bulk_equivalence.py``) swap them in
-  for the kernels and prove equality across seeds and thread counts.
-
-One level up, :mod:`repro.core.kernels.lp_chunk` runs a whole LP round --
-the rate / pick / commit pipeline the first three kernels below once formed
-in the two LP drivers -- as one call into the compiled ``lp_kernel.c``
-(:mod:`repro.graph._native`); the numpy pipelines it replaced live in
-``tests/oracles.py`` as its reference, and the balancer and the baselines
-keep calling the kernels directly.  Every coarse graph is aggregated by one
-:func:`contraction_step`, on the same compiled rating map.
+The numpy kernels (:func:`bulk_size_constrained_commit`, the gain and hash
+kernels, :func:`segment_best_last`, the contraction gather and reduction)
+each work on one chunk's flattened arrays and hold no state across chunks.
+Shared-array mutations happen in the calling phase, which binds a
+:class:`~repro.verify.declarations.SharedAccessRecorder`, or through an
+explicitly passed capacity array, never through hidden module state.  Their
+scalar references live in ``tests/scalar_reference.py``;
+``tests/test_bulk_equivalence.py`` swaps them in and proves equality across
+seeds and thread counts.
 
 Scratch arrays are allocated with the tracked constructors from
 :mod:`repro.memory.scratch` so the memory ledger (and the ``repro lint``

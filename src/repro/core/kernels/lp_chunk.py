@@ -20,11 +20,13 @@ way: the same rate and pick over one rank's batch, without the commit.
 :func:`contraction_step` is the rating map again, summing a whole coarse
 vertex's members into one map, every contraction's one aggregation.
 
-A round reads each vertex's segment where the graph keeps it: a CSR graph's
-``indptr`` and adjacency, or a compressed graph's degrees and byte stream,
-each neighbourhood -- a chunk-encoded hub chunk by chunk -- rated as it is
-decoded, with no row written, so a round is one call.  A degree above the
-graph's largest (only a corrupt header makes one) is refused by the kernel.
+Every entry reads each vertex's segment where the graph keeps it, keyed by
+vertex id: a CSR graph's ``indptr`` and adjacency, or a compressed graph's
+degrees and byte stream, each neighbourhood -- a chunk-encoded hub chunk by
+chunk -- rated as it is decoded, with no row written and nothing gathered
+per call.  The kernel checks every id before it indexes the graph, refuses
+a degree above the graph's largest (only a corrupt header makes one) and
+reports the edges it read, which feed the ``decode.edges*`` counters.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import ctypes
 import numpy as np
 
 from repro.graph import _native
-from repro.graph.access import chunk_segments, count_edges, vertex_segments
+from repro.graph.access import count_edges, vertex_segments
 from repro.graph.compressed import stream_blocks
 from repro.memory.scratch import tracked_empty, tracked_full, tracked_zeros
 
@@ -86,108 +88,83 @@ def _int64_vector(a: np.ndarray, size: int, name: str) -> np.ndarray:
     return a
 
 
+#: ``info[]`` of every entry: the position a refusal names, the edges read
+BAD, READ = 1, 2
+
+
 class _Bound:
     """An entry of ``lp_kernel.c`` bound to the arrays of one call.
 
     ``state`` is the phase's own argument block (before the rating map in
     the C signature; arrays are held here for as long as their pointers are
     in use), ``maps`` the zeroed rating map (rows ``slot``, ``seen``,
-    ``rating``, one entry per label each).
+    ``rating``, one entry per label each).  The graph's segments go in keyed
+    by vertex id, checked once: a CSR graph's ``indptr`` and adjacency, or a
+    compressed graph's degrees (and its stream).
     """
 
     def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int) -> None:
         if maps.dtype != np.int64 or maps.shape != (3, labels) or not maps.flags.c_contiguous:
             raise ValueError(f"the rating map is three contiguous int64 rows of {labels}")
         self._fn, self._graph = fn, graph
-        self._held = (state, maps)
-        self.info = np.zeros(2, dtype=np.int64)
+        self.info = np.zeros(3, dtype=np.int64)
         self._fixed = _pointers((*state, *maps, labels))
         self._stream = None  # the compressed source's address and what it points into
+        indptr, degrees, adj, wgt = vertex_segments(graph)
+        self._compressed = indptr is None
+        if self._compressed:  # decoded from the stream as rated
+            degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+            self._segments = _pointers((None, degrees)), (None, None, 1, 0)
+            self._held = (state, maps, degrees)
+            return
+        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        if indptr.shape != (graph.n + 1,):
+            raise ValueError(f"indptr needs {graph.n + 1} entries")
+        adjacency, held = _adjacency(adj, wgt)
+        self._segments = _pointers((indptr, None)), adjacency
+        self._held = (state, maps, indptr, *held)
 
-    def _stream_address(self) -> int:
-        """The kernel's compressed source, built on the first call that
-        leaves a chunk encoded (so once per LP call)."""
+    def _stream_address(self) -> int | None:
+        """The kernel's compressed source (``None`` for a CSR graph), built
+        on the first call (so once per LP call)."""
+        if not self._compressed:
+            return None
         if self._stream is None:
             block, held = stream_blocks(self._graph, 1, "lp-stream-scratch", rows=False)
             self._stream = (ctypes.addressof(block), (block, held))
         return self._stream[0]
 
-    def _checked(self, rc: int, ids: np.ndarray) -> int:
-        """``rc``, or the ``ValueError`` of the code the kernel returned,
-        naming ``ids[info[BAD]]``."""
+    def _run(self, ids: np.ndarray, ahead: tuple, outputs: tuple) -> int:
+        """The entry over the vertices ``ids`` (contiguous int64): ``ahead``
+        goes between the segments and the phase's state (a round's bounds),
+        ``outputs`` between the rating map and ``info``.  Returns the code
+        once the edges read are reported to the ``decode.edges*`` counters,
+        or raises the ``ValueError`` of the code, naming ``ids[info[BAD]]``."""
+        (indptr, degs), adjacency = self._segments
+        rc = self._fn(
+            self._graph.n, ids.ctypes.data, indptr, degs, len(ids), *adjacency, *_pointers(ahead),
+            *self._fixed, *_pointers(outputs), self.info.ctypes.data, self._stream_address(),
+        )  # fmt: skip
         if rc >= 0:
+            count_edges(self._graph, int(self.info[READ]))
             return rc
-        bad = int(self.info[1])
+        bad = int(self.info[BAD])
         where = f" at vertex {int(ids[bad])}" if bad >= 0 else ""
         if rc in _native.LP_ERRORS:
             raise ValueError(f"{_native.LP_ERRORS[rc]}{where} (corrupt graph?)")
         raise ValueError(f"{_native.ERRORS[rc - _native.DECODE_ERROR]}{where} (corrupt stream?)")
 
 
-class _ChunkKernel(_Bound):
-    """A chunk entry (a pick or contraction): one call a chunk, its
-    segments from :func:`chunk_segments`."""
-
-    def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int) -> None:
-        super().__init__(fn, graph, state, maps, labels)
-        self._tail = _pointers((self.info,))
-        self._adjacency = None  # (adj, wgt) last handed out, their arguments, what those point into
-
-    def _adjacency_args(self, adj: np.ndarray, wgt: np.ndarray) -> tuple:
-        """``(adj, wgt, unit_wgt, adj_len)`` as the kernel takes them; a CSR
-        graph hands out the same two arrays for every chunk, checked once."""
-        last = self._adjacency
-        if last is None or adj is not last[0][0] or wgt is not last[0][1]:
-            last = self._adjacency = ((adj, wgt), *_adjacency(adj, wgt))
-        return last[1]
-
-    def __call__(self, chunk, outputs):
-        """``(edges, rc, out)`` of one chunk, or ``None`` if it has no edge
-        (the kernel does not run then).  ``outputs(count, edges)`` returns
-        ``(out, args)``: what the caller reads back, and the arguments the
-        kernel takes between the rating map and ``info``."""
-        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
-        starts, degs, adj, wgt = chunk_segments(self._graph, chunk)
-        edges = int(degs.sum())
-        if edges == 0:
-            return None
-        if adj is None:  # left encoded: the kernel decodes as it rates
-            at, adjacency, stream = None, (None, None, 1, 0), self._stream_address()
-        else:
-            at, adjacency, stream = starts.ctypes.data, self._adjacency_args(adj, wgt), None
-        count = len(chunk)
-        out, args = outputs(count, edges)
-        rc = self._fn(
-            self._graph.n, chunk.ctypes.data, at, degs.ctypes.data, count, *adjacency, *self._fixed,
-            *_pointers(args), *self._tail, stream,
-        )  # fmt: skip
-        return edges, self._checked(rc, chunk), out
-
-
-def _rows(rows: int):
-    """``outputs`` of an LP kernel: ``rows`` per-vertex rows and their
-    capacity."""
-
-    def outputs(count, _edges):
-        out = tracked_empty((rows, count), name="lp-chunk-out")
-        first = out.ctypes.data
-        return out, (*range(first, first + out.nbytes, 8 * count), count)
-
-    return outputs
-
-
-def _picking(call, rows: int):
+def _picking(bound: _Bound, rows: int):
     """``pick(chunk)`` around a pick entry of ``lp_kernel.c`` (``rows``
     output rows, ``moved`` and ``target`` last): the chunk's movers in chunk
     order and their targets."""
-    outputs = _rows(rows)
-    none = np.empty(0, dtype=np.int64)
 
     def pick(chunk):
-        done = call(chunk, outputs)
-        if done is None:
-            return none, none
-        _, moves, out = done
+        chunk = np.ascontiguousarray(chunk, dtype=np.int64)
+        count = len(chunk)
+        out = tracked_empty((rows, count), name="lp-chunk-out")
+        moves = bound._run(chunk, (), (*out, count))
         return out[-2, :moves], out[-1, :moves]
 
     return pick
@@ -201,10 +178,7 @@ class _RoundKernel(_Bound):
     """A round entry bound to the arrays of one LP call: one call a round.
 
     ``rows`` is the number of per-vertex scratch rows the entry fills for
-    each chunk; ``scratch`` holds them, the last chunk's after a call.  The
-    graph's segments go in keyed by vertex id, checked once: a CSR graph's
-    ``indptr`` and adjacency, or a compressed graph's degrees (and its
-    stream).
+    each chunk; ``scratch`` holds them, the last chunk's after a call.
     """
 
     def __init__(self, fn, graph, state: tuple, maps: np.ndarray, labels: int, rows: int) -> None:
@@ -212,20 +186,6 @@ class _RoundKernel(_Bound):
         self.rows = rows
         self.scratch = tracked_empty((rows, 0), name="lp-chunk-out")
         self._scratch_args = _pointers((*self.scratch, 0))
-        indptr, degrees, adj, wgt = vertex_segments(graph)
-        if indptr is None:  # compressed: decoded from the stream as rated
-            degrees = np.ascontiguousarray(degrees, dtype=np.int64)
-            self._segments = _pointers((None, degrees)), (None, None, 1, 0)
-            self._held += (degrees,)
-            self._compressed = True
-            return
-        self._compressed = False
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        if indptr.shape != (graph.n + 1,):
-            raise ValueError(f"indptr needs {graph.n + 1} entries")
-        adjacency, held = _adjacency(adj, wgt)
-        self._segments = _pointers((indptr, None)), adjacency
-        self._held += (indptr, *held)
 
     def __call__(self, order, bounds, moved: np.ndarray | None = None) -> np.ndarray:
         """One round: the stats rows of the chunks ``bounds`` (``(lo, hi)``
@@ -242,16 +202,8 @@ class _RoundKernel(_Bound):
         if self.scratch.shape[1] < width:
             self.scratch = tracked_empty((self.rows, width), name="lp-chunk-out")
             self._scratch_args = _pointers((*self.scratch, width))
-        (starts, degs), adjacency = self._segments
         out = None if moved is None else moved.ctypes.data
-        stream = self._stream_address() if self._compressed else None
-        rc = self._fn(
-            self._graph.n, order.ctypes.data, starts, degs, len(order), *adjacency, 1,
-            bounds.ctypes.data, chunks, *self._fixed, *self._scratch_args, out,
-            stats.ctypes.data, chunks, self.info.ctypes.data, stream,
-        )  # fmt: skip
-        self._checked(rc, order)
-        count_edges(self._graph, stats[:, EDGES])
+        self._run(order, (bounds, chunks), (*self._scratch_args, out, stats, chunks))
         return stats
 
 
@@ -318,7 +270,7 @@ def cluster_pick_step(graph, clusters, cluster_weights, max_cluster_weight, maps
     ``cluster_weights`` are only read.
     """
     state = _clustering_state(graph, graph.vwgt, clusters, cluster_weights, max_cluster_weight)
-    return _picking(_ChunkKernel(_native.lp_kernels()[2], graph, state, maps, graph.n), 5)
+    return _picking(_Bound(_native.lp_kernels()[2], graph, state, maps, graph.n), 5)
 
 
 def _refinement_state(graph, vwgt, part, block_weights, limits):
@@ -359,7 +311,7 @@ def refine_pick_step(graph, part, block_weights, max_block_weight: int):
     limits = tracked_full(len(block_weights), limit, name="dlp-block-limits")
     state = _refinement_state(graph, graph.vwgt, part, block_weights, limits)
     fn = _native.lp_kernels()[3]
-    return _picking(_ChunkKernel(fn, graph, *state, len(block_weights)), 3)
+    return _picking(_Bound(fn, graph, *state, len(block_weights)), 3)
 
 
 def contraction_step(graph, labels: np.ndarray, label_count: int):
@@ -377,37 +329,29 @@ def contraction_step(graph, labels: np.ndarray, label_count: int):
     vertex by coarse vertex -- neighbour keys ascending, own key dropped,
     weights summed.  ``keys`` / ``weights`` are the touched prefixes of the
     two rows of ``out``, a ``(2, width)`` int64 buffer of at least ``edges``
-    columns the caller owns (one-pass contraction's ``E'``); without it the
-    step allocates one of ``edges`` columns.
+    columns the caller owns (one-pass contraction's ``E'``; the kernel
+    refuses a shorter one); without it the step allocates one of as many
+    columns as the members own edges.
     """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.shape != (graph.n,):
         raise ValueError(f"contraction needs one label a vertex: {graph.n}")
     maps = tracked_zeros((3, label_count), name="contraction-rating-map")
     fn = _native.contraction_kernels()[0]
-    call = _ChunkKernel(fn, graph, (label_count, labels), maps, label_count)
+    call = _Bound(fn, graph, (label_count, labels), maps, label_count)
 
     def step(members, groups, out=None):
+        members = np.ascontiguousarray(members, dtype=np.int64)
         groups = np.ascontiguousarray(groups, dtype=np.int64)
         count = len(groups) - 1
-
-        def outputs(_, edges):
-            if out is None:
-                pairs = tracked_empty((2, edges), name="contraction-chunk-out")
-            elif out.dtype == np.int64 and out.ndim == 2 and len(out) == 2 \
-                    and out.shape[1] >= edges and out.flags.c_contiguous:  # fmt: skip
-                pairs = out
-            else:
-                raise ValueError(f"the output is two contiguous int64 rows of {edges} or more")
-            degrees = tracked_empty(count, name="contraction-degrees")
-            return (pairs, degrees), (groups, count, *pairs, pairs.shape[1], degrees)
-
-        done = call(members, outputs)
-        if done is None:
-            none = np.empty(0, dtype=np.int64)
-            return 0, np.zeros(count, dtype=np.int64), none, none
-        edges, written, (pairs, degrees) = done
-        return edges, degrees, pairs[0, :written], pairs[1, :written]
+        if out is None:  # a bad id or degree sizes nothing: the kernel refuses it
+            edges = int(np.take(graph.degrees, members, mode="clip").sum()) if graph.n else 0
+            out = tracked_empty((2, max(edges, 0)), name="contraction-chunk-out")
+        elif out.dtype != np.int64 or out.ndim != 2 or len(out) != 2 or not out.flags.c_contiguous:
+            raise ValueError("the output is two contiguous int64 rows")
+        degrees = tracked_empty(count, name="contraction-degrees")
+        written = call._run(members, (), (groups, count, *out, out.shape[1], degrees))
+        return int(call.info[READ]), degrees, out[0, :written], out[1, :written]
 
     return step
 

@@ -10,23 +10,22 @@
  *
  * Seven exported functions, no state, no Python objects: ctypes calls them
  * with the GIL released.  The LP and contraction functions share one calling
- * convention: the vertices and their adjacency as segments of one array --
- * n, chunk / starts / degs, count, adj and wgt (adj_len each; wgt == NULL
- * means every edge weighs unit_wgt) -- then the shared arrays of the phase
- * (vwgt == NULL means every vertex weighs unit_vwgt), then the rating map
- * (slot, seen, rating, cap), then the outputs, info[2] and the stream.  The
- * seventh, repro_group_by_label, is the counting sort that hands contraction
- * its groups.
+ * convention: the vertices and the graph -- n, chunk / indptr / degs, count,
+ * adj and wgt (adj_len each; wgt == NULL means every edge weighs unit_wgt)
+ * -- then the shared arrays of the phase (vwgt == NULL means every vertex
+ * weighs unit_vwgt), then the rating map (slot, seen, rating, cap), then the
+ * outputs, info[3] and the stream.  The seventh, repro_group_by_label, is
+ * the counting sort that hands contraction its groups.
  *
- * Segments are keyed by position: vertex chunk[i] owns adj[starts[i],
- * starts[i] + degs[i]).  The two rounds also take them keyed by vertex id
- * (by_vertex != 0), which is how a graph stores them: u owns adj[starts[u],
- * starts[u + 1]) with degs == NULL (a CSR graph's indptr, n + 1 entries), or
- * degs[u] neighbours in the stream (a compressed graph's degrees, n entries),
- * so a round gathers nothing per chunk.
+ * Segments are keyed by vertex id, as the graph stores them: chunk[i] is a
+ * vertex id, checked against [0, n) before it indexes anything, and vertex u
+ * owns adj[indptr[u], indptr[u + 1]) (a CSR graph's indptr, n + 1 entries;
+ * degs == NULL) or degs[u] neighbours in the stream (a compressed graph's
+ * degrees, n entries; indptr == NULL).  No entry gathers a chunk's segments
+ * first.
  *
  * The stream is the compressed source (NULL: the CSR segments above).  With
- * it, starts / adj / wgt are not read: vertex u's neighbours, as many as
+ * it, indptr / adj / wgt are not read: vertex u's neighbours, as many as
  * degs gives, are handed to the rating map by the row visitor of
  * graph/neighborhood.h -- with every check the chunk decode makes, chunk by
  * chunk for a chunk-encoded hub -- as they are decoded, so no row is
@@ -48,9 +47,9 @@
  * does not fit in cache every visit starts with misses: the segment, the
  * row, then one label a neighbour.  Before chunk vertex i is rated,
  * read_ahead() asks the cache for what rate() will read of a vertex further
- * on in the same chunk (by_vertex ? chunk[j] : j keys it, as in rate()):
- *   - at i + 16, its segment start and degree (the stream's offsets) and its
- *     own label, once 0 <= chunk[j] < n;
+ * on in the same chunk, keyed by its id chunk[j] as in rate():
+ *   - at i + 16, its indptr entry (the stream's: its degree and offsets)
+ *     and its own label, once 0 <= chunk[j] < n;
  *   - at i + 8, the first line of its row (of its bytes in the stream),
  *     once its segment passed rate()'s check (the stream's degree and byte
  *     range visit_stream_row()'s);
@@ -102,10 +101,9 @@
  *     hi - lo <= out_cap, and chunks <= stats_cap, before anything is
  *     written; a pick refuses count > out_cap the same way.  Either returns
  *     ERR_SEGMENT / ERR_CAPACITY then, info[BAD] = -1;
- *   - every chunk id is checked 0 <= u < n before it indexes anything (the
- *     caller hands over n + 1 starts, or n degs, keyed by vertex id), and
- *     the segment 0 <= start <= end <= adj_len (without forming a sum that
- *     overflows) before adj / wgt are read -- with a stream, the visitor
+ *   - every chunk id is checked 0 <= u < n before it indexes indptr, degs
+ *     or anything else, and its segment 0 <= indptr[u] <= indptr[u + 1] <=
+ *     adj_len before adj / wgt are read -- with a stream, the visitor
  *     checks the degree against the stream's cap and the vertex's byte range
  *     before it reads a byte, and every neighbour id before it is rated;
  *   - every neighbour id is checked against [0, n) before it indexes the
@@ -128,9 +126,10 @@
  *
  * The LP functions return the number of vertices moved (picked, for the
  * picks); moved[] holds them in chunk order, info[TARGETS] counts the
- * vertices that had a target at all.  A round also fills one stats row a
- * chunk: its edges, targets, moves, the vertices it bumped (nc >= t_bump,
- * clustering only), their nc summed, and its nanoseconds on CLOCK_MONOTONIC.
+ * vertices that had a target at all, info[READ] the edges read.  A round
+ * also fills one stats row a chunk: its edges, targets, moves, the vertices
+ * it bumped (nc >= t_bump, clustering only), their nc summed, and its
+ * nanoseconds on CLOCK_MONOTONIC.
  */
 #define _POSIX_C_SOURCE 200809L
 #include <stdint.h>
@@ -150,18 +149,17 @@ enum {
     ERR_DECODE = -100  /* plus the row reader's code (neighborhood.h: -1..-7, -12) */
 };
 
-enum { TARGETS, BAD };
+enum { TARGETS, BAD, READ };
 
 /* the columns of a round's stats row, one row a chunk */
 enum { EDGES, ROW_TARGETS, MOVES, BUMPED, BUMPED_NC, NANOS, STATS };
 
 typedef struct {
     int64_t n;
-    const int64_t *chunk, *starts, *degs;
+    const int64_t *chunk, *indptr, *degs;
     const int64_t *adj, *wgt;
     int64_t unit_wgt, adj_len;
     const stream_t *stream;
-    int by_vertex; /* starts / degs keyed by chunk[i], not by i */
 } segments_t;
 
 typedef struct {
@@ -238,9 +236,8 @@ static __attribute__((noinline)) int64_t rate_stream(const segments_t *s, int64_
                                                      int64_t seen, uint64_t *edges)
 {
     rater_t r = rater(label64, label32, m, seen);
-    int64_t deg = s->degs[s->by_vertex ? s->chunk[i] : i];
     const stream_t *z = s->stream;
-    int64_t u = s->chunk[i], unit = s->unit_wgt;
+    int64_t u = s->chunk[i], deg = s->degs[u], unit = s->unit_wgt;
     /* one copy of the visitor a label width and weight flag: a flag folded
      * away measured 3-5 % faster compressed rounds than both tested per
      * neighbour (gcc 12 -O3, weblike(40 000, 14)) */
@@ -254,25 +251,17 @@ static __attribute__((noinline)) int64_t rate_stream(const segments_t *s, int64_
     return r.seen;
 }
 
-/* Vertex `key`'s segment of the adjacency, [*start, *start + *deg): 1 if it
- * lies inside [0, adj_len), checked without forming a sum that overflows;
- * 0 and nothing stored if not.  The one check rate() and read_ahead() make
- * before they read a row. */
-static inline int segment(const segments_t *s, int64_t key, int64_t *start, int64_t *deg)
+/* Vertex u's segment of the adjacency (u checked by the caller), [*start,
+ * *start + *deg): 1 if 0 <= indptr[u] <= indptr[u + 1] <= adj_len; 0 and
+ * nothing stored if not.  The one check rate(), read_ahead() and
+ * contraction make before they read a row. */
+static inline int segment(const segments_t *s, int64_t u, int64_t *start, int64_t *deg)
 {
-    int64_t a = s->starts[key], d;
-    if (s->degs) {
-        d = s->degs[key];
-        if (a < 0 || d < 0 || a > s->adj_len || d > s->adj_len - a)
-            return 0;
-    } else {
-        int64_t end = s->starts[key + 1];
-        if (a < 0 || end < a || end > s->adj_len)
-            return 0;
-        d = end - a;
-    }
+    int64_t a = s->indptr[u], end = s->indptr[u + 1];
+    if (a < 0 || end < a || end > s->adj_len)
+        return 0;
     *start = a;
-    *deg = d;
+    *deg = end - a;
     return 1;
 }
 
@@ -290,7 +279,7 @@ static inline int64_t rate(const segments_t *s, int64_t i, const int64_t *label6
         return rate_stream(s, i, label64, label32, m, seen, edges);
     rater_t r = rater(label64, label32, m, seen);
     int64_t start, deg;
-    if (!segment(s, s->by_vertex ? s->chunk[i] : i, &start, &deg))
+    if (!segment(s, s->chunk[i], &start, &deg))
         return forget(m, seen, ERR_SEGMENT);
     for (int64_t e = start; e < start + deg; e++) {
         int64_t v = s->adj[e];
@@ -322,31 +311,26 @@ static inline __attribute__((always_inline)) void read_ahead(const segments_t *s
     const stream_t *z = s->stream;
     int64_t j = i + AHEAD_SEGMENT, u, start, deg;
     if (j < hi && IN_RANGE(u = s->chunk[j], s->n)) {
-        int64_t key = s->by_vertex ? u : j;
         if (z) {
-            __builtin_prefetch(&s->degs[key]);
+            __builtin_prefetch(&s->degs[u]);
             prefetch_stream_offsets(z, s->n, u);
         } else {
-            __builtin_prefetch(&s->starts[key]);
-            if (s->degs)
-                __builtin_prefetch(&s->degs[key]);
+            __builtin_prefetch(&s->indptr[u]);
         }
         __builtin_prefetch(label64 ? (const void *)&label64[u] : &label32[u]);
     }
     j = i + AHEAD_ROW;
     if (j < hi && IN_RANGE(u = s->chunk[j], s->n)) {
-        int64_t key = s->by_vertex ? u : j;
         if (z) {
-            prefetch_stream_bytes(z, s->n, u, s->degs[key]);
-        } else if (segment(s, key, &start, &deg) && deg > 0) {
+            prefetch_stream_bytes(z, s->n, u, s->degs[u]);
+        } else if (segment(s, u, &start, &deg) && deg > 0) {
             __builtin_prefetch(&s->adj[start]);
             if (s->wgt)
                 __builtin_prefetch(&s->wgt[start]);
         }
     }
     j = i + AHEAD_LABELS;
-    if (z || j >= hi || !IN_RANGE(u = s->chunk[j], s->n) ||
-        !segment(s, s->by_vertex ? u : j, &start, &deg))
+    if (z || j >= hi || !IN_RANGE(u = s->chunk[j], s->n) || !segment(s, u, &start, &deg))
         return;
     for (int64_t e = start; e < start + (deg < FANOUT ? deg : FANOUT); e++) {
         int64_t v = s->adj[e];
@@ -373,7 +357,7 @@ static inline int64_t now_ns(void)
 static int64_t check_round(int64_t count, const int64_t *bounds, int64_t chunks,
                            int64_t out_cap, int64_t stats_cap, int64_t *info)
 {
-    info[TARGETS] = 0;
+    info[TARGETS] = info[READ] = 0;
     info[BAD] = -1;
     if (count < 0 || chunks < 0 || chunks > stats_cap)
         return ERR_CAPACITY;
@@ -450,16 +434,16 @@ static inline __attribute__((always_inline)) int64_t cluster_phase1(
  * vertex with neighbours records its favourite in favorites[] and every
  * vertex with a target commits to it in chunk order if it still fits. */
 int64_t repro_lp_cluster_round(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t n, const int64_t *chunk, const int64_t *indptr, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, int64_t by_vertex, const int64_t *bounds, int64_t chunks,
-    int64_t *clusters, int64_t *cluster_weights, const int64_t *vwgt, int64_t unit_vwgt,
+    int64_t adj_len, const int64_t *bounds, int64_t chunks, int64_t *clusters,
+    int64_t *cluster_weights, const int64_t *vwgt, int64_t unit_vwgt,
     int64_t max_cluster_weight, int64_t t_bump, int64_t *favorites, int64_t *slot,
     int64_t *seen, int64_t *rating, int64_t cap, int64_t *fav, int64_t *best, int64_t *nc,
     int64_t out_cap, int64_t *moved, int64_t *stats, int64_t stats_cap, int64_t *info,
     const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, by_vertex != 0};
+    segments_t s = {n, chunk, indptr, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
     int64_t rc = check_round(count, bounds, chunks, out_cap, stats_cap, info);
     if (rc < 0)
@@ -503,6 +487,7 @@ int64_t repro_lp_cluster_round(
         row[BUMPED_NC] = (int64_t)bumped_nc;
         row[NANOS] = now_ns() - t0;
         all_targets += targets;
+        info[READ] += (int64_t)edges;
     }
     info[TARGETS] = all_targets;
     return moves;
@@ -515,7 +500,7 @@ int64_t repro_lp_cluster_round(
  * clusters[] and cluster_weights[] are read, never written, error or not:
  * the caller commits.  Returns the number of movers. */
 int64_t repro_lp_cluster_pick(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t n, const int64_t *chunk, const int64_t *indptr, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
     int64_t adj_len, const int64_t *clusters, const int64_t *cluster_weights,
     const int64_t *vwgt, int64_t unit_vwgt, int64_t max_cluster_weight,
@@ -523,10 +508,10 @@ int64_t repro_lp_cluster_pick(
     int64_t *best, int64_t *nc, int64_t *moved, int64_t *target, int64_t out_cap,
     int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
+    segments_t s = {n, chunk, indptr, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, n, cap};
     uint64_t edges = 0;
-    info[TARGETS] = 0;
+    info[TARGETS] = info[READ] = 0;
     info[BAD] = -1;
     if (count < 0 || count > out_cap)
         return ERR_CAPACITY;
@@ -544,6 +529,7 @@ int64_t repro_lp_cluster_pick(
         target[moves++] = f;
     }
     info[TARGETS] = moves;
+    info[READ] = (int64_t)edges;
     return moves;
 }
 
@@ -591,15 +577,15 @@ static inline __attribute__((always_inline)) int64_t refine_phase1(
 /* Shared memory's refinement round: chunk by chunk, phase 1, then every
  * vertex with a target commits to it in chunk order if it still fits. */
 int64_t repro_lp_refine_round(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t n, const int64_t *chunk, const int64_t *indptr, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
-    int64_t adj_len, int64_t by_vertex, const int64_t *bounds, int64_t chunks, int64_t k,
+    int64_t adj_len, const int64_t *bounds, int64_t chunks, int64_t k,
     int32_t *part, int64_t *block_weights, const int64_t *vwgt, int64_t unit_vwgt,
     const int64_t *limits, int64_t *slot, int64_t *seen, int64_t *rating, int64_t cap,
     int64_t *best, int64_t out_cap, int64_t *moved, int64_t *stats, int64_t stats_cap,
     int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, by_vertex != 0};
+    segments_t s = {n, chunk, indptr, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
     int64_t rc = check_round(count, bounds, chunks, out_cap, stats_cap, info);
     if (rc < 0)
@@ -636,6 +622,7 @@ int64_t repro_lp_refine_round(
         row[BUMPED] = row[BUMPED_NC] = 0;
         row[NANOS] = now_ns() - t0;
         all_targets += targets;
+        info[READ] += (int64_t)edges;
     }
     info[TARGETS] = all_targets;
     return moves;
@@ -648,17 +635,17 @@ int64_t repro_lp_refine_round(
  * rebalancer repairs what the batch overfilled.  Returns the number of
  * movers. */
 int64_t repro_lp_refine_pick(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t n, const int64_t *chunk, const int64_t *indptr, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
     int64_t adj_len, int64_t k, const int32_t *part, const int64_t *block_weights,
     const int64_t *vwgt, int64_t unit_vwgt, const int64_t *limits, int64_t *slot,
     int64_t *seen, int64_t *rating, int64_t cap, int64_t *best, int64_t *moved,
     int64_t *target, int64_t out_cap, int64_t *info, const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
+    segments_t s = {n, chunk, indptr, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, k, cap};
     uint64_t edges = 0;
-    info[TARGETS] = 0;
+    info[TARGETS] = info[READ] = 0;
     info[BAD] = -1;
     if (count < 0 || count > out_cap)
         return ERR_CAPACITY;
@@ -674,6 +661,7 @@ int64_t repro_lp_refine_pick(
         target[moves++] = best[i];
     }
     info[TARGETS] = moves;
+    info[READ] = (int64_t)edges;
     return moves;
 }
 
@@ -765,41 +753,46 @@ static inline int64_t emit(rating_map_t *m, int64_t touched, int64_t mine, int64
  * vertices first, so label[] / weight[] are the coarse adjncy / adjwgt.
  *
  * Contract, besides the one above (tests/test_contract_kernel.py):
- *   - degs[i] >= 0 for every chunk vertex and sum(degs) <= out_cap, checked
- *     before anything is written: an edge adds at most one pair, so label[]
- *     and weight[] are then written only below out_cap;
+ *   - every chunk id u is checked against [0, n), then its segment as the
+ *     LP entries check it (a stream's degs[u] >= 0), and the degrees summed
+ *     over the chunk <= out_cap, all before anything is written: an edge
+ *     adds at most one pair, so label[] and weight[] are then written only
+ *     below out_cap;
  *   - groups[] never runs down and groups[group_count] - groups[0] <= count,
  *     checked (without forming a sum that overflows) before a group is read;
  *     degree[] is written only below group_count;
- *   - every chunk id is checked against [0, n) and every neighbour's label
- *     against [0, label_count) before it is rated;
+ *   - every neighbour's label is checked against [0, label_count) before it
+ *     is rated;
  *   - an error returns the chunk index of the vertex in info[BAD] (-1 for a
  *     group that has none), the outputs are garbage then, slot[] is zero.
  *
- * Returns the number of pairs written. */
+ * Returns the number of pairs written, info[READ] the edges read. */
 int64_t repro_contract_chunk(
-    int64_t n, const int64_t *chunk, const int64_t *starts, const int64_t *degs,
+    int64_t n, const int64_t *chunk, const int64_t *indptr, const int64_t *degs,
     int64_t count, const int64_t *adj, const int64_t *wgt, int64_t unit_wgt,
     int64_t adj_len, int64_t label_count, const int64_t *labels, int64_t *slot,
     int64_t *seen, int64_t *rating, int64_t cap, const int64_t *groups, int64_t group_count,
     int64_t *label, int64_t *weight, int64_t out_cap, int64_t *degree, int64_t *info,
     const stream_t *stream)
 {
-    segments_t s = {n, chunk, starts, degs, adj, wgt, unit_wgt, adj_len, stream, 0};
+    segments_t s = {n, chunk, indptr, degs, adj, wgt, unit_wgt, adj_len, stream};
     rating_map_t m = {slot, seen, (uint64_t *)rating, label_count, cap};
     uint64_t read = 0;
-    info[TARGETS] = 0;
+    info[TARGETS] = info[READ] = 0;
     info[BAD] = -1;
     if (count < 0 || group_count < 0)
         return ERR_CAPACITY;
     int64_t edges = 0;
     for (int64_t i = 0; i < count; i++) {
+        int64_t u = chunk[i], start, deg;
         info[BAD] = i;
-        if (degs[i] < 0)
+        if (!IN_RANGE(u, n))
+            return ERR_VERTEX;
+        if (stream ? (deg = degs[u]) < 0 : !segment(&s, u, &start, &deg))
             return ERR_SEGMENT;
-        if (degs[i] > out_cap - edges)
+        if (deg > out_cap - edges)
             return ERR_CAPACITY;
-        edges += degs[i];
+        edges += deg;
     }
     int64_t written = 0;
     for (int64_t g = 0; g < group_count; g++) {
@@ -813,8 +806,6 @@ int64_t repro_contract_chunk(
         int64_t touched = 0;
         for (int64_t i = lo; i < hi; i++) {
             info[BAD] = i;
-            if (!IN_RANGE(chunk[i], n))
-                return forget(&m, touched, ERR_VERTEX);
             /* members lie anywhere in adj: read them ahead (CSR only) */
             if (!stream)
                 read_ahead(&s, i, count, labels, 0);
@@ -826,6 +817,7 @@ int64_t repro_contract_chunk(
         degree[g] = d;
         written += d;
     }
+    info[READ] = (int64_t)read;
     return written;
 }
 

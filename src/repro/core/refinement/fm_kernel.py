@@ -184,7 +184,7 @@ class FMPass:
         if rc < 0:
             raise _refusal(rc, int(info[0]), int(info[1]))
         if self._table.kind == "none" and not localized:
-            count_edges(graph, graph.degrees[seeds])
+            count_edges(graph, int(graph.degrees[seeds].sum()))
         if self._table.kind == "none":
             self._table.recompute_edges += int(out[RECOMPUTE])
         elif self._table.kind == "sparse":

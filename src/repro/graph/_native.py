@@ -249,11 +249,11 @@ class Stream(ctypes.Structure):
     ]  # fmt: skip
 
 
-#: (n, chunk, starts, degs, count, adj, wgt, unit_wgt, adj_len) and
+#: (n, chunk, indptr, degs, count, adj, wgt, unit_wgt, adj_len) and
 #: (slot, seen, rating, cap) of every LP and contraction kernel; a round adds
-#: (by_vertex, bounds, chunks) to the segments
+#: (bounds, chunks) to the segments
 _SEGMENTS = [_i64, _p, _p, _p, _i64, _p, _p, _i64, _i64]
-_ROUND = [*_SEGMENTS, _i64, _p, _i64]
+_ROUND = [*_SEGMENTS, _p, _i64]
 _RATING_MAP = [_p, _p, _p, _i64]
 #: exported symbol -> argtypes (all return int64); every one must resolve
 SIGNATURES = {
@@ -296,20 +296,20 @@ SIGNATURES = {
         _i64, _i64, *[_p] * 12, _i64, _p, _p, _p, _i64, _p, _i64, _p, _p, _i64, _p, _p, _i64, _p,
         _p, _i64, _p, _p, _i64, _p,
     ],
-    # segments, by_vertex, bounds, chunks, clusters, cluster_weights, vwgt,
+    # segments, bounds, chunks, clusters, cluster_weights, vwgt,
     # unit_vwgt, max_cluster_weight, t_bump, favorites, rating map, fav, best,
     # nc, out_cap, moved, stats, stats_cap, info, stream
     "repro_lp_cluster_round": [
         *_ROUND, _p, _p, _p, _i64, _i64, _i64, _p, *_RATING_MAP, _p, _p, _p, _i64, _p, _p, _i64,
         _p, _p,
     ],
-    # segments, by_vertex, bounds, chunks, k, part, block_weights, vwgt,
+    # segments, bounds, chunks, k, part, block_weights, vwgt,
     # unit_vwgt, limits, rating map, best, out_cap, moved, stats, stats_cap,
     # info, stream
     "repro_lp_refine_round": [
         *_ROUND, _i64, _p, _p, _p, _i64, _p, *_RATING_MAP, _p, _i64, _p, _p, _i64, _p, _p,
     ],
-    # the two picks: their chunk's arguments, and target[] after moved[]
+    # the two picks: the segments (a batch of vertex ids), and target[] after moved[]
     "repro_lp_cluster_pick": [
         *_SEGMENTS, _p, _p, _p, _i64, _i64, *_RATING_MAP, _p, _p, _p, _p, _p, _i64, _p, _p,
     ],

@@ -6,8 +6,8 @@ vertices*: they need, for a chunk ``[u_0, u_1, ...]``, the flattened arrays
 numpy gather; for compressed graphs each neighborhood is decoded on the fly
 (the paper's point: decoding speed is close enough to raw CSR that the
 partitioner can run directly on the compressed representation).  The
-compiled kernels take a compressed graph's segments encoded instead
-(:func:`chunk_segments`, :func:`vertex_segments`) and decode every row,
+compiled kernels gather nothing: they take the graph's own segments keyed by
+vertex id (:func:`vertex_segments`) and decode every compressed row,
 chunk-encoded hubs included, from its byte stream as they read it.
 """
 
@@ -103,38 +103,6 @@ def chunk_adjacency(
     )
 
 
-def chunk_segments(
-    graph, chunk: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Adjacency of a vertex chunk as segments of one array, nothing gathered.
-
-    Returns ``(starts, degs, adj, wgt)``: chunk vertex ``i`` owns
-    ``adj[starts[i] : starts[i] + degs[i]]`` and the weights beside them.
-    A CSR graph hands out its own ``adjncy`` / ``adjwgt`` (unit weights stay
-    the 8-byte zero-stride view).  A compressed chunk is left encoded,
-    ``(None, degs, None, None)``: the caller visits each neighbourhood,
-    chunk-encoded hubs included, in ``CompressedGraph.stream`` itself and
-    refuses a degree above the graph's largest.  What the compiled LP chunk
-    (``core/kernels/lp_kernel.c``) walks; reports the same ``decode.edges*``
-    counters as :func:`chunk_adjacency`.
-    """
-    chunk = np.asarray(chunk, dtype=np.int64)
-    if hasattr(graph, "indptr"):
-        starts = graph.indptr[chunk]
-        degs = graph.indptr[chunk + 1] - starts
-        adj, wgt = graph.adjncy, np.asarray(graph.adjwgt)
-    elif hasattr(graph, "decode_chunk"):
-        degs = graph.degrees[chunk]
-        starts = adj = wgt = None
-    else:
-        raise TypeError(
-            "chunk_segments needs a CSRGraph or a CompressedGraph, got "
-            f"{type(graph).__name__}"
-        )
-    count_edges(graph, degs)
-    return starts, degs, adj, wgt
-
-
 def vertex_segments(
     graph,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -144,7 +112,7 @@ def vertex_segments(
     ``adj[indptr[u] : indptr[u + 1]]`` and the weights beside them -- or
     ``(None, degrees, None, None)`` for a compressed graph, whose
     neighbourhoods the caller decodes from ``CompressedGraph.stream``.  What
-    a compiled LP round (``core/kernels/lp_kernel.c``) walks: nothing
+    every entry of ``core/kernels/lp_kernel.c`` walks, and FM's: nothing
     gathered per chunk.
     """
     if hasattr(graph, "indptr"):
@@ -156,12 +124,12 @@ def vertex_segments(
     )
 
 
-def count_edges(graph, degs: np.ndarray) -> None:
-    """Report the edges behind ``degs`` to the ``decode.edges*`` counters, as
-    if gathered: what :func:`chunk_segments` does for its chunk, and what the
-    LP rounds, which read the graph's segments in place, do once a round."""
-    if _tracer is not None and (total := int(degs.sum())):
-        _tracer.add("decode.edges_csr" if hasattr(graph, "indptr") else "decode.edges", total)
+def count_edges(graph, edges: int) -> None:
+    """Report ``edges`` edges a compiled kernel read in place to the
+    ``decode.edges*`` counters, as if :func:`chunk_adjacency` had gathered
+    them."""
+    if _tracer is not None and edges:
+        _tracer.add("decode.edges_csr" if hasattr(graph, "indptr") else "decode.edges", edges)
 
 
 def count_walk(graph) -> None:
@@ -169,7 +137,7 @@ def count_walk(graph) -> None:
     :func:`full_adjacency` reports its own: a compressed graph's edges to
     ``decode.edges``; a CSR graph's zero-copy rows to nothing."""
     if not hasattr(graph, "indptr"):
-        count_edges(graph, graph.degrees)
+        count_edges(graph, int(graph.degrees.sum()))
 
 
 def full_adjacency(graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

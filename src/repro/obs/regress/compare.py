@@ -1,14 +1,19 @@
 """Baseline capture and exact baseline-vs-candidate comparison.
 
 A *baseline* is a named snapshot of a run matrix: per (algorithm,
-instance, k) the per-seed values of every gated metric, plus a condensed
-per-phase profile for attribution.  Every gated metric is deterministic
-per seed (a seeded partition, a ledger peak, a byte count), so a
-*comparison* is exact and paired: for every baseline group, seed and
-gated metric, the candidate's value either equals the baseline's or is
-reported as a :class:`Change` (``group seed metric old → new``).  Any
-change fails the gate, an improvement included -- a baseline that no
-longer reproduces is stale, and is re-recorded on purpose.
+instance, k) the per-seed values of every gated metric, the digest of the
+config the rows ran under (``None`` for a dist system, which is no
+preset) and a condensed per-phase profile for attribution.  Its ``env``
+is the records' own provenance, never the capturing process's.
+
+Every gated metric is deterministic per seed (a seeded partition, a
+ledger peak, a byte count), so a *comparison* is exact and paired: for
+every baseline group, seed and gated metric, the candidate's value either
+equals the baseline's or is reported as a :class:`Change` (``group seed
+metric old → new``).  A group whose candidate rows ran under another
+config is named first, as a :class:`ConfigChange` (``group config old →
+new``).  Any change fails the gate, an improvement included -- a baseline
+that no longer reproduces is stale, and is re-recorded on purpose.
 
 Seconds are recorded in the rows but judged by the ladder
 (``BENCHMARK.json``), never here.  Two more rules fail the gate: a
@@ -45,8 +50,8 @@ class Baseline:
     name: str
     env: dict = field(default_factory=dict)
     created_unix: float | None = None
-    # key -> {"algorithm", "instance", "k", "seeds", "metrics", "balanced",
-    #          "profile"}
+    # key -> {"algorithm", "instance", "k", "config", "seeds", "metrics",
+    #          "balanced", "profile"}
     groups: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -88,6 +93,19 @@ class Baseline:
             return cls.from_dict(json.load(f))
 
 
+def _config_digest(rec: dict) -> str | None:
+    return (rec.get("config") or {}).get("digest")
+
+
+def _one(values: list, what: str):
+    """The one value ``values`` hold, or a ``ValueError`` naming them all."""
+    distinct = sorted(set(values), key=repr)
+    if len(distinct) > 1:
+        named = ", ".join(map(repr, distinct))
+        raise ValueError(f"the records disagree on {what}: {named}")
+    return distinct[0]
+
+
 def capture_baseline(
     records: list[dict],
     name: str,
@@ -99,6 +117,9 @@ def capture_baseline(
 ) -> Baseline:
     """Snapshot the run-DB records of ``kind`` into a named baseline.
 
+    ``env`` defaults to the records' own: a ``ValueError`` if they disagree
+    on ``git_sha`` or ``git_dirty``, or if a group's rows ran under more
+    than one config.
     ``metrics`` defaults to what the kind gates plus ``imbalance`` (kept
     for the record; the balance gate reads the candidate's flag instead).  The raw obs
     registries are condensed to per-phase profiles at capture time, so a
@@ -108,15 +129,20 @@ def capture_baseline(
     vector lines up with the group's ``seeds``."""
     if metrics is None:
         metrics = (*KINDS[kind].gated, "imbalance")
+    records = [rec for rec in records if rec.get("kind") == kind]
+    if env is None:
+        envs = [rec.get("env") or {} for rec in records]
+        for stamp in ("git_sha", "git_dirty"):
+            _one([e.get(stamp) for e in envs], stamp)
+        env = envs[0] if envs else {}
     base = Baseline(
         name=name,
-        env=env if env is not None else {},
+        env=env,
         created_unix=time.time() if timestamp is None else timestamp,
     )
     by_key: dict[str, list[dict]] = {}
     for rec in records:
-        if rec.get("kind") == kind:
-            by_key.setdefault(group_key(rec["run"]), []).append(rec)
+        by_key.setdefault(group_key(rec["run"]), []).append(rec)
     for key, recs in sorted(by_key.items()):
         recs = sorted(recs, key=lambda r: r["run"]["seed"])
         run0 = recs[0]["run"]
@@ -128,6 +154,7 @@ def capture_baseline(
             "algorithm": run0["algorithm"],
             "instance": run0["instance"],
             "k": run0["k"],
+            "config": _one([_config_digest(r) for r in recs], f"the config of {key}"),
             "seeds": [r["run"]["seed"] for r in recs],
             "metrics": group_metrics,
             "balanced": [
@@ -158,6 +185,19 @@ class Change:
         return f"{self.group} seed {self.seed} {self.metric} {old} → {new}"
 
 
+@dataclass(frozen=True)
+class ConfigChange:
+    """A group whose candidate rows ran under another config than the
+    baseline's: its value changes are that config's."""
+
+    group: str
+    old: str | None
+    new: str | None
+
+    def __str__(self) -> str:
+        return f"{self.group} config {self.old} → {self.new}"
+
+
 def _exact(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
@@ -185,6 +225,7 @@ class CompareReport:
     baseline_name: str
     metrics: tuple[str, ...] = ()
     pairs: int = 0  # (group, seed, metric) values compared
+    configs: list[ConfigChange] = field(default_factory=list)
     changes: list[Change] = field(default_factory=list)
     gate: GateResult = field(default_factory=GateResult)
     keys_compared: list[str] = field(default_factory=list)
@@ -192,7 +233,7 @@ class CompareReport:
 
     @property
     def passed(self) -> bool:
-        return not self.changes and self.gate.passed
+        return not self.configs and not self.changes and self.gate.passed
 
     @property
     def risen_metrics(self) -> list[str]:
@@ -236,6 +277,12 @@ def compare(
 
     for key in shared:
         group = baseline.groups[key]
+        if "config" in group:  # absent: recorded before configs were stored
+            old = group["config"]
+            digests = {_config_digest(r) for r in cand_by_key[key]} - {old}
+            report.configs.extend(
+                ConfigChange(key, old, new) for new in sorted(digests, key=repr)
+            )
         cand = {r["run"]["seed"]: r["run"] for r in cand_by_key[key]}
         for metric in metrics:
             olds = group["metrics"].get(metric)

@@ -1,6 +1,7 @@
 """The Markdown compare report.
 
-What a PR reviewer reads: every baseline value the candidate did not
+What a PR reviewer reads: every group the candidate ran under another
+config (``group config old → new``), every baseline value it did not
 reproduce (``group seed metric old → new``), the balance and coverage
 gates, and the per-phase attribution of any metric that rose.  The run-DB
 rows the comparison read carry the raw values.
@@ -39,6 +40,12 @@ def render_markdown(
     out.append("")
 
     out.append("## Values")
+    if report.configs:
+        out.append(
+            f"**{len(report.configs)} group(s) ran under another config than "
+            "the baseline's** — gate FAILED:"
+        )
+        out.extend(f"- `{change}`" for change in report.configs)
     if not report.changes:
         out.append(
             f"All {report.pairs} values ({', '.join(report.metrics)}) equal "

@@ -87,6 +87,29 @@ def test_committed_baseline_reproduces(kind, tmp_path, capsys, monkeypatch):
     assert f"All {values} values ({', '.join(kind.gated)}) equal the baseline." in out
 
 
+def test_the_gate_names_the_config_a_baseline_was_recorded_under(
+    tmp_path, capsys, monkeypatch
+):
+    """The smoke matrix recorded at ``--threads 3`` (the committed file's
+    rows ran at the default 8) runs under another config digest: the gate
+    names each group's config change ahead of the values it moved."""
+    path = REPO / "benchmarks" / "baselines" / "smoke.json"
+    monkeypatch.chdir(tmp_path)
+    common = ["--kind", "partition", "--suite", "smoke", "--db", "runs.jsonl"]
+    assert main(["bench", "record", *common, "--threads", "3"]) == 0
+    rc = main(["bench", "compare", *common, "--baseline", str(path), "--gate"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    groups = Baseline.load(path).groups
+    named = [line for line in out.splitlines() if line.startswith("- `") and " config " in line]
+    assert len(named) == len(groups)
+    for key, group in groups.items():
+        assert group["config"] is not None
+        assert f"{key} config {group['config']} → " in out
+    assert out.index(" config ") < out.index(" seed ")
+    assert f"perf gate: FAILED ({len(groups)} group(s) ran under another config" in out
+
+
 def test_committed_run_db_loads_with_legacy_rows_as_opaque_data():
     """The append-only file is never rewritten and the loader does not
     switch on kind: rows of the retired ``microbench`` kind are just data."""

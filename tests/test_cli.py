@@ -197,6 +197,50 @@ class TestBenchCommands:
         assert "perf gate: FAILED" in out
         assert "terapart|fem-grid|4 seed 2 peak_bytes 1000 → 1100" in out
 
+    @staticmethod
+    def _stamped(seed, sha, dirty):
+        from repro.bench.harness import RunRecord
+        from repro.obs.regress.rundb import make_record
+
+        env = {"git_sha": sha, "git_dirty": dirty, "python": "3.11.7"}
+        return make_record(
+            "partition",
+            RunRecord(
+                "terapart", "fem-grid", 4, seed,
+                cut=100, balanced=True, imbalance=0.01,
+                wall_seconds=1.0, modeled_seconds=1.0, peak_bytes=1000,
+            ),
+            bench="smoke", label="base", env=env,
+        )  # fmt: skip
+
+    def test_baseline_keeps_the_records_provenance(self, tmp_path, monkeypatch, capsys):
+        """Rows recorded in a clean tree, captured after the tree is
+        dirtied (and has moved to another commit), keep their own SHA and
+        ``git_dirty: false``: the capture stamps nothing of its own."""
+        from repro.obs.regress import rundb
+        from repro.obs.regress.compare import Baseline
+
+        db = rundb.RunDB(tmp_path / "runs.jsonl")
+        for seed in range(3):
+            db.append(self._stamped(seed, "c1ea4", False))
+        monkeypatch.setattr(rundb, "_git_state", lambda: ("d1r7y", True))
+        out = tmp_path / "base.json"
+        args = ["bench", "baseline", "--name", "b", "--db", str(db.path), "--out", str(out)]
+        assert main(args) == 0
+        env = Baseline.load(out).env
+        assert (env["git_sha"], env["git_dirty"], env["python"]) == ("c1ea4", False, "3.11.7")
+
+    def test_baseline_refuses_records_of_two_trees(self, tmp_path, capsys):
+        from repro.obs.regress.rundb import RunDB
+
+        db = RunDB(tmp_path / "runs.jsonl")
+        db.append(self._stamped(0, "c1ea4", False))
+        db.append(self._stamped(1, "c1ea4", True))
+        args = ["bench", "baseline", "--name", "b", "--db", str(db.path)]
+        with pytest.raises(SystemExit, match="disagree on git_dirty: False, True"):
+            main([*args, "--out", str(tmp_path / "base.json")])
+        assert not (tmp_path / "base.json").exists()
+
     def test_bench_offers_exactly_three_verbs(self, capsys):
         """One verb records every kind: no `service`, `dist` or `trend`."""
         with pytest.raises(SystemExit):

@@ -41,7 +41,7 @@ from repro.memory import MemoryTracker
 from repro.parallel import ParallelRuntime
 from test_bulk_decode import _clone
 from test_initial_kernel import Guarded
-from test_lp_kernel import DecodeCalls, both_ways, csr, weighted
+from test_lp_kernel import DecodeCalls, both_ways, csr, frozen, weighted
 
 def context(graph, preset=terapart, chunk_size=64) -> PartitionContext:
     return PartitionContext(
@@ -331,10 +331,11 @@ FILL = 0x5A  # what Guarded fills every int64 entry with
 
 class Raw:
     """``repro_contract_chunk`` called the way ``lp_chunk`` calls it for a
-    whole level (dense coarse ids as labels, groups in leader order), minus
-    its checks, on arrays a test may corrupt, with every output and the
-    rating map guarded.  ``out_short`` / ``map_short`` take that many entries
-    off the capacities handed over."""
+    whole level (dense coarse ids as labels, groups in leader order, the
+    graph's ``indptr`` keyed by vertex id), minus its checks, on arrays a
+    test may corrupt, with every output and the rating map guarded.
+    ``out_short`` / ``map_short`` take that many entries off the capacities
+    handed over."""
 
     def __init__(self, graph, clusters) -> None:
         self.n = graph.n
@@ -342,19 +343,29 @@ class Raw:
         self.label_count = len(leaders)
         self.labels = dense_remap(clusters, leaders)
         self.members, self.groups = group_by_label(self.labels, self.label_count)
-        self.info = np.zeros(2, dtype=np.int64)
+        self.info = np.zeros(3, dtype=np.int64)
         self._adjacency(graph)
+        self.edges = int(self.degs.sum())  # the clean graph's: the pair outputs' room
 
     def _adjacency(self, graph):
+        self.indptr = graph.indptr.copy()
         self.adj = graph.adjncy.copy()
         self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
-        self.starts = graph.indptr[self.members]
-        self.degs = graph.indptr[self.members + 1] - self.starts
+
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each member's row starts."""
+        return frozen(self.indptr[self.members])
+
+    @property
+    def degs(self) -> np.ndarray:
+        """Each member's degree."""
+        return frozen(self.indptr[self.members + 1] - self.indptr[self.members])
 
     def _segments(self):
         return (
-            self.n, self.members.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
-            len(self.members), self.adj.ctypes.data, self.wgt.ctypes.data, 0, len(self.adj),
+            self.n, self.members.ctypes.data, self.indptr.ctypes.data, None, len(self.members),
+            self.adj.ctypes.data, self.wgt.ctypes.data, 0, len(self.adj),
         )  # fmt: skip
 
     def _stream(self, out):
@@ -365,7 +376,7 @@ class Raw:
         cap = self.label_count - map_short
         maps = [out.ptr(size, np.int64) for size in (self.label_count, cap, cap)]
         out.inside(0)[:] = 0
-        room = int(self.degs.sum()) - out_short
+        room = self.edges - out_short
         pairs = [out.ptr(room, np.int64) for _ in range(2)]
         rc = _native.contraction_kernels()[0](
             *self._segments(), self.label_count, self.labels.ctypes.data, *maps, cap,
@@ -377,30 +388,37 @@ class Raw:
         return rc
 
     def written(self) -> int:
-        """Entries of the pair outputs that no longer hold the fill."""
-        return int(sum((self.out.inside(i) != FILL).sum() for i in (3, 4)))
+        """Entries of the pair and degree outputs that no longer hold the
+        fill."""
+        return int(sum((self.out.inside(i) != FILL).sum() for i in (3, 4, 5)))
 
 
 class RawStream(Raw):
-    """The same call with the compressed source: no row scratch, a degree cap
-    of the largest degree and one block's interval pairs."""
+    """The same call with the compressed source: the ``degrees`` by vertex
+    id, no row scratch, a degree cap of the largest degree and one block's
+    interval pairs."""
 
     def _adjacency(self, graph):
         data, offsets = graph.stream()
         self.data, self.offsets = data.copy(), offsets.copy()
-        self.degs = graph.degrees[self.members].copy()
+        self.degrees = graph.degrees.copy()
+        self.cap = int(self.degrees[self.members].max())
         self.weighted = graph.has_edge_weights
         self.intervals = graph.config.enable_intervals
         self.chunking = graph.config.high_degree_threshold, graph.config.chunk_length
 
+    @property
+    def degs(self) -> np.ndarray:
+        return frozen(self.degrees[self.members])
+
     def _segments(self):
         return (
-            self.n, self.members.ctypes.data, None, self.degs.ctypes.data, len(self.members),
+            self.n, self.members.ctypes.data, None, self.degrees.ctypes.data, len(self.members),
             None, None, 1, 0,
         )  # fmt: skip
 
     def _stream(self, out):
-        cap = int(self.degs.max())
+        cap = self.cap
         pairs = 2 * (cap // 3)
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
@@ -421,6 +439,11 @@ def refused(raw, code, at=None):
         assert raw.info[1] == at
 
 
+def first_member(raw, vertices) -> int:
+    """The first position in ``members`` of one of ``vertices``."""
+    return int(np.flatnonzero(np.isin(raw.members, list(vertices)))[0])
+
+
 class TestKernelContract:
     """``repro_contract_chunk`` defends itself: an id it cannot index, group
     offsets that leave the chunk or an output one entry short come back as an
@@ -439,9 +462,21 @@ class TestKernelContract:
 
     @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
     def test_chunk_id_out_of_range_is_refused(self, mesh, bad):
+        """A member id keys ``indptr``: one outside ``[0, n)`` is refused at
+        its position before anything is written."""
         raw = Raw(*mesh)
         raw.members[40] = bad
         refused(raw, -1, at=40)
+        assert raw.written() == 0
+
+    @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
+    def test_chunk_id_out_of_range_is_refused_on_the_stream(self, mesh, bad):
+        """The same id keys a compressed graph's ``degrees``."""
+        graph, clusters = mesh
+        raw = RawStream(compress_graph(graph), clusters)
+        raw.members[40] = bad
+        refused(raw, -1, at=40)
+        assert raw.written() == 0
 
     @pytest.mark.parametrize("bad", [300, 1 << 40, -1, -(1 << 62)])
     def test_neighbour_id_out_of_range_is_refused(self, mesh, bad):
@@ -463,16 +498,23 @@ class TestKernelContract:
         refused(raw, -4, at=first)
 
     def test_segment_past_the_adjacency_is_refused(self, mesh):
-        for corrupt in (
-            lambda raw: raw.degs.__setitem__(9, len(raw.adj) - int(raw.starts[9]) + 1),
-            lambda raw: raw.starts.__setitem__(9, -1),
-            lambda raw: raw.starts.__setitem__(9, (1 << 63) - 1),
+        """A row of member 9 that ends past the adjacency or starts outside it
+        is refused there: the other row the corrupt ``indptr`` entry bounds
+        is a later member's."""
+        for entry, value in (
+            (1, lambda raw, u: len(raw.adj) + 1),
+            (0, lambda raw, u: -1),
+            (0, lambda raw, u: (1 << 63) - 1),
         ):
             raw = Raw(*mesh)
-            corrupt(raw)
+            u = int(raw.members[9])
+            assert first_member(raw, {u - 1, u, u + 1}) == 9
+            raw.indptr[u + entry] = value(raw, u)
             refused(raw, -2, at=9)
+            assert raw.written() == 0
         raw = Raw(*mesh)  # a negative degree: refused before anything is written
-        raw.degs[9] = -1
+        u = int(raw.members[9])
+        raw.indptr[u + 1] = raw.indptr[u] - 1
         refused(raw, -2, at=9)
         assert raw.written() == 0
 
@@ -484,12 +526,14 @@ class TestKernelContract:
         n = mesh[0].n
         for corrupt, code in (
             (lambda raw: raw.members.__setitem__(after, n), -1),
-            (lambda raw: raw.starts.__setitem__(after, len(raw.adj) + 1), -2),
+            (lambda raw: raw.indptr.__setitem__(raw.members[after], len(raw.adj) + 1), -2),
             (lambda raw: raw.adj.__setitem__(raw.starts[after], n), -3),
             (lambda raw: raw.adj.__setitem__(raw.starts[after], -(1 << 62)), -3),
         ):
             raw = Raw(*mesh)
             assert raw.degs[after] > 0
+            u = int(raw.members[after])  # an indptr entry bounds u's row and u - 1's
+            assert first_member(raw, {u - 1, u, u + 1}) == after
             corrupt(raw)
             refused(raw, code, at=after)
 
@@ -558,6 +602,20 @@ class TestGroupByLabel:
 class TestCorruptGraph:
     """Through either contraction a level the kernel refuses is a
     ``ValueError`` naming the vertex -- never a trap."""
+
+    @pytest.mark.parametrize("bad", [-1, 300])
+    def test_a_member_outside_the_graph(self, bad):
+        """A step's members are vertex ids: one the graph has no row for is
+        refused by name, and so is an output too short for the rows read."""
+        graph = gen.rgg2d(300, 8.0, seed=1)
+        step = contraction_step(graph, np.zeros(300, dtype=np.int64), 1)
+        members, groups = np.arange(300, dtype=np.int64), np.array([0, 300])
+        assert step(members, groups)[0] == graph.num_directed_edges
+        with pytest.raises(ValueError, match="output capacity exhausted at vertex 299 "):
+            step(members, groups, np.empty((2, graph.num_directed_edges - 1), dtype=np.int64))
+        members[17] = bad
+        with pytest.raises(ValueError, match=f"vertex id out of range at vertex {bad} "):
+            step(members, groups)
 
     @pytest.mark.parametrize("contract", [contract_buffered, contract_one_pass])
     def test_neighbour_out_of_range(self, contract):

@@ -6,8 +6,10 @@ One batch of one rank, side by side: on random labels, weight tables and
 batches, the kernel's pick and the oracle's return the same movers and
 targets, on CSR, compressed and hub-holding compressed graphs, and neither
 writes a shared array.  Whole ``dpartition`` runs give the same partition,
-cut, rank peak and traffic either way.  A corrupt stream or a label out of
-range is a ``ValueError`` naming the vertex.
+cut, rank peak and traffic either way.  A corrupt stream, a label out of
+range or a batch id outside the graph is a ``ValueError`` naming the vertex;
+called raw, a pick refuses an id it cannot key the graph by, or a row outside
+the adjacency, at its position in the batch.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.graph import generators as gen
 from repro.graph.compressed import compress_graph
 from repro.graph.csr import CSRGraph
 from test_bulk_decode import _body, _hand_built
-from test_lp_kernel import DecodeCalls, weighted
+from test_lp_kernel import DecodeCalls, Raw, RawStream, weighted
 
 def graphs():
     """``(name, graph)``: CSR unit / weighted, compressed, and compressed
@@ -214,3 +216,57 @@ class TestRefusals:
         pick = lp_chunk.refine_pick_step(graph, part, np.full(4, 50, dtype=np.int64), 60)
         with pytest.raises(ValueError, match="cluster or block id out of range at vertex 12 "):
             pick(batch)
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    @pytest.mark.parametrize("bad", [-1, -(1 << 62), 200, 1 << 40])
+    def test_batch_id_out_of_range(self, compressed, bad):
+        """A batch id keys ``indptr`` / ``degrees``: one outside ``[0, n)``
+        is refused by name, not read."""
+        graph = gen.rgg2d(200, 8.0, seed=1)
+        graph = compress_graph(graph) if compressed else graph
+        n, batch = graph.n, np.arange(12, 200, 4, dtype=np.int64)
+        batch[5] = bad
+        labels, weights = np.arange(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        pick = lp_chunk.cluster_pick_step(graph, labels, weights, 4, zeroed_map(n))
+        with pytest.raises(ValueError, match=f"vertex id out of range at vertex {bad} "):
+            pick(batch)
+        part = (np.arange(n) % 4).astype(np.int32)
+        pick = lp_chunk.refine_pick_step(graph, part, np.full(4, 50, dtype=np.int64), 60)
+        with pytest.raises(ValueError, match=f"vertex id out of range at vertex {bad} "):
+            pick(batch)
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return weighted(gen.rgg2d(300, 8.0, seed=1), "random", "random")
+
+
+class TestHostileIds:
+    """Both picks called raw on one batch (``test_lp_kernel.Raw``: the first
+    64 positions of its chunk, every output guarded): a batch id is checked
+    against ``[0, n)`` before it keys ``indptr`` or ``degrees``, and its row
+    against the adjacency before it is read, refused as ``ERR_VERTEX`` /
+    ``ERR_SEGMENT`` with ``info[BAD]`` at its position."""
+
+    AT = 9  # its vertex's neighbours by id are not in the batch
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    @pytest.mark.parametrize("bad", [-1, -(1 << 62), 300, 1 << 40])
+    def test_an_id_outside_the_graph(self, mesh, compressed, bad):
+        raw = RawStream(compress_graph(mesh)) if compressed else Raw(mesh)
+        raw.chunk[self.AT] = bad
+        assert raw.picks() == [(-1, self.AT)] * 2
+
+    @pytest.mark.parametrize(
+        "entry, value",
+        [(1, lambda raw, u: raw.indptr[u] - 1), (1, lambda raw, u: raw.adj_len + 1),
+         (0, lambda raw, u: -1), (0, lambda raw, u: raw.indptr[u + 1] + 1)],
+        ids=["runs-backwards", "ends-past-the-adjacency", "starts-below-it", "starts-past-its-end"],
+    )  # fmt: skip
+    def test_a_row_outside_the_adjacency(self, mesh, entry, value):
+        raw = Raw(mesh)
+        u = int(raw.chunk[self.AT])
+        assert not np.isin([u - 1, u + 1], raw.chunk[:64]).any()
+        assert all(rc >= 0 for rc, _ in raw.picks())  # clean
+        raw.indptr[u + entry] = value(raw, u)
+        assert raw.picks() == [(-2, self.AT)] * 2

@@ -46,7 +46,6 @@ from repro.core.partition import PartitionedGraph
 from repro.core.refinement.lp_refine import lp_refine
 from repro.graph import _native
 from repro.graph import generators as gen
-from repro.graph.access import chunk_adjacency, chunk_segments
 from repro.graph.compressed import compress_graph, decompress_graph
 from repro.graph.csr import CSRGraph
 from repro.parallel.runtime import ParallelRuntime
@@ -907,67 +906,42 @@ def test_a_selfcheck_partition_hears_the_same_accesses_on_both_paths(name):
     assert got[0] == [] and got[1] > 0
 
 
-def test_segments_describe_the_same_adjacency():
-    """``chunk_segments`` hands out what ``chunk_adjacency`` gathers: CSR in
-    place, every compressed chunk left encoded, a chunk holding a
-    chunk-encoded hub too -- the same degrees every time."""
-    base = weighted(gen.weblike(400, 7.0, seed=1), "random", "unit")
-    hubs = compress_graph(base, high_degree_threshold=32, chunk_length=8)
-    assert hubs.stats.num_chunked_vertices > 0
-    encoded = 0
-    for graph in (base, compress_graph(base), hubs, gen.rgg2d(300, 8.0, seed=1)):
-        for chunk in chunks_of(graph.n, 1, size=64):
-            owner, nbrs, wgts = chunk_adjacency(graph, chunk)
-            starts, degs, adj, wgt = chunk_segments(graph, chunk)
-            assert np.array_equal(np.repeat(np.arange(len(chunk)), degs), owner)
-            if not hasattr(graph, "indptr"):
-                assert starts is adj is wgt is None
-                encoded += 1
-                continue
-            at = np.concatenate([np.arange(s, s + d) for s, d in zip(starts, degs)] or [[]])
-            at = at.astype(np.int64)
-            assert np.array_equal(adj[at], nbrs) and np.array_equal(wgt[at], wgts)
-        if hasattr(graph, "indptr"):
-            assert adj is graph.adjncy  # nothing gathered, nothing copied
-    assert encoded == 2 * 7  # seven chunks a compressed graph
-    with pytest.raises(TypeError, match="CSRGraph or a CompressedGraph"):
-        chunk_segments(object(), np.arange(3))
-
-
 # --------------------------------------------------------------------- #
 # the contract in the C header
 # --------------------------------------------------------------------- #
 STATS = 6  # columns of a round's stats row
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read only: a test that writes it meant to corrupt the graph."""
+    a.setflags(write=False)
+    return a
+
+
 class Raw:
     """Both round entries called the way ``lp_chunk`` calls them, minus its
     checks, on arrays a test may corrupt, with every output and the rating
-    map guarded.  The segments are keyed by position (``starts`` / ``degs``
-    per chunk vertex, as a chunk decoded first goes in) or, ``by_vertex``,
-    by vertex id (the graph's ``indptr``).  ``bounds`` are the round's
-    chunks in the order they run, one chunk of all 96 vertices by default.
-    ``out_short`` / ``map_short`` / ``stats_short`` take that many entries
-    off the capacities handed over."""
+    map guarded.  The segments are keyed by vertex id, the graph's
+    ``indptr``; ``starts`` / ``degs`` read each chunk vertex's row off it.
+    ``bounds`` are the round's chunks in the order they run, one chunk of
+    all 96 vertices by default.  ``out_short`` / ``map_short`` /
+    ``stats_short`` take that many entries off the capacities handed over."""
 
     K = 4
-    by_vertex = False
 
-    def __init__(self, graph, bounds=None, by_vertex=None) -> None:
+    def __init__(self, graph, bounds=None) -> None:
         self.n = graph.n
         self.vwgt = np.ascontiguousarray(graph.vwgt).copy()
         self.chunk = np.random.default_rng(0).permutation(self.n)[:96].astype(np.int64)
         whole = [[0, len(self.chunk)]]
         self.bounds = np.array(whole if bounds is None else bounds, dtype=np.int64)
-        if by_vertex is not None:
-            self.by_vertex = by_vertex
         self.clusters = np.arange(self.n, dtype=np.int64)
         self.cluster_weights = self.vwgt.copy()
         self.favorites = np.arange(self.n, dtype=np.int64)
         self.part = (np.arange(self.n) % self.K).astype(np.int32)
         self.block_weights = np.bincount(self.part, weights=self.vwgt).astype(np.int64)
         self.limits = np.full(self.K, int(self.vwgt.sum()), dtype=np.int64)
-        self.info = np.zeros(2, dtype=np.int64)
+        self.info = np.zeros(3, dtype=np.int64)
         self.stats = None  # the last call's stats rows
         self._adjacency(graph)
 
@@ -975,19 +949,27 @@ class Raw:
         self.indptr = graph.indptr.copy()
         self.adj = graph.adjncy.copy()
         self.wgt = np.ascontiguousarray(graph.adjwgt).copy()
-        self.starts = self.indptr[self.chunk]
-        self.degs = self.indptr[self.chunk + 1] - self.starts
         self.adj_len = len(self.adj)
 
-    def _segments(self):
-        if self.by_vertex:
-            starts, degs = self.indptr.ctypes.data, None
-        else:
-            starts, degs = self.starts.ctypes.data, self.degs.ctypes.data
+    @property
+    def starts(self) -> np.ndarray:
+        """Where each chunk vertex's row starts."""
+        return frozen(self.indptr[self.chunk])
+
+    @property
+    def degs(self) -> np.ndarray:
+        """Each chunk vertex's degree."""
+        return frozen(self.indptr[self.chunk + 1] - self.indptr[self.chunk])
+
+    def _graph_args(self, count):
         return (
-            self.n, self.chunk.ctypes.data, starts, degs, len(self.chunk), self.adj.ctypes.data,
-            self.wgt.ctypes.data, 0, self.adj_len, int(self.by_vertex), self.bounds.ctypes.data,
-            len(self.bounds),
+            self.n, self.chunk.ctypes.data, self.indptr.ctypes.data, None, count,
+            self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
+        )  # fmt: skip
+
+    def _segments(self):
+        return (
+            *self._graph_args(len(self.chunk)), self.bounds.ctypes.data, len(self.bounds),
         )  # fmt: skip
 
     def _stream(self, out):
@@ -1038,14 +1020,9 @@ class Raw:
         return self.cluster(**kwargs), self.refine(**kwargs)
 
     def picks(self):
-        """Both pick entries on the first 64 positions as one rank's batch
-        (segments keyed by position, as distributed LP hands them over):
+        """Both pick entries on the first 64 positions as one rank's batch:
         their return codes, ``info[BAD]`` of each."""
         count, rcs = 64, []
-        segments = (
-            self.n, self.chunk.ctypes.data, self.starts.ctypes.data, self.degs.ctypes.data,
-            count, self.adj.ctypes.data, self.wgt.ctypes.data, 0, self.adj_len,
-        )  # fmt: skip
         for which, labels, state in (
             (2, self.n, (self.clusters, self.cluster_weights, self.vwgt, 0, 1 << 40)),
             (3, self.K, (self.K, self.part, self.block_weights, self.vwgt, 0, self.limits)),
@@ -1056,8 +1033,9 @@ class Raw:
             rows = [out.ptr(count, np.int64) for _ in range(5 if which == 2 else 3)]
             state = [a.ctypes.data if isinstance(a, np.ndarray) else a for a in state]
             rc = _native.lp_kernels()[which](
-                *segments, *state, *maps, labels, *rows, count, self.info.ctypes.data, None
-            )
+                *self._graph_args(count), *state, *maps, labels, *rows, count,
+                self.info.ctypes.data, self._stream(out),
+            )  # fmt: skip
             out.check()
             assert not out.inside(0).any(), "rating map left dirty"
             rcs.append((rc, int(self.info[1])))
@@ -1074,30 +1052,34 @@ class Raw:
 
 class RawStream(Raw):
     """The same calls with the compressed source: the byte stream (``data``,
-    ``offsets``) a test may corrupt, the degrees by vertex id, a degree cap
-    of the chunk's largest degree, ``scratch_short`` less, and one block's
-    interval pairs, guarded like the outputs (no row scratch: the kernel
-    rates each row as it decodes it)."""
+    ``offsets``) a test may corrupt, the ``degrees`` by vertex id, a degree
+    cap of the chunk's largest degree, ``scratch_short`` less, and one
+    block's interval pairs, guarded like the outputs (no row scratch: the
+    kernel rates each row as it decodes it).  The cap counts only the chunk
+    ids inside the graph."""
 
     scratch_short = 0
-    by_vertex = True
 
     def _adjacency(self, graph):
         data, offsets = graph.stream()
         self.data, self.offsets = data.copy(), offsets.copy()
-        self.degs = graph.degrees.copy()
+        self.degrees = graph.degrees.copy()
         self.weighted = graph.has_edge_weights
         self.intervals = graph.config.enable_intervals
         self.chunking = graph.config.high_degree_threshold, graph.config.chunk_length
 
-    def _segments(self):
+    @property
+    def degs(self) -> np.ndarray:
+        return frozen(self.degrees[self.chunk])
+
+    def _graph_args(self, count):
         return (
-            self.n, self.chunk.ctypes.data, None, self.degs.ctypes.data, len(self.chunk),
-            None, None, 1, 0, 1, self.bounds.ctypes.data, len(self.bounds),
+            self.n, self.chunk.ctypes.data, None, self.degrees.ctypes.data, count, None, None, 1, 0,
         )  # fmt: skip
 
     def _stream(self, out):
-        cap = int(self.degs[self.chunk].max()) - self.scratch_short
+        inside = self.chunk[(self.chunk >= 0) & (self.chunk < self.n)]  # a test may plant others
+        cap = int(self.degrees[inside].max()) - self.scratch_short
         pairs = 2 * (cap // 3)
         self.block = _native.Stream(
             self.data.ctypes.data, len(self.data), self.offsets.ctypes.data, self.intervals,
@@ -1161,15 +1143,20 @@ class TestKernelContract:
         refused(raw, -4, at=7)
 
     def test_segment_past_the_adjacency_is_refused(self, mesh):
-        for corrupt in (
-            lambda raw: raw.degs.__setitem__(9, raw.adj_len - int(raw.starts[9]) + 1),
-            lambda raw: raw.degs.__setitem__(9, -1),
-            lambda raw: raw.starts.__setitem__(9, -1),
-            lambda raw: raw.starts.__setitem__(9, (1 << 63) - 1),  # start + deg overflows
-            lambda raw: raw.degs.__setitem__(9, (1 << 63) - 1),
+        """A row of chunk vertex 9 that ends past the adjacency, runs
+        backwards or starts outside it is refused there: the other row the
+        corrupt ``indptr`` entry bounds runs later or not at all."""
+        for entry, value in (
+            (1, lambda raw, u: raw.adj_len + 1),
+            (1, lambda raw, u: raw.indptr[u] - 1),  # a degree of -1
+            (0, lambda raw, u: -1),
+            (0, lambda raw, u: (1 << 63) - 1),
+            (1, lambda raw, u: (1 << 63) - 1),
         ):
             raw = Raw(mesh)
-            corrupt(raw)
+            u = int(raw.chunk[9])
+            assert first_run(raw, {u - 1, u, u + 1}) == 9
+            raw.indptr[u + entry] = value(raw, u)
             refused(raw, -2, at=9)
         raw = Raw(mesh)  # exactly to the end is still inside
         raw.adj_len = int((raw.starts + raw.degs).max())
@@ -1192,36 +1179,29 @@ class TestKernelContract:
         chunk was rated."""
         raw = Raw(mesh)
         last = len(raw.chunk) - 1
-        raw.degs[last] = -1
+        u = int(raw.chunk[last])
+        raw.indptr[u + 1] = raw.indptr[u] - 1  # a degree of -1
         refused(raw, -2, at=last)
 
 
     # a round of three chunks, run out of issue order
     ROUND = [[32, 64], [0, 32], [64, 96]]
 
-    def test_segments_by_vertex_read_what_segments_by_position_read(self, mesh):
-        """Keyed by vertex id (the graph's ``indptr``, as a round reads a CSR
-        graph) the kernel moves the same vertices as keyed by position."""
-        by_position, by_vertex = Raw(mesh), Raw(mesh, by_vertex=True)
-        assert by_position.both() == by_vertex.both()
-        for a, b in zip(by_position.shared(), by_vertex.shared()):
-            assert np.array_equal(a, b)
-
     def test_segment_by_vertex_past_the_adjacency_is_refused(self, mesh):
         """A corrupt ``indptr`` entry is refused at the first chunk vertex
         whose segment it bounds."""
         for at, value in ((1, lambda raw: raw.adj_len + 1), (0, lambda raw: -1),
                           (0, lambda raw: (1 << 63) - 1)):  # fmt: skip
-            raw = Raw(mesh, by_vertex=True)
+            raw = Raw(mesh)
             u = int(raw.chunk[9]) + at  # ends vertex u - 1's segment, starts u's
             raw.indptr[u] = value(raw)
             owners = np.flatnonzero(np.isin(raw.chunk, [u - 1, u]))
             refused(raw, -2, at=int(owners[0]))
-        raw = Raw(mesh, by_vertex=True)  # exactly to the end is still inside
+        raw = Raw(mesh)  # exactly to the end is still inside
         ends = raw.indptr[raw.chunk + 1]
         raw.adj_len = int(ends.max())
         assert min(raw.both()) >= 0
-        raw = Raw(mesh, by_vertex=True)
+        raw = Raw(mesh)
         raw.adj_len = int(ends.max()) - 1
         refused(raw, -2, at=int(np.argmax(ends)))
 
@@ -1231,12 +1211,12 @@ class TestKernelContract:
         ids=["past-count", "running-down", "negative", "empty-then-down"],
     )
     def test_chunk_bounds_are_checked_before_anything_is_written(self, mesh, bounds):
-        raw = Raw(mesh, bounds=bounds, by_vertex=True)
+        raw = Raw(mesh, bounds=bounds)
         refused(raw, -2, at=-1)
         assert (raw.stats == 0x5A).all(), "a stats row was written"
 
     def test_a_short_stats_buffer_or_scratch_is_refused_before_anything_is_written(self, mesh):
-        raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+        raw = Raw(mesh, bounds=self.ROUND)
         before = raw.shared()
         assert raw.both(stats_short=1) == (-5, -5) and raw.info[1] == -1
         raw.bounds[2, 1] = 97 - 1  # one chunk 32 + 1 wide: the scratch is 32
@@ -1248,7 +1228,7 @@ class TestKernelContract:
     def test_a_round_is_its_chunks_one_after_another(self, mesh):
         """One call over three chunks commits what three calls, one chunk
         each in the same order, commit, and fills the same stats rows."""
-        whole, apart = Raw(mesh, bounds=self.ROUND, by_vertex=True), Raw(mesh, by_vertex=True)
+        whole, apart = Raw(mesh, bounds=self.ROUND), Raw(mesh)
         edges = [int(whole.degs[lo:hi].sum()) for lo, hi in self.ROUND]
         for run in ("cluster", "refine"):
             moved = getattr(whole, run)()
@@ -1268,7 +1248,7 @@ class TestKernelContract:
         """The second chunk to run holds the bad id at position 10: its code
         names that position, the first chunk stays committed and the second
         is untouched (favorites included)."""
-        raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+        raw = Raw(mesh, bounds=self.ROUND)
         at = 10 + int(np.flatnonzero(raw.degs[10:32] > 1)[0])
         if error == "vertex":
             raw.chunk[at] = mesh.n
@@ -1276,7 +1256,7 @@ class TestKernelContract:
             raw.adj[raw.indptr[raw.chunk[at]] + 1] = -5
         code = {"vertex": -1, "neighbour": -3}[error]
         assert raw.both() == (code, code) and raw.info[1] == at
-        first = Raw(mesh, bounds=self.ROUND[:1], by_vertex=True)
+        first = Raw(mesh, bounds=self.ROUND[:1])
         assert min(first.both()) > 0
         for a, b in zip(raw.shared(), first.shared()):
             assert np.array_equal(a, b)
@@ -1341,7 +1321,7 @@ class TestStreamContract:
     def test_scratch_one_short_is_refused(self, mesh):
         raw = RawStream(compress_graph(mesh))
         raw.scratch_short = 1
-        refused(raw, _native.DECODE_ERROR - 7, at=int(np.argmax(raw.degs[raw.chunk])))
+        refused(raw, _native.DECODE_ERROR - 7, at=int(np.argmax(raw.degs)))
 
     def test_byte_mutations_never_write_outside(self, mesh):
         """Flipped bits and degrees the stream does not back: any code the
@@ -1353,8 +1333,8 @@ class TestStreamContract:
         for _ in range(150):
             raw = RawStream(compress_graph(mesh))
             raw.data[int(rng.integers(len(raw.data)))] ^= 1 << int(rng.integers(8))
-            off = rng.integers(-1, 2, size=len(raw.degs)) * (rng.random(len(raw.degs)) < 0.02)
-            raw.degs = np.minimum(np.maximum(raw.degs + off, 0), clean.degs.max())
+            off = rng.integers(-1, 2, size=raw.n) * (rng.random(raw.n) < 0.02)
+            raw.degrees = np.minimum(np.maximum(raw.degrees + off, 0), clean.degrees.max())
             before = raw.shared()
             for rc in raw.both():
                 codes.add(rc if rc < 0 else 0)
@@ -1394,10 +1374,11 @@ class TestReadAhead:
         "vertex": (lambda raw, p: raw.chunk.__setitem__(p, raw.n), -1),
         "vertex-negative": (lambda raw, p: raw.chunk.__setitem__(p, -(1 << 62)), -1),
         "segment-past-adjacency": (
-            lambda raw, p: raw.degs.__setitem__(p, raw.adj_len - int(raw.starts[p]) + 1), -2),
-        "start-past-adjacency": (lambda raw, p: raw.starts.__setitem__(p, raw.adj_len + 1), -2),
-        "start-plus-degree-overflows": (
-            lambda raw, p: raw.degs.__setitem__(p, (1 << 63) - 1), -2),
+            lambda raw, p: raw.indptr.__setitem__(raw.chunk[p] + 1, raw.adj_len + 1), -2),
+        "start-past-adjacency": (
+            lambda raw, p: raw.indptr.__setitem__(raw.chunk[p], raw.adj_len + 1), -2),
+        "start-plus-degree-overflows": (  # an end, start plus degree, near 2^63
+            lambda raw, p: raw.indptr.__setitem__(raw.chunk[p] + 1, (1 << 63) - 1), -2),
         "neighbour": (lambda raw, p: raw.adj.__setitem__(raw.starts[p], raw.n), -3),
         "neighbour-far": (lambda raw, p: raw.adj.__setitem__(raw.starts[p], 1 << 40), -3),
     }  # fmt: skip
@@ -1408,6 +1389,8 @@ class TestReadAhead:
         corrupt, code = self.FAULTS[fault]
         raw, clean = Raw(mesh, bounds=self.ROUND), Raw(mesh, bounds=self.ROUND[:1])
         assert (raw.degs > 0).all()  # the fault's first neighbour is rated
+        u = int(raw.chunk[after])  # an indptr entry bounds u's row and u - 1's or u + 1's
+        assert first_run(raw, {u - 1, u, u + 1}) == after and u + 1 not in raw.chunk[:64]
         corrupt(raw, after)
         for run in ("cluster", "refine"):
             assert getattr(clean, run)() > 0
@@ -1424,13 +1407,13 @@ class TestReadAhead:
         starts vertex u + 1's past the adjacency, or a chunk id that would
         key one outside ``indptr``."""
         for value in (lambda raw: raw.adj_len + 1, lambda raw: (1 << 63) - 1):
-            raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+            raw = Raw(mesh, bounds=self.ROUND)
             u = int(raw.chunk[after])
             raw.indptr[u + 1] = value(raw)
             at = first_run(raw, {u, u + 1})
             assert raw.both() == (-2, -2) and raw.info[1] == at
         for bad in (mesh.n, -1, -(1 << 62)):  # an id that would key the segment
-            raw = Raw(mesh, bounds=self.ROUND, by_vertex=True)
+            raw = Raw(mesh, bounds=self.ROUND)
             raw.chunk[after] = bad
             assert raw.both() == (-1, -1) and raw.info[1] == after
 
@@ -1449,7 +1432,7 @@ class TestReadAhead:
         at = first_run(raw, {u - 1, u, u + 1})
         assert raw.both() == (_native.DECODE_ERROR - 7,) * 2 and raw.info[1] == at
         raw = RawStream(graph, bounds=self.ROUND)
-        raw.degs[u] = int(raw.degs[raw.chunk].max()) + 1
+        raw.degrees[u] = int(raw.degs.max()) + 1
         raw.scratch_short = 1  # the cap the chunk's degrees set before: u's is past it
         assert raw.both() == (_native.DECODE_ERROR - 7,) * 2 and raw.info[1] == after
         raw = RawStream(graph, bounds=self.ROUND)

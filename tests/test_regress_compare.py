@@ -202,6 +202,44 @@ class TestClassification:
         assert report.pairs == 9
 
 
+def _configured(recs, digest):
+    for rec in recs:
+        rec["config"] = {"name": "terapart", "digest": digest}
+    return recs
+
+
+class TestConfig:
+    """A baseline group keeps the digest of the config its rows ran under;
+    a candidate that ran under another is named ahead of its values."""
+
+    def test_the_digest_is_captured(self):
+        base = capture_baseline(_configured(_matrix(), "a1"), "b")
+        assert {g["config"] for g in base.groups.values()} == {"a1"}
+        assert {g["config"] for g in capture_baseline(_matrix(), "b").groups.values()} == {None}
+
+    def test_another_config_fails_the_gate_with_its_values(self):
+        base = capture_baseline(_configured(_matrix(), "a1"), "b")
+        report = compare(base, _configured(_matrix(scale_peak=0.9), "b2"))
+        assert [str(c) for c in report.configs] == [
+            "terapart|fem-grid|4 config a1 → b2",
+            "terapart|web-small|4 config a1 → b2",
+        ]
+        assert len(report.changes) == 6 and not report.passed
+        assert not compare(base, _configured(_matrix(), "b2")).passed
+
+    def test_a_group_of_two_configs_is_refused(self):
+        recs = _configured(_matrix(), "a1")
+        recs[1]["config"]["digest"] = "b2"
+        with pytest.raises(ValueError, match=r"config of terapart\|fem-grid\|4: 'a1', 'b2'"):
+            capture_baseline(recs, "b")
+
+    def test_a_baseline_without_configs_is_not_judged_by_them(self):
+        base = capture_baseline(_matrix(), "b")
+        for group in base.groups.values():
+            del group["config"]
+        assert compare(base, _configured(_matrix(), "b2")).passed
+
+
 class TestZeroCuts:
     """0 is a value like any other: no ratio, so no special case."""
 

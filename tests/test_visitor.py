@@ -130,12 +130,12 @@ class Rows:
         clusters = np.arange(n, dtype=np.int64) if clusters is None else clusters
         maps = np.zeros((3, n), dtype=np.int64)
         rows = np.zeros(3, dtype=np.int64)
-        stats, info = np.zeros(6, dtype=np.int64), np.zeros(2, dtype=np.int64)
+        stats, info = np.zeros(6, dtype=np.int64), np.zeros(3, dtype=np.int64)
         chunk, bounds = np.array([u], dtype=np.int64), np.array([0, 1], dtype=np.int64)
         weights, favorites = np.ones(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)
         p = lambda a: a.ctypes.data  # noqa: E731
         rc = _native.library()["repro_lp_cluster_round"](
-            n, p(chunk), None, p(self.degs), 1, None, None, 1, 0, 1, p(bounds), 1, p(clusters),
+            n, p(chunk), None, p(self.degs), 1, None, None, 1, 0, p(bounds), 1, p(clusters),
             p(weights), None, 1, 1 << 40, 1 << 40, p(favorites), p(maps[0]), p(maps[1]),
             p(maps[2]), n, p(rows), p(rows[1:]), p(rows[2:]), 1, None, p(stats), 1, p(info),
             self.stream(),
@@ -150,12 +150,12 @@ class Rows:
         labels = 1 + np.arange(self.n, dtype=np.int64) % LABELS
         maps = np.zeros((3, LABELS + 1), dtype=np.int64)
         label, weight = np.zeros(deg + 1, dtype=np.int64), np.zeros(deg + 1, dtype=np.int64)
-        chunk, degs = np.array([u], dtype=np.int64), np.array([deg], dtype=np.int64)
+        chunk = np.array([u], dtype=np.int64)
         groups, degree = np.array([0, 1], dtype=np.int64), np.zeros(1, dtype=np.int64)
-        info = np.zeros(2, dtype=np.int64)
+        info = np.zeros(3, dtype=np.int64)
         p = lambda a: a.ctypes.data  # noqa: E731
         rc = _native.library()["repro_contract_chunk"](
-            self.n, p(chunk), None, p(degs), 1, None, None, 1, 0, LABELS + 1, p(labels),
+            self.n, p(chunk), None, p(self.degs), 1, None, None, 1, 0, LABELS + 1, p(labels),
             p(maps[0]), p(maps[1]), p(maps[2]), LABELS + 1, p(groups), 1, p(label), p(weight),
             deg, p(degree), p(info), self.stream(),
         )  # fmt: skip
