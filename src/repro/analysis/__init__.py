@@ -1,17 +1,15 @@
 """``repro lint``: AST-based discipline checks for this codebase.
 
 The repo encodes three non-negotiable disciplines that ordinary linters
-cannot see -- shared-array accesses must match the declarations the
-dynamic :class:`~repro.verify.conflicts.ConflictDetector` enforces, every
-input-sized allocation must reach the :class:`~repro.memory.tracker
-.MemoryTracker` ledger, and integer widths must never silently narrow at
-tera-scale ID ranges.  This package walks the source ASTs and checks them
+cannot see -- every input-sized allocation must reach the
+:class:`~repro.memory.tracker.MemoryTracker` ledger, integer widths must
+never silently narrow at tera-scale ID ranges, and phases and spans keep
+one vocabulary.  This package walks the source ASTs and checks them
 at rest, complementing the runtime verify layer (which only sees executed
 paths).  See DESIGN.md section 9.
 
 Passes (`repro lint --passes` selects a subset), one per discipline:
 
-* ``parallel-access``   PA001-PA005  declarations vs kernel ASTs
 * ``untracked-alloc``   UA001        allocations outside the ledger
 * ``int-width``         IW001-IW002  narrowing stores / casts
 * ``phase-discipline``  PH001-PH003  phase vocabulary + span hygiene
@@ -35,7 +33,6 @@ from repro.analysis import (
     allocations,
     baseline as baseline_mod,
     intwidth,
-    parallel_access,
     phases,
 )
 from repro.analysis.core import (
@@ -56,7 +53,6 @@ __all__ = [
 ]
 
 _PASSES = {
-    parallel_access.PASS_ID: parallel_access.run,
     allocations.PASS_ID: allocations.run,
     intwidth.PASS_ID: intwidth.run,
     phases.PASS_ID: phases.run,

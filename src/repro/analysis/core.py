@@ -28,7 +28,6 @@ from pathlib import Path
 
 #: pass ID -> the finding codes it emits, in report order
 PASS_CODES = {
-    "parallel-access": ("PA001", "PA002", "PA003", "PA004", "PA005"),
     "untracked-alloc": ("UA001",),
     "int-width": ("IW001", "IW002"),
     "phase-discipline": ("PH001", "PH002", "PH003"),
@@ -53,7 +52,7 @@ class Finding:
     """One static-analysis finding."""
 
     pass_id: str  # one of PASS_IDS
-    code: str  # short stable code, e.g. "PA001"
+    code: str  # short stable code, e.g. "UA001"
     severity: str  # "error" | "warning"
     file: str  # repo-relative path (see Module.rel)
     line: int
@@ -175,8 +174,7 @@ class Module:
 def terminal_name(node: ast.AST) -> str | None:
     """Rightmost-but-one identifier of a call receiver.
 
-    ``runtime.region`` -> "runtime"; ``self.tracer.span`` -> "tracer";
-    ``ctx.phase`` -> "ctx".
+    ``self.tracer.span`` -> "tracer"; ``ctx.phase`` -> "ctx".
     """
     if isinstance(node, ast.Attribute):
         node = node.value
@@ -184,12 +182,6 @@ def terminal_name(node: ast.AST) -> str | None:
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
-    return None
-
-
-def const_str(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
     return None
 
 

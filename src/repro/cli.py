@@ -49,7 +49,6 @@ from repro.graph import generators
 from repro.graph.compressed import compress_graph
 from repro.graph.io import read_binary, read_metis, stream_compressed, write_binary
 from repro.graph.stats import compute_stats
-from repro.parallel.runtime import SCHEDULE_POLICIES
 
 
 def _load_graph(path: str, *, compressed: bool = False):
@@ -66,15 +65,8 @@ def _load_graph(path: str, *, compressed: bool = False):
 def cmd_partition(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph, compressed=args.stream_compress)
     cfg = C.preset(args.preset, seed=args.seed, p=args.threads, epsilon=args.epsilon)
-    if args.selfcheck or args.schedule_policy is not None or args.schedule_seed:
-        cfg = cfg.with_(
-            debug=C.DebugConfig(
-                validation_level=2 if args.selfcheck else 0,
-                detect_conflicts=bool(args.selfcheck),
-                schedule_policy=args.schedule_policy,
-                schedule_seed=args.schedule_seed,
-            )
-        )
+    if args.selfcheck:
+        cfg = cfg.with_(debug=C.DebugConfig(validation_level=2))
     want_obs = bool(args.trace_out or args.metrics_json)
     if want_obs or args.selfcheck:
         # selfcheck runs also charge transient decode scratch to the ledger
@@ -122,19 +114,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             print(f"metrics js: {args.metrics_json}")
         print(render_level_summary(result.trace))
     if result.selfcheck is not None:
-        sc = result.selfcheck
-        n_conflicts = len(sc["conflicts"])
-        print(
-            f"selfcheck:  {sc['invariant_checks']} invariant checks ok, "
-            f"{sc['regions_checked']} parallel regions / "
-            f"{sc['accesses_recorded']} accesses race-checked, "
-            f"{n_conflicts} conflicts "
-            f"(schedule {sc['schedule_policy']}, seed {sc['schedule_seed']})"
-        )
-        if n_conflicts:
-            for c in sc["conflicts"][:10]:
-                print(f"  {c}")
-            return 1
+        print(f"selfcheck:  {result.selfcheck['invariant_checks']} invariant checks ok")
     return 0
 
 
@@ -477,21 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--selfcheck",
         action="store_true",
-        help="run phase-boundary invariant checks and the conflict "
-        "detector; exit 1 if any conflict is found",
-    )
-    p.add_argument(
-        "--schedule-policy",
-        choices=list(SCHEDULE_POLICIES),
-        default=None,
-        help="replay all simulated-parallel loops under this chunk "
-        "interleaving (default: model issue order)",
-    )
-    p.add_argument(
-        "--schedule-seed",
-        type=int,
-        default=0,
-        help="seed for the 'random' schedule policy",
+        help="run the phase-boundary invariant checks; a violated one "
+        "fails the run",
     )
     p.add_argument(
         "--trace-out",
@@ -527,8 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="AST discipline checks: parallel access, tracked allocation, "
-        "integer widths, phase names (see DESIGN.md section 9)",
+        help="AST discipline checks: tracked allocation, integer widths, "
+        "phase names (see DESIGN.md section 9)",
     )
     p.add_argument(
         "paths",
@@ -554,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--passes",
         default=None,
         help="comma-separated subset of passes (default: all): "
-        "parallel-access,untracked-alloc,int-width,phase-discipline",
+        "untracked-alloc,int-width,phase-discipline",
     )
     p.add_argument("--json", default=None, help="write a JSON report here")
     p.add_argument(

@@ -20,10 +20,7 @@ variant determines what gets charged to the memory ledger and how work is
 attributed to the cost model.  The paper's structures themselves -- the
 fixed-capacity hash tables and the shared atomic sparse array -- live
 beside the tests (``tests/rating_map.py``), where the pseudocode reference
-of both algorithms runs on them and is tested against the kernel.  Under
-the conflict detector the driver makes the same round call and then
-replays the round to it chunk by chunk, in the order the kernel ran the
-chunks, so fuzzing checks the round production runs.
+of both algorithms runs on them and is tested against the kernel.
 """
 
 from __future__ import annotations
@@ -34,16 +31,9 @@ import numpy as np
 
 from repro.core.context import PartitionContext
 from repro.core.kernels import cluster_leaders
-from repro.core.kernels.lp_chunk import (
-    BUMPED_NC,
-    NANOS,
-    clustering_round,
-    replayed_chunks,
-    round_bounds,
-)
-from repro.graph.access import chunk_adjacency, traversal_cost
-from repro.memory.scratch import tracked_empty, tracked_zeros
-from repro.verify.declarations import recorder_for
+from repro.core.kernels.lp_chunk import BUMPED_NC, NANOS, clustering_round
+from repro.graph.access import traversal_cost
+from repro.memory.scratch import tracked_zeros
 
 
 @dataclass
@@ -92,31 +82,6 @@ def _charge_rating_maps(
     return handles
 
 
-def _record(rec, graph, start, clusters, t_bump, chunks) -> None:
-    """Tell the detector what each chunk of a round touched, in the order the
-    chunks ran (:func:`~repro.core.kernels.lp_chunk.replayed_chunks`): the
-    neighbours' labels it read, the movers' labels, the old and new
-    clusters of the movers' weights, in two-phase LP (``t_bump > 0``) the
-    labels bumped vertices flush into the shared sparse array, and the
-    favorites of its vertices with a neighbour.  ``start`` is the
-    round-start labels, carried forward by each chunk's movers to what the
-    next chunk sees."""
-    n = graph.n
-    for chunk, movers, targets in chunks:
-        owner, nbrs, _ = chunk_adjacency(graph, chunk)
-        seen = start[nbrs]
-        rec.read("clusters", nbrs)
-        rec.atomic("clusters", movers)
-        rec.atomic("cluster-weights", np.concatenate([start[movers], clusters[movers]]))
-        # distinct neighbour labels per chunk vertex, as the kernel counted them
-        nc = np.bincount(np.unique(owner * n + seen) // n, minlength=len(chunk))
-        if t_bump and targets:
-            rec.atomic("shared-sparse-array", seen[(nc >= t_bump)[owner]])
-        # per-owner slots: disjoint plain stores by design
-        rec.write("favorites", chunk[nc > 0])
-        start[movers] = clusters[movers]
-
-
 def label_propagation_clustering(
     graph,
     ctx: PartitionContext,
@@ -126,10 +91,8 @@ def label_propagation_clustering(
 
     The driver owns the rounds: visiting order, schedule, favorites, bump
     counts, cost records and counters.  A round -- every chunk rated, picked
-    and committed in execution order -- is one call into ``lp_kernel.c``,
-    which gives one stats row a chunk.  An attached conflict detector hears
-    the round's shared accesses afterwards, chunk by chunk under each
-    chunk's virtual thread, from :func:`_record`.
+    and committed in issue order -- is one call into ``lp_kernel.c``,
+    which gives one stats row a chunk.
     """
     n = graph.n
     cc = ctx.config.coarsening
@@ -147,11 +110,6 @@ def label_propagation_clustering(
     max_degree = graph.max_degree if not two_phase else 0
     handles = _charge_rating_maps(graph, ctx, two_phase, t_bump)
     phase_name = "clustering-2p" if two_phase else "clustering-classic"
-    # verify layer: the synchronization classes of every shared array this
-    # kernel touches live in repro.verify.declarations ("lp-clustering");
-    # the recorder refuses anything outside that declaration set, and the
-    # static `repro lint` pass cross-references the same registry.
-    rec = recorder_for(ctx.detector, "lp-clustering")
     # the sparse array and non-zero buffers charged just above, for real:
     # slot, seen and rating rows of the kernel's rating map
     kernel = clustering_round(
@@ -162,33 +120,26 @@ def label_propagation_clustering(
     result = ClusteringResult(
         clusters, cluster_weights, n, favorites=favorites
     )
-    # the movers of a round, in the order they moved: only the detector reads them
-    movers = tracked_empty(n, name="lp-moved") if rec.active else None
     try:
         for _round in range(cc.lp_rounds):
             order = rng.permutation(n).astype(np.int64, copy=False)
             with tracer.span(f"{phase_name}-round{_round}"):
-                with runtime.region(f"{phase_name}-round{_round}"):
-                    bounds, tids = round_bounds(runtime, graph, order)
-                    start = clusters.copy() if rec.active else None  # what chunk 0 sees
-                    stats = kernel(order, bounds, movers)
-                    edges, targets, moved, bumped, bumped_nc = stats[:, : BUMPED_NC + 1].T
-                    # work is booked for the chunks that rated a target;
-                    # second-phase atomics: only bumped vertices' rating
-                    # flushes hit the shared sparse array
-                    rated = (edges > 0) & (targets > 0)
-                    booked = int(edges[rated].sum())
-                    runtime.record_chunks(
-                        phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9,
-                        work=float(booked) * work_factor,
-                        bytes_moved=edge_bytes * booked,
-                        atomic_ops=int(bumped_nc[rated].sum()) if two_phase else 0,
-                    )
-                    moves = int(moved[rated].sum())
-                    bumped_total = int(bumped[edges > 0].sum())
-                    if rec.active:
-                        chunks = replayed_chunks(rec.detector, order, bounds, tids, stats, movers)
-                        _record(rec, graph, start, clusters, t_bump if two_phase else 0, chunks)
+                bounds, tids = runtime.chunk_bounds(n)
+                stats = kernel(order, bounds)
+                edges, targets, moved, bumped, bumped_nc = stats[:, : BUMPED_NC + 1].T
+                # work is booked for the chunks that rated a target;
+                # second-phase atomics: only bumped vertices' rating
+                # flushes hit the shared sparse array
+                rated = (edges > 0) & (targets > 0)
+                booked = int(edges[rated].sum())
+                runtime.record_chunks(
+                    phase_name, tids, bounds[:, 1] - bounds[:, 0], stats[:, NANOS] * 1e-9,
+                    work=float(booked) * work_factor,
+                    bytes_moved=edge_bytes * booked,
+                    atomic_ops=int(bumped_nc[rated].sum()) if two_phase else 0,
+                )
+                moves = int(moved[rated].sum())
+                bumped_total = int(bumped[edges > 0].sum())
                 # straggler span for classic LP: the largest neighborhood is
                 # scanned by a single thread (two-phase parallelizes it)
                 if not two_phase:

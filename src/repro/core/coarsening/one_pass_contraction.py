@@ -16,29 +16,23 @@ Builds the coarse CSR *directly*, without a second buffered copy:
    touched prefix is the coarse CSR's adjacency.
 
 In a real parallel run the chunks finish in any order, and the coarse
-numbering is a permutation of the buffered scheme's.  Here each chunk is
-one deterministic synchronous sub-round: the chunks run in the runtime's
-order, which is issue order unless a schedule policy replays another, so
-the default numbering is leader order -- the buffered scheme's.  The two
-schemes then return the same coarse graph and ``fine_to_coarse`` byte for
-byte and differ only in what they book on the ledger; under a policy's
-order the coarse graph is the buffered one renumbered (the verify layer's
-fuzz checks that isomorphism).
+numbering is a permutation of the buffered scheme's.  Here the chunks run
+in issue order, so the numbering is leader order -- the buffered
+scheme's.  The two schemes then return the same coarse graph and
+``fine_to_coarse`` byte for byte and differ only in what they book on the
+ledger.
 
-The run order is fixed before the walk, so every ``(d_prev, s_prev)`` is a
-prefix sum over it: the coarse vertices are numbered in run order up front,
-and a level is one contraction step
-(:func:`repro.core.coarsening.contraction.aggregate_clusters`) over all of
-them, written into ``E'``.  Each coarse vertex's members are summed into one
-map keyed by coarse id, so the neighbours come out ascending in the new ids
-and ``E'``'s touched prefix *is* the coarse ``adjncy`` / ``adjwgt`` (views,
-no remap, no copy); on ``lp_kernel.c``'s rating map a compressed level is
-decoded neighbourhood by neighbourhood inside the call.  ``P'`` is the
-prefix sum of the returned degrees, and each chunk's ``(d_prev, s_prev)``
-is ``(P'[s_prev], s_prev)`` at its first coarse vertex.  An attached
-conflict detector then hears the walk chunk by chunk, in run order under
-each chunk's virtual thread: its dual-counter transaction and its slice
-writes.
+Issue order is known before the walk, so every ``(d_prev, s_prev)`` is a
+prefix sum over leader order: a level is one contraction step
+(:func:`repro.core.coarsening.contraction.aggregate_clusters`) over all
+coarse vertices, written into ``E'``.  Each coarse vertex's members are
+summed into one map keyed by coarse id, so the neighbours come out
+ascending in the new ids and ``E'``'s touched prefix *is* the coarse
+``adjncy`` / ``adjwgt`` (views, no remap, no copy); on ``lp_kernel.c``'s
+rating map a compressed level is decoded neighbourhood by neighbourhood
+inside the call.  ``P'`` is the prefix sum of the returned degrees, and
+each chunk's ``(d_prev, s_prev)`` is ``(P'[s_prev], s_prev)`` at its first
+coarse vertex.
 """
 
 from __future__ import annotations
@@ -56,26 +50,6 @@ from repro.core.coarsening.contraction import (
 )
 from repro.core.kernels import cluster_leaders
 from repro.graph.access import traversal_cost
-from repro.verify.declarations import recorder_for
-
-
-def _record(rec, leaders, bounds, tids, firsts, pprime) -> None:
-    """Tell the detector what each chunk wrote, in the order the chunks ran:
-    the dual-counter transaction, then its ``E'`` / ``P'`` slices (from
-    ``d_prev = P'[s_prev]``), its leaders' new ids and its coarse weights.
-    ``firsts[j]`` is chunk ``j``'s ``s_prev``."""
-    det = rec.detector
-    rows = zip(bounds.tolist(), tids.tolist(), firsts.tolist())
-    for (a, b), tid, s_prev in rows:
-        det.current_tid = tid
-        d_prev, d_next = int(pprime[s_prev]), int(pprime[s_prev + b - a])
-        rec.atomic("dual-counter", (0,))
-        if d_next > d_prev:
-            rec.write("coarse-edges", np.arange(d_prev, d_next))
-        new_ids = np.arange(s_prev, s_prev + b - a)
-        rec.write("coarse-indptr", new_ids)
-        rec.write("new-id-of-leader", leaders[a:b])
-        rec.write("coarse-vwgt", new_ids)
 
 
 def contract_one_pass(
@@ -112,55 +86,37 @@ def contract_one_pass(
     )
     pprime_aid = tracker.alloc("coarse-indptr", 8 * (n_coarse + 1), "graph")
 
-    # shared-access declarations: repro.verify.declarations, key
-    # "one-pass-contraction" -- checked here dynamically and by `repro lint`
-    rec = recorder_for(ctx.detector, "one-pass-contraction")
-
-    cs = runtime.chunk_size
-    n_chunks = -(-n_coarse // cs)
-    chunk_weights = None
-    if runtime.schedule_policy == "heavy-first" and n_chunks:
-        # a chunk weighs its members
-        sizes = np.bincount(clusters, minlength=n)[leaders]
-        chunk_weights = np.add.reduceat(sizes, np.arange(0, n_coarse, cs))
-    with runtime.region("contraction"), ctx.tracer.span("contraction-aggregate"):
-        bounds, tids = runtime.chunk_bounds(n_coarse, weights=chunk_weights)
-        # s_prev of each chunk: the coarse vertices of the chunks run before
-        counts = bounds[:, 1] - bounds[:, 0]
-        firsts = np.cumsum(counts) - counts
-        # leaders in run order, numbered 0.. in that order
-        own = leaders[np.repeat(bounds[:, 0] - firsts, counts) + np.arange(n_coarse)]
-        fine_to_coarse = dense_remap(clusters, own)
+    with ctx.tracer.span("contraction-aggregate"):
+        bounds, tids = runtime.chunk_bounds(n_coarse)
+        fine_to_coarse = dense_remap(clusters, leaders)
         # E': ids and weights, as the overcommitted booking above reserves it
         eprime = np.empty((2, m2), dtype=np.int64)
         t0 = time.perf_counter()
-        # every coarse neighbourhood, in run order, keyed by coarse id
+        # every coarse neighbourhood, in leader order, keyed by coarse id
         fine_edges, degrees, adjncy, adjwgt = aggregate_clusters(
             graph, fine_to_coarse, n_coarse, eprime
         )
         seconds = time.perf_counter() - t0
-        new_vwgt = np.asarray(cluster_weights[own], dtype=np.int64)
+        new_vwgt = np.asarray(cluster_weights[leaders], dtype=np.int64)
         coarse = coarse_csr(degrees, adjncy, adjwgt, new_vwgt)
-        pprime = coarse.indptr
         m2_coarse = len(adjncy)
         tracker.touch(eprime_aid, 16 * m2_coarse)
         # each chunk's share of the fine edges read, as the step counted them
         read = np.zeros(n_coarse + 1)
         np.cumsum(np.bincount(fine_to_coarse, np.asarray(graph.degrees), n_coarse), out=read[1:])
-        scanned = read[firsts + counts] - read[firsts]
+        scanned = read[bounds[:, 1]] - read[bounds[:, 0]]
         runtime.record_chunks(
-            "contraction", tids, counts, seconds * scanned / max(fine_edges, 1),
+            "contraction", tids, bounds[:, 1] - bounds[:, 0],
+            seconds * scanned / max(fine_edges, 1),
             work=float(fine_edges) * work_factor + float(m2_coarse),
             bytes_moved=edge_bytes * fine_edges + 16.0 * m2_coarse,
-            atomic_ops=n_chunks,  # one dual-counter CAS a chunk
+            atomic_ops=len(bounds),  # one dual-counter CAS a chunk
         )  # fmt: skip
-        if rec.active:
-            _record(rec, leaders, bounds, tids, firsts, pprime)
 
     bumped = int(np.sum(degrees >= t_bump))
     tracer = ctx.tracer
     tracer.add("contraction.coarse_edges", m2_coarse)
-    tracer.add("contraction.cas_transactions", n_chunks)
+    tracer.add("contraction.cas_transactions", len(bounds))
     tracer.add("contraction.bumped_clusters", bumped)
 
     tracker.free(aux_aid)

@@ -48,9 +48,9 @@ class FMConfig:
 
 @dataclass(frozen=True)
 class DebugConfig:
-    """Knobs of the verify layer (schedule fuzzing + invariant checks).
+    """Knobs of the verify layer (phase-boundary invariant checks).
 
-    All default to off: the production path pays nothing for the verify
+    Defaults to off: the production path pays nothing for the verify
     layer's existence.
     """
 
@@ -58,13 +58,6 @@ class DebugConfig:
     # consistency), 2 = adds the deep O(m)-ish checks (graph symmetry,
     # compressed roundtrip, gain-table-vs-recompute)
     validation_level: int = 0
-    # attach a ConflictDetector to the runtime; conflicts are reported in
-    # PartitionResult.selfcheck
-    detect_conflicts: bool = False
-    # chunk execution order override for every simulated-parallel loop
-    # (None = model default; see repro.parallel.runtime.SCHEDULE_POLICIES)
-    schedule_policy: str | None = None
-    schedule_seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -177,7 +170,7 @@ def config_digest(cfg: PartitionerConfig) -> str:
     Only result-affecting knobs are hashed.  The seed is excluded: runs of
     the same variant under different seeds share a digest, which is what
     the run database groups by.  So are ``debug`` and ``obs``: traced ==
-    untraced and schedule-independence are tested invariants, so turning
+    untraced and validated == unvalidated are tested invariants, so turning
     tracing or validation on must not fork the service cache key or the
     run-DB group.  Any other knob change yields a new digest.
 

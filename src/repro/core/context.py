@@ -34,12 +34,7 @@ class PartitionContext:
 
     def __post_init__(self) -> None:
         if self.runtime is None:
-            dbg = self.config.debug
-            self.runtime = ParallelRuntime(
-                self.config.p,
-                schedule_policy=dbg.schedule_policy,
-                schedule_seed=dbg.schedule_seed,
-            )
+            self.runtime = ParallelRuntime(self.config.p)
         if self.rng is None:
             self.rng = np.random.default_rng(self.config.seed)
         if self.k < 1:
@@ -48,16 +43,6 @@ class PartitionContext:
     @property
     def epsilon(self) -> float:
         return self.config.epsilon
-
-    @property
-    def debug(self):
-        """The verify-layer knobs (``config.debug``)."""
-        return self.config.debug
-
-    @property
-    def detector(self):
-        """The attached conflict detector, or None."""
-        return self.runtime.detector
 
     def phase(self, name: str, *, level: int | None = None):
         """Scope one algorithm phase: ledger phase + (if tracing) a span.

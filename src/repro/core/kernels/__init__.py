@@ -4,7 +4,7 @@ numpy bulk kernels the balancer, distributed LP and the baselines call.
 :mod:`repro.core.kernels.lp_chunk` binds ``lp_kernel.c``
 (:mod:`repro.graph._native`): one call runs a whole LP round of clustering
 or refinement -- the kernel walks the round's chunk bounds itself, in the
-runtime's execution order, rating, picking and committing chunk by chunk --
+runtime's issue order, rating, picking and committing chunk by chunk --
 or picks one batch of distributed LP.  Every coarse graph is aggregated by
 one :func:`contraction_step` on the same compiled rating map.  Each entry
 reads the graph where it keeps its rows, keyed by vertex id.  The numpy
@@ -14,8 +14,7 @@ reference.
 The numpy kernels (:func:`bulk_size_constrained_commit`, the gain and hash
 kernels, :func:`segment_best_last`, the contraction gather and reduction)
 each work on one chunk's flattened arrays and hold no state across chunks.
-Shared-array mutations happen in the calling phase, which binds a
-:class:`~repro.verify.declarations.SharedAccessRecorder`, or through an
+Shared-array mutations happen in the calling phase, or through an
 explicitly passed capacity array, never through hidden module state.  Their
 scalar references live in ``tests/scalar_reference.py``;
 ``tests/test_bulk_equivalence.py`` swaps them in and proves equality across

@@ -8,7 +8,7 @@ Per call: :func:`contraction_step` (``lp_kernel.c``'s
 one aggregation every coarse graph in the tree is built by -- buffered and
 one-pass contraction, each rank's share of distributed contraction and the
 baselines -- keyed by coarse id.  Pure functions -- the caller owns the
-coarse numbering, ``P'`` and all recorder declarations.
+coarse numbering and ``P'``.
 
 :func:`gather_cluster_members` and :func:`aggregate_coarse_edges` are the
 numpy gather and sort-based segment reduction the kernel replaced; no

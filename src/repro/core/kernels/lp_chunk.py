@@ -5,11 +5,9 @@ The LP drivers (:mod:`repro.core.coarsening.lp_clustering`,
 :mod:`repro.core.refinement.lp_refine`) own the rounds: visiting order,
 schedule, cost records and counters.  :func:`clustering_round` and
 :func:`refinement_round` bind a *round entry* of the kernel to one LP call's
-arrays: called with the round's order and its chunk bounds in execution
+arrays: called with the round's order and its chunk bounds in issue
 order, it rates, picks and commits every chunk in turn -- chunk *i + 1*
-reads chunk *i*'s commits -- and returns one stats row a chunk.  With a
-conflict detector attached the drivers make the same call and then walk
-the round's chunks again for it (:func:`replayed_chunks`).  Binding an
+reads chunk *i*'s commits -- and returns one stats row a chunk.  Binding an
 entry refuses, with a ``ValueError``, vertex weights whose sums the
 kernel's commit cannot hold (:func:`repro.graph._native.vertex_weight_error`;
 the entry points refuse such an input graph before any work).  The C header states the
@@ -205,31 +203,6 @@ class _RoundKernel(_Bound):
         out = None if moved is None else moved.ctypes.data
         self._run(order, (bounds, chunks), (*self._scratch_args, out, stats, chunks))
         return stats
-
-
-def round_bounds(runtime, graph, order) -> tuple[np.ndarray, np.ndarray]:
-    """``runtime.chunk_bounds`` of an LP round over ``order``: under the
-    ``heavy-first`` policy each chunk weighs its edges."""
-    weights = None
-    if runtime.schedule_policy == "heavy-first" and len(order):
-        starts = np.arange(0, len(order), runtime.chunk_size)
-        weights = np.add.reduceat(np.asarray(graph.degrees)[order], starts)
-    return runtime.chunk_bounds(len(order), weights=weights)
-
-
-def replayed_chunks(detector, order, bounds, tids, stats, moved):
-    """The chunks of a round the kernel ran, for a conflict detector: in the
-    order they ran, with ``detector.current_tid`` set to each one's virtual
-    thread, ``(chunk, movers, targets)`` of every chunk with an edge -- its
-    movers the next :data:`MOVES` entries of the round's ``moved``."""
-    at = 0
-    rows = stats[:, [EDGES, TARGETS, MOVES]].tolist()
-    for (lo, hi), tid, (edges, targets, moves) in zip(bounds.tolist(), tids.tolist(), rows):
-        movers = moved[at : at + moves]
-        at += moves
-        if edges:
-            detector.current_tid = tid
-            yield order[lo:hi], movers, targets
 
 
 def _clustering_state(graph, vwgt, clusters, cluster_weights, max_cluster_weight):

@@ -71,7 +71,7 @@
  *
  * A round is the chunks bounds[2j] .. bounds[2j + 1] (positions in chunk[],
  * the round's visiting order) for j < chunks, run in that order -- the
- * runtime's execution order, so every schedule policy is kept.  Each chunk
+ * runtime's chunk walk, which is always issue order.  Each chunk
  * is phase 1 below, then phase 2, before the next one starts: chunk j + 1
  * reads chunk j's commits, as the per-chunk loop did.
  *

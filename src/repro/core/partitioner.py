@@ -50,9 +50,8 @@ class PartitionResult:
     num_levels: int
     config_name: str
     phase_stats: dict = field(default_factory=dict)
-    # verify-layer report (populated when config.debug enables validation
-    # or conflict detection): invariant-check count, detector conflicts,
-    # schedule policy used
+    # verify-layer report (populated when config.debug enables validation):
+    # the validation level and the invariant checks run
     selfcheck: dict | None = None
     # obs-layer artifacts (populated when config.obs.enabled): the raw span
     # tracer (exportable via repro.obs.write_chrome_trace) and the metrics
@@ -174,25 +173,15 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     """The harness both entry points share.
 
     Sets up what ``config.debug`` / ``config.obs`` ask for (runtime,
-    conflict detector, invariant checks, span tracer, decode counters,
-    scratch ledger), runs ``phases(ctx, inv) -> (pgraph, num_levels,
-    checks_run)``, tears the process-wide hooks down again and
-    assembles the :class:`PartitionResult`.
+    invariant checks, span tracer, decode counters, scratch ledger), runs
+    ``phases(ctx, inv) -> (pgraph, num_levels, checks_run)``, tears the
+    process-wide hooks down again and assembles the
+    :class:`PartitionResult`.
     """
     tracker = tracker if tracker is not None else MemoryTracker()
     dbg = config.debug
-    runtime = runtime or ParallelRuntime(
-        config.p,
-        schedule_policy=dbg.schedule_policy,
-        schedule_seed=dbg.schedule_seed,
-    )
+    runtime = runtime or ParallelRuntime(config.p)
     runtime.clear_ledger()  # a reused runtime holds its last run's costs
-    detector = runtime.detector
-    if dbg.detect_conflicts and detector is None:
-        from repro.verify.conflicts import ConflictDetector
-
-        detector = ConflictDetector()
-        runtime.attach_detector(detector)
     inv = None
     if dbg.validation_level:
         from repro.verify import invariants as inv
@@ -231,19 +220,10 @@ def _run(graph, k, config, tracker, runtime, phases) -> PartitionResult:
     phase_stats = runtime.all_stats()
     modeled = CostModel().total_time(phase_stats, runtime.p)
     selfcheck = None
-    if dbg.validation_level or dbg.detect_conflicts:
+    if dbg.validation_level:
         selfcheck = {
             "validation_level": dbg.validation_level,
             "invariant_checks": checks_run,
-            "conflicts": []
-            if detector is None
-            else [str(c) for c in detector.conflicts],
-            "regions_checked": 0 if detector is None else detector.regions_checked,
-            "accesses_recorded": 0
-            if detector is None
-            else detector.accesses_recorded,
-            "schedule_policy": dbg.schedule_policy or "issue",
-            "schedule_seed": dbg.schedule_seed,
         }
     obs_dict = None
     if obs_cfg.enabled:

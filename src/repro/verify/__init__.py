@@ -1,17 +1,9 @@
-"""Verification subsystem: schedule fuzzing, conflict detection, invariants.
+"""Verification subsystem: phase-boundary invariant checks.
 
-Three layers, built on the simulated runtime's pluggable schedule policies
-(:data:`repro.parallel.runtime.SCHEDULE_POLICIES`):
-
-* :mod:`repro.verify.conflicts` -- a ThreadSanitizer-style dynamic conflict
-  detector over declared shared-array and atomic accesses;
-* :mod:`repro.verify.invariants` -- phase-boundary structural checks wired
-  into the multilevel driver behind ``config.debug.validation_level``;
-* :mod:`repro.verify.fuzz` -- the CHESS-style schedule sweep that replays
-  LP clustering and one-pass contraction under many interleavings.
+:mod:`repro.verify.invariants` holds the structural checks the multilevel
+driver runs behind ``config.debug.validation_level`` (``--selfcheck``).
 """
 
-from repro.verify.conflicts import Conflict, ConflictDetector
 from repro.verify.invariants import (
     InvariantViolation,
     check_clustering,
@@ -21,27 +13,13 @@ from repro.verify.invariants import (
     check_gain_table_vs_recompute,
     check_partition,
 )
-from repro.verify.fuzz import (
-    FuzzCase,
-    canonical_coarse_form,
-    fuzz_clustering,
-    fuzz_contraction,
-    summarize,
-)
 
 __all__ = [
-    "Conflict",
-    "ConflictDetector",
     "InvariantViolation",
-    "FuzzCase",
-    "canonical_coarse_form",
     "check_clustering",
     "check_coarse_mapping",
     "check_compressed_roundtrip",
     "check_csr",
     "check_gain_table_vs_recompute",
     "check_partition",
-    "fuzz_clustering",
-    "fuzz_contraction",
-    "summarize",
 ]

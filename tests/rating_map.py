@@ -40,15 +40,11 @@ class AtomicArray:
     list ``L_t``.
     """
 
-    def __init__(
-        self, data: np.ndarray, *, detector=None, name: str = "atomic-array"
-    ) -> None:
+    def __init__(self, data: np.ndarray) -> None:
         if data.dtype != np.int64:
             raise TypeError(f"AtomicArray requires int64, got {data.dtype}")
         self._data = data
         self.op_count = 0
-        self._detector = detector
-        self._name = name
 
     @property
     def data(self) -> np.ndarray:
@@ -62,8 +58,6 @@ class AtomicArray:
 
     def fetch_add(self, idx: int, delta: int) -> int:
         self.op_count += 1
-        if self._detector is not None:
-            self._detector.record_atomic(self._name, (idx,))
         prev = int(self._data[idx])
         self._data[idx] = prev + delta
         return prev
@@ -78,8 +72,6 @@ class AtomicArray:
         slot from zero reports True for that slot.
         """
         self.op_count += len(indices)
-        if self._detector is not None and len(indices):
-            self._detector.record_atomic(self._name, indices)
         was_zero = tracked_zeros(len(indices), bool, name="atomic-was-zero")
         # np.add.at handles duplicates; we need per-op previous values only
         # to detect zero-crossings, so detect duplicates first.

@@ -372,14 +372,12 @@ def test_warm_start_honours_debug_and_scratch_knobs(golden_graphs):
         golden_graphs,
         config=presets.terapart_fm(
             seed=3,
-            debug=DebugConfig(validation_level=2, detect_conflicts=True),
+            debug=DebugConfig(validation_level=2),
             obs=ObsConfig(track_scratch=True),
         ),
     )
     assert checked_pin[:2] == pin[:2]
     assert checked.selfcheck["invariant_checks"] == 1
-    assert checked.selfcheck["conflicts"] == []
-    assert checked.selfcheck["regions_checked"] > 0
     assert checked.peak_bytes > pin[2]  # scratch buffers reached the ledger
     assert scratch._ledger is None
 

@@ -4,9 +4,10 @@ One-pass contraction and the packet model of ``compress_graph_parallel``
 used to take their chunks from a slice-list scheduler.  The digests below
 were recorded on that scheduler, so the bounds walk must give the same
 chunks, in the same order, to the same virtual threads: the coarse graphs
-(their rows sorted, see :data:`ONE_PASS`), the bump counts, the conflict detector's verdicts, the compressed bytes and
-the packet traces all stay byte for byte what they were.  The empty graph's
-packets are pinned in ``test_runtime.py::TestScheduleBalanced::test_empty``.
+(their rows sorted, see :data:`ONE_PASS`), the bump counts, the compressed
+bytes and the packet traces all stay byte for byte what they were.  The
+empty graph's packets are pinned in
+``test_runtime.py::TestScheduleBalanced::test_empty``.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import pytest
 
 from repro.core.coarsening.lp_clustering import label_propagation_clustering
 from repro.core.coarsening.one_pass_contraction import contract_one_pass
+from repro.core.config import CoarseningConfig, PartitionerConfig
+from repro.core.context import PartitionContext
 from repro.graph import generators as gen
 from repro.graph.compressed import compress_graph
 from repro.graph.compression import PacketTrace, compress_graph_parallel
 from repro.parallel.runtime import ParallelRuntime
-from repro.verify.fuzz import _make_ctx
 
 
 def _digest(*arrays) -> str:
@@ -37,50 +39,43 @@ GRAPHS = {
     "rgg2d-csr": lambda: gen.rgg2d(1500, seed=3),
 }
 
-#: (graph, policy) -> (coarse graph + fine_to_coarse digest, bumped
-#: clusters, detector accesses recorded, conflicts).  The coarse rows are
-#: ascending by coarse id; the scheduler's rows were ascending by leader id,
-#: and each digest here is that coarse graph's after
+#: graph -> (coarse graph + fine_to_coarse digest, bumped clusters).  The
+#: coarse rows are ascending by coarse id; the scheduler's rows were
+#: ascending by leader id, and each digest here is that coarse graph's after
 #: ``with_sorted_neighborhoods()`` (chunks run in index order number the
-#: coarse vertices in leader order, so those two rows were sorted already).
-#: With no policy the chunks run in issue order too, so the ``None`` cells
-#: equal the ``"issue"`` ones
+#: coarse vertices in leader order, so those two rows were sorted already)
 ONE_PASS = {
-    ("rgg2d-csr", None): ("120f18c5a279bd91", 0, 1822, 0),
-    ("rgg2d-csr", "issue"): ("120f18c5a279bd91", 0, 1822, 0),
-    ("rgg2d-csr", "reversed"): ("9b6e3aa490c80cf0", 0, 1822, 0),
-    ("rgg2d-csr", "random"): ("4290aaefa5d7044e", 0, 1822, 0),
-    ("rgg2d-csr", "heavy-first"): ("aab7b897fca1f7b5", 0, 1822, 0),
-    ("weblike-compressed", None): ("af5a4f65e0dd1335", 4, 7818, 0),
-    ("weblike-compressed", "issue"): ("af5a4f65e0dd1335", 4, 7818, 0),
-    ("weblike-compressed", "reversed"): ("e93aea99cc0a90cf", 4, 7818, 0),
-    ("weblike-compressed", "random"): ("29fcff378e7a3ceb", 4, 7818, 0),
-    ("weblike-compressed", "heavy-first"): ("af5c400ccf8dcd51", 4, 7818, 0),
+    "rgg2d-csr": ("120f18c5a279bd91", 0),
+    "weblike-compressed": ("af5a4f65e0dd1335", 4),
 }
+
+
+def _ctx(graph) -> PartitionContext:
+    """Two-phase LP and one-pass contraction on 4 virtual threads with
+    chunks of 16."""
+    coarsening = CoarseningConfig(two_phase_lp=True, one_pass_contraction=True)
+    cfg = PartitionerConfig(p=4, seed=0, coarsening=coarsening)
+    runtime = ParallelRuntime(4, chunk_size=16)
+    return PartitionContext(cfg, 2, graph.total_vertex_weight, runtime=runtime)
 
 
 @pytest.fixture(scope="module", params=sorted(GRAPHS))
 def clustered(request):
     graph = GRAPHS[request.param]()
-    ctx, _ = _make_ctx(graph, p=4, policy=None, seed=0, chunk_size=16)
-    ctx.runtime.detach_detector()
-    clu = label_propagation_clustering(graph, ctx, 8)
+    clu = label_propagation_clustering(graph, _ctx(graph), 8)
     return request.param, graph, clu
 
 
-@pytest.mark.parametrize("policy", [None, "issue", "reversed", "random", "heavy-first"])
-def test_one_pass_contraction_is_pinned(clustered, policy):
+def test_one_pass_contraction_is_pinned(clustered):
     name, graph, clu = clustered
-    ctx, det = _make_ctx(graph, p=4, policy=policy, seed=5, chunk_size=16)
+    ctx = _ctx(graph)
     out = contract_one_pass(graph, clu.clusters.copy(), clu.cluster_weights.copy(), ctx)
     c = out.coarse
     got = (
         _digest(c.indptr, c.adjncy, c.adjwgt, c.vwgt, out.fine_to_coarse),
         out.bumped_clusters,
-        det.accesses_recorded,
-        len(det.conflicts),
     )
-    assert got == ONE_PASS[name, policy]
+    assert got == ONE_PASS[name]
 
 
 #: star(500) with its hub chunk-encoded: (bytes digest, offsets digest)

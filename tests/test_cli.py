@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
+from repro.core.config import DebugConfig, preset
 from repro.graph import generators as gen
 from repro.graph.io import write_binary, write_metis
 
@@ -44,6 +48,19 @@ class TestPartitionCommand:
         path, _ = graph_file
         rc = main(["partition", str(path), "-k", "2", "--preset", "kaminpar"])
         assert rc == 0
+
+    def test_selfcheck_clean_run(self, graph_file, capsys):
+        """``--selfcheck`` runs every invariant check and says how many ran:
+        as many as the library runs at validation level 2."""
+        path, g = graph_file
+        rc = main(["partition", str(path), "-k", "4", "--seed", "1", "--selfcheck"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        line = re.search(r"^selfcheck:\s+(\d+) invariant checks ok$", out, re.M)
+        assert line is not None
+        cfg = preset("terapart", seed=1, p=8, debug=DebugConfig(validation_level=2))
+        checks = repro.partition(g, 4, cfg).selfcheck["invariant_checks"]
+        assert int(line.group(1)) == checks > 0
 
     def test_metis_input(self, tmp_path):
         g = gen.grid2d(10, 10)

@@ -139,9 +139,9 @@ class TestOnePassContraction:
         out.coarse.validate()
 
     def test_isomorphic_to_buffered(self, family_graph):
-        """Under the default schedule the chunks run in issue order, so
-        one-pass numbers the coarse vertices in leader order, as buffered
-        does: the two return the same arrays byte for byte."""
+        """The chunks run in issue order, so one-pass numbers the coarse
+        vertices in leader order, as buffered does: the two return the same
+        arrays byte for byte."""
         clusters, weights = random_clustering(family_graph, family_graph.n // 2, seed=4)
         out_b = contract_buffered(
             family_graph, clusters.copy(), weights.copy(), make_ctx(family_graph)
@@ -159,6 +159,20 @@ class TestOnePassContraction:
             ]:  # fmt: skip
                 assert np.asarray(got).dtype == np.asarray(want).dtype, chunk_size
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), chunk_size
+
+    def test_each_chunk_reaches_its_owners_thread_slice(self):
+        """The walk books each chunk once, under its virtual thread: 25
+        chunks of 4 coarse vertices round-robin over 2 threads."""
+        graph = gen.rgg2d(200, seed=1)
+        ctx = make_ctx(graph, p=2, k=2, chunk_size=4)
+        clusters = np.arange(graph.n, dtype=np.int64) & ~1  # pairs (2i, 2i+1)
+        weights = np.bincount(clusters, minlength=graph.n).astype(np.int64)
+        out = contract_one_pass(graph, clusters, weights, ctx)
+        assert out.coarse.n == 100
+        slices = [
+            (t["phase"], t["tid"], t["chunks"], t["items"]) for t in ctx.runtime.thread_slices()
+        ]
+        assert slices == [("contraction", tid, 13 - tid, 52 - 4 * tid) for tid in (0, 1)]
 
     def test_neighborhoods_consecutive_in_eprime(self, grid_graph):
         """P' must be non-decreasing: consecutive IDs, consecutive ranges."""

@@ -216,3 +216,48 @@ class TestPropertyEquivalence:
         for u in range(g.n):
             for b in range(k):
                 assert sparse.affinity(u, b) == full.affinity(u, b)
+
+
+class TestGainTableEquivalence:
+    """All three tables agree after the same random move trace, on blocks
+    and affinities, for 8 seeds at each of k = 2, 4, 8, 16."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return gen.rgg2d(350, avg_degree=8, seed=4)
+
+    @pytest.mark.parametrize("p", (1, 2, 4, 8))
+    def test_sparse_equals_full_after_move_traces(self, graph, p):
+        k = 2 * p
+        for seed in range(8):
+            rng = np.random.default_rng([seed, p])
+            part = rng.integers(0, k, size=graph.n).astype(np.int32)
+            pg_full = PartitionedGraph(graph, k, part.copy())
+            pg_sparse = PartitionedGraph(graph, k, part.copy())
+            pg_ref = PartitionedGraph(graph, k, part.copy())
+            full = FullGainTable(pg_full)
+            sparse = SparseGainTable(pg_sparse)
+            ref = NoGainTable(pg_ref)
+            for _ in range(40):
+                u = int(rng.integers(graph.n))
+                src = int(pg_full.partition[u])
+                dst = int((src + 1 + rng.integers(k - 1)) % k)
+                for pg, table in (
+                    (pg_full, full),
+                    (pg_sparse, sparse),
+                    (pg_ref, ref),
+                ):
+                    pg.move(u, dst)
+                    oracles.apply_move(table, u, src, dst)
+            probe = rng.choice(graph.n, size=min(64, graph.n), replace=False)
+            for u in probe.tolist():
+                bf = set(full.adjacent_blocks(u).tolist())
+                bs = set(sparse.adjacent_blocks(u).tolist())
+                br = set(ref.adjacent_blocks(u).tolist())
+                assert bf == bs == br, f"adjacent blocks diverge at vertex {u}"
+                for b in bf:
+                    assert (
+                        full.affinity(u, b)
+                        == sparse.affinity(u, b)
+                        == ref.affinity(u, b)
+                    ), f"affinity diverges at vertex {u}, block {b}"

@@ -34,97 +34,7 @@ def codes_at(findings):
 
 
 # --------------------------------------------------------------------- #
-# pass 1: parallel access
-# --------------------------------------------------------------------- #
-class TestParallelAccess:
-    def test_good_kernel_clean(self):
-        assert lint_one(FIXTURES / "kernel_good.py") == []
-
-    def test_bad_kernel_all_codes(self):
-        findings = lint_one(FIXTURES / "kernel_bad.py", "parallel-access")
-        assert codes_at(findings) == {
-            ("PA001", 11),
-            ("PA002", 12),
-            ("PA002", 13),
-            ("PA003", 14),
-            ("PA005", 19),
-            ("PA003", 26),
-        }
-        assert all(f.pass_id == "parallel-access" for f in findings)
-        assert all(f.file == "kernel_bad.py" for f in findings)
-
-    def test_execute_without_declarations(self):
-        findings = lint_one(FIXTURES / "kernel_nodecl.py", "parallel-access")
-        assert codes_at(findings) == {("PA004", 6)}
-        assert findings[0].severity == "warning"
-
-    def test_injected_undeclared_write_located(self, tmp_path):
-        """Acceptance: an injected undeclared write is reported with the
-        exact file:line and pass ID."""
-        src = (FIXTURES / "kernel_good.py").read_text().splitlines()
-        marker = src.index("            nbrs = chunk")
-        src.insert(marker + 1, '            rec.write("partition", chunk)')
-        bad = tmp_path / "injected.py"
-        bad.write_text("\n".join(src) + "\n")
-        findings = lint_one(bad, "parallel-access")
-        assert len(findings) == 1
-        f = findings[0]
-        assert (f.pass_id, f.code) == ("parallel-access", "PA001")
-        assert (f.file, f.line) == ("injected.py", marker + 2)
-
-
-    @pytest.mark.parametrize(
-        "module, after, store, subject",
-        [
-            ("refinement.lp_refine", "            stats = kernel(order, bounds, moved)",
-             "part[order] = 0", "lp-refinement:partition:store"),
-            ("refinement.lp_refine", "            stats = kernel(order, bounds, moved)",
-             "vwgt[order] = 0", "lp-refinement:vertex-weights:store"),
-            ("coarsening.lp_clustering", "                    stats = kernel(order, bounds, movers)",
-             "vwgt[order] = 0", "lp-clustering:vertex-weights:store"),
-        ],
-        ids=["refine-part", "refine-vwgt", "clustering-vwgt"],
-    )  # fmt: skip
-    def test_a_raw_store_in_an_lp_round_is_flagged(self, tmp_path, module, after, store, subject):
-        """``label_propagation_clustering`` and ``lp_refine`` bind the arrays
-        their rounds share as the locals they hand the kernel (``part``,
-        ``vwgt``), so a raw store into one inside a round's region is a PA003
-        at its line -- and the modules as they stand have none."""
-        import importlib
-
-        path = Path(importlib.import_module(f"repro.core.{module}").__file__)
-        assert lint_one(path, "parallel-access") == []
-        src = path.read_text().splitlines()
-        at = src.index(after)
-        indent = after[: len(after) - len(after.lstrip())]
-        src.insert(at + 1, indent + store)
-        bad = tmp_path / path.name
-        bad.write_text("\n".join(src) + "\n")
-        findings = lint_one(bad, "parallel-access")
-        assert [(f.code, f.line, f.subject) for f in findings] == [("PA003", at + 2, subject)]
-
-    def test_a_raw_store_into_eprime_is_flagged(self, tmp_path):
-        """One-pass contraction's ``E'`` is declared ``write``: its chunks'
-        slices reach the detector through the recorder, so a raw store into
-        it inside the parallel region is a PA003 at its line -- and the
-        module as it stands has none."""
-        from repro.core.coarsening import one_pass_contraction
-
-        path = Path(one_pass_contraction.__file__)
-        assert lint_one(path, "parallel-access") == []
-        src = path.read_text().splitlines()
-        at = src.index("        seconds = time.perf_counter() - t0")
-        src.insert(at + 1, "        eprime[0, :1] = 0")
-        bad = tmp_path / "one_pass_contraction.py"
-        bad.write_text("\n".join(src) + "\n")
-        findings = lint_one(bad, "parallel-access")
-        assert [(f.code, f.line, f.subject) for f in findings] == [
-            ("PA003", at + 2, "one-pass-contraction:coarse-edges:store")
-        ]
-
-
-# --------------------------------------------------------------------- #
-# pass 2: untracked allocations
+# pass 1: untracked allocations
 # --------------------------------------------------------------------- #
 class TestUntrackedAlloc:
     def test_good_allocs_clean(self):
@@ -188,7 +98,7 @@ class TestUntrackedAlloc:
 
 
 # --------------------------------------------------------------------- #
-# pass 3: integer width
+# pass 2: integer width
 # --------------------------------------------------------------------- #
 class TestIntWidth:
     def test_guarded_and_widening_clean(self):
@@ -200,7 +110,7 @@ class TestIntWidth:
 
 
 # --------------------------------------------------------------------- #
-# pass 4: phase discipline
+# pass 3: phase discipline
 # --------------------------------------------------------------------- #
 class TestPhaseDiscipline:
     def test_good_phases_clean(self):
@@ -399,13 +309,13 @@ class TestSelfCheck:
                 str(BASELINE),
                 "--json",
                 str(out),
-                str(FIXTURES / "kernel_bad.py"),
+                str(FIXTURES / "phase_bad.py"),
             ]
         )
         data = json.loads(out.read_text())
-        assert data["total_findings"] == 6
-        assert data["by_pass"]["parallel-access"] == 6
-        assert len(data["new_findings"]) == 6
+        assert data["total_findings"] == 4
+        assert data["by_pass"]["phase-discipline"] == 4
+        assert len(data["new_findings"]) == 4
 
     def test_real_spans_resolve_statically(self):
         """The analyzer must fully resolve every span/phase name in the
@@ -531,15 +441,10 @@ class TestUnknownSuppressions:
     def test_code_table_matches_the_passes(self):
         """``PASS_CODES`` (what an ignore may name) lists exactly the codes
         each pass module can emit."""
-        from repro.analysis import (
-            allocations,
-            intwidth,
-            parallel_access,
-            phases,
-        )
+        from repro.analysis import allocations, intwidth, phases
         from repro.analysis.core import PASS_CODES
 
-        for mod in (parallel_access, allocations, intwidth, phases):
+        for mod in (allocations, intwidth, phases):
             text = Path(mod.__file__).read_text()
             emitted = set(re.findall(r'"([A-Z]{2}\d{3})"', text))
             assert emitted == set(PASS_CODES[mod.PASS_ID]), mod.PASS_ID
@@ -556,7 +461,7 @@ class TestUnknownSuppressions:
 class TestSarif:
     def _report(self):
         return analysis.lint_paths(
-            [FIXTURES / "kernel_bad.py", FIXTURES / "alloc_bad.py"]
+            [FIXTURES / "phase_bad.py", FIXTURES / "alloc_bad.py"]
         )
 
     def test_structure_and_levels(self):
@@ -571,7 +476,7 @@ class TestSarif:
         assert {r["ruleId"] for r in results} <= rules
         assert {r["level"] for r in results} == {"error", "warning"}
         by_rule = {r["ruleId"]: r for r in results}
-        assert by_rule["PA001"]["level"] == "error"
+        assert by_rule["PH001"]["level"] == "error"
         assert by_rule["UA001"]["level"] == "warning"
         loc = by_rule["UA001"]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "alloc_bad.py"
@@ -663,7 +568,7 @@ class TestEngineRuntimeAgreement:
 # --------------------------------------------------------------------- #
 class TestPhaseVocabularyDrift:
     #: KNOWN_PHASES names that belong to the runtime cost model's kernel
-    #: phases (runtime.record / ConflictDetector scopes), not the span
+    #: phases (runtime.record scopes), not the span
     #: tracer; they never appear as span names.
     RUNTIME_ONLY = frozenset({"fm-pass", "lp-refinement"})
 

@@ -9,9 +9,9 @@ one process (the kernel as a round of one chunk, the oracle from
 generator families x edge weights (unit, random, with zeros) x vertex
 weights x CSR / compressed; the LP drivers (one kernel call a round) and
 whole partitions must report the same cost records and counters as the
-oracle looped chunk by chunk, degenerate rounds and every schedule policy
-included; the edges a sort gets for free (a label seen through weight 0, no
-neighbour at all, sums that wrap) are pinned one by one; and, called
+oracle looped chunk by chunk, degenerate rounds included; the edges a sort
+gets for free (a label seen through weight 0, no neighbour at all, sums
+that wrap) are pinned one by one; and, called
 without the wrapper's checks on corrupted arrays, the kernel must return an
 error code, write nothing outside the buffers it was given and leave its
 rating map zeroed.
@@ -25,11 +25,9 @@ decoding kernel to the same contract on corrupt streams.
 from __future__ import annotations
 
 import collections
-import contextlib
 import ctypes
 import dataclasses
 import itertools
-import sys
 
 import numpy as np
 import pytest
@@ -49,12 +47,8 @@ from repro.graph import generators as gen
 from repro.graph.compressed import compress_graph, decompress_graph
 from repro.graph.csr import CSRGraph
 from repro.parallel.runtime import ParallelRuntime
-from repro.verify.fuzz import _make_ctx
 from test_bulk_decode import _body, _clone, _hand_built
 from test_initial_kernel import Guarded
-
-# the package re-exports the function under the module's name
-lp_refine_module = sys.modules["repro.core.refinement.lp_refine"]
 
 FAMILIES = {
     "mesh": lambda: gen.rgg2d(260, 8.0, seed=3),
@@ -496,12 +490,11 @@ class KernelCalls:
         m.setattr(_native, "lp_kernels", lambda: wrapped)
 
 
-def both_drivers(graph, policy=None, k: int = 4, chunk_size=None):
+def both_drivers(graph, k: int = 4, chunk_size=None):
     """LP clustering, then LP refinement from a random assignment, through
-    the drivers under schedule ``policy`` (or on a runtime of ``chunk_size``
-    positions a chunk): everything they report."""
-    debug = DebugConfig(schedule_policy=policy, schedule_seed=3)
-    cfg = preset("terapart", seed=1, p=4, debug=debug)
+    the drivers (on a runtime of ``chunk_size`` positions a chunk if given):
+    everything they report."""
+    cfg = preset("terapart", seed=1, p=4)
     runtime = None if chunk_size is None else ParallelRuntime(4, chunk_size=chunk_size)
     ctx = PartitionContext(cfg, k, graph.total_vertex_weight, runtime=runtime)
     total = graph.total_vertex_weight
@@ -514,13 +507,13 @@ def both_drivers(graph, policy=None, k: int = 4, chunk_size=None):
     )  # fmt: skip
 
 
-def rounds_agree(graph, policy=None, chunk_size=None) -> collections.Counter:
+def rounds_agree(graph, chunk_size=None) -> collections.Counter:
     """The drivers on the round kernel equal them on the oracle looped chunk
     by chunk; returns the round-kernel calls made."""
     with pytest.MonkeyPatch.context() as m:
         calls = KernelCalls(m)
-        got = both_drivers(graph, policy, chunk_size=chunk_size)
-    want = on_oracle(both_drivers, graph, policy, chunk_size=chunk_size)
+        got = both_drivers(graph, chunk_size=chunk_size)
+    want = on_oracle(both_drivers, graph, chunk_size=chunk_size)
     for a, b in zip(got, want):
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b)
@@ -587,42 +580,10 @@ class TestDegenerateRounds:
             repro.partition(graph, 4, preset("terapart", seed=1))
 
     @pytest.mark.parametrize("compressed", [False, True], ids=["csr", "compressed"])
-    @pytest.mark.parametrize("policy", ["issue", "reversed", "random", "heavy-first"])
-    def test_every_schedule_policy(self, policy, compressed):
+    def test_random_weights(self, compressed):
         graph = weighted(gen.weblike(1500, 8.0, seed=4), "random", "random")
-        calls = rounds_agree(compress_graph(graph) if compressed else graph, policy)
+        calls = rounds_agree(compress_graph(graph) if compressed else graph)
         assert calls[0] > 0 and calls[1] > 0
-
-
-def test_heavy_first_runs_a_refinement_round_heaviest_chunks_first(monkeypatch):
-    """Under ``heavy-first`` LP refinement hands its kernel the chunks in
-    descending edge order, as clustering does -- not in issue order, which
-    is what its equal-sized chunks would give if weighed by size."""
-    graph = gen.weblike(1500, 8.0, seed=4)
-    runtime = ParallelRuntime(4, chunk_size=64, schedule_policy="heavy-first")
-    cfg = preset("terapart", seed=1, p=4)
-    ctx = PartitionContext(cfg, 4, graph.total_vertex_weight, runtime=runtime)
-    rounds = []
-    build = lp_refine_module.refinement_round
-
-    def recording(*args):
-        kernel = build(*args)
-
-        def call(order, bounds, moved=None):
-            rounds.append((order.copy(), bounds.copy()))
-            return kernel(order, bounds, moved)
-
-        return call
-
-    monkeypatch.setattr(lp_refine_module, "refinement_round", recording)
-    pgraph = PartitionedGraph(graph, 4, random_assignment(graph, 4))
-    lp_refine(pgraph, ctx, int(1.1 * -(-graph.total_vertex_weight // 4)), rounds=2)
-    degrees = np.asarray(graph.degrees)
-    assert rounds
-    for order, bounds in rounds:
-        edges = [int(degrees[order[lo:hi]].sum()) for lo, hi in bounds.tolist()]
-        assert edges == sorted(edges, reverse=True)
-        assert bounds[:, 0].tolist() != sorted(bounds[:, 0].tolist())
 
 
 def test_a_traced_partition_slices_threads_as_the_oracle_does():
@@ -785,125 +746,20 @@ class TestEdges:
         with pytest.raises(ValueError, match="int32"):
             lp_refine(pgraph, context(graph), 100)
 
-    def test_the_conflict_detector_watches_the_kernel_steps(self, monkeypatch):
-        """With the detector listening, every LP round -- clustering and
-        refinement, on every level -- is one kernel call inside the round's
-        parallel region, the call production makes; the detector hears the
-        round replayed after it."""
-        calls = KernelCalls(monkeypatch)
-        region = ParallelRuntime.region
-        rounds = collections.Counter()
-
-        @contextlib.contextmanager
-        def counted(self, phase):
-            before = calls.calls.copy()
-            with region(self, phase):
-                yield
-            lp = ("clustering", "lp-refinement")
-            entry = [i for i, name in enumerate(lp) if phase.startswith(name)]
-            assert list((calls.calls - before).elements()) == entry, phase
-            rounds.update(entry)
-
-        monkeypatch.setattr(ParallelRuntime, "region", counted)
-        cfg = preset("terapart", seed=1, p=4, debug=DebugConfig(detect_conflicts=True))
-        result = repro.partition(gen.rgg2d(600, 8.0, seed=1), 4, cfg)
-        assert rounds[0] > 0 and rounds[1] > 0
-        assert calls.calls == rounds  # no round entry called outside a round
-        assert result.selfcheck["conflicts"] == [] and result.selfcheck["accesses_recorded"] > 0
-
-
-def detector_report(graph, policy: str, p: int, two_phase: bool, inject_race: bool):
-    ctx, det = _make_ctx(
-        graph, p=p, policy=policy, seed=1, chunk_size=32,
-        two_phase=two_phase, inject_race=inject_race,
-    )  # fmt: skip
-    label_propagation_clustering(graph, ctx, max(1, graph.total_vertex_weight // 8))
-    return [str(c) for c in det.conflicts], det.accesses_recorded
-
-
-def selfcheck_report(graph, name: str):
-    debug = DebugConfig(detect_conflicts=True, schedule_policy="random", schedule_seed=3)
-    result = repro.partition(graph, 8, preset(name, seed=1, p=4, debug=debug))
-    assert result.phase_stats["lp-refinement"].work > 0
-    return result.selfcheck["conflicts"], result.selfcheck["accesses_recorded"], result.cut
-
-
-@pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])
-def test_the_detector_hears_the_same_accesses_on_both_paths(inject_race):
-    """The drivers replay a round from its stats rows and movers, which the
-    oracle's round fills as the kernel does, so the kernel and the oracle
-    report the same conflicts over as many accesses: fuzzed schedules of
-    both LP variants, CSR and compressed, with and without the injected
-    race."""
-    graphs = (gen.rgg2d(300, 8.0, seed=2), compress_graph(gen.weblike(300, 7.0, seed=2)))
-    found = 0
-    for graph, policy, p, two_phase in itertools.product(
-        graphs, ("random", "heavy-first"), (2, 4), (True, False)
-    ):
-        got = detector_report(graph, policy, p, two_phase, inject_race)
-        assert got == on_oracle(detector_report, graph, policy, p, two_phase, inject_race)
-        assert got[1] > 0
-        found += len(got[0])
-    assert bool(found) == inject_race
-
-
-#: per cell of the detector matrix below (graph, policy, p, LP variant): the
-#: accesses recorded and the conflicts of the injected race, as the detector
-#: heard them when it ran the kernel one chunk a call; without the race there
-#: are none.  The replay of the round call must hear exactly these.
-DETECTOR_GOLDEN = {
-    ("rgg2d", "random", 2, "two-phase"): (10418, 126),
-    ("rgg2d", "random", 2, "classic"): (10418, 126),
-    ("rgg2d", "random", 4, "two-phase"): (10418, 200),
-    ("rgg2d", "random", 4, "classic"): (10418, 200),
-    ("rgg2d", "heavy-first", 2, "two-phase"): (10477, 141),
-    ("rgg2d", "heavy-first", 2, "classic"): (10477, 141),
-    ("rgg2d", "heavy-first", 4, "two-phase"): (10477, 215),
-    ("rgg2d", "heavy-first", 4, "classic"): (10477, 215),
-    ("weblike", "random", 2, "two-phase"): (8977, 118),
-    ("weblike", "random", 2, "classic"): (8806, 118),
-    ("weblike", "random", 4, "two-phase"): (8977, 174),
-    ("weblike", "random", 4, "classic"): (8806, 174),
-    ("weblike", "heavy-first", 2, "two-phase"): (9037, 124),
-    ("weblike", "heavy-first", 2, "classic"): (8839, 124),
-    ("weblike", "heavy-first", 4, "two-phase"): (9037, 188),
-    ("weblike", "heavy-first", 4, "classic"): (8839, 188),
-}
-#: ``selfcheck_report`` on ``rgg2d(1500)``: (conflicts, accesses recorded, cut)
-SELFCHECK_GOLDEN = {"terapart": (0, 52673, 144), "kaminpar": (0, 49971, 144)}
-
-
-@pytest.mark.parametrize("inject_race", [False, True], ids=["clean", "injected-race"])
-def test_the_detector_hears_what_the_chunk_path_heard(inject_race):
-    graphs = {
-        "rgg2d": gen.rgg2d(300, 8.0, seed=2),
-        "weblike": compress_graph(gen.weblike(300, 7.0, seed=2)),
-    }
-    got = {}
-    for (name, graph), policy, p, two_phase in itertools.product(
-        graphs.items(), ("random", "heavy-first"), (2, 4), (True, False)
-    ):
-        conflicts, accesses = detector_report(graph, policy, p, two_phase, inject_race)
-        got[name, policy, p, "two-phase" if two_phase else "classic"] = (accesses, len(conflicts))
-    want = {
-        cell: (accesses, race if inject_race else 0)
-        for cell, (accesses, race) in DETECTOR_GOLDEN.items()
-    }
-    assert got == want
-
 
 @pytest.mark.parametrize("name", ["terapart", "kaminpar"])
-def test_a_selfcheck_partition_hears_what_the_chunk_path_heard(name):
-    conflicts, accesses, cut = selfcheck_report(gen.rgg2d(1500, 8.0, seed=2), name)
-    assert (len(conflicts), accesses, cut) == SELFCHECK_GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", ["terapart", "kaminpar"])
-def test_a_selfcheck_partition_hears_the_same_accesses_on_both_paths(name):
+def test_a_selfcheck_partition_cuts_as_the_oracle_does(name):
+    """A partition with every invariant check on has the same cut on the
+    round kernel as on the oracle's chunk loop."""
     graph = gen.rgg2d(1500, 8.0, seed=2)
-    got = selfcheck_report(graph, name)
-    assert got == on_oracle(selfcheck_report, graph, name)
-    assert got[0] == [] and got[1] > 0
+    cfg = preset(name, seed=1, p=4, debug=DebugConfig(validation_level=2))
+
+    def cut(graph):
+        result = repro.partition(graph, 8, cfg)
+        assert result.phase_stats["lp-refinement"].work > 0
+        return result.cut
+
+    assert cut(graph) == on_oracle(cut, graph)
 
 
 # --------------------------------------------------------------------- #

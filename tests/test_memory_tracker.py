@@ -1,7 +1,18 @@
-"""Unit tests for the allocation ledger (repro.memory.tracker)."""
+"""Unit tests for the allocation ledger (repro.memory.tracker) and the
+tracked scratch constructors that charge it (repro.memory.scratch)."""
 
+import gc
+
+import numpy as np
 import pytest
 
+from repro.memory.scratch import (
+    install_ledger,
+    tracked_empty,
+    tracked_full,
+    tracked_zeros,
+    uninstall_ledger,
+)
 from repro.memory.tracker import PAGE_SIZE, MemoryTracker, NullTracker
 
 
@@ -175,3 +186,39 @@ class TestNullTracker:
         t.free(aid)
         assert t.current_bytes == 0
         assert t.peak_bytes == 0
+
+
+class TestTrackedScratch:
+    def setup_method(self):
+        uninstall_ledger()
+
+    def teardown_method(self):
+        uninstall_ledger()
+
+    def test_no_ledger_plain_numpy(self):
+        arr = tracked_empty(100, np.int64, name="x")
+        assert arr.shape == (100,) and arr.dtype == np.int64
+
+    def test_charges_and_frees_with_array_lifetime(self):
+        tracker = MemoryTracker()
+        install_ledger(tracker)
+        arr = tracked_zeros(1000, np.int64, name="scratch-buf")
+        assert tracker.current_bytes == arr.nbytes
+        assert tracker.peak_bytes >= 8000
+        del arr
+        gc.collect()
+        assert tracker.current_bytes == 0
+
+    def test_full_and_values(self):
+        tracker = MemoryTracker()
+        install_ledger(tracker)
+        arr = tracked_full(10, 7, np.int64, name="f")
+        assert arr.tolist() == [7] * 10
+        assert tracker.current_bytes == 80
+
+    def test_uninstall_stops_charging(self):
+        tracker = MemoryTracker()
+        install_ledger(tracker)
+        uninstall_ledger()
+        _ = tracked_empty(1000, np.int64)
+        assert tracker.current_bytes == 0

@@ -57,13 +57,10 @@ def test_traced_run_is_bit_identical(seed, p):
     assert traced.trace.spans, "traced run must record spans"
 
 
-def test_traced_run_is_identical_under_fm_and_schedule_policy():
-    """Heavier config: FM refinement + an adversarial schedule policy."""
+def test_traced_run_is_identical_under_fm():
+    """Heavier config: FM refinement."""
     graph = gen.rgg2d(400, avg_degree=8, seed=9)
-    base_cfg = C.preset("terapart", seed=5, p=4).with_(
-        use_fm=True,
-        debug=C.DebugConfig(schedule_policy="heavy-first"),
-    )
+    base_cfg = C.preset("terapart", seed=5, p=4).with_(use_fm=True)
     traced_cfg = base_cfg.with_(obs=C.ObsConfig(enabled=True))
 
     plain = repro.partition(graph, 4, base_cfg)

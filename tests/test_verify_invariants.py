@@ -177,16 +177,12 @@ class TestCheckGainTable:
 
 class TestDriverIntegration:
     def test_selfcheck_report_populated(self, graph):
-        cfg = terapart(p=4).with_(
-            debug=DebugConfig(validation_level=2, detect_conflicts=True)
-        )
+        cfg = terapart(p=4).with_(debug=DebugConfig(validation_level=2))
         result = repro.partition(graph, 4, cfg)
         sc = result.selfcheck
         assert sc is not None
         assert sc["invariant_checks"] > 0
-        assert sc["conflicts"] == []
-        assert sc["regions_checked"] > 0
-        assert sc["schedule_policy"] == "issue"
+        assert set(sc) == {"validation_level", "invariant_checks"}
 
     def test_selfcheck_off_by_default(self, graph):
         result = repro.partition(graph, 4, terapart(p=4))
@@ -196,16 +192,3 @@ class TestDriverIntegration:
         cfg = terapart_fm(p=4).with_(debug=DebugConfig(validation_level=2))
         result = repro.partition(graph, 4, cfg)
         assert result.selfcheck is not None
-
-    def test_schedule_policy_override_still_valid(self, graph):
-        cfg = terapart(p=4).with_(
-            debug=DebugConfig(
-                validation_level=1,
-                detect_conflicts=True,
-                schedule_policy="random",
-                schedule_seed=11,
-            )
-        )
-        result = repro.partition(graph, 4, cfg)
-        assert result.selfcheck["conflicts"] == []
-        assert result.balanced
