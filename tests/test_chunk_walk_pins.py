@@ -59,7 +59,10 @@ def _ctx(graph) -> PartitionContext:
     return PartitionContext(cfg, 2, graph.total_vertex_weight, runtime=runtime)
 
 
-@pytest.fixture(scope="module", params=sorted(GRAPHS))
+#: the ids keep the ``-None`` suffix of the cells run in the default chunk
+#: order, from when a schedule policy was the test's second parameter, so
+#: these pins keep their names
+@pytest.fixture(scope="module", params=sorted(GRAPHS), ids=lambda name: f"{name}-None")
 def clustered(request):
     graph = GRAPHS[request.param]()
     clu = label_propagation_clustering(graph, _ctx(graph), 8)
